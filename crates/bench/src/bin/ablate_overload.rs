@@ -26,10 +26,9 @@ use imca_bench::{emit, emit_metrics, parallel_sweep, Options};
 use imca_metrics::Snapshot;
 use imca_workloads::overload::{run, OverloadBench, OverloadOut};
 use imca_workloads::report::Table;
-use imca_workloads::shardbench::{self, ShardedOverloadBench};
 
 fn p50_ms(out: &OverloadOut) -> f64 {
-    out.latency.quantile(0.50).as_nanos() as f64 / 1e6
+    out.latency.quantile(0.50) as f64 / 1e6
 }
 
 /// Knee of a goodput-vs-clients series: the first point whose goodput
@@ -67,26 +66,12 @@ fn main() {
         .iter()
         .map(|&(clients, protection)| {
             let seed = opts.seed;
-            // --workers N (or IMCA_SIM_WORKERS): each point runs as a
-            // ParSim fleet (one extra declared client is the warmer).
-            let workers = opts.workers;
             Box::new(move || {
-                let bench = OverloadBench {
+                run(&OverloadBench {
                     ops_per_client: ops,
                     seed,
                     ..OverloadBench::new(clients, protection)
-                };
-                if workers >= 1 {
-                    let plan = shardbench::auto_plan(bench.clients + 1, bench.mcds);
-                    shardbench::run_overload(&ShardedOverloadBench {
-                        bench,
-                        plan,
-                        workers,
-                    })
-                    .result
-                } else {
-                    run(&bench)
-                }
+                })
             }) as Box<dyn FnOnce() -> OverloadOut + Send>
         })
         .collect();

@@ -6,7 +6,6 @@ use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
 use imca_metrics::Snapshot;
 use imca_workloads::latbench::{run, LatencyBench, LatencyResult};
 use imca_workloads::report::Table;
-use imca_workloads::shardbench::{self, ShardedLatencyBench};
 use imca_workloads::SystemSpec;
 
 fn main() {
@@ -51,23 +50,7 @@ fn main() {
                 shared_file: true,
                 seed: opts.seed,
             };
-            // --workers N (or IMCA_SIM_WORKERS): cluster-backed cells run
-            // as a ParSim fleet; Lustre has no sharded builder and stays
-            // on the legacy engine.
-            let workers = opts.workers;
-            jobs.push(Box::new(move || {
-                match shardbench::plan_for(&cfg.spec, cfg.clients) {
-                    Some(plan) if workers >= 1 => {
-                        shardbench::run(&ShardedLatencyBench {
-                            bench: cfg,
-                            plan,
-                            workers,
-                        })
-                        .result
-                    }
-                    _ => run(&cfg),
-                }
-            }));
+            jobs.push(Box::new(move || run(&cfg)));
         }
     }
     let results = parallel_sweep(jobs);

@@ -7,7 +7,6 @@ use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
 use imca_memcached::Selector;
 use imca_metrics::Snapshot;
 use imca_workloads::report::Table;
-use imca_workloads::shardbench::{self, ShardedStatBench};
 use imca_workloads::statbench::{run, StatBench, StatBenchResult};
 use imca_workloads::SystemSpec;
 
@@ -61,23 +60,7 @@ fn main() {
                 spec: spec.clone(),
                 seed: opts.seed,
             };
-            // --workers N (or IMCA_SIM_WORKERS): cluster-backed cells run
-            // as a ParSim fleet (the sharded topology declares one extra
-            // client, the setup node); Lustre stays on the legacy engine.
-            let workers = opts.workers;
-            jobs.push(Box::new(move || {
-                match shardbench::plan_for(&cfg.spec, cfg.clients + 1) {
-                    Some(plan) if workers >= 1 => {
-                        shardbench::run_stat(&ShardedStatBench {
-                            bench: cfg,
-                            plan,
-                            workers,
-                        })
-                        .result
-                    }
-                    _ => run(&cfg),
-                }
-            }));
+            jobs.push(Box::new(move || run(&cfg)));
         }
     }
     let results = parallel_sweep(jobs);

@@ -18,6 +18,7 @@
 
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use imca_metrics::Snapshot;
 use imca_workloads::report::Table;
@@ -34,80 +35,63 @@ pub struct Options {
     pub out_dir: PathBuf,
     /// Override the simulation seed.
     pub seed: u64,
-    /// Sharded-engine worker threads (`--workers N`, or the
-    /// `IMCA_SIM_WORKERS` environment variable). 0 (the default) keeps
-    /// the legacy single-`Sim` engine; any N >= 1 runs cluster-backed
-    /// workloads as a `ParSim` fleet with N workers — the simulated
-    /// trace is bit-identical for every N, so this only changes how
-    /// many cores the sweep uses.
-    pub workers: usize,
 }
 
-/// Strictly parse `IMCA_SIM_WORKERS` (unset means 0 = legacy engine).
-/// Malformed values panic — a typo must not silently serialise a
-/// multi-hour sweep.
-fn workers_from_env() -> usize {
-    match std::env::var("IMCA_SIM_WORKERS") {
-        Ok(s) => s
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("IMCA_SIM_WORKERS must be an integer, got {s:?}")),
-        Err(_) => 0,
-    }
-}
+const USAGE: &str = "[--full | --smoke] [--out DIR] [--seed N]";
 
 impl Options {
     /// Parse from `std::env::args` (supports `--full`, `--smoke`,
-    /// `--out DIR`, `--seed N`, `--help`).
+    /// `--out DIR`, `--seed N`, `--help`). A bad command line prints the
+    /// usage to stderr and exits with status 2.
     pub fn from_args(name: &str, description: &str) -> Options {
+        match Options::parse(std::env::args().skip(1)) {
+            Ok(Some(opts)) => opts,
+            Ok(None) => {
+                println!("{name}: {description}");
+                println!("usage: {name} {USAGE}");
+                println!("  --full   run at paper scale (slow); default is a");
+                println!("           proportionally scaled workload");
+                println!("  --smoke  run a minimal CI sweep (fastest)");
+                std::process::exit(0);
+            }
+            Err(why) => {
+                eprintln!("{name}: {why}");
+                eprintln!("usage: {name} {USAGE}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// Parse an argument list (without the program name). `Ok(None)` means
+    /// `--help` was asked for; `Err` says what is wrong with the line.
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
         let mut opts = Options {
             full: false,
             smoke: false,
             out_dir: PathBuf::from("results"),
             seed: 42,
-            workers: workers_from_env(),
         };
-        let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--full" => opts.full = true,
                 "--smoke" => opts.smoke = true,
                 "--out" => {
-                    opts.out_dir = PathBuf::from(args.next().expect("--out needs a directory"))
+                    opts.out_dir = PathBuf::from(args.next().ok_or("--out needs a directory")?)
                 }
                 "--seed" => {
                     opts.seed = args
                         .next()
                         .and_then(|s| s.parse().ok())
-                        .expect("--seed needs an integer")
+                        .ok_or("--seed needs an integer")?
                 }
-                "--workers" => {
-                    opts.workers = args
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--workers needs an integer")
-                }
-                "--help" | "-h" => {
-                    println!("{name}: {description}");
-                    println!(
-                        "usage: {name} [--full] [--smoke] [--out DIR] [--seed N] [--workers N]"
-                    );
-                    println!("  --full     run at paper scale (slow); default is a");
-                    println!("             proportionally scaled workload");
-                    println!("  --smoke    run a minimal CI sweep (fastest)");
-                    println!("  --workers  drive cluster-backed workloads as a ParSim");
-                    println!("             fleet with N worker threads (bit-identical to");
-                    println!("             the legacy engine; also reads IMCA_SIM_WORKERS;");
-                    println!("             0 = legacy single-Sim engine)");
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown argument {other:?}; try --help");
-                    std::process::exit(2);
-                }
+                "--help" | "-h" => return Ok(None),
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        opts
+        if opts.full && opts.smoke {
+            return Err("--full and --smoke are mutually exclusive".into());
+        }
+        Ok(Some(opts))
     }
 }
 
@@ -167,47 +151,37 @@ pub fn metric_label(label: &str) -> String {
 }
 
 /// Run `jobs` on parallel OS threads (each job is an independent,
-/// self-contained simulation) and collect results in input order.
+/// self-contained simulation) and collect results in input order. One
+/// worker per core pulls the next job as soon as it is free, so a slow
+/// grid point never holds the others back.
 pub fn parallel_sweep<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T> {
-    parallel_sweep_bounded(jobs, None)
-}
-
-/// [`parallel_sweep`] with an explicit concurrency cap. Sweeps whose
-/// jobs are themselves multi-threaded (ParSim fleets) pass
-/// `Options::workers` here so fleet workers and sweep threads don't
-/// oversubscribe the host.
-pub fn parallel_sweep_bounded<T: Send>(
-    jobs: Vec<Box<dyn FnOnce() -> T + Send>>,
-    max_par: Option<usize>,
-) -> Vec<T> {
-    let n = jobs.len();
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let max_par = max_par.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
+    let workers = std::thread::available_parallelism()
+        .map_or(4, |n| n.get())
+        .min(jobs.len());
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // The lock is released before the job runs, so a
+                        // panicking job cannot poison it.
+                        let next = queue.lock().expect("job queue poisoned").next();
+                        let Some((idx, job)) = next else { break };
+                        mine.push((idx, job()));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep job panicked"))
+            .collect()
     });
-    let max_par = max_par.max(1);
-    let mut pending: Vec<(usize, Box<dyn FnOnce() -> T + Send>)> =
-        jobs.into_iter().enumerate().collect();
-    while !pending.is_empty() {
-        let take = pending.len().min(max_par);
-        let batch: Vec<_> = pending.drain(..take).collect();
-        let results: Vec<(usize, T)> = std::thread::scope(|s| {
-            let handles: Vec<_> = batch
-                .into_iter()
-                .map(|(idx, job)| (idx, s.spawn(job)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|(idx, h)| (idx, h.join().expect("sweep job panicked")))
-                .collect()
-        });
-        for (idx, value) in results {
-            out[idx] = Some(value);
-        }
-    }
-    out.into_iter().map(|v| v.expect("job missing")).collect()
+    done.sort_by_key(|&(idx, _)| idx);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
 #[cfg(test)]
@@ -215,12 +189,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_sweep_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0usize..20)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
+    fn parallel_sweep_preserves_order_over_unequal_jobs() {
+        // More jobs than any host has cores, every seventh one slow, so
+        // whichever way the workers interleave, completion order differs
+        // from input order — and the results must not.
+        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0usize..300)
+            .map(|i| {
+                Box::new(move || {
+                    if i % 7 == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                    }
+                    i * i
+                }) as Box<dyn FnOnce() -> usize + Send>
+            })
             .collect();
         let results = parallel_sweep(jobs);
-        assert_eq!(results, (0usize..20).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(results, (0usize..300).map(|i| i * i).collect::<Vec<_>>());
+        assert!(parallel_sweep::<usize>(Vec::new()).is_empty());
+    }
+
+    fn parse(line: &[&str]) -> Result<Option<Options>, String> {
+        Options::parse(line.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn options_parse_accepts_good_lines_and_rejects_bad_ones() {
+        let opts = parse(&["--smoke", "--out", "d", "--seed", "7"])
+            .unwrap()
+            .unwrap();
+        assert!(opts.smoke && !opts.full);
+        assert_eq!(opts.out_dir, PathBuf::from("d"));
+        assert_eq!(opts.seed, 7);
+        assert!(parse(&[]).unwrap().is_some());
+        assert!(parse(&["--help"]).unwrap().is_none());
+        // Each of these is a usage error (exit 2 in `from_args`), not a panic.
+        for bad in [
+            &["--out"][..],
+            &["--seed"],
+            &["--seed", "x"],
+            &["--full", "--smoke"],
+            &["--workers", "2"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]
@@ -231,7 +242,6 @@ mod tests {
             smoke: false,
             out_dir: dir.clone(),
             seed: 1,
-            workers: 0,
         };
         let mut snap = Snapshot::new();
         snap.set_counter("fabric.rpc.calls", 3);
@@ -258,7 +268,6 @@ mod tests {
             smoke: false,
             out_dir: dir.clone(),
             seed: 1,
-            workers: 0,
         };
         let mut t = Table::new("t", "x", "y", vec!["s".into()]);
         t.push_row(1.0, vec![Some(2.0)]);

@@ -51,11 +51,9 @@
 mod fault;
 mod network;
 mod rpc;
-mod shardnet;
 mod transport;
 
 pub use fault::{Delivery, FaultPlan};
 pub use network::{Network, NicStats, NodeId};
 pub use rpc::{fan_out, Incoming, Replier, RpcClient, Service};
-pub use shardnet::WireControl;
 pub use transport::{Transport, WireSize};

@@ -22,7 +22,6 @@ use imca_sim::sync::Resource;
 use imca_sim::{SimDuration, SimHandle, SimTime};
 
 use crate::fault::{Cut, Delivery, FaultPlan};
-use crate::shardnet::{ShardNet, WireControl, WireReply, WireReplyBody, WireRequest};
 use crate::transport::Transport;
 
 /// Identifies a node on the network.
@@ -101,9 +100,6 @@ struct Inner {
     faults: RefCell<Option<FaultState>>,
     dropped: Counter,
     duplicated: Counter,
-    /// Cross-shard glue when this network is one shard of a
-    /// [`imca_sim::ParSim`] fleet; `None` on single-`Sim` networks.
-    shard: RefCell<Option<ShardNet>>,
 }
 
 /// Handle to the simulated network. Cloning is cheap and refers to the same
@@ -139,7 +135,6 @@ impl Network {
                 duplicated: registry.counter("duplicated"),
                 registry,
                 faults: RefCell::new(None),
-                shard: RefCell::new(None),
             }),
         }
     }
@@ -333,206 +328,6 @@ impl Network {
             return (Fate::Duplicate, extra);
         }
         (Fate::Deliver, extra)
-    }
-
-    // --- Cross-shard fabric (see `crate::shardnet`) ---
-
-    /// Attach this network to one shard of a `ParSim` fleet. `home` maps
-    /// every registered node to its home shard; components must only be
-    /// built on their node's home shard. Call after registering the full
-    /// node universe and before binding any service. Spawns the delivery
-    /// pump that drains the shard's `ShardComms` inbox.
-    ///
-    /// # Panics
-    /// Panics if already attached, if `home` does not cover exactly the
-    /// registered nodes, or if the network's default transport violates
-    /// the lookahead rule: cross-shard arrival times are computed as
-    /// `tx_done + one_way_latency`, so the conservative horizon is sound
-    /// only when `one_way_latency ≥ lookahead` for every transport that
-    /// crosses shards (per-client overrides are checked at client
-    /// construction).
-    pub fn attach_shard(&self, comms: imca_sim::ShardComms, home: Vec<usize>) {
-        assert_eq!(
-            home.len(),
-            self.node_count(),
-            "home map must cover exactly the registered nodes"
-        );
-        let shards = comms.shards();
-        assert!(
-            home.iter().all(|&s| s < shards),
-            "home map names a shard beyond the fleet"
-        );
-        assert!(
-            self.inner.transport.one_way_latency >= comms.lookahead(),
-            "default transport one-way latency {:?} is below the lookahead {:?}: \
-             cross-shard arrivals would land inside the epoch that sent them",
-            self.inner.transport.one_way_latency,
-            comms.lookahead(),
-        );
-        let sn = ShardNet::new(comms, home);
-        let prev = self.inner.shard.borrow_mut().replace(sn.clone());
-        assert!(prev.is_none(), "network already attached to a shard");
-
-        // The delivery pump: drains the shard inbox in canonical parcel
-        // order. Each request/reply is RX-charged in its own task so the
-        // pump never blocks behind a busy RX station; spawn order (=
-        // canonical order) fixes the FIFO order at the station.
-        let net = self.clone();
-        let h = self.handle();
-        let h2 = h.clone();
-        h.spawn_on(imca_sim::NET_NODE, async move {
-            while let Some(env) = sn.comms().recv().await {
-                if env.is::<WireRequest>() {
-                    let wreq = env.open::<WireRequest>();
-                    let net = net.clone();
-                    h2.spawn_on(imca_sim::NET_NODE, async move {
-                        let tp = wreq.transport.clone().unwrap_or_else(|| net.transport());
-                        net.remote_rx(wreq.dst, wreq.bytes, &tp).await;
-                        net.shardnet().dispatch(wreq);
-                    });
-                } else if env.is::<WireReply>() {
-                    let wrep = env.open::<WireReply>();
-                    let net = net.clone();
-                    h2.spawn_on(imca_sim::NET_NODE, async move {
-                        match wrep.body {
-                            WireReplyBody::Reset => {
-                                // A reset carries no payload: no RX cost.
-                                net.shardnet().resolve(wrep.call, None);
-                            }
-                            WireReplyBody::Data(body) => {
-                                let tp = wrep.transport.clone().unwrap_or_else(|| net.transport());
-                                net.remote_rx(wrep.dst, wrep.bytes, &tp).await;
-                                net.shardnet().resolve(wrep.call, Some(body));
-                            }
-                            WireReplyBody::Echo => {
-                                // Duplicate of an answered response: charge
-                                // the wire, drop the bytes.
-                                let tp = wrep.transport.clone().unwrap_or_else(|| net.transport());
-                                net.remote_rx(wrep.dst, wrep.bytes, &tp).await;
-                            }
-                        }
-                    });
-                } else if env.is::<WireControl>() {
-                    let WireControl(body) = env.open::<WireControl>();
-                    net.shardnet().handle_control(body);
-                } else {
-                    panic!("unrouted cross-shard payload on a shard-attached network");
-                }
-            }
-        });
-    }
-
-    /// Whether this network is one shard of a fleet.
-    pub fn sharded(&self) -> bool {
-        self.inner.shard.borrow().is_some()
-    }
-
-    /// This network's shard index (0 on single-`Sim` networks).
-    pub fn shard(&self) -> usize {
-        self.inner
-            .shard
-            .borrow()
-            .as_ref()
-            .map(|sn| sn.shard())
-            .unwrap_or(0)
-    }
-
-    /// The home shard of `node` (0 on single-`Sim` networks).
-    pub fn home_shard(&self, node: NodeId) -> usize {
-        self.inner
-            .shard
-            .borrow()
-            .as_ref()
-            .map(|sn| sn.home(node))
-            .unwrap_or(0)
-    }
-
-    /// Whether `node`'s model components live on this shard. Always true
-    /// on single-`Sim` networks.
-    pub fn is_local(&self, node: NodeId) -> bool {
-        self.inner
-            .shard
-            .borrow()
-            .as_ref()
-            .map(|sn| sn.is_local(node))
-            .unwrap_or(true)
-    }
-
-    /// Install the handler for cross-shard control messages (fault and
-    /// liveness propagation). At most one per shard.
-    pub fn on_control(&self, f: impl Fn(Box<dyn std::any::Any + Send>) + 'static) {
-        self.shardnet().on_control(f);
-    }
-
-    /// Send an out-of-band control payload to `dst_shard`, applied by its
-    /// handler one lookahead from now. `dst_shard` must not be this shard —
-    /// local control actions are plain function calls.
-    pub fn control_send(&self, dst_shard: usize, body: Box<dyn std::any::Any + Send>) {
-        let sn = self.shardnet();
-        assert_ne!(dst_shard, sn.shard(), "control_send to own shard");
-        let at = self.inner.handle.now() + sn.comms().lookahead();
-        sn.send(dst_shard, at, WireControl(body));
-    }
-
-    pub(crate) fn shardnet(&self) -> ShardNet {
-        self.inner
-            .shard
-            .borrow()
-            .as_ref()
-            .expect("network is not attached to a shard")
-            .clone()
-    }
-
-    /// Fault verdict for one message, with the drop/duplicate counters
-    /// charged — the judgement half of [`Network::deliver`], used by the
-    /// cross-shard sender leg.
-    pub(crate) fn judge_fate(&self, src: NodeId, dst: NodeId) -> (Delivery, SimDuration) {
-        let (fate, extra) = self.judge(src, dst);
-        match fate {
-            Fate::Drop => {
-                self.inner.dropped.inc();
-                (Delivery::Dropped, extra)
-            }
-            Fate::Duplicate => {
-                self.inner.duplicated.inc();
-                (Delivery::Duplicated, extra)
-            }
-            Fate::Deliver => (Delivery::Ok, extra),
-        }
-    }
-
-    /// Sender half of a cross-shard delivery: hold the TX station, count
-    /// the traffic, and return the instant the last byte reaches the
-    /// destination NIC (`tx_done + one_way_latency + extra`).
-    pub(crate) async fn remote_tx(
-        &self,
-        src: NodeId,
-        bytes: usize,
-        tp: &Transport,
-        extra: SimDuration,
-    ) -> SimTime {
-        let h = &self.inner.handle;
-        let src_nic = self.nic(src);
-        src_nic
-            .tx
-            .serve(h, tp.host_cpu_send + tp.serialize_time(bytes))
-            .await;
-        src_nic.bytes_tx.add(bytes as u64);
-        src_nic.msgs_tx.inc();
-        h.now() + tp.one_way_latency + extra
-    }
-
-    /// Receiver half of a cross-shard delivery: hold the RX station and
-    /// count the traffic. Runs on the destination shard at arrival time.
-    pub(crate) async fn remote_rx(&self, dst: NodeId, bytes: usize, tp: &Transport) {
-        let h = &self.inner.handle;
-        let dst_nic = self.nic(dst);
-        dst_nic
-            .rx
-            .serve(h, tp.serialize_time(bytes) + tp.host_cpu_recv)
-            .await;
-        dst_nic.bytes_rx.add(bytes as u64);
-        dst_nic.msgs_rx.inc();
     }
 
     /// Install a fault plan. Replaces any previous plan (and clears its

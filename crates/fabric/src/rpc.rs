@@ -6,22 +6,13 @@
 //! likes), and [`Incoming::respond`]s; the response transfer is charged on
 //! the way back and the client's `call` future resolves when the last byte
 //! arrives.
-//!
-//! On a shard-attached network (see [`crate::Network::attach_shard`]) the
-//! same types also span shards: [`Service::bind`] registers a typed
-//! endpoint with the shard fabric, and [`RpcClient::remote`] builds a stub
-//! whose requests travel as `ShardComms` parcels. Same-shard clients are
-//! untouched — they keep the in-process queue path bit-for-bit.
-
-use std::any::Any;
 
 use imca_metrics::Histogram;
 use imca_sim::sync::{oneshot, OneshotSender, Queue};
-use imca_sim::{join_all, SimDuration, SimHandle};
+use imca_sim::{join_all, SimHandle};
 
 use crate::fault::Delivery;
 use crate::network::{Network, NodeId};
-use crate::shardnet::{WireReply, WireReplyBody, WireRequest, NO_CALL};
 use crate::transport::{Transport, WireSize};
 
 /// Metric name of the RPC round-trip latency histogram, registered in the
@@ -37,7 +28,7 @@ pub struct Incoming<Req, Resp> {
     replier: Replier<Resp>,
 }
 
-impl<Req, Resp: WireSize + Send + 'static> Incoming<Req, Resp> {
+impl<Req, Resp: WireSize + 'static> Incoming<Req, Resp> {
     /// Send `resp` back to the caller. The reply transfer runs as its own
     /// process so the server can continue with the next request while its
     /// NIC clocks the response out.
@@ -52,27 +43,16 @@ impl<Req, Resp: WireSize + Send + 'static> Incoming<Req, Resp> {
     }
 }
 
-/// Where a response must travel to reach its caller.
-enum ReplyRoute<Resp> {
-    /// Caller is on this shard (or the network is unsharded): resolve its
-    /// oneshot directly after the charged transfer.
-    Local(OneshotSender<Resp>),
-    /// Caller is on another shard: ship a [`WireReply`] for its pending
-    /// table. `call` is [`NO_CALL`] for posted requests and fault-injected
-    /// duplicates, whose responses are charged but land nowhere.
-    Remote { shard: usize, call: u64 },
-}
-
 /// The reply half of an [`Incoming`] request.
 pub struct Replier<Resp> {
     net: Network,
     from: NodeId,
     to: NodeId,
+    tx: OneshotSender<Resp>,
     transport: Option<Transport>,
-    route: Option<ReplyRoute<Resp>>,
 }
 
-impl<Resp: WireSize + Send + 'static> Replier<Resp> {
+impl<Resp: WireSize + 'static> Replier<Resp> {
     /// Deliver the response across the network (fire-and-forget from the
     /// server's point of view).
     ///
@@ -81,101 +61,27 @@ impl<Resp: WireSize + Send + 'static> Replier<Resp> {
     /// resolves only via its own deadline, exactly as if the request had
     /// been lost), and a duplicated response's second copy arrives at a
     /// caller that already has its value and is discarded.
-    pub fn reply(mut self, resp: Resp) {
-        let route = self.route.take().expect("replier already consumed");
-        let net = self.net.clone();
-        let from = self.from;
-        let to = self.to;
-        let transport = self.transport.clone();
+    pub fn reply(self, resp: Resp) {
+        let Replier {
+            net,
+            from,
+            to,
+            tx,
+            transport,
+        } = self;
         let h = net.handle();
-        match route {
-            ReplyRoute::Local(tx) => {
-                h.spawn(async move {
-                    let bytes = resp.wire_bytes();
-                    let fate = net.deliver(from, to, bytes, transport.as_ref()).await;
-                    if fate.arrived() {
-                        tx.send(resp);
-                    } else {
-                        // A lost response gives the caller no TCP-level
-                        // signal: keep the sender half alive forever so the
-                        // pending call resolves only via the caller's own
-                        // deadline.
-                        std::mem::forget(tx);
-                    }
-                });
+        h.spawn(async move {
+            let bytes = resp.wire_bytes();
+            let fate = net.deliver(from, to, bytes, transport.as_ref()).await;
+            if fate.arrived() {
+                tx.send(resp);
+            } else {
+                // A lost response gives the caller no TCP-level signal:
+                // keep the sender half alive forever so the pending call
+                // resolves only via the caller's own deadline.
+                std::mem::forget(tx);
             }
-            ReplyRoute::Remote { shard, call } => {
-                h.spawn(async move {
-                    let bytes = resp.wire_bytes();
-                    let (fate, extra) = net.judge_fate(from, to);
-                    let tp = transport.clone().unwrap_or_else(|| net.transport());
-                    let arrival = net.remote_tx(from, bytes, &tp, extra).await;
-                    match fate {
-                        // Blackholed: the caller's pending entry never
-                        // resolves, it learns through its own deadline.
-                        Delivery::Dropped => {}
-                        Delivery::Ok | Delivery::Duplicated => {
-                            let sn = net.shardnet();
-                            sn.send(
-                                shard,
-                                arrival,
-                                WireReply {
-                                    call,
-                                    dst: to,
-                                    bytes,
-                                    transport: transport.clone(),
-                                    body: WireReplyBody::Data(Box::new(resp)),
-                                },
-                            );
-                            if fate == Delivery::Duplicated {
-                                // Second full wire copy of the response; the
-                                // caller already has its value, so it is
-                                // RX-charged on arrival and discarded.
-                                let arrival2 = net.remote_tx(from, bytes, &tp, extra).await;
-                                sn.send(
-                                    shard,
-                                    arrival2,
-                                    WireReply {
-                                        call,
-                                        dst: to,
-                                        bytes,
-                                        transport,
-                                        body: WireReplyBody::Echo,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                });
-            }
-        }
-    }
-}
-
-impl<Resp> Drop for Replier<Resp> {
-    /// A service that drops a request without responding resets the
-    /// connection. Local callers observe the dropped oneshot sender
-    /// immediately; remote callers get a zero-byte [`WireReplyBody::Reset`]
-    /// parcel one lookahead out (a reset carries no payload, so it skips
-    /// the NIC stations).
-    fn drop(&mut self) {
-        if let Some(ReplyRoute::Remote { shard, call }) = self.route.take() {
-            if call != NO_CALL {
-                let sn = self.net.shardnet();
-                let at = self.net.handle().now() + sn.comms().lookahead();
-                sn.send(
-                    shard,
-                    at,
-                    WireReply {
-                        call,
-                        dst: self.to,
-                        bytes: 0,
-                        transport: None,
-                        body: WireReplyBody::Reset,
-                    },
-                );
-            }
-        }
+        });
     }
 }
 
@@ -197,47 +103,14 @@ impl<Req, Resp> Clone for Service<Req, Resp> {
     }
 }
 
-impl<Req, Resp> Service<Req, Resp>
-where
-    Req: WireSize + Send + 'static,
-    Resp: WireSize + Send + 'static,
-{
+impl<Req: WireSize + 'static, Resp: WireSize + 'static> Service<Req, Resp> {
     /// Bind a new service mailbox at `node`.
-    ///
-    /// On a shard-attached network the node must live on this shard, and
-    /// the bind also registers the `(node, Req)` endpoint with the shard
-    /// fabric so remote clients can reach the same mailbox.
     pub fn bind(net: &Network, node: NodeId) -> Service<Req, Resp> {
-        let svc = Service {
+        Service {
             net: net.clone(),
             node,
             queue: Queue::new(),
-        };
-        if net.sharded() {
-            let queue = svc.queue.clone();
-            let net2 = net.clone();
-            net.shardnet().register_endpoint::<Req>(node, move |wreq| {
-                let req = *wreq
-                    .body
-                    .downcast::<Req>()
-                    .expect("cross-shard request type mismatch");
-                queue.push(Incoming {
-                    req,
-                    src: wreq.src,
-                    replier: Replier {
-                        net: net2.clone(),
-                        from: wreq.dst,
-                        to: wreq.src,
-                        transport: wreq.transport,
-                        route: Some(ReplyRoute::Remote {
-                            shard: wreq.src_shard,
-                            call: wreq.call,
-                        }),
-                    },
-                });
-            });
         }
-        svc
     }
 
     /// The node this service runs on.
@@ -266,23 +139,14 @@ where
         self.queue.close();
     }
 
-    /// Create a client stub that calls this service from `src`. On a
-    /// shard-attached network `src` must be local too (the caller's
-    /// process runs on this shard); use [`RpcClient::remote`] to call
-    /// across shards.
+    /// Create a client stub that calls this service from `src`.
     pub fn client(&self, src: NodeId) -> RpcClient<Req, Resp> {
-        assert!(
-            self.net.is_local(src),
-            "client at {src} built on shard {} but the node lives on shard {}",
-            self.net.shard(),
-            self.net.home_shard(src),
-        );
         RpcClient {
             call_ns: self.net.registry().histogram(RPC_CALL_NS),
             net: self.net.clone(),
             src,
             dst: self.node,
-            target: Target::Local(self.queue.clone()),
+            queue: self.queue.clone(),
             transport: None,
         }
     }
@@ -290,25 +154,13 @@ where
     /// A client that overrides the transport for both directions (e.g. RDMA
     /// to the cache bank while the rest of the system stays on IPoIB).
     pub fn client_with_transport(&self, src: NodeId, transport: Transport) -> RpcClient<Req, Resp> {
-        let mut cli = self.client(src);
-        cli.transport = Some(transport);
-        cli
-    }
-}
-
-/// Where an [`RpcClient`]'s requests go.
-enum Target<Req, Resp> {
-    /// The service mailbox is in this process: push directly.
-    Local(Queue<Incoming<Req, Resp>>),
-    /// The service lives on another shard: ship [`WireRequest`] parcels.
-    Remote,
-}
-
-impl<Req, Resp> Clone for Target<Req, Resp> {
-    fn clone(&self) -> Self {
-        match self {
-            Target::Local(q) => Target::Local(q.clone()),
-            Target::Remote => Target::Remote,
+        RpcClient {
+            call_ns: self.net.registry().histogram(RPC_CALL_NS),
+            net: self.net.clone(),
+            src,
+            dst: self.node,
+            queue: self.queue.clone(),
+            transport: Some(transport),
         }
     }
 }
@@ -318,7 +170,7 @@ pub struct RpcClient<Req, Resp> {
     net: Network,
     src: NodeId,
     dst: NodeId,
-    target: Target<Req, Resp>,
+    queue: Queue<Incoming<Req, Resp>>,
     transport: Option<Transport>,
     call_ns: Histogram,
 }
@@ -329,72 +181,14 @@ impl<Req, Resp> Clone for RpcClient<Req, Resp> {
             net: self.net.clone(),
             src: self.src,
             dst: self.dst,
-            target: self.target.clone(),
+            queue: self.queue.clone(),
             transport: self.transport.clone(),
             call_ns: self.call_ns.clone(),
         }
     }
 }
 
-impl<Req, Resp> RpcClient<Req, Resp>
-where
-    Req: WireSize + Clone + Send + 'static,
-    Resp: WireSize + Send + 'static,
-{
-    /// Build a stub for a service whose node lives on *another* shard of a
-    /// shard-attached network. The service type is not available here (it
-    /// exists only on its home shard), so the caller names the destination
-    /// node and the request/response types directly; they must match the
-    /// `Service<Req, Resp>` bound there, or the destination shard panics
-    /// on dispatch.
-    ///
-    /// # Panics
-    /// Panics if the network is not shard-attached, if `src` is not local,
-    /// if `dst` *is* local (use [`Service::client`] — same-shard traffic
-    /// stays on the in-process path), or if the transport's one-way
-    /// latency is below the fleet lookahead (the conservative horizon
-    /// would be unsound).
-    pub fn remote(
-        net: &Network,
-        src: NodeId,
-        dst: NodeId,
-        transport: Option<Transport>,
-    ) -> RpcClient<Req, Resp> {
-        assert!(
-            net.sharded(),
-            "RpcClient::remote on an unsharded network: use Service::client"
-        );
-        assert!(
-            net.is_local(src),
-            "remote client sends from {src}, which lives on shard {} not {}",
-            net.home_shard(src),
-            net.shard(),
-        );
-        assert!(
-            !net.is_local(dst),
-            "destination {dst} is local to shard {}: use Service::client",
-            net.shard(),
-        );
-        let lookahead = net.shardnet().comms().lookahead();
-        let one_way = transport
-            .as_ref()
-            .map(|t| t.one_way_latency)
-            .unwrap_or_else(|| net.transport().one_way_latency);
-        assert!(
-            one_way >= lookahead,
-            "cross-shard link {src}→{dst} one-way latency {one_way:?} is below \
-             the lookahead {lookahead:?}: arrivals would land inside the sending epoch",
-        );
-        RpcClient {
-            call_ns: net.registry().histogram(RPC_CALL_NS),
-            net: net.clone(),
-            src,
-            dst,
-            target: Target::Remote,
-            transport,
-        }
-    }
-
+impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, Resp> {
     /// Perform one RPC: ship the request, wait for the service to respond,
     /// ship the response back.
     ///
@@ -422,18 +216,6 @@ where
     /// response is discarded on arrival.
     pub async fn try_call(&self, req: Req) -> Option<Resp> {
         let t0 = self.net.handle().now();
-        let resp = match &self.target {
-            Target::Local(queue) => self.try_call_local(queue, req).await,
-            Target::Remote => self.try_call_remote(req).await,
-        };
-        if resp.is_some() {
-            self.call_ns
-                .record_duration(self.net.handle().now().since(t0));
-        }
-        resp
-    }
-
-    async fn try_call_local(&self, queue: &Queue<Incoming<Req, Resp>>, req: Req) -> Option<Resp> {
         let bytes = req.wire_bytes();
         let fate = self
             .net
@@ -449,109 +231,41 @@ where
             }
             Delivery::Ok | Delivery::Duplicated => {
                 let dup = (fate == Delivery::Duplicated).then(|| req.clone());
-                queue.push(Incoming {
+                self.queue.push(Incoming {
                     req,
                     src: self.src,
                     replier: Replier {
                         net: self.net.clone(),
                         from: self.dst,
                         to: self.src,
+                        tx,
                         transport: self.transport.clone(),
-                        route: Some(ReplyRoute::Local(tx)),
                     },
                 });
                 if let Some(copy) = dup {
                     // The duplicate is answered too, but its response has
                     // nowhere to land (receiver dropped up front).
                     let (dtx, _drx) = oneshot();
-                    queue.push(Incoming {
+                    self.queue.push(Incoming {
                         req: copy,
                         src: self.src,
                         replier: Replier {
                             net: self.net.clone(),
                             from: self.dst,
                             to: self.src,
+                            tx: dtx,
                             transport: self.transport.clone(),
-                            route: Some(ReplyRoute::Local(dtx)),
                         },
                     });
                 }
             }
         }
-        rx.await.ok()
-    }
-
-    async fn try_call_remote(&self, req: Req) -> Option<Resp> {
-        let bytes = req.wire_bytes();
-        let (fate, extra) = self.net.judge_fate(self.src, self.dst);
-        let tp = self
-            .transport
-            .clone()
-            .unwrap_or_else(|| self.net.transport());
-        let arrival = self.net.remote_tx(self.src, bytes, &tp, extra).await;
-        let (tx, rx) = oneshot::<Option<Box<dyn Any + Send>>>();
-        match fate {
-            Delivery::Dropped => {
-                // Same blackhole as the local path: the parcel never
-                // crosses the wire and the call pends to its deadline.
-                std::mem::forget(tx);
-            }
-            Delivery::Ok | Delivery::Duplicated => {
-                let dup = (fate == Delivery::Duplicated).then(|| req.clone());
-                let sn = self.net.shardnet();
-                let call = sn.register_call(tx);
-                sn.send(
-                    self.net.home_shard(self.dst),
-                    arrival,
-                    WireRequest {
-                        call,
-                        src: self.src,
-                        dst: self.dst,
-                        src_shard: sn.shard(),
-                        bytes,
-                        transport: self.transport.clone(),
-                        body: Box::new(req),
-                    },
-                );
-                if let Some(copy) = dup {
-                    self.spawn_remote_copy(copy, bytes, extra);
-                }
-            }
+        let resp = rx.await.ok();
+        if resp.is_some() {
+            self.call_ns
+                .record_duration(self.net.handle().now().since(t0));
         }
-        rx.await.ok().flatten().map(|body| {
-            *body
-                .downcast::<Resp>()
-                .expect("cross-shard response type mismatch")
-        })
-    }
-
-    /// Ship the second wire copy of a fault-duplicated request: a full TX
-    /// leg of its own, then a [`NO_CALL`] parcel (its answer has nowhere to
-    /// land, matching the local path's pre-dropped receiver).
-    fn spawn_remote_copy(&self, copy: Req, bytes: usize, extra: SimDuration) {
-        let net = self.net.clone();
-        let src = self.src;
-        let dst = self.dst;
-        let tpo = self.transport.clone();
-        let h = self.net.handle();
-        h.spawn(async move {
-            let tp = tpo.clone().unwrap_or_else(|| net.transport());
-            let arrival = net.remote_tx(src, bytes, &tp, extra).await;
-            let sn = net.shardnet();
-            sn.send(
-                net.home_shard(dst),
-                arrival,
-                WireRequest {
-                    call: NO_CALL,
-                    src,
-                    dst,
-                    src_shard: sn.shard(),
-                    bytes,
-                    transport: tpo,
-                    body: Box::new(copy),
-                },
-            );
-        });
+        resp
     }
 
     /// One-way, pipelined send (`noreply` style): ship the request and
@@ -569,15 +283,7 @@ where
     /// knows the segment was never acknowledged, so a pipelined sender can
     /// retransmit or declare the connection dead. Healthy networks always
     /// return `true`.
-    ///
-    /// A cross-shard post returns at the arrival instant (the sender
-    /// cannot observe the remote RX station) — one of the documented
-    /// sharding divergences.
     pub async fn post(&self, req: Req) -> bool {
-        let queue = match &self.target {
-            Target::Local(queue) => queue,
-            Target::Remote => return self.post_remote(req).await,
-        };
         let bytes = req.wire_bytes();
         let fate = self
             .net
@@ -590,68 +296,31 @@ where
         // land and nobody blocks on it.
         let dup = (fate == Delivery::Duplicated).then(|| req.clone());
         let (tx, _rx) = oneshot();
-        queue.push(Incoming {
+        self.queue.push(Incoming {
             req,
             src: self.src,
             replier: Replier {
                 net: self.net.clone(),
                 from: self.dst,
                 to: self.src,
+                tx,
                 transport: self.transport.clone(),
-                route: Some(ReplyRoute::Local(tx)),
             },
         });
         if let Some(copy) = dup {
             let (dtx, _drx) = oneshot();
-            queue.push(Incoming {
+            self.queue.push(Incoming {
                 req: copy,
                 src: self.src,
                 replier: Replier {
                     net: self.net.clone(),
                     from: self.dst,
                     to: self.src,
+                    tx: dtx,
                     transport: self.transport.clone(),
-                    route: Some(ReplyRoute::Local(dtx)),
                 },
             });
         }
-        true
-    }
-
-    async fn post_remote(&self, req: Req) -> bool {
-        let bytes = req.wire_bytes();
-        let (fate, extra) = self.net.judge_fate(self.src, self.dst);
-        let tp = self
-            .transport
-            .clone()
-            .unwrap_or_else(|| self.net.transport());
-        let arrival = self.net.remote_tx(self.src, bytes, &tp, extra).await;
-        let h = self.net.handle();
-        if fate == Delivery::Dropped {
-            // Matches the local drop leg: the sender still waits out the
-            // propagation delay before TCP declares the segment lost.
-            h.sleep(tp.one_way_latency + extra).await;
-            return false;
-        }
-        let dup = (fate == Delivery::Duplicated).then(|| req.clone());
-        let sn = self.net.shardnet();
-        sn.send(
-            self.net.home_shard(self.dst),
-            arrival,
-            WireRequest {
-                call: NO_CALL,
-                src: self.src,
-                dst: self.dst,
-                src_shard: sn.shard(),
-                bytes,
-                transport: self.transport.clone(),
-                body: Box::new(req),
-            },
-        );
-        if let Some(copy) = dup {
-            self.spawn_remote_copy(copy, bytes, extra);
-        }
-        h.sleep(tp.one_way_latency + extra).await;
         true
     }
 
@@ -675,8 +344,8 @@ pub async fn fan_out<Req, Resp>(
     calls: Vec<(RpcClient<Req, Resp>, Req)>,
 ) -> Vec<Option<Resp>>
 where
-    Req: WireSize + Clone + Send + 'static,
-    Resp: WireSize + Send + 'static,
+    Req: WireSize + Clone + 'static,
+    Resp: WireSize + 'static,
 {
     join_all(
         handle,
@@ -1015,91 +684,5 @@ mod tests {
             end.as_nanos() < 3 * SimDuration::micros(50).as_nanos() + 200_000,
             "workers did not overlap: {end:?}"
         );
-    }
-
-    /// Two shards: a ping server on shard 0, a caller on shard 1. The
-    /// round trip must complete and both NICs must see the traffic.
-    #[test]
-    fn cross_shard_round_trip() {
-        let mut par = imca_sim::ParSim::new(7).lookahead(SimDuration::micros(5));
-        par.add_shard(|ctx| {
-            let h = ctx.handle();
-            let net = Network::new(h.clone(), Transport::ipoib_ddr());
-            let server = net.add_node();
-            let _client = net.add_node();
-            net.attach_shard(ctx.comms(), vec![0, 1]);
-            let svc: Service<Ping, Pong> = Service::bind(&net, server);
-            let svc2 = svc.clone();
-            h.spawn(async move {
-                while let Some(msg) = svc2.recv().await {
-                    let v = msg.req.0;
-                    msg.respond(Pong(v + 1));
-                }
-            });
-            move || net.registry().snapshot()
-        });
-        par.add_shard(|ctx| {
-            let h = ctx.handle();
-            let net = Network::new(h.clone(), Transport::ipoib_ddr());
-            let server = net.add_node();
-            let client = net.add_node();
-            net.attach_shard(ctx.comms(), vec![0, 1]);
-            let cli: RpcClient<Ping, Pong> = RpcClient::remote(&net, client, server, None);
-            let got = Rc::new(Cell::new(0u32));
-            let got2 = Rc::clone(&got);
-            h.spawn(async move {
-                let pong = cli.call(Ping(41)).await;
-                got2.set(pong.0);
-            });
-            move || {
-                assert_eq!(got.get(), 42, "cross-shard call must round-trip");
-                net.registry().snapshot()
-            }
-        });
-        let mut summary = par.run();
-        let snap0 = summary.take::<imca_metrics::Snapshot>(0);
-        // The server node's NIC clocked the request in and the reply out.
-        assert_eq!(snap0.counter("nic.0.msgs_rx"), Some(1));
-        assert_eq!(snap0.counter("nic.0.msgs_tx"), Some(1));
-    }
-
-    /// A service that drops a cross-shard request resets the caller: the
-    /// call resolves `None` instead of hanging.
-    #[test]
-    fn cross_shard_drop_resets_the_caller() {
-        let mut par = imca_sim::ParSim::new(7)
-            .lookahead(SimDuration::micros(5))
-            .workers(2);
-        par.add_shard(|ctx| {
-            let h = ctx.handle();
-            let net = Network::new(h.clone(), Transport::ipoib_ddr());
-            let server = net.add_node();
-            let _client = net.add_node();
-            net.attach_shard(ctx.comms(), vec![0, 1]);
-            let svc: Service<Ping, Pong> = Service::bind(&net, server);
-            let svc2 = svc.clone();
-            h.spawn(async move {
-                // Take one request and drop it on the floor.
-                let msg = svc2.recv().await.unwrap();
-                drop(msg);
-            });
-            move || ()
-        });
-        par.add_shard(|ctx| {
-            let h = ctx.handle();
-            let net = Network::new(h.clone(), Transport::ipoib_ddr());
-            let server = net.add_node();
-            let client = net.add_node();
-            net.attach_shard(ctx.comms(), vec![0, 1]);
-            let cli: RpcClient<Ping, Pong> = RpcClient::remote(&net, client, server, None);
-            let done = Rc::new(Cell::new(false));
-            let done2 = Rc::clone(&done);
-            h.spawn(async move {
-                assert_eq!(cli.try_call(Ping(1)).await, None);
-                done2.set(true);
-            });
-            move || assert!(done.get(), "reset must resolve the pending call")
-        });
-        par.run();
     }
 }

@@ -141,13 +141,6 @@ impl ClientProtocol {
             rpc: svc.client(client_node),
         })
     }
-
-    /// Connect over an already-built RPC stub — the cross-shard path,
-    /// where the server's `Service` object lives on another shard and only
-    /// an `RpcClient::remote` stub can reach it.
-    pub fn connect_remote(rpc: RpcClient<Fop, FopReply>) -> Rc<ClientProtocol> {
-        Rc::new(ClientProtocol { rpc })
-    }
 }
 
 impl Translator for ClientProtocol {

@@ -58,7 +58,6 @@ mod cluster;
 mod cmcache;
 mod mcd;
 mod meta;
-mod shardcluster;
 mod smcache;
 
 pub use cluster::{Cluster, ClusterConfig, ImcaConfig};
@@ -71,5 +70,4 @@ pub use meta::{
     serve_revocations, LeaseAck, LeaseHub, LeaseRevoke, MetaCache, MetaConfig, MetaEngine,
     MetaPolicy, StatFuture, StatMultiFuture, StatResult, StatSource, NEG_MARKER,
 };
-pub use shardcluster::{ClusterCtl, ShardCluster, ShardPlan, ShardTopology};
 pub use smcache::{Coherence, RewarmLimit, SmCache, SmStats};

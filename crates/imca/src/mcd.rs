@@ -513,26 +513,6 @@ impl McdNode {
     pub fn is_quarantined(&self) -> bool {
         self.quarantined.get()
     }
-
-    /// The daemon's RPC service (same-shard consumers build stubs here).
-    pub(crate) fn service(&self) -> &Service<McdReq, McdResp> {
-        &self.service
-    }
-
-    /// The daemon's shared liveness cell.
-    pub(crate) fn alive_cell(&self) -> &Rc<Cell<bool>> {
-        &self.alive
-    }
-
-    /// The daemon's shared write-safety quarantine cell.
-    pub(crate) fn quarantined_cell(&self) -> &Rc<Cell<bool>> {
-        &self.quarantined
-    }
-
-    /// Reads shed by admission control (the `per_daemon.{i}.sheds` view).
-    pub(crate) fn sheds(&self) -> u64 {
-        self.sheds.get()
-    }
 }
 
 impl MetricSource for McdNode {
@@ -1028,66 +1008,6 @@ impl BankClient {
             })
             .collect();
         let handle = nodes[0].service.network().handle();
-        BankClient::from_parts(
-            handle,
-            clients,
-            selector,
-            policy,
-            replication,
-            nodes.iter().map(|n| Rc::clone(&n.alive)).collect(),
-            nodes.iter().map(|n| Rc::clone(&n.quarantined)).collect(),
-        )
-    }
-
-    /// Connect to a bank whose daemons live on *other shards* of a
-    /// [`imca_fabric::Network::attach_shard`]-attached fleet. The caller
-    /// supplies per-daemon RPC stubs (built with [`RpcClient::remote`], or
-    /// [`Service::client`] for any daemon that happens to be co-resident)
-    /// plus shard-local liveness/quarantine mirror cells. The mirrors are
-    /// flipped by the cluster's control-propagation path rather than shared
-    /// memory, so a remote client learns of a kill one control-latency
-    /// later than a co-located one — the behaviour a real LAN client has.
-    pub fn connect_remote(
-        handle: SimHandle,
-        clients: Vec<RpcClient<McdReq, McdResp>>,
-        selector: Selector,
-        policy: RetryPolicy,
-        replication: Replication,
-        alive: Vec<Rc<Cell<bool>>>,
-        quarantined: Vec<Rc<Cell<bool>>>,
-    ) -> BankClient {
-        BankClient::from_parts(
-            handle,
-            clients,
-            selector,
-            policy,
-            replication,
-            alive,
-            quarantined,
-        )
-    }
-
-    /// Shared assembly behind [`BankClient::connect_replicated`] (same-`Sim`
-    /// banks, liveness cells shared with the daemons) and
-    /// [`BankClient::connect_remote`] (cross-shard banks, mirrored cells).
-    fn from_parts(
-        handle: SimHandle,
-        clients: Vec<RpcClient<McdReq, McdResp>>,
-        selector: Selector,
-        policy: RetryPolicy,
-        replication: Replication,
-        alive: Vec<Rc<Cell<bool>>>,
-        quarantined: Vec<Rc<Cell<bool>>>,
-    ) -> BankClient {
-        assert!(!clients.is_empty(), "bank needs at least one MCD");
-        assert_eq!(clients.len(), alive.len(), "one liveness cell per daemon");
-        assert_eq!(
-            clients.len(),
-            quarantined.len(),
-            "one quarantine cell per daemon"
-        );
-        let from = clients[0].src();
-        let count = clients.len();
         let registry = Registry::new();
         let budget = policy.retry_budget.map(|b| BudgetHandle {
             bucket: Rc::new(TokenBucket::new(b.refill_per_sec, b.burst, handle.now())),
@@ -1095,10 +1015,10 @@ impl BankClient {
         });
         BankClient {
             clients,
-            core: RefCell::new(ClientCore::new(selector, count)),
-            alive,
-            quarantined,
-            circuit_open_until: RefCell::new(vec![SimTime::ZERO; count]),
+            core: RefCell::new(ClientCore::new(selector, nodes.len())),
+            alive: nodes.iter().map(|n| Rc::clone(&n.alive)).collect(),
+            quarantined: nodes.iter().map(|n| Rc::clone(&n.quarantined)).collect(),
+            circuit_open_until: RefCell::new(vec![SimTime::ZERO; nodes.len()]),
             policy,
             handle,
             gets: registry.counter("gets"),
@@ -1117,15 +1037,15 @@ impl BankClient {
             rpc_timeouts: registry.counter("rpc_timeouts"),
             retries: registry.counter("retries"),
             degraded_misses: registry.counter("degraded_misses"),
-            replication: replication.factor.clamp(1, count),
-            in_flight: (0..count).map(|_| Rc::new(Cell::new(0))).collect(),
+            replication: replication.factor.clamp(1, nodes.len()),
+            in_flight: (0..nodes.len()).map(|_| Rc::new(Cell::new(0))).collect(),
             // Golden-ratio constant XOR an odd per-node term: nonzero for
             // every node id, distinct per client.
             route_rng: Cell::new(0x9E37_79B9_7F4A_7C15 ^ ((u64::from(from.0) << 1) | 1)),
             single_flight: RefCell::new(BTreeMap::new()),
             replica_failovers: registry.counter("replica_failovers"),
             coalesced_gets: registry.counter("coalesced_gets"),
-            rtt: RefCell::new(vec![RttEstimator::new(); count]),
+            rtt: RefCell::new(vec![RttEstimator::new(); nodes.len()]),
             budget,
             busy_sheds: registry.counter("busy_sheds"),
             circuit_opens: registry.counter("circuit_opens"),

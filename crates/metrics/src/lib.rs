@@ -487,32 +487,6 @@ impl Snapshot {
         }
     }
 
-    /// Fold `other` into this snapshot by *summing* same-named metrics:
-    /// counters and gauges add, histograms merge their observations.
-    /// Metrics present on only one side are copied through. This is how a
-    /// sharded deployment's per-shard snapshots (each holding only the
-    /// tiers homed on that shard, under fleet-global names) compose into
-    /// one cluster-wide document.
-    ///
-    /// # Panics
-    /// Panics if a name carries different metric kinds on the two sides —
-    /// that is a naming collision, not a mergeable pair.
-    pub fn merge_sum(&mut self, other: &Snapshot) {
-        for (name, value) in &other.metrics {
-            match self.metrics.get_mut(name) {
-                None => {
-                    self.metrics.insert(name.clone(), value.clone());
-                }
-                Some(mine) => match (mine, value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
-                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-                    _ => panic!("metric {name} has different kinds across shards"),
-                },
-            }
-        }
-    }
-
     /// Number of metrics recorded.
     pub fn len(&self) -> usize {
         self.metrics.len()
@@ -899,43 +873,6 @@ mod tests {
         doc.merge_prefixed("mcd.1", &reg.snapshot());
         assert_eq!(doc.counter("mcd.0.store.get_hits"), Some(3));
         assert_eq!(doc.counter_sum("store.get_hits"), 6);
-    }
-
-    #[test]
-    fn merge_sum_composes_shard_snapshots() {
-        let mut a = Snapshot::new();
-        a.set_counter("fabric.nic.0.msgs_tx", 3);
-        a.set_gauge("server.alive", 1);
-        let ha = HistogramSnapshot {
-            count: 1,
-            sum: 100,
-            min: 100,
-            max: 100,
-            buckets: vec![(7, 1)],
-        };
-        a.set_histogram("fabric.rpc.call_ns", ha.clone());
-
-        let mut b = Snapshot::new();
-        b.set_counter("fabric.nic.0.msgs_tx", 4);
-        b.set_counter("bank.mcd_failovers", 1);
-        b.set_histogram("fabric.rpc.call_ns", ha);
-
-        a.merge_sum(&b);
-        assert_eq!(a.counter("fabric.nic.0.msgs_tx"), Some(7));
-        assert_eq!(a.counter("bank.mcd_failovers"), Some(1));
-        assert_eq!(a.gauge("server.alive"), Some(1));
-        assert_eq!(a.histogram("fabric.rpc.call_ns").unwrap().count, 2);
-        assert_eq!(a.histogram("fabric.rpc.call_ns").unwrap().sum, 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "different kinds")]
-    fn merge_sum_rejects_kind_collisions() {
-        let mut a = Snapshot::new();
-        a.set_counter("x", 1);
-        let mut b = Snapshot::new();
-        b.set_gauge("x", 1);
-        a.merge_sum(&b);
     }
 
     #[test]

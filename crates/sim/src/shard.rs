@@ -258,18 +258,6 @@ pub struct ParSim {
     builders: Vec<ShardBuilder>,
 }
 
-/// Wall-clock execution profile of one worker thread. Measured with the
-/// host clock, so it is *not* part of the deterministic trace — it exists
-/// to make shard-plan quality observable (a plan whose workers sit mostly
-/// idle left parallelism on the table).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerProfile {
-    /// Wall time spent building shards and executing epoch windows.
-    pub busy: std::time::Duration,
-    /// Wall time spent waiting at epoch barriers / coordination.
-    pub idle: std::time::Duration,
-}
-
 /// Aggregated result of a [`ParSim`] run.
 pub struct ParSummary {
     /// Latest virtual end time across shards.
@@ -284,21 +272,10 @@ pub struct ParSummary {
     pub epochs: u64,
     /// Per-shard run summaries, indexed by shard.
     pub shards: Vec<RunSummary>,
-    /// Per-worker busy/idle wall-clock profile, indexed by worker.
-    pub workers: Vec<WorkerProfile>,
-    /// Wall time each shard spent executing its epoch windows, indexed by
-    /// shard. The serial run's per-shard times project the critical path
-    /// of any worker assignment (shards are assigned round-robin).
-    pub shard_busy: Vec<std::time::Duration>,
     outputs: Vec<Option<ShardOutput>>,
 }
 
 impl ParSummary {
-    /// Mean task polls per barrier epoch — the work the lookahead window
-    /// amortises each barrier over. Low values mean the barriers dominate.
-    pub fn events_per_epoch(&self) -> f64 {
-        self.events as f64 / self.epochs.max(1) as f64
-    }
     /// Take shard `shard`'s output, downcast to its concrete type.
     ///
     /// # Panics
@@ -447,8 +424,8 @@ impl ParSim {
             epochs: 0,
         });
         let barrier = Barrier::new(workers);
+        type SlotResult = (usize, RunSummary, Option<ShardOutput>);
         let results: Mutex<Vec<SlotResult>> = Mutex::new(Vec::new());
-        let profiles: Mutex<Vec<(usize, WorkerProfile)>> = Mutex::new(Vec::new());
 
         let mut per_worker: Vec<Vec<(usize, ShardBuilder)>> =
             (0..workers).map(|_| Vec::new()).collect();
@@ -464,11 +441,9 @@ impl ParSim {
                     let coord = &coord;
                     let barrier = &barrier;
                     let results = &results;
-                    let profiles = &profiles;
                     scope.spawn(move || {
                         worker_main(
                             wid, own, shards, seed, scheduler, lookahead, coord, barrier, results,
-                            profiles,
                         )
                     })
                 })
@@ -488,11 +463,7 @@ impl ParSim {
         });
 
         let mut slots = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-        slots.sort_by_key(|(idx, _, _, _)| *idx);
-        let mut worker_slots = profiles
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        worker_slots.sort_by_key(|(wid, _)| *wid);
+        slots.sort_by_key(|(idx, _, _)| *idx);
         let coord = coord.into_inner().unwrap_or_else(PoisonError::into_inner);
         let mut summary = ParSummary {
             end_time: SimTime::ZERO,
@@ -501,17 +472,14 @@ impl ParSim {
             tasks_leaked: 0,
             epochs: coord.epochs,
             shards: Vec::with_capacity(shards),
-            workers: worker_slots.into_iter().map(|(_, p)| p).collect(),
-            shard_busy: Vec::with_capacity(shards),
             outputs: Vec::with_capacity(shards),
         };
-        for (_, s, out, busy) in slots {
+        for (_, s, out) in slots {
             summary.end_time = summary.end_time.max(s.end_time);
             summary.events += s.events;
             summary.tasks_spawned += s.tasks_spawned;
             summary.tasks_leaked += s.tasks_leaked;
             summary.shards.push(s);
-            summary.shard_busy.push(busy);
             summary.outputs.push(out);
         }
         summary
@@ -524,8 +492,6 @@ struct ShardRt {
     sim: Sim,
     comms: ShardComms,
     finisher: Option<Finisher>,
-    /// Wall time this shard spent executing epoch windows (profiling).
-    busy: std::time::Duration,
 }
 
 fn build_shard(
@@ -574,7 +540,6 @@ fn build_shard(
         sim,
         comms,
         finisher: Some(finisher),
-        busy: std::time::Duration::ZERO,
     }
 }
 
@@ -640,10 +605,6 @@ fn compute_epoch(c: &mut Coord, lookahead: SimDuration) {
     c.epochs += 1;
 }
 
-/// One finished shard's record: `(shard index, summary, finisher
-/// output, busy wall time)`.
-type SlotResult = (usize, RunSummary, Option<ShardOutput>, std::time::Duration);
-
 #[allow(clippy::too_many_arguments)]
 fn worker_main(
     wid: usize,
@@ -654,11 +615,8 @@ fn worker_main(
     lookahead: SimDuration,
     coord: &Mutex<Coord>,
     barrier: &Barrier,
-    results: &Mutex<Vec<SlotResult>>,
-    profiles: &Mutex<Vec<(usize, WorkerProfile)>>,
+    results: &Mutex<Vec<(usize, RunSummary, Option<ShardOutput>)>>,
 ) {
-    let started = std::time::Instant::now();
-    let mut busy = std::time::Duration::ZERO;
     // Build on this thread (shard state never crosses threads). A panic
     // here or in an epoch must not strand peers at the barrier: record it,
     // poison the run, keep participating until everyone agrees to stop,
@@ -676,7 +634,6 @@ fn worker_main(
             Vec::new()
         }
     };
-    busy += started.elapsed();
     {
         let mut c = lock(coord);
         for sh in &my_shards {
@@ -704,20 +661,16 @@ fn worker_main(
         if panic_payload.is_some() {
             continue; // already failed; just keep the barriers balanced
         }
-        let work_t0 = std::time::Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut posts: Vec<(usize, Option<u64>)> = Vec::with_capacity(my_shards.len());
             let mut sent: Vec<Parcel> = Vec::new();
             for (sh, batch) in my_shards.iter_mut().zip(batches) {
-                let t0 = std::time::Instant::now();
                 let (next, outs) = run_epoch(sh, batch, horizon);
-                sh.busy += t0.elapsed();
                 posts.push((sh.idx, next));
                 sent.extend(outs);
             }
             (posts, sent)
         }));
-        busy += work_t0.elapsed();
         match outcome {
             Ok((posts, sent)) => {
                 let mut c = lock(coord);
@@ -736,12 +689,10 @@ fn worker_main(
     if let Some(payload) = panic_payload {
         resume_unwind(payload);
     }
-    let idle = started.elapsed().saturating_sub(busy);
-    lock(profiles).push((wid, WorkerProfile { busy, idle }));
     for mut sh in my_shards {
         let out = sh.finisher.take().map(|f| f());
         let summary = sh.sim.summary();
-        lock(results).push((sh.idx, summary, out, sh.busy));
+        lock(results).push((sh.idx, summary, out));
     }
 }
 
@@ -888,25 +839,5 @@ mod tests {
             assert!(got.is_err(), "value {bad:?} must panic");
         }
         std::env::remove_var(VAR);
-    }
-
-    #[test]
-    fn profiles_cover_workers_and_shards() {
-        let mut par = ParSim::new(7).workers(2);
-        for _ in 0..3 {
-            par.add_shard(|ctx| {
-                let h = ctx.handle();
-                let h2 = h.clone();
-                h.spawn(async move {
-                    h2.sleep(SimDuration::micros(5)).await;
-                });
-                || ()
-            });
-        }
-        let s = par.run();
-        assert_eq!(s.workers.len(), 2);
-        assert_eq!(s.shard_busy.len(), 3);
-        assert!(s.epochs > 0);
-        assert!(s.events_per_epoch() > 0.0);
     }
 }

@@ -16,9 +16,9 @@
 //! sharded engine ([`crate::ParSim`]) and models that want per-node
 //! ordering to be explicit.
 //!
-//! Timers are stored in a hierarchical timer wheel by default; the legacy
-//! global `BinaryHeap` remains available via [`Sim::with_scheduler`] as a
-//! reference model and baseline (see [`crate::Scheduler`]).
+//! Timers are stored in a hierarchical timer wheel by default; the global
+//! `BinaryHeap` remains available via [`Sim::with_scheduler`] as the
+//! wheel's reference model (see [`crate::Scheduler`]).
 //!
 //! The simulation ends when no task is runnable and no timer is pending.
 //! Tasks still blocked at that point (e.g. server actors waiting for
@@ -26,7 +26,7 @@
 //! way a simulation terminates.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -92,16 +92,8 @@ impl std::task::Wake for TaskWaker {
     }
 }
 
-/// A task as the legacy engine stores it: future and node tag only. The
-/// legacy drain loop allocates a fresh `Arc` waker for every poll, exactly
-/// as the pre-refactor single-loop engine did.
-struct LegacyTask {
-    fut: BoxedTask,
-    node: u32,
-}
-
-/// A task as the slab engine stores it: the waker is built once at spawn
-/// time and reused for every poll.
+/// A stored task: the waker is built once at spawn time and reused for
+/// every poll.
 struct SlabTask {
     fut: BoxedTask,
     node: u32,
@@ -117,9 +109,8 @@ struct Slot {
     task: Option<SlabTask>,
 }
 
-/// Slab task store for [`Scheduler::Wheel`]: O(1) index-based take/put
-/// instead of a SipHash map lookup per poll, plus a free list so task ids
-/// stay dense and slot memory is reused.
+/// The executor's task store: O(1) index-based take/put per poll, plus a
+/// free list so task ids stay dense and slot memory is reused.
 #[derive(Default)]
 struct Slab {
     slots: Vec<Slot>,
@@ -151,8 +142,7 @@ impl Slab {
     }
 
     /// Take the task out for polling; `None` for stale ids (generation
-    /// mismatch or already-completed slot), mirroring the legacy engine's
-    /// `HashMap::remove` miss on a stale wake.
+    /// mismatch or already-completed slot).
     #[inline]
     fn take(&mut self, id: TaskId) -> Option<SlabTask> {
         let slot = self.slots.get_mut((id & 0xffff_ffff) as usize)?;
@@ -178,35 +168,15 @@ impl Slab {
     }
 }
 
-/// The executor's task store. Which variant a [`Sim`] gets is decided by
-/// its [`Scheduler`]: `Heap` keeps the pre-refactor single-loop engine
-/// byte for byte — a `HashMap` task table, a fresh `Arc` waker allocated
-/// per poll, and a `collect()`ed spawn drain — as the preserved reference
-/// and baseline; `Wheel` uses the generation-checked slab with cached
-/// wakers and a batched ready drain. Both produce identical poll orders
-/// and event counts for the same model code; only wall-clock differs.
-enum Store {
-    Legacy {
-        tasks: RefCell<HashMap<TaskId, LegacyTask>>,
-        /// Tasks spawned while the table is borrowed; folded in after
-        /// every poll (allocating, as the old engine did).
-        pending: RefCell<Vec<(TaskId, LegacyTask)>>,
-    },
-    Slab {
-        slab: RefCell<Slab>,
-        /// Scratch for the batched ready drain, kept allocated across
-        /// drains so the swap never allocates.
-        batch: RefCell<VecDeque<TaskId>>,
-    },
-}
-
 pub(crate) struct Core {
     now: Cell<SimTime>,
     seq: Cell<u64>,
     timers: RefCell<TimerQueue>,
     ready: Arc<ReadyQueue>,
-    store: Store,
-    next_task_id: Cell<TaskId>,
+    slab: RefCell<Slab>,
+    /// Scratch for the batched ready drain, kept allocated across drains
+    /// so the swap never allocates.
+    batch: RefCell<VecDeque<TaskId>>,
     /// Node tag of the task currently being polled (0 outside polls).
     /// Spawns and timer registrations inherit it.
     current_node: Cell<u32>,
@@ -217,74 +187,32 @@ pub(crate) struct Core {
 
 impl Core {
     fn drain_ready(&self) {
-        match &self.store {
-            Store::Legacy { tasks, pending } => {
-                while let Some(id) = self.ready.pop() {
-                    // Take the task out of the map while polling so that
-                    // the poll itself may spawn/wake other tasks without
-                    // re-entrant borrows.
-                    let task = tasks.borrow_mut().remove(&id);
-                    let Some(mut task) = task else {
-                        continue; // already completed; stale wake
-                    };
-                    self.events.set(self.events.get() + 1);
-                    self.current_node.set(task.node);
-                    // The single-loop engine built a waker per poll.
-                    let waker = Waker::from(Arc::new(TaskWaker {
-                        id,
-                        ready: Arc::clone(&self.ready),
-                    }));
-                    let mut cx = Context::from_waker(&waker);
-                    let still_pending = task.fut.as_mut().poll(&mut cx).is_pending();
-                    self.current_node.set(0);
-                    if still_pending {
-                        tasks.borrow_mut().insert(id, task);
-                    }
-                    // Fold in tasks spawned during the poll.
-                    let spawned: Vec<_> = pending.borrow_mut().drain(..).collect();
-                    for (new_id, new_task) in spawned {
-                        tasks.borrow_mut().insert(new_id, new_task);
-                        self.ready.push(new_id);
-                    }
+        // Polls (and the task drops they may trigger) run with the slab
+        // unborrowed — take the task out by index, poll, put it back — so
+        // model code can spawn mid-poll and insert directly.
+        let mut batch = self.batch.borrow_mut();
+        loop {
+            self.ready.swap_into(&mut batch);
+            if batch.is_empty() {
+                break;
+            }
+            while let Some(id) = batch.pop_front() {
+                let task = self.slab.borrow_mut().take(id);
+                let Some(mut task) = task else {
+                    continue; // stale wake
+                };
+                self.events.set(self.events.get() + 1);
+                self.current_node.set(task.node);
+                let mut cx = Context::from_waker(&task.waker);
+                let still_pending = task.fut.as_mut().poll(&mut cx).is_pending();
+                self.current_node.set(0);
+                let mut slab = self.slab.borrow_mut();
+                if still_pending {
+                    slab.put_back(id, task);
+                } else {
+                    slab.release(id);
                 }
             }
-            Store::Slab { slab, batch } => {
-                // Polls (and the task drops they may trigger) run with the
-                // slab unborrowed — take the task out by index, poll, put
-                // it back — so model code can spawn mid-poll and insert
-                // directly, with no deferred-spawn list and no hash.
-                let mut batch = batch.borrow_mut();
-                loop {
-                    self.ready.swap_into(&mut batch);
-                    if batch.is_empty() {
-                        break;
-                    }
-                    while let Some(id) = batch.pop_front() {
-                        let task = slab.borrow_mut().take(id);
-                        let Some(mut task) = task else {
-                            continue; // stale wake
-                        };
-                        self.events.set(self.events.get() + 1);
-                        self.current_node.set(task.node);
-                        let mut cx = Context::from_waker(&task.waker);
-                        let still_pending = task.fut.as_mut().poll(&mut cx).is_pending();
-                        self.current_node.set(0);
-                        let mut slab_mut = slab.borrow_mut();
-                        if still_pending {
-                            slab_mut.put_back(id, task);
-                        } else {
-                            slab_mut.release(id);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn live_tasks(&self) -> u64 {
-        match &self.store {
-            Store::Legacy { tasks, .. } => tasks.borrow().len() as u64,
-            Store::Slab { slab, .. } => slab.borrow().live,
         }
     }
 
@@ -320,7 +248,7 @@ impl Core {
             end_time: self.now.get(),
             events: self.events.get(),
             tasks_spawned: self.spawned_total.get(),
-            tasks_leaked: self.live_tasks(),
+            tasks_leaked: self.slab.borrow().live,
         }
     }
 }
@@ -363,30 +291,17 @@ impl Sim {
         Sim::with_scheduler(seed, Scheduler::default())
     }
 
-    /// Create a simulation with an explicit timer back-end. The choice
-    /// also selects the task store: `Heap` pairs with the preserved
-    /// legacy engine (hash-map task table, per-poll waker allocation),
-    /// `Wheel` with the slab store and cached wakers. Both replay the
-    /// same model bit-identically; see `tests/wheel_props.rs`.
+    /// Create a simulation with an explicit timer back-end. Both replay
+    /// the same model bit-identically; see `tests/wheel_props.rs`.
     pub fn with_scheduler(seed: u64, scheduler: Scheduler) -> Sim {
-        let store = match scheduler {
-            Scheduler::Heap => Store::Legacy {
-                tasks: RefCell::new(HashMap::new()),
-                pending: RefCell::new(Vec::new()),
-            },
-            Scheduler::Wheel => Store::Slab {
-                slab: RefCell::new(Slab::default()),
-                batch: RefCell::new(VecDeque::new()),
-            },
-        };
         Sim {
             core: Rc::new(Core {
                 now: Cell::new(SimTime::ZERO),
                 seq: Cell::new(0),
                 timers: RefCell::new(TimerQueue::new(scheduler)),
                 ready: Arc::new(ReadyQueue::default()),
-                store,
-                next_task_id: Cell::new(0),
+                slab: RefCell::new(Slab::default()),
+                batch: RefCell::new(VecDeque::new()),
                 current_node: Cell::new(0),
                 rng: RefCell::new(SmallRng::seed_from_u64(seed)),
                 events: Cell::new(0),
@@ -449,27 +364,19 @@ impl Sim {
     /// Drop every task (pending or blocked). Called automatically on drop to
     /// break `Rc` cycles between the core and task-held handles.
     pub fn clear(&mut self) {
-        match &self.core.store {
-            Store::Legacy { tasks, pending } => {
-                tasks.borrow_mut().clear();
-                pending.borrow_mut().clear();
+        // Drop task futures outside the borrow: a dropping task may
+        // legally spawn (landing in the freshly reset slab), so loop until
+        // the store is genuinely empty.
+        loop {
+            let mut slab = self.core.slab.borrow_mut();
+            if slab.live == 0 && slab.slots.is_empty() {
+                break;
             }
-            Store::Slab { slab, .. } => {
-                // Drop task futures outside the borrow: a dropping task
-                // may legally spawn (landing in the freshly reset slab),
-                // so loop until the store is genuinely empty.
-                loop {
-                    let mut slab_mut = slab.borrow_mut();
-                    if slab_mut.live == 0 && slab_mut.slots.is_empty() {
-                        break;
-                    }
-                    let slots = std::mem::take(&mut slab_mut.slots);
-                    slab_mut.free.clear();
-                    slab_mut.live = 0;
-                    drop(slab_mut);
-                    drop(slots);
-                }
-            }
+            let slots = std::mem::take(&mut slab.slots);
+            slab.free.clear();
+            slab.live = 0;
+            drop(slab);
+            drop(slots);
         }
         self.core.timers.borrow_mut().clear();
         while self.core.ready.pop().is_some() {}
@@ -515,53 +422,26 @@ impl SimHandle {
     /// Spawn a new process tagged with an explicit node id. The tag is the
     /// middle key of the engine's `(at, node, seq)` event order; tasks
     /// spawned by this one inherit it.
-    ///
-    /// Both task stores push the new task onto the ready queue at the
-    /// same point (immediately, unless the store is mid-mutation), so the
-    /// poll order — and therefore the trace — is identical across
-    /// schedulers.
     pub fn spawn_on<F: Future<Output = ()> + 'static>(&self, node: u32, fut: F) {
         self.core
             .spawned_total
             .set(self.core.spawned_total.get() + 1);
-        match &self.core.store {
-            Store::Legacy { tasks, pending } => {
-                let id = self.core.next_task_id.get();
-                self.core.next_task_id.set(id + 1);
-                let task = LegacyTask {
-                    fut: Box::pin(fut),
-                    node,
-                };
-                // If we're inside a mutation of the task map, defer via
-                // the pending-spawn list, which drain_ready folds in
-                // after every poll; otherwise fold immediately.
-                pending.borrow_mut().push((id, task));
-                if let Ok(mut tasks) = tasks.try_borrow_mut() {
-                    for (new_id, new_task) in pending.borrow_mut().drain(..) {
-                        tasks.insert(new_id, new_task);
-                        self.core.ready.push(new_id);
-                    }
-                }
-            }
-            Store::Slab { slab, .. } => {
-                // The slab is never borrowed while model code runs (polls
-                // and task drops happen with the task taken out), so a
-                // direct insert is always safe here.
-                let mut slab_mut = slab.borrow_mut();
-                let id = slab_mut.reserve();
-                let task = SlabTask {
-                    fut: Box::pin(fut),
-                    node,
-                    waker: Waker::from(Arc::new(TaskWaker {
-                        id,
-                        ready: Arc::clone(&self.core.ready),
-                    })),
-                };
-                slab_mut.fill(id, task);
-                drop(slab_mut);
-                self.core.ready.push(id);
-            }
-        }
+        // The slab is never borrowed while model code runs (polls and task
+        // drops happen with the task taken out), so a direct insert is
+        // always safe here.
+        let mut slab = self.core.slab.borrow_mut();
+        let id = slab.reserve();
+        let task = SlabTask {
+            fut: Box::pin(fut),
+            node,
+            waker: Waker::from(Arc::new(TaskWaker {
+                id,
+                ready: Arc::clone(&self.core.ready),
+            })),
+        };
+        slab.fill(id, task);
+        drop(slab);
+        self.core.ready.push(id);
     }
 
     /// Suspend the calling process for `d` of virtual time.

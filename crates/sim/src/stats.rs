@@ -1,154 +1,7 @@
-//! Lightweight measurement helpers: counters, latency histograms, and
-//! time-stamped series. These are plain data (no executor coupling) so the
-//! same types are used by native benchmarks and in-simulation probes.
+//! Time-stamped series for in-simulation probes. Plain data (no executor
+//! coupling). Counters and latency histograms live in `imca-metrics`.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
-use crate::time::{SimDuration, SimTime};
-
-/// A shareable monotonically increasing counter.
-#[derive(Clone, Default)]
-pub struct Counter {
-    n: Rc<Cell<u64>>,
-}
-
-impl Counter {
-    /// A counter starting at zero.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    #[inline]
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    #[inline]
-    /// Increment by `k`.
-    pub fn add(&self, k: u64) {
-        self.n.set(self.n.get() + k);
-    }
-
-    #[inline]
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.n.get()
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Counter({})", self.get())
-    }
-}
-
-/// Log₂-bucketed latency histogram over nanosecond durations.
-///
-/// Bucket `i` covers `[2^i, 2^(i+1))` ns (bucket 0 additionally covers 0).
-/// Cheap to record into, good enough for the order-of-magnitude latency
-/// distributions the experiments report.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: vec![0; 64],
-            count: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, d: SimDuration) {
-        let ns = d.as_nanos();
-        let idx = if ns == 0 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum_ns += ns;
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all observations (zero when empty).
-    pub fn mean(&self) -> SimDuration {
-        SimDuration::nanos(self.sum_ns.checked_div(self.count).unwrap_or(0))
-    }
-
-    /// Smallest observation (zero when empty).
-    pub fn min(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::nanos(self.min_ns)
-        }
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> SimDuration {
-        SimDuration::nanos(self.max_ns)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> SimDuration {
-        SimDuration::nanos(self.sum_ns)
-    }
-
-    /// Approximate quantile (upper edge of the bucket containing it).
-    /// `q` is clamped to `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return SimDuration::nanos(if i >= 63 { u64::MAX } else { 1u64 << (i + 1) });
-            }
-        }
-        self.max()
-    }
-
-    /// Fold another histogram's observations into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-}
+use crate::time::SimTime;
 
 /// A sequence of `(time, value)` observations, e.g. throughput over time.
 #[derive(Clone, Debug, Default)]
@@ -191,68 +44,6 @@ impl Series {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let c = Counter::new();
-        let c2 = c.clone();
-        c.inc();
-        c2.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn histogram_mean_min_max() {
-        let mut h = Histogram::new();
-        h.record(SimDuration::nanos(10));
-        h.record(SimDuration::nanos(20));
-        h.record(SimDuration::nanos(30));
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.mean(), SimDuration::nanos(20));
-        assert_eq!(h.min(), SimDuration::nanos(10));
-        assert_eq!(h.max(), SimDuration::nanos(30));
-    }
-
-    #[test]
-    fn histogram_zero_duration_goes_to_bucket_zero() {
-        let mut h = Histogram::new();
-        h.record(SimDuration::ZERO);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn empty_histogram_is_all_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), SimDuration::ZERO);
-        assert_eq!(h.min(), SimDuration::ZERO);
-        assert_eq!(h.quantile(0.5), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn quantile_is_monotonic_and_bounds_data() {
-        let mut h = Histogram::new();
-        for i in 1..=1000u64 {
-            h.record(SimDuration::nanos(i));
-        }
-        let q50 = h.quantile(0.5);
-        let q99 = h.quantile(0.99);
-        assert!(q50 <= q99);
-        // Bucket upper edges: q50 within a factor of 2 of true median.
-        assert!(q50.as_nanos() >= 500 && q50.as_nanos() <= 2000, "{q50}");
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(SimDuration::nanos(5));
-        b.record(SimDuration::nanos(500));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), SimDuration::nanos(5));
-        assert_eq!(a.max(), SimDuration::nanos(500));
-    }
 
     #[test]
     fn series_records_points_in_order() {

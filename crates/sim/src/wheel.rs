@@ -1,13 +1,12 @@
-//! Timer storage for the executor: the legacy global `BinaryHeap` and the
-//! hierarchical timer wheel that replaced it.
+//! Timer storage for the executor: the hierarchical timer wheel and the
+//! global `BinaryHeap` it is checked against.
 //!
 //! Both back-ends enforce the same total event order `(at, node, seq)`:
 //! earlier virtual time first, then lower node id, then registration
 //! order. The heap gets this directly from [`TimerEntry`]'s `Ord`; the
 //! wheel sorts each fired tick. [`Scheduler`] picks the back-end per
 //! simulation — the heap stays available as the reference model for the
-//! wheel's property tests and as the "single-loop engine" baseline in
-//! `fig8_scale`.
+//! wheel's property tests.
 //!
 //! ## Wheel layout
 //!
@@ -34,7 +33,7 @@ use crate::time::SimTime;
 /// Which timer back-end a simulation uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// The legacy global binary-heap event queue (single-loop engine).
+    /// The global binary-heap event queue (the wheel's reference model).
     Heap,
     /// The hierarchical timer wheel (default).
     #[default]

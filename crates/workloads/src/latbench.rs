@@ -95,7 +95,7 @@ impl LatencyResult {
     }
 }
 
-pub(crate) fn file_for(client: usize, size: u64, shared: bool) -> String {
+fn file_for(client: usize, size: u64, shared: bool) -> String {
     if shared {
         format!("/bench/lat/shared/r{size}")
     } else {
@@ -261,7 +261,7 @@ pub fn run(cfg: &LatencyBench) -> LatencyResult {
 }
 
 /// Deterministic record contents so reads can verify integrity end-to-end.
-pub(crate) fn record_bytes(size: u64, k: u64) -> Vec<u8> {
+fn record_bytes(size: u64, k: u64) -> Vec<u8> {
     (0..size).map(|i| ((k * 131 + i * 7) % 251) as u8).collect()
 }
 

@@ -32,7 +32,6 @@ pub mod lsstorm;
 pub mod overload;
 pub mod report;
 pub mod scale;
-pub mod shardbench;
 pub mod statbench;
 pub mod synth;
 mod system;

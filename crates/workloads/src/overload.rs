@@ -26,7 +26,7 @@
 //! `(seed, client)`, so a fixed seed replays bit-identically — the same
 //! property the chaos suite asserts across ParSim worker counts.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use imca_core::{
@@ -35,8 +35,7 @@ use imca_core::{
 };
 use imca_glusterfs::ServerParams;
 use imca_memcached::McConfig;
-use imca_metrics::Snapshot;
-use imca_sim::stats::Histogram;
+use imca_metrics::{Histogram, HistogramSnapshot, Snapshot};
 use imca_sim::sync::Barrier;
 use imca_sim::{Sim, SimDuration, SimTime};
 use rand::rngs::SmallRng;
@@ -118,11 +117,11 @@ pub struct OverloadOut {
     pub ops: u64,
     /// Timed-phase duration (post-prewarm barrier to last completion).
     pub elapsed: SimDuration,
-    /// Client-observed read latency, all timed ops.
-    pub latency: Histogram,
+    /// Client-observed read latency (ns), all timed ops.
+    pub latency: HistogramSnapshot,
     /// Latency of reads issued while the client was degraded (the
     /// shed/backend path). Empty when the ladder is off.
-    pub shed_latency: Histogram,
+    pub shed_latency: HistogramSnapshot,
     /// Daemon-side admission-control sheds, summed over the bank.
     pub sheds: u64,
     /// Client-observed `busy` replies, summed over every bank client.
@@ -157,47 +156,47 @@ impl OverloadOut {
 
     /// Overall p99 in milliseconds.
     pub fn p99_ms(&self) -> f64 {
-        self.latency.quantile(0.99).as_nanos() as f64 / 1e6
+        self.latency.quantile(0.99) as f64 / 1e6
     }
 
     /// Shed-path p99 in milliseconds (overall p99 when the ladder never
     /// engaged — there is no separate shed path to bound then).
     pub fn shed_p99_ms(&self) -> f64 {
-        if self.shed_latency.count() == 0 {
+        if self.shed_latency.count == 0 {
             self.p99_ms()
         } else {
-            self.shed_latency.quantile(0.99).as_nanos() as f64 / 1e6
+            self.shed_latency.quantile(0.99) as f64 / 1e6
         }
     }
 }
 
 /// splitmix64, for `(seed, client)` stream seeding.
-pub(crate) fn mix(mut z: u64) -> u64 {
+fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-pub(crate) fn exp_sample(rng: &mut SmallRng, mean: SimDuration) -> SimDuration {
+fn exp_sample(rng: &mut SmallRng, mean: SimDuration) -> SimDuration {
     let u: f64 = rng.gen();
     SimDuration::nanos((-(1.0 - u).ln() * mean.as_nanos() as f64) as u64)
 }
 
-pub(crate) fn hot_path(file: usize) -> String {
+fn hot_path(file: usize) -> String {
     format!("/bench/overload/hot{file}")
 }
 
 /// Deterministic block contents, verified on every timed read in debug
 /// builds — overload protection must never trade correctness for
 /// latency (the NoCache-equivalence property).
-pub(crate) fn block_bytes(file: usize, block: u64, len: u64) -> Vec<u8> {
+fn block_bytes(file: usize, block: u64, len: u64) -> Vec<u8> {
     (0..len)
         .map(|i| ((file as u64 * 89 + block * 131 + i * 7) % 251) as u8)
         .collect()
 }
 
-pub(crate) fn cluster_config(cfg: &OverloadBench) -> ClusterConfig {
+fn cluster_config(cfg: &OverloadBench) -> ClusterConfig {
     let base = RetryPolicy {
         deadline: cfg.deadline,
         circuit_cooldown: cfg.circuit_cooldown,
@@ -278,8 +277,8 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
     // the warmer's writes have pushed the hot set into the bank.
     let barrier = Barrier::new(cfg.clients + 1);
     let t_start: Rc<Cell<SimTime>> = Rc::new(Cell::new(SimTime::ZERO));
-    let latency: Rc<RefCell<Histogram>> = Rc::default();
-    let shed_latency: Rc<RefCell<Histogram>> = Rc::default();
+    let latency = Histogram::new();
+    let shed_latency = Histogram::new();
     let ops_done = Rc::new(Cell::new(0u64));
 
     // The warmer: creates the hot files, lets the readers open (their
@@ -319,8 +318,8 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
         let barrier = barrier.clone();
         let h2 = h.clone();
         let cfg2 = cfg.clone();
-        let latency = Rc::clone(&latency);
-        let shed_latency = Rc::clone(&shed_latency);
+        let latency = latency.clone();
+        let shed_latency = shed_latency.clone();
         let ops_done = Rc::clone(&ops_done);
         sim.spawn(async move {
             let (m, cm) = cluster.mount_with_meta();
@@ -351,9 +350,9 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
                     block_bytes(f, b, cfg2.block_size),
                     "overload drive corrupted file {f} block {b}"
                 );
-                latency.borrow_mut().record(took);
+                latency.record_duration(took);
                 if degraded_at_issue {
-                    shed_latency.borrow_mut().record(took);
+                    shed_latency.record_duration(took);
                 }
                 ops_done.set(ops_done.get() + 1);
             }
@@ -370,13 +369,11 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
         })
         .sum();
     let cm = cluster.cmcache_stats();
-    let latency = latency.borrow().clone();
-    let shed_latency = shed_latency.borrow().clone();
     OverloadOut {
         ops: ops_done.get(),
         elapsed,
-        latency,
-        shed_latency,
+        latency: latency.snapshot(),
+        shed_latency: shed_latency.snapshot(),
         sheds,
         busy_sheds: snap.counter_sum(".busy_sheds"),
         hedged_gets: snap.counter_sum(".hedged_gets"),

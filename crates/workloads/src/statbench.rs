@@ -56,7 +56,7 @@ impl StatBenchResult {
     }
 }
 
-pub(crate) fn file_path(i: usize) -> String {
+fn file_path(i: usize) -> String {
     format!("/bench/stat/file{i:06}")
 }
 

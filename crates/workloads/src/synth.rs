@@ -7,11 +7,9 @@
 //! that runs the trace against any [`Deployment`] and reports per-op
 //! latency statistics.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use imca_metrics::Snapshot;
-use imca_sim::stats::Histogram;
+use imca_metrics::{Histogram, HistogramSnapshot, Snapshot};
 use imca_sim::sync::Barrier;
 use imca_sim::{Sim, SimDuration};
 use rand::rngs::SmallRng;
@@ -208,15 +206,14 @@ pub fn generate(cfg: &TraceConfig, clients: usize) -> Trace {
     }
 }
 
-/// Replay outputs: latency distributions per op kind (microsecond units in
-/// the histograms' nanosecond buckets).
+/// Replay outputs: latency distributions per op kind, in nanoseconds.
 pub struct ReplayResult {
     /// stat latencies.
-    pub stat: Histogram,
+    pub stat: HistogramSnapshot,
     /// read latencies.
-    pub read: Histogram,
+    pub read: HistogramSnapshot,
     /// write latencies.
-    pub write: Histogram,
+    pub write: HistogramSnapshot,
     /// Total virtual seconds for the whole replay.
     pub wall_secs: f64,
     /// Full per-tier metrics snapshot from [`Deployment::metrics`].
@@ -232,11 +229,7 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
     let dep = Rc::new(Deployment::build(sim.handle(), spec));
     let h = sim.handle();
     let barrier = Barrier::new(clients + 1);
-    let hists: Rc<RefCell<(Histogram, Histogram, Histogram)>> = Rc::new(RefCell::new((
-        Histogram::new(),
-        Histogram::new(),
-        Histogram::new(),
-    )));
+    let (stat, read, write) = (Histogram::new(), Histogram::new(), Histogram::new());
 
     // Setup: one client creates and fills every file.
     {
@@ -261,7 +254,7 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
         let stream = stream.clone();
         let barrier = barrier.clone();
         let h = h.clone();
-        let hists = Rc::clone(&hists);
+        let (stat, read, write) = (stat.clone(), read.clone(), write.clone());
         sim.spawn(async move {
             let m = dep.mount();
             let mut fds: std::collections::HashMap<usize, FsHandle> =
@@ -274,7 +267,7 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
                 match op {
                     TraceOp::Stat { file } => {
                         m.stat(&format!("/trace/f{file:05}")).await;
-                        hists.borrow_mut().0.record(h.now().since(t0));
+                        stat.record_duration(h.now().since(t0));
                     }
                     TraceOp::Read { file, offset, len } => {
                         if let std::collections::hash_map::Entry::Vacant(e) = fds.entry(file) {
@@ -284,7 +277,7 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
                         let t0 = h.now();
                         let got = m.read(&fds[&file], offset, len).await;
                         assert!(got.len() as u64 <= len);
-                        hists.borrow_mut().1.record(h.now().since(t0));
+                        read.record_duration(h.now().since(t0));
                     }
                     TraceOp::Write { file, offset, len } => {
                         if let std::collections::hash_map::Entry::Vacant(e) = fds.entry(file) {
@@ -294,7 +287,7 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
                         let t0 = h.now();
                         m.write(&fds[&file], offset, &vec![(file % 251) as u8; len as usize])
                             .await;
-                        hists.borrow_mut().2.record(h.now().since(t0));
+                        write.record_duration(h.now().since(t0));
                     }
                 }
             }
@@ -302,13 +295,10 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
     }
 
     let summary = sim.run();
-    let (stat, read, write) = Rc::try_unwrap(hists)
-        .unwrap_or_else(|_| panic!("replay tasks leaked the histograms"))
-        .into_inner();
     ReplayResult {
-        stat,
-        read,
-        write,
+        stat: stat.snapshot(),
+        read: read.snapshot(),
+        write: write.snapshot(),
         wall_secs: summary.end_time.as_secs_f64(),
         metrics: dep.metrics(),
     }
@@ -398,8 +388,8 @@ mod tests {
             ..TraceConfig::default()
         };
         let r = replay(&SystemSpec::imca(2), &cfg, 3);
-        assert!(r.stat.count() > 0);
-        assert!(r.read.count() > 0);
+        assert!(r.stat.count > 0);
+        assert!(r.read.count > 0);
         assert!(r.wall_secs > 0.0);
         // stat through the bank is cheaper than a data read on average.
         assert!(r.stat.mean() <= r.read.mean());

@@ -97,8 +97,7 @@ impl SystemSpec {
     }
 
     /// The [`ClusterConfig`] this spec deploys, for specs that run on
-    /// GlusterFS; `None` for Lustre. The sharded benchmark runners use
-    /// this to lay the same deployment out over a `ParSim` fleet.
+    /// GlusterFS; `None` for Lustre.
     pub fn cluster_config(&self) -> Option<ClusterConfig> {
         match self {
             SystemSpec::GlusterNoCache => Some(ClusterConfig::nocache()),

@@ -7,21 +7,22 @@
 //! cargo run --release --example trace_replay
 //! ```
 
+use imca_repro::sim::SimDuration;
 use imca_repro::workloads::synth::{replay, TraceConfig};
 use imca_repro::workloads::SystemSpec;
 
 fn print_result(label: &str, r: &imca_repro::workloads::synth::ReplayResult) {
     println!("{label}");
     for (name, h) in [("stat", &r.stat), ("read", &r.read), ("write", &r.write)] {
-        if h.count() == 0 {
+        if h.count == 0 {
             continue;
         }
         println!(
             "  {name:<5} n={:<6} mean={:<10} p50={:<10} p99={}",
-            h.count(),
-            format!("{}", h.mean()),
-            format!("{}", h.quantile(0.5)),
-            h.quantile(0.99)
+            h.count,
+            format!("{}", SimDuration::nanos(h.mean() as u64)),
+            format!("{}", SimDuration::nanos(h.quantile(0.5))),
+            SimDuration::nanos(h.quantile(0.99))
         );
     }
     println!("  wall  {:.3}s of virtual time", r.wall_secs);
@@ -40,8 +41,8 @@ fn compare(title: &str, cfg: &TraceConfig, clients: usize) {
     print_result("GlusterFS (NoCache):", &nocache);
     let imca = replay(&SystemSpec::imca(2), cfg, clients);
     print_result("GlusterFS + IMCa (2 MCDs):", &imca);
-    let stat_gain = 1.0 - imca.stat.mean().as_secs_f64() / nocache.stat.mean().as_secs_f64();
-    let read_gain = 1.0 - imca.read.mean().as_secs_f64() / nocache.read.mean().as_secs_f64();
+    let stat_gain = 1.0 - imca.stat.mean() / nocache.stat.mean();
+    let read_gain = 1.0 - imca.read.mean() / nocache.read.mean();
     println!(
         "-> IMCa mean-latency change: stat {:+.0}%, read {:+.0}%, wall {:.2}x\n",
         -stat_gain * 100.0,

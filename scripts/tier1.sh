@@ -2,22 +2,24 @@
 # Tier-1 verification: the gate every change must keep green.
 #
 #   scripts/tier1.sh            build + root-package tests
-#   scripts/tier1.sh --strict   additionally lint the whole workspace
-#                               (clippy with warnings denied), check
-#                               formatting of the first-party packages,
-#                               and smoke-run the shared-read benches
-#                               (fig10_shared + ablate_replication),
-#                               the metadata benches (fig5_stat +
+#   scripts/tier1.sh --strict   additionally check formatting of the
+#                               first-party packages, lint the whole
+#                               workspace (clippy with warnings denied),
+#                               run every test in the workspace and the
+#                               benchmark harness's own tests (so a
+#                               change that breaks the benchmark-facing
+#                               API fails here, not in the benchmark),
+#                               smoke-run the shared-read benches
+#                               (fig10_shared + ablate_replication), the
+#                               metadata benches (fig5_stat +
 #                               ablate_metadata), the write-coherence
-#                               ablation (ablate_cas), the engine-speed
-#                               scaling sweep (fig8_scale), and the
+#                               ablation (ablate_cas), the bank-scale
+#                               sweep (fig8_scale) and the
 #                               overload-protection ablation
-#                               (ablate_overload), and the sharded-fleet
-#                               ablation (ablate_sharding, plus a
-#                               two-worker sharded fig10_shared smoke),
-#                               leaving results/BENCH_5.json through
-#                               BENCH_10.json behind, and re-run the
-#                               determinism suite with two ParSim workers
+#                               (ablate_overload), leaving
+#                               results/BENCH_5.json through BENCH_9.json
+#                               behind, and re-run the determinism suite
+#                               with two ParSim workers
 #
 # The root package's tests are the contract (see ROADMAP.md); the strict
 # mode is what CI runs before merging.
@@ -46,43 +48,45 @@ if [[ "${1:-}" == "--strict" ]]; then
     cargo fmt --check "${FIRST_PARTY[@]/#/--package=}"
     cargo clippy --workspace --all-targets -- -D warnings
 
+    # Everything the workspace tests, not just the root package, and the
+    # benchmark harness against the changed crates.
+    cargo test --workspace --release -q
+    CARGO_TARGET_DIR=bench/target cargo test --release --offline -q --manifest-path bench/Cargo.toml
+
+    # One build for every smoke below.
+    cargo build --release -p imca-bench --bins
+    BIN=target/release
+
     # Bench smoke: reduced sweeps of the shared-read figures. The
     # replication ablation asserts its own acceptance claims (R=2 p99 <
     # R=1 p99; kill-one-MCD reads stay warm) and writes the consolidated
     # results/BENCH_5.json (per-R p50/p99 + wall-clock).
-    cargo run --release -q -p imca-bench --bin fig10_shared -- --smoke --out results
-    cargo run --release -q -p imca-bench --bin ablate_replication -- --smoke --out results
+    "$BIN/fig10_shared" --smoke --out results
+    "$BIN/ablate_replication" --smoke --out results
     test -s results/BENCH_5.json
 
     # Metadata-path smoke: the Fig 5 stat sweep plus the metadata-tier
     # ablation, which asserts its own claims (lease p50/p99 < bank p99 <
     # NoCache at 32 clients) and writes results/BENCH_6.json. The grep
     # re-checks the headline claim against the emitted document.
-    cargo run --release -q -p imca-bench --bin fig5_stat -- --smoke --out results
-    cargo run --release -q -p imca-bench --bin ablate_metadata -- --smoke --out results
+    "$BIN/fig5_stat" --smoke --out results
+    "$BIN/ablate_metadata" --smoke --out results
     test -s results/BENCH_6.json
     grep -q '"lease_p99_lt_bank": true' results/BENCH_6.json
 
     # Write-coherence smoke: the CAS-vs-purge ablation asserts its own
     # claims (CAS p99 below purge and post-write hit rate above it at
-    # every sweep × R point) and writes results/BENCH_7.json alongside
-    # the other consolidated documents. The grep re-checks the verdict
-    # against the emitted document.
-    cargo run --release -q -p imca-bench --bin ablate_cas -- --smoke --out results
-    test -s results/BENCH_5.json
-    test -s results/BENCH_6.json
+    # every sweep × R point) and writes results/BENCH_7.json. The grep
+    # re-checks the verdict against the emitted document.
+    "$BIN/ablate_cas" --smoke --out results
     test -s results/BENCH_7.json
     grep -q '"cas_beats_purge": true' results/BENCH_7.json
 
-    # Engine smoke: fig8_scale races the refactored engine (timer wheel +
-    # slab store + pooled buffers) against the preserved single-loop
-    # baseline on the identical simulated workload, asserts the >=4x
-    # simulator-throughput claim and an annotated saturation knee, and
-    # writes results/BENCH_8.json. The greps re-check both claims against
-    # the emitted document.
-    cargo run --release -q -p imca-bench --bin fig8_scale -- --smoke --out results
+    # Scale smoke: fig8_scale sweeps 1k-10k clients over the bank-scale
+    # queueing model, asserts an annotated saturation knee, and writes
+    # results/BENCH_8.json.
+    "$BIN/fig8_scale" --smoke --out results
     test -s results/BENCH_8.json
-    grep -q '"opsec_speedup_4x": true' results/BENCH_8.json
     grep -q '"knee_found": true' results/BENCH_8.json
 
     # Overload smoke: ablate_overload drives the bank 2-4x past the knee
@@ -90,27 +94,11 @@ if [[ "${1:-}" == "--strict" ]]; then
     # retry budget, hedged reads, degradation ladder, rewarm throttle)
     # ON and OFF, asserts its own claims (ON goodput plateaus within 10%
     # of the pre-knee peak with a bounded shed-path p99; OFF collapses),
-    # and writes results/BENCH_9.json alongside the other consolidated
-    # documents. The grep re-checks the headline verdict.
-    cargo run --release -q -p imca-bench --bin ablate_overload -- --smoke --out results
-    test -s results/BENCH_5.json
-    test -s results/BENCH_6.json
-    test -s results/BENCH_7.json
-    test -s results/BENCH_8.json
+    # and writes results/BENCH_9.json. The grep re-checks the headline
+    # verdict.
+    "$BIN/ablate_overload" --smoke --out results
     test -s results/BENCH_9.json
     grep -q '"goodput_plateaus": true' results/BENCH_9.json
-
-    # Sharded-fleet smoke: first the Fig 10 sweep on the two-worker
-    # fleet (the --workers/IMCA_SIM_WORKERS path through the bench
-    # binaries), then ablate_sharding, which replays the same sweep at
-    # 1 and 8 workers, asserts bit-identity, computes the critical-path
-    # speedup of the shard cut, and writes results/BENCH_10.json. The
-    # greps re-check both headline claims against the emitted document.
-    IMCA_SIM_WORKERS=2 cargo run --release -q -p imca-bench --bin fig10_shared -- --smoke --out results
-    cargo run --release -q -p imca-bench --bin ablate_sharding -- --smoke --out results
-    test -s results/BENCH_10.json
-    grep -q '"sharded_speedup"' results/BENCH_10.json
-    grep -q '"sharded_bitident": true' results/BENCH_10.json
 
     # The determinism suite runs in the default test pass with one ParSim
     # worker; re-run it with two so the genuinely parallel path (barrier

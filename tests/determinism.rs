@@ -10,6 +10,9 @@
 //! three full metrics snapshots, and the collector's arrival log) must
 //! be bit-identical for workers ∈ {1, 2, 8}, for the env-selected count
 //! CI pins via `IMCA_SIM_WORKERS`, and across both timer back-ends.
+//!
+//! The second half drives one cluster with concurrent clients and a
+//! concurrent fault schedule, and holds it to the same three promises.
 
 mod common;
 
@@ -17,12 +20,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use imca_repro::fabric::FaultPlan;
-use imca_repro::imca::{
-    ClusterConfig, ImcaConfig, MetaConfig, Replication, ShardCluster, ShardPlan, ShardTopology,
-};
+use imca_repro::imca::{Cluster, ClusterConfig, ImcaConfig, MetaConfig, Replication};
 use imca_repro::memcached::McConfig;
 use imca_repro::metrics::Snapshot;
-use imca_repro::sim::{ParSim, Scheduler, ShardComms, Sim, SimDuration, SimHandle, SimTime};
+use imca_repro::sim::{ParSim, Scheduler, Sim, SimDuration, SimHandle, SimTime};
 use imca_repro::storage::StorageFaultPlan;
 
 const SEED: u64 = 1973;
@@ -154,14 +155,14 @@ fn chaos_fleet_matches_under_env_selected_workers() {
 }
 
 // ---------------------------------------------------------------------
-// The sharded-`Cluster` storm: ONE production cluster cut into shards
-// (server tier, bank, two client groups), with every fault class —
-// bank packet loss, a network drop window, an MCD kill/revive, a
-// partition/heal, fractional storage errors with a brown-out window and
-// a slow disk, and a server crash/restart — crossing shard boundaries
-// through the `ClusterCtl` control channel. The trace must not depend
-// on the worker count, and the single-shard plan on a plain `Sim` must
-// replay the exact same storm (the fast-path claim from DESIGN.md §7).
+// The concurrent storm: ONE cluster, two clients and a fault driver all
+// running at once, so every fault class — bank packet loss, a network
+// drop window, an MCD kill/revive, a partition/heal, fractional storage
+// errors with a brown-out window and a slow disk, and a server
+// crash/restart — lands mid-traffic instead of between a single
+// client's ops. The trace must replay exactly, must not depend on the
+// timer back-end, and — run as shards of a `ParSim` — must not depend
+// on the worker count.
 // ---------------------------------------------------------------------
 
 const STORM_SEED: u64 = 0x5707;
@@ -177,23 +178,20 @@ fn storm_config() -> ClusterConfig {
     })
 }
 
-/// Everything the storm exposes; engine bookkeeping (raw event counts,
-/// epochs) deliberately excluded so the plain-`Sim` baseline — which has
-/// no comms pump task — compares equal.
+/// Everything the storm exposes; two runs are "the same" iff this is equal.
 #[derive(Debug, PartialEq)]
 struct StormTrace {
     end_time: u64,
-    /// `(client, io errors)` in client order.
-    client_errors: Vec<(usize, u64)>,
-    /// Fleet-wide metrics, summed over shards.
-    merged: Snapshot,
+    /// Io errors seen by each client, in client order.
+    client_errors: Vec<u64>,
+    metrics: Snapshot,
 }
 
 /// One client's side of the storm: seed a file, then interleave
 /// extending writes (through cold backend pages — the dropped-push
 /// path) with reads while the fault driver tears the cluster apart.
-async fn client_storm(cluster: ShardCluster, h: SimHandle, j: usize) -> u64 {
-    let (m, _cm) = cluster.mount_client(j);
+async fn client_storm(cluster: Rc<Cluster>, h: SimHandle, j: usize) -> u64 {
+    let m = cluster.mount();
     let path = format!("/chaos/{j}");
     let mut errs = 0u64;
     // Seed under fire: the storm is already blowing, so every setup op
@@ -238,9 +236,8 @@ async fn client_storm(cluster: ShardCluster, h: SimHandle, j: usize) -> u64 {
     errs
 }
 
-/// The fault schedule, driven from the server shard on virtual time so
-/// every control crosses to the bank and client shards mid-traffic.
-async fn fault_driver(cluster: ShardCluster, h: SimHandle, seed: u64) {
+/// The fault schedule, paced on virtual time across the clients' traffic.
+async fn fault_driver(cluster: Rc<Cluster>, h: SimHandle, seed: u64) {
     cluster.install_bank_faults(FaultPlan {
         loss: 0.03,
         jitter: SimDuration::micros(2),
@@ -261,10 +258,9 @@ async fn fault_driver(cluster: ShardCluster, h: SimHandle, seed: u64) {
     });
     // A cold page cache forces every server read/flush to the sick
     // media — without this the page cache absorbs the whole storm.
-    let backend = cluster.backend().expect("driver runs on server shard");
     for _ in 0..10 {
         h.sleep(SimDuration::millis(10)).await;
-        backend.drop_caches();
+        cluster.backend().drop_caches();
     }
     cluster.kill_mcd(0);
     h.sleep(SimDuration::millis(50)).await;
@@ -284,23 +280,14 @@ async fn fault_driver(cluster: ShardCluster, h: SimHandle, seed: u64) {
     cluster.install_storage_faults(StorageFaultPlan::default());
 }
 
-/// Wire one shard of the storm (also the whole cluster when `topo` is
-/// the single-shard plan): build this shard's slice, spawn the clients
-/// homed here and — on the server shard — the fault driver. Returns the
-/// shard's finisher.
-fn wire_storm_shard(
-    h: SimHandle,
-    comms: Option<ShardComms>,
-    topo: ShardTopology,
-    shard: usize,
-) -> impl FnOnce() -> (Vec<(usize, u64)>, Snapshot) {
-    let cluster = ShardCluster::build(h.clone(), comms, topo.clone());
+/// Build the storm's cluster on `h` and set the clients and the fault
+/// driver going. The returned closure harvests the trace once the
+/// simulation that owns `h` has run.
+fn wire_storm(h: SimHandle) -> impl FnOnce() -> StormTrace {
+    let cluster = Rc::new(Cluster::build(h.clone(), storm_config()));
     let errs: Rc<RefCell<Vec<(usize, u64)>>> = Rc::default();
-    for j in 0..topo.clients() {
-        if topo.client_shard(j) != shard {
-            continue;
-        }
-        let c = cluster.clone();
+    for j in 0..STORM_CLIENTS {
+        let c = Rc::clone(&cluster);
         let h2 = h.clone();
         let errs2 = Rc::clone(&errs);
         h.spawn(async move {
@@ -308,97 +295,92 @@ fn wire_storm_shard(
             errs2.borrow_mut().push((j, e));
         });
     }
-    if shard == 0 {
-        let c = cluster.clone();
-        let h2 = h.clone();
-        h.spawn(async move {
-            fault_driver(c, h2, STORM_SEED).await;
-        });
-    }
+    let c = Rc::clone(&cluster);
+    let h2 = h.clone();
+    h.spawn(async move {
+        fault_driver(c, h2, STORM_SEED).await;
+    });
     move || {
         let mut v = errs.borrow().clone();
         v.sort_unstable();
-        (v, cluster.metrics())
+        StormTrace {
+            end_time: h.now().as_nanos(),
+            client_errors: v.into_iter().map(|(_, e)| e).collect(),
+            metrics: cluster.metrics(),
+        }
     }
 }
 
-/// Run the storm as a `ParSim` fleet under `plan`. Returns the trace
-/// plus the engine bookkeeping (compared only between fleet runs).
-fn run_storm_fleet(plan: ShardPlan, workers: usize) -> (StormTrace, u64, u64) {
-    let topo = ShardTopology::new(storm_config(), plan, STORM_CLIENTS);
+/// The storm on one plain `Sim`.
+fn run_storm_plain(scheduler: Scheduler) -> StormTrace {
+    let mut sim = Sim::with_scheduler(STORM_SEED, scheduler);
+    let finish = wire_storm(sim.handle());
+    sim.run();
+    finish()
+}
+
+/// Three independent copies of the storm, one per `ParSim` shard. A
+/// shard's `Sim` is seeded from `(seed, shard index)`, so these traces
+/// compare fleet to fleet, not against [`run_storm_plain`]. Also returns
+/// the engine bookkeeping (events, epochs).
+fn run_storm_fleet(workers: usize) -> (Vec<StormTrace>, u64, u64) {
+    const SHARDS: usize = 3;
     let mut par = ParSim::new(STORM_SEED)
-        .lookahead(topo.max_lookahead())
+        .lookahead(SimDuration::micros(5))
         .workers(workers);
-    for _ in 0..topo.shards() {
-        let topo2 = topo.clone();
-        par.add_shard(move |ctx| {
-            wire_storm_shard(ctx.handle().clone(), Some(ctx.comms()), topo2, ctx.shard())
-        });
+    for _ in 0..SHARDS {
+        par.add_shard(|ctx| wire_storm(ctx.handle()));
     }
     let mut s = par.run();
-    let mut client_errors = Vec::new();
-    let mut merged = Snapshot::new();
-    for sh in 0..topo.shards() {
-        let (errs, snap) = s.take::<(Vec<(usize, u64)>, Snapshot)>(sh);
-        client_errors.extend(errs);
-        merged.merge_sum(&snap);
-    }
-    client_errors.sort_unstable();
-    let trace = StormTrace {
-        end_time: s.end_time.as_nanos(),
-        client_errors,
-        merged,
-    };
-    (trace, s.events, s.epochs)
+    let traces = (0..SHARDS).map(|i| s.take::<StormTrace>(i)).collect();
+    (traces, s.events, s.epochs)
 }
 
-/// The same storm on the legacy engine: single-shard plan, no comms,
-/// one plain `Sim`.
-fn run_storm_plain() -> StormTrace {
-    let topo = ShardTopology::new(storm_config(), ShardPlan::single(), STORM_CLIENTS);
-    let mut sim = Sim::new(STORM_SEED);
-    let finish = wire_storm_shard(sim.handle(), None, topo, 0);
-    let s = sim.run();
-    let (client_errors, merged) = finish();
-    StormTrace {
-        end_time: s.end_time.as_nanos(),
-        client_errors,
-        merged,
-    }
-}
-
-/// The storm actually crossed shard boundaries and bit — guards against
-/// vacuous equality.
+/// The storm actually bit — guards against vacuous equality.
 fn assert_storm_bit(trace: &StormTrace) {
     assert_eq!(trace.client_errors.len(), STORM_CLIENTS);
     assert!(
-        trace.client_errors.iter().map(|&(_, e)| e).sum::<u64>() > 0,
+        trace.client_errors.iter().sum::<u64>() > 0,
         "the storm never surfaced a client I/O error: {:?}",
         trace.client_errors
     );
     assert!(
-        trace.merged.counter("storage.io_errors").unwrap_or(0) > 0,
+        trace.metrics.counter("storage.io_errors").unwrap_or(0) > 0,
         "no storage errors"
     );
-    assert_eq!(trace.merged.counter("server.crashes"), Some(1));
-    assert_eq!(trace.merged.counter("server.restarts"), Some(1));
-    assert_eq!(trace.merged.counter("bank.mcd_failovers"), Some(1));
-    assert_eq!(trace.merged.counter("bank.mcd_revivals"), Some(1));
+    assert_eq!(trace.metrics.counter("server.crashes"), Some(1));
+    assert_eq!(trace.metrics.counter("server.restarts"), Some(1));
+    assert_eq!(trace.metrics.counter("bank.mcd_failovers"), Some(1));
+    assert_eq!(trace.metrics.counter("bank.mcd_revivals"), Some(1));
 }
 
 #[test]
-fn sharded_cluster_storm_replays_bit_identically_across_worker_counts() {
-    let plan = ShardPlan {
-        client_groups: 2,
-        bank_shards: 1,
-    };
-    let (base, events, epochs) = run_storm_fleet(plan, 1);
+fn cluster_storm_replays_bit_identically_and_across_schedulers() {
+    let base = run_storm_plain(Scheduler::Wheel);
     assert_storm_bit(&base);
+    assert_eq!(
+        base,
+        run_storm_plain(Scheduler::Wheel),
+        "the storm diverged between two runs of one seed"
+    );
+    assert_eq!(
+        base,
+        run_storm_plain(Scheduler::Heap),
+        "the storm diverged between timer back-ends"
+    );
+}
+
+#[test]
+fn cluster_storm_shards_replay_bit_identically_across_worker_counts() {
+    let (base, events, epochs) = run_storm_fleet(1);
+    for trace in &base {
+        assert_storm_bit(trace);
+    }
     for workers in [2usize, 8] {
-        let (w, ev, ep) = run_storm_fleet(plan, workers);
+        let (w, ev, ep) = run_storm_fleet(workers);
         assert_eq!(
             base, w,
-            "sharded-cluster storm diverged between workers=1 and workers={workers}"
+            "storm fleet diverged between workers=1 and workers={workers}"
         );
         assert_eq!(
             (events, epochs),
@@ -406,22 +388,6 @@ fn sharded_cluster_storm_replays_bit_identically_across_worker_counts() {
             "engine bookkeeping diverged at workers={workers}"
         );
     }
-}
-
-/// The fast-path claim: the single-shard plan on `ParSim` replays the
-/// plain-`Sim` storm exactly — same virtual end time, same client
-/// errors, same merged metrics. (Event counts are engine bookkeeping —
-/// the fleet's comms pump task spawns extra events — so `StormTrace`
-/// doesn't carry them.)
-#[test]
-fn sharded_cluster_single_plan_matches_plain_sim_baseline() {
-    let (par, _, _) = run_storm_fleet(ShardPlan::single(), 1);
-    let plain = run_storm_plain();
-    assert_storm_bit(&plain);
-    assert_eq!(
-        par, plain,
-        "single-shard fleet diverged from the plain-Sim baseline"
-    );
 }
 
 /// The timer back-end is as invisible as the worker count: the heap
