@@ -4,7 +4,7 @@
 //! Each daemon node runs the *real* storage engine from `imca-memcached`
 //! behind an RPC service; the bank client does libmemcache-style key
 //! distribution (CRC-32 or static-modulo, §5.1/§5.5) and handles daemon
-//! failures transparently (§4.4) by treating a dead primary as a miss —
+//! failures transparently (§4.4) by treating a dead daemon as a miss —
 //! deliberately *not* rehashing to another daemon, which can serve stale
 //! data once daemons come and go (see [`BankClient`]).
 //!
@@ -13,29 +13,40 @@
 //! drive the failover experiments, `bank.stats()` scrapes the daemons, and
 //! `bank.client(..)` connects a consumer.
 //!
-//! The data path is batched the way libmemcache batches it (DESIGN.md
-//! "Batched bank data path"): [`BankClient::get_multi`] groups keys by
-//! routed daemon and issues one multi-key `get` RPC per daemon, and
-//! [`BankClient::set_pipeline`] / [`BankClient::delete_pipeline`] stream
-//! `noreply` stores/deletes with a single trailing `version` round trip
-//! per daemon as the sync barrier.
+//! Every key lives on its [`Replication`] `factor` daemons (DESIGN.md
+//! §4d) — its selector primary and the next `R − 1` after it; the paper's
+//! single-home bank is simply `R = 1`. [`BankClient`] does each of its
+//! jobs one way at every factor:
 //!
-//! With [`Replication`] `factor > 1` (DESIGN.md §4d) every key also lives
-//! on the next `R − 1` daemons after its primary: writes and purges fan
-//! out to the whole replica set, reads pick one live replica per request
-//! (power-of-two-choices on the client's own in-flight counts) and fail
-//! over warm when a replica is dead or shed. A per-client single-flight
-//! table additionally coalesces concurrent GETs for one key into a single
-//! in-flight RPC.
+//! * **one read loop** behind [`BankClient::get`] and
+//!   [`BankClient::get_multi`]: route each key to one usable replica
+//!   (power-of-two-choices on the client's own in-flight counts), send —
+//!   one multi-key `get` RPC per daemon for a batch, the way libmemcache
+//!   batches (DESIGN.md §4c); a direct, optionally hedged RPC for a
+//!   single key — settle the reply, and fail over past a replica that is
+//!   dead, shed or failed in flight until one answers or none is left (a
+//!   local miss). A per-client single-flight table additionally coalesces
+//!   concurrent GETs for one key into a single in-flight RPC;
+//! * **one write fan-out** behind [`BankClient::set`],
+//!   [`BankClient::delete`] and [`BankClient::cas`]: the request goes to
+//!   every usable target, and a daemon whose write fails is quarantined;
+//! * **one `noreply` pipeline** behind [`BankClient::set_pipeline`] and
+//!   [`BankClient::delete_pipeline`]: per daemon the commands stream
+//!   back-to-back with a single trailing `version` round trip as the sync
+//!   barrier.
+//!
+//! All three reach the daemons through one [`Wire`]: the deadline,
+//! retry, backoff and retry-budget loop around a single RPC.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use imca_fabric::{Network, NodeId, RpcClient, Service, Transport, WireSize};
-use imca_memcached::protocol::{Command, Response, StoreVerb};
-use imca_memcached::{ClientCore, McConfig, McServer, McStats, Selector};
+use imca_memcached::protocol::{Command, Response, StoreVerb, Value};
+use imca_memcached::{McConfig, McServer, McStats, Selector, ServerMap};
 use imca_metrics::{prefixed, Counter, Histogram, MetricSource, Registry, RttEstimator, Snapshot};
 use imca_sim::sync::{oneshot, OneshotReceiver, OneshotSender, Queue, Resource};
 use imca_sim::{join_all, timeout, SimDuration, SimHandle, SimTime, TokenBucket};
@@ -109,10 +120,12 @@ pub struct McdCosts {
     /// (serving + queued). When full, *reads* are refused immediately
     /// with `SERVER_ERROR busy` instead of queueing unboundedly — the
     /// client treats the shed as a miss and falls through to the
-    /// backend. Writes, deletes, and sync barriers are always admitted:
-    /// shedding a purge or store would leave replicas stale, which the
-    /// coherence machinery only knows how to handle via quarantine.
-    /// `None` (the default) keeps the PR-8 unbounded queue bit-for-bit.
+    /// backend. Writes, deletes, sync barriers and the write path's token
+    /// fetch (`gets`) are always admitted: shedding a purge or store would
+    /// leave replicas stale, which the coherence machinery only knows how
+    /// to handle via quarantine, and a refused token fetch would read as
+    /// "nothing cached here to replace". `None` (the default) leaves the
+    /// queue unbounded.
     pub queue_limit: Option<usize>,
 }
 
@@ -157,19 +170,17 @@ pub struct RetryPolicy {
     /// next op after expiry probes the daemon again.
     pub circuit_cooldown: SimDuration,
     /// Replace the static `deadline` with a per-daemon RTT-tracked one
-    /// (DESIGN.md §8). `None` (default) keeps the static deadline and
-    /// replays bit-identically.
+    /// (DESIGN.md §8). `None` (default) keeps the static deadline.
     pub adaptive: Option<AdaptiveDeadline>,
     /// Client-global token-bucket budget that every retry (and hedge)
     /// must spend from, so retries cannot amplify an overload into a
     /// retry storm. A denied retry fails the op fast, counted in
-    /// `retry_budget_exhausted`. `None` (default) = unlimited retries,
-    /// exactly the old behaviour.
+    /// `retry_budget_exhausted`. `None` (default) = unlimited retries.
     pub retry_budget: Option<RetryBudget>,
     /// Hedged reads at replication ≥ 2: a GET still unanswered past the
     /// primary's tracked tail latency fires one hedge to the next live
-    /// replica; first answer wins. `None` (default) keeps the serial
-    /// failover loop bit-identically.
+    /// replica; first answer wins. `None` (default) = no hedging: the
+    /// read loop tries one replica at a time.
     pub hedge: Option<HedgePolicy>,
 }
 
@@ -276,9 +287,9 @@ impl Default for HedgePolicy {
 /// out to the whole replica set; reads pick one live replica per request
 /// by power-of-two-choices on the client's own in-flight load and fail
 /// over to the next live replica when a daemon is dead or shed (a warm
-/// hit where the single-home bank takes a degraded miss). `factor: 1`
-/// (the default) is the paper's single-home bank and leaves every code
-/// path exactly as it was.
+/// hit where the single-home bank takes a miss). `factor: 1` (the
+/// default) is the paper's single-home bank: the same code over a
+/// one-entry replica set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Replication {
     /// Daemons each key lives on, clamped to the bank size.
@@ -346,17 +357,6 @@ enum CallOutcome {
     TimedOut,
 }
 
-/// What one (possibly hedged) replicated-read round resolved to.
-enum RoundVerdict {
-    /// A replica answered with the value.
-    Hit(Bytes),
-    /// A live replica answered authoritatively without the value.
-    Miss,
-    /// Every contacted replica failed (busy, dropped, or timed out);
-    /// `tried` has been extended and the caller routes the next round.
-    Failed,
-}
-
 /// Map a `cas` store's RPC outcome to its verdict. Anything that is not
 /// a definitive engine answer — transport failure, or a non-store reply
 /// such as a `CLIENT_ERROR` — is [`CasVerdict::Failed`]; the caller's
@@ -370,9 +370,21 @@ fn cas_verdict(outcome: &CallOutcome) -> CasVerdict {
     }
 }
 
+/// A `set`/`cas` store request with no flags and no expiry.
+fn store_req(verb: StoreVerb, key: Vec<u8>, data: Bytes, noreply: bool) -> McdReq {
+    McdReq(Command::Store {
+        verb,
+        key,
+        flags: 0,
+        exptime: 0,
+        data,
+        noreply,
+    })
+}
+
 /// The shared retry/hedge token bucket plus its denial counter — one per
-/// client, cloned into every [`retry_call`] so batched `'static` futures
-/// can carry it (`None` = unlimited, the pre-budget behaviour).
+/// client, cloned into every budgeted [`Wire::call`] so batched `'static`
+/// futures can carry it (`None` = unlimited).
 #[derive(Clone)]
 struct BudgetHandle {
     bucket: Rc<TokenBucket>,
@@ -391,75 +403,102 @@ impl BudgetHandle {
     }
 }
 
-/// One deadline-guarded attempt loop, self-contained so batched paths can
-/// run it per daemon through `join_all` (which needs `'static` futures).
-/// Every retry after the first attempt spends from `budget` when one is
-/// configured; a denied retry fails fast as [`CallOutcome::TimedOut`].
-async fn retry_call(
+/// The next retry backoff: doubled, up to the policy's cap.
+fn doubled(backoff: SimDuration, policy: &RetryPolicy) -> SimDuration {
+    SimDuration::nanos((backoff.as_nanos().saturating_mul(2)).min(policy.backoff_cap.as_nanos()))
+}
+
+/// The client's end of the wire to every daemon: everything a
+/// deadline-guarded call needs besides its target, policy and request.
+/// Its calls are self-contained `'static` futures, so batched paths can
+/// run them per daemon through `join_all` and hedges in their own task.
+struct Wire {
     handle: SimHandle,
-    client: RpcClient<McdReq, McdResp>,
-    policy: RetryPolicy,
+    clients: Vec<RpcClient<McdReq, McdResp>>,
+    /// RPC attempts abandoned at their deadline.
     rpc_timeouts: Counter,
+    /// Retried attempts and retransmitted pipeline posts.
     retries: Counter,
-    budget: Option<BudgetHandle>,
-    req: McdReq,
-) -> CallOutcome {
-    let mut backoff = policy.backoff_base;
-    let mut attempt = 0;
-    loop {
-        let c = client.clone();
-        let r = req.clone();
-        match timeout(&handle, policy.deadline, async move { c.try_call(r).await }).await {
-            Some(Some(resp)) => return CallOutcome::Resp(resp),
-            Some(None) => return CallOutcome::Dropped,
-            None => {
-                rpc_timeouts.inc();
-                if attempt >= policy.retries {
-                    return CallOutcome::TimedOut;
-                }
-                if let Some(b) = &budget {
-                    if !b.spend(handle.now()) {
-                        // Budget dry: retrying now would amplify the
-                        // overload — fail fast instead.
-                        return CallOutcome::TimedOut;
+}
+
+impl Wire {
+    /// One deadline-guarded attempt loop against daemon `idx`. Every
+    /// retry after the first attempt spends from `budget` when one is
+    /// given; a denied retry fails fast as [`CallOutcome::TimedOut`].
+    fn call(
+        &self,
+        idx: usize,
+        policy: RetryPolicy,
+        budget: Option<BudgetHandle>,
+        req: McdReq,
+    ) -> impl Future<Output = CallOutcome> + 'static {
+        let handle = self.handle.clone();
+        let client = self.clients[idx].clone();
+        let rpc_timeouts = self.rpc_timeouts.clone();
+        let retries = self.retries.clone();
+        async move {
+            let mut backoff = policy.backoff_base;
+            let mut attempt = 0;
+            loop {
+                let c = client.clone();
+                let r = req.clone();
+                match timeout(&handle, policy.deadline, async move { c.try_call(r).await }).await {
+                    Some(Some(resp)) => return CallOutcome::Resp(resp),
+                    Some(None) => return CallOutcome::Dropped,
+                    None => {
+                        rpc_timeouts.inc();
+                        if attempt >= policy.retries {
+                            return CallOutcome::TimedOut;
+                        }
+                        if budget.as_ref().is_some_and(|b| !b.spend(handle.now())) {
+                            // Budget dry: retrying now would amplify the
+                            // overload — fail fast instead.
+                            return CallOutcome::TimedOut;
+                        }
+                        attempt += 1;
+                        retries.inc();
+                        handle.sleep(backoff).await;
+                        backoff = doubled(backoff, &policy);
                     }
                 }
-                attempt += 1;
-                retries.inc();
-                handle.sleep(backoff).await;
-                backoff = SimDuration::nanos(
-                    (backoff.as_nanos().saturating_mul(2)).min(policy.backoff_cap.as_nanos()),
-                );
             }
         }
     }
-}
 
-/// Retransmit a `noreply` post until the wire accepts it, with the same
-/// capped backoff as [`retry_call`]. `true` once it lands; `false` when the
-/// policy's retry budget is spent (the connection is declared dead).
-async fn post_with_retransmit(
-    handle: SimHandle,
-    client: RpcClient<McdReq, McdResp>,
-    policy: RetryPolicy,
-    retries: Counter,
-    req: McdReq,
-) -> bool {
-    let mut backoff = policy.backoff_base;
-    let mut attempt = 0;
-    loop {
-        if client.post(req.clone()).await {
-            return true;
+    /// The `noreply` pipeline to daemon `idx`: `batch` is streamed
+    /// back-to-back without individual acknowledgements, then a single
+    /// `version` round trip flushes the daemon's FIFO event loop — every
+    /// streamed command completes before the sync answers, so the sync's
+    /// outcome stands for the whole batch. A post the wire refuses is
+    /// retransmitted with the same capped backoff as [`Wire::call`]; once
+    /// the policy's retries are spent the connection is declared dead and
+    /// nothing past that point is known to have landed.
+    fn pipeline(
+        &self,
+        idx: usize,
+        policy: RetryPolicy,
+        batch: impl Iterator<Item = McdReq> + 'static,
+    ) -> impl Future<Output = CallOutcome> + 'static {
+        let handle = self.handle.clone();
+        let client = self.clients[idx].clone();
+        let retries = self.retries.clone();
+        let sync = self.call(idx, policy.clone(), None, McdReq(Command::Version));
+        async move {
+            for req in batch {
+                let mut backoff = policy.backoff_base;
+                let mut attempt = 0;
+                while !client.post(req.clone()).await {
+                    if attempt >= policy.retries {
+                        return CallOutcome::TimedOut;
+                    }
+                    attempt += 1;
+                    retries.inc();
+                    handle.sleep(backoff).await;
+                    backoff = doubled(backoff, &policy);
+                }
+            }
+            sync.await
         }
-        if attempt >= policy.retries {
-            return false;
-        }
-        attempt += 1;
-        retries.inc();
-        handle.sleep(backoff).await;
-        backoff = SimDuration::nanos(
-            (backoff.as_nanos().saturating_mul(2)).min(policy.backoff_cap.as_nanos()),
-        );
     }
 }
 
@@ -534,10 +573,19 @@ impl MetricSource for McdNode {
     }
 }
 
-/// Decrements a daemon's admission-control depth counter when the
-/// serving task ends, however it ends (reply sent, killed mid-queue, or
-/// killed mid-service).
+/// Decrements an occupancy counter when dropped — a daemon's
+/// admission-control depth when the serving task ends, however it ends
+/// (reply sent, killed mid-queue, or killed mid-service); a client's
+/// per-daemon in-flight count when the read RPC does.
 struct DecrOnDrop(Rc<Cell<u64>>);
+
+impl DecrOnDrop {
+    /// Count one more occupant of `cell` until the guard drops.
+    fn enter(cell: &Rc<Cell<u64>>) -> DecrOnDrop {
+        cell.set(cell.get() + 1);
+        DecrOnDrop(Rc::clone(cell))
+    }
+}
 
 impl Drop for DecrOnDrop {
     fn drop(&mut self) {
@@ -588,9 +636,16 @@ pub fn start_mcd(net: &Network, node: NodeId, cfg: McConfig, costs: McdCosts) ->
                 if let Some(limit) = costs.queue_limit {
                     // Admission control: a full queue sheds reads with an
                     // explicit `busy` before they touch the event loop.
-                    // Only reads — see the `queue_limit` field docs.
+                    // Only plain reads — a `gets` is the write path
+                    // fetching its tokens; see the `queue_limit` docs.
                     if queue_depth.get() >= limit as u64
-                        && matches!(incoming.req.0, Command::Get { .. })
+                        && matches!(
+                            incoming.req.0,
+                            Command::Get {
+                                with_cas: false,
+                                ..
+                            }
+                        )
                     {
                         sheds.inc();
                         incoming.respond(McdResp(Some(Response::busy())));
@@ -757,7 +812,7 @@ impl Bank {
         selector: Selector,
         transport: Option<Transport>,
     ) -> BankClient {
-        BankClient::connect(&self.nodes, from, selector, transport)
+        self.client_with(from, selector, transport, RetryPolicy::default())
     }
 
     /// [`Bank::client`] with an explicit deadline/retry policy
@@ -769,7 +824,7 @@ impl Bank {
         transport: Option<Transport>,
         policy: RetryPolicy,
     ) -> BankClient {
-        BankClient::connect_with(&self.nodes, from, selector, transport, policy)
+        self.client_replicated(from, selector, transport, policy, Replication::default())
     }
 
     /// [`Bank::client_with`] plus a replica placement: `factor` daemons
@@ -850,17 +905,16 @@ pub struct BankStats {
     pub failures: u64,
 }
 
-/// Where one key's op goes, after liveness, quarantine, and the circuit
-/// breaker have had their say.
+/// Liveness, quarantine and circuit-breaker verdict for one daemon.
 enum Route {
-    /// Send to daemon `i`.
-    Daemon(usize),
-    /// Primary is dead (killed): local miss, no wire traffic, no retry —
-    /// the pre-fault failover semantics.
+    /// Usable: ops may be sent to it.
+    Live,
+    /// Dead (killed): no wire traffic, no retry. A dead daemon restarts
+    /// empty, so skipping it can never resurface stale data.
     Dead,
-    /// Primary is nominally alive but shed — quarantined by a failed
-    /// write, or inside an open circuit window after repeated timeouts.
-    /// Local miss, counted as a degraded miss.
+    /// Nominally alive but shed — quarantined by a failed write, or
+    /// inside an open circuit window after repeated timeouts. Skipped
+    /// like a dead daemon, but counted as degraded.
     Shed,
 }
 
@@ -868,25 +922,65 @@ enum Route {
 /// waiter wakes with a clone of the leader's result.
 type SingleFlightWaiters = Vec<OneshotSender<Option<Bytes>>>;
 
-/// One key's membership in a multi-get round: (position in the caller's
-/// key list, routed-as-failover, replicas that already failed it).
-type GroupMember = (usize, bool, Vec<usize>);
-
-/// A multi-get hit: the value plus, when the fetch asked for tokens, the
-/// daemon-tagged CAS token of the replica that answered.
-type TaggedValue = (Bytes, Option<CasToken>);
+/// One key's progress through [`BankClient::read`].
+struct ReadKey {
+    /// Position in the caller's key list.
+    pos: usize,
+    /// The key's replica set in placement order, liveness ignored.
+    replicas: Vec<usize>,
+    /// Replicas that already failed this read in flight; never retried.
+    tried: Vec<usize>,
+    /// A replica refused this read (`busy`) or timed out under it: if it
+    /// ends as a local miss, that miss is a degraded one.
+    degraded: bool,
+    /// The daemon this round routed the key to.
+    route: usize,
+    /// The current route is a *failover*: the first-placed replica was
+    /// unavailable. A healthy set routed to a secondary purely for load
+    /// spreading is not one.
+    failover: bool,
+    /// A daemon answered for this key (hit or authoritative miss).
+    answered: bool,
+}
 
 /// The bank of MCDs as seen from one node (CMCache or SMCache side).
+///
+/// Every value has exactly one home per replica slot: a key maps to its
+/// [`ServerMap::replicas`] set and nowhere else. A dead daemon is a miss,
+/// *not* a rehash to the next one — rehash (libmemcache's default) can
+/// serve stale data once daemons come and go: an entry written to a
+/// stand-in during an outage, or an old copy read after a second
+/// failover, resurfaces. Keyed to fixed homes, correctness never depends
+/// on bank membership history. Liveness is read straight off the daemons'
+/// shared `alive` cells (libmemcache notices connect failures
+/// immediately); on top of it a reachable daemon may be *shed* —
+/// quarantined by a failed write (sticky, until revival) or inside this
+/// client's open circuit window (transient).
+///
+/// The client does each of its three jobs one way, at every replication
+/// factor:
+///
+/// * **Reads** ([`get`](BankClient::get), [`get_multi`](BankClient::get_multi))
+///   run one loop (`BankClient::read`): route each key to one usable
+///   replica, attempt, settle the reply, and either answer or route the
+///   next round past the replica that failed — until a replica answers or
+///   none is left and the read resolves as a local miss.
+/// * **Writes** ([`set`](BankClient::set), [`delete`](BankClient::delete),
+///   [`cas`](BankClient::cas)) go through one fan-out,
+///   `BankClient::write_fanout`, to every usable replica; any write
+///   that fails quarantines its daemon.
+/// * **Bulk writes** ([`set_pipeline`](BankClient::set_pipeline),
+///   [`delete_pipeline`](BankClient::delete_pipeline)) stream through one
+///   `noreply` pipeline per daemon with a single trailing sync barrier.
 pub struct BankClient {
-    clients: Vec<RpcClient<McdReq, McdResp>>,
-    core: RefCell<ClientCore>,
+    wire: Wire,
+    map: ServerMap,
     alive: Vec<Rc<Cell<bool>>>,
     quarantined: Vec<Rc<Cell<bool>>>,
     /// Per-daemon fail-fast circuit: ops shed (local miss) until the
     /// stored instant. Per *client*, unlike the shared quarantine flags.
     circuit_open_until: RefCell<Vec<SimTime>>,
     policy: RetryPolicy,
-    handle: SimHandle,
     registry: Registry,
     gets: Counter,
     hits: Counter,
@@ -908,24 +1002,20 @@ pub struct BankClient {
     cas_ops: Counter,
     /// CAS stores that travelled through [`BankClient::cas_pipeline`].
     pipelined_cas: Counter,
-    /// RPC attempts abandoned at their deadline.
-    rpc_timeouts: Counter,
-    /// Retried attempts and retransmitted pipeline posts.
-    retries: Counter,
     /// Ops answered locally (miss / dropped write) because the daemon was
-    /// quarantined, circuit-open, or out of retry budget.
+    /// quarantined, circuit-open, shedding load, or out of retry budget.
     degraded_misses: Counter,
-    /// Replica placement factor, clamped to the bank size. 1 = the
-    /// single-home bank; every replicated code path is gated on `> 1` so
-    /// factor-1 runs replay bit-identically to the pre-replication code.
+    /// Replica placement factor, clamped to the bank size (1 = the
+    /// paper's single-home bank).
     replication: usize,
-    /// Outstanding bank RPCs per daemon *from this client* — the load
+    /// Outstanding read RPCs per daemon *from this client* — the load
     /// signal power-of-two-choices read routing balances on. `Rc` so
     /// hedge tasks (which outlive the borrow of `self`) can decrement.
     in_flight: Vec<Rc<Cell<u64>>>,
     /// Client-local xorshift64 state for P2C sampling and tie-breaking,
     /// seeded from the client's node id so different clients spread a hot
-    /// block across its replicas. Never consulted at factor 1.
+    /// block across its replicas. Drawn only to choose between two live
+    /// replicas, so a factor-1 client never advances it.
     route_rng: Cell<u64>,
     /// Single-flight table: key → waiters. The first GET for a key is the
     /// leader and does the RPC; concurrent GETs for the same key coalesce
@@ -943,17 +1033,17 @@ pub struct BankClient {
     /// one (`RetryPolicy::retry_budget`).
     budget: Option<BudgetHandle>,
     /// `SERVER_ERROR busy` replies — reads a daemon's admission control
-    /// refused. Never retried on the same daemon: replicated reads fail
-    /// over, single-home reads become degraded local misses (the
-    /// degradation ladder's signal).
+    /// refused. Never retried on the same daemon: the read fails over to
+    /// another replica or becomes a degraded local miss (the degradation
+    /// ladder's signal).
     busy_sheds: Counter,
-    /// Read circuits tripped by exhausted per-op retries — so
-    /// timeout-driven degradation is distinguishable from budget-driven
+    /// Circuits tripped by exhausted per-op retries — so timeout-driven
+    /// degradation is distinguishable from budget-driven
     /// (`retry_budget_exhausted`) and shed-driven (`busy_sheds`).
     circuit_opens: Counter,
     /// Hedge RPCs actually fired (replication ≥ 2, hedge policy on).
     hedged_gets: Counter,
-    /// Hedged GETs where the hedge's answer arrived first.
+    /// Hedged GETs where the hedge's value arrived first.
     hedge_wins: Counter,
 }
 
@@ -961,36 +1051,8 @@ impl BankClient {
     /// Connect `from` to every daemon in `nodes` using `selector` routing.
     /// `transport` optionally overrides the fabric default (the RDMA
     /// ablation connects the bank over RDMA while the file server stays on
-    /// IPoIB).
-    pub fn connect(
-        nodes: &[McdNode],
-        from: NodeId,
-        selector: Selector,
-        transport: Option<Transport>,
-    ) -> BankClient {
-        BankClient::connect_with(nodes, from, selector, transport, RetryPolicy::default())
-    }
-
-    /// [`BankClient::connect`] with an explicit deadline/retry policy.
-    pub fn connect_with(
-        nodes: &[McdNode],
-        from: NodeId,
-        selector: Selector,
-        transport: Option<Transport>,
-        policy: RetryPolicy,
-    ) -> BankClient {
-        BankClient::connect_replicated(
-            nodes,
-            from,
-            selector,
-            transport,
-            policy,
-            Replication::default(),
-        )
-    }
-
-    /// [`BankClient::connect_with`] plus a replica placement (see
-    /// [`Replication`]).
+    /// IPoIB); `policy` sets deadlines and retries, `replication` the
+    /// replica placement (see [`Replication`]).
     pub fn connect_replicated(
         nodes: &[McdNode],
         from: NodeId,
@@ -1014,13 +1076,17 @@ impl BankClient {
             exhausted: registry.counter("retry_budget_exhausted"),
         });
         BankClient {
-            clients,
-            core: RefCell::new(ClientCore::new(selector, nodes.len())),
+            wire: Wire {
+                handle,
+                clients,
+                rpc_timeouts: registry.counter("rpc_timeouts"),
+                retries: registry.counter("retries"),
+            },
+            map: ServerMap::new(selector, nodes.len()),
             alive: nodes.iter().map(|n| Rc::clone(&n.alive)).collect(),
             quarantined: nodes.iter().map(|n| Rc::clone(&n.quarantined)).collect(),
             circuit_open_until: RefCell::new(vec![SimTime::ZERO; nodes.len()]),
             policy,
-            handle,
             gets: registry.counter("gets"),
             hits: registry.counter("hits"),
             misses: registry.counter("misses"),
@@ -1034,8 +1100,6 @@ impl BankClient {
             pipelined_deletes: registry.counter("pipelined_deletes"),
             cas_ops: registry.counter("cas_ops"),
             pipelined_cas: registry.counter("pipelined_cas"),
-            rpc_timeouts: registry.counter("rpc_timeouts"),
-            retries: registry.counter("retries"),
             degraded_misses: registry.counter("degraded_misses"),
             replication: replication.factor.clamp(1, nodes.len()),
             in_flight: (0..nodes.len()).map(|_| Rc::new(Cell::new(0))).collect(),
@@ -1057,7 +1121,7 @@ impl BankClient {
 
     /// Number of daemons configured.
     pub fn server_count(&self) -> usize {
-        self.clients.len()
+        self.wire.clients.len()
     }
 
     /// Total `SERVER_ERROR busy` replies this client has absorbed. The
@@ -1079,39 +1143,7 @@ impl BankClient {
         }
     }
 
-    /// Keep the router's liveness view in sync with the actual daemons
-    /// (libmemcache notices connect failures immediately).
-    fn refresh_liveness(&self) {
-        let mut core = self.core.borrow_mut();
-        for (i, alive) in self.alive.iter().enumerate() {
-            if alive.get() {
-                core.mark_alive(i);
-            } else {
-                core.mark_dead(i);
-            }
-        }
-    }
-
-    /// Primary-only routing: a dead primary means a miss, *not* a rehash
-    /// to the next daemon. Rehash (libmemcache's default) can serve stale
-    /// data once daemons come and go — an entry written to a secondary
-    /// during an outage, or an old primary copy read after a second
-    /// failover, resurfaces. Keyed to one daemon, every value has exactly
-    /// one home and correctness never depends on bank membership history.
-    ///
-    /// On top of liveness, a reachable daemon may still be *shed*:
-    /// quarantined by a failed write (sticky, until revival) or inside
-    /// this client's open circuit window after repeated timeouts
-    /// (transient). Both also resolve locally, but count as degraded
-    /// misses so the fault accounting can explain a latency gap.
-    fn route(&self, key: &[u8], hint: Option<u64>) -> Route {
-        self.refresh_liveness();
-        let primary = self.core.borrow().placement(key, hint, 1).primary;
-        self.probe(primary)
-    }
-
-    /// Liveness/quarantine/circuit verdict for one daemon — the checks
-    /// [`BankClient::route`] applies to the primary, reusable per replica.
+    /// Liveness/quarantine/circuit verdict for daemon `idx`.
     fn probe(&self, idx: usize) -> Route {
         if !self.alive[idx].get() {
             return Route::Dead;
@@ -1119,23 +1151,19 @@ impl BankClient {
         if self.quarantined[idx].get() {
             return Route::Shed;
         }
-        if self.handle.now() < self.circuit_open_until.borrow()[idx] {
+        if self.wire.handle.now() < self.circuit_open_until.borrow()[idx] {
             return Route::Shed;
         }
-        Route::Daemon(idx)
+        Route::Live
     }
 
-    /// The key's full replica set in placement order, liveness ignored.
-    fn replica_set(&self, key: &[u8], hint: Option<u64>) -> Vec<usize> {
-        self.core
-            .borrow()
-            .placement(key, hint, self.replication)
-            .replicas
+    /// The key's full replica set in placement order, liveness ignored;
+    /// its first entry is the selector's primary.
+    fn replicas(&self, key: &[u8], hint: Option<u64>) -> Vec<usize> {
+        self.map.replicas(key, hint, self.replication)
     }
 
-    /// Next word of the client-local xorshift64 stream. Only the
-    /// replicated read router draws from it, so factor-1 clients never
-    /// advance the state.
+    /// Next word of the client-local xorshift64 stream.
     fn next_rand(&self) -> u64 {
         let mut x = self.route_rng.get();
         x ^= x << 13;
@@ -1161,42 +1189,55 @@ impl BankClient {
         }
     }
 
-    /// Route one replicated read. The key's replica set is filtered down
-    /// to live, unshed daemons minus `exclude` (replicas that already
-    /// failed this op mid-flight); one survivor is picked by
-    /// power-of-two-choices. With no survivor the read resolves locally
-    /// with the same `Dead`/`Shed` classification as the single-home
-    /// router (`Shed` — hence a degraded miss — if any replica was shed).
-    /// The `bool` reports whether serving from the chosen daemon is a
-    /// *failover*: the first-placed replica was unavailable. A healthy
-    /// set routed to a secondary purely for load spreading is not one.
-    fn route_read_replica(&self, candidates: &[usize], exclude: &[usize]) -> (Route, bool) {
-        self.refresh_liveness();
-        let mut live: Vec<usize> = Vec::with_capacity(candidates.len());
-        let mut shed = false;
-        for &idx in candidates {
-            if exclude.contains(&idx) {
-                continue;
-            }
-            match self.probe(idx) {
-                Route::Daemon(_) => live.push(idx),
+    /// Route one read round for `k`: `true` with `k.route` and
+    /// `k.failover` set, or `false` when the read ends here. Its replica
+    /// set is filtered down to live, unshed daemons minus those that
+    /// already failed it in flight, and one survivor is picked by
+    /// power-of-two-choices. With no survivor the read is a local miss,
+    /// counted *degraded* iff a replica was shed just now or refused /
+    /// timed out in flight — the bank had the capacity to answer and
+    /// protected itself instead. A replica set that is simply dead (or
+    /// reset under the read) is a plain miss.
+    fn route_read_replica(&self, k: &mut ReadKey) -> bool {
+        // Replica sets are a handful of entries, so the survivors are
+        // counted and then walked to, not collected: this runs once per
+        // key per round and allocates nothing.
+        let untried = || k.replicas.iter().copied().filter(|c| !k.tried.contains(c));
+        let (mut live, mut shed) = (0, false);
+        for c in untried() {
+            match self.probe(c) {
+                Route::Live => live += 1,
                 Route::Shed => shed = true,
                 Route::Dead => {}
             }
         }
-        let failover = live.first() != Some(&candidates[0]);
-        let chosen = match live.len() {
-            0 => return (if shed { Route::Shed } else { Route::Dead }, false),
-            1 => live[0],
-            2 => self.p2c(live[0], live[1]),
+        if live == 0 {
+            self.misses.inc();
+            if shed || k.degraded {
+                self.degraded_misses.inc();
+            }
+            return false;
+        }
+        let nth = |i: usize| {
+            untried()
+                .filter(|&c| matches!(self.probe(c), Route::Live))
+                .nth(i)
+                .expect("within the live count")
+        };
+        let first = nth(0);
+        let route = match live {
+            1 => first,
+            2 => self.p2c(first, nth(1)),
             n => {
                 // Sample two distinct survivors, then P2C between them.
                 let i = (self.next_rand() % n as u64) as usize;
                 let j = (i + 1 + (self.next_rand() % (n as u64 - 1)) as usize) % n;
-                self.p2c(live[i], live[j])
+                self.p2c(nth(i), nth(j))
             }
         };
-        (Route::Daemon(chosen), failover)
+        k.failover = first != k.replicas[0];
+        k.route = route;
+        true
     }
 
     /// Join an in-flight GET for `key` from this client, if any: `Some`
@@ -1208,6 +1249,7 @@ impl BankClient {
         if let Some(waiters) = table.get_mut(key) {
             let (tx, rx) = oneshot();
             waiters.push(tx);
+            self.coalesced_gets.inc();
             Some(rx)
         } else {
             table.insert(key.to_vec(), Vec::new());
@@ -1228,16 +1270,28 @@ impl BankClient {
         }
     }
 
+    /// Wait, as a coalesced follower, for the leader's result.
+    async fn follow(&self, rx: OneshotReceiver<Option<Bytes>>) -> Option<Bytes> {
+        // A torn-down leader (sim shutdown) counts as a miss.
+        let r = rx.await.unwrap_or(None);
+        if r.is_some() {
+            self.hits.inc();
+        } else {
+            self.misses.inc();
+        }
+        r
+    }
+
     /// Open daemon `idx`'s circuit: shed its traffic for the policy's
     /// cooldown, then probe again.
     fn trip_circuit(&self, idx: usize) {
         self.circuit_opens.inc();
         self.circuit_open_until.borrow_mut()[idx] =
-            self.handle.now() + self.policy.circuit_cooldown;
+            self.wire.handle.now() + self.policy.circuit_cooldown;
     }
 
-    /// The policy for one RPC to daemon `idx`: the static policy, with
-    /// the deadline swapped for the daemon's tracked
+    /// The policy for one read RPC to daemon `idx`: the static policy,
+    /// with the deadline swapped for the daemon's tracked
     /// `multiplier × (srtt + 4·rttvar)` once the estimator is warm
     /// (see [`AdaptiveDeadline`]).
     fn effective_policy(&self, idx: usize) -> RetryPolicy {
@@ -1254,9 +1308,10 @@ impl BankClient {
         p
     }
 
-    /// Fold one completed-RPC latency into daemon `idx`'s estimator.
-    /// Only answered calls are observed (a timeout's duration is the
-    /// deadline, not the daemon) — and the sample includes any retry
+    /// Fold one answered single-key GET's latency into daemon `idx`'s
+    /// estimator. Only answers are observed: a timeout's duration is the
+    /// deadline, not the daemon, and a `busy` refusal skips the very
+    /// queue the estimate is about. The sample includes any retry
     /// backoff, which only biases the estimate *upward* under stress,
     /// the conservative direction for a deadline.
     fn observe_rtt(&self, idx: usize, elapsed: SimDuration) {
@@ -1265,82 +1320,50 @@ impl BankClient {
         }
     }
 
-    /// One deadline-guarded RPC to daemon `idx`, opening its circuit if
-    /// the per-op retries run dry. The *write-path* variant: always the
-    /// static policy and never the retry budget, because a write that
-    /// fails fast gets quarantined — far too heavy a hammer for an
-    /// adaptively-shortened deadline or a dry token bucket to swing.
-    async fn call_daemon(&self, idx: usize, req: McdReq) -> CallOutcome {
-        let outcome = retry_call(
-            self.handle.clone(),
-            self.clients[idx].clone(),
-            self.policy.clone(),
-            self.rpc_timeouts.clone(),
-            self.retries.clone(),
-            None,
-            req,
-        )
-        .await;
-        if matches!(outcome, CallOutcome::TimedOut) {
-            self.trip_circuit(idx);
-        }
-        outcome
+    /// One plain `get` RPC for `keys` to daemon `idx`, on the *read-path*
+    /// policy: the deadline adapts to the daemon's tracked RTT and
+    /// retries spend from the budget. A timed-out read costs a degraded
+    /// miss, so failing fast here is cheap.
+    fn read_call(
+        &self,
+        idx: usize,
+        keys: Vec<Vec<u8>>,
+    ) -> impl Future<Output = CallOutcome> + 'static {
+        let req = McdReq(Command::Get {
+            keys,
+            with_cas: false,
+        });
+        self.wire
+            .call(idx, self.effective_policy(idx), self.budget.clone(), req)
     }
 
-    /// [`BankClient::call_daemon`] for the read path: the deadline adapts
-    /// to the daemon's tracked RTT, retries spend from the budget, and an
-    /// answered call feeds the estimator. A timed-out read costs a
-    /// degraded miss, so failing fast here is cheap — which is exactly
-    /// why the read path gets the aggressive policy and the write path
-    /// does not.
-    async fn call_daemon_read(&self, idx: usize, req: McdReq) -> CallOutcome {
-        let t0 = self.handle.now();
-        let outcome = retry_call(
-            self.handle.clone(),
-            self.clients[idx].clone(),
-            self.effective_policy(idx),
-            self.rpc_timeouts.clone(),
-            self.retries.clone(),
-            self.budget.clone(),
-            req,
-        )
-        .await;
-        match &outcome {
-            CallOutcome::Resp(_) => self.observe_rtt(idx, self.handle.now().since(t0)),
-            CallOutcome::TimedOut => self.trip_circuit(idx),
-            CallOutcome::Dropped => {}
-        }
-        outcome
+    /// One RPC to daemon `idx` on the *write-path* policy — writes and
+    /// their token fetches: always the static deadline and never the
+    /// retry budget, because a write that fails fast gets its daemon
+    /// quarantined — far too heavy a hammer for an adaptively-shortened
+    /// deadline or a dry token bucket to swing.
+    fn write_call(&self, idx: usize, req: McdReq) -> impl Future<Output = CallOutcome> + 'static {
+        self.wire.call(idx, self.policy.clone(), None, req)
     }
 
     /// Fetch one value. `hint` is the block index for modulo distribution.
     ///
     /// If this client already has a GET for the same key in flight, the
     /// call coalesces onto it (single-flight): no second RPC, the result
-    /// arrives with the leader's. Otherwise the call leads — single-home
-    /// or replicated fetch depending on the factor — and wakes any
-    /// followers that coalesced meanwhile.
+    /// arrives with the leader's. Otherwise the call leads — one pass of
+    /// the read loop, its RPC awaited directly and, with a
+    /// [`HedgePolicy`], raced against a hedge — and wakes any followers
+    /// that coalesced meanwhile.
     pub async fn get(&self, key: &[u8], hint: Option<u64>) -> Option<Bytes> {
         self.gets.inc();
-        let t0 = self.handle.now();
+        let t0 = self.wire.handle.now();
         let result = match self.join_single_flight(key) {
-            Some(rx) => {
-                self.coalesced_gets.inc();
-                // A torn-down leader (sim shutdown) counts as a miss.
-                let r = rx.await.unwrap_or(None);
-                if r.is_some() {
-                    self.hits.inc();
-                } else {
-                    self.misses.inc();
-                }
-                r
-            }
+            Some(rx) => self.follow(rx).await,
             None => {
-                let r = if self.replication == 1 {
-                    self.get_single_home(key, hint).await
-                } else {
-                    self.get_replicated(key, hint).await
-                };
+                let mut out = [None];
+                self.read(&[(key.to_vec(), hint)], &[0], false, &mut out)
+                    .await;
+                let [r] = out;
                 self.publish_single_flight(key, &r);
                 r
             }
@@ -1349,160 +1372,192 @@ impl BankClient {
         // local misses, mid-flight failures, and coalesced waits included
         // — so the histogram count always equals the `gets` counter, with
         // or without fault injection.
-        self.get_ns.record_duration(self.handle.now().since(t0));
+        self.get_ns
+            .record_duration(self.wire.handle.now().since(t0));
         result
     }
 
-    /// The factor-1 fetch: primary-only routing, dead primary = local
-    /// miss (see [`BankClient::route`]). Kept verbatim from before
-    /// replication existed so factor-1 runs replay bit-identically.
-    async fn get_single_home(&self, key: &[u8], hint: Option<u64>) -> Option<Bytes> {
-        match self.route(key, hint) {
-            Route::Dead => {
-                self.misses.inc();
-                None
+    /// Fetch many values with at most one RPC per (live) daemon per
+    /// round: keys are grouped by their routed replica and each group
+    /// travels as a single multi-key `get` — the batching real
+    /// libmemcache applies that a one-RPC-per-block client forgoes.
+    /// Results come back in request order. Routing semantics are those of
+    /// [`BankClient::get`] — it is the same loop: a key with no usable
+    /// replica is a local miss with no wire traffic (never a rehash), and
+    /// a daemon failing mid-flight fails every key grouped on it over to
+    /// their next replica, or to a miss.
+    pub async fn get_multi(&self, keys: &[(Vec<u8>, Option<u64>)]) -> Vec<Option<Bytes>> {
+        // A one-key batch is just a get. Routing it through the
+        // single-key path keeps hedged reads available to the batched
+        // data path, whose commonest shape is one covering block — a
+        // grouped multi-key round has no hedge.
+        if keys.len() == 1 && self.policy.hedge.is_some() && self.replication > 1 {
+            let (key, hint) = &keys[0];
+            return vec![self.get(key, *hint).await];
+        }
+        self.gets.add(keys.len() as u64);
+        let t0 = self.wire.handle.now();
+        let mut out: Vec<Option<Bytes>> = vec![None; keys.len()];
+        // Single-flight split: keys this client already has a GET in
+        // flight for become followers of that leader; the rest are
+        // fetched here.
+        let mut followers: Vec<(usize, OneshotReceiver<Option<Bytes>>)> = Vec::new();
+        let mut leaders: Vec<usize> = Vec::with_capacity(keys.len());
+        for (pos, (key, _)) in keys.iter().enumerate() {
+            match self.join_single_flight(key) {
+                Some(rx) => followers.push((pos, rx)),
+                None => leaders.push(pos),
             }
-            Route::Shed => {
-                self.misses.inc();
-                self.degraded_misses.inc();
-                None
+        }
+        self.read(keys, &leaders, true, &mut out).await;
+        for &pos in &leaders {
+            self.publish_single_flight(&keys[pos].0, &out[pos]);
+        }
+        for (pos, rx) in followers {
+            out[pos] = self.follow(rx).await;
+        }
+        // One latency sample per requested key (they completed together),
+        // keeping the histogram count equal to `gets`.
+        let dt = self.wire.handle.now().since(t0);
+        for _ in 0..keys.len() {
+            self.get_ns.record_duration(dt);
+        }
+        out
+    }
+
+    /// The read loop, for the `lead` positions of `keys`, writing hits
+    /// into `out`. Each round routes every pending key to one usable
+    /// replica ([`BankClient::route_read_replica`], which also ends a key
+    /// with no replica left as a local miss), sends one RPC per routed
+    /// daemon, and settles each reply ([`BankClient::settle_read`]):
+    /// answered keys resolve as hits or misses, keys on a daemon that
+    /// failed go round again with that daemon excluded — warm failover at
+    /// factor > 1, and at factor 1 a second pass that finds no candidate
+    /// and resolves locally without another await.
+    ///
+    /// `batched` is how the round's RPCs travel: `get_multi` sends one
+    /// multi-key RPC per daemon concurrently; `get`'s single key goes
+    /// alone through [`BankClient::attempt`], awaited directly.
+    async fn read(
+        &self,
+        keys: &[(Vec<u8>, Option<u64>)],
+        lead: &[usize],
+        batched: bool,
+        out: &mut [Option<Bytes>],
+    ) {
+        let mut pending: Vec<ReadKey> = lead
+            .iter()
+            .map(|&pos| ReadKey {
+                pos,
+                replicas: self.replicas(&keys[pos].0, keys[pos].1),
+                tried: Vec::new(),
+                degraded: false,
+                route: 0,
+                failover: false,
+                answered: false,
+            })
+            .collect();
+        loop {
+            pending.retain_mut(|k| !k.answered && self.route_read_replica(k));
+            if pending.is_empty() {
+                return;
             }
-            Route::Daemon(idx) => {
-                let req = McdReq(Command::Get {
-                    keys: vec![key.to_vec()],
-                    with_cas: false,
-                });
-                match self.call_daemon_read(idx, req).await {
-                    CallOutcome::Resp(McdResp(Some(Response::Values(mut vals))))
-                        if !vals.is_empty() =>
-                    {
-                        self.hits.inc();
-                        Some(vals.remove(0).data)
+            // Group by routed daemon in place. The sort is stable, so
+            // daemons are visited in index order and each one's keys keep
+            // the order they were routed in.
+            pending.sort_by_key(|k| k.route);
+            let mut groups: Vec<&mut [ReadKey]> =
+                pending.chunk_by_mut(|a, b| a.route == b.route).collect();
+            let mut answers = Vec::with_capacity(groups.len());
+            if batched {
+                let (calls, load): (Vec<_>, Vec<_>) = groups
+                    .iter()
+                    .map(|members| {
+                        let idx = members[0].route;
+                        self.multi_gets.inc();
+                        self.keys_per_multi_get.record(members.len() as u64);
+                        let group_keys = members.iter().map(|k| keys[k.pos].0.clone()).collect();
+                        (
+                            self.read_call(idx, group_keys),
+                            DecrOnDrop::enter(&self.in_flight[idx]),
+                        )
+                    })
+                    .unzip();
+                let outcomes = join_all(&self.wire.handle, calls).await;
+                drop(load);
+                for (members, outcome) in groups.iter_mut().zip(outcomes) {
+                    answers.push(self.settle_read(members[0].route, outcome, members));
+                }
+            } else {
+                for members in &mut groups {
+                    answers.push(self.attempt(&keys[members[0].pos].0, members).await);
+                }
+            }
+            for (members, answer) in groups.into_iter().zip(answers) {
+                // An unanswered group stays pending and goes round again.
+                let Some(vals) = answer else { continue };
+                // The daemon returns only the found keys, in request
+                // order with the key echoed: walk both lists in lockstep
+                // to tell hits from per-key misses.
+                let mut vals = vals.into_iter().peekable();
+                for k in members {
+                    k.answered = true;
+                    if k.failover {
+                        self.replica_failovers.inc();
                     }
-                    CallOutcome::Resp(McdResp(Some(r))) if r.is_busy() => {
-                        // Admission control refused the read: a degraded
-                        // local miss, never a retry (the daemon is
-                        // healthy — just protecting itself).
-                        self.busy_sheds.inc();
-                        self.misses.inc();
-                        self.degraded_misses.inc();
-                        None
-                    }
-                    CallOutcome::Resp(_) => {
-                        self.misses.inc();
-                        None
-                    }
-                    CallOutcome::Dropped => {
-                        // Daemon died mid-flight: treat as a miss and avoid it.
-                        self.failures.inc();
-                        self.misses.inc();
-                        self.core.borrow_mut().mark_dead(idx);
-                        None
-                    }
-                    CallOutcome::TimedOut => {
-                        // Unreachable (lost/partitioned): the circuit is now
-                        // open; resolve as a degraded local miss.
-                        self.failures.inc();
-                        self.misses.inc();
-                        self.degraded_misses.inc();
-                        None
+                    match vals.next_if(|v| v.key == keys[k.pos].0) {
+                        Some(v) => {
+                            self.hits.inc();
+                            out[k.pos] = Some(v.data);
+                        }
+                        None => self.misses.inc(),
                     }
                 }
             }
         }
     }
 
-    /// The replicated fetch (factor > 1): try live replicas in P2C order
-    /// until one answers. A replica that drops or times out mid-flight is
-    /// excluded and the next one tried — warm failover — and only when
-    /// every replica is unusable does the read degrade to the local miss
-    /// the single-home path would have taken immediately. With a
-    /// [`HedgePolicy`] configured each round may additionally race a
-    /// hedge against a slow primary (see [`BankClient::hedged_round`]).
-    async fn get_replicated(&self, key: &[u8], hint: Option<u64>) -> Option<Bytes> {
-        let candidates = self.replica_set(key, hint);
-        let mut tried: Vec<usize> = Vec::new();
-        loop {
-            let (route, failover) = self.route_read_replica(&candidates, &tried);
-            let idx = match route {
-                Route::Daemon(idx) => idx,
-                Route::Shed => {
-                    self.misses.inc();
-                    self.degraded_misses.inc();
-                    return None;
-                }
-                Route::Dead => {
-                    self.misses.inc();
-                    return None;
-                }
-            };
-            if let Some(hedge) = self.policy.hedge {
-                match self
-                    .hedged_round(key, &candidates, &mut tried, idx, hedge)
-                    .await
-                {
-                    RoundVerdict::Hit(data) => {
-                        if failover {
-                            self.replica_failovers.inc();
-                        }
-                        self.hits.inc();
-                        return Some(data);
-                    }
-                    RoundVerdict::Miss => {
-                        if failover {
-                            self.replica_failovers.inc();
-                        }
-                        self.misses.inc();
-                        return None;
-                    }
-                    RoundVerdict::Failed => continue,
-                }
+    /// Settle one read reply from daemon `idx` for the keys that rode on
+    /// it. `Some(values)` when the daemon *answered* — the found values,
+    /// possibly none (an authoritative "not here"). `None` when it did
+    /// not, after recording the failure on every member so the next round
+    /// routes past `idx`:
+    ///
+    /// * `busy` — admission control refused the read. Never a retry (the
+    ///   daemon is healthy, just protecting itself): fail over.
+    /// * reset — the daemon died mid-flight: the whole group fails.
+    /// * timeout — deadline expired mid-group: the whole group fails —
+    ///   never a partial block assembly — and the circuit opens so later
+    ///   reads shed locally.
+    fn settle_read(
+        &self,
+        idx: usize,
+        outcome: CallOutcome,
+        members: &mut [ReadKey],
+    ) -> Option<Vec<Value>> {
+        let n = members.len() as u64;
+        let degraded = match outcome {
+            CallOutcome::Resp(McdResp(Some(Response::Values(vals)))) => return Some(vals),
+            CallOutcome::Resp(McdResp(Some(r))) if r.is_busy() => {
+                self.busy_sheds.inc();
+                true
             }
-            let req = McdReq(Command::Get {
-                keys: vec![key.to_vec()],
-                with_cas: false,
-            });
-            self.in_flight[idx].set(self.in_flight[idx].get() + 1);
-            let outcome = self.call_daemon_read(idx, req).await;
-            self.in_flight[idx].set(self.in_flight[idx].get() - 1);
-            match outcome {
-                CallOutcome::Resp(McdResp(Some(Response::Values(mut vals))))
-                    if !vals.is_empty() =>
-                {
-                    if failover {
-                        self.replica_failovers.inc();
-                    }
-                    self.hits.inc();
-                    return Some(vals.remove(0).data);
-                }
-                CallOutcome::Resp(McdResp(Some(r))) if r.is_busy() => {
-                    // Shed by admission control: fail over warm to the
-                    // next replica (the value may well be there).
-                    self.busy_sheds.inc();
-                    tried.push(idx);
-                }
-                CallOutcome::Resp(_) => {
-                    if failover {
-                        self.replica_failovers.inc();
-                    }
-                    self.misses.inc();
-                    return None;
-                }
-                CallOutcome::Dropped => {
-                    // Replica died mid-flight: exclude it and fail over.
-                    self.failures.inc();
-                    self.core.borrow_mut().mark_dead(idx);
-                    tried.push(idx);
-                }
-                CallOutcome::TimedOut => {
-                    // Circuit now open (call_daemon_read tripped it); the
-                    // next route sees this replica as shed. Exclude and
-                    // retry the rest of the set.
-                    self.failures.inc();
-                    tried.push(idx);
-                }
+            CallOutcome::Resp(_) => return Some(Vec::new()),
+            CallOutcome::Dropped => {
+                self.failures.add(n);
+                false
             }
+            CallOutcome::TimedOut => {
+                self.failures.add(n);
+                self.trip_circuit(idx);
+                true
+            }
+        };
+        for k in members {
+            k.tried.push(idx);
+            k.degraded |= degraded;
         }
+        None
     }
 
     /// Hedge delay for a GET to daemon `idx`: the tracked tail proxy
@@ -1519,536 +1574,117 @@ impl BankClient {
         hedge.max_delay
     }
 
-    /// One hedged replicated-read round (DESIGN.md §8): the GET to
-    /// `primary` runs as its own task; if it has not answered within
-    /// [`BankClient::hedge_delay`], one hedge fires to the next live
-    /// replica in placement order (spending a retry-budget token when a
-    /// budget is configured). The first *answer* wins; the loser keeps
-    /// running but its late result is discarded unseen — it is never
-    /// settled, so a loser's timeout cannot trip a circuit. Failures
-    /// (busy / dropped / timed out) from both attempts are settled here
-    /// and appended to `tried` so the caller's next round routes past
-    /// them.
-    async fn hedged_round(
-        &self,
-        key: &[u8],
-        candidates: &[usize],
-        tried: &mut Vec<usize>,
-        primary: usize,
-        hedge: HedgePolicy,
-    ) -> RoundVerdict {
+    /// One single-key round: the GET for `key` to the daemon it was routed
+    /// to (the primary attempt), settled for its one `members` entry.
+    /// Without a [`HedgePolicy`], or with no second live replica to hedge
+    /// to, the RPC is awaited directly.
+    ///
+    /// Otherwise (DESIGN.md §8) the GET runs as its own task, and if it
+    /// has not answered within [`BankClient::hedge_delay`] one hedge
+    /// fires to the next live, untried replica in placement order
+    /// (spending a retry-budget token when a budget is configured). The
+    /// first *answer* wins; the loser keeps running but its late result
+    /// is discarded unseen — it is never settled, so a loser's timeout
+    /// cannot trip a circuit. Failures that arrive before an answer are
+    /// settled as usual.
+    async fn attempt(&self, key: &[u8], members: &mut [ReadKey]) -> Option<Vec<Value>> {
+        let primary = members[0].route;
+        let get = |idx: usize| self.read_call(idx, vec![key.to_vec()]);
+        let hedge = self.policy.hedge.and_then(|policy| {
+            let k = &members[0];
+            let target = k.replicas.iter().copied().find(|&c| {
+                c != primary && !k.tried.contains(&c) && matches!(self.probe(c), Route::Live)
+            })?;
+            Some((self.hedge_delay(primary, policy), target))
+        });
+        let Some((delay, target)) = hedge else {
+            let t0 = self.wire.handle.now();
+            let load = DecrOnDrop::enter(&self.in_flight[primary]);
+            let outcome = get(primary).await;
+            drop(load);
+            let answer = self.settle_read(primary, outcome, members);
+            if answer.is_some() {
+                self.observe_rtt(primary, self.wire.handle.now().since(t0));
+            }
+            return answer;
+        };
         // Each racing attempt reports (was-hedge, replica, outcome,
-        // elapsed); a hedge that decides not to fire reports `None`.
+        // elapsed); a hedge that decides not to fire reports `None`, so
+        // the receive loop below always sees two messages.
         type RaceMsg = Option<(bool, usize, CallOutcome, SimDuration)>;
         let results: Queue<RaceMsg> = Queue::new();
         let decided = Rc::new(Cell::new(false));
-        let spawn_attempt = |idx: usize, is_hedge: bool| {
-            let handle = self.handle.clone();
-            let client = self.clients[idx].clone();
-            let policy = self.effective_policy(idx);
-            let rpc_timeouts = self.rpc_timeouts.clone();
-            let retries = self.retries.clone();
-            let budget = self.budget.clone();
+        let spawn_attempt = |idx: usize, gate: Option<SimDuration>| {
+            let call = get(idx);
+            let handle = self.wire.handle.clone();
             let results = results.clone();
-            let inflight = Rc::clone(&self.in_flight[idx]);
-            let req = McdReq(Command::Get {
-                keys: vec![key.to_vec()],
-                with_cas: false,
-            });
-            inflight.set(inflight.get() + 1);
-            self.handle.spawn(async move {
-                let t0 = handle.now();
-                let outcome = retry_call(
-                    handle.clone(),
-                    client,
-                    policy,
-                    rpc_timeouts,
-                    retries,
-                    budget,
-                    req,
-                )
-                .await;
-                inflight.set(inflight.get() - 1);
-                results.push(Some((is_hedge, idx, outcome, handle.now().since(t0))));
-            });
-        };
-        spawn_attempt(primary, false);
-        // Hedge target: the next live, untried replica after the primary
-        // in placement order. Without one the round is just the primary.
-        let target = candidates.iter().copied().find(|&c| {
-            c != primary && !tried.contains(&c) && matches!(self.probe(c), Route::Daemon(_))
-        });
-        let mut expected = 1;
-        if let Some(hidx) = target {
-            expected += 1;
-            let delay = self.hedge_delay(primary, hedge);
-            let handle = self.handle.clone();
             let decided = Rc::clone(&decided);
             let budget = self.budget.clone();
             let hedged_gets = self.hedged_gets.clone();
-            let results = results.clone();
-            let client = self.clients[hidx].clone();
-            let policy = self.effective_policy(hidx);
-            let rpc_timeouts = self.rpc_timeouts.clone();
-            let retries = self.retries.clone();
-            let inflight = Rc::clone(&self.in_flight[hidx]);
-            let req = McdReq(Command::Get {
-                keys: vec![key.to_vec()],
-                with_cas: false,
-            });
-            // The firing decision runs at fire time in its own task: the
-            // hedge is skipped when the primary already answered or the
-            // budget is dry, and either way a message is posted so the
-            // receive loop below always sees `expected` messages.
-            self.handle.spawn(async move {
-                handle.sleep(delay).await;
-                if decided.get() {
-                    results.push(None);
-                    return;
-                }
-                if let Some(b) = &budget {
-                    if !b.spend(handle.now()) {
+            let in_flight = Rc::clone(&self.in_flight[idx]);
+            // The primary is load from now on; a hedge only once it fires.
+            let mut load = gate.is_none().then(|| DecrOnDrop::enter(&in_flight));
+            self.wire.handle.spawn(async move {
+                if let Some(delay) = gate {
+                    // The firing decision runs at fire time: the hedge is
+                    // skipped when an answer already came or the budget
+                    // is dry.
+                    handle.sleep(delay).await;
+                    if decided.get() || budget.is_some_and(|b| !b.spend(handle.now())) {
                         results.push(None);
                         return;
                     }
+                    hedged_gets.inc();
+                    load = Some(DecrOnDrop::enter(&in_flight));
                 }
-                hedged_gets.inc();
-                inflight.set(inflight.get() + 1);
                 let t0 = handle.now();
-                let outcome = retry_call(
-                    handle.clone(),
-                    client,
-                    policy,
-                    rpc_timeouts,
-                    retries,
-                    budget,
-                    req,
-                )
-                .await;
-                inflight.set(inflight.get() - 1);
-                results.push(Some((true, hidx, outcome, handle.now().since(t0))));
+                let outcome = call.await;
+                drop(load);
+                results.push(Some((gate.is_some(), idx, outcome, handle.now().since(t0))));
             });
-        }
-        let mut failed: Vec<usize> = Vec::new();
-        for _ in 0..expected {
+        };
+        spawn_attempt(primary, None);
+        spawn_attempt(target, Some(delay));
+        let mut answer = None;
+        for _ in 0..2 {
             let msg = results.recv().await.expect("race queue never closes");
             let Some((is_hedge, idx, outcome, elapsed)) = msg else {
                 continue; // hedge declined
             };
-            match outcome {
-                CallOutcome::Resp(McdResp(Some(Response::Values(mut vals))))
-                    if !vals.is_empty() =>
-                {
-                    decided.set(true);
-                    if is_hedge {
-                        self.hedge_wins.inc();
-                    }
-                    self.observe_rtt(idx, elapsed);
-                    tried.extend(failed);
-                    return RoundVerdict::Hit(vals.remove(0).data);
+            answer = self.settle_read(idx, outcome, members);
+            if let Some(vals) = &answer {
+                if is_hedge && !vals.is_empty() {
+                    self.hedge_wins.inc();
                 }
-                CallOutcome::Resp(McdResp(Some(r))) if r.is_busy() => {
-                    self.busy_sheds.inc();
-                    failed.push(idx);
-                }
-                CallOutcome::Resp(_) => {
-                    // Authoritative "not here" from a live replica.
-                    decided.set(true);
-                    self.observe_rtt(idx, elapsed);
-                    tried.extend(failed);
-                    return RoundVerdict::Miss;
-                }
-                CallOutcome::Dropped => {
-                    self.failures.inc();
-                    self.core.borrow_mut().mark_dead(idx);
-                    failed.push(idx);
-                }
-                CallOutcome::TimedOut => {
-                    self.failures.inc();
-                    self.trip_circuit(idx);
-                    failed.push(idx);
-                }
+                self.observe_rtt(idx, elapsed);
+                break;
             }
         }
         decided.set(true);
-        tried.extend(failed);
-        RoundVerdict::Failed
+        answer
     }
 
-    /// Fetch many values with at most one RPC per (live) daemon: keys are
-    /// grouped by their routed primary and each group travels as a single
-    /// multi-key `get` — the batching real libmemcache applies that a
-    /// one-RPC-per-block client forgoes. Results come back in request
-    /// order. Routing semantics are identical to [`BankClient::get`]: a
-    /// key whose primary is dead is a local miss with no wire traffic
-    /// (never a rehash), and a daemon dying mid-flight fails every key
-    /// grouped on it.
-    pub async fn get_multi(&self, keys: &[(Vec<u8>, Option<u64>)]) -> Vec<Option<Bytes>> {
-        // A one-key batch is just a get. Routing it through the
-        // single-key path keeps hedged reads available to the batched
-        // data path, whose commonest shape is one covering block — the
-        // grouped multi-RPC rounds below have no hedge. Gated on the
-        // hedge policy so legacy configurations replay bit-identically.
-        if keys.len() == 1 && self.policy.hedge.is_some() && self.replication > 1 {
-            let (key, hint) = &keys[0];
-            return vec![self.get(key, *hint).await];
-        }
-        self.gets.add(keys.len() as u64);
-        let t0 = self.handle.now();
-        let mut out: Vec<Option<Bytes>> = vec![None; keys.len()];
-        // Single-flight split: keys this client already has a GET in
-        // flight for become followers of that leader; the rest are
-        // fetched here.
-        let mut followers: Vec<(usize, OneshotReceiver<Option<Bytes>>)> = Vec::new();
-        let mut leaders: Vec<usize> = Vec::with_capacity(keys.len());
-        for (pos, (key, _)) in keys.iter().enumerate() {
-            match self.join_single_flight(key) {
-                Some(rx) => {
-                    self.coalesced_gets.inc();
-                    followers.push((pos, rx));
-                }
-                None => leaders.push(pos),
-            }
-        }
-        self.fetch_multi(keys, &leaders, &mut out).await;
-        for &pos in &leaders {
-            self.publish_single_flight(&keys[pos].0, &out[pos]);
-        }
-        for (pos, rx) in followers {
-            let r = rx.await.unwrap_or(None);
-            if r.is_some() {
-                self.hits.inc();
-            } else {
-                self.misses.inc();
-            }
-            out[pos] = r;
-        }
-        // One latency sample per requested key (they completed together),
-        // keeping the histogram count equal to `gets`.
-        let dt = self.handle.now().since(t0);
-        for _ in 0..keys.len() {
-            self.get_ns.record_duration(dt);
-        }
-        out
-    }
-
-    /// [`BankClient::fetch_multi_inner`] without tokens: the plain
-    /// `get_multi` fetch.
-    async fn fetch_multi(
-        &self,
-        keys: &[(Vec<u8>, Option<u64>)],
-        positions: &[usize],
-        out: &mut [Option<Bytes>],
-    ) {
-        let mut tagged: Vec<Option<TaggedValue>> = vec![None; keys.len()];
-        self.fetch_multi_inner(keys, positions, false, &mut tagged)
-            .await;
-        for (slot, hit) in out.iter_mut().zip(tagged) {
-            if let Some((data, _)) = hit {
-                *slot = Some(data);
-            }
-        }
-    }
-
-    /// Route and fetch the `positions` of `keys` this call leads, writing
-    /// hits into `out`. One multi-key RPC per daemon per round; with
-    /// replication, keys grouped on a daemon that fails mid-flight
-    /// re-route to their next live replica in a follow-up round (warm
-    /// failover) instead of failing the whole group. At factor 1 there is
-    /// exactly one round and the single-home semantics above hold
-    /// unchanged.
-    ///
-    /// With `with_cas` the daemons answer with their engine tokens, and
-    /// each hit's token is tagged with the daemon *of the round that
-    /// answered it* — not the key's original primary. The lockstep
-    /// matching below runs per round, against that round's daemon, so a
-    /// dead-primary re-route can never pair a retry round's tokens with
-    /// the first round's token space (the [`CasToken`] tag is taken from
-    /// the same `idx` the reply just came from).
-    async fn fetch_multi_inner(
-        &self,
-        keys: &[(Vec<u8>, Option<u64>)],
-        positions: &[usize],
-        with_cas: bool,
-        out: &mut [Option<TaggedValue>],
-    ) {
-        // Each pending key remembers the replicas that already failed it
-        // mid-flight, so a failover round never retries one.
-        let mut pending: Vec<(usize, Vec<usize>)> =
-            positions.iter().map(|&p| (p, Vec::new())).collect();
-        while !pending.is_empty() {
-            // BTreeMap for a deterministic daemon visit order. Members
-            // carry (position, routed-as-failover, failed replicas).
-            let mut groups: BTreeMap<usize, Vec<GroupMember>> = BTreeMap::new();
-            for (pos, tried) in pending.drain(..) {
-                let (key, hint) = &keys[pos];
-                let (route, failover) = if self.replication == 1 {
-                    (self.route(key, *hint), false)
-                } else {
-                    self.route_read_replica(&self.replica_set(key, *hint), &tried)
-                };
-                match route {
-                    Route::Daemon(idx) => {
-                        groups.entry(idx).or_default().push((pos, failover, tried))
-                    }
-                    Route::Dead => self.misses.inc(),
-                    Route::Shed => {
-                        self.misses.inc();
-                        self.degraded_misses.inc();
-                    }
-                }
-            }
-            let groups: Vec<(usize, Vec<GroupMember>)> = groups.into_iter().collect();
-            let calls: Vec<_> = groups
-                .iter()
-                .map(|(idx, members)| {
-                    self.multi_gets.inc();
-                    self.keys_per_multi_get.record(members.len() as u64);
-                    if self.replication > 1 {
-                        self.in_flight[*idx].set(self.in_flight[*idx].get() + 1);
-                    }
-                    let req = McdReq(Command::Get {
-                        keys: members.iter().map(|(p, _, _)| keys[*p].0.clone()).collect(),
-                        with_cas,
-                    });
-                    // Pure reads get the adaptive deadline + budget;
-                    // token reads are write-path prep and stay on the
-                    // generous static policy (see `call_daemon`).
-                    let (policy, budget) = if with_cas {
-                        (self.policy.clone(), None)
-                    } else {
-                        (self.effective_policy(*idx), self.budget.clone())
-                    };
-                    retry_call(
-                        self.handle.clone(),
-                        self.clients[*idx].clone(),
-                        policy,
-                        self.rpc_timeouts.clone(),
-                        self.retries.clone(),
-                        budget,
-                        req,
-                    )
-                })
-                .collect();
-            let outcomes = join_all(&self.handle, calls).await;
-            for ((idx, members), outcome) in groups.into_iter().zip(outcomes) {
-                if self.replication > 1 {
-                    self.in_flight[idx].set(self.in_flight[idx].get() - 1);
-                }
-                match outcome {
-                    CallOutcome::Resp(McdResp(Some(Response::Values(vals)))) => {
-                        // The daemon returns only the found keys, in request
-                        // order with the key echoed: walk both lists in
-                        // lockstep to tell hits from per-key misses.
-                        let mut vals = vals.into_iter().peekable();
-                        for (p, failover, _) in members {
-                            if failover {
-                                self.replica_failovers.inc();
-                            }
-                            if vals.peek().is_some_and(|v| v.key == keys[p].0) {
-                                self.hits.inc();
-                                let v = vals.next().expect("peeked");
-                                // The tag is this round's daemon: on a
-                                // failover round that is the replica that
-                                // actually answered, never the daemon the
-                                // key was first grouped on.
-                                let token = v.cas.map(|token| CasToken { daemon: idx, token });
-                                out[p] = Some((v.data, token));
-                            } else {
-                                self.misses.inc();
-                            }
-                        }
-                    }
-                    CallOutcome::Resp(McdResp(Some(r))) if r.is_busy() => {
-                        // The whole group was shed by admission control:
-                        // replicated keys fail over warm next round,
-                        // single-home keys degrade to local misses.
-                        self.busy_sheds.inc();
-                        if self.replication > 1 {
-                            for (p, _, mut tried) in members {
-                                tried.push(idx);
-                                pending.push((p, tried));
-                            }
-                        } else {
-                            self.misses.add(members.len() as u64);
-                            self.degraded_misses.add(members.len() as u64);
-                        }
-                    }
-                    CallOutcome::Resp(_) => {
-                        for (_, failover, _) in &members {
-                            if *failover {
-                                self.replica_failovers.inc();
-                            }
-                        }
-                        self.misses.add(members.len() as u64);
-                    }
-                    CallOutcome::Dropped => {
-                        // Daemon died mid-flight: the whole group fails.
-                        // With replicas each key re-routes warm next
-                        // round; single-home keys are misses.
-                        self.failures.add(members.len() as u64);
-                        self.core.borrow_mut().mark_dead(idx);
-                        if self.replication > 1 {
-                            for (p, _, mut tried) in members {
-                                tried.push(idx);
-                                pending.push((p, tried));
-                            }
-                        } else {
-                            self.misses.add(members.len() as u64);
-                        }
-                    }
-                    CallOutcome::TimedOut => {
-                        // Deadline expired mid-group: the whole group
-                        // fails — never a partial block assembly — and
-                        // the circuit opens so the next batch sheds
-                        // locally. Replicated keys retry the rest of
-                        // their set next round.
-                        self.failures.add(members.len() as u64);
-                        self.trip_circuit(idx);
-                        if self.replication > 1 {
-                            for (p, _, mut tried) in members {
-                                tried.push(idx);
-                                pending.push((p, tried));
-                            }
-                        } else {
-                            self.misses.add(members.len() as u64);
-                            self.degraded_misses.add(members.len() as u64);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fetch one value *with its CAS token* (`gets`). Routing is the same
-    /// as [`BankClient::get`] — primary-only at factor 1, warm P2C
-    /// failover at factor > 1 — and the token is tagged with the daemon
-    /// that actually answered, so a failover hit hands back a token that
-    /// can only ever be compared inside that replica's token space.
-    ///
-    /// Deliberately *not* single-flighted: a coalesced follower would
-    /// receive the leader's value without a token of its own (tokens are
-    /// per-RPC), so every `gets` leads its own request.
-    pub async fn gets(&self, key: &[u8], hint: Option<u64>) -> Option<(Bytes, CasToken)> {
-        self.gets.inc();
-        let t0 = self.handle.now();
-        let result = self.gets_lead(key, hint).await;
-        self.get_ns.record_duration(self.handle.now().since(t0));
-        result
-    }
-
-    /// The routing/fetch loop behind [`BankClient::gets`].
-    async fn gets_lead(&self, key: &[u8], hint: Option<u64>) -> Option<(Bytes, CasToken)> {
-        let candidates = self.replica_set(key, hint);
-        let mut tried: Vec<usize> = Vec::new();
-        loop {
-            let (route, failover) = self.route_read_replica(&candidates, &tried);
-            let idx = match route {
-                Route::Daemon(idx) => idx,
-                Route::Shed => {
-                    self.misses.inc();
-                    self.degraded_misses.inc();
-                    return None;
-                }
-                Route::Dead => {
-                    self.misses.inc();
-                    return None;
-                }
-            };
-            let req = McdReq(Command::Get {
-                keys: vec![key.to_vec()],
-                with_cas: true,
-            });
-            if self.replication > 1 {
-                self.in_flight[idx].set(self.in_flight[idx].get() + 1);
-            }
-            let outcome = self.call_daemon(idx, req).await;
-            if self.replication > 1 {
-                self.in_flight[idx].set(self.in_flight[idx].get() - 1);
-            }
-            match outcome {
-                CallOutcome::Resp(McdResp(Some(Response::Values(mut vals))))
-                    if !vals.is_empty() =>
-                {
-                    if failover {
-                        self.replica_failovers.inc();
-                    }
-                    self.hits.inc();
-                    let v = vals.remove(0);
-                    let token = v.cas.expect("gets reply carries a token");
-                    return Some((v.data, CasToken { daemon: idx, token }));
-                }
-                CallOutcome::Resp(_) => {
-                    if failover {
-                        self.replica_failovers.inc();
-                    }
-                    self.misses.inc();
-                    return None;
-                }
-                CallOutcome::Dropped => {
-                    self.failures.inc();
-                    self.core.borrow_mut().mark_dead(idx);
-                    if self.replication == 1 {
-                        self.misses.inc();
-                        return None;
-                    }
-                    tried.push(idx);
-                }
-                CallOutcome::TimedOut => {
-                    self.failures.inc();
-                    if self.replication == 1 {
-                        self.misses.inc();
-                        self.degraded_misses.inc();
-                        return None;
-                    }
-                    tried.push(idx);
-                }
-            }
-        }
-    }
-
-    /// Batched `gets`: [`BankClient::get_multi`]'s grouping and warm
-    /// re-route rounds, with every hit carrying its daemon-tagged token.
-    /// Like [`BankClient::gets`] this bypasses the single-flight table —
-    /// see there for why — but keys already being fetched by a concurrent
-    /// plain GET are unaffected (this call simply leads its own RPCs).
-    pub async fn gets_multi(
-        &self,
-        keys: &[(Vec<u8>, Option<u64>)],
-    ) -> Vec<Option<(Bytes, CasToken)>> {
-        self.gets.add(keys.len() as u64);
-        let t0 = self.handle.now();
-        let positions: Vec<usize> = (0..keys.len()).collect();
-        let mut tagged: Vec<Option<TaggedValue>> = vec![None; keys.len()];
-        self.fetch_multi_inner(keys, &positions, true, &mut tagged)
-            .await;
-        let dt = self.handle.now().since(t0);
-        for _ in 0..keys.len() {
-            self.get_ns.record_duration(dt);
-        }
-        tagged
-            .into_iter()
-            .map(|hit| hit.map(|(data, token)| (data, token.expect("gets round asked for tokens"))))
-            .collect()
-    }
-
-    /// Per-replica `gets` for an in-place update wave (DESIGN.md §4f):
-    /// see [`ReplicaRows`] for the per-key row shape.
-    /// fetch `keys` from *every* usable replica — not one routed replica
+    /// Per-replica `gets` for an in-place update wave (DESIGN.md §4f) —
+    /// the client's only token fetch. See [`ReplicaRows`] for the per-key
+    /// row shape.
+    /// Fetch `keys` from *every* usable replica — not one routed replica
     /// per key as [`BankClient::get_multi`] does — returning for each key
     /// the `(daemon, value-with-token)` rows that answered. The CAS
     /// update path needs every replica's own token, because tokens live
-    /// in per-daemon spaces and must never cross them.
+    /// in per-daemon spaces and must never cross them; each token is
+    /// tagged with the daemon whose reply it came out of.
     ///
     /// One multi-key `gets` RPC per daemon. Write-path semantics
-    /// throughout: the target set is [`BankClient::write_targets`] (dead
-    /// replicas restart empty, shed replicas are already quarantined —
-    /// both safe to skip), and a daemon that drops or times out
-    /// mid-flight is **quarantined like a failed write**, because the
-    /// in-place update it was about to receive can no longer be
-    /// confirmed and it must not keep serving the old value. A row with
-    /// `None` means the daemon answered and does not hold the key (cold
-    /// replica — nothing to replace there).
+    /// throughout: the daemons admit it like a write (admission control
+    /// never sheds a token fetch — a refusal would read as "cold replica"
+    /// and leave the old value cached), the target set is
+    /// [`BankClient::write_targets`] (dead replicas restart empty, shed
+    /// replicas are already quarantined — both safe to skip), and a
+    /// daemon that drops or times out mid-flight is **quarantined like a
+    /// failed write**, because the in-place update it was about to
+    /// receive can no longer be confirmed and it must not keep serving
+    /// the old value. A row with `None` means the daemon answered and
+    /// does not hold the key (cold replica — nothing to replace there).
     ///
     /// Not counted in `gets`/`hits`/`misses`: this is a write-path
     /// internal fetch, and folding it in would skew the read hit rate.
@@ -2056,7 +1692,7 @@ impl BankClient {
         let mut out: Vec<ReplicaRows> = vec![Vec::new(); keys.len()];
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (pos, (key, hint)) in keys.iter().enumerate() {
-            for idx in self.write_targets(key, *hint) {
+            for idx in self.write_targets(self.replicas(key, *hint)) {
                 groups.entry(idx).or_default().push(pos);
             }
         }
@@ -2070,48 +1706,26 @@ impl BankClient {
                     keys: members.iter().map(|&p| keys[p].0.clone()).collect(),
                     with_cas: true,
                 });
-                retry_call(
-                    self.handle.clone(),
-                    self.clients[*idx].clone(),
-                    self.policy.clone(),
-                    self.rpc_timeouts.clone(),
-                    self.retries.clone(),
-                    None,
-                    req,
-                )
+                self.write_call(*idx, req)
             })
             .collect();
-        let outcomes = join_all(&self.handle, calls).await;
+        let outcomes = join_all(&self.wire.handle, calls).await;
         for ((idx, members), outcome) in groups.into_iter().zip(outcomes) {
-            match outcome {
-                CallOutcome::Resp(McdResp(Some(Response::Values(vals)))) => {
-                    let mut vals = vals.into_iter().peekable();
-                    for p in members {
-                        if vals.peek().is_some_and(|v| v.key == keys[p].0) {
-                            let v = vals.next().expect("peeked");
-                            let token = v.cas.expect("gets reply carries a token");
-                            out[p].push((idx, Some((v.data, CasToken { daemon: idx, token }))));
-                        } else {
-                            out[p].push((idx, None));
-                        }
-                    }
-                }
-                CallOutcome::Resp(_) => {
-                    for p in members {
-                        out[p].push((idx, None));
-                    }
-                }
-                CallOutcome::Dropped => {
-                    self.failures.add(members.len() as u64);
-                    self.quarantined[idx].set(true);
-                    self.core.borrow_mut().mark_dead(idx);
-                }
-                CallOutcome::TimedOut => {
-                    self.failures.add(members.len() as u64);
-                    self.degraded_misses.add(members.len() as u64);
-                    self.quarantined[idx].set(true);
-                    self.trip_circuit(idx);
-                }
+            self.settle_write(idx, &outcome, members.len() as u64);
+            let CallOutcome::Resp(McdResp(resp)) = outcome else {
+                continue;
+            };
+            let vals = match resp {
+                Some(Response::Values(vals)) => vals,
+                _ => Vec::new(),
+            };
+            let mut vals = vals.into_iter().peekable();
+            for p in members {
+                let row = vals.next_if(|v| v.key == keys[p].0).map(|v| {
+                    let token = v.cas.expect("gets reply carries a token");
+                    (v.data, CasToken { daemon: idx, token })
+                });
+                out[p].push((idx, row));
             }
         }
         out
@@ -2126,27 +1740,11 @@ impl BankClient {
     pub async fn cas(&self, key: &[u8], value: Bytes, token: CasToken) -> CasVerdict {
         self.sets.inc();
         self.cas_ops.inc();
-        self.refresh_liveness();
-        let idx = match self.probe(token.daemon) {
-            Route::Daemon(idx) => idx,
-            Route::Dead => return CasVerdict::Failed,
-            Route::Shed => {
-                self.degraded_misses.inc();
-                return CasVerdict::Failed;
-            }
-        };
-        let req = McdReq(Command::Store {
-            verb: StoreVerb::Cas(token.token),
-            key: key.to_vec(),
-            flags: 0,
-            exptime: 0,
-            data: value,
-            noreply: false,
-        });
-        let outcome = self.call_daemon(idx, req).await;
-        let verdict = cas_verdict(&outcome);
-        self.settle_write(idx, outcome);
-        verdict
+        let req = store_req(StoreVerb::Cas(token.token), key.to_vec(), value, false);
+        let outcomes = self
+            .write_fanout(self.write_targets(vec![token.daemon]), req)
+            .await;
+        outcomes.first().map_or(CasVerdict::Failed, cas_verdict)
     }
 
     /// Pipelined compare-and-swap with the same one-barrier-per-daemon
@@ -2166,13 +1764,10 @@ impl BankClient {
         self.sets.add(items.len() as u64);
         self.cas_ops.add(items.len() as u64);
         let mut verdicts = vec![CasVerdict::Failed; items.len()];
-        self.refresh_liveness();
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (pos, (_, _, token)) in items.iter().enumerate() {
-            match self.probe(token.daemon) {
-                Route::Daemon(idx) => groups.entry(idx).or_default().push(pos),
-                Route::Dead => {}
-                Route::Shed => self.degraded_misses.inc(),
+            for idx in self.write_targets(vec![token.daemon]) {
+                groups.entry(idx).or_default().push(pos);
             }
         }
         let groups: Vec<(usize, Vec<usize>)> = groups.into_iter().collect();
@@ -2184,408 +1779,168 @@ impl BankClient {
                     .iter()
                     .map(|&pos| {
                         let (key, data, token) = &items[pos];
-                        retry_call(
-                            self.handle.clone(),
-                            self.clients[*idx].clone(),
-                            self.policy.clone(),
-                            self.rpc_timeouts.clone(),
-                            self.retries.clone(),
-                            None,
-                            McdReq(Command::Store {
-                                verb: StoreVerb::Cas(token.token),
-                                key: key.clone(),
-                                flags: 0,
-                                exptime: 0,
-                                data: data.clone(),
-                                noreply: false,
-                            }),
-                        )
+                        let verb = StoreVerb::Cas(token.token);
+                        self.write_call(*idx, store_req(verb, key.clone(), data.clone(), false))
                     })
                     .collect();
-                let handle = self.handle.clone();
+                let handle = self.wire.handle.clone();
                 async move { join_all(&handle, futs).await }
             })
             .collect();
-        let outcomes = join_all(&self.handle, batches).await;
+        let outcomes = join_all(&self.wire.handle, batches).await;
         for ((idx, members), batch) in groups.into_iter().zip(outcomes) {
             for (pos, outcome) in members.into_iter().zip(batch) {
                 verdicts[pos] = cas_verdict(&outcome);
-                if matches!(outcome, CallOutcome::TimedOut) {
-                    self.trip_circuit(idx);
-                }
-                self.settle_write(idx, outcome);
+                self.settle_write(idx, &outcome, 1);
             }
         }
         verdicts
     }
 
-    /// Append `suffix` to an existing value on every usable replica.
-    /// `true` only when every targeted replica confirmed the append (and
-    /// at least one was targeted); a replica without the key answers
-    /// `NOT_STORED`, which fails the call — append never creates.
-    pub async fn append(&self, key: &[u8], suffix: Bytes, hint: Option<u64>) -> bool {
-        self.sets.inc();
-        let req = McdReq(Command::Store {
-            verb: StoreVerb::Append,
-            key: key.to_vec(),
-            flags: 0,
-            exptime: 0,
-            data: suffix,
-            noreply: false,
-        });
-        self.write_expect(key, hint, req, &Response::Stored).await
-    }
-
-    /// Refresh a key's expiry on every usable replica. `true` only when
-    /// every targeted replica held the key and confirmed the touch.
-    pub async fn touch(&self, key: &[u8], exptime: u32, hint: Option<u64>) -> bool {
-        let req = McdReq(Command::Touch {
-            key: key.to_vec(),
-            exptime,
-            noreply: false,
-        });
-        self.write_expect(key, hint, req, &Response::Touched).await
-    }
-
-    /// Fan `req` out to every usable replica and report whether *all* of
-    /// them answered `want`. Failure accounting is the write fan-out's:
-    /// each daemon settles independently and a reset/timeout quarantines
-    /// it.
-    async fn write_expect(
-        &self,
-        key: &[u8],
-        hint: Option<u64>,
-        req: McdReq,
-        want: &Response,
-    ) -> bool {
-        let targets = self.write_targets(key, hint);
-        if targets.is_empty() {
-            return false;
-        }
-        let calls: Vec<_> = targets
-            .iter()
-            .map(|&idx| {
-                retry_call(
-                    self.handle.clone(),
-                    self.clients[idx].clone(),
-                    self.policy.clone(),
-                    self.rpc_timeouts.clone(),
-                    self.retries.clone(),
-                    None,
-                    req.clone(),
-                )
-            })
-            .collect();
-        let outcomes = join_all(&self.handle, calls).await;
-        let mut all_confirmed = true;
-        for (idx, outcome) in targets.into_iter().zip(outcomes) {
-            if matches!(outcome, CallOutcome::TimedOut) {
-                self.trip_circuit(idx);
-            }
-            all_confirmed &=
-                matches!(&outcome, CallOutcome::Resp(McdResp(Some(resp))) if resp == want);
-            self.settle_write(idx, outcome);
-        }
-        all_confirmed
-    }
-
-    /// Store many values using `noreply` pipelining: per routed daemon the
-    /// stores are streamed back-to-back without individual
-    /// acknowledgements, then a single `version` round trip flushes the
-    /// daemon's FIFO event loop — every pipelined command completes
-    /// before the sync answers. One trailing RTT per daemon instead of
-    /// one per key.
-    ///
-    /// A key routed to a dead primary is skipped, exactly like
-    /// [`BankClient::set`]. If a daemon dies mid-pipeline its sync fails
-    /// and every key streamed to it counts as a failure, because none of
-    /// them is known to have landed.
+    /// Store many values through the `noreply` pipeline
+    /// (`BankClient::pipeline`): one trailing RTT per daemon instead of
+    /// one per key. Each item streams to every usable replica of its key,
+    /// so one pipeline carries the whole fan-out with still just one sync
+    /// barrier per daemon.
     pub async fn set_pipeline(&self, items: Vec<(Vec<u8>, Bytes, Option<u64>)>) {
         self.sets.add(items.len() as u64);
-        let mut groups: BTreeMap<usize, Vec<(Vec<u8>, Bytes)>> = BTreeMap::new();
-        if self.replication == 1 {
-            for (key, value, hint) in items {
-                match self.route(&key, hint) {
-                    Route::Daemon(idx) => groups.entry(idx).or_default().push((key, value)),
-                    Route::Dead => {}
-                    Route::Shed => self.degraded_misses.inc(),
-                }
-            }
-        } else {
-            // Replicated: each item streams to every usable replica, so
-            // one pipeline carries the whole fan-out with still just one
-            // sync barrier per daemon.
-            for (key, value, hint) in items {
-                for idx in self.write_targets(&key, hint) {
-                    groups
-                        .entry(idx)
-                        .or_default()
-                        .push((key.clone(), value.clone()));
-                }
-            }
+        let mut groups = BTreeMap::new();
+        for (key, value, hint) in items {
+            let targets = self.write_targets(self.replicas(&key, hint));
+            enqueue(&mut groups, &targets, (key, value));
         }
-        let mut daemons = Vec::with_capacity(groups.len());
-        let mut pipelines = Vec::with_capacity(groups.len());
-        for (idx, batch) in groups {
-            self.pipelined_sets.add(batch.len() as u64);
-            daemons.push((idx, batch.len() as u64));
-            let client = self.clients[idx].clone();
-            let handle = self.handle.clone();
-            let policy = self.policy.clone();
-            let rpc_timeouts = self.rpc_timeouts.clone();
-            let retries = self.retries.clone();
-            pipelines.push(async move {
-                for (key, data) in batch {
-                    let req = McdReq(Command::Store {
-                        verb: StoreVerb::Set,
-                        key,
-                        flags: 0,
-                        exptime: 0,
-                        data,
-                        noreply: true,
-                    });
-                    if !post_with_retransmit(
-                        handle.clone(),
-                        client.clone(),
-                        policy.clone(),
-                        retries.clone(),
-                        req,
-                    )
-                    .await
-                    {
-                        // Connection declared dead mid-stream: nothing past
-                        // this point is known to have landed.
-                        return CallOutcome::TimedOut;
-                    }
-                }
-                retry_call(
-                    handle,
-                    client,
-                    policy,
-                    rpc_timeouts,
-                    retries,
-                    None,
-                    McdReq(Command::Version),
-                )
-                .await
-            });
-        }
-        let syncs = join_all(&self.handle, pipelines).await;
-        self.settle_pipeline(daemons, syncs);
+        let request = |(key, value)| store_req(StoreVerb::Set, key, value, true);
+        self.pipeline(groups, request, &self.pipelined_sets).await;
     }
 
-    /// Remove many keys using `noreply` pipelining with one trailing
-    /// `version` sync per daemon — same grouping, ordering, and failure
-    /// semantics as [`BankClient::set_pipeline`].
+    /// Remove many keys through the `noreply` pipeline — same grouping,
+    /// ordering, and failure semantics as [`BankClient::set_pipeline`].
+    /// The purge reaches every replica that could still serve the value.
     pub async fn delete_pipeline(&self, items: Vec<(Vec<u8>, Option<u64>)>) {
         self.deletes.add(items.len() as u64);
-        let mut groups: BTreeMap<usize, Vec<Vec<u8>>> = BTreeMap::new();
-        if self.replication == 1 {
-            for (key, hint) in items {
-                match self.route(&key, hint) {
-                    Route::Daemon(idx) => groups.entry(idx).or_default().push(key),
-                    Route::Dead => {}
-                    Route::Shed => self.degraded_misses.inc(),
-                }
-            }
-        } else {
-            // Replicated purge: the delete must reach every replica that
-            // could still serve the value.
-            for (key, hint) in items {
-                for idx in self.write_targets(&key, hint) {
-                    groups.entry(idx).or_default().push(key.clone());
-                }
-            }
+        let mut groups = BTreeMap::new();
+        for (key, hint) in items {
+            let targets = self.write_targets(self.replicas(&key, hint));
+            enqueue(&mut groups, &targets, key);
         }
+        let request = |key| McdReq(Command::Delete { key, noreply: true });
+        self.pipeline(groups, request, &self.pipelined_deletes)
+            .await;
+    }
+
+    /// Run one [`Wire::pipeline`] per daemon in `groups` concurrently,
+    /// counting what it streams in `streamed`. The queued items stay
+    /// compact — a purge of a large file queues thousands of bare keys —
+    /// and `request` turns each into its `noreply` command only as it is
+    /// streamed. A key with no usable replica was never queued — skipped,
+    /// exactly like [`BankClient::set`]. If a daemon's sync fails, every
+    /// command streamed to it counts as a failure, because none of them
+    /// is known to have landed, and the daemon is quarantined.
+    async fn pipeline<T: 'static>(
+        &self,
+        groups: BTreeMap<usize, Vec<T>>,
+        request: fn(T) -> McdReq,
+        streamed: &Counter,
+    ) {
         let mut daemons = Vec::with_capacity(groups.len());
         let mut pipelines = Vec::with_capacity(groups.len());
         for (idx, batch) in groups {
-            self.pipelined_deletes.add(batch.len() as u64);
+            streamed.add(batch.len() as u64);
             daemons.push((idx, batch.len() as u64));
-            let client = self.clients[idx].clone();
-            let handle = self.handle.clone();
-            let policy = self.policy.clone();
-            let rpc_timeouts = self.rpc_timeouts.clone();
-            let retries = self.retries.clone();
-            pipelines.push(async move {
-                for key in batch {
-                    let req = McdReq(Command::Delete { key, noreply: true });
-                    if !post_with_retransmit(
-                        handle.clone(),
-                        client.clone(),
-                        policy.clone(),
-                        retries.clone(),
-                        req,
-                    )
-                    .await
-                    {
-                        return CallOutcome::TimedOut;
-                    }
-                }
-                retry_call(
-                    handle,
-                    client,
-                    policy,
-                    rpc_timeouts,
-                    retries,
-                    None,
-                    McdReq(Command::Version),
-                )
-                .await
-            });
+            let batch = batch.into_iter().map(request);
+            pipelines.push(self.wire.pipeline(idx, self.policy.clone(), batch));
         }
-        let syncs = join_all(&self.handle, pipelines).await;
-        self.settle_pipeline(daemons, syncs);
-    }
-
-    /// Account per-daemon pipeline outcomes. Any failed sync — reset or
-    /// timed out — counts every store/delete streamed to that daemon as a
-    /// failure (none is known to have landed) and *quarantines* the
-    /// daemon: a dropped purge or push may have left it holding stale
-    /// state, which must never be served again before a clean restart.
-    fn settle_pipeline(&self, daemons: Vec<(usize, u64)>, syncs: Vec<CallOutcome>) {
+        let syncs = join_all(&self.wire.handle, pipelines).await;
         for ((idx, streamed), sync) in daemons.into_iter().zip(syncs) {
-            match sync {
-                CallOutcome::Resp(_) => {}
-                CallOutcome::Dropped => {
-                    self.failures.add(streamed);
-                    self.quarantined[idx].set(true);
-                    self.core.borrow_mut().mark_dead(idx);
-                }
-                CallOutcome::TimedOut => {
-                    self.failures.add(streamed);
-                    self.degraded_misses.add(streamed);
-                    self.quarantined[idx].set(true);
-                    self.trip_circuit(idx);
-                }
-            }
+            self.settle_write(idx, &sync, streamed);
         }
     }
 
-    /// Store one value. With replication the store fans out to every
-    /// usable replica (see [`BankClient::write_targets`]).
+    /// Store one value on every usable replica of its key.
     pub async fn set(&self, key: &[u8], value: Bytes, hint: Option<u64>) {
         self.sets.inc();
-        let req = McdReq(Command::Store {
-            verb: StoreVerb::Set,
-            key: key.to_vec(),
-            flags: 0,
-            exptime: 0,
-            data: value,
-            noreply: false,
-        });
-        if self.replication == 1 {
-            let idx = match self.route(key, hint) {
-                Route::Dead => return,
-                Route::Shed => {
-                    self.degraded_misses.inc();
-                    return;
-                }
-                Route::Daemon(idx) => idx,
-            };
-            self.settle_write(idx, self.call_daemon(idx, req).await);
-        } else {
-            self.write_fanout(key, hint, req).await;
-        }
+        let req = store_req(StoreVerb::Set, key.to_vec(), value, false);
+        self.write_fanout(self.write_targets(self.replicas(key, hint)), req)
+            .await;
     }
 
-    /// Remove one key. With replication the delete fans out to every
-    /// usable replica — a purge is only complete once no replica can
-    /// still serve the value.
+    /// Remove one key from every usable replica — a purge is only
+    /// complete once no replica can still serve the value.
     pub async fn delete(&self, key: &[u8], hint: Option<u64>) {
         self.deletes.inc();
         let req = McdReq(Command::Delete {
             key: key.to_vec(),
             noreply: false,
         });
-        if self.replication == 1 {
-            let idx = match self.route(key, hint) {
-                Route::Dead => return,
-                Route::Shed => {
-                    self.degraded_misses.inc();
-                    return;
-                }
-                Route::Daemon(idx) => idx,
-            };
-            self.settle_write(idx, self.call_daemon(idx, req).await);
-        } else {
-            self.write_fanout(key, hint, req).await;
-        }
+        self.write_fanout(self.write_targets(self.replicas(key, hint)), req)
+            .await;
     }
 
-    /// The key's usable write targets: every replica that is alive and
-    /// unshed. Dead replicas are skipped — they restart *empty*, so a
+    /// The usable write targets among `replicas`: every one that is alive
+    /// and unshed. Dead replicas are skipped — they restart *empty*, so a
     /// missed write cannot resurface — and shed replicas are skipped and
-    /// counted degraded (they are already quarantined; nothing stale can
-    /// be served from them before a clean restart).
-    fn write_targets(&self, key: &[u8], hint: Option<u64>) -> Vec<usize> {
-        self.refresh_liveness();
-        let mut targets = Vec::new();
-        for idx in self.replica_set(key, hint) {
-            match self.probe(idx) {
-                Route::Daemon(i) => targets.push(i),
-                Route::Dead => {}
-                Route::Shed => self.degraded_misses.inc(),
-            }
-        }
-        targets
-    }
-
-    /// Fan one write out to every usable replica concurrently, settling
-    /// each daemon's outcome independently — a replica whose write fails
-    /// is quarantined exactly as in the single-home path, so no replica
-    /// can ever serve a value its purge missed.
-    async fn write_fanout(&self, key: &[u8], hint: Option<u64>, req: McdReq) {
-        let targets = self.write_targets(key, hint);
-        match targets.len() {
-            0 => {}
-            1 => {
-                let idx = targets[0];
-                self.settle_write(idx, self.call_daemon(idx, req).await);
-            }
-            _ => {
-                let calls: Vec<_> = targets
-                    .iter()
-                    .map(|&idx| {
-                        retry_call(
-                            self.handle.clone(),
-                            self.clients[idx].clone(),
-                            self.policy.clone(),
-                            self.rpc_timeouts.clone(),
-                            self.retries.clone(),
-                            None,
-                            req.clone(),
-                        )
-                    })
-                    .collect();
-                let outcomes = join_all(&self.handle, calls).await;
-                for (idx, outcome) in targets.into_iter().zip(outcomes) {
-                    if matches!(outcome, CallOutcome::TimedOut) {
-                        self.trip_circuit(idx);
-                    }
-                    self.settle_write(idx, outcome);
-                }
-            }
-        }
-    }
-
-    /// Account a single-key write outcome. Like a failed pipeline sync,
-    /// any failed write quarantines its daemon: a delete that never
-    /// landed leaves a stale value that must not outlive the failure.
-    fn settle_write(&self, idx: usize, outcome: CallOutcome) {
-        match outcome {
-            CallOutcome::Resp(_) => {}
-            CallOutcome::Dropped => {
-                self.failures.inc();
-                self.quarantined[idx].set(true);
-                self.core.borrow_mut().mark_dead(idx);
-            }
-            CallOutcome::TimedOut => {
-                self.failures.inc();
+    /// counted degraded (they are quarantined, or will be probed again
+    /// once their circuit closes; either way nothing this write makes
+    /// stale is served from them meanwhile).
+    fn write_targets(&self, mut replicas: Vec<usize>) -> Vec<usize> {
+        replicas.retain(|&idx| match self.probe(idx) {
+            Route::Live => true,
+            Route::Dead => false,
+            Route::Shed => {
                 self.degraded_misses.inc();
-                self.quarantined[idx].set(true);
+                false
+            }
+        });
+        replicas
+    }
+
+    /// The write fan-out: send `req` to every target — awaited directly
+    /// for one, concurrently for several — and settle each daemon's
+    /// outcome independently, so no replica can ever serve a value its
+    /// purge missed. Returns the outcomes in target order.
+    async fn write_fanout(&self, targets: Vec<usize>, req: McdReq) -> Vec<CallOutcome> {
+        let outcomes = match targets[..] {
+            [idx] => vec![self.write_call(idx, req).await],
+            _ => {
+                let calls = targets.iter().map(|&idx| self.write_call(idx, req.clone()));
+                join_all(&self.wire.handle, calls.collect()).await
+            }
+        };
+        for (&idx, outcome) in targets.iter().zip(&outcomes) {
+            self.settle_write(idx, outcome, 1);
+        }
+        outcomes
+    }
+
+    /// Account the outcome of `writes` commands sent to daemon `idx` — a
+    /// single store/delete/`cas`, a pipeline's sync standing for
+    /// everything streamed before it, or a token fetch. Any failure —
+    /// reset or timed out — fails them all and *quarantines* the daemon:
+    /// a dropped purge or push may have left it holding stale state,
+    /// which must never be served again before a clean restart. A
+    /// timeout additionally opens the circuit.
+    fn settle_write(&self, idx: usize, outcome: &CallOutcome, writes: u64) {
+        match outcome {
+            CallOutcome::Resp(_) => return,
+            CallOutcome::Dropped => {}
+            CallOutcome::TimedOut => {
+                self.degraded_misses.add(writes);
+                self.trip_circuit(idx);
             }
         }
+        self.failures.add(writes);
+        self.quarantined[idx].set(true);
+    }
+}
+
+/// Queue `item` for every daemon in `targets`, moving it into the last
+/// so a single-target write clones nothing.
+fn enqueue<T: Clone>(groups: &mut BTreeMap<usize, Vec<T>>, targets: &[usize], item: T) {
+    if let Some((&last, rest)) = targets.split_last() {
+        for &idx in rest {
+            groups.entry(idx).or_default().push(item.clone());
+        }
+        groups.entry(last).or_default().push(item);
     }
 }
 
@@ -2611,6 +1966,38 @@ mod tests {
         let client_node = net.add_node();
         let client = bank.client(client_node, Selector::Crc32, None);
         (net, bank, client)
+    }
+
+    /// Which public read entry point a fault scenario drives: both run the
+    /// same loop, so every scenario must count the same through either.
+    #[derive(Clone, Copy, Debug)]
+    enum Via {
+        Get,
+        /// A one-key `get_multi`.
+        Multi,
+    }
+
+    async fn read_via(c: &BankClient, via: Via, key: &[u8], hint: Option<u64>) -> Option<Bytes> {
+        match via {
+            Via::Get => c.get(key, hint).await,
+            Via::Multi => c.get_multi(&[(key.to_vec(), hint)]).await.remove(0),
+        }
+    }
+
+    /// The write path's token fetch, for a key with one usable replica.
+    async fn fetch_token(
+        c: &BankClient,
+        key: &[u8],
+        hint: Option<u64>,
+    ) -> Option<(Bytes, CasToken)> {
+        let mut rows = c.gets_for_update(&[(key.to_vec(), hint)]).await;
+        rows.remove(0).remove(0).1
+    }
+
+    fn counter(c: &BankClient, name: &str) -> u64 {
+        imca_metrics::collect_from(c, "bank")
+            .counter(&format!("bank.{name}"))
+            .unwrap_or_else(|| panic!("no counter bank.{name}"))
     }
 
     #[test]
@@ -2668,44 +2055,55 @@ mod tests {
 
     #[test]
     fn killed_daemon_degrades_to_misses_without_hanging() {
-        let mut sim = Sim::new(0);
-        // Modulo routing so hints pin keys to known daemons: hint 0 → MCD 0.
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            2,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client = Rc::new(bank.client(net.add_node(), Selector::Modulo, None));
-        let c2 = Rc::clone(&client);
-        let b2 = Rc::clone(&bank);
-        sim.spawn(async move {
-            c2.set(b"/k:0", Bytes::from_static(b"v"), Some(0)).await;
-            assert!(c2.get(b"/k:0", Some(0)).await.is_some());
-            b2.kill(0);
-            // Dead primary: miss — no rehash to the survivor (stale-data
-            // hazard, see BankClient::route).
-            assert!(c2.get(b"/k:0", Some(0)).await.is_none());
-            // Keys homed on the survivor are unaffected.
-            c2.set(b"/k:1", Bytes::from_static(b"w"), Some(1)).await;
-            assert!(c2.get(b"/k:1", Some(1)).await.is_some());
-            // Sets to the dead primary are skipped, not redirected.
-            c2.set(b"/k2:0", Bytes::from_static(b"x"), Some(0)).await;
-            assert_eq!(b2.nodes()[1].stats().curr_items, 1, "set must not rehash");
-            b2.revive(0);
-            // A revived daemon restarts empty: still a miss, never stale.
-            assert!(c2.get(b"/k:0", Some(0)).await.is_none());
-            // And accepts fresh traffic again.
-            c2.set(b"/k:0", Bytes::from_static(b"v2"), Some(0)).await;
+        for via in [Via::Get, Via::Multi] {
+            let mut sim = Sim::new(0);
+            // Modulo routing so hints pin keys to known daemons: hint 0 → MCD 0.
+            let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+            let bank = Rc::new(Bank::start(
+                &net,
+                2,
+                &McConfig::default(),
+                &McdCosts::default(),
+            ));
+            let client = Rc::new(bank.client(net.add_node(), Selector::Modulo, None));
+            let c2 = Rc::clone(&client);
+            let b2 = Rc::clone(&bank);
+            sim.spawn(async move {
+                c2.set(b"/k:0", Bytes::from_static(b"v"), Some(0)).await;
+                assert!(read_via(&c2, via, b"/k:0", Some(0)).await.is_some());
+                b2.kill(0);
+                // Dead primary: miss — no rehash to the survivor (stale-data
+                // hazard, see BankClient).
+                assert!(read_via(&c2, via, b"/k:0", Some(0)).await.is_none());
+                // Keys homed on the survivor are unaffected.
+                c2.set(b"/k:1", Bytes::from_static(b"w"), Some(1)).await;
+                assert!(read_via(&c2, via, b"/k:1", Some(1)).await.is_some());
+                // Sets to the dead primary are skipped, not redirected.
+                c2.set(b"/k2:0", Bytes::from_static(b"x"), Some(0)).await;
+                assert_eq!(b2.nodes()[1].stats().curr_items, 1, "set must not rehash");
+                b2.revive(0);
+                // A revived daemon restarts empty: still a miss, never stale.
+                assert!(read_via(&c2, via, b"/k:0", Some(0)).await.is_none());
+                // And accepts fresh traffic again.
+                c2.set(b"/k:0", Bytes::from_static(b"v2"), Some(0)).await;
+                assert_eq!(
+                    read_via(&c2, via, b"/k:0", Some(0)).await,
+                    Some(Bytes::from_static(b"v2"))
+                );
+            });
+            sim.run();
+            assert!(bank.nodes()[1].is_alive());
+            assert_eq!(bank.failovers(), 1);
+            let s = client.stats();
             assert_eq!(
-                c2.get(b"/k:0", Some(0)).await,
-                Some(Bytes::from_static(b"v2"))
+                (s.gets, s.hits, s.misses, s.sets, s.failures),
+                (5, 3, 2, 4, 0),
+                "{via:?}"
             );
-        });
-        sim.run();
-        assert!(bank.nodes()[1].is_alive());
-        assert_eq!(bank.failovers(), 1);
+            // A dead daemon is a plain miss: nothing degraded, nothing shed.
+            assert_eq!(counter(&client, "degraded_misses"), 0, "{via:?}");
+            assert_eq!(counter(&client, "busy_sheds"), 0, "{via:?}");
+        }
     }
 
     #[test]
@@ -2970,56 +2368,55 @@ mod tests {
 
     #[test]
     fn pipelines_store_and_delete_with_one_sync_per_daemon() {
-        let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            2,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client = Rc::new(bank.client(net.add_node(), Selector::Modulo, None));
-        let c2 = Rc::clone(&client);
-        sim.spawn(async move {
-            let items: Vec<(Vec<u8>, Bytes, Option<u64>)> = (0..8u64)
-                .map(|blk| {
-                    (
-                        format!("/p:{}", blk * 2048).into_bytes(),
-                        Bytes::from(vec![blk as u8; 128]),
-                        Some(blk),
-                    )
-                })
-                .collect();
-            c2.set_pipeline(items).await;
-            // The trailing sync guarantees every store has landed.
-            for blk in 0..8u64 {
-                let key = format!("/p:{}", blk * 2048);
-                let got = c2.get(key.as_bytes(), Some(blk)).await;
-                assert_eq!(got.as_deref(), Some(&vec![blk as u8; 128][..]));
+        for factor in [1u64, 2] {
+            let mut sim = Sim::new(0);
+            let (_net, bank, client) = replicated_setup(&sim, 2, factor as usize);
+            let c2 = Rc::clone(&client);
+            sim.spawn(async move {
+                let items: Vec<(Vec<u8>, Bytes, Option<u64>)> = (0..8u64)
+                    .map(|blk| {
+                        (
+                            format!("/p:{}", blk * 2048).into_bytes(),
+                            Bytes::from(vec![blk as u8; 128]),
+                            Some(blk),
+                        )
+                    })
+                    .collect();
+                c2.set_pipeline(items).await;
+                // The trailing sync guarantees every store has landed.
+                for blk in 0..8u64 {
+                    let key = format!("/p:{}", blk * 2048);
+                    let got = c2.get(key.as_bytes(), Some(blk)).await;
+                    assert_eq!(got.as_deref(), Some(&vec![blk as u8; 128][..]));
+                }
+                c2.delete_pipeline(
+                    (0..8u64)
+                        .map(|blk| (format!("/p:{}", blk * 2048).into_bytes(), Some(blk)))
+                        .collect(),
+                )
+                .await;
+                for blk in 0..8u64 {
+                    let key = format!("/p:{}", blk * 2048);
+                    assert!(c2.get(key.as_bytes(), Some(blk)).await.is_none());
+                }
+            });
+            sim.run();
+            let s = client.stats();
+            assert_eq!((s.sets, s.deletes, s.failures), (8, 8, 0));
+            // Every item streams to each of its `factor` replicas.
+            assert_eq!(counter(&client, "pipelined_sets"), 8 * factor);
+            assert_eq!(counter(&client, "pipelined_deletes"), 8 * factor);
+            // Daemon side, per daemon: 4·factor noreply stores + 4·factor
+            // noreply deletes + 2 version syncs, plus the 16 verification
+            // gets wherever they were routed (at factor 1: 8 per daemon,
+            // 18 requests each); the key point is 1 sync per daemon per
+            // pipeline, not 1 RTT per key.
+            let snap = imca_metrics::collect_from(&*bank, "bank");
+            let requests = |i: usize| snap.counter(&format!("bank.mcd.{i}.requests")).unwrap();
+            assert_eq!(requests(0) + requests(1), 2 * (8 * factor + 2) + 16);
+            if factor == 1 {
+                assert_eq!((requests(0), requests(1)), (18, 18));
             }
-            c2.delete_pipeline(
-                (0..8u64)
-                    .map(|blk| (format!("/p:{}", blk * 2048).into_bytes(), Some(blk)))
-                    .collect(),
-            )
-            .await;
-            for blk in 0..8u64 {
-                let key = format!("/p:{}", blk * 2048);
-                assert!(c2.get(key.as_bytes(), Some(blk)).await.is_none());
-            }
-        });
-        sim.run();
-        let s = client.stats();
-        assert_eq!((s.sets, s.deletes, s.failures), (8, 8, 0));
-        let snap = imca_metrics::collect_from(&*client, "bank");
-        assert_eq!(snap.counter("bank.pipelined_sets"), Some(8));
-        assert_eq!(snap.counter("bank.pipelined_deletes"), Some(8));
-        // Daemon side: 4 noreply stores + 4 noreply deletes + 2 version
-        // syncs + 8 verification gets = 18 requests per daemon; the key
-        // point is 1 sync per daemon per pipeline, not 1 RTT per key.
-        let snap = imca_metrics::collect_from(&*bank, "bank");
-        for i in 0..2 {
-            assert_eq!(snap.counter(&format!("bank.mcd.{i}.requests")), Some(18));
         }
     }
 
@@ -3075,100 +2472,136 @@ mod tests {
 
     #[test]
     fn partitioned_daemon_times_out_then_the_circuit_sheds() {
-        let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            1,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client =
-            Rc::new(bank.client_with(net.add_node(), Selector::Crc32, None, tight_policy()));
-        let c2 = Rc::clone(&client);
-        let net2 = net.clone();
-        let mcd_node = bank.nodes()[0].node;
-        let h = sim.handle();
-        sim.spawn(async move {
-            c2.set(b"/k:stat", Bytes::from_static(b"v"), None).await;
-            assert!(c2.get(b"/k:stat", None).await.is_some());
-            net2.isolate("mcd-cut", [mcd_node]);
-            // Both attempts run out their deadline; the read degrades to a
-            // local miss and the circuit opens.
-            assert!(c2.get(b"/k:stat", None).await.is_none());
-            let timeouts_after_first = c2.stats().failures;
-            assert_eq!(timeouts_after_first, 1);
-            // Inside the cooldown: shed locally, no further wire attempts.
-            assert!(c2.get(b"/k:stat", None).await.is_none());
-            // Heal and let the circuit expire: the daemon answers again,
-            // and since no *write* failed it was never quarantined — the
-            // value survived the partition.
-            net2.heal("mcd-cut");
-            h.sleep(SimDuration::millis(2)).await;
+        for via in [Via::Get, Via::Multi] {
+            let mut sim = Sim::new(0);
+            let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+            let bank = Rc::new(Bank::start(
+                &net,
+                1,
+                &McConfig::default(),
+                &McdCosts::default(),
+            ));
+            let client =
+                Rc::new(bank.client_with(net.add_node(), Selector::Crc32, None, tight_policy()));
+            let c2 = Rc::clone(&client);
+            let net2 = net.clone();
+            let mcd_node = bank.nodes()[0].node;
+            let h = sim.handle();
+            sim.spawn(async move {
+                c2.set(b"/k:stat", Bytes::from_static(b"v"), None).await;
+                assert!(read_via(&c2, via, b"/k:stat", None).await.is_some());
+                net2.isolate("mcd-cut", [mcd_node]);
+                // Both attempts run out their deadline; the read degrades to a
+                // local miss and the circuit opens.
+                assert!(read_via(&c2, via, b"/k:stat", None).await.is_none());
+                let timeouts_after_first = c2.stats().failures;
+                assert_eq!(timeouts_after_first, 1);
+                // Inside the cooldown: shed locally, no further wire attempts.
+                assert!(read_via(&c2, via, b"/k:stat", None).await.is_none());
+                // Heal and let the circuit expire: the daemon answers again,
+                // and since no *write* failed it was never quarantined — the
+                // value survived the partition.
+                net2.heal("mcd-cut");
+                h.sleep(SimDuration::millis(2)).await;
+                assert_eq!(
+                    read_via(&c2, via, b"/k:stat", None).await,
+                    Some(Bytes::from_static(b"v"))
+                );
+            });
+            sim.run();
+            let s = client.stats();
+            // get #2 timed out (1 attempt + 1 retry), get #3 was shed.
+            let snap = imca_metrics::collect_from(&*client, "bank");
+            assert_eq!(snap.counter("bank.rpc_timeouts"), Some(2), "{via:?}");
+            assert_eq!(snap.counter("bank.retries"), Some(1), "{via:?}");
+            assert_eq!(snap.counter("bank.degraded_misses"), Some(2), "{via:?}");
+            assert_eq!(snap.counter("bank.circuit_opens"), Some(1), "{via:?}");
             assert_eq!(
-                c2.get(b"/k:stat", None).await,
-                Some(Bytes::from_static(b"v"))
+                (s.gets, s.hits, s.misses, s.failures),
+                (4, 2, 2, 1),
+                "{via:?}"
             );
-        });
-        sim.run();
-        let s = client.stats();
-        // get #2 timed out (1 attempt + 1 retry), get #3 was shed.
-        let snap = imca_metrics::collect_from(&*client, "bank");
-        assert_eq!(snap.counter("bank.rpc_timeouts"), Some(2));
-        assert_eq!(snap.counter("bank.retries"), Some(1));
-        assert_eq!(snap.counter("bank.degraded_misses"), Some(2));
-        assert_eq!((s.gets, s.hits, s.misses, s.failures), (4, 2, 2, 1));
-        // The latency histogram still covers every get — timeouts and
-        // circuit sheds included.
-        assert_eq!(snap.histogram("bank.get_ns").unwrap().count, s.gets);
-        assert!(!bank.nodes()[0].is_quarantined());
+            // The latency histogram still covers every get — timeouts and
+            // circuit sheds included.
+            assert_eq!(snap.histogram("bank.get_ns").unwrap().count, s.gets);
+            assert!(!bank.nodes()[0].is_quarantined());
+        }
     }
 
     #[test]
     fn failed_purge_quarantines_until_revival() {
-        let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            1,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client =
-            Rc::new(bank.client_with(net.add_node(), Selector::Crc32, None, tight_policy()));
-        let c2 = Rc::clone(&client);
-        let net2 = net.clone();
-        let b2 = Rc::clone(&bank);
-        let mcd_node = bank.nodes()[0].node;
-        let h = sim.handle();
-        sim.spawn(async move {
-            c2.set(b"/f:0", Bytes::from_static(b"stale"), Some(0)).await;
-            net2.isolate("mcd-cut", [mcd_node]);
-            // The purge never reaches the daemon: every retransmit of the
-            // noreply delete fails and the pipeline gives up.
-            c2.delete_pipeline(vec![(b"/f:0".to_vec(), Some(0))]).await;
-            assert_eq!(c2.stats().failures, 1);
-            assert!(b2.nodes()[0].is_quarantined());
-            net2.heal("mcd-cut");
-            h.sleep(SimDuration::millis(2)).await;
-            // Healed, circuit expired — but the daemon still holds the
-            // value the failed purge should have removed. Quarantine makes
-            // this a miss, never a stale resurrection.
-            assert!(c2.get(b"/f:0", Some(0)).await.is_none());
-            // Revival restarts the daemon empty and lifts the quarantine.
-            b2.revive(0);
-            assert!(c2.get(b"/f:0", Some(0)).await.is_none());
-            c2.set(b"/f:0", Bytes::from_static(b"fresh"), Some(0)).await;
+        for (via, factor) in [
+            (Via::Get, 1),
+            (Via::Multi, 1),
+            (Via::Get, 2),
+            (Via::Multi, 2),
+        ] {
+            let mut sim = Sim::new(0);
+            let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+            // As many daemons as replicas: hint 0 puts the key on all.
+            let bank = Rc::new(Bank::start(
+                &net,
+                factor,
+                &McConfig::default(),
+                &McdCosts::default(),
+            ));
+            let client = Rc::new(bank.client_replicated(
+                net.add_node(),
+                Selector::Modulo,
+                None,
+                tight_policy(),
+                Replication { factor },
+            ));
+            let c2 = Rc::clone(&client);
+            let net2 = net.clone();
+            let b2 = Rc::clone(&bank);
+            let mcd_nodes: Vec<NodeId> = bank.nodes().iter().map(|n| n.node).collect();
+            let h = sim.handle();
+            sim.spawn(async move {
+                c2.set(b"/f:0", Bytes::from_static(b"stale"), Some(0)).await;
+                net2.isolate("mcd-cut", mcd_nodes);
+                // The purge never reaches a daemon: every retransmit of the
+                // noreply delete fails and each pipeline gives up.
+                c2.delete_pipeline(vec![(b"/f:0".to_vec(), Some(0))]).await;
+                assert_eq!(c2.stats().failures, factor as u64);
+                assert!(b2.nodes().iter().all(|n| n.is_quarantined()));
+                net2.heal("mcd-cut");
+                h.sleep(SimDuration::millis(2)).await;
+                // Healed, circuits expired — but the daemons still hold the
+                // value the failed purge should have removed. Quarantine
+                // makes this a miss, never a stale resurrection.
+                assert!(read_via(&c2, via, b"/f:0", Some(0)).await.is_none());
+                // Revival restarts a daemon empty and lifts the quarantine.
+                for i in 0..factor {
+                    b2.revive(i);
+                }
+                assert!(read_via(&c2, via, b"/f:0", Some(0)).await.is_none());
+                c2.set(b"/f:0", Bytes::from_static(b"fresh"), Some(0)).await;
+                assert_eq!(
+                    read_via(&c2, via, b"/f:0", Some(0)).await,
+                    Some(Bytes::from_static(b"fresh"))
+                );
+            });
+            sim.run();
+            let case = format!("{via:?} at factor {factor}");
+            assert!(bank.nodes().iter().all(|n| !n.is_quarantined()), "{case}");
+            let s = client.stats();
             assert_eq!(
-                c2.get(b"/f:0", Some(0)).await,
-                Some(Bytes::from_static(b"fresh"))
+                (s.gets, s.hits, s.misses, s.sets, s.deletes, s.failures),
+                (3, 1, 2, 2, 1, factor as u64),
+                "{case}"
             );
-        });
-        sim.run();
-        assert!(!bank.nodes()[0].is_quarantined());
-        let snap = imca_metrics::collect_from(&*client, "bank");
-        assert!(snap.counter("bank.degraded_misses").unwrap() >= 1);
-        assert_eq!(snap.histogram("bank.get_ns").unwrap().count, 3);
+            // One degraded op per failed pipeline, one for the read that
+            // found every replica quarantined.
+            assert_eq!(
+                counter(&client, "degraded_misses"),
+                factor as u64 + 1,
+                "{case}"
+            );
+            assert_eq!(counter(&client, "busy_sheds"), 0, "{case}");
+            let snap = imca_metrics::collect_from(&*client, "bank");
+            assert_eq!(snap.histogram("bank.get_ns").unwrap().count, 3, "{case}");
+        }
     }
 
     #[test]
@@ -3398,6 +2831,50 @@ mod tests {
     }
 
     #[test]
+    fn replicated_read_exhausting_its_replicas_in_flight_is_degraded() {
+        // Both replicas are reachable-looking but partitioned: each read
+        // tries one, times out, fails over to the other, times out again
+        // and resolves locally. It was answered locally because the bank
+        // could not serve it in time — a degraded miss, exactly as the
+        // same read counts at factor 1 — not a plain "nobody home" miss.
+        let mut sim = Sim::new(0);
+        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+        let bank = Rc::new(Bank::start(
+            &net,
+            2,
+            &McConfig::default(),
+            &McdCosts::default(),
+        ));
+        let client = Rc::new(bank.client_replicated(
+            net.add_node(),
+            Selector::Modulo,
+            None,
+            tight_policy(),
+            Replication { factor: 2 },
+        ));
+        let c2 = Rc::clone(&client);
+        let net2 = net.clone();
+        let mcd_nodes: Vec<NodeId> = bank.nodes().iter().map(|n| n.node).collect();
+        let h = sim.handle();
+        sim.spawn(async move {
+            net2.isolate("cut", mcd_nodes);
+            assert!(c2.get(b"/r:0", Some(0)).await.is_none());
+            assert_eq!(counter(&c2, "degraded_misses"), 1);
+            // Let both circuits close so the batch is refused in flight
+            // again rather than shed at the door.
+            h.sleep(SimDuration::millis(2)).await;
+            let got = c2
+                .get_multi(&[(b"/r:0".to_vec(), Some(0)), (b"/r:2048".to_vec(), Some(0))])
+                .await;
+            assert_eq!(got, vec![None, None]);
+            assert_eq!(counter(&c2, "degraded_misses"), 3);
+        });
+        sim.run();
+        let s = client.stats();
+        assert_eq!((s.gets, s.hits, s.misses), (3, 0, 3));
+    }
+
+    #[test]
     fn p2c_spreads_a_hot_key_across_its_replicas() {
         let mut sim = Sim::new(0);
         let (_net, bank, client) = replicated_setup(&sim, 2, 2);
@@ -3428,7 +2905,7 @@ mod tests {
                 c.set(b"/sf:0", Bytes::from_static(b"v"), Some(0)).await;
                 // Three concurrent gets from the same client: one leads,
                 // two coalesce onto its RPC.
-                let h = c.handle.clone();
+                let h = c.wire.handle.clone();
                 let futs: Vec<_> = (0..3)
                     .map(|_| {
                         let c = Rc::clone(&c);
@@ -3481,7 +2958,7 @@ mod tests {
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
             c2.set(b"/k:0", Bytes::from_static(b"old"), Some(0)).await;
-            let (v, tok) = c2.gets(b"/k:0", Some(0)).await.expect("warm key");
+            let (v, tok) = fetch_token(&c2, b"/k:0", Some(0)).await.expect("warm key");
             assert_eq!(v, Bytes::from_static(b"old"));
             // Token still current → replaced in place.
             assert_eq!(
@@ -3497,62 +2974,31 @@ mod tests {
             );
             assert_eq!(c2.get(b"/k:0", Some(0)).await.unwrap(), &b"new"[..]);
             // An interleaved plain set also invalidates an issued token.
-            let (_, tok2) = c2.gets(b"/k:0", Some(0)).await.unwrap();
+            let (_, tok2) = fetch_token(&c2, b"/k:0", Some(0)).await.unwrap();
             c2.set(b"/k:0", Bytes::from_static(b"set"), Some(0)).await;
             assert_eq!(
                 c2.cas(b"/k:0", Bytes::from_static(b"zzz"), tok2).await,
                 CasVerdict::Conflict
             );
             // A vanished key is Missing, not Conflict.
-            let (_, tok3) = c2.gets(b"/k:0", Some(0)).await.unwrap();
+            let (_, tok3) = fetch_token(&c2, b"/k:0", Some(0)).await.unwrap();
             c2.delete(b"/k:0", Some(0)).await;
             assert_eq!(
                 c2.cas(b"/k:0", Bytes::from_static(b"zzz"), tok3).await,
                 CasVerdict::Missing
             );
-            // gets on an absent key is a plain miss.
-            assert!(c2.gets(b"/k:0", Some(0)).await.is_none());
+            // A token fetch on an absent key is a cold row.
+            assert!(fetch_token(&c2, b"/k:0", Some(0)).await.is_none());
         });
         sim.run();
         let s = client.stats();
-        // Every gets counts as a get; every cas counts as a set.
-        assert_eq!(s.gets, 6);
+        // Token fetches are write-path prep, not gets; every cas counts
+        // as a set.
+        assert_eq!(s.gets, 2);
         let snap = imca_metrics::collect_from(&*client, "bank");
         assert_eq!(snap.counter("bank.cas_ops"), Some(4));
+        assert_eq!(snap.counter("bank.multi_gets"), Some(4));
         assert_eq!(snap.histogram("bank.get_ns").unwrap().count, s.gets);
-    }
-
-    #[test]
-    fn append_and_touch_basics() {
-        let mut sim = Sim::new(0);
-        let (_net, _bank, client) = setup(&sim, 2);
-        let client = Rc::new(client);
-        let c2 = Rc::clone(&client);
-        sim.spawn(async move {
-            // Append to an absent key must fail (memcached semantics),
-            // and plant nothing.
-            assert!(!c2.append(b"/a:0", Bytes::from_static(b"x"), Some(0)).await);
-            assert!(c2.get(b"/a:0", Some(0)).await.is_none());
-            c2.set(b"/a:0", Bytes::from_static(b"head"), Some(0)).await;
-            assert!(
-                c2.append(b"/a:0", Bytes::from_static(b"+tail"), Some(0))
-                    .await
-            );
-            assert_eq!(c2.get(b"/a:0", Some(0)).await.unwrap(), &b"head+tail"[..]);
-            // Appending bumps the version like any store: an earlier
-            // token must no longer match.
-            let (_, tok) = c2.gets(b"/a:0", Some(0)).await.unwrap();
-            assert!(c2.append(b"/a:0", Bytes::from_static(b"!"), Some(0)).await);
-            assert_eq!(
-                c2.cas(b"/a:0", Bytes::from_static(b"z"), tok).await,
-                CasVerdict::Conflict
-            );
-            // Touch refreshes an existing key (and reports a missing one).
-            assert!(c2.touch(b"/a:0", 60, Some(0)).await);
-            assert!(!c2.touch(b"/gone:0", 60, Some(0)).await);
-            assert!(c2.get(b"/a:0", Some(0)).await.is_some());
-        });
-        sim.run();
     }
 
     #[test]
@@ -3576,10 +3022,10 @@ mod tests {
             let keys: Vec<(Vec<u8>, Option<u64>)> = (0..8u64)
                 .map(|blk| (format!("/c:{}", blk * 2048).into_bytes(), Some(blk)))
                 .collect();
-            let fetched = c2.gets_multi(&keys).await;
+            let fetched = c2.gets_for_update(&keys).await;
             let mut items: Vec<(Vec<u8>, Bytes, CasToken)> = Vec::new();
-            for (blk, cell) in fetched.into_iter().enumerate() {
-                let (_, tok) = cell.expect("warm key");
+            for (blk, mut rows) in fetched.into_iter().enumerate() {
+                let (_, tok) = rows.remove(0).1.expect("warm key");
                 items.push((
                     format!("/c:{}", blk as u64 * 2048).into_bytes(),
                     Bytes::from(vec![9u8; 64]),
@@ -3605,87 +3051,6 @@ mod tests {
         let snap = imca_metrics::collect_from(&*client, "bank");
         assert_eq!(snap.counter("bank.pipelined_cas"), Some(8));
         assert_eq!(snap.counter("bank.cas_ops"), Some(8));
-    }
-
-    #[test]
-    fn gets_failover_tags_tokens_with_the_answering_daemon() {
-        // Regression (token spaces are per daemon): a dead-primary
-        // re-route must hand back a token minted by the *answering*
-        // daemon, never one comparable against the original target. Skew
-        // daemon 1's token counter first so a cross-space mixup cannot
-        // pass by coincidence.
-        let mut sim = Sim::new(0);
-        let (_net, bank, client) = replicated_setup(&sim, 3, 2);
-        let c2 = Rc::clone(&client);
-        let b2 = Rc::clone(&bank);
-        sim.spawn(async move {
-            // Advance daemon 1's version counter (hint 1 → daemons {1,2}).
-            for i in 0..5u64 {
-                let key = format!("/skew/{i}:2048");
-                c2.set(key.as_bytes(), Bytes::from_static(b"x"), Some(1))
-                    .await;
-            }
-            // The key under test lives on daemons {0, 1}.
-            c2.set(b"/k:0", Bytes::from_static(b"v"), Some(0)).await;
-            b2.kill(0);
-            // Single-key gets: answered by the surviving replica, token
-            // tagged accordingly.
-            let (v, tok) = c2.gets(b"/k:0", Some(0)).await.expect("warm failover");
-            assert_eq!(v, Bytes::from_static(b"v"));
-            assert_eq!(tok.daemon, 1, "token not tagged with the answerer");
-            // The batched path re-routes the same way.
-            let got = c2.gets_multi(&[(b"/k:0".to_vec(), Some(0))]).await;
-            let (_, tok2) = got[0].clone().expect("warm failover via multi");
-            assert_eq!(tok2.daemon, 1);
-            // And the token is actually usable where it claims to be from.
-            assert_eq!(
-                c2.cas(b"/k:0", Bytes::from_static(b"w"), tok2).await,
-                CasVerdict::Stored
-            );
-            assert_eq!(
-                c2.get(b"/k:0", Some(0)).await,
-                Some(Bytes::from_static(b"w"))
-            );
-        });
-        sim.run();
-        let snap = imca_metrics::collect_from(&*client, "bank");
-        assert!(snap.counter("bank.replica_failovers").unwrap() >= 2);
-    }
-
-    #[test]
-    fn gets_replica_dying_mid_flight_fails_over_with_a_valid_token() {
-        let mut sim = Sim::new(0);
-        let (net, bank, client) = replicated_setup(&sim, 2, 2);
-        let h = net.handle();
-        let (armed_tx, armed_rx) = imca_sim::sync::oneshot::<()>();
-        {
-            let c = Rc::clone(&client);
-            sim.spawn(async move {
-                c.set(b"/k:0", Bytes::from_static(b"v"), Some(0)).await;
-                // Daemon 0 dies while the gets is on the wire: the retry
-                // round must pair the surviving daemon's token with the
-                // key, and the token must work.
-                armed_tx.send(());
-                let (v, tok) = c.gets(b"/k:0", Some(0)).await.expect("warm failover");
-                assert_eq!(v, Bytes::from_static(b"v"));
-                assert_eq!(tok.daemon, 1, "only daemon 1 survived");
-                assert_eq!(
-                    c.cas(b"/k:0", Bytes::from_static(b"w"), tok).await,
-                    CasVerdict::Stored
-                );
-            });
-        }
-        {
-            let b = Rc::clone(&bank);
-            sim.spawn(async move {
-                armed_rx.await.unwrap();
-                // The request is in flight; kill before it can be served.
-                h.sleep(SimDuration::nanos(1)).await;
-                b.kill(0);
-            });
-        }
-        sim.run();
-        assert_eq!(client.stats().misses, 0);
     }
 
     #[test]
@@ -3729,42 +3094,58 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_reads_but_admits_writes() {
-        let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        // queue_limit 0: every read is shed at the door; writes always land.
-        let costs = McdCosts {
-            queue_limit: Some(0),
-            ..McdCosts::default()
-        };
-        let bank = Rc::new(Bank::start(&net, 1, &McConfig::default(), &costs));
-        let client = Rc::new(bank.client(net.add_node(), Selector::Crc32, None));
-        let c2 = Rc::clone(&client);
-        sim.spawn(async move {
-            c2.set(b"/k:stat", Bytes::from_static(b"v"), None).await;
-            assert!(
-                c2.get(b"/k:stat", None).await.is_none(),
-                "shed read must degrade to a local miss"
+        for via in [Via::Get, Via::Multi] {
+            let mut sim = Sim::new(0);
+            let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+            // queue_limit 0: every read is shed at the door; writes always land.
+            let costs = McdCosts {
+                queue_limit: Some(0),
+                ..McdCosts::default()
+            };
+            let bank = Rc::new(Bank::start(&net, 1, &McConfig::default(), &costs));
+            let client = Rc::new(bank.client(net.add_node(), Selector::Crc32, None));
+            let c2 = Rc::clone(&client);
+            sim.spawn(async move {
+                c2.set(b"/k:stat", Bytes::from_static(b"v"), None).await;
+                assert!(
+                    read_via(&c2, via, b"/k:stat", None).await.is_none(),
+                    "shed read must degrade to a local miss"
+                );
+                // The write path's token fetch is admitted like a write: a
+                // refusal would read as "nothing cached here to replace"
+                // and leave the old block behind.
+                let (v, tok) = fetch_token(&c2, b"/k:stat", None)
+                    .await
+                    .expect("admission control must not shed a token fetch");
+                assert_eq!(v, Bytes::from_static(b"v"));
+                assert_eq!(
+                    c2.cas(b"/k:stat", Bytes::from_static(b"w"), tok).await,
+                    CasVerdict::Stored
+                );
+            });
+            sim.run();
+            let s = client.stats();
+            assert_eq!((s.sets, s.gets, s.hits, s.misses), (2, 1, 0, 1), "{via:?}");
+            // Not a timeout, not a failure: an explicit busy reply.
+            assert_eq!(s.failures, 0);
+            let snap = imca_metrics::collect_from(&*client, "bank");
+            assert_eq!(snap.counter("bank.busy_sheds"), Some(1), "{via:?}");
+            assert_eq!(snap.counter("bank.degraded_misses"), Some(1), "{via:?}");
+            assert_eq!(snap.counter("bank.rpc_timeouts"), Some(0));
+            let snap = imca_metrics::collect_from(&*bank, "bank");
+            assert_eq!(snap.counter("bank.mcd.0.sheds"), Some(1));
+            assert_eq!(snap.counter("bank.per_daemon.0.sheds"), Some(1));
+            // The value survived — admission control never sheds writes.
+            assert_eq!(
+                bank.nodes()[0]
+                    .server()
+                    .store()
+                    .get(b"/k:stat", 0)
+                    .map(|v| v.value.clone()),
+                Some(Bytes::from_static(b"w"))
             );
-        });
-        sim.run();
-        let s = client.stats();
-        assert_eq!((s.sets, s.gets, s.hits, s.misses), (1, 1, 0, 1));
-        // Not a timeout, not a failure: an explicit busy reply.
-        assert_eq!(s.failures, 0);
-        let snap = imca_metrics::collect_from(&*client, "bank");
-        assert_eq!(snap.counter("bank.busy_sheds"), Some(1));
-        assert_eq!(snap.counter("bank.degraded_misses"), Some(1));
-        assert_eq!(snap.counter("bank.rpc_timeouts"), Some(0));
-        let snap = imca_metrics::collect_from(&*bank, "bank");
-        assert_eq!(snap.counter("bank.mcd.0.sheds"), Some(1));
-        assert_eq!(snap.counter("bank.per_daemon.0.sheds"), Some(1));
-        // The value survived — admission control never sheds writes.
-        assert!(bank.nodes()[0]
-            .server()
-            .store()
-            .get(b"/k:stat", 0)
-            .is_some());
-        assert_eq!(client.busy_shed_count(), 1);
+            assert_eq!(client.busy_shed_count(), 1);
+        }
     }
 
     #[test]

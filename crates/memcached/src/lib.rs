@@ -14,10 +14,12 @@
 //!   `Rc` it inside a simulation),
 //! * [`protocol`] — streaming ASCII-protocol codec,
 //! * [`McServer`] — protocol dispatch over the engine,
-//! * [`ClientCore`] + [`Selector`]/[`ServerMap`] — libmemcache-style
-//!   routing with CRC-32, static-modulo (the paper's IOzone variant), and
-//!   ketama consistent hashing (future-work ablation), with transparent
-//!   failover.
+//! * [`Selector`]/[`ServerMap`] — libmemcache-style key placement:
+//!   CRC-32, static-modulo (the paper's IOzone variant), and ketama
+//!   consistent hashing (future-work ablation), each with an `r`-wide
+//!   replica set. Placement only: which daemons are alive, and what a
+//!   dead one means for an op, is the bank client's business
+//!   (`imca-core`'s `BankClient`).
 //!
 //! ```
 //! use bytes::Bytes;
@@ -40,13 +42,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod client;
 mod hash;
 pub mod protocol;
 mod server;
 mod store;
 
-pub use client::{ClientCore, Placement};
 pub use hash::{crc32, crc32_bucket, Selector, ServerMap};
 pub use server::{absolute_expiry, McServer};
 pub use store::{

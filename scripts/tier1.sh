@@ -9,6 +9,9 @@
 #                               benchmark harness's own tests (so a
 #                               change that breaks the benchmark-facing
 #                               API fails here, not in the benchmark),
+#                               run the benchmark and hold its
+#                               virtual-time fields to the committed
+#                               baseline (scripts/perfcheck),
 #                               smoke-run the shared-read benches
 #                               (fig10_shared + ablate_replication), the
 #                               metadata benches (fig5_stat +
@@ -52,6 +55,10 @@ if [[ "${1:-}" == "--strict" ]]; then
     # benchmark harness against the changed crates.
     cargo test --workspace --release -q
     CARGO_TARGET_DIR=bench/target cargo test --release --offline -q --manifest-path bench/Cargo.toml
+
+    # The virtual-time gate: the benchmark at seed 42 must reproduce every
+    # field of bench/baseline/2c.json that is not on the host clock.
+    scripts/perfcheck
 
     # One build for every smoke below.
     cargo build --release -p imca-bench --bins
