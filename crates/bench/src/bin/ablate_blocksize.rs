@@ -6,7 +6,7 @@
 //! three sizes Fig 6 shows.
 
 use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
-use imca_memcached::Selector;
+use imca_core::ImcaConfig;
 use imca_metrics::Snapshot;
 use imca_workloads::latbench::{run, LatencyBench, LatencyResult};
 use imca_workloads::report::{human_bytes, Table};
@@ -26,17 +26,10 @@ fn main() {
     for &bs in &block_sizes {
         systems.push((
             format!("IMCa-{}", human_bytes(bs)),
-            SystemSpec::Imca {
-                mcds: 1,
+            SystemSpec::Imca(ImcaConfig {
                 block_size: bs,
-                selector: Selector::Crc32,
-                threaded: false,
-                mcd_mem: 6 << 30,
-                rdma_bank: false,
-                batched: true,
-                replication: 1,
-                meta: imca_core::MetaConfig::default(),
-            },
+                ..ImcaConfig::default()
+            }),
         ));
     }
 

@@ -6,7 +6,8 @@
 //! time, plus (c) how many keys move when the bank grows by one daemon.
 
 use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
-use imca_memcached::{Selector, ServerMap};
+use imca_core::ImcaConfig;
+use imca_memcached::{McConfig, Selector, ServerMap};
 use imca_metrics::Snapshot;
 use imca_workloads::report::Table;
 use imca_workloads::statbench::{run, StatBench, StatBenchResult};
@@ -58,17 +59,12 @@ fn main() {
             let cfg = StatBench {
                 files: bench_files,
                 clients: 8,
-                spec: SystemSpec::Imca {
-                    mcds,
-                    block_size: 2048,
+                spec: SystemSpec::Imca(ImcaConfig {
+                    mcd_count: mcds,
                     selector: sel,
-                    threaded: false,
-                    mcd_mem: 1 << 30,
-                    rdma_bank: false,
-                    batched: true,
-                    replication: 1,
-                    meta: imca_core::MetaConfig::default(),
-                },
+                    mcd_config: McConfig::with_mem_limit(1 << 30),
+                    ..ImcaConfig::default()
+                }),
                 seed: opts.seed,
             };
             Box::new(move || run(&cfg)) as Box<dyn FnOnce() -> StatBenchResult + Send>

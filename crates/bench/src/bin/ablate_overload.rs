@@ -3,11 +3,10 @@
 //! Drives the calibrated `imca_workloads::overload` geometry — a
 //! 2-daemon bank (≈400 ops/s) in front of a single-threaded GlusterFS
 //! server (≈125 ops/s) — over an ascending client grid that crosses the
-//! closed-loop saturation knee and keeps going to 2–4× past it, twice:
-//! once with the whole protection layer ON (bounded daemon queues,
-//! adaptive deadlines, retry budget, hedged reads, degradation ladder,
-//! rewarm throttle) and once OFF (the legacy stack: unbounded queues,
-//! one static 50 ms deadline, free retries).
+//! closed-loop saturation knee and keeps going to 2–4× past it, four
+//! times: with the protection layer ON (bounded daemon queues + the
+//! rewarm throttle), OFF (unbounded queues, every fallback read fills the
+//! bank), and ON minus each of the two mechanisms.
 //!
 //! The claims asserted in-binary and recorded in `results/BENCH_9.json`
 //! (checked by `scripts/tier1.sh --strict`):
@@ -18,17 +17,40 @@
 //! * **collapse** — with protection OFF, the same drive at the deepest
 //!   point loses the majority of that peak (timeout melt + retry
 //!   amplification + the synchronous fill storm);
-//! * **bounded shed path** — the protected drive's shed-path p99 stays
-//!   under the closed-loop backend backlog bound (clients × fop cpu,
-//!   plus 50% headroom) and under the unprotected p99.
+//! * **bounded p99** — the protected drive's p99 stays under the
+//!   closed-loop backend backlog bound (clients × fop cpu, plus 50%
+//!   headroom) and under the unprotected p99;
+//! * **each mechanism needed** — removing either one alone breaks the
+//!   plateau at the deepest point;
+//! * **free below the knee** — up to the knee, ON goodput is within 5%
+//!   of OFF at every grid point.
 
 use imca_bench::{emit, emit_metrics, parallel_sweep, Options};
+use imca_metrics::json::Json;
 use imca_metrics::Snapshot;
 use imca_workloads::overload::{run, OverloadBench, OverloadOut};
 use imca_workloads::report::Table;
 
+/// The four drives: label, keep the queue limit, keep the rewarm throttle.
+const DRIVES: [(&str, bool, bool); 4] = [
+    ("on", true, true),
+    ("off", false, false),
+    ("on - queue limit", false, true),
+    ("on - rewarm throttle", true, false),
+];
+
 fn p50_ms(out: &OverloadOut) -> f64 {
     out.latency.quantile(0.50) as f64 / 1e6
+}
+
+/// `x` rounded to `digits` decimals, for the JSON record.
+fn rounded(x: f64, digits: i32) -> Json {
+    let k = 10f64.powi(digits);
+    Json::Float((x * k).round() / k)
+}
+
+fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 /// Knee of a goodput-vs-clients series: the first point whose goodput
@@ -48,8 +70,8 @@ fn find_knee(clients: &[usize], goodput: &[f64]) -> usize {
 fn main() {
     let opts = Options::from_args(
         "ablate_overload",
-        "overload-protection ablation: admission control + adaptive deadlines + hedging + \
-         degradation ladder, ON vs OFF across the saturation knee",
+        "overload-protection ablation: bounded daemon queues + rewarm throttle, ON vs OFF vs \
+         ON minus each, across the saturation knee",
     );
 
     let (grid, ops): (Vec<usize>, u64) = if opts.smoke {
@@ -60,66 +82,60 @@ fn main() {
         (vec![2, 4, 6, 12, 24, 32], 40)
     };
 
-    // One job per (clients, protection) point; each is its own sim.
-    let points: Vec<(usize, bool)> = grid.iter().flat_map(|&c| [(c, true), (c, false)]).collect();
-    let jobs: Vec<Box<dyn FnOnce() -> OverloadOut + Send>> = points
+    // One job per (clients, drive) point; each is its own sim.
+    let bench = |clients: usize, (_, queue, rewarm): (&str, bool, bool)| {
+        let on = OverloadBench::new(clients);
+        OverloadBench {
+            ops_per_client: ops,
+            seed: opts.seed,
+            queue_limit: on.queue_limit.filter(|_| queue),
+            rewarm: on.rewarm.filter(|_| rewarm),
+            ..on
+        }
+    };
+    let jobs: Vec<Box<dyn FnOnce() -> OverloadOut + Send>> = DRIVES
         .iter()
-        .map(|&(clients, protection)| {
-            let seed = opts.seed;
-            Box::new(move || {
-                run(&OverloadBench {
-                    ops_per_client: ops,
-                    seed,
-                    ..OverloadBench::new(clients, protection)
-                })
-            }) as Box<dyn FnOnce() -> OverloadOut + Send>
+        .flat_map(|&drive| grid.iter().map(move |&clients| (clients, drive)))
+        .map(|(clients, drive)| {
+            let cfg = bench(clients, drive);
+            Box::new(move || run(&cfg)) as Box<dyn FnOnce() -> OverloadOut + Send>
         })
         .collect();
     let results = parallel_sweep(jobs);
-    let at = |clients: usize, protection: bool| -> &OverloadOut {
-        let i = points
-            .iter()
-            .position(|&p| p == (clients, protection))
-            .unwrap();
-        &results[i]
-    };
-
-    let on: Vec<&OverloadOut> = grid.iter().map(|&c| at(c, true)).collect();
-    let off: Vec<&OverloadOut> = grid.iter().map(|&c| at(c, false)).collect();
+    // `series[d][g]`: drive `d` at grid point `g`.
+    let series: Vec<&[OverloadOut]> = results.chunks(grid.len()).collect();
+    let (on, off) = (series[0], series[1]);
 
     let mut table = Table::new(
         format!("Overload drive: goodput vs clients ({ops} reads/client, 2 MCDs, R=2)"),
         "clients",
         "goodput ops/s",
-        vec!["protection on".into(), "protection off".into()],
+        DRIVES
+            .iter()
+            .map(|d| format!("protection {}", d.0))
+            .collect(),
     );
-    for (i, &c) in grid.iter().enumerate() {
+    for (g, &c) in grid.iter().enumerate() {
         table.push_row(
             c as f64,
-            vec![Some(on[i].goodput()), Some(off[i].goodput())],
+            series.iter().map(|s| Some(s[g].goodput())).collect(),
         );
     }
     emit(&opts, "ablate_overload", &table);
 
-    for (label, series) in [("on", &on), ("off", &off)] {
-        for (i, &c) in grid.iter().enumerate() {
-            let o = series[i];
+    for (d, drive) in DRIVES.iter().enumerate() {
+        for (g, &c) in grid.iter().enumerate() {
+            let o = &series[d][g];
             println!(
-                "  {label:>3} {c:>3} clients: {:>6.0} ops/s, p50 {:>7.2}ms p99 {:>8.2}ms \
-                 shed-p99 {:>8.2}ms | sheds {} busy {} hedged {}/{} circuits {} dry-budget {} \
-                 degraded {} readmits {} rewarm-suppressed {}",
+                "  {:>20} {c:>3} clients: {:>6.0} ops/s, p50 {:>7.2}ms p99 {:>8.2}ms | \
+                 sheds {} busy {} circuits {} rewarm-suppressed {}",
+                drive.0,
                 o.goodput(),
                 p50_ms(o),
                 o.p99_ms(),
-                o.shed_p99_ms(),
                 o.sheds,
                 o.busy_sheds,
-                o.hedged_gets,
-                o.hedge_wins,
                 o.circuit_opens,
-                o.budget_exhausted,
-                o.degraded_reads,
-                o.readmissions,
                 o.rewarm_suppressed,
             );
         }
@@ -133,32 +149,35 @@ fn main() {
         claim_clients >= 2 * knee,
         "grid too shallow: knee at {knee} clients, deepest point only {claim_clients}"
     );
-    let peak_preknee = grid
-        .iter()
-        .zip(&on)
-        .filter(|(&c, _)| c <= knee)
-        .map(|(_, o)| o.goodput())
-        .fold(0.0f64, f64::max);
+    let pre_knee = || (0..grid.len()).filter(|&g| grid[g] <= knee);
+    let peak_preknee = pre_knee().map(|g| on[g].goodput()).fold(0.0f64, f64::max);
     let overload_points: Vec<usize> = grid.iter().copied().filter(|&c| c >= 2 * knee).collect();
 
-    let plateau = overload_points
+    let plateau = grid
         .iter()
-        .all(|&c| at(c, true).goodput() >= 0.9 * peak_preknee);
-    let claim_on = at(claim_clients, true);
-    let claim_off = at(claim_clients, false);
+        .zip(on)
+        .filter(|(&c, _)| c >= 2 * knee)
+        .all(|(_, o)| o.goodput() >= 0.9 * peak_preknee);
+    let deepest = grid.len() - 1;
+    let [claim_on, claim_off, claim_no_queue, claim_no_rewarm] =
+        [0, 1, 2, 3].map(|d| &series[d][deepest]);
     let collapse = claim_off.goodput() < 0.67 * peak_preknee;
-    // The shed path is a closed loop over the single-threaded backend
-    // (8 ms/fop), so its p99 can never beat the backlog the claim-point
-    // population itself forms: clients × fop_cpu, with 50% headroom.
-    // What protection buys is that this inherent queueing bound holds —
-    // and stays under the unprotected p99 (deadline burn × retries ×
-    // fill storm), which grows without bound in the drive depth.
-    let deadline_ms = 50.0f64;
-    let p99_bound_ms = (4.0 * deadline_ms).max(1.5 * claim_clients as f64 * 8.0);
-    let p99_bounded =
-        claim_on.shed_p99_ms() <= p99_bound_ms && claim_on.p99_ms() < claim_off.p99_ms();
-    let protection_engaged = claim_on.sheds > 0 && claim_on.degraded_reads > 0;
+    // Past the knee most reads are shed to a closed loop over the
+    // single-threaded backend, so the p99 can never beat the backlog the
+    // claim-point population itself forms: clients × fop cpu, with 50%
+    // headroom. What protection buys is that this inherent queueing bound
+    // holds — and stays under the unprotected p99 (deadline burn ×
+    // retries × fill storm), which grows without bound in the drive depth.
+    let drive = bench(claim_clients, DRIVES[0]);
+    let p99_bound_ms = (4.0 * drive.deadline.as_millis_f64())
+        .max(1.5 * claim_clients as f64 * drive.server_fop_cpu.as_millis_f64());
+    let p99_bounded = claim_on.p99_ms() <= p99_bound_ms && claim_on.p99_ms() < claim_off.p99_ms();
+    let protection_engaged = claim_on.sheds > 0 && claim_on.rewarm_suppressed > 0;
     let goodput_plateaus = plateau && collapse && p99_bounded && protection_engaged;
+    // Neither mechanism carries the plateau alone.
+    let each_mechanism_needed = claim_no_queue.goodput() < 0.9 * peak_preknee
+        && claim_no_rewarm.goodput() < 0.9 * peak_preknee;
+    let free_pre_knee = pre_knee().all(|g| on[g].goodput() >= 0.95 * off[g].goodput());
 
     println!(
         "knee (protection off) at {knee} clients; pre-knee peak {peak_preknee:.0} ops/s; \
@@ -167,11 +186,16 @@ fn main() {
     println!(
         "claims at {claim_clients} clients: plateau={plateau} (on {:.0} ops/s) \
          collapse={collapse} (off {:.0} ops/s) p99_bounded={p99_bounded} \
-         (shed-p99 {:.1}ms vs off p99 {:.1}ms) engaged={protection_engaged}",
+         (on p99 {:.1}ms vs bound {p99_bound_ms:.0}ms, off p99 {:.1}ms) \
+         engaged={protection_engaged} each_mechanism_needed={each_mechanism_needed} \
+         (- queue limit {:.0} ops/s, - rewarm throttle {:.0} ops/s) \
+         free_pre_knee={free_pre_knee}",
         claim_on.goodput(),
         claim_off.goodput(),
-        claim_on.shed_p99_ms(),
+        claim_on.p99_ms(),
         claim_off.p99_ms(),
+        claim_no_queue.goodput(),
+        claim_no_rewarm.goodput(),
     );
 
     // ---- consolidated BENCH_9.json for scripts/tier1.sh --strict ----
@@ -182,54 +206,91 @@ fn main() {
     } else {
         "default"
     };
-    let mut doc = String::from("{\n  \"bench\": \"ablate_overload\",\n");
-    doc.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    doc.push_str(&format!(
-        "  \"geometry\": {{\"mcds\": 2, \"replication\": 2, \"ops_per_client\": {ops}, \
-         \"mcd_per_op_ms\": 5, \"server_fop_cpu_ms\": 8, \"static_deadline_ms\": 50}},\n"
-    ));
-    doc.push_str("  \"series\": [\n");
-    let total = points.len();
-    for (i, (&(clients, protection), o)) in points.iter().zip(&results).enumerate() {
-        doc.push_str(&format!(
-            "    {{\"clients\": {clients}, \"protection\": {protection}, \
-             \"goodput_ops_per_sec\": {:.1}, \"p50_ms\": {:.2}, \"p99_ms\": {:.2}, \
-             \"shed_p99_ms\": {:.2}, \"sheds\": {}, \"busy_sheds\": {}, \"hedged_gets\": {}, \
-             \"hedge_wins\": {}, \"circuit_opens\": {}, \"retry_budget_exhausted\": {}, \
-             \"degraded_reads\": {}, \"readmissions\": {}, \"rewarm_suppressed\": {}, \
-             \"read_hits\": {}, \"read_misses\": {}}}{}\n",
-            o.goodput(),
-            p50_ms(o),
-            o.p99_ms(),
-            o.shed_p99_ms(),
-            o.sheds,
-            o.busy_sheds,
-            o.hedged_gets,
-            o.hedge_wins,
-            o.circuit_opens,
-            o.budget_exhausted,
-            o.degraded_reads,
-            o.readmissions,
-            o.rewarm_suppressed,
-            o.read_hits,
-            o.read_misses,
-            if i + 1 < total { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ],\n");
-    doc.push_str(&format!(
-        "  \"knee_clients\": {knee},\n  \"pre_knee_peak_ops_per_sec\": {peak_preknee:.1},\n  \
-         \"claim_clients\": {claim_clients},\n"
-    ));
-    doc.push_str(&format!(
-        "  \"claims\": {{\"plateau_within_10pct\": {plateau}, \"unprotected_collapse\": \
-         {collapse}, \"shed_p99_bounded\": {p99_bounded}, \"protection_engaged\": \
-         {protection_engaged}}},\n"
-    ));
-    doc.push_str(&format!("  \"goodput_plateaus\": {goodput_plateaus}\n}}\n"));
+    let int = |n: u64| Json::Int(n.into());
+    let doc = obj(vec![
+        ("bench", Json::Str("ablate_overload".into())),
+        ("mode", Json::Str(mode.into())),
+        (
+            "geometry",
+            obj(vec![
+                ("mcds", int(drive.mcds as u64)),
+                ("replication", int(drive.replication as u64)),
+                ("ops_per_client", int(drive.ops_per_client)),
+                (
+                    "mcd_per_op_ms",
+                    rounded(drive.mcd_per_op.as_millis_f64(), 3),
+                ),
+                (
+                    "server_fop_cpu_ms",
+                    rounded(drive.server_fop_cpu.as_millis_f64(), 3),
+                ),
+                (
+                    "static_deadline_ms",
+                    rounded(drive.deadline.as_millis_f64(), 3),
+                ),
+                (
+                    "queue_limit",
+                    drive.queue_limit.map_or(Json::Null, |q| int(q as u64)),
+                ),
+                (
+                    "rewarm_fills_per_sec",
+                    drive
+                        .rewarm
+                        .map_or(Json::Null, |r| Json::Float(r.rate_per_sec)),
+                ),
+                (
+                    "rewarm_burst",
+                    drive.rewarm.map_or(Json::Null, |r| Json::Float(r.burst)),
+                ),
+            ]),
+        ),
+        (
+            "series",
+            Json::Arr(
+                DRIVES
+                    .iter()
+                    .zip(&series)
+                    .flat_map(|(drive, outs)| {
+                        grid.iter().zip(*outs).map(move |(&c, o)| (drive.0, c, o))
+                    })
+                    .map(|(drive, clients, o)| {
+                        obj(vec![
+                            ("clients", int(clients as u64)),
+                            ("protection", Json::Str(drive.into())),
+                            ("goodput_ops_per_sec", rounded(o.goodput(), 1)),
+                            ("p50_ms", rounded(p50_ms(o), 2)),
+                            ("p99_ms", rounded(o.p99_ms(), 2)),
+                            ("sheds", int(o.sheds)),
+                            ("busy_sheds", int(o.busy_sheds)),
+                            ("circuit_opens", int(o.circuit_opens)),
+                            ("rewarm_suppressed", int(o.rewarm_suppressed)),
+                            ("read_hits", int(o.read_hits)),
+                            ("read_misses", int(o.read_misses)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("knee_clients", int(knee as u64)),
+        ("pre_knee_peak_ops_per_sec", rounded(peak_preknee, 1)),
+        ("claim_clients", int(claim_clients as u64)),
+        ("p99_bound_ms", rounded(p99_bound_ms, 1)),
+        (
+            "claims",
+            obj(vec![
+                ("plateau_within_10pct", Json::Bool(plateau)),
+                ("unprotected_collapse", Json::Bool(collapse)),
+                ("p99_bounded", Json::Bool(p99_bounded)),
+                ("protection_engaged", Json::Bool(protection_engaged)),
+                ("free_pre_knee", Json::Bool(free_pre_knee)),
+            ]),
+        ),
+        ("each_mechanism_needed", Json::Bool(each_mechanism_needed)),
+        ("goodput_plateaus", Json::Bool(goodput_plateaus)),
+    ]);
     let _ = std::fs::create_dir_all(&opts.out_dir);
     let path = opts.out_dir.join("BENCH_9.json");
-    std::fs::write(&path, &doc).expect("cannot write BENCH_9.json");
+    std::fs::write(&path, doc.render_pretty()).expect("cannot write BENCH_9.json");
     println!("(consolidated summary written to {})", path.display());
 
     // Per-point metrics document (deepest point only keeps it readable).
@@ -250,20 +311,31 @@ fn main() {
     );
     assert!(
         p99_bounded,
-        "shed-path p99 unbounded: {:.1}ms (off p99 {:.1}ms)",
-        claim_on.shed_p99_ms(),
+        "protected p99 unbounded: {:.1}ms (bound {p99_bound_ms:.0}ms, off p99 {:.1}ms)",
+        claim_on.p99_ms(),
         claim_off.p99_ms()
     );
     assert!(
         protection_engaged,
-        "drive never engaged the protection layer: {} sheds, {} degraded reads",
-        claim_on.sheds, claim_on.degraded_reads
+        "drive never engaged the protection layer: {} sheds, {} suppressed fills",
+        claim_on.sheds, claim_on.rewarm_suppressed
+    );
+    assert!(
+        each_mechanism_needed,
+        "one mechanism alone held the plateau: {:.0} ops/s without the queue limit, {:.0} \
+         without the rewarm throttle (pre-knee peak {peak_preknee:.0})",
+        claim_no_queue.goodput(),
+        claim_no_rewarm.goodput()
+    );
+    assert!(
+        free_pre_knee,
+        "protection costs more than 5% of goodput at or below the knee ({knee} clients)"
     );
     println!(
-        "claims hold: goodput plateaus at {:.0} ops/s ({}x the knee) while the unprotected \
+        "claims hold: goodput plateaus at {:.0} ops/s ({:.1}x the knee) while the unprotected \
          stack collapses to {:.0} ops/s",
         claim_on.goodput(),
-        claim_clients / knee,
+        claim_clients as f64 / knee as f64,
         claim_off.goodput()
     );
 }

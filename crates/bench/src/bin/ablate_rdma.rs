@@ -6,24 +6,19 @@
 //! while the GlusterFS server traffic stays on IPoIB in both cases.
 
 use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
-use imca_memcached::Selector;
+use imca_core::ImcaConfig;
+use imca_fabric::Transport;
 use imca_metrics::Snapshot;
 use imca_workloads::latbench::{run, LatencyBench, LatencyResult};
 use imca_workloads::report::Table;
 use imca_workloads::SystemSpec;
 
 fn spec(rdma_bank: bool) -> SystemSpec {
-    SystemSpec::Imca {
-        mcds: 2,
-        block_size: 2048,
-        selector: Selector::Crc32,
-        threaded: false,
-        mcd_mem: 6 << 30,
-        rdma_bank,
-        batched: true,
-        replication: 1,
-        meta: imca_core::MetaConfig::default(),
-    }
+    SystemSpec::Imca(ImcaConfig {
+        mcd_count: 2,
+        bank_transport: rdma_bank.then(Transport::rdma_ddr),
+        ..ImcaConfig::default()
+    })
 }
 
 fn main() {

@@ -29,17 +29,13 @@ const MCDS: usize = 4;
 const RECORD_SIZE: u64 = 2048;
 
 fn spec(r: usize) -> SystemSpec {
-    SystemSpec::Imca {
-        mcds: MCDS,
+    SystemSpec::Imca(ImcaConfig {
+        mcd_count: MCDS,
         block_size: RECORD_SIZE,
         selector: Selector::Ketama,
-        threaded: false,
-        mcd_mem: 6 << 30,
-        rdma_bank: false,
-        batched: true,
-        replication: r,
-        meta: imca_core::MetaConfig::default(),
-    }
+        replication: Replication { factor: r },
+        ..ImcaConfig::default()
+    })
 }
 
 /// Exact quantile over the timed reads (merged across clients).

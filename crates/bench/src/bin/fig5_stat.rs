@@ -4,7 +4,8 @@
 //! 2 is zero").
 
 use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
-use imca_memcached::Selector;
+use imca_core::ImcaConfig;
+use imca_memcached::McConfig;
 use imca_metrics::Snapshot;
 use imca_workloads::report::Table;
 use imca_workloads::statbench::{run, StatBench, StatBenchResult};
@@ -28,16 +29,12 @@ fn main() {
         (12_288, vec![1, 2, 4, 8, 16, 32], 1 << 20)
     };
 
-    let mcd = |n: usize| SystemSpec::Imca {
-        mcds: n,
-        block_size: 2048,
-        selector: Selector::Crc32,
-        threaded: false,
-        mcd_mem,
-        rdma_bank: false,
-        batched: true,
-        replication: 1,
-        meta: imca_core::MetaConfig::default(),
+    let mcd = |n: usize| {
+        SystemSpec::Imca(ImcaConfig {
+            mcd_count: n,
+            mcd_config: McConfig::with_mem_limit(mcd_mem),
+            ..ImcaConfig::default()
+        })
     };
     let systems: Vec<SystemSpec> = vec![
         SystemSpec::GlusterNoCache,
@@ -88,10 +85,10 @@ fn main() {
         vec!["miss_rate".into(), "evictions".into()],
     );
     for (si, spec) in systems.iter().enumerate() {
-        if let SystemSpec::Imca { mcds, .. } = spec {
+        if let SystemSpec::Imca(imca) = spec {
             let r = &results[si * clients_sweep.len() + clients_sweep.len() - 1];
             misses.push_row(
-                *mcds as f64,
+                imca.mcd_count as f64,
                 vec![r.mcd_miss_rate(), Some(r.mcd_evictions as f64)],
             );
         }

@@ -6,24 +6,18 @@
 //!   the threaded SMCache update.
 
 use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
-use imca_memcached::Selector;
+use imca_core::ImcaConfig;
 use imca_metrics::Snapshot;
 use imca_workloads::latbench::{run, LatencyBench, LatencyResult};
 use imca_workloads::report::Table;
 use imca_workloads::SystemSpec;
 
 fn imca_block(block_size: u64, threaded: bool) -> SystemSpec {
-    SystemSpec::Imca {
-        mcds: 1,
+    SystemSpec::Imca(ImcaConfig {
         block_size,
-        selector: Selector::Crc32,
-        threaded,
-        mcd_mem: 6 << 30,
-        rdma_bank: false,
-        batched: true,
-        replication: 1,
-        meta: imca_core::MetaConfig::default(),
-    }
+        threaded_updates: threaded,
+        ..ImcaConfig::default()
+    })
 }
 
 fn main() {

@@ -3,7 +3,8 @@
 //! §5.5, against NoCache and Lustre-1DS cold.
 
 use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
-use imca_memcached::Selector;
+use imca_core::ImcaConfig;
+use imca_memcached::{McConfig, Selector};
 use imca_metrics::Snapshot;
 use imca_workloads::iozone::{run, IozoneBench, IozoneResult};
 use imca_workloads::report::Table;
@@ -21,19 +22,16 @@ fn main() {
     let file_size = if opts.full { 1u64 << 30 } else { 8u64 << 20 };
     let threads_sweep = [1usize, 2, 4, 8];
 
-    let mcd = |n: usize| SystemSpec::Imca {
-        mcds: n,
-        block_size: 2048,
-        // "We replace the standard CRC32 hash function used by libmemcache
-        // with a static modulo function (round-robin) for distributing the
-        // data across the cache servers."
-        selector: Selector::Modulo,
-        threaded: false,
-        mcd_mem: if opts.full { 6 << 30 } else { 64 << 20 },
-        rdma_bank: false,
-        batched: true,
-        replication: 1,
-        meta: imca_core::MetaConfig::default(),
+    let mcd = |n: usize| {
+        SystemSpec::Imca(ImcaConfig {
+            mcd_count: n,
+            // "We replace the standard CRC32 hash function used by libmemcache
+            // with a static modulo function (round-robin) for distributing the
+            // data across the cache servers."
+            selector: Selector::Modulo,
+            mcd_config: McConfig::with_mem_limit(if opts.full { 6 << 30 } else { 64 << 20 }),
+            ..ImcaConfig::default()
+        })
     };
     let systems: Vec<SystemSpec> = vec![
         SystemSpec::GlusterNoCache,

@@ -43,9 +43,10 @@ pub struct ImcaConfig {
     pub mcd_costs: McdCosts,
     /// Optional transport override for bank traffic (RDMA ablation).
     pub bank_transport: Option<Transport>,
-    /// Per-RPC deadline / retry / circuit policy for every bank client.
-    /// Defaults are generous enough that a healthy deployment never trips
-    /// them; fault-injection tests and benches tighten them.
+    /// Per-RPC deadline / retry / circuit policy for every bank client —
+    /// static: one deadline per attempt, a fixed retry count. Defaults
+    /// are generous enough that a healthy deployment never trips them;
+    /// fault-injection tests and benches tighten them (EXPERIMENTS.md A3).
     pub retry: RetryPolicy,
     /// Optional separate policy for the server-side SMCache client. The
     /// updater streams large `noreply` pipelines whose trailing sync
@@ -74,12 +75,15 @@ pub struct ImcaConfig {
     /// Client-side graceful-degradation ladder (DESIGN.md §8): a client
     /// whose bank round was shed by admission control steps down to
     /// local-miss mode, forwarding reads straight to GlusterFS, and
-    /// probes its way back with `readmit_probability`. `None` (default)
-    /// keeps the legacy always-try-the-bank behaviour.
+    /// probes its way back. Measured net-negative on the overload drive
+    /// (EXPERIMENTS.md A12) and enabled by no drive; removal is pending a
+    /// benchmark re-baseline. `None` (default) always tries the bank.
     pub ladder: Option<DegradationLadder>,
     /// Server-side read-path rewarm throttle (DESIGN.md §8): bounds how
-    /// fast post-purge / post-restart fills repopulate the bank. `None`
-    /// (default) is unlimited, the legacy behaviour.
+    /// fast read-path fills repopulate the bank. With
+    /// [`McdCosts::queue_limit`] it is the overload-protection layer —
+    /// the two work only as a pair (EXPERIMENTS.md A12). `None`
+    /// (default) is unlimited.
     pub rewarm: Option<RewarmLimit>,
 }
 
@@ -209,30 +213,16 @@ impl Cluster {
         let (bank, smcache, lease_hub, server_child): ServerStack = match &cfg.imca {
             Some(imca) => {
                 let bank = Bank::start(&net, imca.mcd_count, &imca.mcd_config, &imca.mcd_costs);
-                let client = Rc::new(
-                    bank.client_replicated(
-                        server_node,
-                        imca.selector,
-                        imca.bank_transport.clone(),
-                        imca.server_retry
-                            .clone()
-                            .unwrap_or_else(|| imca.retry.clone()),
-                        imca.replication,
-                    ),
-                );
+                let server_retry = imca.server_retry.as_ref().unwrap_or(&imca.retry);
+                let client = Rc::new(bank.client(server_node, imca, server_retry.clone()));
                 let hub =
                     (imca.meta.policy == MetaPolicy::Lease).then(|| LeaseHub::new(handle.clone()));
-                let sm = SmCache::with_overload(
+                let sm = SmCache::new(
                     handle.clone(),
                     Rc::clone(&posix) as Xlator,
                     client,
-                    imca.block_size,
-                    imca.threaded_updates,
-                    imca.batching,
-                    imca.coherence,
-                    imca.meta,
+                    imca,
                     hub.clone(),
-                    imca.rewarm,
                 );
                 (Some(bank), Some(Rc::clone(&sm)), hub, sm as Xlator)
             }
@@ -281,28 +271,15 @@ impl Cluster {
         let mut mounted_cm = None;
         let stack: Xlator = match &self.cfg.imca {
             Some(imca) => {
-                let bank = Rc::new(
-                    self.bank
-                        .as_ref()
-                        .expect("imca config implies a bank")
-                        .client_replicated(
-                            client_node,
-                            imca.selector,
-                            imca.bank_transport.clone(),
-                            imca.retry.clone(),
-                            imca.replication,
-                        ),
-                );
+                let bank = self.bank.as_ref().expect("imca config implies a bank");
+                let bank = Rc::new(bank.client(client_node, imca, imca.retry.clone()));
                 // Seed each client's re-admission RNG from its mount
                 // index so degraded clients don't probe in lockstep.
-                let cm = CmCache::with_overload(
+                let cm = CmCache::new(
                     self.handle.clone(),
                     proto,
                     bank,
-                    imca.block_size,
-                    imca.batching,
-                    imca.meta,
-                    imca.ladder,
+                    imca,
                     self.cmcaches.borrow().len() as u64,
                 );
                 if let Some(hub) = &self.lease_hub {

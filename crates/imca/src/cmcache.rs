@@ -44,11 +44,10 @@ use imca_sim::join_all;
 use imca_sim::SimHandle;
 
 use crate::block::{assemble, cover};
+use crate::cluster::ImcaConfig;
 use crate::keys::block_key;
 use crate::mcd::BankClient;
-use crate::meta::{
-    MetaCache, MetaConfig, MetaEngine, StatFuture, StatMultiFuture, StatResult, StatSource,
-};
+use crate::meta::{MetaCache, MetaEngine, StatFuture, StatMultiFuture, StatResult, StatSource};
 
 /// Client-side cache interception counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,19 +68,22 @@ pub struct CmStats {
 /// the bank entirely and go straight to GlusterFS as local misses
 /// (`degraded_reads`), sparing the overloaded bank even the refused
 /// RPCs. Each degraded read instead *probes* the bank with probability
-/// `readmit_probability`; the first probe whose round completes without
+/// `probe_probability`; the first probe whose round completes without
 /// a shed steps back up (`readmissions`). The probabilistic probe keeps
 /// clients from re-admitting in lockstep and re-melting the bank.
+///
+/// Measured net-negative on the overload drive (EXPERIMENTS.md A12) and
+/// enabled by no drive; removal is pending a benchmark re-baseline.
 #[derive(Debug, Clone, Copy)]
 pub struct DegradationLadder {
     /// Per-read probability that a degraded client probes the bank.
-    pub readmit_probability: f64,
+    pub probe_probability: f64,
 }
 
 impl Default for DegradationLadder {
     fn default() -> DegradationLadder {
         DegradationLadder {
-            readmit_probability: 0.1,
+            probe_probability: 0.1,
         }
     }
 }
@@ -119,53 +121,43 @@ pub struct CmCache {
 }
 
 impl CmCache {
-    /// Stack CMCache above `child` (normally `protocol/client`), talking to
-    /// `bank`. `batched` selects one multi-get RPC per daemon for reads;
-    /// `false` falls back to one RPC per covering block (ablation).
-    /// `meta` picks the stat policy (see `crate::meta`); the default
-    /// reproduces the legacy bank round trip event-for-event.
-    pub fn with_meta(
+    /// Stack CMCache above `child` (normally `protocol/client`), talking
+    /// to `bank`, the way `cfg` describes the deployment: `batching`
+    /// selects one multi-get RPC per daemon for reads (`false` falls back
+    /// to one RPC per covering block, the ablation); `meta` picks the
+    /// stat policy (see `crate::meta`); `ladder` the overload ladder.
+    /// `ladder_seed` seeds the client-local re-admission RNG — give every
+    /// client a distinct seed (the cluster uses the mount index) so
+    /// degraded clients don't probe the recovering bank in lockstep.
+    pub fn new(
         handle: SimHandle,
         child: Xlator,
         bank: Rc<BankClient>,
-        block_size: u64,
-        batched: bool,
-        meta: MetaConfig,
-    ) -> Rc<CmCache> {
-        CmCache::with_overload(handle, child, bank, block_size, batched, meta, None, 0)
-    }
-
-    /// [`CmCache::with_meta`] plus the overload ladder. `ladder_seed`
-    /// seeds the client-local re-admission RNG — give every client a
-    /// distinct seed (the cluster uses the client's node id) so degraded
-    /// clients don't probe the recovering bank in lockstep.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_overload(
-        handle: SimHandle,
-        child: Xlator,
-        bank: Rc<BankClient>,
-        block_size: u64,
-        batched: bool,
-        meta: MetaConfig,
-        ladder: Option<DegradationLadder>,
+        cfg: &ImcaConfig,
         ladder_seed: u64,
     ) -> Rc<CmCache> {
+        let block_size = cfg.block_size;
         assert!(block_size > 0, "IMCa block size must be positive");
         let registry = Registry::new();
-        let meta = MetaEngine::new(handle.clone(), Rc::clone(&child), Rc::clone(&bank), meta);
+        let meta = MetaEngine::new(
+            handle.clone(),
+            Rc::clone(&child),
+            Rc::clone(&bank),
+            cfg.meta,
+        );
         Rc::new(CmCache {
             child,
             bank,
             meta,
             block_size,
-            batched,
+            batched: cfg.batching,
             stat_hits: registry.counter("stat_hits"),
             stat_misses: registry.counter("stat_misses"),
             read_hits: registry.counter("read_hits"),
             read_misses: registry.counter("read_misses"),
             stat_ns: registry.histogram("stat_ns"),
             read_ns: registry.histogram("read_ns"),
-            ladder,
+            ladder: cfg.ladder,
             degraded: Cell::new(false),
             // Golden-ratio constant XOR an odd term: nonzero whatever
             // the seed.
@@ -221,10 +213,7 @@ impl CmCache {
     /// bank. xorshift64 on client-local state — deterministic, and
     /// de-synchronised across clients by the per-client seed.
     fn roll_readmit(&self) -> bool {
-        let p = self
-            .ladder
-            .map(|l| l.readmit_probability)
-            .unwrap_or_default();
+        let p = self.ladder.map(|l| l.probe_probability).unwrap_or_default();
         let mut x = self.ladder_rng.get();
         x ^= x << 13;
         x ^= x >> 7;
@@ -287,7 +276,7 @@ impl Translator for CmCache {
                     // Degradation ladder: while stepped down, reads skip
                     // the bank entirely and go straight to GlusterFS — no
                     // MCD round-trips added to an already-overloaded bank.
-                    // A random `readmit_probability` fraction of reads
+                    // A random `probe_probability` fraction of reads
                     // still probe the bank; one clean probe re-admits.
                     let probing = if self.ladder.is_some() && self.degraded.get() {
                         if !self.roll_readmit() {
@@ -375,10 +364,11 @@ mod tests {
     use super::*;
     use crate::keys::stat_key;
     use crate::mcd::{Bank, BankClient, McdCosts};
+    use crate::meta::MetaConfig;
     use bytes::Bytes;
     use imca_fabric::{Network, Transport};
     use imca_glusterfs::FileStat;
-    use imca_memcached::{McConfig, Selector};
+    use imca_memcached::McConfig;
     use imca_sim::{Sim, SimDuration};
     use std::cell::RefCell as StdRefCell;
 
@@ -428,28 +418,15 @@ mod tests {
         batched: bool,
         meta: MetaConfig,
     ) -> (Rc<CmCache>, Rc<Recorder>, Rc<BankClient>) {
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let mcds = Bank::start(&net, 2, &McConfig::default(), &McdCosts::default());
-        let client_node = net.add_node();
-        let bank = Rc::new(mcds.client(client_node, Selector::Crc32, None));
-        // Leak the bank into a task so the daemon actors stay alive.
-        let rec = Rc::new(Recorder {
-            log: StdRefCell::new(Vec::new()),
-            file,
-        });
-        let cm = CmCache::with_meta(
-            sim.handle(),
-            Rc::clone(&rec) as Xlator,
-            Rc::clone(&bank),
-            bs,
-            batched,
+        let cfg = ImcaConfig {
+            block_size: bs,
+            batching: batched,
+            mcd_count: 2,
+            mcd_config: McConfig::default(),
             meta,
-        );
-        sim.handle().spawn(async move {
-            let _keepalive = mcds;
-            std::future::pending::<()>().await;
-        });
-        (cm, rec, bank)
+            ..ImcaConfig::default()
+        };
+        rig(sim, file, &cfg)
     }
 
     /// A rig with daemon-side admission control and the client ladder on.
@@ -459,24 +436,37 @@ mod tests {
         costs: McdCosts,
         ladder: DegradationLadder,
     ) -> (Rc<CmCache>, Rc<Recorder>, Rc<BankClient>) {
+        let cfg = ImcaConfig {
+            mcd_config: McConfig::default(),
+            mcd_costs: costs,
+            ladder: Some(ladder),
+            ..ImcaConfig::default()
+        };
+        rig(sim, file, &cfg)
+    }
+
+    /// The bank and one CMCache over a recording child, as `cfg`
+    /// describes them.
+    fn rig(
+        sim: &Sim,
+        file: Vec<u8>,
+        cfg: &ImcaConfig,
+    ) -> (Rc<CmCache>, Rc<Recorder>, Rc<BankClient>) {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let mcds = Bank::start(&net, 1, &McConfig::default(), &costs);
-        let client_node = net.add_node();
-        let bank = Rc::new(mcds.client(client_node, Selector::Crc32, None));
+        let mcds = Bank::start(&net, cfg.mcd_count, &cfg.mcd_config, &cfg.mcd_costs);
+        let bank = Rc::new(mcds.client(net.add_node(), cfg, cfg.retry.clone()));
         let rec = Rc::new(Recorder {
             log: StdRefCell::new(Vec::new()),
             file,
         });
-        let cm = CmCache::with_overload(
+        let cm = CmCache::new(
             sim.handle(),
             Rc::clone(&rec) as Xlator,
             Rc::clone(&bank),
-            2048,
-            true,
-            MetaConfig::default(),
-            Some(ladder),
+            cfg,
             0,
         );
+        // Leak the bank into a task so the daemon actors stay alive.
         sim.handle().spawn(async move {
             let _keepalive = mcds;
             std::future::pending::<()>().await;
@@ -488,7 +478,7 @@ mod tests {
     fn degraded_reads_skip_the_bank_entirely() {
         let mut sim = Sim::new(0);
         // queue_limit 0: the daemon sheds every read, unconditionally.
-        // readmit_probability 0: once degraded, the client never probes.
+        // probe_probability 0: once degraded, the client never probes.
         let (cm, rec, bank) = setup_overload(
             &sim,
             vec![7u8; 2048],
@@ -497,7 +487,7 @@ mod tests {
                 ..McdCosts::default()
             },
             DegradationLadder {
-                readmit_probability: 0.0,
+                probe_probability: 0.0,
             },
         );
         let cm2 = Rc::clone(&cm);
@@ -537,7 +527,7 @@ mod tests {
     fn ladder_steps_down_on_sheds_and_probes_back_up() {
         let mut sim = Sim::new(0);
         // Transient overload: a 1-deep queue on a slow daemon sheds only
-        // under concurrency. readmit_probability 1 probes every time.
+        // under concurrency. probe_probability 1 probes every time.
         let file: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
         let (cm, _rec, bank) = setup_overload(
             &sim,
@@ -548,7 +538,7 @@ mod tests {
                 ..McdCosts::default()
             },
             DegradationLadder {
-                readmit_probability: 1.0,
+                probe_probability: 1.0,
             },
         );
         let cm2 = Rc::clone(&cm);

@@ -63,8 +63,8 @@ mod smcache;
 pub use cluster::{Cluster, ClusterConfig, ImcaConfig};
 pub use cmcache::{CmCache, CmStats, DegradationLadder};
 pub use mcd::{
-    start_mcd, AdaptiveDeadline, Bank, BankClient, BankStats, CasToken, CasVerdict, HedgePolicy,
-    McdCosts, McdNode, McdReq, McdResp, Replication, RetryBudget, RetryPolicy,
+    start_mcd, Bank, BankClient, BankStats, CasToken, CasVerdict, HedgePolicy, McdCosts, McdNode,
+    McdReq, McdResp, Replication, RetryPolicy,
 };
 pub use meta::{
     serve_revocations, LeaseAck, LeaseHub, LeaseRevoke, MetaCache, MetaConfig, MetaEngine,

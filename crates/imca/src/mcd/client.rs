@@ -1,892 +1,24 @@
-//! The MCD array (§4.1): MemCached daemons on dedicated nodes, and the
-//! client side of the bank that CMCache and SMCache talk to.
-//!
-//! Each daemon node runs the *real* storage engine from `imca-memcached`
-//! behind an RPC service; the bank client does libmemcache-style key
-//! distribution (CRC-32 or static-modulo, §5.1/§5.5) and handles daemon
-//! failures transparently (§4.4) by treating a dead daemon as a miss —
-//! deliberately *not* rehashing to another daemon, which can serve stale
-//! data once daemons come and go (see [`BankClient`]).
-//!
-//! The bank is owned and administered through a [`Bank`] handle:
-//! `Bank::start` brings the daemons up, `bank.kill(i)` / `bank.revive(i)`
-//! drive the failover experiments, `bank.stats()` scrapes the daemons, and
-//! `bank.client(..)` connects a consumer.
-//!
-//! Every key lives on its [`Replication`] `factor` daemons (DESIGN.md
-//! §4d) — its selector primary and the next `R − 1` after it; the paper's
-//! single-home bank is simply `R = 1`. [`BankClient`] does each of its
-//! jobs one way at every factor:
-//!
-//! * **one read loop** behind [`BankClient::get`] and
-//!   [`BankClient::get_multi`]: route each key to one usable replica
-//!   (power-of-two-choices on the client's own in-flight counts), send —
-//!   one multi-key `get` RPC per daemon for a batch, the way libmemcache
-//!   batches (DESIGN.md §4c); a direct, optionally hedged RPC for a
-//!   single key — settle the reply, and fail over past a replica that is
-//!   dead, shed or failed in flight until one answers or none is left (a
-//!   local miss). A per-client single-flight table additionally coalesces
-//!   concurrent GETs for one key into a single in-flight RPC;
-//! * **one write fan-out** behind [`BankClient::set`],
-//!   [`BankClient::delete`] and [`BankClient::cas`]: the request goes to
-//!   every usable target, and a daemon whose write fails is quarantined;
-//! * **one `noreply` pipeline** behind [`BankClient::set_pipeline`] and
-//!   [`BankClient::delete_pipeline`]: per daemon the commands stream
-//!   back-to-back with a single trailing `version` round trip as the sync
-//!   barrier.
-//!
-//! All three reach the daemons through one [`Wire`]: the deadline,
-//! retry, backoff and retry-budget loop around a single RPC.
+//! The client side of the bank: [`BankClient`], the bank of MCDs as
+//! seen from one node.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use imca_fabric::{Network, NodeId, RpcClient, Service, Transport, WireSize};
+use imca_fabric::NodeId;
 use imca_memcached::protocol::{Command, Response, StoreVerb, Value};
-use imca_memcached::{McConfig, McServer, McStats, Selector, ServerMap};
-use imca_metrics::{prefixed, Counter, Histogram, MetricSource, Registry, RttEstimator, Snapshot};
-use imca_sim::sync::{oneshot, OneshotReceiver, OneshotSender, Queue, Resource};
-use imca_sim::{join_all, timeout, SimDuration, SimHandle, SimTime, TokenBucket};
+use imca_memcached::ServerMap;
+use imca_metrics::{Counter, Histogram, MetricSource, Registry, RttEstimator, Snapshot};
+use imca_sim::sync::{oneshot, OneshotReceiver, OneshotSender, Queue};
+use imca_sim::{join_all, SimDuration, SimTime};
 
-/// Request wrapper carrying a memcached protocol command across the fabric.
-#[derive(Debug, Clone)]
-pub struct McdReq(pub Command);
-
-/// Response wrapper (None = noreply command, which produces no frame).
-#[derive(Debug, Clone)]
-pub struct McdResp(pub Option<Response>);
-
-impl WireSize for McdReq {
-    fn wire_bytes(&self) -> usize {
-        // Text-protocol framing without paying for an actual encode.
-        match &self.0 {
-            Command::Store {
-                verb, key, data, ..
-            } => {
-                // A `cas` line additionally carries the decimal token.
-                let token = match verb {
-                    StoreVerb::Cas(_) => 21,
-                    _ => 0,
-                };
-                24 + token + key.len() + data.len()
-            }
-            Command::Get { keys, with_cas } => {
-                // `gets` vs `get`: one extra command byte.
-                6 + usize::from(*with_cas) + keys.iter().map(|k| k.len() + 1).sum::<usize>()
-            }
-            Command::Delete { key, .. } => 9 + key.len(),
-            Command::Arith { key, .. } => 16 + key.len(),
-            Command::Touch { key, .. } => 18 + key.len(),
-            Command::FlushAll { .. } => 11,
-            Command::Stats | Command::Version | Command::Quit => 9,
-        }
-    }
-}
-
-impl WireSize for McdResp {
-    fn wire_bytes(&self) -> usize {
-        match &self.0 {
-            Some(Response::Values(values)) => {
-                // A `gets` reply carries the decimal CAS token per value.
-                5 + values
-                    .iter()
-                    .map(|v| 24 + v.key.len() + v.data.len() + v.cas.map_or(0, |_| 21))
-                    .sum::<usize>()
-            }
-            Some(Response::Stats(pairs)) => {
-                5 + pairs
-                    .iter()
-                    .map(|(k, v)| 7 + k.len() + v.len())
-                    .sum::<usize>()
-            }
-            Some(_) => 16,
-            None => 0,
-        }
-    }
-}
-
-/// Service-time model for one daemon: event-loop CPU per command plus a
-/// memcpy proportional to the value bytes touched.
-#[derive(Debug, Clone)]
-pub struct McdCosts {
-    /// Fixed per-command processing (hash, LRU, slab bookkeeping).
-    pub per_op: SimDuration,
-    /// Value copy bandwidth, bytes/s.
-    pub memcpy_bps: f64,
-    /// Admission control: commands admitted onto the event loop at once
-    /// (serving + queued). When full, *reads* are refused immediately
-    /// with `SERVER_ERROR busy` instead of queueing unboundedly — the
-    /// client treats the shed as a miss and falls through to the
-    /// backend. Writes, deletes, sync barriers and the write path's token
-    /// fetch (`gets`) are always admitted: shedding a purge or store would
-    /// leave replicas stale, which the coherence machinery only knows how
-    /// to handle via quarantine, and a refused token fetch would read as
-    /// "nothing cached here to replace". `None` (the default) leaves the
-    /// queue unbounded.
-    pub queue_limit: Option<usize>,
-}
-
-impl Default for McdCosts {
-    fn default() -> McdCosts {
-        McdCosts {
-            per_op: SimDuration::micros(3),
-            memcpy_bps: 3e9,
-            queue_limit: None,
-        }
-    }
-}
-
-impl McdCosts {
-    fn service_time(&self, touched_bytes: usize) -> SimDuration {
-        self.per_op + SimDuration::from_secs_f64(touched_bytes as f64 / self.memcpy_bps)
-    }
-}
-
-/// Per-RPC deadline, retry, and fail-fast behaviour of a [`BankClient`].
-///
-/// The defaults are deliberately generous: on a healthy fabric the bank
-/// never comes close to them (a pipeline sync can legitimately wait a
-/// couple of milliseconds behind hundreds of streamed stores), so healthy
-/// simulations behave exactly as if no deadline existed. Fault-injection
-/// experiments pass tighter policies explicitly.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Per-attempt RPC deadline. An attempt that has not answered by then
-    /// is abandoned (the late response, if any, is discarded).
-    pub deadline: SimDuration,
-    /// Retries after the first timed-out attempt. Note that a *reset*
-    /// (daemon killed mid-flight) is never retried — the connection is
-    /// dead and libmemcache fails the op immediately.
-    pub retries: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub backoff_base: SimDuration,
-    /// Backoff ceiling for the exponential doubling.
-    pub backoff_cap: SimDuration,
-    /// After all retries time out, the daemon's circuit opens for this
-    /// long: ops route as local misses with no wire traffic, then the
-    /// next op after expiry probes the daemon again.
-    pub circuit_cooldown: SimDuration,
-    /// Replace the static `deadline` with a per-daemon RTT-tracked one
-    /// (DESIGN.md §8). `None` (default) keeps the static deadline.
-    pub adaptive: Option<AdaptiveDeadline>,
-    /// Client-global token-bucket budget that every retry (and hedge)
-    /// must spend from, so retries cannot amplify an overload into a
-    /// retry storm. A denied retry fails the op fast, counted in
-    /// `retry_budget_exhausted`. `None` (default) = unlimited retries.
-    pub retry_budget: Option<RetryBudget>,
-    /// Hedged reads at replication ≥ 2: a GET still unanswered past the
-    /// primary's tracked tail latency fires one hedge to the next live
-    /// replica; first answer wins. `None` (default) = no hedging: the
-    /// read loop tries one replica at a time.
-    pub hedge: Option<HedgePolicy>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            deadline: SimDuration::millis(50),
-            retries: 2,
-            backoff_base: SimDuration::micros(100),
-            backoff_cap: SimDuration::millis(1),
-            circuit_cooldown: SimDuration::millis(100),
-            adaptive: None,
-            retry_budget: None,
-            hedge: None,
-        }
-    }
-}
-
-/// Adaptive per-daemon deadline (DESIGN.md §8): once a daemon's
-/// [`RttEstimator`] has `warmup` samples, each RPC's deadline becomes
-/// `clamp(multiplier × (srtt + 4·rttvar), min, max)` instead of the
-/// policy's static `deadline`. A healthy daemon thus gets abandoned in a
-/// few hundred microseconds rather than 50ms — which is what turns an
-/// overloaded daemon into a fast, bounded degraded miss instead of a
-/// stalled client.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveDeadline {
-    /// Deadline as a multiple of the tracked tail proxy.
-    pub multiplier: f64,
-    /// Deadline floor (spurious-timeout guard).
-    pub min: SimDuration,
-    /// Deadline ceiling (usually the old static deadline).
-    pub max: SimDuration,
-    /// RTT samples required per daemon before the estimate is trusted;
-    /// below it the static deadline applies.
-    pub warmup: u64,
-}
-
-impl Default for AdaptiveDeadline {
-    fn default() -> AdaptiveDeadline {
-        AdaptiveDeadline {
-            multiplier: 3.0,
-            min: SimDuration::micros(200),
-            max: SimDuration::millis(50),
-            warmup: 16,
-        }
-    }
-}
-
-/// Client-global retry/hedge token bucket (the SRE retry-budget shape):
-/// tokens accrue at `refill_per_sec` up to `burst`, every retry attempt
-/// and every fired hedge spends one, and an empty bucket means fail fast
-/// — under overload the extra load a client may add on top of its
-/// first-attempt traffic is bounded by the refill rate.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryBudget {
-    /// Sustained retries/hedges per second.
-    pub refill_per_sec: f64,
-    /// Bucket capacity (burst allowance).
-    pub burst: f64,
-}
-
-impl Default for RetryBudget {
-    fn default() -> RetryBudget {
-        RetryBudget {
-            refill_per_sec: 10.0,
-            burst: 10.0,
-        }
-    }
-}
-
-/// Hedged-read policy (replication ≥ 2 only). The hedge delay for a GET
-/// to daemon `d` is `clamp(tail(d), min_delay, max_delay)` — the tracked
-/// p95 proxy — or `max_delay` before the estimator has `warmup` samples.
-/// A hedge fires only if the primary has not answered by then, spends a
-/// [`RetryBudget`] token when one is configured, and goes to the next
-/// live replica in placement order; the first answer wins and the loser
-/// is abandoned (its late result is discarded, never settled).
-#[derive(Debug, Clone, Copy)]
-pub struct HedgePolicy {
-    /// Hedge-delay floor: never hedge earlier than this.
-    pub min_delay: SimDuration,
-    /// Hedge-delay ceiling, and the delay used before warmup.
-    pub max_delay: SimDuration,
-    /// RTT samples required before the tracked tail drives the delay.
-    pub warmup: u64,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> HedgePolicy {
-        HedgePolicy {
-            min_delay: SimDuration::micros(100),
-            max_delay: SimDuration::millis(5),
-            warmup: 16,
-        }
-    }
-}
-
-/// Replica placement for bank entries (DESIGN.md §4d).
-///
-/// `factor: R` places every key on its selector primary plus the next
-/// `R − 1` distinct daemons in placement order — ring successors under
-/// ketama, linear successors under CRC-32/modulo. Writes and purges fan
-/// out to the whole replica set; reads pick one live replica per request
-/// by power-of-two-choices on the client's own in-flight load and fail
-/// over to the next live replica when a daemon is dead or shed (a warm
-/// hit where the single-home bank takes a miss). `factor: 1` (the
-/// default) is the paper's single-home bank: the same code over a
-/// one-entry replica set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Replication {
-    /// Daemons each key lives on, clamped to the bank size.
-    pub factor: usize,
-}
-
-impl Default for Replication {
-    fn default() -> Replication {
-        Replication { factor: 1 }
-    }
-}
-
-/// A CAS token as the bank client hands it out: the engine's `gets`
-/// token *tagged with the daemon whose token space it belongs to*.
-///
-/// Every daemon numbers its stores from its own monotonic counter, so
-/// two daemons' token spaces overlap numerically: a bare `u64` read from
-/// replica A would happily "match" an unrelated store on replica B. With
-/// replication a failover re-route answers a retry round from a
-/// *different* daemon than the original primary, which is exactly the
-/// situation where an untagged token silently crosses spaces. Tagging
-/// makes the confusion unrepresentable — a [`BankClient::cas`] always
-/// goes back to `daemon`, and only to `daemon` (DESIGN.md §4f).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CasToken {
-    /// The daemon whose token space `token` lives in — the one that
-    /// answered the `gets`.
-    pub daemon: usize,
-    /// The engine token from that daemon's reply.
-    pub token: u64,
-}
-
-/// One key's answer rows from [`BankClient::gets_for_update`]: for each
-/// usable write-target replica, `(daemon, value + token)` — `None` when
-/// that daemon answered but does not hold the key (cold replica).
-pub type ReplicaRows = Vec<(usize, Option<(Bytes, CasToken)>)>;
-
-/// Outcome of one compare-and-swap store (DESIGN.md §4f).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CasVerdict {
-    /// The token still matched: the value was replaced in place.
-    Stored,
-    /// The key exists with a newer token — someone updated it between
-    /// the `gets` and the `cas`.
-    Conflict,
-    /// The key vanished between the `gets` and the `cas` (concurrent
-    /// delete/purge or eviction).
-    Missing,
-    /// No definitive daemon answer: dead/shed at routing time, reset or
-    /// timed out mid-flight (the daemon is then quarantined like any
-    /// failed write — see [`BankClient::settle_write`] — so it cannot
-    /// keep serving the possibly-stale old value).
-    Failed,
-}
-
-/// What one deadline-guarded bank RPC resolved to.
-enum CallOutcome {
-    /// The daemon answered within the deadline.
-    Resp(McdResp),
-    /// The daemon reset the connection (killed mid-flight). Fail fast; no
-    /// retry — the op is already known lost.
-    Dropped,
-    /// Every attempt ran out its deadline (lost on the wire, partitioned,
-    /// or the daemon is hopelessly slow).
-    TimedOut,
-}
-
-/// Map a `cas` store's RPC outcome to its verdict. Anything that is not
-/// a definitive engine answer — transport failure, or a non-store reply
-/// such as a `CLIENT_ERROR` — is [`CasVerdict::Failed`]; the caller's
-/// settle step decides what that means for the daemon.
-fn cas_verdict(outcome: &CallOutcome) -> CasVerdict {
-    match outcome {
-        CallOutcome::Resp(McdResp(Some(Response::Stored))) => CasVerdict::Stored,
-        CallOutcome::Resp(McdResp(Some(Response::Exists))) => CasVerdict::Conflict,
-        CallOutcome::Resp(McdResp(Some(Response::NotFound))) => CasVerdict::Missing,
-        CallOutcome::Resp(_) | CallOutcome::Dropped | CallOutcome::TimedOut => CasVerdict::Failed,
-    }
-}
-
-/// A `set`/`cas` store request with no flags and no expiry.
-fn store_req(verb: StoreVerb, key: Vec<u8>, data: Bytes, noreply: bool) -> McdReq {
-    McdReq(Command::Store {
-        verb,
-        key,
-        flags: 0,
-        exptime: 0,
-        data,
-        noreply,
-    })
-}
-
-/// The shared retry/hedge token bucket plus its denial counter — one per
-/// client, cloned into every budgeted [`Wire::call`] so batched `'static`
-/// futures can carry it (`None` = unlimited).
-#[derive(Clone)]
-struct BudgetHandle {
-    bucket: Rc<TokenBucket>,
-    exhausted: Counter,
-}
-
-impl BudgetHandle {
-    /// Spend one token; on denial count it and report `false`.
-    fn spend(&self, now: SimTime) -> bool {
-        if self.bucket.try_take(now) {
-            true
-        } else {
-            self.exhausted.inc();
-            false
-        }
-    }
-}
-
-/// The next retry backoff: doubled, up to the policy's cap.
-fn doubled(backoff: SimDuration, policy: &RetryPolicy) -> SimDuration {
-    SimDuration::nanos((backoff.as_nanos().saturating_mul(2)).min(policy.backoff_cap.as_nanos()))
-}
-
-/// The client's end of the wire to every daemon: everything a
-/// deadline-guarded call needs besides its target, policy and request.
-/// Its calls are self-contained `'static` futures, so batched paths can
-/// run them per daemon through `join_all` and hedges in their own task.
-struct Wire {
-    handle: SimHandle,
-    clients: Vec<RpcClient<McdReq, McdResp>>,
-    /// RPC attempts abandoned at their deadline.
-    rpc_timeouts: Counter,
-    /// Retried attempts and retransmitted pipeline posts.
-    retries: Counter,
-}
-
-impl Wire {
-    /// One deadline-guarded attempt loop against daemon `idx`. Every
-    /// retry after the first attempt spends from `budget` when one is
-    /// given; a denied retry fails fast as [`CallOutcome::TimedOut`].
-    fn call(
-        &self,
-        idx: usize,
-        policy: RetryPolicy,
-        budget: Option<BudgetHandle>,
-        req: McdReq,
-    ) -> impl Future<Output = CallOutcome> + 'static {
-        let handle = self.handle.clone();
-        let client = self.clients[idx].clone();
-        let rpc_timeouts = self.rpc_timeouts.clone();
-        let retries = self.retries.clone();
-        async move {
-            let mut backoff = policy.backoff_base;
-            let mut attempt = 0;
-            loop {
-                let c = client.clone();
-                let r = req.clone();
-                match timeout(&handle, policy.deadline, async move { c.try_call(r).await }).await {
-                    Some(Some(resp)) => return CallOutcome::Resp(resp),
-                    Some(None) => return CallOutcome::Dropped,
-                    None => {
-                        rpc_timeouts.inc();
-                        if attempt >= policy.retries {
-                            return CallOutcome::TimedOut;
-                        }
-                        if budget.as_ref().is_some_and(|b| !b.spend(handle.now())) {
-                            // Budget dry: retrying now would amplify the
-                            // overload — fail fast instead.
-                            return CallOutcome::TimedOut;
-                        }
-                        attempt += 1;
-                        retries.inc();
-                        handle.sleep(backoff).await;
-                        backoff = doubled(backoff, &policy);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The `noreply` pipeline to daemon `idx`: `batch` is streamed
-    /// back-to-back without individual acknowledgements, then a single
-    /// `version` round trip flushes the daemon's FIFO event loop — every
-    /// streamed command completes before the sync answers, so the sync's
-    /// outcome stands for the whole batch. A post the wire refuses is
-    /// retransmitted with the same capped backoff as [`Wire::call`]; once
-    /// the policy's retries are spent the connection is declared dead and
-    /// nothing past that point is known to have landed.
-    fn pipeline(
-        &self,
-        idx: usize,
-        policy: RetryPolicy,
-        batch: impl Iterator<Item = McdReq> + 'static,
-    ) -> impl Future<Output = CallOutcome> + 'static {
-        let handle = self.handle.clone();
-        let client = self.clients[idx].clone();
-        let retries = self.retries.clone();
-        let sync = self.call(idx, policy.clone(), None, McdReq(Command::Version));
-        async move {
-            for req in batch {
-                let mut backoff = policy.backoff_base;
-                let mut attempt = 0;
-                while !client.post(req.clone()).await {
-                    if attempt >= policy.retries {
-                        return CallOutcome::TimedOut;
-                    }
-                    attempt += 1;
-                    retries.inc();
-                    handle.sleep(backoff).await;
-                    backoff = doubled(backoff, &policy);
-                }
-            }
-            sync.await
-        }
-    }
-}
-
-/// A running MCD node.
-pub struct McdNode {
-    /// Fabric node the daemon runs on.
-    pub node: NodeId,
-    service: Service<McdReq, McdResp>,
-    server: Rc<McServer>,
-    alive: Rc<Cell<bool>>,
-    /// Sticky write-safety flag, shared by every [`BankClient`]: set when
-    /// any client's *write* to this daemon fails (timed-out pipeline sync,
-    /// retransmit give-up, reset store/delete), because the daemon may
-    /// hold state that a failed purge or push left stale. A quarantined
-    /// daemon is a local miss for everyone until [`Bank::revive`] — which
-    /// restarts it empty — clears the flag. Unlike the per-client circuit
-    /// breaker this never auto-expires: time cannot prove the stale data
-    /// went away.
-    quarantined: Rc<Cell<bool>>,
-    /// Commands admitted onto the event loop right now (serving +
-    /// queued) — what `McdCosts::queue_limit` bounds.
-    queue_depth: Rc<Cell<u64>>,
-    /// High-water mark of `queue_depth` over the daemon's lifetime.
-    queue_peak: Rc<Cell<u64>>,
-    /// Reads refused with `busy` by admission control (also in the
-    /// registry; kept here so [`Bank::collect`] can publish the
-    /// `per_daemon.{i}.sheds` imbalance view).
-    sheds: Counter,
-    registry: Registry,
-}
-
-impl McdNode {
-    /// Scrape this daemon's `stats` (out-of-band, like the paper's
-    /// "statistics taken from the MCDs").
-    pub fn stats(&self) -> McStats {
-        self.server.store().stats()
-    }
-
-    /// Direct access to the engine (tests).
-    pub fn server(&self) -> &McServer {
-        &self.server
-    }
-
-    /// Whether the daemon is accepting requests.
-    pub fn is_alive(&self) -> bool {
-        self.alive.get()
-    }
-
-    /// Whether a failed write has quarantined this daemon (see the field
-    /// docs — cleared only by [`Bank::revive`]).
-    pub fn is_quarantined(&self) -> bool {
-        self.quarantined.get()
-    }
-}
-
-impl MetricSource for McdNode {
-    fn collect(&self, prefix: &str, snap: &mut Snapshot) {
-        self.registry.collect(prefix, snap);
-        self.server
-            .store()
-            .collect(&prefixed(prefix, "store"), snap);
-        snap.set_gauge(prefixed(prefix, "alive"), self.alive.get() as i64);
-        snap.set_gauge(
-            prefixed(prefix, "quarantined"),
-            self.quarantined.get() as i64,
-        );
-        snap.set_gauge(
-            prefixed(prefix, "queue_depth"),
-            self.queue_depth.get() as i64,
-        );
-        snap.set_gauge(prefixed(prefix, "queue_peak"), self.queue_peak.get() as i64);
-    }
-}
-
-/// Decrements an occupancy counter when dropped — a daemon's
-/// admission-control depth when the serving task ends, however it ends
-/// (reply sent, killed mid-queue, or killed mid-service); a client's
-/// per-daemon in-flight count when the read RPC does.
-struct DecrOnDrop(Rc<Cell<u64>>);
-
-impl DecrOnDrop {
-    /// Count one more occupant of `cell` until the guard drops.
-    fn enter(cell: &Rc<Cell<u64>>) -> DecrOnDrop {
-        cell.set(cell.get() + 1);
-        DecrOnDrop(Rc::clone(cell))
-    }
-}
-
-impl Drop for DecrOnDrop {
-    fn drop(&mut self) {
-        self.0.set(self.0.get().saturating_sub(1));
-    }
-}
-
-/// Start a memcached daemon at `node`. `cfg` is the `-m` style config;
-/// `costs` its service-time model.
-pub fn start_mcd(net: &Network, node: NodeId, cfg: McConfig, costs: McdCosts) -> McdNode {
-    let service: Service<McdReq, McdResp> = Service::bind(net, node);
-    let server = Rc::new(McServer::new(cfg));
-    let alive = Rc::new(Cell::new(true));
-    let registry = Registry::new();
-    let requests = registry.counter("requests");
-    let dropped = registry.counter("dropped");
-    let sheds = registry.counter("sheds");
-    let service_ns = registry.histogram("service_ns");
-    let h = net.handle();
-    let cpu = Resource::new(1); // the daemon's single event loop
-                                // Commands admitted onto the event loop right now (serving + queued)
-                                // — the quantity `queue_limit` bounds — plus its high-water mark.
-    let queue_depth = Rc::new(Cell::new(0u64));
-    let queue_peak = Rc::new(Cell::new(0u64));
-    {
-        let service = service.clone();
-        let server = Rc::clone(&server);
-        let alive = Rc::clone(&alive);
-        let queue_depth = Rc::clone(&queue_depth);
-        let queue_peak = Rc::clone(&queue_peak);
-        let sheds = sheds.clone();
-        let h2 = h.clone();
-        h.spawn(async move {
-            // Dispatcher: take requests off the wire immediately (the NIC
-            // does not block on the event loop) and hand each one to a
-            // task that holds the single-slot CPU for the *whole* command
-            // — apply plus service time — so concurrent requests queue
-            // behind each other instead of being serviced in parallel.
-            // The resource's FIFO ticketing preserves arrival order,
-            // which is what makes a trailing `version` call a sync
-            // barrier for pipelined `noreply` commands.
-            while let Some(incoming) = service.recv().await {
-                if !alive.get() {
-                    // Dead daemon: drop the request (client sees a reset).
-                    dropped.inc();
-                    continue;
-                }
-                if let Some(limit) = costs.queue_limit {
-                    // Admission control: a full queue sheds reads with an
-                    // explicit `busy` before they touch the event loop.
-                    // Only plain reads — a `gets` is the write path
-                    // fetching its tokens; see the `queue_limit` docs.
-                    if queue_depth.get() >= limit as u64
-                        && matches!(
-                            incoming.req.0,
-                            Command::Get {
-                                with_cas: false,
-                                ..
-                            }
-                        )
-                    {
-                        sheds.inc();
-                        incoming.respond(McdResp(Some(Response::busy())));
-                        continue;
-                    }
-                }
-                requests.inc();
-                queue_depth.set(queue_depth.get() + 1);
-                queue_peak.set(queue_peak.get().max(queue_depth.get()));
-                let t0 = h2.now();
-                let server = Rc::clone(&server);
-                let alive = Rc::clone(&alive);
-                let cpu = cpu.clone();
-                let costs = costs.clone();
-                let service_ns = service_ns.clone();
-                let dropped = dropped.clone();
-                let queue_depth = Rc::clone(&queue_depth);
-                let h3 = h2.clone();
-                h2.spawn(async move {
-                    let (req, _src, replier) = incoming.into_parts();
-                    let _depth = DecrOnDrop(queue_depth);
-                    let _slot = cpu.acquire().await;
-                    if !alive.get() {
-                        // Killed while queued on the event loop.
-                        dropped.inc();
-                        return;
-                    }
-                    let touched = match &req.0 {
-                        Command::Store { data, .. } => data.len(),
-                        _ => 0,
-                    };
-                    let now_secs = h3.now().as_nanos() / 1_000_000_000;
-                    let resp = server.apply(&req.0, now_secs);
-                    // Response value bytes also cross the daemon's memcpy.
-                    let resp_touched = match &resp {
-                        Some(Response::Values(vals)) => {
-                            vals.iter().map(|v| v.data.len()).sum::<usize>()
-                        }
-                        _ => 0,
-                    };
-                    h3.sleep(costs.service_time(touched + resp_touched)).await;
-                    if !alive.get() {
-                        // Killed mid-service: the process died before the
-                        // response hit the socket.
-                        dropped.inc();
-                        return;
-                    }
-                    // Sojourn time: queueing on the event loop included.
-                    service_ns.record_duration(h3.now().since(t0));
-                    replier.reply(McdResp(resp));
-                });
-            }
-        });
-    }
-    McdNode {
-        node,
-        service,
-        server,
-        alive,
-        quarantined: Rc::new(Cell::new(false)),
-        queue_depth,
-        queue_peak,
-        sheds,
-        registry,
-    }
-}
-
-/// The MCD bank as an owned, administrable unit.
-///
-/// Owning the daemons through one handle replaces the old loose
-/// `Vec<McdNode>` + free-function style: failure injection goes through
-/// [`Bank::kill`] / [`Bank::revive`] (which also maintain the
-/// `mcd_failovers` / `mcd_revivals` metrics), aggregation through
-/// [`Bank::stats`], and consumers connect with [`Bank::client`].
-pub struct Bank {
-    nodes: Vec<McdNode>,
-    registry: Registry,
-    mcd_failovers: Counter,
-    mcd_revivals: Counter,
-}
-
-impl Bank {
-    /// Spin up `count` daemons on fresh fabric nodes.
-    pub fn start(net: &Network, count: usize, cfg: &McConfig, costs: &McdCosts) -> Bank {
-        Bank::from_nodes(
-            (0..count)
-                .map(|_| {
-                    let node = net.add_node();
-                    start_mcd(net, node, cfg.clone(), costs.clone())
-                })
-                .collect(),
-        )
-    }
-
-    /// Adopt already-running daemons (custom placement).
-    pub fn from_nodes(nodes: Vec<McdNode>) -> Bank {
-        let registry = Registry::new();
-        Bank {
-            nodes,
-            mcd_failovers: registry.counter("mcd_failovers"),
-            mcd_revivals: registry.counter("mcd_revivals"),
-            registry,
-        }
-    }
-
-    /// The daemons, in bank order (index = routing slot).
-    pub fn nodes(&self) -> &[McdNode] {
-        &self.nodes
-    }
-
-    /// Number of daemons in the bank.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the bank has no daemons.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Kill daemon `i`: it stops answering; in-flight requests are
-    /// dropped. Stored items stay in memory (they are unreachable until
-    /// revival, like a partitioned daemon). Counts one failover on the
-    /// alive→dead transition.
-    pub fn kill(&self, i: usize) {
-        if self.nodes[i].alive.replace(false) {
-            self.mcd_failovers.inc();
-        }
-    }
-
-    /// Revive daemon `i`. The daemon restarts *empty*, as a crashed
-    /// memcached would — rejoining with old memory intact is the
-    /// stale-resurfacing hazard [`BankClient`]'s routing exists to avoid.
-    /// Restarting empty is also why revival is the one operation allowed
-    /// to lift a write-failure quarantine: there is provably nothing stale
-    /// left to serve.
-    pub fn revive(&self, i: usize) {
-        let node = &self.nodes[i];
-        node.server.store().flush_all();
-        node.quarantined.set(false);
-        if !node.alive.replace(true) {
-            self.mcd_revivals.inc();
-        }
-    }
-
-    /// Daemons killed through this handle so far (dead→alive transitions
-    /// not counted back).
-    pub fn failovers(&self) -> u64 {
-        self.mcd_failovers.get()
-    }
-
-    /// Sum daemon-side stats across the bank ("statistics from the MCDs",
-    /// §5.2).
-    pub fn stats(&self) -> McStats {
-        sum_mcd_stats(&self.nodes)
-    }
-
-    /// Connect a consumer at `from` to every daemon with the default
-    /// [`RetryPolicy`]. `transport` optionally overrides the fabric
-    /// default (RDMA ablation).
-    pub fn client(
-        &self,
-        from: NodeId,
-        selector: Selector,
-        transport: Option<Transport>,
-    ) -> BankClient {
-        self.client_with(from, selector, transport, RetryPolicy::default())
-    }
-
-    /// [`Bank::client`] with an explicit deadline/retry policy
-    /// (fault-injection experiments pass tighter-than-default policies).
-    pub fn client_with(
-        &self,
-        from: NodeId,
-        selector: Selector,
-        transport: Option<Transport>,
-        policy: RetryPolicy,
-    ) -> BankClient {
-        self.client_replicated(from, selector, transport, policy, Replication::default())
-    }
-
-    /// [`Bank::client_with`] plus a replica placement: `factor` daemons
-    /// per key with warm read failover among them (see [`Replication`]).
-    pub fn client_replicated(
-        &self,
-        from: NodeId,
-        selector: Selector,
-        transport: Option<Transport>,
-        policy: RetryPolicy,
-        replication: Replication,
-    ) -> BankClient {
-        BankClient::connect_replicated(&self.nodes, from, selector, transport, policy, replication)
-    }
-}
-
-impl MetricSource for Bank {
-    fn collect(&self, prefix: &str, snap: &mut Snapshot) {
-        self.registry.collect(prefix, snap);
-        let mut max_gets = 0u64;
-        let mut total_gets = 0u64;
-        for (i, node) in self.nodes.iter().enumerate() {
-            node.collect(&prefixed(prefix, &format!("mcd.{i}")), snap);
-            let gets = node.stats().cmd_get;
-            snap.set_counter(prefixed(prefix, &format!("per_daemon.{i}.gets")), gets);
-            snap.set_counter(
-                prefixed(prefix, &format!("per_daemon.{i}.sheds")),
-                node.sheds.get(),
-            );
-            max_gets = max_gets.max(gets);
-            total_gets += gets;
-        }
-        // Load-imbalance summary: a perfectly spread bank has max == mean;
-        // the Fig 10 shared-file pattern at R=1 pushes max toward the
-        // whole-bank total because every client's GETs for a given block
-        // land on one daemon.
-        snap.set_counter(prefixed(prefix, "per_daemon.max_gets"), max_gets);
-        snap.set_gauge(
-            prefixed(prefix, "per_daemon.mean_gets"),
-            (total_gets as f64 / self.nodes.len().max(1) as f64).round() as i64,
-        );
-    }
-}
-
-fn sum_mcd_stats(nodes: &[McdNode]) -> McStats {
-    let mut total = McStats::default();
-    for n in nodes {
-        let s = n.stats();
-        total.cmd_get += s.cmd_get;
-        total.cmd_set += s.cmd_set;
-        total.get_hits += s.get_hits;
-        total.get_misses += s.get_misses;
-        total.evictions += s.evictions;
-        total.expired += s.expired;
-        total.curr_items += s.curr_items;
-        total.bytes += s.bytes;
-        total.total_items += s.total_items;
-        total.allocated_bytes += s.allocated_bytes;
-        total.limit_maxbytes += s.limit_maxbytes;
-    }
-    total
-}
+use super::daemon::{DecrOnDrop, McdNode, McdReq, McdResp};
+use super::policy::{
+    cas_verdict, get_req, store_req, CallOutcome, CasToken, CasVerdict, HedgePolicy, ReplicaRows,
+    RetryPolicy, Wire,
+};
+use crate::cluster::ImcaConfig;
 
 /// Aggregated client-observed counters for a [`BankClient`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1003,7 +135,7 @@ pub struct BankClient {
     /// CAS stores that travelled through [`BankClient::cas_pipeline`].
     pipelined_cas: Counter,
     /// Ops answered locally (miss / dropped write) because the daemon was
-    /// quarantined, circuit-open, shedding load, or out of retry budget.
+    /// quarantined, circuit-open or shedding load.
     degraded_misses: Counter,
     /// Replica placement factor, clamped to the bank size (1 = the
     /// paper's single-home bank).
@@ -1027,19 +159,15 @@ pub struct BankClient {
     /// GETs that piggybacked on another in-flight GET for the same key.
     coalesced_gets: Counter,
     /// Per-daemon smoothed RTT state (DESIGN.md §8) — control state
-    /// steering adaptive deadlines and hedge delays, not telemetry.
+    /// steering hedge delays, not telemetry.
     rtt: RefCell<Vec<RttEstimator>>,
-    /// Client-global retry/hedge token bucket, when the policy asks for
-    /// one (`RetryPolicy::retry_budget`).
-    budget: Option<BudgetHandle>,
     /// `SERVER_ERROR busy` replies — reads a daemon's admission control
     /// refused. Never retried on the same daemon: the read fails over to
     /// another replica or becomes a degraded local miss (the degradation
     /// ladder's signal).
     busy_sheds: Counter,
     /// Circuits tripped by exhausted per-op retries — so timeout-driven
-    /// degradation is distinguishable from budget-driven
-    /// (`retry_budget_exhausted`) and shed-driven (`busy_sheds`).
+    /// degradation is distinguishable from shed-driven (`busy_sheds`).
     circuit_opens: Counter,
     /// Hedge RPCs actually fired (replication ≥ 2, hedge policy on).
     hedged_gets: Counter,
@@ -1048,33 +176,28 @@ pub struct BankClient {
 }
 
 impl BankClient {
-    /// Connect `from` to every daemon in `nodes` using `selector` routing.
-    /// `transport` optionally overrides the fabric default (the RDMA
-    /// ablation connects the bank over RDMA while the file server stays on
-    /// IPoIB); `policy` sets deadlines and retries, `replication` the
-    /// replica placement (see [`Replication`]).
-    pub fn connect_replicated(
+    /// Connect `from` to every daemon in `nodes` ([`Bank::client`]):
+    /// `cfg.selector` routing, `cfg.bank_transport` optionally overriding
+    /// the fabric default (the RDMA ablation connects the bank over RDMA
+    /// while the file server stays on IPoIB), `cfg.replication` the
+    /// replica placement (see [`Replication`]); `policy` sets deadlines
+    /// and retries.
+    pub(super) fn connect(
         nodes: &[McdNode],
         from: NodeId,
-        selector: Selector,
-        transport: Option<Transport>,
+        cfg: &ImcaConfig,
         policy: RetryPolicy,
-        replication: Replication,
     ) -> BankClient {
         assert!(!nodes.is_empty(), "bank needs at least one MCD");
         let clients: Vec<_> = nodes
             .iter()
-            .map(|n| match &transport {
+            .map(|n| match &cfg.bank_transport {
                 Some(t) => n.service.client_with_transport(from, t.clone()),
                 None => n.service.client(from),
             })
             .collect();
         let handle = nodes[0].service.network().handle();
         let registry = Registry::new();
-        let budget = policy.retry_budget.map(|b| BudgetHandle {
-            bucket: Rc::new(TokenBucket::new(b.refill_per_sec, b.burst, handle.now())),
-            exhausted: registry.counter("retry_budget_exhausted"),
-        });
         BankClient {
             wire: Wire {
                 handle,
@@ -1082,7 +205,7 @@ impl BankClient {
                 rpc_timeouts: registry.counter("rpc_timeouts"),
                 retries: registry.counter("retries"),
             },
-            map: ServerMap::new(selector, nodes.len()),
+            map: ServerMap::new(cfg.selector, nodes.len()),
             alive: nodes.iter().map(|n| Rc::clone(&n.alive)).collect(),
             quarantined: nodes.iter().map(|n| Rc::clone(&n.quarantined)).collect(),
             circuit_open_until: RefCell::new(vec![SimTime::ZERO; nodes.len()]),
@@ -1101,7 +224,7 @@ impl BankClient {
             cas_ops: registry.counter("cas_ops"),
             pipelined_cas: registry.counter("pipelined_cas"),
             degraded_misses: registry.counter("degraded_misses"),
-            replication: replication.factor.clamp(1, nodes.len()),
+            replication: cfg.replication.factor.clamp(1, nodes.len()),
             in_flight: (0..nodes.len()).map(|_| Rc::new(Cell::new(0))).collect(),
             // Golden-ratio constant XOR an odd per-node term: nonzero for
             // every node id, distinct per client.
@@ -1110,18 +233,12 @@ impl BankClient {
             replica_failovers: registry.counter("replica_failovers"),
             coalesced_gets: registry.counter("coalesced_gets"),
             rtt: RefCell::new(vec![RttEstimator::new(); nodes.len()]),
-            budget,
             busy_sheds: registry.counter("busy_sheds"),
             circuit_opens: registry.counter("circuit_opens"),
             hedged_gets: registry.counter("hedged_gets"),
             hedge_wins: registry.counter("hedge_wins"),
             registry,
         }
-    }
-
-    /// Number of daemons configured.
-    pub fn server_count(&self) -> usize {
-        self.wire.clients.len()
     }
 
     /// Total `SERVER_ERROR busy` replies this client has absorbed. The
@@ -1290,60 +407,16 @@ impl BankClient {
             self.wire.handle.now() + self.policy.circuit_cooldown;
     }
 
-    /// The policy for one read RPC to daemon `idx`: the static policy,
-    /// with the deadline swapped for the daemon's tracked
-    /// `multiplier × (srtt + 4·rttvar)` once the estimator is warm
-    /// (see [`AdaptiveDeadline`]).
-    fn effective_policy(&self, idx: usize) -> RetryPolicy {
-        let mut p = self.policy.clone();
-        if let Some(a) = p.adaptive {
-            let est = self.rtt.borrow()[idx];
-            if est.samples() >= a.warmup {
-                if let Some(tail) = est.tail() {
-                    let d = (tail * a.multiplier) as u64;
-                    p.deadline = SimDuration::nanos(d.clamp(a.min.as_nanos(), a.max.as_nanos()));
-                }
-            }
-        }
-        p
-    }
-
     /// Fold one answered single-key GET's latency into daemon `idx`'s
     /// estimator. Only answers are observed: a timeout's duration is the
     /// deadline, not the daemon, and a `busy` refusal skips the very
     /// queue the estimate is about. The sample includes any retry
-    /// backoff, which only biases the estimate *upward* under stress,
-    /// the conservative direction for a deadline.
+    /// backoff, which only biases the estimate *upward* under stress —
+    /// a later hedge, the conservative direction.
     fn observe_rtt(&self, idx: usize, elapsed: SimDuration) {
-        if self.policy.adaptive.is_some() || self.policy.hedge.is_some() {
+        if self.policy.hedge.is_some() {
             self.rtt.borrow_mut()[idx].observe(elapsed.as_nanos() as f64);
         }
-    }
-
-    /// One plain `get` RPC for `keys` to daemon `idx`, on the *read-path*
-    /// policy: the deadline adapts to the daemon's tracked RTT and
-    /// retries spend from the budget. A timed-out read costs a degraded
-    /// miss, so failing fast here is cheap.
-    fn read_call(
-        &self,
-        idx: usize,
-        keys: Vec<Vec<u8>>,
-    ) -> impl Future<Output = CallOutcome> + 'static {
-        let req = McdReq(Command::Get {
-            keys,
-            with_cas: false,
-        });
-        self.wire
-            .call(idx, self.effective_policy(idx), self.budget.clone(), req)
-    }
-
-    /// One RPC to daemon `idx` on the *write-path* policy — writes and
-    /// their token fetches: always the static deadline and never the
-    /// retry budget, because a write that fails fast gets its daemon
-    /// quarantined — far too heavy a hammer for an adaptively-shortened
-    /// deadline or a dry token bucket to swing.
-    fn write_call(&self, idx: usize, req: McdReq) -> impl Future<Output = CallOutcome> + 'static {
-        self.wire.call(idx, self.policy.clone(), None, req)
     }
 
     /// Fetch one value. `hint` is the block index for modulo distribution.
@@ -1478,7 +551,8 @@ impl BankClient {
                         self.keys_per_multi_get.record(members.len() as u64);
                         let group_keys = members.iter().map(|k| keys[k.pos].0.clone()).collect();
                         (
-                            self.read_call(idx, group_keys),
+                            self.wire
+                                .call(idx, self.policy.clone(), get_req(group_keys, false)),
                             DecrOnDrop::enter(&self.in_flight[idx]),
                         )
                     })
@@ -1581,15 +655,17 @@ impl BankClient {
     ///
     /// Otherwise (DESIGN.md §8) the GET runs as its own task, and if it
     /// has not answered within [`BankClient::hedge_delay`] one hedge
-    /// fires to the next live, untried replica in placement order
-    /// (spending a retry-budget token when a budget is configured). The
+    /// fires to the next live, untried replica in placement order. The
     /// first *answer* wins; the loser keeps running but its late result
     /// is discarded unseen — it is never settled, so a loser's timeout
     /// cannot trip a circuit. Failures that arrive before an answer are
     /// settled as usual.
     async fn attempt(&self, key: &[u8], members: &mut [ReadKey]) -> Option<Vec<Value>> {
         let primary = members[0].route;
-        let get = |idx: usize| self.read_call(idx, vec![key.to_vec()]);
+        let get = |idx: usize| {
+            self.wire
+                .call(idx, self.policy.clone(), get_req(vec![key.to_vec()], false))
+        };
         let hedge = self.policy.hedge.and_then(|policy| {
             let k = &members[0];
             let target = k.replicas.iter().copied().find(|&c| {
@@ -1619,7 +695,6 @@ impl BankClient {
             let handle = self.wire.handle.clone();
             let results = results.clone();
             let decided = Rc::clone(&decided);
-            let budget = self.budget.clone();
             let hedged_gets = self.hedged_gets.clone();
             let in_flight = Rc::clone(&self.in_flight[idx]);
             // The primary is load from now on; a hedge only once it fires.
@@ -1627,10 +702,9 @@ impl BankClient {
             self.wire.handle.spawn(async move {
                 if let Some(delay) = gate {
                     // The firing decision runs at fire time: the hedge is
-                    // skipped when an answer already came or the budget
-                    // is dry.
+                    // skipped when an answer already came.
                     handle.sleep(delay).await;
-                    if decided.get() || budget.is_some_and(|b| !b.spend(handle.now())) {
+                    if decided.get() {
                         results.push(None);
                         return;
                     }
@@ -1702,11 +776,9 @@ impl BankClient {
             .map(|(idx, members)| {
                 self.multi_gets.inc();
                 self.keys_per_multi_get.record(members.len() as u64);
-                let req = McdReq(Command::Get {
-                    keys: members.iter().map(|&p| keys[p].0.clone()).collect(),
-                    with_cas: true,
-                });
-                self.write_call(*idx, req)
+                let group_keys = members.iter().map(|&p| keys[p].0.clone()).collect();
+                self.wire
+                    .call(*idx, self.policy.clone(), get_req(group_keys, true))
             })
             .collect();
         let outcomes = join_all(&self.wire.handle, calls).await;
@@ -1780,7 +852,11 @@ impl BankClient {
                     .map(|&pos| {
                         let (key, data, token) = &items[pos];
                         let verb = StoreVerb::Cas(token.token);
-                        self.write_call(*idx, store_req(verb, key.clone(), data.clone(), false))
+                        self.wire.call(
+                            *idx,
+                            self.policy.clone(),
+                            store_req(verb, key.clone(), data.clone(), false),
+                        )
                     })
                     .collect();
                 let handle = self.wire.handle.clone();
@@ -1900,9 +976,11 @@ impl BankClient {
     /// purge missed. Returns the outcomes in target order.
     async fn write_fanout(&self, targets: Vec<usize>, req: McdReq) -> Vec<CallOutcome> {
         let outcomes = match targets[..] {
-            [idx] => vec![self.write_call(idx, req).await],
+            [idx] => vec![self.wire.call(idx, self.policy.clone(), req).await],
             _ => {
-                let calls = targets.iter().map(|&idx| self.write_call(idx, req.clone()));
+                let calls = targets
+                    .iter()
+                    .map(|&idx| self.wire.call(idx, self.policy.clone(), req.clone()));
                 join_all(&self.wire.handle, calls.collect()).await
             }
         };
@@ -1952,7 +1030,13 @@ impl MetricSource for BankClient {
 
 #[cfg(test)]
 mod tests {
+    use super::super::daemon::{Bank, McdCosts};
+    use super::super::policy::Replication;
     use super::*;
+    use imca_fabric::Network;
+    use imca_fabric::Transport;
+    use imca_memcached::McConfig;
+    use imca_memcached::Selector;
     use imca_sim::Sim;
 
     fn setup(sim: &Sim, n: usize) -> (Network, Rc<Bank>, BankClient) {
@@ -1964,7 +1048,7 @@ mod tests {
             &McdCosts::default(),
         ));
         let client_node = net.add_node();
-        let client = bank.client(client_node, Selector::Crc32, None);
+        let client = bank.client(client_node, &ImcaConfig::default(), RetryPolicy::default());
         (net, bank, client)
     }
 
@@ -1992,6 +1076,16 @@ mod tests {
     ) -> Option<(Bytes, CasToken)> {
         let mut rows = c.gets_for_update(&[(key.to_vec(), hint)]).await;
         rows.remove(0).remove(0).1
+    }
+
+    /// A deployment whose bank places keys by modulo (hints pin keys to
+    /// known daemons) on `factor` replicas.
+    fn modulo(factor: usize) -> ImcaConfig {
+        ImcaConfig {
+            selector: Selector::Modulo,
+            replication: Replication { factor },
+            ..ImcaConfig::default()
+        }
     }
 
     fn counter(c: &BankClient, name: &str) -> u64 {
@@ -2065,7 +1159,7 @@ mod tests {
                 &McConfig::default(),
                 &McdCosts::default(),
             ));
-            let client = Rc::new(bank.client(net.add_node(), Selector::Modulo, None));
+            let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
             let c2 = Rc::clone(&client);
             let b2 = Rc::clone(&bank);
             sim.spawn(async move {
@@ -2144,7 +1238,7 @@ mod tests {
             &McConfig::default(),
             &McdCosts::default(),
         ));
-        let client = Rc::new(bank.client(net.add_node(), Selector::Modulo, None));
+        let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
             for blk in 0..16u64 {
@@ -2247,7 +1341,7 @@ mod tests {
             &McConfig::default(),
             &McdCosts::default(),
         ));
-        let client = Rc::new(bank.client(net.add_node(), Selector::Modulo, None));
+        let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
             for blk in 0..8u64 {
@@ -2300,7 +1394,7 @@ mod tests {
             &McConfig::default(),
             &McdCosts::default(),
         ));
-        let client = Rc::new(bank.client(net.add_node(), Selector::Modulo, None));
+        let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
         let c2 = Rc::clone(&client);
         let b2 = Rc::clone(&bank);
         sim.spawn(async move {
@@ -2482,7 +1576,7 @@ mod tests {
                 &McdCosts::default(),
             ));
             let client =
-                Rc::new(bank.client_with(net.add_node(), Selector::Crc32, None, tight_policy()));
+                Rc::new(bank.client(net.add_node(), &ImcaConfig::default(), tight_policy()));
             let c2 = Rc::clone(&client);
             let net2 = net.clone();
             let mcd_node = bank.nodes()[0].node;
@@ -2545,13 +1639,7 @@ mod tests {
                 &McConfig::default(),
                 &McdCosts::default(),
             ));
-            let client = Rc::new(bank.client_replicated(
-                net.add_node(),
-                Selector::Modulo,
-                None,
-                tight_policy(),
-                Replication { factor },
-            ));
+            let client = Rc::new(bank.client(net.add_node(), &modulo(factor), tight_policy()));
             let c2 = Rc::clone(&client);
             let net2 = net.clone();
             let b2 = Rc::clone(&bank);
@@ -2616,8 +1704,8 @@ mod tests {
             &McConfig::default(),
             &McdCosts::default(),
         ));
-        let a = Rc::new(bank.client_with(net.add_node(), Selector::Crc32, None, tight_policy()));
-        let b = Rc::new(bank.client_with(net.add_node(), Selector::Crc32, None, tight_policy()));
+        let a = Rc::new(bank.client(net.add_node(), &ImcaConfig::default(), tight_policy()));
+        let b = Rc::new(bank.client(net.add_node(), &ImcaConfig::default(), tight_policy()));
         let net2 = net.clone();
         let mcd_node = bank.nodes()[0].node;
         let h = sim.handle();
@@ -2653,7 +1741,7 @@ mod tests {
             &McConfig::default(),
             &McdCosts::default(),
         ));
-        let client = Rc::new(bank.client(net.add_node(), Selector::Modulo, None));
+        let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
             for blk in 0..4u64 {
@@ -2677,40 +1765,6 @@ mod tests {
         assert_eq!(bank.stats().curr_items, 4);
     }
 
-    #[test]
-    fn concurrent_ops_queue_on_the_single_event_loop() {
-        // The daemon models memcached's single event loop: two
-        // simultaneous commands must be serviced one after the other, so
-        // the makespan is at least twice the per-op service time (a
-        // parallel server would overlap them and finish in ~one).
-        fn makespan(nops: usize) -> u64 {
-            let mut sim = Sim::new(0);
-            let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-            let costs = McdCosts {
-                per_op: SimDuration::micros(500),
-                memcpy_bps: 1e12,
-                ..McdCosts::default()
-            };
-            let bank = Rc::new(Bank::start(&net, 1, &McConfig::default(), &costs));
-            for _ in 0..nops {
-                // Each op from its own node, so the NICs don't serialise
-                // the requests before they reach the daemon.
-                let client = bank.client(net.add_node(), Selector::Crc32, None);
-                sim.spawn(async move {
-                    client.get(b"/k:stat", None).await;
-                });
-            }
-            sim.run().end_time.as_nanos()
-        }
-        let one = makespan(1);
-        let two = makespan(2);
-        assert!(
-            two >= 2 * SimDuration::micros(500).as_nanos(),
-            "two concurrent ops did not queue on the CPU: one={one} two={two}"
-        );
-        assert!(two > one, "one={one} two={two}");
-    }
-
     /// A client with replication `r` over an `n`-daemon modulo bank, so
     /// hints pin replica sets: hint 0 → daemons {0, 1, … r−1}.
     fn replicated_setup(sim: &Sim, n: usize, r: usize) -> (Network, Rc<Bank>, Rc<BankClient>) {
@@ -2721,13 +1775,7 @@ mod tests {
             &McConfig::default(),
             &McdCosts::default(),
         ));
-        let client = Rc::new(bank.client_replicated(
-            net.add_node(),
-            Selector::Modulo,
-            None,
-            RetryPolicy::default(),
-            Replication { factor: r },
-        ));
+        let client = Rc::new(bank.client(net.add_node(), &modulo(r), RetryPolicy::default()));
         (net, bank, client)
     }
 
@@ -2845,13 +1893,7 @@ mod tests {
             &McConfig::default(),
             &McdCosts::default(),
         ));
-        let client = Rc::new(bank.client_replicated(
-            net.add_node(),
-            Selector::Modulo,
-            None,
-            tight_policy(),
-            Replication { factor: 2 },
-        ));
+        let client = Rc::new(bank.client(net.add_node(), &modulo(2), tight_policy()));
         let c2 = Rc::clone(&client);
         let net2 = net.clone();
         let mcd_nodes: Vec<NodeId> = bank.nodes().iter().map(|n| n.node).collect();
@@ -3011,7 +2053,7 @@ mod tests {
             &McConfig::default(),
             &McdCosts::default(),
         ));
-        let client = Rc::new(bank.client(net.add_node(), Selector::Modulo, None));
+        let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
             for blk in 0..8u64 {
@@ -3103,7 +2145,11 @@ mod tests {
                 ..McdCosts::default()
             };
             let bank = Rc::new(Bank::start(&net, 1, &McConfig::default(), &costs));
-            let client = Rc::new(bank.client(net.add_node(), Selector::Crc32, None));
+            let client = Rc::new(bank.client(
+                net.add_node(),
+                &ImcaConfig::default(),
+                RetryPolicy::default(),
+            ));
             let c2 = Rc::clone(&client);
             sim.spawn(async move {
                 c2.set(b"/k:stat", Bytes::from_static(b"v"), None).await;
@@ -3149,129 +2195,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_limit_bounds_depth_under_concurrency() {
-        let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        // Slow daemon + four simultaneous readers from distinct nodes:
-        // one occupies the queue slot, the rest bounce off it.
-        let costs = McdCosts {
-            per_op: SimDuration::micros(500),
-            queue_limit: Some(1),
-            ..McdCosts::default()
-        };
-        let bank = Rc::new(Bank::start(&net, 1, &McConfig::default(), &costs));
-        for _ in 0..4 {
-            let client = bank.client(net.add_node(), Selector::Crc32, None);
-            sim.spawn(async move {
-                client.get(b"/k:stat", None).await;
-            });
-        }
-        sim.run();
-        let snap = imca_metrics::collect_from(&*bank, "bank");
-        let sheds = snap.counter("bank.mcd.0.sheds").unwrap();
-        assert!((1..=3).contains(&sheds), "sheds={sheds}");
-        assert_eq!(snap.gauge("bank.mcd.0.queue_peak"), Some(1));
-        assert_eq!(snap.gauge("bank.mcd.0.queue_depth"), Some(0), "drained");
-    }
-
-    #[test]
-    fn adaptive_deadline_abandons_a_stalled_daemon_fast() {
-        let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            1,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let policy = RetryPolicy {
-            retries: 0,
-            adaptive: Some(AdaptiveDeadline {
-                warmup: 4,
-                ..AdaptiveDeadline::default()
-            }),
-            ..RetryPolicy::default()
-        };
-        let client = Rc::new(bank.client_with(net.add_node(), Selector::Crc32, None, policy));
-        let c2 = Rc::clone(&client);
-        let net2 = net.clone();
-        let mcd_node = bank.nodes()[0].node;
-        let h = sim.handle();
-        let elapsed = Rc::new(Cell::new(0u64));
-        let e2 = Rc::clone(&elapsed);
-        sim.spawn(async move {
-            c2.set(b"/k:stat", Bytes::from_static(b"v"), None).await;
-            // Warm the estimator past its threshold on healthy RPCs.
-            for _ in 0..8 {
-                assert!(c2.get(b"/k:stat", None).await.is_some());
-            }
-            net2.isolate("stall", [mcd_node]);
-            let t0 = h.now();
-            assert!(c2.get(b"/k:stat", None).await.is_none());
-            e2.set(h.now().since(t0).as_nanos());
-        });
-        sim.run();
-        // The tracked deadline is 3 × a tens-of-µs tail, clamped to the
-        // 200µs floor — nowhere near the 50ms static deadline.
-        let waited = elapsed.get();
-        assert!(waited >= SimDuration::micros(200).as_nanos(), "{waited}ns");
-        assert!(
-            waited < SimDuration::millis(5).as_nanos(),
-            "static deadline still in force: waited {waited}ns"
-        );
-        let snap = imca_metrics::collect_from(&*client, "bank");
-        assert_eq!(snap.counter("bank.rpc_timeouts"), Some(1));
-        assert_eq!(snap.counter("bank.degraded_misses"), Some(1));
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_and_circuit_opens_count_separately() {
-        let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            1,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        // One retry token, never refilled: the first timed-out GET spends
-        // it, everything after fails fast on a dry bucket.
-        let policy = RetryPolicy {
-            deadline: SimDuration::micros(200),
-            retries: 2,
-            backoff_base: SimDuration::micros(10),
-            backoff_cap: SimDuration::micros(20),
-            circuit_cooldown: SimDuration::micros(300),
-            retry_budget: Some(RetryBudget {
-                refill_per_sec: 0.0,
-                burst: 1.0,
-            }),
-            ..RetryPolicy::default()
-        };
-        let client = Rc::new(bank.client_with(net.add_node(), Selector::Crc32, None, policy));
-        let c2 = Rc::clone(&client);
-        let net2 = net.clone();
-        let mcd_node = bank.nodes()[0].node;
-        let h = sim.handle();
-        sim.spawn(async move {
-            net2.isolate("cut", [mcd_node]);
-            // Attempt times out; the lone token pays for retry #1; retry
-            // #2 finds the bucket dry and the op fails fast.
-            assert!(c2.get(b"/k:stat", None).await.is_none());
-            h.sleep(SimDuration::micros(500)).await; // circuit expires
-                                                     // No tokens left at all: one attempt, then fail fast.
-            assert!(c2.get(b"/k:stat", None).await.is_none());
-        });
-        sim.run();
-        let snap = imca_metrics::collect_from(&*client, "bank");
-        assert_eq!(snap.counter("bank.retries"), Some(1));
-        assert_eq!(snap.counter("bank.rpc_timeouts"), Some(3));
-        // The two causes stay distinguishable in the snapshot.
-        assert_eq!(snap.counter("bank.retry_budget_exhausted"), Some(2));
-        assert_eq!(snap.counter("bank.circuit_opens"), Some(2));
-    }
-
-    #[test]
     fn hedged_read_beats_a_partitioned_primary() {
         let mut sim = Sim::new(0);
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
@@ -3288,13 +2211,7 @@ mod tests {
             }),
             ..RetryPolicy::default()
         };
-        let client = Rc::new(bank.client_replicated(
-            net.add_node(),
-            Selector::Modulo,
-            None,
-            policy,
-            Replication { factor: 2 },
-        ));
+        let client = Rc::new(bank.client(net.add_node(), &modulo(2), policy));
         let c2 = Rc::clone(&client);
         let net2 = net.clone();
         let mcd0 = bank.nodes()[0].node;

@@ -1,0 +1,48 @@
+//! The MCD array (§4.1): MemCached daemons on dedicated nodes, and the
+//! client side of the bank that CMCache and SMCache talk to.
+//!
+//! Each daemon node runs the *real* storage engine from `imca-memcached`
+//! behind an RPC service; the bank client does libmemcache-style key
+//! distribution (CRC-32 or static-modulo, §5.1/§5.5) and handles daemon
+//! failures transparently (§4.4) by treating a dead daemon as a miss —
+//! deliberately *not* rehashing to another daemon, which can serve stale
+//! data once daemons come and go (see [`BankClient`]).
+//!
+//! The bank is owned and administered through a [`Bank`] handle:
+//! `Bank::start` brings the daemons up, `bank.kill(i)` / `bank.revive(i)`
+//! drive the failover experiments, `bank.stats()` scrapes the daemons, and
+//! `bank.client(..)` connects a consumer from an `ImcaConfig`.
+//!
+//! Every key lives on its [`Replication`] `factor` daemons (DESIGN.md
+//! §4d) — its selector primary and the next `R − 1` after it; the paper's
+//! single-home bank is simply `R = 1`. [`BankClient`] does each of its
+//! jobs one way at every factor:
+//!
+//! * **one read loop** behind [`BankClient::get`] and
+//!   [`BankClient::get_multi`]: route each key to one usable replica
+//!   (power-of-two-choices on the client's own in-flight counts), send —
+//!   one multi-key `get` RPC per daemon for a batch, the way libmemcache
+//!   batches (DESIGN.md §4c); a direct, optionally hedged RPC for a
+//!   single key — settle the reply, and fail over past a replica that is
+//!   dead, shed or failed in flight until one answers or none is left (a
+//!   local miss). A per-client single-flight table additionally coalesces
+//!   concurrent GETs for one key into a single in-flight RPC;
+//! * **one write fan-out** behind [`BankClient::set`],
+//!   [`BankClient::delete`] and [`BankClient::cas`]: the request goes to
+//!   every usable target, and a daemon whose write fails is quarantined;
+//! * **one `noreply` pipeline** behind [`BankClient::set_pipeline`] and
+//!   [`BankClient::delete_pipeline`]: per daemon the commands stream
+//!   back-to-back with a single trailing `version` round trip as the sync
+//!   barrier.
+//!
+//! All three reach the daemons through one `Wire`: the deadline,
+//! retry and backoff loop around a single RPC, on one static
+//! [`RetryPolicy`] per client.
+
+mod client;
+mod daemon;
+mod policy;
+
+pub use client::{BankClient, BankStats};
+pub use daemon::{start_mcd, Bank, McdCosts, McdNode, McdReq, McdResp};
+pub use policy::{CasToken, CasVerdict, HedgePolicy, Replication, RetryPolicy};

@@ -1,0 +1,285 @@
+//! What a bank client is configured with and speaks in: the retry and
+//! hedge policies, replica placement, CAS tokens and verdicts, and the
+//! [`Wire`] — one deadline-guarded RPC loop to every daemon.
+
+use std::future::Future;
+
+use bytes::Bytes;
+use imca_fabric::RpcClient;
+use imca_memcached::protocol::{Command, Response, StoreVerb};
+use imca_metrics::Counter;
+use imca_sim::{timeout, SimDuration, SimHandle};
+
+use super::daemon::{McdReq, McdResp};
+
+/// Per-RPC deadline, retry, and fail-fast behaviour of a [`BankClient`].
+///
+/// The defaults are deliberately generous: on a healthy fabric the bank
+/// never comes close to them (a pipeline sync can legitimately wait a
+/// couple of milliseconds behind hundreds of streamed stores), so healthy
+/// simulations behave exactly as if no deadline existed. Fault-injection
+/// experiments pass tighter policies explicitly.
+#[derive(Debug, Clone)]
+pub struct RetryPolicy {
+    /// Per-attempt RPC deadline. An attempt that has not answered by then
+    /// is abandoned (the late response, if any, is discarded).
+    pub deadline: SimDuration,
+    /// Retries after the first timed-out attempt. Note that a *reset*
+    /// (daemon killed mid-flight) is never retried — the connection is
+    /// dead and libmemcache fails the op immediately.
+    pub retries: u32,
+    /// Backoff before the first retry; doubles per retry.
+    pub backoff_base: SimDuration,
+    /// Backoff ceiling for the exponential doubling.
+    pub backoff_cap: SimDuration,
+    /// After all retries time out, the daemon's circuit opens for this
+    /// long: ops route as local misses with no wire traffic, then the
+    /// next op after expiry probes the daemon again.
+    pub circuit_cooldown: SimDuration,
+    /// Hedged reads at replication ≥ 2: a GET still unanswered past the
+    /// primary's tracked tail latency fires one hedge to the next live
+    /// replica; first answer wins. `None` (default) = no hedging: the
+    /// read loop tries one replica at a time.
+    pub hedge: Option<HedgePolicy>,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> RetryPolicy {
+        RetryPolicy {
+            deadline: SimDuration::millis(50),
+            retries: 2,
+            backoff_base: SimDuration::micros(100),
+            backoff_cap: SimDuration::millis(1),
+            circuit_cooldown: SimDuration::millis(100),
+            hedge: None,
+        }
+    }
+}
+
+/// Hedged-read policy (replication ≥ 2 only). The hedge delay for a GET
+/// to daemon `d` is `clamp(tail(d), min_delay, max_delay)` — the tracked
+/// p95 proxy — or `max_delay` before the estimator has `warmup` samples.
+/// A hedge fires only if the primary has not answered by then and goes to
+/// the next live replica in placement order; the first answer wins and
+/// the loser is abandoned (its late result is discarded, never settled).
+///
+/// Measured net-negative on the overload drive (EXPERIMENTS.md A12) and
+/// enabled by no drive; removal is pending a benchmark re-baseline.
+#[derive(Debug, Clone, Copy)]
+pub struct HedgePolicy {
+    /// Hedge-delay floor: never hedge earlier than this.
+    pub min_delay: SimDuration,
+    /// Hedge-delay ceiling, and the delay used before warmup.
+    pub max_delay: SimDuration,
+    /// RTT samples required before the tracked tail drives the delay.
+    pub warmup: u64,
+}
+
+impl Default for HedgePolicy {
+    fn default() -> HedgePolicy {
+        HedgePolicy {
+            min_delay: SimDuration::micros(100),
+            max_delay: SimDuration::millis(5),
+            warmup: 16,
+        }
+    }
+}
+
+/// Replica placement for bank entries (DESIGN.md §4d).
+///
+/// `factor: R` places every key on its selector primary plus the next
+/// `R − 1` distinct daemons in placement order — ring successors under
+/// ketama, linear successors under CRC-32/modulo. Writes and purges fan
+/// out to the whole replica set; reads pick one live replica per request
+/// by power-of-two-choices on the client's own in-flight load and fail
+/// over to the next live replica when a daemon is dead or shed (a warm
+/// hit where the single-home bank takes a miss). `factor: 1` (the
+/// default) is the paper's single-home bank: the same code over a
+/// one-entry replica set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Replication {
+    /// Daemons each key lives on, clamped to the bank size.
+    pub factor: usize,
+}
+
+impl Default for Replication {
+    fn default() -> Replication {
+        Replication { factor: 1 }
+    }
+}
+
+/// A CAS token as the bank client hands it out: the engine's `gets`
+/// token *tagged with the daemon whose token space it belongs to*.
+///
+/// Every daemon numbers its stores from its own monotonic counter, so
+/// two daemons' token spaces overlap numerically: a bare `u64` read from
+/// replica A would happily "match" an unrelated store on replica B. With
+/// replication a failover re-route answers a retry round from a
+/// *different* daemon than the original primary, which is exactly the
+/// situation where an untagged token silently crosses spaces. Tagging
+/// makes the confusion unrepresentable — a [`BankClient::cas`] always
+/// goes back to `daemon`, and only to `daemon` (DESIGN.md §4f).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CasToken {
+    /// The daemon whose token space `token` lives in — the one that
+    /// answered the `gets`.
+    pub daemon: usize,
+    /// The engine token from that daemon's reply.
+    pub token: u64,
+}
+
+/// One key's answer rows from [`BankClient::gets_for_update`]: for each
+/// usable write-target replica, `(daemon, value + token)` — `None` when
+/// that daemon answered but does not hold the key (cold replica).
+pub type ReplicaRows = Vec<(usize, Option<(Bytes, CasToken)>)>;
+
+/// Outcome of one compare-and-swap store (DESIGN.md §4f).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CasVerdict {
+    /// The token still matched: the value was replaced in place.
+    Stored,
+    /// The key exists with a newer token — someone updated it between
+    /// the `gets` and the `cas`.
+    Conflict,
+    /// The key vanished between the `gets` and the `cas` (concurrent
+    /// delete/purge or eviction).
+    Missing,
+    /// No definitive daemon answer: dead/shed at routing time, reset or
+    /// timed out mid-flight (the daemon is then quarantined like any
+    /// failed write — see [`BankClient::settle_write`] — so it cannot
+    /// keep serving the possibly-stale old value).
+    Failed,
+}
+
+/// What one deadline-guarded bank RPC resolved to.
+pub(super) enum CallOutcome {
+    /// The daemon answered within the deadline.
+    Resp(McdResp),
+    /// The daemon reset the connection (killed mid-flight). Fail fast; no
+    /// retry — the op is already known lost.
+    Dropped,
+    /// Every attempt ran out its deadline (lost on the wire, partitioned,
+    /// or the daemon is hopelessly slow).
+    TimedOut,
+}
+
+/// Map a `cas` store's RPC outcome to its verdict. Anything that is not
+/// a definitive engine answer — transport failure, or a non-store reply
+/// such as a `CLIENT_ERROR` — is [`CasVerdict::Failed`]; the caller's
+/// settle step decides what that means for the daemon.
+pub(super) fn cas_verdict(outcome: &CallOutcome) -> CasVerdict {
+    match outcome {
+        CallOutcome::Resp(McdResp(Some(Response::Stored))) => CasVerdict::Stored,
+        CallOutcome::Resp(McdResp(Some(Response::Exists))) => CasVerdict::Conflict,
+        CallOutcome::Resp(McdResp(Some(Response::NotFound))) => CasVerdict::Missing,
+        CallOutcome::Resp(_) | CallOutcome::Dropped | CallOutcome::TimedOut => CasVerdict::Failed,
+    }
+}
+
+/// A `get` (or, `with_cas`, the write path's token-fetching `gets`).
+pub(super) fn get_req(keys: Vec<Vec<u8>>, with_cas: bool) -> McdReq {
+    McdReq(Command::Get { keys, with_cas })
+}
+
+/// A `set`/`cas` store request with no flags and no expiry.
+pub(super) fn store_req(verb: StoreVerb, key: Vec<u8>, data: Bytes, noreply: bool) -> McdReq {
+    McdReq(Command::Store {
+        verb,
+        key,
+        flags: 0,
+        exptime: 0,
+        data,
+        noreply,
+    })
+}
+
+/// The next retry backoff: doubled, up to the policy's cap.
+fn doubled(backoff: SimDuration, policy: &RetryPolicy) -> SimDuration {
+    SimDuration::nanos((backoff.as_nanos().saturating_mul(2)).min(policy.backoff_cap.as_nanos()))
+}
+
+/// The client's end of the wire to every daemon: everything a
+/// deadline-guarded call needs besides its target, policy and request.
+/// Its calls are self-contained `'static` futures, so batched paths can
+/// run them per daemon through `join_all` and hedges in their own task.
+pub(super) struct Wire {
+    pub(super) handle: SimHandle,
+    pub(super) clients: Vec<RpcClient<McdReq, McdResp>>,
+    /// RPC attempts abandoned at their deadline.
+    pub(super) rpc_timeouts: Counter,
+    /// Retried attempts and retransmitted pipeline posts.
+    pub(super) retries: Counter,
+}
+
+impl Wire {
+    /// One deadline-guarded attempt loop against daemon `idx`.
+    pub(super) fn call(
+        &self,
+        idx: usize,
+        policy: RetryPolicy,
+        req: McdReq,
+    ) -> impl Future<Output = CallOutcome> + 'static {
+        let handle = self.handle.clone();
+        let client = self.clients[idx].clone();
+        let rpc_timeouts = self.rpc_timeouts.clone();
+        let retries = self.retries.clone();
+        async move {
+            let mut backoff = policy.backoff_base;
+            let mut attempt = 0;
+            loop {
+                let c = client.clone();
+                let r = req.clone();
+                match timeout(&handle, policy.deadline, async move { c.try_call(r).await }).await {
+                    Some(Some(resp)) => return CallOutcome::Resp(resp),
+                    Some(None) => return CallOutcome::Dropped,
+                    None => {
+                        rpc_timeouts.inc();
+                        if attempt >= policy.retries {
+                            return CallOutcome::TimedOut;
+                        }
+                        attempt += 1;
+                        retries.inc();
+                        handle.sleep(backoff).await;
+                        backoff = doubled(backoff, &policy);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `noreply` pipeline to daemon `idx`: `batch` is streamed
+    /// back-to-back without individual acknowledgements, then a single
+    /// `version` round trip flushes the daemon's FIFO event loop — every
+    /// streamed command completes before the sync answers, so the sync's
+    /// outcome stands for the whole batch. A post the wire refuses is
+    /// retransmitted with the same capped backoff as [`Wire::call`]; once
+    /// the policy's retries are spent the connection is declared dead and
+    /// nothing past that point is known to have landed.
+    pub(super) fn pipeline(
+        &self,
+        idx: usize,
+        policy: RetryPolicy,
+        batch: impl Iterator<Item = McdReq> + 'static,
+    ) -> impl Future<Output = CallOutcome> + 'static {
+        let handle = self.handle.clone();
+        let client = self.clients[idx].clone();
+        let retries = self.retries.clone();
+        let sync = self.call(idx, policy.clone(), McdReq(Command::Version));
+        async move {
+            for req in batch {
+                let mut backoff = policy.backoff_base;
+                let mut attempt = 0;
+                while !client.post(req.clone()).await {
+                    if attempt >= policy.retries {
+                        return CallOutcome::TimedOut;
+                    }
+                    attempt += 1;
+                    retries.inc();
+                    handle.sleep(backoff).await;
+                    backoff = doubled(backoff, &policy);
+                }
+            }
+            sync.await
+        }
+    }
+}

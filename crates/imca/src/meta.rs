@@ -650,11 +650,12 @@ impl MetricSource for LeaseHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcd::{Bank, McdCosts};
+    use crate::cluster::ImcaConfig;
+    use crate::mcd::{Bank, McdCosts, RetryPolicy};
     use bytes::Bytes;
     use imca_fabric::{Network, Transport};
     use imca_glusterfs::Translator;
-    use imca_memcached::{McConfig, Selector};
+    use imca_memcached::McConfig;
     use imca_sim::Sim;
 
     /// A server-side stand-in with a configurable file table.
@@ -708,7 +709,8 @@ mod tests {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
         let mcds = Bank::start(&net, 2, &McConfig::default(), &McdCosts::default());
         let client_node = net.add_node();
-        let bank = Rc::new(mcds.client(client_node, Selector::Crc32, None));
+        let bank =
+            Rc::new(mcds.client(client_node, &ImcaConfig::default(), RetryPolicy::default()));
         let child: Xlator = server;
         let eng = MetaEngine::new(sim.handle(), child, Rc::clone(&bank), cfg);
         sim.handle().spawn(async move {
@@ -924,7 +926,8 @@ mod tests {
         let mcds = Bank::start(&net, 1, &McConfig::default(), &McdCosts::default());
         let client_node = net.add_node();
         let server_node = net.add_node();
-        let bank = Rc::new(mcds.client(client_node, Selector::Crc32, None));
+        let bank =
+            Rc::new(mcds.client(client_node, &ImcaConfig::default(), RetryPolicy::default()));
         let child: Xlator = server;
         let eng = MetaEngine::new(sim.handle(), child, Rc::clone(&bank), MetaConfig::lease());
         let hub = LeaseHub::new(sim.handle());

@@ -64,6 +64,7 @@ use imca_sim::sync::Queue;
 use imca_sim::{join_all, SimHandle, TokenBucket};
 
 use crate::block::{aligned_range, cover};
+use crate::cluster::ImcaConfig;
 use crate::keys::{block_key, neg_key, stat_key};
 use crate::mcd::{BankClient, CasToken, CasVerdict};
 use crate::meta::{LeaseHub, MetaConfig, NEG_MARKER};
@@ -194,7 +195,7 @@ pub struct SmCache {
     /// Per-path purge generation; bumped synchronously by `purge()` so
     /// racing update jobs can detect they are stale.
     generations: RefCell<HashMap<String, u64>>,
-    /// Read-path rewarm throttle; `None` = unlimited (legacy behaviour).
+    /// Read-path rewarm throttle; `None` = unlimited.
     rewarm: Option<TokenBucket>,
     rewarm_suppressed: Counter,
     registry: Registry,
@@ -211,82 +212,23 @@ pub struct SmCache {
 }
 
 impl SmCache {
-    /// Stack SMCache above `child` (normally `storage/posix`).
+    /// Stack SMCache above `child` (normally `storage/posix`), pushing
+    /// to `bank`, the way `cfg` describes the deployment:
     /// `threaded_updates` moves MCD population off the critical path;
-    /// `batched` streams pushes/purges as `noreply` pipelines (one sync
-    /// per daemon) instead of one awaited RPC per key.
-    ///
-    /// Equivalent to [`SmCache::with_meta`] with the default (legacy)
-    /// metadata config and no lease hub.
+    /// `batching` streams pushes/purges as `noreply` pipelines (one sync
+    /// per daemon) instead of one awaited RPC per key; `coherence` picks
+    /// the write protocol; with `meta.negative` on, backend ENOENTs plant
+    /// negative entries (and creates revalidate them); `rewarm` throttles
+    /// read-path bank repopulation. With a `leases` hub, every purge and
+    /// stat refresh revokes client leases first.
     pub fn new(
         handle: SimHandle,
         child: Xlator,
         bank: Rc<BankClient>,
-        block_size: u64,
-        threaded_updates: bool,
-        batched: bool,
-    ) -> Rc<SmCache> {
-        SmCache::with_meta(
-            handle,
-            child,
-            bank,
-            block_size,
-            threaded_updates,
-            batched,
-            Coherence::default(),
-            MetaConfig::default(),
-            None,
-        )
-    }
-
-    /// [`SmCache::new`] plus the metadata-tier hooks: with
-    /// `meta.negative` on, backend ENOENTs plant negative entries (and
-    /// creates revalidate them); with a `leases` hub, every purge and
-    /// stat refresh revokes client leases first. With the defaults both
-    /// hooks vanish and the translator is event-identical to the legacy
-    /// one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_meta(
-        handle: SimHandle,
-        child: Xlator,
-        bank: Rc<BankClient>,
-        block_size: u64,
-        threaded_updates: bool,
-        batched: bool,
-        coherence: Coherence,
-        meta: MetaConfig,
+        cfg: &ImcaConfig,
         leases: Option<Rc<LeaseHub>>,
     ) -> Rc<SmCache> {
-        SmCache::with_overload(
-            handle,
-            child,
-            bank,
-            block_size,
-            threaded_updates,
-            batched,
-            coherence,
-            meta,
-            leases,
-            None,
-        )
-    }
-
-    /// [`SmCache::with_meta`] plus the overload hook: an optional
-    /// [`RewarmLimit`] throttling read-path bank repopulation. `None`
-    /// keeps the translator event-identical to the legacy one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_overload(
-        handle: SimHandle,
-        child: Xlator,
-        bank: Rc<BankClient>,
-        block_size: u64,
-        threaded_updates: bool,
-        batched: bool,
-        coherence: Coherence,
-        meta: MetaConfig,
-        leases: Option<Rc<LeaseHub>>,
-        rewarm: Option<RewarmLimit>,
-    ) -> Rc<SmCache> {
+        let (block_size, threaded_updates) = (cfg.block_size, cfg.threaded_updates);
         assert!(block_size > 0, "IMCa block size must be positive");
         let registry = Registry::new();
         let sm = Rc::new(SmCache {
@@ -295,14 +237,16 @@ impl SmCache {
             block_size,
             handle: handle.clone(),
             threaded: threaded_updates,
-            batched,
-            coherence,
-            meta,
+            batched: cfg.batching,
+            coherence: cfg.coherence,
+            meta: cfg.meta,
             leases,
             jobs: Queue::new(),
             populated: RefCell::new(HashMap::new()),
             generations: RefCell::new(HashMap::new()),
-            rewarm: rewarm.map(|r| TokenBucket::new(r.rate_per_sec, r.burst, handle.now())),
+            rewarm: cfg
+                .rewarm
+                .map(|r| TokenBucket::new(r.rate_per_sec, r.burst, handle.now())),
             rewarm_suppressed: registry.counter("rewarm_suppressed"),
             blocks_pushed: registry.counter("blocks_pushed"),
             stat_pushes: registry.counter("stat_pushes"),
@@ -1177,7 +1121,7 @@ impl Translator for SmCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcd::{Bank, McdCosts};
+    use crate::mcd::Bank;
     use imca_fabric::{Network, Transport};
     use imca_glusterfs::Posix;
     use imca_memcached::{McConfig, Selector};
@@ -1194,28 +1138,49 @@ mod tests {
     }
 
     fn setup_with_meta(sim: &Sim, threaded: bool, batched: bool, meta: MetaConfig) -> Rig {
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let mcds = Bank::start(&net, 2, &McConfig::default(), &McdCosts::default());
-        let server_node = net.add_node();
-        let bank = Rc::new(mcds.client(server_node, Selector::Crc32, None));
-        let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
-        let posix = Posix::new(be);
-        let sm = SmCache::with_meta(
-            sim.handle(),
-            posix as Xlator,
-            Rc::clone(&bank),
-            2048,
-            threaded,
-            batched,
-            Coherence::default(),
+        let cfg = ImcaConfig {
+            threaded_updates: threaded,
+            batching: batched,
             meta,
-            None,
-        );
+            ..two_mcds()
+        };
+        rig_over(sim, posix(sim), &cfg).0
+    }
+
+    /// The test deployment: two 64 MB daemons, everything else default.
+    fn two_mcds() -> ImcaConfig {
+        ImcaConfig {
+            mcd_count: 2,
+            mcd_config: McConfig::default(),
+            ..ImcaConfig::default()
+        }
+    }
+
+    fn posix(sim: &Sim) -> Rc<Posix> {
+        Posix::new(StorageBackend::new(
+            sim.handle(),
+            BackendParams::paper_server(),
+        ))
+    }
+
+    /// The bank, its server-side client and an SMCache over `child`, as
+    /// `cfg` describes them. The daemon actors stay alive with the sim.
+    fn rig_over(sim: &Sim, child: Xlator, cfg: &ImcaConfig) -> (Rig, Rc<Bank>) {
+        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+        let mcds = Rc::new(Bank::start(
+            &net,
+            cfg.mcd_count,
+            &cfg.mcd_config,
+            &cfg.mcd_costs,
+        ));
+        let bank = Rc::new(mcds.client(net.add_node(), cfg, cfg.retry.clone()));
+        let sm = SmCache::new(sim.handle(), child, Rc::clone(&bank), cfg, None);
+        let keepalive = Rc::clone(&mcds);
         sim.handle().spawn(async move {
-            let _keepalive = mcds;
+            let _keepalive = keepalive;
             std::future::pending::<()>().await;
         });
-        Rig { sm, bank }
+        (Rig { sm, bank }, mcds)
     }
 
     async fn drive(sm: &Rc<SmCache>, fop: Fop) -> FopReply {
@@ -1225,32 +1190,15 @@ mod tests {
     #[test]
     fn rewarm_limit_throttles_read_fills_but_never_write_pushes() {
         let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let mcds = Bank::start(&net, 2, &McConfig::default(), &McdCosts::default());
-        let server_node = net.add_node();
-        let bank = Rc::new(mcds.client(server_node, Selector::Crc32, None));
-        let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
-        let posix = Posix::new(be);
         // Two rewarm tokens, effectively no refill inside the run.
-        let sm = SmCache::with_overload(
-            sim.handle(),
-            posix as Xlator,
-            Rc::clone(&bank),
-            2048,
-            false,
-            true,
-            Coherence::default(),
-            MetaConfig::default(),
-            None,
-            Some(RewarmLimit {
+        let cfg = ImcaConfig {
+            rewarm: Some(RewarmLimit {
                 rate_per_sec: 0.001,
                 burst: 2.0,
             }),
-        );
-        sim.handle().spawn(async move {
-            let _keepalive = mcds;
-            std::future::pending::<()>().await;
-        });
+            ..two_mcds()
+        };
+        let (Rig { sm, .. }, _) = rig_over(&sim, posix(&sim), &cfg);
         let sm2 = Rc::clone(&sm);
         sim.spawn(async move {
             drive(&sm2, Fop::Create { path: "/f".into() }).await;
@@ -1309,31 +1257,17 @@ mod tests {
     fn failed_covering_reread_purges_the_stale_bank_copy() {
         use imca_storage::StorageFaultPlan;
         let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let mcds = Bank::start(&net, 2, &McConfig::default(), &McdCosts::default());
-        let server_node = net.add_node();
-        let bank = Rc::new(mcds.client(server_node, Selector::Crc32, None));
         let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
-        let posix = Posix::new(be.clone());
         // Block (8 KB) > page (4 KB): a small write warms only its own
         // page, so the covering re-read must touch the media. Purge mode:
         // this exercises the baseline's re-read leg (under Cas a tracked
         // block is replaced in place and no re-read happens).
-        let sm = SmCache::with_meta(
-            sim.handle(),
-            posix as Xlator,
-            Rc::clone(&bank),
-            8192,
-            false,
-            true,
-            Coherence::Purge,
-            MetaConfig::default(),
-            None,
-        );
-        sim.handle().spawn(async move {
-            let _keepalive = mcds;
-            std::future::pending::<()>().await;
-        });
+        let cfg = ImcaConfig {
+            block_size: 8192,
+            coherence: Coherence::Purge,
+            ..two_mcds()
+        };
+        let (Rig { sm, bank }, _) = rig_over(&sim, Posix::new(be.clone()) as Xlator, &cfg);
         let sm2 = Rc::clone(&sm);
         sim.spawn(async move {
             drive(&sm2, Fop::Create { path: "/f".into() }).await;
@@ -1692,35 +1626,13 @@ mod tests {
     /// A replicated rig (modulo routing, R = 2 over 2 daemons) for the
     /// CAS-coherence tests: hint 0 pins every block to both daemons.
     fn replicated_rig(sim: &Sim, coherence: Coherence) -> (Rig, Rc<Bank>) {
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let mcds = Rc::new(Bank::start(
-            &net,
-            2,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let server_node = net.add_node();
-        let bank = Rc::new(mcds.client_replicated(
-            server_node,
-            Selector::Modulo,
-            None,
-            crate::mcd::RetryPolicy::default(),
-            crate::mcd::Replication { factor: 2 },
-        ));
-        let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
-        let posix = Posix::new(be);
-        let sm = SmCache::with_meta(
-            sim.handle(),
-            posix as Xlator,
-            Rc::clone(&bank),
-            2048,
-            false,
-            true,
+        let cfg = ImcaConfig {
+            selector: Selector::Modulo,
+            replication: crate::mcd::Replication { factor: 2 },
             coherence,
-            MetaConfig::default(),
-            None,
-        );
-        (Rig { sm, bank }, mcds)
+            ..two_mcds()
+        };
+        rig_over(sim, posix(sim), &cfg)
     }
 
     /// How many daemons currently hold `key` (direct engine probe).
@@ -1837,28 +1749,8 @@ mod tests {
         // of each token race must fall back to purge+repush, and the bank
         // copy left behind must equal the disk bytes.
         let mut sim = Sim::new(7);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let mcds = Bank::start(&net, 2, &McConfig::default(), &McdCosts::default());
-        let server_node = net.add_node();
-        let bank = Rc::new(mcds.client(server_node, Selector::Crc32, None));
-        let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
-        let posix = Posix::new(be);
-        let disk = Rc::clone(&posix);
-        let sm = SmCache::with_meta(
-            sim.handle(),
-            Rc::clone(&posix) as Xlator,
-            Rc::clone(&bank),
-            2048,
-            false,
-            true,
-            Coherence::Cas,
-            MetaConfig::default(),
-            None,
-        );
-        sim.handle().spawn(async move {
-            let _keepalive = mcds;
-            std::future::pending::<()>().await;
-        });
+        let disk = posix(&sim);
+        let (Rig { sm, bank }, _) = rig_over(&sim, Rc::clone(&disk) as Xlator, &two_mcds());
         let h = sim.handle();
         let sm2 = Rc::clone(&sm);
         sim.spawn(async move {
@@ -1978,29 +1870,15 @@ mod tests {
         // size/mtime indefinitely; both coherence modes must purge.
         for coherence in [Coherence::Cas, Coherence::Purge] {
             let mut sim = Sim::new(0);
-            let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-            let mcds = Bank::start(&net, 2, &McConfig::default(), &McdCosts::default());
-            let server_node = net.add_node();
-            let bank = Rc::new(mcds.client(server_node, Selector::Crc32, None));
             let child = Rc::new(FlakyStatChild {
                 size: std::cell::Cell::new(0),
                 stat_fails: std::cell::Cell::new(false),
             });
-            let sm = SmCache::with_meta(
-                sim.handle(),
-                Rc::clone(&child) as Xlator,
-                Rc::clone(&bank),
-                2048,
-                false,
-                true,
+            let cfg = ImcaConfig {
                 coherence,
-                MetaConfig::default(),
-                None,
-            );
-            sim.handle().spawn(async move {
-                let _keepalive = mcds;
-                std::future::pending::<()>().await;
-            });
+                ..two_mcds()
+            };
+            let (Rig { sm, bank }, _) = rig_over(&sim, Rc::clone(&child) as Xlator, &cfg);
             let sm2 = Rc::clone(&sm);
             let child2 = Rc::clone(&child);
             let bank2 = Rc::clone(&bank);

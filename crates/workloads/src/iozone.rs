@@ -217,6 +217,8 @@ pub fn run_nfs(cfg: &NfsIozoneBench) -> NfsIozoneResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imca_core::ImcaConfig;
+    use imca_memcached::McConfig;
 
     fn bench(spec: SystemSpec, threads: usize) -> IozoneResult {
         run(&IozoneBench {
@@ -233,16 +235,13 @@ mod tests {
     /// than the single NoCache server.
     #[test]
     fn mcd_bank_scales_read_throughput() {
-        let spec = |mcds: usize| SystemSpec::Imca {
-            mcds,
-            block_size: 2048,
-            selector: imca_memcached::Selector::Modulo, // §5.5 round-robin
-            threaded: false,
-            mcd_mem: 1 << 30,
-            rdma_bank: false,
-            batched: true,
-            replication: 1,
-            meta: imca_core::MetaConfig::default(),
+        let spec = |mcds: usize| {
+            SystemSpec::Imca(ImcaConfig {
+                mcd_count: mcds,
+                selector: imca_memcached::Selector::Modulo, // §5.5 round-robin
+                mcd_config: McConfig::with_mem_limit(1 << 30),
+                ..ImcaConfig::default()
+            })
         };
         let nocache = bench(SystemSpec::GlusterNoCache, 4).read_mb_s;
         let four = bench(spec(4), 4).read_mb_s;

@@ -268,6 +268,7 @@ fn record_bytes(size: u64, k: u64) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imca_core::ImcaConfig;
 
     fn small(spec: SystemSpec, clients: usize, shared: bool) -> LatencyResult {
         run(&LatencyBench {
@@ -316,17 +317,10 @@ mod tests {
         let nocache = small(SystemSpec::GlusterNoCache, 1, false);
         let sync = small(SystemSpec::imca(1), 1, false);
         let threaded = small(
-            SystemSpec::Imca {
-                mcds: 1,
-                block_size: 2048,
-                selector: imca_memcached::Selector::Crc32,
-                threaded: true,
-                mcd_mem: 6 << 30,
-                rdma_bank: false,
-                batched: true,
-                replication: 1,
-                meta: imca_core::MetaConfig::default(),
-            },
+            SystemSpec::Imca(ImcaConfig {
+                threaded_updates: true,
+                ..ImcaConfig::default()
+            }),
             1,
             false,
         );

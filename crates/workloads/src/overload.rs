@@ -1,26 +1,33 @@
 //! The overload drive (DESIGN.md §8, EXPERIMENTS.md A12): N closed-loop
 //! readers hammer a deliberately small two-daemon bank through the full
 //! [`imca_core::Cluster`] stack, at demand 2–4× past the saturation knee
-//! the `fig8_scale` sweep located. One switch flips the whole
-//! overload-protection layer:
+//! the `fig8_scale` sweep located. The overload-protection layer is two
+//! mechanisms, each an `Option` of the drive:
 //!
-//! * **protection ON** — bounded daemon queues (`busy` sheds), adaptive
-//!   per-daemon deadlines, a token-bucket retry budget, hedged reads at
-//!   R≥2, the CMCache degradation ladder, and the SMCache rewarm
-//!   throttle, all wired through [`ImcaConfig`];
-//! * **protection OFF** — the legacy stack: unbounded queues, one static
-//!   deadline, free retries, no ladder, no throttle.
+//! * [`OverloadBench::queue_limit`] — bounded daemon queues
+//!   ([`McdCosts::queue_limit`]): a full daemon refuses reads with `busy`
+//!   in microseconds and the client forwards them to the backend;
+//! * [`OverloadBench::rewarm`] — the SMCache rewarm throttle
+//!   ([`ImcaConfig::rewarm`]): read-path fills back into the bank are
+//!   rate-limited.
+//!
+//! With both `None` the stack is unprotected: unbounded queues and every
+//! fallback read pushing its block back into the bank.
 //!
 //! The geometry makes the bank the fast tier and the single GlusterFS
 //! server the slow shared fallback (the paper's regime, scaled down so
-//! the knee lands at a handful of clients): with protection off, queue
-//! wait past the knee exceeds the static deadline, retries triple the
-//! load on queues that serve mostly abandoned requests, every
-//! circuit-open fallback read triggers a synchronous fill push back into
-//! the drowning bank (the fill storm), and goodput collapses. With
-//! protection on, sheds answer in microseconds, degraded clients step
-//! down to the backend and probe their way home, the throttle caps fill
-//! pushes, and goodput plateaus at the tier-capacity sum.
+//! the knee lands at a handful of clients). Unprotected, queue wait past
+//! the knee exceeds the static deadline, retries triple the load on
+//! queues that serve mostly abandoned requests, every circuit-open
+//! fallback read triggers a synchronous fill push back into the drowning
+//! bank (the fill storm), and goodput collapses. The two mechanisms work
+//! only as a pair (the leave-one-out table in EXPERIMENTS.md A12): the
+//! queue bound alone sheds in microseconds but every shed read's fill
+//! lands back on the full queues, and the throttle alone caps fills but
+//! leaves reads burning their deadline in an unbounded queue. Together,
+//! goodput plateaus at the tier-capacity sum — and below the knee neither
+//! fires, so the protected drive is event-identical to the unprotected
+//! one.
 //!
 //! Everything is driven by per-client RNG streams seeded from
 //! `(seed, client)`, so a fixed seed replays bit-identically — the same
@@ -30,8 +37,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use imca_core::{
-    AdaptiveDeadline, Cluster, ClusterConfig, DegradationLadder, HedgePolicy, ImcaConfig, McdCosts,
-    Replication, RetryBudget, RetryPolicy, RewarmLimit,
+    Cluster, ClusterConfig, ImcaConfig, McdCosts, Replication, RetryPolicy, RewarmLimit,
 };
 use imca_glusterfs::ServerParams;
 use imca_memcached::McConfig;
@@ -42,14 +48,15 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Overload-drive parameters. [`OverloadBench::new`] gives the calibrated
-/// geometry; only `clients`, `protection`, and `seed` usually vary.
+/// geometry; only `clients`, the two protection mechanisms and `seed`
+/// usually vary.
 #[derive(Debug, Clone)]
 pub struct OverloadBench {
     /// Closed-loop reader clients.
     pub clients: usize,
     /// Daemons in the bank (2 keeps the knee at a handful of clients).
     pub mcds: usize,
-    /// Bank replication factor (2 enables hedged reads).
+    /// Bank replication factor (2: every hot block on both daemons).
     pub replication: usize,
     /// Timed reads issued by each client.
     pub ops_per_client: u64,
@@ -66,28 +73,29 @@ pub struct OverloadBench {
     /// Server CPU per fop on one io-thread — the backend's (slower)
     /// capacity knob.
     pub server_fop_cpu: SimDuration,
-    /// The static per-attempt RPC deadline (the legacy knob overload
-    /// melts through; protection replaces it with the adaptive one).
+    /// The static per-attempt RPC deadline (what unprotected overload
+    /// melts through).
     pub deadline: SimDuration,
     /// Circuit cooldown after exhausted retries.
     pub circuit_cooldown: SimDuration,
-    /// Flip for the whole protection layer (see module docs).
-    pub protection: bool,
-    /// Bounded per-daemon queue when protection is on.
-    pub queue_limit: usize,
-    /// Ladder re-admission probe probability when protection is on.
-    pub readmit_probability: f64,
+    /// Bounded per-daemon admission queue; `None` = unbounded.
+    pub queue_limit: Option<usize>,
+    /// Read-path rewarm throttle at the server; `None` = every fallback
+    /// read fills the bank.
+    pub rewarm: Option<RewarmLimit>,
     /// Simulation seed; every random draw is `(seed, client)`-local.
     pub seed: u64,
 }
 
 impl OverloadBench {
-    /// The calibrated drive: a 2-daemon bank at 5 ms/op (capacity ≈ 400
-    /// ops/s), a single-threaded server at 8 ms/fop (≈ 125 ops/s), 10 ms
-    /// think time and a 50 ms static deadline. The closed-loop knee
-    /// lands near 6 clients; queue wait crosses the static deadline —
-    /// the meltdown threshold — past ~20.
-    pub fn new(clients: usize, protection: bool) -> OverloadBench {
+    /// The calibrated, protected drive: a 2-daemon bank at 5 ms/op
+    /// (capacity ≈ 400 ops/s) with 4-deep admission queues, a
+    /// single-threaded server at 8 ms/fop (≈ 125 ops/s) filling the bank
+    /// at no more than 20 fills/s, 10 ms think time and a 50 ms static
+    /// deadline. The closed-loop knee lands near 6 clients; unprotected,
+    /// queue wait crosses the static deadline — the meltdown threshold —
+    /// past ~20.
+    pub fn new(clients: usize) -> OverloadBench {
         OverloadBench {
             clients,
             mcds: 2,
@@ -101,9 +109,11 @@ impl OverloadBench {
             server_fop_cpu: SimDuration::millis(8),
             deadline: SimDuration::millis(50),
             circuit_cooldown: SimDuration::millis(20),
-            protection,
-            queue_limit: 4,
-            readmit_probability: 0.1,
+            queue_limit: Some(4),
+            rewarm: Some(RewarmLimit {
+                rate_per_sec: 20.0,
+                burst: 8.0,
+            }),
             seed: 42,
         }
     }
@@ -119,25 +129,12 @@ pub struct OverloadOut {
     pub elapsed: SimDuration,
     /// Client-observed read latency (ns), all timed ops.
     pub latency: HistogramSnapshot,
-    /// Latency of reads issued while the client was degraded (the
-    /// shed/backend path). Empty when the ladder is off.
-    pub shed_latency: HistogramSnapshot,
     /// Daemon-side admission-control sheds, summed over the bank.
     pub sheds: u64,
     /// Client-observed `busy` replies, summed over every bank client.
     pub busy_sheds: u64,
-    /// Hedged GETs fired / won, summed over every bank client.
-    pub hedged_gets: u64,
-    /// Hedges that beat the primary.
-    pub hedge_wins: u64,
     /// Read circuits opened (timeout-driven degradation).
     pub circuit_opens: u64,
-    /// Retries/hedges refused by a dry token bucket.
-    pub budget_exhausted: u64,
-    /// Ladder: reads forwarded straight to the backend while degraded.
-    pub degraded_reads: u64,
-    /// Ladder: successful probe re-admissions.
-    pub readmissions: u64,
     /// Read-path fills skipped by the rewarm throttle.
     pub rewarm_suppressed: u64,
     /// CMCache block reads served by the bank.
@@ -157,16 +154,6 @@ impl OverloadOut {
     /// Overall p99 in milliseconds.
     pub fn p99_ms(&self) -> f64 {
         self.latency.quantile(0.99) as f64 / 1e6
-    }
-
-    /// Shed-path p99 in milliseconds (overall p99 when the ladder never
-    /// engaged — there is no separate shed path to bound then).
-    pub fn shed_p99_ms(&self) -> f64 {
-        if self.shed_latency.count == 0 {
-            self.p99_ms()
-        } else {
-            self.shed_latency.quantile(0.99) as f64 / 1e6
-        }
     }
 }
 
@@ -197,32 +184,10 @@ fn block_bytes(file: usize, block: u64, len: u64) -> Vec<u8> {
 }
 
 fn cluster_config(cfg: &OverloadBench) -> ClusterConfig {
-    let base = RetryPolicy {
+    let retry = RetryPolicy {
         deadline: cfg.deadline,
         circuit_cooldown: cfg.circuit_cooldown,
         ..RetryPolicy::default()
-    };
-    let retry = if cfg.protection {
-        RetryPolicy {
-            adaptive: Some(AdaptiveDeadline {
-                multiplier: 3.0,
-                min: SimDuration::millis(1),
-                max: cfg.deadline,
-                warmup: 16,
-            }),
-            retry_budget: Some(RetryBudget {
-                refill_per_sec: 10.0,
-                burst: 10.0,
-            }),
-            hedge: (cfg.replication > 1).then_some(HedgePolicy {
-                min_delay: SimDuration::micros(500),
-                max_delay: SimDuration::millis(5),
-                warmup: 16,
-            }),
-            ..base.clone()
-        }
-    } else {
-        base.clone()
     };
     // The server-side SMCache client streams pipeline pushes whose
     // trailing sync legitimately waits behind the whole (slow, 5 ms/op)
@@ -240,7 +205,7 @@ fn cluster_config(cfg: &OverloadBench) -> ClusterConfig {
         mcd_config: McConfig::with_mem_limit(64 << 20),
         mcd_costs: McdCosts {
             per_op: cfg.mcd_per_op,
-            queue_limit: cfg.protection.then_some(cfg.queue_limit),
+            queue_limit: cfg.queue_limit,
             ..McdCosts::default()
         },
         retry,
@@ -248,13 +213,7 @@ fn cluster_config(cfg: &OverloadBench) -> ClusterConfig {
         replication: Replication {
             factor: cfg.replication,
         },
-        ladder: cfg.protection.then_some(DegradationLadder {
-            readmit_probability: cfg.readmit_probability,
-        }),
-        rewarm: cfg.protection.then_some(RewarmLimit {
-            rate_per_sec: 20.0,
-            burst: 8.0,
-        }),
+        rewarm: cfg.rewarm,
         ..ImcaConfig::default()
     };
     ClusterConfig {
@@ -278,7 +237,6 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
     let barrier = Barrier::new(cfg.clients + 1);
     let t_start: Rc<Cell<SimTime>> = Rc::new(Cell::new(SimTime::ZERO));
     let latency = Histogram::new();
-    let shed_latency = Histogram::new();
     let ops_done = Rc::new(Cell::new(0u64));
 
     // The warmer: creates the hot files, lets the readers open (their
@@ -319,11 +277,9 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
         let h2 = h.clone();
         let cfg2 = cfg.clone();
         let latency = latency.clone();
-        let shed_latency = shed_latency.clone();
         let ops_done = Rc::clone(&ops_done);
         sim.spawn(async move {
-            let (m, cm) = cluster.mount_with_meta();
-            let cm = cm.expect("overload drive is IMCa-only");
+            let m = cluster.mount();
             barrier.wait().await; // A
             let mut fds = Vec::new();
             for f in 0..cfg2.hot_files {
@@ -338,7 +294,6 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
                 h2.sleep(exp_sample(&mut rng, cfg2.think_mean)).await;
                 let f = rng.gen_range(0..cfg2.hot_files);
                 let b = rng.gen_range(0..cfg2.blocks_per_file);
-                let degraded_at_issue = cm.is_degraded();
                 let t0 = h2.now();
                 let got = m
                     .read(fds[f], b * cfg2.block_size, cfg2.block_size)
@@ -351,9 +306,6 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
                     "overload drive corrupted file {f} block {b}"
                 );
                 latency.record_duration(took);
-                if degraded_at_issue {
-                    shed_latency.record_duration(took);
-                }
                 ops_done.set(ops_done.get() + 1);
             }
         });
@@ -373,15 +325,9 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
         ops: ops_done.get(),
         elapsed,
         latency: latency.snapshot(),
-        shed_latency: shed_latency.snapshot(),
         sheds,
         busy_sheds: snap.counter_sum(".busy_sheds"),
-        hedged_gets: snap.counter_sum(".hedged_gets"),
-        hedge_wins: snap.counter_sum(".hedge_wins"),
         circuit_opens: snap.counter_sum(".circuit_opens"),
-        budget_exhausted: snap.counter_sum(".retry_budget_exhausted"),
-        degraded_reads: snap.counter_sum(".degraded_reads"),
-        readmissions: snap.counter_sum(".readmissions"),
         rewarm_suppressed: snap.counter("smcache.rewarm_suppressed").unwrap_or(0),
         read_hits: cm.read_hits,
         read_misses: cm.read_misses,
@@ -394,9 +340,18 @@ mod tests {
     use super::*;
 
     fn drive(clients: usize, protection: bool) -> OverloadOut {
-        run(&OverloadBench {
+        let on = OverloadBench {
             ops_per_client: 16,
-            ..OverloadBench::new(clients, protection)
+            ..OverloadBench::new(clients)
+        };
+        run(&if protection {
+            on
+        } else {
+            OverloadBench {
+                queue_limit: None,
+                rewarm: None,
+                ..on
+            }
         })
     }
 
@@ -410,13 +365,13 @@ mod tests {
         assert_eq!(on.ops, 24 * 16);
         assert_eq!(off.ops, 24 * 16);
         assert!(
-            on.goodput() > 1.5 * off.goodput(),
+            on.goodput() > 3.0 * off.goodput(),
             "protected {:.0} ops/s vs unprotected {:.0} ops/s",
             on.goodput(),
             off.goodput()
         );
         assert!(on.sheds > 0, "no admission-control sheds at 4x the knee");
-        assert!(on.degraded_reads > 0, "ladder never engaged: {on:?}");
+        assert!(on.rewarm_suppressed > 0, "throttle never engaged: {on:?}");
         assert!(
             on.p99_ms() < off.p99_ms(),
             "protected p99 {:.1}ms vs unprotected {:.1}ms",
@@ -428,25 +383,29 @@ mod tests {
         assert_eq!(off.sheds, 0, "unbounded queues must never shed");
     }
 
-    /// Below the knee the protection layer must be dormant — no sheds,
-    /// no degraded reads, goodput within noise of the legacy stack.
+    /// Below the knee the protection layer is dormant, exactly: nothing
+    /// is shed, no fill is suppressed, and the protected drive replays
+    /// the unprotected one event for event.
     #[test]
     fn pre_knee_protection_is_dormant() {
-        let off = drive(2, false);
-        let on = drive(2, true);
-        assert_eq!(on.sheds, 0, "{on:?}");
-        assert_eq!(on.degraded_reads, 0, "{on:?}");
-        assert_eq!(on.circuit_opens, 0);
-        let ratio = on.goodput() / off.goodput();
-        assert!(
-            (0.7..1.3).contains(&ratio),
-            "pre-knee goodput drifted: on={:.0} off={:.0}",
-            on.goodput(),
-            off.goodput()
-        );
+        for clients in [2, 4] {
+            let off = drive(clients, false);
+            let on = drive(clients, true);
+            assert_eq!(on.sheds, 0, "{on:?}");
+            assert_eq!(on.rewarm_suppressed, 0, "{on:?}");
+            assert_eq!(on.circuit_opens, 0);
+            assert_eq!(on.elapsed, off.elapsed, "{clients} clients");
+            for q in [0.50, 0.99] {
+                assert_eq!(
+                    on.latency.quantile(q),
+                    off.latency.quantile(q),
+                    "{clients} clients, q{q}"
+                );
+            }
+        }
     }
 
-    /// Same seed, same drive — bit-identical, shedding and hedging
+    /// Same seed, same drive — bit-identical, shedding and throttling
     /// included.
     #[test]
     fn fixed_seed_replays_bit_identically() {
@@ -456,8 +415,7 @@ mod tests {
         assert_eq!(a.elapsed, b.elapsed);
         assert_eq!(a.sheds, b.sheds);
         assert_eq!(a.busy_sheds, b.busy_sheds);
-        assert_eq!(a.hedged_gets, b.hedged_gets);
-        assert_eq!(a.degraded_reads, b.degraded_reads);
+        assert_eq!(a.rewarm_suppressed, b.rewarm_suppressed);
         assert_eq!(a.latency.quantile(0.99), b.latency.quantile(0.99));
     }
 }

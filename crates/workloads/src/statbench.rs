@@ -141,6 +141,8 @@ pub fn run(cfg: &StatBench) -> StatBenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imca_core::ImcaConfig;
+    use imca_memcached::McConfig;
 
     fn bench(spec: SystemSpec, files: usize, clients: usize) -> StatBenchResult {
         run(&StatBench {
@@ -230,16 +232,12 @@ mod tests {
         // files overflow one daemon at a 1 MB limit but fit in four.
         let files = 12_000;
         let tiny = 1 << 20;
-        let spec = |mcds: usize| SystemSpec::Imca {
-            mcds,
-            block_size: 2048,
-            selector: imca_memcached::Selector::Crc32,
-            threaded: false,
-            mcd_mem: tiny,
-            rdma_bank: false,
-            batched: true,
-            replication: 1,
-            meta: imca_core::MetaConfig::default(),
+        let spec = |mcds: usize| {
+            SystemSpec::Imca(ImcaConfig {
+                mcd_count: mcds,
+                mcd_config: McConfig::with_mem_limit(tiny),
+                ..ImcaConfig::default()
+            })
         };
         let one = run(&StatBench {
             files,

@@ -7,45 +7,21 @@ use std::rc::Rc;
 use imca_core::{
     Cluster, ClusterConfig, CmCache, ImcaConfig, MetaCache, MetaConfig, Replication, StatResult,
 };
-use imca_fabric::Transport;
 use imca_glusterfs::GlusterMount;
 use imca_lustre::{LustreClient, LustreCluster, LustreConfig};
-use imca_memcached::{McConfig, Selector};
 use imca_metrics::Snapshot;
 use imca_sim::SimHandle;
 
 /// Which system to deploy, in the paper's vocabulary.
-#[derive(Debug, Clone, PartialEq)]
+// A sweep holds a handful of specs; the IMCa variant's size is no cost.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
 pub enum SystemSpec {
     /// GlusterFS in its default configuration (legend *NoCache*).
     GlusterNoCache,
-    /// GlusterFS with the IMCa layer (legend *MCD (x)*).
-    Imca {
-        /// Number of MemCached daemons.
-        mcds: usize,
-        /// IMCa block size in bytes.
-        block_size: u64,
-        /// Key→daemon placement.
-        selector: Selector,
-        /// Background update thread at SMCache.
-        threaded: bool,
-        /// Memory limit per daemon (`-m`).
-        mcd_mem: u64,
-        /// Connect the bank over native RDMA (future-work ablation).
-        rdma_bank: bool,
-        /// Batched bank data path (multi-key gets, `noreply` pipelines).
-        /// `false` reverts to one awaited RPC per key — the paper's
-        /// original per-block behaviour, kept for ablations.
-        batched: bool,
-        /// Bank replication factor: each key on `replication` daemons,
-        /// P2C read spreading and warm failover among them. 1 = the
-        /// paper's single-home bank.
-        replication: usize,
-        /// Metadata-tier policy: stat leases, negative caching, batched
-        /// lookups. The default is the paper's bank round-trip stat
-        /// path; the `ablate_metadata` sweep varies this.
-        meta: MetaConfig,
-    },
+    /// GlusterFS with the IMCa layer (legend *MCD (x)*), deployed as
+    /// the [`ImcaConfig`] describes.
+    Imca(ImcaConfig),
     /// Lustre with `osts` data servers; `warm` keeps the client cache
     /// between the write and read phases, cold drops it (remount).
     Lustre {
@@ -59,41 +35,25 @@ pub enum SystemSpec {
 impl SystemSpec {
     /// IMCa with paper defaults and `n` daemons.
     pub fn imca(n: usize) -> SystemSpec {
-        SystemSpec::Imca {
-            mcds: n,
-            block_size: 2048,
-            selector: Selector::Crc32,
-            threaded: false,
-            mcd_mem: 6 << 30,
-            rdma_bank: false,
-            batched: true,
-            replication: 1,
-            meta: MetaConfig::default(),
-        }
+        SystemSpec::Imca(ImcaConfig::with_mcds(n))
     }
 
     /// [`SystemSpec::imca`] with a metadata-tier policy (the
     /// `ablate_metadata` sweep).
-    pub fn imca_meta(n: usize, meta_cfg: MetaConfig) -> SystemSpec {
-        let mut spec = SystemSpec::imca(n);
-        if let SystemSpec::Imca { ref mut meta, .. } = spec {
-            *meta = meta_cfg;
-        }
-        spec
+    pub fn imca_meta(n: usize, meta: MetaConfig) -> SystemSpec {
+        SystemSpec::Imca(ImcaConfig {
+            meta,
+            ..ImcaConfig::with_mcds(n)
+        })
     }
 
     /// [`SystemSpec::imca`] with a bank replication factor (the
     /// `ablate_replication` sweep).
     pub fn imca_replicated(n: usize, r: usize) -> SystemSpec {
-        let mut spec = SystemSpec::imca(n);
-        if let SystemSpec::Imca {
-            ref mut replication,
-            ..
-        } = spec
-        {
-            *replication = r;
-        }
-        spec
+        SystemSpec::Imca(ImcaConfig {
+            replication: Replication { factor: r },
+            ..ImcaConfig::with_mcds(n)
+        })
     }
 
     /// The [`ClusterConfig`] this spec deploys, for specs that run on
@@ -101,30 +61,7 @@ impl SystemSpec {
     pub fn cluster_config(&self) -> Option<ClusterConfig> {
         match self {
             SystemSpec::GlusterNoCache => Some(ClusterConfig::nocache()),
-            SystemSpec::Imca {
-                mcds,
-                block_size,
-                selector,
-                threaded,
-                mcd_mem,
-                rdma_bank,
-                batched,
-                replication,
-                meta,
-            } => Some(ClusterConfig::imca(ImcaConfig {
-                mcd_count: *mcds,
-                block_size: *block_size,
-                selector: *selector,
-                threaded_updates: *threaded,
-                batching: *batched,
-                mcd_config: McConfig::with_mem_limit(*mcd_mem),
-                bank_transport: rdma_bank.then(Transport::rdma_ddr),
-                replication: Replication {
-                    factor: *replication,
-                },
-                meta: *meta,
-                ..ImcaConfig::default()
-            })),
+            SystemSpec::Imca(imca) => Some(ClusterConfig::imca(imca.clone())),
             SystemSpec::Lustre { .. } => None,
         }
     }
@@ -133,7 +70,7 @@ impl SystemSpec {
     pub fn label(&self) -> String {
         match self {
             SystemSpec::GlusterNoCache => "NoCache".into(),
-            SystemSpec::Imca { mcds, .. } => format!("MCD ({mcds})"),
+            SystemSpec::Imca(imca) => format!("MCD ({})", imca.mcd_count),
             SystemSpec::Lustre { osts, warm } => {
                 format!("Lustre-{osts}DS ({})", if *warm { "Warm" } else { "Cold" })
             }
@@ -156,10 +93,10 @@ impl Deployment {
             SystemSpec::GlusterNoCache => {
                 Deployment::Gluster(Rc::new(Cluster::build(handle, ClusterConfig::nocache())))
             }
-            SystemSpec::Imca { .. } => {
-                let cfg = spec.cluster_config().expect("Imca has a cluster config");
-                Deployment::Gluster(Rc::new(Cluster::build(handle, cfg)))
-            }
+            SystemSpec::Imca(imca) => Deployment::Gluster(Rc::new(Cluster::build(
+                handle,
+                ClusterConfig::imca(imca.clone()),
+            ))),
             SystemSpec::Lustre { osts, .. } => Deployment::Lustre(Rc::new(LustreCluster::build(
                 handle,
                 LustreConfig::with_osts(*osts),
@@ -356,6 +293,7 @@ pub enum FsHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imca_memcached::McConfig;
     use imca_sim::Sim;
 
     fn roundtrip(spec: SystemSpec) {
@@ -377,17 +315,10 @@ mod tests {
     #[test]
     fn all_three_systems_speak_the_same_interface() {
         roundtrip(SystemSpec::GlusterNoCache);
-        roundtrip(SystemSpec::Imca {
-            mcds: 2,
-            block_size: 2048,
-            selector: Selector::Crc32,
-            threaded: false,
-            mcd_mem: 8 << 20,
-            rdma_bank: false,
-            batched: true,
-            replication: 1,
-            meta: MetaConfig::default(),
-        });
+        roundtrip(SystemSpec::Imca(ImcaConfig {
+            mcd_config: McConfig::with_mem_limit(8 << 20),
+            ..ImcaConfig::with_mcds(2)
+        }));
         // And with the bank replicated across both daemons.
         roundtrip(SystemSpec::imca_replicated(2, 2));
         roundtrip(SystemSpec::Lustre {

@@ -17,17 +17,11 @@ use imca_repro::workloads::statbench::{run as statbench, StatBench};
 use imca_repro::workloads::SystemSpec;
 
 fn imca_spec(mcds: usize) -> SystemSpec {
-    SystemSpec::Imca {
-        mcds,
-        block_size: 2048,
-        selector: Selector::Crc32,
-        threaded: false,
-        mcd_mem: 1 << 30,
-        rdma_bank: false,
-        batched: true,
-        replication: 1,
-        meta: imca_repro::imca::MetaConfig::default(),
-    }
+    SystemSpec::Imca(ImcaConfig {
+        mcd_count: mcds,
+        mcd_config: McConfig::with_mem_limit(1 << 30),
+        ..ImcaConfig::default()
+    })
 }
 
 /// Fig 1: NFS read bandwidth orders RDMA > IPoIB > GigE while the set fits
@@ -92,17 +86,12 @@ fn fig6a_direction() {
     // `batched: false` reproduces the paper's per-block bank RPCs; the
     // Fig 6(a) crossover exists *because* of those round trips.
     let bench = |block_size: u64, batched: bool| {
-        let spec = SystemSpec::Imca {
-            mcds: 1,
+        let spec = SystemSpec::Imca(ImcaConfig {
             block_size,
-            selector: Selector::Crc32,
-            threaded: false,
-            mcd_mem: 1 << 30,
-            rdma_bank: false,
-            batched,
-            replication: 1,
-            meta: imca_repro::imca::MetaConfig::default(),
-        };
+            mcd_config: McConfig::with_mem_limit(1 << 30),
+            batching: batched,
+            ..ImcaConfig::default()
+        });
         latbench(&LatencyBench {
             spec,
             clients: 1,
@@ -171,17 +160,11 @@ fn fig6c_direction() {
     };
     let nocache = bench(SystemSpec::GlusterNoCache);
     let sync = bench(imca_spec(1));
-    let threaded = bench(SystemSpec::Imca {
-        mcds: 1,
-        block_size: 2048,
-        selector: Selector::Crc32,
-        threaded: true,
-        mcd_mem: 1 << 30,
-        rdma_bank: false,
-        batched: true,
-        replication: 1,
-        meta: imca_repro::imca::MetaConfig::default(),
-    });
+    let threaded = bench(SystemSpec::Imca(ImcaConfig {
+        threaded_updates: true,
+        mcd_config: McConfig::with_mem_limit(1 << 30),
+        ..ImcaConfig::default()
+    }));
     assert!(sync > nocache * 1.1, "sync={sync:.1} nocache={nocache:.1}");
     assert!(
         threaded < nocache * 1.25,
@@ -203,16 +186,13 @@ fn fig9_direction() {
         })
         .read_mb_s
     };
-    let modulo = |mcds: usize| SystemSpec::Imca {
-        mcds,
-        block_size: 2048,
-        selector: Selector::Modulo,
-        threaded: false,
-        mcd_mem: 1 << 30,
-        rdma_bank: false,
-        batched: true,
-        replication: 1,
-        meta: imca_repro::imca::MetaConfig::default(),
+    let modulo = |mcds: usize| {
+        SystemSpec::Imca(ImcaConfig {
+            mcd_count: mcds,
+            selector: Selector::Modulo,
+            mcd_config: McConfig::with_mem_limit(1 << 30),
+            ..ImcaConfig::default()
+        })
     };
     let nocache = bench(SystemSpec::GlusterNoCache);
     let one = bench(modulo(1));

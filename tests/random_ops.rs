@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use imca_repro::fabric::FaultPlan;
 use imca_repro::glusterfs::FsError;
 use imca_repro::imca::{
-    keys, AdaptiveDeadline, Cluster, ClusterConfig, HedgePolicy, ImcaConfig, McdCosts, MetaConfig,
-    Replication, RetryBudget, RetryPolicy,
+    keys, Cluster, ClusterConfig, HedgePolicy, ImcaConfig, McdCosts, MetaConfig, Replication,
+    RetryPolicy,
 };
 use imca_repro::memcached::McConfig;
 use imca_repro::metrics::Snapshot;
@@ -1119,11 +1119,10 @@ fn ov_fill(file: u8, i: u64) -> u8 {
 }
 
 /// The protected cluster: a deliberately tiny bank — 200 µs of service
-/// per GET behind a 1-deep admission queue — with the whole DESIGN.md §8
-/// layer on: adaptive deadlines, a token-bucket retry budget, and hedged
-/// reads at R=2. An 8-wide burst *must* shed, and an admitted GET
-/// outlives the 100 µs hedge ceiling, so both protection paths fire on
-/// every run of the canonical schedule.
+/// per GET behind a 1-deep admission queue — with hedged reads at R=2.
+/// An 8-wide burst *must* shed, and an admitted GET outlives the 100 µs
+/// hedge ceiling, so both paths fire on every run of the canonical
+/// schedule.
 fn build_overload_cluster(h: SimHandle, seed: u64) -> Rc<Cluster> {
     let cluster = Rc::new(Cluster::build(
         h,
@@ -1138,16 +1137,6 @@ fn build_overload_cluster(h: SimHandle, seed: u64) -> Rc<Cluster> {
                 ..McdCosts::default()
             },
             retry: RetryPolicy {
-                adaptive: Some(AdaptiveDeadline {
-                    multiplier: 3.0,
-                    min: SimDuration::millis(2),
-                    max: SimDuration::millis(50),
-                    warmup: 16,
-                }),
-                retry_budget: Some(RetryBudget {
-                    refill_per_sec: 1000.0,
-                    burst: 50.0,
-                }),
                 hedge: Some(HedgePolicy {
                     min_delay: SimDuration::micros(10),
                     max_delay: SimDuration::micros(100),
@@ -1176,9 +1165,8 @@ fn build_overload_cluster(h: SimHandle, seed: u64) -> Rc<Cluster> {
 
 /// Drive the protected cluster and a NoCache twin through one schedule.
 /// Every burst read is compared byte-for-byte against the NoCache read
-/// of the same range — sheds, hedges, replica failovers, budget denials,
-/// and cold rewarms may change *where* a read is served from, never
-/// *what* it returns.
+/// of the same range — sheds, hedges, replica failovers and cold rewarms
+/// may change *where* a read is served from, never *what* it returns.
 async fn overload_storm(c: Rc<Cluster>, n: Rc<Cluster>, h: SimHandle, ops: Vec<OvOp>) {
     let (mi, mn) = (c.mount(), n.mount());
     let mut fdi = Vec::new();
@@ -1361,7 +1349,7 @@ fn ov_sheds(snap: &Snapshot) -> u64 {
 }
 
 /// A fixed seed replays the whole overload storm — concurrent bursts,
-/// sheds, hedge timers, budget draws, partition timeouts, and the cold
+/// sheds, hedge timers, partition timeouts, and the cold
 /// restart — to the same end time, event count, and bit-identical
 /// metrics, and the storm actually engaged both protection paths.
 #[test]
