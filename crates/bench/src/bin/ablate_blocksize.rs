@@ -17,7 +17,13 @@ fn main() {
         "ablate_blocksize",
         "IMCa block-size sweep on single-client read latency",
     );
-    let records = if opts.full { 1024 } else { 192 };
+    let records = if opts.full {
+        1024
+    } else if opts.smoke {
+        16
+    } else {
+        192
+    };
     let record_sizes = LatencyBench::power_of_two_sizes(64 << 10);
     let block_sizes: Vec<u64> = vec![256, 1024, 2048, 8192, 65536];
 

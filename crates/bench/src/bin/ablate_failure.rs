@@ -22,7 +22,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use imca_bench::{emit, emit_metrics, Options};
-use imca_core::{Cluster, ClusterConfig, ImcaConfig, RetryPolicy};
+use imca_core::{Cluster, ClusterConfig, Coherence, ImcaConfig, RetryPolicy};
 use imca_fabric::FaultPlan;
 use imca_memcached::McConfig;
 use imca_sim::{Sim, SimDuration, SimTime};
@@ -48,6 +48,12 @@ fn main() {
             // touch the disk rather than the write's own warmed pages.
             block_size: 8192,
             mcd_config: McConfig::with_mem_limit(1 << 30),
+            // The paper's protocol (§4.4 is its claim): every write
+            // repopulates its covering blocks from a filesystem re-read,
+            // the path the dirty-media stage breaks. Under the default
+            // `Coherence::Cas` an in-block write splices the cached block
+            // in place and never touches the sick media.
+            coherence: Coherence::Purge,
             ..ImcaConfig::default()
         }),
     ));
@@ -269,6 +275,12 @@ fn main() {
         "correctness: every record matched its reference after every failure \
          ({} brown-out reads failed over to EIO, the rest served from the bank)",
         brownout_errors.get()
+    );
+    println!(
+        "dirty media: {} storage.io_errors, {} smcache.dropped_pushes \
+         (each dropped push purged its stale bank copy)",
+        snap.counter("storage.io_errors").unwrap_or(0),
+        snap.counter("smcache.dropped_pushes").unwrap_or(0)
     );
 
     // ---- Network-fault sweep: loss ∈ {0, 1%, 10%} + mid-run partition ----

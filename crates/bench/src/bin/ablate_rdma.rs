@@ -23,8 +23,15 @@ fn spec(rdma_bank: bool) -> SystemSpec {
 
 fn main() {
     let opts = Options::from_args("ablate_rdma", "IPoIB vs RDMA transport for the MCD bank");
-    let records = if opts.full { 1024 } else { 192 };
-    let sizes = LatencyBench::power_of_two_sizes(64 << 10);
+    // Smoke: records up to 4 KB still span two of the default 2 KB blocks.
+    let (records, max_size) = if opts.full {
+        (1024, 64 << 10)
+    } else if opts.smoke {
+        (32, 4 << 10)
+    } else {
+        (192, 64 << 10)
+    };
+    let sizes = LatencyBench::power_of_two_sizes(max_size);
 
     let mut snap = Snapshot::new();
     for &clients in &[1usize, 16] {

@@ -16,12 +16,19 @@ fn main() {
     );
     // Paper: 4 GB / 8 GB server memory, ~1 GB per client file. Scaled: the
     // same ratio at 1/32 size so the knee lands inside the client sweep.
+    // Smoke: 1/256 size, one client count either side of both knees.
     let (mem_small, mem_big, file_size) = if opts.full {
         (4u64 << 30, 8u64 << 30, 1u64 << 30)
+    } else if opts.smoke {
+        (16u64 << 20, 32u64 << 20, 4u64 << 20)
     } else {
         (128u64 << 20, 256u64 << 20, 32u64 << 20)
     };
-    let clients = [1usize, 2, 4, 8, 16];
+    let clients: &[usize] = if opts.smoke {
+        &[2, 16]
+    } else {
+        &[1, 2, 4, 8, 16]
+    };
     let transports = [
         ("RDMA", Transport::rdma_ddr()),
         ("IPoIB", Transport::ipoib_ddr()),
@@ -31,7 +38,7 @@ fn main() {
     for (panel, mem) in [("a", mem_small), ("b", mem_big)] {
         let mut jobs: Vec<Box<dyn FnOnce() -> NfsIozoneResult + Send>> = Vec::new();
         for (_, transport) in &transports {
-            for &n in &clients {
+            for &n in clients {
                 let cfg = NfsIozoneBench {
                     transport: transport.clone(),
                     server_memory: mem,

@@ -25,8 +25,15 @@ fn main() {
     } else {
         // 12,288 stat items need ~1.4 slab pages: a 1 MB daemon is under
         // capacity pressure alone, two daemons are not — same story as the
-        // paper's 262k files against 6 GB daemons.
-        (12_288, vec![1, 2, 4, 8, 16, 32], 1 << 20)
+        // paper's 262k files against 6 GB daemons. The smoke sweep keeps
+        // that file set (so MCD(1) still evicts) and drops to two client
+        // counts.
+        let clients = if opts.smoke {
+            vec![1, 4]
+        } else {
+            vec![1, 2, 4, 8, 16, 32]
+        };
+        (12_288, clients, 1 << 20)
     };
 
     let mcd = |n: usize| {

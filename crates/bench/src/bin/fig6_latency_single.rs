@@ -25,8 +25,16 @@ fn main() {
         "fig6_latency_single",
         "single-client read/write latency vs record size (paper Fig 6)",
     );
-    let records = if opts.full { 1024 } else { 256 };
-    let sizes = LatencyBench::power_of_two_sizes(if opts.full { 1 << 20 } else { 64 << 10 });
+    // Smoke: records up to 16 KB still span several of the largest
+    // (8 KB) blocks.
+    let (records, max_size) = if opts.full {
+        (1024, 1 << 20)
+    } else if opts.smoke {
+        (32, 16 << 10)
+    } else {
+        (256, 64 << 10)
+    };
+    let sizes = LatencyBench::power_of_two_sizes(max_size);
 
     let read_systems: Vec<(String, SystemSpec)> = vec![
         ("NoCache".into(), SystemSpec::GlusterNoCache),

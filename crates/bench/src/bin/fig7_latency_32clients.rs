@@ -14,8 +14,15 @@ fn main() {
         "32-client read latency vs record size while varying MCDs (paper Fig 7)",
     );
     let clients = 32;
-    let records = if opts.full { 1024 } else { 96 };
-    let sizes = LatencyBench::power_of_two_sizes(if opts.full { 64 << 10 } else { 16 << 10 });
+    // Smoke: records up to 4 KB still span two of the default 2 KB blocks.
+    let (records, max_size) = if opts.full {
+        (1024, 64 << 10)
+    } else if opts.smoke {
+        (16, 4 << 10)
+    } else {
+        (96, 16 << 10)
+    };
+    let sizes = LatencyBench::power_of_two_sizes(max_size);
 
     let systems: Vec<SystemSpec> = vec![
         SystemSpec::GlusterNoCache,

@@ -18,8 +18,14 @@ fn main() {
     // Paper: 1 GB per file, 2 KB records, 6 GB per MCD (8 threads spill a
     // single daemon). Scaled: 8 MB per file with 64 MB daemons keeps the
     // same capacity ratio — MCD(1) is under pressure at 8 threads, MCD(2)+
-    // is not.
-    let file_size = if opts.full { 1u64 << 30 } else { 8u64 << 20 };
+    // is not. Smoke keeps the ratio at 1 MB per file and 8 MB daemons.
+    let (file_size, mcd_mem) = if opts.full {
+        (1u64 << 30, 6u64 << 30)
+    } else if opts.smoke {
+        (1u64 << 20, 8u64 << 20)
+    } else {
+        (8u64 << 20, 64u64 << 20)
+    };
     let threads_sweep = [1usize, 2, 4, 8];
 
     let mcd = |n: usize| {
@@ -29,7 +35,7 @@ fn main() {
             // with a static modulo function (round-robin) for distributing the
             // data across the cache servers."
             selector: Selector::Modulo,
-            mcd_config: McConfig::with_mem_limit(if opts.full { 6 << 30 } else { 64 << 20 }),
+            mcd_config: McConfig::with_mem_limit(mcd_mem),
             ..ImcaConfig::default()
         })
     };

@@ -7,10 +7,11 @@
 //! returned, so steady-state traffic hits the allocator only during
 //! warm-up.
 //!
-//! The pool is per-thread, which makes it safe under the sharded engine
-//! (each shard is confined to one worker thread) and keeps it free of
-//! locks. It is bounded: at most [`MAX_POOLED`] buffers are retained and
-//! oversized buffers are dropped rather than hoarded.
+//! The pool is per-thread: a `Sim` never leaves the thread it was built
+//! on, so sweeps that run independent simulations on several OS threads
+//! share nothing and the pool needs no lock. It is bounded: at most
+//! [`MAX_POOLED`] buffers are retained and oversized buffers are dropped
+//! rather than hoarded.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};

@@ -8,7 +8,7 @@
 //!   as ordinary `async` processes,
 //! * synchronisation primitives ([`sync::Queue`], [`sync::Resource`],
 //!   [`sync::Barrier`], [`sync::oneshot`]) that suspend on *virtual* time,
-//! * seeded, forkable randomness and time-stamped series ([`stats`]),
+//! * seeded, forkable randomness ([`SimHandle::fork_rng`]),
 //! * shared plumbing for deterministic fault schedules ([`fault`]), used
 //!   by both the network and the storage fault models.
 //!
@@ -60,17 +60,13 @@
 #![warn(rust_2018_idioms)]
 
 pub mod buf;
-pub mod det;
 pub mod fault;
-mod shard;
 mod sim;
-pub mod stats;
 pub mod sync;
 mod time;
 mod util;
 mod wheel;
 
-pub use shard::{Envelope, ParSim, ParSummary, ShardComms, ShardCtx, NET_NODE};
 pub use sim::{yield_now, Delay, RunSummary, Sim, SimHandle, YieldNow};
 pub use time::{SimDuration, SimTime};
 pub use util::{join2, join_all, timeout, TokenBucket};

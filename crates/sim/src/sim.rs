@@ -12,9 +12,9 @@
 //! the node tag of the task that registered the timer, then registration
 //! order. Tasks inherit their spawner's node tag (override with
 //! [`SimHandle::spawn_on`]); untagged code runs as node 0, where the order
-//! degenerates to the classic `(at, seq)` — tagging is only needed by the
-//! sharded engine ([`crate::ParSim`]) and models that want per-node
-//! ordering to be explicit.
+//! degenerates to the classic `(at, seq)` — tagging is for models that
+//! want same-instant events ordered by the node they run on rather than
+//! by who happened to register first (`imca-workloads`' scale sweep).
 //!
 //! Timers are stored in a hierarchical timer wheel by default; the global
 //! `BinaryHeap` remains available via [`Sim::with_scheduler`] as the
@@ -69,10 +69,6 @@ impl ReadyQueue {
     fn swap_into(&self, batch: &mut VecDeque<TaskId>) {
         debug_assert!(batch.is_empty());
         std::mem::swap(&mut *self.queue.lock().unwrap(), batch);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.queue.lock().unwrap().is_empty()
     }
 }
 
@@ -234,15 +230,6 @@ impl Core {
         }
     }
 
-    /// Virtual time of the next thing that would happen: `now` if any task
-    /// is ready, else the earliest pending timer. `None` at quiescence.
-    fn next_event_time(&self) -> Option<SimTime> {
-        if !self.ready.is_empty() {
-            return Some(self.now.get());
-        }
-        self.timers.borrow_mut().next_at()
-    }
-
     fn summary(&self) -> RunSummary {
         RunSummary {
             end_time: self.now.get(),
@@ -336,28 +323,6 @@ impl Sim {
     /// whichever comes first. Timers at exactly `deadline` do fire.
     pub fn run_until(&mut self, deadline: SimTime) -> RunSummary {
         self.core.run_to(deadline);
-        self.core.summary()
-    }
-
-    /// Run every event strictly before `horizon`. Used by the sharded
-    /// engine, whose epochs own the half-open window `[.., horizon)`.
-    pub(crate) fn run_window(&mut self, horizon: SimTime) {
-        if horizon.0 == 0 {
-            self.core.drain_ready();
-            return;
-        }
-        self.core.run_to(SimTime(horizon.0 - 1));
-    }
-
-    /// Virtual time of the next pending event, if any. See
-    /// [`Core::next_event_time`].
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.core.next_event_time()
-    }
-
-    /// Summary of the run so far (used by the sharded engine, which drives
-    /// the core in windows rather than through [`Sim::run_until`]).
-    pub(crate) fn summary(&self) -> RunSummary {
         self.core.summary()
     }
 

@@ -104,22 +104,6 @@ impl TimerQueue {
         }
     }
 
-    /// The deadline of the earliest live (non-cancelled) entry.
-    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
-        match self {
-            TimerQueue::Heap(heap) => loop {
-                match heap.peek() {
-                    Some(Reverse(e)) if e.is_cancelled() => {
-                        heap.pop();
-                    }
-                    Some(Reverse(e)) => break Some(e.at),
-                    None => break None,
-                }
-            },
-            TimerQueue::Wheel(wheel) => wheel.prepare_next().map(SimTime),
-        }
-    }
-
     /// Remove and return the earliest live entry with `at <= deadline`,
     /// discarding cancelled entries encountered along the way.
     pub(crate) fn pop_next(&mut self, deadline: SimTime) -> Option<TimerEntry> {
@@ -246,7 +230,7 @@ impl TimerWheel {
     /// poppable, and return it. Cascades higher-level slots and migrates
     /// overflow entries as needed; prunes cancelled entries (never
     /// advancing past a live one).
-    pub(crate) fn prepare_next(&mut self) -> Option<u64> {
+    fn prepare_next(&mut self) -> Option<u64> {
         loop {
             // Drop cancelled entries at both candidate heads.
             while self.current.front().is_some_and(|e| e.is_cancelled()) {

@@ -30,8 +30,8 @@
 //! one.
 //!
 //! Everything is driven by per-client RNG streams seeded from
-//! `(seed, client)`, so a fixed seed replays bit-identically — the same
-//! property the chaos suite asserts across ParSim worker counts.
+//! `(seed, client)`, so a fixed seed replays bit-identically
+//! (`fixed_seed_replays_bit_identically` below).
 
 use std::cell::Cell;
 use std::rc::Rc;

@@ -129,7 +129,8 @@ impl ScaleOut {
     }
 }
 
-/// splitmix64 — the same per-stream seeding the shard engine uses.
+/// splitmix64 finaliser: places blocks on daemons and decorrelates the
+/// per-client RNG streams seeded from `(seed, client)`.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

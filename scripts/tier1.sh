@@ -11,18 +11,11 @@
 #                               API fails here, not in the benchmark),
 #                               run the benchmark and hold its
 #                               virtual-time fields to the committed
-#                               baseline (scripts/perfcheck),
-#                               smoke-run the shared-read benches
-#                               (fig10_shared + ablate_replication), the
-#                               metadata benches (fig5_stat +
-#                               ablate_metadata), the write-coherence
-#                               ablation (ablate_cas), the bank-scale
-#                               sweep (fig8_scale) and the
-#                               overload-protection ablation
-#                               (ablate_overload), leaving
-#                               results/BENCH_5.json through BENCH_9.json
-#                               behind, and re-run the determinism suite
-#                               with two ParSim workers
+#                               baseline (scripts/perfcheck), and
+#                               smoke-run every figure and ablation
+#                               binary under crates/bench/src/bin off
+#                               one build; each asserts its own claims,
+#                               so a false one exits non-zero here
 #
 # The root package's tests are the contract (see ROADMAP.md); the strict
 # mode is what CI runs before merging.
@@ -60,57 +53,16 @@ if [[ "${1:-}" == "--strict" ]]; then
     # field of bench/baseline/2c.json that is not on the host clock.
     scripts/perfcheck
 
-    # One build for every smoke below.
+    # One build, then every figure and ablation binary on its smallest
+    # grid (`--smoke`). The binaries assert their own claims (BENCH_5
+    # through BENCH_9's verdicts, ablate_failure's audit trail, ...), so a
+    # false claim exits non-zero under `set -e`, and a binary added later
+    # is gated without editing this script.
     cargo build --release -p imca-bench --bins
     BIN=target/release
-
-    # Bench smoke: reduced sweeps of the shared-read figures. The
-    # replication ablation asserts its own acceptance claims (R=2 p99 <
-    # R=1 p99; kill-one-MCD reads stay warm) and writes the consolidated
-    # results/BENCH_5.json (per-R p50/p99 + wall-clock).
-    "$BIN/fig10_shared" --smoke --out results
-    "$BIN/ablate_replication" --smoke --out results
-    test -s results/BENCH_5.json
-
-    # Metadata-path smoke: the Fig 5 stat sweep plus the metadata-tier
-    # ablation, which asserts its own claims (lease p50/p99 < bank p99 <
-    # NoCache at 32 clients) and writes results/BENCH_6.json. The grep
-    # re-checks the headline claim against the emitted document.
-    "$BIN/fig5_stat" --smoke --out results
-    "$BIN/ablate_metadata" --smoke --out results
-    test -s results/BENCH_6.json
-    grep -q '"lease_p99_lt_bank": true' results/BENCH_6.json
-
-    # Write-coherence smoke: the CAS-vs-purge ablation asserts its own
-    # claims (CAS p99 below purge and post-write hit rate above it at
-    # every sweep × R point) and writes results/BENCH_7.json. The grep
-    # re-checks the verdict against the emitted document.
-    "$BIN/ablate_cas" --smoke --out results
-    test -s results/BENCH_7.json
-    grep -q '"cas_beats_purge": true' results/BENCH_7.json
-
-    # Scale smoke: fig8_scale sweeps 1k-10k clients over the bank-scale
-    # queueing model, asserts an annotated saturation knee, and writes
-    # results/BENCH_8.json.
-    "$BIN/fig8_scale" --smoke --out results
-    test -s results/BENCH_8.json
-    grep -q '"knee_found": true' results/BENCH_8.json
-
-    # Overload smoke: ablate_overload drives the bank 2-4x past the knee
-    # with the protection layer (bounded daemon queues + the rewarm
-    # throttle) ON, OFF, and ON minus each of the two, asserts its own
-    # claims (ON goodput plateaus within 10% of the pre-knee peak with a
-    # bounded p99 and stays within 5% of OFF up to the knee; OFF
-    # collapses; either mechanism alone loses the plateau), and writes
-    # results/BENCH_9.json.
-    # The greps re-check the two headline verdicts.
-    "$BIN/ablate_overload" --smoke --out results
-    test -s results/BENCH_9.json
-    grep -q '"goodput_plateaus": true' results/BENCH_9.json
-    grep -q '"each_mechanism_needed": true' results/BENCH_9.json
-
-    # The determinism suite runs in the default test pass with one ParSim
-    # worker; re-run it with two so the genuinely parallel path (barrier
-    # epochs, canonical handoff sort) is exercised on every CI run.
-    IMCA_SIM_WORKERS=2 cargo test --release -q --test determinism
+    for src in crates/bench/src/bin/*.rs; do
+        name=$(basename "$src" .rs)
+        echo "== smoke: $name"
+        "$BIN/$name" --smoke --out results
+    done
 fi

@@ -3,9 +3,9 @@
 //! The "full storm" — fractional storage error rates, a controller
 //! brown-out window, a gray-failure slow disk, bank packet loss and
 //! jitter, an MCD kill/revive, and a server crash/restart — lives here so
-//! that `random_ops.rs` (single-`Sim` replay properties) and
-//! `determinism.rs` (the same storm as `ParSim` shards, replayed across
-//! worker counts) drive the byte-for-byte identical scenario.
+//! that `random_ops.rs` (fixed-seed replay properties) and
+//! `determinism.rs` (the same storm under both timer back-ends) drive
+//! the byte-for-byte identical scenario.
 
 use std::rc::Rc;
 
@@ -13,7 +13,8 @@ use imca_repro::fabric::FaultPlan;
 use imca_repro::glusterfs::FsError;
 use imca_repro::imca::{Cluster, ClusterConfig, ImcaConfig, MetaConfig, Replication};
 use imca_repro::memcached::McConfig;
-use imca_repro::sim::{SimDuration, SimHandle, SimTime};
+use imca_repro::metrics::Snapshot;
+use imca_repro::sim::{Scheduler, Sim, SimDuration, SimHandle, SimTime};
 use imca_repro::storage::StorageFaultPlan;
 
 /// Build the storm's cluster: 2 MCDs, 8 KB blocks over a 4 KB backend
@@ -130,4 +131,24 @@ pub async fn chaos_storm(c: Rc<Cluster>, h: SimHandle, seed: u64) -> u32 {
     }
     assert!(io_errors_seen > 0, "the storm never surfaced an I/O error");
     io_errors_seen
+}
+
+/// The storm on a fresh `Sim` with the given timer back-end. Returns
+/// everything the run exposes — virtual end time (ns), event count, and
+/// the full metrics snapshot; two runs are "the same" iff these are equal.
+pub fn run_full_chaos(
+    seed: u64,
+    replication: usize,
+    meta: MetaConfig,
+    scheduler: Scheduler,
+) -> (u64, u64, Snapshot) {
+    let mut sim = Sim::with_scheduler(seed, scheduler);
+    let cluster = build_chaos_cluster(sim.handle(), seed, replication, meta);
+    let c = Rc::clone(&cluster);
+    let h = sim.handle();
+    sim.spawn(async move {
+        chaos_storm(c, h, seed).await;
+    });
+    let s = sim.run();
+    (s.end_time.as_nanos(), s.events, cluster.metrics())
 }

@@ -22,7 +22,7 @@ use imca_repro::imca::{
 };
 use imca_repro::memcached::McConfig;
 use imca_repro::metrics::Snapshot;
-use imca_repro::sim::{join_all, ParSim, Sim, SimDuration, SimHandle, SimTime};
+use imca_repro::sim::{join_all, Scheduler, Sim, SimDuration, SimHandle, SimTime};
 use imca_repro::storage::StorageFaultPlan;
 
 #[derive(Debug, Clone)]
@@ -879,33 +879,13 @@ proptest! {
     }
 }
 
-/// One IMCa cluster under *everything at once* — the [`common::chaos_storm`]
-/// driver: fractional storage error rates, a controller brown-out window,
-/// a gray-failure slow disk, bank packet loss and jitter, an MCD
-/// kill/revive, and a server crash/restart — driven twice from the same
-/// seed must replay to the same end time, event count, and bit-identical
-/// metrics snapshot. (`tests/determinism.rs` replays the same storm as
-/// `ParSim` shards across worker counts.)
-fn run_full_chaos(
-    seed: u64,
-    replication: usize,
-    meta: MetaConfig,
-) -> (u64, u64, imca_repro::metrics::Snapshot) {
-    let mut sim = Sim::new(seed);
-    let cluster = common::build_chaos_cluster(sim.handle(), seed, replication, meta);
-    let c = Rc::clone(&cluster);
-    let h = sim.handle();
-    sim.spawn(async move {
-        common::chaos_storm(c, h, seed).await;
-    });
-    let s = sim.run();
-    (s.end_time.as_nanos(), s.events, cluster.metrics())
-}
-
+/// One IMCa cluster under *everything at once* ([`common::run_full_chaos`]),
+/// driven twice from the same seed, must replay to the same end time,
+/// event count, and bit-identical metrics snapshot.
 #[test]
 fn fixed_seed_full_chaos_replays_identically() {
-    let a = run_full_chaos(1973, 1, MetaConfig::default());
-    let b = run_full_chaos(1973, 1, MetaConfig::default());
+    let a = common::run_full_chaos(1973, 1, MetaConfig::default(), Scheduler::default());
+    let b = common::run_full_chaos(1973, 1, MetaConfig::default(), Scheduler::default());
     assert_eq!(a.0, b.0, "end time diverged between chaos replays");
     assert_eq!(a.1, b.1, "event count diverged between chaos replays");
     assert_eq!(a.2, b.2, "metrics snapshot diverged between chaos replays");
@@ -922,8 +902,8 @@ fn fixed_seed_full_chaos_replays_identically() {
 /// fixed seed must still replay bit-identically with R=2.
 #[test]
 fn fixed_seed_full_chaos_replays_identically_replicated() {
-    let a = run_full_chaos(1973, 2, MetaConfig::default());
-    let b = run_full_chaos(1973, 2, MetaConfig::default());
+    let a = common::run_full_chaos(1973, 2, MetaConfig::default(), Scheduler::default());
+    let b = common::run_full_chaos(1973, 2, MetaConfig::default(), Scheduler::default());
     assert_eq!(
         a.0, b.0,
         "end time diverged between replicated chaos replays"
@@ -948,8 +928,8 @@ fn fixed_seed_full_chaos_replays_identically_replicated() {
 /// still replay bit-identically.
 #[test]
 fn fixed_seed_full_chaos_replays_identically_leased_replicated() {
-    let a = run_full_chaos(1973, 2, MetaConfig::lease());
-    let b = run_full_chaos(1973, 2, MetaConfig::lease());
+    let a = common::run_full_chaos(1973, 2, MetaConfig::lease(), Scheduler::default());
+    let b = common::run_full_chaos(1973, 2, MetaConfig::lease(), Scheduler::default());
     assert_eq!(
         a.0, b.0,
         "end time diverged between leased replicated chaos replays"
@@ -1370,59 +1350,6 @@ fn fixed_seed_overload_storm_replays_identically_with_sheds_and_hedges() {
         a.2.counter("cmcache.0.bank.hedged_gets").unwrap_or(0) > 0,
         "no burst read ever hedged"
     );
-}
-
-/// The same storm as `ParSim` shards: two protected clusters (different
-/// seeds) each race their NoCache twin through the canonical schedule on
-/// their own shard. Hedge timers and shed replies are ordinary seeded
-/// sim events, so the worker count must be invisible — the full trace
-/// (virtual end time, event counts, epochs, both metrics snapshots) is
-/// bit-identical for workers ∈ {1, 2, 8}.
-fn run_overload_fleet(workers: usize) -> (u64, u64, u64, Vec<u64>, Vec<Snapshot>) {
-    let mut par = ParSim::new(4242)
-        .lookahead(SimDuration::micros(5))
-        .workers(workers);
-    for shard in 0..2usize {
-        par.add_shard(move |ctx| {
-            let h = ctx.handle();
-            let seed = 4242 ^ shard as u64;
-            let cluster = build_overload_cluster(h.clone(), seed);
-            let nocache = Rc::new(Cluster::build(h.clone(), ClusterConfig::nocache()));
-            let c = Rc::clone(&cluster);
-            let h2 = h.clone();
-            h.spawn(async move {
-                overload_storm(c, nocache, h2, overload_schedule()).await;
-            });
-            move || cluster.metrics()
-        });
-    }
-    let mut s = par.run();
-    (
-        s.end_time.as_nanos(),
-        s.events,
-        s.epochs,
-        s.shards.iter().map(|r| r.events).collect(),
-        (0..2).map(|i| s.take::<Snapshot>(i)).collect(),
-    )
-}
-
-#[test]
-fn overload_storm_replays_bit_identically_across_parsim_workers() {
-    let base = run_overload_fleet(1);
-    for (i, snap) in base.4.iter().enumerate() {
-        assert!(ov_sheds(snap) > 0, "shard {i}: no daemon queue ever shed");
-        assert!(
-            snap.counter("cmcache.0.bank.hedged_gets").unwrap_or(0) > 0,
-            "shard {i}: no burst read ever hedged"
-        );
-    }
-    for workers in [2usize, 8] {
-        let w = run_overload_fleet(workers);
-        assert_eq!(
-            base, w,
-            "overload fleet trace diverged between workers=1 and workers={workers}"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
