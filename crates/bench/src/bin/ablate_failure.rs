@@ -375,7 +375,6 @@ fn run_faulted(
                 backoff_base: SimDuration::micros(10),
                 backoff_cap: SimDuration::micros(40),
                 circuit_cooldown: SimDuration::micros(500),
-                ..RetryPolicy::default()
             },
             // The updater keeps the production policy: its pipeline syncs
             // legitimately wait far longer than one read deadline.

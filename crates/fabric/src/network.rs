@@ -147,16 +147,6 @@ impl Network {
         id
     }
 
-    /// Register `n` nodes, returning their ids.
-    pub fn add_nodes(&self, n: usize) -> Vec<NodeId> {
-        (0..n).map(|_| self.add_node()).collect()
-    }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.inner.nics.borrow().len()
-    }
-
     /// The default transport of this network.
     pub fn transport(&self) -> Transport {
         self.inner.transport.clone()

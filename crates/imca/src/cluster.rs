@@ -16,7 +16,7 @@ use imca_sim::{SimDuration, SimHandle};
 use imca_storage::{BackendParams, StorageBackend, StorageFaultPlan};
 
 use crate::block::DEFAULT_BLOCK_SIZE;
-use crate::cmcache::{CmCache, CmStats, DegradationLadder};
+use crate::cmcache::{CmCache, CmStats};
 use crate::mcd::{Bank, McdCosts, McdNode, Replication, RetryPolicy};
 use crate::meta::{serve_revocations, LeaseAck, LeaseHub, LeaseRevoke, MetaConfig, MetaPolicy};
 use crate::smcache::{Coherence, RewarmLimit, SmCache, SmStats};
@@ -33,7 +33,9 @@ pub struct ImcaConfig {
     /// Batch the bank data path: multi-key `get`s on the client read path
     /// and `noreply` pipelines (one sync per daemon) for server-side
     /// pushes and purges. On by default; off reverts to one awaited RPC
-    /// per key (the ablation baseline).
+    /// per key (the ablation baseline). Read by the bank client alone
+    /// (`BankClient`'s four bulk operations); metadata lookups are
+    /// batched either way.
     pub batching: bool,
     /// Number of MemCached daemons in the bank.
     pub mcd_count: usize,
@@ -72,13 +74,6 @@ pub struct ImcaConfig {
     /// full tier; [`MetaConfig::nocache`] is the stat-path ablation
     /// baseline on an otherwise unchanged IMCa deployment.
     pub meta: MetaConfig,
-    /// Client-side graceful-degradation ladder (DESIGN.md §8): a client
-    /// whose bank round was shed by admission control steps down to
-    /// local-miss mode, forwarding reads straight to GlusterFS, and
-    /// probes its way back. Measured net-negative on the overload drive
-    /// (EXPERIMENTS.md A12) and enabled by no drive; removal is pending a
-    /// benchmark re-baseline. `None` (default) always tries the bank.
-    pub ladder: Option<DegradationLadder>,
     /// Server-side read-path rewarm throttle (DESIGN.md §8): bounds how
     /// fast read-path fills repopulate the bank. With
     /// [`McdCosts::queue_limit`] it is the overload-protection layer —
@@ -103,7 +98,6 @@ impl Default for ImcaConfig {
             replication: Replication::default(),
             coherence: Coherence::default(),
             meta: MetaConfig::default(),
-            ladder: None,
             rewarm: None,
         }
     }
@@ -261,10 +255,10 @@ impl Cluster {
     }
 
     /// [`Cluster::mount`], also returning the client's CMCache (`None`
-    /// on NoCache deployments). The CMCache is the client's
-    /// `crate::meta::MetaCache` surface — workloads use it for
-    /// `stat_multi` (readdirplus-style batched lookups that skip the
-    /// per-op FUSE crossing) and for provenance-visible stats.
+    /// on NoCache deployments). The CMCache is the client's metadata
+    /// surface — workloads use it for `stat_multi` (readdirplus-style
+    /// batched lookups that skip the per-op FUSE crossing) and for
+    /// provenance-visible stats.
     pub fn mount_with_meta(&self) -> (Rc<GlusterMount>, Option<Rc<CmCache>>) {
         let client_node = self.net.add_node();
         let proto = ClientProtocol::connect(&self.svc, client_node) as Xlator;
@@ -273,15 +267,7 @@ impl Cluster {
             Some(imca) => {
                 let bank = self.bank.as_ref().expect("imca config implies a bank");
                 let bank = Rc::new(bank.client(client_node, imca, imca.retry.clone()));
-                // Seed each client's re-admission RNG from its mount
-                // index so degraded clients don't probe in lockstep.
-                let cm = CmCache::new(
-                    self.handle.clone(),
-                    proto,
-                    bank,
-                    imca,
-                    self.cmcaches.borrow().len() as u64,
-                );
+                let cm = CmCache::new(self.handle.clone(), proto, bank, imca);
                 if let Some(hub) = &self.lease_hub {
                     // The client's revocation endpoint: SMCache's purge /
                     // stat-refresh fan-out revokes through it before any

@@ -11,11 +11,11 @@
 //! * **read**: generate the block keys covering the request ("CMCache will
 //!   generate keys that consist of the absolute pathname for the file ...
 //!   and the offsets from the Read request, taking into account the IMCa
-//!   blocksize"), fetch them from the MCDs, and assemble. In the default
-//!   batched mode the covering keys travel as one multi-key `get` per
-//!   routed daemon ([`BankClient::get_multi`]); the per-key mode (one RPC
-//!   per block, as the paper's client does it) is kept for the batching
-//!   ablation. Either way, "if there is a miss for any one of the keys,
+//!   blocksize"), fetch them from the MCDs
+//!   ([`BankClient::fetch_blocks`], which alone knows whether they travel
+//!   as one multi-key `get` per routed daemon or, for the batching
+//!   ablation, one RPC per block as the paper's client does it), and
+//!   assemble. Either way, "if there is a miss for any one of the keys,
 //!   CMCache will forward the Read request to the GlusterFS server" —
 //!   making cold misses strictly more expensive than NoCache (§4.4).
 //! * **write / create / delete / open / close**: not intercepted (§4.2,
@@ -35,19 +35,17 @@
 //! purged and repushed (the paper's protocol, whose cold window shows
 //! up here as post-write `read_misses`).
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use imca_glusterfs::{Fop, FopReply, Translator, Xlator};
 use imca_metrics::{prefixed, Counter, Histogram, MetricSource, Registry, Snapshot};
-use imca_sim::join_all;
-use imca_sim::SimHandle;
+use imca_sim::{SimHandle, SimTime};
 
 use crate::block::{assemble, cover};
 use crate::cluster::ImcaConfig;
 use crate::keys::block_key;
 use crate::mcd::BankClient;
-use crate::meta::{MetaCache, MetaEngine, StatFuture, StatMultiFuture, StatResult, StatSource};
+use crate::meta::{MetaEngine, StatResult, StatSource};
 
 /// Client-side cache interception counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,39 +60,12 @@ pub struct CmStats {
     pub read_misses: u64,
 }
 
-/// The graceful-degradation ladder (DESIGN.md §8): when a read's bank
-/// round comes back `busy`-shed by a daemon's admission control, the
-/// translator steps down into *degraded* mode — subsequent reads skip
-/// the bank entirely and go straight to GlusterFS as local misses
-/// (`degraded_reads`), sparing the overloaded bank even the refused
-/// RPCs. Each degraded read instead *probes* the bank with probability
-/// `probe_probability`; the first probe whose round completes without
-/// a shed steps back up (`readmissions`). The probabilistic probe keeps
-/// clients from re-admitting in lockstep and re-melting the bank.
-///
-/// Measured net-negative on the overload drive (EXPERIMENTS.md A12) and
-/// enabled by no drive; removal is pending a benchmark re-baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct DegradationLadder {
-    /// Per-read probability that a degraded client probes the bank.
-    pub probe_probability: f64,
-}
-
-impl Default for DegradationLadder {
-    fn default() -> DegradationLadder {
-        DegradationLadder {
-            probe_probability: 0.1,
-        }
-    }
-}
-
 /// The CMCache translator.
 pub struct CmCache {
     child: Xlator,
     bank: Rc<BankClient>,
     meta: Rc<MetaEngine>,
     block_size: u64,
-    batched: bool,
     registry: Registry,
     stat_hits: Counter,
     stat_misses: Counter,
@@ -104,41 +75,28 @@ pub struct CmCache {
     /// virtual ns.
     stat_ns: Histogram,
     read_ns: Histogram,
-    /// Overload ladder config; `None` (the default) disables the
-    /// degraded mode entirely and replays bit-identically.
-    ladder: Option<DegradationLadder>,
-    /// Whether this client is currently degraded (sheds observed, not
-    /// yet re-admitted).
-    degraded: Cell<bool>,
-    /// xorshift64 state for the re-admission roll, seeded per client.
-    ladder_rng: Cell<u64>,
-    /// Reads served straight from GlusterFS while degraded (no bank
-    /// traffic at all).
-    degraded_reads: Counter,
-    /// Successful re-admission probes (degraded → normal transitions).
-    readmissions: Counter,
     handle: SimHandle,
 }
 
 impl CmCache {
     /// Stack CMCache above `child` (normally `protocol/client`), talking
-    /// to `bank`, the way `cfg` describes the deployment: `batching`
-    /// selects one multi-get RPC per daemon for reads (`false` falls back
-    /// to one RPC per covering block, the ablation); `meta` picks the
-    /// stat policy (see `crate::meta`); `ladder` the overload ladder.
-    /// `ladder_seed` seeds the client-local re-admission RNG — give every
-    /// client a distinct seed (the cluster uses the mount index) so
-    /// degraded clients don't probe the recovering bank in lockstep.
+    /// to `bank`, the way `cfg` describes the deployment: `block_size`
+    /// cuts reads into covering blocks and `meta` picks the stat policy
+    /// (see `crate::meta`).
     pub fn new(
         handle: SimHandle,
         child: Xlator,
         bank: Rc<BankClient>,
         cfg: &ImcaConfig,
-        ladder_seed: u64,
     ) -> Rc<CmCache> {
         let block_size = cfg.block_size;
         assert!(block_size > 0, "IMCa block size must be positive");
         let registry = Registry::new();
+        // The degradation ladder is deleted (EXPERIMENTS.md A12); the
+        // benchmark baseline still counts its three series.
+        registry.counter("degraded_reads"); // constant 0, leaves with the next re-baseline
+        registry.counter("readmissions"); // constant 0, leaves with the next re-baseline
+        registry.gauge("degraded"); // constant 0, leaves with the next re-baseline
         let meta = MetaEngine::new(
             handle.clone(),
             Rc::clone(&child),
@@ -150,20 +108,12 @@ impl CmCache {
             bank,
             meta,
             block_size,
-            batched: cfg.batching,
             stat_hits: registry.counter("stat_hits"),
             stat_misses: registry.counter("stat_misses"),
             read_hits: registry.counter("read_hits"),
             read_misses: registry.counter("read_misses"),
             stat_ns: registry.histogram("stat_ns"),
             read_ns: registry.histogram("read_ns"),
-            ladder: cfg.ladder,
-            degraded: Cell::new(false),
-            // Golden-ratio constant XOR an odd term: nonzero whatever
-            // the seed.
-            ladder_rng: Cell::new(0x9E37_79B9_7F4A_7C15 ^ ((ladder_seed << 1) | 1)),
-            degraded_reads: registry.counter("degraded_reads"),
-            readmissions: registry.counter("readmissions"),
             registry,
             handle,
         })
@@ -189,70 +139,45 @@ impl CmCache {
         &self.meta
     }
 
-    /// One stat through the metadata tier, with this translator's
-    /// hit/miss accounting: anything answered without the server (lease,
-    /// bank, negative) is a hit; a backend forward is a miss.
-    async fn stat_counted(self: Rc<Self>, path: String) -> StatResult {
-        let t0 = self.handle.now();
-        let r = Rc::clone(&self.meta).stat(path).await;
-        match r.source {
-            StatSource::Backend => self.stat_misses.inc(),
-            _ => self.stat_hits.inc(),
+    /// Count each answer by provenance — anything answered without the
+    /// server (lease, bank, negative) is a hit; a backend forward is a
+    /// miss — and the engine pass that produced them as one latency.
+    fn count_stats(&self, t0: SimTime, answers: &[StatResult]) {
+        for r in answers {
+            match r.source {
+                StatSource::Backend => self.stat_misses.inc(),
+                _ => self.stat_hits.inc(),
+            }
         }
         self.stat_ns.record_duration(self.handle.now().since(t0));
+    }
+
+    /// One stat through the metadata tier, provenance-visible and with
+    /// this translator's hit/miss accounting.
+    pub async fn stat(&self, path: String) -> StatResult {
+        let t0 = self.handle.now();
+        let r = self.meta.stat(path).await;
+        self.count_stats(t0, &[r]);
         r
     }
 
-    /// Whether the degradation ladder currently has this client stepped
-    /// down (tests and the overload bench read this).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.get()
-    }
-
-    /// Roll the re-admission die: `true` = this degraded read probes the
-    /// bank. xorshift64 on client-local state — deterministic, and
-    /// de-synchronised across clients by the per-client seed.
-    fn roll_readmit(&self) -> bool {
-        let p = self.ladder.map(|l| l.probe_probability).unwrap_or_default();
-        let mut x = self.ladder_rng.get();
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.ladder_rng.set(x);
-        ((x >> 11) as f64 / (1u64 << 53) as f64) < p
+    /// Batched lookup — the readdir+stat prefetch hook. It bypasses the
+    /// per-op FUSE crossing entirely, readdirplus-style: the workload
+    /// hands CMCache a directory window and gets every stat back in one
+    /// engine pass ([`MetaEngine::stat_multi`]).
+    pub async fn stat_multi(&self, paths: Vec<String>) -> Vec<StatResult> {
+        let t0 = self.handle.now();
+        let rs = self.meta.stat_multi(paths).await;
+        self.count_stats(t0, &rs);
+        rs
     }
 }
 
 impl MetricSource for CmCache {
     fn collect(&self, prefix: &str, snap: &mut Snapshot) {
         self.registry.collect(prefix, snap);
-        snap.set_gauge(prefixed(prefix, "degraded"), self.degraded.get() as i64);
         self.meta.collect(&prefixed(prefix, "meta"), snap);
         self.bank.collect(&prefixed(prefix, "bank"), snap);
-    }
-}
-
-impl MetaCache for CmCache {
-    fn stat(self: Rc<Self>, path: String) -> StatFuture {
-        Box::pin(self.stat_counted(path))
-    }
-
-    /// Batched lookups bypass the per-op FUSE crossing entirely —
-    /// readdirplus-style: the workload hands CMCache a directory window
-    /// and gets every stat back in one engine pass.
-    fn stat_multi(self: Rc<Self>, paths: Vec<String>) -> StatMultiFuture {
-        Box::pin(async move {
-            let t0 = self.handle.now();
-            let rs = Rc::clone(&self.meta).stat_multi(paths).await;
-            for r in &rs {
-                match r.source {
-                    StatSource::Backend => self.stat_misses.inc(),
-                    _ => self.stat_hits.inc(),
-                }
-            }
-            self.stat_ns.record_duration(self.handle.now().since(t0));
-            rs
-        })
     }
 }
 
@@ -264,69 +189,18 @@ impl Translator for CmCache {
     fn handle(self: Rc<Self>, fop: Fop) -> imca_glusterfs::FopFuture {
         Box::pin(async move {
             match fop {
-                Fop::Stat { path } => {
-                    let r = Rc::clone(&self).stat_counted(path).await;
-                    FopReply::Stat(r.stat)
-                }
+                Fop::Stat { path } => FopReply::Stat(self.stat(path).await.stat),
                 Fop::Read { path, offset, len } => {
                     if len == 0 {
                         return FopReply::Read(Ok(Vec::new()));
                     }
                     let t0 = self.handle.now();
-                    // Degradation ladder: while stepped down, reads skip
-                    // the bank entirely and go straight to GlusterFS — no
-                    // MCD round-trips added to an already-overloaded bank.
-                    // A random `probe_probability` fraction of reads
-                    // still probe the bank; one clean probe re-admits.
-                    let probing = if self.ladder.is_some() && self.degraded.get() {
-                        if !self.roll_readmit() {
-                            self.degraded_reads.inc();
-                            self.read_misses.inc();
-                            let reply = Rc::clone(&self.child)
-                                .handle(Fop::Read { path, offset, len })
-                                .await;
-                            self.read_ns.record_duration(self.handle.now().since(t0));
-                            return reply;
-                        }
-                        true
-                    } else {
-                        false
-                    };
-                    let sheds0 = self.bank.busy_shed_count();
                     let blocks = cover(offset, len, self.block_size);
-                    // Fetch every covering block from the bank: batched as
-                    // one multi-get per routed daemon, or (ablation) as
-                    // one RPC per block in parallel.
-                    let fetched: Vec<Option<bytes::Bytes>> = if self.batched {
-                        let keys: Vec<(Vec<u8>, Option<u64>)> = blocks
-                            .iter()
-                            .map(|b| (block_key(&path, b.start), Some(b.index)))
-                            .collect();
-                        self.bank.get_multi(&keys).await
-                    } else {
-                        let futs: Vec<_> = blocks
-                            .iter()
-                            .map(|b| {
-                                let bank = Rc::clone(&self.bank);
-                                let key = block_key(&path, b.start);
-                                let hint = b.index;
-                                async move { bank.get(&key, Some(hint)).await }
-                            })
-                            .collect();
-                        join_all(&self.handle, futs).await
-                    };
-                    // Step the ladder on what this round observed. The
-                    // shed counter is client-wide, so a concurrent read's
-                    // shed can be attributed to this one — over-detection
-                    // only steps down earlier, which is the safe direction.
-                    if self.ladder.is_some() {
-                        if self.bank.busy_shed_count() > sheds0 {
-                            self.degraded.set(true);
-                        } else if probing {
-                            self.degraded.set(false);
-                            self.readmissions.inc();
-                        }
-                    }
+                    let keys = blocks
+                        .iter()
+                        .map(|b| (block_key(&path, b.start), Some(b.index)))
+                        .collect();
+                    let fetched = self.bank.fetch_blocks(keys).await;
                     if fetched.iter().all(|f| f.is_some()) {
                         let owned: Vec<(u64, bytes::Bytes)> = blocks
                             .iter()
@@ -363,13 +237,13 @@ impl Translator for CmCache {
 mod tests {
     use super::*;
     use crate::keys::stat_key;
-    use crate::mcd::{Bank, BankClient, McdCosts};
+    use crate::mcd::{Bank, BankClient};
     use crate::meta::MetaConfig;
     use bytes::Bytes;
     use imca_fabric::{Network, Transport};
     use imca_glusterfs::FileStat;
     use imca_memcached::McConfig;
-    use imca_sim::{Sim, SimDuration};
+    use imca_sim::Sim;
     use std::cell::RefCell as StdRefCell;
 
     /// A child translator that records what reached the server side.
@@ -429,22 +303,6 @@ mod tests {
         rig(sim, file, &cfg)
     }
 
-    /// A rig with daemon-side admission control and the client ladder on.
-    fn setup_overload(
-        sim: &Sim,
-        file: Vec<u8>,
-        costs: McdCosts,
-        ladder: DegradationLadder,
-    ) -> (Rc<CmCache>, Rc<Recorder>, Rc<BankClient>) {
-        let cfg = ImcaConfig {
-            mcd_config: McConfig::default(),
-            mcd_costs: costs,
-            ladder: Some(ladder),
-            ..ImcaConfig::default()
-        };
-        rig(sim, file, &cfg)
-    }
-
     /// The bank and one CMCache over a recording child, as `cfg`
     /// describes them.
     fn rig(
@@ -464,7 +322,6 @@ mod tests {
             Rc::clone(&rec) as Xlator,
             Rc::clone(&bank),
             cfg,
-            0,
         );
         // Leak the bank into a task so the daemon actors stay alive.
         sim.handle().spawn(async move {
@@ -472,126 +329,6 @@ mod tests {
             std::future::pending::<()>().await;
         });
         (cm, rec, bank)
-    }
-
-    #[test]
-    fn degraded_reads_skip_the_bank_entirely() {
-        let mut sim = Sim::new(0);
-        // queue_limit 0: the daemon sheds every read, unconditionally.
-        // probe_probability 0: once degraded, the client never probes.
-        let (cm, rec, bank) = setup_overload(
-            &sim,
-            vec![7u8; 2048],
-            McdCosts {
-                queue_limit: Some(0),
-                ..McdCosts::default()
-            },
-            DegradationLadder {
-                probe_probability: 0.0,
-            },
-        );
-        let cm2 = Rc::clone(&cm);
-        sim.spawn(async move {
-            for _ in 0..4 {
-                let FopReply::Read(Ok(data)) = Rc::clone(&(cm2.clone() as Xlator))
-                    .handle(Fop::Read {
-                        path: "/f".into(),
-                        offset: 0,
-                        len: 2048,
-                    })
-                    .await
-                else {
-                    panic!()
-                };
-                assert_eq!(data, vec![7u8; 2048]);
-            }
-        });
-        sim.run();
-        // Read 1 paid the shed bank round and stepped the ladder down;
-        // reads 2-4 went straight to the server without a bank RPC.
-        assert!(cm.is_degraded());
-        assert_eq!(rec.log.borrow().len(), 4, "every read forwarded");
-        assert_eq!(
-            bank.stats().gets,
-            1,
-            "degraded reads must not touch the bank"
-        );
-        let snap = imca_metrics::collect_from(&*cm, "cmcache");
-        assert_eq!(snap.counter("cmcache.degraded_reads"), Some(3));
-        assert_eq!(snap.counter("cmcache.readmissions"), Some(0));
-        assert_eq!(snap.gauge("cmcache.degraded"), Some(1));
-        assert_eq!(cm.stats().read_misses, 4);
-    }
-
-    #[test]
-    fn ladder_steps_down_on_sheds_and_probes_back_up() {
-        let mut sim = Sim::new(0);
-        // Transient overload: a 1-deep queue on a slow daemon sheds only
-        // under concurrency. probe_probability 1 probes every time.
-        let file: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        let (cm, _rec, bank) = setup_overload(
-            &sim,
-            file.clone(),
-            McdCosts {
-                per_op: SimDuration::micros(300),
-                queue_limit: Some(1),
-                ..McdCosts::default()
-            },
-            DegradationLadder {
-                probe_probability: 1.0,
-            },
-        );
-        let cm2 = Rc::clone(&cm);
-        let h = sim.handle();
-        sim.spawn(async move {
-            // Seed both blocks as SMCache would.
-            for b in 0..2u64 {
-                let s = (b * 2048) as usize;
-                bank.set(
-                    &block_key("/f", b * 2048),
-                    Bytes::from(file[s..s + 2048].to_vec()),
-                    Some(b),
-                )
-                .await;
-            }
-            // Two concurrent reads of different blocks: one occupies the
-            // daemon's queue slot, the other is shed → the ladder steps
-            // down.
-            let futs: Vec<_> = (0..2u64)
-                .map(|b| {
-                    let cm = Rc::clone(&cm2) as Xlator;
-                    async move {
-                        cm.handle(Fop::Read {
-                            path: "/f".into(),
-                            offset: b * 2048,
-                            len: 2048,
-                        })
-                        .await
-                    }
-                })
-                .collect();
-            imca_sim::join_all(&h, futs).await;
-            assert!(cm2.is_degraded(), "shed round must step the ladder down");
-            // The overload is gone (no concurrency). The next read is a
-            // re-admission probe: it reaches the bank, comes back clean,
-            // and the ladder steps back up — with a warm hit to show for it.
-            let FopReply::Read(Ok(data)) = Rc::clone(&(cm2.clone() as Xlator))
-                .handle(Fop::Read {
-                    path: "/f".into(),
-                    offset: 0,
-                    len: 2048,
-                })
-                .await
-            else {
-                panic!()
-            };
-            assert_eq!(data, file[..2048].to_vec());
-            assert!(!cm2.is_degraded(), "clean probe must re-admit");
-        });
-        sim.run();
-        let snap = imca_metrics::collect_from(&*cm, "cmcache");
-        assert_eq!(snap.counter("cmcache.readmissions"), Some(1));
-        assert_eq!(snap.gauge("cmcache.degraded"), Some(0));
     }
 
     #[test]

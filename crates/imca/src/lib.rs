@@ -61,13 +61,13 @@ mod meta;
 mod smcache;
 
 pub use cluster::{Cluster, ClusterConfig, ImcaConfig};
-pub use cmcache::{CmCache, CmStats, DegradationLadder};
+pub use cmcache::{CmCache, CmStats};
 pub use mcd::{
-    start_mcd, Bank, BankClient, BankStats, CasToken, CasVerdict, HedgePolicy, McdCosts, McdNode,
-    McdReq, McdResp, Replication, RetryPolicy,
+    start_mcd, Bank, BankClient, BankStats, CasToken, CasVerdict, McdCosts, McdNode, McdReq,
+    McdResp, Replication, RetryPolicy,
 };
 pub use meta::{
-    serve_revocations, LeaseAck, LeaseHub, LeaseRevoke, MetaCache, MetaConfig, MetaEngine,
-    MetaPolicy, StatFuture, StatMultiFuture, StatResult, StatSource, NEG_MARKER,
+    serve_revocations, LeaseAck, LeaseHub, LeaseRevoke, MetaConfig, MetaEngine, MetaPolicy,
+    StatResult, StatSource, NEG_MARKER,
 };
 pub use smcache::{Coherence, RewarmLimit, SmCache, SmStats};

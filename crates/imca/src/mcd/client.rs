@@ -3,20 +3,21 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use imca_fabric::NodeId;
 use imca_memcached::protocol::{Command, Response, StoreVerb, Value};
 use imca_memcached::ServerMap;
-use imca_metrics::{Counter, Histogram, MetricSource, Registry, RttEstimator, Snapshot};
-use imca_sim::sync::{oneshot, OneshotReceiver, OneshotSender, Queue};
-use imca_sim::{join_all, SimDuration, SimTime};
+use imca_metrics::{Counter, Histogram, MetricSource, Registry, Snapshot};
+use imca_sim::sync::{oneshot, OneshotReceiver, OneshotSender};
+use imca_sim::{join_all, SimTime};
 
 use super::daemon::{DecrOnDrop, McdNode, McdReq, McdResp};
 use super::policy::{
-    cas_verdict, get_req, store_req, CallOutcome, CasToken, CasVerdict, HedgePolicy, ReplicaRows,
-    RetryPolicy, Wire,
+    cas_verdict, get_req, store_req, CallOutcome, CasToken, CasVerdict, ReplicaRows, RetryPolicy,
+    Wire,
 };
 use crate::cluster::ImcaConfig;
 
@@ -98,12 +99,21 @@ struct ReadKey {
 ///   next round past the replica that failed — until a replica answers or
 ///   none is left and the read resolves as a local miss.
 /// * **Writes** ([`set`](BankClient::set), [`delete`](BankClient::delete),
-///   [`cas`](BankClient::cas)) go through one fan-out,
+///   `BankClient::cas`) go through one fan-out,
 ///   `BankClient::write_fanout`, to every usable replica; any write
 ///   that fails quarantines its daemon.
-/// * **Bulk writes** ([`set_pipeline`](BankClient::set_pipeline),
-///   [`delete_pipeline`](BankClient::delete_pipeline)) stream through one
-///   `noreply` pipeline per daemon with a single trailing sync barrier.
+/// * **Bulk writes** (`BankClient::set_pipeline`,
+///   `BankClient::delete_pipeline`) stream through one `noreply` pipeline
+///   per daemon with a single trailing sync barrier.
+///
+/// The data path's four bulk operations —
+/// [`fetch_blocks`](BankClient::fetch_blocks),
+/// [`store_blocks`](BankClient::store_blocks),
+/// [`remove_keys`](BankClient::remove_keys) and
+/// [`cas_blocks`](BankClient::cas_blocks) — are the only place
+/// [`ImcaConfig::batching`] is consulted: each travels batched (multi-key
+/// `get`, pipeline) or as one spawned task per key, and the translators
+/// never know which (DESIGN.md §4c).
 pub struct BankClient {
     wire: Wire,
     map: ServerMap,
@@ -113,6 +123,8 @@ pub struct BankClient {
     /// stored instant. Per *client*, unlike the shared quarantine flags.
     circuit_open_until: RefCell<Vec<SimTime>>,
     policy: RetryPolicy,
+    /// [`ImcaConfig::batching`]: how the four bulk operations are framed.
+    batched: bool,
     registry: Registry,
     gets: Counter,
     hits: Counter,
@@ -141,8 +153,9 @@ pub struct BankClient {
     /// paper's single-home bank).
     replication: usize,
     /// Outstanding read RPCs per daemon *from this client* — the load
-    /// signal power-of-two-choices read routing balances on. `Rc` so
-    /// hedge tasks (which outlive the borrow of `self`) can decrement.
+    /// signal power-of-two-choices read routing balances on. `Rc` because
+    /// the [`DecrOnDrop`] guard, shared with the daemons' queue-depth
+    /// accounting, owns a handle to the cell it decrements.
     in_flight: Vec<Rc<Cell<u64>>>,
     /// Client-local xorshift64 state for P2C sampling and tie-breaking,
     /// seeded from the client's node id so different clients spread a hot
@@ -158,21 +171,13 @@ pub struct BankClient {
     replica_failovers: Counter,
     /// GETs that piggybacked on another in-flight GET for the same key.
     coalesced_gets: Counter,
-    /// Per-daemon smoothed RTT state (DESIGN.md §8) — control state
-    /// steering hedge delays, not telemetry.
-    rtt: RefCell<Vec<RttEstimator>>,
     /// `SERVER_ERROR busy` replies — reads a daemon's admission control
     /// refused. Never retried on the same daemon: the read fails over to
-    /// another replica or becomes a degraded local miss (the degradation
-    /// ladder's signal).
+    /// another replica or becomes a degraded local miss.
     busy_sheds: Counter,
     /// Circuits tripped by exhausted per-op retries — so timeout-driven
     /// degradation is distinguishable from shed-driven (`busy_sheds`).
     circuit_opens: Counter,
-    /// Hedge RPCs actually fired (replication ≥ 2, hedge policy on).
-    hedged_gets: Counter,
-    /// Hedged GETs where the hedge's value arrived first.
-    hedge_wins: Counter,
 }
 
 impl BankClient {
@@ -180,8 +185,8 @@ impl BankClient {
     /// `cfg.selector` routing, `cfg.bank_transport` optionally overriding
     /// the fabric default (the RDMA ablation connects the bank over RDMA
     /// while the file server stays on IPoIB), `cfg.replication` the
-    /// replica placement (see [`Replication`]); `policy` sets deadlines
-    /// and retries.
+    /// replica placement (see [`Replication`]), `cfg.batching` the framing
+    /// of the bulk operations; `policy` sets deadlines and retries.
     pub(super) fn connect(
         nodes: &[McdNode],
         from: NodeId,
@@ -198,6 +203,10 @@ impl BankClient {
             .collect();
         let handle = nodes[0].service.network().handle();
         let registry = Registry::new();
+        // Hedged reads are deleted (EXPERIMENTS.md A12); the benchmark
+        // baseline still counts their two series.
+        registry.counter("hedged_gets"); // constant 0, leaves with the next re-baseline
+        registry.counter("hedge_wins"); // constant 0, leaves with the next re-baseline
         BankClient {
             wire: Wire {
                 handle,
@@ -210,6 +219,7 @@ impl BankClient {
             quarantined: nodes.iter().map(|n| Rc::clone(&n.quarantined)).collect(),
             circuit_open_until: RefCell::new(vec![SimTime::ZERO; nodes.len()]),
             policy,
+            batched: cfg.batching,
             gets: registry.counter("gets"),
             hits: registry.counter("hits"),
             misses: registry.counter("misses"),
@@ -232,20 +242,10 @@ impl BankClient {
             single_flight: RefCell::new(BTreeMap::new()),
             replica_failovers: registry.counter("replica_failovers"),
             coalesced_gets: registry.counter("coalesced_gets"),
-            rtt: RefCell::new(vec![RttEstimator::new(); nodes.len()]),
             busy_sheds: registry.counter("busy_sheds"),
             circuit_opens: registry.counter("circuit_opens"),
-            hedged_gets: registry.counter("hedged_gets"),
-            hedge_wins: registry.counter("hedge_wins"),
             registry,
         }
-    }
-
-    /// Total `SERVER_ERROR busy` replies this client has absorbed. The
-    /// degradation ladder diffs this around a bank round to learn whether
-    /// the round was shed by admission control.
-    pub fn busy_shed_count(&self) -> u64 {
-        self.busy_sheds.get()
     }
 
     /// Client-observed counters (a derived view over the metric registry).
@@ -407,25 +407,12 @@ impl BankClient {
             self.wire.handle.now() + self.policy.circuit_cooldown;
     }
 
-    /// Fold one answered single-key GET's latency into daemon `idx`'s
-    /// estimator. Only answers are observed: a timeout's duration is the
-    /// deadline, not the daemon, and a `busy` refusal skips the very
-    /// queue the estimate is about. The sample includes any retry
-    /// backoff, which only biases the estimate *upward* under stress —
-    /// a later hedge, the conservative direction.
-    fn observe_rtt(&self, idx: usize, elapsed: SimDuration) {
-        if self.policy.hedge.is_some() {
-            self.rtt.borrow_mut()[idx].observe(elapsed.as_nanos() as f64);
-        }
-    }
-
     /// Fetch one value. `hint` is the block index for modulo distribution.
     ///
     /// If this client already has a GET for the same key in flight, the
     /// call coalesces onto it (single-flight): no second RPC, the result
     /// arrives with the leader's. Otherwise the call leads — one pass of
-    /// the read loop, its RPC awaited directly and, with a
-    /// [`HedgePolicy`], raced against a hedge — and wakes any followers
+    /// the read loop, its RPC awaited directly — and wakes any followers
     /// that coalesced meanwhile.
     pub async fn get(&self, key: &[u8], hint: Option<u64>) -> Option<Bytes> {
         self.gets.inc();
@@ -460,14 +447,6 @@ impl BankClient {
     /// a daemon failing mid-flight fails every key grouped on it over to
     /// their next replica, or to a miss.
     pub async fn get_multi(&self, keys: &[(Vec<u8>, Option<u64>)]) -> Vec<Option<Bytes>> {
-        // A one-key batch is just a get. Routing it through the
-        // single-key path keeps hedged reads available to the batched
-        // data path, whose commonest shape is one covering block — a
-        // grouped multi-key round has no hedge.
-        if keys.len() == 1 && self.policy.hedge.is_some() && self.replication > 1 {
-            let (key, hint) = &keys[0];
-            return vec![self.get(key, *hint).await];
-        }
         self.gets.add(keys.len() as u64);
         let t0 = self.wire.handle.now();
         let mut out: Vec<Option<Bytes>> = vec![None; keys.len()];
@@ -634,119 +613,27 @@ impl BankClient {
         None
     }
 
-    /// Hedge delay for a GET to daemon `idx`: the tracked tail proxy
-    /// clamped to the policy's window, or the ceiling before warmup.
-    fn hedge_delay(&self, idx: usize, hedge: HedgePolicy) -> SimDuration {
-        let est = self.rtt.borrow()[idx];
-        if est.samples() >= hedge.warmup {
-            if let Some(tail) = est.tail() {
-                return SimDuration::nanos(
-                    (tail as u64).clamp(hedge.min_delay.as_nanos(), hedge.max_delay.as_nanos()),
-                );
-            }
-        }
-        hedge.max_delay
-    }
-
     /// One single-key round: the GET for `key` to the daemon it was routed
-    /// to (the primary attempt), settled for its one `members` entry.
-    /// Without a [`HedgePolicy`], or with no second live replica to hedge
-    /// to, the RPC is awaited directly.
-    ///
-    /// Otherwise (DESIGN.md §8) the GET runs as its own task, and if it
-    /// has not answered within [`BankClient::hedge_delay`] one hedge
-    /// fires to the next live, untried replica in placement order. The
-    /// first *answer* wins; the loser keeps running but its late result
-    /// is discarded unseen — it is never settled, so a loser's timeout
-    /// cannot trip a circuit. Failures that arrive before an answer are
-    /// settled as usual.
+    /// to, awaited directly and settled for its one `members` entry.
     async fn attempt(&self, key: &[u8], members: &mut [ReadKey]) -> Option<Vec<Value>> {
-        let primary = members[0].route;
-        let get = |idx: usize| {
-            self.wire
-                .call(idx, self.policy.clone(), get_req(vec![key.to_vec()], false))
-        };
-        let hedge = self.policy.hedge.and_then(|policy| {
-            let k = &members[0];
-            let target = k.replicas.iter().copied().find(|&c| {
-                c != primary && !k.tried.contains(&c) && matches!(self.probe(c), Route::Live)
-            })?;
-            Some((self.hedge_delay(primary, policy), target))
-        });
-        let Some((delay, target)) = hedge else {
-            let t0 = self.wire.handle.now();
-            let load = DecrOnDrop::enter(&self.in_flight[primary]);
-            let outcome = get(primary).await;
-            drop(load);
-            let answer = self.settle_read(primary, outcome, members);
-            if answer.is_some() {
-                self.observe_rtt(primary, self.wire.handle.now().since(t0));
-            }
-            return answer;
-        };
-        // Each racing attempt reports (was-hedge, replica, outcome,
-        // elapsed); a hedge that decides not to fire reports `None`, so
-        // the receive loop below always sees two messages.
-        type RaceMsg = Option<(bool, usize, CallOutcome, SimDuration)>;
-        let results: Queue<RaceMsg> = Queue::new();
-        let decided = Rc::new(Cell::new(false));
-        let spawn_attempt = |idx: usize, gate: Option<SimDuration>| {
-            let call = get(idx);
-            let handle = self.wire.handle.clone();
-            let results = results.clone();
-            let decided = Rc::clone(&decided);
-            let hedged_gets = self.hedged_gets.clone();
-            let in_flight = Rc::clone(&self.in_flight[idx]);
-            // The primary is load from now on; a hedge only once it fires.
-            let mut load = gate.is_none().then(|| DecrOnDrop::enter(&in_flight));
-            self.wire.handle.spawn(async move {
-                if let Some(delay) = gate {
-                    // The firing decision runs at fire time: the hedge is
-                    // skipped when an answer already came.
-                    handle.sleep(delay).await;
-                    if decided.get() {
-                        results.push(None);
-                        return;
-                    }
-                    hedged_gets.inc();
-                    load = Some(DecrOnDrop::enter(&in_flight));
-                }
-                let t0 = handle.now();
-                let outcome = call.await;
-                drop(load);
-                results.push(Some((gate.is_some(), idx, outcome, handle.now().since(t0))));
-            });
-        };
-        spawn_attempt(primary, None);
-        spawn_attempt(target, Some(delay));
-        let mut answer = None;
-        for _ in 0..2 {
-            let msg = results.recv().await.expect("race queue never closes");
-            let Some((is_hedge, idx, outcome, elapsed)) = msg else {
-                continue; // hedge declined
-            };
-            answer = self.settle_read(idx, outcome, members);
-            if let Some(vals) = &answer {
-                if is_hedge && !vals.is_empty() {
-                    self.hedge_wins.inc();
-                }
-                self.observe_rtt(idx, elapsed);
-                break;
-            }
-        }
-        decided.set(true);
-        answer
+        let idx = members[0].route;
+        let load = DecrOnDrop::enter(&self.in_flight[idx]);
+        let outcome = self
+            .wire
+            .call(idx, self.policy.clone(), get_req(vec![key.to_vec()], false))
+            .await;
+        drop(load);
+        self.settle_read(idx, outcome, members)
     }
 
     /// Per-replica `gets` for an in-place update wave (DESIGN.md §4f) —
-    /// the client's only token fetch. See [`ReplicaRows`] for the per-key
-    /// row shape.
-    /// Fetch `keys` from *every* usable replica — not one routed replica
-    /// per key as [`BankClient::get_multi`] does — returning for each key
-    /// the `(daemon, value-with-token)` rows that answered. The CAS
-    /// update path needs every replica's own token, because tokens live
-    /// in per-daemon spaces and must never cross them; each token is
-    /// tagged with the daemon whose reply it came out of.
+    /// the client's only token fetch. Fetches `keys` from *every* usable
+    /// replica — not one routed replica per key as
+    /// [`BankClient::get_multi`] does — returning for each key the
+    /// `(daemon, value-with-token)` rows that answered ([`ReplicaRows`]).
+    /// The CAS update path needs every replica's own token, because
+    /// tokens live in per-daemon spaces and must never cross them; each
+    /// token is tagged with the daemon whose reply it came out of.
     ///
     /// One multi-key `gets` RPC per daemon. Write-path semantics
     /// throughout: the daemons admit it like a write (admission control
@@ -803,13 +690,80 @@ impl BankClient {
         out
     }
 
+    /// Per-key framing of a bulk operation: `op` on every item as its
+    /// own spawned task, in item order — one awaited RPC per key, the
+    /// paper's client and the batching ablation's baseline.
+    async fn per_key<T, R: 'static, F: Future<Output = R> + 'static>(
+        self: &Rc<Self>,
+        items: Vec<T>,
+        op: impl Fn(Rc<BankClient>, T) -> F,
+    ) -> Vec<R> {
+        let tasks = items.into_iter().map(|item| op(Rc::clone(self), item));
+        join_all(&self.wire.handle, tasks.collect()).await
+    }
+
+    /// Fetch a read's covering blocks, in request order: one multi-key
+    /// `get` per routed daemon ([`BankClient::get_multi`]), or per key.
+    pub async fn fetch_blocks(
+        self: &Rc<Self>,
+        keys: Vec<(Vec<u8>, Option<u64>)>,
+    ) -> Vec<Option<Bytes>> {
+        if self.batched {
+            return self.get_multi(&keys).await;
+        }
+        self.per_key(keys, |bank, (key, hint)| async move {
+            bank.get(&key, hint).await
+        })
+        .await
+    }
+
+    /// Store many values on every usable replica of their keys: one
+    /// `noreply` pipeline per daemon, or per key.
+    pub async fn store_blocks(self: &Rc<Self>, items: Vec<(Vec<u8>, Bytes, Option<u64>)>) {
+        if self.batched {
+            return self.set_pipeline(items).await;
+        }
+        self.per_key(items, |bank, (key, value, hint)| async move {
+            bank.set(&key, value, hint).await
+        })
+        .await;
+    }
+
+    /// Remove many keys from every replica that could still serve them:
+    /// one `noreply` pipeline per daemon, or per key.
+    pub async fn remove_keys(self: &Rc<Self>, items: Vec<(Vec<u8>, Option<u64>)>) {
+        if self.batched {
+            return self.delete_pipeline(items).await;
+        }
+        self.per_key(items, |bank, (key, hint)| async move {
+            bank.delete(&key, hint).await
+        })
+        .await;
+    }
+
+    /// Compare-and-swap many values, each against its token's daemon,
+    /// verdicts in item order: one reply-bearing pipeline per daemon
+    /// (`BankClient::cas_pipeline`), or per key.
+    pub async fn cas_blocks(
+        self: &Rc<Self>,
+        items: Vec<(Vec<u8>, Bytes, CasToken)>,
+    ) -> Vec<CasVerdict> {
+        if self.batched {
+            return self.cas_pipeline(&items).await;
+        }
+        self.per_key(items, |bank, (key, value, token)| async move {
+            bank.cas(&key, value, token).await
+        })
+        .await
+    }
+
     /// Compare-and-swap one value against the token's daemon. The store
     /// goes to `token.daemon` and nowhere else — the token is meaningless
     /// in any other daemon's token space, which is the invariant the tag
     /// exists to enforce. Any transport failure quarantines the daemon
     /// exactly like a failed set/delete: an unacknowledged `cas` may have
     /// left it holding a value now stale against the disk.
-    pub async fn cas(&self, key: &[u8], value: Bytes, token: CasToken) -> CasVerdict {
+    async fn cas(&self, key: &[u8], value: Bytes, token: CasToken) -> CasVerdict {
         self.sets.inc();
         self.cas_ops.inc();
         let req = store_req(StoreVerb::Cas(token.token), key.to_vec(), value, false);
@@ -832,7 +786,7 @@ impl BankClient {
     /// Items whose daemon is dead or shed come back [`CasVerdict::Failed`]
     /// without wire traffic; a daemon failing mid-batch fails its items
     /// and is quarantined like a failed pipeline sync.
-    pub async fn cas_pipeline(&self, items: &[(Vec<u8>, Bytes, CasToken)]) -> Vec<CasVerdict> {
+    async fn cas_pipeline(&self, items: &[(Vec<u8>, Bytes, CasToken)]) -> Vec<CasVerdict> {
         self.sets.add(items.len() as u64);
         self.cas_ops.add(items.len() as u64);
         let mut verdicts = vec![CasVerdict::Failed; items.len()];
@@ -878,7 +832,7 @@ impl BankClient {
     /// one per key. Each item streams to every usable replica of its key,
     /// so one pipeline carries the whole fan-out with still just one sync
     /// barrier per daemon.
-    pub async fn set_pipeline(&self, items: Vec<(Vec<u8>, Bytes, Option<u64>)>) {
+    async fn set_pipeline(&self, items: Vec<(Vec<u8>, Bytes, Option<u64>)>) {
         self.sets.add(items.len() as u64);
         let mut groups = BTreeMap::new();
         for (key, value, hint) in items {
@@ -892,7 +846,7 @@ impl BankClient {
     /// Remove many keys through the `noreply` pipeline — same grouping,
     /// ordering, and failure semantics as [`BankClient::set_pipeline`].
     /// The purge reaches every replica that could still serve the value.
-    pub async fn delete_pipeline(&self, items: Vec<(Vec<u8>, Option<u64>)>) {
+    async fn delete_pipeline(&self, items: Vec<(Vec<u8>, Option<u64>)>) {
         self.deletes.add(items.len() as u64);
         let mut groups = BTreeMap::new();
         for (key, hint) in items {
@@ -1037,7 +991,7 @@ mod tests {
     use imca_fabric::Transport;
     use imca_memcached::McConfig;
     use imca_memcached::Selector;
-    use imca_sim::Sim;
+    use imca_sim::{Sim, SimDuration};
 
     fn setup(sim: &Sim, n: usize) -> (Network, Rc<Bank>, BankClient) {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
@@ -1332,55 +1286,60 @@ mod tests {
 
     #[test]
     fn multi_get_issues_one_rpc_per_daemon() {
-        let mut sim = Sim::new(0);
-        // Modulo routing so block hints pin keys to known daemons.
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            4,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
-        let c2 = Rc::clone(&client);
-        sim.spawn(async move {
-            for blk in 0..8u64 {
-                let key = format!("/f:{}", blk * 2048);
-                c2.set(key.as_bytes(), Bytes::from(vec![blk as u8; 64]), Some(blk))
-                    .await;
+        // The covering-block fetch under both framings: batched, one
+        // multi-key RPC per daemon; per key, one RPC per block.
+        for batching in [true, false] {
+            let mut sim = Sim::new(0);
+            // Modulo routing so block hints pin keys to known daemons.
+            let cfg = ImcaConfig {
+                batching,
+                ..modulo(1)
+            };
+            let (_net, bank, client) = client_over(&sim, 4, &cfg);
+            let c2 = Rc::clone(&client);
+            sim.spawn(async move {
+                for blk in 0..8u64 {
+                    let key = format!("/f:{}", blk * 2048);
+                    c2.set(key.as_bytes(), Bytes::from(vec![blk as u8; 64]), Some(blk))
+                        .await;
+                }
+                let keys: Vec<(Vec<u8>, Option<u64>)> = (0..8u64)
+                    .map(|blk| (format!("/f:{}", blk * 2048).into_bytes(), Some(blk)))
+                    .collect();
+                let got = c2.fetch_blocks(keys).await;
+                for (blk, v) in got.iter().enumerate() {
+                    assert_eq!(v.as_deref(), Some(&vec![blk as u8; 64][..]), "block {blk}");
+                }
+            });
+            sim.run();
+            let s = client.stats();
+            assert_eq!((s.gets, s.hits, s.misses, s.failures), (8, 8, 0, 0));
+            // 8 keys over 4 daemons: exactly one multi-get RPC per daemon,
+            // carrying 2 keys each — or none at all per key.
+            let snap = imca_metrics::collect_from(&*client, "bank");
+            let rpcs = if batching { 4 } else { 0 };
+            assert_eq!(snap.counter("bank.multi_gets"), Some(rpcs));
+            let per = snap
+                .histogram("bank.keys_per_multi_get")
+                .expect("batch-size histogram");
+            assert_eq!(per.count, rpcs);
+            if batching {
+                assert_eq!(per.mean(), 2.0);
             }
-            let keys: Vec<(Vec<u8>, Option<u64>)> = (0..8u64)
-                .map(|blk| (format!("/f:{}", blk * 2048).into_bytes(), Some(blk)))
-                .collect();
-            let got = c2.get_multi(&keys).await;
-            for (blk, v) in got.iter().enumerate() {
-                assert_eq!(v.as_deref(), Some(&vec![blk as u8; 64][..]), "block {blk}");
-            }
-        });
-        sim.run();
-        let s = client.stats();
-        assert_eq!((s.gets, s.hits, s.misses, s.failures), (8, 8, 0, 0));
-        // 8 keys over 4 daemons: exactly one multi-get RPC per daemon,
-        // carrying 2 keys each.
-        let snap = imca_metrics::collect_from(&*client, "bank");
-        assert_eq!(snap.counter("bank.multi_gets"), Some(4));
-        let per = snap
-            .histogram("bank.keys_per_multi_get")
-            .expect("batch-size histogram");
-        assert_eq!(per.count, 4);
-        assert_eq!(per.mean(), 2.0);
-        assert_eq!(
-            snap.histogram("bank.get_ns").expect("get latency").count,
-            s.gets
-        );
-        // Daemon side: each of the 4 daemons saw 2 sets + 1 multi-get.
-        let snap = imca_metrics::collect_from(&*bank, "bank");
-        for i in 0..4 {
             assert_eq!(
-                snap.counter(&format!("bank.mcd.{i}.requests")),
-                Some(3),
-                "daemon {i} must see one batched read RPC, not one per key"
+                snap.histogram("bank.get_ns").expect("get latency").count,
+                s.gets
             );
+            // Daemon side: each of the 4 daemons saw 2 sets + 1 multi-get,
+            // or 2 sets + its 2 keys' own gets.
+            let snap = imca_metrics::collect_from(&*bank, "bank");
+            for i in 0..4 {
+                assert_eq!(
+                    snap.counter(&format!("bank.mcd.{i}.requests")),
+                    Some(if batching { 3 } else { 4 }),
+                    "daemon {i}: one read RPC per batch, or one per key (batching {batching})"
+                );
+            }
         }
     }
 
@@ -1462,9 +1421,16 @@ mod tests {
 
     #[test]
     fn pipelines_store_and_delete_with_one_sync_per_daemon() {
-        for factor in [1u64, 2] {
+        // Bulk store and remove under both framings: batched, `noreply`
+        // streams with one sync per daemon; per key, one RPC per key and
+        // replica and no pipeline at all.
+        for (factor, batching) in [(1u64, true), (2, true), (1, false), (2, false)] {
             let mut sim = Sim::new(0);
-            let (_net, bank, client) = replicated_setup(&sim, 2, factor as usize);
+            let cfg = ImcaConfig {
+                batching,
+                ..modulo(factor as usize)
+            };
+            let (_net, bank, client) = client_over(&sim, 2, &cfg);
             let c2 = Rc::clone(&client);
             sim.spawn(async move {
                 let items: Vec<(Vec<u8>, Bytes, Option<u64>)> = (0..8u64)
@@ -1476,14 +1442,15 @@ mod tests {
                         )
                     })
                     .collect();
-                c2.set_pipeline(items).await;
-                // The trailing sync guarantees every store has landed.
+                c2.store_blocks(items).await;
+                // The trailing sync (or each key's own reply) guarantees
+                // every store has landed.
                 for blk in 0..8u64 {
                     let key = format!("/p:{}", blk * 2048);
                     let got = c2.get(key.as_bytes(), Some(blk)).await;
                     assert_eq!(got.as_deref(), Some(&vec![blk as u8; 128][..]));
                 }
-                c2.delete_pipeline(
+                c2.remove_keys(
                     (0..8u64)
                         .map(|blk| (format!("/p:{}", blk * 2048).into_bytes(), Some(blk)))
                         .collect(),
@@ -1498,18 +1465,20 @@ mod tests {
             let s = client.stats();
             assert_eq!((s.sets, s.deletes, s.failures), (8, 8, 0));
             // Every item streams to each of its `factor` replicas.
-            assert_eq!(counter(&client, "pipelined_sets"), 8 * factor);
-            assert_eq!(counter(&client, "pipelined_deletes"), 8 * factor);
-            // Daemon side, per daemon: 4·factor noreply stores + 4·factor
-            // noreply deletes + 2 version syncs, plus the 16 verification
+            let streamed = if batching { 8 * factor } else { 0 };
+            assert_eq!(counter(&client, "pipelined_sets"), streamed);
+            assert_eq!(counter(&client, "pipelined_deletes"), streamed);
+            // Daemon side, per daemon: 4·factor stores + 4·factor deletes
+            // (+ 2 version syncs when pipelined), plus the 16 verification
             // gets wherever they were routed (at factor 1: 8 per daemon,
-            // 18 requests each); the key point is 1 sync per daemon per
-            // pipeline, not 1 RTT per key.
+            // 18 requests each pipelined); the key point is 1 sync per
+            // daemon per pipeline, not 1 RTT per key.
+            let syncs = if batching { 2 } else { 0 };
             let snap = imca_metrics::collect_from(&*bank, "bank");
             let requests = |i: usize| snap.counter(&format!("bank.mcd.{i}.requests")).unwrap();
-            assert_eq!(requests(0) + requests(1), 2 * (8 * factor + 2) + 16);
+            assert_eq!(requests(0) + requests(1), 2 * (8 * factor + syncs) + 16);
             if factor == 1 {
-                assert_eq!((requests(0), requests(1)), (18, 18));
+                assert_eq!((requests(0), requests(1)), (16 + syncs, 16 + syncs));
             }
         }
     }
@@ -1560,7 +1529,6 @@ mod tests {
             backoff_base: SimDuration::micros(10),
             backoff_cap: SimDuration::micros(40),
             circuit_cooldown: SimDuration::millis(1),
-            ..RetryPolicy::default()
         }
     }
 
@@ -1765,9 +1733,8 @@ mod tests {
         assert_eq!(bank.stats().curr_items, 4);
     }
 
-    /// A client with replication `r` over an `n`-daemon modulo bank, so
-    /// hints pin replica sets: hint 0 → daemons {0, 1, … r−1}.
-    fn replicated_setup(sim: &Sim, n: usize, r: usize) -> (Network, Rc<Bank>, Rc<BankClient>) {
+    /// An `n`-daemon bank and one client of it, as `cfg` describes them.
+    fn client_over(sim: &Sim, n: usize, cfg: &ImcaConfig) -> (Network, Rc<Bank>, Rc<BankClient>) {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
         let bank = Rc::new(Bank::start(
             &net,
@@ -1775,8 +1742,14 @@ mod tests {
             &McConfig::default(),
             &McdCosts::default(),
         ));
-        let client = Rc::new(bank.client(net.add_node(), &modulo(r), RetryPolicy::default()));
+        let client = Rc::new(bank.client(net.add_node(), cfg, RetryPolicy::default()));
         (net, bank, client)
+    }
+
+    /// A client with replication `r` over an `n`-daemon modulo bank, so
+    /// hints pin replica sets: hint 0 → daemons {0, 1, … r−1}.
+    fn replicated_setup(sim: &Sim, n: usize, r: usize) -> (Network, Rc<Bank>, Rc<BankClient>) {
+        client_over(sim, n, &modulo(r))
     }
 
     /// How many daemons currently hold `key` (direct engine probe).
@@ -1879,7 +1852,7 @@ mod tests {
     }
 
     #[test]
-    fn replicated_read_exhausting_its_replicas_in_flight_is_degraded() {
+    fn replicated_read_exhausting_its_replicas_in_flight_counts_as_degraded() {
         // Both replicas are reachable-looking but partitioned: each read
         // tries one, times out, fails over to the other, times out again
         // and resolves locally. It was answered locally because the bank
@@ -2190,62 +2163,6 @@ mod tests {
                     .map(|v| v.value.clone()),
                 Some(Bytes::from_static(b"w"))
             );
-            assert_eq!(client.busy_shed_count(), 1);
         }
-    }
-
-    #[test]
-    fn hedged_read_beats_a_partitioned_primary() {
-        let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            2,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let policy = RetryPolicy {
-            hedge: Some(HedgePolicy {
-                max_delay: SimDuration::micros(500),
-                ..HedgePolicy::default()
-            }),
-            ..RetryPolicy::default()
-        };
-        let client = Rc::new(bank.client(net.add_node(), &modulo(2), policy));
-        let c2 = Rc::clone(&client);
-        let net2 = net.clone();
-        let mcd0 = bank.nodes()[0].node;
-        sim.spawn(async move {
-            for i in 0..8u64 {
-                let key = format!("/h/{i}:0");
-                c2.set(key.as_bytes(), Bytes::from(vec![i as u8; 32]), Some(0))
-                    .await;
-            }
-            // Partition daemon 0: still alive to the router, so P2C keeps
-            // routing reads at it and they stall — the case hedging
-            // exists for. Every read must still resolve warm, via the
-            // hedge to the healthy replica.
-            net2.isolate("slow", [mcd0]);
-            for i in 0..8u64 {
-                let key = format!("/h/{i}:0");
-                assert_eq!(
-                    c2.get(key.as_bytes(), Some(0)).await.as_deref(),
-                    Some(&vec![i as u8; 32][..]),
-                    "key {i}"
-                );
-            }
-        });
-        sim.run();
-        let s = client.stats();
-        assert_eq!(
-            (s.gets, s.hits, s.misses),
-            (8, 8, 0),
-            "a stalled-but-alive primary must not cost a single miss"
-        );
-        let snap = imca_metrics::collect_from(&*client, "bank");
-        let hedged = snap.counter("bank.hedged_gets").unwrap();
-        let wins = snap.counter("bank.hedge_wins").unwrap();
-        assert!(hedged >= 1, "no hedge ever fired");
-        assert!(wins >= 1 && wins <= hedged, "wins={wins} hedged={hedged}");
     }
 }

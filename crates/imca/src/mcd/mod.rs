@@ -22,18 +22,23 @@
 //!   [`BankClient::get_multi`]: route each key to one usable replica
 //!   (power-of-two-choices on the client's own in-flight counts), send —
 //!   one multi-key `get` RPC per daemon for a batch, the way libmemcache
-//!   batches (DESIGN.md §4c); a direct, optionally hedged RPC for a
-//!   single key — settle the reply, and fail over past a replica that is
-//!   dead, shed or failed in flight until one answers or none is left (a
-//!   local miss). A per-client single-flight table additionally coalesces
-//!   concurrent GETs for one key into a single in-flight RPC;
+//!   batches (DESIGN.md §4c); a direct RPC for a single key — settle the
+//!   reply, and fail over past a replica that is dead, shed or failed in
+//!   flight until one answers or none is left (a local miss). A
+//!   per-client single-flight table additionally coalesces concurrent
+//!   GETs for one key into a single in-flight RPC;
 //! * **one write fan-out** behind [`BankClient::set`],
-//!   [`BankClient::delete`] and [`BankClient::cas`]: the request goes to
+//!   [`BankClient::delete`] and the private `cas`: the request goes to
 //!   every usable target, and a daemon whose write fails is quarantined;
-//! * **one `noreply` pipeline** behind [`BankClient::set_pipeline`] and
-//!   [`BankClient::delete_pipeline`]: per daemon the commands stream
-//!   back-to-back with a single trailing `version` round trip as the sync
-//!   barrier.
+//! * **one `noreply` pipeline** behind the private `set_pipeline` and
+//!   `delete_pipeline`: per daemon the commands stream back-to-back with
+//!   a single trailing `version` round trip as the sync barrier.
+//!
+//! The translators reach the bulk forms through four entry points —
+//! [`BankClient::fetch_blocks`], [`BankClient::store_blocks`],
+//! [`BankClient::remove_keys`], [`BankClient::cas_blocks`] — each of
+//! which picks the batched form or one task per key from
+//! `ImcaConfig::batching`; no other module reads that switch.
 //!
 //! All three reach the daemons through one `Wire`: the deadline,
 //! retry and backoff loop around a single RPC, on one static
@@ -45,4 +50,4 @@ mod policy;
 
 pub use client::{BankClient, BankStats};
 pub use daemon::{start_mcd, Bank, McdCosts, McdNode, McdReq, McdResp};
-pub use policy::{CasToken, CasVerdict, HedgePolicy, Replication, RetryPolicy};
+pub use policy::{CasToken, CasVerdict, Replication, RetryPolicy};

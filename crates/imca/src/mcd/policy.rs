@@ -1,6 +1,6 @@
-//! What a bank client is configured with and speaks in: the retry and
-//! hedge policies, replica placement, CAS tokens and verdicts, and the
-//! [`Wire`] — one deadline-guarded RPC loop to every daemon.
+//! What a bank client is configured with and speaks in: the retry
+//! policy, replica placement, CAS tokens and verdicts, and the [`Wire`] —
+//! one deadline-guarded RPC loop to every daemon.
 
 use std::future::Future;
 
@@ -36,11 +36,6 @@ pub struct RetryPolicy {
     /// long: ops route as local misses with no wire traffic, then the
     /// next op after expiry probes the daemon again.
     pub circuit_cooldown: SimDuration,
-    /// Hedged reads at replication ≥ 2: a GET still unanswered past the
-    /// primary's tracked tail latency fires one hedge to the next live
-    /// replica; first answer wins. `None` (default) = no hedging: the
-    /// read loop tries one replica at a time.
-    pub hedge: Option<HedgePolicy>,
 }
 
 impl Default for RetryPolicy {
@@ -51,36 +46,6 @@ impl Default for RetryPolicy {
             backoff_base: SimDuration::micros(100),
             backoff_cap: SimDuration::millis(1),
             circuit_cooldown: SimDuration::millis(100),
-            hedge: None,
-        }
-    }
-}
-
-/// Hedged-read policy (replication ≥ 2 only). The hedge delay for a GET
-/// to daemon `d` is `clamp(tail(d), min_delay, max_delay)` — the tracked
-/// p95 proxy — or `max_delay` before the estimator has `warmup` samples.
-/// A hedge fires only if the primary has not answered by then and goes to
-/// the next live replica in placement order; the first answer wins and
-/// the loser is abandoned (its late result is discarded, never settled).
-///
-/// Measured net-negative on the overload drive (EXPERIMENTS.md A12) and
-/// enabled by no drive; removal is pending a benchmark re-baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct HedgePolicy {
-    /// Hedge-delay floor: never hedge earlier than this.
-    pub min_delay: SimDuration,
-    /// Hedge-delay ceiling, and the delay used before warmup.
-    pub max_delay: SimDuration,
-    /// RTT samples required before the tracked tail drives the delay.
-    pub warmup: u64,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> HedgePolicy {
-        HedgePolicy {
-            min_delay: SimDuration::micros(100),
-            max_delay: SimDuration::millis(5),
-            warmup: 16,
         }
     }
 }
@@ -117,8 +82,8 @@ impl Default for Replication {
 /// replication a failover re-route answers a retry round from a
 /// *different* daemon than the original primary, which is exactly the
 /// situation where an untagged token silently crosses spaces. Tagging
-/// makes the confusion unrepresentable — a [`BankClient::cas`] always
-/// goes back to `daemon`, and only to `daemon` (DESIGN.md §4f).
+/// makes the confusion unrepresentable — a `cas` store always goes back
+/// to `daemon`, and only to `daemon` (DESIGN.md §4f).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CasToken {
     /// The daemon whose token space `token` lives in — the one that
@@ -201,7 +166,7 @@ fn doubled(backoff: SimDuration, policy: &RetryPolicy) -> SimDuration {
 /// The client's end of the wire to every daemon: everything a
 /// deadline-guarded call needs besides its target, policy and request.
 /// Its calls are self-contained `'static` futures, so batched paths can
-/// run them per daemon through `join_all` and hedges in their own task.
+/// run them per daemon through `join_all`.
 pub(super) struct Wire {
     pub(super) handle: SimHandle,
     pub(super) clients: Vec<RpcClient<McdReq, McdResp>>,

@@ -1,14 +1,15 @@
-//! The metadata tier: one `MetaCache` surface over three stat policies.
+//! The metadata tier: one engine over three stat policies.
 //!
 //! The stat path is the paper's headline win (Fig 5), and this module is
 //! its dedicated engine. Every client-facing metadata lookup — single
-//! stats and batched readdir+stat prefetches — goes through the
-//! [`MetaCache`] trait, whose results carry explicit provenance
-//! ([`StatSource`]): the caller always knows whether an answer came from
-//! a client-held lease, the MCD bank, the GlusterFS backend, or a
-//! negative (ENOENT) entry. The three policies live behind one engine
-//! ([`MetaEngine`]), selected by [`MetaConfig::policy`] — the ablation
-//! baseline is a config flag, not a code fork:
+//! stats ([`MetaEngine::stat`]) and batched readdir+stat prefetches
+//! ([`MetaEngine::stat_multi`]), both reached through `CmCache`'s
+//! counting wrappers of the same names — returns results with explicit
+//! provenance ([`StatSource`]): the caller always knows whether an answer
+//! came from a client-held lease, the MCD bank, the GlusterFS backend, or
+//! a negative (ENOENT) entry. The three policies live behind the one
+//! engine, selected by [`MetaConfig::policy`] — the ablation baseline is
+//! a config flag, not a code fork:
 //!
 //! * [`MetaPolicy::NoCache`] — every stat forwards to the server
 //!   (provenance `Backend`). The NoCache baseline on an otherwise
@@ -18,7 +19,8 @@
 //! * [`MetaPolicy::Lease`] — bounded-TTL client leases on top of the
 //!   bank path: a stat answered from the bank or the backend installs a
 //!   local lease, and further stats are served with *zero* network
-//!   rounds until the lease expires or the server revokes it.
+//!   rounds until the lease expires ([`MetaEngine::LEASE_TTL`]) or the
+//!   server revokes it. Negative caching (below) is part of this policy.
 //!
 //! # Lease protocol
 //!
@@ -45,19 +47,16 @@
 //!
 //! # Negative entries
 //!
-//! With [`MetaConfig::negative`] on, a backend ENOENT plants a marker
-//! under the path's `:m.neg` key (its own namespace in `keys.rs`), and
-//! repeated lookups of missing paths are answered from the bank — or,
-//! under the lease policy, from a local negative lease — with provenance
-//! `Negative`. A create revalidates: SMCache purges the path (bumping
+//! Under the lease policy a backend ENOENT plants a marker under the
+//! path's `:m.neg` key (its own namespace in `keys.rs`), and repeated
+//! lookups of missing paths are answered from a local negative lease or
+//! the bank marker, with provenance `Negative`. A create revalidates: SMCache purges the path (bumping
 //! the generation fence, revoking leases, and deleting the marker)
 //! before acknowledging, so no client sees ENOENT for a file whose
 //! create completed.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 
 use imca_fabric::{RpcClient, Service, WireSize};
@@ -79,29 +78,25 @@ pub enum MetaPolicy {
     NoCache,
     /// One bank round trip per stat (the paper's CMCache behaviour).
     Bank,
-    /// Client-held bounded-TTL leases over the bank path, revoked by
-    /// SMCache before any stat entry changes.
+    /// The full metadata tier: client-held bounded-TTL leases over the
+    /// bank path, revoked by SMCache before any stat entry changes, plus
+    /// negative (ENOENT) caching as bank markers and negative leases.
     Lease,
 }
 
-/// Metadata-tier configuration. The default (`Bank`, no negative
-/// caching) reproduces the legacy CMCache stat path event-for-event.
+/// Metadata-tier configuration: the stat policy, nothing else. The
+/// default (`Bank`) reproduces the legacy CMCache stat path
+/// event-for-event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetaConfig {
     /// Stat policy.
     pub policy: MetaPolicy,
-    /// Cache ENOENT results (bank markers + negative leases).
-    pub negative: bool,
-    /// Lease lifetime; bounds staleness when a revocation is lost.
-    pub lease_ttl: SimDuration,
 }
 
 impl Default for MetaConfig {
     fn default() -> MetaConfig {
         MetaConfig {
             policy: MetaPolicy::Bank,
-            negative: false,
-            lease_ttl: SimDuration::millis(250),
         }
     }
 }
@@ -111,8 +106,6 @@ impl MetaConfig {
     pub fn lease() -> MetaConfig {
         MetaConfig {
             policy: MetaPolicy::Lease,
-            negative: true,
-            ..MetaConfig::default()
         }
     }
 
@@ -120,14 +113,13 @@ impl MetaConfig {
     pub fn nocache() -> MetaConfig {
         MetaConfig {
             policy: MetaPolicy::NoCache,
-            ..MetaConfig::default()
         }
     }
 
-    /// Whether any mechanism beyond the legacy bank round trip is on
-    /// (used by SMCache to keep legacy deployments bit-identical).
-    pub fn extended(&self) -> bool {
-        self.negative || self.policy == MetaPolicy::Lease
+    /// Whether ENOENT results are cached: exactly under the lease policy.
+    /// Every other deployment replays the legacy paths bit-identically.
+    pub fn negative(&self) -> bool {
+        self.policy == MetaPolicy::Lease
     }
 }
 
@@ -154,32 +146,13 @@ pub struct StatResult {
     pub source: StatSource,
 }
 
-/// Boxed future returned by [`MetaCache::stat`].
-pub type StatFuture = Pin<Box<dyn Future<Output = StatResult>>>;
-/// Boxed future returned by [`MetaCache::stat_multi`].
-pub type StatMultiFuture = Pin<Box<dyn Future<Output = Vec<StatResult>>>>;
-
-/// The client-facing metadata surface: single and batched lookups with
-/// provenance-carrying results. The lease engine, the bank round-trip
-/// path, and the NoCache baseline all sit behind this one trait.
-pub trait MetaCache {
-    /// One metadata lookup through the configured policy.
-    fn stat(self: Rc<Self>, path: String) -> StatFuture;
-
-    /// Batched lookup — the readdir+stat prefetch hook. Local leases are
-    /// served first, the remainder rides one multi-key bank `get`
-    /// (PR 2's `get_multi` plumbing), and only paths missing everywhere
-    /// forward to the server.
-    fn stat_multi(self: Rc<Self>, paths: Vec<String>) -> StatMultiFuture;
-}
-
 struct LeaseEntry {
     /// `Some` = a positive stat lease; `None` = a negative (ENOENT) one.
     stat: Option<FileStat>,
     expires: SimTime,
 }
 
-/// The per-client metadata engine implementing [`MetaCache`].
+/// The per-client metadata engine.
 pub struct MetaEngine {
     handle: SimHandle,
     child: Xlator,
@@ -199,11 +172,14 @@ pub struct MetaEngine {
     lease_expiries: Counter,
     revocations: Counter,
     install_races: Counter,
-    batched_lookups: Counter,
-    batched_paths: Counter,
+    multi_lookups: Counter,
+    multi_paths: Counter,
 }
 
 impl MetaEngine {
+    /// Lease lifetime; bounds staleness when a revocation is lost.
+    pub const LEASE_TTL: SimDuration = SimDuration::millis(250);
+
     /// An engine over `child` (the path to the server) and `bank`.
     pub fn new(
         handle: SimHandle,
@@ -227,8 +203,8 @@ impl MetaEngine {
             lease_expiries: registry.counter("lease_expiries"),
             revocations: registry.counter("revocations"),
             install_races: registry.counter("install_races"),
-            batched_lookups: registry.counter("batched_lookups"),
-            batched_paths: registry.counter("batched_paths"),
+            multi_lookups: registry.counter("batched_lookups"),
+            multi_paths: registry.counter("batched_paths"),
             registry,
         })
     }
@@ -284,16 +260,13 @@ impl MetaEngine {
         if self.cfg.policy != MetaPolicy::Lease {
             return;
         }
-        if stat.is_none() && !self.cfg.negative {
-            return;
-        }
         if self.epoch.get() != epoch_at_start {
             // A revocation landed while this fill was in flight: its
             // value may pre-date the mutation that triggered the revoke.
             self.install_races.inc();
             return;
         }
-        let expires = self.handle.now() + self.cfg.lease_ttl;
+        let expires = self.handle.now() + Self::LEASE_TTL;
         self.leases
             .borrow_mut()
             .insert(path.to_string(), LeaseEntry { stat, expires });
@@ -305,7 +278,7 @@ impl MetaEngine {
     /// the same reason the bank path is: any later mutation revokes
     /// before its stat entry changes, and the epoch guard covers the
     /// in-flight window.
-    async fn backend_stat(self: &Rc<Self>, path: String, epoch_at_start: u64) -> StatResult {
+    async fn backend_stat(&self, path: String, epoch_at_start: u64) -> StatResult {
         self.backend_fills.inc();
         let reply = Rc::clone(&self.child)
             .handle(Fop::Stat { path: path.clone() })
@@ -316,9 +289,7 @@ impl MetaEngine {
         };
         match stat {
             Ok(st) => self.install(&path, Some(st), epoch_at_start),
-            Err(FsError::NotFound) if self.cfg.negative => {
-                self.install(&path, None, epoch_at_start)
-            }
+            Err(FsError::NotFound) => self.install(&path, None, epoch_at_start),
             Err(_) => {}
         }
         StatResult {
@@ -328,7 +299,7 @@ impl MetaEngine {
     }
 
     /// Decode one bank round for `path`: `raw_stat` from the `:m.stat`
-    /// key and (when negative caching is on) `raw_neg` from `:m.neg`.
+    /// key and (under negative caching) `raw_neg` from `:m.neg`.
     fn decode_bank_round(
         &self,
         path: &str,
@@ -358,7 +329,8 @@ impl MetaEngine {
         None
     }
 
-    async fn stat_inner(self: Rc<Self>, path: String) -> StatResult {
+    /// One metadata lookup through the configured policy.
+    pub async fn stat(&self, path: String) -> StatResult {
         if self.cfg.policy == MetaPolicy::NoCache {
             // NoCache never installs anything, so the epoch is moot.
             return self.backend_stat(path, self.epoch.get()).await;
@@ -369,7 +341,7 @@ impl MetaEngine {
             }
         }
         let epoch = self.epoch.get();
-        if self.cfg.negative {
+        if self.cfg.negative() {
             // Stat and negative entries travel in one batched round.
             let keys = vec![(stat_key(&path), None), (neg_key(&path), None)];
             let got = self.bank.get_multi(&keys).await;
@@ -385,9 +357,13 @@ impl MetaEngine {
         self.backend_stat(path, epoch).await
     }
 
-    async fn stat_multi_inner(self: Rc<Self>, paths: Vec<String>) -> Vec<StatResult> {
-        self.batched_lookups.inc();
-        self.batched_paths.add(paths.len() as u64);
+    /// Batched lookup — the readdir+stat prefetch hook. Local leases are
+    /// served first, the remainder rides one multi-key bank `get`
+    /// ([`BankClient::get_multi`], batched whatever the data path's
+    /// framing), and only paths missing everywhere forward to the server.
+    pub async fn stat_multi(&self, paths: Vec<String>) -> Vec<StatResult> {
+        self.multi_lookups.inc();
+        self.multi_paths.add(paths.len() as u64);
         let mut out: Vec<Option<StatResult>> = vec![None; paths.len()];
         if self.cfg.policy == MetaPolicy::NoCache {
             // The baseline has nothing to batch: `ls -l` stats one entry
@@ -408,18 +384,19 @@ impl MetaEngine {
         let epoch = self.epoch.get();
         let missing: Vec<usize> = (0..paths.len()).filter(|&i| out[i].is_none()).collect();
         if !missing.is_empty() {
-            let stride = if self.cfg.negative { 2 } else { 1 };
+            let negative = self.cfg.negative();
+            let stride = if negative { 2 } else { 1 };
             let mut keys = Vec::with_capacity(missing.len() * stride);
             for &i in &missing {
                 keys.push((stat_key(&paths[i]), None));
-                if self.cfg.negative {
+                if negative {
                     keys.push((neg_key(&paths[i]), None));
                 }
             }
             let got = self.bank.get_multi(&keys).await;
             for (j, &i) in missing.iter().enumerate() {
                 let raw_stat = got[j * stride].as_ref();
-                let raw_neg = if self.cfg.negative {
+                let raw_neg = if negative {
                     got[j * stride + 1].as_ref()
                 } else {
                     None
@@ -436,16 +413,6 @@ impl MetaEngine {
             }
         }
         out.into_iter().map(|r| r.expect("filled")).collect()
-    }
-}
-
-impl MetaCache for MetaEngine {
-    fn stat(self: Rc<Self>, path: String) -> StatFuture {
-        Box::pin(self.stat_inner(path))
-    }
-
-    fn stat_multi(self: Rc<Self>, paths: Vec<String>) -> StatMultiFuture {
-        Box::pin(self.stat_multi_inner(paths))
     }
 }
 
@@ -791,11 +758,7 @@ mod tests {
     fn lease_expires_after_ttl() {
         let mut sim = Sim::new(0);
         let server = FakeServer::with_file("/f", 10);
-        let cfg = MetaConfig {
-            lease_ttl: SimDuration::micros(50),
-            ..MetaConfig::lease()
-        };
-        let (eng, _bank) = rig(&sim, cfg, Rc::clone(&server));
+        let (eng, _bank) = rig(&sim, MetaConfig::lease(), Rc::clone(&server));
         let h = sim.handle();
         sim.spawn(async move {
             Rc::clone(&eng).stat("/f".into()).await;
@@ -803,7 +766,7 @@ mod tests {
                 Rc::clone(&eng).stat("/f".into()).await.source,
                 StatSource::Lease
             );
-            h.sleep(SimDuration::micros(60)).await;
+            h.sleep(MetaEngine::LEASE_TTL).await;
             let r = Rc::clone(&eng).stat("/f".into()).await;
             assert_ne!(r.source, StatSource::Lease, "expired lease served");
         });
@@ -814,23 +777,17 @@ mod tests {
     fn negative_entries_answer_repeated_enoent() {
         let mut sim = Sim::new(0);
         let server = FakeServer::with_file("/exists", 1);
-        let (eng, bank) = rig(
-            &sim,
-            MetaConfig {
-                policy: MetaPolicy::Bank,
-                negative: true,
-                ..MetaConfig::default()
-            },
-            Rc::clone(&server),
-        );
+        let (eng, bank) = rig(&sim, MetaConfig::lease(), Rc::clone(&server));
         sim.spawn(async move {
             // First lookup forwards and gets ENOENT.
             let r = Rc::clone(&eng).stat("/ghost".into()).await;
             assert_eq!(r.source, StatSource::Backend);
             assert_eq!(r.stat, Err(FsError::NotFound));
-            // Plant the marker the way SMCache would.
+            // Plant the marker the way SMCache would, and drop the
+            // negative lease so the next lookup has to ask the bank.
             bank.set(&neg_key("/ghost"), Bytes::from_static(NEG_MARKER), None)
                 .await;
+            eng.revoke("/ghost");
             let r = Rc::clone(&eng).stat("/ghost".into()).await;
             assert_eq!(r.source, StatSource::Negative);
             assert_eq!(r.stat, Err(FsError::NotFound));

@@ -21,25 +21,43 @@
 //! Because memcached cannot enumerate keys, SMCache records which block
 //! keys it has populated per file and purges exactly those.
 //!
-//! Two mechanics around the update path:
+//! # The update path, once
 //!
-//! * **Batching** (default): block pushes go through
-//!   [`BankClient::set_pipeline`] and purges through
-//!   [`BankClient::delete_pipeline`] — `noreply` streams with one sync
-//!   round trip per daemon instead of one awaited RPC per key.
-//! * **Generation fence**: `purge()` bumps a per-path generation counter
-//!   *before* it yields, and every update job carries the generation it
-//!   was created under. A deferred (or in-flight) update whose generation
-//!   is stale — a `Close`/`Unlink` purge overtook it — is dropped (or
-//!   rolled back) instead of repopulating blocks for a closed or deleted
+//! Everything SMCache does to the bank beyond a purge is a job:
+//! `Job { path, gen, work }`, where `work` is a read-path fill, the purge
+//! protocol's repopulation or the CAS protocol's in-place replacement.
+//!
+//! * **Executor** (`submit`): with `threaded_updates` the job is counted
+//!   and queued for the background worker, otherwise it runs now, in the
+//!   fop's critical path. The read fill and both write protocols enter
+//!   through it.
+//! * **Fence** (`fenced`): `purge()` bumps a per-path generation counter
+//!   *before* it yields, and every job carries the generation it was
+//!   created under. The worker checks the fence before it starts a job;
+//!   every step checks it again after each await that a purge could have
+//!   overtaken — a child fop, a bank round, a lease revocation. A stale
+//!   update is dropped, and what it stored since its last check is taken
+//!   out again, instead of repopulating blocks for a closed or deleted
 //!   file, the "false positive" §4.3.2 purges to avoid.
+//! * **Refill** (`refill`): re-read a block-aligned span from the
+//!   filesystem, fence, push it — the purge protocol's covering re-read,
+//!   the re-read of short blocks a write left stale, and the CAS path's
+//!   fill leg for untracked blocks. A re-read or stat the disk refuses
+//!   `abandon`s the update: nothing is pushed and the file is purged.
+//! * **Tail** (`refresh_stat`): revoke leases, fence, push the new stat.
+//! * **Fall-back** (`fall_back`): a CAS wave that could not replace every
+//!   held copy purges the file and repopulates under the new generation.
+//!
+//! How a push, purge or CAS wave is framed on the wire — `noreply`
+//! pipelines with one sync per daemon, or one awaited RPC per key — is
+//! decided inside [`BankClient`] (`ImcaConfig::batching`); this module
+//! calls `store_blocks` / `remove_keys` / `cas_blocks` and never knows.
 //!
 //! With a replicated bank (`ImcaConfig::replication`, DESIGN.md §4d)
-//! both mechanics are unchanged here: every push and purge SMCache
-//! issues fans out to all of a key's replicas inside [`BankClient`]
-//! (pipelined, one sync barrier per daemon), and the generation fence
-//! applies per replica — so a write or unlink purges *every* replica
-//! before the stat entry is refreshed.
+//! nothing changes here: every push and purge SMCache issues fans out to
+//! all of a key's replicas inside [`BankClient`], and the generation
+//! fence applies per replica — so a write or unlink purges *every*
+//! replica before the stat entry is refreshed.
 //!
 //! **Write coherence** is selectable ([`Coherence`], DESIGN.md §4f).
 //! The default `Cas` mode replaces a write's covering blocks *in place*:
@@ -61,13 +79,13 @@ use bytes::Bytes;
 use imca_glusterfs::{FileStat, Fop, FopReply, FsError, Translator, Xlator};
 use imca_metrics::{prefixed, Counter, MetricSource, Registry, Snapshot};
 use imca_sim::sync::Queue;
-use imca_sim::{join_all, SimHandle, TokenBucket};
+use imca_sim::{SimHandle, TokenBucket};
 
 use crate::block::{aligned_range, cover};
 use crate::cluster::ImcaConfig;
 use crate::keys::{block_key, neg_key, stat_key};
 use crate::mcd::{BankClient, CasToken, CasVerdict};
-use crate::meta::{LeaseHub, MetaConfig, NEG_MARKER};
+use crate::meta::{LeaseHub, NEG_MARKER};
 
 /// Write-coherence protocol for the bank (DESIGN.md §4f).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -144,32 +162,30 @@ pub struct SmStats {
     pub cas_fallback_purges: u64,
 }
 
-enum Job {
-    /// Re-read `[offset, offset+len)` (block-aligned) from the filesystem
-    /// and push the covering blocks + refreshed stat.
-    PopulateRange {
-        path: String,
-        offset: u64,
-        len: u64,
-        gen: u64,
-    },
-    /// Push blocks cut from data already in hand (read path).
-    PopulateData {
-        path: String,
+/// What an update job does once the fence admits it.
+enum Work {
+    /// Push blocks cut from data already in hand (the read-path fill).
+    Fill {
         aligned_offset: u64,
         aligned_len: u64,
         data: Vec<u8>,
-        gen: u64,
     },
-    /// Replace a write's covering blocks in place via CAS
-    /// ([`Coherence::Cas`], threaded mode). Carries the write payload so
-    /// the post-write bytes can be computed without re-reading the disk.
-    CasUpdate {
-        path: String,
-        offset: u64,
-        data: Vec<u8>,
-        gen: u64,
-    },
+    /// [`Coherence::Purge`]: drop the covering entries of the write to
+    /// `[offset, offset+len)`, re-read them from the filesystem and push
+    /// them with the refreshed stat.
+    Repopulate { offset: u64, len: u64 },
+    /// [`Coherence::Cas`]: replace the write's covering blocks in place.
+    /// Carries the write payload so the post-write bytes can be computed
+    /// without re-reading the disk.
+    Replace { offset: u64, data: Vec<u8> },
+}
+
+/// One unit of bank maintenance for `path`, created under purge
+/// generation `gen` and worthless once a purge has moved past it.
+struct Job {
+    path: String,
+    gen: u64,
+    work: Work,
 }
 
 /// The SMCache translator.
@@ -179,9 +195,10 @@ pub struct SmCache {
     block_size: u64,
     handle: SimHandle,
     threaded: bool,
-    batched: bool,
     coherence: Coherence,
-    meta: MetaConfig,
+    /// Negative caching (`MetaConfig::negative`): backend ENOENTs plant
+    /// `:m.neg` markers, purges delete them, creates revalidate them.
+    negative: bool,
     /// Lease fan-out to every mounted client; `None` outside the lease
     /// policy. Revoked *before* a path's stat entry is deleted or
     /// updated — the invalidation ordering rule (see `crate::meta`).
@@ -190,7 +207,7 @@ pub struct SmCache {
     /// Per path: block start → cached chunk length. The length matters at
     /// EOF: a block cached shorter than `block_size` encodes "the file
     /// ends inside this block", and must be refreshed when a write moves
-    /// the end of file past it (see `populate_range`).
+    /// the end of file past it (see `stale_short_blocks`).
     populated: RefCell<HashMap<String, BTreeMap<u64, u64>>>,
     /// Per-path purge generation; bumped synchronously by `purge()` so
     /// racing update jobs can detect they are stale.
@@ -215,12 +232,12 @@ impl SmCache {
     /// Stack SMCache above `child` (normally `storage/posix`), pushing
     /// to `bank`, the way `cfg` describes the deployment:
     /// `threaded_updates` moves MCD population off the critical path;
-    /// `batching` streams pushes/purges as `noreply` pipelines (one sync
-    /// per daemon) instead of one awaited RPC per key; `coherence` picks
-    /// the write protocol; with `meta.negative` on, backend ENOENTs plant
-    /// negative entries (and creates revalidate them); `rewarm` throttles
-    /// read-path bank repopulation. With a `leases` hub, every purge and
-    /// stat refresh revokes client leases first.
+    /// `coherence` picks the write protocol; under `MetaConfig::lease`,
+    /// backend ENOENTs plant negative entries (and creates revalidate
+    /// them); `rewarm` throttles read-path bank repopulation. With a
+    /// `leases` hub, every purge and stat refresh revokes client leases
+    /// first. How pushes and purges are framed on the wire is the
+    /// bank client's business (`ImcaConfig::batching`, read there).
     pub fn new(
         handle: SimHandle,
         child: Xlator,
@@ -237,9 +254,8 @@ impl SmCache {
             block_size,
             handle: handle.clone(),
             threaded: threaded_updates,
-            batched: cfg.batching,
             coherence: cfg.coherence,
-            meta: cfg.meta,
+            negative: cfg.meta.negative(),
             leases,
             jobs: Queue::new(),
             populated: RefCell::new(HashMap::new()),
@@ -266,7 +282,14 @@ impl SmCache {
             let worker = Rc::clone(&sm);
             handle.spawn(async move {
                 while let Some(job) = worker.jobs.recv().await {
-                    worker.run_job(job).await;
+                    // A purge ran after this job was queued: the file was
+                    // closed or deleted; repopulating now would plant the
+                    // very false positives purge exists to remove. (The
+                    // synchronous mode needs no check here: nothing can
+                    // run between a job's creation and its start.)
+                    if !worker.fenced(&job.path, job.gen) {
+                        worker.run(job).await;
+                    }
                 }
             });
         }
@@ -303,6 +326,28 @@ impl SmCache {
         self.generations.borrow().get(path).copied().unwrap_or(0)
     }
 
+    /// The generation fence, counted: `true` when a purge (close, unlink,
+    /// open, fallback) has moved `path` past generation `gen`, so the
+    /// update holding `gen` is stale — it must stop, and take out again
+    /// whatever it stored since its last check.
+    fn fenced(&self, path: &str, gen: u64) -> bool {
+        let stale = self.generation(path) != gen;
+        if stale {
+            self.stale_updates_dropped.inc();
+        }
+        stale
+    }
+
+    /// Register `path` (without advancing its generation) so a file whose
+    /// only bank entry is its stat or ENOENT marker is still found by
+    /// `purge_all`.
+    fn register(&self, path: &str) {
+        self.generations
+            .borrow_mut()
+            .entry(path.to_string())
+            .or_insert(0);
+    }
+
     /// Number of block keys currently tracked for `path`.
     pub fn tracked_blocks(&self, path: &str) -> usize {
         self.populated
@@ -312,53 +357,67 @@ impl SmCache {
             .unwrap_or(0)
     }
 
-    async fn run_job(&self, job: Job) {
-        match job {
-            Job::PopulateRange {
-                path,
-                offset,
-                len,
-                gen,
-            } => {
-                if self.generation(&path) != gen {
-                    // A purge ran after this job was queued: the file was
-                    // closed or deleted; repopulating now would plant the
-                    // very false positives purge exists to remove.
-                    self.stale_updates_dropped.inc();
-                    return;
-                }
-                // PopulateRange is only queued by the Purge write path
-                // now, so run the full baseline protocol: cold window
-                // first, then the covering re-read.
-                self.purge_then_populate(&path, offset, len, gen).await;
-            }
-            Job::PopulateData {
-                path,
+    /// The executor's front door: a threaded deployment counts the job
+    /// and queues it for the background worker; a synchronous one runs it
+    /// now, in the fop's critical path.
+    async fn submit(&self, job: Job) {
+        if self.threaded {
+            self.deferred_jobs.inc();
+            self.jobs.push(job);
+        } else {
+            self.run(job).await;
+        }
+    }
+
+    async fn run(&self, Job { path, gen, work }: Job) {
+        match work {
+            Work::Fill {
                 aligned_offset,
                 aligned_len,
                 data,
-                gen,
             } => {
-                if self.generation(&path) != gen {
-                    self.stale_updates_dropped.inc();
-                    return;
-                }
                 self.push_blocks(&path, aligned_offset, aligned_len, &data, gen)
-                    .await;
+                    .await
             }
-            Job::CasUpdate {
-                path,
-                offset,
-                data,
-                gen,
-            } => {
-                if self.generation(&path) != gen {
-                    self.stale_updates_dropped.inc();
-                    return;
-                }
-                self.cas_update(&path, offset, &data, gen).await;
+            Work::Repopulate { offset, len } => {
+                self.purge_then_populate(&path, offset, len, gen).await
             }
+            Work::Replace { offset, data } => self.cas_update(&path, offset, &data, gen).await,
         }
+    }
+
+    /// The bank item naming the block of `path` at `start`: its key and
+    /// the block-index hint modulo placement routes by.
+    fn block_item(&self, path: &str, start: u64) -> (Vec<u8>, Option<u64>) {
+        (block_key(path, start), Some(start / self.block_size))
+    }
+
+    /// The EOF encoding: how many bytes the block at `start` holds in a
+    /// file of `size` bytes. A block cached shorter than `block_size`
+    /// says "the file ends inside this block"; one fully past EOF is the
+    /// empty "known empty".
+    fn block_len(&self, start: u64, size: u64) -> u64 {
+        self.block_size.min(size.saturating_sub(start))
+    }
+
+    /// EOF coherence: the tracked blocks of `path` cached short whose
+    /// cached length no longer matches a file of `size` bytes, in offset
+    /// order. If a write moved the end of file past such a block (the
+    /// bytes in between are a hole the write's own covering range never
+    /// touches), the cached copy now truncates reads that NoCache would
+    /// satisfy with zeros, and must be refreshed.
+    fn stale_short_blocks(&self, path: &str, size: u64) -> Vec<u64> {
+        let populated = self.populated.borrow();
+        let Some(tracked) = populated.get(path) else {
+            return Vec::new();
+        };
+        tracked
+            .iter()
+            .filter(|&(&start, &cached)| {
+                cached < self.block_size && cached != self.block_len(start, size)
+            })
+            .map(|(&start, _)| start)
+            .collect()
     }
 
     /// Cut `data` (starting at the block-aligned `aligned_offset`) into
@@ -391,40 +450,17 @@ impl SmCache {
             })
             .collect();
         let n = items.len() as u64;
-        if self.batched {
-            self.bank.set_pipeline(items).await;
-        } else {
-            let sets: Vec<_> = items
-                .into_iter()
-                .map(|(key, chunk, hint)| {
-                    let bank = Rc::clone(&self.bank);
-                    async move { bank.set(&key, chunk, hint).await }
-                })
-                .collect();
-            join_all(&self.handle, sets).await;
-        }
-        if self.generation(path) != gen {
+        self.bank.store_blocks(items).await;
+        if self.fenced(path, gen) {
             // A purge (close/unlink/open) overtook this update while its
             // stores were on the wire: the entries just written belong to
             // a stale generation of the file. Take them out again and
             // record nothing.
-            self.stale_updates_dropped.inc();
-            let rollback: Vec<(Vec<u8>, Option<u64>)> = blocks
+            let rollback = blocks
                 .iter()
-                .map(|b| (block_key(path, b.start), Some(b.index)))
+                .map(|b| self.block_item(path, b.start))
                 .collect();
-            if self.batched {
-                self.bank.delete_pipeline(rollback).await;
-            } else {
-                let deletes: Vec<_> = rollback
-                    .into_iter()
-                    .map(|(key, hint)| {
-                        let bank = Rc::clone(&self.bank);
-                        async move { bank.delete(&key, hint).await }
-                    })
-                    .collect();
-                join_all(&self.handle, deletes).await;
-            }
+            self.bank.remove_keys(rollback).await;
             return;
         }
         self.blocks_pushed.add(n);
@@ -435,112 +471,99 @@ impl SmCache {
         }
     }
 
+    /// The disk would not say what the file holds now (media error,
+    /// server dying), so nothing may be pushed — a guessed block or stat
+    /// would serve unverified bytes to every client until the next purge.
+    /// Worse, the bank may still hold *pre-write* blocks, short blocks
+    /// that now lie about where the file ends, or the pre-write stat
+    /// (with client leases naming it), all of which the write just made
+    /// stale. Count the dropped push and purge the file — leases revoked
+    /// first, then the stat/neg/block entries — so readers and metadata
+    /// consumers fall through to the backend like NoCache.
+    async fn abandon(&self, path: &str) {
+        self.dropped_pushes.inc();
+        self.purge(path).await;
+    }
+
     /// "Read(s) are issued to the underlying file system by SMCache that
     /// cover the Write area, accounting for the IMCa blocksize. When the
-    /// data is available, the Read(s) are sent to the MCDs."
-    async fn populate_range(&self, path: &str, offset: u64, len: u64, gen: u64) {
-        let (aoff, alen) = aligned_range(offset, len, self.block_size);
-        let reply = Rc::clone(&self.child).handle(Fop::Read {
-            path: path.to_string(),
-            offset: aoff,
-            len: alen,
-        });
-        let reply = reply.await;
-        if self.generation(path) != gen {
-            // Purged while the filesystem read was in flight.
-            self.stale_updates_dropped.inc();
-            return;
+    /// data is available, the Read(s) are sent to the MCDs." Re-read the
+    /// block-aligned span `[offset, offset+len)` and push it: `true` when
+    /// the update may go on, `false` when it ended here — purged while
+    /// the filesystem read was in flight, or abandoned because the read
+    /// failed.
+    async fn refill(&self, path: &str, offset: u64, len: u64, gen: u64) -> bool {
+        let reply = Rc::clone(&self.child)
+            .handle(Fop::Read {
+                path: path.to_string(),
+                offset,
+                len,
+            })
+            .await;
+        if self.fenced(path, gen) {
+            return false;
         }
-        if let FopReply::Read(Ok(data)) = reply {
-            self.push_blocks(path, aoff, alen, &data, gen).await;
-        } else {
-            // The covering re-read failed (media error, server dying):
-            // whatever is on disk is unknown, so nothing may be pushed —
-            // a guessed block would serve unverified bytes to every
-            // client until the next purge. Worse, the bank may still hold
-            // the blocks' *pre-write* contents, which the write just made
-            // stale on disk; purge the file so readers fall through to the
-            // media instead of a copy that no longer exists anywhere.
-            self.dropped_pushes.inc();
-            self.purge(path).await;
-            return;
-        }
-        // Refresh the stat entry so consumers polling mtime see the update.
-        let stat_reply = Rc::clone(&self.child)
+        let FopReply::Read(Ok(data)) = reply else {
+            self.abandon(path).await;
+            return false;
+        };
+        self.push_blocks(path, offset, len, &data, gen).await;
+        true
+    }
+
+    /// The post-write stat an update derives block lengths and the stat
+    /// refresh from; `None` when the disk will not even say how big the
+    /// file is now.
+    async fn child_stat(&self, path: &str) -> Option<FileStat> {
+        let reply = Rc::clone(&self.child)
             .handle(Fop::Stat {
                 path: path.to_string(),
             })
             .await;
+        match reply {
+            FopReply::Stat(Ok(st)) => Some(st),
+            _ => None,
+        }
+    }
+
+    /// The tail of every write update: refresh the stat entry so
+    /// consumers polling mtime see the update. The refresh *changes* the
+    /// stat value (the write moved size/mtime), so any lease still naming
+    /// the old value must fall first — and if a purge lands during the
+    /// revocation, the refresh is stale and must not be pushed at all.
+    async fn refresh_stat(&self, path: &str, st: FileStat, gen: u64) {
+        self.revoke_leases(path).await;
+        if !self.fenced(path, gen) {
+            self.push_stat(path, st).await;
+        }
+    }
+
+    /// Re-read the blocks covering the write to `[offset, offset+len)`
+    /// and push them, re-push every short block the write left stale,
+    /// then refresh the stat.
+    async fn populate_range(&self, path: &str, offset: u64, len: u64, gen: u64) {
+        let (aoff, alen) = aligned_range(offset, len, self.block_size);
+        if !self.refill(path, aoff, alen, gen).await {
+            return;
+        }
+        let st = self.child_stat(path).await;
+        // A purge overtook the stat: nothing more may be pushed. This
+        // check has never counted into `stale_updates_dropped`, and the
+        // counter is gated exactly (scripts/smokecheck), so it stays so.
         if self.generation(path) != gen {
             return;
         }
-        if let FopReply::Stat(Ok(st)) = stat_reply {
-            // EOF coherence: a block cached shorter than block_size says
-            // "the file ends here". If this write moved the end of file
-            // past such a block (the bytes in between are a hole the
-            // write's own covering range never touches), the cached copy
-            // now truncates reads that NoCache would satisfy with zeros.
-            // Re-read and re-push every short block whose cached length no
-            // longer matches the file size.
-            let stale: Vec<u64> = self
-                .populated
-                .borrow()
-                .get(path)
-                .map(|m| {
-                    m.iter()
-                        .filter(|&(&start, &cached)| {
-                            cached < self.block_size
-                                && cached != self.block_size.min(st.size.saturating_sub(start))
-                        })
-                        .map(|(&start, _)| start)
-                        .collect()
-                })
-                .unwrap_or_default();
-            if let (Some(&first), Some(&last)) = (stale.first(), stale.last()) {
-                let span = last + self.block_size - first;
-                let reply = Rc::clone(&self.child)
-                    .handle(Fop::Read {
-                        path: path.to_string(),
-                        offset: first,
-                        len: span,
-                    })
-                    .await;
-                if self.generation(path) != gen {
-                    self.stale_updates_dropped.inc();
-                    return;
-                }
-                if let FopReply::Read(Ok(data)) = reply {
-                    self.push_blocks(path, first, span, &data, gen).await;
-                } else {
-                    // Same rule as above: the short blocks already in the
-                    // bank now lie about where the file ends.
-                    self.dropped_pushes.inc();
-                    self.purge(path).await;
-                    return;
-                }
-            }
-            // This refresh *changes* the stat value (the write moved
-            // size/mtime), so any lease still naming the old value must
-            // fall first — and if a purge lands during the revocation,
-            // the refresh is stale and must not be pushed at all.
-            self.revoke_leases(path).await;
-            if self.generation(path) != gen {
-                self.stale_updates_dropped.inc();
+        let Some(st) = st else {
+            return self.abandon(path).await;
+        };
+        let stale = self.stale_short_blocks(path, st.size);
+        if let (Some(&first), Some(&last)) = (stale.first(), stale.last()) {
+            let span = last + self.block_size - first;
+            if !self.refill(path, first, span, gen).await {
                 return;
             }
-            self.push_stat(path, st).await;
-        } else {
-            // The post-write stat failed (media error, server dying):
-            // the bank still holds the *pre-write* stat entry, and
-            // clients may hold leases naming it — a size/mtime for
-            // bytes this write just changed. Dropping the refresh
-            // silently would leave both serving stale metadata
-            // indefinitely; purge instead (which revokes leases first,
-            // then removes the stat/neg/block entries), so metadata
-            // consumers fall through to the backend like NoCache.
-            self.dropped_pushes.inc();
-            self.purge(path).await;
         }
+        self.refresh_stat(path, st, gen).await;
     }
 
     /// The paper's write protocol ([`Coherence::Purge`], the ablation
@@ -550,35 +573,31 @@ impl SmCache {
     async fn purge_then_populate(&self, path: &str, offset: u64, len: u64, gen: u64) {
         let (aoff, alen) = aligned_range(offset, len, self.block_size);
         let blocks = cover(aoff, alen, self.block_size);
-        {
-            let mut populated = self.populated.borrow_mut();
-            if let Some(entry) = populated.get_mut(path) {
-                for b in &blocks {
-                    entry.remove(&b.start);
-                }
+        if let Some(entry) = self.populated.borrow_mut().get_mut(path) {
+            for b in &blocks {
+                entry.remove(&b.start);
             }
         }
-        let items: Vec<(Vec<u8>, Option<u64>)> = blocks
+        let items = blocks
             .iter()
-            .map(|b| (block_key(path, b.start), Some(b.index)))
+            .map(|b| self.block_item(path, b.start))
             .collect();
-        if self.batched {
-            self.bank.delete_pipeline(items).await;
-        } else {
-            let deletes: Vec<_> = items
-                .into_iter()
-                .map(|(key, hint)| {
-                    let bank = Rc::clone(&self.bank);
-                    async move { bank.delete(&key, hint).await }
-                })
-                .collect();
-            join_all(&self.handle, deletes).await;
+        self.bank.remove_keys(items).await;
+        if !self.fenced(path, gen) {
+            self.populate_range(path, offset, len, gen).await;
         }
-        if self.generation(path) != gen {
-            self.stale_updates_dropped.inc();
-            return;
-        }
-        self.populate_range(path, offset, len, gen).await;
+    }
+
+    /// The CAS path could not replace every held copy in place. One rule
+    /// covers every cause: fall back to purge+repush, which restores
+    /// coherence unconditionally (the purge also removes the copies the
+    /// wave *did* replace; their re-push comes from the covering re-read,
+    /// under the generation the purge just started).
+    async fn fall_back(&self, path: &str, offset: u64, len: u64) {
+        self.cas_fallback_purges.inc();
+        self.purge(path).await;
+        let regen = self.generation(path);
+        self.populate_range(path, offset, len, regen).await;
     }
 
     /// Versioned in-place replacement ([`Coherence::Cas`]): compute each
@@ -592,28 +611,13 @@ impl SmCache {
     async fn cas_update(&self, path: &str, offset: u64, data: &[u8], gen: u64) {
         let len = data.len() as u64;
         // Post-write stat first: the blocks' target lengths (the EOF
-        // encoding — a block cached short says "the file ends here")
-        // derive from the new size.
-        let stat_reply = Rc::clone(&self.child)
-            .handle(Fop::Stat {
-                path: path.to_string(),
-            })
-            .await;
-        if self.generation(path) != gen {
-            self.stale_updates_dropped.inc();
+        // encoding, `block_len`) derive from the new size.
+        let st = self.child_stat(path).await;
+        if self.fenced(path, gen) {
             return;
         }
-        let st = match stat_reply {
-            FopReply::Stat(Ok(st)) => st,
-            _ => {
-                // The disk will not even say how big the file is now:
-                // same rule as a failed covering re-read — push nothing
-                // and purge, so no stale stat (or lease naming it)
-                // survives the write.
-                self.dropped_pushes.inc();
-                self.purge(path).await;
-                return;
-            }
+        let Some(st) = st else {
+            return self.abandon(path).await;
         };
         let (aoff, alen) = aligned_range(offset, len, self.block_size);
         let covering = cover(aoff, alen, self.block_size);
@@ -636,24 +640,18 @@ impl SmCache {
                     });
                 }
             }
-            // Stale short blocks outside the covering range (this write
-            // moved EOF past where they claim the file ends): their
-            // post-write bytes are the cached bytes zero-extended — the
-            // gap is a hole — so they join the wave instead of forcing
-            // the re-read leg `populate_range` needs for them.
-            if let Some(m) = entry {
-                for (&start, &cached) in m.iter() {
-                    if covering.iter().any(|b| b.start == start) {
-                        continue;
-                    }
-                    if cached < self.block_size
-                        && cached != self.block_size.min(st.size.saturating_sub(start))
-                    {
-                        wave.push(start);
-                    }
-                }
-            }
         }
+        // Stale short blocks outside the covering range (this write moved
+        // EOF past where they claim the file ends): their post-write
+        // bytes are the cached bytes zero-extended — the gap is a hole —
+        // so they join the wave instead of forcing the re-read leg
+        // `populate_range` needs for them.
+        let outside = |start: &u64| !covering.iter().any(|b| b.start == *start);
+        wave.extend(
+            self.stale_short_blocks(path, st.size)
+                .into_iter()
+                .filter(outside),
+        );
         wave.sort_unstable();
         // Fill leg: one covering re-read over the untracked span, pushed
         // with plain sets (there is nothing in place to replace). Tracked
@@ -662,25 +660,7 @@ impl SmCache {
         // cas would spuriously conflict.
         if let Some((first, last)) = fill_bounds {
             let span_len = last + self.block_size - first;
-            let reply = Rc::clone(&self.child)
-                .handle(Fop::Read {
-                    path: path.to_string(),
-                    offset: first,
-                    len: span_len,
-                })
-                .await;
-            if self.generation(path) != gen {
-                self.stale_updates_dropped.inc();
-                return;
-            }
-            if let FopReply::Read(Ok(bytes)) = reply {
-                self.push_blocks(path, first, span_len, &bytes, gen).await;
-            } else {
-                // Same rule as a failed covering re-read in the
-                // baseline: unknown disk bytes must never be pushed, and
-                // the bank may hold pre-write copies — purge.
-                self.dropped_pushes.inc();
-                self.purge(path).await;
+            if !self.refill(path, first, span_len, gen).await {
                 return;
             }
             wave.retain(|&s| s < first || s >= first + span_len);
@@ -689,11 +669,10 @@ impl SmCache {
         // replica in its set (per-daemon token spaces; see `CasToken`).
         let keys: Vec<(Vec<u8>, Option<u64>)> = wave
             .iter()
-            .map(|&start| (block_key(path, start), Some(start / self.block_size)))
+            .map(|&start| self.block_item(path, start))
             .collect();
         let rows = self.bank.gets_for_update(&keys).await;
-        if self.generation(path) != gen {
-            self.stale_updates_dropped.inc();
+        if self.fenced(path, gen) {
             return;
         }
         // Compute the post-write bytes per block and build the CAS items
@@ -701,17 +680,15 @@ impl SmCache {
         // cold; reads there fall through to the server, always correct).
         let mut items: Vec<(Vec<u8>, Bytes, CasToken)> = Vec::new();
         let mut item_starts: Vec<u64> = Vec::new();
-        let mut incoherent = false;
         for (&start, row) in wave.iter().zip(&rows) {
-            let target = self.block_size.min(st.size.saturating_sub(start)) as usize;
+            let target = self.block_len(start, st.size) as usize;
             for (_daemon, cell) in row {
                 let Some((old, token)) = cell else { continue };
                 if old.len() > target {
                     // The cached copy claims more bytes than the file
                     // now holds; nothing shrinks a file except a purge,
-                    // so this view is incoherent — fall back.
-                    incoherent = true;
-                    continue;
+                    // so this view is incoherent.
+                    return self.fall_back(path, offset, len).await;
                 }
                 let mut buf = old.to_vec();
                 buf.resize(target, 0); // bytes past the old EOF are a hole
@@ -725,99 +702,39 @@ impl SmCache {
                 item_starts.push(start);
             }
         }
-        if incoherent {
-            self.cas_fallback_purges.inc();
-            self.purge(path).await;
-            let regen = self.generation(path);
-            self.populate_range(path, offset, len, regen).await;
-            return;
-        }
-        // The CAS wave: pipelined (one sync barrier per daemon) or
-        // individually awaited, mirroring the push path's batching knob.
-        let verdicts: Vec<CasVerdict> = if self.batched {
-            self.bank.cas_pipeline(&items).await
-        } else {
-            let futs: Vec<_> = items
-                .iter()
-                .map(|(key, buf, token)| {
-                    let bank = Rc::clone(&self.bank);
-                    let key = key.clone();
-                    let buf = buf.clone();
-                    let token = *token;
-                    async move { bank.cas(&key, buf, token).await }
-                })
-                .collect();
-            join_all(&self.handle, futs).await
-        };
-        if self.generation(path) != gen {
+        let verdicts = self.bank.cas_blocks(items).await;
+        if self.fenced(path, gen) {
             // A purge overtook the wave: whatever the CAS stores
             // replaced belongs to a stale generation now. Take the
             // replaced keys out again, like `push_blocks` rolls back.
-            self.stale_updates_dropped.inc();
             let rollback: Vec<(Vec<u8>, Option<u64>)> = item_starts
                 .iter()
                 .zip(&verdicts)
                 .filter(|(_, v)| matches!(v, CasVerdict::Stored))
-                .map(|(&start, _)| (block_key(path, start), Some(start / self.block_size)))
+                .map(|(&start, _)| self.block_item(path, start))
                 .collect();
             if !rollback.is_empty() {
-                if self.batched {
-                    self.bank.delete_pipeline(rollback).await;
-                } else {
-                    let deletes: Vec<_> = rollback
-                        .into_iter()
-                        .map(|(key, hint)| {
-                            let bank = Rc::clone(&self.bank);
-                            async move { bank.delete(&key, hint).await }
-                        })
-                        .collect();
-                    join_all(&self.handle, deletes).await;
-                }
+                self.bank.remove_keys(rollback).await;
             }
             return;
         }
-        let replaced = verdicts
-            .iter()
-            .filter(|v| matches!(v, CasVerdict::Stored))
-            .count();
-        let conflicts = verdicts
-            .iter()
-            .filter(|v| matches!(v, CasVerdict::Conflict | CasVerdict::Missing))
-            .count();
+        let count = |of: &[CasVerdict]| verdicts.iter().filter(|v| of.contains(v)).count();
+        let replaced = count(&[CasVerdict::Stored]);
+        let conflicts = count(&[CasVerdict::Conflict, CasVerdict::Missing]);
         self.cas_conflicts.add(conflicts as u64);
-        if replaced != items.len() {
+        if replaced != verdicts.len() {
             // At least one held copy could not be replaced in place — a
             // concurrent update won the token race (Conflict), the key
             // vanished under us (Missing), or a daemon failed mid-wave.
-            // One rule covers every case: fall back to purge+repush,
-            // which restores coherence unconditionally (the purge also
-            // removes the copies this wave *did* replace; their re-push
-            // comes from the covering re-read, under the generation the
-            // purge just started).
-            self.cas_fallback_purges.inc();
-            self.purge(path).await;
-            let regen = self.generation(path);
-            self.populate_range(path, offset, len, regen).await;
-            return;
+            return self.fall_back(path, offset, len).await;
         }
         self.cas_replacements.add(replaced as u64);
-        {
-            let mut populated = self.populated.borrow_mut();
-            if let Some(entry) = populated.get_mut(path) {
-                for &start in &wave {
-                    entry.insert(start, self.block_size.min(st.size.saturating_sub(start)));
-                }
+        if let Some(entry) = self.populated.borrow_mut().get_mut(path) {
+            for &start in &wave {
+                entry.insert(start, self.block_len(start, st.size));
             }
         }
-        // Finish exactly like `populate_range`: the stat refresh changes
-        // the value leases mirror, so leases fall first, and a purge
-        // landing during the revocation makes the refresh stale.
-        self.revoke_leases(path).await;
-        if self.generation(path) != gen {
-            self.stale_updates_dropped.inc();
-            return;
-        }
-        self.push_stat(path, st).await;
+        self.refresh_stat(path, st, gen).await;
     }
 
     /// Revoke every client lease on `path` (no-op without a hub).
@@ -832,15 +749,11 @@ impl SmCache {
     /// purges (bumping the generation) and the marker is taken out again
     /// instead of shadowing the file that now exists.
     async fn push_negative(&self, path: &str, gen: u64) {
-        self.generations
-            .borrow_mut()
-            .entry(path.to_string())
-            .or_insert(0);
+        self.register(path);
         self.bank
             .set(&neg_key(path), Bytes::from_static(NEG_MARKER), None)
             .await;
-        if self.generation(path) != gen {
-            self.stale_updates_dropped.inc();
+        if self.fenced(path, gen) {
             self.bank.delete(&neg_key(path), None).await;
             return;
         }
@@ -848,12 +761,7 @@ impl SmCache {
     }
 
     async fn push_stat(&self, path: &str, st: FileStat) {
-        // Register the path (without advancing its generation) so a file
-        // whose only bank entry is its stat is still found by `purge_all`.
-        self.generations
-            .borrow_mut()
-            .entry(path.to_string())
-            .or_insert(0);
+        self.register(path);
         self.bank
             .set(&stat_key(path), Bytes::from(st.to_bytes()), None)
             .await;
@@ -876,43 +784,18 @@ impl SmCache {
         // serving its lease *before* the stat entry it mirrors changes,
         // or a leased stat could outlive what the bank would answer.
         self.revoke_leases(path).await;
-        let block_starts: Vec<u64> = self
-            .populated
-            .borrow_mut()
-            .remove(path)
-            .map(|s| s.into_keys().collect())
-            .unwrap_or_default();
-        if self.batched {
-            let mut items: Vec<(Vec<u8>, Option<u64>)> = Vec::with_capacity(block_starts.len() + 2);
-            items.push((stat_key(path), None));
-            if self.meta.negative {
-                items.push((neg_key(path), None));
-            }
-            for start in block_starts {
-                items.push((block_key(path, start), Some(start / self.block_size)));
-            }
-            self.bank.delete_pipeline(items).await;
-        } else {
-            let mut deletes = Vec::with_capacity(block_starts.len() + 2);
-            {
-                let bank = Rc::clone(&self.bank);
-                let key = stat_key(path);
-                deletes.push(Box::pin(async move { bank.delete(&key, None).await })
-                    as std::pin::Pin<Box<dyn std::future::Future<Output = ()>>>);
-            }
-            if self.meta.negative {
-                let bank = Rc::clone(&self.bank);
-                let key = neg_key(path);
-                deletes.push(Box::pin(async move { bank.delete(&key, None).await }));
-            }
-            for start in block_starts {
-                let bank = Rc::clone(&self.bank);
-                let key = block_key(path, start);
-                let hint = start / self.block_size;
-                deletes.push(Box::pin(async move { bank.delete(&key, Some(hint)).await }));
-            }
-            join_all(&self.handle, deletes).await;
+        let tracked = self.populated.borrow_mut().remove(path).unwrap_or_default();
+        let mut items: Vec<(Vec<u8>, Option<u64>)> = Vec::with_capacity(tracked.len() + 2);
+        items.push((stat_key(path), None));
+        if self.negative {
+            items.push((neg_key(path), None));
         }
+        items.extend(
+            tracked
+                .into_keys()
+                .map(|start| self.block_item(path, start)),
+        );
+        self.bank.remove_keys(items).await;
         self.purges.inc();
     }
 
@@ -964,6 +847,8 @@ impl Translator for SmCache {
                         .handle(Fop::Open { path: path.clone() })
                         .await;
                     if let FopReply::Open(Ok(st)) = &reply {
+                        // Uncounted: a seed is not an update, so a purge
+                        // overtaking it drops nothing.
                         if self.generation(&path) == gen {
                             self.push_stat(&path, *st).await;
                         }
@@ -975,21 +860,20 @@ impl Translator for SmCache {
                     let reply = Rc::clone(&self.child)
                         .handle(Fop::Stat { path: path.clone() })
                         .await;
-                    match &reply {
-                        // No lease revocation here: this repopulates the
-                        // entry with the value the backend just vouched
-                        // for, and every mutation revokes before its own
-                        // refresh — so any lease still held necessarily
-                        // names this same value.
-                        FopReply::Stat(Ok(st)) if self.generation(&path) == gen => {
-                            self.push_stat(&path, *st).await;
+                    // Uncounted, like the open's seed.
+                    if self.generation(&path) == gen {
+                        match &reply {
+                            // No lease revocation here: this repopulates
+                            // the entry with the value the backend just
+                            // vouched for, and every mutation revokes
+                            // before its own refresh — so any lease still
+                            // held necessarily names this same value.
+                            FopReply::Stat(Ok(st)) => self.push_stat(&path, *st).await,
+                            FopReply::Stat(Err(FsError::NotFound)) if self.negative => {
+                                self.push_negative(&path, gen).await;
+                            }
+                            _ => {}
                         }
-                        FopReply::Stat(Err(FsError::NotFound))
-                            if self.meta.negative && self.generation(&path) == gen =>
-                        {
-                            self.push_negative(&path, gen).await;
-                        }
-                        _ => {}
                     }
                     reply
                 }
@@ -1015,22 +899,18 @@ impl Translator for SmCache {
                             } else {
                                 Vec::new()
                             };
-                            if !self.rewarm_allows() {
+                            if self.rewarm_allows() {
+                                let work = Work::Fill {
+                                    aligned_offset: aoff,
+                                    aligned_len: alen,
+                                    data,
+                                };
+                                self.submit(Job { path, gen, work }).await;
+                            } else {
                                 // Throttled rewarm: serve the read, skip
                                 // the fill. The bank stays cold for this
                                 // range — safe, just slower next time.
                                 self.rewarm_suppressed.inc();
-                            } else if self.threaded {
-                                self.deferred_jobs.inc();
-                                self.jobs.push(Job::PopulateData {
-                                    path,
-                                    aligned_offset: aoff,
-                                    aligned_len: alen,
-                                    data,
-                                    gen,
-                                });
-                            } else {
-                                self.push_blocks(&path, aoff, alen, &data, gen).await;
                             }
                             FopReply::Read(Ok(served))
                         }
@@ -1042,7 +922,13 @@ impl Translator for SmCache {
                     let len = data.len() as u64;
                     // The CAS path computes the post-write bytes locally,
                     // so it needs the payload after the child consumed it.
-                    let cas_data = matches!(self.coherence, Coherence::Cas).then(|| data.clone());
+                    let work = match self.coherence {
+                        Coherence::Cas => Work::Replace {
+                            offset,
+                            data: data.clone(),
+                        },
+                        Coherence::Purge => Work::Repopulate { offset, len },
+                    };
                     let reply = Rc::clone(&self.child)
                         .handle(Fop::Write {
                             path: path.clone(),
@@ -1051,34 +937,7 @@ impl Translator for SmCache {
                         })
                         .await;
                     if matches!(reply, FopReply::Write(Ok(_))) {
-                        match cas_data {
-                            Some(bytes) => {
-                                if self.threaded {
-                                    self.deferred_jobs.inc();
-                                    self.jobs.push(Job::CasUpdate {
-                                        path,
-                                        offset,
-                                        data: bytes,
-                                        gen,
-                                    });
-                                } else {
-                                    self.cas_update(&path, offset, &bytes, gen).await;
-                                }
-                            }
-                            None => {
-                                if self.threaded {
-                                    self.deferred_jobs.inc();
-                                    self.jobs.push(Job::PopulateRange {
-                                        path,
-                                        offset,
-                                        len,
-                                        gen,
-                                    });
-                                } else {
-                                    self.purge_then_populate(&path, offset, len, gen).await;
-                                }
-                            }
-                        }
+                        self.submit(Job { path, gen, work }).await;
                     }
                     reply
                 }
@@ -1095,7 +954,7 @@ impl Translator for SmCache {
                     self.purge(&path).await;
                     Rc::clone(&self.child).handle(Fop::Unlink { path }).await
                 }
-                Fop::Create { path } if self.meta.extended() => {
+                Fop::Create { path } if self.negative => {
                     let reply = Rc::clone(&self.child)
                         .handle(Fop::Create { path: path.clone() })
                         .await;
@@ -1122,10 +981,11 @@ impl Translator for SmCache {
 mod tests {
     use super::*;
     use crate::mcd::Bank;
+    use crate::meta::MetaConfig;
     use imca_fabric::{Network, Transport};
     use imca_glusterfs::Posix;
     use imca_memcached::{McConfig, Selector};
-    use imca_sim::{Sim, SimDuration};
+    use imca_sim::{join_all, Sim, SimDuration};
     use imca_storage::{BackendParams, StorageBackend};
 
     struct Rig {
@@ -1508,7 +1368,7 @@ mod tests {
 
     #[test]
     fn purge_cancels_stale_deferred_jobs() {
-        // Regression: in threaded mode a Write queues a PopulateRange job;
+        // Regression: in threaded mode a Write queues an update job;
         // if an Unlink purges the file before the worker drains the queue,
         // the job used to repopulate the bank with blocks of a deleted
         // file — exactly the false positive §4.3.2's purge exists to
@@ -1556,11 +1416,7 @@ mod tests {
     #[test]
     fn missing_stat_plants_negative_entry_and_create_revalidates() {
         let mut sim = Sim::new(0);
-        let meta = MetaConfig {
-            negative: true,
-            ..MetaConfig::default()
-        };
-        let rig = setup_with_meta(&sim, false, true, meta);
+        let rig = setup_with_meta(&sim, false, true, MetaConfig::lease());
         let sm = Rc::clone(&rig.sm);
         let bank = Rc::clone(&rig.bank);
         sim.spawn(async move {

@@ -128,60 +128,6 @@ impl std::fmt::Debug for Gauge {
     }
 }
 
-/// Jacobson/Karels-style smoothed RTT estimator (the TCP gains: α = 1/8
-/// for the mean, β = 1/4 for the mean deviation), plus the classic
-/// `srtt + 4·rttvar` tail proxy — a cheap, O(1)-state stand-in for a
-/// p95 that adapts at EWMA speed. Unit-agnostic: callers feed whatever
-/// unit they want back out (the bank client uses nanoseconds).
-///
-/// Deliberately *not* an atomic registry metric: an estimator is control
-/// state (it steers deadlines and hedges), not telemetry, so each owner
-/// keeps its own and publishes derived gauges when it cares to.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RttEstimator {
-    srtt: f64,
-    rttvar: f64,
-    samples: u64,
-}
-
-impl RttEstimator {
-    /// A fresh estimator with no samples.
-    pub fn new() -> RttEstimator {
-        RttEstimator::default()
-    }
-
-    /// Fold in one round-trip sample. The first sample seeds the state
-    /// TCP-style (`srtt = r`, `rttvar = r/2`).
-    pub fn observe(&mut self, sample: f64) {
-        if self.samples == 0 {
-            self.srtt = sample;
-            self.rttvar = sample / 2.0;
-        } else {
-            let err = sample - self.srtt;
-            self.srtt += err / 8.0;
-            self.rttvar += (err.abs() - self.rttvar) / 4.0;
-        }
-        self.samples += 1;
-    }
-
-    /// Samples folded in so far (callers gate on a warmup count before
-    /// trusting the estimate).
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// The smoothed mean, or `None` before the first sample.
-    pub fn srtt(&self) -> Option<f64> {
-        (self.samples > 0).then_some(self.srtt)
-    }
-
-    /// The `srtt + 4·rttvar` tail proxy, or `None` before the first
-    /// sample.
-    pub fn tail(&self) -> Option<f64> {
-        (self.samples > 0).then_some(self.srtt + 4.0 * self.rttvar)
-    }
-}
-
 /// Sub-bucket precision bits: 2^3 = 8 linear sub-buckets per power of two,
 /// bounding the relative quantile error at 12.5%.
 const SUB_BITS: u32 = 3;
@@ -448,18 +394,6 @@ impl Snapshot {
             .filter(|(k, _)| k.ends_with(suffix))
             .filter_map(|(_, v)| match v {
                 MetricValue::Counter(n) => Some(*n),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Sum of every gauge whose name ends with `suffix`.
-    pub fn gauge_sum(&self, suffix: &str) -> i64 {
-        self.metrics
-            .iter()
-            .filter(|(k, _)| k.ends_with(suffix))
-            .filter_map(|(_, v)| match v {
-                MetricValue::Gauge(n) => Some(*n),
                 _ => None,
             })
             .sum()

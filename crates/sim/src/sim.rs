@@ -423,19 +423,6 @@ impl SimHandle {
         }
     }
 
-    /// Register `waker` to be woken at time `at`. Used by custom futures.
-    pub fn register_timer(&self, at: SimTime, waker: Waker) {
-        let seq = self.core.seq.get();
-        self.core.seq.set(seq + 1);
-        self.core.timers.borrow_mut().push(TimerEntry {
-            at,
-            node: self.core.current_node.get(),
-            seq,
-            waker,
-            cancelled: None,
-        });
-    }
-
     /// A uniformly distributed `u64`.
     pub fn rng_u64(&self) -> u64 {
         self.core.rng.borrow_mut().next_u64()

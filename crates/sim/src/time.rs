@@ -122,12 +122,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Whether this span is zero.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Multiply by a float scale factor (used by calibrated cost models).
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {

@@ -42,11 +42,6 @@ impl ExtentStore {
         self.files.is_empty()
     }
 
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Write `data` at `offset`, extending the file (zero-filling any hole).
     /// Creates the file if needed.
     pub fn write(&mut self, file: FileId, offset: u64, data: &[u8]) {

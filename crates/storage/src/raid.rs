@@ -33,11 +33,6 @@ impl Raid0 {
         }
     }
 
-    /// The paper's array: 8 spindles, 64 KB chunks, 2008-era disks.
-    pub fn paper_array() -> Raid0 {
-        Raid0::new(8, 64 * 1024, DiskParams::hdd_2008())
-    }
-
     /// Number of member disks.
     pub fn width(&self) -> usize {
         self.disks.len()

@@ -18,9 +18,9 @@
 //!   queueing model that simulates 10⁵ clients in CI time and doubles
 //!   as the engine-speed yardstick (`fig8_scale`),
 //! * [`overload`] — the DESIGN.md §8 overload drive: closed-loop readers
-//!   2–4× past the bank's knee, with the whole protection layer
-//!   (admission control, adaptive deadlines, hedging, degradation
-//!   ladder, rewarm throttle) behind one switch (`ablate_overload`),
+//!   2–4× past the bank's knee, with the protection pair (daemon
+//!   admission control + the server's rewarm throttle) switchable as a
+//!   whole or one mechanism at a time (`ablate_overload`),
 //! * [`report`] — the table type the bench binaries print and serialise.
 
 #![warn(missing_docs)]

@@ -4,9 +4,7 @@
 
 use std::rc::Rc;
 
-use imca_core::{
-    Cluster, ClusterConfig, CmCache, ImcaConfig, MetaCache, MetaConfig, Replication, StatResult,
-};
+use imca_core::{Cluster, ClusterConfig, CmCache, ImcaConfig, MetaConfig, Replication, StatResult};
 use imca_glusterfs::GlusterMount;
 use imca_lustre::{LustreClient, LustreCluster, LustreConfig};
 use imca_metrics::Snapshot;
@@ -237,7 +235,7 @@ impl FsClient {
     pub async fn stat_multi(&self, paths: &[String]) -> Vec<Option<u64>> {
         match self {
             FsClient::Gluster(_, Some(cm)) if paths.len() > 1 => {
-                let rs: Vec<StatResult> = Rc::clone(cm).stat_multi(paths.to_vec()).await;
+                let rs: Vec<StatResult> = cm.stat_multi(paths.to_vec()).await;
                 rs.into_iter()
                     .map(|r| r.stat.ok().map(|st| st.size))
                     .collect()

@@ -15,7 +15,10 @@
 #                               smoke-run every figure and ablation
 #                               binary under crates/bench/src/bin off
 #                               one build; each asserts its own claims,
-#                               so a false one exits non-zero here
+#                               so a false one exits non-zero here, and
+#                               every file they write is held to the
+#                               committed digest (scripts/smokecheck):
+#                               the modes the benchmark never runs
 #
 # The root package's tests are the contract (see ROADMAP.md); the strict
 # mode is what CI runs before merging.
@@ -65,4 +68,9 @@ if [[ "${1:-}" == "--strict" ]]; then
         echo "== smoke: $name"
         "$BIN/$name" --smoke --out results
     done
+
+    # The mode gate: threaded updates, the purge protocol, per-key
+    # framing, leases under writes and the overload pair run only in the
+    # binaries above, so what they wrote must match crates/bench/smoke.sha256.
+    scripts/smokecheck
 fi

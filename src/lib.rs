@@ -16,7 +16,7 @@
 //! * [`sim`] — deterministic discrete-event simulation engine
 //! * [`fabric`] — network models (GigE / IPoIB-DDR / RDMA)
 //! * [`storage`] — disks, RAID, page cache, extent store
-//! * [`memcached`] — a real memcached (slabs, LRU, text protocol, client)
+//! * [`memcached`] — a real memcached (slabs, LRU, text protocol, key placement)
 //! * [`glusterfs`] — miniature GlusterFS with translator stacks
 //! * [`lustre`] — Lustre-like baseline (MDS + striped OSTs)
 //! * [`nfs`] — single-server NFS model (motivation, Fig 1)

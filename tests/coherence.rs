@@ -195,7 +195,6 @@ fn deadline_mid_multi_get_fails_the_group_and_forwards_intact() {
                 backoff_base: SimDuration::micros(10),
                 backoff_cap: SimDuration::micros(40),
                 circuit_cooldown: SimDuration::millis(1),
-                ..RetryPolicy::default()
             },
             ..ImcaConfig::default()
         }),

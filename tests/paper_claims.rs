@@ -249,7 +249,6 @@ fn partitioning_one_of_eight_mcds_degrades_stats_by_the_miss_fraction() {
                 // Longer than the whole degraded phase: exactly one
                 // client-side timeout latches the shed path.
                 circuit_cooldown: SimDuration::secs(600),
-                ..RetryPolicy::default()
             },
             ..ImcaConfig::default()
         }),

@@ -17,8 +17,7 @@ use proptest::prelude::*;
 use imca_repro::fabric::FaultPlan;
 use imca_repro::glusterfs::FsError;
 use imca_repro::imca::{
-    keys, Cluster, ClusterConfig, HedgePolicy, ImcaConfig, McdCosts, MetaConfig, Replication,
-    RetryPolicy,
+    keys, Cluster, ClusterConfig, ImcaConfig, McdCosts, MetaConfig, Replication, RetryPolicy,
 };
 use imca_repro::memcached::McConfig;
 use imca_repro::metrics::Snapshot;
@@ -1044,7 +1043,8 @@ fn fixed_seed_cas_writer_race_replays_identically_with_conflicts() {
 
 // ---------------------------------------------------------------------------
 // Overload protection under chaos (DESIGN.md §8): queue-limit sheds and
-// hedged reads composed with the partition / drop-window / crash storm.
+// R=2 read failover composed with the partition / drop-window / crash
+// storm.
 // ---------------------------------------------------------------------------
 
 const OV_FILES: u8 = 2;
@@ -1054,8 +1054,8 @@ const OV_READERS: u64 = 8;
 
 /// Ops for the overload storm. `Burst` is what the other suites don't
 /// have: a genuinely concurrent read fan-out, wide enough to overflow
-/// the 1-deep daemon admission queues (busy sheds) and slow enough per
-/// admitted GET to outlive the hedge delay (hedged reads).
+/// the 1-deep daemon admission queues (busy sheds), so shed reads fail
+/// over to the key's other replica or degrade to a backend forward.
 #[derive(Debug, Clone)]
 enum OvOp {
     /// Fan [`OV_READERS`] concurrent readers over distinct blocks.
@@ -1099,10 +1099,8 @@ fn ov_fill(file: u8, i: u64) -> u8 {
 }
 
 /// The protected cluster: a deliberately tiny bank — 200 µs of service
-/// per GET behind a 1-deep admission queue — with hedged reads at R=2.
-/// An 8-wide burst *must* shed, and an admitted GET outlives the 100 µs
-/// hedge ceiling, so both paths fire on every run of the canonical
-/// schedule.
+/// per GET behind a 1-deep admission queue — at R=2. An 8-wide burst
+/// *must* shed, on every run of the canonical schedule.
 fn build_overload_cluster(h: SimHandle, seed: u64) -> Rc<Cluster> {
     let cluster = Rc::new(Cluster::build(
         h,
@@ -1115,14 +1113,6 @@ fn build_overload_cluster(h: SimHandle, seed: u64) -> Rc<Cluster> {
                 per_op: SimDuration::micros(200),
                 queue_limit: Some(1),
                 ..McdCosts::default()
-            },
-            retry: RetryPolicy {
-                hedge: Some(HedgePolicy {
-                    min_delay: SimDuration::micros(10),
-                    max_delay: SimDuration::micros(100),
-                    warmup: 16,
-                }),
-                ..RetryPolicy::default()
             },
             // SMCache's push/sync pipeline shares the drowning queues
             // (writes are always admitted, but wait their turn); a
@@ -1145,8 +1135,8 @@ fn build_overload_cluster(h: SimHandle, seed: u64) -> Rc<Cluster> {
 
 /// Drive the protected cluster and a NoCache twin through one schedule.
 /// Every burst read is compared byte-for-byte against the NoCache read
-/// of the same range — sheds, hedges, replica failovers and cold rewarms
-/// may change *where* a read is served from, never *what* it returns.
+/// of the same range — sheds, replica failovers and cold rewarms may
+/// change *where* a read is served from, never *what* it returns.
 async fn overload_storm(c: Rc<Cluster>, n: Rc<Cluster>, h: SimHandle, ops: Vec<OvOp>) {
     let (mi, mn) = (c.mount(), n.mount());
     let mut fdi = Vec::new();
@@ -1173,9 +1163,7 @@ async fn overload_storm(c: Rc<Cluster>, n: Rc<Cluster>, h: SimHandle, ops: Vec<O
                     let (fda, fdb) = (fdi[file as usize], fdn[file as usize]);
                     readers.push(async move {
                         // Distinct blocks per reader (no single-flight
-                        // coalescing), reads within one block — the
-                        // single-key shape the hedged path covers
-                        // through batched `get_multi`.
+                        // coalescing), reads within one block.
                         let block = (offset as u64 / OV_BS + k) % OV_BLOCKS;
                         let off = block * OV_BS + offset as u64 % (OV_BS - 1000);
                         let got = mi.read(fda, off, 1000).await.unwrap();
@@ -1268,11 +1256,12 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Queue-limit sheds and hedged reads under composed network/crash
-    /// chaos are invisible to the bytes: whatever mix of bursts,
-    /// partitions, drop windows, and cold restarts the schedule draws,
-    /// every read the protected stack answers — from the bank, a hedge
-    /// winner, or a degraded backend forward — matches plain GlusterFS.
+    /// Queue-limit sheds and replica failovers under composed
+    /// network/crash chaos are invisible to the bytes: whatever mix of
+    /// bursts, partitions, drop windows, and cold restarts the schedule
+    /// draws, every read the protected stack answers — from the bank, a
+    /// failover replica, or a degraded backend forward — matches plain
+    /// GlusterFS.
     #[test]
     fn overload_storm_matches_nocache(
         ops in prop::collection::vec(ov_op_strategy(), 1..16),
@@ -1283,7 +1272,7 @@ proptest! {
 }
 
 /// The canonical schedule the replay tests pin: enough bursts to shed
-/// and hedge through every chaos phase, with the partition, drop window,
+/// through every chaos phase, with the partition, drop window,
 /// and server crash all landing between bursts.
 fn overload_schedule() -> Vec<OvOp> {
     vec![
@@ -1329,11 +1318,11 @@ fn ov_sheds(snap: &Snapshot) -> u64 {
 }
 
 /// A fixed seed replays the whole overload storm — concurrent bursts,
-/// sheds, hedge timers, partition timeouts, and the cold
-/// restart — to the same end time, event count, and bit-identical
-/// metrics, and the storm actually engaged both protection paths.
+/// sheds, partition timeouts, and the cold restart — to the same end
+/// time, event count, and bit-identical metrics, and the storm actually
+/// overflowed the admission queues.
 #[test]
-fn fixed_seed_overload_storm_replays_identically_with_sheds_and_hedges() {
+fn fixed_seed_overload_storm_replays_identically_with_sheds() {
     let a = run_overload_storm(overload_schedule(), 4242);
     let b = run_overload_storm(overload_schedule(), 4242);
     assert_eq!(a.0, b.0, "end time diverged between overload replays");
@@ -1345,10 +1334,6 @@ fn fixed_seed_overload_storm_replays_identically_with_sheds_and_hedges() {
     assert!(
         ov_sheds(&a.2) > 0,
         "the bursts never overflowed a daemon admission queue"
-    );
-    assert!(
-        a.2.counter("cmcache.0.bank.hedged_gets").unwrap_or(0) > 0,
-        "no burst read ever hedged"
     );
 }
 
