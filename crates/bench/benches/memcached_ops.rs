@@ -72,12 +72,73 @@ fn bench_eviction_pressure(c: &mut Criterion) {
     });
 }
 
+/// `abs_path:offset` keys the way the bank sees them: `files` files of
+/// `blocks` 2 KB blocks each.
+fn bank_keys(files: usize, blocks: usize) -> Vec<Vec<u8>> {
+    (0..files * blocks)
+        .map(|i| {
+            format!(
+                "/bank/dir{}/f{:03}.dat:{}",
+                i / blocks % 8,
+                i / blocks,
+                i % blocks * 2048
+            )
+        })
+        .map(String::into_bytes)
+        .collect()
+}
+
+/// The store at the size a daemon of the bank holds, where every probe
+/// misses the CPU cache (`get_hit` above re-reads 1 024 hot keys and
+/// cannot show that): hits over 32 768 resident 2 KB items in a seeded
+/// random order, and 2 KB sets of new keys into a full 4 MB store, each
+/// evicting the coldest item (`cold_stream`'s regime). Keys are built
+/// outside the timed loop.
+fn bench_bank_size(c: &mut Criterion) {
+    let mut group = c.benchmark_group("memcached");
+    let mut x = 42u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x as usize
+    };
+
+    let keys = bank_keys(64, 512);
+    let mc = Memcached::new(McConfig::with_mem_limit(256 << 20));
+    for key in &keys {
+        mc.set(key, Bytes::from(vec![0xAB; 2048]), 0, None, 0)
+            .unwrap();
+    }
+    let order: Vec<usize> = (0..1 << 16).map(|_| next() % keys.len()).collect();
+    group.bench_function("get_hit_bank", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % order.len();
+            black_box(mc.get(&keys[order[i]], 0))
+        });
+    });
+
+    let keys = bank_keys(128, 512);
+    let mc = Memcached::new(McConfig::with_mem_limit(4 << 20));
+    let value = Bytes::from(vec![0xCD; 2048]);
+    group.bench_function("set_evicting_2k", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % keys.len();
+            mc.set(&keys[i], value.clone(), 0, None, 0).unwrap();
+        });
+    });
+    assert!(mc.stats().evictions > 0, "the 4 MB store never filled");
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_set_get, bench_hashing, bench_eviction_pressure
+    targets = bench_set_get, bench_bank_size, bench_hashing, bench_eviction_pressure
 }
 criterion_main!(benches);

@@ -72,7 +72,7 @@
 //! ablation baseline with its R-proportional purge tax and cold window.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -188,6 +188,32 @@ struct Job {
     work: Work,
 }
 
+/// One file's tracked blocks: block start → cached chunk length, and the
+/// starts cached *short* (below the block size) on their own. There is
+/// normally one short block, the EOF block, and the EOF check on every
+/// write looks at nothing else (`SmCache::stale_short_blocks`).
+#[derive(Default)]
+struct Tracked {
+    lens: BTreeMap<u64, u64>,
+    short: BTreeSet<u64>,
+}
+
+impl Tracked {
+    fn insert(&mut self, start: u64, len: u64, block_size: u64) {
+        self.lens.insert(start, len);
+        if len < block_size {
+            self.short.insert(start);
+        } else {
+            self.short.remove(&start);
+        }
+    }
+
+    fn remove(&mut self, start: u64) {
+        self.lens.remove(&start);
+        self.short.remove(&start);
+    }
+}
+
 /// The SMCache translator.
 pub struct SmCache {
     child: Xlator,
@@ -204,11 +230,13 @@ pub struct SmCache {
     /// updated — the invalidation ordering rule (see `crate::meta`).
     leases: Option<Rc<LeaseHub>>,
     jobs: Queue<Job>,
-    /// Per path: block start → cached chunk length. The length matters at
-    /// EOF: a block cached shorter than `block_size` encodes "the file
-    /// ends inside this block", and must be refreshed when a write moves
-    /// the end of file past it (see `stale_short_blocks`).
-    populated: RefCell<HashMap<String, BTreeMap<u64, u64>>>,
+    /// Per path: the blocks pushed and not yet purged, with their cached
+    /// lengths ([`Tracked`]). The length matters at EOF: a block cached
+    /// shorter than `block_size` encodes "the file ends inside this
+    /// block", and must be refreshed when a write moves the end of file
+    /// past it — `Tracked::short` indexes exactly those blocks, so
+    /// `stale_short_blocks` never walks the whole file.
+    populated: RefCell<HashMap<String, Tracked>>,
     /// Per-path purge generation; bumped synchronously by `purge()` so
     /// racing update jobs can detect they are stale.
     generations: RefCell<HashMap<String, u64>>,
@@ -353,7 +381,7 @@ impl SmCache {
         self.populated
             .borrow()
             .get(path)
-            .map(|s| s.len())
+            .map(|t| t.lens.len())
             .unwrap_or(0)
     }
 
@@ -412,11 +440,10 @@ impl SmCache {
             return Vec::new();
         };
         tracked
+            .short
             .iter()
-            .filter(|&(&start, &cached)| {
-                cached < self.block_size && cached != self.block_len(start, size)
-            })
-            .map(|(&start, _)| start)
+            .copied()
+            .filter(|start| tracked.lens[start] != self.block_len(*start, size))
             .collect()
     }
 
@@ -467,7 +494,7 @@ impl SmCache {
         let mut populated = self.populated.borrow_mut();
         let entry = populated.entry(path.to_string()).or_default();
         for (b, len) in blocks.iter().zip(chunk_lens) {
-            entry.insert(b.start, len);
+            entry.insert(b.start, len, self.block_size);
         }
     }
 
@@ -575,7 +602,7 @@ impl SmCache {
         let blocks = cover(aoff, alen, self.block_size);
         if let Some(entry) = self.populated.borrow_mut().get_mut(path) {
             for b in &blocks {
-                entry.remove(&b.start);
+                entry.remove(b.start);
             }
         }
         let items = blocks
@@ -631,7 +658,7 @@ impl SmCache {
             let populated = self.populated.borrow();
             let entry = populated.get(path);
             for b in &covering {
-                if entry.is_some_and(|m| m.contains_key(&b.start)) {
+                if entry.is_some_and(|t| t.lens.contains_key(&b.start)) {
                     wave.push(b.start);
                 } else {
                     fill_bounds = Some(match fill_bounds {
@@ -731,7 +758,7 @@ impl SmCache {
         self.cas_replacements.add(replaced as u64);
         if let Some(entry) = self.populated.borrow_mut().get_mut(path) {
             for &start in &wave {
-                entry.insert(start, self.block_len(start, st.size));
+                entry.insert(start, self.block_len(start, st.size), self.block_size);
             }
         }
         self.refresh_stat(path, st, gen).await;
@@ -785,13 +812,14 @@ impl SmCache {
         // or a leased stat could outlive what the bank would answer.
         self.revoke_leases(path).await;
         let tracked = self.populated.borrow_mut().remove(path).unwrap_or_default();
-        let mut items: Vec<(Vec<u8>, Option<u64>)> = Vec::with_capacity(tracked.len() + 2);
+        let mut items: Vec<(Vec<u8>, Option<u64>)> = Vec::with_capacity(tracked.lens.len() + 2);
         items.push((stat_key(path), None));
         if self.negative {
             items.push((neg_key(path), None));
         }
         items.extend(
             tracked
+                .lens
                 .into_keys()
                 .map(|start| self.block_item(path, start)),
         );
@@ -1045,6 +1073,39 @@ mod tests {
 
     async fn drive(sm: &Rc<SmCache>, fop: Fop) -> FopReply {
         Rc::clone(&(Rc::clone(sm) as Xlator)).handle(fop).await
+    }
+
+    /// `stale_short_blocks` the slow way, from every tracked length: the
+    /// reference its short-block index must agree with.
+    fn stale_short_by_full_scan(sm: &SmCache, path: &str, size: u64) -> Vec<u64> {
+        let populated = sm.populated.borrow();
+        let lens = populated.get(path).map(|t| t.lens.iter());
+        lens.into_iter()
+            .flatten()
+            .filter(|&(&start, &len)| len < sm.block_size && len != sm.block_len(start, size))
+            .map(|(&start, _)| start)
+            .collect()
+    }
+
+    #[test]
+    fn tracked_short_index_is_the_short_lengths() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        const BLOCK: u64 = 2048;
+        let mut rng = SmallRng::seed_from_u64(20);
+        let mut tracked = Tracked::default();
+        for _ in 0..2000 {
+            // 24 block starts, so most steps re-insert or remove a start
+            // already there: short over full, full over short, gone.
+            let start = rng.gen_range(0..24u64) * BLOCK;
+            match rng.gen_range(0..4) {
+                0 => tracked.remove(start),
+                1 => tracked.insert(start, BLOCK, BLOCK),
+                _ => tracked.insert(start, rng.gen_range(0..BLOCK), BLOCK),
+            }
+            let short = tracked.lens.iter().filter(|&(_, &len)| len < BLOCK);
+            assert!(short.map(|(start, _)| start).eq(tracked.short.iter()));
+        }
+        assert!(!tracked.short.is_empty() && tracked.short.len() < tracked.lens.len());
     }
 
     #[test]
@@ -1577,6 +1638,12 @@ mod tests {
                 bank.get(&block_key("/f", 0), Some(0)).await.unwrap().len(),
                 100
             );
+            // The EOF check the coming write will make, and the one a
+            // write that leaves the size alone makes.
+            assert_eq!(sm.stale_short_blocks("/f", 5000), vec![0]);
+            assert_eq!(stale_short_by_full_scan(&sm, "/f", 5000), vec![0]);
+            assert!(sm.stale_short_blocks("/f", 100).is_empty());
+            assert!(stale_short_by_full_scan(&sm, "/f", 100).is_empty());
             // Write into block 2: EOF moves to 5000, so block 0's cached
             // copy now truncates reads NoCache would satisfy with zeros.
             drive(
@@ -1592,6 +1659,10 @@ mod tests {
             assert_eq!(b0.len(), 2048, "short block not extended");
             assert_eq!(&b0[..100], &[5u8; 100][..]);
             assert!(b0[100..].iter().all(|&b| b == 0), "the gap is a hole");
+            // Block 0 is full now; block 2 is the short one, and coherent.
+            assert!(sm.stale_short_blocks("/f", 5000).is_empty());
+            assert_eq!(sm.stale_short_blocks("/f", 9000), vec![4096]);
+            assert_eq!(stale_short_by_full_scan(&sm, "/f", 9000), vec![4096]);
         });
         sim.run();
         let s = rig.sm.stats();

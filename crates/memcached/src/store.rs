@@ -7,8 +7,20 @@
 //! and *chunks* are tracked as accounting so that capacity behaviour —
 //! which slab class fills up, which item gets evicted — matches the real
 //! daemon.
+//!
+//! How an item is found, refreshed and evicted. Items live in an arena
+//! (`slots`, recycled through a free list); `index` maps a key to its
+//! slot, and each slab class threads a doubly linked LRU list through its
+//! items' `colder`/`hotter` slot links. A command probes `index` once
+//! (`live_item` hands back the slot, so the conditional stores read the
+//! item they found); a hit unlinks the item and links it at its class's
+//! hot end; eviction walks at most five links from the cold end and hashes
+//! nothing. A key's bytes are allocated once, when the key is new, and
+//! shared by the index and the item; a replace hands the same allocation
+//! to the new item.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use imca_metrics::{Counter, Gauge, MetricSource, Registry, Snapshot};
@@ -149,15 +161,36 @@ struct SlabClass {
     total_chunks: usize,
 }
 
+/// "No slot": the end of an LRU list.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug)]
 struct Item {
+    /// The allocation `index` holds as this item's key.
+    key: Arc<[u8]>,
     value: Bytes,
     flags: u32,
     /// Absolute expiry in seconds; `None` = never.
     expire_at: Option<u64>,
     cas: u64,
     class: usize,
-    seq: u64,
+    /// LRU neighbours in `class`, as slots: towards the cold end and
+    /// towards the hot end.
+    colder: u32,
+    hotter: u32,
+}
+
+impl Item {
+    fn expired(&self, now: u64) -> bool {
+        self.expire_at.is_some_and(|t| t <= now)
+    }
+}
+
+/// One slab class's LRU list: its least and most recently used slots.
+#[derive(Debug, Clone, Copy)]
+struct Lru {
+    cold: u32,
+    hot: u32,
 }
 
 /// Registry-backed live counters behind [`McStats`]. The `stats` command
@@ -202,10 +235,13 @@ impl McMetrics {
 struct StoreInner {
     cfg: McConfig,
     classes: Vec<SlabClass>,
-    items: HashMap<Vec<u8>, Item>,
-    /// Per-class LRU: seq → key. Lowest seq = least recently used.
-    lru: Vec<BTreeMap<u64, Vec<u8>>>,
-    next_seq: u64,
+    /// The item arena; `free` lists its vacant slots.
+    slots: Vec<Option<Item>>,
+    free: Vec<u32>,
+    /// Key → slot of the stored item.
+    index: HashMap<Arc<[u8]>, u32>,
+    /// Per-class recency order, threaded through the items.
+    lru: Vec<Lru>,
     next_cas: u64,
     allocated: u64,
     metrics: McMetrics,
@@ -215,7 +251,7 @@ impl StoreInner {
     /// Push the derived gauges (recomputed rather than incrementally
     /// maintained) into the registry before it is read.
     fn refresh_gauges(&self) {
-        self.metrics.curr_items.set(self.items.len() as i64);
+        self.metrics.curr_items.set(self.index.len() as i64);
         self.metrics.allocated_bytes.set(self.allocated as i64);
     }
 }
@@ -263,15 +299,22 @@ impl Memcached {
             free_chunks: 0,
             total_chunks: 0,
         });
-        let lru = classes.iter().map(|_| BTreeMap::new()).collect();
+        let lru = vec![
+            Lru {
+                cold: NIL,
+                hot: NIL
+            };
+            classes.len()
+        ];
         let limit = cfg.mem_limit;
         Memcached {
             inner: Mutex::new(StoreInner {
                 cfg,
                 classes,
-                items: HashMap::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
+                index: HashMap::new(),
                 lru,
-                next_seq: 0,
                 next_cas: 1,
                 allocated: 0,
                 metrics: McMetrics::new(limit),
@@ -312,7 +355,7 @@ impl Memcached {
         valid_key(key)?;
         let mut g = self.inner.lock();
         g.metrics.cmd_set.inc();
-        if g.live_item(key, now) {
+        if g.live_item(key, now).is_some() {
             return Ok(false);
         }
         g.store(key, value, flags, expire_at, now).map(|()| true)
@@ -330,7 +373,7 @@ impl Memcached {
         valid_key(key)?;
         let mut g = self.inner.lock();
         g.metrics.cmd_set.inc();
-        if !g.live_item(key, now) {
+        if g.live_item(key, now).is_none() {
             return Ok(false);
         }
         g.store(key, value, flags, expire_at, now).map(|()| true)
@@ -350,10 +393,10 @@ impl Memcached {
         valid_key(key)?;
         let mut g = self.inner.lock();
         g.metrics.cmd_set.inc();
-        if !g.live_item(key, now) {
+        let Some(slot) = g.live_item(key, now) else {
             return Ok(false);
-        }
-        let item = g.items.get(key).expect("live_item verified presence");
+        };
+        let item = g.item(slot);
         let (flags, expire_at) = (item.flags, item.expire_at);
         let mut new_val = Vec::with_capacity(item.value.len() + extra.len());
         if front {
@@ -371,35 +414,29 @@ impl Memcached {
     pub fn get(&self, key: &[u8], now: u64) -> Option<GetValue> {
         let mut g = self.inner.lock();
         g.metrics.cmd_get.inc();
-        if !g.live_item(key, now) {
+        let Some(slot) = g.live_item(key, now) else {
             g.metrics.get_misses.inc();
             return None;
-        }
+        };
         g.metrics.get_hits.inc();
-        let seq = g.bump_seq();
-        let item = g.items.get_mut(key).expect("live_item verified presence");
-        let old_seq = item.seq;
-        item.seq = seq;
-        let class = item.class;
-        let out = GetValue {
+        g.unlink(slot);
+        g.link_hot(slot);
+        let item = g.item(slot);
+        Some(GetValue {
             value: item.value.clone(),
             flags: item.flags,
             cas: item.cas,
-        };
-        let key_owned = key.to_vec();
-        g.lru[class].remove(&old_seq);
-        g.lru[class].insert(seq, key_owned);
-        Some(out)
+        })
     }
 
     /// Remove `key`. Returns whether it existed (expired items count as
     /// absent).
     pub fn delete(&self, key: &[u8], now: u64) -> bool {
         let mut g = self.inner.lock();
-        if !g.live_item(key, now) {
+        let Some(slot) = g.live_item(key, now) else {
             return false;
-        }
-        g.remove_item(key, false);
+        };
+        g.remove_slot(slot, false);
         true
     }
 
@@ -418,10 +455,10 @@ impl Memcached {
     fn arith(&self, key: &[u8], delta: u64, now: u64, sub: bool) -> Result<Option<u64>, McError> {
         valid_key(key)?;
         let mut g = self.inner.lock();
-        if !g.live_item(key, now) {
+        let Some(slot) = g.live_item(key, now) else {
             return Ok(None);
-        }
-        let item = g.items.get(key).expect("live_item verified presence");
+        };
+        let item = g.item(slot);
         let s = std::str::from_utf8(&item.value).map_err(|_| McError::NotNumeric)?;
         let cur: u64 = s.trim_end().parse().map_err(|_| McError::NotNumeric)?;
         let new = if sub {
@@ -448,11 +485,10 @@ impl Memcached {
         valid_key(key)?;
         let mut g = self.inner.lock();
         g.metrics.cmd_set.inc();
-        if !g.live_item(key, now) {
+        let Some(slot) = g.live_item(key, now) else {
             return Ok(CasResult::NotFound);
-        }
-        let current = g.items.get(key).expect("live_item verified presence").cas;
-        if current != cas {
+        };
+        if g.item(slot).cas != cas {
             return Ok(CasResult::Exists);
         }
         g.store(key, value, flags, expire_at, now)?;
@@ -462,22 +498,21 @@ impl Memcached {
     /// Update the expiry of an existing item. Returns whether it existed.
     pub fn touch(&self, key: &[u8], expire_at: Option<u64>, now: u64) -> bool {
         let mut g = self.inner.lock();
-        if !g.live_item(key, now) {
+        let Some(slot) = g.live_item(key, now) else {
             return false;
-        }
-        g.items
-            .get_mut(key)
-            .expect("live_item verified presence")
-            .expire_at = expire_at;
+        };
+        g.item_mut(slot).expire_at = expire_at;
         true
     }
 
     /// Drop every item (slab pages stay allocated, as in the real daemon).
     pub fn flush_all(&self) {
         let mut g = self.inner.lock();
-        let keys: Vec<Vec<u8>> = g.items.keys().cloned().collect();
-        for key in keys {
-            g.remove_item(&key, false);
+        for class in 0..g.lru.len() {
+            while g.lru[class].cold != NIL {
+                let coldest = g.lru[class].cold;
+                g.remove_slot(coldest, false);
+            }
         }
     }
 
@@ -513,7 +548,7 @@ impl Memcached {
 
     /// Number of items currently stored.
     pub fn len(&self) -> usize {
-        self.inner.lock().items.len()
+        self.inner.lock().index.len()
     }
 
     /// Whether the store is empty.
@@ -541,40 +576,74 @@ impl MetricSource for Memcached {
 }
 
 impl StoreInner {
-    fn bump_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
+    fn item(&self, slot: u32) -> &Item {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("an indexed or linked slot holds an item")
     }
 
-    /// True if `key` holds a live (non-expired) item; reaps it lazily if
+    fn item_mut(&mut self, slot: u32) -> &mut Item {
+        self.slots[slot as usize]
+            .as_mut()
+            .expect("an indexed or linked slot holds an item")
+    }
+
+    /// The slot of `key`'s live (non-expired) item; reaps it lazily if
     /// expired.
-    fn live_item(&mut self, key: &[u8], now: u64) -> bool {
-        match self.items.get(key) {
-            None => false,
-            Some(item) => {
-                if let Some(t) = item.expire_at {
-                    if t <= now {
-                        self.remove_item(key, true);
-                        return false;
-                    }
-                }
-                true
-            }
+    fn live_item(&mut self, key: &[u8], now: u64) -> Option<u32> {
+        let slot = *self.index.get(key)?;
+        if self.item(slot).expired(now) {
+            self.remove_slot(slot, true);
+            return None;
+        }
+        Some(slot)
+    }
+
+    /// Take the item at `slot` out of its class's LRU list.
+    fn unlink(&mut self, slot: u32) {
+        let item = self.item(slot);
+        let (class, colder, hotter) = (item.class, item.colder, item.hotter);
+        match colder {
+            NIL => self.lru[class].cold = hotter,
+            c => self.item_mut(c).hotter = hotter,
+        }
+        match hotter {
+            NIL => self.lru[class].hot = colder,
+            h => self.item_mut(h).colder = colder,
         }
     }
 
-    fn remove_item(&mut self, key: &[u8], expired: bool) {
-        if let Some(item) = self.items.remove(key) {
-            self.lru[item.class].remove(&item.seq);
-            self.classes[item.class].free_chunks += 1;
-            self.metrics
-                .bytes
-                .sub((key.len() + item.value.len() + ITEM_OVERHEAD) as i64);
-            if expired {
-                self.metrics.expired.inc();
-            }
+    /// Link the (unlinked) item at `slot` in as its class's most recently
+    /// used.
+    fn link_hot(&mut self, slot: u32) {
+        let class = self.item(slot).class;
+        let was_hot = std::mem::replace(&mut self.lru[class].hot, slot);
+        match was_hot {
+            NIL => self.lru[class].cold = slot,
+            h => self.item_mut(h).hotter = slot,
         }
+        let item = self.item_mut(slot);
+        item.colder = was_hot;
+        item.hotter = NIL;
+    }
+
+    /// Take the item at `slot` out of the store: off its LRU list, out of
+    /// the index and the slab accounting, its slot back on the free list.
+    fn remove_slot(&mut self, slot: u32, expired: bool) -> Item {
+        self.unlink(slot);
+        let item = self.slots[slot as usize]
+            .take()
+            .expect("an indexed or linked slot holds an item");
+        self.index.remove(&*item.key);
+        self.free.push(slot);
+        self.classes[item.class].free_chunks += 1;
+        self.metrics
+            .bytes
+            .sub((item.key.len() + item.value.len() + ITEM_OVERHEAD) as i64);
+        if expired {
+            self.metrics.expired.inc();
+        }
+        item
     }
 
     fn class_for(&self, total: usize) -> Result<usize, McError> {
@@ -604,32 +673,25 @@ impl StoreInner {
             // otherwise take the true LRU victim. (Scanning the whole LRU
             // would make every pressured store O(items).)
             const EXPIRED_SEARCH_DEPTH: usize = 5;
-            let victim = self.lru[class]
-                .iter()
-                .take(EXPIRED_SEARCH_DEPTH)
-                .find(|(_, k)| {
-                    self.items
-                        .get(*k)
-                        .and_then(|i| i.expire_at)
-                        .map(|t| t <= now)
-                        .unwrap_or(false)
-                })
-                .or_else(|| self.lru[class].iter().next())
-                .map(|(_, k)| k.clone());
-            match victim {
-                Some(key) => {
-                    let was_expired = self
-                        .items
-                        .get(&key)
-                        .and_then(|i| i.expire_at)
-                        .map(|t| t <= now)
-                        .unwrap_or(false);
-                    self.remove_item(&key, was_expired);
-                    if !was_expired {
-                        self.metrics.evictions.inc();
-                    }
+            let mut victim = self.lru[class].cold;
+            let mut peek = victim;
+            for _ in 0..EXPIRED_SEARCH_DEPTH {
+                if peek == NIL {
+                    break;
                 }
-                None => return Err(McError::OutOfMemory),
+                if self.item(peek).expired(now) {
+                    victim = peek;
+                    break;
+                }
+                peek = self.item(peek).hotter;
+            }
+            if victim == NIL {
+                return Err(McError::OutOfMemory);
+            }
+            let was_expired = self.item(victim).expired(now);
+            self.remove_slot(victim, was_expired);
+            if !was_expired {
+                self.metrics.evictions.inc();
             }
         }
     }
@@ -647,31 +709,41 @@ impl StoreInner {
             return Err(McError::ValueTooLarge);
         }
         let class = self.class_for(total)?;
-        // Free the old incarnation first so replacing in a full cache works.
-        if self.items.contains_key(key) {
-            self.remove_item(key, false);
-        }
+        // Free the old incarnation first so replacing in a full cache
+        // works: its chunk goes back to its own class before this class
+        // looks for one, and the item is gone by then, so it is never its
+        // own victim. The new item takes its key's allocation over.
+        let key: Arc<[u8]> = match self.index.get(key) {
+            Some(&slot) => self.remove_slot(slot, false).key,
+            None => Arc::from(key),
+        };
         self.alloc_chunk(class, now)?;
-        let seq = self.bump_seq();
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            (self.slots.len() - 1) as u32
+        });
+        self.index.insert(Arc::clone(&key), slot);
         let cas = self.next_cas;
         self.next_cas += 1;
         self.metrics.bytes.add(total as i64);
         self.metrics.total_items.inc();
-        self.items.insert(
-            key.to_vec(),
-            Item {
-                value,
-                flags,
-                expire_at,
-                cas,
-                class,
-                seq,
-            },
-        );
-        self.lru[class].insert(seq, key.to_vec());
+        self.slots[slot as usize] = Some(Item {
+            key,
+            value,
+            flags,
+            expire_at,
+            cas,
+            class,
+            colder: NIL,
+            hotter: NIL,
+        });
+        self.link_hot(slot);
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {

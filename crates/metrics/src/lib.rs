@@ -199,12 +199,27 @@ impl Histogram {
 
     /// Record one raw observation (nanoseconds by convention).
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` observations of the same value `v`: the histogram ends
+    /// up exactly as after `n` calls of [`Histogram::record`].
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let i = &self.inner;
-        i.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        i.count.fetch_add(1, Ordering::Relaxed);
-        i.sum.fetch_add(v, Ordering::Relaxed);
-        i.min.fetch_min(v, Ordering::Relaxed);
-        i.max.fetch_max(v, Ordering::Relaxed);
+        i.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        i.count.fetch_add(n, Ordering::Relaxed);
+        i.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+        // `fetch_min`/`fetch_max` are compare-exchange loops on x86; most
+        // observations move neither bound, and a plain load shows that.
+        if v < i.min.load(Ordering::Relaxed) {
+            i.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > i.max.load(Ordering::Relaxed) {
+            i.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Record a virtual-time duration.
@@ -820,6 +835,23 @@ mod tests {
         assert!(snap.histogram("a").is_none());
         assert_eq!(snap.len(), 2);
         assert!(!snap.is_empty());
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let (bulk, single) = (Histogram::new(), Histogram::new());
+        // A first value, a new max, a repeat, nothing at all, a new min,
+        // and a value between the bounds.
+        for (v, n) in [(500, 3), (70_000, 16), (500, 1), (9, 0), (2, 2), (640, 5)] {
+            bulk.record_n(v, n);
+            (0..n).for_each(|_| single.record(v));
+            assert_eq!(bulk.snapshot(), single.snapshot(), "after {n} x {v}");
+        }
+        let s = bulk.snapshot();
+        assert_eq!((s.count, s.sum, s.min, s.max), (27, 1_125_204, 2, 70_000));
+        let untouched = Histogram::new();
+        untouched.record_n(9, 0);
+        assert_eq!(untouched.snapshot(), Histogram::new().snapshot());
     }
 
     #[test]

@@ -30,6 +30,7 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
@@ -50,15 +51,26 @@ type BoxedTask = Pin<Box<dyn Future<Output = ()> + 'static>>;
 #[derive(Default)]
 struct ReadyQueue {
     queue: Mutex<VecDeque<TaskId>>,
+    /// Whether `queue` holds anything, written under its lock. It lets the
+    /// drain that finds nothing — one per timer event — skip the lock.
+    /// `Relaxed` is enough: the flag publishes no data (the ids are read
+    /// under the lock), and a wake that happens-before a drain is seen by
+    /// it under any ordering.
+    non_empty: AtomicBool,
 }
 
 impl ReadyQueue {
     fn push(&self, id: TaskId) {
-        self.queue.lock().unwrap().push_back(id);
+        let mut queue = self.queue.lock().unwrap();
+        queue.push_back(id);
+        self.non_empty.store(true, Ordering::Relaxed);
     }
 
     fn pop(&self) -> Option<TaskId> {
-        self.queue.lock().unwrap().pop_front()
+        let mut queue = self.queue.lock().unwrap();
+        let id = queue.pop_front();
+        self.non_empty.store(!queue.is_empty(), Ordering::Relaxed);
+        id
     }
 
     /// Exchange the queue's contents with `batch` (which must be empty):
@@ -68,7 +80,12 @@ impl ReadyQueue {
     /// [`ReadyQueue::pop`] would have found them.
     fn swap_into(&self, batch: &mut VecDeque<TaskId>) {
         debug_assert!(batch.is_empty());
-        std::mem::swap(&mut *self.queue.lock().unwrap(), batch);
+        if !self.non_empty.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut queue = self.queue.lock().unwrap();
+        std::mem::swap(&mut *queue, batch);
+        self.non_empty.store(false, Ordering::Relaxed);
     }
 }
 
@@ -621,6 +638,40 @@ mod tests {
             assert_eq!(s.end_time.as_nanos(), SimDuration::secs(5).as_nanos());
             assert_eq!(s.tasks_leaked, 1); // the infinite looper is still blocked
         }
+    }
+
+    #[test]
+    fn wake_between_two_runs_is_drained() {
+        // The ready flag's hard case: the executor went idle (its last
+        // drain found nothing), then a wake arrives from outside any poll.
+        let mut sim = Sim::new(0);
+        let (tx, rx) = crate::sync::oneshot();
+        let got = Rc::new(Cell::new(None));
+        let g2 = Rc::clone(&got);
+        sim.spawn(async move { g2.set(rx.await.ok()) });
+        let s = sim.run_until(SimTime(1_000));
+        assert_eq!((got.get(), s.tasks_leaked), (None, 1));
+        tx.send(7u32);
+        let s = sim.run_until(SimTime(2_000));
+        assert_eq!((got.get(), s.tasks_leaked), (Some(7), 0));
+    }
+
+    #[test]
+    fn ready_flag_follows_the_queue_through_pop() {
+        let (q, mut batch) = (ReadyQueue::default(), VecDeque::new());
+        q.push(1);
+        q.push(2);
+        assert_eq!(q.pop(), Some(1));
+        q.swap_into(&mut batch); // one id left: the flag must still say so
+        assert_eq!(batch, [2]);
+        batch.clear();
+        q.push(3);
+        assert_eq!((q.pop(), q.pop()), (Some(3), None));
+        q.swap_into(&mut batch);
+        assert!(batch.is_empty());
+        q.push(4);
+        q.swap_into(&mut batch);
+        assert_eq!(batch, [4]);
     }
 
     #[test]
