@@ -25,7 +25,7 @@
 //! * **free below the knee** — up to the knee, ON goodput is within 5%
 //!   of OFF at every grid point.
 
-use imca_bench::{emit, emit_metrics, parallel_sweep, Options};
+use imca_bench::{emit, emit_metrics, obj, parallel_sweep, rounded, Options};
 use imca_metrics::json::Json;
 use imca_metrics::Snapshot;
 use imca_workloads::overload::{run, OverloadBench, OverloadOut};
@@ -41,16 +41,6 @@ const DRIVES: [(&str, bool, bool); 4] = [
 
 fn p50_ms(out: &OverloadOut) -> f64 {
     out.latency.quantile(0.50) as f64 / 1e6
-}
-
-/// `x` rounded to `digits` decimals, for the JSON record.
-fn rounded(x: f64, digits: i32) -> Json {
-    let k = 10f64.powi(digits);
-    Json::Float((x * k).round() / k)
-}
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 /// Knee of a goodput-vs-clients series: the first point whose goodput

@@ -1,198 +1,198 @@
-//! # fig8_scale — bank-scale Fig 8 sweep
+//! # fig8_scale — Fig 8 at bank scale, on the real stack
 //!
-//! A clients × MCDs grid over `imca_workloads::scale`, locating the
-//! saturation knee per series: p99 inflection, superlinear
-//! hottest-daemon queue growth, server-NIC utilisation, and (at R>1) the
-//! SMCache push fan-out tax.
+//! Sweeps clients × MCD bank size through the closed-loop reader drive
+//! (`imca_workloads::overload::run`: the full `Cluster`, CMCache →
+//! `BankClient` → daemon queues) with every service constant at the
+//! stack's calibrated default and no overload protection, and locates
+//! each series' saturation knee from what the stack reports: the p99
+//! inflection and the hottest daemon's `bank.mcd.{i}.queue_peak` gauge.
 //!
 //! Emits `results/fig8_scale.{json,txt}` plus the consolidated
-//! `results/BENCH_8.json` that `scripts/tier1.sh --strict` checks for
-//! the `knee_found` claim. How fast the simulator runs is the
-//! benchmark's `host_ops_per_s` (`bench/`), not this binary's business.
+//! `results/BENCH_8.json`, and asserts its own `knee_found` claim, so
+//! `scripts/tier1.sh --strict`'s smoke run fails on a false one.
 
-use imca_bench::{emit, parallel_sweep, Options};
+use imca_bench::{emit, obj, parallel_sweep, rounded, Options};
+use imca_core::McdCosts;
+use imca_glusterfs::ServerParams;
+use imca_metrics::json::Json;
+use imca_sim::SimDuration;
+use imca_workloads::overload::{run, OverloadBench};
 use imca_workloads::report::Table;
-use imca_workloads::scale::{run_scale, ScaleConfig, ScaleOut};
 
-/// A series is one (mcds, replication) line over ascending client
-/// counts; the knee is the first point where a congestion signal trips.
+/// Timed reads per client.
+const OPS_PER_CLIENT: u64 = 10;
+
+/// What one grid point reports.
+struct Point {
+    clients: usize,
+    p50_us: f64,
+    p99_us: f64,
+    hottest_queue_peak: i64,
+    goodput: f64,
+}
+
+/// One (mcds, replication) line over ascending client counts.
 struct Series {
     mcds: usize,
     replication: usize,
-    clients: Vec<usize>,
-    outs: Vec<ScaleOut>,
+    points: Vec<Point>,
 }
 
-struct Knee {
-    clients: usize,
-    reason: String,
-}
-
-fn p99_us(out: &ScaleOut) -> f64 {
-    out.latency.quantile(0.99) as f64 / 1_000.0
-}
-
-fn p50_us(out: &ScaleOut) -> f64 {
-    out.latency.quantile(0.50) as f64 / 1_000.0
-}
-
-/// Walk consecutive points and report the first one past the knee.
-/// Signals, in priority order: server-NIC utilisation ≥ 0.9, p99
-/// inflecting ≥3× across one step, hottest-daemon queue depth growing
-/// more than 2× faster than the client count. At R>1 the annotation
-/// also carries the push fan-out, since replica pushes ride the same
-/// daemon queues that trip the signal.
-fn find_knee(s: &Series) -> Option<Knee> {
-    for w in 0..s.clients.len().saturating_sub(1) {
-        let (c0, c1) = (s.clients[w], s.clients[w + 1]);
-        let (a, b) = (&s.outs[w], &s.outs[w + 1]);
-        let growth = c1 as f64 / c0 as f64;
-        let reason = if b.server_utilisation() >= 0.9 {
-            Some(format!(
-                "server NIC saturates: utilisation {:.2} at {c1} clients (was {:.2} at {c0})",
-                b.server_utilisation(),
-                a.server_utilisation()
-            ))
-        } else if p99_us(b) >= 3.0 * p99_us(a) {
-            Some(format!(
-                "p99 inflects: {:.1} us at {c0} clients -> {:.1} us at {c1}",
-                p99_us(a),
-                p99_us(b)
-            ))
-        } else if b.hottest_queue_peak() as f64
-            > 2.0 * growth * a.hottest_queue_peak().max(1) as f64
-            && b.hottest_queue_peak() > 64
-        {
-            Some(format!(
-                "hottest-daemon queue grows superlinearly: peak {} -> {} for {:.0}x clients",
-                a.hottest_queue_peak(),
-                b.hottest_queue_peak(),
-                growth
-            ))
-        } else {
-            None
-        };
-        if let Some(mut reason) = reason {
-            if s.replication > 1 {
-                reason.push_str(&format!(
-                    "; R={} push fan-out adds {:.2} replica pushes per fill to the same queues",
-                    s.replication,
-                    b.push_amplification()
-                ));
-            }
-            return Some(Knee {
-                clients: c1,
-                reason,
-            });
-        }
+impl Series {
+    fn label(&self) -> String {
+        format!("{} MCDs/R{}", self.mcds, self.replication)
     }
-    None
+}
+
+/// One point of the sweep: 16 prewarmed hot files × 256 8 KB blocks read
+/// uniformly, 1 ms mean think time, the daemons' and the server's
+/// calibrated service times, unbounded queues and no rewarm throttle.
+fn measure(clients: usize, mcds: usize, replication: usize, seed: u64) -> Point {
+    let out = run(&OverloadBench {
+        mcds,
+        replication,
+        ops_per_client: OPS_PER_CLIENT,
+        hot_files: 16,
+        blocks_per_file: 256,
+        block_size: 8192,
+        think_mean: SimDuration::millis(1),
+        mcd_per_op: McdCosts::default().per_op,
+        server_fop_cpu: ServerParams::default().fop_cpu,
+        queue_limit: None,
+        rewarm: None,
+        seed,
+        ..OverloadBench::new(clients)
+    });
+    Point {
+        clients,
+        p50_us: out.latency.quantile(0.50) as f64 / 1e3,
+        p99_us: out.latency.quantile(0.99) as f64 / 1e3,
+        hottest_queue_peak: (0..mcds)
+            .filter_map(|i| out.metrics.gauge(&format!("bank.mcd.{i}.queue_peak")))
+            .max()
+            .unwrap_or(0),
+        goodput: out.goodput(),
+    }
+}
+
+/// The first point past the knee and why: p99 inflecting ≥ 3× across one
+/// step, or the hottest daemon's queue peak growing more than twice as
+/// fast as the client count (and past 64 entries).
+fn find_knee(points: &[Point]) -> Option<(usize, String)> {
+    points.windows(2).find_map(|w| {
+        let (a, b) = (&w[0], &w[1]);
+        let growth = b.clients as f64 / a.clients as f64;
+        let reason = if b.p99_us >= 3.0 * a.p99_us {
+            format!(
+                "p99 inflects: {:.1} us at {} clients -> {:.1} us at {} \
+                 (hottest queue peak {} -> {})",
+                a.p99_us,
+                a.clients,
+                b.p99_us,
+                b.clients,
+                a.hottest_queue_peak,
+                b.hottest_queue_peak
+            )
+        } else if b.hottest_queue_peak as f64 > 2.0 * growth * a.hottest_queue_peak.max(1) as f64
+            && b.hottest_queue_peak > 64
+        {
+            format!(
+                "hottest-daemon queue grows superlinearly: peak {} -> {} for {growth:.1}x clients",
+                a.hottest_queue_peak, b.hottest_queue_peak
+            )
+        } else {
+            return None;
+        };
+        Some((b.clients, reason))
+    })
 }
 
 fn main() {
     let opts = Options::from_args(
         "fig8_scale",
-        "bank-scale client sweep with annotated saturation knees",
+        "bank-scale client sweep on the real stack with annotated saturation knees",
     );
 
-    let (client_grid, mcd_grid, r2_clients): (Vec<usize>, Vec<usize>, Vec<usize>) = if opts.smoke {
-        (vec![1_000, 3_000, 10_000], vec![8], vec![1_000, 3_000])
-    } else if opts.full {
-        (
-            vec![1_000, 3_000, 10_000, 30_000, 100_000],
-            vec![8, 64],
-            vec![1_000, 3_000, 10_000, 30_000],
-        )
+    // (mcds, replication, client grid) per series.
+    let specs: Vec<(usize, usize, Vec<usize>)> = if opts.smoke {
+        vec![(8, 1, vec![300, 1_000, 3_000]), (8, 2, vec![300, 1_000])]
     } else {
-        (
-            vec![1_000, 3_000, 10_000, 30_000],
-            vec![8, 64],
-            vec![1_000, 3_000, 10_000],
-        )
+        let r1 = [300, 1_000, 3_000, 10_000];
+        let (mut r1_8, mut r1_64) = (r1.to_vec(), r1.to_vec());
+        if opts.full {
+            r1_8.extend([30_000, 100_000]);
+            r1_64.push(30_000);
+        }
+        vec![
+            (8, 1, r1_8),
+            (64, 1, r1_64),
+            (8, 2, vec![300, 1_000, 3_000]),
+        ]
     };
-    let mut specs: Vec<(usize, usize, Vec<usize>)> = mcd_grid
-        .iter()
-        .map(|&m| (m, 1, client_grid.clone()))
-        .collect();
-    specs.push((8, 2, r2_clients));
 
-    let points: Vec<(usize, usize, usize)> = specs
+    let seed = opts.seed;
+    let jobs: Vec<Box<dyn FnOnce() -> Point + Send>> = specs
         .iter()
         .flat_map(|(m, r, cs)| cs.iter().map(move |&c| (c, *m, *r)))
-        .collect();
-    let jobs: Vec<Box<dyn FnOnce() -> ScaleOut + Send>> = points
-        .iter()
-        .map(|&(c, m, r)| {
-            let seed = opts.seed;
-            Box::new(move || {
-                let mut cfg = ScaleConfig::new(c, m);
-                cfg.replication = r;
-                cfg.seed = seed;
-                run_scale(&cfg)
-            }) as Box<dyn FnOnce() -> ScaleOut + Send>
+        .map(|(c, m, r)| {
+            Box::new(move || measure(c, m, r, seed)) as Box<dyn FnOnce() -> Point + Send>
         })
         .collect();
-    let mut results: Vec<Option<ScaleOut>> = parallel_sweep(jobs).into_iter().map(Some).collect();
-
-    let mut series: Vec<Series> = Vec::new();
-    for (m, r, cs) in &specs {
-        let outs = cs
-            .iter()
-            .map(|&c| {
-                let i = points.iter().position(|&p| p == (c, *m, *r)).unwrap();
-                results[i].take().unwrap()
-            })
-            .collect();
-        series.push(Series {
+    let mut results = parallel_sweep(jobs).into_iter();
+    let series: Vec<Series> = specs
+        .iter()
+        .map(|(m, r, cs)| Series {
             mcds: *m,
             replication: *r,
-            clients: cs.clone(),
-            outs,
-        });
-    }
+            points: results.by_ref().take(cs.len()).collect(),
+        })
+        .collect();
 
     let mut table = Table::new(
         format!(
-            "Fig 8 at bank scale: closed-loop clients vs MCD bank (p99, {} ops/client)",
-            ScaleConfig::new(1, 1).ops_per_client
+            "Fig 8 at bank scale: closed-loop readers vs MCD bank, real stack \
+             (p99, {OPS_PER_CLIENT} reads/client)"
         ),
         "clients",
         "p99 microseconds",
-        series
-            .iter()
-            .map(|s| format!("{} MCDs/R{}", s.mcds, s.replication))
-            .collect(),
+        series.iter().map(Series::label).collect(),
     );
-    for &c in &client_grid {
-        let row: Vec<Option<f64>> = series
+    let mut rows: Vec<usize> = specs.iter().flat_map(|(_, _, cs)| cs.clone()).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    for &c in &rows {
+        let row = series
             .iter()
-            .map(|s| {
-                s.clients
-                    .iter()
-                    .position(|&x| x == c)
-                    .map(|i| p99_us(&s.outs[i]))
-            })
+            .map(|s| s.points.iter().find(|p| p.clients == c).map(|p| p.p99_us))
             .collect();
         table.push_row(c as f64, row);
     }
     emit(&opts, "fig8_scale", &table);
 
-    let knees: Vec<(usize, usize, Option<Knee>)> = series
-        .iter()
-        .map(|s| (s.mcds, s.replication, find_knee(s)))
-        .collect();
-    for (m, r, knee) in &knees {
-        match knee {
-            Some(k) => println!(
-                "knee [{m} MCDs/R{r}] at {} clients: {}",
-                k.clients, k.reason
-            ),
-            None => println!("knee [{m} MCDs/R{r}]: none within the swept range"),
+    for s in &series {
+        for p in &s.points {
+            println!(
+                "  {:>10} {:>6} clients: p50 {:>9.1} us p99 {:>9.1} us | hottest queue peak {:>4} \
+                 | {:>9.0} ops/s",
+                s.label(),
+                p.clients,
+                p.p50_us,
+                p.p99_us,
+                p.hottest_queue_peak,
+                p.goodput
+            );
         }
     }
-    let knee_found = knees.iter().any(|(_, _, k)| k.is_some());
+    let knees: Vec<Option<(usize, String)>> = series.iter().map(|s| find_knee(&s.points)).collect();
+    for (s, knee) in series.iter().zip(&knees) {
+        match knee {
+            Some((c, reason)) => println!("knee [{}] at {c} clients: {reason}", s.label()),
+            None => println!("knee [{}]: none within the swept range", s.label()),
+        }
+    }
+    let knee_found = knees.iter().any(Option::is_some);
 
-    // ---- consolidated BENCH_8.json for scripts/tier1.sh --strict ----
+    // ---- consolidated BENCH_8.json ----
     let mode = if opts.smoke {
         "smoke"
     } else if opts.full {
@@ -200,49 +200,59 @@ fn main() {
     } else {
         "default"
     };
-    let mut doc = String::from("{\n  \"bench\": \"fig8_scale\",\n");
-    doc.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    doc.push_str("  \"series\": [\n");
-    let total: usize = series.iter().map(|s| s.clients.len()).sum();
-    let mut i = 0;
-    for s in &series {
-        for (c, out) in s.clients.iter().zip(&s.outs) {
-            i += 1;
-            doc.push_str(&format!(
-                "    {{\"clients\": {c}, \"mcds\": {}, \"replication\": {}, \
-                 \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"hottest_queue_peak\": {}, \
-                 \"server_utilisation\": {:.4}, \"push_amplification\": {:.3}, \
-                 \"sim_ops_per_sec\": {:.0}}}{}\n",
-                s.mcds,
-                s.replication,
-                p50_us(out),
-                p99_us(out),
-                out.hottest_queue_peak(),
-                out.server_utilisation(),
-                out.push_amplification(),
-                out.sim_ops_per_sec(),
-                if i < total { "," } else { "" }
-            ));
-        }
-    }
-    doc.push_str("  ],\n  \"knees\": [\n");
-    for (j, (m, r, knee)) in knees.iter().enumerate() {
-        let comma = if j + 1 < knees.len() { "," } else { "" };
-        match knee {
-            Some(k) => doc.push_str(&format!(
-                "    {{\"mcds\": {m}, \"replication\": {r}, \"clients\": {}, \"reason\": \"{}\"}}{comma}\n",
-                k.clients, k.reason
-            )),
-            None => doc.push_str(&format!(
-                "    {{\"mcds\": {m}, \"replication\": {r}, \"clients\": null, \"reason\": \"no knee in swept range\"}}{comma}\n"
-            )),
-        }
-    }
-    doc.push_str("  ],\n");
-    doc.push_str(&format!("  \"knee_found\": {knee_found}\n}}\n"));
+    let int = |n: usize| Json::Int(n as i128);
+    let doc = obj(vec![
+        ("bench", Json::Str("fig8_scale".into())),
+        ("mode", Json::Str(mode.into())),
+        (
+            "series",
+            Json::Arr(
+                series
+                    .iter()
+                    .flat_map(|s| s.points.iter().map(move |p| (s, p)))
+                    .map(|(s, p)| {
+                        obj(vec![
+                            ("clients", int(p.clients)),
+                            ("mcds", int(s.mcds)),
+                            ("replication", int(s.replication)),
+                            ("p50_us", rounded(p.p50_us, 2)),
+                            ("p99_us", rounded(p.p99_us, 2)),
+                            ("hottest_queue_peak", Json::Int(p.hottest_queue_peak.into())),
+                            ("goodput_ops_s", rounded(p.goodput, 1)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "knees",
+            Json::Arr(
+                series
+                    .iter()
+                    .zip(&knees)
+                    .map(|(s, knee)| {
+                        obj(vec![
+                            ("mcds", int(s.mcds)),
+                            ("replication", int(s.replication)),
+                            ("clients", knee.as_ref().map_or(Json::Null, |k| int(k.0))),
+                            (
+                                "reason",
+                                Json::Str(
+                                    knee.as_ref()
+                                        .map_or("no knee in swept range", |k| &k.1)
+                                        .into(),
+                                ),
+                            ),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("knee_found", Json::Bool(knee_found)),
+    ]);
     let _ = std::fs::create_dir_all(&opts.out_dir);
     let path = opts.out_dir.join("BENCH_8.json");
-    std::fs::write(&path, &doc).expect("cannot write BENCH_8.json");
+    std::fs::write(&path, doc.render_pretty()).expect("cannot write BENCH_8.json");
     println!("(consolidated summary written to {})", path.display());
 
     assert!(knee_found, "no saturation knee found in any swept series");

@@ -20,6 +20,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use imca_metrics::json::Json;
 use imca_metrics::Snapshot;
 use imca_workloads::report::Table;
 
@@ -133,6 +134,18 @@ pub fn emit_metrics(opts: &Options, name: &str, snap: &Snapshot) {
         snap.metrics.len(),
         path.display()
     );
+}
+
+/// `x` rounded to `digits` decimals, for a consolidated `BENCH_*.json`
+/// record.
+pub fn rounded(x: f64, digits: i32) -> Json {
+    let k = 10f64.powi(digits);
+    Json::Float((x * k).round() / k)
+}
+
+/// A JSON object from `(key, value)` pairs, in order.
+pub fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 /// Sanitise a table-series label (e.g. `"MCD (4)"`, `"Lustre-4DS (Cold)"`)

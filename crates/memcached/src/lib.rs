@@ -25,8 +25,8 @@
 //! use bytes::Bytes;
 //! use imca_memcached::{McConfig, McServer};
 //!
-//! // The same engine + dispatch the simulated daemons (and the
-//! // `imca-memcached` TCP binary) run, driven over raw wire bytes:
+//! // The same engine + dispatch the simulated daemons run, driven over
+//! // raw wire bytes:
 //! let daemon = McServer::new(McConfig::with_mem_limit(8 << 20));
 //! let (resp, _) = daemon.handle_wire(b"set k 0 0 5\r\nhello\r\n", 0).unwrap();
 //! assert_eq!(resp, b"STORED\r\n");

@@ -223,18 +223,9 @@ fn put_u64(out: &mut Vec<u8>, mut n: u64) {
 }
 
 /// Serialise a command to wire bytes.
-///
-/// Convenience wrapper over [`encode_command_into`]; the hot paths reuse
-/// a scratch buffer instead.
 pub fn encode_command(cmd: &Command) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_command_into(cmd, &mut out);
-    out
-}
-
-/// Serialise a command, appending to a caller-provided buffer (typically
-/// a pooled one, see `imca_sim::buf`). Bytes already in `out` are kept.
-pub fn encode_command_into(cmd: &Command, out: &mut Vec<u8>) {
+    let mut wire = Vec::new();
+    let out = &mut wire;
     match cmd {
         Command::Store {
             verb,
@@ -320,6 +311,7 @@ pub fn encode_command_into(cmd: &Command, out: &mut Vec<u8>) {
         Command::Version => out.extend_from_slice(b"version\r\n"),
         Command::Quit => out.extend_from_slice(b"quit\r\n"),
     }
+    wire
 }
 
 /// Parse one command from the front of `buf`; returns the command and the
@@ -427,18 +419,9 @@ pub fn parse_command(buf: &[u8]) -> Result<(Command, usize), ParseError> {
 }
 
 /// Serialise a response to wire bytes.
-///
-/// Convenience wrapper over [`encode_response_into`]; the hot paths reuse
-/// a scratch buffer instead.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_response_into(resp, &mut out);
-    out
-}
-
-/// Serialise a response, appending to a caller-provided buffer (typically
-/// a pooled one, see `imca_sim::buf`). Bytes already in `out` are kept.
-pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
+    let mut wire = Vec::new();
+    let out = &mut wire;
     match resp {
         Response::Stored => out.extend_from_slice(b"STORED\r\n"),
         Response::NotStored => out.extend_from_slice(b"NOT_STORED\r\n"),
@@ -496,6 +479,7 @@ pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
             out.extend_from_slice(b"END\r\n");
         }
     }
+    wire
 }
 
 /// Parse one response frame from the front of `buf`; returns the response

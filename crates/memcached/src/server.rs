@@ -3,7 +3,9 @@
 //! real daemon would write back. The simulated MCD nodes in `imca-core`
 //! and any native test harness share this exact code path.
 
-use crate::protocol::{Command, Response, StoreVerb, Value};
+use crate::protocol::{
+    encode_response, parse_command, Command, ParseError, Response, StoreVerb, Value,
+};
 use crate::store::{CasResult, McConfig, McError, Memcached};
 
 /// Wire exptimes up to 30 days are relative; larger values are absolute
@@ -157,33 +159,16 @@ impl McServer {
         }
     }
 
-    /// Convenience for callers holding raw wire bytes: parse, apply,
-    /// encode. Returns the encoded response (empty for noreply) and the
-    /// number of request bytes consumed.
-    pub fn handle_wire(
-        &self,
-        buf: &[u8],
-        now: u64,
-    ) -> Result<(Vec<u8>, usize), crate::protocol::ParseError> {
-        let mut out = Vec::new();
-        let used = self.handle_wire_into(buf, now, &mut out)?;
+    /// Convenience for callers holding raw wire bytes: parse one frame from
+    /// the front of `buf`, apply, encode. Returns the encoded response
+    /// (empty for noreply and `quit`) and the number of request bytes
+    /// consumed.
+    pub fn handle_wire(&self, buf: &[u8], now: u64) -> Result<(Vec<u8>, usize), ParseError> {
+        let (cmd, used) = parse_command(buf)?;
+        let out = self
+            .apply(&cmd, now)
+            .map_or_else(Vec::new, |resp| encode_response(&resp));
         Ok((out, used))
-    }
-
-    /// Like [`McServer::handle_wire`] but appending the response into a
-    /// caller-provided (typically reused) buffer, so a serving loop does
-    /// not allocate per frame. Returns the request bytes consumed.
-    pub fn handle_wire_into(
-        &self,
-        buf: &[u8],
-        now: u64,
-        out: &mut Vec<u8>,
-    ) -> Result<usize, crate::protocol::ParseError> {
-        let (cmd, used) = crate::protocol::parse_command(buf)?;
-        if let Some(resp) = self.apply(&cmd, now) {
-            crate::protocol::encode_response_into(&resp, out);
-        }
-        Ok(used)
     }
 }
 
@@ -366,15 +351,47 @@ mod tests {
         assert_eq!(s.apply(&missing, 0), Some(Response::NotFound));
     }
 
+    /// Feed a client's whole script through `handle_wire` one frame at a
+    /// time, as a serving loop would, and return everything written back.
+    fn converse(s: &McServer, mut script: &[u8]) -> Result<Vec<u8>, ParseError> {
+        let mut out = Vec::new();
+        while !script.is_empty() {
+            let (resp, used) = s.handle_wire(script, 0)?;
+            out.extend_from_slice(&resp);
+            script = &script[used..];
+        }
+        Ok(out)
+    }
+
     #[test]
-    fn wire_level_round_trip() {
-        let s = server();
-        let (resp, used) = s.handle_wire(b"set k 1 0 5\r\nhello\r\n", 0).unwrap();
-        assert_eq!(used, 20);
-        assert_eq!(resp, b"STORED\r\n");
-        let (resp, _) = s.handle_wire(b"get k\r\n", 0).unwrap();
-        assert_eq!(resp, b"VALUE k 1 5\r\nhello\r\nEND\r\n");
-        let (resp, _) = s.handle_wire(b"version\r\n", 0).unwrap();
-        assert!(resp.starts_with(b"VERSION "));
+    fn scripted_sessions_over_the_wire_codec() {
+        let s = McServer::new(McConfig::with_mem_limit(8 << 20));
+        assert_eq!(
+            converse(
+                &s,
+                b"set greeting 7 0 5\r\nhello\r\nget greeting\r\ndelete greeting\r\nget greeting\r\n"
+            )
+            .unwrap(),
+            b"STORED\r\nVALUE greeting 7 5\r\nhello\r\nEND\r\nDELETED\r\nEND\r\n"
+        );
+        // `quit` writes nothing back.
+        assert_eq!(
+            converse(&s, b"set n 0 0 2\r\n41\r\nincr n 1\r\nversion\r\nquit\r\n").unwrap(),
+            b"STORED\r\n42\r\nVERSION 1.2.6-imca\r\n"
+        );
+        // A pipelined burst: twenty frames in one buffer.
+        let mut script = Vec::new();
+        let mut expect = Vec::new();
+        for i in 0..20 {
+            script.extend_from_slice(format!("set k{i:02} 0 0 3\r\nv{i:02}\r\n").as_bytes());
+            expect.extend_from_slice(b"STORED\r\n");
+        }
+        script.extend_from_slice(b"get k07\r\n");
+        expect.extend_from_slice(b"VALUE k07 0 3\r\nv07\r\nEND\r\n");
+        assert_eq!(converse(&s, &script).unwrap(), expect);
+        assert!(matches!(
+            converse(&s, b"set k 0 0 zz\r\n"),
+            Err(ParseError::Bad(_))
+        ));
     }
 }

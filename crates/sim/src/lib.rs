@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod buf;
 pub mod fault;
 mod sim;
 pub mod sync;

@@ -14,13 +14,12 @@
 //!   ghost probes, driving the metadata-tier ablation,
 //! * [`synth`] — synthetic Zipf/log-normal data-center traces (§3's
 //!   small-file motivation) and a replay driver,
-//! * [`scale`] — the Fig 8 curve at bank scale: a lean closed-loop
-//!   queueing model that simulates 10⁵ clients in CI time and doubles
-//!   as the engine-speed yardstick (`fig8_scale`),
-//! * [`overload`] — the DESIGN.md §8 overload drive: closed-loop readers
-//!   2–4× past the bank's knee, with the protection pair (daemon
-//!   admission control + the server's rewarm throttle) switchable as a
-//!   whole or one mechanism at a time (`ablate_overload`),
+//! * [`overload`] — closed-loop readers against a prewarmed bank on the
+//!   full stack: swept to the saturation knee at bank scale
+//!   (`fig8_scale`) and driven 2–4× past it with the DESIGN.md §8
+//!   protection pair (daemon admission control + the server's rewarm
+//!   throttle) switchable as a whole or one mechanism at a time
+//!   (`ablate_overload`),
 //! * [`report`] — the table type the bench binaries print and serialise.
 
 #![warn(missing_docs)]
@@ -31,7 +30,6 @@ pub mod latbench;
 pub mod lsstorm;
 pub mod overload;
 pub mod report;
-pub mod scale;
 pub mod statbench;
 pub mod synth;
 mod system;

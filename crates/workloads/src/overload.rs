@@ -1,8 +1,12 @@
-//! The overload drive (DESIGN.md §8, EXPERIMENTS.md A12): N closed-loop
-//! readers hammer a deliberately small two-daemon bank through the full
-//! [`imca_core::Cluster`] stack, at demand 2–4× past the saturation knee
-//! the `fig8_scale` sweep located. The overload-protection layer is two
-//! mechanisms, each an `Option` of the drive:
+//! The closed-loop reader drive: N readers with exponential think time
+//! hammer a prewarmed MCD bank through the full [`imca_core::Cluster`]
+//! stack (CMCache → `BankClient` → daemon queues). One drive, run by two
+//! binaries: `fig8_scale` (EXPERIMENTS.md A11) sweeps clients × bank size
+//! at the stack's calibrated service constants, unprotected, to locate
+//! the saturation knee; `ablate_overload` (A12, DESIGN.md §8) runs
+//! [`OverloadBench::new`]'s deliberately small two-daemon bank 2–4× past
+//! its knee. The overload-protection layer is two mechanisms, each an
+//! `Option` of the drive:
 //!
 //! * [`OverloadBench::queue_limit`] — bounded daemon queues
 //!   ([`McdCosts::queue_limit`]): a full daemon refuses reads with `busy`
@@ -14,7 +18,7 @@
 //! With both `None` the stack is unprotected: unbounded queues and every
 //! fallback read pushing its block back into the bank.
 //!
-//! The geometry makes the bank the fast tier and the single GlusterFS
+//! The calibrated geometry makes the bank the fast tier and the single GlusterFS
 //! server the slow shared fallback (the paper's regime, scaled down so
 //! the knee lands at a handful of clients). Unprotected, queue wait past
 //! the knee exceeds the static deadline, retries triple the load on
@@ -288,8 +292,10 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
             barrier.wait().await; // opens done, warmer writes
             barrier.wait().await; // B: go
             let mut rng = SmallRng::seed_from_u64(mix(cfg2.seed ^ (client as u64 + 1)));
-            // Stagger the first op so clients don't march in lockstep.
-            h2.sleep(SimDuration::micros(37 * client as u64)).await;
+            // Stagger the first op so clients don't march in lockstep —
+            // by at most one think time, or a wide drive never overlaps.
+            h2.sleep(SimDuration::micros(37 * client as u64).min(cfg2.think_mean))
+                .await;
             for _ in 0..cfg2.ops_per_client {
                 h2.sleep(exp_sample(&mut rng, cfg2.think_mean)).await;
                 let f = rng.gen_range(0..cfg2.hot_files);
@@ -417,5 +423,27 @@ mod tests {
         assert_eq!(a.busy_sheds, b.busy_sheds);
         assert_eq!(a.rewarm_suppressed, b.rewarm_suppressed);
         assert_eq!(a.latency.quantile(0.99), b.latency.quantile(0.99));
+    }
+
+    /// A wide, short-think drive overlaps: with the first-op stagger
+    /// capped at one think time, 64 clients finish inside the 37 µs ×
+    /// clients an uncapped stagger alone would spread them over.
+    #[test]
+    fn first_op_stagger_is_capped_at_the_think_time() {
+        let out = run(&OverloadBench {
+            ops_per_client: 1,
+            think_mean: SimDuration::micros(100),
+            mcd_per_op: McdCosts::default().per_op,
+            server_fop_cpu: ServerParams::default().fop_cpu,
+            queue_limit: None,
+            rewarm: None,
+            ..OverloadBench::new(64)
+        });
+        assert_eq!(out.ops, 64);
+        assert!(
+            out.elapsed < SimDuration::micros(37 * 64),
+            "timed phase {:?}",
+            out.elapsed
+        );
     }
 }
