@@ -4,18 +4,16 @@
 //! A [`FaultPlan`] installed on a [`crate::Network`] makes message
 //! delivery unreliable the way a real IPoIB fabric under stress is:
 //! per-message loss, latency jitter, scheduled latency-spike and
-//! full-loss windows, RPC duplication, and named partitions. Everything
+//! full-loss windows, RPC duplication, and named cuts. Everything
 //! is driven by the simulation clock and a *dedicated* RNG seeded from
 //! the plan, so a given seed replays bit-identically and installing a
 //! plan never perturbs random draws made elsewhere in the model.
 //!
-//! Faults act at the RPC delivery layer ([`crate::Network::deliver`]),
-//! not on raw [`crate::Network::transfer`]s: the request/response legs of
-//! every protocol in this workspace go through `deliver`, while raw
-//! transfers (and the exact-cost unit tests built on them) stay
-//! untouched. Probabilistic faults and windows apply only to messages
-//! touching the plan's *scope* (when set); partitions are explicit named
-//! cuts and apply regardless of scope.
+//! Faults act in [`crate::Network::deliver`], the one path every message
+//! takes: the request/response legs of every protocol in this workspace.
+//! Probabilistic faults and windows apply only to messages touching the
+//! plan's *scope* (when set); cuts are explicit, named, and apply
+//! regardless of scope.
 //!
 //! Loss semantics model a TCP connection honestly: a lost message still
 //! pays the sender-side cost and propagates nowhere, and the *sender*
@@ -55,7 +53,7 @@ pub struct FaultPlan {
     pub latency_spikes: Vec<(SimTime, SimTime, SimDuration)>,
     /// Nodes the probabilistic faults and windows apply to: a message is
     /// fault-eligible iff its source or destination is in the scope.
-    /// `None` = every node. Partitions ignore the scope.
+    /// `None` = every node. Cuts ignore the scope.
     pub scope: Option<Vec<NodeId>>,
 }
 
@@ -83,28 +81,19 @@ impl FaultPlan {
     }
 }
 
-/// A named deterministic cut: messages crossing between `a` and `b` are
-/// dropped until the cut is healed.
+/// A named deterministic cut: messages between `nodes` and every node
+/// outside the set are dropped until the cut is healed.
 #[derive(Debug, Clone)]
 pub(crate) struct Cut {
     pub name: String,
-    pub a: BTreeSet<NodeId>,
-    pub b: Option<BTreeSet<NodeId>>,
+    pub nodes: BTreeSet<NodeId>,
 }
 
 impl Cut {
-    /// Does this cut sever the `src → dst` link?
+    /// Does this cut sever the `src → dst` link? Robust to nodes added to
+    /// the network after the cut: they are outside the set.
     pub fn severs(&self, src: NodeId, dst: NodeId) -> bool {
-        match &self.b {
-            // partition(a, b): only traffic between the two named sides.
-            Some(b) => {
-                (self.a.contains(&src) && b.contains(&dst))
-                    || (self.a.contains(&dst) && b.contains(&src))
-            }
-            // isolate(a): traffic between the set and everyone outside it —
-            // robust to nodes added to the network after the cut.
-            None => self.a.contains(&src) != self.a.contains(&dst),
-        }
+        self.nodes.contains(&src) != self.nodes.contains(&dst)
     }
 }
 

@@ -55,5 +55,5 @@ mod transport;
 
 pub use fault::{Delivery, FaultPlan};
 pub use network::{Network, NicStats, NodeId};
-pub use rpc::{fan_out, Incoming, Replier, RpcClient, Service};
+pub use rpc::{Incoming, Replier, RpcClient, Service};
 pub use transport::{Transport, WireSize};

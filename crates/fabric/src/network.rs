@@ -85,13 +85,6 @@ impl FaultState {
     }
 }
 
-/// What the fault layer decided for one message.
-enum Fate {
-    Deliver,
-    Duplicate,
-    Drop,
-}
-
 struct Inner {
     handle: SimHandle,
     transport: Transport,
@@ -147,11 +140,6 @@ impl Network {
         id
     }
 
-    /// The default transport of this network.
-    pub fn transport(&self) -> Transport {
-        self.inner.transport.clone()
-    }
-
     /// The simulation handle this network schedules on.
     pub fn handle(&self) -> SimHandle {
         self.inner.handle.clone()
@@ -163,30 +151,6 @@ impl Network {
             nics.get(node.0 as usize)
                 .unwrap_or_else(|| panic!("{node} is not registered on this network")),
         )
-    }
-
-    /// Move `bytes` from `src` to `dst` over the network's default
-    /// transport, modelling NIC contention on both sides. Completes when
-    /// the last byte has been received.
-    pub async fn transfer(&self, src: NodeId, dst: NodeId, bytes: usize) {
-        self.transfer_with(src, dst, bytes, None).await;
-    }
-
-    /// Like [`Network::transfer`] but with an optional per-call transport
-    /// override (used by the RDMA-for-the-cache-bank ablation).
-    ///
-    /// Raw transfers are *not* subject to the installed [`FaultPlan`];
-    /// fault-checked delivery is [`Network::deliver`], which the RPC layer
-    /// uses for every request/response leg.
-    pub async fn transfer_with(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        transport: Option<&Transport>,
-    ) {
-        self.transfer_leg(src, dst, bytes, transport, SimDuration::ZERO, true)
-            .await;
     }
 
     /// The mechanics of one message: TX station, propagation (+`extra`
@@ -238,10 +202,15 @@ impl Network {
         dst_nic.msgs_rx.inc();
     }
 
-    /// Move `bytes` from `src` to `dst` under the installed [`FaultPlan`]
-    /// (if any) and report the message's fate. With no plan installed this
-    /// is exactly [`Network::transfer_with`] and always returns
-    /// [`Delivery::Ok`].
+    /// Move `bytes` from `src` to `dst`, modelling NIC contention on both
+    /// sides, under the installed [`FaultPlan`] (if any), and report the
+    /// message's fate. Completes when the last byte has been received (or,
+    /// for a dropped message, has left the wire). `transport` overrides
+    /// the network's default per call (the RDMA-for-the-cache-bank
+    /// ablation). This is the one path every message takes.
+    ///
+    /// With no plan installed every message is [`Delivery::Ok`] and an
+    /// uncontended one costs exactly [`Transport::unloaded_one_way`].
     ///
     /// * Dropped messages pay the sender-side cost and propagation but
     ///   never occupy the receiver.
@@ -260,76 +229,62 @@ impl Network {
     ) -> Delivery {
         let (fate, extra) = self.judge(src, dst);
         match fate {
-            Fate::Drop => {
-                self.inner.dropped.inc();
-                self.transfer_leg(src, dst, bytes, transport, extra, false)
-                    .await;
-                Delivery::Dropped
-            }
-            Fate::Duplicate => {
-                self.inner.duplicated.inc();
-                self.transfer_leg(src, dst, bytes, transport, extra, true)
-                    .await;
-                // The duplicate's wire cost accrues in the background so
-                // the original is not delayed behind its own echo.
-                let net = self.clone();
-                let tp = transport.cloned();
-                self.inner.handle.spawn(async move {
-                    net.transfer_leg(src, dst, bytes, tp.as_ref(), extra, true)
-                        .await;
-                });
-                Delivery::Duplicated
-            }
-            Fate::Deliver => {
-                self.transfer_leg(src, dst, bytes, transport, extra, true)
-                    .await;
-                Delivery::Ok
-            }
+            Delivery::Ok => {}
+            Delivery::Duplicated => self.inner.duplicated.inc(),
+            Delivery::Dropped => self.inner.dropped.inc(),
         }
+        self.transfer_leg(src, dst, bytes, transport, extra, fate.arrived())
+            .await;
+        if fate == Delivery::Duplicated {
+            // The duplicate's wire cost accrues in the background so the
+            // original is not delayed behind its own echo.
+            let net = self.clone();
+            let tp = transport.cloned();
+            self.inner.handle.spawn(async move {
+                net.transfer_leg(src, dst, bytes, tp.as_ref(), extra, true)
+                    .await;
+            });
+        }
+        fate
     }
 
     /// Decide the fate of one `src → dst` message under the installed
-    /// plan. Partitions are deterministic and scope-independent; loss,
+    /// plan. Cuts are deterministic and scope-independent; loss,
     /// duplication, jitter, and windows apply only inside the scope.
-    fn judge(&self, src: NodeId, dst: NodeId) -> (Fate, SimDuration) {
+    fn judge(&self, src: NodeId, dst: NodeId) -> (Delivery, SimDuration) {
         let mut faults = self.inner.faults.borrow_mut();
         let Some(fs) = faults.as_mut() else {
-            return (Fate::Deliver, SimDuration::ZERO);
+            return (Delivery::Ok, SimDuration::ZERO);
         };
         if src == dst {
-            return (Fate::Deliver, SimDuration::ZERO);
+            return (Delivery::Ok, SimDuration::ZERO);
         }
         if fs.cuts.iter().any(|c| c.severs(src, dst)) {
-            return (Fate::Drop, SimDuration::ZERO);
+            return (Delivery::Dropped, SimDuration::ZERO);
         }
         if !fs.in_scope(src, dst) {
-            return (Fate::Deliver, SimDuration::ZERO);
+            return (Delivery::Ok, SimDuration::ZERO);
         }
         let now = self.inner.handle.now();
         if fault::in_window(&fs.plan.drop_windows, now) {
-            return (Fate::Drop, SimDuration::ZERO);
+            return (Delivery::Dropped, SimDuration::ZERO);
         }
         let mut extra = fault::spike_extra(&fs.plan.latency_spikes, now);
         extra += fs.rng.jitter(fs.plan.jitter);
         if fs.rng.chance(fs.plan.loss) {
-            return (Fate::Drop, extra);
+            return (Delivery::Dropped, extra);
         }
         if fs.rng.chance(fs.plan.duplicate) {
-            return (Fate::Duplicate, extra);
+            return (Delivery::Duplicated, extra);
         }
-        (Fate::Deliver, extra)
+        (Delivery::Ok, extra)
     }
 
     /// Install a fault plan. Replaces any previous plan (and clears its
-    /// partitions); the plan's RNG is reseeded from `plan.seed`, so
+    /// cuts); the plan's RNG is reseeded from `plan.seed`, so
     /// installing the same plan twice replays the same fault schedule.
     pub fn install_faults(&self, plan: FaultPlan) {
         *self.inner.faults.borrow_mut() = Some(FaultState::new(plan));
-    }
-
-    /// Whether a fault plan is currently installed.
-    pub fn faults_installed(&self) -> bool {
-        self.inner.faults.borrow().is_some()
     }
 
     fn with_faults(&self, f: impl FnOnce(&mut FaultState)) {
@@ -337,31 +292,15 @@ impl Network {
         f(faults.get_or_insert_with(|| FaultState::new(FaultPlan::default())));
     }
 
-    /// Sever all traffic between node sets `a` and `b` under `name`, until
-    /// [`Network::heal`]\(`name`\) is called. Installs a benign default
-    /// plan if none is installed yet. Partitions apply regardless of the
-    /// plan's scope.
-    pub fn partition(
-        &self,
-        name: impl Into<String>,
-        a: impl IntoIterator<Item = NodeId>,
-        b: impl IntoIterator<Item = NodeId>,
-    ) {
-        let cut = Cut {
-            name: name.into(),
-            a: a.into_iter().collect(),
-            b: Some(b.into_iter().collect()),
-        };
-        self.with_faults(|fs| fs.cuts.push(cut));
-    }
-
     /// Sever all traffic between `nodes` and every *other* node (including
-    /// ones registered later) under `name`, until healed.
+    /// ones registered later) under `name`, until
+    /// [`Network::heal`]\(`name`\) is called. Installs a benign default
+    /// plan if none is installed yet. Cuts apply regardless of the plan's
+    /// scope.
     pub fn isolate(&self, name: impl Into<String>, nodes: impl IntoIterator<Item = NodeId>) {
         let cut = Cut {
             name: name.into(),
-            a: nodes.into_iter().collect(),
-            b: None,
+            nodes: nodes.into_iter().collect(),
         };
         self.with_faults(|fs| fs.cuts.push(cut));
     }
@@ -370,13 +309,6 @@ impl Network {
     pub fn heal(&self, name: &str) {
         if let Some(fs) = self.inner.faults.borrow_mut().as_mut() {
             fs.cuts.retain(|c| c.name != name);
-        }
-    }
-
-    /// Remove every cut.
-    pub fn heal_all(&self) {
-        if let Some(fs) = self.inner.faults.borrow_mut().as_mut() {
-            fs.cuts.clear();
         }
     }
 
@@ -432,35 +364,26 @@ mod tests {
     }
 
     #[test]
-    fn single_transfer_matches_unloaded_model() {
-        let tp = Transport::ipoib_ddr();
-        let end = finish_time(|sim, net| {
-            let a = net.add_node();
-            let b = net.add_node();
-            sim.spawn(async move {
-                net.transfer(a, b, 4096).await;
-            });
-        });
-        assert_eq!(end.as_nanos(), tp.unloaded_one_way(4096).as_nanos());
-    }
-
-    #[test]
     fn loopback_bypasses_nics() {
-        let end = finish_time(|sim, net| {
-            let a = net.add_node();
-            let n2 = net.clone();
-            sim.spawn(async move {
-                n2.transfer(a, a, 1 << 20).await;
-            });
-            let stats = net.clone();
-            let a2 = a;
-            // Check after run via closure capture isn't possible; assert inline.
-            sim.spawn(async move {
-                let _ = (stats, a2);
-            });
+        let mut sim = Sim::new(0);
+        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+        let a = net.add_node();
+        let net2 = net.clone();
+        sim.spawn(async move {
+            assert_eq!(net2.deliver(a, a, 1 << 20, None).await, Delivery::Ok);
         });
-        // Far faster than the wire would allow.
+        let end = sim.run().end_time;
+        // Far faster than the wire would allow...
         assert!(end.as_nanos() < Transport::ipoib_ddr().unloaded_one_way(1 << 20).as_nanos());
+        // ...and neither of the node's NIC stations saw the message.
+        let snap = net.registry().snapshot();
+        for metric in ["bytes_tx", "bytes_rx", "msgs_tx", "msgs_rx"] {
+            assert_eq!(
+                snap.counter(&format!("nic.{}.{metric}", a.0)),
+                Some(0),
+                "{metric}"
+            );
+        }
     }
 
     #[test]
@@ -476,7 +399,7 @@ mod tests {
             for src in [s1, s2] {
                 let net = net.clone();
                 sim.spawn(async move {
-                    net.transfer(src, dst, bytes).await;
+                    assert_eq!(net.deliver(src, dst, bytes, None).await, Delivery::Ok);
                 });
             }
         });
@@ -500,7 +423,7 @@ mod tests {
             for (src, dst) in [(s1, d1), (s2, d2)] {
                 let net = net.clone();
                 sim.spawn(async move {
-                    net.transfer(src, dst, bytes).await;
+                    assert_eq!(net.deliver(src, dst, bytes, None).await, Delivery::Ok);
                 });
             }
         });
@@ -515,8 +438,8 @@ mod tests {
         let b = net.add_node();
         let net2 = net.clone();
         sim.spawn(async move {
-            net2.transfer(a, b, 1000).await;
-            net2.transfer(a, b, 500).await;
+            assert_eq!(net2.deliver(a, b, 1000, None).await, Delivery::Ok);
+            assert_eq!(net2.deliver(a, b, 500, None).await, Delivery::Ok);
         });
         sim.run();
         let sa = net.nic_stats(a);
@@ -536,7 +459,7 @@ mod tests {
             let b = net.add_node();
             sim.spawn(async move {
                 let rdma = Transport::rdma_ddr();
-                net.transfer_with(a, b, 4096, Some(&rdma)).await;
+                assert_eq!(net.deliver(a, b, 4096, Some(&rdma)).await, Delivery::Ok);
             });
         });
         assert_eq!(end.as_nanos(), rdma.unloaded_one_way(4096).as_nanos());
@@ -549,7 +472,7 @@ mod tests {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
         let a = net.add_node();
         sim.spawn(async move {
-            net.transfer(a, NodeId(99), 1).await;
+            net.deliver(a, NodeId(99), 1, None).await;
         });
         sim.run();
     }
@@ -589,10 +512,10 @@ mod tests {
             assert_eq!(net2.deliver(a, b, 4096, None).await, Delivery::Ok);
         });
         let end = sim.run().end_time;
-        // Without faults, deliver costs exactly what transfer costs.
+        // Without faults, an uncontended message costs exactly the
+        // unloaded model.
         let tp = Transport::ipoib_ddr();
         assert_eq!(end.as_nanos(), tp.unloaded_one_way(4096).as_nanos());
-        assert!(!net.faults_installed());
     }
 
     #[test]
@@ -645,26 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_severs_and_heals() {
-        let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let a = net.add_node();
-        let b = net.add_node();
-        let c = net.add_node();
-        net.partition("net-split", [a], [b]);
-        let net2 = net.clone();
-        sim.spawn(async move {
-            assert_eq!(net2.deliver(a, b, 64, None).await, Delivery::Dropped);
-            assert_eq!(net2.deliver(b, a, 64, None).await, Delivery::Dropped);
-            // Not across the cut: unaffected.
-            assert_eq!(net2.deliver(a, c, 64, None).await, Delivery::Ok);
-            net2.heal("net-split");
-            assert_eq!(net2.deliver(a, b, 64, None).await, Delivery::Ok);
-        });
-        sim.run();
-    }
-
-    #[test]
     fn isolate_cuts_off_later_nodes_too() {
         let mut sim = Sim::new(0);
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
@@ -677,7 +580,7 @@ mod tests {
         sim.spawn(async move {
             assert_eq!(net2.deliver(late, a, 64, None).await, Delivery::Dropped);
             assert_eq!(net2.deliver(b, late, 64, None).await, Delivery::Ok);
-            net2.heal_all();
+            net2.heal("quarantine");
             assert_eq!(net2.deliver(late, a, 64, None).await, Delivery::Ok);
         });
         sim.run();

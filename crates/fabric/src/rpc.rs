@@ -9,7 +9,6 @@
 
 use imca_metrics::Histogram;
 use imca_sim::sync::{oneshot, OneshotSender, Queue};
-use imca_sim::{join_all, SimHandle};
 
 use crate::fault::Delivery;
 use crate::network::{Network, NodeId};
@@ -23,8 +22,6 @@ pub const RPC_CALL_NS: &str = "rpc.call_ns";
 pub struct Incoming<Req, Resp> {
     /// The request payload.
     pub req: Req,
-    /// The node that sent the request.
-    pub src: NodeId,
     replier: Replier<Resp>,
 }
 
@@ -38,8 +35,8 @@ impl<Req, Resp: WireSize + 'static> Incoming<Req, Resp> {
 
     /// Split into request and reply handle, for servers that finish the
     /// request asynchronously.
-    pub fn into_parts(self) -> (Req, NodeId, Replier<Resp>) {
-        (self.req, self.src, self.replier)
+    pub fn into_parts(self) -> (Req, Replier<Resp>) {
+        (self.req, self.replier)
     }
 }
 
@@ -113,11 +110,6 @@ impl<Req: WireSize + 'static, Resp: WireSize + 'static> Service<Req, Resp> {
         }
     }
 
-    /// The node this service runs on.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The network this service is bound to.
     pub fn network(&self) -> &Network {
         &self.net
@@ -126,11 +118,6 @@ impl<Req: WireSize + 'static, Resp: WireSize + 'static> Service<Req, Resp> {
     /// Wait for the next request; `None` after [`Service::close`].
     pub async fn recv(&self) -> Option<Incoming<Req, Resp>> {
         self.queue.recv().await
-    }
-
-    /// Requests queued but not yet taken by a worker.
-    pub fn backlog(&self) -> usize {
-        self.queue.len()
     }
 
     /// Stop accepting requests; pending `recv`s resolve `None` after the
@@ -222,43 +209,13 @@ impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, R
             .deliver(self.src, self.dst, bytes, self.transport.as_ref())
             .await;
         let (tx, rx) = oneshot();
-        match fate {
-            Delivery::Dropped => {
-                // The server never sees the request and the sender gets no
-                // TCP-level signal: keep the sender half alive forever so
-                // the call resolves only via the caller's own deadline.
-                std::mem::forget(tx);
-            }
-            Delivery::Ok | Delivery::Duplicated => {
-                let dup = (fate == Delivery::Duplicated).then(|| req.clone());
-                self.queue.push(Incoming {
-                    req,
-                    src: self.src,
-                    replier: Replier {
-                        net: self.net.clone(),
-                        from: self.dst,
-                        to: self.src,
-                        tx,
-                        transport: self.transport.clone(),
-                    },
-                });
-                if let Some(copy) = dup {
-                    // The duplicate is answered too, but its response has
-                    // nowhere to land (receiver dropped up front).
-                    let (dtx, _drx) = oneshot();
-                    self.queue.push(Incoming {
-                        req: copy,
-                        src: self.src,
-                        replier: Replier {
-                            net: self.net.clone(),
-                            from: self.dst,
-                            to: self.src,
-                            tx: dtx,
-                            transport: self.transport.clone(),
-                        },
-                    });
-                }
-            }
+        if fate.arrived() {
+            self.enqueue(req, tx, fate);
+        } else {
+            // The server never sees the request and the sender gets no
+            // TCP-level signal: keep the sender half alive forever so the
+            // call resolves only via the caller's own deadline.
+            std::mem::forget(tx);
         }
         let resp = rx.await.ok();
         if resp.is_some() {
@@ -294,11 +251,17 @@ impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, R
         }
         // The receiver half is dropped up front: the reply has nowhere to
         // land and nobody blocks on it.
-        let dup = (fate == Delivery::Duplicated).then(|| req.clone());
-        let (tx, _rx) = oneshot();
-        self.queue.push(Incoming {
+        self.enqueue(req, oneshot().0, fate);
+        true
+    }
+
+    /// Hand a request that reached the server to the service's mailbox,
+    /// with a reply handle that answers through `tx`. A duplicated request
+    /// leg queues a second copy right behind it: the server answers it
+    /// too, but that response has nowhere to land.
+    fn enqueue(&self, req: Req, tx: OneshotSender<Resp>, fate: Delivery) {
+        let envelope = |req, tx| Incoming {
             req,
-            src: self.src,
             replier: Replier {
                 net: self.net.clone(),
                 from: self.dst,
@@ -306,55 +269,13 @@ impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, R
                 tx,
                 transport: self.transport.clone(),
             },
-        });
+        };
+        let dup = (fate == Delivery::Duplicated).then(|| req.clone());
+        self.queue.push(envelope(req, tx));
         if let Some(copy) = dup {
-            let (dtx, _drx) = oneshot();
-            self.queue.push(Incoming {
-                req: copy,
-                src: self.src,
-                replier: Replier {
-                    net: self.net.clone(),
-                    from: self.dst,
-                    to: self.src,
-                    tx: dtx,
-                    transport: self.transport.clone(),
-                },
-            });
+            self.queue.push(envelope(copy, oneshot().0));
         }
-        true
     }
-
-    /// The node this client sends from.
-    pub fn src(&self) -> NodeId {
-        self.src
-    }
-
-    /// The node this client sends to.
-    pub fn dst(&self) -> NodeId {
-        self.dst
-    }
-}
-
-/// Issue one RPC per `(client, request)` pair concurrently and collect the
-/// responses in input order (`None` where the service dropped the
-/// request). This is the fan-out primitive batched protocols build on:
-/// group requests by destination, then hit every destination in parallel.
-pub async fn fan_out<Req, Resp>(
-    handle: &SimHandle,
-    calls: Vec<(RpcClient<Req, Resp>, Req)>,
-) -> Vec<Option<Resp>>
-where
-    Req: WireSize + Clone + 'static,
-    Resp: WireSize + 'static,
-{
-    join_all(
-        handle,
-        calls
-            .into_iter()
-            .map(|(client, req)| async move { client.try_call(req).await })
-            .collect(),
-    )
-    .await
 }
 
 #[cfg(test)]
@@ -510,38 +431,23 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_preserves_order_and_reports_drops() {
+    fn request_the_service_drops_resolves_try_call_to_none() {
+        // A server that takes a request and drops it unanswered (a killed
+        // daemon) must surface as `None`, not hang or panic.
         let mut sim = Sim::new(0);
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let answering = net.add_node();
-        let closed = net.add_node();
+        let server = net.add_node();
         let client_node = net.add_node();
-        let svc_a: Service<Ping, Pong> = Service::bind(&net, answering);
-        let svc_b: Service<Ping, Pong> = Service::bind(&net, closed);
-        let cli_a = svc_a.client(client_node);
-        let cli_b = svc_b.client(client_node);
-        let svc2 = svc_a.clone();
-        sim.spawn(async move {
-            while let Some(msg) = svc2.recv().await {
-                let v = msg.req.0;
-                msg.respond(Pong(v * 2));
-            }
-        });
-        // The second service drops everything it receives.
-        let svc3 = svc_b.clone();
-        sim.spawn(async move { while svc3.recv().await.is_some() {} });
-        let h = sim.handle();
-        sim.spawn(async move {
-            let got = fan_out(
-                &h,
-                vec![(cli_a.clone(), Ping(1)), (cli_b, Ping(2)), (cli_a, Ping(3))],
-            )
-            .await;
-            assert_eq!(got[0], Some(Pong(2)));
-            assert_eq!(got[1], None, "dropped request must surface as None");
-            assert_eq!(got[2], Some(Pong(6)));
-        });
-        sim.run();
+        let svc: Service<Ping, Pong> = Service::bind(&net, server);
+        let cli = svc.client(client_node);
+        let svc2 = svc.clone();
+        sim.spawn(async move { while svc2.recv().await.is_some() {} });
+        let got = Rc::new(Cell::new(Some(Pong(0))));
+        let got2 = Rc::clone(&got);
+        sim.spawn(async move { got2.set(cli.try_call(Ping(1)).await) });
+        let s = sim.run();
+        assert_eq!(got.take(), None, "dropped request must surface as None");
+        assert_eq!(s.tasks_leaked, 1, "only the idle server stays blocked");
     }
 
     #[test]
@@ -631,7 +537,7 @@ mod tests {
         sim.spawn(async move {
             while let Some(msg) = svc2.recv().await {
                 seen2.set(seen2.get() + 1);
-                let (_, _, _replier) = msg.into_parts();
+                let (_, _replier) = msg.into_parts();
                 // noreply: never respond.
             }
         });

@@ -27,11 +27,12 @@ pub struct ServerParams {
 
 impl Default for ServerParams {
     fn default() -> ServerParams {
-        // Calibrated to the paper's own numbers: GlusterFS 1.x served fops
-        // from an (almost) single-threaded userspace daemon — the
-        // near-linear NoCache degradation in Figs 5/8 needs a server that
-        // saturates early, while the 417 MB/s NoCache IOzone ceiling
-        // (Fig 9) pins per-fop occupancy near 25 µs over two contexts.
+        // GlusterFS 1.x served fops from an (almost) single-threaded
+        // userspace daemon, and the near-linear NoCache degradation in
+        // Figs 5/8 needs a server that saturates early. These constants
+        // cap the server at 2 contexts ÷ 25 µs = 80 000 fops/s, which at
+        // Fig 9's 2 KB records is a 164 MB/s NoCache ceiling, not the
+        // paper's 417 MB/s: see EXPERIMENTS.md, Known deviations 2 and 3.
         ServerParams {
             fop_cpu: SimDuration::micros(25),
             io_threads: 2,
@@ -113,7 +114,7 @@ pub fn start_server_with_control(
                 if !alive.get() {
                     return;
                 }
-                let (fop, _src, replier) = incoming.into_parts();
+                let (fop, replier) = incoming.into_parts();
                 let reply = wind(&child, fop).await;
                 // The daemon may have died while this fop was in flight —
                 // after the stack possibly mutated state. The reply is

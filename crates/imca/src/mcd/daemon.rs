@@ -272,7 +272,7 @@ pub fn start_mcd(net: &Network, node: NodeId, cfg: McConfig, costs: McdCosts) ->
                 let queue_depth = Rc::clone(&queue_depth);
                 let h3 = h2.clone();
                 h2.spawn(async move {
-                    let (req, _src, replier) = incoming.into_parts();
+                    let (req, replier) = incoming.into_parts();
                     let _depth = DecrOnDrop(queue_depth);
                     let _slot = cpu.acquire().await;
                     if !alive.get() {

@@ -129,7 +129,7 @@ impl LustreCluster {
             let cfg2 = cfg.clone();
             handle.spawn(async move {
                 while let Some(incoming) = svc.recv().await {
-                    let (req, _src, replier) = incoming.into_parts();
+                    let (req, replier) = incoming.into_parts();
                     cpu.serve(&h, cfg2.mds_op_cpu).await;
                     let resp = match req {
                         MdsReq::Create { path } => {
@@ -263,7 +263,7 @@ impl LustreCluster {
                 let op_cpu = cfg.ost_op_cpu;
                 handle.spawn(async move {
                     while let Some(incoming) = svc.recv().await {
-                        let (req, _src, replier) = incoming.into_parts();
+                        let (req, replier) = incoming.into_parts();
                         let backend = backend.clone();
                         let cpu = cpu.clone();
                         let h2 = h.clone();

@@ -721,15 +721,25 @@ mod tests {
 
     #[test]
     fn bucket_index_is_monotonic_and_bounded() {
-        let mut last = 0usize;
-        for shift in 0..64u32 {
-            let v = 1u64 << shift;
-            for probe in [v, v + v / 3, v + v / 2, (v - 1).max(1)] {
-                let idx = bucket_index(probe);
-                assert!(idx < NUM_BUCKETS, "v={probe} idx={idx}");
-                let _ = last;
-                last = idx;
-            }
+        // Every value below 4 096, then each 2^k - 1, 2^k, 2^k + 1 up to
+        // u64::MAX: an ascending sweep across every octave boundary.
+        let mut probes: Vec<u64> = (0..4096).collect();
+        for k in 12..64 {
+            let p = 1u64 << k;
+            probes.extend([p - 1, p, p + 1]);
+        }
+        probes.push(u64::MAX);
+        probes.dedup(); // 2^12 - 1 is also the sweep's last value
+        let (mut prev_v, mut prev_idx) = (0u64, 0usize);
+        for v in probes {
+            let idx = bucket_index(v);
+            assert!(v >= prev_v, "probes must ascend: {prev_v} then {v}");
+            assert!(idx < NUM_BUCKETS, "v={v} idx={idx}");
+            assert!(
+                idx >= prev_idx,
+                "v={v} idx={idx} < {prev_idx} at v={prev_v}"
+            );
+            (prev_v, prev_idx) = (v, idx);
         }
         // Upper bound is never below the values mapping into the bucket.
         for v in [0u64, 1, 7, 8, 9, 100, 4096, 123_456_789, u64::MAX / 2] {

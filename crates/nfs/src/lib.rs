@@ -128,7 +128,7 @@ impl NfsCluster {
             let op_cpu = cfg.op_cpu;
             handle.spawn(async move {
                 while let Some(incoming) = svc2.recv().await {
-                    let (req, _src, replier) = incoming.into_parts();
+                    let (req, replier) = incoming.into_parts();
                     let backend = backend.clone();
                     let cpu = cpu.clone();
                     let h2 = h.clone();

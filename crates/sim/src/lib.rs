@@ -68,5 +68,5 @@ mod wheel;
 
 pub use sim::{yield_now, Delay, RunSummary, Sim, SimHandle, YieldNow};
 pub use time::{SimDuration, SimTime};
-pub use util::{join2, join_all, timeout, TokenBucket};
+pub use util::{join_all, timeout, TokenBucket};
 pub use wheel::Scheduler;

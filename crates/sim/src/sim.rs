@@ -8,13 +8,8 @@
 //! virtual clock to the next pending timer. Two runs with the same seed and
 //! the same model code produce bit-identical traces.
 //!
-//! Events have a total order `(at, node, seq)`: virtual time first, then
-//! the node tag of the task that registered the timer, then registration
-//! order. Tasks inherit their spawner's node tag (override with
-//! [`SimHandle::spawn_on`]); untagged code runs as node 0, where the order
-//! degenerates to the classic `(at, seq)` — tagging is for models that
-//! want same-instant events ordered by the node they run on rather than
-//! by who happened to register first (`imca-workloads`' scale sweep).
+//! Events have a total order `(at, seq)`: virtual time first, then the
+//! order in which the timers were registered.
 //!
 //! Timers are stored in a hierarchical timer wheel by default; the global
 //! `BinaryHeap` remains available via [`Sim::with_scheduler`] as the
@@ -109,7 +104,6 @@ impl std::task::Wake for TaskWaker {
 /// every poll.
 struct SlabTask {
     fut: BoxedTask,
-    node: u32,
     waker: Waker,
 }
 
@@ -190,9 +184,6 @@ pub(crate) struct Core {
     /// Scratch for the batched ready drain, kept allocated across drains
     /// so the swap never allocates.
     batch: RefCell<VecDeque<TaskId>>,
-    /// Node tag of the task currently being polled (0 outside polls).
-    /// Spawns and timer registrations inherit it.
-    current_node: Cell<u32>,
     rng: RefCell<SmallRng>,
     events: Cell<u64>,
     spawned_total: Cell<u64>,
@@ -215,10 +206,8 @@ impl Core {
                     continue; // stale wake
                 };
                 self.events.set(self.events.get() + 1);
-                self.current_node.set(task.node);
                 let mut cx = Context::from_waker(&task.waker);
                 let still_pending = task.fut.as_mut().poll(&mut cx).is_pending();
-                self.current_node.set(0);
                 let mut slab = self.slab.borrow_mut();
                 if still_pending {
                     slab.put_back(id, task);
@@ -306,7 +295,6 @@ impl Sim {
                 ready: Arc::new(ReadyQueue::default()),
                 slab: RefCell::new(Slab::default()),
                 batch: RefCell::new(VecDeque::new()),
-                current_node: Cell::new(0),
                 rng: RefCell::new(SmallRng::seed_from_u64(seed)),
                 events: Cell::new(0),
                 spawned_total: Cell::new(0),
@@ -385,26 +373,8 @@ impl SimHandle {
         self.core.now.get()
     }
 
-    /// Number of task polls executed so far.
-    pub fn events(&self) -> u64 {
-        self.core.events.get()
-    }
-
-    /// Node tag of the currently running task (0 outside polls).
-    pub fn node(&self) -> u32 {
-        self.core.current_node.get()
-    }
-
-    /// Spawn a new process tagged with the spawner's node. Safe to call
-    /// from inside a running process.
+    /// Spawn a new process. Safe to call from inside a running process.
     pub fn spawn<F: Future<Output = ()> + 'static>(&self, fut: F) {
-        self.spawn_on(self.core.current_node.get(), fut);
-    }
-
-    /// Spawn a new process tagged with an explicit node id. The tag is the
-    /// middle key of the engine's `(at, node, seq)` event order; tasks
-    /// spawned by this one inherit it.
-    pub fn spawn_on<F: Future<Output = ()> + 'static>(&self, node: u32, fut: F) {
         self.core
             .spawned_total
             .set(self.core.spawned_total.get() + 1);
@@ -415,7 +385,6 @@ impl SimHandle {
         let id = slab.reserve();
         let task = SlabTask {
             fut: Box::pin(fut),
-            node,
             waker: Waker::from(Arc::new(TaskWaker {
                 id,
                 ready: Arc::clone(&self.core.ready),
@@ -464,15 +433,6 @@ impl SimHandle {
     pub fn fork_rng(&self) -> SmallRng {
         SmallRng::seed_from_u64(self.rng_u64())
     }
-
-    /// An exponentially distributed duration with the given mean
-    /// (clamped to at least 1 ns). Used for randomized service times.
-    pub fn rng_exp(&self, mean: SimDuration) -> SimDuration {
-        let u: f64 = self.rng_f64();
-        // Inverse-CDF sampling; (1 - u) avoids ln(0).
-        let x = -(1.0 - u).ln() * mean.as_secs_f64();
-        SimDuration::from_secs_f64(x.max(1e-9))
-    }
 }
 
 impl std::fmt::Debug for SimHandle {
@@ -510,7 +470,6 @@ impl Future for Delay {
             self.core.seq.set(seq + 1);
             self.core.timers.borrow_mut().push(TimerEntry {
                 at: self.at,
-                node: self.core.current_node.get(),
                 seq,
                 waker: cx.waker().clone(),
                 cancelled: Some(token),
@@ -709,22 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn rng_exp_is_positive_with_sane_mean() {
-        let sim = Sim::new(3);
-        let h = sim.handle();
-        let mean = SimDuration::micros(100);
-        let n = 10_000;
-        let mut total = 0u64;
-        for _ in 0..n {
-            let d = h.rng_exp(mean);
-            assert!(d.as_nanos() >= 1);
-            total += d.as_nanos();
-        }
-        let avg = total as f64 / n as f64;
-        assert!((avg - 100_000.0).abs() < 5_000.0, "avg={avg}");
-    }
-
-    #[test]
     fn dropped_delay_does_not_advance_the_clock() {
         // The cancellation path: a Delay raced against a faster future and
         // dropped. End time must stay at the fast future's time.
@@ -759,35 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn same_tick_events_order_by_node_then_seq_under_both_engines() {
-        // Two same-tick deliveries to one node must replay identically
-        // under both timer back-ends: the total order is (at, node, seq),
-        // so a task on node 2 sleeping to the same instant as a task on
-        // node 1 fires after it even if it registered first.
-        fn run_once(scheduler: Scheduler) -> Vec<String> {
-            let mut sim = Sim::with_scheduler(0, scheduler);
-            let log = Rc::new(StdRefCell::new(Vec::new()));
-            // Registration order deliberately inverts node order.
-            for (node, name) in [(2u32, "n2-first"), (1u32, "n1-a"), (1u32, "n1-b")] {
-                let h = sim.handle();
-                let log = Rc::clone(&log);
-                let h2 = h.clone();
-                h.spawn_on(node, async move {
-                    h2.sleep_until(SimTime(5_000)).await;
-                    log.borrow_mut().push(format!("{name}@{}", h2.node()));
-                });
-            }
-            sim.run();
-            let log = log.borrow().clone();
-            log
-        }
-        let heap = run_once(Scheduler::Heap);
-        let wheel = run_once(Scheduler::Wheel);
-        assert_eq!(heap, vec!["n1-a@1", "n1-b@1", "n2-first@2"]);
-        assert_eq!(heap, wheel, "both engines must agree on the total order");
-    }
-
-    #[test]
     fn wheel_handles_far_future_and_overflow_migration() {
         // Deadlines beyond the wheel's 2^36 ns span live in the overflow
         // heap and must still fire in exact order as the base advances.
@@ -814,25 +728,29 @@ mod tests {
     fn wheel_accepts_registration_below_prepared_base() {
         // run_until can leave the wheel's base beyond `now` (the next
         // pending fire was past the deadline). A timer registered in the
-        // gap must still fire first, in exact order.
-        let mut sim = Sim::new(0);
-        let h = sim.handle();
-        let order = Rc::new(StdRefCell::new(Vec::new()));
-        let o2 = Rc::clone(&order);
-        let h2 = h.clone();
-        sim.spawn(async move {
-            h2.sleep_until(SimTime(10_000)).await;
-            o2.borrow_mut().push("late");
-        });
-        sim.run_until(SimTime(1_000)); // base prepared up to 10_000
-        let o3 = Rc::clone(&order);
-        let h3 = h.clone();
-        sim.spawn(async move {
-            h3.sleep_until(SimTime(2_000)).await;
-            o3.borrow_mut().push("early");
-        });
-        let s = sim.run();
-        assert_eq!(*order.borrow(), vec!["early", "late"]);
-        assert_eq!(s.end_time.0, 10_000);
+        // gap must still fire first, and one registered at exactly the
+        // prepared base joins that tick behind the timer already there.
+        for scheduler in [Scheduler::Heap, Scheduler::Wheel] {
+            let mut sim = Sim::with_scheduler(0, scheduler);
+            let order = Rc::new(StdRefCell::new(Vec::new()));
+            let fire_at = |sim: &mut Sim, t: u64, name: &'static str| {
+                let (h, order) = (sim.handle(), Rc::clone(&order));
+                sim.spawn(async move {
+                    h.sleep_until(SimTime(t)).await;
+                    order.borrow_mut().push(name);
+                });
+            };
+            fire_at(&mut sim, 10_000, "base-before");
+            sim.run_until(SimTime(1_000)); // base prepared up to 10_000
+            fire_at(&mut sim, 2_000, "early");
+            fire_at(&mut sim, 10_000, "base-after");
+            let s = sim.run();
+            assert_eq!(
+                *order.borrow(),
+                vec!["early", "base-before", "base-after"],
+                "{scheduler:?}"
+            );
+            assert_eq!(s.end_time.0, 10_000);
+        }
     }
 }

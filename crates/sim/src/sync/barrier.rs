@@ -53,11 +53,6 @@ impl Barrier {
             generation: None,
         }
     }
-
-    /// Number of participating processes.
-    pub fn parties(&self) -> usize {
-        self.inner.borrow().parties
-    }
 }
 
 /// Future returned by [`Barrier::wait`].

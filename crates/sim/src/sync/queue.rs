@@ -61,11 +61,6 @@ impl<T> Queue<T> {
         }
     }
 
-    /// Pop the front item without waiting.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.borrow_mut().items.pop_front()
-    }
-
     /// Wait for the next item. Resolves to `None` once the queue is closed
     /// and drained.
     pub fn recv(&self) -> Recv<T> {
@@ -92,11 +87,6 @@ impl<T> Queue<T> {
     /// Whether no items are buffered.
     pub fn is_empty(&self) -> bool {
         self.inner.borrow().items.is_empty()
-    }
-
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.inner.borrow().closed
     }
 }
 
@@ -176,7 +166,6 @@ mod tests {
         q.close();
         q.push(1);
         assert!(q.is_empty());
-        assert!(q.is_closed());
     }
 
     #[test]
@@ -205,15 +194,5 @@ mod tests {
         let mut got = seen.borrow().clone();
         got.sort_unstable();
         assert_eq!(got, (0..9).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_recv_nonblocking() {
-        let q: Queue<u32> = Queue::new();
-        assert_eq!(q.try_recv(), None);
-        q.push(7);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.try_recv(), Some(7));
-        assert_eq!(q.try_recv(), None);
     }
 }

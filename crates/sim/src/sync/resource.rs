@@ -25,8 +25,6 @@ struct Inner {
     waiters: BTreeMap<u64, Waker>,
     /// Tickets abandoned before admission (future dropped).
     cancelled: BTreeSet<u64>,
-    /// Cumulative admitted count, for utilisation accounting.
-    admitted: u64,
 }
 
 impl Inner {
@@ -71,7 +69,6 @@ impl Resource {
                 serving: 0,
                 waiters: BTreeMap::new(),
                 cancelled: BTreeSet::new(),
-                admitted: 0,
             })),
         }
     }
@@ -93,19 +90,9 @@ impl Resource {
         drop(guard);
     }
 
-    /// Number of slots currently held.
-    pub fn in_use(&self) -> usize {
-        self.inner.borrow().in_use
-    }
-
     /// Number of acquirers waiting for a slot.
     pub fn queue_len(&self) -> usize {
         self.inner.borrow().waiters.len()
-    }
-
-    /// Total number of acquisitions granted so far.
-    pub fn total_admitted(&self) -> u64 {
-        self.inner.borrow().admitted
     }
 }
 
@@ -131,7 +118,6 @@ impl Future for Acquire {
             inner.waiters.remove(&ticket);
             inner.serving += 1;
             inner.in_use += 1;
-            inner.admitted += 1;
             this.admitted = true;
             // A multi-slot resource may be able to admit the next waiter too.
             inner.advance();
@@ -332,8 +318,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(last_end.get().as_nanos(), 150_000);
-        assert_eq!(res.total_admitted(), 10);
-        assert_eq!(res.in_use(), 0);
         assert_eq!(res.queue_len(), 0);
     }
 }

@@ -92,12 +92,6 @@ impl SimDuration {
         SimDuration((s * 1e9).round() as u64)
     }
 
-    /// A duration from a float number of microseconds.
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> SimDuration {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// The span in whole nanoseconds.
     #[inline]
     pub fn as_nanos(self) -> u64 {
@@ -120,12 +114,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Multiply by a float scale factor (used by calibrated cost models).
-    #[inline]
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * k)
     }
 
     /// Subtraction clamped at zero.
@@ -260,7 +248,10 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(1e-9), SimDuration::nanos(1));
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_micros_f64(2.5), SimDuration::nanos(2_500));
+        assert_eq!(
+            SimDuration::from_secs_f64(2.5e-6),
+            SimDuration::nanos(2_500)
+        );
     }
 
     #[test]
@@ -269,10 +260,5 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::micros(12)), "12.00us");
         assert_eq!(format!("{}", SimDuration::millis(12)), "12.00ms");
         assert_eq!(format!("{}", SimDuration::secs(12)), "12.000s");
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        assert_eq!(SimDuration::micros(10).mul_f64(0.5), SimDuration::micros(5));
     }
 }

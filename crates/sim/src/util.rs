@@ -85,29 +85,13 @@ impl<T> Future for Deadline<T> {
     }
 }
 
-/// Run both futures concurrently and return both outputs.
-pub async fn join2<A, B, FA, FB>(handle: &SimHandle, fa: FA, fb: FB) -> (A, B)
-where
-    A: 'static,
-    B: 'static,
-    FA: Future<Output = A> + 'static,
-    FB: Future<Output = B> + 'static,
-{
-    let (txa, rxa) = oneshot();
-    handle.spawn(async move { txa.send(fa.await) });
-    let b = fb.await;
-    let a = rxa.await.expect("join2 child task dropped its result");
-    (a, b)
-}
-
-/// A deterministic token bucket over virtual time, the rate limiter
-/// behind the bank client's retry budget and SMCache's rewarm throttle.
+/// A deterministic token bucket over virtual time: SMCache's rewarm
+/// throttle.
 ///
 /// Tokens accrue continuously at `rate_per_sec` up to `burst`; a
 /// [`TokenBucket::try_take`] either spends one token or reports the
-/// bucket empty — it never sleeps, because every caller in the overload
-/// path wants fail-fast semantics (a denied retry is a degraded miss, a
-/// denied rewarm push is simply skipped). Refill is computed lazily from
+/// bucket empty — it never sleeps, because a denied rewarm push is
+/// simply skipped. Refill is computed lazily from
 /// the virtual clock, so the bucket costs no timers and replays
 /// bit-identically.
 #[derive(Debug)]
@@ -148,12 +132,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Tokens currently available (after refilling to `now`).
-    pub fn available(&self, now: crate::time::SimTime) -> f64 {
-        self.refill(now);
-        self.tokens.get()
     }
 }
 
@@ -263,32 +241,9 @@ mod tests {
             assert!(!b.try_take(h.now()));
             // A long idle refills to burst, not beyond.
             h.sleep(SimDuration::millis(10_000)).await;
-            assert!((b.available(h.now()) - 2.0).abs() < 1e-9);
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn join2_runs_concurrently() {
-        let mut sim = Sim::new(0);
-        let h = sim.handle();
-        let h1 = h.clone();
-        let h2 = h.clone();
-        sim.spawn(async move {
-            let (a, b) = join2(
-                &h,
-                async move {
-                    h1.sleep(SimDuration::micros(10)).await;
-                    'a'
-                },
-                async move {
-                    h2.sleep(SimDuration::micros(15)).await;
-                    'b'
-                },
-            )
-            .await;
-            assert_eq!((a, b), ('a', 'b'));
-            assert_eq!(h.now().as_nanos(), 15_000);
+            assert!(b.try_take(h.now()));
+            assert!(b.try_take(h.now()));
+            assert!(!b.try_take(h.now()), "refilled past burst");
         });
         sim.run();
     }

@@ -1,12 +1,11 @@
 //! Timer storage for the executor: the hierarchical timer wheel and the
 //! global `BinaryHeap` it is checked against.
 //!
-//! Both back-ends enforce the same total event order `(at, node, seq)`:
-//! earlier virtual time first, then lower node id, then registration
-//! order. The heap gets this directly from [`TimerEntry`]'s `Ord`; the
-//! wheel sorts each fired tick. [`Scheduler`] picks the back-end per
-//! simulation — the heap stays available as the reference model for the
-//! wheel's property tests.
+//! Both back-ends enforce the same total event order `(at, seq)`:
+//! earlier virtual time first, then registration order. The heap gets
+//! this directly from [`TimerEntry`]'s `Ord`; the wheel sorts each fired
+//! tick. [`Scheduler`] picks the back-end per simulation — the heap stays
+//! available as the reference model for the wheel's property tests.
 //!
 //! ## Wheel layout
 //!
@@ -40,9 +39,9 @@ pub enum Scheduler {
     Wheel,
 }
 
-/// A timer waiting to fire. Ordered by `(at, node, seq)` — the engine's
-/// total event order — so simultaneous timers fire by node id, then in
-/// registration order. This is what makes runs reproducible.
+/// A timer waiting to fire. Ordered by `(at, seq)` — the engine's total
+/// event order — so simultaneous timers fire in registration order. This
+/// is what makes runs reproducible.
 ///
 /// `cancelled` (set when the owning `Delay` is dropped before firing)
 /// makes the entry inert: the run loop discards it *without advancing the
@@ -50,15 +49,14 @@ pub enum Scheduler {
 /// [`crate::timeout`]) does not stretch the simulation's end time.
 pub(crate) struct TimerEntry {
     pub(crate) at: SimTime,
-    pub(crate) node: u32,
     pub(crate) seq: u64,
     pub(crate) waker: Waker,
     pub(crate) cancelled: Option<Rc<Cell<bool>>>,
 }
 
 impl TimerEntry {
-    fn key(&self) -> (u64, u32, u64) {
-        (self.at.0, self.node, self.seq)
+    fn key(&self) -> (u64, u64) {
+        (self.at.0, self.seq)
     }
 
     fn is_cancelled(&self) -> bool {
@@ -149,7 +147,7 @@ pub(crate) struct TimerWheel {
     /// Deadlines below `base`; always fire before anything in the slots.
     front: BinaryHeap<Reverse<TimerEntry>>,
     /// The tick currently being fired: entries with `at == base`, sorted
-    /// by `(node, seq)`.
+    /// by `seq`.
     current: VecDeque<TimerEntry>,
     len: usize,
 }
@@ -183,11 +181,9 @@ impl TimerWheel {
         self.len += 1;
         let t = e.at.0;
         if t == self.base && !self.current.is_empty() {
-            // The tick being fired: merge in (node, seq) position so a
-            // same-tick registration keeps the engine's total order.
-            let key = (e.node, e.seq);
-            let pos = partition_point(&self.current, |x| (x.node, x.seq) < key);
-            self.current.insert(pos, e);
+            // The tick being fired: `seq` only grows, so a same-tick
+            // registration is the last of its tick.
+            self.current.push_back(e);
             return;
         }
         self.place(e);
@@ -311,7 +307,7 @@ impl TimerWheel {
                     !e.is_cancelled()
                 });
                 self.len -= before - drained.len();
-                drained.sort_unstable_by_key(|e| (e.node, e.seq));
+                drained.sort_unstable_by_key(|e| e.seq);
                 self.current.extend(drained.drain(..));
             } else {
                 // Cascade: with `base` at the slot's span start, every
@@ -354,16 +350,5 @@ impl TimerWheel {
         self.front.clear();
         self.current.clear();
         self.len = 0;
-    }
-}
-
-/// `VecDeque` lacks `partition_point`; binary search over the two slices.
-fn partition_point<T>(deque: &VecDeque<T>, pred: impl Fn(&T) -> bool) -> usize {
-    let (a, b) = deque.as_slices();
-    let in_a = a.partition_point(&pred);
-    if in_a < a.len() {
-        in_a
-    } else {
-        a.len() + b.partition_point(&pred)
     }
 }

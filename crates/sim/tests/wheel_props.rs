@@ -2,8 +2,8 @@
 //! `BinaryHeap` reference model.
 //!
 //! Both back-ends must agree on *everything* observable: fire order
-//! (including same-tick collisions resolved by the `(at, node, seq)`
-//! total order), cancellation semantics (the `timeout` combinator drops
+//! (including same-tick collisions resolved by the `(at, seq)` total
+//! order), cancellation semantics (the `timeout` combinator drops
 //! one of its two timers on every run), far-future deadlines beyond the
 //! wheel's direct span, and paused `run_until` runs that register timers
 //! below the wheel's already-prepared base.
@@ -18,12 +18,12 @@ use proptest::prelude::*;
 /// timer back-ends and the full traces compared.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Spawn a task on `node` sleeping to an absolute deadline.
-    Sleep { node: u32, at: u64 },
+    /// Spawn a task sleeping to an absolute deadline.
+    Sleep { at: u64 },
     /// Two chained sleeps: the second registers mid-run.
-    Chain { node: u32, at: u64, extra: u64 },
+    Chain { at: u64, extra: u64 },
     /// The timeout combinator: one of its two timers is always cancelled.
-    Timeout { node: u32, dur: u64, work: u64 },
+    Timeout { dur: u64, work: u64 },
 }
 
 /// Deadlines concentrated where the wheel's edge cases live: dense
@@ -40,48 +40,42 @@ fn time_strategy() -> impl Strategy<Value = u64> {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (0u32..5, time_strategy()).prop_map(|(node, at)| Op::Sleep { node, at }),
-        2 => (0u32..5, time_strategy(), 0u64..5_000)
-            .prop_map(|(node, at, extra)| Op::Chain { node, at, extra }),
-        2 => (0u32..5, 1u64..10_000, 1u64..10_000)
-            .prop_map(|(node, dur, work)| Op::Timeout { node, dur, work }),
+        4 => time_strategy().prop_map(|at| Op::Sleep { at }),
+        2 => (time_strategy(), 0u64..5_000).prop_map(|(at, extra)| Op::Chain { at, extra }),
+        2 => (1u64..10_000, 1u64..10_000).prop_map(|(dur, work)| Op::Timeout { dur, work }),
     ]
 }
 
-type Trace = Vec<(u64, u32, usize, u8)>;
+type Trace = Vec<(u64, usize, u8)>;
 
 fn spawn_program(sim: &mut Sim, ops: &[Op], log: &Rc<RefCell<Trace>>) {
     for (i, op) in ops.iter().cloned().enumerate() {
         let h = sim.handle();
         let log = Rc::clone(log);
         match op {
-            Op::Sleep { node, at } => {
-                let h2 = h.clone();
-                h.spawn_on(node, async move {
-                    h2.sleep_until(SimTime(at)).await;
-                    log.borrow_mut().push((h2.now().0, h2.node(), i, 0));
+            Op::Sleep { at } => {
+                sim.spawn(async move {
+                    h.sleep_until(SimTime(at)).await;
+                    log.borrow_mut().push((h.now().0, i, 0));
                 });
             }
-            Op::Chain { node, at, extra } => {
-                let h2 = h.clone();
-                h.spawn_on(node, async move {
-                    h2.sleep_until(SimTime(at)).await;
-                    log.borrow_mut().push((h2.now().0, h2.node(), i, 0));
-                    h2.sleep(SimDuration::nanos(extra)).await;
-                    log.borrow_mut().push((h2.now().0, h2.node(), i, 1));
+            Op::Chain { at, extra } => {
+                sim.spawn(async move {
+                    h.sleep_until(SimTime(at)).await;
+                    log.borrow_mut().push((h.now().0, i, 0));
+                    h.sleep(SimDuration::nanos(extra)).await;
+                    log.borrow_mut().push((h.now().0, i, 1));
                 });
             }
-            Op::Timeout { node, dur, work } => {
-                let h2 = h.clone();
-                h.spawn_on(node, async move {
-                    let hw = h2.clone();
-                    let res = timeout(&h2, SimDuration::nanos(dur), async move {
+            Op::Timeout { dur, work } => {
+                sim.spawn(async move {
+                    let hw = h.clone();
+                    let res = timeout(&h, SimDuration::nanos(dur), async move {
                         hw.sleep(SimDuration::nanos(work)).await;
                         7u32
                     })
                     .await;
-                    log.borrow_mut()
-                        .push((h2.now().0, h2.node(), i, res.is_some() as u8));
+                    log.borrow_mut().push((h.now().0, i, res.is_some() as u8));
                 });
             }
         }
@@ -104,7 +98,7 @@ fn run_program(ops: &[Op], scheduler: Scheduler) -> (Trace, u64, u64, u64) {
 /// the new deadlines.
 fn run_paused(
     ops: &[Op],
-    late: &[(u32, u64)],
+    late: &[u64],
     pause: u64,
     scheduler: Scheduler,
 ) -> (Trace, u64, u64, u64) {
@@ -112,14 +106,12 @@ fn run_paused(
     let log = Rc::new(RefCell::new(Vec::new()));
     spawn_program(&mut sim, ops, &log);
     sim.run_until(SimTime(pause));
-    for (j, &(node, at)) in late.iter().enumerate() {
+    for (j, &at) in late.iter().enumerate() {
         let h = sim.handle();
-        let h2 = h.clone();
         let log = Rc::clone(&log);
-        h.spawn_on(node, async move {
-            h2.sleep_until(SimTime(at)).await;
-            log.borrow_mut()
-                .push((h2.now().0, h2.node(), usize::MAX - j, 2));
+        sim.spawn(async move {
+            h.sleep_until(SimTime(at)).await;
+            log.borrow_mut().push((h.now().0, usize::MAX - j, 2));
         });
     }
     let s = sim.run();
@@ -145,7 +137,7 @@ proptest! {
     #[test]
     fn wheel_matches_heap_with_paused_runs(
         ops in prop::collection::vec(op_strategy(), 1..30),
-        late in prop::collection::vec((0u32..5, 0u64..100_000), 1..10),
+        late in prop::collection::vec(0u64..100_000, 1..10),
         pause in 1u64..100_000,
     ) {
         let heap = run_paused(&ops, &late, pause, Scheduler::Heap);

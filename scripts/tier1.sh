@@ -15,9 +15,10 @@
 #                               smoke-run every figure and ablation
 #                               binary under crates/bench/src/bin off
 #                               one build; each asserts its own claims,
-#                               so a false one exits non-zero here, and
-#                               every file they write is held to the
-#                               committed digest (scripts/smokecheck):
+#                               so a false one exits non-zero here,
+#                               run the self-checking examples, and
+#                               hold every file the binaries write to
+#                               the committed digest (scripts/smokecheck):
 #                               the modes the benchmark never runs
 #
 # The root package's tests are the contract (see ROADMAP.md); the strict
@@ -67,6 +68,15 @@ if [[ "${1:-}" == "--strict" ]]; then
         name=$(basename "$src" .rs)
         echo "== smoke: $name"
         "$BIN/$name" --smoke --out results
+    done
+
+    # The examples that assert their own claims (failover checks every
+    # byte across daemon kills), off one release build. hostprof and
+    # perfcheck are tools that need arguments, so they are only built.
+    cargo build --release --examples
+    for name in quickstart failover producer_consumer datacenter_smallfiles trace_replay; do
+        echo "== example: $name"
+        "$BIN/examples/$name"
     done
 
     # The mode gate: threaded updates, the purge protocol, per-key
