@@ -38,7 +38,7 @@ fn bench_set_get(c: &mut Criterion) {
         );
     }
     group.bench_function("get_miss", |b| {
-        let mc = Memcached::with_defaults();
+        let mc = Memcached::new(McConfig::default());
         b.iter(|| black_box(mc.get(b"/never/stored:0", 0)));
     });
     group.finish();

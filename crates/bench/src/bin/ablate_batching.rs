@@ -60,7 +60,7 @@ fn run_point(batched: bool, nblocks: u64, reads: u64, seed: u64) -> Point {
     });
     sim.run();
     assert_eq!(
-        cluster.cmcache_stats().read_misses,
+        cluster.metrics().counter_sum("cmcache.*.read_misses"),
         0,
         "ablation must measure pure cache hits"
     );
@@ -73,10 +73,7 @@ fn run_point(batched: bool, nblocks: u64, reads: u64, seed: u64) -> Point {
 }
 
 fn daemon_requests(cluster: &Cluster) -> u64 {
-    let snap = cluster.metrics();
-    (0..MCDS)
-        .map(|i| snap.counter(&format!("bank.mcd.{i}.requests")).unwrap_or(0))
-        .sum()
+    cluster.metrics().counter_sum("bank.mcd.*.requests")
 }
 
 fn main() {

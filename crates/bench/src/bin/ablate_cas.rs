@@ -78,16 +78,6 @@ fn quantile(sorted_ns: &[u64], q: f64) -> u64 {
     sorted_ns[idx]
 }
 
-/// Sum a per-mount CMCache counter (`cmcache.<i>.<name>`) over mounts.
-fn cm_counter_sum(metrics: &Snapshot, name: &str) -> u64 {
-    metrics
-        .metrics
-        .keys()
-        .filter(|k| k.starts_with("cmcache.") && k.ends_with(&format!(".{name}")))
-        .map(|k| metrics.counter(k).unwrap_or(0))
-        .sum()
-}
-
 /// One shared file, one block-sized slot per client. All 32 clients run
 /// concurrently on their own mounts; client 0 drops the backend page
 /// cache every round so the purge protocol's covering re-read pays for
@@ -130,8 +120,8 @@ fn run_sweep(kind: SweepKind, coherence: Coherence, r: usize, rounds: u64, seed:
         }
         let before = c.metrics();
         let (hits0, miss0) = (
-            cm_counter_sum(&before, "read_hits"),
-            cm_counter_sum(&before, "read_misses"),
+            before.counter_sum("cmcache.*.read_hits"),
+            before.counter_sum("cmcache.*.read_misses"),
         );
         let mut tasks = Vec::new();
         for (i, (m, fd)) in mounts.into_iter().zip(fds).enumerate() {
@@ -178,8 +168,8 @@ fn run_sweep(kind: SweepKind, coherence: Coherence, r: usize, rounds: u64, seed:
         }
         let per_client = join_all(&h, tasks).await;
         let after = c.metrics();
-        let hits = cm_counter_sum(&after, "read_hits") - hits0;
-        let misses = cm_counter_sum(&after, "read_misses") - miss0;
+        let hits = after.counter_sum("cmcache.*.read_hits") - hits0;
+        let misses = after.counter_sum("cmcache.*.read_misses") - miss0;
         let mut all: Vec<u64> = per_client.into_iter().flatten().collect();
         all.sort_unstable();
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;

@@ -133,9 +133,9 @@ fn main() {
             q_us(res, 0.50),
             q_us(res, 0.99),
             res.max_node_secs,
-            res.metrics.counter_sum(".meta.lease_hits"),
-            res.metrics.counter_sum(".meta.negative_hits"),
-            res.metrics.counter_sum(".meta.batched_paths"),
+            res.metrics.counter_sum("cmcache.*.meta.lease_hits"),
+            res.metrics.counter_sum("cmcache.*.meta.negative_hits"),
+            res.metrics.counter_sum("cmcache.*.meta.batched_paths"),
             if i + 1 < grid.len() { "," } else { "" }
         ));
     }

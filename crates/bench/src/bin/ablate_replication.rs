@@ -45,16 +45,6 @@ fn quantile(sorted_ns: &[u64], q: f64) -> u64 {
     sorted_ns[idx]
 }
 
-/// Sum a per-client bank counter (`cmcache.<i>.bank.<name>`) over clients.
-fn bank_counter_sum(metrics: &Snapshot, name: &str) -> u64 {
-    metrics
-        .metrics
-        .keys()
-        .filter(|k| k.starts_with("cmcache.") && k.ends_with(&format!(".bank.{name}")))
-        .map(|k| metrics.counter(k).unwrap_or(0))
-        .sum()
-}
-
 /// Kill-one-daemon scenario: 2 MCDs, R = 2, a warmed shared file. After
 /// the kill, reads must keep hitting the surviving replica — failovers
 /// tick, degraded misses do not. Returns `(replica_failovers,
@@ -89,15 +79,18 @@ fn failover_scenario(seed: u64) -> (u64, u64) {
         for k in 0..blocks {
             m.read(fd, k * RECORD_SIZE, RECORD_SIZE).await.unwrap();
         }
-        let before = bank_counter_sum(&c.metrics(), "degraded_misses");
+        let degraded = || c.metrics().counter_sum("cmcache.*.bank.degraded_misses");
+        let before = degraded();
         c.kill_mcd(0);
         for k in 0..blocks {
             m.read(fd, k * RECORD_SIZE, RECORD_SIZE).await.unwrap();
         }
-        d.set(bank_counter_sum(&c.metrics(), "degraded_misses") - before);
+        d.set(degraded() - before);
     });
     sim.run();
-    let failovers = bank_counter_sum(&cluster.metrics(), "replica_failovers");
+    let failovers = cluster
+        .metrics()
+        .counter_sum("cmcache.*.bank.replica_failovers");
     (failovers, degraded_added.get())
 }
 

@@ -54,6 +54,6 @@ mod rpc;
 mod transport;
 
 pub use fault::{Delivery, FaultPlan};
-pub use network::{Network, NicStats, NodeId};
+pub use network::{Network, NodeId};
 pub use rpc::{Incoming, Replier, RpcClient, Service};
 pub use transport::{Transport, WireSize};

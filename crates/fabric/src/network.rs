@@ -102,19 +102,6 @@ pub struct Network {
     inner: Rc<Inner>,
 }
 
-/// Traffic counters for one node, in bytes and messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NicStats {
-    /// Bytes transmitted by this node.
-    pub bytes_tx: u64,
-    /// Bytes received by this node.
-    pub bytes_rx: u64,
-    /// Messages transmitted by this node.
-    pub msgs_tx: u64,
-    /// Messages received by this node.
-    pub msgs_rx: u64,
-}
-
 impl Network {
     /// A network where all links use `transport`.
     pub fn new(handle: SimHandle, transport: Transport) -> Network {
@@ -325,18 +312,6 @@ impl Network {
         self.with_faults(|fs| fs.plan.latency_spikes.push((from, until, extra)));
     }
 
-    /// Traffic counters for `node` — a view over the same registry
-    /// counters the metrics snapshot reports.
-    pub fn nic_stats(&self, node: NodeId) -> NicStats {
-        let nic = self.nic(node);
-        NicStats {
-            bytes_tx: nic.bytes_tx.get(),
-            bytes_rx: nic.bytes_rx.get(),
-            msgs_tx: nic.msgs_tx.get(),
-            msgs_rx: nic.msgs_rx.get(),
-        }
-    }
-
     /// The network's metric registry (per-NIC traffic counters under
     /// `nic.<id>.*` plus whatever fabric layers above register, e.g. the
     /// RPC latency histogram).
@@ -431,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn nic_stats_count_traffic() {
+    fn nic_counters_count_traffic() {
         let mut sim = Sim::new(0);
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
         let a = net.add_node();
@@ -442,13 +417,13 @@ mod tests {
             assert_eq!(net2.deliver(a, b, 500, None).await, Delivery::Ok);
         });
         sim.run();
-        let sa = net.nic_stats(a);
-        let sb = net.nic_stats(b);
-        assert_eq!(sa.bytes_tx, 1500);
-        assert_eq!(sa.msgs_tx, 2);
-        assert_eq!(sa.bytes_rx, 0);
-        assert_eq!(sb.bytes_rx, 1500);
-        assert_eq!(sb.msgs_rx, 2);
+        let snap = net.registry().snapshot();
+        let nic = |node: NodeId, metric: &str| snap.counter(&format!("nic.{}.{metric}", node.0));
+        assert_eq!(nic(a, "bytes_tx"), Some(1500));
+        assert_eq!(nic(a, "msgs_tx"), Some(2));
+        assert_eq!(nic(a, "bytes_rx"), Some(0));
+        assert_eq!(nic(b, "bytes_rx"), Some(1500));
+        assert_eq!(nic(b, "msgs_rx"), Some(2));
     }
 
     #[test]
@@ -668,7 +643,11 @@ mod tests {
         // TX + propagation but no RX side.
         let expect = tp.host_cpu_send + tp.serialize_time(4096) + tp.one_way_latency;
         assert_eq!(end.as_nanos(), expect.as_nanos());
-        let sb = net.nic_stats(b);
-        assert_eq!(sb.msgs_rx, 0, "receiver must never see a dropped message");
+        let snap = net.registry().snapshot();
+        assert_eq!(
+            snap.counter(&format!("nic.{}.msgs_rx", b.0)),
+            Some(0),
+            "receiver must never see a dropped message"
+        );
     }
 }

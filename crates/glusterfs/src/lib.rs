@@ -3,8 +3,8 @@
 //! A working reimplementation of the pieces of GlusterFS the paper builds
 //! on (§2.1): the translator architecture, a POSIX storage translator over
 //! the timed storage substrate, client/server protocol translators over the
-//! simulated fabric, namespace distribution, and the stock read-ahead /
-//! write-behind performance translators. Files hold real bytes end-to-end.
+//! simulated fabric, and the stock io-cache / read-ahead / write-behind
+//! performance translators. Files hold real bytes end-to-end.
 //!
 //! IMCa's two translators (CMCache on the client, SMCache on the server —
 //! see the `imca-core` crate) plug into exactly this stack, the same way
@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod distribute;
 mod fops;
 mod iocache;
 mod mount;
@@ -60,7 +59,6 @@ mod readahead;
 mod translator;
 mod writebehind;
 
-pub use distribute::Distribute;
 pub use fops::{FileStat, Fop, FopReply, FsError};
 pub use iocache::IoCache;
 pub use mount::{Fd, GlusterMount};

@@ -16,10 +16,10 @@ use imca_sim::{SimDuration, SimHandle};
 use imca_storage::{BackendParams, StorageBackend, StorageFaultPlan};
 
 use crate::block::DEFAULT_BLOCK_SIZE;
-use crate::cmcache::{CmCache, CmStats};
+use crate::cmcache::CmCache;
 use crate::mcd::{Bank, McdCosts, McdNode, Replication, RetryPolicy};
 use crate::meta::{serve_revocations, LeaseAck, LeaseHub, LeaseRevoke, MetaConfig, MetaPolicy};
-use crate::smcache::{Coherence, RewarmLimit, SmCache, SmStats};
+use crate::smcache::{Coherence, RewarmLimit, SmCache};
 
 /// IMCa-layer configuration (§5.1 defaults).
 #[derive(Debug, Clone)]
@@ -399,11 +399,6 @@ impl Cluster {
         }
     }
 
-    /// Daemon-side stats summed across the bank.
-    pub fn mcd_stats(&self) -> imca_memcached::McStats {
-        self.bank.as_ref().map(|b| b.stats()).unwrap_or_default()
-    }
-
     /// One structured snapshot of every instrumented tier, named
     /// `tier.component[.instance].metric` — this is what the bench
     /// binaries serialise next to their results.
@@ -439,24 +434,6 @@ impl Cluster {
             );
         }
         snap
-    }
-
-    /// SMCache counters, if this is an IMCa deployment.
-    pub fn smcache_stats(&self) -> Option<SmStats> {
-        self.smcache.as_ref().map(|s| s.stats())
-    }
-
-    /// CMCache counters summed over every mounted client.
-    pub fn cmcache_stats(&self) -> CmStats {
-        let mut total = CmStats::default();
-        for cm in self.cmcaches.borrow().iter() {
-            let s = cm.stats();
-            total.stat_hits += s.stat_hits;
-            total.stat_misses += s.stat_misses;
-            total.read_hits += s.read_hits;
-            total.read_misses += s.read_misses;
-        }
-        total
     }
 
     /// The server's storage backend (page-cache stats, `drop_caches`).
@@ -518,8 +495,8 @@ mod tests {
             m.close(fd).await.unwrap();
         });
         sim.run();
-        let cm = cluster.cmcache_stats();
-        assert!(cm.read_hits >= 1, "no cached read: {cm:?}");
+        let hits = cluster.metrics().counter_sum("cmcache.*.read_hits");
+        assert!(hits >= 1, "no cached read");
     }
 
     #[test]
@@ -568,8 +545,10 @@ mod tests {
         });
         sim.run();
         assert!(cluster.mcds().is_empty());
-        assert_eq!(cluster.cmcache_stats(), CmStats::default());
-        assert!(cluster.smcache_stats().is_none());
+        let snap = cluster.metrics();
+        for tier in ["bank.", "smcache.", "cmcache."] {
+            assert!(!snap.metrics.keys().any(|n| n.starts_with(tier)), "{tier}");
+        }
     }
 
     #[test]
@@ -594,15 +573,12 @@ mod tests {
             assert_eq!(data, vec![0x5A; 4096]);
         });
         sim.run();
-        let cm = cluster.cmcache_stats();
-        assert!(
-            cm.stat_hits >= 1,
-            "consumer stat not served from bank: {cm:?}"
-        );
+        let hits = cluster.metrics().counter_sum("cmcache.*.stat_hits");
+        assert!(hits >= 1, "consumer stat not served from bank");
     }
 
     #[test]
-    fn metrics_snapshot_covers_every_tier_and_matches_legacy_stats() {
+    fn metrics_snapshot_covers_every_tier() {
         let mut sim = Sim::new(1);
         let cluster = Rc::new(Cluster::build(sim.handle(), small_imca(2)));
         let c2 = Rc::clone(&cluster);
@@ -618,7 +594,7 @@ mod tests {
         });
         sim.run();
         let snap = cluster.metrics();
-        // Every tier is present under its `tier.component.metric` name…
+        // Every tier is present under its `tier.component.metric` name.
         for name in [
             "fabric.rpc.call_ns",
             "storage.pagecache.hits",
@@ -635,18 +611,6 @@ mod tests {
                 snap.metrics.keys().collect::<Vec<_>>()
             );
         }
-        // …and the derived legacy views agree with the registry exactly.
-        let cm = cluster.cmcache_stats();
-        assert_eq!(snap.counter_sum(".read_hits"), cm.read_hits);
-        assert_eq!(snap.counter_sum(".stat_hits"), cm.stat_hits);
-        let sm = cluster.smcache_stats().unwrap();
-        assert_eq!(
-            snap.counter("smcache.blocks_pushed"),
-            Some(sm.blocks_pushed)
-        );
-        let mcd = cluster.mcd_stats();
-        assert_eq!(snap.counter_sum(".store.cmd_get"), mcd.cmd_get);
-        assert_eq!(snap.counter_sum(".store.get_hits"), mcd.get_hits);
         // At least one latency histogram per tier.
         let hists = snap.histogram_names();
         for tier in ["fabric.", "storage.", "glusterfs.", "bank.", "cmcache."] {
@@ -658,7 +622,7 @@ mod tests {
         // The document round-trips through JSON.
         let json = snap.to_json();
         let back = Snapshot::from_json(&json).expect("parse back");
-        assert_eq!(back.counter_sum(".store.cmd_get"), mcd.cmd_get);
+        assert_eq!(back, snap);
     }
 
     #[test]
@@ -701,9 +665,9 @@ mod tests {
         let snap = cluster.metrics();
         assert!(snap.counter("leases.revocations_sent").unwrap() >= 1);
         assert_eq!(snap.counter("leases.failed_revocations"), Some(0));
-        assert!(snap.counter_sum(".meta.lease_hits") >= 4);
-        let cm = cluster.cmcache_stats();
-        assert!(cm.stat_hits >= 4, "leased polls must count as hits: {cm:?}");
+        assert!(snap.counter_sum("cmcache.*.meta.lease_hits") >= 4);
+        let hits = snap.counter_sum("cmcache.*.stat_hits");
+        assert!(hits >= 4, "leased polls must count as hits: {hits}");
     }
 
     #[test]
@@ -738,9 +702,10 @@ mod tests {
                 "restart left a client holding a pre-crash lease"
             );
             // The next stat refills from the recovered server.
-            let misses_before = cm.stats().stat_misses;
+            let misses = || c2.metrics().counter("cmcache.0.stat_misses").unwrap();
+            let misses_before = misses();
             assert_eq!(m.stat("/f").await.unwrap().size, 100);
-            assert_eq!(cm.stats().stat_misses, misses_before + 1);
+            assert_eq!(misses(), misses_before + 1);
         });
         sim.run();
     }
@@ -755,14 +720,15 @@ mod tests {
             m.create("/f").await.unwrap();
             let fd = m.open("/f").await.unwrap();
             m.write(fd, 0, &vec![5u8; 4096]).await.unwrap();
-            assert!(c2.smcache_stats().unwrap().blocks_pushed >= 2);
+            assert!(c2.metrics().counter("smcache.blocks_pushed").unwrap() >= 2);
             c2.crash_server();
             assert!(!c2.server_alive());
             // Writes die fast with EIO…
             assert_eq!(m.write(fd, 0, b"x").await, Err(imca_glusterfs::FsError::Io));
             // …but the MCDs outlive the daemon: a bank hit still serves.
             assert_eq!(m.read(fd, 0, 2048).await.unwrap(), vec![5u8; 2048]);
-            let hits_through_crash = c2.cmcache_stats().read_hits;
+            let read_hits = || c2.metrics().counter("cmcache.0.read_hits").unwrap();
+            let hits_through_crash = read_hits();
             assert!(hits_through_crash >= 1);
             c2.restart_server().await;
             assert!(c2.server_alive());
@@ -771,7 +737,7 @@ mod tests {
             // the disk — the crashed-away write really didn't land.
             assert_eq!(m.read(fd, 0, 2048).await.unwrap(), vec![5u8; 2048]);
             assert_eq!(
-                c2.cmcache_stats().read_hits,
+                read_hits(),
                 hits_through_crash,
                 "restart must leave the bank cold"
             );
@@ -780,7 +746,7 @@ mod tests {
         let snap = cluster.metrics();
         assert_eq!(snap.counter("server.crashes"), Some(1));
         assert_eq!(snap.counter("server.restarts"), Some(1));
-        assert!(cluster.smcache_stats().unwrap().purges >= 1);
+        assert!(snap.counter("smcache.purges").unwrap() >= 1);
     }
 
     #[test]
@@ -859,9 +825,9 @@ mod tests {
                 );
             });
             sim.run();
-            let s = cluster.smcache_stats().unwrap();
-            assert!(s.dropped_pushes >= 1, "{coherence:?}: {s:?}");
             let snap = cluster.metrics();
+            let dropped = snap.counter("smcache.dropped_pushes").unwrap();
+            assert!(dropped >= 1, "{coherence:?}");
             assert!(
                 snap.counter("leases.revocations_sent").unwrap() >= 1,
                 "{coherence:?}"

@@ -45,7 +45,7 @@
 //!     assert_eq!(mount.read(fd, 0, 4096).await.unwrap(), vec![7u8; 4096]);
 //! });
 //! sim.run();
-//! assert_eq!(cluster.cmcache_stats().read_hits, 1);
+//! assert_eq!(cluster.metrics().counter("cmcache.0.read_hits"), Some(1));
 //! ```
 
 #![warn(missing_docs)]
@@ -61,13 +61,20 @@ mod meta;
 mod smcache;
 
 pub use cluster::{Cluster, ClusterConfig, ImcaConfig};
-pub use cmcache::{CmCache, CmStats};
+pub use cmcache::CmCache;
 pub use mcd::{
-    start_mcd, Bank, BankClient, BankStats, CasToken, CasVerdict, McdCosts, McdNode, McdReq,
-    McdResp, Replication, RetryPolicy,
+    start_mcd, Bank, BankClient, CasToken, CasVerdict, McdCosts, McdNode, McdReq, McdResp,
+    Replication, RetryPolicy,
 };
 pub use meta::{
     serve_revocations, LeaseAck, LeaseHub, LeaseRevoke, MetaConfig, MetaEngine, MetaPolicy,
     StatResult, StatSource, NEG_MARKER,
 };
-pub use smcache::{Coherence, RewarmLimit, SmCache, SmStats};
+pub use smcache::{Coherence, RewarmLimit, SmCache};
+
+/// The counters called `names` in `src`'s registry, in order.
+#[cfg(test)]
+fn counters<const N: usize>(src: &dyn imca_metrics::MetricSource, names: [&str; N]) -> [u64; N] {
+    let snap = imca_metrics::collect_from(src, "");
+    names.map(|name| snap.counter(name).expect("registered counter"))
+}

@@ -21,23 +21,6 @@ use super::policy::{
 };
 use crate::cluster::ImcaConfig;
 
-/// Aggregated client-observed counters for a [`BankClient`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BankStats {
-    /// Block/stat get attempts.
-    pub gets: u64,
-    /// Gets answered by a daemon.
-    pub hits: u64,
-    /// Gets that missed (or hit a dead daemon).
-    pub misses: u64,
-    /// Sets issued.
-    pub sets: u64,
-    /// Deletes issued.
-    pub deletes: u64,
-    /// Requests dropped because a daemon died mid-flight.
-    pub failures: u64,
-}
-
 /// Liveness, quarantine and circuit-breaker verdict for one daemon.
 enum Route {
     /// Usable: ops may be sent to it.
@@ -245,18 +228,6 @@ impl BankClient {
             busy_sheds: registry.counter("busy_sheds"),
             circuit_opens: registry.counter("circuit_opens"),
             registry,
-        }
-    }
-
-    /// Client-observed counters (a derived view over the metric registry).
-    pub fn stats(&self) -> BankStats {
-        BankStats {
-            gets: self.gets.get(),
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            sets: self.sets.get(),
-            deletes: self.deletes.get(),
-            failures: self.failures.get(),
         }
     }
 
@@ -628,7 +599,7 @@ impl BankClient {
     /// the client's only token fetch. Fetches `keys` from *every* usable
     /// replica — not one routed replica per key as
     /// [`BankClient::get_multi`] does — returning for each key the
-    /// `(daemon, value-with-token)` rows that answered ([`ReplicaRows`]).
+    /// `(daemon, value-with-token)` rows that answered (`ReplicaRows`).
     /// The CAS update path needs every replica's own token, because
     /// tokens live in per-daemon spaces and must never cross them; each
     /// token is tagged with the daemon whose reply it came out of.
@@ -637,7 +608,7 @@ impl BankClient {
     /// throughout: the daemons admit it like a write (admission control
     /// never sheds a token fetch — a refusal would read as "cold replica"
     /// and leave the old value cached), the target set is
-    /// [`BankClient::write_targets`] (dead replicas restart empty, shed
+    /// `BankClient::write_targets` (dead replicas restart empty, shed
     /// replicas are already quarantined — both safe to skip), and a
     /// daemon that drops or times out mid-flight is **quarantined like a
     /// failed write**, because the in-place update it was about to
@@ -985,6 +956,7 @@ mod tests {
     use super::super::daemon::{Bank, McdCosts};
     use super::super::policy::Replication;
     use super::*;
+    use crate::counters;
     use imca_fabric::Network;
     use imca_fabric::Transport;
     use imca_memcached::McConfig;
@@ -1041,9 +1013,12 @@ mod tests {
     }
 
     fn counter(c: &BankClient, name: &str) -> u64 {
-        imca_metrics::collect_from(c, "bank")
-            .counter(&format!("bank.{name}"))
-            .unwrap_or_else(|| panic!("no counter bank.{name}"))
+        counters(c, [name])[0]
+    }
+
+    /// Items stored across the bank's daemons.
+    fn bank_items(bank: &Bank) -> u64 {
+        bank.nodes().iter().map(|n| n.stats().curr_items).sum()
     }
 
     #[test]
@@ -1065,8 +1040,10 @@ mod tests {
             }
         });
         sim.run();
-        let s = client.stats();
-        assert_eq!((s.gets, s.hits, s.misses, s.sets), (100, 100, 0, 100));
+        assert_eq!(
+            counters(&*client, ["gets", "hits", "misses", "sets"]),
+            [100, 100, 0, 100]
+        );
         // Items spread across multiple daemons.
         let occupied = bank
             .nodes()
@@ -1075,9 +1052,9 @@ mod tests {
             .count();
         assert!(occupied >= 2, "occupied={occupied}");
         // Daemon-side totals agree with the client's view.
-        let agg = bank.stats();
-        assert_eq!(agg.get_hits, 100);
-        assert_eq!(agg.curr_items, 100);
+        let snap = imca_metrics::collect_from(&*bank, "bank");
+        assert_eq!(snap.counter_sum("bank.mcd.*.store.get_hits"), 100);
+        assert_eq!(bank_items(&bank), 100);
     }
 
     #[test]
@@ -1094,9 +1071,7 @@ mod tests {
             assert!(c2.get(b"/x:0", Some(0)).await.is_none());
         });
         sim.run();
-        let s = client.stats();
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.deletes, 1);
+        assert_eq!(counters(&*client, ["misses", "deletes"]), [2, 1]);
     }
 
     #[test]
@@ -1140,10 +1115,9 @@ mod tests {
             sim.run();
             assert!(bank.nodes()[1].is_alive());
             assert_eq!(bank.failovers(), 1);
-            let s = client.stats();
             assert_eq!(
-                (s.gets, s.hits, s.misses, s.sets, s.failures),
-                (5, 3, 2, 4, 0),
+                counters(&*client, ["gets", "hits", "misses", "sets", "failures"]),
+                [5, 3, 2, 4, 0],
                 "{via:?}"
             );
             // A dead daemon is a plain miss: nothing degraded, nothing shed.
@@ -1176,7 +1150,7 @@ mod tests {
             });
         }
         sim.run();
-        assert_eq!(client.stats().failures, 1);
+        assert_eq!(counter(&client, "failures"), 1);
         assert_eq!(bank.failovers(), 1);
     }
 
@@ -1207,7 +1181,7 @@ mod tests {
     }
 
     #[test]
-    fn bank_metrics_mirror_legacy_stats() {
+    fn bank_metrics_count_every_get_under_faults() {
         let mut sim = Sim::new(0);
         let (net, bank, client) = setup(&sim, 2);
         let client = Rc::new(client);
@@ -1250,32 +1224,23 @@ mod tests {
             assert!(c2.get(b"/m/0:stat", None).await.is_none());
         });
         sim.run();
-        // Client view: the registry and the BankStats struct are the same
-        // atomics, so the snapshot must agree exactly.
         let snap = imca_metrics::collect_from(&*client, "bank");
-        let s = client.stats();
-        assert!(
-            s.failures >= 1,
-            "the mid-flight kill was not injected: {s:?}"
-        );
-        assert_eq!(snap.counter("bank.gets"), Some(s.gets));
-        assert_eq!(snap.counter("bank.hits"), Some(s.hits));
-        assert_eq!(snap.counter("bank.misses"), Some(s.misses));
-        assert_eq!(snap.counter("bank.sets"), Some(s.sets));
-        assert_eq!(snap.counter("bank.failures"), Some(s.failures));
+        let [gets, hits, misses, failures] =
+            counters(&*client, ["gets", "hits", "misses", "failures"]);
+        assert!(failures >= 1, "the mid-flight kill was not injected");
+        assert_eq!((gets, hits + misses), (36, 36));
         let hist = snap
             .histogram("bank.get_ns")
             .expect("get latency histogram");
         assert_eq!(
-            hist.count, s.gets,
+            hist.count, gets,
             "every get records a latency — hits, misses, and failures alike"
         );
         assert!(hist.mean() > 0.0);
-        // Daemon view: summed store counters equal the aggregate stats.
+        // Daemon view: every client hit was a daemon hit (a daemon killed
+        // mid-service may count one the client never received).
         let snap = imca_metrics::collect_from(&*bank, "");
-        let agg = bank.stats();
-        assert_eq!(snap.counter_sum(".store.cmd_get"), agg.cmd_get);
-        assert_eq!(snap.counter_sum(".store.get_hits"), agg.get_hits);
+        assert!(snap.counter_sum("mcd.*.store.get_hits") >= hits);
         assert!(snap
             .histogram_names()
             .iter()
@@ -1310,8 +1275,11 @@ mod tests {
                 }
             });
             sim.run();
-            let s = client.stats();
-            assert_eq!((s.gets, s.hits, s.misses, s.failures), (8, 8, 0, 0));
+            let gets = counter(&client, "gets");
+            assert_eq!(
+                counters(&*client, ["gets", "hits", "misses", "failures"]),
+                [8, 8, 0, 0]
+            );
             // 8 keys over 4 daemons: exactly one multi-get RPC per daemon,
             // carrying 2 keys each — or none at all per key.
             let snap = imca_metrics::collect_from(&*client, "bank");
@@ -1326,7 +1294,7 @@ mod tests {
             }
             assert_eq!(
                 snap.histogram("bank.get_ns").expect("get latency").count,
-                s.gets
+                gets
             );
             // Daemon side: each of the 4 daemons saw 2 sets + 1 multi-get,
             // or 2 sets + its 2 keys' own gets.
@@ -1366,10 +1334,9 @@ mod tests {
             assert_eq!(got[1], Some(Bytes::from_static(b"b")));
         });
         sim.run();
-        let s = client.stats();
-        assert_eq!((s.gets, s.hits, s.misses), (2, 1, 1));
+        assert_eq!(counters(&*client, ["gets", "hits", "misses"]), [2, 1, 1]);
         // No wire traffic to the dead daemon: not a failure, a local miss.
-        assert_eq!(s.failures, 0);
+        assert_eq!(counter(&client, "failures"), 0);
         let snap = imca_metrics::collect_from(&*client, "bank");
         assert_eq!(snap.counter("bank.multi_gets"), Some(1));
         assert_eq!(snap.histogram("bank.get_ns").unwrap().count, 2);
@@ -1410,9 +1377,12 @@ mod tests {
             });
         }
         sim.run();
-        let s = client.stats();
-        assert_eq!((s.gets, s.hits), (3, 0));
-        assert_eq!(s.failures, 3, "every key in the dropped batch fails");
+        assert_eq!(counters(&*client, ["gets", "hits"]), [3, 0]);
+        assert_eq!(
+            counter(&client, "failures"),
+            3,
+            "every key in the dropped batch fails"
+        );
         let snap = imca_metrics::collect_from(&*client, "bank");
         assert_eq!(snap.histogram("bank.get_ns").unwrap().count, 3);
     }
@@ -1460,8 +1430,10 @@ mod tests {
                 }
             });
             sim.run();
-            let s = client.stats();
-            assert_eq!((s.sets, s.deletes, s.failures), (8, 8, 0));
+            assert_eq!(
+                counters(&*client, ["sets", "deletes", "failures"]),
+                [8, 8, 0]
+            );
             // Every item streams to each of its `factor` replicas.
             let streamed = if batching { 8 * factor } else { 0 };
             assert_eq!(counter(&client, "pipelined_sets"), streamed);
@@ -1510,10 +1482,9 @@ mod tests {
             });
         }
         sim.run();
-        let s = client.stats();
-        assert_eq!(s.sets, 4);
         assert_eq!(
-            s.failures, 4,
+            counters(&*client, ["sets", "failures"]),
+            [4, 4],
             "a dead sync leaves every streamed store un-acknowledged"
         );
         assert_eq!(bank.failovers(), 1);
@@ -1554,7 +1525,7 @@ mod tests {
                 // Both attempts run out their deadline; the read degrades to a
                 // local miss and the circuit opens.
                 assert!(read_via(&c2, via, b"/k:stat", None).await.is_none());
-                let timeouts_after_first = c2.stats().failures;
+                let timeouts_after_first = counter(&c2, "failures");
                 assert_eq!(timeouts_after_first, 1);
                 // Inside the cooldown: shed locally, no further wire attempts.
                 assert!(read_via(&c2, via, b"/k:stat", None).await.is_none());
@@ -1569,7 +1540,6 @@ mod tests {
                 );
             });
             sim.run();
-            let s = client.stats();
             // get #2 timed out (1 attempt + 1 retry), get #3 was shed.
             let snap = imca_metrics::collect_from(&*client, "bank");
             assert_eq!(snap.counter("bank.rpc_timeouts"), Some(2), "{via:?}");
@@ -1577,13 +1547,13 @@ mod tests {
             assert_eq!(snap.counter("bank.degraded_misses"), Some(2), "{via:?}");
             assert_eq!(snap.counter("bank.circuit_opens"), Some(1), "{via:?}");
             assert_eq!(
-                (s.gets, s.hits, s.misses, s.failures),
-                (4, 2, 2, 1),
+                counters(&*client, ["gets", "hits", "misses", "failures"]),
+                [4, 2, 2, 1],
                 "{via:?}"
             );
             // The latency histogram still covers every get — timeouts and
             // circuit sheds included.
-            assert_eq!(snap.histogram("bank.get_ns").unwrap().count, s.gets);
+            assert_eq!(snap.histogram("bank.get_ns").unwrap().count, 4);
             assert!(!bank.nodes()[0].is_quarantined());
         }
     }
@@ -1617,7 +1587,7 @@ mod tests {
                 // The purge never reaches a daemon: every retransmit of the
                 // noreply delete fails and each pipeline gives up.
                 c2.delete_pipeline(vec![(b"/f:0".to_vec(), Some(0))]).await;
-                assert_eq!(c2.stats().failures, factor as u64);
+                assert_eq!(counter(&c2, "failures"), factor as u64);
                 assert!(b2.nodes().iter().all(|n| n.is_quarantined()));
                 net2.heal("mcd-cut");
                 h.sleep(SimDuration::millis(2)).await;
@@ -1639,10 +1609,12 @@ mod tests {
             sim.run();
             let case = format!("{via:?} at factor {factor}");
             assert!(bank.nodes().iter().all(|n| !n.is_quarantined()), "{case}");
-            let s = client.stats();
             assert_eq!(
-                (s.gets, s.hits, s.misses, s.sets, s.deletes, s.failures),
-                (3, 1, 2, 2, 1, factor as u64),
+                counters(
+                    &*client,
+                    ["gets", "hits", "misses", "sets", "deletes", "failures"]
+                ),
+                [3, 1, 2, 2, 1, factor as u64],
                 "{case}"
             );
             // One degraded op per failed pipeline, one for the read that
@@ -1683,8 +1655,7 @@ mod tests {
             h.sleep(SimDuration::millis(2)).await;
             // B never saw a failure, but the daemon is poisoned for it too.
             assert!(b.get(b"/s:0", Some(0)).await.is_none());
-            let bs = b.stats();
-            assert_eq!((bs.gets, bs.misses), (1, 1));
+            assert_eq!(counters(&*b, ["gets", "misses"]), [1, 1]);
         });
         sim.run();
         assert!(bank.nodes()[0].is_quarantined());
@@ -1724,11 +1695,13 @@ mod tests {
             }
         });
         sim.run();
-        let s = client.stats();
-        assert_eq!((s.gets, s.hits, s.misses, s.failures), (4, 4, 0, 0));
+        assert_eq!(
+            counters(&*client, ["gets", "hits", "misses", "failures"]),
+            [4, 4, 0, 0]
+        );
         assert!(net.registry().snapshot().counter("duplicated").unwrap() > 0);
         // Exactly one logical value per key despite the echoes.
-        assert_eq!(bank.stats().curr_items, 4);
+        assert_eq!(bank_items(&bank), 4);
     }
 
     /// An `n`-daemon bank and one client of it, as `cfg` describes them.
@@ -1808,12 +1781,14 @@ mod tests {
             assert_eq!(got[0], Some(Bytes::from_static(b"v")));
         });
         sim.run();
-        let s = client.stats();
-        assert_eq!((s.gets, s.hits, s.misses, s.failures), (2, 2, 0, 0));
+        assert_eq!(
+            counters(&*client, ["gets", "hits", "misses", "failures"]),
+            [2, 2, 0, 0]
+        );
         let snap = imca_metrics::collect_from(&*client, "bank");
         assert!(snap.counter("bank.replica_failovers").unwrap() >= 2);
         assert_eq!(snap.counter("bank.degraded_misses"), Some(0));
-        assert_eq!(snap.histogram("bank.get_ns").unwrap().count, s.gets);
+        assert_eq!(snap.histogram("bank.get_ns").unwrap().count, 2);
     }
 
     #[test]
@@ -1841,8 +1816,7 @@ mod tests {
             });
         }
         sim.run();
-        let s = client.stats();
-        assert_eq!((s.hits, s.misses), (1, 0));
+        assert_eq!(counters(&*client, ["hits", "misses"]), [1, 0]);
         // Whichever replica the P2C router tried first, the get resolved
         // warm; if the dead one was hit mid-flight a failure is recorded.
         let snap = imca_metrics::collect_from(&*client, "bank");
@@ -1883,8 +1857,7 @@ mod tests {
             assert_eq!(counter(&c2, "degraded_misses"), 3);
         });
         sim.run();
-        let s = client.stats();
-        assert_eq!((s.gets, s.hits, s.misses), (3, 0, 3));
+        assert_eq!(counters(&*client, ["gets", "hits", "misses"]), [3, 0, 3]);
     }
 
     #[test]
@@ -1932,9 +1905,8 @@ mod tests {
             });
         }
         sim.run();
-        let s = client.stats();
         // Every caller is accounted a get and a hit…
-        assert_eq!((s.gets, s.hits, s.misses), (3, 3, 0));
+        assert_eq!(counters(&*client, ["gets", "hits", "misses"]), [3, 3, 0]);
         // …but the daemon saw exactly one GET command.
         assert_eq!(bank.nodes()[0].stats().cmd_get, 1);
         let snap = imca_metrics::collect_from(&*client, "bank");
@@ -2004,14 +1976,13 @@ mod tests {
             assert!(fetch_token(&c2, b"/k:0", Some(0)).await.is_none());
         });
         sim.run();
-        let s = client.stats();
         // Token fetches are write-path prep, not gets; every cas counts
         // as a set.
-        assert_eq!(s.gets, 2);
+        assert_eq!(counter(&client, "gets"), 2);
         let snap = imca_metrics::collect_from(&*client, "bank");
         assert_eq!(snap.counter("bank.cas_ops"), Some(4));
         assert_eq!(snap.counter("bank.multi_gets"), Some(4));
-        assert_eq!(snap.histogram("bank.get_ns").unwrap().count, s.gets);
+        assert_eq!(snap.histogram("bank.get_ns").unwrap().count, 2);
     }
 
     #[test]
@@ -2141,10 +2112,13 @@ mod tests {
                 );
             });
             sim.run();
-            let s = client.stats();
-            assert_eq!((s.sets, s.gets, s.hits, s.misses), (2, 1, 0, 1), "{via:?}");
+            assert_eq!(
+                counters(&*client, ["sets", "gets", "hits", "misses"]),
+                [2, 1, 0, 1],
+                "{via:?}"
+            );
             // Not a timeout, not a failure: an explicit busy reply.
-            assert_eq!(s.failures, 0);
+            assert_eq!(counter(&client, "failures"), 0);
             let snap = imca_metrics::collect_from(&*client, "bank");
             assert_eq!(snap.counter("bank.busy_sheds"), Some(1), "{via:?}");
             assert_eq!(snap.counter("bank.degraded_misses"), Some(1), "{via:?}");

@@ -42,10 +42,7 @@ impl WireSize for McdReq {
                 6 + usize::from(*with_cas) + keys.iter().map(|k| k.len() + 1).sum::<usize>()
             }
             Command::Delete { key, .. } => 9 + key.len(),
-            Command::Arith { key, .. } => 16 + key.len(),
-            Command::Touch { key, .. } => 18 + key.len(),
-            Command::FlushAll { .. } => 11,
-            Command::Stats | Command::Version | Command::Quit => 9,
+            Command::Version => 9,
         }
     }
 }
@@ -58,12 +55,6 @@ impl WireSize for McdResp {
                 5 + values
                     .iter()
                     .map(|v| 24 + v.key.len() + v.data.len() + v.cas.map_or(0, |_| 21))
-                    .sum::<usize>()
-            }
-            Some(Response::Stats(pairs)) => {
-                5 + pairs
-                    .iter()
-                    .map(|(k, v)| 7 + k.len() + v.len())
                     .sum::<usize>()
             }
             Some(_) => 16,
@@ -322,8 +313,9 @@ pub fn start_mcd(net: &Network, node: NodeId, cfg: McConfig, costs: McdCosts) ->
 
 /// The MCD bank as an owned, administrable unit: failure injection goes
 /// through [`Bank::kill`] / [`Bank::revive`] (which also maintain the
-/// `mcd_failovers` / `mcd_revivals` metrics), aggregation through
-/// [`Bank::stats`], and consumers connect with [`Bank::client`].
+/// `mcd_failovers` / `mcd_revivals` metrics), its counters are read
+/// through its [`MetricSource`], and consumers connect with
+/// [`Bank::client`].
 pub struct Bank {
     nodes: Vec<McdNode>,
     registry: Registry,
@@ -391,12 +383,6 @@ impl Bank {
         self.mcd_failovers.get()
     }
 
-    /// Sum daemon-side stats across the bank ("statistics from the MCDs",
-    /// §5.2).
-    pub fn stats(&self) -> McStats {
-        sum_mcd_stats(&self.nodes)
-    }
-
     /// Connect a consumer at `from` to every daemon, the way `cfg`
     /// describes the deployment: its selector, bank transport (the RDMA
     /// ablation) and replica placement. `policy` is the one setting that
@@ -433,25 +419,6 @@ impl MetricSource for Bank {
             (total_gets as f64 / self.nodes.len().max(1) as f64).round() as i64,
         );
     }
-}
-
-fn sum_mcd_stats(nodes: &[McdNode]) -> McStats {
-    let mut total = McStats::default();
-    for n in nodes {
-        let s = n.stats();
-        total.cmd_get += s.cmd_get;
-        total.cmd_set += s.cmd_set;
-        total.get_hits += s.get_hits;
-        total.get_misses += s.get_misses;
-        total.evictions += s.evictions;
-        total.expired += s.expired;
-        total.curr_items += s.curr_items;
-        total.bytes += s.bytes;
-        total.total_items += s.total_items;
-        total.allocated_bytes += s.allocated_bytes;
-        total.limit_maxbytes += s.limit_maxbytes;
-    }
-    total
 }
 
 #[cfg(test)]

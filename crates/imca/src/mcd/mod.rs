@@ -10,8 +10,9 @@
 //!
 //! The bank is owned and administered through a [`Bank`] handle:
 //! `Bank::start` brings the daemons up, `bank.kill(i)` / `bank.revive(i)`
-//! drive the failover experiments, `bank.stats()` scrapes the daemons, and
-//! `bank.client(..)` connects a consumer from an `ImcaConfig`.
+//! drive the failover experiments, its `MetricSource` publishes every
+//! daemon's counters, and `bank.client(..)` connects a consumer from an
+//! `ImcaConfig`.
 //!
 //! Every key lives on its [`Replication`] `factor` daemons (DESIGN.md
 //! §4d) — its selector primary and the next `R − 1` after it; the paper's
@@ -48,6 +49,6 @@ mod client;
 mod daemon;
 mod policy;
 
-pub use client::{BankClient, BankStats};
+pub use client::BankClient;
 pub use daemon::{start_mcd, Bank, McdCosts, McdNode, McdReq, McdResp};
 pub use policy::{CasToken, CasVerdict, Replication, RetryPolicy};

@@ -12,7 +12,8 @@ use imca_sim::{timeout, SimDuration, SimHandle};
 
 use super::daemon::{McdReq, McdResp};
 
-/// Per-RPC deadline, retry, and fail-fast behaviour of a [`BankClient`].
+/// Per-RPC deadline, retry, and fail-fast behaviour of a
+/// [`BankClient`](super::BankClient).
 ///
 /// The defaults are deliberately generous: on a healthy fabric the bank
 /// never comes close to them (a pipeline sync can legitimately wait a
@@ -111,7 +112,7 @@ pub enum CasVerdict {
     Missing,
     /// No definitive daemon answer: dead/shed at routing time, reset or
     /// timed out mid-flight (the daemon is then quarantined like any
-    /// failed write — see [`BankClient::settle_write`] — so it cannot
+    /// failed write — see `BankClient::settle_write` — so it cannot
     /// keep serving the possibly-stale old value).
     Failed,
 }

@@ -135,33 +135,6 @@ impl Default for RewarmLimit {
     }
 }
 
-/// Server-side cache-maintenance counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SmStats {
-    /// Data blocks pushed to the bank.
-    pub blocks_pushed: u64,
-    /// Stat entries pushed to the bank.
-    pub stat_pushes: u64,
-    /// Per-file purges executed (open/close/unlink).
-    pub purges: u64,
-    /// Update jobs deferred to the background thread.
-    pub deferred_jobs: u64,
-    /// Updates dropped (or rolled back) because a purge overtook them.
-    pub stale_updates_dropped: u64,
-    /// Pushes abandoned because the covering filesystem re-read failed:
-    /// data the disk refused to produce must never reach the bank.
-    pub dropped_pushes: u64,
-    /// Blocks replaced in place by a successful CAS store (one count per
-    /// block per replica).
-    pub cas_replacements: u64,
-    /// CAS stores rejected because the token no longer matched (Exists)
-    /// or the key vanished under the update (NotFound).
-    pub cas_conflicts: u64,
-    /// Writes whose CAS wave could not fully land and fell back to the
-    /// purge+repush protocol.
-    pub cas_fallback_purges: u64,
-}
-
 /// What an update job does once the fence admits it.
 enum Work {
     /// Push blocks cut from data already in hand (the read-path fill).
@@ -244,15 +217,28 @@ pub struct SmCache {
     rewarm: Option<TokenBucket>,
     rewarm_suppressed: Counter,
     registry: Registry,
+    /// Data blocks pushed to the bank.
     blocks_pushed: Counter,
+    /// Stat entries pushed to the bank.
     stat_pushes: Counter,
+    /// Per-file purges executed (open/close/unlink).
     purges: Counter,
+    /// Update jobs deferred to the background thread.
     deferred_jobs: Counter,
+    /// Updates dropped (or rolled back) because a purge overtook them.
     stale_updates_dropped: Counter,
+    /// Pushes abandoned because the covering filesystem re-read failed:
+    /// data the disk refused to produce must never reach the bank.
     dropped_pushes: Counter,
     negative_pushes: Counter,
+    /// Blocks replaced in place by a successful CAS store (one count per
+    /// block per replica).
     cas_replacements: Counter,
+    /// CAS stores rejected because the token no longer matched (Exists)
+    /// or the key vanished under the update (NotFound).
     cas_conflicts: Counter,
+    /// Writes whose CAS wave could not fully land and fell back to the
+    /// purge+repush protocol.
     cas_fallback_purges: Counter,
 }
 
@@ -330,22 +316,6 @@ impl SmCache {
         match &self.rewarm {
             Some(bucket) => bucket.try_take(self.handle.now()),
             None => true,
-        }
-    }
-
-    /// Cache-maintenance counters (a derived view over the metric
-    /// registry).
-    pub fn stats(&self) -> SmStats {
-        SmStats {
-            blocks_pushed: self.blocks_pushed.get(),
-            stat_pushes: self.stat_pushes.get(),
-            purges: self.purges.get(),
-            deferred_jobs: self.deferred_jobs.get(),
-            stale_updates_dropped: self.stale_updates_dropped.get(),
-            dropped_pushes: self.dropped_pushes.get(),
-            cas_replacements: self.cas_replacements.get(),
-            cas_conflicts: self.cas_conflicts.get(),
-            cas_fallback_purges: self.cas_fallback_purges.get(),
         }
     }
 
@@ -1008,6 +978,7 @@ impl Translator for SmCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters;
     use crate::mcd::Bank;
     use crate::meta::MetaConfig;
     use imca_fabric::{Network, Transport};
@@ -1134,7 +1105,7 @@ mod tests {
                 },
             )
             .await;
-            assert_eq!(sm2.stats().blocks_pushed, 4);
+            assert_eq!(counters(&*sm2, ["blocks_pushed"]), [4]);
             // Open purges: the bank is cold, reads start rewarming it.
             drive(&sm2, Fop::Open { path: "/f".into() }).await;
             for b in 0..4u64 {
@@ -1154,7 +1125,7 @@ mod tests {
                 assert_eq!(data, vec![5u8; 2048], "block {b}");
             }
             // Fills 1-2 spent the burst; fills 3-4 were suppressed.
-            assert_eq!(sm2.stats().blocks_pushed, 6);
+            assert_eq!(counters(&*sm2, ["blocks_pushed"]), [6]);
             // A write to the still-cold block 3 must land its push even
             // though the rewarm bucket is dry — write-path coherence
             // traffic is never throttled.
@@ -1167,7 +1138,7 @@ mod tests {
                 },
             )
             .await;
-            assert_eq!(sm2.stats().blocks_pushed, 7);
+            assert_eq!(counters(&*sm2, ["blocks_pushed"]), [7]);
         });
         sim.run();
         let snap = imca_metrics::collect_from(&*sm, "smcache");
@@ -1229,7 +1200,7 @@ mod tests {
             );
         });
         sim.run();
-        assert_eq!(sm.stats().dropped_pushes, 1);
+        assert_eq!(counters(&*sm, ["dropped_pushes"]), [1]);
         assert_eq!(sm.tracked_blocks("/f"), 0);
     }
 
@@ -1273,7 +1244,7 @@ mod tests {
         });
         sim.run();
         assert_eq!(rig.sm.tracked_blocks("/f"), 3);
-        assert!(rig.sm.stats().blocks_pushed >= 3);
+        assert!(counters(&*rig.sm, ["blocks_pushed"])[0] >= 3);
     }
 
     #[test]
@@ -1342,7 +1313,7 @@ mod tests {
             assert_eq!(FileStat::from_bytes(&raw).unwrap().size, 4096);
         });
         sim.run();
-        assert_eq!(rig.sm.stats().purges, 1);
+        assert_eq!(counters(&*rig.sm, ["purges"]), [1]);
     }
 
     #[test]
@@ -1470,8 +1441,8 @@ mod tests {
         });
         sim.run();
         assert_eq!(rig.sm.tracked_blocks("/f"), 0);
-        let s = rig.sm.stats();
-        assert!(s.stale_updates_dropped >= 1, "fence never fired: {s:?}");
+        let [dropped] = counters(&*rig.sm, ["stale_updates_dropped"]);
+        assert!(dropped >= 1, "fence never fired");
     }
 
     #[test]
@@ -1518,7 +1489,11 @@ mod tests {
             assert!(matches!(r, FopReply::Stat(Ok(_))));
         });
         sim.run();
-        assert_eq!(rig.sm.stats().purges, 1, "create must purge exactly once");
+        assert_eq!(
+            counters(&*rig.sm, ["purges"]),
+            [1],
+            "create must purge exactly once"
+        );
     }
 
     #[test]
@@ -1605,11 +1580,18 @@ mod tests {
             assert_eq!(FileStat::from_bytes(&raw).unwrap().size, 2048);
         });
         sim.run();
-        let s = rig.sm.stats();
-        assert_eq!(s.cas_replacements, 2, "one replacement per replica");
-        assert_eq!(s.cas_conflicts, 0);
-        assert_eq!(s.cas_fallback_purges, 0);
-        assert_eq!(s.purges, 0, "the CAS path must never purge");
+        let [replaced, conflicts, fallbacks, purges] = counters(
+            &*rig.sm,
+            [
+                "cas_replacements",
+                "cas_conflicts",
+                "cas_fallback_purges",
+                "purges",
+            ],
+        );
+        assert_eq!(replaced, 2, "one replacement per replica");
+        assert_eq!((conflicts, fallbacks), (0, 0));
+        assert_eq!(purges, 0, "the CAS path must never purge");
         assert_eq!(rig.sm.tracked_blocks("/f"), 1);
     }
 
@@ -1665,9 +1647,9 @@ mod tests {
             assert_eq!(stale_short_by_full_scan(&sm, "/f", 9000), vec![4096]);
         });
         sim.run();
-        let s = rig.sm.stats();
-        assert_eq!(s.cas_fallback_purges, 0);
-        assert!(s.cas_replacements >= 2, "short block + its replica: {s:?}");
+        let [fallbacks, replaced] = counters(&*rig.sm, ["cas_fallback_purges", "cas_replacements"]);
+        assert_eq!(fallbacks, 0);
+        assert!(replaced >= 2, "short block + its replica: {replaced}");
     }
 
     #[test]
@@ -1727,16 +1709,16 @@ mod tests {
             }
         });
         sim.run();
-        let s = sm.stats();
-        assert!(
-            s.cas_conflicts >= 1,
-            "racing writers never hit a token conflict: {s:?}"
+        let [conflicts, fallbacks, replaced] = counters(
+            &*sm,
+            ["cas_conflicts", "cas_fallback_purges", "cas_replacements"],
         );
+        assert!(conflicts >= 1, "racing writers never hit a token conflict");
         assert!(
-            s.cas_fallback_purges >= 1,
-            "a conflicted write must fall back to purge+repush: {s:?}"
+            fallbacks >= 1,
+            "a conflicted write must fall back to purge+repush"
         );
-        assert!(s.cas_replacements >= 1, "no write won its race: {s:?}");
+        assert!(replaced >= 1, "no write won its race");
     }
 
     /// A scripted child xlator: writes and reads succeed, stats fail on
@@ -1844,8 +1826,7 @@ mod tests {
                 );
             });
             sim.run();
-            let s = sm.stats();
-            assert_eq!(s.dropped_pushes, 1, "{coherence:?}: {s:?}");
+            assert_eq!(counters(&*sm, ["dropped_pushes"]), [1], "{coherence:?}");
             assert_eq!(sm.tracked_blocks("/f"), 0, "{coherence:?}");
         }
     }
@@ -1868,7 +1849,6 @@ mod tests {
             );
         });
         sim.run();
-        let s = rig.sm.stats();
-        assert_eq!((s.blocks_pushed, s.purges), (0, 0));
+        assert_eq!(counters(&*rig.sm, ["blocks_pushed", "purges"]), [0, 0]);
     }
 }

@@ -10,9 +10,9 @@
 //! the experiments (capacity misses with one MCD, zero misses with two,
 //! §5.2) emerges from the actual algorithm rather than a model:
 //!
-//! * [`Memcached`] — the storage engine (thread-safe; `Arc` it natively or
-//!   `Rc` it inside a simulation),
-//! * [`protocol`] — streaming ASCII-protocol codec,
+//! * [`Memcached`] — the storage engine (`Rc` it inside a simulation),
+//! * [`protocol`] — streaming ASCII-protocol codec for the commands the
+//!   bank sends (`get`, `gets`, `set`, `cas`, `delete`, `version`),
 //! * [`McServer`] — protocol dispatch over the engine,
 //! * [`Selector`]/[`ServerMap`] — libmemcache-style key placement:
 //!   CRC-32, static-modulo (the paper's IOzone variant), and ketama
@@ -23,20 +23,23 @@
 //!
 //! ```
 //! use bytes::Bytes;
+//! use imca_memcached::protocol::{encode_response, parse_command};
 //! use imca_memcached::{McConfig, McServer};
 //!
 //! // The same engine + dispatch the simulated daemons run, driven over
 //! // raw wire bytes:
 //! let daemon = McServer::new(McConfig::with_mem_limit(8 << 20));
-//! let (resp, _) = daemon.handle_wire(b"set k 0 0 5\r\nhello\r\n", 0).unwrap();
-//! assert_eq!(resp, b"STORED\r\n");
-//! let (resp, _) = daemon.handle_wire(b"get k\r\n", 0).unwrap();
-//! assert_eq!(resp, b"VALUE k 0 5\r\nhello\r\nEND\r\n");
+//! let (set, _) = parse_command(b"set k 0 0 5\r\nhello\r\n").unwrap();
+//! let resp = daemon.apply(&set, 0).unwrap();
+//! assert_eq!(encode_response(&resp), b"STORED\r\n");
+//! let (get, _) = parse_command(b"get k\r\n").unwrap();
+//! let resp = daemon.apply(&get, 0).unwrap();
+//! assert_eq!(encode_response(&resp), b"VALUE k 0 5\r\nhello\r\nEND\r\n");
 //!
 //! // Or through the typed engine API:
 //! let store = daemon.store();
-//! store.set(b"n", Bytes::from_static(b"41"), 0, None, 0).unwrap();
-//! assert_eq!(store.incr(b"n", 1, 0).unwrap(), Some(42));
+//! store.set(b"n", Bytes::from_static(b"42"), 0, None, 0).unwrap();
+//! assert_eq!(store.get(b"n", 0).unwrap().value, &b"42"[..]);
 //! ```
 
 #![warn(missing_docs)]

@@ -1,14 +1,15 @@
 //! The memcached ASCII protocol — the wire format clients used in 2008
-//! (binary protocol came later). Implemented as a streaming codec:
-//! `parse_*` returns `Incomplete` until a full frame is buffered, so the
-//! same code serves both unit tests and a byte-accurate server loop.
+//! (binary protocol came later) — for the commands the bank sends: `get`,
+//! `gets`, `set`, `cas`, `delete` (each store and delete optionally
+//! `noreply`) and the `version` sync barrier. Implemented as a streaming
+//! codec: `parse_*` returns `Incomplete` until a full frame is buffered.
 
 use bytes::Bytes;
 
 /// A client→server command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
-    /// Storage commands (`set`/`add`/`replace`/`append`/`prepend`).
+    /// Storage commands (`set`/`cas`).
     Store {
         /// Which storage verb.
         verb: StoreVerb,
@@ -38,37 +39,8 @@ pub enum Command {
         /// Suppress the reply.
         noreply: bool,
     },
-    /// `incr`/`decr <key> <delta> [noreply]`.
-    Arith {
-        /// Key to mutate.
-        key: Vec<u8>,
-        /// Amount to add or subtract.
-        delta: u64,
-        /// True for `decr`.
-        decrement: bool,
-        /// Suppress the reply.
-        noreply: bool,
-    },
-    /// `touch <key> <exptime> [noreply]`.
-    Touch {
-        /// Key to refresh.
-        key: Vec<u8>,
-        /// New expiry (wire semantics as in [`Command::Store`]).
-        exptime: u32,
-        /// Suppress the reply.
-        noreply: bool,
-    },
-    /// `flush_all [noreply]`.
-    FlushAll {
-        /// Suppress the reply.
-        noreply: bool,
-    },
-    /// `stats`.
-    Stats,
-    /// `version`.
+    /// `version` (the bank's pipeline sync barrier).
     Version,
-    /// `quit`.
-    Quit,
 }
 
 /// The storage verbs.
@@ -76,14 +48,6 @@ pub enum Command {
 pub enum StoreVerb {
     /// Unconditional store.
     Set,
-    /// Store only if absent.
-    Add,
-    /// Store only if present.
-    Replace,
-    /// Concatenate after an existing value.
-    Append,
-    /// Concatenate before an existing value.
-    Prepend,
     /// Store only if the CAS token still matches (`cas` command).
     Cas(u64),
 }
@@ -92,10 +56,6 @@ impl StoreVerb {
     fn as_str(self) -> &'static str {
         match self {
             StoreVerb::Set => "set",
-            StoreVerb::Add => "add",
-            StoreVerb::Replace => "replace",
-            StoreVerb::Append => "append",
-            StoreVerb::Prepend => "prepend",
             StoreVerb::Cas(_) => "cas",
         }
     }
@@ -119,28 +79,16 @@ pub struct Value {
 pub enum Response {
     /// `STORED`.
     Stored,
-    /// `NOT_STORED`.
-    NotStored,
     /// `NOT_FOUND`.
     NotFound,
     /// `EXISTS` (cas token mismatch).
     Exists,
     /// `DELETED`.
     Deleted,
-    /// `TOUCHED`.
-    Touched,
-    /// `OK`.
-    Ok,
     /// Zero or more `VALUE` blocks terminated by `END`.
     Values(Vec<Value>),
-    /// Numeric reply to `incr`/`decr`.
-    Number(u64),
     /// `VERSION <s>`.
     Version(String),
-    /// `STAT` lines terminated by `END`.
-    Stats(Vec<(String, String)>),
-    /// `ERROR` (unknown command).
-    Error,
     /// `CLIENT_ERROR <msg>`.
     ClientError(String),
     /// `SERVER_ERROR <msg>`.
@@ -271,45 +219,7 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
             }
             out.extend_from_slice(CRLF);
         }
-        Command::Arith {
-            key,
-            delta,
-            decrement,
-            noreply,
-        } => {
-            out.extend_from_slice(if *decrement { b"decr " } else { b"incr " });
-            out.extend_from_slice(key);
-            out.push(b' ');
-            put_u64(out, *delta);
-            if *noreply {
-                out.extend_from_slice(b" noreply");
-            }
-            out.extend_from_slice(CRLF);
-        }
-        Command::Touch {
-            key,
-            exptime,
-            noreply,
-        } => {
-            out.extend_from_slice(b"touch ");
-            out.extend_from_slice(key);
-            out.push(b' ');
-            put_u64(out, u64::from(*exptime));
-            if *noreply {
-                out.extend_from_slice(b" noreply");
-            }
-            out.extend_from_slice(CRLF);
-        }
-        Command::FlushAll { noreply } => {
-            out.extend_from_slice(b"flush_all");
-            if *noreply {
-                out.extend_from_slice(b" noreply");
-            }
-            out.extend_from_slice(CRLF);
-        }
-        Command::Stats => out.extend_from_slice(b"stats\r\n"),
         Command::Version => out.extend_from_slice(b"version\r\n"),
-        Command::Quit => out.extend_from_slice(b"quit\r\n"),
     }
     wire
 }
@@ -325,10 +235,6 @@ pub fn parse_command(buf: &[u8]) -> Result<(Command, usize), ParseError> {
     let verb_str = std::str::from_utf8(verb_tok).map_err(|_| ParseError::Bad("verb".into()))?;
     let store_verb = match verb_str {
         "set" => Some(StoreVerb::Set),
-        "add" => Some(StoreVerb::Add),
-        "replace" => Some(StoreVerb::Replace),
-        "append" => Some(StoreVerb::Append),
-        "prepend" => Some(StoreVerb::Prepend),
         "cas" => Some(StoreVerb::Cas(0)), // token parsed below
         _ => None,
     };
@@ -384,35 +290,7 @@ pub fn parse_command(buf: &[u8]) -> Result<(Command, usize), ParseError> {
                 noreply: matches!(toks.next(), Some(b"noreply")),
             }
         }
-        "incr" | "decr" => {
-            let key = toks
-                .next()
-                .ok_or_else(|| ParseError::Bad("missing key".into()))?;
-            let delta: u64 = parse_num(toks.next().unwrap_or(b""), "delta")?;
-            Command::Arith {
-                key: key.to_vec(),
-                delta,
-                decrement: verb_str == "decr",
-                noreply: matches!(toks.next(), Some(b"noreply")),
-            }
-        }
-        "touch" => {
-            let key = toks
-                .next()
-                .ok_or_else(|| ParseError::Bad("missing key".into()))?;
-            let exptime: u32 = parse_num(toks.next().unwrap_or(b""), "exptime")?;
-            Command::Touch {
-                key: key.to_vec(),
-                exptime,
-                noreply: matches!(toks.next(), Some(b"noreply")),
-            }
-        }
-        "flush_all" => Command::FlushAll {
-            noreply: matches!(toks.next(), Some(b"noreply")),
-        },
-        "stats" => Command::Stats,
         "version" => Command::Version,
-        "quit" => Command::Quit,
         other => return bad(format!("unknown command {other:?}")),
     };
     Ok((cmd, line_len))
@@ -424,22 +302,14 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     let out = &mut wire;
     match resp {
         Response::Stored => out.extend_from_slice(b"STORED\r\n"),
-        Response::NotStored => out.extend_from_slice(b"NOT_STORED\r\n"),
         Response::NotFound => out.extend_from_slice(b"NOT_FOUND\r\n"),
         Response::Exists => out.extend_from_slice(b"EXISTS\r\n"),
         Response::Deleted => out.extend_from_slice(b"DELETED\r\n"),
-        Response::Touched => out.extend_from_slice(b"TOUCHED\r\n"),
-        Response::Ok => out.extend_from_slice(b"OK\r\n"),
-        Response::Number(n) => {
-            put_u64(out, *n);
-            out.extend_from_slice(CRLF);
-        }
         Response::Version(v) => {
             out.extend_from_slice(b"VERSION ");
             out.extend_from_slice(v.as_bytes());
             out.extend_from_slice(CRLF);
         }
-        Response::Error => out.extend_from_slice(b"ERROR\r\n"),
         Response::ClientError(m) => {
             out.extend_from_slice(b"CLIENT_ERROR ");
             out.extend_from_slice(m.as_bytes());
@@ -468,16 +338,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
             out.extend_from_slice(b"END\r\n");
         }
-        Response::Stats(pairs) => {
-            for (k, v) in pairs {
-                out.extend_from_slice(b"STAT ");
-                out.extend_from_slice(k.as_bytes());
-                out.push(b' ');
-                out.extend_from_slice(v.as_bytes());
-                out.extend_from_slice(CRLF);
-            }
-            out.extend_from_slice(b"END\r\n");
-        }
     }
     wire
 }
@@ -486,14 +346,14 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// and the number of bytes consumed.
 pub fn parse_response(buf: &[u8]) -> Result<(Response, usize), ParseError> {
     let (line, line_len) = find_line(buf).ok_or(ParseError::Incomplete)?;
-    // Multi-line frames: VALUE.../STAT... sequences end with END.
+    // Multi-line frames: VALUE... sequences end with END.
     if line.starts_with(b"VALUE ") || line == b"END" {
         let mut values = Vec::new();
         let mut pos = 0;
         loop {
             let (line, line_len) = find_line(&buf[pos..]).ok_or(ParseError::Incomplete)?;
             if line == b"END" {
-                // Plain END with no STAT/VALUE lines is an empty Values.
+                // Plain END with no VALUE lines is an empty Values.
                 return Ok((Response::Values(values), pos + line_len));
             }
             if !line.starts_with(b"VALUE ") {
@@ -526,32 +386,11 @@ pub fn parse_response(buf: &[u8]) -> Result<(Response, usize), ParseError> {
             pos = need;
         }
     }
-    if line.starts_with(b"STAT ") {
-        let mut pairs = Vec::new();
-        let mut pos = 0;
-        loop {
-            let (line, line_len) = find_line(&buf[pos..]).ok_or(ParseError::Incomplete)?;
-            pos += line_len;
-            if line == b"END" {
-                return Ok((Response::Stats(pairs), pos));
-            }
-            let rest = line
-                .strip_prefix(b"STAT ")
-                .ok_or_else(|| ParseError::Bad("expected STAT or END".into()))?;
-            let s = std::str::from_utf8(rest).map_err(|_| ParseError::Bad("stat utf8".into()))?;
-            let (k, v) = s.split_once(' ').unwrap_or((s, ""));
-            pairs.push((k.to_string(), v.to_string()));
-        }
-    }
     let resp = match line {
         b"STORED" => Response::Stored,
-        b"NOT_STORED" => Response::NotStored,
         b"NOT_FOUND" => Response::NotFound,
         b"EXISTS" => Response::Exists,
         b"DELETED" => Response::Deleted,
-        b"TOUCHED" => Response::Touched,
-        b"OK" => Response::Ok,
-        b"ERROR" => Response::Error,
         _ => {
             let s = std::str::from_utf8(line).map_err(|_| ParseError::Bad("utf8".into()))?;
             if let Some(m) = s.strip_prefix("CLIENT_ERROR ") {
@@ -560,8 +399,6 @@ pub fn parse_response(buf: &[u8]) -> Result<(Response, usize), ParseError> {
                 Response::ServerError(m.to_string())
             } else if let Some(v) = s.strip_prefix("VERSION ") {
                 Response::Version(v.to_string())
-            } else if let Ok(n) = s.parse::<u64>() {
-                Response::Number(n)
             } else {
                 return bad(format!("unknown response {s:?}"));
             }
@@ -599,7 +436,7 @@ mod tests {
             noreply: false,
         });
         rt_cmd(Command::Store {
-            verb: StoreVerb::Append,
+            verb: StoreVerb::Set,
             key: b"k".to_vec(),
             flags: 0,
             exptime: 100,
@@ -626,35 +463,16 @@ mod tests {
             key: b"gone".to_vec(),
             noreply: true,
         });
-        rt_cmd(Command::Arith {
-            key: b"n".to_vec(),
-            delta: 5,
-            decrement: true,
-            noreply: false,
-        });
-        rt_cmd(Command::Touch {
-            key: b"t".to_vec(),
-            exptime: 60,
-            noreply: false,
-        });
-        rt_cmd(Command::FlushAll { noreply: false });
-        rt_cmd(Command::Stats);
         rt_cmd(Command::Version);
-        rt_cmd(Command::Quit);
     }
 
     #[test]
     fn response_round_trips() {
         for r in [
             Response::Stored,
-            Response::NotStored,
             Response::NotFound,
             Response::Exists,
             Response::Deleted,
-            Response::Touched,
-            Response::Ok,
-            Response::Error,
-            Response::Number(12345),
             Response::Version("1.2.6".into()),
             Response::ClientError("bad data chunk".into()),
             Response::ServerError("out of memory".into()),
@@ -679,10 +497,6 @@ mod tests {
                     data: Bytes::from_static(b"x"),
                 },
             ]),
-            Response::Stats(vec![
-                ("get_hits".into(), "10".into()),
-                ("get_misses".into(), "2".into()),
-            ]),
         ] {
             rt_resp(r);
         }
@@ -699,7 +513,10 @@ mod tests {
             parse_response(b"VALUE k 0 5\r\nab"),
             Err(ParseError::Incomplete)
         );
-        assert_eq!(parse_response(b"STAT a 1\r\n"), Err(ParseError::Incomplete));
+        assert_eq!(
+            parse_response(b"VALUE k 0 1\r\na\r\n"),
+            Err(ParseError::Incomplete)
+        );
     }
 
     #[test]
@@ -722,12 +539,16 @@ mod tests {
 
     #[test]
     fn pipelined_commands_consume_exactly_one_frame() {
-        let mut wire = encode_command(&Command::Version);
-        wire.extend_from_slice(&encode_command(&Command::Stats));
+        let delete = Command::Delete {
+            key: b"k".to_vec(),
+            noreply: true,
+        };
+        let mut wire = encode_command(&delete);
+        wire.extend_from_slice(&encode_command(&Command::Version));
         let (c1, used) = parse_command(&wire).unwrap();
-        assert_eq!(c1, Command::Version);
+        assert_eq!(c1, delete);
         let (c2, used2) = parse_command(&wire[used..]).unwrap();
-        assert_eq!(c2, Command::Stats);
+        assert_eq!(c2, Command::Version);
         assert_eq!(used + used2, wire.len());
     }
 

@@ -1,11 +1,9 @@
 //! The daemon's dispatch loop, minus sockets: applies a protocol
 //! [`Command`] to a [`Memcached`] store and produces the [`Response`] the
 //! real daemon would write back. The simulated MCD nodes in `imca-core`
-//! and any native test harness share this exact code path.
+//! run this code path.
 
-use crate::protocol::{
-    encode_response, parse_command, Command, ParseError, Response, StoreVerb, Value,
-};
+use crate::protocol::{Command, Response, StoreVerb, Value};
 use crate::store::{CasResult, McConfig, McError, Memcached};
 
 /// Wire exptimes up to 30 days are relative; larger values are absolute
@@ -40,7 +38,7 @@ impl McServer {
     }
 
     /// Apply one command at time `now` (seconds). Returns `None` when the
-    /// command was `noreply` (or `quit`), `Some(response)` otherwise.
+    /// command was `noreply`, `Some(response)` otherwise.
     pub fn apply(&self, cmd: &Command, now: u64) -> Option<Response> {
         match cmd {
             Command::Store {
@@ -52,33 +50,20 @@ impl McServer {
                 noreply,
             } => {
                 let exp = absolute_expiry(*exptime, now);
-                if let StoreVerb::Cas(token) = verb {
-                    let resp = match self.store.cas(key, data.clone(), *flags, exp, *token, now) {
-                        Ok(CasResult::Stored) => Response::Stored,
-                        Ok(CasResult::Exists) => Response::Exists,
-                        Ok(CasResult::NotFound) => Response::NotFound,
-                        Err(e) => Response::ClientError(e.to_string()),
-                    };
-                    return (!noreply).then_some(resp);
-                }
-                let result = match verb {
-                    StoreVerb::Set => self
-                        .store
-                        .set(key, data.clone(), *flags, exp, now)
-                        .map(|()| true),
-                    StoreVerb::Add => self.store.add(key, data.clone(), *flags, exp, now),
-                    StoreVerb::Replace => self.store.replace(key, data.clone(), *flags, exp, now),
-                    StoreVerb::Append => self.store.append(key, data, now),
-                    StoreVerb::Prepend => self.store.prepend(key, data, now),
-                    StoreVerb::Cas(_) => unreachable!("handled above"),
-                };
-                let resp = match result {
-                    Ok(true) => Response::Stored,
-                    Ok(false) => Response::NotStored,
-                    Err(e @ (McError::KeyTooLong | McError::BadKey | McError::ValueTooLarge)) => {
-                        Response::ClientError(e.to_string())
+                let resp = match verb {
+                    StoreVerb::Cas(token) => {
+                        match self.store.cas(key, data.clone(), *flags, exp, *token, now) {
+                            Ok(CasResult::Stored) => Response::Stored,
+                            Ok(CasResult::Exists) => Response::Exists,
+                            Ok(CasResult::NotFound) => Response::NotFound,
+                            Err(e) => Response::ClientError(e.to_string()),
+                        }
                     }
-                    Err(e) => Response::ServerError(e.to_string()),
+                    StoreVerb::Set => match self.store.set(key, data.clone(), *flags, exp, now) {
+                        Ok(()) => Response::Stored,
+                        Err(e @ McError::OutOfMemory) => Response::ServerError(e.to_string()),
+                        Err(e) => Response::ClientError(e.to_string()),
+                    },
                 };
                 (!noreply).then_some(resp)
             }
@@ -104,77 +89,15 @@ impl McServer {
                 };
                 (!noreply).then_some(resp)
             }
-            Command::Arith {
-                key,
-                delta,
-                decrement,
-                noreply,
-            } => {
-                let result = if *decrement {
-                    self.store.decr(key, *delta, now)
-                } else {
-                    self.store.incr(key, *delta, now)
-                };
-                let resp = match result {
-                    Ok(Some(n)) => Response::Number(n),
-                    Ok(None) => Response::NotFound,
-                    Err(e) => Response::ClientError(e.to_string()),
-                };
-                (!noreply).then_some(resp)
-            }
-            Command::Touch {
-                key,
-                exptime,
-                noreply,
-            } => {
-                let exp = absolute_expiry(*exptime, now);
-                let resp = if self.store.touch(key, exp, now) {
-                    Response::Touched
-                } else {
-                    Response::NotFound
-                };
-                (!noreply).then_some(resp)
-            }
-            Command::FlushAll { noreply } => {
-                self.store.flush_all();
-                (!noreply).then_some(Response::Ok)
-            }
-            Command::Stats => {
-                let s = self.store.stats();
-                Some(Response::Stats(vec![
-                    ("cmd_get".into(), s.cmd_get.to_string()),
-                    ("cmd_set".into(), s.cmd_set.to_string()),
-                    ("get_hits".into(), s.get_hits.to_string()),
-                    ("get_misses".into(), s.get_misses.to_string()),
-                    ("evictions".into(), s.evictions.to_string()),
-                    ("expired".into(), s.expired.to_string()),
-                    ("curr_items".into(), s.curr_items.to_string()),
-                    ("bytes".into(), s.bytes.to_string()),
-                    ("total_items".into(), s.total_items.to_string()),
-                    ("limit_maxbytes".into(), s.limit_maxbytes.to_string()),
-                ]))
-            }
             Command::Version => Some(Response::Version("1.2.6-imca".into())),
-            Command::Quit => None,
         }
-    }
-
-    /// Convenience for callers holding raw wire bytes: parse one frame from
-    /// the front of `buf`, apply, encode. Returns the encoded response
-    /// (empty for noreply and `quit`) and the number of request bytes
-    /// consumed.
-    pub fn handle_wire(&self, buf: &[u8], now: u64) -> Result<(Vec<u8>, usize), ParseError> {
-        let (cmd, used) = parse_command(buf)?;
-        let out = self
-            .apply(&cmd, now)
-            .map_or_else(Vec::new, |resp| encode_response(&resp));
-        Ok((out, used))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{encode_response, parse_command, ParseError};
     use bytes::Bytes;
 
     fn server() -> McServer {
@@ -292,31 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_flow_through() {
-        let s = server();
-        s.apply(&set_cmd(b"k", b"v"), 0);
-        s.apply(
-            &Command::Get {
-                keys: vec![b"k".to_vec()],
-                with_cas: false,
-            },
-            0,
-        );
-        let Some(Response::Stats(pairs)) = s.apply(&Command::Stats, 0) else {
-            panic!()
-        };
-        let get = |name: &str| {
-            pairs
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.clone())
-                .unwrap()
-        };
-        assert_eq!(get("get_hits"), "1");
-        assert_eq!(get("curr_items"), "1");
-    }
-
-    #[test]
     fn cas_through_dispatch() {
         let s = server();
         s.apply(&set_cmd(b"k", b"v1"), 0);
@@ -351,13 +249,16 @@ mod tests {
         assert_eq!(s.apply(&missing, 0), Some(Response::NotFound));
     }
 
-    /// Feed a client's whole script through `handle_wire` one frame at a
-    /// time, as a serving loop would, and return everything written back.
+    /// Feed a client's whole script through the codec one frame at a
+    /// time, as a serving loop would — parse, apply, encode — and return
+    /// everything written back.
     fn converse(s: &McServer, mut script: &[u8]) -> Result<Vec<u8>, ParseError> {
         let mut out = Vec::new();
         while !script.is_empty() {
-            let (resp, used) = s.handle_wire(script, 0)?;
-            out.extend_from_slice(&resp);
+            let (cmd, used) = parse_command(script)?;
+            if let Some(resp) = s.apply(&cmd, 0) {
+                out.extend_from_slice(&encode_response(&resp));
+            }
             script = &script[used..];
         }
         Ok(out)
@@ -374,10 +275,15 @@ mod tests {
             .unwrap(),
             b"STORED\r\nVALUE greeting 7 5\r\nhello\r\nEND\r\nDELETED\r\nEND\r\n"
         );
-        // `quit` writes nothing back.
+        // A `noreply` store writes nothing back; `gets` adds the token,
+        // and a `cas` with it replaces the value once.
         assert_eq!(
-            converse(&s, b"set n 0 0 2\r\n41\r\nincr n 1\r\nversion\r\nquit\r\n").unwrap(),
-            b"STORED\r\n42\r\nVERSION 1.2.6-imca\r\n"
+            converse(
+                &s,
+                b"set n 0 0 2 noreply\r\n41\r\ngets n\r\ncas n 0 0 2 2\r\n42\r\ncas n 0 0 2 2\r\n43\r\nget n\r\nversion\r\n"
+            )
+            .unwrap(),
+            &b"VALUE n 0 2 2\r\n41\r\nEND\r\nSTORED\r\nEXISTS\r\nVALUE n 0 2\r\n42\r\nEND\r\nVERSION 1.2.6-imca\r\n"[..]
         );
         // A pipelined burst: twenty frames in one buffer.
         let mut script = Vec::new();

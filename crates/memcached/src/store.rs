@@ -12,8 +12,7 @@
 //! (`slots`, recycled through a free list); `index` maps a key to its
 //! slot, and each slab class threads a doubly linked LRU list through its
 //! items' `colder`/`hotter` slot links. A command probes `index` once
-//! (`live_item` hands back the slot, so the conditional stores read the
-//! item they found); a hit unlinks the item and links it at its class's
+//! (`live_item` hands back the slot, so `cas` reads the item it found); a hit unlinks the item and links it at its class's
 //! hot end; eviction walks at most five links from the cold end and hashes
 //! nothing. A key's bytes are allocated once, when the key is new, and
 //! shared by the index and the item; a replace hands the same allocation
@@ -86,8 +85,6 @@ pub enum McError {
     ValueTooLarge,
     /// No chunk free, no page allocatable, nothing evictable in the class.
     OutOfMemory,
-    /// incr/decr on a value that is not an ASCII unsigned integer.
-    NotNumeric,
 }
 
 impl std::fmt::Display for McError {
@@ -97,7 +94,6 @@ impl std::fmt::Display for McError {
             McError::BadKey => "invalid key",
             McError::ValueTooLarge => "object too large for cache",
             McError::OutOfMemory => "out of memory storing object",
-            McError::NotNumeric => "cannot increment or decrement non-numeric value",
         };
         f.write_str(s)
     }
@@ -132,7 +128,7 @@ pub struct GetValue {
 pub struct McStats {
     /// `get` commands processed.
     pub cmd_get: u64,
-    /// Store commands processed (set/add/replace/append/prepend).
+    /// Store commands processed (`set` and `cas`).
     pub cmd_set: u64,
     /// `get` hits.
     pub get_hits: u64,
@@ -193,7 +189,7 @@ struct Lru {
     hot: u32,
 }
 
-/// Registry-backed live counters behind [`McStats`]. The `stats` command
+/// Registry-backed live counters behind [`McStats`]. [`Memcached::stats`]
 /// and the metrics snapshot read the same underlying values.
 struct McMetrics {
     registry: Registry,
@@ -256,8 +252,7 @@ impl StoreInner {
     }
 }
 
-/// A memcached instance. Thread-safe: wrap in `Arc` for native concurrent
-/// use, or `Rc` inside a simulation.
+/// A memcached instance; a simulated daemon holds it in an `Rc`.
 pub struct Memcached {
     inner: Mutex<StoreInner>,
 }
@@ -322,11 +317,6 @@ impl Memcached {
         }
     }
 
-    /// A daemon with default configuration (64 MB).
-    pub fn with_defaults() -> Memcached {
-        Memcached::new(McConfig::default())
-    }
-
     /// Unconditionally store `value` under `key`.
     pub fn set(
         &self,
@@ -340,74 +330,6 @@ impl Memcached {
         let mut g = self.inner.lock();
         g.metrics.cmd_set.inc();
         g.store(key, value, flags, expire_at, now)
-    }
-
-    /// Store only if the key is absent (counting a present-but-expired item
-    /// as absent). Returns whether it stored.
-    pub fn add(
-        &self,
-        key: &[u8],
-        value: Bytes,
-        flags: u32,
-        expire_at: Option<u64>,
-        now: u64,
-    ) -> Result<bool, McError> {
-        valid_key(key)?;
-        let mut g = self.inner.lock();
-        g.metrics.cmd_set.inc();
-        if g.live_item(key, now).is_some() {
-            return Ok(false);
-        }
-        g.store(key, value, flags, expire_at, now).map(|()| true)
-    }
-
-    /// Store only if the key is present. Returns whether it stored.
-    pub fn replace(
-        &self,
-        key: &[u8],
-        value: Bytes,
-        flags: u32,
-        expire_at: Option<u64>,
-        now: u64,
-    ) -> Result<bool, McError> {
-        valid_key(key)?;
-        let mut g = self.inner.lock();
-        g.metrics.cmd_set.inc();
-        if g.live_item(key, now).is_none() {
-            return Ok(false);
-        }
-        g.store(key, value, flags, expire_at, now).map(|()| true)
-    }
-
-    /// Append `suffix` to an existing value. Returns whether it stored.
-    pub fn append(&self, key: &[u8], suffix: &[u8], now: u64) -> Result<bool, McError> {
-        self.concat(key, suffix, now, false)
-    }
-
-    /// Prepend `prefix` to an existing value. Returns whether it stored.
-    pub fn prepend(&self, key: &[u8], prefix: &[u8], now: u64) -> Result<bool, McError> {
-        self.concat(key, prefix, now, true)
-    }
-
-    fn concat(&self, key: &[u8], extra: &[u8], now: u64, front: bool) -> Result<bool, McError> {
-        valid_key(key)?;
-        let mut g = self.inner.lock();
-        g.metrics.cmd_set.inc();
-        let Some(slot) = g.live_item(key, now) else {
-            return Ok(false);
-        };
-        let item = g.item(slot);
-        let (flags, expire_at) = (item.flags, item.expire_at);
-        let mut new_val = Vec::with_capacity(item.value.len() + extra.len());
-        if front {
-            new_val.extend_from_slice(extra);
-            new_val.extend_from_slice(&item.value);
-        } else {
-            new_val.extend_from_slice(&item.value);
-            new_val.extend_from_slice(extra);
-        }
-        g.store(key, Bytes::from(new_val), flags, expire_at, now)
-            .map(|()| true)
     }
 
     /// Fetch `key`, applying lazy expiration.
@@ -440,37 +362,6 @@ impl Memcached {
         true
     }
 
-    /// Atomically add `delta` to an ASCII-numeric value. `None` if the key
-    /// is absent.
-    pub fn incr(&self, key: &[u8], delta: u64, now: u64) -> Result<Option<u64>, McError> {
-        self.arith(key, delta, now, false)
-    }
-
-    /// Atomically subtract `delta` (floored at 0) from an ASCII-numeric
-    /// value. `None` if the key is absent.
-    pub fn decr(&self, key: &[u8], delta: u64, now: u64) -> Result<Option<u64>, McError> {
-        self.arith(key, delta, now, true)
-    }
-
-    fn arith(&self, key: &[u8], delta: u64, now: u64, sub: bool) -> Result<Option<u64>, McError> {
-        valid_key(key)?;
-        let mut g = self.inner.lock();
-        let Some(slot) = g.live_item(key, now) else {
-            return Ok(None);
-        };
-        let item = g.item(slot);
-        let s = std::str::from_utf8(&item.value).map_err(|_| McError::NotNumeric)?;
-        let cur: u64 = s.trim_end().parse().map_err(|_| McError::NotNumeric)?;
-        let new = if sub {
-            cur.saturating_sub(delta)
-        } else {
-            cur.wrapping_add(delta)
-        };
-        let (flags, expire_at) = (item.flags, item.expire_at);
-        g.store(key, Bytes::from(new.to_string()), flags, expire_at, now)?;
-        Ok(Some(new))
-    }
-
     /// Compare-and-swap: store only if the item's CAS token still equals
     /// `cas` (i.e. nobody raced a store in between).
     pub fn cas(
@@ -493,16 +384,6 @@ impl Memcached {
         }
         g.store(key, value, flags, expire_at, now)?;
         Ok(CasResult::Stored)
-    }
-
-    /// Update the expiry of an existing item. Returns whether it existed.
-    pub fn touch(&self, key: &[u8], expire_at: Option<u64>, now: u64) -> bool {
-        let mut g = self.inner.lock();
-        let Some(slot) = g.live_item(key, now) else {
-            return false;
-        };
-        g.item_mut(slot).expire_at = expire_at;
-        true
     }
 
     /// Drop every item (slab pages stay allocated, as in the real daemon).
@@ -535,15 +416,6 @@ impl Memcached {
             allocated_bytes: m.allocated_bytes.get() as u64,
             limit_maxbytes: m.limit_maxbytes.get() as u64,
         }
-    }
-
-    /// The store's metric registry (`cmd_get`, `get_hits`, `bytes`, ...).
-    /// Derived gauges are refreshed lazily — call [`Memcached::stats`] or
-    /// collect through [`MetricSource`] to get current values.
-    pub fn registry(&self) -> Registry {
-        let g = self.inner.lock();
-        g.refresh_gauges();
-        g.metrics.registry.clone()
     }
 
     /// Number of items currently stored.
@@ -805,32 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn add_and_replace_are_conditional() {
-        let mc = small();
-        assert!(mc.add(b"k", Bytes::from_static(b"1"), 0, None, 0).unwrap());
-        assert!(!mc.add(b"k", Bytes::from_static(b"2"), 0, None, 0).unwrap());
-        assert_eq!(mc.get(b"k", 0).unwrap().value, &b"1"[..]);
-        assert!(mc
-            .replace(b"k", Bytes::from_static(b"3"), 0, None, 0)
-            .unwrap());
-        assert_eq!(mc.get(b"k", 0).unwrap().value, &b"3"[..]);
-        assert!(!mc
-            .replace(b"nope", Bytes::from_static(b"x"), 0, None, 0)
-            .unwrap());
-    }
-
-    #[test]
-    fn append_prepend() {
-        let mc = small();
-        mc.set(b"k", Bytes::from_static(b"mid"), 0, None, 0)
-            .unwrap();
-        assert!(mc.append(b"k", b"-end", 0).unwrap());
-        assert!(mc.prepend(b"k", b"start-", 0).unwrap());
-        assert_eq!(mc.get(b"k", 0).unwrap().value, &b"start-mid-end"[..]);
-        assert!(!mc.append(b"missing", b"x", 0).unwrap());
-    }
-
-    #[test]
     fn lazy_expiration_on_get() {
         let mc = small();
         mc.set(b"k", Bytes::from_static(b"v"), 0, Some(100), 0)
@@ -853,18 +699,6 @@ mod tests {
         mc.flush_all();
         assert!(mc.is_empty());
         assert_eq!(mc.stats().bytes, 0);
-    }
-
-    #[test]
-    fn incr_decr() {
-        let mc = small();
-        mc.set(b"n", Bytes::from_static(b"10"), 0, None, 0).unwrap();
-        assert_eq!(mc.incr(b"n", 5, 0).unwrap(), Some(15));
-        assert_eq!(mc.decr(b"n", 20, 0).unwrap(), Some(0)); // floors at 0
-        assert_eq!(mc.incr(b"missing", 1, 0).unwrap(), None);
-        mc.set(b"s", Bytes::from_static(b"abc"), 0, None, 0)
-            .unwrap();
-        assert_eq!(mc.incr(b"s", 1, 0), Err(McError::NotNumeric));
     }
 
     #[test]
@@ -907,16 +741,6 @@ mod tests {
             ta,
             "token must change on update"
         );
-    }
-
-    #[test]
-    fn touch_updates_expiry() {
-        let mc = small();
-        mc.set(b"k", Bytes::from_static(b"v"), 0, Some(10), 0)
-            .unwrap();
-        assert!(mc.touch(b"k", Some(1000), 5));
-        assert!(mc.get(b"k", 500).is_some());
-        assert!(!mc.touch(b"missing", None, 0));
     }
 
     #[test]
@@ -1035,7 +859,7 @@ mod tests {
 
     #[test]
     fn class_sizes_grow_geometrically_to_1mb() {
-        let mc = Memcached::with_defaults();
+        let mc = Memcached::new(McConfig::default());
         let sizes = mc.class_sizes();
         assert!(sizes.windows(2).all(|w| w[0] < w[1]), "not increasing");
         assert_eq!(*sizes.last().unwrap(), MAX_ITEM_SIZE);

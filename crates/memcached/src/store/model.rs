@@ -184,14 +184,10 @@ fn occupied(recency: &[Vec<String>]) -> Vec<(usize, &Vec<String>)> {
 #[derive(Debug, Clone)]
 enum Cmd {
     Set(u8, Size, Option<u8>),
-    Add(u8, Size, Option<u8>),
-    Replace(u8, Size, Option<u8>),
     /// Fresh token or a stale one.
     Cas(u8, Size, bool),
-    Append(u8, u16),
     Get(u8),
     Delete(u8),
-    Touch(u8, Option<u8>),
     FlushAll,
     Advance(u8),
 }
@@ -220,13 +216,9 @@ fn cmd_strategy() -> impl Strategy<Value = Cmd> {
     };
     prop_oneof![
         60 => (key(), size(), ttl()).prop_map(|(k, s, t)| Cmd::Set(k, s, t)),
-        15 => (key(), size(), ttl()).prop_map(|(k, s, t)| Cmd::Add(k, s, t)),
-        15 => (key(), size(), ttl()).prop_map(|(k, s, t)| Cmd::Replace(k, s, t)),
         15 => (key(), size(), any::<bool>()).prop_map(|(k, s, fresh)| Cmd::Cas(k, s, fresh)),
-        10 => (key(), 1u16..5000).prop_map(|(k, n)| Cmd::Append(k, n)),
         60 => key().prop_map(Cmd::Get),
         6 => key().prop_map(Cmd::Delete),
-        10 => (key(), ttl()).prop_map(|(k, t)| Cmd::Touch(k, t)),
         1 => Just(Cmd::FlushAll),
         12 => (1u8..10).prop_map(Cmd::Advance),
     ]
@@ -261,24 +253,6 @@ proptest! {
                     let want = model.store(&k, value(s), 7, at(ttl), now);
                     prop_assert_eq!(mc.set(k.as_bytes(), value(s), 7, at(ttl), now), want);
                 }
-                Cmd::Add(k, s, ttl) => {
-                    let k = name(k);
-                    model.stats.cmd_set += 1;
-                    let want = match model.live(&k, now) {
-                        true => Ok(false),
-                        false => model.store(&k, value(s), 1, at(ttl), now).map(|()| true),
-                    };
-                    prop_assert_eq!(mc.add(k.as_bytes(), value(s), 1, at(ttl), now), want);
-                }
-                Cmd::Replace(k, s, ttl) => {
-                    let k = name(k);
-                    model.stats.cmd_set += 1;
-                    let want = match model.live(&k, now) {
-                        false => Ok(false),
-                        true => model.store(&k, value(s), 2, at(ttl), now).map(|()| true),
-                    };
-                    prop_assert_eq!(mc.replace(k.as_bytes(), value(s), 2, at(ttl), now), want);
-                }
                 Cmd::Cas(k, s, fresh) => {
                     let k = name(k);
                     model.stats.cmd_set += 1;
@@ -293,20 +267,6 @@ proptest! {
                     };
                     prop_assert_eq!(mc.cas(k.as_bytes(), value(s), 3, None, token, now), want);
                 }
-                Cmd::Append(k, n) => {
-                    let extra = vec![k; n as usize];
-                    let k = name(k);
-                    model.stats.cmd_set += 1;
-                    let want = if !model.live(&k, now) {
-                        Ok(false)
-                    } else {
-                        let item = &model.items[&k];
-                        let (flags, expire_at) = (item.flags, item.expire_at);
-                        let joined = Bytes::from([&item.value[..], &extra[..]].concat());
-                        model.store(&k, joined, flags, expire_at, now).map(|()| true)
-                    };
-                    prop_assert_eq!(mc.append(k.as_bytes(), &extra, now), want);
-                }
                 Cmd::Get(k) => {
                     let got = mc.get(name(k).as_bytes(), now).map(|g| (g.value, g.flags, g.cas));
                     let want = model.get(&name(k), now);
@@ -320,14 +280,6 @@ proptest! {
                         model.remove(&k);
                     }
                     prop_assert_eq!(mc.delete(k.as_bytes(), now), want);
-                }
-                Cmd::Touch(k, ttl) => {
-                    let k = name(k);
-                    let want = model.live(&k, now);
-                    if want {
-                        model.items.get_mut(&k).expect("live").expire_at = at(ttl);
-                    }
-                    prop_assert_eq!(mc.touch(k.as_bytes(), at(ttl), now), want);
                 }
                 Cmd::FlushAll => {
                     mc.flush_all();

@@ -19,33 +19,11 @@ enum Cmd {
         fill: u8,
         ttl: Option<u8>,
     },
-    Add {
-        key: u8,
-        len: u16,
-        fill: u8,
-    },
-    Replace {
-        key: u8,
-        len: u16,
-        fill: u8,
-    },
-    Append {
-        key: u8,
-        fill: u8,
-    },
     Get {
         key: u8,
     },
     Delete {
         key: u8,
-    },
-    Incr {
-        key: u8,
-        delta: u32,
-    },
-    Touch {
-        key: u8,
-        ttl: u8,
     },
     Advance {
         secs: u8,
@@ -56,17 +34,8 @@ fn cmd_strategy() -> impl Strategy<Value = Cmd> {
     prop_oneof![
         4 => (any::<u8>(), 0u16..2000, any::<u8>(), prop::option::of(1u8..40))
             .prop_map(|(key, len, fill, ttl)| Cmd::Set { key: key % 12, len, fill, ttl }),
-        2 => (any::<u8>(), 0u16..500, any::<u8>())
-            .prop_map(|(key, len, fill)| Cmd::Add { key: key % 12, len, fill }),
-        2 => (any::<u8>(), 0u16..500, any::<u8>())
-            .prop_map(|(key, len, fill)| Cmd::Replace { key: key % 12, len, fill }),
-        2 => (any::<u8>(), any::<u8>())
-            .prop_map(|(key, fill)| Cmd::Append { key: key % 12, fill }),
         6 => any::<u8>().prop_map(|key| Cmd::Get { key: key % 12 }),
         2 => any::<u8>().prop_map(|key| Cmd::Delete { key: key % 12 }),
-        1 => (any::<u8>(), 0u32..1000)
-            .prop_map(|(key, delta)| Cmd::Incr { key: key % 12, delta }),
-        1 => (any::<u8>(), 1u8..40).prop_map(|(key, ttl)| Cmd::Touch { key: key % 12, ttl }),
         2 => (1u8..30).prop_map(|secs| Cmd::Advance { secs }),
     ]
 }
@@ -122,32 +91,6 @@ proptest! {
                     mc.set(&key_bytes(key), Bytes::from(value.clone()), 0, exp, now).unwrap();
                     reference.items.insert(key, RefItem { value, expire_at: exp });
                 }
-                Cmd::Add { key, len, fill } => {
-                    let value: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
-                    let stored = mc.add(&key_bytes(key), Bytes::from(value.clone()), 0, None, now).unwrap();
-                    let expect = !reference.live(key, now);
-                    prop_assert_eq!(stored, expect, "add semantics diverged");
-                    if stored {
-                        reference.items.insert(key, RefItem { value, expire_at: None });
-                    }
-                }
-                Cmd::Replace { key, len, fill } => {
-                    let value: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
-                    let stored = mc.replace(&key_bytes(key), Bytes::from(value.clone()), 0, None, now).unwrap();
-                    let expect = reference.live(key, now);
-                    prop_assert_eq!(stored, expect, "replace semantics diverged");
-                    if stored {
-                        reference.items.insert(key, RefItem { value, expire_at: None });
-                    }
-                }
-                Cmd::Append { key, fill } => {
-                    let stored = mc.append(&key_bytes(key), &[fill], now).unwrap();
-                    let expect = reference.live(key, now);
-                    prop_assert_eq!(stored, expect, "append semantics diverged");
-                    if stored {
-                        reference.items.get_mut(&key).unwrap().value.push(fill);
-                    }
-                }
                 Cmd::Get { key } => {
                     let got = mc.get(&key_bytes(key), now);
                     if reference.live(key, now) {
@@ -163,33 +106,6 @@ proptest! {
                     let expect = reference.live(key, now);
                     prop_assert_eq!(deleted, expect, "delete semantics diverged");
                     reference.items.remove(&key);
-                }
-                Cmd::Incr { key, delta } => {
-                    let r = mc.incr(&key_bytes(key), delta as u64, now);
-                    if reference.live(key, now) {
-                        let item = reference.items.get_mut(&key).unwrap();
-                        let parsed = std::str::from_utf8(&item.value)
-                            .ok()
-                            .and_then(|s| s.trim_end().parse::<u64>().ok());
-                        match parsed {
-                            Some(n) => {
-                                let new = n.wrapping_add(delta as u64);
-                                prop_assert_eq!(r.unwrap(), Some(new));
-                                item.value = new.to_string().into_bytes();
-                            }
-                            None => prop_assert!(r.is_err(), "incr on non-numeric must fail"),
-                        }
-                    } else {
-                        prop_assert_eq!(r.unwrap(), None);
-                    }
-                }
-                Cmd::Touch { key, ttl } => {
-                    let touched = mc.touch(&key_bytes(key), Some(now + ttl as u64), now);
-                    let expect = reference.live(key, now);
-                    prop_assert_eq!(touched, expect, "touch semantics diverged");
-                    if touched {
-                        reference.items.get_mut(&key).unwrap().expire_at = Some(now + ttl as u64);
-                    }
                 }
                 Cmd::Advance { secs } => now += secs as u64,
             }
@@ -239,16 +155,6 @@ proptest! {
                     shadow.remove(&key);
                 }
                 Cmd::Advance { secs } => now += secs as u64,
-                // Conditional stores may or may not land under pressure;
-                // drop the shadow entry so we never assert stale bytes.
-                Cmd::Add { key, .. }
-                | Cmd::Replace { key, .. }
-                | Cmd::Append { key, .. }
-                | Cmd::Incr { key, .. }
-                | Cmd::Touch { key, .. } => {
-                    let _ = mc.touch(&key_bytes(key), None, now);
-                    shadow.remove(&key);
-                }
             }
             let stats = mc.stats();
             prop_assert!(

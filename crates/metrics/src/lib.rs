@@ -13,9 +13,12 @@
 //! clocks — so distributions are exact and deterministic, not subject to
 //! host jitter.
 //!
-//! All primitives are atomic and cheap to clone, so the same types serve
-//! the single-threaded simulations and the natively threaded memcached
-//! daemon.
+//! All primitives are atomic and cheap to clone.
+//!
+//! The registry is the one way to read a counter: components register
+//! their handles here and expose them through [`MetricSource`], and
+//! callers read the collected [`Snapshot`] — by exact name, or summed
+//! over the instances a [`Snapshot::counter_sum`] pattern names.
 //!
 //! ```
 //! use imca_metrics::{Registry, Snapshot};
@@ -401,12 +404,21 @@ impl Snapshot {
         }
     }
 
-    /// Sum of every counter whose name ends with `suffix` — aggregation
-    /// across instances (`mcd.0.store.get_hits` + `mcd.1.store.get_hits`).
-    pub fn counter_sum(&self, suffix: &str) -> u64 {
+    /// Sum of every counter whose name matches the dotted `pattern`, in
+    /// which a `*` segment stands for exactly one segment and every other
+    /// segment must match exactly — aggregation across the instances the
+    /// caller names (`bank.mcd.*.store.get_hits` sums `bank.mcd.0…` and
+    /// `bank.mcd.1…`, never `smcache.bank…`). A pattern without `*` reads
+    /// one exact name.
+    pub fn counter_sum(&self, pattern: &str) -> u64 {
+        let matches = |name: &str| {
+            let mut have = name.split('.');
+            let each = |w: &str| have.next().is_some_and(|h| w == "*" || w == h);
+            pattern.split('.').all(each) && have.next().is_none()
+        };
         self.metrics
             .iter()
-            .filter(|(k, _)| k.ends_with(suffix))
+            .filter(|(k, _)| matches(k))
             .filter_map(|(_, v)| match v {
                 MetricValue::Counter(n) => Some(*n),
                 _ => None,
@@ -831,7 +843,27 @@ mod tests {
         doc.merge_prefixed("mcd.0", &reg.snapshot());
         doc.merge_prefixed("mcd.1", &reg.snapshot());
         assert_eq!(doc.counter("mcd.0.store.get_hits"), Some(3));
-        assert_eq!(doc.counter_sum("store.get_hits"), 6);
+        assert_eq!(doc.counter_sum("mcd.*.store.get_hits"), 6);
+    }
+
+    #[test]
+    fn counter_sum_star_matches_exactly_one_segment() {
+        let mut snap = Snapshot::new();
+        snap.set_counter("cmcache.0.read_hits", 1);
+        snap.set_counter("cmcache.1.read_hits", 2);
+        snap.set_counter("cmcache.0.meta.read_hits", 40);
+        snap.set_counter("xcmcache.0.read_hits", 300);
+        snap.set_counter("cmcache.read_hits", 5_000);
+        snap.set_gauge("cmcache.2.read_hits", 60_000);
+        // One instance segment: neither a deeper name, a longer first
+        // segment, a missing instance nor a gauge counts.
+        assert_eq!(snap.counter_sum("cmcache.*.read_hits"), 3);
+        assert_eq!(snap.counter_sum("cmcache.*.*.read_hits"), 40);
+        assert_eq!(snap.counter_sum("*.0.read_hits"), 301);
+        // Without `*`, exactly one name.
+        assert_eq!(snap.counter_sum("cmcache.0.read_hits"), 1);
+        assert_eq!(snap.counter_sum("read_hits"), 0);
+        assert_eq!(snap.counter_sum(".read_hits"), 0);
     }
 
     #[test]

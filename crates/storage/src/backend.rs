@@ -15,7 +15,7 @@ use imca_sim::{SimDuration, SimHandle};
 use crate::disk::DiskParams;
 use crate::extent::ExtentStore;
 use crate::fault::{IoError, StorageFaultPlan};
-use crate::pagecache::{FileId, PageCache, PageCacheStats};
+use crate::pagecache::{FileId, PageCache};
 use crate::raid::Raid0;
 
 /// Synthetic page index holding a file's inode block. Stat traffic competes
@@ -289,11 +289,6 @@ impl StorageBackend {
         Ok(existed)
     }
 
-    /// Page-cache statistics.
-    pub fn cache_stats(&self) -> PageCacheStats {
-        self.inner.cache.borrow().stats()
-    }
-
     /// Drop every clean and dirty page (e.g. to simulate a cold cache).
     /// Dirty data is already persistent in the extent store.
     pub fn drop_caches(&self) {
@@ -475,8 +470,8 @@ mod tests {
             }
         });
         sim.run();
-        let stats = be.cache_stats();
-        assert!(stats.evictions > 0, "expected LRU pressure: {stats:?}");
+        let evictions = imca_metrics::collect_from(&be, "").counter("pagecache.evictions");
+        assert!(evictions > Some(0), "expected LRU pressure");
     }
 
     #[test]

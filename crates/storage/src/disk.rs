@@ -68,8 +68,11 @@ struct DiskInner {
     /// for sequential detection. Addresses are in a per-disk linear space.
     head_pos: Cell<u64>,
     registry: Registry,
+    /// Completed read requests.
     reads: Counter,
+    /// Completed write requests.
     writes: Counter,
+    /// Requests that were detected as sequential with their predecessor.
     sequential_hits: Counter,
     /// Accesses that failed under the installed fault plan.
     io_errors: Counter,
@@ -84,19 +87,6 @@ struct DiskInner {
 #[derive(Clone)]
 pub struct Disk {
     inner: Rc<DiskInner>,
-}
-
-/// Operation counters for a [`Disk`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiskStats {
-    /// Completed read requests.
-    pub reads: u64,
-    /// Completed write requests.
-    pub writes: u64,
-    /// Requests that were detected as sequential with their predecessor.
-    pub sequential_hits: u64,
-    /// Requests that failed under the installed fault plan.
-    pub io_errors: u64,
 }
 
 impl Disk {
@@ -199,17 +189,6 @@ impl Disk {
         self.inner.station.queue_len()
     }
 
-    /// Operation counters — a view over the same registry counters the
-    /// metrics snapshot reports.
-    pub fn stats(&self) -> DiskStats {
-        DiskStats {
-            reads: self.inner.reads.get(),
-            writes: self.inner.writes.get(),
-            sequential_hits: self.inner.sequential_hits.get(),
-            io_errors: self.inner.io_errors.get(),
-        }
-    }
-
     /// The mechanical parameters of this disk.
     pub fn params(&self) -> &DiskParams {
         &self.inner.params
@@ -226,6 +205,12 @@ impl MetricSource for Disk {
 mod tests {
     use super::*;
     use imca_sim::Sim;
+
+    /// The disk's counters called `names`, in order.
+    fn counters<const N: usize>(disk: &Disk, names: [&str; N]) -> [u64; N] {
+        let snap = imca_metrics::collect_from(disk, "");
+        names.map(|name| snap.counter(name).expect("registered counter"))
+    }
 
     #[test]
     fn random_access_pays_full_positioning() {
@@ -248,9 +233,7 @@ mod tests {
             d2.access(&h, 0, 4096, false).await.unwrap(); // random again
         });
         sim.run();
-        let s = disk.stats();
-        assert_eq!(s.reads, 3);
-        assert_eq!(s.sequential_hits, 1);
+        assert_eq!(counters(&disk, ["reads", "sequential_hits"]), [3, 1]);
     }
 
     #[test]
@@ -269,8 +252,7 @@ mod tests {
         let end = sim.run().end_time;
         let per = DiskParams::hdd_2008().service_time(4096, false);
         assert_eq!(end.as_nanos(), per.as_nanos() * 4);
-        assert_eq!(disk.stats().reads, 2);
-        assert_eq!(disk.stats().writes, 2);
+        assert_eq!(counters(&disk, ["reads", "writes"]), [2, 2]);
     }
 
     #[test]
@@ -294,7 +276,7 @@ mod tests {
             });
             sim.run();
             let fates = Rc::try_unwrap(out).unwrap().into_inner();
-            (fates, disk.stats().io_errors)
+            (fates, counters(&disk, ["io_errors"])[0])
         }
         let (fates, errors) = run(42);
         assert!(errors > 0, "0.3 over 100 accesses never failed");
@@ -321,8 +303,7 @@ mod tests {
         });
         sim.run();
         // The mechanism still ran: ops counted, and both failures tallied.
-        let s = disk.stats();
-        assert_eq!((s.reads, s.writes, s.io_errors), (1, 1, 2));
+        assert_eq!(counters(&disk, ["reads", "writes", "io_errors"]), [1, 1, 2]);
     }
 
     #[test]
@@ -346,7 +327,7 @@ mod tests {
             assert!(d2.access(&h, 1_000_000, 4096, false).await.is_ok());
         });
         sim.run();
-        assert_eq!(disk.stats().io_errors, 1);
+        assert_eq!(counters(&disk, ["io_errors"]), [1]);
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //!     assert!(h.now().since(t1) < cold);
 //! });
 //! sim.run();
-//! assert!(be.cache_stats().misses > 0);
+//! let snap = imca_metrics::collect_from(&be, "storage");
+//! assert!(snap.counter("storage.pagecache.misses") > Some(0));
 //! ```
 
 #![warn(missing_docs)]
@@ -48,8 +49,8 @@ mod pagecache;
 mod raid;
 
 pub use backend::{BackendParams, StorageBackend};
-pub use disk::{Disk, DiskParams, DiskStats};
+pub use disk::{Disk, DiskParams};
 pub use extent::ExtentStore;
 pub use fault::{IoError, StorageFaultPlan};
-pub use pagecache::{Evicted, FileId, Lookup, PageCache, PageCacheStats};
+pub use pagecache::{Evicted, FileId, Lookup, PageCache};
 pub use raid::Raid0;

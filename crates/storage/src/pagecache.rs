@@ -43,17 +43,6 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Cumulative page-cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PageCacheStats {
-    /// Pages found resident on lookup.
-    pub hits: u64,
-    /// Pages not resident on lookup.
-    pub misses: u64,
-    /// Pages evicted by LRU pressure.
-    pub evictions: u64,
-}
-
 /// Fixed-capacity LRU page cache over `(file, page)` keys.
 pub struct PageCache {
     page_size: u64,
@@ -63,8 +52,11 @@ pub struct PageCache {
     next_seq: u64,
     dirty_pages: usize,
     registry: Registry,
+    /// Pages found resident on lookup.
     hits: Counter,
+    /// Pages not resident on lookup.
     misses: Counter,
+    /// Pages evicted by LRU pressure.
     evictions: Counter,
 }
 
@@ -110,16 +102,6 @@ impl PageCache {
     /// Capacity in pages.
     pub fn capacity_pages(&self) -> usize {
         self.capacity_pages
-    }
-
-    /// Cumulative statistics — a view over the same registry counters the
-    /// metrics snapshot reports.
-    pub fn stats(&self) -> PageCacheStats {
-        PageCacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-        }
     }
 
     fn page_range(&self, offset: u64, len: u64) -> std::ops::Range<u64> {
@@ -298,7 +280,8 @@ mod tests {
         let l = c.lookup(FileId(1), 0, 8192);
         assert_eq!(l.hit_pages, 2);
         assert!(l.miss_ranges.is_empty());
-        assert_eq!(c.stats().hits, 2);
+        let snap = imca_metrics::collect_from(&c, "");
+        assert_eq!(snap.counter("hits"), Some(2));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use imca_metrics::{prefixed, MetricSource, Snapshot};
 use imca_sim::{join_all, SimDuration, SimHandle};
 
-use crate::disk::{Disk, DiskParams, DiskStats};
+use crate::disk::{Disk, DiskParams};
 use crate::fault::{FaultState, IoError, StorageFaultPlan};
 
 /// A RAID-0 array: consecutive `chunk`-byte stripes round-robin across the
@@ -139,19 +139,15 @@ impl Raid0 {
             .max()
             .unwrap_or(SimDuration::ZERO)
     }
-
-    /// Aggregated member-disk stats.
-    pub fn stats(&self) -> Vec<DiskStats> {
-        self.disks.iter().map(|d| d.stats()).collect()
-    }
 }
 
 impl MetricSource for Raid0 {
     fn collect(&self, prefix: &str, snap: &mut Snapshot) {
         let mut io_errors = 0;
         for (i, disk) in self.disks.iter().enumerate() {
-            disk.collect(&prefixed(prefix, &format!("disk.{i}")), snap);
-            io_errors += disk.stats().io_errors;
+            let member = prefixed(prefix, &format!("disk.{i}"));
+            disk.collect(&member, snap);
+            io_errors += snap.counter(&prefixed(&member, "io_errors")).unwrap_or(0);
         }
         // Array-wide aggregate, so failure experiments can assert on one
         // number (`storage.io_errors`) instead of walking members.
@@ -255,10 +251,10 @@ mod tests {
             assert_eq!(h.now(), before);
         });
         sim.run();
-        let errors: u64 = r.stats().iter().map(|s| s.io_errors).sum();
-        assert_eq!(errors, 2);
+        let snap = imca_metrics::collect_from(&r, "");
+        assert_eq!(snap.counter("io_errors"), Some(2));
         // Only the failed member tallied them.
-        assert_eq!(r.stats()[2].io_errors, 2);
+        assert_eq!(snap.counter("disk.2.io_errors"), Some(2));
     }
 
     #[test]

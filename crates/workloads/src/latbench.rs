@@ -242,21 +242,15 @@ pub fn run(cfg: &LatencyBench) -> LatencyResult {
     let write_expect = if cfg.shared_file { 1 } else { cfg.clients };
     let write_us = collect(&writes.borrow(), write_expect);
     let read_us = collect(&reads.borrow(), cfg.clients);
-    let (cm_read_hits, cm_read_misses) = match dep.gluster() {
-        Some(g) => {
-            let cm = g.cmcache_stats();
-            (cm.read_hits, cm.read_misses)
-        }
-        None => (0, 0),
-    };
     let read_op_ns = op_ns.borrow().clone();
+    let metrics = dep.metrics();
     LatencyResult {
         write_us,
         read_us,
         read_op_ns,
-        cm_read_hits,
-        cm_read_misses,
-        metrics: dep.metrics(),
+        cm_read_hits: metrics.counter_sum("cmcache.*.read_hits"),
+        cm_read_misses: metrics.counter_sum("cmcache.*.read_misses"),
+        metrics,
     }
 }
 
@@ -368,9 +362,9 @@ mod tests {
         });
         sim.run();
         if let Some(g) = dep.gluster() {
-            let cm = g.cmcache_stats();
-            assert_eq!(cm.read_misses, 0, "{cm:?}");
-            assert_eq!(cm.read_hits, 32);
+            let snap = g.metrics();
+            assert_eq!(snap.counter_sum("cmcache.*.read_misses"), 0);
+            assert_eq!(snap.counter_sum("cmcache.*.read_hits"), 32);
             checked = true;
         }
         assert!(checked);

@@ -251,9 +251,9 @@ mod tests {
             lease.max_node_secs,
             bank.max_node_secs
         );
-        assert!(lease.metrics.counter_sum(".meta.lease_hits") > 0);
-        assert!(lease.metrics.counter_sum(".meta.negative_hits") > 0);
-        assert_eq!(bank.metrics.counter_sum(".meta.lease_hits"), 0);
+        assert!(lease.metrics.counter_sum("cmcache.*.meta.lease_hits") > 0);
+        assert!(lease.metrics.counter_sum("cmcache.*.meta.negative_hits") > 0);
+        assert_eq!(bank.metrics.counter_sum("cmcache.*.meta.lease_hits"), 0);
     }
 
     /// The batched window rides one multi-key bank round per window, not
@@ -271,8 +271,11 @@ mod tests {
             spec: SystemSpec::imca(2),
             seed: 11,
         });
-        let batched = windowed.metrics.counter_sum(".meta.batched_paths");
+        let batched = windowed.metrics.counter_sum("cmcache.*.meta.batched_paths");
         assert!(batched > 0, "no batched lookups recorded");
-        assert_eq!(single.metrics.counter_sum(".meta.batched_paths"), 0);
+        assert_eq!(
+            single.metrics.counter_sum("cmcache.*.meta.batched_paths"),
+            0
+        );
     }
 }

@@ -137,7 +137,8 @@ pub struct OverloadOut {
     pub sheds: u64,
     /// Client-observed `busy` replies, summed over every bank client.
     pub busy_sheds: u64,
-    /// Read circuits opened (timeout-driven degradation).
+    /// Circuits opened (timeout-driven degradation), summed over every
+    /// bank client.
     pub circuit_opens: u64,
     /// Read-path fills skipped by the rewarm throttle.
     pub rewarm_suppressed: u64,
@@ -320,23 +321,21 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
     let summary = sim.run();
     let elapsed = summary.end_time.since(t_start.get());
     let snap = cluster.metrics();
-    let sheds = (0..cfg.mcds)
-        .map(|i| {
-            snap.counter(&format!("bank.per_daemon.{i}.sheds"))
-                .unwrap_or(0)
-        })
-        .sum();
-    let cm = cluster.cmcache_stats();
+    // Every bank client: each mount's CMCache and the server's SMCache.
+    let every_client = |m: &str| {
+        snap.counter_sum(&format!("cmcache.*.bank.{m}"))
+            + snap.counter_sum(&format!("smcache.bank.{m}"))
+    };
     OverloadOut {
         ops: ops_done.get(),
         elapsed,
         latency: latency.snapshot(),
-        sheds,
-        busy_sheds: snap.counter_sum(".busy_sheds"),
-        circuit_opens: snap.counter_sum(".circuit_opens"),
+        sheds: snap.counter_sum("bank.per_daemon.*.sheds"),
+        busy_sheds: every_client("busy_sheds"),
+        circuit_opens: every_client("circuit_opens"),
         rewarm_suppressed: snap.counter("smcache.rewarm_suppressed").unwrap_or(0),
-        read_hits: cm.read_hits,
-        read_misses: cm.read_misses,
+        read_hits: snap.counter_sum("cmcache.*.read_hits"),
+        read_misses: snap.counter_sum("cmcache.*.read_misses"),
         metrics: snap,
     }
 }

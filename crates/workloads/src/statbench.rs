@@ -121,20 +121,15 @@ pub fn run(cfg: &StatBench) -> StatBenchResult {
     let max = times.iter().cloned().fold(0.0f64, f64::max);
     let mean = times.iter().sum::<f64>() / times.len() as f64;
 
-    let (mut hits, mut misses, mut evictions) = (0, 0, 0);
-    if let Some(g) = dep.gluster() {
-        let s = g.mcd_stats();
-        hits = s.get_hits;
-        misses = s.get_misses;
-        evictions = s.evictions;
-    }
+    let metrics = dep.metrics();
+    let bank = |m: &str| metrics.counter_sum(&format!("bank.mcd.*.store.{m}"));
     StatBenchResult {
         max_node_secs: max,
         mean_node_secs: mean,
-        mcd_hits: hits,
-        mcd_misses: misses,
-        mcd_evictions: evictions,
-        metrics: dep.metrics(),
+        mcd_hits: bank("get_hits"),
+        mcd_misses: bank("get_misses"),
+        mcd_evictions: bank("evictions"),
+        metrics,
     }
 }
 

@@ -96,11 +96,17 @@ fn run(config: ClusterConfig, label: &str) -> f64 {
         "{label:<22} {max:6.3}s wall, {:7.0} requests/s",
         total_requests / max
     );
-    if let Some(sm) = cluster.smcache_stats() {
-        let cm = cluster.cmcache_stats();
+    let snap = cluster.metrics();
+    if let Some(blocks_pushed) = snap.counter("smcache.blocks_pushed") {
+        let cm = |m: &str| snap.counter_sum(&format!("cmcache.*.{m}"));
         println!(
             "{:<22} stat hits {} / misses {}, read hits {} / misses {}, blocks pushed {}",
-            "", cm.stat_hits, cm.stat_misses, cm.read_hits, cm.read_misses, sm.blocks_pushed
+            "",
+            cm("stat_hits"),
+            cm("stat_misses"),
+            cm("read_hits"),
+            cm("read_misses"),
+            blocks_pushed
         );
     }
     max

@@ -84,13 +84,15 @@ fn main() {
     }
 
     sim.run();
-    let cm = cluster.cmcache_stats();
     let snap = cluster.metrics();
     println!();
-    println!("CMCache read hits   : {}", cm.read_hits);
+    println!(
+        "CMCache read hits   : {}",
+        snap.counter_sum("cmcache.*.read_hits")
+    );
     println!(
         "CMCache read misses : {} (includes failure windows)",
-        cm.read_misses
+        snap.counter_sum("cmcache.*.read_misses")
     );
     println!(
         "bank failovers      : {} / revivals: {}",

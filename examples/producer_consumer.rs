@@ -93,8 +93,10 @@ fn main() {
     }
 
     sim.run();
-    let cm = cluster.cmcache_stats();
-    let total_polls = cm.stat_hits + cm.stat_misses;
+    let snap = cluster.metrics();
+    let cm = |m: &str| snap.counter_sum(&format!("cmcache.*.{m}"));
+    let stat_hits = cm("stat_hits");
+    let total_polls = stat_hits + cm("stat_misses");
     println!("producer wrote      : {} bytes", UPDATES * RECORD);
     println!(
         "consumers received  : {} bytes (all verified)",
@@ -103,12 +105,13 @@ fn main() {
     println!(
         "stat polls          : {} total, {} served by the MCD bank ({:.0}%)",
         total_polls,
-        cm.stat_hits,
-        100.0 * cm.stat_hits as f64 / total_polls.max(1) as f64
+        stat_hits,
+        100.0 * stat_hits as f64 / total_polls.max(1) as f64
     );
     println!(
         "read interception   : {} hits / {} misses",
-        cm.read_hits, cm.read_misses
+        cm("read_hits"),
+        cm("read_misses")
     );
     assert!(delivered.get() >= UPDATES * RECORD * CONSUMERS as u64 / 2);
 }

@@ -68,14 +68,19 @@ fn main() {
     println!();
     println!("virtual time elapsed : {}", summary.end_time);
     println!("events processed     : {}", summary.events);
-    let cm = cluster.cmcache_stats();
+    let snap = cluster.metrics();
+    let cm = |m: &str| snap.counter_sum(&format!("cmcache.*.{m}"));
     println!(
         "CMCache              : {} read hits, {} read misses, {} stat hits",
-        cm.read_hits, cm.read_misses, cm.stat_hits
+        cm("read_hits"),
+        cm("read_misses"),
+        cm("stat_hits")
     );
-    let mcd = cluster.mcd_stats();
+    let items: u64 = cluster.mcds().iter().map(|n| n.stats().curr_items).sum();
     println!(
         "MCD bank             : {} gets ({} hits), {} items resident",
-        mcd.cmd_get, mcd.get_hits, mcd.curr_items
+        snap.counter_sum("bank.mcd.*.store.cmd_get"),
+        snap.counter_sum("bank.mcd.*.store.get_hits"),
+        items
     );
 }

@@ -5,6 +5,8 @@
 #   scripts/tier1.sh --strict   additionally check formatting of the
 #                               first-party packages, lint the whole
 #                               workspace (clippy with warnings denied),
+#                               resolve every first-party doc link
+#                               (rustdoc with warnings denied),
 #                               run every test in the workspace and the
 #                               benchmark harness's own tests (so a
 #                               change that breaks the benchmark-facing
@@ -47,6 +49,12 @@ cargo test -q
 if [[ "${1:-}" == "--strict" ]]; then
     cargo fmt --check "${FIRST_PARTY[@]/#/--package=}"
     cargo clippy --workspace --all-targets -- -D warnings
+
+    # Every intra-doc link resolves to a public item: a doc comment that
+    # still names a deleted or private item fails here. The vendored
+    # shims stay out (proptest's `vec` is both a function and a macro,
+    # which rustdoc rejects on its own).
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${FIRST_PARTY[@]/#/--package=}"
 
     # Everything the workspace tests, not just the root package, and the
     # benchmark harness against the changed crates.

@@ -81,8 +81,8 @@ fn stat_mtime_monotonically_tracks_producer() {
     }
     sim.run();
     // Most consumer stats should have been served by the bank.
-    let cm = cluster.cmcache_stats();
-    assert!(cm.stat_hits > 0, "{cm:?}");
+    let stat_hits = cluster.metrics().counter_sum("cmcache.*.stat_hits");
+    assert!(stat_hits > 0, "{stat_hits}");
 }
 
 #[test]
@@ -136,8 +136,8 @@ fn open_purge_forces_fresh_view() {
     }
     sim.run();
     // The post-reopen read was a miss (the purge worked).
-    let cm = cluster.cmcache_stats();
-    assert!(cm.read_misses >= 1, "{cm:?}");
+    let read_misses = cluster.metrics().counter_sum("cmcache.*.read_misses");
+    assert!(read_misses >= 1, "{read_misses}");
 }
 
 #[test]
@@ -167,10 +167,13 @@ fn threaded_updates_eventually_converge() {
         });
     }
     sim.run();
-    let cm = cluster.cmcache_stats();
-    assert_eq!(cm.read_misses, 0, "threaded update did not land: {cm:?}");
-    let sm = cluster.smcache_stats().unwrap();
-    assert!(sm.deferred_jobs >= 1);
+    let snap = cluster.metrics();
+    let read_misses = snap.counter_sum("cmcache.*.read_misses");
+    assert_eq!(
+        read_misses, 0,
+        "threaded update did not land: {read_misses}"
+    );
+    assert!(snap.counter("smcache.deferred_jobs").unwrap() >= 1);
 }
 
 /// Regression (ISSUE 3 satellite): an RPC deadline expiring in the middle

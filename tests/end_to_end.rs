@@ -135,12 +135,12 @@ fn whole_deployment_is_deterministic() {
             });
         }
         let summary = sim.run();
-        let cm = cluster.cmcache_stats();
+        let snap = cluster.metrics();
         (
             summary.end_time.as_nanos(),
             summary.events,
-            cm.read_hits,
-            cm.stat_hits,
+            snap.counter_sum("cmcache.*.read_hits"),
+            snap.counter_sum("cmcache.*.stat_hits"),
         )
     }
     assert_eq!(trace(), trace());
@@ -250,8 +250,12 @@ fn warm_read_costs_at_most_one_rpc_per_daemon() {
     });
     sim.run();
 
-    assert_eq!(cluster.cmcache_stats().read_hits, 1, "warm read must hit");
     let snap = cluster.metrics();
+    assert_eq!(
+        snap.counter_sum("cmcache.*.read_hits"),
+        1,
+        "warm read must hit"
+    );
     for (i, before) in before.borrow().iter().enumerate() {
         let after = snap.counter(&format!("bank.mcd.{i}.requests")).unwrap_or(0);
         assert!(
@@ -293,7 +297,7 @@ fn failover_counters_agree_with_bank_stats() {
         for k in 0..32u64 {
             m.read(fd, k * 2048, 2048).await.unwrap();
         }
-        *hb.borrow_mut() = c.cmcache_stats().read_hits;
+        *hb.borrow_mut() = c.metrics().counter_sum("cmcache.*.read_hits");
         // Kill one daemon mid-run; idempotent second kill must not
         // double-count.
         c.kill_mcd(0);
@@ -313,13 +317,6 @@ fn failover_counters_agree_with_bank_stats() {
     let snap = cluster.metrics();
     assert_eq!(snap.counter("bank.mcd_failovers"), Some(1));
     assert_eq!(snap.counter("bank.mcd_revivals"), Some(1));
-    // The dead daemon's drop counter and the surviving warm blocks must
-    // reconcile with the CMCache view in the very same snapshot.
-    assert_eq!(
-        snap.counter_sum(".read_hits"),
-        cluster.cmcache_stats().read_hits,
-        "registry-derived stats must match the legacy accessor"
-    );
     assert!(
         *hits_before_kill.borrow() == 32,
         "warm pass should hit the bank on every read"
