@@ -7,7 +7,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
+use imca_bench::{emit, emit_metrics, Grid, Options};
 use imca_core::{Cluster, ClusterConfig, ImcaConfig};
 use imca_memcached::{McConfig, Selector};
 use imca_metrics::Snapshot;
@@ -82,16 +82,10 @@ fn main() {
         "batched vs per-key bank data path on warm multi-block reads",
     );
     let reads = if opts.full { 200 } else { 50 };
-    let block_counts: Vec<u64> = vec![1, 2, 4, 8, 16];
-
-    let mut jobs: Vec<Box<dyn FnOnce() -> Point + Send>> = Vec::new();
-    for &n in &block_counts {
-        for batched in [false, true] {
-            let seed = opts.seed;
-            jobs.push(Box::new(move || run_point(batched, n, reads, seed)));
-        }
-    }
-    let results = parallel_sweep(jobs);
+    let modes = vec![("PerKey".to_string(), false), ("Batched".to_string(), true)];
+    let grid = Grid::sweep(modes, vec![1, 2, 4, 8, 16], |&batched, n| {
+        run_point(batched, n as u64, reads, opts.seed)
+    });
 
     let mut table = Table::new(
         "Batching ablation: warm read, 2 MCDs (modulo), 2 KB blocks",
@@ -105,9 +99,8 @@ fn main() {
         ],
     );
     let mut snap = Snapshot::new();
-    for (i, &n) in block_counts.iter().enumerate() {
-        let per_key = &results[i * 2];
-        let batched = &results[i * 2 + 1];
+    for (xi, &n) in grid.xs.iter().enumerate() {
+        let (per_key, batched) = (grid.at(0, xi), grid.at(1, xi));
         table.push_row(
             n as f64,
             vec![
@@ -117,11 +110,7 @@ fn main() {
                 Some(batched.rpcs_per_read),
             ],
         );
-        snap.merge_prefixed(&format!("{}.{n}", metric_label("PerKey")), &per_key.metrics);
-        snap.merge_prefixed(
-            &format!("{}.{n}", metric_label("Batched")),
-            &batched.metrics,
-        );
+        grid.merge_metrics(&mut snap, xi, &n.to_string(), |r| &r.metrics);
     }
     emit(&opts, "ablate_batching", &table);
     emit_metrics(&opts, "ablate_batching", &snap);

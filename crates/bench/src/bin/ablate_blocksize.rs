@@ -8,7 +8,7 @@
 use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
 use imca_core::ImcaConfig;
 use imca_metrics::Snapshot;
-use imca_workloads::latbench::{run, LatencyBench, LatencyResult};
+use imca_workloads::latbench::{run, LatencyBench};
 use imca_workloads::report::{human_bytes, Table};
 use imca_workloads::SystemSpec;
 
@@ -39,22 +39,17 @@ fn main() {
         ));
     }
 
-    let jobs: Vec<Box<dyn FnOnce() -> LatencyResult + Send>> = systems
-        .iter()
-        .map(|(_, spec)| {
-            let cfg = LatencyBench {
-                spec: spec.clone(),
-                clients: 1,
-                record_sizes: record_sizes.clone(),
-                records,
-                warmup: false,
-                shared_file: false,
-                seed: opts.seed,
-            };
-            Box::new(move || run(&cfg)) as Box<dyn FnOnce() -> LatencyResult + Send>
+    let results = parallel_sweep(&systems, |(_, spec)| {
+        run(&LatencyBench {
+            spec: spec.clone(),
+            clients: 1,
+            record_sizes: record_sizes.clone(),
+            records,
+            warmup: false,
+            shared_file: false,
+            seed: opts.seed,
         })
-        .collect();
-    let results = parallel_sweep(jobs);
+    });
 
     let mut table = Table::new(
         "Block-size ablation: single-client read latency",

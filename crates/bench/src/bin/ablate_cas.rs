@@ -25,9 +25,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use imca_bench::{emit, emit_metrics, parallel_sweep, Options};
+use imca_bench::{emit, emit_bench, emit_metrics, fixed, obj, parallel_sweep, Options};
 use imca_core::{Cluster, ClusterConfig, Coherence, ImcaConfig, Replication};
 use imca_memcached::McConfig;
+use imca_metrics::json::Json;
 use imca_metrics::Snapshot;
 use imca_sim::{join_all, Sim, SimDuration};
 use imca_workloads::report::Table;
@@ -198,7 +199,7 @@ fn main() {
         12
     };
 
-    // One job per (sweep, R, coherence) point, all independent.
+    // One run per (sweep, R, coherence) point, all independent.
     let points: Vec<(SweepKind, usize, Coherence)> = [SweepKind::WriteHeavy, SweepKind::Mixed]
         .iter()
         .flat_map(|&kind| {
@@ -209,17 +210,9 @@ fn main() {
             })
         })
         .collect();
-    let wall = std::time::Instant::now();
-    let jobs: Vec<Box<dyn FnOnce() -> SweepOut + Send>> = points
-        .iter()
-        .map(|&(kind, r, coh)| {
-            let seed = opts.seed;
-            Box::new(move || run_sweep(kind, coh, r, rounds, seed))
-                as Box<dyn FnOnce() -> SweepOut + Send>
-        })
-        .collect();
-    let results = parallel_sweep(jobs);
-    let wall_secs = wall.elapsed().as_secs_f64();
+    let results = parallel_sweep(&points, |&(kind, r, coh)| {
+        run_sweep(kind, coh, r, rounds, opts.seed)
+    });
 
     let mut table = Table::new(
         format!("Write-coherence ablation: {CLIENTS} clients, {MCDS} MCDs, {rounds} rounds"),
@@ -279,30 +272,35 @@ fn main() {
     }
 
     // Consolidated BENCH_7.json for scripts/tier1.sh --strict.
-    let mut doc = String::from("{\n  \"bench\": \"ablate_cas\",\n");
-    doc.push_str(&format!(
-        "  \"clients\": {CLIENTS},\n  \"mcds\": {MCDS},\n  \"rounds\": {rounds},\n"
-    ));
-    doc.push_str(&format!("  \"wall_clock_secs\": {wall_secs:.3},\n"));
-    doc.push_str("  \"series\": [\n");
-    for (i, (&(kind, r, coh), res)) in points.iter().zip(&results).enumerate() {
-        doc.push_str(&format!(
-            "    {{\"sweep\": \"{}\", \"replication\": {r}, \"coherence\": \"{}\", \
-             \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"post_write_hit_rate\": {:.4}}}{}\n",
-            kind.label(),
-            coherence_label(coh),
-            quantile(&res.op_ns, 0.50) as f64 / 1_000.0,
-            quantile(&res.op_ns, 0.99) as f64 / 1_000.0,
-            res.hit_rate,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ],\n");
-    doc.push_str(&format!("  \"cas_beats_purge\": {cas_beats_purge}\n}}\n"));
-    let _ = std::fs::create_dir_all(&opts.out_dir);
-    let path = opts.out_dir.join("BENCH_7.json");
-    std::fs::write(&path, &doc).expect("cannot write BENCH_7.json");
-    println!("(consolidated summary written to {})", path.display());
+    let int = |n: usize| Json::Int(n as i128);
+    let us = |ns: u64| fixed(ns as f64 / 1_000.0, 2);
+    let doc = obj(vec![
+        ("bench", Json::Str("ablate_cas".into())),
+        ("clients", int(CLIENTS)),
+        ("mcds", int(MCDS)),
+        ("rounds", Json::Int(rounds.into())),
+        (
+            "series",
+            Json::Arr(
+                points
+                    .iter()
+                    .zip(&results)
+                    .map(|(&(kind, r, coh), res)| {
+                        obj(vec![
+                            ("sweep", Json::Str(kind.label().into())),
+                            ("replication", int(r)),
+                            ("coherence", Json::Str(coherence_label(coh).into())),
+                            ("p50_us", us(quantile(&res.op_ns, 0.50))),
+                            ("p99_us", us(quantile(&res.op_ns, 0.99))),
+                            ("post_write_hit_rate", fixed(res.hit_rate, 4)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("cas_beats_purge", Json::Bool(cas_beats_purge)),
+    ]);
+    emit_bench(&opts, "BENCH_7", &doc);
 
     assert!(
         cas_beats_purge,

@@ -10,7 +10,7 @@ use imca_core::ImcaConfig;
 use imca_memcached::{McConfig, Selector, ServerMap};
 use imca_metrics::Snapshot;
 use imca_workloads::report::Table;
-use imca_workloads::statbench::{run, StatBench, StatBenchResult};
+use imca_workloads::statbench::{run, StatBench};
 use imca_workloads::SystemSpec;
 
 fn selectors() -> Vec<(&'static str, Selector)> {
@@ -53,24 +53,19 @@ fn main() {
 
     // (b) End-to-end effect on the stat benchmark.
     let bench_files = if opts.full { 65_536 } else { 8_192 };
-    let jobs: Vec<Box<dyn FnOnce() -> StatBenchResult + Send>> = selectors()
-        .into_iter()
-        .map(|(_, sel)| {
-            let cfg = StatBench {
-                files: bench_files,
-                clients: 8,
-                spec: SystemSpec::Imca(ImcaConfig {
-                    mcd_count: mcds,
-                    selector: sel,
-                    mcd_config: McConfig::with_mem_limit(1 << 30),
-                    ..ImcaConfig::default()
-                }),
-                seed: opts.seed,
-            };
-            Box::new(move || run(&cfg)) as Box<dyn FnOnce() -> StatBenchResult + Send>
+    let results = parallel_sweep(&selectors(), |&(_, selector)| {
+        run(&StatBench {
+            files: bench_files,
+            clients: 8,
+            spec: SystemSpec::Imca(ImcaConfig {
+                mcd_count: mcds,
+                selector,
+                mcd_config: McConfig::with_mem_limit(1 << 30),
+                ..ImcaConfig::default()
+            }),
+            seed: opts.seed,
         })
-        .collect();
-    let results = parallel_sweep(jobs);
+    });
     let mut time = Table::new(
         "Hashing ablation (b): stat benchmark completion",
         "selector (0=CRC32 1=Modulo 2=Ketama)",

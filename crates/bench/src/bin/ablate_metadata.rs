@@ -16,22 +16,23 @@
 //!
 //! [`MetaPolicy`]: imca_core::MetaPolicy
 
-use imca_bench::{emit, emit_metrics, parallel_sweep, Options};
+use imca_bench::{emit, emit_bench, emit_metrics, fixed, obj, Grid, Options};
 use imca_core::MetaConfig;
+use imca_metrics::json::Json;
 use imca_metrics::Snapshot;
 use imca_workloads::lsstorm::{run, LsStorm, LsStormResult};
-use imca_workloads::report::Table;
 use imca_workloads::SystemSpec;
 
 const MCDS: usize = 4;
 const WINDOW: usize = 8;
 const GHOST_EVERY: usize = 2;
 
-fn policies() -> Vec<(&'static str, MetaConfig)> {
+/// The three policies, in the order the claims index them.
+fn policies() -> Vec<(String, MetaConfig)> {
     vec![
-        ("nocache", MetaConfig::nocache()),
-        ("bank", MetaConfig::default()),
-        ("lease", MetaConfig::lease()),
+        ("nocache".into(), MetaConfig::nocache()),
+        ("bank".into(), MetaConfig::default()),
+        ("lease".into(), MetaConfig::lease()),
     ]
 }
 
@@ -55,127 +56,114 @@ fn main() {
         (128, 4, vec![1, 8, 32])
     };
 
-    let wall = std::time::Instant::now();
-    let grid: Vec<(&'static str, MetaConfig, usize)> = policies()
-        .into_iter()
-        .flat_map(|(name, meta)| clients_sweep.iter().map(move |&c| (name, meta, c)))
-        .collect();
-    let jobs: Vec<Box<dyn FnOnce() -> LsStormResult + Send>> = grid
-        .iter()
-        .map(|&(_, meta, clients)| {
-            let cfg = LsStorm {
-                files,
-                clients,
-                rounds,
-                window: WINDOW,
-                ghost_every: GHOST_EVERY,
-                spec: SystemSpec::imca_meta(MCDS, meta),
-                seed: opts.seed,
-            };
-            Box::new(move || run(&cfg)) as Box<dyn FnOnce() -> LsStormResult + Send>
+    let grid = Grid::sweep(policies(), clients_sweep, |&meta, clients| {
+        run(&LsStorm {
+            files,
+            clients,
+            rounds,
+            window: WINDOW,
+            ghost_every: GHOST_EVERY,
+            spec: SystemSpec::imca_meta(MCDS, meta),
+            seed: opts.seed,
         })
-        .collect();
-    let results = parallel_sweep(jobs);
-    let wall_secs = wall.elapsed().as_secs_f64();
+    });
 
-    let pick = |policy: &str, clients: usize| -> &LsStormResult {
-        grid.iter()
-            .zip(&results)
-            .find(|((p, _, c), _)| *p == policy && *c == clients)
-            .map(|(_, r)| r)
-            .unwrap()
-    };
-
-    let mut table = Table::new(
+    let table = grid.table(
         format!(
             "Metadata ablation: ls storm p99 stat latency, {files} files x {rounds} walks, \
              {MCDS} MCDs"
         ),
         "clients",
         "microseconds",
-        policies().iter().map(|(n, _)| n.to_string()).collect(),
+        |r| Some(q_us(r, 0.99)),
     );
-    for &c in &clients_sweep {
-        let row: Vec<Option<f64>> = policies()
-            .iter()
-            .map(|(name, _)| Some(q_us(pick(name, c), 0.99)))
-            .collect();
-        table.push_row(c as f64, row);
-    }
     emit(&opts, "ablate_metadata", &table);
 
     let mut snap = Snapshot::new();
-    for ((name, _, c), res) in grid.iter().zip(&results) {
-        snap.merge_prefixed(&format!("{name}.c{c}"), &res.metrics);
+    for (xi, c) in grid.xs.iter().enumerate() {
+        grid.merge_metrics(&mut snap, xi, &format!("c{c}"), |r| &r.metrics);
     }
     emit_metrics(&opts, "ablate_metadata", &snap);
 
-    // Consolidated BENCH_6.json for scripts/tier1.sh --strict.
-    let max_c = *clients_sweep.iter().max().unwrap();
-    let p50 = |p: &str| q_us(pick(p, max_c), 0.50);
-    let p99 = |p: &str| q_us(pick(p, max_c), 0.99);
-    let lease_p50_lt_bank = p50("lease") < p50("bank");
-    let lease_p99_lt_bank = p99("lease") < p99("bank");
-    let bank_p99_lt_nocache = p99("bank") < p99("nocache");
+    // Consolidated BENCH_6.json for scripts/tier1.sh --strict, at the
+    // largest client count.
+    let last = grid.xs.len() - 1;
+    let max_c = grid.xs[last];
+    let [nocache, bank, lease] = [0, 1, 2].map(|si| grid.at(si, last));
+    let (p50, p99) = (|r| q_us(r, 0.50), |r| q_us(r, 0.99));
+    let lease_p50_lt_bank = p50(lease) < p50(bank);
+    let lease_p99_lt_bank = p99(lease) < p99(bank);
+    let bank_p99_lt_nocache = p99(bank) < p99(nocache);
 
-    let mut doc = String::from("{\n  \"bench\": \"ablate_metadata\",\n");
-    doc.push_str(&format!(
-        "  \"files\": {files},\n  \"rounds\": {rounds},\n  \"window\": {WINDOW},\n  \
-         \"ghost_every\": {GHOST_EVERY},\n  \"mcds\": {MCDS},\n"
-    ));
-    doc.push_str(&format!("  \"wall_clock_secs\": {wall_secs:.3},\n"));
-    doc.push_str("  \"series\": [\n");
-    for (i, ((name, _, c), res)) in grid.iter().zip(&results).enumerate() {
-        doc.push_str(&format!(
-            "    {{\"policy\": \"{name}\", \"clients\": {c}, \"stat_p50_us\": {:.2}, \
-             \"stat_p99_us\": {:.2}, \"walk_secs\": {:.4}, \"lease_hits\": {}, \
-             \"negative_hits\": {}, \"batched_paths\": {}}}{}\n",
-            q_us(res, 0.50),
-            q_us(res, 0.99),
-            res.max_node_secs,
-            res.metrics.counter_sum("cmcache.*.meta.lease_hits"),
-            res.metrics.counter_sum("cmcache.*.meta.negative_hits"),
-            res.metrics.counter_sum("cmcache.*.meta.batched_paths"),
-            if i + 1 < grid.len() { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ],\n");
-    doc.push_str(&format!(
-        "  \"claims\": {{\"clients\": {max_c}, \"lease_p50_lt_bank\": {lease_p50_lt_bank}, \
-         \"lease_p99_lt_bank\": {lease_p99_lt_bank}, \
-         \"bank_p99_lt_nocache\": {bank_p99_lt_nocache}}}\n}}\n"
-    ));
-    let _ = std::fs::create_dir_all(&opts.out_dir);
-    let path = opts.out_dir.join("BENCH_6.json");
-    std::fs::write(&path, &doc).expect("cannot write BENCH_6.json");
-    println!("(consolidated summary written to {})", path.display());
+    let int = |n: usize| Json::Int(n as i128);
+    let counter = |r: &LsStormResult, name: &str| {
+        Json::Int(
+            r.metrics
+                .counter_sum(&format!("cmcache.*.meta.{name}"))
+                .into(),
+        )
+    };
+    let series = grid
+        .points()
+        .map(|((name, _), c, r)| {
+            obj(vec![
+                ("policy", Json::Str(name.clone())),
+                ("clients", int(c)),
+                ("stat_p50_us", fixed(q_us(r, 0.50), 2)),
+                ("stat_p99_us", fixed(q_us(r, 0.99), 2)),
+                ("walk_secs", fixed(r.max_node_secs, 4)),
+                ("lease_hits", counter(r, "lease_hits")),
+                ("negative_hits", counter(r, "negative_hits")),
+                ("batched_paths", counter(r, "batched_paths")),
+            ])
+        })
+        .collect();
+    let doc = obj(vec![
+        ("bench", Json::Str("ablate_metadata".into())),
+        ("files", int(files)),
+        ("rounds", int(rounds)),
+        ("window", int(WINDOW)),
+        ("ghost_every", int(GHOST_EVERY)),
+        ("mcds", int(MCDS)),
+        ("series", Json::Arr(series)),
+        (
+            "claims",
+            obj(vec![
+                ("clients", int(max_c)),
+                ("lease_p50_lt_bank", Json::Bool(lease_p50_lt_bank)),
+                ("lease_p99_lt_bank", Json::Bool(lease_p99_lt_bank)),
+                ("bank_p99_lt_nocache", Json::Bool(bank_p99_lt_nocache)),
+            ]),
+        ),
+    ]);
+    emit_bench(&opts, "BENCH_6", &doc);
 
     // The claims this ablation exists to check.
     assert!(
         lease_p50_lt_bank,
         "lease p50 {:.2}us did not beat bank p50 {:.2}us at {max_c} clients",
-        p50("lease"),
-        p50("bank")
+        p50(lease),
+        p50(bank)
     );
     assert!(
         lease_p99_lt_bank,
         "lease p99 {:.2}us did not beat bank p99 {:.2}us at {max_c} clients",
-        p99("lease"),
-        p99("bank")
+        p99(lease),
+        p99(bank)
     );
     assert!(
         bank_p99_lt_nocache,
         "bank p99 {:.2}us did not beat nocache p99 {:.2}us at {max_c} clients",
-        p99("bank"),
-        p99("nocache")
+        p99(bank),
+        p99(nocache)
     );
     println!(
         "claims hold at {max_c} clients: p50 lease {:.1}us < bank {:.1}us; \
          p99 lease {:.1}us < bank {:.1}us < nocache {:.1}us",
-        p50("lease"),
-        p50("bank"),
-        p99("lease"),
-        p99("bank"),
-        p99("nocache")
+        p50(lease),
+        p50(bank),
+        p99(lease),
+        p99(bank),
+        p99(nocache)
     );
 }

@@ -25,11 +25,10 @@
 //! * **free below the knee** — up to the knee, ON goodput is within 5%
 //!   of OFF at every grid point.
 
-use imca_bench::{emit, emit_metrics, obj, parallel_sweep, rounded, Options};
+use imca_bench::{emit, emit_bench, emit_metrics, obj, rounded, Grid, Options};
 use imca_metrics::json::Json;
 use imca_metrics::Snapshot;
 use imca_workloads::overload::{run, OverloadBench, OverloadOut};
-use imca_workloads::report::Table;
 
 /// The four drives: label, keep the queue limit, keep the rewarm throttle.
 const DRIVES: [(&str, bool, bool); 4] = [
@@ -72,7 +71,7 @@ fn main() {
         (vec![2, 4, 6, 12, 24, 32], 40)
     };
 
-    // One job per (clients, drive) point; each is its own sim.
+    // One run per (drive, clients) point; each is its own sim.
     let bench = |clients: usize, (_, queue, rewarm): (&str, bool, bool)| {
         let on = OverloadBench::new(clients);
         OverloadBench {
@@ -83,34 +82,23 @@ fn main() {
             ..on
         }
     };
-    let jobs: Vec<Box<dyn FnOnce() -> OverloadOut + Send>> = DRIVES
+    let drives = DRIVES
         .iter()
-        .flat_map(|&drive| grid.iter().map(move |&clients| (clients, drive)))
-        .map(|(clients, drive)| {
-            let cfg = bench(clients, drive);
-            Box::new(move || run(&cfg)) as Box<dyn FnOnce() -> OverloadOut + Send>
-        })
+        .map(|&d| (format!("protection {}", d.0), d))
         .collect();
-    let results = parallel_sweep(jobs);
+    let runs = Grid::sweep(drives, grid.clone(), |&drive, clients| {
+        run(&bench(clients, drive))
+    });
     // `series[d][g]`: drive `d` at grid point `g`.
-    let series: Vec<&[OverloadOut]> = results.chunks(grid.len()).collect();
+    let series: Vec<&[OverloadOut]> = (0..DRIVES.len()).map(|d| runs.line(d)).collect();
     let (on, off) = (series[0], series[1]);
 
-    let mut table = Table::new(
+    let table = runs.table(
         format!("Overload drive: goodput vs clients ({ops} reads/client, 2 MCDs, R=2)"),
         "clients",
         "goodput ops/s",
-        DRIVES
-            .iter()
-            .map(|d| format!("protection {}", d.0))
-            .collect(),
+        |o| Some(o.goodput()),
     );
-    for (g, &c) in grid.iter().enumerate() {
-        table.push_row(
-            c as f64,
-            series.iter().map(|s| Some(s[g].goodput())).collect(),
-        );
-    }
     emit(&opts, "ablate_overload", &table);
 
     for (d, drive) in DRIVES.iter().enumerate() {
@@ -237,16 +225,11 @@ fn main() {
         (
             "series",
             Json::Arr(
-                DRIVES
-                    .iter()
-                    .zip(&series)
-                    .flat_map(|(drive, outs)| {
-                        grid.iter().zip(*outs).map(move |(&c, o)| (drive.0, c, o))
-                    })
-                    .map(|(drive, clients, o)| {
+                runs.points()
+                    .map(|((_, drive), clients, o)| {
                         obj(vec![
                             ("clients", int(clients as u64)),
-                            ("protection", Json::Str(drive.into())),
+                            ("protection", Json::Str(drive.0.into())),
                             ("goodput_ops_per_sec", rounded(o.goodput(), 1)),
                             ("p50_ms", rounded(p50_ms(o), 2)),
                             ("p99_ms", rounded(o.p99_ms(), 2)),
@@ -278,10 +261,7 @@ fn main() {
         ("each_mechanism_needed", Json::Bool(each_mechanism_needed)),
         ("goodput_plateaus", Json::Bool(goodput_plateaus)),
     ]);
-    let _ = std::fs::create_dir_all(&opts.out_dir);
-    let path = opts.out_dir.join("BENCH_9.json");
-    std::fs::write(&path, doc.render_pretty()).expect("cannot write BENCH_9.json");
-    println!("(consolidated summary written to {})", path.display());
+    emit_bench(&opts, "BENCH_9", &doc);
 
     // Per-point metrics document (deepest point only keeps it readable).
     let mut merged = Snapshot::new();

@@ -9,7 +9,7 @@ use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
 use imca_core::ImcaConfig;
 use imca_fabric::Transport;
 use imca_metrics::Snapshot;
-use imca_workloads::latbench::{run, LatencyBench, LatencyResult};
+use imca_workloads::latbench::{run, LatencyBench};
 use imca_workloads::report::Table;
 use imca_workloads::SystemSpec;
 
@@ -40,22 +40,17 @@ fn main() {
             ("IMCa/RDMA".into(), spec(true)),
             ("NoCache".into(), SystemSpec::GlusterNoCache),
         ];
-        let jobs: Vec<Box<dyn FnOnce() -> LatencyResult + Send>> = systems
-            .iter()
-            .map(|(_, s)| {
-                let cfg = LatencyBench {
-                    spec: s.clone(),
-                    clients,
-                    record_sizes: sizes.clone(),
-                    records,
-                    warmup: false,
-                    shared_file: false,
-                    seed: opts.seed,
-                };
-                Box::new(move || run(&cfg)) as Box<dyn FnOnce() -> LatencyResult + Send>
+        let results = parallel_sweep(&systems, |(_, spec)| {
+            run(&LatencyBench {
+                spec: spec.clone(),
+                clients,
+                record_sizes: sizes.clone(),
+                records,
+                warmup: false,
+                shared_file: false,
+                seed: opts.seed,
             })
-            .collect();
-        let results = parallel_sweep(jobs);
+        });
         let mut table = Table::new(
             format!("RDMA ablation: read latency, {clients} client(s), 2 MCDs"),
             "record bytes",

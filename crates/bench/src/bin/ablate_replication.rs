@@ -12,16 +12,17 @@
 //!
 //! Writes `ablate_replication.{json,txt}`, `ablate_replication_metrics
 //! .json`, and the consolidated `BENCH_5.json` (per-R shared-read
-//! p50/p99 and wall-clock) into the results directory.
+//! p50/p99 and the failover counts) into the results directory.
 
 use std::rc::Rc;
 
-use imca_bench::{emit, emit_metrics, parallel_sweep, Options};
+use imca_bench::{emit, emit_bench, emit_metrics, fixed, obj, parallel_sweep, Options};
 use imca_core::{Cluster, ClusterConfig, ImcaConfig, Replication};
 use imca_memcached::{McConfig, Selector};
+use imca_metrics::json::Json;
 use imca_metrics::Snapshot;
 use imca_sim::Sim;
-use imca_workloads::latbench::{run, LatencyBench, LatencyResult};
+use imca_workloads::latbench::{run, LatencyBench};
 use imca_workloads::report::Table;
 use imca_workloads::SystemSpec;
 
@@ -108,25 +109,18 @@ fn main() {
         (32, 96)
     };
 
-    let wall = std::time::Instant::now();
-    let jobs: Vec<Box<dyn FnOnce() -> LatencyResult + Send>> = factors
-        .iter()
-        .map(|&r| {
-            let cfg = LatencyBench {
-                spec: spec(r),
-                clients,
-                record_sizes: vec![RECORD_SIZE],
-                records,
-                warmup: true,
-                shared_file: true,
-                seed: opts.seed,
-            };
-            Box::new(move || run(&cfg)) as Box<dyn FnOnce() -> LatencyResult + Send>
+    let results = parallel_sweep(&factors, |&r| {
+        run(&LatencyBench {
+            spec: spec(r),
+            clients,
+            record_sizes: vec![RECORD_SIZE],
+            records,
+            warmup: true,
+            shared_file: true,
+            seed: opts.seed,
         })
-        .collect();
-    let results = parallel_sweep(jobs);
+    });
     let (failovers, degraded_added) = failover_scenario(opts.seed);
-    let wall_secs = wall.elapsed().as_secs_f64();
 
     let series: Vec<(usize, Vec<u64>, f64)> = factors
         .iter()
@@ -162,30 +156,37 @@ fn main() {
     emit_metrics(&opts, "ablate_replication", &snap);
 
     // Consolidated BENCH_5.json for scripts/tier1.sh --strict.
-    let mut doc = String::from("{\n  \"bench\": \"ablate_replication\",\n");
-    doc.push_str(&format!(
-        "  \"clients\": {clients},\n  \"records\": {records},\n  \"mcds\": {MCDS},\n"
-    ));
-    doc.push_str(&format!("  \"wall_clock_secs\": {wall_secs:.3},\n"));
-    doc.push_str("  \"series\": [\n");
-    for (i, (r, ns, mean)) in series.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{\"replication\": {r}, \"read_p50_us\": {:.2}, \"read_p99_us\": {:.2}, \
-             \"mean_read_us\": {mean:.2}}}{}\n",
-            quantile(ns, 0.50) as f64 / 1_000.0,
-            quantile(ns, 0.99) as f64 / 1_000.0,
-            if i + 1 < series.len() { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ],\n");
-    doc.push_str(&format!(
-        "  \"failover\": {{\"replica_failovers\": {failovers}, \
-         \"degraded_misses_added\": {degraded_added}}}\n}}\n"
-    ));
-    let _ = std::fs::create_dir_all(&opts.out_dir);
-    let path = opts.out_dir.join("BENCH_5.json");
-    std::fs::write(&path, &doc).expect("cannot write BENCH_5.json");
-    println!("(consolidated summary written to {})", path.display());
+    let int = |n: u64| Json::Int(n.into());
+    let doc = obj(vec![
+        ("bench", Json::Str("ablate_replication".into())),
+        ("clients", int(clients as u64)),
+        ("records", int(records as u64)),
+        ("mcds", int(MCDS as u64)),
+        (
+            "series",
+            Json::Arr(
+                series
+                    .iter()
+                    .map(|(r, ns, mean)| {
+                        obj(vec![
+                            ("replication", int(*r as u64)),
+                            ("read_p50_us", fixed(quantile(ns, 0.50) as f64 / 1_000.0, 2)),
+                            ("read_p99_us", fixed(quantile(ns, 0.99) as f64 / 1_000.0, 2)),
+                            ("mean_read_us", fixed(*mean, 2)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "failover",
+            obj(vec![
+                ("replica_failovers", int(failovers)),
+                ("degraded_misses_added", int(degraded_added)),
+            ]),
+        ),
+    ]);
+    emit_bench(&opts, "BENCH_5", &doc);
 
     // The claims this ablation exists to check.
     let p99 = |r: usize| {

@@ -2,10 +2,9 @@
 //! writes, every node reads (§5.6). IMCa runs with a single MCD, against
 //! NoCache and Lustre-1DS cold.
 
-use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
+use imca_bench::{emit, emit_metrics, Grid, Options};
 use imca_metrics::Snapshot;
-use imca_workloads::latbench::{run, LatencyBench, LatencyResult};
-use imca_workloads::report::Table;
+use imca_workloads::latbench::{run, LatencyBench};
 use imca_workloads::SystemSpec;
 
 fn main() {
@@ -38,45 +37,31 @@ fn main() {
         },
     ];
 
-    let mut jobs: Vec<Box<dyn FnOnce() -> LatencyResult + Send>> = Vec::new();
-    for spec in &systems {
-        for &nodes in &node_sweep {
-            let cfg = LatencyBench {
-                spec: spec.clone(),
-                clients: nodes,
-                record_sizes: vec![record_size],
-                records,
-                warmup: false,
-                shared_file: true,
-                seed: opts.seed,
-            };
-            jobs.push(Box::new(move || run(&cfg)));
-        }
-    }
-    let results = parallel_sweep(jobs);
-
-    let mut table = Table::new(
+    let series = systems.into_iter().map(|s| (s.label(), s)).collect();
+    let grid = Grid::sweep(series, node_sweep, |spec, nodes| {
+        run(&LatencyBench {
+            spec: spec.clone(),
+            clients: nodes,
+            record_sizes: vec![record_size],
+            records,
+            warmup: false,
+            shared_file: true,
+            seed: opts.seed,
+        })
+    });
+    let table = grid.table(
         "Fig 10: read latency to a shared file (root writes, all read)",
         "nodes",
         "microseconds",
-        systems.iter().map(|s| s.label()).collect(),
+        |r| r.read_at(record_size),
     );
-    for (ni, &nodes) in node_sweep.iter().enumerate() {
-        let row: Vec<Option<f64>> = (0..systems.len())
-            .map(|si| results[si * node_sweep.len() + ni].read_at(record_size))
-            .collect();
-        table.push_row(nodes as f64, row);
-    }
     emit(&opts, "fig10_shared_read_latency", &table);
 
     // Observability: per-system snapshots at the largest node count.
     let mut snap = Snapshot::new();
-    let last = node_sweep.len() - 1;
-    for (si, spec) in systems.iter().enumerate() {
-        snap.merge_prefixed(
-            &format!("{}.{}n", metric_label(&spec.label()), node_sweep[last]),
-            &results[si * node_sweep.len() + last].metrics,
-        );
-    }
+    let last = grid.xs.len() - 1;
+    grid.merge_metrics(&mut snap, last, &format!("{}n", grid.xs[last]), |r| {
+        &r.metrics
+    });
     emit_metrics(&opts, "fig10_shared_read_latency", &snap);
 }

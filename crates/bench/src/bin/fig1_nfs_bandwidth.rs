@@ -3,11 +3,10 @@
 //! (b) the larger server memory. The knee appears where the aggregate
 //! working set outgrows the server's page cache.
 
-use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
+use imca_bench::{emit, emit_metrics, Grid, Options};
 use imca_fabric::Transport;
 use imca_metrics::Snapshot;
-use imca_workloads::iozone::{run_nfs, NfsIozoneBench, NfsIozoneResult};
-use imca_workloads::report::Table;
+use imca_workloads::iozone::{run_nfs, NfsIozoneBench};
 
 fn main() {
     let opts = Options::from_args(
@@ -29,56 +28,42 @@ fn main() {
     } else {
         &[1, 2, 4, 8, 16]
     };
-    let transports = [
-        ("RDMA", Transport::rdma_ddr()),
-        ("IPoIB", Transport::ipoib_ddr()),
-        ("GigE", Transport::gige()),
+    let transports = vec![
+        ("RDMA".to_string(), Transport::rdma_ddr()),
+        ("IPoIB".to_string(), Transport::ipoib_ddr()),
+        ("GigE".to_string(), Transport::gige()),
     ];
 
     for (panel, mem) in [("a", mem_small), ("b", mem_big)] {
-        let mut jobs: Vec<Box<dyn FnOnce() -> NfsIozoneResult + Send>> = Vec::new();
-        for (_, transport) in &transports {
-            for &n in clients {
-                let cfg = NfsIozoneBench {
-                    transport: transport.clone(),
-                    server_memory: mem,
-                    clients: n,
-                    file_size,
-                    record_size: 64 * 1024,
-                    pipeline: 4,
-                    seed: opts.seed,
-                };
-                jobs.push(Box::new(move || run_nfs(&cfg)));
-            }
-        }
-        let results = parallel_sweep(jobs);
-        let mut table = Table::new(
+        let grid = Grid::sweep(transports.clone(), clients.to_vec(), |transport, n| {
+            run_nfs(&NfsIozoneBench {
+                transport: transport.clone(),
+                server_memory: mem,
+                clients: n,
+                file_size,
+                record_size: 64 * 1024,
+                pipeline: 4,
+                seed: opts.seed,
+            })
+        });
+        let table = grid.table(
             format!(
                 "Fig 1({panel}): NFS IOzone read bandwidth, {} MB server memory",
                 mem >> 20
             ),
             "clients",
             "MB/s",
-            transports.iter().map(|(n, _)| n.to_string()).collect(),
+            |r| Some(r.read_mb_s),
         );
-        for (ci, &n) in clients.iter().enumerate() {
-            let row: Vec<Option<f64>> = (0..transports.len())
-                .map(|ti| Some(results[ti * clients.len() + ci].read_mb_s))
-                .collect();
-            table.push_row(n as f64, row);
-        }
         emit(&opts, &format!("fig1{panel}_nfs_bandwidth"), &table);
 
         // Observability: per-transport snapshots at the largest client
         // count, merged under `<transport>.<n>c.<tier>...`.
         let mut snap = Snapshot::new();
         let last = clients.len() - 1;
-        for (ti, (tname, _)) in transports.iter().enumerate() {
-            snap.merge_prefixed(
-                &format!("{}.{}c", metric_label(tname), clients[last]),
-                &results[ti * clients.len() + last].metrics,
-            );
-        }
+        grid.merge_metrics(&mut snap, last, &format!("{}c", clients[last]), |r| {
+            &r.metrics
+        });
         emit_metrics(&opts, &format!("fig1{panel}_nfs_bandwidth"), &snap);
     }
 }

@@ -3,12 +3,12 @@
 //! miss rates the paper quotes ("the miss rate with increasing MCDs beyond
 //! 2 is zero").
 
-use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
+use imca_bench::{emit, emit_metrics, Grid, Options};
 use imca_core::ImcaConfig;
 use imca_memcached::McConfig;
 use imca_metrics::Snapshot;
 use imca_workloads::report::Table;
-use imca_workloads::statbench::{run, StatBench, StatBenchResult};
+use imca_workloads::statbench::{run, StatBench};
 use imca_workloads::SystemSpec;
 
 fn main() {
@@ -55,32 +55,21 @@ fn main() {
         },
     ];
 
-    let mut jobs: Vec<Box<dyn FnOnce() -> StatBenchResult + Send>> = Vec::new();
-    for spec in &systems {
-        for &clients in &clients_sweep {
-            let cfg = StatBench {
-                files,
-                clients,
-                spec: spec.clone(),
-                seed: opts.seed,
-            };
-            jobs.push(Box::new(move || run(&cfg)));
-        }
-    }
-    let results = parallel_sweep(jobs);
-
-    let mut table = Table::new(
+    let series = systems.into_iter().map(|s| (s.label(), s)).collect();
+    let grid = Grid::sweep(series, clients_sweep, |spec, clients| {
+        run(&StatBench {
+            files,
+            clients,
+            spec: spec.clone(),
+            seed: opts.seed,
+        })
+    });
+    let table = grid.table(
         format!("Fig 5: time to stat {files} files, max over nodes"),
         "clients",
         "seconds",
-        systems.iter().map(|s| s.label()).collect(),
+        |r| Some(r.max_node_secs),
     );
-    for (ci, &clients) in clients_sweep.iter().enumerate() {
-        let row: Vec<Option<f64>> = (0..systems.len())
-            .map(|si| Some(results[si * clients_sweep.len() + ci].max_node_secs))
-            .collect();
-        table.push_row(clients as f64, row);
-    }
     emit(&opts, "fig5_stat", &table);
 
     // Secondary table: daemon-side miss rate per MCD count at the largest
@@ -91,9 +80,10 @@ fn main() {
         "miss rate",
         vec!["miss_rate".into(), "evictions".into()],
     );
-    for (si, spec) in systems.iter().enumerate() {
+    let last = grid.xs.len() - 1;
+    for (si, (_, spec)) in grid.series.iter().enumerate() {
         if let SystemSpec::Imca(imca) = spec {
-            let r = &results[si * clients_sweep.len() + clients_sweep.len() - 1];
+            let r = grid.at(si, last);
             misses.push_row(
                 imca.mcd_count as f64,
                 vec![r.mcd_miss_rate(), Some(r.mcd_evictions as f64)],
@@ -105,12 +95,8 @@ fn main() {
     // Observability: per-system snapshots at the largest client count,
     // merged under `<system>.<n>c.<tier>...`.
     let mut snap = Snapshot::new();
-    let last = clients_sweep.len() - 1;
-    for (si, spec) in systems.iter().enumerate() {
-        snap.merge_prefixed(
-            &format!("{}.{}c", metric_label(&spec.label()), clients_sweep[last]),
-            &results[si * clients_sweep.len() + last].metrics,
-        );
-    }
+    grid.merge_metrics(&mut snap, last, &format!("{}c", grid.xs[last]), |r| {
+        &r.metrics
+    });
     emit_metrics(&opts, "fig5_stat", &snap);
 }

@@ -8,7 +8,7 @@
 use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
 use imca_core::ImcaConfig;
 use imca_metrics::Snapshot;
-use imca_workloads::latbench::{run, LatencyBench, LatencyResult};
+use imca_workloads::latbench::{run, LatencyBench};
 use imca_workloads::report::Table;
 use imca_workloads::SystemSpec;
 
@@ -35,6 +35,17 @@ fn main() {
         (256, 64 << 10)
     };
     let sizes = LatencyBench::power_of_two_sizes(max_size);
+    let latency = |spec: &SystemSpec| {
+        run(&LatencyBench {
+            spec: spec.clone(),
+            clients: 1,
+            record_sizes: sizes.clone(),
+            records,
+            warmup: false,
+            shared_file: false,
+            seed: opts.seed,
+        })
+    };
 
     let read_systems: Vec<(String, SystemSpec)> = vec![
         ("NoCache".into(), SystemSpec::GlusterNoCache),
@@ -64,22 +75,7 @@ fn main() {
         ),
     ];
 
-    let jobs: Vec<Box<dyn FnOnce() -> LatencyResult + Send>> = read_systems
-        .iter()
-        .map(|(_, spec)| {
-            let cfg = LatencyBench {
-                spec: spec.clone(),
-                clients: 1,
-                record_sizes: sizes.clone(),
-                records,
-                warmup: false,
-                shared_file: false,
-                seed: opts.seed,
-            };
-            Box::new(move || run(&cfg)) as Box<dyn FnOnce() -> LatencyResult + Send>
-        })
-        .collect();
-    let results = parallel_sweep(jobs);
+    let results = parallel_sweep(&read_systems, |(_, spec)| latency(spec));
 
     let mut read_table = Table::new(
         "Fig 6(a,b): single-client read latency",
@@ -104,22 +100,7 @@ fn main() {
         ("IMCa-2K (sync)".into(), imca_block(2048, false)),
         ("IMCa-2K (threaded)".into(), imca_block(2048, true)),
     ];
-    let jobs: Vec<Box<dyn FnOnce() -> LatencyResult + Send>> = write_systems
-        .iter()
-        .map(|(_, spec)| {
-            let cfg = LatencyBench {
-                spec: spec.clone(),
-                clients: 1,
-                record_sizes: sizes.clone(),
-                records,
-                warmup: false,
-                shared_file: false,
-                seed: opts.seed,
-            };
-            Box::new(move || run(&cfg)) as Box<dyn FnOnce() -> LatencyResult + Send>
-        })
-        .collect();
-    let results = parallel_sweep(jobs);
+    let results = parallel_sweep(&write_systems, |(_, spec)| latency(spec));
     let mut write_table = Table::new(
         "Fig 6(c): single-client write latency",
         "record bytes",

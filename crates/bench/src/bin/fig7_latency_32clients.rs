@@ -4,7 +4,7 @@
 
 use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
 use imca_metrics::Snapshot;
-use imca_workloads::latbench::{run, LatencyBench, LatencyResult};
+use imca_workloads::latbench::{run, LatencyBench};
 use imca_workloads::report::Table;
 use imca_workloads::SystemSpec;
 
@@ -39,22 +39,17 @@ fn main() {
         },
     ];
 
-    let jobs: Vec<Box<dyn FnOnce() -> LatencyResult + Send>> = systems
-        .iter()
-        .map(|spec| {
-            let cfg = LatencyBench {
-                spec: spec.clone(),
-                clients,
-                record_sizes: sizes.clone(),
-                records,
-                warmup: false,
-                shared_file: false,
-                seed: opts.seed,
-            };
-            Box::new(move || run(&cfg)) as Box<dyn FnOnce() -> LatencyResult + Send>
+    let results = parallel_sweep(&systems, |spec| {
+        run(&LatencyBench {
+            spec: spec.clone(),
+            clients,
+            record_sizes: sizes.clone(),
+            records,
+            warmup: false,
+            shared_file: false,
+            seed: opts.seed,
         })
-        .collect();
-    let results = parallel_sweep(jobs);
+    });
 
     let mut table = Table::new(
         format!("Fig 7(a,b): read latency with {clients} clients"),

@@ -2,10 +2,10 @@
 //! MCD — panels (a)/(c) for small records, (b)/(d) against Lustre. We
 //! report a table per record size: latency vs client count.
 
-use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
+use imca_bench::{emit, emit_metrics, Grid, Options};
 use imca_metrics::Snapshot;
-use imca_workloads::latbench::{run, LatencyBench, LatencyResult};
-use imca_workloads::report::{human_bytes, Table};
+use imca_workloads::latbench::{run, LatencyBench};
+use imca_workloads::report::human_bytes;
 use imca_workloads::SystemSpec;
 
 fn main() {
@@ -35,39 +35,29 @@ fn main() {
         },
     ];
 
-    let mut jobs: Vec<Box<dyn FnOnce() -> LatencyResult + Send>> = Vec::new();
-    for spec in &systems {
-        for &clients in &client_sweep {
-            let cfg = LatencyBench {
-                spec: spec.clone(),
-                clients,
-                record_sizes: sizes.clone(),
-                records,
-                warmup: false,
-                shared_file: false,
-                seed: opts.seed,
-            };
-            jobs.push(Box::new(move || run(&cfg)));
-        }
-    }
-    let results = parallel_sweep(jobs);
+    let series = systems.into_iter().map(|s| (s.label(), s)).collect();
+    let grid = Grid::sweep(series, client_sweep, |spec, clients| {
+        run(&LatencyBench {
+            spec: spec.clone(),
+            clients,
+            record_sizes: sizes.clone(),
+            records,
+            warmup: false,
+            shared_file: false,
+            seed: opts.seed,
+        })
+    });
 
     for &size in &sizes {
-        let mut table = Table::new(
+        let table = grid.table(
             format!(
                 "Fig 8: read latency vs clients, {} records, 1 MCD",
                 human_bytes(size)
             ),
             "clients",
             "microseconds",
-            systems.iter().map(|s| s.label()).collect(),
+            |r| r.read_at(size),
         );
-        for (ci, &clients) in client_sweep.iter().enumerate() {
-            let row: Vec<Option<f64>> = (0..systems.len())
-                .map(|si| results[si * client_sweep.len() + ci].read_at(size))
-                .collect();
-            table.push_row(clients as f64, row);
-        }
         emit(
             &opts,
             &format!("fig8_read_latency_scaling_{}", human_bytes(size)),
@@ -77,12 +67,9 @@ fn main() {
 
     // Observability: per-system snapshots at the largest client count.
     let mut snap = Snapshot::new();
-    let last = client_sweep.len() - 1;
-    for (si, spec) in systems.iter().enumerate() {
-        snap.merge_prefixed(
-            &format!("{}.{}c", metric_label(&spec.label()), client_sweep[last]),
-            &results[si * client_sweep.len() + last].metrics,
-        );
-    }
+    let last = grid.xs.len() - 1;
+    grid.merge_metrics(&mut snap, last, &format!("{}c", grid.xs[last]), |r| {
+        &r.metrics
+    });
     emit_metrics(&opts, "fig8_latency_scaling", &snap);
 }

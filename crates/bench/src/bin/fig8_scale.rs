@@ -11,7 +11,7 @@
 //! `results/BENCH_8.json`, and asserts its own `knee_found` claim, so
 //! `scripts/tier1.sh --strict`'s smoke run fails on a false one.
 
-use imca_bench::{emit, obj, parallel_sweep, rounded, Options};
+use imca_bench::{emit, emit_bench, obj, parallel_sweep, rounded, Options};
 use imca_core::McdCosts;
 use imca_glusterfs::ServerParams;
 use imca_metrics::json::Json;
@@ -130,15 +130,13 @@ fn main() {
         ]
     };
 
-    let seed = opts.seed;
-    let jobs: Vec<Box<dyn FnOnce() -> Point + Send>> = specs
+    // The series sweep different client grids, so the runs are one flat
+    // list, taken back series by series.
+    let points: Vec<(usize, usize, usize)> = specs
         .iter()
         .flat_map(|(m, r, cs)| cs.iter().map(move |&c| (c, *m, *r)))
-        .map(|(c, m, r)| {
-            Box::new(move || measure(c, m, r, seed)) as Box<dyn FnOnce() -> Point + Send>
-        })
         .collect();
-    let mut results = parallel_sweep(jobs).into_iter();
+    let mut results = parallel_sweep(&points, |&(c, m, r)| measure(c, m, r, opts.seed)).into_iter();
     let series: Vec<Series> = specs
         .iter()
         .map(|(m, r, cs)| Series {
@@ -250,10 +248,7 @@ fn main() {
         ),
         ("knee_found", Json::Bool(knee_found)),
     ]);
-    let _ = std::fs::create_dir_all(&opts.out_dir);
-    let path = opts.out_dir.join("BENCH_8.json");
-    std::fs::write(&path, doc.render_pretty()).expect("cannot write BENCH_8.json");
-    println!("(consolidated summary written to {})", path.display());
+    emit_bench(&opts, "BENCH_8", &doc);
 
     assert!(knee_found, "no saturation knee found in any swept series");
     println!("claim holds: knee(s) annotated");

@@ -2,12 +2,11 @@
 //! MCDs (1/2/4) with the static-modulo (round-robin) block distribution of
 //! §5.5, against NoCache and Lustre-1DS cold.
 
-use imca_bench::{emit, emit_metrics, metric_label, parallel_sweep, Options};
+use imca_bench::{emit, emit_metrics, Grid, Options};
 use imca_core::ImcaConfig;
 use imca_memcached::{McConfig, Selector};
 use imca_metrics::Snapshot;
-use imca_workloads::iozone::{run, IozoneBench, IozoneResult};
-use imca_workloads::report::Table;
+use imca_workloads::iozone::{run, IozoneBench};
 use imca_workloads::SystemSpec;
 
 fn main() {
@@ -50,47 +49,33 @@ fn main() {
         },
     ];
 
-    let mut jobs: Vec<Box<dyn FnOnce() -> IozoneResult + Send>> = Vec::new();
-    for spec in &systems {
-        for &threads in &threads_sweep {
-            let cfg = IozoneBench {
-                spec: spec.clone(),
-                threads,
-                file_size,
-                record_size: 2048,
-                pipeline: 8,
-                seed: opts.seed,
-            };
-            jobs.push(Box::new(move || run(&cfg)));
-        }
-    }
-    let results = parallel_sweep(jobs);
-
-    let mut table = Table::new(
+    let series = systems.into_iter().map(|s| (s.label(), s)).collect();
+    let grid = Grid::sweep(series, threads_sweep.to_vec(), |spec, threads| {
+        run(&IozoneBench {
+            spec: spec.clone(),
+            threads,
+            file_size,
+            record_size: 2048,
+            pipeline: 8,
+            seed: opts.seed,
+        })
+    });
+    let table = grid.table(
         format!(
             "Fig 9: IOzone read throughput, {} MB files, 2K records",
             file_size >> 20
         ),
         "threads",
         "MB/s",
-        systems.iter().map(|s| s.label()).collect(),
+        |r| Some(r.read_mb_s),
     );
-    for (ti, &threads) in threads_sweep.iter().enumerate() {
-        let row: Vec<Option<f64>> = (0..systems.len())
-            .map(|si| Some(results[si * threads_sweep.len() + ti].read_mb_s))
-            .collect();
-        table.push_row(threads as f64, row);
-    }
     emit(&opts, "fig9_iozone_throughput", &table);
 
     // Observability: per-system snapshots at the largest thread count.
     let mut snap = Snapshot::new();
-    let last = threads_sweep.len() - 1;
-    for (si, spec) in systems.iter().enumerate() {
-        snap.merge_prefixed(
-            &format!("{}.{}t", metric_label(&spec.label()), threads_sweep[last]),
-            &results[si * threads_sweep.len() + last].metrics,
-        );
-    }
+    let last = grid.xs.len() - 1;
+    grid.merge_metrics(&mut snap, last, &format!("{}t", grid.xs[last]), |r| {
+        &r.metrics
+    });
     emit_metrics(&opts, "fig9_iozone_throughput", &snap);
 }

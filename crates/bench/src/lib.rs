@@ -9,16 +9,17 @@
 //! 3. writes `results/<name>.json` + `results/<name>.txt` for
 //!    EXPERIMENTS.md.
 //!
-//! Parameter sweeps run one simulation per (system, x) point; independent
-//! points run in parallel OS threads (each simulation itself stays
-//! single-threaded and deterministic).
+//! Parameter sweeps run one simulation per (system, x) point
+//! ([`Grid`], or [`parallel_sweep`] over a bin's own point list);
+//! independent points run in parallel OS threads (each simulation itself
+//! stays single-threaded and deterministic).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use imca_metrics::json::Json;
 use imca_metrics::Snapshot;
@@ -137,15 +138,38 @@ pub fn emit_metrics(opts: &Options, name: &str, snap: &Snapshot) {
 }
 
 /// `x` rounded to `digits` decimals, for a consolidated `BENCH_*.json`
-/// record.
+/// record: `x · 10^digits` rounded half away from zero (BENCH_8, BENCH_9).
 pub fn rounded(x: f64, digits: i32) -> Json {
     let k = 10f64.powi(digits);
     Json::Float((x * k).round() / k)
 }
 
+/// `x` as `format!("{x:.digits$}")` prints it: the rounding BENCH_5,
+/// BENCH_6 and BENCH_7 have always recorded. It differs from [`rounded`]
+/// when `x` is the double just below a decimal tie (107.755 µs prints
+/// 107.75, rounds to 107.76), so each document keeps its own rule and its
+/// recorded values.
+pub fn fixed(x: f64, digits: usize) -> Json {
+    Json::Float(
+        format!("{x:.digits$}")
+            .parse()
+            .expect("a printed float parses"),
+    )
+}
+
 /// A JSON object from `(key, value)` pairs, in order.
 pub fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// Write `doc` to `<out>/<name>.json`, the consolidated claim record a
+/// binary asserts against (`BENCH_5.json` ... `BENCH_9.json`).
+pub fn emit_bench(opts: &Options, name: &str, doc: &Json) {
+    let _ = std::fs::create_dir_all(&opts.out_dir);
+    let path = opts.out_dir.join(format!("{name}.json"));
+    std::fs::write(&path, doc.render_pretty())
+        .unwrap_or_else(|e| panic!("cannot write {name}.json: {e}"));
+    println!("(consolidated summary written to {})", path.display());
 }
 
 /// Sanitise a table-series label (e.g. `"MCD (4)"`, `"Lustre-4DS (Cold)"`)
@@ -163,26 +187,24 @@ pub fn metric_label(label: &str) -> String {
     out.trim_end_matches('_').to_string()
 }
 
-/// Run `jobs` on parallel OS threads (each job is an independent,
-/// self-contained simulation) and collect results in input order. One
-/// worker per core pulls the next job as soon as it is free, so a slow
-/// grid point never holds the others back.
-pub fn parallel_sweep<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T> {
+/// Run `run` over every point on parallel OS threads (each run is an
+/// independent, self-contained simulation) and return the results in
+/// input order. One worker per core takes the next point as soon as it is
+/// free, so a slow point never holds the others back.
+pub fn parallel_sweep<P: Sync, T: Send>(points: &[P], run: impl Fn(&P) -> T + Sync) -> Vec<T> {
     let workers = std::thread::available_parallelism()
         .map_or(4, |n| n.get())
-        .min(jobs.len());
-    let queue = Mutex::new(jobs.into_iter().enumerate());
+        .min(points.len());
+    let next = AtomicUsize::new(0);
     let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
                     let mut mine = Vec::new();
                     loop {
-                        // The lock is released before the job runs, so a
-                        // panicking job cannot poison it.
-                        let next = queue.lock().expect("job queue poisoned").next();
-                        let Some((idx, job)) = next else { break };
-                        mine.push((idx, job()));
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(point) = points.get(idx) else { break };
+                        mine.push((idx, run(point)));
                     }
                     mine
                 })
@@ -190,11 +212,99 @@ pub fn parallel_sweep<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("sweep job panicked"))
+            .flat_map(|h| h.join().expect("sweep run panicked"))
             .collect()
     });
     done.sort_by_key(|&(idx, _)| idx);
     done.into_iter().map(|(_, value)| value).collect()
+}
+
+/// The shape most figures sweep: one run per point of a series × x grid,
+/// each series a labelled system or mode (a table column) and each x an
+/// integer parameter such as the client count (a table row).
+pub struct Grid<S, T> {
+    /// `(label, series)` in column order.
+    pub series: Vec<(String, S)>,
+    /// The x values, in row order.
+    pub xs: Vec<usize>,
+    /// Series-major: the run at `(si, xi)` is `runs[si * xs.len() + xi]`.
+    runs: Vec<T>,
+}
+
+impl<S: Sync, T: Send> Grid<S, T> {
+    /// Run `run(series, x)` at every point of `series × xs`, through
+    /// [`parallel_sweep`].
+    pub fn sweep(
+        series: Vec<(String, S)>,
+        xs: Vec<usize>,
+        run: impl Fn(&S, usize) -> T + Sync,
+    ) -> Grid<S, T> {
+        let points: Vec<(usize, usize)> = (0..series.len())
+            .flat_map(|si| (0..xs.len()).map(move |xi| (si, xi)))
+            .collect();
+        let runs = parallel_sweep(&points, |&(si, xi)| run(&series[si].1, xs[xi]));
+        Grid { series, xs, runs }
+    }
+}
+
+impl<S, T> Grid<S, T> {
+    /// Series `si`'s runs, in x order.
+    pub fn line(&self, si: usize) -> &[T] {
+        let n = self.xs.len();
+        &self.runs[si * n..(si + 1) * n]
+    }
+
+    /// The run of series `si` at x index `xi`.
+    pub fn at(&self, si: usize, xi: usize) -> &T {
+        &self.line(si)[xi]
+    }
+
+    /// Every run with its `(label, series)` and its x, series-major.
+    pub fn points(&self) -> impl Iterator<Item = (&(String, S), usize, &T)> {
+        self.series.iter().enumerate().flat_map(move |(si, s)| {
+            self.xs
+                .iter()
+                .zip(self.line(si))
+                .map(move |(&x, run)| (s, x, run))
+        })
+    }
+
+    /// A table with one column per series label and one row per x, each
+    /// cell `cell` of that point's run.
+    pub fn table(
+        &self,
+        title: impl Into<String>,
+        xlabel: &str,
+        ylabel: &str,
+        cell: impl Fn(&T) -> Option<f64>,
+    ) -> Table {
+        let labels = self.series.iter().map(|(label, _)| label.clone()).collect();
+        let mut table = Table::new(title, xlabel, ylabel, labels);
+        for (xi, &x) in self.xs.iter().enumerate() {
+            let row = (0..self.series.len())
+                .map(|si| cell(self.at(si, xi)))
+                .collect();
+            table.push_row(x as f64, row);
+        }
+        table
+    }
+
+    /// Merge every series' run at x index `xi` into `snap`, each under
+    /// `<metric_label(label)>.<suffix>`.
+    pub fn merge_metrics(
+        &self,
+        snap: &mut Snapshot,
+        xi: usize,
+        suffix: &str,
+        metrics: impl Fn(&T) -> &Snapshot,
+    ) {
+        for (si, (label, _)) in self.series.iter().enumerate() {
+            snap.merge_prefixed(
+                &format!("{}.{suffix}", metric_label(label)),
+                metrics(self.at(si, xi)),
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -203,22 +313,87 @@ mod tests {
 
     #[test]
     fn parallel_sweep_preserves_order_over_unequal_jobs() {
-        // More jobs than any host has cores, every seventh one slow, so
+        // More points than any host has cores, every seventh one slow, so
         // whichever way the workers interleave, completion order differs
         // from input order — and the results must not.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0usize..300)
-            .map(|i| {
-                Box::new(move || {
-                    if i % 7 == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    i * i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let results = parallel_sweep(jobs);
+        let points: Vec<usize> = (0..300).collect();
+        let results = parallel_sweep(&points, |&i| {
+            if i % 7 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            i * i
+        });
         assert_eq!(results, (0usize..300).map(|i| i * i).collect::<Vec<_>>());
-        assert!(parallel_sweep::<usize>(Vec::new()).is_empty());
+        assert!(parallel_sweep(&[] as &[usize], |&i| i).is_empty());
+    }
+
+    #[test]
+    fn grid_matches_the_hand_rolled_series_major_layout() {
+        struct Run {
+            value: f64,
+            metrics: Snapshot,
+        }
+        let series = vec![("MCD (1)".to_string(), 10u64), ("NoCache".to_string(), 20)];
+        let xs = vec![1usize, 4, 16];
+        let run = |s: &u64, x: usize| {
+            let mut metrics = Snapshot::new();
+            metrics.set_counter("fabric.rpc.calls", s * 100 + x as u64);
+            Run {
+                value: (s * 100 + x as u64) as f64,
+                metrics,
+            }
+        };
+        let grid = Grid::sweep(series.clone(), xs.clone(), run);
+
+        // The layout the figure binaries used to build by hand.
+        let points: Vec<(u64, usize)> = series
+            .iter()
+            .flat_map(|(_, s)| xs.iter().map(move |&x| (*s, x)))
+            .collect();
+        let flat = parallel_sweep(&points, |&(s, x)| run(&s, x));
+        let mut table = Table::new(
+            "t",
+            "clients",
+            "y",
+            vec!["MCD (1)".into(), "NoCache".into()],
+        );
+        for (xi, &x) in xs.iter().enumerate() {
+            let row = (0..series.len())
+                .map(|si| Some(flat[si * xs.len() + xi].value))
+                .collect();
+            table.push_row(x as f64, row);
+        }
+        let last = xs.len() - 1;
+        let mut snap = Snapshot::new();
+        for (si, (label, _)) in series.iter().enumerate() {
+            snap.merge_prefixed(
+                &format!("{}.{}c", metric_label(label), xs[last]),
+                &flat[si * xs.len() + last].metrics,
+            );
+        }
+
+        for si in 0..series.len() {
+            for xi in 0..xs.len() {
+                let want = &flat[si * xs.len() + xi];
+                assert_eq!(grid.at(si, xi).value, want.value);
+                assert_eq!(grid.line(si)[xi].value, want.value);
+            }
+        }
+        let walked: Vec<(u64, usize, f64)> = grid
+            .points()
+            .map(|((_, s), x, r)| (*s, x, r.value))
+            .collect();
+        let want: Vec<(u64, usize, f64)> = points
+            .iter()
+            .zip(&flat)
+            .map(|(&(s, x), r)| (s, x, r.value))
+            .collect();
+        assert_eq!(walked, want);
+        assert_eq!(grid.table("t", "clients", "y", |r| Some(r.value)), table);
+        let mut merged = Snapshot::new();
+        grid.merge_metrics(&mut merged, last, &format!("{}c", xs[last]), |r| &r.metrics);
+        assert_eq!(merged, snap);
+        assert_eq!(merged.counter("mcd_1.16c.fabric.rpc.calls"), Some(1016));
     }
 
     fn parse(line: &[&str]) -> Result<Option<Options>, String> {

@@ -16,7 +16,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use imca_metrics::{prefixed, MetricSource, Snapshot};
+use imca_metrics::{prefixed, Counter, MetricSource, Registry, Snapshot};
 use imca_sim::{SimDuration, SimHandle, SimTime};
 
 use crate::fops::{Fop, FopReply};
@@ -40,9 +40,13 @@ pub struct IoCache {
     capacity_pages: usize,
     files: RefCell<HashMap<String, FileCache>>,
     resident: Cell<usize>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-    revalidations: Cell<u64>,
+    registry: Registry,
+    /// Reads served entirely from cached pages.
+    hits: Counter,
+    /// Reads that went to the child.
+    misses: Counter,
+    /// mtime revalidations performed.
+    revalidations: Counter,
 }
 
 impl IoCache {
@@ -56,6 +60,7 @@ impl IoCache {
         capacity_bytes: u64,
         revalidate_timeout: SimDuration,
     ) -> Rc<IoCache> {
+        let registry = Registry::new();
         Rc::new(IoCache {
             child,
             handle,
@@ -63,25 +68,11 @@ impl IoCache {
             capacity_pages: (capacity_bytes / PAGE).max(1) as usize,
             files: RefCell::new(HashMap::new()),
             resident: Cell::new(0),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-            revalidations: Cell::new(0),
+            hits: registry.counter("hits"),
+            misses: registry.counter("misses"),
+            revalidations: registry.counter("revalidations"),
+            registry,
         })
-    }
-
-    /// Reads served entirely from cached pages.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Reads that went to the child.
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// mtime revalidations performed.
-    pub fn revalidations(&self) -> u64 {
-        self.revalidations.get()
     }
 
     fn drop_file(&self, path: &str) {
@@ -144,9 +135,7 @@ impl IoCache {
 
 impl MetricSource for IoCache {
     fn collect(&self, prefix: &str, snap: &mut Snapshot) {
-        snap.set_counter(prefixed(prefix, "hits"), self.hits.get());
-        snap.set_counter(prefixed(prefix, "misses"), self.misses.get());
-        snap.set_counter(prefixed(prefix, "revalidations"), self.revalidations.get());
+        self.registry.collect(prefix, snap);
         snap.set_gauge(
             prefixed(prefix, "resident_pages"),
             self.resident.get() as i64,
@@ -178,7 +167,7 @@ impl Translator for IoCache {
                         }
                     };
                     if needs_validation {
-                        self.revalidations.set(self.revalidations.get() + 1);
+                        self.revalidations.inc();
                         let reply = wind(&self.child, Fop::Stat { path: path.clone() }).await;
                         if let FopReply::Stat(Ok(st)) = reply {
                             let mut files = self.files.borrow_mut();
@@ -196,10 +185,10 @@ impl Translator for IoCache {
                         }
                     }
                     if let Some(data) = self.try_serve(&path, offset, len) {
-                        self.hits.set(self.hits.get() + 1);
+                        self.hits.inc();
                         return FopReply::Read(Ok(data));
                     }
-                    self.misses.set(self.misses.get() + 1);
+                    self.misses.inc();
                     // Fetch page-aligned so whole pages can be cached.
                     let aoff = offset - offset % PAGE;
                     let alen = (offset + len).div_ceil(PAGE) * PAGE - aoff;
@@ -274,6 +263,7 @@ impl Translator for IoCache {
 mod tests {
     use super::*;
     use crate::posix::Posix;
+    use crate::translator::testutil::counter;
     use crate::translator::wind;
     use imca_sim::Sim;
     use imca_storage::{BackendParams, StorageBackend};
@@ -322,8 +312,8 @@ mod tests {
             }
         });
         sim.run();
-        assert_eq!(ioc.misses(), 1);
-        assert_eq!(ioc.hits(), 4);
+        assert_eq!(counter(&*ioc, "misses"), 1);
+        assert_eq!(counter(&*ioc, "hits"), 4);
     }
 
     #[test]
@@ -441,7 +431,7 @@ mod tests {
             assert!(fresh.iter().all(|&b| b == 0xEE), "revalidation failed");
         });
         sim.run();
-        assert!(ioc_a.revalidations() >= 1);
+        assert!(counter(&*ioc_a, "revalidations") >= 1);
     }
 
     #[test]
@@ -487,8 +477,12 @@ mod tests {
             assert_eq!(d[1], 1, "seed pattern is i % 251");
         });
         sim.run();
-        assert_eq!(ioc.hits(), 0, "a failed read must not seed cache hits");
-        assert_eq!(ioc.misses(), 2);
+        assert_eq!(
+            counter(&*ioc, "hits"),
+            0,
+            "a failed read must not seed cache hits"
+        );
+        assert_eq!(counter(&*ioc, "misses"), 2);
     }
 
     #[test]
@@ -521,8 +515,8 @@ mod tests {
             .await;
         });
         sim.run();
-        assert_eq!(ioc.revalidations(), 1);
-        assert_eq!(ioc.hits(), 1);
-        assert_eq!(ioc.misses(), 1);
+        assert_eq!(counter(&*ioc, "revalidations"), 1);
+        assert_eq!(counter(&*ioc, "hits"), 1);
+        assert_eq!(counter(&*ioc, "misses"), 1);
     }
 }

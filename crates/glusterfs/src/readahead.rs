@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use imca_metrics::{prefixed, MetricSource, Snapshot};
+use imca_metrics::{Counter, MetricSource, Registry, Snapshot};
 
 use crate::fops::{Fop, FopReply};
 use crate::translator::{wind, FopFuture, Translator, Xlator};
@@ -28,30 +28,25 @@ pub struct ReadAhead {
     child: Xlator,
     window_bytes: u64,
     files: RefCell<HashMap<String, FileWindow>>,
-    hits: std::cell::Cell<u64>,
-    prefetches: std::cell::Cell<u64>,
+    registry: Registry,
+    /// Reads served entirely from the window buffer.
+    hits: Counter,
+    /// Child reads that were enlarged for prefetch.
+    prefetches: Counter,
 }
 
 impl ReadAhead {
     /// Wrap `child`, prefetching `window_bytes` ahead on sequential streams.
     pub fn new(child: Xlator, window_bytes: u64) -> Rc<ReadAhead> {
+        let registry = Registry::new();
         Rc::new(ReadAhead {
             child,
             window_bytes,
             files: RefCell::new(HashMap::new()),
-            hits: std::cell::Cell::new(0),
-            prefetches: std::cell::Cell::new(0),
+            hits: registry.counter("hits"),
+            prefetches: registry.counter("prefetches"),
+            registry,
         })
-    }
-
-    /// Reads served entirely from the window buffer.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Child reads that were enlarged for prefetch.
-    pub fn prefetches(&self) -> u64 {
-        self.prefetches.get()
     }
 
     fn invalidate(&self, path: &str) {
@@ -75,8 +70,7 @@ impl ReadAhead {
 
 impl MetricSource for ReadAhead {
     fn collect(&self, prefix: &str, snap: &mut Snapshot) {
-        snap.set_counter(prefixed(prefix, "hits"), self.hits.get());
-        snap.set_counter(prefixed(prefix, "prefetches"), self.prefetches.get());
+        self.registry.collect(prefix, snap);
     }
 }
 
@@ -90,7 +84,7 @@ impl Translator for ReadAhead {
             match fop {
                 Fop::Read { path, offset, len } => {
                     if let Some(data) = self.try_serve(&path, offset, len) {
-                        self.hits.set(self.hits.get() + 1);
+                        self.hits.inc();
                         self.files
                             .borrow_mut()
                             .get_mut(&path)
@@ -105,7 +99,7 @@ impl Translator for ReadAhead {
                         .map(|w| w.expected_next == offset)
                         .unwrap_or(false);
                     let fetch_len = if sequential {
-                        self.prefetches.set(self.prefetches.get() + 1);
+                        self.prefetches.inc();
                         len + self.window_bytes
                     } else {
                         len
@@ -148,6 +142,7 @@ impl Translator for ReadAhead {
 mod tests {
     use super::*;
     use crate::posix::Posix;
+    use crate::translator::testutil::counter;
     use imca_sim::Sim;
     use imca_storage::{BackendParams, StorageBackend};
 
@@ -196,8 +191,8 @@ mod tests {
             }
         });
         sim.run();
-        assert!(ra.hits() > 20, "hits={}", ra.hits());
-        assert!(ra.prefetches() >= 1);
+        assert!(counter(&*ra, "hits") > 20, "hits={}", counter(&*ra, "hits"));
+        assert!(counter(&*ra, "prefetches") >= 1);
     }
 
     #[test]
@@ -220,8 +215,8 @@ mod tests {
             }
         });
         sim.run();
-        assert_eq!(ra.prefetches(), 0);
-        assert_eq!(ra.hits(), 0);
+        assert_eq!(counter(&*ra, "prefetches"), 0);
+        assert_eq!(counter(&*ra, "hits"), 0);
     }
 
     #[test]
@@ -310,7 +305,7 @@ mod tests {
             be.install_faults(StorageFaultPlan::default());
             // The failed enlarged read left no buffer behind: the retry
             // must go to the child and return real bytes.
-            let hits_before = ra.hits();
+            let hits_before = counter(&*ra, "hits");
             let FopReply::Read(Ok(d)) = wind(
                 &top,
                 Fop::Read {
@@ -323,7 +318,11 @@ mod tests {
             else {
                 panic!()
             };
-            assert_eq!(ra.hits(), hits_before, "retry must not hit the window");
+            assert_eq!(
+                counter(&*ra, "hits"),
+                hits_before,
+                "retry must not hit the window"
+            );
             assert_eq!(d[0], (4096 % 256) as u8);
         });
         sim.run();

@@ -43,6 +43,11 @@ pub(crate) mod testutil {
     use crate::fops::{FileStat, FsError};
     use std::cell::RefCell;
 
+    /// Counter `name` of one translator, read through its metrics.
+    pub fn counter(src: &dyn imca_metrics::MetricSource, name: &str) -> u64 {
+        imca_metrics::collect_from(src, "").counter(name).unwrap()
+    }
+
     /// A terminal translator that records fops and answers canned replies —
     /// used to unit-test mid-stack translators in isolation.
     pub struct MockXlator {

@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use imca_metrics::{prefixed, MetricSource, Snapshot};
+use imca_metrics::{prefixed, Counter, MetricSource, Registry, Snapshot};
 
 use crate::fops::{Fop, FopReply, FsError};
 use crate::translator::{wind, FopFuture, Translator, Xlator};
@@ -26,37 +26,32 @@ pub struct WriteBehind {
     /// First flush error per file, reported on close (POSIX-style deferred
     /// error delivery).
     errors: RefCell<HashMap<String, FsError>>,
-    aggregated: std::cell::Cell<u64>,
-    flushes: std::cell::Cell<u64>,
+    registry: Registry,
+    /// Writes absorbed into an existing buffer.
+    aggregated: Counter,
+    /// Child writes issued.
+    flushes: Counter,
 }
 
 impl WriteBehind {
     /// Wrap `child`, aggregating up to `window_bytes` per file.
     pub fn new(child: Xlator, window_bytes: usize) -> Rc<WriteBehind> {
+        let registry = Registry::new();
         Rc::new(WriteBehind {
             child,
             window_bytes,
             pending: RefCell::new(HashMap::new()),
             errors: RefCell::new(HashMap::new()),
-            aggregated: std::cell::Cell::new(0),
-            flushes: std::cell::Cell::new(0),
+            aggregated: registry.counter("aggregated"),
+            flushes: registry.counter("flushes"),
+            registry,
         })
-    }
-
-    /// Writes absorbed into an existing buffer.
-    pub fn aggregated(&self) -> u64 {
-        self.aggregated.get()
-    }
-
-    /// Child writes issued.
-    pub fn flushes(&self) -> u64 {
-        self.flushes.get()
     }
 
     async fn flush(&self, path: &str) {
         let pending = self.pending.borrow_mut().remove(path);
         if let Some(p) = pending {
-            self.flushes.set(self.flushes.get() + 1);
+            self.flushes.inc();
             let reply = wind(
                 &self.child,
                 Fop::Write {
@@ -78,8 +73,7 @@ impl WriteBehind {
 
 impl MetricSource for WriteBehind {
     fn collect(&self, prefix: &str, snap: &mut Snapshot) {
-        snap.set_counter(prefixed(prefix, "aggregated"), self.aggregated.get());
-        snap.set_counter(prefixed(prefix, "flushes"), self.flushes.get());
+        self.registry.collect(prefix, snap);
         snap.set_gauge(
             prefixed(prefix, "pending_files"),
             self.pending.borrow().len() as i64,
@@ -104,7 +98,7 @@ impl Translator for WriteBehind {
                         match pending.get_mut(&path) {
                             Some(p) if p.offset + p.data.len() as u64 == offset => {
                                 p.data.extend_from_slice(&data);
-                                self.aggregated.set(self.aggregated.get() + 1);
+                                self.aggregated.inc();
                             }
                             Some(_) => needs_flush_first = true,
                             None => {
@@ -156,7 +150,7 @@ impl Translator for WriteBehind {
 mod tests {
     use super::*;
     use crate::posix::Posix;
-    use crate::translator::testutil::MockXlator;
+    use crate::translator::testutil::{counter, MockXlator};
     use imca_sim::Sim;
     use imca_storage::{BackendParams, StorageBackend};
 
@@ -201,8 +195,16 @@ mod tests {
             assert_eq!(data, vec![99u8; 100]);
         });
         sim.run();
-        assert!(wb.aggregated() > 90, "aggregated={}", wb.aggregated());
-        assert!(wb.flushes() <= 2, "flushes={}", wb.flushes());
+        assert!(
+            counter(&*wb, "aggregated") > 90,
+            "aggregated={}",
+            counter(&*wb, "aggregated")
+        );
+        assert!(
+            counter(&*wb, "flushes") <= 2,
+            "flushes={}",
+            counter(&*wb, "flushes")
+        );
     }
 
     #[test]
@@ -225,7 +227,11 @@ mod tests {
             }
         });
         sim.run();
-        assert!(wb.flushes() >= 4, "flushes={}", wb.flushes());
+        assert!(
+            counter(&*wb, "flushes") >= 4,
+            "flushes={}",
+            counter(&*wb, "flushes")
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@ use imca_fabric::NodeId;
 use imca_memcached::protocol::{Command, Response, StoreVerb, Value};
 use imca_memcached::ServerMap;
 use imca_metrics::{Counter, Histogram, MetricSource, Registry, Snapshot};
-use imca_sim::sync::{oneshot, OneshotReceiver, OneshotSender};
 use imca_sim::{join_all, SimTime};
 
 use super::daemon::{DecrOnDrop, McdNode, McdReq, McdResp};
@@ -33,10 +32,6 @@ enum Route {
     /// like a dead daemon, but counted as degraded.
     Shed,
 }
-
-/// GETs parked behind an in-flight leader GET for the same key; each
-/// waiter wakes with a clone of the leader's result.
-type SingleFlightWaiters = Vec<OneshotSender<Option<Bytes>>>;
 
 /// One key's progress through [`BankClient::read`].
 struct ReadKey {
@@ -145,15 +140,9 @@ pub struct BankClient {
     /// block across its replicas. Drawn only to choose between two live
     /// replicas, so a factor-1 client never advances it.
     route_rng: Cell<u64>,
-    /// Single-flight table: key → waiters. The first GET for a key is the
-    /// leader and does the RPC; concurrent GETs for the same key coalesce
-    /// onto it and wake with a clone of its result.
-    single_flight: RefCell<BTreeMap<Vec<u8>, SingleFlightWaiters>>,
     /// Reads completed on a fallback replica because an earlier-placed
     /// replica was dead, shed, or failed mid-flight (warm failover).
     replica_failovers: Counter,
-    /// GETs that piggybacked on another in-flight GET for the same key.
-    coalesced_gets: Counter,
     /// `SERVER_ERROR busy` replies — reads a daemon's admission control
     /// refused. Never retried on the same daemon: the read fails over to
     /// another replica or becomes a degraded local miss.
@@ -190,6 +179,7 @@ impl BankClient {
         // baseline still counts their two series.
         registry.counter("hedged_gets"); // constant 0, leaves with the next re-baseline
         registry.counter("hedge_wins"); // constant 0, leaves with the next re-baseline
+        registry.counter("coalesced_gets"); // single-flight is deleted; constant 0 likewise
         BankClient {
             wire: Wire {
                 handle,
@@ -222,9 +212,7 @@ impl BankClient {
             // Golden-ratio constant XOR an odd per-node term: nonzero for
             // every node id, distinct per client.
             route_rng: Cell::new(0x9E37_79B9_7F4A_7C15 ^ ((u64::from(from.0) << 1) | 1)),
-            single_flight: RefCell::new(BTreeMap::new()),
             replica_failovers: registry.counter("replica_failovers"),
-            coalesced_gets: registry.counter("coalesced_gets"),
             busy_sheds: registry.counter("busy_sheds"),
             circuit_opens: registry.counter("circuit_opens"),
             registry,
@@ -328,48 +316,6 @@ impl BankClient {
         true
     }
 
-    /// Join an in-flight GET for `key` from this client, if any: `Some`
-    /// hands back a receiver for the leader's result. `None` registers
-    /// the caller as the leader, which must publish via
-    /// [`BankClient::publish_single_flight`] once resolved.
-    fn join_single_flight(&self, key: &[u8]) -> Option<OneshotReceiver<Option<Bytes>>> {
-        let mut table = self.single_flight.borrow_mut();
-        if let Some(waiters) = table.get_mut(key) {
-            let (tx, rx) = oneshot();
-            waiters.push(tx);
-            self.coalesced_gets.inc();
-            Some(rx)
-        } else {
-            table.insert(key.to_vec(), Vec::new());
-            None
-        }
-    }
-
-    /// Resolve the single-flight entry for `key`, waking every coalesced
-    /// follower with a clone of the leader's result.
-    fn publish_single_flight(&self, key: &[u8], result: &Option<Bytes>) {
-        let waiters = self
-            .single_flight
-            .borrow_mut()
-            .remove(key)
-            .expect("single-flight leader owns the entry");
-        for tx in waiters {
-            tx.send(result.clone());
-        }
-    }
-
-    /// Wait, as a coalesced follower, for the leader's result.
-    async fn follow(&self, rx: OneshotReceiver<Option<Bytes>>) -> Option<Bytes> {
-        // A torn-down leader (sim shutdown) counts as a miss.
-        let r = rx.await.unwrap_or(None);
-        if r.is_some() {
-            self.hits.inc();
-        } else {
-            self.misses.inc();
-        }
-        r
-    }
-
     /// Open daemon `idx`'s circuit: shed its traffic for the policy's
     /// cooldown, then probe again.
     fn trip_circuit(&self, idx: usize) {
@@ -379,33 +325,20 @@ impl BankClient {
     }
 
     /// Fetch one value. `hint` is the block index for modulo distribution.
-    ///
-    /// If this client already has a GET for the same key in flight, the
-    /// call coalesces onto it (single-flight): no second RPC, the result
-    /// arrives with the leader's. Otherwise the call leads — one pass of
-    /// the read loop, its RPC awaited directly — and wakes any followers
-    /// that coalesced meanwhile.
+    /// One pass of the read loop, its RPC awaited directly.
     pub async fn get(&self, key: &[u8], hint: Option<u64>) -> Option<Bytes> {
         self.gets.inc();
         let t0 = self.wire.handle.now();
-        let result = match self.join_single_flight(key) {
-            Some(rx) => self.follow(rx).await,
-            None => {
-                let mut out = [None];
-                self.read(&[(key.to_vec(), hint)], &[0], false, &mut out)
-                    .await;
-                let [r] = out;
-                self.publish_single_flight(key, &r);
-                r
-            }
-        };
+        let mut out = [None];
+        self.read(&[(key.to_vec(), hint)], false, &mut out).await;
         // Client-observed completion latency for *every* get — dead-route
-        // local misses, mid-flight failures, and coalesced waits included
-        // — so the histogram count always equals the `gets` counter, with
-        // or without fault injection.
+        // local misses and mid-flight failures included — so the histogram
+        // count always equals the `gets` counter, with or without fault
+        // injection.
         self.get_ns
             .record_duration(self.wire.handle.now().since(t0));
-        result
+        let [r] = out;
+        r
     }
 
     /// Fetch many values with at most one RPC per (live) daemon per
@@ -421,24 +354,7 @@ impl BankClient {
         self.gets.add(keys.len() as u64);
         let t0 = self.wire.handle.now();
         let mut out: Vec<Option<Bytes>> = vec![None; keys.len()];
-        // Single-flight split: keys this client already has a GET in
-        // flight for become followers of that leader; the rest are
-        // fetched here.
-        let mut followers: Vec<(usize, OneshotReceiver<Option<Bytes>>)> = Vec::new();
-        let mut leaders: Vec<usize> = Vec::with_capacity(keys.len());
-        for (pos, (key, _)) in keys.iter().enumerate() {
-            match self.join_single_flight(key) {
-                Some(rx) => followers.push((pos, rx)),
-                None => leaders.push(pos),
-            }
-        }
-        self.read(keys, &leaders, true, &mut out).await;
-        for &pos in &leaders {
-            self.publish_single_flight(&keys[pos].0, &out[pos]);
-        }
-        for (pos, rx) in followers {
-            out[pos] = self.follow(rx).await;
-        }
+        self.read(keys, true, &mut out).await;
         // One latency sample per requested key (they completed together),
         // keeping the histogram count equal to `gets`.
         let dt = self.wire.handle.now().since(t0);
@@ -446,8 +362,7 @@ impl BankClient {
         out
     }
 
-    /// The read loop, for the `lead` positions of `keys`, writing hits
-    /// into `out`. Each round routes every pending key to one usable
+    /// The read loop over `keys`, writing hits into `out`. Each round routes every pending key to one usable
     /// replica ([`BankClient::route_read_replica`], which also ends a key
     /// with no replica left as a local miss), sends one RPC per routed
     /// daemon, and settles each reply ([`BankClient::settle_read`]):
@@ -462,15 +377,15 @@ impl BankClient {
     async fn read(
         &self,
         keys: &[(Vec<u8>, Option<u64>)],
-        lead: &[usize],
         batched: bool,
         out: &mut [Option<Bytes>],
     ) {
-        let mut pending: Vec<ReadKey> = lead
+        let mut pending: Vec<ReadKey> = keys
             .iter()
-            .map(|&pos| ReadKey {
+            .enumerate()
+            .map(|(pos, (key, hint))| ReadKey {
                 pos,
-                replicas: self.replicas(&keys[pos].0, keys[pos].1),
+                replicas: self.replicas(key, *hint),
                 tried: Vec::new(),
                 degraded: false,
                 route: 0,
@@ -1879,40 +1794,6 @@ mod tests {
         let g1 = bank.nodes()[1].stats().cmd_get;
         assert_eq!(g0 + g1, 64);
         assert!(g0 >= 16 && g1 >= 16, "skewed spread: {g0}/{g1}");
-    }
-
-    #[test]
-    fn single_flight_coalesces_concurrent_gets_for_one_key() {
-        let mut sim = Sim::new(0);
-        let (_net, bank, client) = replicated_setup(&sim, 1, 1);
-        {
-            let c = Rc::clone(&client);
-            sim.spawn(async move {
-                c.set(b"/sf:0", Bytes::from_static(b"v"), Some(0)).await;
-                // Three concurrent gets from the same client: one leads,
-                // two coalesce onto its RPC.
-                let h = c.wire.handle.clone();
-                let futs: Vec<_> = (0..3)
-                    .map(|_| {
-                        let c = Rc::clone(&c);
-                        async move { c.get(b"/sf:0", Some(0)).await }
-                    })
-                    .collect();
-                let got = join_all(&h, futs).await;
-                for v in got {
-                    assert_eq!(v, Some(Bytes::from_static(b"v")));
-                }
-            });
-        }
-        sim.run();
-        // Every caller is accounted a get and a hit…
-        assert_eq!(counters(&*client, ["gets", "hits", "misses"]), [3, 3, 0]);
-        // …but the daemon saw exactly one GET command.
-        assert_eq!(bank.nodes()[0].stats().cmd_get, 1);
-        let snap = imca_metrics::collect_from(&*client, "bank");
-        assert_eq!(snap.counter("bank.coalesced_gets"), Some(2));
-        // Histogram still covers all three (followers included).
-        assert_eq!(snap.histogram("bank.get_ns").unwrap().count, 3);
     }
 
     #[test]

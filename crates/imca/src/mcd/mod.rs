@@ -25,9 +25,7 @@
 //!   one multi-key `get` RPC per daemon for a batch, the way libmemcache
 //!   batches (DESIGN.md §4c); a direct RPC for a single key — settle the
 //!   reply, and fail over past a replica that is dead, shed or failed in
-//!   flight until one answers or none is left (a local miss). A
-//!   per-client single-flight table additionally coalesces concurrent
-//!   GETs for one key into a single in-flight RPC;
+//!   flight until one answers or none is left (a local miss);
 //! * **one write fan-out** behind [`BankClient::set`],
 //!   [`BankClient::delete`] and the private `cas`: the request goes to
 //!   every usable target, and a daemon whose write fails is quarantined;

@@ -8,60 +8,35 @@ use std::rc::Rc;
 use imca_fabric::{Network, RpcClient, Service, Transport};
 use imca_sim::sync::Resource;
 use imca_sim::{join_all, SimDuration, SimHandle};
-use imca_storage::{BackendParams, FileId, PageCache, StorageBackend};
+use imca_storage::{BackendParams, FileId, StorageBackend};
 
 use crate::protocol::{MdsReq, MdsResp, OstReq, OstResp};
 
+/// Stripe size (Lustre default 1 MB).
+const STRIPE_SIZE: u64 = 1 << 20;
+/// MDS CPU per metadata op.
+const MDS_OP_CPU: SimDuration = SimDuration::micros(25);
+/// Extra MDS CPU per lock acquisition.
+const LOCK_CPU: SimDuration = SimDuration::micros(8);
+/// MDS CPU per revocation callback to a conflicting client.
+const REVOKE_CPU: SimDuration = SimDuration::micros(12);
+/// OST CPU per object op.
+const OST_OP_CPU: SimDuration = SimDuration::micros(10);
+/// Client cache page size.
+const PAGE_SIZE: u64 = 4096;
+
 /// Deployment parameters (§5.1: Lustre 1.6.4.3, TCP over IPoIB, MDS on its
-/// own node, 1 or 4 DSs).
+/// own node, 1 or 4 DSs, the paper's server storage under each OST).
 #[derive(Debug, Clone)]
 pub struct LustreConfig {
     /// Number of data servers (OSTs) — the paper's 1DS / 4DS.
     pub ost_count: usize,
-    /// Stripe size (Lustre default 1 MB).
-    pub stripe_size: u64,
-    /// MDS CPU per metadata op.
-    pub mds_op_cpu: SimDuration,
-    /// Extra MDS CPU per lock acquisition.
-    pub lock_cpu: SimDuration,
-    /// MDS CPU per revocation callback to a conflicting client.
-    pub revoke_cpu: SimDuration,
-    /// OST CPU per object op.
-    pub ost_op_cpu: SimDuration,
-    /// Per-client cache capacity in bytes.
-    pub client_cache_bytes: u64,
-    /// Client cache page size.
-    pub page_size: u64,
-    /// Storage stack under each OST.
-    pub backend: BackendParams,
-    /// Fabric transport.
-    pub transport: Transport,
-}
-
-impl Default for LustreConfig {
-    fn default() -> LustreConfig {
-        LustreConfig {
-            ost_count: 1,
-            stripe_size: 1 << 20,
-            mds_op_cpu: SimDuration::micros(25),
-            lock_cpu: SimDuration::micros(8),
-            revoke_cpu: SimDuration::micros(12),
-            ost_op_cpu: SimDuration::micros(10),
-            client_cache_bytes: 1 << 30,
-            page_size: 4096,
-            backend: BackendParams::paper_server(),
-            transport: Transport::ipoib_ddr(),
-        }
-    }
 }
 
 impl LustreConfig {
     /// The paper's `Lustre-1DS` / `Lustre-4DS` configurations.
     pub fn with_osts(n: usize) -> LustreConfig {
-        LustreConfig {
-            ost_count: n,
-            ..LustreConfig::default()
-        }
+        LustreConfig { ost_count: n }
     }
 }
 
@@ -96,7 +71,6 @@ type InvalSet = Rc<RefCell<HashSet<String>>>;
 pub struct LustreCluster {
     net: Network,
     handle: SimHandle,
-    cfg: LustreConfig,
     mds_svc: Service<MdsReq, MdsResp>,
     ost_svcs: Vec<Service<OstReq, OstResp>>,
     meta: Rc<RefCell<MetaStore>>,
@@ -109,7 +83,7 @@ pub struct LustreCluster {
 impl LustreCluster {
     /// Build MDS + OSTs on a fresh network.
     pub fn build(handle: SimHandle, cfg: LustreConfig) -> LustreCluster {
-        let net = Network::new(handle.clone(), cfg.transport.clone());
+        let net = Network::new(handle.clone(), Transport::ipoib_ddr());
         let meta: Rc<RefCell<MetaStore>> = Rc::default();
         let locks: Rc<RefCell<LockTable>> = Rc::default();
         let invals: Rc<RefCell<HashMap<u32, InvalSet>>> = Rc::default();
@@ -126,18 +100,18 @@ impl LustreCluster {
             let invals = Rc::clone(&invals);
             let revocations = Rc::clone(&revocations);
             let cpu = Resource::new(1); // single MDS service thread pool: 2?
-            let cfg2 = cfg.clone();
+            let ost_count = cfg.ost_count;
             handle.spawn(async move {
                 while let Some(incoming) = svc.recv().await {
                     let (req, replier) = incoming.into_parts();
-                    cpu.serve(&h, cfg2.mds_op_cpu).await;
+                    cpu.serve(&h, MDS_OP_CPU).await;
                     let resp = match req {
                         MdsReq::Create { path } => {
                             let mut m = meta.borrow_mut();
                             if m.files.contains_key(&path) {
                                 MdsResp::Err
                             } else {
-                                let objects = (0..cfg2.ost_count)
+                                let objects = (0..ost_count)
                                     .map(|_| {
                                         m.next_object += 1;
                                         m.next_object
@@ -186,7 +160,7 @@ impl LustreCluster {
                             write,
                             client,
                         } => {
-                            cpu.serve(&h, cfg2.lock_cpu).await;
+                            cpu.serve(&h, LOCK_CPU).await;
                             let mut revoked = 0u32;
                             // Collect conflicting holders.
                             let conflicts: Vec<u32> = {
@@ -210,7 +184,7 @@ impl LustreCluster {
                                 // Revocation callback: MDS CPU + notifying
                                 // the holder (we charge MDS-side cost; the
                                 // holder drops its pages at next access).
-                                cpu.serve(&h, cfg2.revoke_cpu).await;
+                                cpu.serve(&h, REVOKE_CPU).await;
                                 if let Some(set) = invals.borrow().get(&holder) {
                                     set.borrow_mut().insert(path.clone());
                                 }
@@ -254,13 +228,12 @@ impl LustreCluster {
         for _ in 0..cfg.ost_count {
             let node = net.add_node();
             let svc: Service<OstReq, OstResp> = Service::bind(&net, node);
-            let backend = StorageBackend::new(handle.clone(), cfg.backend.clone());
+            let backend = StorageBackend::new(handle.clone(), BackendParams::paper_server());
             {
                 let svc = svc.clone();
                 let h = handle.clone();
                 let backend = backend.clone();
                 let cpu = Resource::new(2);
-                let op_cpu = cfg.ost_op_cpu;
                 handle.spawn(async move {
                     while let Some(incoming) = svc.recv().await {
                         let (req, replier) = incoming.into_parts();
@@ -268,7 +241,7 @@ impl LustreCluster {
                         let cpu = cpu.clone();
                         let h2 = h.clone();
                         h.spawn(async move {
-                            cpu.serve(&h2, op_cpu).await;
+                            cpu.serve(&h2, OST_OP_CPU).await;
                             // The Lustre comparison model never installs a
                             // storage fault plan, so backend errors are
                             // structurally impossible; Results collapse to
@@ -322,7 +295,6 @@ impl LustreCluster {
         LustreCluster {
             net,
             handle,
-            cfg,
             mds_svc,
             ost_svcs,
             meta,
@@ -343,14 +315,9 @@ impl LustreCluster {
         Rc::new(LustreClient {
             id,
             handle: self.handle.clone(),
-            cfg: self.cfg.clone(),
             mds: self.mds_svc.client(node),
             osts: self.ost_svcs.iter().map(|s| s.client(node)).collect(),
             meta: Rc::clone(&self.meta),
-            cache: RefCell::new(PageCache::new(
-                self.cfg.client_cache_bytes,
-                self.cfg.page_size,
-            )),
             cache_data: RefCell::new(HashMap::new()),
             locks: RefCell::new(HashMap::new()),
             inval,
@@ -368,22 +335,17 @@ impl LustreCluster {
             b.drop_caches();
         }
     }
-
-    /// The deployment configuration.
-    pub fn config(&self) -> &LustreConfig {
-        &self.cfg
-    }
 }
 
-/// A mounted Lustre client with a coherent local cache.
+/// A mounted Lustre client with a coherent local cache. The cache keeps
+/// every page it reads or writes, unbounded, until
+/// [`LustreClient::drop_cache`] or a lock revocation for its path drops it.
 pub struct LustreClient {
     id: u32,
     handle: SimHandle,
-    cfg: LustreConfig,
     mds: RpcClient<MdsReq, MdsResp>,
     osts: Vec<RpcClient<OstReq, OstResp>>,
     meta: Rc<RefCell<MetaStore>>,
-    cache: RefCell<PageCache>,
     cache_data: RefCell<HashMap<(String, u64), Vec<u8>>>,
     locks: RefCell<HashMap<String, bool>>,
     inval: InvalSet,
@@ -395,7 +357,7 @@ type Segment = (usize, u64, u64, u64, u64);
 
 impl LustreClient {
     fn segments(&self, objects: &[u64], offset: u64, len: u64) -> Vec<Segment> {
-        let ss = self.cfg.stripe_size;
+        let ss = STRIPE_SIZE;
         let n = self.osts.len() as u64;
         let mut out = Vec::new();
         let mut pos = offset;
@@ -419,9 +381,6 @@ impl LustreClient {
         for p in paths {
             self.locks.borrow_mut().remove(&p);
             self.cache_data.borrow_mut().retain(|(cp, _), _| cp != &p);
-            // Accounting cache: invalidate via a fresh namespace trick is
-            // unnecessary — stale accounting entries age out by LRU; data
-            // correctness is governed by cache_data.
         }
     }
 
@@ -502,7 +461,7 @@ impl LustreClient {
         }
         let len = end - offset;
         // Cache check: all covering pages present?
-        let ps = self.cfg.page_size;
+        let ps = PAGE_SIZE;
         let first = offset / ps;
         let last = (end - 1) / ps;
         let all_cached = {
@@ -532,7 +491,6 @@ impl LustreClient {
             };
             if let Some(out) = assembled {
                 // Local memcpy only.
-                self.cache.borrow_mut().lookup(FileId(0), offset, len); // LRU touch
                 let t = SimDuration::from_secs_f64(len as f64 / 3e9) + SimDuration::nanos(300);
                 self.handle.sleep(t).await;
                 return Some(out);
@@ -568,7 +526,6 @@ impl LustreClient {
         // Fill the local cache page by page.
         {
             let mut data = self.cache_data.borrow_mut();
-            let mut acct = self.cache.borrow_mut();
             for p in first..=last {
                 let pstart = p * ps;
                 if pstart < offset || pstart + ps > end {
@@ -576,11 +533,6 @@ impl LustreClient {
                 }
                 let rel = (pstart - offset) as usize;
                 let page = out[rel..(rel + ps as usize).min(out.len())].to_vec();
-                let evicted = acct.insert(FileId(0), pstart, ps, false);
-                for _e in evicted {
-                    // Accounting-only eviction; matching data pages decay
-                    // naturally since the map is bounded by the same LRU.
-                }
                 data.insert((path.to_string(), p), page);
             }
         }
@@ -630,7 +582,7 @@ impl LustreClient {
         // existing page when contiguous, and otherwise drops it (we do not
         // fetch the missing bytes).
         {
-            let ps = self.cfg.page_size;
+            let ps = PAGE_SIZE;
             let wend = offset + data.len() as u64;
             let mut cd = self.cache_data.borrow_mut();
             let first = offset / ps;
@@ -650,20 +602,14 @@ impl LustreClient {
                             page.resize(rel_page + chunk.len(), 0);
                         }
                         page[rel_page..rel_page + chunk.len()].copy_from_slice(chunk);
-                        self.cache.borrow_mut().insert(FileId(0), pstart, ps, false);
                     }
                     Some(_) => {
                         cd.remove(&key);
                     }
-                    None if fully_covered => {
+                    // A fully covered page, or a page prefix: cache what we
+                    // have; reads beyond the prefix fall to the miss path.
+                    None if fully_covered || rel_page == 0 => {
                         cd.insert(key, chunk.to_vec());
-                        self.cache.borrow_mut().insert(FileId(0), pstart, ps, false);
-                    }
-                    None if rel_page == 0 => {
-                        // Page prefix: cache what we have; reads beyond the
-                        // prefix fall to the miss path.
-                        cd.insert(key, chunk.to_vec());
-                        self.cache.borrow_mut().insert(FileId(0), pstart, ps, false);
                     }
                     None => {}
                 }
@@ -702,7 +648,6 @@ impl LustreClient {
     pub fn drop_cache(&self) {
         self.cache_data.borrow_mut().clear();
         self.locks.borrow_mut().clear();
-        *self.cache.borrow_mut() = PageCache::new(self.cfg.client_cache_bytes, self.cfg.page_size);
     }
 }
 

@@ -23,6 +23,10 @@ use imca_sim::{SimDuration, SimHandle};
 use imca_storage::{BackendParams, FileId, StorageBackend};
 
 const HDR: usize = 128; // NFS RPC headers
+/// Server CPU per RPC (NFSD + VFS overheads RDMA cannot remove, §3).
+const OP_CPU: SimDuration = SimDuration::micros(10);
+/// NFSD worker threads.
+const NFSD_THREADS: usize = 8;
 
 /// NFS requests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,19 +78,15 @@ impl WireSize for NfsResp {
     }
 }
 
-/// Server parameters for the motivation experiment.
+/// Server parameters for the motivation experiment: the paper's testbed
+/// server (its storage stack, 8 NFSD threads, 10 µs of CPU per RPC) with
+/// the two values Fig 1 varies.
 #[derive(Debug, Clone)]
 pub struct NfsConfig {
     /// Network transport (the experiment compares RDMA / IPoIB / GigE).
     pub transport: Transport,
     /// Server memory available to the page cache (4 GB vs 8 GB in Fig 1).
     pub server_memory: u64,
-    /// Server CPU per RPC (NFSD + VFS overheads RDMA cannot remove, §3).
-    pub op_cpu: SimDuration,
-    /// NFSD worker threads.
-    pub nfsd_threads: usize,
-    /// Storage under the export.
-    pub backend: BackendParams,
 }
 
 impl NfsConfig {
@@ -95,9 +95,6 @@ impl NfsConfig {
         NfsConfig {
             transport,
             server_memory,
-            op_cpu: SimDuration::micros(10),
-            nfsd_threads: 8,
-            backend: BackendParams::paper_server(),
         }
     }
 }
@@ -117,15 +114,14 @@ impl NfsCluster {
         let server_node = net.add_node();
         let backend = StorageBackend::new(
             handle.clone(),
-            cfg.backend.clone().with_cache_bytes(cfg.server_memory),
+            BackendParams::paper_server().with_cache_bytes(cfg.server_memory),
         );
         let svc: Service<NfsReq, NfsResp> = Service::bind(&net, server_node);
         {
             let svc2 = svc.clone();
             let h = handle.clone();
             let backend = backend.clone();
-            let cpu = Resource::new(cfg.nfsd_threads);
-            let op_cpu = cfg.op_cpu;
+            let cpu = Resource::new(NFSD_THREADS);
             handle.spawn(async move {
                 while let Some(incoming) = svc2.recv().await {
                     let (req, replier) = incoming.into_parts();
@@ -133,7 +129,7 @@ impl NfsCluster {
                     let cpu = cpu.clone();
                     let h2 = h.clone();
                     h.spawn(async move {
-                        cpu.serve(&h2, op_cpu).await;
+                        cpu.serve(&h2, OP_CPU).await;
                         // The NFS comparison model never installs a storage
                         // fault plan, so backend errors are structurally
                         // impossible; Results collapse to benign defaults.

@@ -6,13 +6,14 @@
 //! slowest thread's wall time (IOzone `-t` semantics).
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use imca_fabric::Transport;
 use imca_metrics::Snapshot;
 use imca_nfs::{NfsCluster, NfsConfig};
 use imca_sim::sync::Barrier;
-use imca_sim::Sim;
+use imca_sim::{Sim, SimHandle};
 
 use crate::system::{Deployment, SystemSpec};
 
@@ -51,6 +52,64 @@ pub struct IozoneResult {
 /// setup fast; SMCache still populates per-block).
 const WRITE_CHUNK: u64 = 64 * 1024;
 
+/// One IOzone thread, whichever system it drives: the untimed write
+/// phase in `WRITE_CHUNK` pieces (`write(offset, len)`), a barrier with
+/// every other thread, then the timed read pass as `pipeline` sequential
+/// substreams run concurrently — the read-ahead pipelining described on
+/// [`IozoneBench`] — each covering a contiguous share of the file in
+/// `record_size` reads (`read(offset, len)`). Returns the read pass's
+/// virtual seconds.
+async fn write_then_read<W, WF, R, RF>(
+    h: &SimHandle,
+    barrier: &Barrier,
+    file_size: u64,
+    record_size: u64,
+    pipeline: usize,
+    write: W,
+    read: R,
+) -> f64
+where
+    W: Fn(u64, u64) -> WF,
+    WF: Future<Output = ()>,
+    R: Fn(u64, u64) -> RF + Clone + 'static,
+    RF: Future<Output = ()>,
+{
+    let mut off = 0u64;
+    while off < file_size {
+        let n = WRITE_CHUNK.min(file_size - off);
+        write(off, n).await;
+        off += n;
+    }
+    barrier.wait().await;
+    let t0 = h.now();
+    let pipeline = pipeline.max(1) as u64;
+    let share = file_size.div_ceil(pipeline);
+    let substreams: Vec<_> = (0..pipeline)
+        .map(|w| {
+            let read = read.clone();
+            let start = w * share;
+            let end = ((w + 1) * share).min(file_size);
+            async move {
+                let mut off = start;
+                while off < end {
+                    let n = record_size.min(end - off);
+                    read(off, n).await;
+                    off += n;
+                }
+            }
+        })
+        .collect();
+    imca_sim::join_all(h, substreams).await;
+    h.now().since(t0).as_secs_f64()
+}
+
+/// Aggregate MB/s of threads that each read `file_size` bytes in `times`
+/// seconds: total bytes over the slowest thread's time.
+fn aggregate_mb_s(file_size: u64, times: &[f64]) -> f64 {
+    let slowest = times.iter().cloned().fold(0.0f64, f64::max);
+    file_size as f64 * times.len() as f64 / slowest / 1e6
+}
+
 /// Run the IOzone read-throughput benchmark.
 pub fn run(cfg: &IozoneBench) -> IozoneResult {
     let mut sim = Sim::new(cfg.seed);
@@ -70,41 +129,30 @@ pub fn run(cfg: &IozoneBench) -> IozoneResult {
             let path = format!("/bench/iozone/t{t}");
             cli.create(&path).await;
             let fd = cli.open(&path).await;
-            // Untimed write phase.
-            let mut off = 0u64;
-            while off < cfg.file_size {
-                let n = WRITE_CHUNK.min(cfg.file_size - off);
-                let data = vec![((off >> 12) & 0xFF) as u8; n as usize];
-                cli.write(&fd, off, &data).await;
-                off += n;
-            }
-            barrier.wait().await;
-            // Timed read pass: `pipeline` sequential substreams, each
-            // covering a contiguous share of the file, run concurrently —
-            // the read-ahead pipelining described on `IozoneBench`.
-            let t0 = h.now();
-            let pipeline = cfg.pipeline.max(1) as u64;
-            let share = cfg.file_size.div_ceil(pipeline);
-            let substreams: Vec<_> = (0..pipeline)
-                .map(|w| {
-                    let cli = cli.clone();
-                    let fd = fd.clone();
-                    let record = cfg.record_size;
-                    let start = w * share;
-                    let end = ((w + 1) * share).min(cfg.file_size);
-                    async move {
-                        let mut off = start;
-                        while off < end {
-                            let n = record.min(end - off);
-                            let got = cli.read(&fd, off, n).await;
-                            debug_assert_eq!(got.len(), n as usize);
-                            off += n;
-                        }
-                    }
-                })
-                .collect();
-            imca_sim::join_all(&h, substreams).await;
-            times.borrow_mut().push(h.now().since(t0).as_secs_f64());
+            let (c, f) = (&cli, &fd);
+            let write = move |off: u64, n: u64| async move {
+                c.write(f, off, &vec![((off >> 12) & 0xFF) as u8; n as usize])
+                    .await
+            };
+            let (c, f) = (cli.clone(), fd.clone());
+            let read = move |off: u64, n: u64| {
+                let (c, f) = (c.clone(), f.clone());
+                async move {
+                    let got = c.read(&f, off, n).await;
+                    debug_assert_eq!(got.len(), n as usize);
+                }
+            };
+            let secs = write_then_read(
+                &h,
+                &barrier,
+                cfg.file_size,
+                cfg.record_size,
+                cfg.pipeline,
+                write,
+                read,
+            )
+            .await;
+            times.borrow_mut().push(secs);
             cli.close(fd).await;
         });
     }
@@ -112,10 +160,8 @@ pub fn run(cfg: &IozoneBench) -> IozoneResult {
     sim.run();
     let times = times.borrow();
     assert_eq!(times.len(), cfg.threads, "a thread never finished");
-    let slowest = times.iter().cloned().fold(0.0f64, f64::max);
-    let total_bytes = cfg.file_size as f64 * cfg.threads as f64;
     IozoneResult {
-        read_mb_s: total_bytes / slowest / 1e6,
+        read_mb_s: aggregate_mb_s(cfg.file_size, &times),
         per_thread: times
             .iter()
             .map(|t| cfg.file_size as f64 / t / 1e6)
@@ -170,46 +216,35 @@ pub fn run_nfs(cfg: &NfsIozoneBench) -> NfsIozoneResult {
         let h = h.clone();
         let cfg = cfg.clone();
         sim.spawn(async move {
-            let cli = cluster.mount();
+            let cli = Rc::new(cluster.mount());
             let file = c as u64 + 1;
-            let mut off = 0u64;
-            while off < cfg.file_size {
-                let n = WRITE_CHUNK.min(cfg.file_size - off);
-                cli.write(file, off, vec![0xAB; n as usize]).await;
-                off += n;
-            }
-            barrier.wait().await;
-            let t0 = h.now();
-            let cli = Rc::new(cli);
-            let pipeline = cfg.pipeline.max(1) as u64;
-            let share = cfg.file_size.div_ceil(pipeline);
-            let substreams: Vec<_> = (0..pipeline)
-                .map(|w| {
-                    let cli = Rc::clone(&cli);
-                    let record = cfg.record_size;
-                    let start = w * share;
-                    let end = ((w + 1) * share).min(cfg.file_size);
-                    async move {
-                        let mut off = start;
-                        while off < end {
-                            let n = record.min(end - off);
-                            cli.read(file, off, n).await;
-                            off += n;
-                        }
-                    }
-                })
-                .collect();
-            imca_sim::join_all(&h, substreams).await;
-            times.borrow_mut().push(h.now().since(t0).as_secs_f64());
+            let write = |off: u64, n: u64| cli.write(file, off, vec![0xAB; n as usize]);
+            let reader = Rc::clone(&cli);
+            let read = move |off: u64, n: u64| {
+                let cli = Rc::clone(&reader);
+                async move {
+                    cli.read(file, off, n).await;
+                }
+            };
+            let secs = write_then_read(
+                &h,
+                &barrier,
+                cfg.file_size,
+                cfg.record_size,
+                cfg.pipeline,
+                write,
+                read,
+            )
+            .await;
+            times.borrow_mut().push(secs);
         });
     }
 
     sim.run();
     let times = times.borrow();
     assert_eq!(times.len(), cfg.clients);
-    let slowest = times.iter().cloned().fold(0.0f64, f64::max);
     NfsIozoneResult {
-        read_mb_s: cfg.file_size as f64 * cfg.clients as f64 / slowest / 1e6,
+        read_mb_s: aggregate_mb_s(cfg.file_size, &times),
         metrics: cluster.metrics(),
     }
 }

@@ -20,7 +20,9 @@
 #                               so a false one exits non-zero here,
 #                               run the self-checking examples, and
 #                               hold every file the binaries write to
-#                               the committed digest (scripts/smokecheck):
+#                               results/smoke to what is committed there
+#                               and, for the metrics snapshots, to the
+#                               committed digests (scripts/smokecheck):
 #                               the modes the benchmark never runs
 #
 # The root package's tests are the contract (see ROADMAP.md); the strict
@@ -66,16 +68,17 @@ if [[ "${1:-}" == "--strict" ]]; then
     scripts/perfcheck
 
     # One build, then every figure and ablation binary on its smallest
-    # grid (`--smoke`). The binaries assert their own claims (BENCH_5
-    # through BENCH_9's verdicts, ablate_failure's audit trail, ...), so a
-    # false claim exits non-zero under `set -e`, and a binary added later
-    # is gated without editing this script.
+    # grid (`--smoke`), writing into results/smoke. The binaries assert
+    # their own claims (BENCH_5 through BENCH_9's verdicts,
+    # ablate_failure's audit trail, ...), so a false claim exits non-zero
+    # under `set -e`, and a binary added later is gated without editing
+    # this script.
     cargo build --release -p imca-bench --bins
     BIN=target/release
     for src in crates/bench/src/bin/*.rs; do
         name=$(basename "$src" .rs)
         echo "== smoke: $name"
-        "$BIN/$name" --smoke --out results
+        "$BIN/$name" --smoke --out results/smoke
     done
 
     # The examples that assert their own claims (failover checks every
@@ -89,6 +92,8 @@ if [[ "${1:-}" == "--strict" ]]; then
 
     # The mode gate: threaded updates, the purge protocol, per-key
     # framing, leases under writes and the overload pair run only in the
-    # binaries above, so what they wrote must match crates/bench/smoke.sha256.
+    # binaries above, so what they wrote must match the tables committed
+    # in results/smoke (a `git diff`) and the metrics digests in
+    # crates/bench/smoke.sha256.
     scripts/smokecheck
 fi
