@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imca_sim::sync::{Barrier, Queue, Resource};
-use imca_sim::{Sim, SimDuration};
+use imca_sim::{timeout, yield_now, Sim, SimDuration};
 
 fn bench_timer_wheel(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim/timers");
@@ -87,12 +87,60 @@ fn bench_barrier_rounds(c: &mut Criterion) {
     });
 }
 
+/// The bank RPC's shape (`Wire::call`): every op races a short sleep,
+/// run as its own task, against a deadline that is cancelled every time.
+fn bench_timeout_race(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim/timeout_race");
+    group.throughput(Throughput::Elements(64 * 100));
+    group.bench_function("64x100", |b| {
+        b.iter(|| {
+            let mut sim = Sim::new(1);
+            for _ in 0..64 {
+                let h = sim.handle();
+                sim.spawn(async move {
+                    for _ in 0..100 {
+                        let hc = h.clone();
+                        let call = async move { hc.sleep(SimDuration::micros(2)).await };
+                        black_box(timeout(&h, SimDuration::millis(1), call).await);
+                    }
+                });
+            }
+            black_box(sim.run())
+        })
+    });
+    group.finish();
+}
+
+/// Short-lived tasks, each done before the next is spawned, so every
+/// spawn takes the slab slot the last one freed.
+fn bench_spawn_churn(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim/spawn_churn");
+    group.throughput(Throughput::Elements(10_000));
+    group.bench_function("10k", |b| {
+        b.iter(|| {
+            let mut sim = Sim::new(1);
+            let h = sim.handle();
+            sim.spawn(async move {
+                for i in 0..10_000u32 {
+                    h.spawn(async move {
+                        black_box(i);
+                    });
+                    yield_now().await;
+                }
+            });
+            black_box(sim.run())
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_timer_wheel, bench_queue_ping_pong, bench_resource_contention, bench_barrier_rounds
+    targets = bench_timer_wheel, bench_queue_ping_pong, bench_resource_contention, bench_barrier_rounds,
+        bench_timeout_race, bench_spawn_churn
 }
 criterion_main!(benches);

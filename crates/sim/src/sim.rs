@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
@@ -33,75 +33,146 @@ use rand::rngs::SmallRng;
 use rand::{Rng as _, RngCore, SeedableRng};
 
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::{Scheduler, TimerEntry, TimerQueue};
+use crate::wheel::{Scheduler, TimerId, TimerQueue};
 
 type TaskId = u64;
 type BoxedTask = Pin<Box<dyn Future<Output = ()> + 'static>>;
 
-/// Shared queue of tasks that are ready to be polled.
+/// Where a simulation's wakes queue up for polling.
 ///
-/// This is the only piece of executor state that lives behind a real lock:
-/// `std::task::Waker` must be `Send + Sync` by contract even though this
-/// executor never leaves its thread.
+/// A wake made on the thread that is running this simulation's loop —
+/// every spawn, timer fire and waker wake inside a run — goes to the
+/// thread's [`LocalQueue`], with no lock. Every other wake (from another
+/// thread, or between runs) goes to `queue` behind a real lock, because
+/// `std::task::Waker` must be `Send + Sync` by contract; the run loop
+/// takes those first.
 #[derive(Default)]
 struct ReadyQueue {
     queue: Mutex<VecDeque<TaskId>>,
     /// Whether `queue` holds anything, written under its lock. It lets the
-    /// drain that finds nothing — one per timer event — skip the lock.
+    /// drain that finds nothing — nearly every one — skip the lock.
     /// `Relaxed` is enough: the flag publishes no data (the ids are read
     /// under the lock), and a wake that happens-before a drain is seen by
     /// it under any ordering.
     non_empty: AtomicBool,
 }
 
+const POISONED: &str = "ready queue lock poisoned by a panicking waker";
+
 impl ReadyQueue {
+    /// Which simulation this queue belongs to, as [`LocalQueue::owner`].
+    fn key(&self) -> usize {
+        self as *const ReadyQueue as usize
+    }
+
+    /// Queue `id` for polling.
     fn push(&self, id: TaskId) {
-        let mut queue = self.queue.lock().unwrap();
-        queue.push_back(id);
-        self.non_empty.store(true, Ordering::Relaxed);
+        let key = self.key();
+        let queued_locally = LOCAL
+            .try_with(|local| {
+                let mut local = local.borrow_mut();
+                let mine = local.owner == key;
+                if mine {
+                    local.ids.push_back(id);
+                }
+                mine
+            })
+            .unwrap_or(false);
+        if !queued_locally {
+            let mut queue = self.queue.lock().expect(POISONED);
+            queue.push_back(id);
+            self.non_empty.store(true, Ordering::Relaxed);
+        }
     }
 
     fn pop(&self) -> Option<TaskId> {
-        let mut queue = self.queue.lock().unwrap();
+        let mut queue = self.queue.lock().expect(POISONED);
         let id = queue.pop_front();
         self.non_empty.store(!queue.is_empty(), Ordering::Relaxed);
         id
     }
 
-    /// Exchange the queue's contents with `batch` (which must be empty):
-    /// one lock acquisition hands the whole runnable set to the caller.
-    /// FIFO order is preserved — the batch is a prefix snapshot, and ids
-    /// woken while the batch drains land behind it, exactly where
-    /// [`ReadyQueue::pop`] would have found them.
+    /// Exchange the locked queue's contents with `batch` (which must be
+    /// empty): one lock acquisition hands the whole set to the caller.
     fn swap_into(&self, batch: &mut VecDeque<TaskId>) {
         debug_assert!(batch.is_empty());
         if !self.non_empty.load(Ordering::Relaxed) {
             return;
         }
-        let mut queue = self.queue.lock().unwrap();
+        let mut queue = self.queue.lock().expect(POISONED);
         std::mem::swap(&mut *queue, batch);
         self.non_empty.store(false, Ordering::Relaxed);
     }
 }
 
-/// Waker target: wakes one task by id.
+thread_local! {
+    static LOCAL: RefCell<LocalQueue> = const {
+        RefCell::new(LocalQueue {
+            owner: 0,
+            ids: VecDeque::new(),
+        })
+    };
+}
+
+/// The lock-free run queue of the simulation whose run loop is on this
+/// thread: the usual local run queue of a single-threaded executor.
+#[derive(Default)]
+struct LocalQueue {
+    /// [`ReadyQueue::key`] of the running simulation; 0 when none runs.
+    owner: usize,
+    ids: VecDeque<TaskId>,
+}
+
+/// A run in progress: makes `core`'s simulation the thread's running one
+/// for as long as it lives, lending it `core.idle` as the local queue,
+/// and restores what ran before (a simulation run from inside another's
+/// task) when dropped.
+struct Running<'a> {
+    core: &'a Core,
+    outer: LocalQueue,
+}
+
+impl<'a> Running<'a> {
+    fn enter(core: &'a Core) -> Running<'a> {
+        let mine = LocalQueue {
+            owner: core.ready.key(),
+            ids: core.idle.take(),
+        };
+        Running {
+            core,
+            outer: LOCAL.with(|local| local.replace(mine)),
+        }
+    }
+}
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        let mine = LOCAL.with(|local| local.replace(std::mem::take(&mut self.outer)));
+        self.core.idle.replace(mine.ids);
+    }
+}
+
+/// Waker target: wakes one task by id. A slot's waker is re-aimed at the
+/// slot's next task when no clone of it is left (see [`Slab::insert`]).
 struct TaskWaker {
-    id: TaskId,
+    /// `Relaxed` is enough: it publishes no other data, and it is written
+    /// only while the slab holds the sole reference, so no wake can race
+    /// the write.
+    id: AtomicU64,
     ready: Arc<ReadyQueue>,
 }
 
 impl std::task::Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.ready.push(self.id);
+        self.wake_by_ref();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.ready.push(self.id);
+        self.ready.push(self.id.load(Ordering::Relaxed));
     }
 }
 
-/// A stored task: the waker is built once at spawn time and reused for
-/// every poll.
+/// A stored task with the waker it is polled with.
 struct SlabTask {
     fut: BoxedTask,
     waker: Waker,
@@ -114,6 +185,8 @@ struct SlabTask {
 struct Slot {
     gen: u32,
     task: Option<SlabTask>,
+    /// The target of the slot's waker, kept after its task completes.
+    waker: Option<Arc<TaskWaker>>,
 }
 
 /// The executor's task store: O(1) index-based take/put per poll, plus a
@@ -126,26 +199,44 @@ struct Slab {
 }
 
 impl Slab {
-    /// Reserve a slot (empty, current generation) and return its id.
-    /// The caller fills it via [`Slab::fill`]; the id is not reachable by
-    /// wakes until then, because the task's waker has not been shared.
-    fn reserve(&mut self) -> TaskId {
-        let slot = match self.free.pop() {
+    /// Store a new task and return its id. A reissued slot re-aims its
+    /// waker when the previous task left no clone of it behind (a clone
+    /// would then wake the new task); otherwise the slot gets a new one.
+    fn insert(&mut self, fut: BoxedTask, ready: &Arc<ReadyQueue>) -> TaskId {
+        let index = match self.free.pop() {
             Some(s) => s,
             None => {
-                self.slots.push(Slot { gen: 0, task: None });
+                self.slots.push(Slot {
+                    gen: 0,
+                    task: None,
+                    waker: None,
+                });
                 (self.slots.len() - 1) as u32
             }
         };
-        ((self.slots[slot as usize].gen as u64) << 32) | slot as u64
-    }
-
-    fn fill(&mut self, id: TaskId, task: SlabTask) {
-        let slot = &mut self.slots[(id & 0xffff_ffff) as usize];
-        debug_assert_eq!(slot.gen as u64, id >> 32, "fill of a stale id");
+        let slot = &mut self.slots[index as usize];
+        let id = ((slot.gen as u64) << 32) | index as u64;
+        let target = match &slot.waker {
+            Some(w) if Arc::strong_count(w) == 1 => {
+                w.id.store(id, Ordering::Relaxed);
+                Arc::clone(w)
+            }
+            _ => {
+                let w = Arc::new(TaskWaker {
+                    id: AtomicU64::new(id),
+                    ready: Arc::clone(ready),
+                });
+                slot.waker = Some(Arc::clone(&w));
+                w
+            }
+        };
         debug_assert!(slot.task.is_none(), "double fill");
-        slot.task = Some(task);
+        slot.task = Some(SlabTask {
+            fut,
+            waker: Waker::from(target),
+        });
         self.live += 1;
+        id
     }
 
     /// Take the task out for polling; `None` for stale ids (generation
@@ -181,9 +272,14 @@ pub(crate) struct Core {
     timers: RefCell<TimerQueue>,
     ready: Arc<ReadyQueue>,
     slab: RefCell<Slab>,
-    /// Scratch for the batched ready drain, kept allocated across drains
-    /// so the swap never allocates.
+    /// The task being polled: the one a `Delay` registers its timer for.
+    current: Cell<TaskId>,
+    /// The batched ready drain's buffer. It trades buffers with the
+    /// local queue, and both keep their capacity, so waking never
+    /// allocates in steady state.
     batch: RefCell<VecDeque<TaskId>>,
+    /// The local queue's buffer while this simulation is not running.
+    idle: RefCell<VecDeque<TaskId>>,
     rng: RefCell<SmallRng>,
     events: Cell<u64>,
     spawned_total: Cell<u64>,
@@ -196,7 +292,18 @@ impl Core {
         // model code can spawn mid-poll and insert directly.
         let mut batch = self.batch.borrow_mut();
         loop {
+            // Wakes from before this run or from other threads first, then
+            // this thread's. A batch is a prefix snapshot: wakes made while
+            // it drains land behind it, in the order one FIFO would give.
             self.ready.swap_into(&mut batch);
+            LOCAL.with(|local| {
+                let ids = &mut local.borrow_mut().ids;
+                if batch.is_empty() {
+                    std::mem::swap(ids, &mut batch);
+                } else {
+                    batch.append(ids);
+                }
+            });
             if batch.is_empty() {
                 break;
             }
@@ -206,6 +313,7 @@ impl Core {
                     continue; // stale wake
                 };
                 self.events.set(self.events.get() + 1);
+                self.current.set(id);
                 let mut cx = Context::from_waker(&task.waker);
                 let still_pending = task.fut.as_mut().poll(&mut cx).is_pending();
                 let mut slab = self.slab.borrow_mut();
@@ -221,6 +329,7 @@ impl Core {
     /// Run until quiescence or until the next timer would pass `deadline`
     /// (inclusive: timers at exactly `deadline` do fire).
     fn run_to(&self, deadline: SimTime) {
+        let _running = Running::enter(self);
         loop {
             self.drain_ready();
             // Advance the clock to the next timer.
@@ -229,7 +338,7 @@ impl Core {
                 Some(entry) => {
                     debug_assert!(entry.at >= self.now.get());
                     self.now.set(entry.at);
-                    entry.waker.wake();
+                    self.ready.push(entry.task);
                 }
                 None => break,
             }
@@ -294,7 +403,9 @@ impl Sim {
                 timers: RefCell::new(TimerQueue::new(scheduler)),
                 ready: Arc::new(ReadyQueue::default()),
                 slab: RefCell::new(Slab::default()),
+                current: Cell::new(TaskId::MAX),
                 batch: RefCell::new(VecDeque::new()),
+                idle: RefCell::new(VecDeque::new()),
                 rng: RefCell::new(SmallRng::seed_from_u64(seed)),
                 events: Cell::new(0),
                 spawned_total: Cell::new(0),
@@ -350,6 +461,7 @@ impl Sim {
         }
         self.core.timers.borrow_mut().clear();
         while self.core.ready.pop().is_some() {}
+        self.core.idle.borrow_mut().clear();
     }
 }
 
@@ -381,17 +493,11 @@ impl SimHandle {
         // The slab is never borrowed while model code runs (polls and task
         // drops happen with the task taken out), so a direct insert is
         // always safe here.
-        let mut slab = self.core.slab.borrow_mut();
-        let id = slab.reserve();
-        let task = SlabTask {
-            fut: Box::pin(fut),
-            waker: Waker::from(Arc::new(TaskWaker {
-                id,
-                ready: Arc::clone(&self.core.ready),
-            })),
-        };
-        slab.fill(id, task);
-        drop(slab);
+        let id = self
+            .core
+            .slab
+            .borrow_mut()
+            .insert(Box::pin(fut), &self.core.ready);
         self.core.ready.push(id);
     }
 
@@ -405,7 +511,7 @@ impl SimHandle {
         Delay {
             core: Rc::clone(&self.core),
             at,
-            cancel: None,
+            timer: None,
         }
     }
 
@@ -445,35 +551,35 @@ impl std::fmt::Debug for SimHandle {
 
 /// Future returned by [`SimHandle::sleep`] / [`SimHandle::sleep_until`].
 ///
-/// Dropping a `Delay` before it fires cancels its timer: the pending
-/// entry is marked inert and the run loop discards it without advancing
-/// the virtual clock. This is what lets [`crate::timeout`] race a sleep
-/// against another future without the losing sleep stretching the
-/// simulation's end time.
+/// The first pending poll registers a timer for the task being polled;
+/// the timer wakes that task by id, so a `Delay` is awaited by the task
+/// that polls it. Dropping a `Delay` before it fires cancels its timer:
+/// the pending entry goes dead and the run loop discards it without
+/// advancing the virtual clock. This is what lets [`crate::timeout`] race
+/// a sleep against another future without the losing sleep stretching
+/// the simulation's end time. Dropping it later is a no-op.
 pub struct Delay {
     core: Rc<Core>,
     at: SimTime,
-    cancel: Option<Rc<Cell<bool>>>,
+    timer: Option<TimerId>,
 }
 
 impl Future for Delay {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         if self.core.now.get() >= self.at {
             return Poll::Ready(());
         }
-        if self.cancel.is_none() {
-            let token = Rc::new(Cell::new(false));
-            self.cancel = Some(Rc::clone(&token));
-            let seq = self.core.seq.get();
-            self.core.seq.set(seq + 1);
-            self.core.timers.borrow_mut().push(TimerEntry {
-                at: self.at,
-                seq,
-                waker: cx.waker().clone(),
-                cancelled: Some(token),
-            });
+        if self.timer.is_none() {
+            let core = &self.core;
+            let seq = core.seq.get();
+            core.seq.set(seq + 1);
+            let timer = core
+                .timers
+                .borrow_mut()
+                .push(self.at, seq, core.current.get());
+            self.timer = Some(timer);
         }
         Poll::Pending
     }
@@ -481,10 +587,8 @@ impl Future for Delay {
 
 impl Drop for Delay {
     fn drop(&mut self) {
-        // If the timer already fired its entry is gone and this is a
-        // no-op; if it is still pending it becomes inert.
-        if let Some(token) = &self.cancel {
-            token.set(true);
+        if let Some(timer) = self.timer {
+            self.core.timers.borrow_mut().cancel(timer);
         }
     }
 }
@@ -518,6 +622,17 @@ impl Future for YieldNow {
 mod tests {
     use super::*;
     use std::cell::RefCell as StdRefCell;
+    use std::future::poll_fn;
+
+    /// Poll `fut` once from the calling task, registering whatever it
+    /// waits on, and move on whatever it returned.
+    async fn poll_once<F: Future + Unpin>(fut: &mut F) {
+        poll_fn(|cx| {
+            let _ = Pin::new(&mut *fut).poll(cx);
+            Poll::Ready(())
+        })
+        .await
+    }
 
     #[test]
     fn empty_sim_finishes_at_time_zero() {
@@ -752,5 +867,127 @@ mod tests {
             );
             assert_eq!(s.end_time.0, 10_000);
         }
+    }
+
+    #[test]
+    fn delay_dropped_after_firing_spares_its_slots_next_timer() {
+        // `fired` releases its slot when it fires, `newer` takes that
+        // slot, and only then is `fired` dropped: the drop must find a
+        // different owner and leave `newer` pending.
+        for scheduler in [Scheduler::Heap, Scheduler::Wheel] {
+            let mut sim = Sim::with_scheduler(0, scheduler);
+            let h = sim.handle();
+            let woke = Rc::new(Cell::new(0));
+            let w2 = Rc::clone(&woke);
+            sim.spawn(async move {
+                let mut fired = h.sleep(SimDuration::nanos(10));
+                (&mut fired).await;
+                let mut newer = h.sleep(SimDuration::nanos(10));
+                poll_once(&mut newer).await;
+                drop(fired);
+                newer.await;
+                w2.set(h.now().as_nanos());
+            });
+            let s = sim.run();
+            assert_eq!((woke.get(), s.tasks_leaked), (20, 0), "{scheduler:?}");
+        }
+    }
+
+    #[test]
+    fn delay_dropped_after_clear_spares_its_slots_next_timer() {
+        for scheduler in [Scheduler::Heap, Scheduler::Wheel] {
+            let mut sim = Sim::with_scheduler(0, scheduler);
+            let stash = Rc::new(StdRefCell::new(None));
+            let (h, s2) = (sim.handle(), Rc::clone(&stash));
+            sim.spawn(async move {
+                let mut d = h.sleep(SimDuration::nanos(100));
+                poll_once(&mut d).await;
+                *s2.borrow_mut() = Some(d); // outlives its task and the clear
+            });
+            sim.run_until(SimTime(10));
+            sim.clear();
+            let (h, woke) = (sim.handle(), Rc::new(Cell::new(0)));
+            let w2 = Rc::clone(&woke);
+            sim.spawn(async move {
+                h.sleep_until(SimTime(50)).await; // the cleared table's first slot
+                w2.set(h.now().as_nanos());
+            });
+            sim.run_until(SimTime(20));
+            drop(stash.borrow_mut().take());
+            let s = sim.run();
+            assert_eq!((woke.get(), s.tasks_leaked), (50, 0), "{scheduler:?}");
+        }
+    }
+
+    #[test]
+    fn finished_slot_reuses_its_waker() {
+        let mut sim = Sim::new(0);
+        let target =
+            |sim: &Sim| Arc::as_ptr(sim.core.slab.borrow().slots[0].waker.as_ref().unwrap());
+        sim.spawn(async {});
+        sim.run();
+        let first = target(&sim);
+        sim.spawn(async {});
+        sim.run();
+        assert_eq!(target(&sim), first);
+    }
+
+    #[test]
+    fn kept_waker_clone_never_wakes_its_slots_next_task() {
+        // The clone outlives its task, so the slot's next task must get a
+        // waker of its own: waking the clone is a stale wake.
+        let mut sim = Sim::new(0);
+        let kept = Rc::new(StdRefCell::new(None::<Waker>));
+        let k2 = Rc::clone(&kept);
+        sim.spawn(poll_fn(move |cx| {
+            *k2.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
+        sim.run();
+        let (tx, rx) = crate::sync::oneshot();
+        sim.spawn(async move {
+            let _ = rx.await;
+        });
+        let before = sim.run().events;
+        kept.borrow().as_ref().unwrap().wake_by_ref();
+        assert_eq!(
+            sim.run().events,
+            before,
+            "the stale clone polled the new task"
+        );
+        tx.send(());
+        let s = sim.run();
+        assert_eq!((s.events, s.tasks_leaked), (before + 1, 0));
+    }
+
+    #[test]
+    fn waker_woken_on_another_thread_polls_its_task_on_the_next_run() {
+        let mut sim = Sim::new(0);
+        let flag = Arc::new(AtomicBool::new(false));
+        let slot = Rc::new(StdRefCell::new(None::<Waker>));
+        let done = Rc::new(Cell::new(false));
+        let (f2, s2, d2) = (Arc::clone(&flag), Rc::clone(&slot), Rc::clone(&done));
+        sim.spawn(async move {
+            poll_fn(|cx| {
+                if f2.load(Ordering::Relaxed) {
+                    return Poll::Ready(());
+                }
+                *s2.borrow_mut() = Some(cx.waker().clone());
+                Poll::Pending
+            })
+            .await;
+            d2.set(true);
+        });
+        assert_eq!(sim.run().tasks_leaked, 1);
+        let waker = slot.borrow_mut().take().unwrap();
+        std::thread::spawn(move || {
+            flag.store(true, Ordering::Relaxed);
+            waker.wake();
+        })
+        .join()
+        .unwrap();
+        let s = sim.run();
+        assert!(done.get());
+        assert_eq!(s.tasks_leaked, 0);
     }
 }

@@ -5,7 +5,7 @@
 //! (ticketed), which keeps contention behaviour deterministic.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -17,24 +17,23 @@ use crate::time::SimDuration;
 struct Inner {
     capacity: usize,
     in_use: usize,
-    /// Next ticket number to hand out.
-    next_ticket: u64,
     /// Lowest ticket not yet admitted.
     serving: u64,
-    /// Wakers for queued tickets.
-    waiters: BTreeMap<u64, Waker>,
-    /// Tickets abandoned before admission (future dropped).
-    cancelled: BTreeSet<u64>,
+    /// One entry per ticket from `serving` on, in ticket order (so the
+    /// next ticket is `serving + waiters.len()`): the waker of a queued
+    /// acquirer, `None` once its acquirer gave up.
+    waiters: VecDeque<Option<Waker>>,
 }
 
 impl Inner {
-    /// Skip cancelled tickets and wake the next admissible waiter.
+    /// Skip abandoned tickets and wake the next admissible waiter.
     fn advance(&mut self) {
-        while self.cancelled.remove(&self.serving) {
+        while let Some(None) = self.waiters.front() {
+            self.waiters.pop_front();
             self.serving += 1;
         }
         if self.in_use < self.capacity {
-            if let Some(w) = self.waiters.get(&self.serving) {
+            if let Some(Some(w)) = self.waiters.front() {
                 w.wake_by_ref();
             }
         }
@@ -65,10 +64,8 @@ impl Resource {
             inner: Rc::new(RefCell::new(Inner {
                 capacity,
                 in_use: 0,
-                next_ticket: 0,
                 serving: 0,
-                waiters: BTreeMap::new(),
-                cancelled: BTreeSet::new(),
+                waiters: VecDeque::new(),
             })),
         }
     }
@@ -92,7 +89,7 @@ impl Resource {
 
     /// Number of acquirers waiting for a slot.
     pub fn queue_len(&self) -> usize {
-        self.inner.borrow().waiters.len()
+        self.inner.borrow().waiters.iter().flatten().count()
     }
 }
 
@@ -110,12 +107,11 @@ impl Future for Acquire {
         let this = &mut *self;
         let mut inner = this.inner.borrow_mut();
         let ticket = *this.ticket.get_or_insert_with(|| {
-            let t = inner.next_ticket;
-            inner.next_ticket += 1;
-            t
+            inner.waiters.push_back(None);
+            inner.serving + inner.waiters.len() as u64 - 1
         });
         if ticket == inner.serving && inner.in_use < inner.capacity {
-            inner.waiters.remove(&ticket);
+            inner.waiters.pop_front();
             inner.serving += 1;
             inner.in_use += 1;
             this.admitted = true;
@@ -126,7 +122,8 @@ impl Future for Acquire {
                 inner: Rc::clone(&this.inner),
             });
         }
-        inner.waiters.insert(ticket, cx.waker().clone());
+        let at = (ticket - inner.serving) as usize;
+        inner.waiters[at] = Some(cx.waker().clone());
         Poll::Pending
     }
 }
@@ -138,12 +135,10 @@ impl Drop for Acquire {
         }
         if let Some(ticket) = self.ticket {
             let mut inner = self.inner.borrow_mut();
-            inner.waiters.remove(&ticket);
-            if ticket == inner.serving {
-                inner.serving += 1;
+            let at = (ticket - inner.serving) as usize;
+            inner.waiters[at] = None;
+            if at == 0 {
                 inner.advance();
-            } else {
-                inner.cancelled.insert(ticket);
             }
         }
     }
@@ -319,5 +314,135 @@ mod tests {
         sim.run();
         assert_eq!(last_end.get().as_nanos(), 150_000);
         assert_eq!(res.queue_len(), 0);
+    }
+
+    /// One step of a contention history. Indices pick among the current
+    /// waiters / holders, modulo their number.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A new acquirer polls for the first time.
+        Acquire,
+        /// A waiter gives up: its future is dropped before admission.
+        Cancel(usize),
+        /// A holder drops its guard.
+        Release(usize),
+        /// Poll every woken waiter until no wake is left.
+        Poll,
+    }
+
+    /// What a history showed: the admission order, and `queue_len` after
+    /// every step.
+    type Seen = (Vec<usize>, Vec<usize>);
+
+    /// The resource under test, driven by hand: each acquirer has its own
+    /// waker, and only woken acquirers are polled.
+    fn real(capacity: usize, steps: &[Step]) -> Seen {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        struct Woken(AtomicBool);
+        impl std::task::Wake for Woken {
+            fn wake(self: Arc<Self>) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let res = Resource::new(capacity);
+        let mut waiting: Vec<(usize, Acquire, Arc<Woken>)> = Vec::new();
+        let mut holding: Vec<ResourceGuard> = Vec::new();
+        let (mut admitted, mut queue_lens) = (Vec::new(), Vec::new());
+        let mut poll = |id: usize, acq: &mut Acquire, woken: &Arc<Woken>| {
+            let waker = Waker::from(Arc::clone(woken));
+            let ready = Pin::new(acq).poll(&mut Context::from_waker(&waker));
+            ready.map(|guard| {
+                admitted.push(id);
+                guard
+            })
+        };
+        for (id, step) in steps.iter().enumerate() {
+            match *step {
+                Step::Acquire => {
+                    let (mut acq, woken) = (res.acquire(), Arc::new(Woken(AtomicBool::new(false))));
+                    match poll(id, &mut acq, &woken) {
+                        Poll::Ready(guard) => holding.push(guard),
+                        Poll::Pending => waiting.push((id, acq, woken)),
+                    }
+                }
+                Step::Cancel(i) if !waiting.is_empty() => drop(waiting.remove(i % waiting.len())),
+                Step::Release(i) if !holding.is_empty() => drop(holding.remove(i % holding.len())),
+                Step::Poll => {
+                    let mut i = 0;
+                    while i < waiting.len() {
+                        let (id, acq, woken) = &mut waiting[i];
+                        if !woken.0.swap(false, Ordering::Relaxed) {
+                            i += 1;
+                            continue;
+                        }
+                        match poll(*id, acq, woken) {
+                            Poll::Ready(guard) => {
+                                holding.push(guard);
+                                waiting.remove(i);
+                                i = 0; // an admission may have woken an earlier waiter
+                            }
+                            Poll::Pending => i += 1,
+                        }
+                    }
+                }
+                _ => {}
+            }
+            queue_lens.push(res.queue_len());
+        }
+        (admitted, queue_lens)
+    }
+
+    /// The reference: a FIFO of waiters, each admitted once it is at the
+    /// front and a slot is free — on its first poll, or on a `Poll` step.
+    fn model(capacity: usize, steps: &[Step]) -> Seen {
+        let (mut waiting, mut holding) = (std::collections::VecDeque::new(), Vec::new());
+        let (mut admitted, mut queue_lens) = (Vec::new(), Vec::new());
+        for (id, step) in steps.iter().enumerate() {
+            match *step {
+                Step::Acquire if waiting.is_empty() && holding.len() < capacity => {
+                    admitted.push(id);
+                    holding.push(id);
+                }
+                Step::Acquire => waiting.push_back(id),
+                Step::Cancel(i) if !waiting.is_empty() => drop(waiting.remove(i % waiting.len())),
+                Step::Release(i) if !holding.is_empty() => drop(holding.remove(i % holding.len())),
+                Step::Poll => {
+                    while holding.len() < capacity {
+                        let Some(id) = waiting.pop_front() else { break };
+                        admitted.push(id);
+                        holding.push(id);
+                    }
+                }
+                _ => {}
+            }
+            queue_lens.push(waiting.len());
+        }
+        (admitted, queue_lens)
+    }
+
+    fn step_strategy() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        prop_oneof![
+            3 => Just(Step::Acquire),
+            2 => (0usize..8).prop_map(Step::Cancel),
+            2 => (0usize..8).prop_map(Step::Release),
+            2 => Just(Step::Poll),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            .. proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn admission_and_queue_len_match_a_fifo_model(
+            capacity in 1usize..4,
+            steps in proptest::collection::vec(step_strategy(), 1..60),
+        ) {
+            proptest::prop_assert_eq!(real(capacity, &steps), model(capacity, &steps));
+        }
     }
 }

@@ -7,6 +7,17 @@
 //! tick. [`Scheduler`] picks the back-end per simulation — the heap stays
 //! available as the reference model for the wheel's property tests.
 //!
+//! ## Cancellation
+//!
+//! Every pending timer owns a slot of its queue's owner table, which
+//! records the `seq` of the timer holding each slot. An entry is live
+//! while it still owns its slot; firing and cancelling (dropping the
+//! `Delay`) both release the slot for reuse. A dead entry is discarded
+//! wherever it is found, without touching the clock. Because `seq` never
+//! repeats, releasing through a stale handle — a timer that already fired,
+//! whose slot another timer now owns, or that `clear` swept away — finds
+//! a different owner and does nothing.
+//!
 //! ## Wheel layout
 //!
 //! Six levels of 64 slots each, level `l` spanning `64^(l+1)` ns, so the
@@ -18,14 +29,10 @@
 //! Deadlines beyond the span wait in an overflow heap and migrate into
 //! the wheel as `base` advances; deadlines registered *below* `base`
 //! (possible when a paused `run_until` resumes) wait in a small front
-//! heap that always fires first. Cancelled entries (dropped `Delay`s)
-//! are discarded wherever they are found, without touching the clock.
+//! heap that always fires first.
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::rc::Rc;
-use std::task::Waker;
 
 use crate::time::SimTime;
 
@@ -39,28 +46,23 @@ pub enum Scheduler {
     Wheel,
 }
 
-/// A timer waiting to fire. Ordered by `(at, seq)` — the engine's total
-/// event order — so simultaneous timers fire in registration order. This
-/// is what makes runs reproducible.
+/// A timer waiting to fire: the task to wake at `at`. Ordered by
+/// `(at, seq)` — the engine's total event order — so simultaneous timers
+/// fire in registration order. This is what makes runs reproducible.
 ///
-/// `cancelled` (set when the owning `Delay` is dropped before firing)
-/// makes the entry inert: the run loop discards it *without advancing the
-/// clock*, so racing a sleep against another future (see
+/// The entry is live while its `id` still owns its slot of the queue's
+/// owner table (see the module docs); a dead one is discarded *without
+/// advancing the clock*, so racing a sleep against another future (see
 /// [`crate::timeout`]) does not stretch the simulation's end time.
 pub(crate) struct TimerEntry {
     pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) waker: Waker,
-    pub(crate) cancelled: Option<Rc<Cell<bool>>>,
+    id: TimerId,
+    pub(crate) task: u64,
 }
 
 impl TimerEntry {
     fn key(&self) -> (u64, u64) {
-        (self.at.0, self.seq)
-    }
-
-    fn is_cancelled(&self) -> bool {
-        self.cancelled.as_ref().is_some_and(|c| c.get())
+        (self.at.0, self.id.seq)
     }
 }
 
@@ -81,51 +83,123 @@ impl Ord for TimerEntry {
     }
 }
 
+/// A registered timer's name: its `seq` and its slot of the owner table.
+/// A `Delay` keeps it to cancel the timer.
+#[derive(Clone, Copy)]
+pub(crate) struct TimerId {
+    seq: u64,
+    slot: u32,
+}
+
+/// The owner table: `seq[slot]` is the pending timer holding `slot`, or
+/// [`Owners::FREE`].
+#[derive(Default)]
+struct Owners {
+    seq: Vec<u64>,
+    free: Vec<u32>,
+}
+
+impl Owners {
+    /// No timer holds the slot (`seq` counts up from 0 and never gets here).
+    const FREE: u64 = u64::MAX;
+
+    fn claim(&mut self, seq: u64) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.seq[slot as usize] = seq;
+                slot
+            }
+            None => {
+                self.seq.push(seq);
+                (self.seq.len() - 1) as u32
+            }
+        }
+    }
+
+    fn live(&self, e: &TimerEntry) -> bool {
+        self.seq[e.id.slot as usize] == e.id.seq
+    }
+
+    /// Free `slot` if `seq` still owns it; a stale handle does nothing.
+    fn release(&mut self, TimerId { seq, slot }: TimerId) {
+        if let Some(owner) = self.seq.get_mut(slot as usize) {
+            if *owner == seq {
+                *owner = Owners::FREE;
+                self.free.push(slot);
+            }
+        }
+    }
+}
+
 /// Pending-timer storage behind [`Scheduler`].
-pub(crate) enum TimerQueue {
+pub(crate) struct TimerQueue {
+    owners: Owners,
+    pending: Pending,
+}
+
+enum Pending {
     Heap(BinaryHeap<Reverse<TimerEntry>>),
     Wheel(Box<TimerWheel>),
 }
 
 impl TimerQueue {
     pub(crate) fn new(scheduler: Scheduler) -> TimerQueue {
-        match scheduler {
-            Scheduler::Heap => TimerQueue::Heap(BinaryHeap::new()),
-            Scheduler::Wheel => TimerQueue::Wheel(Box::new(TimerWheel::new())),
+        TimerQueue {
+            owners: Owners::default(),
+            pending: match scheduler {
+                Scheduler::Heap => Pending::Heap(BinaryHeap::new()),
+                Scheduler::Wheel => Pending::Wheel(Box::new(TimerWheel::new())),
+            },
         }
     }
 
-    pub(crate) fn push(&mut self, entry: TimerEntry) {
-        match self {
-            TimerQueue::Heap(heap) => heap.push(Reverse(entry)),
-            TimerQueue::Wheel(wheel) => wheel.push(entry),
+    /// Register a timer waking `task` at `at`; `seq` must exceed every
+    /// `seq` registered before.
+    pub(crate) fn push(&mut self, at: SimTime, seq: u64, task: u64) -> TimerId {
+        let id = TimerId {
+            seq,
+            slot: self.owners.claim(seq),
+        };
+        let entry = TimerEntry { at, id, task };
+        match &mut self.pending {
+            Pending::Heap(heap) => heap.push(Reverse(entry)),
+            Pending::Wheel(wheel) => wheel.push(entry),
         }
+        id
+    }
+
+    /// Cancel a pending timer; a no-op once it fired or was cleared.
+    pub(crate) fn cancel(&mut self, id: TimerId) {
+        self.owners.release(id);
     }
 
     /// Remove and return the earliest live entry with `at <= deadline`,
-    /// discarding cancelled entries encountered along the way.
+    /// discarding dead entries encountered along the way.
     pub(crate) fn pop_next(&mut self, deadline: SimTime) -> Option<TimerEntry> {
-        match self {
-            TimerQueue::Heap(heap) => loop {
+        let owners = &self.owners;
+        let entry = match &mut self.pending {
+            Pending::Heap(heap) => loop {
                 match heap.peek() {
                     Some(Reverse(e)) if e.at <= deadline => {
                         let Reverse(e) = heap.pop().unwrap();
-                        if e.is_cancelled() {
-                            continue;
+                        if owners.live(&e) {
+                            break Some(e);
                         }
-                        break Some(e);
                     }
                     _ => break None,
                 }
             },
-            TimerQueue::Wheel(wheel) => wheel.pop_next(deadline.0),
-        }
+            Pending::Wheel(wheel) => wheel.pop_next(deadline.0, owners),
+        }?;
+        self.owners.release(entry.id);
+        Some(entry)
     }
 
     pub(crate) fn clear(&mut self) {
-        match self {
-            TimerQueue::Heap(heap) => heap.clear(),
-            TimerQueue::Wheel(wheel) => wheel.clear(),
+        self.owners = Owners::default();
+        match &mut self.pending {
+            Pending::Heap(heap) => heap.clear(),
+            Pending::Wheel(wheel) => wheel.clear(),
         }
     }
 }
@@ -135,7 +209,7 @@ const SLOTS: usize = 1 << SLOT_BITS; // 64
 const LEVELS: usize = 6; // 64^6 ns ≈ 68.7 s of direct span
 
 /// The hierarchical timer wheel.
-pub(crate) struct TimerWheel {
+struct TimerWheel {
     /// All entries in the slots are at `base` or later; `base` never
     /// decreases. Entries registered below `base` go to `front`.
     base: u64,
@@ -165,7 +239,7 @@ fn level_for(base: u64, t: u64) -> Option<usize> {
 }
 
 impl TimerWheel {
-    pub(crate) fn new() -> TimerWheel {
+    fn new() -> TimerWheel {
         TimerWheel {
             base: 0,
             occ: [0; LEVELS],
@@ -177,7 +251,7 @@ impl TimerWheel {
         }
     }
 
-    pub(crate) fn push(&mut self, e: TimerEntry) {
+    fn push(&mut self, e: TimerEntry) {
         self.len += 1;
         let t = e.at.0;
         if t == self.base && !self.current.is_empty() {
@@ -224,16 +298,16 @@ impl TimerWheel {
 
     /// Advance internal state until the earliest live deadline is directly
     /// poppable, and return it. Cascades higher-level slots and migrates
-    /// overflow entries as needed; prunes cancelled entries (never
-    /// advancing past a live one).
-    fn prepare_next(&mut self) -> Option<u64> {
+    /// overflow entries as needed; prunes dead entries (never advancing
+    /// past a live one).
+    fn prepare_next(&mut self, owners: &Owners) -> Option<u64> {
         loop {
-            // Drop cancelled entries at both candidate heads.
-            while self.current.front().is_some_and(|e| e.is_cancelled()) {
+            // Drop dead entries at both candidate heads.
+            while self.current.front().is_some_and(|e| !owners.live(e)) {
                 self.current.pop_front();
                 self.len -= 1;
             }
-            while self.front.peek().is_some_and(|Reverse(e)| e.is_cancelled()) {
+            while self.front.peek().is_some_and(|Reverse(e)| !owners.live(e)) {
                 self.front.pop();
                 self.len -= 1;
             }
@@ -250,7 +324,7 @@ impl TimerWheel {
             if self.occ.iter().all(|&b| b == 0) {
                 // Nothing in the slots: jump to the overflow's head.
                 match self.overflow.peek() {
-                    Some(Reverse(e)) if e.is_cancelled() => {
+                    Some(Reverse(e)) if !owners.live(e) => {
                         self.overflow.pop();
                         self.len -= 1;
                         continue;
@@ -272,10 +346,10 @@ impl TimerWheel {
                 .is_some_and(|Reverse(e)| level_for(self.base, e.at.0).is_some())
             {
                 let Reverse(e) = self.overflow.pop().unwrap();
-                if e.is_cancelled() {
-                    self.len -= 1;
-                } else {
+                if owners.live(&e) {
                     self.place(e);
+                } else {
+                    self.len -= 1;
                 }
             }
             // The earliest candidate across levels (level 0 is exact; a
@@ -304,10 +378,10 @@ impl TimerWheel {
                 let before = drained.len();
                 drained.retain(|e| {
                     debug_assert_eq!(e.at.0, bound);
-                    !e.is_cancelled()
+                    owners.live(e)
                 });
                 self.len -= before - drained.len();
-                drained.sort_unstable_by_key(|e| e.seq);
+                drained.sort_unstable_by_key(|e| e.id.seq);
                 self.current.extend(drained.drain(..));
             } else {
                 // Cascade: with `base` at the slot's span start, every
@@ -315,10 +389,10 @@ impl TimerWheel {
                 // into the slot whose buffer we are holding.
                 self.base = bound;
                 for e in drained.drain(..) {
-                    if e.is_cancelled() {
-                        self.len -= 1;
-                    } else {
+                    if owners.live(&e) {
                         self.place(e);
+                    } else {
+                        self.len -= 1;
                     }
                 }
             }
@@ -326,8 +400,8 @@ impl TimerWheel {
         }
     }
 
-    pub(crate) fn pop_next(&mut self, deadline: u64) -> Option<TimerEntry> {
-        let t = self.prepare_next()?;
+    fn pop_next(&mut self, deadline: u64, owners: &Owners) -> Option<TimerEntry> {
+        let t = self.prepare_next(owners)?;
         if t > deadline {
             return None;
         }
@@ -341,7 +415,7 @@ impl TimerWheel {
         self.current.pop_front()
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.occ = [0; LEVELS];
         for s in &mut self.slots {
             s.clear();

@@ -4,12 +4,16 @@
 //! Both back-ends must agree on *everything* observable: fire order
 //! (including same-tick collisions resolved by the `(at, seq)` total
 //! order), cancellation semantics (the `timeout` combinator drops
-//! one of its two timers on every run), far-future deadlines beyond the
+//! one of its two timers on every run, and a bare dropped `Delay` hands
+//! its slot straight to the next timer), far-future deadlines beyond the
 //! wheel's direct span, and paused `run_until` runs that register timers
 //! below the wheel's already-prepared base.
 
 use std::cell::RefCell;
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::Poll;
 
 use imca_sim::{timeout, Scheduler, Sim, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -24,6 +28,9 @@ enum Op {
     Chain { at: u64, extra: u64 },
     /// The timeout combinator: one of its two timers is always cancelled.
     Timeout { dur: u64, work: u64 },
+    /// A bare sleep polled once and dropped before it fires, then a sleep
+    /// that registers at once: it takes the slot the drop released.
+    Abandon { at: u64, then: u64 },
 }
 
 /// Deadlines concentrated where the wheel's edge cases live: dense
@@ -43,6 +50,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => time_strategy().prop_map(|at| Op::Sleep { at }),
         2 => (time_strategy(), 0u64..5_000).prop_map(|(at, extra)| Op::Chain { at, extra }),
         2 => (1u64..10_000, 1u64..10_000).prop_map(|(dur, work)| Op::Timeout { dur, work }),
+        2 => (time_strategy(), 0u64..5_000).prop_map(|(at, then)| Op::Abandon { at, then }),
     ]
 }
 
@@ -78,6 +86,19 @@ fn spawn_program(sim: &mut Sim, ops: &[Op], log: &Rc<RefCell<Trace>>) {
                     log.borrow_mut().push((h.now().0, i, res.is_some() as u8));
                 });
             }
+            Op::Abandon { at, then } => {
+                sim.spawn(async move {
+                    let mut abandoned = h.sleep_until(SimTime(at));
+                    poll_fn(|cx| {
+                        let _ = Pin::new(&mut abandoned).poll(cx);
+                        Poll::Ready(())
+                    })
+                    .await;
+                    drop(abandoned);
+                    h.sleep(SimDuration::nanos(then)).await;
+                    log.borrow_mut().push((h.now().0, i, 0)); // as `Sleep { at: then }`
+                });
+            }
         }
     }
 }
@@ -91,6 +112,18 @@ fn run_program(ops: &[Op], scheduler: Scheduler) -> (Trace, u64, u64, u64) {
     let s = sim.run();
     let trace = log.borrow().clone();
     (trace, s.end_time.0, s.events, s.tasks_spawned)
+}
+
+/// The program with every abandoned sleep left out: each `Abandon` is
+/// the plain `Sleep` it ends in. A cancelled timer must leave no trace —
+/// no wake, no event, no clock advance — so both programs behave alike.
+fn without_abandoned(ops: &[Op]) -> Vec<Op> {
+    ops.iter()
+        .map(|op| match *op {
+            Op::Abandon { then, .. } => Op::Sleep { at: then },
+            ref op => op.clone(),
+        })
+        .collect()
 }
 
 /// Run in two halves around `run_until(pause)`, registering extra sleeps
@@ -143,6 +176,20 @@ proptest! {
         let heap = run_paused(&ops, &late, pause, Scheduler::Heap);
         let wheel = run_paused(&ops, &late, pause, Scheduler::Wheel);
         prop_assert_eq!(&heap, &wheel, "paused-run traces diverged");
+    }
+
+    #[test]
+    fn abandoned_sleeps_leave_no_trace(
+        ops in prop::collection::vec(op_strategy(), 1..60),
+    ) {
+        for scheduler in [Scheduler::Heap, Scheduler::Wheel] {
+            prop_assert_eq!(
+                run_program(&ops, scheduler),
+                run_program(&without_abandoned(&ops), scheduler),
+                "{:?}",
+                scheduler
+            );
+        }
     }
 
     #[test]

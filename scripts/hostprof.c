@@ -1,16 +1,61 @@
-/* The sampling half of scripts/hostprof: an LD_PRELOAD shim for a machine
- * with no perf, valgrind or gdb. The constructor arms ITIMER_PROF (every ms
- * of process CPU time, which the kernel rounds up to its tick); the handler
- * stores the process CPU clock and the backtrace() return addresses; the
- * destructor writes /proc/self/maps and the samples to $HOSTPROF_OUT.
- * Without that variable it does nothing. backtrace() is not strictly
+/* The LD_PRELOAD half of scripts/hostprof, for a machine with no perf,
+ * valgrind or gdb. One file, two shims: built plain it is the sampler,
+ * built with -DHOSTPROF_ALLOCS it is the allocation counter. Either does
+ * nothing unless $HOSTPROF_OUT names the file it writes on exit.
+ *
+ * The sampler: the constructor arms ITIMER_PROF (every ms of process CPU
+ * time, which the kernel rounds up to its tick); the handler stores the
+ * process CPU clock and the backtrace() return addresses; the destructor
+ * writes /proc/self/maps and the samples. backtrace() is not strictly
  * async-signal-safe (it is called once up front so its lazy set-up happens
- * outside the handler): a developer tool, not part of any gate. */
+ * outside the handler): a developer tool, not part of any gate.
+ *
+ * The counter: malloc, calloc and realloc count their calls and forward to
+ * glibc's own entry points (__libc_*, so no dlsym, which itself allocates);
+ * the destructor writes one line, `malloc N calloc N realloc N`. The counts
+ * depend only on the work the process does, not on the host clock. */
 #define _GNU_SOURCE
-#include <execinfo.h>
-#include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
+
+#ifdef HOSTPROF_ALLOCS
+
+extern void *__libc_malloc(size_t size);
+extern void *__libc_calloc(size_t n, size_t size);
+extern void *__libc_realloc(void *p, size_t size);
+
+static unsigned long long mallocs, callocs, reallocs;
+
+void *malloc(size_t size) {
+    __atomic_fetch_add(&mallocs, 1, __ATOMIC_RELAXED);
+    return __libc_malloc(size);
+}
+
+void *calloc(size_t n, size_t size) {
+    __atomic_fetch_add(&callocs, 1, __ATOMIC_RELAXED);
+    return __libc_calloc(n, size);
+}
+
+void *realloc(void *p, size_t size) {
+    __atomic_fetch_add(&reallocs, 1, __ATOMIC_RELAXED);
+    return __libc_realloc(p, size);
+}
+
+__attribute__((destructor)) static void dump(void) {
+    const char *path = getenv("HOSTPROF_OUT");
+    if (!path) return;
+    /* Read the counts before fopen, whose buffer is one more malloc. */
+    unsigned long long m = mallocs, c = callocs, r = reallocs;
+    FILE *out = fopen(path, "w");
+    if (!out) return;
+    fprintf(out, "malloc %llu calloc %llu realloc %llu\n", m, c, r);
+    fclose(out);
+}
+
+#else
+
+#include <execinfo.h>
+#include <signal.h>
 #include <sys/time.h>
 #include <time.h>
 
@@ -62,3 +107,5 @@ __attribute__((destructor)) static void dump(void) {
     }
     fclose(out);
 }
+
+#endif
