@@ -29,7 +29,7 @@ use imca_bench::{emit, emit_bench, emit_metrics, fixed, obj, parallel_sweep, Opt
 use imca_core::{Cluster, ClusterConfig, Coherence, ImcaConfig, Replication};
 use imca_memcached::McConfig;
 use imca_metrics::json::Json;
-use imca_metrics::Snapshot;
+use imca_metrics::{quantile, Snapshot};
 use imca_sim::{join_all, Sim, SimDuration};
 use imca_workloads::report::Table;
 
@@ -72,11 +72,9 @@ struct SweepOut {
     metrics: Snapshot,
 }
 
-/// Exact quantile over the merged timed ops.
-fn quantile(sorted_ns: &[u64], q: f64) -> u64 {
-    assert!(!sorted_ns.is_empty());
-    let idx = ((sorted_ns.len() as f64 - 1.0) * q).round() as usize;
-    sorted_ns[idx]
+/// A percentile of the merged timed ops, by nearest rank.
+fn p_ns(res: &SweepOut, percent: usize) -> u64 {
+    quantile(&res.op_ns, percent).expect("the sweep timed no ops")
 }
 
 /// One shared file, one block-sized slot per client. All 32 clients run
@@ -223,12 +221,12 @@ fn main() {
             .map(|&(kind, r, coh)| format!("{}/{}/R{r}", kind.label(), coherence_label(coh)))
             .collect(),
     );
-    for &(label, q) in &[(50.0, 0.50), (90.0, 0.90), (99.0, 0.99)] {
+    for percent in [50, 90, 99] {
         let row: Vec<Option<f64>> = results
             .iter()
-            .map(|res| Some(quantile(&res.op_ns, q) as f64 / 1_000.0))
+            .map(|res| Some(p_ns(res, percent) as f64 / 1_000.0))
             .collect();
-        table.push_row(label, row);
+        table.push_row(percent as f64, row);
     }
     emit(&opts, "ablate_cas", &table);
 
@@ -256,7 +254,7 @@ fn main() {
         for &r in &factors {
             let cas = find(kind, r, Coherence::Cas);
             let purge = find(kind, r, Coherence::Purge);
-            let (p99c, p99p) = (quantile(&cas.op_ns, 0.99), quantile(&purge.op_ns, 0.99));
+            let (p99c, p99p) = (p_ns(cas, 99), p_ns(purge, 99));
             if p99c >= p99p || cas.hit_rate <= purge.hit_rate {
                 cas_beats_purge = false;
             }
@@ -290,8 +288,8 @@ fn main() {
                             ("sweep", Json::Str(kind.label().into())),
                             ("replication", int(r)),
                             ("coherence", Json::Str(coherence_label(coh).into())),
-                            ("p50_us", us(quantile(&res.op_ns, 0.50))),
-                            ("p99_us", us(quantile(&res.op_ns, 0.99))),
+                            ("p50_us", us(p_ns(res, 50))),
+                            ("p99_us", us(p_ns(res, 99))),
                             ("post_write_hit_rate", fixed(res.hit_rate, 4)),
                         ])
                     })

@@ -19,7 +19,7 @@
 use imca_bench::{emit, emit_bench, emit_metrics, fixed, obj, Grid, Options};
 use imca_core::MetaConfig;
 use imca_metrics::json::Json;
-use imca_metrics::Snapshot;
+use imca_metrics::{quantile, Snapshot};
 use imca_workloads::lsstorm::{run, LsStorm, LsStormResult};
 use imca_workloads::SystemSpec;
 
@@ -36,9 +36,9 @@ fn policies() -> Vec<(String, MetaConfig)> {
     ]
 }
 
-/// Per-stat latency quantile in microseconds.
-fn q_us(r: &LsStormResult, q: f64) -> f64 {
-    r.quantile_ns(q) as f64 / 1_000.0
+/// Per-stat latency percentile in microseconds.
+fn q_us(r: &LsStormResult, percent: usize) -> f64 {
+    quantile(&r.stat_ns, percent).expect("the storm timed no stats") as f64 / 1_000.0
 }
 
 fn main() {
@@ -75,7 +75,7 @@ fn main() {
         ),
         "clients",
         "microseconds",
-        |r| Some(q_us(r, 0.99)),
+        |r| Some(q_us(r, 99)),
     );
     emit(&opts, "ablate_metadata", &table);
 
@@ -90,7 +90,7 @@ fn main() {
     let last = grid.xs.len() - 1;
     let max_c = grid.xs[last];
     let [nocache, bank, lease] = [0, 1, 2].map(|si| grid.at(si, last));
-    let (p50, p99) = (|r| q_us(r, 0.50), |r| q_us(r, 0.99));
+    let (p50, p99) = (|r| q_us(r, 50), |r| q_us(r, 99));
     let lease_p50_lt_bank = p50(lease) < p50(bank);
     let lease_p99_lt_bank = p99(lease) < p99(bank);
     let bank_p99_lt_nocache = p99(bank) < p99(nocache);
@@ -109,8 +109,8 @@ fn main() {
             obj(vec![
                 ("policy", Json::Str(name.clone())),
                 ("clients", int(c)),
-                ("stat_p50_us", fixed(q_us(r, 0.50), 2)),
-                ("stat_p99_us", fixed(q_us(r, 0.99), 2)),
+                ("stat_p50_us", fixed(q_us(r, 50), 2)),
+                ("stat_p99_us", fixed(q_us(r, 99), 2)),
                 ("walk_secs", fixed(r.max_node_secs, 4)),
                 ("lease_hits", counter(r, "lease_hits")),
                 ("negative_hits", counter(r, "negative_hits")),

@@ -25,9 +25,9 @@
 //! * **free below the knee** — up to the knee, ON goodput is within 5%
 //!   of OFF at every grid point.
 
-use imca_bench::{emit, emit_bench, emit_metrics, obj, rounded, Grid, Options};
+use imca_bench::{emit, emit_bench, emit_metrics, fixed, obj, Grid, Options};
 use imca_metrics::json::Json;
-use imca_metrics::Snapshot;
+use imca_metrics::{quantile, Snapshot};
 use imca_workloads::overload::{run, OverloadBench, OverloadOut};
 
 /// The four drives: label, keep the queue limit, keep the rewarm throttle.
@@ -39,7 +39,7 @@ const DRIVES: [(&str, bool, bool); 4] = [
 ];
 
 fn p50_ms(out: &OverloadOut) -> f64 {
-    out.latency.quantile(0.50) as f64 / 1e6
+    quantile(&out.read_ns, 50).expect("the drive timed no reads") as f64 / 1e6
 }
 
 /// Knee of a goodput-vs-clients series: the first point whose goodput
@@ -194,17 +194,14 @@ fn main() {
                 ("mcds", int(drive.mcds as u64)),
                 ("replication", int(drive.replication as u64)),
                 ("ops_per_client", int(drive.ops_per_client)),
-                (
-                    "mcd_per_op_ms",
-                    rounded(drive.mcd_per_op.as_millis_f64(), 3),
-                ),
+                ("mcd_per_op_ms", fixed(drive.mcd_per_op.as_millis_f64(), 3)),
                 (
                     "server_fop_cpu_ms",
-                    rounded(drive.server_fop_cpu.as_millis_f64(), 3),
+                    fixed(drive.server_fop_cpu.as_millis_f64(), 3),
                 ),
                 (
                     "static_deadline_ms",
-                    rounded(drive.deadline.as_millis_f64(), 3),
+                    fixed(drive.deadline.as_millis_f64(), 3),
                 ),
                 (
                     "queue_limit",
@@ -230,9 +227,9 @@ fn main() {
                         obj(vec![
                             ("clients", int(clients as u64)),
                             ("protection", Json::Str(drive.0.into())),
-                            ("goodput_ops_per_sec", rounded(o.goodput(), 1)),
-                            ("p50_ms", rounded(p50_ms(o), 2)),
-                            ("p99_ms", rounded(o.p99_ms(), 2)),
+                            ("goodput_ops_per_sec", fixed(o.goodput(), 1)),
+                            ("p50_ms", fixed(p50_ms(o), 2)),
+                            ("p99_ms", fixed(o.p99_ms(), 2)),
                             ("sheds", int(o.sheds)),
                             ("busy_sheds", int(o.busy_sheds)),
                             ("circuit_opens", int(o.circuit_opens)),
@@ -245,9 +242,9 @@ fn main() {
             ),
         ),
         ("knee_clients", int(knee as u64)),
-        ("pre_knee_peak_ops_per_sec", rounded(peak_preknee, 1)),
+        ("pre_knee_peak_ops_per_sec", fixed(peak_preknee, 1)),
         ("claim_clients", int(claim_clients as u64)),
-        ("p99_bound_ms", rounded(p99_bound_ms, 1)),
+        ("p99_bound_ms", fixed(p99_bound_ms, 1)),
         (
             "claims",
             obj(vec![

@@ -20,7 +20,7 @@ use imca_bench::{emit, emit_bench, emit_metrics, fixed, obj, parallel_sweep, Opt
 use imca_core::{Cluster, ClusterConfig, ImcaConfig, Replication};
 use imca_memcached::{McConfig, Selector};
 use imca_metrics::json::Json;
-use imca_metrics::Snapshot;
+use imca_metrics::{quantile, Snapshot};
 use imca_sim::Sim;
 use imca_workloads::latbench::{run, LatencyBench};
 use imca_workloads::report::Table;
@@ -37,13 +37,6 @@ fn spec(r: usize) -> SystemSpec {
         replication: Replication { factor: r },
         ..ImcaConfig::default()
     })
-}
-
-/// Exact quantile over the timed reads (merged across clients).
-fn quantile(sorted_ns: &[u64], q: f64) -> u64 {
-    assert!(!sorted_ns.is_empty());
-    let idx = ((sorted_ns.len() as f64 - 1.0) * q).round() as usize;
-    sorted_ns[idx]
 }
 
 /// Kill-one-daemon scenario: 2 MCDs, R = 2, a warmed shared file. After
@@ -133,6 +126,10 @@ fn main() {
             (r, ns, mean)
         })
         .collect();
+    // A percentile of the timed reads (merged across clients), in µs.
+    let p_us = |ns: &[u64], percent| {
+        quantile(ns, percent).expect("the bench timed no reads") as f64 / 1_000.0
+    };
 
     let mut table = Table::new(
         format!("Replication ablation: shared-file reads, {clients} clients, {MCDS} MCDs"),
@@ -140,12 +137,12 @@ fn main() {
         "microseconds",
         factors.iter().map(|r| format!("R={r}")).collect(),
     );
-    for &(label, q) in &[(50.0, 0.50), (90.0, 0.90), (99.0, 0.99)] {
+    for percent in [50, 90, 99] {
         let row: Vec<Option<f64>> = series
             .iter()
-            .map(|(_, ns, _)| Some(quantile(ns, q) as f64 / 1_000.0))
+            .map(|(_, ns, _)| Some(p_us(ns, percent)))
             .collect();
-        table.push_row(label, row);
+        table.push_row(percent as f64, row);
     }
     emit(&opts, "ablate_replication", &table);
 
@@ -170,8 +167,8 @@ fn main() {
                     .map(|(r, ns, mean)| {
                         obj(vec![
                             ("replication", int(*r as u64)),
-                            ("read_p50_us", fixed(quantile(ns, 0.50) as f64 / 1_000.0, 2)),
-                            ("read_p99_us", fixed(quantile(ns, 0.99) as f64 / 1_000.0, 2)),
+                            ("read_p50_us", fixed(p_us(ns, 50), 2)),
+                            ("read_p99_us", fixed(p_us(ns, 99), 2)),
                             ("mean_read_us", fixed(*mean, 2)),
                         ])
                     })
@@ -193,12 +190,12 @@ fn main() {
         series
             .iter()
             .find(|(f, _, _)| *f == r)
-            .map(|(_, ns, _)| quantile(ns, 0.99))
+            .map(|(_, ns, _)| p_us(ns, 99))
             .unwrap()
     };
     assert!(
         p99(2) < p99(1),
-        "R=2 did not reduce shared-read p99: R=1 {}ns vs R=2 {}ns",
+        "R=2 did not reduce shared-read p99: R=1 {}us vs R=2 {}us",
         p99(1),
         p99(2)
     );
@@ -209,7 +206,7 @@ fn main() {
     );
     println!(
         "claims hold: p99 R=1 {:.1}us > R=2 {:.1}us; {failovers} warm failovers, 0 degraded",
-        p99(1) as f64 / 1_000.0,
-        p99(2) as f64 / 1_000.0
+        p99(1),
+        p99(2)
     );
 }

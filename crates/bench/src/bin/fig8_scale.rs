@@ -11,10 +11,11 @@
 //! `results/BENCH_8.json`, and asserts its own `knee_found` claim, so
 //! `scripts/tier1.sh --strict`'s smoke run fails on a false one.
 
-use imca_bench::{emit, emit_bench, obj, parallel_sweep, rounded, Options};
+use imca_bench::{emit, emit_bench, fixed, obj, parallel_sweep, Options};
 use imca_core::McdCosts;
 use imca_glusterfs::ServerParams;
 use imca_metrics::json::Json;
+use imca_metrics::quantile;
 use imca_sim::SimDuration;
 use imca_workloads::overload::{run, OverloadBench};
 use imca_workloads::report::Table;
@@ -63,10 +64,12 @@ fn measure(clients: usize, mcds: usize, replication: usize, seed: u64) -> Point 
         seed,
         ..OverloadBench::new(clients)
     });
+    let us =
+        |percent| quantile(&out.read_ns, percent).expect("the drive timed no reads") as f64 / 1e3;
     Point {
         clients,
-        p50_us: out.latency.quantile(0.50) as f64 / 1e3,
-        p99_us: out.latency.quantile(0.99) as f64 / 1e3,
+        p50_us: us(50),
+        p99_us: us(99),
         hottest_queue_peak: (0..mcds)
             .filter_map(|i| out.metrics.gauge(&format!("bank.mcd.{i}.queue_peak")))
             .max()
@@ -213,10 +216,10 @@ fn main() {
                             ("clients", int(p.clients)),
                             ("mcds", int(s.mcds)),
                             ("replication", int(s.replication)),
-                            ("p50_us", rounded(p.p50_us, 2)),
-                            ("p99_us", rounded(p.p99_us, 2)),
+                            ("p50_us", fixed(p.p50_us, 2)),
+                            ("p99_us", fixed(p.p99_us, 2)),
                             ("hottest_queue_peak", Json::Int(p.hottest_queue_peak.into())),
-                            ("goodput_ops_s", rounded(p.goodput, 1)),
+                            ("goodput_ops_s", fixed(p.goodput, 1)),
                         ])
                     })
                     .collect(),

@@ -137,18 +137,9 @@ pub fn emit_metrics(opts: &Options, name: &str, snap: &Snapshot) {
     );
 }
 
-/// `x` rounded to `digits` decimals, for a consolidated `BENCH_*.json`
-/// record: `x · 10^digits` rounded half away from zero (BENCH_8, BENCH_9).
-pub fn rounded(x: f64, digits: i32) -> Json {
-    let k = 10f64.powi(digits);
-    Json::Float((x * k).round() / k)
-}
-
-/// `x` as `format!("{x:.digits$}")` prints it: the rounding BENCH_5,
-/// BENCH_6 and BENCH_7 have always recorded. It differs from [`rounded`]
-/// when `x` is the double just below a decimal tie (107.755 µs prints
-/// 107.75, rounds to 107.76), so each document keeps its own rule and its
-/// recorded values.
+/// `x` to `digits` decimals as `format!("{x:.digits$}")` prints it: the
+/// one rounding rule of every consolidated `BENCH_*.json` record, so a
+/// recorded value reads as the binary prints it.
 pub fn fixed(x: f64, digits: usize) -> Json {
     Json::Float(
         format!("{x:.digits$}")

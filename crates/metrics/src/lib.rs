@@ -1,17 +1,19 @@
 //! # imca-metrics — the unified observability layer
 //!
 //! One instrumentation API for every tier of the cache stack: a
-//! lightweight [`Registry`] of named [`Counter`]s, [`Gauge`]s and
-//! HDR-style latency [`Histogram`]s, a [`MetricSource`] trait components
-//! implement to expose their state, and a serialisable [`Snapshot`] the
-//! bench binaries dump as one structured JSON document per run.
+//! lightweight [`Registry`] of named [`Counter`]s, [`Gauge`]s and latency
+//! [`Histogram`]s (count, sum, min and max), a [`MetricSource`] trait
+//! components implement to expose their state, and a serialisable
+//! [`Snapshot`] the bench binaries dump as one structured JSON document
+//! per run. Percentiles are not aggregates: [`quantile`] takes them by
+//! nearest rank over raw per-op samples.
 //!
 //! Metric names are hierarchical, dot-separated `tier.component.metric`
 //! paths (`imca.bank.get_hits`, `storage.disk.0.access_ns`,
 //! `fabric.rpc.call_ns`). Latency metrics carry the `_ns` suffix and are
 //! recorded in *virtual* nanoseconds — durations measured on `imca-sim`
-//! clocks — so distributions are exact and deterministic, not subject to
-//! host jitter.
+//! clocks — so they are exact and deterministic, not subject to host
+//! jitter.
 //!
 //! All primitives are atomic and cheap to clone.
 //!
@@ -131,50 +133,16 @@ impl std::fmt::Debug for Gauge {
     }
 }
 
-/// Sub-bucket precision bits: 2^3 = 8 linear sub-buckets per power of two,
-/// bounding the relative quantile error at 12.5%.
-const SUB_BITS: u32 = 3;
-const SUBS: u64 = 1 << SUB_BITS;
-/// 61 major buckets × 8 subs + the 8 exact low values.
-const NUM_BUCKETS: usize = (61 * SUBS + SUBS) as usize;
-
-/// Bucket index for a value: exact below [`SUBS`], then HDR-style
-/// log₂-major/linear-sub above it.
-fn bucket_index(v: u64) -> usize {
-    if v < SUBS {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros() as u64;
-    let major = msb - SUB_BITS as u64;
-    let sub = (v >> major) & (SUBS - 1);
-    ((major + 1) * SUBS + sub) as usize
-}
-
-/// Inclusive upper bound of bucket `idx` (what quantiles report).
-fn bucket_upper(idx: usize) -> u64 {
-    let idx = idx as u64;
-    if idx < SUBS {
-        return idx;
-    }
-    let major = idx / SUBS - 1;
-    let sub = idx % SUBS;
-    ((SUBS + sub) << major) + (1u64 << major) - 1
-}
-
 struct HistInner {
-    buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
 }
 
-/// An HDR-style latency histogram over (virtual-time) nanoseconds.
-///
-/// Values are bucketed with 8 linear sub-buckets per power of two
-/// (≤ 12.5% relative error), which is plenty for the order-of-magnitude
-/// latency distributions the experiments report, at a fixed ~4 KB per
-/// histogram. Recording is lock-free.
+/// A latency aggregate over (virtual-time) nanoseconds: count, sum, min
+/// and max. It keeps no distribution; a percentile comes from the raw
+/// samples through [`quantile`]. Recording is lock-free.
 #[derive(Clone)]
 pub struct Histogram {
     inner: Arc<HistInner>,
@@ -191,7 +159,6 @@ impl Histogram {
     pub fn new() -> Histogram {
         Histogram {
             inner: Arc::new(HistInner {
-                buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
                 count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
                 min: AtomicU64::new(u64::MAX),
@@ -212,7 +179,6 @@ impl Histogram {
             return;
         }
         let i = &self.inner;
-        i.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
         i.count.fetch_add(n, Ordering::Relaxed);
         i.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         // `fetch_min`/`fetch_max` are compare-exchange loops on x86; most
@@ -238,15 +204,6 @@ impl Histogram {
     /// Freeze the current state into a serialisable snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let i = &self.inner;
-        let buckets: Vec<(u32, u64)> = i
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then_some((idx as u32, n))
-            })
-            .collect();
         let count = i.count.load(Ordering::Relaxed);
         HistogramSnapshot {
             count,
@@ -257,7 +214,6 @@ impl Histogram {
                 i.min.load(Ordering::Relaxed)
             },
             max: i.max.load(Ordering::Relaxed),
-            buckets,
         }
     }
 }
@@ -267,16 +223,15 @@ impl std::fmt::Debug for Histogram {
         let s = self.snapshot();
         write!(
             f,
-            "Histogram(count={}, mean={:.0}ns, p99={}ns)",
+            "Histogram(count={}, mean={:.0}ns, max={}ns)",
             s.count,
             s.mean(),
-            s.quantile(0.99)
+            s.max
         )
     }
 }
 
-/// Frozen histogram state: summary statistics plus the sparse non-empty
-/// buckets, so a parsed document can still answer quantile queries.
+/// Frozen histogram state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of observations.
@@ -287,8 +242,6 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest observation.
     pub max: u64,
-    /// Sparse `(bucket index, count)` pairs, ascending by index.
-    pub buckets: Vec<(u32, u64)>,
 }
 
 impl HistogramSnapshot {
@@ -300,44 +253,18 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
+}
 
-    /// Approximate quantile (inclusive upper edge of the containing
-    /// bucket, clamped to the observed max). `q` is clamped to `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for &(idx, n) in &self.buckets {
-            seen += n;
-            if seen >= target {
-                return bucket_upper(idx as usize).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Fold another snapshot's observations into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        let mut merged: BTreeMap<u32, u64> = self.buckets.iter().copied().collect();
-        for &(idx, n) in &other.buckets {
-            *merged.entry(idx).or_insert(0) += n;
-        }
-        self.buckets = merged.into_iter().collect();
-        self.min = if self.count == 0 {
-            other.min
-        } else {
-            self.min.min(other.min)
-        };
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
+/// The `percent`-th percentile of `sorted` by nearest rank: the smallest
+/// sample with at least `percent` % of the samples at or below it.
+/// `None` when there are no samples. This is the one percentile rule:
+/// every percentile a figure, workload or example prints comes from here,
+/// over raw per-op samples.
+pub fn quantile(sorted: &[u64], percent: usize) -> Option<u64> {
+    assert!((1..=100).contains(&percent), "percentile out of range");
+    debug_assert!(sorted.is_sorted(), "samples must be sorted");
+    let rank = (sorted.len() * percent).div_ceil(100);
+    sorted.get(rank.checked_sub(1)?).copied()
 }
 
 /// One metric's frozen value inside a [`Snapshot`].
@@ -535,17 +462,6 @@ impl HistogramSnapshot {
             ("sum".into(), Json::Int(self.sum as i128)),
             ("min".into(), Json::Int(self.min as i128)),
             ("max".into(), Json::Int(self.max as i128)),
-            (
-                "buckets".into(),
-                Json::Arr(
-                    self.buckets
-                        .iter()
-                        .map(|&(idx, n)| {
-                            Json::Arr(vec![Json::Int(idx as i128), Json::Int(n as i128)])
-                        })
-                        .collect(),
-                ),
-            ),
         ])
     }
 
@@ -556,28 +472,11 @@ impl HistogramSnapshot {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| bad(format!("histogram missing field {name:?}")))
         };
-        let buckets = v
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("histogram missing \"buckets\""))?
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_arr().ok_or_else(|| bad("bucket is not a pair"))?;
-                match pair {
-                    [idx, n] => Ok((
-                        idx.as_u64().ok_or_else(|| bad("bad bucket index"))? as u32,
-                        n.as_u64().ok_or_else(|| bad("bad bucket count"))?,
-                    )),
-                    _ => Err(bad("bucket is not a pair")),
-                }
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
         Ok(HistogramSnapshot {
             count: field("count")?,
             sum: field("sum")?,
             min: field("min")?,
             max: field("max")?,
-            buckets,
         })
     }
 }
@@ -732,37 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_is_monotonic_and_bounded() {
-        // Every value below 4 096, then each 2^k - 1, 2^k, 2^k + 1 up to
-        // u64::MAX: an ascending sweep across every octave boundary.
-        let mut probes: Vec<u64> = (0..4096).collect();
-        for k in 12..64 {
-            let p = 1u64 << k;
-            probes.extend([p - 1, p, p + 1]);
-        }
-        probes.push(u64::MAX);
-        probes.dedup(); // 2^12 - 1 is also the sweep's last value
-        let (mut prev_v, mut prev_idx) = (0u64, 0usize);
-        for v in probes {
-            let idx = bucket_index(v);
-            assert!(v >= prev_v, "probes must ascend: {prev_v} then {v}");
-            assert!(idx < NUM_BUCKETS, "v={v} idx={idx}");
-            assert!(
-                idx >= prev_idx,
-                "v={v} idx={idx} < {prev_idx} at v={prev_v}"
-            );
-            (prev_v, prev_idx) = (v, idx);
-        }
-        // Upper bound is never below the values mapping into the bucket.
-        for v in [0u64, 1, 7, 8, 9, 100, 4096, 123_456_789, u64::MAX / 2] {
-            let up = bucket_upper(bucket_index(v));
-            assert!(up >= v, "v={v} upper={up}");
-            // …and within the 12.5% relative-error promise.
-            assert!(up - v <= v / 8 + 1, "v={v} upper={up}");
-        }
-    }
-
-    #[test]
     fn histogram_summary_statistics() {
         let h = Histogram::new();
         for ns in [10u64, 20, 30] {
@@ -780,35 +648,35 @@ mod tests {
         let s = Histogram::new().snapshot();
         assert_eq!((s.count, s.min, s.max), (0, 0, 0));
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.quantile(0.5), 0);
     }
 
     #[test]
-    fn quantiles_bound_the_data() {
-        let h = Histogram::new();
-        for i in 1..=1000u64 {
-            h.record(i);
-        }
-        let s = h.snapshot();
-        let q50 = s.quantile(0.5);
-        let q99 = s.quantile(0.99);
-        assert!(q50 <= q99);
-        assert!((450..=570).contains(&q50), "q50={q50}");
-        assert!(q99 <= 1000, "q99={q99} clamped to max");
+    fn single_sample_is_every_quantile() {
+        assert_eq!(quantile(&[42], 1), Some(42));
+        assert_eq!(quantile(&[42], 50), Some(42));
+        assert_eq!(quantile(&[42], 100), Some(42));
     }
 
     #[test]
-    fn histogram_merge_combines() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(5);
-        b.record(500);
-        let mut sa = a.snapshot();
-        sa.merge(&b.snapshot());
-        assert_eq!(sa.count, 2);
-        assert_eq!(sa.min, 5);
-        assert_eq!(sa.max, 500);
-        assert_eq!(sa.sum, 505);
+    fn empty_has_no_quantile() {
+        assert_eq!(quantile(&[], 50), None);
+        assert_eq!(quantile(&[], 99), None);
+    }
+
+    #[test]
+    fn ties_report_the_tied_value() {
+        let v = [5, 5, 5, 5, 9];
+        assert_eq!(quantile(&v, 50), Some(5));
+        assert_eq!(quantile(&v, 80), Some(5));
+        assert_eq!(quantile(&v, 81), Some(9));
+    }
+
+    #[test]
+    fn thousand_samples_land_on_exact_ranks() {
+        let v: Vec<u64> = (1..=1000).collect();
+        assert_eq!(quantile(&v, 50), Some(500));
+        assert_eq!(quantile(&v, 99), Some(990));
+        assert_eq!(quantile(&v, 100), Some(1000));
     }
 
     #[test]
@@ -828,11 +696,12 @@ mod tests {
         assert_eq!(parsed.counter("imca.bank.gets"), Some(42));
         assert_eq!(parsed.gauge("mcd.store.curr_items"), Some(17));
         let hist = parsed.histogram("fabric.rpc.call_ns").unwrap();
-        assert_eq!(hist.count, 4);
-        assert_eq!(hist.max, 2_000_000);
-        // Quantiles still answerable after the round trip.
-        assert!(hist.quantile(0.5) >= 1100);
-        assert!(hist.quantile(1.0) <= 2_000_000);
+        assert_eq!(
+            (hist.count, hist.sum, hist.min, hist.max),
+            (4, 2_052_000, 900, 2_000_000)
+        );
+        // A histogram renders its four aggregates and no distribution.
+        assert!(!json.contains("\"buckets\""), "{json}");
     }
 
     #[test]

@@ -70,15 +70,6 @@ pub struct LsStormResult {
     pub metrics: Snapshot,
 }
 
-impl LsStormResult {
-    /// Exact quantile over the merged per-stat latencies.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        assert!(!self.stat_ns.is_empty());
-        let idx = ((self.stat_ns.len() as f64 - 1.0) * q).round() as usize;
-        self.stat_ns[idx]
-    }
-}
-
 fn file_path(i: usize) -> String {
     format!("/bench/ls/entry{i:06}")
 }
@@ -202,6 +193,7 @@ pub fn run(cfg: &LsStorm) -> LsStormResult {
 mod tests {
     use super::*;
     use imca_core::MetaConfig;
+    use imca_metrics::quantile;
 
     fn storm(spec: SystemSpec) -> LsStormResult {
         run(&LsStorm {
@@ -239,11 +231,10 @@ mod tests {
     fn leases_beat_the_bank_round_trip_on_repeat_walks() {
         let bank = storm(SystemSpec::imca(2));
         let lease = storm(SystemSpec::imca_meta(2, MetaConfig::lease()));
+        let (lease_p50, bank_p50) = (quantile(&lease.stat_ns, 50), quantile(&bank.stat_ns, 50));
         assert!(
-            lease.quantile_ns(0.5) < bank.quantile_ns(0.5),
-            "lease p50={} bank p50={}",
-            lease.quantile_ns(0.5),
-            bank.quantile_ns(0.5)
+            lease_p50 < bank_p50,
+            "lease p50={lease_p50:?} bank p50={bank_p50:?}"
         );
         assert!(
             lease.max_node_secs < bank.max_node_secs,

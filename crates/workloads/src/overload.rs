@@ -37,7 +37,7 @@
 //! `(seed, client)`, so a fixed seed replays bit-identically
 //! (`fixed_seed_replays_bit_identically` below).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use imca_core::{
@@ -45,7 +45,7 @@ use imca_core::{
 };
 use imca_glusterfs::ServerParams;
 use imca_memcached::McConfig;
-use imca_metrics::{Histogram, HistogramSnapshot, Snapshot};
+use imca_metrics::{quantile, Snapshot};
 use imca_sim::sync::Barrier;
 use imca_sim::{Sim, SimDuration, SimTime};
 use rand::rngs::SmallRng;
@@ -126,13 +126,12 @@ impl OverloadBench {
 /// What one drive reports.
 #[derive(Debug)]
 pub struct OverloadOut {
-    /// Timed reads completed (always `clients × ops_per_client`: every
-    /// shed read is still answered through the backend).
-    pub ops: u64,
     /// Timed-phase duration (post-prewarm barrier to last completion).
     pub elapsed: SimDuration,
-    /// Client-observed read latency (ns), all timed ops.
-    pub latency: HistogramSnapshot,
+    /// Client-observed latency (ns) of every timed read, sorted. There
+    /// are always `clients × ops_per_client`: every shed read is still
+    /// answered through the backend.
+    pub read_ns: Vec<u64>,
     /// Daemon-side admission-control sheds, summed over the bank.
     pub sheds: u64,
     /// Client-observed `busy` replies, summed over every bank client.
@@ -153,12 +152,12 @@ pub struct OverloadOut {
 impl OverloadOut {
     /// Completed reads per simulated second of the timed phase.
     pub fn goodput(&self) -> f64 {
-        self.ops as f64 / (self.elapsed.as_nanos().max(1) as f64 / 1e9)
+        self.read_ns.len() as f64 / (self.elapsed.as_nanos().max(1) as f64 / 1e9)
     }
 
-    /// Overall p99 in milliseconds.
+    /// Overall p99 in milliseconds, by nearest rank over [`Self::read_ns`].
     pub fn p99_ms(&self) -> f64 {
-        self.latency.quantile(0.99) as f64 / 1e6
+        quantile(&self.read_ns, 99).expect("the drive timed no reads") as f64 / 1e6
     }
 }
 
@@ -241,8 +240,9 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
     // the warmer's writes have pushed the hot set into the bank.
     let barrier = Barrier::new(cfg.clients + 1);
     let t_start: Rc<Cell<SimTime>> = Rc::new(Cell::new(SimTime::ZERO));
-    let latency = Histogram::new();
-    let ops_done = Rc::new(Cell::new(0u64));
+    let read_ns = Rc::new(RefCell::new(Vec::with_capacity(
+        cfg.clients * cfg.ops_per_client as usize,
+    )));
 
     // The warmer: creates the hot files, lets the readers open (their
     // open purges hit an empty bank), then writes every block — write
@@ -281,8 +281,7 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
         let barrier = barrier.clone();
         let h2 = h.clone();
         let cfg2 = cfg.clone();
-        let latency = latency.clone();
-        let ops_done = Rc::clone(&ops_done);
+        let read_ns = Rc::clone(&read_ns);
         sim.spawn(async move {
             let m = cluster.mount();
             barrier.wait().await; // A
@@ -312,8 +311,7 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
                     block_bytes(f, b, cfg2.block_size),
                     "overload drive corrupted file {f} block {b}"
                 );
-                latency.record_duration(took);
-                ops_done.set(ops_done.get() + 1);
+                read_ns.borrow_mut().push(took.as_nanos());
             }
         });
     }
@@ -326,10 +324,11 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
         snap.counter_sum(&format!("cmcache.*.bank.{m}"))
             + snap.counter_sum(&format!("smcache.bank.{m}"))
     };
+    let mut read_ns = read_ns.take();
+    read_ns.sort_unstable();
     OverloadOut {
-        ops: ops_done.get(),
         elapsed,
-        latency: latency.snapshot(),
+        read_ns,
         sheds: snap.counter_sum("bank.per_daemon.*.sheds"),
         busy_sheds: every_client("busy_sheds"),
         circuit_opens: every_client("circuit_opens"),
@@ -367,8 +366,8 @@ mod tests {
     fn protection_turns_collapse_into_plateau() {
         let off = drive(24, false);
         let on = drive(24, true);
-        assert_eq!(on.ops, 24 * 16);
-        assert_eq!(off.ops, 24 * 16);
+        assert_eq!(on.read_ns.len(), 24 * 16);
+        assert_eq!(off.read_ns.len(), 24 * 16);
         assert!(
             on.goodput() > 3.0 * off.goodput(),
             "protected {:.0} ops/s vs unprotected {:.0} ops/s",
@@ -400,13 +399,7 @@ mod tests {
             assert_eq!(on.rewarm_suppressed, 0, "{on:?}");
             assert_eq!(on.circuit_opens, 0);
             assert_eq!(on.elapsed, off.elapsed, "{clients} clients");
-            for q in [0.50, 0.99] {
-                assert_eq!(
-                    on.latency.quantile(q),
-                    off.latency.quantile(q),
-                    "{clients} clients, q{q}"
-                );
-            }
+            assert_eq!(on.read_ns, off.read_ns, "{clients} clients");
         }
     }
 
@@ -416,12 +409,27 @@ mod tests {
     fn fixed_seed_replays_bit_identically() {
         let a = drive(24, true);
         let b = drive(24, true);
-        assert_eq!(a.ops, b.ops);
         assert_eq!(a.elapsed, b.elapsed);
         assert_eq!(a.sheds, b.sheds);
         assert_eq!(a.busy_sheds, b.busy_sheds);
         assert_eq!(a.rewarm_suppressed, b.rewarm_suppressed);
-        assert_eq!(a.latency.quantile(0.99), b.latency.quantile(0.99));
+        assert_eq!(a.read_ns, b.read_ns);
+    }
+
+    /// The printed p99 is a recorded sample, chosen by nearest rank: over
+    /// 1 080 reads, the 1 070th smallest (not a bucket edge, and not the
+    /// 1 069th that `round((n - 1) * 0.99)` would pick).
+    #[test]
+    fn p99_is_the_nearest_rank_sample() {
+        let out = run(&OverloadBench {
+            ops_per_client: 40,
+            ..OverloadBench::new(27)
+        });
+        let n = out.read_ns.len();
+        assert_eq!(n, 1_080);
+        assert!(out.read_ns.is_sorted());
+        let rank = (99 * n).div_ceil(100);
+        assert_eq!(out.p99_ms(), out.read_ns[rank - 1] as f64 / 1e6);
     }
 
     /// A wide, short-think drive overlaps: with the first-op stagger
@@ -438,7 +446,7 @@ mod tests {
             rewarm: None,
             ..OverloadBench::new(64)
         });
-        assert_eq!(out.ops, 64);
+        assert_eq!(out.read_ns.len(), 64);
         assert!(
             out.elapsed < SimDuration::micros(37 * 64),
             "timed phase {:?}",

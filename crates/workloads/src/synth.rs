@@ -7,9 +7,10 @@
 //! that runs the trace against any [`Deployment`] and reports per-op
 //! latency statistics.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
-use imca_metrics::{Histogram, HistogramSnapshot, Snapshot};
+use imca_metrics::Snapshot;
 use imca_sim::sync::Barrier;
 use imca_sim::{Sim, SimDuration};
 use rand::rngs::SmallRng;
@@ -206,14 +207,15 @@ pub fn generate(cfg: &TraceConfig, clients: usize) -> Trace {
     }
 }
 
-/// Replay outputs: latency distributions per op kind, in nanoseconds.
+/// Replay outputs: every op's latency in nanoseconds, per op kind, each
+/// sorted.
 pub struct ReplayResult {
     /// stat latencies.
-    pub stat: HistogramSnapshot,
+    pub stat: Vec<u64>,
     /// read latencies.
-    pub read: HistogramSnapshot,
+    pub read: Vec<u64>,
     /// write latencies.
-    pub write: HistogramSnapshot,
+    pub write: Vec<u64>,
     /// Total virtual seconds for the whole replay.
     pub wall_secs: f64,
     /// Full per-tier metrics snapshot from [`Deployment::metrics`].
@@ -229,7 +231,7 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
     let dep = Rc::new(Deployment::build(sim.handle(), spec));
     let h = sim.handle();
     let barrier = Barrier::new(clients + 1);
-    let (stat, read, write) = (Histogram::new(), Histogram::new(), Histogram::new());
+    let [stat, read, write]: [Rc<RefCell<Vec<u64>>>; 3] = Default::default();
 
     // Setup: one client creates and fills every file.
     {
@@ -254,7 +256,7 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
         let stream = stream.clone();
         let barrier = barrier.clone();
         let h = h.clone();
-        let (stat, read, write) = (stat.clone(), read.clone(), write.clone());
+        let [stat, read, write] = [&stat, &read, &write].map(Rc::clone);
         sim.spawn(async move {
             let m = dep.mount();
             let mut fds: std::collections::HashMap<usize, FsHandle> =
@@ -267,7 +269,7 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
                 match op {
                     TraceOp::Stat { file } => {
                         m.stat(&format!("/trace/f{file:05}")).await;
-                        stat.record_duration(h.now().since(t0));
+                        stat.borrow_mut().push(h.now().since(t0).as_nanos());
                     }
                     TraceOp::Read { file, offset, len } => {
                         if let std::collections::hash_map::Entry::Vacant(e) = fds.entry(file) {
@@ -277,7 +279,7 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
                         let t0 = h.now();
                         let got = m.read(&fds[&file], offset, len).await;
                         assert!(got.len() as u64 <= len);
-                        read.record_duration(h.now().since(t0));
+                        read.borrow_mut().push(h.now().since(t0).as_nanos());
                     }
                     TraceOp::Write { file, offset, len } => {
                         if let std::collections::hash_map::Entry::Vacant(e) = fds.entry(file) {
@@ -287,7 +289,7 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
                         let t0 = h.now();
                         m.write(&fds[&file], offset, &vec![(file % 251) as u8; len as usize])
                             .await;
-                        write.record_duration(h.now().since(t0));
+                        write.borrow_mut().push(h.now().since(t0).as_nanos());
                     }
                 }
             }
@@ -295,10 +297,15 @@ pub fn replay(spec: &SystemSpec, cfg: &TraceConfig, clients: usize) -> ReplayRes
     }
 
     let summary = sim.run();
+    let [stat, read, write] = [stat, read, write].map(|ns| {
+        let mut ns = ns.take();
+        ns.sort_unstable();
+        ns
+    });
     ReplayResult {
-        stat: stat.snapshot(),
-        read: read.snapshot(),
-        write: write.snapshot(),
+        stat,
+        read,
+        write,
         wall_secs: summary.end_time.as_secs_f64(),
         metrics: dep.metrics(),
     }
@@ -388,10 +395,11 @@ mod tests {
             ..TraceConfig::default()
         };
         let r = replay(&SystemSpec::imca(2), &cfg, 3);
-        assert!(r.stat.count > 0);
-        assert!(r.read.count > 0);
+        assert!(!r.stat.is_empty());
+        assert!(!r.read.is_empty());
         assert!(r.wall_secs > 0.0);
         // stat through the bank is cheaper than a data read on average.
-        assert!(r.stat.mean() <= r.read.mean());
+        let mean = |ns: &[u64]| ns.iter().sum::<u64>() as f64 / ns.len() as f64;
+        assert!(mean(&r.stat) <= mean(&r.read));
     }
 }

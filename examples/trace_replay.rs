@@ -7,22 +7,27 @@
 //! cargo run --release --example trace_replay
 //! ```
 
+use imca_repro::metrics::quantile;
 use imca_repro::sim::SimDuration;
 use imca_repro::workloads::synth::{replay, TraceConfig};
 use imca_repro::workloads::SystemSpec;
 
+fn mean(ns: &[u64]) -> f64 {
+    ns.iter().sum::<u64>() as f64 / ns.len() as f64
+}
+
 fn print_result(label: &str, r: &imca_repro::workloads::synth::ReplayResult) {
     println!("{label}");
-    for (name, h) in [("stat", &r.stat), ("read", &r.read), ("write", &r.write)] {
-        if h.count == 0 {
+    for (name, ns) in [("stat", &r.stat), ("read", &r.read), ("write", &r.write)] {
+        let (Some(p50), Some(p99)) = (quantile(ns, 50), quantile(ns, 99)) else {
             continue;
-        }
+        };
         println!(
             "  {name:<5} n={:<6} mean={:<10} p50={:<10} p99={}",
-            h.count,
-            format!("{}", SimDuration::nanos(h.mean() as u64)),
-            format!("{}", SimDuration::nanos(h.quantile(0.5))),
-            SimDuration::nanos(h.quantile(0.99))
+            ns.len(),
+            format!("{}", SimDuration::nanos(mean(ns) as u64)),
+            format!("{}", SimDuration::nanos(p50)),
+            SimDuration::nanos(p99)
         );
     }
     println!("  wall  {:.3}s of virtual time", r.wall_secs);
@@ -41,8 +46,8 @@ fn compare(title: &str, cfg: &TraceConfig, clients: usize) {
     print_result("GlusterFS (NoCache):", &nocache);
     let imca = replay(&SystemSpec::imca(2), cfg, clients);
     print_result("GlusterFS + IMCa (2 MCDs):", &imca);
-    let stat_gain = 1.0 - imca.stat.mean() / nocache.stat.mean();
-    let read_gain = 1.0 - imca.read.mean() / nocache.read.mean();
+    let stat_gain = 1.0 - mean(&imca.stat) / mean(&nocache.stat);
+    let read_gain = 1.0 - mean(&imca.read) / mean(&nocache.read);
     println!(
         "-> IMCa mean-latency change: stat {:+.0}%, read {:+.0}%, wall {:.2}x\n",
         -stat_gain * 100.0,

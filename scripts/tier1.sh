@@ -26,7 +26,8 @@
 #                               the modes the benchmark never runs
 #
 # The root package's tests are the contract (see ROADMAP.md); the strict
-# mode is what CI runs before merging.
+# mode is what CI runs before merging. Each step prints its wall time as
+# it finishes (`== <step> <seconds> s`), and the gate its total last.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -45,27 +46,43 @@ FIRST_PARTY=(
     imca-workloads imca-bench
 )
 
-cargo build --release
-cargo test -q
+# Wall time since the microsecond stamp $2, printed under the name $1.
+elapsed() {
+    local ds=$(((${EPOCHREALTIME/[.,]/} - $2) / 100000))
+    printf '== %-40s %5d.%d s\n' "$1" $((ds / 10)) $((ds % 10))
+}
+
+# Run one step of the gate: the command after the name, then its time.
+step() {
+    local name=$1 t0=${EPOCHREALTIME/[.,]/}
+    shift
+    "$@" || { echo "== $name failed" >&2; return 1; }
+    elapsed "$name" "$t0"
+}
+
+GATE_T0=${EPOCHREALTIME/[.,]/}
+step build cargo build --release
+step test cargo test -q
 
 if [[ "${1:-}" == "--strict" ]]; then
-    cargo fmt --check "${FIRST_PARTY[@]/#/--package=}"
-    cargo clippy --workspace --all-targets -- -D warnings
+    step fmt cargo fmt --check "${FIRST_PARTY[@]/#/--package=}"
+    step clippy cargo clippy --workspace --all-targets -- -D warnings
 
     # Every intra-doc link resolves to a public item: a doc comment that
     # still names a deleted or private item fails here. The vendored
     # shims stay out (proptest's `vec` is both a function and a macro,
     # which rustdoc rejects on its own).
-    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${FIRST_PARTY[@]/#/--package=}"
+    step doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${FIRST_PARTY[@]/#/--package=}"
 
     # Everything the workspace tests, not just the root package, and the
     # benchmark harness against the changed crates.
-    cargo test --workspace --release -q
-    CARGO_TARGET_DIR=bench/target cargo test --release --offline -q --manifest-path bench/Cargo.toml
+    step workspace-tests cargo test --workspace --release -q
+    step bench-tests env CARGO_TARGET_DIR=bench/target \
+        cargo test --release --offline -q --manifest-path bench/Cargo.toml
 
     # The virtual-time gate: the benchmark at seed 42 must reproduce every
     # field of bench/baseline/2c.json that is not on the host clock.
-    scripts/perfcheck
+    step perfcheck scripts/perfcheck
 
     # One build, then every figure and ablation binary on its smallest
     # grid (`--smoke`), writing into results/smoke. The binaries assert
@@ -73,21 +90,19 @@ if [[ "${1:-}" == "--strict" ]]; then
     # ablate_failure's audit trail, ...), so a false claim exits non-zero
     # under `set -e`, and a binary added later is gated without editing
     # this script.
-    cargo build --release -p imca-bench --bins
+    step build-bins cargo build --release -p imca-bench --bins
     BIN=target/release
     for src in crates/bench/src/bin/*.rs; do
         name=$(basename "$src" .rs)
-        echo "== smoke: $name"
-        "$BIN/$name" --smoke --out results/smoke
+        step "smoke $name" "$BIN/$name" --smoke --out results/smoke
     done
 
     # The examples that assert their own claims (failover checks every
     # byte across daemon kills), off one release build. hostprof and
     # perfcheck are tools that need arguments, so they are only built.
-    cargo build --release --examples
+    step build-examples cargo build --release --examples
     for name in quickstart failover producer_consumer datacenter_smallfiles trace_replay; do
-        echo "== example: $name"
-        "$BIN/examples/$name"
+        step "example $name" "$BIN/examples/$name"
     done
 
     # The mode gate: threaded updates, the purge protocol, per-key
@@ -95,5 +110,6 @@ if [[ "${1:-}" == "--strict" ]]; then
     # binaries above, so what they wrote must match the tables committed
     # in results/smoke (a `git diff`) and the metrics digests in
     # crates/bench/smoke.sha256.
-    scripts/smokecheck
+    step smokecheck scripts/smokecheck
 fi
+elapsed total "$GATE_T0"
