@@ -28,7 +28,7 @@
 use imca_bench::{emit, emit_bench, emit_metrics, fixed, obj, Grid, Options};
 use imca_metrics::json::Json;
 use imca_metrics::{quantile, Snapshot};
-use imca_workloads::overload::{run, OverloadBench, OverloadOut};
+use imca_workloads::overload::{run, OverloadBench, OverloadOut, DEADLINE};
 
 /// The four drives: label, keep the queue limit, keep the rewarm throttle.
 const DRIVES: [(&str, bool, bool); 4] = [
@@ -147,7 +147,7 @@ fn main() {
     // holds — and stays under the unprotected p99 (deadline burn ×
     // retries × fill storm), which grows without bound in the drive depth.
     let drive = bench(claim_clients, DRIVES[0]);
-    let p99_bound_ms = (4.0 * drive.deadline.as_millis_f64())
+    let p99_bound_ms = (4.0 * DEADLINE.as_millis_f64())
         .max(1.5 * claim_clients as f64 * drive.server_fop_cpu.as_millis_f64());
     let p99_bounded = claim_on.p99_ms() <= p99_bound_ms && claim_on.p99_ms() < claim_off.p99_ms();
     let protection_engaged = claim_on.sheds > 0 && claim_on.rewarm_suppressed > 0;
@@ -199,10 +199,7 @@ fn main() {
                     "server_fop_cpu_ms",
                     fixed(drive.server_fop_cpu.as_millis_f64(), 3),
                 ),
-                (
-                    "static_deadline_ms",
-                    fixed(drive.deadline.as_millis_f64(), 3),
-                ),
+                ("static_deadline_ms", fixed(DEADLINE.as_millis_f64(), 3)),
                 (
                     "queue_limit",
                     drive.queue_limit.map_or(Json::Null, |q| int(q as u64)),

@@ -23,10 +23,9 @@
 //!
 //! Replication (DESIGN.md §4d) is transparent at this layer: the bank
 //! client routes each GET to one of the key's replicas (power-of-two-
-//! choices on observed load, warm failover past dead daemons) and
-//! coalesces concurrent same-key GETs into one RPC, so CMCache's hit
-//! and miss semantics — and the "any block miss forwards the read"
-//! rule — are byte-identical at every replication factor.
+//! choices on observed load, warm failover past dead daemons), so
+//! CMCache's hit and miss semantics — and the "any block miss forwards
+//! the read" rule — are byte-identical at every replication factor.
 //!
 //! Write coherence (DESIGN.md §4f) is likewise invisible here: writes
 //! pass through untouched either way, and the server-side SMCache

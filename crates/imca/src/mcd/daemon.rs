@@ -63,14 +63,15 @@ impl WireSize for McdResp {
     }
 }
 
+/// Value copy bandwidth of a daemon, bytes/s.
+const MEMCPY_BPS: f64 = 3e9;
+
 /// Service-time model for one daemon: event-loop CPU per command plus a
-/// memcpy proportional to the value bytes touched.
+/// memcpy of the value bytes touched at 3 GB/s.
 #[derive(Debug, Clone)]
 pub struct McdCosts {
     /// Fixed per-command processing (hash, LRU, slab bookkeeping).
     pub per_op: SimDuration,
-    /// Value copy bandwidth, bytes/s.
-    pub memcpy_bps: f64,
     /// Admission control: commands admitted onto the event loop at once
     /// (serving + queued). When full, *reads* are refused immediately
     /// with `SERVER_ERROR busy` instead of queueing unboundedly — the
@@ -88,7 +89,6 @@ impl Default for McdCosts {
     fn default() -> McdCosts {
         McdCosts {
             per_op: SimDuration::micros(3),
-            memcpy_bps: 3e9,
             queue_limit: None,
         }
     }
@@ -96,7 +96,7 @@ impl Default for McdCosts {
 
 impl McdCosts {
     fn service_time(&self, touched_bytes: usize) -> SimDuration {
-        self.per_op + SimDuration::from_secs_f64(touched_bytes as f64 / self.memcpy_bps)
+        self.per_op + SimDuration::from_secs_f64(touched_bytes as f64 / MEMCPY_BPS)
     }
 }
 
@@ -438,7 +438,6 @@ mod tests {
             let net = Network::new(sim.handle(), Transport::ipoib_ddr());
             let costs = McdCosts {
                 per_op: SimDuration::micros(500),
-                memcpy_bps: 1e12,
                 ..McdCosts::default()
             };
             let bank = Rc::new(Bank::start(&net, 1, &McConfig::default(), &costs));
@@ -474,7 +473,6 @@ mod tests {
         let costs = McdCosts {
             per_op: SimDuration::micros(500),
             queue_limit: Some(1),
-            ..McdCosts::default()
         };
         let bank = Rc::new(Bank::start(&net, 1, &McConfig::default(), &costs));
         for _ in 0..4 {

@@ -12,8 +12,6 @@
 //!   sequential read throughput,
 //! * [`lsstorm`] — the "ls -l storm": repeated readdir+stat walks with
 //!   ghost probes, driving the metadata-tier ablation,
-//! * [`synth`] — synthetic Zipf/log-normal data-center traces (§3's
-//!   small-file motivation) and a replay driver,
 //! * [`overload`] — closed-loop readers against a prewarmed bank on the
 //!   full stack: swept to the saturation knee at bank scale
 //!   (`fig8_scale`) and driven 2–4× past it with the DESIGN.md §8
@@ -31,7 +29,6 @@ pub mod lsstorm;
 pub mod overload;
 pub mod report;
 pub mod statbench;
-pub mod synth;
 mod system;
 
 pub use system::{Deployment, FsClient, FsHandle, SystemSpec};

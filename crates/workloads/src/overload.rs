@@ -77,11 +77,6 @@ pub struct OverloadBench {
     /// Server CPU per fop on one io-thread — the backend's (slower)
     /// capacity knob.
     pub server_fop_cpu: SimDuration,
-    /// The static per-attempt RPC deadline (what unprotected overload
-    /// melts through).
-    pub deadline: SimDuration,
-    /// Circuit cooldown after exhausted retries.
-    pub circuit_cooldown: SimDuration,
     /// Bounded per-daemon admission queue; `None` = unbounded.
     pub queue_limit: Option<usize>,
     /// Read-path rewarm throttle at the server; `None` = every fallback
@@ -111,8 +106,6 @@ impl OverloadBench {
             think_mean: SimDuration::millis(10),
             mcd_per_op: SimDuration::millis(5),
             server_fop_cpu: SimDuration::millis(8),
-            deadline: SimDuration::millis(50),
-            circuit_cooldown: SimDuration::millis(20),
             queue_limit: Some(4),
             rewarm: Some(RewarmLimit {
                 rate_per_sec: 20.0,
@@ -122,6 +115,12 @@ impl OverloadBench {
         }
     }
 }
+
+/// The static per-attempt bank RPC deadline (what unprotected overload
+/// melts through).
+pub const DEADLINE: SimDuration = SimDuration::millis(50);
+/// Circuit cooldown after a bank client's retries run out.
+const CIRCUIT_COOLDOWN: SimDuration = SimDuration::millis(20);
 
 /// What one drive reports.
 #[derive(Debug)]
@@ -189,8 +188,8 @@ fn block_bytes(file: usize, block: u64, len: u64) -> Vec<u8> {
 
 fn cluster_config(cfg: &OverloadBench) -> ClusterConfig {
     let retry = RetryPolicy {
-        deadline: cfg.deadline,
-        circuit_cooldown: cfg.circuit_cooldown,
+        deadline: DEADLINE,
+        circuit_cooldown: CIRCUIT_COOLDOWN,
         ..RetryPolicy::default()
     };
     // The server-side SMCache client streams pipeline pushes whose
@@ -210,7 +209,6 @@ fn cluster_config(cfg: &OverloadBench) -> ClusterConfig {
         mcd_costs: McdCosts {
             per_op: cfg.mcd_per_op,
             queue_limit: cfg.queue_limit,
-            ..McdCosts::default()
         },
         retry,
         server_retry: Some(server_retry),

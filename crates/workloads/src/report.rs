@@ -1,7 +1,7 @@
 //! Result tables: the series each figure in the paper plots, printed as
 //! aligned text and serialisable to JSON for EXPERIMENTS.md tooling.
 
-use imca_metrics::json::{Json, JsonError};
+use imca_metrics::json::Json;
 
 /// One experiment's output: an x-axis and one y-series per system.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,19 +48,6 @@ impl Table {
     pub fn push_row(&mut self, x: f64, y: Vec<Option<f64>>) {
         assert_eq!(y.len(), self.series.len(), "row width != series count");
         self.rows.push(Row { x, y });
-    }
-
-    /// The y series for one legend, as `(x, y)` points.
-    pub fn series_points(&self, name: &str) -> Vec<(f64, f64)> {
-        let idx = self
-            .series
-            .iter()
-            .position(|s| s == name)
-            .unwrap_or_else(|| panic!("no series {name:?}"));
-        self.rows
-            .iter()
-            .filter_map(|r| r.y[idx].map(|v| (r.x, v)))
-            .collect()
     }
 
     /// Render as an aligned text table (what the bench binaries print).
@@ -131,59 +118,6 @@ impl Table {
         ])
         .render_pretty()
     }
-
-    /// Parse from JSON.
-    pub fn from_json(s: &str) -> Result<Table, JsonError> {
-        let bad = |msg: &str| JsonError {
-            at: 0,
-            msg: msg.into(),
-        };
-        let doc = Json::parse(s)?;
-        let text = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| bad(&format!("missing string field {key:?}")))
-        };
-        let series = doc
-            .get("series")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing \"series\""))?
-            .iter()
-            .map(|v| v.as_str().map(str::to_owned))
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| bad("non-string series name"))?;
-        let rows = doc
-            .get("rows")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing \"rows\""))?
-            .iter()
-            .map(|row| {
-                let x = row
-                    .get("x")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("row missing \"x\""))?;
-                let y = row
-                    .get("y")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("row missing \"y\""))?
-                    .iter()
-                    .map(|v| match v {
-                        Json::Null => Ok(None),
-                        other => other.as_f64().map(Some).ok_or_else(|| bad("bad y value")),
-                    })
-                    .collect::<Result<Vec<_>, JsonError>>()?;
-                Ok(Row { x, y })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(Table {
-            title: text("title")?,
-            xlabel: text("xlabel")?,
-            ylabel: text("ylabel")?,
-            series,
-            rows,
-        })
-    }
 }
 
 fn format_x(x: f64) -> String {
@@ -234,13 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let t = sample();
-        let parsed = Table::from_json(&t.to_json()).unwrap();
-        assert_eq!(parsed, t);
-    }
-
-    #[test]
     fn render_is_aligned_and_complete() {
         let s = sample().render();
         assert!(s.contains("Fig X"));
@@ -253,13 +180,6 @@ mod tests {
         for l in &lines {
             assert_eq!(l.split_whitespace().count(), 3, "bad row: {l:?}");
         }
-    }
-
-    #[test]
-    fn series_points_extracts_one_legend() {
-        let t = sample();
-        assert_eq!(t.series_points("NoCache"), vec![(1.0, 10.0), (64.0, 500.0)]);
-        assert_eq!(t.series_points("MCD (1)"), vec![(1.0, 12.0)]);
     }
 
     #[test]

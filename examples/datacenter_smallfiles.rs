@@ -5,7 +5,8 @@
 //!
 //! A pool of web-server-like clients repeatedly serves a working set of
 //! small files (stat + whole-file read per request). We run the same
-//! trace against native GlusterFS and against GlusterFS+IMCa and compare.
+//! trace against native GlusterFS and against GlusterFS+IMCa, compare,
+//! and assert that IMCa finishes the mix first.
 //!
 //! ```text
 //! cargo run --release --example datacenter_smallfiles
@@ -130,5 +131,9 @@ fn main() {
         "IMCa speedup: {:.2}x ({:.0}% time reduction)",
         nocache / imca,
         100.0 * (1.0 - imca / nocache)
+    );
+    assert!(
+        imca < nocache,
+        "IMCa must serve the small-file mix faster than NoCache: {imca:.3}s vs {nocache:.3}s"
     );
 }

@@ -7,10 +7,11 @@
 #                               workspace (clippy with warnings denied),
 #                               resolve every first-party doc link
 #                               (rustdoc with warnings denied),
-#                               run every test in the workspace and the
-#                               benchmark harness's own tests (so a
-#                               change that breaks the benchmark-facing
-#                               API fails here, not in the benchmark),
+#                               run every other workspace test in
+#                               release and the benchmark harness's
+#                               own tests (so a change that breaks the
+#                               benchmark-facing API fails here, not
+#                               in the benchmark),
 #                               run the benchmark and hold its
 #                               virtual-time fields to the committed
 #                               baseline (scripts/perfcheck), and
@@ -74,9 +75,11 @@ if [[ "${1:-}" == "--strict" ]]; then
     # which rustdoc rejects on its own).
     step doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${FIRST_PARTY[@]/#/--package=}"
 
-    # Everything the workspace tests, not just the root package, and the
-    # benchmark harness against the changed crates.
-    step workspace-tests cargo test --workspace --release -q
+    # Everything else the workspace tests, and the benchmark harness
+    # against the changed crates. The root package's tests ran in the
+    # debug `test` step above, with overflow checks and `debug_assert!`s
+    # on; a second, release run of them would add only compile time.
+    step workspace-tests cargo test --workspace --release -q --exclude imca-repro
     step bench-tests env CARGO_TARGET_DIR=bench/target \
         cargo test --release --offline -q --manifest-path bench/Cargo.toml
 
@@ -101,7 +104,7 @@ if [[ "${1:-}" == "--strict" ]]; then
     # byte across daemon kills), off one release build. hostprof and
     # perfcheck are tools that need arguments, so they are only built.
     step build-examples cargo build --release --examples
-    for name in quickstart failover producer_consumer datacenter_smallfiles trace_replay; do
+    for name in quickstart failover producer_consumer datacenter_smallfiles; do
         step "example $name" "$BIN/examples/$name"
     done
 

@@ -265,7 +265,6 @@ fn overwrite_under_read_shedding_is_never_stale() {
         mcd_costs: McdCosts {
             per_op: SimDuration::micros(200),
             queue_limit: Some(1),
-            ..McdCosts::default()
         },
         ..ImcaConfig::default()
     };

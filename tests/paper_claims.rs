@@ -172,6 +172,52 @@ fn fig6c_direction() {
     );
 }
 
+/// §4.4: CMCache forwards a read that misses the bank to the server, so
+/// a cold miss costs more than NoCache. After a close and reopen purges
+/// the file's blocks (§4.3.2), the first 2 KB IMCa read costs more than
+/// the NoCache read of the same range; the refilled bank then serves the
+/// second read for less.
+#[test]
+fn cold_miss_costs_more_than_nocache_warm_hit_less() {
+    const LEN: usize = 2048;
+    // Nanoseconds of the first and second read of one range after the
+    // reopen.
+    fn reads_after_reopen(config: ClusterConfig) -> (u64, u64) {
+        let mut sim = Sim::new(8);
+        let cluster = Rc::new(Cluster::build(sim.handle(), config));
+        let h = sim.handle();
+        let took = Rc::new(RefCell::new(Vec::new()));
+        let took2 = Rc::clone(&took);
+        sim.spawn(async move {
+            let m = cluster.mount();
+            m.create("/claims/miss").await.unwrap();
+            let fd = m.open("/claims/miss").await.unwrap();
+            m.write(fd, 0, &[7; LEN]).await.unwrap();
+            // Warm the bank, so that only the reopen's purge leaves it
+            // cold.
+            m.read(fd, 0, LEN as u64).await.unwrap();
+            m.close(fd).await.unwrap();
+            let fd = m.open("/claims/miss").await.unwrap();
+            for _ in 0..2 {
+                let t0 = h.now();
+                let got = m.read(fd, 0, LEN as u64).await.unwrap();
+                took2.borrow_mut().push(h.now().since(t0).as_nanos());
+                assert_eq!(got, [7; LEN]);
+            }
+        });
+        sim.run();
+        let took = took.borrow();
+        (took[0], took[1])
+    }
+    let (nocache, _) = reads_after_reopen(ClusterConfig::nocache());
+    let (cold, warm) = reads_after_reopen(ClusterConfig::imca(ImcaConfig::default()));
+    assert!(
+        cold > nocache,
+        "cold miss {cold} ns vs NoCache {nocache} ns"
+    );
+    assert!(warm < nocache, "warm hit {warm} ns vs NoCache {nocache} ns");
+}
+
 /// Fig 9: read throughput scales with the MCD count and beats NoCache.
 #[test]
 fn fig9_direction() {

@@ -838,9 +838,8 @@ proptest! {
     }
 
     /// The same error-for-error contract with the bank replicated (R=2):
-    /// fan-out writes, warm failover, and single-flight coalescing must
-    /// not change a single client-visible verdict under storage faults
-    /// and server crashes.
+    /// fan-out writes and warm failover must not change a single
+    /// client-visible verdict under storage faults and server crashes.
     #[test]
     fn storage_and_server_chaos_matches_nocache_replicated(
         ops in prop::collection::vec(chaos_op_strategy(), 1..35),
@@ -1112,7 +1111,6 @@ fn build_overload_cluster(h: SimHandle, seed: u64) -> Rc<Cluster> {
             mcd_costs: McdCosts {
                 per_op: SimDuration::micros(200),
                 queue_limit: Some(1),
-                ..McdCosts::default()
             },
             // SMCache's push/sync pipeline shares the drowning queues
             // (writes are always admitted, but wait their turn); a
@@ -1162,8 +1160,8 @@ async fn overload_storm(c: Rc<Cluster>, n: Rc<Cluster>, h: SimHandle, ops: Vec<O
                     let (mi, mn) = (Rc::clone(&mi), Rc::clone(&mn));
                     let (fda, fdb) = (fdi[file as usize], fdn[file as usize]);
                     readers.push(async move {
-                        // Distinct blocks per reader (no single-flight
-                        // coalescing), reads within one block.
+                        // Distinct blocks per reader, reads within one
+                        // block.
                         let block = (offset as u64 / OV_BS + k) % OV_BLOCKS;
                         let off = block * OV_BS + offset as u64 % (OV_BS - 1000);
                         let got = mi.read(fda, off, 1000).await.unwrap();
