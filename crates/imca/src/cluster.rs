@@ -446,19 +446,9 @@ impl Cluster {
         &self.net
     }
 
-    /// The fabric node the GlusterFS server runs on.
-    pub fn server_node(&self) -> NodeId {
-        self.server_node
-    }
-
     /// The simulation handle this cluster schedules on.
     pub fn handle(&self) -> &SimHandle {
         &self.handle
-    }
-
-    /// The deployment configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
     }
 }
 

@@ -209,11 +209,6 @@ impl MetaEngine {
         })
     }
 
-    /// This engine's configuration.
-    pub fn config(&self) -> MetaConfig {
-        self.cfg
-    }
-
     /// Leases currently held (positive + negative), for tests.
     pub fn held_leases(&self) -> usize {
         self.leases.borrow().len()

@@ -33,11 +33,6 @@ impl Raid0 {
         }
     }
 
-    /// Number of member disks.
-    pub fn width(&self) -> usize {
-        self.disks.len()
-    }
-
     /// Stripe chunk size in bytes.
     pub fn chunk(&self) -> u64 {
         self.chunk

@@ -121,14 +121,6 @@ impl Deployment {
         }
     }
 
-    /// The Lustre cluster, when this deployment is one.
-    pub fn lustre(&self) -> Option<&Rc<LustreCluster>> {
-        match self {
-            Deployment::Lustre(c) => Some(c),
-            Deployment::Gluster(_) => None,
-        }
-    }
-
     /// One structured metrics document for the deployed system, in the
     /// workspace-wide `tier.component.metric` naming scheme. GlusterFS
     /// deployments report every instrumented tier (fabric, storage,

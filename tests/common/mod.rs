@@ -1,154 +1,822 @@
-//! Shared chaos drivers for the integration suites.
+//! The one storm of the root suites (DESIGN.md §6): one op language
+//! ([`Op`]), one driver ([`Config::storm`]) and one oracle.
 //!
-//! The "full storm" — fractional storage error rates, a controller
-//! brown-out window, a gray-failure slow disk, bank packet loss and
-//! jitter, an MCD kill/revive, and a server crash/restart — lives here so
-//! that `random_ops.rs` (fixed-seed replay properties) and
-//! `determinism.rs` (the same storm under both timer back-ends) drive
-//! the byte-for-byte identical scenario.
+//! The driver runs an IMCa deployment beside a NoCache twin in one `Sim`
+//! and checks every op it issues against a plain in-memory reference
+//! filesystem:
+//! * a successful read equals the reference bytes, on a first pass and
+//!   on a second, bank-served one;
+//! * a stat equals the reference size, or is `NotFound` exactly when the
+//!   file is absent; under `threaded_updates` it may lag but never
+//!   overstates;
+//! * an error is `FsError::Io`, and only while a storage fault or a
+//!   server crash is in force; while the server is down only writes are
+//!   issued, and each one fails fast;
+//! * while the installed storage plan draws no randomness and leaves
+//!   reads healthy, every verdict equals the twin's. Otherwise the twin
+//!   follows IMCa's successes only, so it stays equal to the reference.
+//!
+//! After the ops a calm phase heals, revives, restarts and clears every
+//! fault; two full-file passes on both clusters must then equal the
+//! reference, and every block a live, non-quarantined daemon holds must
+//! equal that block's current bytes ([`assert_bank_holds`]).
+//!
+//! `random_ops.rs` draws op lists for every row of the [`Config`] table
+//! and replays [`canonical`] from a fixed seed; `determinism.rs` runs
+//! [`canonical`] on every row under both timer back-ends.
 
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, HashMap};
+use std::future::Future;
 use std::rc::Rc;
 
 use imca_repro::fabric::FaultPlan;
-use imca_repro::glusterfs::FsError;
-use imca_repro::imca::{Cluster, ClusterConfig, ImcaConfig, MetaConfig, Replication};
+use imca_repro::glusterfs::{Fd, FileStat, FsError, GlusterMount};
+use imca_repro::imca::{
+    keys, Cluster, ClusterConfig, ImcaConfig, McdCosts, MetaConfig, Replication, RetryPolicy,
+};
 use imca_repro::memcached::McConfig;
 use imca_repro::metrics::Snapshot;
-use imca_repro::sim::{Scheduler, Sim, SimDuration, SimHandle, SimTime};
+use imca_repro::sim::{join_all, Scheduler, Sim, SimDuration, SimHandle, SimTime};
 use imca_repro::storage::StorageFaultPlan;
 
-/// Build the storm's cluster: 2 MCDs, 8 KB blocks over a 4 KB backend
-/// page size (a small write warms only its own pages, so SMCache's
-/// covering re-read must fetch the rest of the block from the sick
-/// media — the path that produces dropped pushes), and a lossy jittery
-/// bank fabric.
-pub fn build_chaos_cluster(
-    h: SimHandle,
-    seed: u64,
-    replication: usize,
-    meta: MetaConfig,
-) -> Rc<Cluster> {
-    let cluster = Rc::new(Cluster::build(
-        h,
-        ClusterConfig::imca(ImcaConfig {
-            mcd_count: 2,
-            block_size: 8192,
-            mcd_config: McConfig::with_mem_limit(8 << 20),
-            replication: Replication {
-                factor: replication,
+/// Paths the storm touches: `/storm/0` … `/storm/3`. The first three
+/// exist (empty, open) when the ops start; the last does not.
+pub const FILES: u8 = 4;
+/// Bank daemons in every configuration.
+pub const MCDS: u8 = 2;
+/// Concurrent readers in one [`Op::Burst`], each reading this many bytes.
+const BURST_READERS: u64 = 8;
+const BURST_LEN: u64 = 1000;
+
+/// Declares [`Op`] from one list of variants, with `Op::NAMES` and
+/// `Op::name` generated from it: a new variant cannot be missed by
+/// either.
+macro_rules! op_language {
+    ($($(#[$doc:meta])* $variant:ident $(($($field:ty),*))?,)*) => {
+        /// One step of a storm. Files are `0..FILES`, daemons `0..MCDS`.
+        #[derive(Debug, Clone)]
+        pub enum Op {
+            $($(#[$doc])* $variant $(($($field),*))?,)*
+        }
+
+        impl Op {
+            /// Every variant's name, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($variant)),*];
+
+            fn name(&self) -> &'static str {
+                match self {
+                    $(Op::$variant { .. } => stringify!($variant),)*
+                }
+            }
+        }
+    };
+}
+
+op_language! {
+    /// (file, offset, len, fill): `len` bytes counting up from `fill`.
+    Write(u8, u32, u16, u8),
+    /// (file, offset, len), twice: the first pass may fill the bank, the
+    /// second is served from it.
+    Read(u8, u32, u16),
+    /// (file)
+    Stat(u8),
+    /// (file): close and open again; SMCache purges the file on both.
+    Reopen(u8),
+    /// (file, offset): [`BURST_READERS`] concurrent readers, 2 KB apart
+    /// in a 12 KB span, wide enough to overflow a 1-deep daemon
+    /// admission queue.
+    Burst(u8, u16),
+    /// (file): close and unlink a file that exists; create and open one
+    /// that does not. Twice in a row is the truncate idiom.
+    Toggle(u8),
+    /// (daemon): `kill -9`; its clients see connection resets.
+    Kill(u8),
+    /// (daemon): restart it empty, which also lifts its quarantine.
+    Revive(u8),
+    /// (daemon): sever it from the fabric. It keeps its memory, so the
+    /// bank client must time out and shed rather than see a reset.
+    Partition(u8),
+    /// (daemon): undo a partition and revive: a failed purge may have
+    /// quarantined the daemon, and restarting empty is the only state a
+    /// healed daemon may serve from.
+    Heal(u8),
+    /// (µs): total packet loss on the bank links.
+    DropWindow(u16),
+    /// (µs, extra µs): extra one-way latency on the bank links.
+    LatencySpike(u16, u16),
+    Storage(Plan),
+    /// Empty the server's page cache: the next reads and SMCache's
+    /// covering re-reads go to the media.
+    DropCaches,
+    /// `kill -9` both servers.
+    Crash,
+    /// Restart both servers; the IMCa one starts with a purged bank.
+    Restart,
+}
+
+/// The storage fault plans a storm installs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plan {
+    Healthy,
+    /// Every write fails (rate 1.0), reads are healthy: draw-free, so the
+    /// twin reaches the same verdicts.
+    WriteErrors,
+    /// Fractional read and write error rates, a 1 ms brown-out 2 ms from
+    /// now, and one member disk 6× slow.
+    Sick,
+}
+
+impl Plan {
+    fn install(self, seed: u64, now: SimTime) -> StorageFaultPlan {
+        let at = |ms: u64| SimTime(now.as_nanos() + ms * 1_000_000);
+        match self {
+            Plan::Healthy => StorageFaultPlan::default(),
+            Plan::WriteErrors => StorageFaultPlan {
+                write_error: 1.0,
+                ..StorageFaultPlan::default()
             },
+            Plan::Sick => StorageFaultPlan {
+                read_error: 0.3,
+                write_error: 0.2,
+                error_windows: vec![(at(2), at(3))],
+                slow_disks: vec![0],
+                slow_factor: 6.0,
+                ..StorageFaultPlan::seeded(seed ^ 0xD15C)
+            },
+        }
+    }
+}
+
+/// The configurations the storm runs under: one table of
+/// `(ImcaConfig, FaultPlan)`, the plan scoped to the bank's links.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Config {
+    /// 2 KB blocks, R=1, a benign bank fabric.
+    TwoKb,
+    SmallBlocks,
+    Threaded,
+    R2,
+    Leases,
+    R2Leases,
+    /// 1 KB blocks on a lossy, duplicating, jittery bank fabric.
+    EofBatched,
+    EofPerKey,
+    /// R=2 behind daemons that take 200 µs per op with a 1-deep
+    /// admission queue, so a burst sheds.
+    Overload,
+    /// 8 KB blocks over the backend's 4 KB pages, so a small write
+    /// leaves SMCache a covering re-read the sick media can refuse.
+    ChaosR1,
+    ChaosR1Leases,
+    ChaosR2,
+    ChaosR2Leases,
+}
+
+impl Config {
+    pub const ALL: [Config; 13] = [
+        Config::TwoKb,
+        Config::SmallBlocks,
+        Config::Threaded,
+        Config::R2,
+        Config::Leases,
+        Config::R2Leases,
+        Config::EofBatched,
+        Config::EofPerKey,
+        Config::Overload,
+        Config::ChaosR1,
+        Config::ChaosR1Leases,
+        Config::ChaosR2,
+        Config::ChaosR2Leases,
+    ];
+
+    pub fn build(self) -> (ImcaConfig, FaultPlan) {
+        let (plain, lease) = (MetaConfig::default(), MetaConfig::lease());
+        let imca = |block_size, factor, meta| ImcaConfig {
+            mcd_count: MCDS.into(),
+            block_size,
+            mcd_config: McConfig::with_mem_limit(8 << 20),
+            replication: Replication { factor },
             meta,
             ..ImcaConfig::default()
-        }),
-    ));
-    cluster.install_bank_faults(FaultPlan {
-        loss: 0.03,
-        jitter: SimDuration::micros(2),
-        ..FaultPlan::seeded(seed)
-    });
-    cluster
-}
-
-/// Drive one cluster through *everything at once*. Returns the number of
-/// client-visible I/O errors the storm surfaced (always > 0 — asserted,
-/// because a storm that never bites proves nothing).
-pub async fn chaos_storm(c: Rc<Cluster>, h: SimHandle, seed: u64) -> u32 {
-    let m = c.mount();
-    let mut fds = Vec::new();
-    for f in 0..3 {
-        let p = format!("/chaos/{f}");
-        m.create(&p).await.unwrap();
-        fds.push(m.open(&p).await.unwrap());
-    }
-    // Seed data while everything is healthy.
-    for (i, &fd) in fds.iter().enumerate() {
-        m.write(fd, 0, &vec![i as u8; 8192]).await.unwrap();
-    }
-    // Storage turns hostile: fractional error rates (a successful
-    // write whose covering bank re-read fails is what drops pushes),
-    // a brown-out window, and one slow member.
-    c.install_storage_faults(StorageFaultPlan {
-        read_error: 0.3,
-        write_error: 0.2,
-        error_windows: vec![(
-            SimTime(h.now().as_nanos() + 2_000_000),
-            SimTime(h.now().as_nanos() + 3_000_000),
-        )],
-        slow_disks: vec![0],
-        slow_factor: 6.0,
-        ..StorageFaultPlan::seeded(seed ^ 0xD15C)
-    });
-    let mut io_errors_seen = 0u32;
-    for round in 0..30u64 {
-        let fd = fds[(round % 3) as usize];
-        let off = (round * 1111) % 8192;
-        if round % 4 == 0 {
-            // Memory pressure: a cold page cache forces SMCache's
-            // covering re-read to the sick media, so a successful
-            // write's push can die (`smcache.dropped_pushes`). Under
-            // the default `Coherence::Cas` a write into an
-            // already-tracked block replaces it in place without
-            // touching the disk, so every other pressure-write lands
-            // in a frontier block the tracker has never seen (or that
-            // a failed fill just evicted) — that keeps the covering
-            // fill read, and with it the dropped-push path, in play:
-            // each pressure write extends the file into a block the
-            // tracker has never seen.
-            c.backend().drop_caches();
-            let woff = 8192 * (1 + round / 4) + off % 4096;
-            if m.write(fd, woff, &vec![round as u8; 1500]).await.is_err() {
-                io_errors_seen += 1;
+        };
+        let lossy = |loss, duplicate, jitter_us| FaultPlan {
+            loss,
+            duplicate,
+            jitter: SimDuration::micros(jitter_us),
+            ..FaultPlan::default()
+        };
+        let benign = FaultPlan::default();
+        match self {
+            Config::TwoKb => (imca(2048, 1, plain), benign),
+            Config::SmallBlocks => (imca(256, 1, plain), benign),
+            Config::Threaded => {
+                let mut cfg = imca(2048, 1, plain);
+                cfg.threaded_updates = true;
+                (cfg, benign)
             }
-        } else if m.read(fd, off, 2000).await.is_err() {
-            io_errors_seen += 1;
-        }
-        if round == 10 {
-            c.kill_mcd(0);
-        }
-        if round == 14 {
-            c.revive_mcd(0);
-        }
-        if round == 18 {
-            let from = h.now();
-            c.network()
-                .add_drop_window(from, SimTime(from.as_nanos() + 200_000));
+            Config::R2 => (imca(2048, 2, plain), benign),
+            Config::Leases => (imca(2048, 1, lease), benign),
+            Config::R2Leases => (imca(2048, 2, lease), benign),
+            Config::EofBatched => (imca(1024, 1, plain), lossy(0.05, 0.05, 3)),
+            Config::EofPerKey => {
+                let mut cfg = imca(1024, 1, plain);
+                cfg.batching = false;
+                (cfg, lossy(0.05, 0.05, 3))
+            }
+            Config::Overload => {
+                let cfg = ImcaConfig {
+                    mcd_costs: McdCosts {
+                        per_op: SimDuration::micros(200),
+                        queue_limit: Some(1),
+                    },
+                    // SMCache's pushes share the drowning queues (writes
+                    // are always admitted, but wait their turn); a
+                    // read-tuned deadline would falsely abandon them.
+                    server_retry: Some(RetryPolicy {
+                        deadline: SimDuration::millis(500),
+                        retries: 0,
+                        ..RetryPolicy::default()
+                    }),
+                    ..imca(2048, 2, plain)
+                };
+                (cfg, lossy(0.01, 0.0, 2))
+            }
+            Config::ChaosR1 => (imca(8192, 1, plain), lossy(0.03, 0.0, 2)),
+            Config::ChaosR1Leases => (imca(8192, 1, lease), lossy(0.03, 0.0, 2)),
+            Config::ChaosR2 => (imca(8192, 2, plain), lossy(0.03, 0.0, 2)),
+            Config::ChaosR2Leases => (imca(8192, 2, lease), lossy(0.03, 0.0, 2)),
         }
     }
-    // The daemon dies mid-storm; writes now fail fast client-side.
-    c.crash_server();
-    for &fd in &fds {
-        assert_eq!(m.write(fd, 0, b"lost").await, Err(FsError::Io));
-    }
-    c.restart_server().await;
-    // Calm after the storm: with a benign plan every region reads
-    // cleanly again (miss pass repopulating the purged bank, then a
-    // hit pass).
-    c.install_storage_faults(StorageFaultPlan::default());
-    for _pass in 0..2 {
-        for &fd in &fds {
-            m.read(fd, 0, 8192).await.unwrap();
+
+    /// Run `ops` against IMCa under this row (its bank links reseeded
+    /// with `seed`) beside a NoCache twin on one `Sim`, checking every op
+    /// and the calm that follows (see the module docs).
+    pub fn storm(self, scheduler: Scheduler, seed: u64, ops: Vec<Op>) -> Trace {
+        let (cfg, bank) = self.build();
+        let mut sim = Sim::with_scheduler(seed, scheduler);
+        let h = sim.handle();
+        let imca = Rc::new(Cluster::build(h.clone(), ClusterConfig::imca(cfg.clone())));
+        let twin = Rc::new(Cluster::build(h.clone(), ClusterConfig::nocache()));
+        imca.install_bank_faults(FaultPlan { seed, ..bank });
+        let out = Rc::new(RefCell::new(None));
+        let (c, n, done) = (Rc::clone(&imca), Rc::clone(&twin), Rc::clone(&out));
+        sim.spawn(async move {
+            let mut d = Driver {
+                mi: c.mount(),
+                mn: n.mount(),
+                c,
+                n,
+                h,
+                seed,
+                threaded: cfg.threaded_updates,
+                server_retry: cfg.server_retry.unwrap_or(cfg.retry),
+                files: BTreeMap::new(),
+                fds: HashMap::new(),
+                plan: StorageFaultPlan::default(),
+                cut: [false; MCDS as usize],
+                dark_until: SimTime::ZERO,
+                shaken: false,
+                settled_jobs: 0,
+                reach: 0,
+                ran: BTreeMap::new(),
+                sick_errors: Cell::new(0),
+                here: "setup".into(),
+            };
+            for file in 0..FILES - 1 {
+                d.toggle(file).await;
+            }
+            for (i, op) in ops.into_iter().enumerate() {
+                d.here = format!("op {i} {op:?} (seed {seed})");
+                let name = op.name();
+                if d.apply(op).await.is_some() {
+                    *d.ran.entry(name).or_default() += 1;
+                }
+            }
+            d.calm().await;
+            *done.borrow_mut() = Some((d.files, d.reach, d.ran, d.sick_errors.get()));
+        });
+        let s = sim.run();
+        let (files, reach, ran, sick_errors) = out.take().expect("the storm never finished");
+        let metrics = imca.metrics();
+        let crashes = u64::from(ran.get("Crash").copied().unwrap_or(0));
+        assert_eq!(metrics.counter("server.crashes"), Some(crashes));
+        assert_eq!(metrics.counter("server.restarts"), Some(crashes));
+        let cached_copies = (0..FILES)
+            .map(|f| {
+                let want = files.get(&f).map(Vec::as_slice);
+                assert_bank_holds(&imca, cfg.block_size, &path(f), want, reach)
+            })
+            .sum();
+        Trace {
+            end_ns: s.end_time.as_nanos(),
+            events: s.events,
+            metrics,
+            ran,
+            sick_errors,
+            cached_copies,
         }
     }
-    assert!(io_errors_seen > 0, "the storm never surfaced an I/O error");
-    io_errors_seen
 }
 
-/// The storm on a fresh `Sim` with the given timer back-end. Returns
-/// everything the run exposes — virtual end time (ns), event count, and
-/// the full metrics snapshot; two runs are "the same" iff these are equal.
-pub fn run_full_chaos(
+/// Everything a storm exposes; two runs are "the same" iff this is equal.
+#[derive(Debug, Default, PartialEq)]
+pub struct Trace {
+    pub end_ns: u64,
+    pub events: u64,
+    /// The IMCa cluster's snapshot, taken before the bank check.
+    pub metrics: Snapshot,
+    /// How many ops of each variant ran (an op whose file is absent, or
+    /// that needs a live server while it is down, is skipped).
+    pub ran: BTreeMap<&'static str, u32>,
+    /// Client-visible `FsError::Io` results while a live server ran a
+    /// storage plan that draws ([`Plan::Sick`]): the bite of the chaos.
+    pub sick_errors: u32,
+    /// Cached block copies the end-of-storm bank check compared.
+    pub cached_copies: u64,
+}
+
+impl Trace {
+    pub fn assert_ran_every_variant(&self) {
+        let missing: Vec<_> = Op::NAMES
+            .iter()
+            .filter(|&name| !self.ran.contains_key(name))
+            .collect();
+        assert!(missing.is_empty(), "never ran: {missing:?}");
+    }
+}
+
+/// The canonical schedule: every [`Op`] variant, then the full chaos
+/// program — sick storage under page-cache pressure, a daemon kill, a
+/// drop window, and a crash whose writes must fail fast.
+pub fn canonical() -> Vec<Op> {
+    use Op::*;
+    let mut ops = vec![
+        Write(0, 0, 8192, 7),
+        Write(1, 100, 3000, 99),
+        Write(2, 0, 12288, 2),
+        Burst(2, 0),
+        Read(0, 0, 4000),
+        // A lease fill, then a lease hit.
+        Stat(0),
+        Stat(0),
+        LatencySpike(400, 30),
+        Burst(2, 700),
+        Partition(0),
+        Read(0, 500, 2000),
+        // Revokes the lease before the bank's stat entry moves.
+        Write(0, 2000, 2000, 3),
+        Stat(0),
+        Burst(2, 5000),
+        Heal(0),
+        Kill(1),
+        Read(1, 0, 3100),
+        Revive(1),
+        DropWindow(300),
+        Stat(3),
+        Toggle(3),
+        Write(3, 0, 1500, 5),
+        Reopen(3),
+        Read(3, 1000, 3000),
+        Toggle(3),
+        Stat(3),
+        Storage(Plan::WriteErrors),
+        Write(1, 0, 100, 1),
+        Storage(Plan::Healthy),
+        Storage(Plan::Sick),
+    ];
+    for round in 0..30u32 {
+        let (file, offset) = ((round % 3) as u8, (round * 1111) % 8192);
+        if round % 4 == 0 {
+            // Each pressure write extends the file into a block SMCache
+            // has never tracked, so its push needs the covering re-read
+            // that the cold page cache sends to the sick media.
+            let frontier = 8192 * (1 + round / 4) + offset % 4096;
+            ops.extend([DropCaches, Write(file, frontier, 1500, round as u8)]);
+        } else {
+            ops.push(Read(file, offset, 2000));
+        }
+        match round {
+            10 => ops.push(Kill(0)),
+            14 => ops.push(Revive(0)),
+            18 => ops.push(DropWindow(200)),
+            _ => {}
+        }
+    }
+    ops.push(Crash);
+    ops.extend((0..3).map(|file| Write(file, 0, 4, 0)));
+    ops.push(Restart);
+    ops
+}
+
+/// The end-of-storm bank check: every block of `path` below `reach`
+/// that a live, non-quarantined daemon holds equals that block's current
+/// bytes in `want` — short at EOF, empty past it — and a file that no
+/// longer exists has no block held at all. Returns the copies compared.
+pub fn assert_bank_holds(
+    c: &Cluster,
+    block_size: u64,
+    path: &str,
+    want: Option<&[u8]>,
+    reach: u64,
+) -> u64 {
+    let mut copies = 0;
+    let serving = c
+        .mcds()
+        .iter()
+        .filter(|n| n.is_alive() && !n.is_quarantined());
+    for node in serving {
+        for start in (0..reach).step_by(block_size as usize) {
+            let Some(held) = node.server().store().get(&keys::block_key(path, start), 0) else {
+                continue;
+            };
+            let want = want.unwrap_or_else(|| panic!("{path} is gone, block {start} is cached"));
+            let len = want.len() as u64;
+            let (lo, hi) = (start.min(len), (start + block_size).min(len));
+            assert_eq!(
+                &held.value[..],
+                &want[lo as usize..hi as usize],
+                "a daemon holds a stale block {start} of {path}"
+            );
+            copies += 1;
+        }
+    }
+    copies
+}
+
+fn path(file: u8) -> String {
+    format!("/storm/{file}")
+}
+
+struct Driver {
+    c: Rc<Cluster>,
+    n: Rc<Cluster>,
+    mi: Rc<GlusterMount>,
+    mn: Rc<GlusterMount>,
+    h: SimHandle,
     seed: u64,
-    replication: usize,
-    meta: MetaConfig,
-    scheduler: Scheduler,
-) -> (u64, u64, Snapshot) {
-    let mut sim = Sim::with_scheduler(seed, scheduler);
-    let cluster = build_chaos_cluster(sim.handle(), seed, replication, meta);
-    let c = Rc::clone(&cluster);
-    let h = sim.handle();
-    sim.spawn(async move {
-        chaos_storm(c, h, seed).await;
-    });
-    let s = sim.run();
-    (s.end_time.as_nanos(), s.events, cluster.metrics())
+    threaded: bool,
+    /// The retry policy of SMCache's bank client, which the threaded
+    /// update worker runs under.
+    server_retry: RetryPolicy,
+    /// The reference filesystem: every file that exists, by content.
+    files: BTreeMap<u8, Vec<u8>>,
+    /// Open descriptors, IMCa's and the twin's.
+    fds: HashMap<u8, (Fd, Fd)>,
+    /// The storage plan installed on IMCa.
+    plan: StorageFaultPlan,
+    cut: [bool; MCDS as usize],
+    /// When the last drop window on the bank links ends.
+    dark_until: SimTime,
+    /// The bank went dark — a daemon cut, a drop window — since the last
+    /// settle.
+    shaken: bool,
+    /// Threaded update jobs queued before the last settle (all run).
+    settled_jobs: u64,
+    /// One past the highest byte any op has touched.
+    reach: u64,
+    ran: BTreeMap<&'static str, u32>,
+    sick_errors: Cell<u32>,
+    /// The op being checked, for failure messages.
+    here: String,
+}
+
+impl Driver {
+    /// Issue one op; `None` if it was skipped.
+    async fn apply(&mut self, op: Op) -> Option<()> {
+        let (c, now) = (Rc::clone(&self.c), self.h.now());
+        let until = |us: u16| SimTime(now.as_nanos() + u64::from(us) * 1_000);
+        match op {
+            Op::Write(file, offset, len, fill) => {
+                let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                return self.write(file, offset.into(), &data).await;
+            }
+            Op::Read(file, offset, len) => return self.read(file, offset.into(), len.into()).await,
+            Op::Stat(file) => return self.stat(file).await,
+            Op::Reopen(file) => return self.reopen(file).await,
+            Op::Burst(file, offset) => return self.burst(file, offset.into()).await,
+            Op::Toggle(file) => return self.toggle(file).await,
+            Op::Kill(i) => c.kill_mcd(i.into()),
+            Op::Revive(i) => c.revive_mcd(i.into()),
+            Op::Partition(i) => {
+                c.partition_mcd(i.into());
+                self.cut[usize::from(i)] = true;
+                self.shaken = true;
+            }
+            Op::Heal(i) => {
+                c.heal_mcd(i.into());
+                c.revive_mcd(i.into());
+                self.cut[usize::from(i)] = false;
+            }
+            Op::DropWindow(us) => {
+                c.network().add_drop_window(now, until(us));
+                self.dark_until = self.dark_until.max(until(us));
+                self.shaken = true;
+            }
+            Op::LatencySpike(us, extra) => {
+                let extra = SimDuration::micros(extra.into());
+                c.network().add_latency_spike(now, until(us), extra);
+            }
+            Op::Storage(plan) => {
+                self.plan = plan.install(self.seed, now);
+                c.install_storage_faults(self.plan.clone());
+                // The twin shares only a plan both can judge alike.
+                let twin = self.twinned().then(|| self.plan.clone());
+                self.n.install_storage_faults(twin.unwrap_or_default());
+            }
+            Op::DropCaches => {
+                c.backend().drop_caches();
+                self.n.backend().drop_caches();
+            }
+            Op::Crash => {
+                self.alive()?;
+                c.crash_server();
+                self.n.crash_server();
+            }
+            Op::Restart => {
+                if c.server_alive() {
+                    return None;
+                }
+                c.restart_server().await;
+                self.n.restart_server().await;
+            }
+        }
+        Some(())
+    }
+
+    /// Calm after the storm: heal, revive, restart and clear every
+    /// fault, then two full-file passes on both clusters.
+    async fn calm(&mut self) {
+        for (i, node) in self.c.mcds().iter().enumerate() {
+            if self.cut[i] || !node.is_alive() || node.is_quarantined() {
+                self.c.heal_mcd(i);
+                self.c.revive_mcd(i);
+            }
+        }
+        if !self.c.server_alive() {
+            self.c.restart_server().await;
+            self.n.restart_server().await;
+        }
+        self.plan = StorageFaultPlan::default();
+        self.c.install_storage_faults(StorageFaultPlan::default());
+        self.n.install_storage_faults(StorageFaultPlan::default());
+        self.here = "calm".into();
+        for _pass in 0..2 {
+            for file in self.files.keys().copied().collect::<Vec<_>>() {
+                let len = self.files[&file].len() as u64;
+                let read = self.read(file, 0, len.max(1)).await;
+                assert!(read.is_some(), "calm: /storm/{file} could not be read");
+            }
+        }
+    }
+
+    fn alive(&self) -> Option<()> {
+        self.c.server_alive().then_some(())
+    }
+
+    /// Whether the twin reaches IMCa's verdicts: the installed storage
+    /// plan draws no randomness and leaves reads healthy.
+    fn twinned(&self) -> bool {
+        let w = self.plan.write_error;
+        !self.reads_may_fail() && (w == 0.0 || w == 1.0)
+    }
+
+    fn reads_may_fail(&self) -> bool {
+        let p = &self.plan;
+        p.read_error > 0.0 || !p.error_windows.is_empty() || !p.failed_disks.is_empty()
+    }
+
+    /// An error is `FsError::Io`, and only while a fault that can cause
+    /// it is in force: sick reads for a read or stat; any storage fault,
+    /// or a crashed server, for anything that mutates.
+    fn check_err(&self, e: FsError, read: bool) {
+        assert_eq!(e, FsError::Io, "{}", self.here);
+        let writes_may_fail = self.plan.write_error > 0.0 || !self.c.server_alive();
+        let may_fail = self.reads_may_fail() || (!read && writes_may_fail);
+        assert!(may_fail, "{}: an error with no fault in force", self.here);
+        if self.c.server_alive() && !self.twinned() {
+            self.sick_errors.set(self.sick_errors.get() + 1);
+        }
+    }
+
+    /// The twin's half of an op IMCa answered with `ri`. While twinned
+    /// the verdicts must agree; otherwise the twin follows IMCa's
+    /// successes only. Returns the twin's result when it ran.
+    async fn follow<T>(
+        &self,
+        ri: &Result<T, FsError>,
+        twin: impl Future<Output = Result<T, FsError>>,
+    ) -> Option<Result<T, FsError>> {
+        if self.twinned() {
+            let rn = twin.await;
+            let (ei, en) = (ri.as_ref().err(), rn.as_ref().err());
+            assert_eq!(ei, en, "{}: the twin's verdict differs", self.here);
+            Some(rn)
+        } else if ri.is_ok() {
+            let rn = twin.await;
+            assert!(rn.is_ok(), "{}: the twin failed what IMCa did", self.here);
+            Some(rn)
+        } else {
+            None
+        }
+    }
+
+    /// The descriptors of `file`, opening it on both clusters if needed;
+    /// `None` if it does not exist, the server is down, or the open
+    /// failed.
+    async fn fd(&mut self, file: u8) -> Option<(Fd, Fd)> {
+        self.files.get(&file)?;
+        if let Some(&fds) = self.fds.get(&file) {
+            return Some(fds);
+        }
+        self.alive()?;
+        let p = path(file);
+        let ri = self.mi.open(&p).await;
+        let rn = self.follow(&ri, self.mn.open(&p)).await;
+        match ri {
+            Ok(fi) => {
+                let fds = (fi, rn.unwrap().unwrap());
+                self.fds.insert(file, fds);
+                Some(fds)
+            }
+            Err(e) => {
+                self.check_err(e, false);
+                None
+            }
+        }
+    }
+
+    /// §4.4's staleness window: under threaded updates the reference
+    /// holds only once the update queue has drained, 10 ms after a
+    /// mutation. If the bank went dark since the last settle, every job
+    /// queued since — read fills too — may first wait out SMCache's whole
+    /// bank retry budget (a CAS wave's `gets` runs into every deadline),
+    /// so the window grows by one budget per job.
+    async fn settle(&mut self) {
+        if !self.threaded {
+            return;
+        }
+        let queued = self.c.metrics().counter("smcache.deferred_jobs").unwrap();
+        let mut window = SimDuration::millis(10).as_nanos();
+        if self.shaken {
+            let p = &self.server_retry;
+            let budget = (p.deadline + p.backoff_cap).as_nanos() * (u64::from(p.retries) + 1);
+            window += budget * (queued - self.settled_jobs);
+        }
+        self.h.sleep(SimDuration::nanos(window)).await;
+        self.settled_jobs = queued;
+        self.shaken = self.cut.iter().any(|&cut| cut) || self.dark_until > self.h.now();
+    }
+
+    async fn write(&mut self, file: u8, offset: u64, data: &[u8]) -> Option<()> {
+        if !self.c.server_alive() && !self.fds.contains_key(&file) {
+            return None;
+        }
+        let (fi, fd_n) = self.fd(file).await?;
+        let t0 = self.h.now();
+        let ri = self.mi.write(fi, offset, data).await;
+        let hung = self.h.now().since(t0) >= SimDuration::millis(10);
+        assert!(
+            self.c.server_alive() || !hung,
+            "{}: a dead server hung",
+            self.here
+        );
+        self.follow(&ri, self.mn.write(fd_n, offset, data)).await;
+        match ri {
+            Ok(_) => {
+                let buf = self.files.get_mut(&file).unwrap();
+                let end = offset as usize + data.len();
+                if buf.len() < end {
+                    buf.resize(end, 0);
+                }
+                buf[offset as usize..end].copy_from_slice(data);
+                self.reach = self.reach.max(end as u64);
+            }
+            Err(e) => self.check_err(e, false),
+        }
+        self.settle().await;
+        Some(())
+    }
+
+    /// The reference bytes of `[offset, offset + len)`, short at EOF.
+    fn want(&self, file: u8, offset: u64, len: u64) -> &[u8] {
+        let buf = &self.files[&file];
+        let end = ((offset + len) as usize).min(buf.len());
+        &buf[(offset as usize).min(end)..end]
+    }
+
+    fn check_read(&self, r: Result<Vec<u8>, FsError>, file: u8, offset: u64, len: u64) {
+        match r {
+            Ok(got) => assert!(
+                got == self.want(file, offset, len),
+                "{}: read {offset}+{len} of file {file} strayed from the reference",
+                self.here
+            ),
+            Err(e) => self.check_err(e, true),
+        }
+    }
+
+    async fn read(&mut self, file: u8, offset: u64, len: u64) -> Option<()> {
+        self.alive()?;
+        let (fi, fd_n) = self.fd(file).await?;
+        self.reach = self.reach.max(offset + len);
+        for pass in 1..=2 {
+            let ri = self.mi.read(fi, offset, len).await;
+            if pass == 1 {
+                if let Some(rn) = self.follow(&ri, self.mn.read(fd_n, offset, len)).await {
+                    self.check_read(rn, file, offset, len);
+                }
+            }
+            self.check_read(ri, file, offset, len);
+        }
+        Some(())
+    }
+
+    async fn burst(&mut self, file: u8, offset: u64) -> Option<()> {
+        self.alive()?;
+        let (fi, fd_n) = self.fd(file).await?;
+        let twinned = self.twinned();
+        let readers = (0..BURST_READERS).map(|k| {
+            let (mi, mn) = (Rc::clone(&self.mi), Rc::clone(&self.mn));
+            let off = (offset + k * 2048) % 12288;
+            async move {
+                let ri = mi.read(fi, off, BURST_LEN).await;
+                (off, ri, mn.read(fd_n, off, BURST_LEN).await)
+            }
+        });
+        for (off, ri, rn) in join_all(&self.h, readers.collect()).await {
+            self.reach = self.reach.max(off + BURST_LEN);
+            if twinned {
+                assert!(ri == rn, "{}: burst read at {off} differs", self.here);
+            }
+            self.check_read(ri, file, off, BURST_LEN);
+            // Twinned or not, the twin holds the reference bytes.
+            assert_eq!(rn.as_deref().ok(), Some(self.want(file, off, BURST_LEN)));
+        }
+        Some(())
+    }
+
+    async fn stat(&mut self, file: u8) -> Option<()> {
+        self.alive()?;
+        let p = path(file);
+        let ri = self.mi.stat(&p).await;
+        if let Some(rn) = self.follow(&ri, self.mn.stat(&p)).await {
+            self.check_stat(rn, file, false);
+        }
+        self.check_stat(ri, file, self.threaded);
+        Some(())
+    }
+
+    fn check_stat(&self, r: Result<FileStat, FsError>, file: u8, may_lag: bool) {
+        let want = self.files.get(&file).map(|b| b.len() as u64);
+        match (r, want) {
+            (Ok(st), Some(size)) if may_lag => assert!(st.size <= size, "{}", self.here),
+            (Ok(st), Some(size)) => assert_eq!(st.size, size, "{}", self.here),
+            (Err(FsError::NotFound), None) => {}
+            (Err(FsError::Io), _) => self.check_err(FsError::Io, true),
+            (r, want) => panic!("{}: stat {r:?} of a file sized {want:?}", self.here),
+        }
+    }
+
+    async fn reopen(&mut self, file: u8) -> Option<()> {
+        self.alive()?;
+        self.close(file).await;
+        self.fd(file).await.map(drop)
+    }
+
+    async fn close(&mut self, file: u8) {
+        if let Some((fi, fd_n)) = self.fds.remove(&file) {
+            let ri = self.mi.close(fi).await;
+            self.follow(&ri, self.mn.close(fd_n)).await;
+            if let Err(e) = ri {
+                self.check_err(e, false);
+            }
+        }
+    }
+
+    async fn toggle(&mut self, file: u8) -> Option<()> {
+        self.alive()?;
+        let p = path(file);
+        if self.files.contains_key(&file) {
+            self.close(file).await;
+            let ri = self.mi.unlink(&p).await;
+            self.follow(&ri, self.mn.unlink(&p)).await;
+            match ri {
+                Ok(()) => drop(self.files.remove(&file)),
+                Err(e) => self.check_err(e, false),
+            }
+        } else {
+            let ri = self.mi.create(&p).await;
+            self.follow(&ri, self.mn.create(&p)).await;
+            match ri {
+                Ok(()) => {
+                    self.files.insert(file, Vec::new());
+                    self.fd(file).await;
+                }
+                Err(e) => self.check_err(e, false),
+            }
+        }
+        self.settle().await;
+        Some(())
+    }
 }

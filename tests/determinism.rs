@@ -4,56 +4,42 @@
 //! `Scheduler::Heap` is the reference model for the hierarchical timer
 //! wheel: both must drive fault schedules, lease TTLs, watchdog timeouts
 //! and all through the identical trace. The first half holds them to
-//! that on the composed chaos storm `tests/random_ops.rs` replays from a
-//! fixed seed, in its three configurations (R=1, R=2, R=2+leases); the
-//! second half drives one cluster with concurrent clients and a
-//! concurrent fault schedule, and requires a bit-identical replay as
-//! well as agreement between the back-ends. It is the end-to-end
-//! companion to the engine-level property tests in
-//! `crates/sim/tests/wheel_props.rs`.
+//! that on the one storm's canonical schedule ([`common::canonical`])
+//! under every row of its configuration table; the second half drives
+//! one cluster with concurrent clients and a concurrent fault schedule,
+//! and requires a bit-identical replay as well as agreement between the
+//! back-ends. It is the end-to-end companion to the engine-level
+//! property tests in `crates/sim/tests/wheel_props.rs`.
 
 mod common;
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use common::{canonical, Config};
 use imca_repro::fabric::FaultPlan;
-use imca_repro::imca::{Cluster, ClusterConfig, ImcaConfig, MetaConfig, Replication};
-use imca_repro::memcached::McConfig;
+use imca_repro::imca::{Cluster, ClusterConfig, MetaConfig};
 use imca_repro::metrics::Snapshot;
 use imca_repro::sim::{Scheduler, Sim, SimDuration, SimHandle, SimTime};
 use imca_repro::storage::StorageFaultPlan;
 
-const SEED: u64 = 1973;
-
-/// [`common::run_full_chaos`] under both timer back-ends, for each of the
-/// three configurations `tests/random_ops.rs` replays from this seed.
+/// The canonical schedule under both timer back-ends, on every
+/// configuration the storm runs.
 #[test]
 fn chaos_fleet_agrees_across_schedulers() {
-    let configs = [
-        ("R=1", 1usize, MetaConfig::default()),
-        ("R=2", 2, MetaConfig::default()),
-        ("R=2+leases", 2, MetaConfig::lease()),
-    ];
-    for (what, replication, meta) in configs {
-        let heap = common::run_full_chaos(SEED, replication, meta, Scheduler::Heap);
-        let wheel = common::run_full_chaos(SEED, replication, meta, Scheduler::Wheel);
-        // The storm actually stormed (it asserts its own client-visible
-        // errors) — guards against the back-ends being vacuously equal.
-        let snap = &heap.2;
-        assert!(
-            snap.counter("storage.io_errors").unwrap_or(0) > 0,
-            "{what}: no storage errors"
-        );
-        assert_eq!(snap.counter("server.crashes"), Some(1), "{what}");
-        assert_eq!(snap.counter("server.restarts"), Some(1), "{what}");
-        if meta == MetaConfig::lease() {
-            assert!(
-                snap.counter("leases.revocations_sent").unwrap_or(0) > 0,
-                "{what}: never revoked a lease"
-            );
-        }
-        assert_eq!(heap, wheel, "{what}: diverged between timer back-ends");
+    for config in Config::ALL {
+        let heap = config.storm(Scheduler::Heap, 1973, canonical());
+        // The storm actually stormed — guards against the back-ends
+        // being vacuously equal.
+        heap.assert_ran_every_variant();
+        let leased = config.build().0.meta == MetaConfig::lease();
+        let revoked = heap.metrics.counter_sum("leases.revocations_sent") > 0;
+        let io_errors = heap.metrics.counter_sum("storage.io_errors");
+        assert!(io_errors > 0, "{config:?}: no storage errors");
+        assert!(heap.sick_errors > 0, "{config:?}: sick storage never bit");
+        assert!(revoked || !leased, "{config:?}: never revoked a lease");
+        let wheel = config.storm(Scheduler::Wheel, 1973, canonical());
+        assert_eq!(heap, wheel, "{config:?}: diverged between timer back-ends");
     }
 }
 
@@ -69,16 +55,6 @@ fn chaos_fleet_agrees_across_schedulers() {
 
 const STORM_SEED: u64 = 0x5707;
 const STORM_CLIENTS: usize = 2;
-
-fn storm_config() -> ClusterConfig {
-    ClusterConfig::imca(ImcaConfig {
-        mcd_count: 2,
-        block_size: 8192,
-        mcd_config: McConfig::with_mem_limit(8 << 20),
-        replication: Replication { factor: 2 },
-        ..ImcaConfig::default()
-    })
-}
 
 /// Everything the storm exposes; two runs are "the same" iff this is equal.
 #[derive(Debug, PartialEq)]
@@ -139,12 +115,8 @@ async fn client_storm(cluster: Rc<Cluster>, h: SimHandle, j: usize) -> u64 {
 }
 
 /// The fault schedule, paced on virtual time across the clients' traffic.
-async fn fault_driver(cluster: Rc<Cluster>, h: SimHandle, seed: u64) {
-    cluster.install_bank_faults(FaultPlan {
-        loss: 0.03,
-        jitter: SimDuration::micros(2),
-        ..FaultPlan::seeded(seed)
-    });
+async fn fault_driver(cluster: Rc<Cluster>, h: SimHandle, bank: FaultPlan, seed: u64) {
+    cluster.install_bank_faults(FaultPlan { seed, ..bank });
     h.sleep(SimDuration::micros(400)).await;
     let now = h.now().as_nanos();
     // Client rounds take 10–45 ms each under packet loss (RPC timeouts
@@ -186,7 +158,10 @@ async fn fault_driver(cluster: Rc<Cluster>, h: SimHandle, seed: u64) {
 /// driver going. The returned closure harvests the trace once the
 /// simulation that owns `h` has run.
 fn wire_storm(h: SimHandle) -> impl FnOnce() -> StormTrace {
-    let cluster = Rc::new(Cluster::build(h.clone(), storm_config()));
+    // The full-chaos R=2 row of the storm's table: 8 KB blocks, a lossy,
+    // jittery bank fabric.
+    let (cfg, bank) = Config::ChaosR2.build();
+    let cluster = Rc::new(Cluster::build(h.clone(), ClusterConfig::imca(cfg)));
     let errs: Rc<RefCell<Vec<(usize, u64)>>> = Rc::default();
     for j in 0..STORM_CLIENTS {
         let c = Rc::clone(&cluster);
@@ -200,7 +175,7 @@ fn wire_storm(h: SimHandle) -> impl FnOnce() -> StormTrace {
     let c = Rc::clone(&cluster);
     let h2 = h.clone();
     h.spawn(async move {
-        fault_driver(c, h2, STORM_SEED).await;
+        fault_driver(c, h2, bank, STORM_SEED).await;
     });
     move || {
         let mut v = errs.borrow().clone();
