@@ -427,8 +427,8 @@ mod tests {
         emit_metrics(&opts, "unit", &snap);
         let path = dir.join("unit_metrics.json");
         let text = std::fs::read_to_string(&path).expect("metrics file missing");
-        let back = Snapshot::from_json(&text).expect("unparseable metrics");
-        assert_eq!(back, snap);
+        let back = Json::parse(&text).expect("unparseable metrics");
+        assert_eq!(back, snap.to_json_value());
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -35,6 +35,9 @@ impl std::fmt::Display for NodeId {
 }
 
 struct Nic {
+    /// The transport this node was placed on ([`Network::add_node_on`]);
+    /// `None` leaves its links to the other end or the network default.
+    placed_on: Option<Transport>,
     tx: Resource,
     rx: Resource,
     bytes_tx: Counter,
@@ -46,8 +49,9 @@ struct Nic {
 impl Nic {
     /// Counters live in the network's [`Registry`] under
     /// `nic.<id>.<metric>`, so one snapshot covers every node's traffic.
-    fn new(registry: &Registry, id: NodeId) -> Nic {
+    fn new(registry: &Registry, id: NodeId, placed_on: Option<Transport>) -> Nic {
         Nic {
+            placed_on,
             tx: Resource::new(1),
             rx: Resource::new(1),
             bytes_tx: registry.counter(format!("nic.{}.bytes_tx", id.0)),
@@ -119,11 +123,24 @@ impl Network {
         }
     }
 
-    /// Register a new node and return its id.
+    /// Register a new node on the network's default transport and return
+    /// its id.
     pub fn add_node(&self) -> NodeId {
+        self.register(None)
+    }
+
+    /// Register a new node placed on `transport` (the RDMA-for-the-bank
+    /// ablation puts the daemons on RDMA) and return its id. A message
+    /// travels on its destination's transport, else on its source's,
+    /// else on the network default; see [`Network::deliver`].
+    pub fn add_node_on(&self, transport: Transport) -> NodeId {
+        self.register(Some(transport))
+    }
+
+    fn register(&self, placed_on: Option<Transport>) -> NodeId {
         let mut nics = self.inner.nics.borrow_mut();
         let id = NodeId(nics.len() as u32);
-        nics.push(Rc::new(Nic::new(&self.inner.registry, id)));
+        nics.push(Rc::new(Nic::new(&self.inner.registry, id, placed_on)));
         id
     }
 
@@ -148,7 +165,6 @@ impl Network {
         src: NodeId,
         dst: NodeId,
         bytes: usize,
-        transport: Option<&Transport>,
         extra: SimDuration,
         rx_side: bool,
     ) {
@@ -160,8 +176,9 @@ impl Network {
             h.sleep(t).await;
             return;
         }
-        let tp = transport.unwrap_or(&self.inner.transport);
-        let src_nic = self.nic(src);
+        let (src_nic, dst_nic) = (self.nic(src), self.nic(dst));
+        let placed = dst_nic.placed_on.as_ref().or(src_nic.placed_on.as_ref());
+        let tp = placed.unwrap_or(&self.inner.transport);
 
         // 1. Sender-side CPU + serialisation, holding the TX station.
         src_nic
@@ -180,7 +197,6 @@ impl Network {
         }
 
         // 3. Receiver-side serialisation + CPU, holding the RX station.
-        let dst_nic = self.nic(dst);
         dst_nic
             .rx
             .serve(h, tp.serialize_time(bytes) + tp.host_cpu_recv)
@@ -192,9 +208,10 @@ impl Network {
     /// Move `bytes` from `src` to `dst`, modelling NIC contention on both
     /// sides, under the installed [`FaultPlan`] (if any), and report the
     /// message's fate. Completes when the last byte has been received (or,
-    /// for a dropped message, has left the wire). `transport` overrides
-    /// the network's default per call (the RDMA-for-the-cache-bank
-    /// ablation). This is the one path every message takes.
+    /// for a dropped message, has left the wire). The message travels on
+    /// `dst`'s transport if it was placed on one ([`Network::add_node_on`]),
+    /// else on `src`'s, else on the network default. This is the one path
+    /// every message takes.
     ///
     /// With no plan installed every message is [`Delivery::Ok`] and an
     /// uncontended one costs exactly [`Transport::unloaded_one_way`].
@@ -207,29 +224,21 @@ impl Network {
     /// * Jitter and latency-spike windows stretch propagation.
     ///
     /// Loopback messages (`src == dst`) are never faulted.
-    pub async fn deliver(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        transport: Option<&Transport>,
-    ) -> Delivery {
+    pub async fn deliver(&self, src: NodeId, dst: NodeId, bytes: usize) -> Delivery {
         let (fate, extra) = self.judge(src, dst);
         match fate {
             Delivery::Ok => {}
             Delivery::Duplicated => self.inner.duplicated.inc(),
             Delivery::Dropped => self.inner.dropped.inc(),
         }
-        self.transfer_leg(src, dst, bytes, transport, extra, fate.arrived())
+        self.transfer_leg(src, dst, bytes, extra, fate.arrived())
             .await;
         if fate == Delivery::Duplicated {
             // The duplicate's wire cost accrues in the background so the
             // original is not delayed behind its own echo.
             let net = self.clone();
-            let tp = transport.cloned();
             self.inner.handle.spawn(async move {
-                net.transfer_leg(src, dst, bytes, tp.as_ref(), extra, true)
-                    .await;
+                net.transfer_leg(src, dst, bytes, extra, true).await;
             });
         }
         fate
@@ -345,7 +354,7 @@ mod tests {
         let a = net.add_node();
         let net2 = net.clone();
         sim.spawn(async move {
-            assert_eq!(net2.deliver(a, a, 1 << 20, None).await, Delivery::Ok);
+            assert_eq!(net2.deliver(a, a, 1 << 20).await, Delivery::Ok);
         });
         let end = sim.run().end_time;
         // Far faster than the wire would allow...
@@ -374,7 +383,7 @@ mod tests {
             for src in [s1, s2] {
                 let net = net.clone();
                 sim.spawn(async move {
-                    assert_eq!(net.deliver(src, dst, bytes, None).await, Delivery::Ok);
+                    assert_eq!(net.deliver(src, dst, bytes).await, Delivery::Ok);
                 });
             }
         });
@@ -398,7 +407,7 @@ mod tests {
             for (src, dst) in [(s1, d1), (s2, d2)] {
                 let net = net.clone();
                 sim.spawn(async move {
-                    assert_eq!(net.deliver(src, dst, bytes, None).await, Delivery::Ok);
+                    assert_eq!(net.deliver(src, dst, bytes).await, Delivery::Ok);
                 });
             }
         });
@@ -413,8 +422,8 @@ mod tests {
         let b = net.add_node();
         let net2 = net.clone();
         sim.spawn(async move {
-            assert_eq!(net2.deliver(a, b, 1000, None).await, Delivery::Ok);
-            assert_eq!(net2.deliver(a, b, 500, None).await, Delivery::Ok);
+            assert_eq!(net2.deliver(a, b, 1000).await, Delivery::Ok);
+            assert_eq!(net2.deliver(a, b, 500).await, Delivery::Ok);
         });
         sim.run();
         let snap = net.registry().snapshot();
@@ -427,27 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn transport_override_changes_cost() {
-        let rdma = Transport::rdma_ddr();
-        let end = finish_time(|sim, net| {
-            let a = net.add_node();
-            let b = net.add_node();
-            sim.spawn(async move {
-                let rdma = Transport::rdma_ddr();
-                assert_eq!(net.deliver(a, b, 4096, Some(&rdma)).await, Delivery::Ok);
-            });
-        });
-        assert_eq!(end.as_nanos(), rdma.unloaded_one_way(4096).as_nanos());
-    }
-
-    #[test]
     #[should_panic(expected = "not registered")]
     fn unknown_node_panics() {
         let mut sim = Sim::new(0);
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
         let a = net.add_node();
         sim.spawn(async move {
-            net.deliver(a, NodeId(99), 1, None).await;
+            net.deliver(a, NodeId(99), 1).await;
         });
         sim.run();
     }
@@ -465,7 +460,7 @@ mod tests {
         let net2 = net.clone();
         sim.spawn(async move {
             for _ in 0..n {
-                let fate = net2.deliver(a, b, 128, None).await;
+                let fate = net2.deliver(a, b, 128).await;
                 out2.borrow_mut().push(fate);
             }
         });
@@ -484,7 +479,7 @@ mod tests {
         let b = net.add_node();
         let net2 = net.clone();
         sim.spawn(async move {
-            assert_eq!(net2.deliver(a, b, 4096, None).await, Delivery::Ok);
+            assert_eq!(net2.deliver(a, b, 4096).await, Delivery::Ok);
         });
         let end = sim.run().end_time;
         // Without faults, an uncontended message costs exactly the
@@ -553,10 +548,10 @@ mod tests {
         let late = net.add_node();
         let net2 = net.clone();
         sim.spawn(async move {
-            assert_eq!(net2.deliver(late, a, 64, None).await, Delivery::Dropped);
-            assert_eq!(net2.deliver(b, late, 64, None).await, Delivery::Ok);
+            assert_eq!(net2.deliver(late, a, 64).await, Delivery::Dropped);
+            assert_eq!(net2.deliver(b, late, 64).await, Delivery::Ok);
             net2.heal("quarantine");
-            assert_eq!(net2.deliver(late, a, 64, None).await, Delivery::Ok);
+            assert_eq!(net2.deliver(late, a, 64).await, Delivery::Ok);
         });
         sim.run();
     }
@@ -577,10 +572,10 @@ mod tests {
         let net2 = net.clone();
         sim.spawn(async move {
             // Any link touching `a` loses everything...
-            assert_eq!(net2.deliver(a, b, 64, None).await, Delivery::Dropped);
-            assert_eq!(net2.deliver(c, a, 64, None).await, Delivery::Dropped);
+            assert_eq!(net2.deliver(a, b, 64).await, Delivery::Dropped);
+            assert_eq!(net2.deliver(c, a, 64).await, Delivery::Dropped);
             // ...but links not touching the scope are untouched.
-            assert_eq!(net2.deliver(c, d, 64, None).await, Delivery::Ok);
+            assert_eq!(net2.deliver(c, d, 64).await, Delivery::Ok);
         });
         sim.run();
     }
@@ -596,11 +591,11 @@ mod tests {
         let net2 = net.clone();
         let h = sim.handle();
         sim.spawn(async move {
-            assert_eq!(net2.deliver(a, b, 64, None).await, Delivery::Ok);
+            assert_eq!(net2.deliver(a, b, 64).await, Delivery::Ok);
             h.sleep_until(SimTime(60_000)).await;
-            assert_eq!(net2.deliver(a, b, 64, None).await, Delivery::Dropped);
+            assert_eq!(net2.deliver(a, b, 64).await, Delivery::Dropped);
             h.sleep_until(SimTime(100_000)).await;
-            assert_eq!(net2.deliver(a, b, 64, None).await, Delivery::Ok);
+            assert_eq!(net2.deliver(a, b, 64).await, Delivery::Ok);
         });
         sim.run();
     }
@@ -615,7 +610,7 @@ mod tests {
         let b = net.add_node();
         net.add_latency_spike(SimTime::ZERO, SimTime(u64::MAX), spike);
         sim.spawn(async move {
-            assert_eq!(net.deliver(a, b, 4096, None).await, Delivery::Ok);
+            assert_eq!(net.deliver(a, b, 4096).await, Delivery::Ok);
         });
         let end = sim.run().end_time;
         assert_eq!(
@@ -637,7 +632,7 @@ mod tests {
         });
         let net2 = net.clone();
         sim.spawn(async move {
-            assert_eq!(net2.deliver(a, b, 4096, None).await, Delivery::Dropped);
+            assert_eq!(net2.deliver(a, b, 4096).await, Delivery::Dropped);
         });
         let end = sim.run().end_time;
         // TX + propagation but no RX side.

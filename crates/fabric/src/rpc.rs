@@ -12,7 +12,7 @@ use imca_sim::sync::{oneshot, OneshotSender, Queue};
 
 use crate::fault::Delivery;
 use crate::network::{Network, NodeId};
-use crate::transport::{Transport, WireSize};
+use crate::transport::WireSize;
 
 /// Metric name of the RPC round-trip latency histogram, registered in the
 /// owning [`Network`]'s registry and recorded on every completed call.
@@ -46,7 +46,6 @@ pub struct Replier<Resp> {
     from: NodeId,
     to: NodeId,
     tx: OneshotSender<Resp>,
-    transport: Option<Transport>,
 }
 
 impl<Resp: WireSize + 'static> Replier<Resp> {
@@ -59,17 +58,11 @@ impl<Resp: WireSize + 'static> Replier<Resp> {
     /// been lost), and a duplicated response's second copy arrives at a
     /// caller that already has its value and is discarded.
     pub fn reply(self, resp: Resp) {
-        let Replier {
-            net,
-            from,
-            to,
-            tx,
-            transport,
-        } = self;
+        let Replier { net, from, to, tx } = self;
         let h = net.handle();
         h.spawn(async move {
             let bytes = resp.wire_bytes();
-            let fate = net.deliver(from, to, bytes, transport.as_ref()).await;
+            let fate = net.deliver(from, to, bytes).await;
             if fate.arrived() {
                 tx.send(resp);
             } else {
@@ -134,20 +127,6 @@ impl<Req: WireSize + 'static, Resp: WireSize + 'static> Service<Req, Resp> {
             src,
             dst: self.node,
             queue: self.queue.clone(),
-            transport: None,
-        }
-    }
-
-    /// A client that overrides the transport for both directions (e.g. RDMA
-    /// to the cache bank while the rest of the system stays on IPoIB).
-    pub fn client_with_transport(&self, src: NodeId, transport: Transport) -> RpcClient<Req, Resp> {
-        RpcClient {
-            call_ns: self.net.registry().histogram(RPC_CALL_NS),
-            net: self.net.clone(),
-            src,
-            dst: self.node,
-            queue: self.queue.clone(),
-            transport: Some(transport),
         }
     }
 }
@@ -158,7 +137,6 @@ pub struct RpcClient<Req, Resp> {
     src: NodeId,
     dst: NodeId,
     queue: Queue<Incoming<Req, Resp>>,
-    transport: Option<Transport>,
     call_ns: Histogram,
 }
 
@@ -169,7 +147,6 @@ impl<Req, Resp> Clone for RpcClient<Req, Resp> {
             src: self.src,
             dst: self.dst,
             queue: self.queue.clone(),
-            transport: self.transport.clone(),
             call_ns: self.call_ns.clone(),
         }
     }
@@ -204,10 +181,7 @@ impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, R
     pub async fn try_call(&self, req: Req) -> Option<Resp> {
         let t0 = self.net.handle().now();
         let bytes = req.wire_bytes();
-        let fate = self
-            .net
-            .deliver(self.src, self.dst, bytes, self.transport.as_ref())
-            .await;
+        let fate = self.net.deliver(self.src, self.dst, bytes).await;
         let (tx, rx) = oneshot();
         if fate.arrived() {
             self.enqueue(req, tx, fate);
@@ -242,10 +216,7 @@ impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, R
     /// return `true`.
     pub async fn post(&self, req: Req) -> bool {
         let bytes = req.wire_bytes();
-        let fate = self
-            .net
-            .deliver(self.src, self.dst, bytes, self.transport.as_ref())
-            .await;
+        let fate = self.net.deliver(self.src, self.dst, bytes).await;
         if !fate.arrived() {
             return false;
         }
@@ -267,7 +238,6 @@ impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, R
                 from: self.dst,
                 to: self.src,
                 tx,
-                transport: self.transport.clone(),
             },
         };
         let dup = (fate == Delivery::Duplicated).then(|| req.clone());
@@ -281,6 +251,7 @@ impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Transport;
     use imca_sim::{Sim, SimDuration};
     use std::cell::Cell;
     use std::rc::Rc;
@@ -330,6 +301,38 @@ mod tests {
         // Zero-service-time echo: end == unloaded RTT for 64B each way.
         let tp = Transport::ipoib_ddr();
         assert_eq!(end.as_nanos(), tp.unloaded_rtt(64, 64).as_nanos());
+    }
+
+    #[test]
+    fn rpc_to_a_node_placed_on_rdma_costs_rdma_both_ways() {
+        // The server's node is placed on RDMA, the caller's on the
+        // network default: request and reply both travel on RDMA. A
+        // second caller's link to a default node stays on IPoIB.
+        let mut sim = Sim::new(0);
+        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+        let (rdma_node, ipoib_node) = (net.add_node_on(Transport::rdma_ddr()), net.add_node());
+        let h = sim.handle();
+        for server in [rdma_node, ipoib_node] {
+            let svc: Service<Ping, Pong> = Service::bind(&net, server);
+            let cli = svc.client(net.add_node());
+            sim.spawn(async move {
+                while let Some(msg) = svc.recv().await {
+                    msg.respond(Pong(0));
+                }
+            });
+            let h = h.clone();
+            sim.spawn(async move {
+                let t0 = h.now();
+                cli.call(Ping(0)).await;
+                let expect = if server == rdma_node {
+                    Transport::rdma_ddr()
+                } else {
+                    Transport::ipoib_ddr()
+                };
+                assert_eq!(h.now().since(t0), expect.unloaded_rtt(64, 64));
+            });
+        }
+        sim.run();
     }
 
     #[test]

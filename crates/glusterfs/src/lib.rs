@@ -19,8 +19,8 @@
 //!
 //! ```
 //! use imca_fabric::{Network, Transport};
-//! use imca_glusterfs::{start_server, ClientProtocol, FuseBridge, GlusterMount,
-//!                      Posix, ServerParams, Xlator};
+//! use imca_glusterfs::{start_server_with_control, ClientProtocol, FuseBridge,
+//!                      GlusterMount, Posix, ServerParams, Xlator};
 //! use imca_sim::Sim;
 //! use imca_storage::{BackendParams, StorageBackend};
 //!
@@ -29,8 +29,8 @@
 //! // Server side: posix over the timed storage stack.
 //! let server_node = net.add_node();
 //! let backend = StorageBackend::new(sim.handle(), BackendParams::paper_server());
-//! let svc = start_server(&net, server_node, Posix::new(backend) as Xlator,
-//!                        ServerParams::default());
+//! let (svc, _control) = start_server_with_control(&net, server_node,
+//!     Posix::new(backend) as Xlator, ServerParams::default());
 //! // Client side: FUSE → protocol/client, then a POSIX-ish mount API.
 //! let client_node = net.add_node();
 //! let proto = ClientProtocol::connect(&svc, client_node) as Xlator;
@@ -64,8 +64,7 @@ pub use iocache::IoCache;
 pub use mount::{Fd, GlusterMount};
 pub use posix::Posix;
 pub use protocol::{
-    start_server, start_server_with_control, ClientProtocol, FuseBridge, ServerControl,
-    ServerParams,
+    start_server_with_control, ClientProtocol, FuseBridge, ServerControl, ServerParams,
 };
 pub use readahead::ReadAhead;
 pub use translator::{wind, FopFuture, Translator, Xlator};

@@ -71,17 +71,7 @@ impl ServerControl {
 
 /// Start a GlusterFS server at `node`, serving fops into `child` (the
 /// server-side translator stack, e.g. SMCache → posix). Returns the RPC
-/// service clients connect to.
-pub fn start_server(
-    net: &Network,
-    node: NodeId,
-    child: Xlator,
-    params: ServerParams,
-) -> Service<Fop, FopReply> {
-    start_server_with_control(net, node, child, params).0
-}
-
-/// [`start_server`], also returning the daemon's crash/restart switch.
+/// service clients connect to and the daemon's crash/restart switch.
 pub fn start_server_with_control(
     net: &Network,
     node: NodeId,
@@ -165,30 +155,16 @@ impl Translator for ClientProtocol {
 /// daemon through FUSE", §2.1).
 pub struct FuseBridge {
     child: Xlator,
-    cost: SimDuration,
     handle: imca_sim::SimHandle,
 }
 
 impl FuseBridge {
-    /// Default per-fop FUSE crossing cost.
+    /// Per-fop FUSE crossing cost.
     pub const DEFAULT_COST: SimDuration = SimDuration::micros(18);
 
-    /// Wrap `child` with a FUSE crossing of the default cost.
+    /// Wrap `child` with a FUSE crossing of [`FuseBridge::DEFAULT_COST`].
     pub fn new(handle: imca_sim::SimHandle, child: Xlator) -> Rc<FuseBridge> {
-        Self::with_cost(handle, child, Self::DEFAULT_COST)
-    }
-
-    /// Wrap `child` with an explicit crossing cost.
-    pub fn with_cost(
-        handle: imca_sim::SimHandle,
-        child: Xlator,
-        cost: SimDuration,
-    ) -> Rc<FuseBridge> {
-        Rc::new(FuseBridge {
-            child,
-            cost,
-            handle,
-        })
+        Rc::new(FuseBridge { child, handle })
     }
 }
 
@@ -200,10 +176,10 @@ impl Translator for FuseBridge {
     fn handle(self: Rc<Self>, fop: Fop) -> FopFuture {
         Box::pin(async move {
             // Request crossing into userspace.
-            self.handle.sleep(self.cost / 2).await;
+            self.handle.sleep(Self::DEFAULT_COST / 2).await;
             let reply = wind(&self.child, fop).await;
             // Reply crossing back to the kernel/applications.
-            self.handle.sleep(self.cost / 2).await;
+            self.handle.sleep(Self::DEFAULT_COST / 2).await;
             reply
         })
     }
@@ -224,7 +200,7 @@ mod tests {
         let client_node = net.add_node();
         let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
         let posix = Posix::new(be);
-        let svc = start_server(&net, server_node, posix, ServerParams::default());
+        let svc = start_server_with_control(&net, server_node, posix, ServerParams::default()).0;
         let proto = ClientProtocol::connect(&svc, client_node);
         let top = FuseBridge::new(sim.handle(), proto) as Xlator;
         (net, top)
@@ -342,15 +318,11 @@ mod tests {
             let server_node = net.add_node();
             let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
             let posix = Posix::new(be);
-            let svc = start_server(
-                &net,
-                server_node,
-                posix,
-                ServerParams {
-                    fop_cpu: SimDuration::micros(100),
-                    io_threads,
-                },
-            );
+            let params = ServerParams {
+                fop_cpu: SimDuration::micros(100),
+                io_threads,
+            };
+            let svc = start_server_with_control(&net, server_node, posix, params).0;
             // Seed the file, then hammer stats from 16 clients.
             let seed = ClientProtocol::connect(&svc, net.add_node());
             let svc2 = svc.clone();

@@ -43,7 +43,9 @@ pub struct ImcaConfig {
     pub mcd_config: McConfig,
     /// Per-daemon service-time model.
     pub mcd_costs: McdCosts,
-    /// Optional transport override for bank traffic (RDMA ablation).
+    /// The transport the bank's daemons are placed on, so every request
+    /// and reply of the bank travels on it (the RDMA ablation); `None`
+    /// leaves them on the fabric's.
     pub bank_transport: Option<Transport>,
     /// Per-RPC deadline / retry / circuit policy for every bank client —
     /// static: one deadline per attempt, a fixed retry count. Defaults
@@ -122,8 +124,6 @@ pub struct ClusterConfig {
     pub server_params: ServerParams,
     /// Server storage (RAID + page cache).
     pub backend: BackendParams,
-    /// FUSE crossing cost at each client.
-    pub fuse_cost: SimDuration,
     /// `Some` = IMCa deployment; `None` = the paper's "NoCache" GlusterFS.
     pub imca: Option<ImcaConfig>,
     /// Optionally stack GlusterFS's io-cache translator on each client:
@@ -145,7 +145,6 @@ impl ClusterConfig {
             transport: Transport::ipoib_ddr(),
             server_params: ServerParams::default(),
             backend: BackendParams::paper_server(),
-            fuse_cost: FuseBridge::DEFAULT_COST,
             imca: None,
             client_io_cache: None,
             client_read_ahead: None,
@@ -206,7 +205,7 @@ impl Cluster {
 
         let (bank, smcache, lease_hub, server_child): ServerStack = match &cfg.imca {
             Some(imca) => {
-                let bank = Bank::start(&net, imca.mcd_count, &imca.mcd_config, &imca.mcd_costs);
+                let bank = Bank::start(&net, imca);
                 let server_retry = imca.server_retry.as_ref().unwrap_or(&imca.retry);
                 let client = Rc::new(bank.client(server_node, imca, server_retry.clone()));
                 let hub =
@@ -306,7 +305,7 @@ impl Cluster {
             }
             None => stack,
         };
-        let fuse = FuseBridge::with_cost(self.handle.clone(), stack, self.cfg.fuse_cost);
+        let fuse = FuseBridge::new(self.handle.clone(), stack);
         (GlusterMount::new(fuse as Xlator), mounted_cm)
     }
 
@@ -455,6 +454,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imca_metrics::json::Json;
     use imca_sim::Sim;
 
     fn small_imca(n_mcds: usize) -> ClusterConfig {
@@ -610,9 +610,8 @@ mod tests {
             );
         }
         // The document round-trips through JSON.
-        let json = snap.to_json();
-        let back = Snapshot::from_json(&json).expect("parse back");
-        assert_eq!(back, snap);
+        let back = Json::parse(&snap.to_json()).expect("parse back");
+        assert_eq!(back, snap.to_json_value());
     }
 
     #[test]

@@ -172,10 +172,7 @@ impl Translator for CmCache {
                     }
                     let t0 = self.handle.now();
                     let blocks = cover(offset, len, self.block_size);
-                    let keys = blocks
-                        .iter()
-                        .map(|b| (block_key(&path, b.start), Some(b.index)))
-                        .collect();
+                    let keys = blocks.iter().map(|b| block_key(&path, b.start)).collect();
                     let fetched = self.bank.fetch_blocks(keys).await;
                     if fetched.iter().all(|f| f.is_some()) {
                         let owned: Vec<(u64, bytes::Bytes)> = blocks
@@ -288,7 +285,7 @@ mod tests {
         cfg: &ImcaConfig,
     ) -> (Rc<CmCache>, Rc<Recorder>, Rc<BankClient>) {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let mcds = Bank::start(&net, cfg.mcd_count, &cfg.mcd_config, &cfg.mcd_costs);
+        let mcds = Bank::start(&net, cfg);
         let bank = Rc::new(mcds.client(net.add_node(), cfg, cfg.retry.clone()));
         let rec = Rc::new(Recorder {
             log: StdRefCell::new(Vec::new()),
@@ -320,8 +317,7 @@ mod tests {
                 mtime_ns: 9,
                 ctime_ns: 9,
             };
-            bank.set(&stat_key("/f"), Bytes::from(st.to_bytes()), None)
-                .await;
+            bank.set(&stat_key("/f"), Bytes::from(st.to_bytes())).await;
             let FopReply::Stat(Ok(got)) = Rc::clone(&(cm2 as Xlator))
                 .handle(Fop::Stat { path: "/f".into() })
                 .await
@@ -367,7 +363,6 @@ mod tests {
                 bank.set(
                     &block_key("/f", b * 2048),
                     Bytes::from(file[s..s + 2048].to_vec()),
-                    Some(b),
                 )
                 .await;
             }
@@ -399,7 +394,6 @@ mod tests {
             bank.set(
                 &block_key("/f", 2048),
                 Bytes::from(file[2048..4096].to_vec()),
-                Some(1),
             )
             .await;
             let FopReply::Read(Ok(data)) = Rc::clone(&(cm2 as Xlator))
@@ -466,7 +460,7 @@ mod tests {
                 mtime_ns: 1,
                 ctime_ns: 1,
             };
-            bank.set(&stat_key("/d/b"), Bytes::from(st.to_bytes()), None)
+            bank.set(&stat_key("/d/b"), Bytes::from(st.to_bytes()))
                 .await;
             let rs = Rc::clone(&cm2)
                 .stat_multi(vec!["/d/a".into(), "/d/b".into()])

@@ -21,9 +21,12 @@
 //! (`KeyTooLong` / `BadKey`), turning the file into a permanent cache miss.
 //!
 //! Placement is a pure function of the produced key: the selector hashes
-//! it to a primary daemon, and with a replicated bank (DESIGN.md §4d)
-//! the ketama walk continues from that same key's ring position — so a
-//! key's replica set is as stable under bank growth as its primary.
+//! it to a primary daemon — or, under §5.5's modulo placement, takes the
+//! block index from the offset [`block_offset`] reads back off the key —
+//! and with a replicated bank (DESIGN.md §4d) the replicas follow that
+//! primary (the ketama walk continues from the key's ring position), so a
+//! key's replica set is as stable under bank growth as its primary. No
+//! caller passes placement beside a key.
 
 use imca_memcached::{crc32, MAX_KEY_LEN};
 
@@ -82,6 +85,21 @@ pub fn neg_key(path: &str) -> Vec<u8> {
 /// `<path>:<block_start>`.
 pub fn block_key(path: &str, block_start: u64) -> Vec<u8> {
     format!("{}:{block_start}", folded_path(path)).into_bytes()
+}
+
+/// The inverse of [`block_key`]: the byte offset a block key ends in (its
+/// `:<digits>` suffix), or `None` for a metadata key (`:m.stat`,
+/// `:m.neg`), whose suffix ends in a letter.
+pub fn block_offset(key: &[u8]) -> Option<u64> {
+    let colon = key.iter().rposition(|&b| b == b':')?;
+    let digits = &key[colon + 1..];
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        let digit = b.checked_sub(b'0').filter(|d| *d <= 9)?;
+        n.checked_mul(10)?.checked_add(u64::from(digit))
+    })
 }
 
 #[cfg(test)]
@@ -207,6 +225,43 @@ mod tests {
         let k = stat_key(&fat);
         assert!(daemon_accepts(&k));
         assert!(k.starts_with(b"~"));
+    }
+
+    /// `block_offset` inverts `block_key` for every kind of path the
+    /// schema handles — short, folded past the cap, whitespace or
+    /// non-ASCII bytes, colons inside the path — and reads nothing off a
+    /// metadata key of the same paths.
+    #[test]
+    fn block_offset_inverts_block_key() {
+        let paths = [
+            "/a/b".to_string(),
+            "/".to_string(),
+            "/a/b:4096".to_string(),
+            "/a/b:".to_string(),
+            "/a:1/b:m.stat".to_string(),
+            format!("/deep{}", "/x".repeat(115)), // 235 bytes: folds
+            format!("/deep{}:99", "/x".repeat(200)),
+            "/white space/file".to_string(),
+            "/tab\there".to_string(),
+            "/日本語/ファイル".to_string(),
+            "é".repeat(130),
+        ];
+        assert!(paths[5].len() > 229 && needs_fold(&paths[5]));
+        let offsets = [0u64, 1, 7, 2048, 4096 * 1000 + 3, u64::MAX];
+        for p in &paths {
+            for &off in &offsets {
+                assert_eq!(
+                    block_offset(&block_key(p, off)),
+                    Some(off),
+                    "{p:?} at {off}"
+                );
+            }
+            assert_eq!(block_offset(&stat_key(p)), None, "stat key of {p:?}");
+            assert_eq!(block_offset(&neg_key(p)), None, "negative key of {p:?}");
+        }
+        // Not keys the schema produces: no suffix, or one past u64.
+        assert_eq!(block_offset(b"/no/colon"), None);
+        assert_eq!(block_offset(b"/a:18446744073709551616"), None);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use super::policy::{
     Wire,
 };
 use crate::cluster::ImcaConfig;
+use crate::keys::block_offset;
 
 /// Liveness, quarantine and circuit-breaker verdict for one daemon.
 enum Route {
@@ -100,7 +101,9 @@ pub struct BankClient {
     /// Per-daemon fail-fast circuit: ops shed (local miss) until the
     /// stored instant. Per *client*, unlike the shared quarantine flags.
     circuit_open_until: RefCell<Vec<SimTime>>,
-    policy: RetryPolicy,
+    /// [`ImcaConfig::block_size`]: modulo placement routes a block key
+    /// by its offset over this.
+    block_size: u64,
     /// [`ImcaConfig::batching`]: how the four bulk operations are framed.
     batched: bool,
     registry: Registry,
@@ -154,11 +157,11 @@ pub struct BankClient {
 
 impl BankClient {
     /// Connect `from` to every daemon in `nodes` ([`Bank::client`]):
-    /// `cfg.selector` routing, `cfg.bank_transport` optionally overriding
-    /// the fabric default (the RDMA ablation connects the bank over RDMA
-    /// while the file server stays on IPoIB), `cfg.replication` the
-    /// replica placement (see [`Replication`]), `cfg.batching` the framing
-    /// of the bulk operations; `policy` sets deadlines and retries.
+    /// `cfg.selector` routing (by `cfg.block_size` under modulo),
+    /// `cfg.replication` the replica placement (see [`Replication`]),
+    /// `cfg.batching` the framing of the bulk operations; `policy` sets
+    /// deadlines and retries. The links travel on whatever transport the
+    /// daemons' nodes were placed on.
     pub(super) fn connect(
         nodes: &[McdNode],
         from: NodeId,
@@ -166,13 +169,7 @@ impl BankClient {
         policy: RetryPolicy,
     ) -> BankClient {
         assert!(!nodes.is_empty(), "bank needs at least one MCD");
-        let clients: Vec<_> = nodes
-            .iter()
-            .map(|n| match &cfg.bank_transport {
-                Some(t) => n.service.client_with_transport(from, t.clone()),
-                None => n.service.client(from),
-            })
-            .collect();
+        let clients: Vec<_> = nodes.iter().map(|n| n.service.client(from)).collect();
         let handle = nodes[0].service.network().handle();
         let registry = Registry::new();
         // Hedged reads are deleted (EXPERIMENTS.md A12); the benchmark
@@ -184,6 +181,7 @@ impl BankClient {
             wire: Wire {
                 handle,
                 clients,
+                policy,
                 rpc_timeouts: registry.counter("rpc_timeouts"),
                 retries: registry.counter("retries"),
             },
@@ -191,7 +189,7 @@ impl BankClient {
             alive: nodes.iter().map(|n| Rc::clone(&n.alive)).collect(),
             quarantined: nodes.iter().map(|n| Rc::clone(&n.quarantined)).collect(),
             circuit_open_until: RefCell::new(vec![SimTime::ZERO; nodes.len()]),
-            policy,
+            block_size: cfg.block_size,
             batched: cfg.batching,
             gets: registry.counter("gets"),
             hits: registry.counter("hits"),
@@ -234,9 +232,11 @@ impl BankClient {
     }
 
     /// The key's full replica set in placement order, liveness ignored;
-    /// its first entry is the selector's primary.
-    fn replicas(&self, key: &[u8], hint: Option<u64>) -> Vec<usize> {
-        self.map.replicas(key, hint, self.replication)
+    /// its first entry is the selector's primary. Modulo placement
+    /// routes a block key by its block index, read off the key.
+    fn replicas(&self, key: &[u8]) -> Vec<usize> {
+        let index = block_offset(key).map(|offset| offset / self.block_size);
+        self.map.replicas(key, index, self.replication)
     }
 
     /// Next word of the client-local xorshift64 stream.
@@ -321,16 +321,16 @@ impl BankClient {
     fn trip_circuit(&self, idx: usize) {
         self.circuit_opens.inc();
         self.circuit_open_until.borrow_mut()[idx] =
-            self.wire.handle.now() + self.policy.circuit_cooldown;
+            self.wire.handle.now() + self.wire.policy.circuit_cooldown;
     }
 
-    /// Fetch one value. `hint` is the block index for modulo distribution.
-    /// One pass of the read loop, its RPC awaited directly.
-    pub async fn get(&self, key: &[u8], hint: Option<u64>) -> Option<Bytes> {
+    /// Fetch one value: one pass of the read loop, its RPC awaited
+    /// directly.
+    pub async fn get(&self, key: &[u8]) -> Option<Bytes> {
         self.gets.inc();
         let t0 = self.wire.handle.now();
         let mut out = [None];
-        self.read(&[(key.to_vec(), hint)], false, &mut out).await;
+        self.read(&[key.to_vec()], false, &mut out).await;
         // Client-observed completion latency for *every* get — dead-route
         // local misses and mid-flight failures included — so the histogram
         // count always equals the `gets` counter, with or without fault
@@ -350,7 +350,7 @@ impl BankClient {
     /// replica is a local miss with no wire traffic (never a rehash), and
     /// a daemon failing mid-flight fails every key grouped on it over to
     /// their next replica, or to a miss.
-    pub async fn get_multi(&self, keys: &[(Vec<u8>, Option<u64>)]) -> Vec<Option<Bytes>> {
+    pub async fn get_multi(&self, keys: &[Vec<u8>]) -> Vec<Option<Bytes>> {
         self.gets.add(keys.len() as u64);
         let t0 = self.wire.handle.now();
         let mut out: Vec<Option<Bytes>> = vec![None; keys.len()];
@@ -374,18 +374,13 @@ impl BankClient {
     /// `batched` is how the round's RPCs travel: `get_multi` sends one
     /// multi-key RPC per daemon concurrently; `get`'s single key goes
     /// alone through [`BankClient::attempt`], awaited directly.
-    async fn read(
-        &self,
-        keys: &[(Vec<u8>, Option<u64>)],
-        batched: bool,
-        out: &mut [Option<Bytes>],
-    ) {
+    async fn read(&self, keys: &[Vec<u8>], batched: bool, out: &mut [Option<Bytes>]) {
         let mut pending: Vec<ReadKey> = keys
             .iter()
             .enumerate()
-            .map(|(pos, (key, hint))| ReadKey {
+            .map(|(pos, key)| ReadKey {
                 pos,
-                replicas: self.replicas(key, *hint),
+                replicas: self.replicas(key),
                 tried: Vec::new(),
                 degraded: false,
                 route: 0,
@@ -412,10 +407,9 @@ impl BankClient {
                         let idx = members[0].route;
                         self.multi_gets.inc();
                         self.keys_per_multi_get.record(members.len() as u64);
-                        let group_keys = members.iter().map(|k| keys[k.pos].0.clone()).collect();
+                        let group_keys = members.iter().map(|k| keys[k.pos].clone()).collect();
                         (
-                            self.wire
-                                .call(idx, self.policy.clone(), get_req(group_keys, false)),
+                            self.wire.call(idx, get_req(group_keys, false)),
                             DecrOnDrop::enter(&self.in_flight[idx]),
                         )
                     })
@@ -427,7 +421,7 @@ impl BankClient {
                 }
             } else {
                 for members in &mut groups {
-                    answers.push(self.attempt(&keys[members[0].pos].0, members).await);
+                    answers.push(self.attempt(&keys[members[0].pos], members).await);
                 }
             }
             for (members, answer) in groups.into_iter().zip(answers) {
@@ -442,7 +436,7 @@ impl BankClient {
                     if k.failover {
                         self.replica_failovers.inc();
                     }
-                    match vals.next_if(|v| v.key == keys[k.pos].0) {
+                    match vals.next_if(|v| v.key == keys[k.pos]) {
                         Some(v) => {
                             self.hits.inc();
                             out[k.pos] = Some(v.data);
@@ -504,7 +498,7 @@ impl BankClient {
         let load = DecrOnDrop::enter(&self.in_flight[idx]);
         let outcome = self
             .wire
-            .call(idx, self.policy.clone(), get_req(vec![key.to_vec()], false))
+            .call(idx, get_req(vec![key.to_vec()], false))
             .await;
         drop(load);
         self.settle_read(idx, outcome, members)
@@ -533,11 +527,11 @@ impl BankClient {
     ///
     /// Not counted in `gets`/`hits`/`misses`: this is a write-path
     /// internal fetch, and folding it in would skew the read hit rate.
-    pub async fn gets_for_update(&self, keys: &[(Vec<u8>, Option<u64>)]) -> Vec<ReplicaRows> {
+    pub async fn gets_for_update(&self, keys: &[Vec<u8>]) -> Vec<ReplicaRows> {
         let mut out: Vec<ReplicaRows> = vec![Vec::new(); keys.len()];
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (pos, (key, hint)) in keys.iter().enumerate() {
-            for idx in self.write_targets(self.replicas(key, *hint)) {
+        for (pos, key) in keys.iter().enumerate() {
+            for idx in self.write_targets(self.replicas(key)) {
                 groups.entry(idx).or_default().push(pos);
             }
         }
@@ -547,9 +541,8 @@ impl BankClient {
             .map(|(idx, members)| {
                 self.multi_gets.inc();
                 self.keys_per_multi_get.record(members.len() as u64);
-                let group_keys = members.iter().map(|&p| keys[p].0.clone()).collect();
-                self.wire
-                    .call(*idx, self.policy.clone(), get_req(group_keys, true))
+                let group_keys = members.iter().map(|&p| keys[p].clone()).collect();
+                self.wire.call(*idx, get_req(group_keys, true))
             })
             .collect();
         let outcomes = join_all(&self.wire.handle, calls).await;
@@ -564,7 +557,7 @@ impl BankClient {
             };
             let mut vals = vals.into_iter().peekable();
             for p in members {
-                let row = vals.next_if(|v| v.key == keys[p].0).map(|v| {
+                let row = vals.next_if(|v| v.key == keys[p]).map(|v| {
                     let token = v.cas.expect("gets reply carries a token");
                     (v.data, CasToken { daemon: idx, token })
                 });
@@ -588,41 +581,34 @@ impl BankClient {
 
     /// Fetch a read's covering blocks, in request order: one multi-key
     /// `get` per routed daemon ([`BankClient::get_multi`]), or per key.
-    pub async fn fetch_blocks(
-        self: &Rc<Self>,
-        keys: Vec<(Vec<u8>, Option<u64>)>,
-    ) -> Vec<Option<Bytes>> {
+    pub async fn fetch_blocks(self: &Rc<Self>, keys: Vec<Vec<u8>>) -> Vec<Option<Bytes>> {
         if self.batched {
             return self.get_multi(&keys).await;
         }
-        self.per_key(keys, |bank, (key, hint)| async move {
-            bank.get(&key, hint).await
-        })
-        .await
+        self.per_key(keys, |bank, key| async move { bank.get(&key).await })
+            .await
     }
 
     /// Store many values on every usable replica of their keys: one
     /// `noreply` pipeline per daemon, or per key.
-    pub async fn store_blocks(self: &Rc<Self>, items: Vec<(Vec<u8>, Bytes, Option<u64>)>) {
+    pub async fn store_blocks(self: &Rc<Self>, items: Vec<(Vec<u8>, Bytes)>) {
         if self.batched {
             return self.set_pipeline(items).await;
         }
-        self.per_key(items, |bank, (key, value, hint)| async move {
-            bank.set(&key, value, hint).await
+        self.per_key(items, |bank, (key, value)| async move {
+            bank.set(&key, value).await
         })
         .await;
     }
 
     /// Remove many keys from every replica that could still serve them:
     /// one `noreply` pipeline per daemon, or per key.
-    pub async fn remove_keys(self: &Rc<Self>, items: Vec<(Vec<u8>, Option<u64>)>) {
+    pub async fn remove_keys(self: &Rc<Self>, keys: Vec<Vec<u8>>) {
         if self.batched {
-            return self.delete_pipeline(items).await;
+            return self.delete_pipeline(keys).await;
         }
-        self.per_key(items, |bank, (key, hint)| async move {
-            bank.delete(&key, hint).await
-        })
-        .await;
+        self.per_key(keys, |bank, key| async move { bank.delete(&key).await })
+            .await;
     }
 
     /// Compare-and-swap many values, each against its token's daemon,
@@ -690,11 +676,8 @@ impl BankClient {
                     .map(|&pos| {
                         let (key, data, token) = &items[pos];
                         let verb = StoreVerb::Cas(token.token);
-                        self.wire.call(
-                            *idx,
-                            self.policy.clone(),
-                            store_req(verb, key.clone(), data.clone(), false),
-                        )
+                        self.wire
+                            .call(*idx, store_req(verb, key.clone(), data.clone(), false))
                     })
                     .collect();
                 let handle = self.wire.handle.clone();
@@ -716,11 +699,11 @@ impl BankClient {
     /// one per key. Each item streams to every usable replica of its key,
     /// so one pipeline carries the whole fan-out with still just one sync
     /// barrier per daemon.
-    async fn set_pipeline(&self, items: Vec<(Vec<u8>, Bytes, Option<u64>)>) {
+    async fn set_pipeline(&self, items: Vec<(Vec<u8>, Bytes)>) {
         self.sets.add(items.len() as u64);
         let mut groups = BTreeMap::new();
-        for (key, value, hint) in items {
-            let targets = self.write_targets(self.replicas(&key, hint));
+        for (key, value) in items {
+            let targets = self.write_targets(self.replicas(&key));
             enqueue(&mut groups, &targets, (key, value));
         }
         let request = |(key, value)| store_req(StoreVerb::Set, key, value, true);
@@ -730,11 +713,11 @@ impl BankClient {
     /// Remove many keys through the `noreply` pipeline — same grouping,
     /// ordering, and failure semantics as [`BankClient::set_pipeline`].
     /// The purge reaches every replica that could still serve the value.
-    async fn delete_pipeline(&self, items: Vec<(Vec<u8>, Option<u64>)>) {
-        self.deletes.add(items.len() as u64);
+    async fn delete_pipeline(&self, keys: Vec<Vec<u8>>) {
+        self.deletes.add(keys.len() as u64);
         let mut groups = BTreeMap::new();
-        for (key, hint) in items {
-            let targets = self.write_targets(self.replicas(&key, hint));
+        for key in keys {
+            let targets = self.write_targets(self.replicas(&key));
             enqueue(&mut groups, &targets, key);
         }
         let request = |key| McdReq(Command::Delete { key, noreply: true });
@@ -762,7 +745,7 @@ impl BankClient {
             streamed.add(batch.len() as u64);
             daemons.push((idx, batch.len() as u64));
             let batch = batch.into_iter().map(request);
-            pipelines.push(self.wire.pipeline(idx, self.policy.clone(), batch));
+            pipelines.push(self.wire.pipeline(idx, batch));
         }
         let syncs = join_all(&self.wire.handle, pipelines).await;
         for ((idx, streamed), sync) in daemons.into_iter().zip(syncs) {
@@ -771,22 +754,22 @@ impl BankClient {
     }
 
     /// Store one value on every usable replica of its key.
-    pub async fn set(&self, key: &[u8], value: Bytes, hint: Option<u64>) {
+    pub async fn set(&self, key: &[u8], value: Bytes) {
         self.sets.inc();
         let req = store_req(StoreVerb::Set, key.to_vec(), value, false);
-        self.write_fanout(self.write_targets(self.replicas(key, hint)), req)
+        self.write_fanout(self.write_targets(self.replicas(key)), req)
             .await;
     }
 
     /// Remove one key from every usable replica — a purge is only
     /// complete once no replica can still serve the value.
-    pub async fn delete(&self, key: &[u8], hint: Option<u64>) {
+    pub async fn delete(&self, key: &[u8]) {
         self.deletes.inc();
         let req = McdReq(Command::Delete {
             key: key.to_vec(),
             noreply: false,
         });
-        self.write_fanout(self.write_targets(self.replicas(key, hint)), req)
+        self.write_fanout(self.write_targets(self.replicas(key)), req)
             .await;
     }
 
@@ -814,11 +797,9 @@ impl BankClient {
     /// purge missed. Returns the outcomes in target order.
     async fn write_fanout(&self, targets: Vec<usize>, req: McdReq) -> Vec<CallOutcome> {
         let outcomes = match targets[..] {
-            [idx] => vec![self.wire.call(idx, self.policy.clone(), req).await],
+            [idx] => vec![self.wire.call(idx, req).await],
             _ => {
-                let calls = targets
-                    .iter()
-                    .map(|&idx| self.wire.call(idx, self.policy.clone(), req.clone()));
+                let calls = targets.iter().map(|&idx| self.wire.call(idx, req.clone()));
                 join_all(&self.wire.handle, calls.collect()).await
             }
         };
@@ -872,23 +853,46 @@ mod tests {
     use super::super::policy::Replication;
     use super::*;
     use crate::counters;
+    use crate::keys::block_key;
     use imca_fabric::Network;
     use imca_fabric::Transport;
     use imca_memcached::McConfig;
     use imca_memcached::Selector;
     use imca_sim::{Sim, SimDuration};
 
-    fn setup(sim: &Sim, n: usize) -> (Network, Rc<Bank>, BankClient) {
+    /// An `n`-daemon bank of default-sized stores and one client of it,
+    /// as `cfg` describes them, retrying by `policy`.
+    fn bank_over(
+        sim: &Sim,
+        n: usize,
+        cfg: &ImcaConfig,
+        policy: RetryPolicy,
+    ) -> (Network, Rc<Bank>, Rc<BankClient>) {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            n,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client_node = net.add_node();
-        let client = bank.client(client_node, &ImcaConfig::default(), RetryPolicy::default());
+        let cfg = ImcaConfig {
+            mcd_count: n,
+            mcd_config: McConfig::default(),
+            ..cfg.clone()
+        };
+        let bank = Rc::new(Bank::start(&net, &cfg));
+        let client = Rc::new(bank.client(net.add_node(), &cfg, policy));
         (net, bank, client)
+    }
+
+    /// [`bank_over`] with the default CRC-32 placement and policy.
+    fn setup(sim: &Sim, n: usize) -> (Network, Rc<Bank>, Rc<BankClient>) {
+        client_over(sim, n, &ImcaConfig::default())
+    }
+
+    /// [`bank_over`] with the default policy.
+    fn client_over(sim: &Sim, n: usize, cfg: &ImcaConfig) -> (Network, Rc<Bank>, Rc<BankClient>) {
+        bank_over(sim, n, cfg, RetryPolicy::default())
+    }
+
+    /// The key of block `index` of `path` at the default 2 KB block size:
+    /// under [`modulo`] it lands on daemon `index % n`.
+    fn block(path: &str, index: u64) -> Vec<u8> {
+        block_key(path, index * 2048)
     }
 
     /// Which public read entry point a fault scenario drives: both run the
@@ -900,25 +904,21 @@ mod tests {
         Multi,
     }
 
-    async fn read_via(c: &BankClient, via: Via, key: &[u8], hint: Option<u64>) -> Option<Bytes> {
+    async fn read_via(c: &BankClient, via: Via, key: &[u8]) -> Option<Bytes> {
         match via {
-            Via::Get => c.get(key, hint).await,
-            Via::Multi => c.get_multi(&[(key.to_vec(), hint)]).await.remove(0),
+            Via::Get => c.get(key).await,
+            Via::Multi => c.get_multi(&[key.to_vec()]).await.remove(0),
         }
     }
 
     /// The write path's token fetch, for a key with one usable replica.
-    async fn fetch_token(
-        c: &BankClient,
-        key: &[u8],
-        hint: Option<u64>,
-    ) -> Option<(Bytes, CasToken)> {
-        let mut rows = c.gets_for_update(&[(key.to_vec(), hint)]).await;
+    async fn fetch_token(c: &BankClient, key: &[u8]) -> Option<(Bytes, CasToken)> {
+        let mut rows = c.gets_for_update(&[key.to_vec()]).await;
         rows.remove(0).remove(0).1
     }
 
-    /// A deployment whose bank places keys by modulo (hints pin keys to
-    /// known daemons) on `factor` replicas.
+    /// A deployment whose bank places block keys by modulo (block `i` of
+    /// a file on daemon `i % n`) on `factor` replicas.
     fn modulo(factor: usize) -> ImcaConfig {
         ImcaConfig {
             selector: Selector::Modulo,
@@ -940,17 +940,15 @@ mod tests {
     fn set_get_across_the_bank() {
         let mut sim = Sim::new(0);
         let (_net, bank, client) = setup(&sim, 4);
-        let client = Rc::new(client);
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
             for i in 0..100u64 {
                 let key = format!("/f/{i}:stat");
-                c2.set(key.as_bytes(), Bytes::from(vec![i as u8; 24]), None)
-                    .await;
+                c2.set(key.as_bytes(), Bytes::from(vec![i as u8; 24])).await;
             }
             for i in 0..100u64 {
                 let key = format!("/f/{i}:stat");
-                let v = c2.get(key.as_bytes(), None).await.unwrap();
+                let v = c2.get(key.as_bytes()).await.unwrap();
                 assert_eq!(v, vec![i as u8; 24]);
             }
         });
@@ -976,14 +974,13 @@ mod tests {
     fn miss_and_delete_paths() {
         let mut sim = Sim::new(0);
         let (_net, _bank, client) = setup(&sim, 2);
-        let client = Rc::new(client);
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
-            assert!(c2.get(b"/nothing:stat", None).await.is_none());
-            c2.set(b"/x:0", Bytes::from_static(b"data"), Some(0)).await;
-            assert!(c2.get(b"/x:0", Some(0)).await.is_some());
-            c2.delete(b"/x:0", Some(0)).await;
-            assert!(c2.get(b"/x:0", Some(0)).await.is_none());
+            assert!(c2.get(b"/nothing:stat").await.is_none());
+            c2.set(b"/x:0", Bytes::from_static(b"data")).await;
+            assert!(c2.get(b"/x:0").await.is_some());
+            c2.delete(b"/x:0").await;
+            assert!(c2.get(b"/x:0").await.is_none());
         });
         sim.run();
         assert_eq!(counters(&*client, ["misses", "deletes"]), [2, 1]);
@@ -993,37 +990,31 @@ mod tests {
     fn killed_daemon_degrades_to_misses_without_hanging() {
         for via in [Via::Get, Via::Multi] {
             let mut sim = Sim::new(0);
-            // Modulo routing so hints pin keys to known daemons: hint 0 → MCD 0.
-            let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-            let bank = Rc::new(Bank::start(
-                &net,
-                2,
-                &McConfig::default(),
-                &McdCosts::default(),
-            ));
-            let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
+            // Modulo routing pins block keys to known daemons: block 0 of
+            // a file → MCD 0, block 1 → MCD 1.
+            let (_net, bank, client) = client_over(&sim, 2, &modulo(1));
             let c2 = Rc::clone(&client);
             let b2 = Rc::clone(&bank);
             sim.spawn(async move {
-                c2.set(b"/k:0", Bytes::from_static(b"v"), Some(0)).await;
-                assert!(read_via(&c2, via, b"/k:0", Some(0)).await.is_some());
+                c2.set(b"/k:0", Bytes::from_static(b"v")).await;
+                assert!(read_via(&c2, via, b"/k:0").await.is_some());
                 b2.kill(0);
                 // Dead primary: miss — no rehash to the survivor (stale-data
                 // hazard, see BankClient).
-                assert!(read_via(&c2, via, b"/k:0", Some(0)).await.is_none());
+                assert!(read_via(&c2, via, b"/k:0").await.is_none());
                 // Keys homed on the survivor are unaffected.
-                c2.set(b"/k:1", Bytes::from_static(b"w"), Some(1)).await;
-                assert!(read_via(&c2, via, b"/k:1", Some(1)).await.is_some());
+                c2.set(&block("/k", 1), Bytes::from_static(b"w")).await;
+                assert!(read_via(&c2, via, &block("/k", 1)).await.is_some());
                 // Sets to the dead primary are skipped, not redirected.
-                c2.set(b"/k2:0", Bytes::from_static(b"x"), Some(0)).await;
+                c2.set(b"/k2:0", Bytes::from_static(b"x")).await;
                 assert_eq!(b2.nodes()[1].stats().curr_items, 1, "set must not rehash");
                 b2.revive(0);
                 // A revived daemon restarts empty: still a miss, never stale.
-                assert!(read_via(&c2, via, b"/k:0", Some(0)).await.is_none());
+                assert!(read_via(&c2, via, b"/k:0").await.is_none());
                 // And accepts fresh traffic again.
-                c2.set(b"/k:0", Bytes::from_static(b"v2"), Some(0)).await;
+                c2.set(b"/k:0", Bytes::from_static(b"v2")).await;
                 assert_eq!(
-                    read_via(&c2, via, b"/k:0", Some(0)).await,
+                    read_via(&c2, via, b"/k:0").await,
                     Some(Bytes::from_static(b"v2"))
                 );
             });
@@ -1045,14 +1036,13 @@ mod tests {
     fn kill_mid_flight_counts_a_failure() {
         let mut sim = Sim::new(0);
         let (net, bank, client) = setup(&sim, 1);
-        let client = Rc::new(client);
         let h = net.handle();
         {
             let c = Rc::clone(&client);
             sim.spawn(async move {
-                c.set(b"/k:0", Bytes::from_static(b"v"), None).await;
+                c.set(b"/k:0", Bytes::from_static(b"v")).await;
                 // This get will be in flight when the daemon dies.
-                let r = c.get(b"/k:0", None).await;
+                let r = c.get(b"/k:0").await;
                 assert!(r.is_none());
             });
         }
@@ -1070,28 +1060,36 @@ mod tests {
     }
 
     #[test]
-    fn modulo_selector_round_robins_blocks() {
-        let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            4,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
-        let c2 = Rc::clone(&client);
-        sim.spawn(async move {
-            for blk in 0..16u64 {
-                let key = format!("/file:{}", blk * 2048);
-                c2.set(key.as_bytes(), Bytes::from_static(b"B"), Some(blk))
-                    .await;
+    fn modulo_places_a_block_key_by_its_index_and_replicas_follow() {
+        // A block key carries its own placement: block `i` of a file lands
+        // on daemon `i % n` and its replicas on the daemons after it — for
+        // a short path, one folded past the key cap, and one with a colon.
+        let paths = [
+            "/file".to_string(),
+            format!("/deep{}", "/x".repeat(200)),
+            "/a:7/b".into(),
+        ];
+        for factor in [1u64, 2] {
+            let mut sim = Sim::new(0);
+            let (_net, bank, client) = client_over(&sim, 4, &modulo(factor as usize));
+            let keys: Vec<(u64, Vec<u8>)> = paths
+                .iter()
+                .flat_map(|p| (0..8).map(move |i| (i, block(p, i))))
+                .collect();
+            let stored = keys.clone();
+            sim.spawn(async move {
+                for (_, key) in stored {
+                    client.set(&key, Bytes::from_static(b"B")).await;
+                }
+            });
+            sim.run();
+            for (i, key) in &keys {
+                for (d, node) in bank.nodes().iter().enumerate() {
+                    let home = (0..factor).any(|k| (i + k) % 4 == d as u64);
+                    let held = node.server().store().get(key, 0).is_some();
+                    assert_eq!(held, home, "block {i} on daemon {d} at R = {factor}");
+                }
             }
-        });
-        sim.run();
-        // Perfectly even distribution: 4 items per daemon.
-        for n in bank.nodes() {
-            assert_eq!(n.stats().curr_items, 4);
         }
     }
 
@@ -1099,7 +1097,6 @@ mod tests {
     fn bank_metrics_count_every_get_under_faults() {
         let mut sim = Sim::new(0);
         let (net, bank, client) = setup(&sim, 2);
-        let client = Rc::new(client);
         let c2 = Rc::clone(&client);
         let b2 = Rc::clone(&bank);
         let h = net.handle();
@@ -1119,24 +1116,23 @@ mod tests {
         sim.spawn(async move {
             for i in 0..20u64 {
                 let key = format!("/m/{i}:stat");
-                c2.set(key.as_bytes(), Bytes::from(vec![1u8; 32]), None)
-                    .await;
+                c2.set(key.as_bytes(), Bytes::from(vec![1u8; 32])).await;
             }
             for i in 0..25u64 {
                 let key = format!("/m/{i}:stat");
-                c2.get(key.as_bytes(), None).await;
+                c2.get(key.as_bytes()).await;
             }
             // Fault injection must not skew the histogram/counter
             // agreement. First: dead-primary local misses.
             b2.kill(0);
             for i in 0..10u64 {
                 let key = format!("/m/{i}:stat");
-                c2.get(key.as_bytes(), None).await;
+                c2.get(key.as_bytes()).await;
             }
             b2.revive(0);
             // Then: a get whose daemon dies mid-flight.
             kill_tx.send(());
-            assert!(c2.get(b"/m/0:stat", None).await.is_none());
+            assert!(c2.get(b"/m/0:stat").await.is_none());
         });
         sim.run();
         let snap = imca_metrics::collect_from(&*client, "bank");
@@ -1168,7 +1164,7 @@ mod tests {
         // multi-key RPC per daemon; per key, one RPC per block.
         for batching in [true, false] {
             let mut sim = Sim::new(0);
-            // Modulo routing so block hints pin keys to known daemons.
+            // Modulo routing pins block keys to known daemons.
             let cfg = ImcaConfig {
                 batching,
                 ..modulo(1)
@@ -1178,11 +1174,11 @@ mod tests {
             sim.spawn(async move {
                 for blk in 0..8u64 {
                     let key = format!("/f:{}", blk * 2048);
-                    c2.set(key.as_bytes(), Bytes::from(vec![blk as u8; 64]), Some(blk))
+                    c2.set(key.as_bytes(), Bytes::from(vec![blk as u8; 64]))
                         .await;
                 }
-                let keys: Vec<(Vec<u8>, Option<u64>)> = (0..8u64)
-                    .map(|blk| (format!("/f:{}", blk * 2048).into_bytes(), Some(blk)))
+                let keys: Vec<Vec<u8>> = (0..8u64)
+                    .map(|blk| format!("/f:{}", blk * 2048).into_bytes())
                     .collect();
                 let got = c2.fetch_blocks(keys).await;
                 for (blk, v) in got.iter().enumerate() {
@@ -1227,23 +1223,14 @@ mod tests {
     #[test]
     fn multi_get_dead_primary_is_a_local_miss() {
         let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            2,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
+        let (_net, bank, client) = client_over(&sim, 2, &modulo(1));
         let c2 = Rc::clone(&client);
         let b2 = Rc::clone(&bank);
         sim.spawn(async move {
-            c2.set(b"/f:0", Bytes::from_static(b"a"), Some(0)).await;
-            c2.set(b"/f:2048", Bytes::from_static(b"b"), Some(1)).await;
+            c2.set(b"/f:0", Bytes::from_static(b"a")).await;
+            c2.set(b"/f:2048", Bytes::from_static(b"b")).await;
             b2.kill(0);
-            let got = c2
-                .get_multi(&[(b"/f:0".to_vec(), Some(0)), (b"/f:2048".to_vec(), Some(1))])
-                .await;
+            let got = c2.get_multi(&[b"/f:0".to_vec(), b"/f:2048".to_vec()]).await;
             // Dead primary: miss without a rehash; the survivor still answers.
             assert_eq!(got[0], None);
             assert_eq!(got[1], Some(Bytes::from_static(b"b")));
@@ -1261,7 +1248,6 @@ mod tests {
     fn multi_get_kill_mid_flight_fails_the_whole_group() {
         let mut sim = Sim::new(0);
         let (net, bank, client) = setup(&sim, 1);
-        let client = Rc::new(client);
         let h = net.handle();
         let (armed_tx, armed_rx) = imca_sim::sync::oneshot::<()>();
         {
@@ -1269,10 +1255,10 @@ mod tests {
             sim.spawn(async move {
                 for i in 0..3u64 {
                     let key = format!("/g/{i}:stat");
-                    c.set(key.as_bytes(), Bytes::from_static(b"v"), None).await;
+                    c.set(key.as_bytes(), Bytes::from_static(b"v")).await;
                 }
-                let keys: Vec<(Vec<u8>, Option<u64>)> = (0..3u64)
-                    .map(|i| (format!("/g/{i}:stat").into_bytes(), None))
+                let keys: Vec<Vec<u8>> = (0..3u64)
+                    .map(|i| format!("/g/{i}:stat").into_bytes())
                     .collect();
                 // Arm the killer, then issue the multi-get: routing is
                 // synchronous, so the RPC is on the wire before the killer
@@ -1316,32 +1302,26 @@ mod tests {
             let (_net, bank, client) = client_over(&sim, 2, &cfg);
             let c2 = Rc::clone(&client);
             sim.spawn(async move {
-                let items: Vec<(Vec<u8>, Bytes, Option<u64>)> = (0..8u64)
-                    .map(|blk| {
-                        (
-                            format!("/p:{}", blk * 2048).into_bytes(),
-                            Bytes::from(vec![blk as u8; 128]),
-                            Some(blk),
-                        )
-                    })
+                let items: Vec<(Vec<u8>, Bytes)> = (0..8u64)
+                    .map(|blk| (block("/p", blk), Bytes::from(vec![blk as u8; 128])))
                     .collect();
                 c2.store_blocks(items).await;
                 // The trailing sync (or each key's own reply) guarantees
                 // every store has landed.
                 for blk in 0..8u64 {
                     let key = format!("/p:{}", blk * 2048);
-                    let got = c2.get(key.as_bytes(), Some(blk)).await;
+                    let got = c2.get(key.as_bytes()).await;
                     assert_eq!(got.as_deref(), Some(&vec![blk as u8; 128][..]));
                 }
                 c2.remove_keys(
                     (0..8u64)
-                        .map(|blk| (format!("/p:{}", blk * 2048).into_bytes(), Some(blk)))
+                        .map(|blk| format!("/p:{}", blk * 2048).into_bytes())
                         .collect(),
                 )
                 .await;
                 for blk in 0..8u64 {
                     let key = format!("/p:{}", blk * 2048);
-                    assert!(c2.get(key.as_bytes(), Some(blk)).await.is_none());
+                    assert!(c2.get(key.as_bytes()).await.is_none());
                 }
             });
             sim.run();
@@ -1372,19 +1352,12 @@ mod tests {
     fn pipeline_sync_failure_counts_the_streamed_batch() {
         let mut sim = Sim::new(0);
         let (net, bank, client) = setup(&sim, 1);
-        let client = Rc::new(client);
         let h = net.handle();
         {
             let c = Rc::clone(&client);
             sim.spawn(async move {
-                let items: Vec<(Vec<u8>, Bytes, Option<u64>)> = (0..4u64)
-                    .map(|i| {
-                        (
-                            format!("/q/{i}:0").into_bytes(),
-                            Bytes::from(vec![7u8; 2048]),
-                            Some(i),
-                        )
-                    })
+                let items: Vec<(Vec<u8>, Bytes)> = (0..4u64)
+                    .map(|i| (block(&format!("/q/{i}"), 0), Bytes::from(vec![7u8; 2048])))
                     .collect();
                 c.set_pipeline(items).await;
             });
@@ -1420,37 +1393,29 @@ mod tests {
     fn partitioned_daemon_times_out_then_the_circuit_sheds() {
         for via in [Via::Get, Via::Multi] {
             let mut sim = Sim::new(0);
-            let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-            let bank = Rc::new(Bank::start(
-                &net,
-                1,
-                &McConfig::default(),
-                &McdCosts::default(),
-            ));
-            let client =
-                Rc::new(bank.client(net.add_node(), &ImcaConfig::default(), tight_policy()));
+            let (net, bank, client) = bank_over(&sim, 1, &ImcaConfig::default(), tight_policy());
             let c2 = Rc::clone(&client);
             let net2 = net.clone();
             let mcd_node = bank.nodes()[0].node;
             let h = sim.handle();
             sim.spawn(async move {
-                c2.set(b"/k:stat", Bytes::from_static(b"v"), None).await;
-                assert!(read_via(&c2, via, b"/k:stat", None).await.is_some());
+                c2.set(b"/k:stat", Bytes::from_static(b"v")).await;
+                assert!(read_via(&c2, via, b"/k:stat").await.is_some());
                 net2.isolate("mcd-cut", [mcd_node]);
                 // Both attempts run out their deadline; the read degrades to a
                 // local miss and the circuit opens.
-                assert!(read_via(&c2, via, b"/k:stat", None).await.is_none());
+                assert!(read_via(&c2, via, b"/k:stat").await.is_none());
                 let timeouts_after_first = counter(&c2, "failures");
                 assert_eq!(timeouts_after_first, 1);
                 // Inside the cooldown: shed locally, no further wire attempts.
-                assert!(read_via(&c2, via, b"/k:stat", None).await.is_none());
+                assert!(read_via(&c2, via, b"/k:stat").await.is_none());
                 // Heal and let the circuit expire: the daemon answers again,
                 // and since no *write* failed it was never quarantined — the
                 // value survived the partition.
                 net2.heal("mcd-cut");
                 h.sleep(SimDuration::millis(2)).await;
                 assert_eq!(
-                    read_via(&c2, via, b"/k:stat", None).await,
+                    read_via(&c2, via, b"/k:stat").await,
                     Some(Bytes::from_static(b"v"))
                 );
             });
@@ -1482,26 +1447,19 @@ mod tests {
             (Via::Multi, 2),
         ] {
             let mut sim = Sim::new(0);
-            let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-            // As many daemons as replicas: hint 0 puts the key on all.
-            let bank = Rc::new(Bank::start(
-                &net,
-                factor,
-                &McConfig::default(),
-                &McdCosts::default(),
-            ));
-            let client = Rc::new(bank.client(net.add_node(), &modulo(factor), tight_policy()));
+            // As many daemons as replicas: block 0 lives on all of them.
+            let (net, bank, client) = bank_over(&sim, factor, &modulo(factor), tight_policy());
             let c2 = Rc::clone(&client);
             let net2 = net.clone();
             let b2 = Rc::clone(&bank);
             let mcd_nodes: Vec<NodeId> = bank.nodes().iter().map(|n| n.node).collect();
             let h = sim.handle();
             sim.spawn(async move {
-                c2.set(b"/f:0", Bytes::from_static(b"stale"), Some(0)).await;
+                c2.set(b"/f:0", Bytes::from_static(b"stale")).await;
                 net2.isolate("mcd-cut", mcd_nodes);
                 // The purge never reaches a daemon: every retransmit of the
                 // noreply delete fails and each pipeline gives up.
-                c2.delete_pipeline(vec![(b"/f:0".to_vec(), Some(0))]).await;
+                c2.delete_pipeline(vec![b"/f:0".to_vec()]).await;
                 assert_eq!(counter(&c2, "failures"), factor as u64);
                 assert!(b2.nodes().iter().all(|n| n.is_quarantined()));
                 net2.heal("mcd-cut");
@@ -1509,15 +1467,15 @@ mod tests {
                 // Healed, circuits expired — but the daemons still hold the
                 // value the failed purge should have removed. Quarantine
                 // makes this a miss, never a stale resurrection.
-                assert!(read_via(&c2, via, b"/f:0", Some(0)).await.is_none());
+                assert!(read_via(&c2, via, b"/f:0").await.is_none());
                 // Revival restarts a daemon empty and lifts the quarantine.
                 for i in 0..factor {
                     b2.revive(i);
                 }
-                assert!(read_via(&c2, via, b"/f:0", Some(0)).await.is_none());
-                c2.set(b"/f:0", Bytes::from_static(b"fresh"), Some(0)).await;
+                assert!(read_via(&c2, via, b"/f:0").await.is_none());
+                c2.set(b"/f:0", Bytes::from_static(b"fresh")).await;
                 assert_eq!(
-                    read_via(&c2, via, b"/f:0", Some(0)).await,
+                    read_via(&c2, via, b"/f:0").await,
                     Some(Bytes::from_static(b"fresh"))
                 );
             });
@@ -1550,26 +1508,20 @@ mod tests {
         // Client A's failed write must shield client B from the stale
         // daemon: the flag lives on the node, not in the client.
         let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            1,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let a = Rc::new(bank.client(net.add_node(), &ImcaConfig::default(), tight_policy()));
-        let b = Rc::new(bank.client(net.add_node(), &ImcaConfig::default(), tight_policy()));
+        let cfg = ImcaConfig::default();
+        let (net, bank, a) = bank_over(&sim, 1, &cfg, tight_policy());
+        let b = Rc::new(bank.client(net.add_node(), &cfg, tight_policy()));
         let net2 = net.clone();
         let mcd_node = bank.nodes()[0].node;
         let h = sim.handle();
         sim.spawn(async move {
-            a.set(b"/s:0", Bytes::from_static(b"old"), Some(0)).await;
+            a.set(b"/s:0", Bytes::from_static(b"old")).await;
             net2.isolate("cut", [mcd_node]);
-            a.delete_pipeline(vec![(b"/s:0".to_vec(), Some(0))]).await;
+            a.delete_pipeline(vec![b"/s:0".to_vec()]).await;
             net2.heal("cut");
             h.sleep(SimDuration::millis(2)).await;
             // B never saw a failure, but the daemon is poisoned for it too.
-            assert!(b.get(b"/s:0", Some(0)).await.is_none());
+            assert!(b.get(b"/s:0").await.is_none());
             assert_eq!(counters(&*b, ["gets", "misses"]), [1, 1]);
         });
         sim.run();
@@ -1582,27 +1534,20 @@ mod tests {
         // Sets double-apply (same value — idempotent), gets answer twice
         // (second copy discarded); results and counters stay exact.
         let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+        let (net, bank, client) = client_over(&sim, 2, &modulo(1));
         net.install_faults(imca_fabric::FaultPlan {
             duplicate: 1.0,
             ..imca_fabric::FaultPlan::seeded(4)
         });
-        let bank = Rc::new(Bank::start(
-            &net,
-            2,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
             for blk in 0..4u64 {
                 let key = format!("/d:{}", blk * 2048);
-                c2.set(key.as_bytes(), Bytes::from(vec![blk as u8; 32]), Some(blk))
+                c2.set(key.as_bytes(), Bytes::from(vec![blk as u8; 32]))
                     .await;
             }
-            let keys: Vec<(Vec<u8>, Option<u64>)> = (0..4u64)
-                .map(|blk| (format!("/d:{}", blk * 2048).into_bytes(), Some(blk)))
+            let keys: Vec<Vec<u8>> = (0..4u64)
+                .map(|blk| format!("/d:{}", blk * 2048).into_bytes())
                 .collect();
             let got = c2.get_multi(&keys).await;
             for (blk, v) in got.iter().enumerate() {
@@ -1619,21 +1564,8 @@ mod tests {
         assert_eq!(bank_items(&bank), 4);
     }
 
-    /// An `n`-daemon bank and one client of it, as `cfg` describes them.
-    fn client_over(sim: &Sim, n: usize, cfg: &ImcaConfig) -> (Network, Rc<Bank>, Rc<BankClient>) {
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            n,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client = Rc::new(bank.client(net.add_node(), cfg, RetryPolicy::default()));
-        (net, bank, client)
-    }
-
     /// A client with replication `r` over an `n`-daemon modulo bank, so
-    /// hints pin replica sets: hint 0 → daemons {0, 1, … r−1}.
+    /// block `i` lives on daemons {i, i + 1, … i + r − 1} mod n.
     fn replicated_setup(sim: &Sim, n: usize, r: usize) -> (Network, Rc<Bank>, Rc<BankClient>) {
         client_over(sim, n, &modulo(r))
     }
@@ -1653,26 +1585,27 @@ mod tests {
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
             // Single-key writes fan out…
-            c2.set(b"/a:0", Bytes::from_static(b"v"), Some(0)).await;
+            c2.set(b"/a:0", Bytes::from_static(b"v")).await;
             // …and so do pipelined ones.
             c2.set_pipeline(vec![
-                (b"/b:0".to_vec(), Bytes::from_static(b"w").clone(), Some(1)),
-                (b"/c:0".to_vec(), Bytes::from_static(b"x").clone(), Some(2)),
+                (block("/f", 1), Bytes::from_static(b"w")),
+                (block("/f", 2), Bytes::from_static(b"x")),
             ])
             .await;
             // Purges must reach every replica: single delete and pipeline.
-            c2.delete(b"/a:0", Some(0)).await;
-            c2.delete_pipeline(vec![(b"/b:0".to_vec(), Some(1))]).await;
+            c2.delete(b"/a:0").await;
+            c2.delete_pipeline(vec![block("/f", 1)]).await;
         });
         sim.run();
         // The surviving key lives on exactly R = 2 daemons…
-        assert_eq!(holders(&bank, b"/c:0"), 2);
+        let kept = block("/f", 2);
+        assert_eq!(holders(&bank, &kept), 2);
         // …and modulo placement pins which two.
-        assert!(bank.nodes()[2].server().store().get(b"/c:0", 0).is_some());
-        assert!(bank.nodes()[3].server().store().get(b"/c:0", 0).is_some());
+        assert!(bank.nodes()[2].server().store().get(&kept, 0).is_some());
+        assert!(bank.nodes()[3].server().store().get(&kept, 0).is_some());
         // Both purged keys are gone from the whole bank.
         assert_eq!(holders(&bank, b"/a:0"), 0);
-        assert_eq!(holders(&bank, b"/b:0"), 0);
+        assert_eq!(holders(&bank, &block("/f", 1)), 0);
     }
 
     #[test]
@@ -1682,17 +1615,14 @@ mod tests {
         let c2 = Rc::clone(&client);
         let b2 = Rc::clone(&bank);
         sim.spawn(async move {
-            c2.set(b"/k:0", Bytes::from_static(b"v"), Some(0)).await;
+            c2.set(b"/k:0", Bytes::from_static(b"v")).await;
             b2.kill(0);
             // Dead primary, live replica: the read is a warm hit, not the
             // degraded miss the single-home bank takes here.
-            assert_eq!(
-                c2.get(b"/k:0", Some(0)).await,
-                Some(Bytes::from_static(b"v"))
-            );
+            assert_eq!(c2.get(b"/k:0").await, Some(Bytes::from_static(b"v")));
             // And the batched path re-routes the group the same way
             // (dead-replica handling in get_multi).
-            let got = c2.get_multi(&[(b"/k:0".to_vec(), Some(0))]).await;
+            let got = c2.get_multi(&[b"/k:0".to_vec()]).await;
             assert_eq!(got[0], Some(Bytes::from_static(b"v")));
         });
         sim.run();
@@ -1714,13 +1644,10 @@ mod tests {
         {
             let c = Rc::clone(&client);
             sim.spawn(async move {
-                c.set(b"/k:0", Bytes::from_static(b"v"), Some(0)).await;
+                c.set(b"/k:0", Bytes::from_static(b"v")).await;
                 // In flight when a daemon dies: the client excludes the
                 // dropped replica and retries the other — still a hit.
-                assert_eq!(
-                    c.get(b"/k:0", Some(0)).await,
-                    Some(Bytes::from_static(b"v"))
-                );
+                assert_eq!(c.get(b"/k:0").await, Some(Bytes::from_static(b"v")));
             });
         }
         {
@@ -1746,28 +1673,19 @@ mod tests {
         // could not serve it in time — a degraded miss, exactly as the
         // same read counts at factor 1 — not a plain "nobody home" miss.
         let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            2,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client = Rc::new(bank.client(net.add_node(), &modulo(2), tight_policy()));
+        let (net, bank, client) = bank_over(&sim, 2, &modulo(2), tight_policy());
         let c2 = Rc::clone(&client);
         let net2 = net.clone();
         let mcd_nodes: Vec<NodeId> = bank.nodes().iter().map(|n| n.node).collect();
         let h = sim.handle();
         sim.spawn(async move {
             net2.isolate("cut", mcd_nodes);
-            assert!(c2.get(b"/r:0", Some(0)).await.is_none());
+            assert!(c2.get(b"/r:0").await.is_none());
             assert_eq!(counter(&c2, "degraded_misses"), 1);
             // Let both circuits close so the batch is refused in flight
             // again rather than shed at the door.
             h.sleep(SimDuration::millis(2)).await;
-            let got = c2
-                .get_multi(&[(b"/r:0".to_vec(), Some(0)), (b"/r:2048".to_vec(), Some(0))])
-                .await;
+            let got = c2.get_multi(&[b"/r:0".to_vec(), b"/r:2048".to_vec()]).await;
             assert_eq!(got, vec![None, None]);
             assert_eq!(counter(&c2, "degraded_misses"), 3);
         });
@@ -1781,9 +1699,9 @@ mod tests {
         let (_net, bank, client) = replicated_setup(&sim, 2, 2);
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
-            c2.set(b"/hot:0", Bytes::from_static(b"v"), Some(0)).await;
+            c2.set(b"/hot:0", Bytes::from_static(b"v")).await;
             for _ in 0..64 {
-                assert!(c2.get(b"/hot:0", Some(0)).await.is_some());
+                assert!(c2.get(b"/hot:0").await.is_some());
             }
         });
         sim.run();
@@ -1802,10 +1720,10 @@ mod tests {
         let (_net, bank, client) = replicated_setup(&sim, 2, 1);
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
-            c2.set(b"/hot:0", Bytes::from_static(b"v"), Some(0)).await;
+            c2.set(b"/hot:0", Bytes::from_static(b"v")).await;
             // Single-home: all 10 GETs hammer daemon 0.
             for _ in 0..10 {
-                c2.get(b"/hot:0", Some(0)).await;
+                c2.get(b"/hot:0").await;
             }
         });
         sim.run();
@@ -1820,41 +1738,40 @@ mod tests {
     fn gets_cas_roundtrip_conflict_and_missing() {
         let mut sim = Sim::new(0);
         let (_net, _bank, client) = setup(&sim, 1);
-        let client = Rc::new(client);
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
-            c2.set(b"/k:0", Bytes::from_static(b"old"), Some(0)).await;
-            let (v, tok) = fetch_token(&c2, b"/k:0", Some(0)).await.expect("warm key");
+            c2.set(b"/k:0", Bytes::from_static(b"old")).await;
+            let (v, tok) = fetch_token(&c2, b"/k:0").await.expect("warm key");
             assert_eq!(v, Bytes::from_static(b"old"));
             // Token still current → replaced in place.
             assert_eq!(
                 c2.cas(b"/k:0", Bytes::from_static(b"new"), tok).await,
                 CasVerdict::Stored
             );
-            assert_eq!(c2.get(b"/k:0", Some(0)).await.unwrap(), &b"new"[..]);
+            assert_eq!(c2.get(b"/k:0").await.unwrap(), &b"new"[..]);
             // The successful cas bumped the version: the same token is
             // now stale and must conflict, leaving the value untouched.
             assert_eq!(
                 c2.cas(b"/k:0", Bytes::from_static(b"zzz"), tok).await,
                 CasVerdict::Conflict
             );
-            assert_eq!(c2.get(b"/k:0", Some(0)).await.unwrap(), &b"new"[..]);
+            assert_eq!(c2.get(b"/k:0").await.unwrap(), &b"new"[..]);
             // An interleaved plain set also invalidates an issued token.
-            let (_, tok2) = fetch_token(&c2, b"/k:0", Some(0)).await.unwrap();
-            c2.set(b"/k:0", Bytes::from_static(b"set"), Some(0)).await;
+            let (_, tok2) = fetch_token(&c2, b"/k:0").await.unwrap();
+            c2.set(b"/k:0", Bytes::from_static(b"set")).await;
             assert_eq!(
                 c2.cas(b"/k:0", Bytes::from_static(b"zzz"), tok2).await,
                 CasVerdict::Conflict
             );
             // A vanished key is Missing, not Conflict.
-            let (_, tok3) = fetch_token(&c2, b"/k:0", Some(0)).await.unwrap();
-            c2.delete(b"/k:0", Some(0)).await;
+            let (_, tok3) = fetch_token(&c2, b"/k:0").await.unwrap();
+            c2.delete(b"/k:0").await;
             assert_eq!(
                 c2.cas(b"/k:0", Bytes::from_static(b"zzz"), tok3).await,
                 CasVerdict::Missing
             );
             // A token fetch on an absent key is a cold row.
-            assert!(fetch_token(&c2, b"/k:0", Some(0)).await.is_none());
+            assert!(fetch_token(&c2, b"/k:0").await.is_none());
         });
         sim.run();
         // Token fetches are write-path prep, not gets; every cas counts
@@ -1869,23 +1786,15 @@ mod tests {
     #[test]
     fn cas_pipeline_batches_with_one_sync_per_daemon() {
         let mut sim = Sim::new(0);
-        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let bank = Rc::new(Bank::start(
-            &net,
-            2,
-            &McConfig::default(),
-            &McdCosts::default(),
-        ));
-        let client = Rc::new(bank.client(net.add_node(), &modulo(1), RetryPolicy::default()));
+        let (_net, _bank, client) = client_over(&sim, 2, &modulo(1));
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
             for blk in 0..8u64 {
                 let key = format!("/c:{}", blk * 2048);
-                c2.set(key.as_bytes(), Bytes::from(vec![0u8; 64]), Some(blk))
-                    .await;
+                c2.set(key.as_bytes(), Bytes::from(vec![0u8; 64])).await;
             }
-            let keys: Vec<(Vec<u8>, Option<u64>)> = (0..8u64)
-                .map(|blk| (format!("/c:{}", blk * 2048).into_bytes(), Some(blk)))
+            let keys: Vec<Vec<u8>> = (0..8u64)
+                .map(|blk| format!("/c:{}", blk * 2048).into_bytes())
                 .collect();
             let fetched = c2.gets_for_update(&keys).await;
             let mut items: Vec<(Vec<u8>, Bytes, CasToken)> = Vec::new();
@@ -1898,7 +1807,7 @@ mod tests {
                 ));
             }
             // Poison one item with a stale token: re-set its key first.
-            c2.set(b"/c:0", Bytes::from(vec![5u8; 64]), Some(0)).await;
+            c2.set(b"/c:0", Bytes::from(vec![5u8; 64])).await;
             let verdicts = c2.cas_pipeline(&items).await;
             assert_eq!(verdicts[0], CasVerdict::Conflict, "stale token item");
             for (i, v) in verdicts.iter().enumerate().skip(1) {
@@ -1906,11 +1815,8 @@ mod tests {
             }
             // The conflicted key kept the interleaved value; the others
             // carry the replacements.
-            assert_eq!(c2.get(b"/c:0", Some(0)).await.unwrap(), &vec![5u8; 64][..]);
-            assert_eq!(
-                c2.get(b"/c:2048", Some(1)).await.unwrap(),
-                &vec![9u8; 64][..]
-            );
+            assert_eq!(c2.get(b"/c:0").await.unwrap(), &vec![5u8; 64][..]);
+            assert_eq!(c2.get(b"/c:2048").await.unwrap(), &vec![9u8; 64][..]);
         });
         sim.run();
         let snap = imca_metrics::collect_from(&*client, "bank");
@@ -1924,8 +1830,8 @@ mod tests {
         let (_net, bank, client) = replicated_setup(&sim, 4, 2);
         let c2 = Rc::clone(&client);
         sim.spawn(async move {
-            c2.set(b"/f:0", Bytes::from_static(b"aa"), Some(0)).await;
-            let rows = c2.gets_for_update(&[(b"/f:0".to_vec(), Some(0))]).await;
+            c2.set(b"/f:0", Bytes::from_static(b"aa")).await;
+            let rows = c2.gets_for_update(&[b"/f:0".to_vec()]).await;
             assert_eq!(rows.len(), 1);
             // Hint 0 → replica set {0, 1}; both hold a copy, each with a
             // token from its own space.
@@ -1961,29 +1867,27 @@ mod tests {
     fn full_queue_sheds_reads_but_admits_writes() {
         for via in [Via::Get, Via::Multi] {
             let mut sim = Sim::new(0);
-            let net = Network::new(sim.handle(), Transport::ipoib_ddr());
             // queue_limit 0: every read is shed at the door; writes always land.
-            let costs = McdCosts {
+            let mcd_costs = McdCosts {
                 queue_limit: Some(0),
                 ..McdCosts::default()
             };
-            let bank = Rc::new(Bank::start(&net, 1, &McConfig::default(), &costs));
-            let client = Rc::new(bank.client(
-                net.add_node(),
-                &ImcaConfig::default(),
-                RetryPolicy::default(),
-            ));
+            let cfg = ImcaConfig {
+                mcd_costs,
+                ..ImcaConfig::default()
+            };
+            let (_net, bank, client) = client_over(&sim, 1, &cfg);
             let c2 = Rc::clone(&client);
             sim.spawn(async move {
-                c2.set(b"/k:stat", Bytes::from_static(b"v"), None).await;
+                c2.set(b"/k:stat", Bytes::from_static(b"v")).await;
                 assert!(
-                    read_via(&c2, via, b"/k:stat", None).await.is_none(),
+                    read_via(&c2, via, b"/k:stat").await.is_none(),
                     "shed read must degrade to a local miss"
                 );
                 // The write path's token fetch is admitted like a write: a
                 // refusal would read as "nothing cached here to replace"
                 // and leave the old block behind.
-                let (v, tok) = fetch_token(&c2, b"/k:stat", None)
+                let (v, tok) = fetch_token(&c2, b"/k:stat")
                     .await
                     .expect("admission control must not shed a token fetch");
                 assert_eq!(v, Bytes::from_static(b"v"));

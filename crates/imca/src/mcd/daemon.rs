@@ -324,12 +324,20 @@ pub struct Bank {
 }
 
 impl Bank {
-    /// Spin up `count` daemons on fresh fabric nodes.
-    pub fn start(net: &Network, count: usize, cfg: &McConfig, costs: &McdCosts) -> Bank {
+    /// Spin up the `cfg.mcd_count` daemons `cfg` describes (`mcd_config`,
+    /// `mcd_costs`) on fresh fabric nodes, placed on `cfg.bank_transport`
+    /// when it is set (the RDMA ablation), so every request and reply of
+    /// the bank travels on it while the file server stays on the network
+    /// default.
+    pub fn start(net: &Network, cfg: &ImcaConfig) -> Bank {
         let registry = Registry::new();
+        let node = || match &cfg.bank_transport {
+            Some(transport) => net.add_node_on(transport.clone()),
+            None => net.add_node(),
+        };
         Bank {
-            nodes: (0..count)
-                .map(|_| start_mcd(net, net.add_node(), cfg.clone(), costs.clone()))
+            nodes: (0..cfg.mcd_count)
+                .map(|_| start_mcd(net, node(), cfg.mcd_config.clone(), cfg.mcd_costs.clone()))
                 .collect(),
             mcd_failovers: registry.counter("mcd_failovers"),
             mcd_revivals: registry.counter("mcd_revivals"),
@@ -384,8 +392,8 @@ impl Bank {
     }
 
     /// Connect a consumer at `from` to every daemon, the way `cfg`
-    /// describes the deployment: its selector, bank transport (the RDMA
-    /// ablation) and replica placement. `policy` is the one setting that
+    /// describes the deployment: its selector, block size and replica
+    /// placement. `policy` is the one setting that
     /// differs by side — `cfg.retry` for a client, `cfg.server_retry` for
     /// the server's SMCache.
     pub fn client(&self, from: NodeId, cfg: &ImcaConfig, policy: RetryPolicy) -> BankClient {
@@ -427,6 +435,15 @@ mod tests {
     use imca_fabric::Transport;
     use imca_sim::Sim;
 
+    /// A one-daemon bank with `costs` and a default-sized store.
+    fn one_mcd(costs: McdCosts) -> ImcaConfig {
+        ImcaConfig {
+            mcd_config: McConfig::default(),
+            mcd_costs: costs,
+            ..ImcaConfig::default()
+        }
+    }
+
     #[test]
     fn concurrent_ops_queue_on_the_single_event_loop() {
         // The daemon models memcached's single event loop: two
@@ -440,17 +457,14 @@ mod tests {
                 per_op: SimDuration::micros(500),
                 ..McdCosts::default()
             };
-            let bank = Rc::new(Bank::start(&net, 1, &McConfig::default(), &costs));
+            let cfg = one_mcd(costs);
+            let bank = Rc::new(Bank::start(&net, &cfg));
             for _ in 0..nops {
                 // Each op from its own node, so the NICs don't serialise
                 // the requests before they reach the daemon.
-                let client = bank.client(
-                    net.add_node(),
-                    &ImcaConfig::default(),
-                    RetryPolicy::default(),
-                );
+                let client = bank.client(net.add_node(), &cfg, RetryPolicy::default());
                 sim.spawn(async move {
-                    client.get(b"/k:stat", None).await;
+                    client.get(b"/k:stat").await;
                 });
             }
             sim.run().end_time.as_nanos()
@@ -474,15 +488,12 @@ mod tests {
             per_op: SimDuration::micros(500),
             queue_limit: Some(1),
         };
-        let bank = Rc::new(Bank::start(&net, 1, &McConfig::default(), &costs));
+        let cfg = one_mcd(costs);
+        let bank = Rc::new(Bank::start(&net, &cfg));
         for _ in 0..4 {
-            let client = bank.client(
-                net.add_node(),
-                &ImcaConfig::default(),
-                RetryPolicy::default(),
-            );
+            let client = bank.client(net.add_node(), &cfg, RetryPolicy::default());
             sim.spawn(async move {
-                client.get(b"/k:stat", None).await;
+                client.get(b"/k:stat").await;
             });
         }
         sim.run();

@@ -8,6 +8,12 @@
 //! deliberately *not* rehashing to another daemon, which can serve stale
 //! data once daemons come and go (see [`BankClient`]).
 //!
+//! A call names only its key: placement comes from the key itself (modulo
+//! reads a block key's offset back, `crate::keys::block_offset`), the
+//! transport from the daemons' nodes (`Bank::start` places them on
+//! `ImcaConfig::bank_transport`, and every request and reply to a daemon
+//! travels on it), and deadlines and retries from the client.
+//!
 //! The bank is owned and administered through a [`Bank`] handle:
 //! `Bank::start` brings the daemons up, `bank.kill(i)` / `bank.revive(i)`
 //! drive the failover experiments, its `MetricSource` publishes every
@@ -40,8 +46,8 @@
 //! `ImcaConfig::batching`; no other module reads that switch.
 //!
 //! All three reach the daemons through one `Wire`: the deadline,
-//! retry and backoff loop around a single RPC, on one static
-//! [`RetryPolicy`] per client.
+//! retry and backoff loop around a single RPC, which holds the client's
+//! one static [`RetryPolicy`].
 
 mod client;
 mod daemon;

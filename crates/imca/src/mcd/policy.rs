@@ -165,12 +165,15 @@ fn doubled(backoff: SimDuration, policy: &RetryPolicy) -> SimDuration {
 }
 
 /// The client's end of the wire to every daemon: everything a
-/// deadline-guarded call needs besides its target, policy and request.
+/// deadline-guarded call needs besides its target and request, the
+/// client's fixed [`RetryPolicy`] included.
 /// Its calls are self-contained `'static` futures, so batched paths can
 /// run them per daemon through `join_all`.
 pub(super) struct Wire {
     pub(super) handle: SimHandle,
     pub(super) clients: Vec<RpcClient<McdReq, McdResp>>,
+    /// The client's one deadline, retry and circuit policy.
+    pub(super) policy: RetryPolicy,
     /// RPC attempts abandoned at their deadline.
     pub(super) rpc_timeouts: Counter,
     /// Retried attempts and retransmitted pipeline posts.
@@ -182,9 +185,9 @@ impl Wire {
     pub(super) fn call(
         &self,
         idx: usize,
-        policy: RetryPolicy,
         req: McdReq,
     ) -> impl Future<Output = CallOutcome> + 'static {
+        let policy = self.policy.clone();
         let handle = self.handle.clone();
         let client = self.clients[idx].clone();
         let rpc_timeouts = self.rpc_timeouts.clone();
@@ -224,13 +227,13 @@ impl Wire {
     pub(super) fn pipeline(
         &self,
         idx: usize,
-        policy: RetryPolicy,
         batch: impl Iterator<Item = McdReq> + 'static,
     ) -> impl Future<Output = CallOutcome> + 'static {
+        let policy = self.policy.clone();
         let handle = self.handle.clone();
         let client = self.clients[idx].clone();
         let retries = self.retries.clone();
-        let sync = self.call(idx, policy.clone(), McdReq(Command::Version));
+        let sync = self.call(idx, McdReq(Command::Version));
         async move {
             for req in batch {
                 let mut backoff = policy.backoff_base;

@@ -338,13 +338,13 @@ impl MetaEngine {
         let epoch = self.epoch.get();
         if self.cfg.negative() {
             // Stat and negative entries travel in one batched round.
-            let keys = vec![(stat_key(&path), None), (neg_key(&path), None)];
+            let keys = [stat_key(&path), neg_key(&path)];
             let got = self.bank.get_multi(&keys).await;
             if let Some(r) = self.decode_bank_round(&path, got[0].as_ref(), got[1].as_ref(), epoch)
             {
                 return r;
             }
-        } else if let Some(raw) = self.bank.get(&stat_key(&path), None).await {
+        } else if let Some(raw) = self.bank.get(&stat_key(&path)).await {
             if let Some(r) = self.decode_bank_round(&path, Some(&raw), None, epoch) {
                 return r;
             }
@@ -383,9 +383,9 @@ impl MetaEngine {
             let stride = if negative { 2 } else { 1 };
             let mut keys = Vec::with_capacity(missing.len() * stride);
             for &i in &missing {
-                keys.push((stat_key(&paths[i]), None));
+                keys.push(stat_key(&paths[i]));
                 if negative {
-                    keys.push((neg_key(&paths[i]), None));
+                    keys.push(neg_key(&paths[i]));
                 }
             }
             let got = self.bank.get_multi(&keys).await;
@@ -613,7 +613,7 @@ impl MetricSource for LeaseHub {
 mod tests {
     use super::*;
     use crate::cluster::ImcaConfig;
-    use crate::mcd::{Bank, McdCosts, RetryPolicy};
+    use crate::mcd::{Bank, RetryPolicy};
     use bytes::Bytes;
     use imca_fabric::{Network, Transport};
     use imca_glusterfs::Translator;
@@ -667,12 +667,20 @@ mod tests {
         }
     }
 
+    /// A bank of `n` default-sized daemons.
+    fn bank_of(n: usize) -> ImcaConfig {
+        ImcaConfig {
+            mcd_count: n,
+            mcd_config: McConfig::default(),
+            ..ImcaConfig::default()
+        }
+    }
+
     fn rig(sim: &Sim, cfg: MetaConfig, server: Rc<FakeServer>) -> (Rc<MetaEngine>, Rc<BankClient>) {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let mcds = Bank::start(&net, 2, &McConfig::default(), &McdCosts::default());
-        let client_node = net.add_node();
-        let bank =
-            Rc::new(mcds.client(client_node, &ImcaConfig::default(), RetryPolicy::default()));
+        let bank_cfg = bank_of(2);
+        let mcds = Bank::start(&net, &bank_cfg);
+        let bank = Rc::new(mcds.client(net.add_node(), &bank_cfg, RetryPolicy::default()));
         let child: Xlator = server;
         let eng = MetaEngine::new(sim.handle(), child, Rc::clone(&bank), cfg);
         sim.handle().spawn(async move {
@@ -714,8 +722,7 @@ mod tests {
                 mtime_ns: 1,
                 ctime_ns: 1,
             };
-            bank.set(&stat_key("/f"), Bytes::from(st.to_bytes()), None)
-                .await;
+            bank.set(&stat_key("/f"), Bytes::from(st.to_bytes())).await;
             let r = Rc::clone(&eng).stat("/f".into()).await;
             assert_eq!(r.source, StatSource::Bank);
             assert_eq!(eng.held_leases(), 0, "Bank policy holds no leases");
@@ -780,7 +787,7 @@ mod tests {
             assert_eq!(r.stat, Err(FsError::NotFound));
             // Plant the marker the way SMCache would, and drop the
             // negative lease so the next lookup has to ask the bank.
-            bank.set(&neg_key("/ghost"), Bytes::from_static(NEG_MARKER), None)
+            bank.set(&neg_key("/ghost"), Bytes::from_static(NEG_MARKER))
                 .await;
             eng.revoke("/ghost");
             let r = Rc::clone(&eng).stat("/ghost".into()).await;
@@ -847,7 +854,7 @@ mod tests {
                 mtime_ns: 1,
                 ctime_ns: 1,
             };
-            bank.set(&stat_key("/d/b"), Bytes::from(st.to_bytes()), None)
+            bank.set(&stat_key("/d/b"), Bytes::from(st.to_bytes()))
                 .await;
             let rs = Rc::clone(&eng)
                 .stat_multi(vec!["/d/a".into(), "/d/b".into(), "/d/ghost".into()])
@@ -875,11 +882,11 @@ mod tests {
         let mut sim = Sim::new(0);
         let server = FakeServer::with_file("/f", 10);
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let mcds = Bank::start(&net, 1, &McConfig::default(), &McdCosts::default());
+        let bank_cfg = bank_of(1);
+        let mcds = Bank::start(&net, &bank_cfg);
         let client_node = net.add_node();
         let server_node = net.add_node();
-        let bank =
-            Rc::new(mcds.client(client_node, &ImcaConfig::default(), RetryPolicy::default()));
+        let bank = Rc::new(mcds.client(client_node, &bank_cfg, RetryPolicy::default()));
         let child: Xlator = server;
         let eng = MetaEngine::new(sim.handle(), child, Rc::clone(&bank), MetaConfig::lease());
         let hub = LeaseHub::new(sim.handle());

@@ -384,12 +384,6 @@ impl SmCache {
         }
     }
 
-    /// The bank item naming the block of `path` at `start`: its key and
-    /// the block-index hint modulo placement routes by.
-    fn block_item(&self, path: &str, start: u64) -> (Vec<u8>, Option<u64>) {
-        (block_key(path, start), Some(start / self.block_size))
-    }
-
     /// The EOF encoding: how many bytes the block at `start` holds in a
     /// file of `size` bytes. A block cached shorter than `block_size`
     /// says "the file ends inside this block"; one fully past EOF is the
@@ -432,7 +426,7 @@ impl SmCache {
     ) {
         let blocks = cover(aligned_offset, aligned_len, self.block_size);
         let mut chunk_lens = Vec::with_capacity(blocks.len());
-        let items: Vec<(Vec<u8>, Bytes, Option<u64>)> = blocks
+        let items: Vec<(Vec<u8>, Bytes)> = blocks
             .iter()
             .map(|b| {
                 let rel = (b.start - aligned_offset) as usize;
@@ -443,7 +437,7 @@ impl SmCache {
                     Vec::new() // block fully past EOF: "known empty"
                 };
                 chunk_lens.push(chunk.len() as u64);
-                (block_key(path, b.start), Bytes::from(chunk), Some(b.index))
+                (block_key(path, b.start), Bytes::from(chunk))
             })
             .collect();
         let n = items.len() as u64;
@@ -453,10 +447,7 @@ impl SmCache {
             // stores were on the wire: the entries just written belong to
             // a stale generation of the file. Take them out again and
             // record nothing.
-            let rollback = blocks
-                .iter()
-                .map(|b| self.block_item(path, b.start))
-                .collect();
+            let rollback = blocks.iter().map(|b| block_key(path, b.start)).collect();
             self.bank.remove_keys(rollback).await;
             return;
         }
@@ -575,11 +566,8 @@ impl SmCache {
                 entry.remove(b.start);
             }
         }
-        let items = blocks
-            .iter()
-            .map(|b| self.block_item(path, b.start))
-            .collect();
-        self.bank.remove_keys(items).await;
+        let keys = blocks.iter().map(|b| block_key(path, b.start)).collect();
+        self.bank.remove_keys(keys).await;
         if !self.fenced(path, gen) {
             self.populate_range(path, offset, len, gen).await;
         }
@@ -664,10 +652,7 @@ impl SmCache {
         }
         // Fetch every wave block's current copy + CAS token from every
         // replica in its set (per-daemon token spaces; see `CasToken`).
-        let keys: Vec<(Vec<u8>, Option<u64>)> = wave
-            .iter()
-            .map(|&start| self.block_item(path, start))
-            .collect();
+        let keys: Vec<Vec<u8>> = wave.iter().map(|&start| block_key(path, start)).collect();
         let rows = self.bank.gets_for_update(&keys).await;
         if self.fenced(path, gen) {
             return;
@@ -704,11 +689,11 @@ impl SmCache {
             // A purge overtook the wave: whatever the CAS stores
             // replaced belongs to a stale generation now. Take the
             // replaced keys out again, like `push_blocks` rolls back.
-            let rollback: Vec<(Vec<u8>, Option<u64>)> = item_starts
+            let rollback: Vec<Vec<u8>> = item_starts
                 .iter()
                 .zip(&verdicts)
                 .filter(|(_, v)| matches!(v, CasVerdict::Stored))
-                .map(|(&start, _)| self.block_item(path, start))
+                .map(|(&start, _)| block_key(path, start))
                 .collect();
             if !rollback.is_empty() {
                 self.bank.remove_keys(rollback).await;
@@ -748,10 +733,10 @@ impl SmCache {
     async fn push_negative(&self, path: &str, gen: u64) {
         self.register(path);
         self.bank
-            .set(&neg_key(path), Bytes::from_static(NEG_MARKER), None)
+            .set(&neg_key(path), Bytes::from_static(NEG_MARKER))
             .await;
         if self.fenced(path, gen) {
-            self.bank.delete(&neg_key(path), None).await;
+            self.bank.delete(&neg_key(path)).await;
             return;
         }
         self.negative_pushes.inc();
@@ -760,7 +745,7 @@ impl SmCache {
     async fn push_stat(&self, path: &str, st: FileStat) {
         self.register(path);
         self.bank
-            .set(&stat_key(path), Bytes::from(st.to_bytes()), None)
+            .set(&stat_key(path), Bytes::from(st.to_bytes()))
             .await;
         self.stat_pushes.inc();
     }
@@ -782,18 +767,13 @@ impl SmCache {
         // or a leased stat could outlive what the bank would answer.
         self.revoke_leases(path).await;
         let tracked = self.populated.borrow_mut().remove(path).unwrap_or_default();
-        let mut items: Vec<(Vec<u8>, Option<u64>)> = Vec::with_capacity(tracked.lens.len() + 2);
-        items.push((stat_key(path), None));
+        let mut keys = Vec::with_capacity(tracked.lens.len() + 2);
+        keys.push(stat_key(path));
         if self.negative {
-            items.push((neg_key(path), None));
+            keys.push(neg_key(path));
         }
-        items.extend(
-            tracked
-                .lens
-                .into_keys()
-                .map(|start| self.block_item(path, start)),
-        );
-        self.bank.remove_keys(items).await;
+        keys.extend(tracked.lens.into_keys().map(|start| block_key(path, start)));
+        self.bank.remove_keys(keys).await;
         self.purges.inc();
     }
 
@@ -1026,12 +1006,7 @@ mod tests {
     /// `cfg` describes them. The daemon actors stay alive with the sim.
     fn rig_over(sim: &Sim, child: Xlator, cfg: &ImcaConfig) -> (Rig, Rc<Bank>) {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        let mcds = Rc::new(Bank::start(
-            &net,
-            cfg.mcd_count,
-            &cfg.mcd_config,
-            &cfg.mcd_costs,
-        ));
+        let mcds = Rc::new(Bank::start(&net, cfg));
         let bank = Rc::new(mcds.client(net.add_node(), cfg, cfg.retry.clone()));
         let sm = SmCache::new(sim.handle(), child, Rc::clone(&bank), cfg, None);
         let keepalive = Rc::clone(&mcds);
@@ -1173,7 +1148,7 @@ mod tests {
             )
             .await;
             assert!(
-                bank.get(&block_key("/f", 0), Some(0)).await.is_some(),
+                bank.get(&block_key("/f", 0)).await.is_some(),
                 "benign write must populate the bank"
             );
             // The overwrite lands on disk, but its covering re-read dies.
@@ -1195,7 +1170,7 @@ mod tests {
             // The bank must not keep serving the pre-write block — those
             // bytes exist nowhere on disk any more.
             assert!(
-                bank.get(&block_key("/f", 0), Some(0)).await.is_none(),
+                bank.get(&block_key("/f", 0)).await.is_none(),
                 "stale block survived a dropped push"
             );
         });
@@ -1224,15 +1199,15 @@ mod tests {
             .await;
             // Covering blocks 0..2 (bytes 0..6144) must now be in the bank.
             for b in 0..3u64 {
-                let got = bank.get(&block_key("/f", b * 2048), Some(b)).await;
+                let got = bank.get(&block_key("/f", b * 2048)).await;
                 assert!(got.is_some(), "block {b} missing");
             }
             // Stat entry matches the file.
-            let raw = bank.get(&stat_key("/f"), None).await.unwrap();
+            let raw = bank.get(&stat_key("/f")).await.unwrap();
             let st = FileStat::from_bytes(&raw).unwrap();
             assert_eq!(st.size, 5100);
             // Block contents reproduce the write.
-            let b1 = bank.get(&block_key("/f", 2048), Some(1)).await.unwrap();
+            let b1 = bank.get(&block_key("/f", 2048)).await.unwrap();
             assert_eq!(
                 &b1[..],
                 &{
@@ -1280,7 +1255,7 @@ mod tests {
             assert_eq!(data.len(), 100);
             assert_eq!(data[0], (3000 % 247) as u8);
             // The full covering block was pushed, not just 100 bytes.
-            let blk = bank.get(&block_key("/f", 2048), Some(1)).await.unwrap();
+            let blk = bank.get(&block_key("/f", 2048)).await.unwrap();
             assert_eq!(blk.len(), 2048);
         });
         sim.run();
@@ -1303,13 +1278,13 @@ mod tests {
                 },
             )
             .await;
-            assert!(bank.get(&block_key("/f", 0), Some(0)).await.is_some());
+            assert!(bank.get(&block_key("/f", 0)).await.is_some());
             // Open must purge data blocks…
             drive(&sm, Fop::Open { path: "/f".into() }).await;
-            assert!(bank.get(&block_key("/f", 0), Some(0)).await.is_none());
-            assert!(bank.get(&block_key("/f", 2048), Some(1)).await.is_none());
+            assert!(bank.get(&block_key("/f", 0)).await.is_none());
+            assert!(bank.get(&block_key("/f", 2048)).await.is_none());
             // …and seed a fresh stat entry.
-            let raw = bank.get(&stat_key("/f"), None).await.unwrap();
+            let raw = bank.get(&stat_key("/f")).await.unwrap();
             assert_eq!(FileStat::from_bytes(&raw).unwrap().size, 4096);
         });
         sim.run();
@@ -1334,8 +1309,8 @@ mod tests {
             )
             .await;
             drive(&sm, Fop::Close { path: "/f".into() }).await;
-            assert!(bank.get(&block_key("/f", 0), Some(0)).await.is_none());
-            assert!(bank.get(&stat_key("/f"), None).await.is_none());
+            assert!(bank.get(&block_key("/f", 0)).await.is_none());
+            assert!(bank.get(&stat_key("/f")).await.is_none());
             // Re-populate then unlink.
             drive(
                 &sm,
@@ -1348,7 +1323,7 @@ mod tests {
             .await;
             drive(&sm, Fop::Unlink { path: "/f".into() }).await;
             assert!(
-                bank.get(&block_key("/f", 0), Some(0)).await.is_none(),
+                bank.get(&block_key("/f", 0)).await.is_none(),
                 "unlink must purge to avoid false positives"
             );
         });
@@ -1383,7 +1358,7 @@ mod tests {
                 // Give the background worker time to drain.
                 h.sleep(SimDuration::millis(10)).await;
                 assert!(
-                    bank.get(&block_key("/f", 0), Some(0)).await.is_some(),
+                    bank.get(&block_key("/f", 0)).await.is_some(),
                     "threaded update never landed"
                 );
             });
@@ -1426,16 +1401,14 @@ mod tests {
             drive(&sm, Fop::Unlink { path: "/f".into() }).await;
             // Let the worker drain; the stale job must be dropped.
             h.sleep(SimDuration::millis(10)).await;
-            for (start, hint) in [(0u64, 0u64), (2048, 1)] {
+            for start in [0u64, 2048] {
                 assert!(
-                    bank.get(&block_key("/f", start), Some(hint))
-                        .await
-                        .is_none(),
+                    bank.get(&block_key("/f", start)).await.is_none(),
                     "stale update repopulated block {start} after unlink"
                 );
             }
             assert!(
-                bank.get(&stat_key("/f"), None).await.is_none(),
+                bank.get(&stat_key("/f")).await.is_none(),
                 "stale update repopulated the stat entry after unlink"
             );
         });
@@ -1462,7 +1435,7 @@ mod tests {
             .await;
             assert_eq!(r, FopReply::Stat(Err(FsError::NotFound)));
             assert!(
-                bank.get(&neg_key("/ghost"), None).await.is_some(),
+                bank.get(&neg_key("/ghost")).await.is_some(),
                 "negative entry missing"
             );
             // The create revalidates: marker gone before the ack.
@@ -1475,7 +1448,7 @@ mod tests {
             .await;
             assert_eq!(r, FopReply::Create(Ok(())));
             assert!(
-                bank.get(&neg_key("/ghost"), None).await.is_none(),
+                bank.get(&neg_key("/ghost")).await.is_none(),
                 "create left the ENOENT marker behind"
             );
             // And the path now stats clean.
@@ -1510,13 +1483,13 @@ mod tests {
                 },
             )
             .await;
-            assert!(bank.get(&neg_key("/ghost"), None).await.is_none());
+            assert!(bank.get(&neg_key("/ghost")).await.is_none());
         });
         sim.run();
     }
 
     /// A replicated rig (modulo routing, R = 2 over 2 daemons) for the
-    /// CAS-coherence tests: hint 0 pins every block to both daemons.
+    /// CAS-coherence tests: every block lives on both daemons.
     fn replicated_rig(sim: &Sim, coherence: Coherence) -> (Rig, Rc<Bank>) {
         let cfg = ImcaConfig {
             selector: Selector::Modulo,
@@ -1573,10 +1546,10 @@ mod tests {
             );
             let mut want = vec![1u8; 2048];
             want[..100].fill(2);
-            let got = bank.get(&block_key("/f", 0), Some(0)).await.unwrap();
+            let got = bank.get(&block_key("/f", 0)).await.unwrap();
             assert_eq!(&got[..], &want[..], "post-write bytes wrong");
             // The stat entry carries the (unchanged) post-write size.
-            let raw = bank.get(&stat_key("/f"), None).await.unwrap();
+            let raw = bank.get(&stat_key("/f")).await.unwrap();
             assert_eq!(FileStat::from_bytes(&raw).unwrap().size, 2048);
         });
         sim.run();
@@ -1616,10 +1589,7 @@ mod tests {
                 },
             )
             .await;
-            assert_eq!(
-                bank.get(&block_key("/f", 0), Some(0)).await.unwrap().len(),
-                100
-            );
+            assert_eq!(bank.get(&block_key("/f", 0)).await.unwrap().len(), 100);
             // The EOF check the coming write will make, and the one a
             // write that leaves the size alone makes.
             assert_eq!(sm.stale_short_blocks("/f", 5000), vec![0]);
@@ -1637,7 +1607,7 @@ mod tests {
                 },
             )
             .await;
-            let b0 = bank.get(&block_key("/f", 0), Some(0)).await.unwrap();
+            let b0 = bank.get(&block_key("/f", 0)).await.unwrap();
             assert_eq!(b0.len(), 2048, "short block not extended");
             assert_eq!(&b0[..100], &[5u8; 100][..]);
             assert!(b0[100..].iter().all(|&b| b == 0), "the gap is a hole");
@@ -1694,7 +1664,7 @@ mod tests {
                 .collect();
             join_all(&h, writers).await;
             // Whatever copy the bank holds must match the disk exactly.
-            if let Some(cached) = bank.get(&block_key("/f", 0), Some(0)).await {
+            if let Some(cached) = bank.get(&block_key("/f", 0)).await {
                 let FopReply::Read(Ok(on_disk)) = Rc::clone(&disk)
                     .handle(Fop::Read {
                         path: "/f".into(),
@@ -1802,7 +1772,7 @@ mod tests {
                 )
                 .await;
                 assert!(
-                    bank2.get(&stat_key("/f"), None).await.is_some(),
+                    bank2.get(&stat_key("/f")).await.is_some(),
                     "benign write must push the stat"
                 );
                 // The next write commits, but its stat refresh dies.
@@ -1817,11 +1787,11 @@ mod tests {
                 )
                 .await;
                 assert!(
-                    bank2.get(&stat_key("/f"), None).await.is_none(),
+                    bank2.get(&stat_key("/f")).await.is_none(),
                     "stale pre-write stat survived a dropped refresh ({coherence:?})"
                 );
                 assert!(
-                    bank2.get(&block_key("/f", 0), Some(0)).await.is_none(),
+                    bank2.get(&block_key("/f", 0)).await.is_none(),
                     "blocks must fall with the meta entries ({coherence:?})"
                 );
             });

@@ -45,14 +45,6 @@ impl Json {
         }
     }
 
-    /// The value as `i64`, if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => i64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
     /// The value as `f64` (integers convert).
     pub fn as_f64(&self) -> Option<f64> {
         match self {

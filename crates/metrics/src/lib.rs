@@ -23,7 +23,8 @@
 //! over the instances a [`Snapshot::counter_sum`] pattern names.
 //!
 //! ```
-//! use imca_metrics::{Registry, Snapshot};
+//! use imca_metrics::json::Json;
+//! use imca_metrics::Registry;
 //! use imca_sim::SimDuration;
 //!
 //! let reg = Registry::new();
@@ -34,8 +35,8 @@
 //!
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counter("cache.hits"), Some(1));
-//! let parsed = Snapshot::from_json(&snap.to_json()).unwrap();
-//! assert_eq!(parsed, snap);
+//! let parsed = Json::parse(&snap.to_json()).unwrap();
+//! assert_eq!(parsed, snap.to_json_value());
 //! ```
 
 #![warn(missing_docs)]
@@ -50,7 +51,7 @@ use parking_lot::Mutex;
 
 pub mod json;
 
-use json::{Json, JsonError};
+use json::Json;
 
 /// A shareable, atomically updated monotonic counter.
 #[derive(Clone, Default)]
@@ -411,47 +412,6 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         self.to_json_value().render_pretty()
     }
-
-    /// Parse a snapshot back from its JSON form.
-    pub fn from_json(s: &str) -> Result<Snapshot, JsonError> {
-        let doc = Json::parse(s)?;
-        let metrics = doc
-            .get("metrics")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| bad("missing \"metrics\" object"))?;
-        let mut snap = Snapshot::new();
-        for (name, body) in metrics {
-            let kind = body
-                .get("type")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("metric missing \"type\""))?;
-            let value = body
-                .get("value")
-                .ok_or_else(|| bad("metric missing \"value\""))?;
-            match kind {
-                "counter" => snap.set_counter(
-                    name.clone(),
-                    value.as_u64().ok_or_else(|| bad("bad counter value"))?,
-                ),
-                "gauge" => snap.set_gauge(
-                    name.clone(),
-                    value.as_i64().ok_or_else(|| bad("bad gauge value"))?,
-                ),
-                "histogram" => {
-                    snap.set_histogram(name.clone(), HistogramSnapshot::from_json_value(value)?)
-                }
-                other => return Err(bad(format!("unknown metric type {other:?}"))),
-            }
-        }
-        Ok(snap)
-    }
-}
-
-fn bad(msg: impl Into<String>) -> JsonError {
-    JsonError {
-        at: 0,
-        msg: msg.into(),
-    }
 }
 
 impl HistogramSnapshot {
@@ -463,21 +423,6 @@ impl HistogramSnapshot {
             ("min".into(), Json::Int(self.min as i128)),
             ("max".into(), Json::Int(self.max as i128)),
         ])
-    }
-
-    /// Parse back from the [`Json`] object form.
-    pub fn from_json_value(v: &Json) -> Result<HistogramSnapshot, JsonError> {
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad(format!("histogram missing field {name:?}")))
-        };
-        Ok(HistogramSnapshot {
-            count: field("count")?,
-            sum: field("sum")?,
-            min: field("min")?,
-            max: field("max")?,
-        })
     }
 }
 
@@ -691,13 +636,18 @@ mod tests {
         }
         let snap = reg.snapshot();
         let json = snap.to_json();
-        let parsed = Snapshot::from_json(&json).expect("parse back");
-        assert_eq!(parsed, snap);
-        assert_eq!(parsed.counter("imca.bank.gets"), Some(42));
-        assert_eq!(parsed.gauge("mcd.store.curr_items"), Some(17));
-        let hist = parsed.histogram("fabric.rpc.call_ns").unwrap();
+        let parsed = Json::parse(&json).expect("parse back");
+        assert_eq!(parsed, snap.to_json_value());
+        let value = |name: &str| {
+            let metric = parsed.get("metrics").and_then(|m| m.get(name)).unwrap();
+            metric.get("value").unwrap().clone()
+        };
+        assert_eq!(value("imca.bank.gets"), Json::Int(42));
+        assert_eq!(value("mcd.store.curr_items"), Json::Int(17));
+        let hist = value("fabric.rpc.call_ns");
+        let field = |f: &str| hist.get(f).and_then(Json::as_u64).unwrap();
         assert_eq!(
-            (hist.count, hist.sum, hist.min, hist.max),
+            (field("count"), field("sum"), field("min"), field("max")),
             (4, 2_052_000, 900, 2_000_000)
         );
         // A histogram renders its four aggregates and no distribution.

@@ -87,8 +87,9 @@ op_language! {
     /// in a 12 KB span, wide enough to overflow a 1-deep daemon
     /// admission queue.
     Burst(u8, u16),
-    /// (file): close and unlink a file that exists; create and open one
-    /// that does not. Twice in a row is the truncate idiom.
+    /// (file): close and unlink a file that exists; create one that does
+    /// not, left unopened until an op needs a descriptor. Twice in a row
+    /// is the truncate idiom.
     Toggle(u8),
     /// (daemon): `kill -9`; its clients see connection resets.
     Kill(u8),
@@ -261,6 +262,11 @@ impl Config {
         imca.install_bank_faults(FaultPlan { seed, ..bank });
         let out = Rc::new(RefCell::new(None));
         let (c, n, done) = (Rc::clone(&imca), Rc::clone(&twin), Rc::clone(&out));
+        let server_retry = cfg.server_retry.clone().unwrap_or(cfg.retry.clone());
+        let cooldown = cfg
+            .retry
+            .circuit_cooldown
+            .max(server_retry.circuit_cooldown);
         sim.spawn(async move {
             let mut d = Driver {
                 mi: c.mount(),
@@ -270,7 +276,8 @@ impl Config {
                 h,
                 seed,
                 threaded: cfg.threaded_updates,
-                server_retry: cfg.server_retry.unwrap_or(cfg.retry),
+                cooldown,
+                server_retry,
                 files: BTreeMap::new(),
                 fds: HashMap::new(),
                 plan: StorageFaultPlan::default(),
@@ -352,6 +359,14 @@ impl Trace {
 pub fn canonical() -> Vec<Op> {
     use Op::*;
     let mut ops = vec![
+        // On a healthy bank: a stat of an absent file plants its negative
+        // entry, the create purges it, and the stat after must find the
+        // file, with no open in between to seed its stat entry. Then the
+        // file goes again, for the program below.
+        Stat(3),
+        Toggle(3),
+        Stat(3),
+        Toggle(3),
         Write(0, 0, 8192, 7),
         Write(1, 100, 3000, 99),
         Write(2, 0, 12288, 2),
@@ -459,6 +474,8 @@ struct Driver {
     /// The retry policy of SMCache's bank client, which the threaded
     /// update worker runs under.
     server_retry: RetryPolicy,
+    /// The longest circuit cooldown of a bank client.
+    cooldown: SimDuration,
     /// The reference filesystem: every file that exists, by content.
     files: BTreeMap<u8, Vec<u8>>,
     /// Open descriptors, IMCa's and the twin's.
@@ -545,7 +562,8 @@ impl Driver {
     }
 
     /// Calm after the storm: heal, revive, restart and clear every
-    /// fault, then two full-file passes on both clusters.
+    /// fault, let every bank client's circuit close, then two full-file
+    /// passes on both clusters, which refill the bank for its check.
     async fn calm(&mut self) {
         for (i, node) in self.c.mcds().iter().enumerate() {
             if self.cut[i] || !node.is_alive() || node.is_quarantined() {
@@ -560,6 +578,7 @@ impl Driver {
         self.plan = StorageFaultPlan::default();
         self.c.install_storage_faults(StorageFaultPlan::default());
         self.n.install_storage_faults(StorageFaultPlan::default());
+        self.h.sleep(self.cooldown).await;
         self.here = "calm".into();
         for _pass in 0..2 {
             for file in self.files.keys().copied().collect::<Vec<_>>() {
@@ -809,10 +828,7 @@ impl Driver {
             let ri = self.mi.create(&p).await;
             self.follow(&ri, self.mn.create(&p)).await;
             match ri {
-                Ok(()) => {
-                    self.files.insert(file, Vec::new());
-                    self.fd(file).await;
-                }
+                Ok(()) => drop(self.files.insert(file, Vec::new())),
                 Err(e) => self.check_err(e, false),
             }
         }
