@@ -4,7 +4,6 @@
 //! daemon). Reports cache-hit latency and measured bank RPCs per read at
 //! increasing block counts.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use imca_bench::{emit, emit_metrics, Grid, Options};
@@ -40,10 +39,7 @@ fn run_point(batched: bool, nblocks: u64, reads: u64, seed: u64) -> Point {
     ));
     let c = Rc::clone(&cluster);
     let h = sim.handle();
-    let elapsed_ns = Rc::new(Cell::new(0u64));
-    let rpcs_before = Rc::new(RefCell::new(0u64));
-    let (e2, r2) = (Rc::clone(&elapsed_ns), Rc::clone(&rpcs_before));
-    sim.spawn(async move {
+    let (elapsed_ns, rpcs_before) = sim.run_main(async move {
         let m = c.mount();
         m.create("/ablate").await.unwrap();
         let fd = m.open("/ablate").await.unwrap();
@@ -51,22 +47,21 @@ fn run_point(batched: bool, nblocks: u64, reads: u64, seed: u64) -> Point {
         // The write populates the bank; one warm-up read confirms it.
         m.write(fd, 0, &vec![0x6D; len as usize]).await.unwrap();
         m.read(fd, 0, len).await.unwrap();
-        *r2.borrow_mut() = daemon_requests(&c);
+        let rpcs_before = daemon_requests(&c);
         let t0 = h.now();
         for _ in 0..reads {
             m.read(fd, 0, len).await.unwrap();
         }
-        e2.set(h.now().since(t0).as_nanos());
+        (h.now().since(t0).as_nanos(), rpcs_before)
     });
-    sim.run();
     assert_eq!(
         cluster.metrics().counter_sum("cmcache.*.read_misses"),
         0,
         "ablation must measure pure cache hits"
     );
-    let rpcs = daemon_requests(&cluster) - *rpcs_before.borrow();
+    let rpcs = daemon_requests(&cluster) - rpcs_before;
     Point {
-        mean_read_us: elapsed_ns.get() as f64 / reads as f64 / 1_000.0,
+        mean_read_us: elapsed_ns as f64 / reads as f64 / 1_000.0,
         rpcs_per_read: rpcs as f64 / reads as f64,
         metrics: cluster.metrics(),
     }

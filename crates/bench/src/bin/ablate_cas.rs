@@ -22,7 +22,6 @@
 //! configuration, plus the `"cas_beats_purge"` verdict) into the results
 //! directory.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use imca_bench::{emit, emit_bench, emit_metrics, fixed, obj, parallel_sweep, Options};
@@ -94,11 +93,9 @@ fn run_sweep(kind: SweepKind, coherence: Coherence, r: usize, rounds: u64, seed:
             ..ImcaConfig::default()
         }),
     ));
-    let out = Rc::new(RefCell::new(None::<(Vec<u64>, f64)>));
-    let o = Rc::clone(&out);
     let c = Rc::clone(&cluster);
     let h = sim.handle();
-    sim.spawn(async move {
+    let (op_ns, hit_rate) = sim.run_main(async move {
         // Every client opens before the warm-up: SMCache purges on open,
         // and the sweep wants the measured phase to start from a fully
         // tracked, fully resident bank.
@@ -172,10 +169,8 @@ fn run_sweep(kind: SweepKind, coherence: Coherence, r: usize, rounds: u64, seed:
         let mut all: Vec<u64> = per_client.into_iter().flatten().collect();
         all.sort_unstable();
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-        *o.borrow_mut() = Some((all, hit_rate));
+        (all, hit_rate)
     });
-    sim.run();
-    let (op_ns, hit_rate) = out.borrow_mut().take().expect("sweep did not finish");
     SweepOut {
         op_ns,
         hit_rate,

@@ -13,13 +13,13 @@
 //! and measures the freshness lag each stack exhibits when another client
 //! overwrites a shared file.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use imca_bench::{emit, emit_metrics, metric_label, Options};
 use imca_core::{Cluster, ClusterConfig, ImcaConfig};
 use imca_memcached::McConfig;
 use imca_metrics::Snapshot;
+use imca_sim::sync::Queue;
 use imca_sim::{Sim, SimDuration};
 use imca_workloads::report::Table;
 
@@ -49,34 +49,43 @@ fn reread_latency(cfg: ClusterConfig, clients: usize, seed: u64) -> (f64, Snapsh
     let mut sim = Sim::new(seed);
     let cluster = Rc::new(Cluster::build(sim.handle(), cfg));
     let h = sim.handle();
-    let out: Rc<RefCell<Vec<f64>>> = Rc::default();
-    for id in 0..clients {
-        let cluster = Rc::clone(&cluster);
-        let h = h.clone();
-        let out = Rc::clone(&out);
-        sim.spawn(async move {
-            let m = cluster.mount();
-            let path = format!("/cc/{id}");
-            m.create(&path).await.unwrap();
-            let fd = m.open(&path).await.unwrap();
-            m.write(fd, 0, &vec![id as u8; 256 * 1024]).await.unwrap();
-            // Warm pass.
-            for k in 0..64u64 {
-                m.read(fd, k * 4096, 4096).await.unwrap();
-            }
-            // Timed re-read pass.
-            let t0 = h.now();
-            for k in 0..64u64 {
-                let d = m.read(fd, k * 4096, 4096).await.unwrap();
-                debug_assert_eq!(d.len(), 4096);
-            }
-            out.borrow_mut()
-                .push(h.now().since(t0).as_micros_f64() / 64.0);
-        });
-    }
-    sim.run();
-    let v = out.borrow();
-    (v.iter().sum::<f64>() / v.len() as f64, cluster.metrics())
+    let c = Rc::clone(&cluster);
+    // Each client's mean, in the order the clients finish: the mean of
+    // means sums in that order.
+    let means = sim.run_main(async move {
+        let done: Queue<f64> = Queue::new();
+        for id in 0..clients {
+            let cluster = Rc::clone(&c);
+            let (h2, done) = (h.clone(), done.clone());
+            h.spawn(async move {
+                let m = cluster.mount();
+                let path = format!("/cc/{id}");
+                m.create(&path).await.unwrap();
+                let fd = m.open(&path).await.unwrap();
+                m.write(fd, 0, &vec![id as u8; 256 * 1024]).await.unwrap();
+                // Warm pass.
+                for k in 0..64u64 {
+                    m.read(fd, k * 4096, 4096).await.unwrap();
+                }
+                // Timed re-read pass.
+                let t0 = h2.now();
+                for k in 0..64u64 {
+                    let d = m.read(fd, k * 4096, 4096).await.unwrap();
+                    assert_eq!(d.len(), 4096);
+                }
+                done.push(h2.now().since(t0).as_micros_f64() / 64.0);
+            });
+        }
+        let mut means = Vec::with_capacity(clients);
+        for _ in 0..clients {
+            means.push(done.recv().await.unwrap());
+        }
+        means
+    });
+    (
+        means.iter().sum::<f64>() / means.len() as f64,
+        cluster.metrics(),
+    )
 }
 
 /// Freshness lag (µs of virtual time): how long after a remote overwrite a
@@ -85,40 +94,31 @@ fn staleness_window(cfg: ClusterConfig, seed: u64) -> f64 {
     let mut sim = Sim::new(seed);
     let cluster = Rc::new(Cluster::build(sim.handle(), cfg));
     let h = sim.handle();
-    let lag = Rc::new(std::cell::Cell::new(-1.0f64));
-    {
-        let cluster = Rc::clone(&cluster);
-        let h = h.clone();
-        let lag = Rc::clone(&lag);
-        sim.spawn(async move {
-            let writer = cluster.mount();
-            let reader = cluster.mount();
-            writer.create("/cc/shared").await.unwrap();
-            let wfd = writer.open("/cc/shared").await.unwrap();
-            writer.write(wfd, 0, &vec![1u8; 4096]).await.unwrap();
-            let rfd = reader.open("/cc/shared").await.unwrap();
-            // Reader warms its cache on version 1.
-            assert_eq!(reader.read(rfd, 0, 4096).await.unwrap()[0], 1);
-            // Overwrite.
-            writer.write(wfd, 0, &vec![2u8; 4096]).await.unwrap();
-            let t_write = h.now();
-            // Poll until the reader observes version 2.
-            loop {
-                let v = reader.read(rfd, 0, 4096).await.unwrap();
-                if v[0] == 2 {
-                    lag.set(h.now().since(t_write).as_micros_f64());
-                    break;
-                }
-                h.sleep(SimDuration::millis(10)).await;
-                if h.now().since(t_write) > SimDuration::secs(5) {
-                    break; // never converged (would be a bug)
-                }
+    sim.run_main(async move {
+        let writer = cluster.mount();
+        let reader = cluster.mount();
+        writer.create("/cc/shared").await.unwrap();
+        let wfd = writer.open("/cc/shared").await.unwrap();
+        writer.write(wfd, 0, &vec![1u8; 4096]).await.unwrap();
+        let rfd = reader.open("/cc/shared").await.unwrap();
+        // Reader warms its cache on version 1.
+        assert_eq!(reader.read(rfd, 0, 4096).await.unwrap()[0], 1);
+        // Overwrite.
+        writer.write(wfd, 0, &vec![2u8; 4096]).await.unwrap();
+        let t_write = h.now();
+        // Poll until the reader observes version 2.
+        loop {
+            let v = reader.read(rfd, 0, 4096).await.unwrap();
+            if v[0] == 2 {
+                break h.now().since(t_write).as_micros_f64();
             }
-        });
-    }
-    sim.run();
-    assert!(lag.get() >= 0.0, "reader never saw the new version");
-    lag.get()
+            h.sleep(SimDuration::millis(10)).await;
+            assert!(
+                h.now().since(t_write) <= SimDuration::secs(5),
+                "reader never saw the new version"
+            );
+        }
+    })
 }
 
 fn main() {

@@ -19,7 +19,6 @@
 //!   NoCache baseline, with the clients' degraded reads
 //!   (`cmcache.*.bank.degraded_misses`) accounting for the gap.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use imca_bench::{emit, emit_metrics, Options};
@@ -59,18 +58,13 @@ fn main() {
         }),
     ));
     let h = sim.handle();
-    let rows: Rc<RefCell<Vec<(f64, f64, f64)>>> = Rc::default();
-    let restart_rows: Rc<RefCell<Vec<(f64, f64, f64)>>> = Rc::default();
-    let brownout_errors: Rc<Cell<u64>> = Rc::default();
     let seed = opts.seed;
 
-    {
+    let (rows, restart_rows, brownout_errors) = {
         let cluster = Rc::clone(&cluster);
-        let rows = Rc::clone(&rows);
-        let restart_rows = Rc::clone(&restart_rows);
-        let brownout_errors = Rc::clone(&brownout_errors);
-        let h = h.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
+            let mut rows = Vec::new();
+            let mut restart_rows = Vec::new();
             let m = cluster.mount();
             m.create("/victim").await.unwrap();
             let fd = m.open("/victim").await.unwrap();
@@ -97,7 +91,7 @@ fn main() {
                 let mean_us = elapsed.as_micros_f64() / records as f64;
                 let hit_rate = hits as f64 / records as f64;
                 assert_eq!(corrupt, 0, "data corruption after {phase} failures!");
-                rows.borrow_mut().push((phase as f64, mean_us, hit_rate));
+                rows.push((phase as f64, mean_us, hit_rate));
                 // Kill one daemon and let the next phase run degraded.
                 if phase + 1 < phases {
                     cluster.kill_mcd(phase);
@@ -126,11 +120,7 @@ fn main() {
                 }
                 let mean_us = h.now().since(t0).as_micros_f64() / records as f64;
                 let hits = read_hits(&cluster) - hits_before;
-                restart_rows.borrow_mut().push((
-                    stage as f64,
-                    mean_us,
-                    hits as f64 / records as f64,
-                ));
+                restart_rows.push((stage as f64, mean_us, hits as f64 / records as f64));
             }
 
             // Stage 2: storage controller brown-out — every media access
@@ -142,7 +132,7 @@ fn main() {
                 error_windows: vec![(SimTime(from), SimTime(from + 50_000_000))],
                 ..StorageFaultPlan::seeded(seed)
             });
-            {
+            let brownout_errors = {
                 let hits_before = read_hits(&cluster);
                 let t0 = h.now();
                 let mut eio = 0u64;
@@ -159,11 +149,9 @@ fn main() {
                 }
                 let mean_us = h.now().since(t0).as_micros_f64() / records as f64;
                 let hits = read_hits(&cluster) - hits_before;
-                brownout_errors.set(eio);
-                restart_rows
-                    .borrow_mut()
-                    .push((2.0, mean_us, hits as f64 / records as f64));
-            }
+                restart_rows.push((2.0, mean_us, hits as f64 / records as f64));
+                eio
+            };
 
             // Stage 3: dirty media — writes commit, but half the covering
             // re-reads die. Each dropped push must purge the stale bank
@@ -203,12 +191,12 @@ fn main() {
                     );
                 }
                 let mean_us = h.now().since(t0).as_micros_f64() / records as f64;
-                restart_rows.borrow_mut().push((3.0, mean_us, 0.0));
+                restart_rows.push((3.0, mean_us, 0.0));
             }
             m.close(fd).await.unwrap();
-        });
-    }
-    sim.run();
+            (rows, restart_rows, brownout_errors)
+        })
+    };
 
     let mut table = Table::new(
         "Failure injection: reads stay correct while daemons die",
@@ -216,7 +204,7 @@ fn main() {
         "mean read latency (us) / bank hit rate",
         vec!["read latency us".into(), "bank hit rate".into()],
     );
-    for (phase, mean_us, hit_rate) in rows.borrow().iter() {
+    for (phase, mean_us, hit_rate) in &rows {
         table.push_row(*phase, vec![Some(*mean_us), Some(*hit_rate)]);
     }
     emit(&opts, "ablate_failure", &table);
@@ -233,7 +221,7 @@ fn main() {
         "mean read latency (us) / bank hit rate",
         vec!["read latency us".into(), "bank hit rate".into()],
     );
-    for (stage, mean_us, hit_rate) in restart_rows.borrow().iter() {
+    for (stage, mean_us, hit_rate) in &restart_rows {
         table.push_row(*stage, vec![Some(*mean_us), Some(*hit_rate)]);
     }
     emit(&opts, "ablate_failure_restart", &table);
@@ -243,14 +231,14 @@ fn main() {
     // blocks mean 3 of every 4 records hit the block their predecessor's
     // miss just repopulated, so "cold" costs ~1/4 of the reads plus the
     // surviving daemon's share.)
-    let (cold_rate, warm_rate) = (restart_rows.borrow()[0].2, restart_rows.borrow()[1].2);
+    let (cold_rate, warm_rate) = (restart_rows[0].2, restart_rows[1].2);
     assert!(
         warm_rate > 0.999 && cold_rate < warm_rate - 0.1,
         "re-warm did not recover the hit rate: cold={cold_rate:.2} warm={warm_rate:.2}"
     );
     // The warm bank rode out the brown-out: client-visible errors only
     // where the bank itself had to go to the dead media.
-    let brownout_rate = restart_rows.borrow()[2].2;
+    let brownout_rate = restart_rows[2].2;
     assert!(
         brownout_rate > 0.9,
         "brown-out pass was not served from the bank: hit rate {brownout_rate:.2}"
@@ -275,7 +263,7 @@ fn main() {
     println!(
         "correctness: every record matched its reference after every failure \
          ({} brown-out reads failed over to EIO, the rest served from the bank)",
-        brownout_errors.get()
+        brownout_errors
     );
     println!(
         "dirty media: {} storage.io_errors, {} smcache.dropped_pushes \
@@ -392,13 +380,10 @@ fn run_faulted(
     };
     let cluster = Rc::new(Cluster::build(sim.handle(), cfg));
     let h = sim.handle();
-    let out: Rc<RefCell<(f64, u64)>> = Rc::default();
     let seed = opts.seed;
-    {
+    let mean_us = {
         let cluster = Rc::clone(&cluster);
-        let out = Rc::clone(&out);
-        let h = h.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = cluster.mount();
             m.create("/victim").await.unwrap();
             let fd = m.open("/victim").await.unwrap();
@@ -434,15 +419,13 @@ fn run_faulted(
             }
             let mean_us = h.now().since(t0).as_micros_f64() / records as f64;
             assert_eq!(corrupt, 0, "data corruption under network faults!");
-            out.replace((mean_us, 0));
-        });
-    }
-    sim.run();
+            mean_us
+        })
+    };
     // Client reads only: the server's SMCache bank client also counts
     // fill pushes that skipped a shed daemon, which are not reads.
     let degraded = cluster
         .metrics()
         .counter_sum("cmcache.*.bank.degraded_misses");
-    let mean_us = out.borrow().0;
     FaultRun { mean_us, degraded }
 }

@@ -8,7 +8,6 @@
 //! * sequential small-record read stream → read-ahead,
 //! * sequential small-record write stream → write-behind.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use imca_bench::{emit, emit_metrics, metric_label, Options};
@@ -62,12 +61,9 @@ fn run_stream(cfg: ClusterConfig, seed: u64) -> (f64, f64, Snapshot) {
     let mut sim = Sim::new(seed);
     let cluster = Rc::new(Cluster::build(sim.handle(), cfg));
     let h = sim.handle();
-    let out: Rc<RefCell<(f64, f64)>> = Rc::default();
-    {
+    let (w, r) = {
         let cluster = Rc::clone(&cluster);
-        let h = h.clone();
-        let out = Rc::clone(&out);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = cluster.mount();
             m.create("/stream").await.unwrap();
             let fd = m.open("/stream").await.unwrap();
@@ -80,15 +76,13 @@ fn run_stream(cfg: ClusterConfig, seed: u64) -> (f64, f64, Snapshot) {
             let t1 = h.now();
             for k in 0..RECORDS {
                 let got = m.read(fd, k * RECORD, RECORD).await.unwrap();
-                debug_assert_eq!(got.len() as u64, RECORD);
+                assert_eq!(got.len() as u64, RECORD);
             }
             let read_us = h.now().since(t1).as_micros_f64() / RECORDS as f64;
-            *out.borrow_mut() = (write_us, read_us);
             m.close(fd).await.unwrap();
-        });
-    }
-    sim.run();
-    let (w, r) = *out.borrow();
+            (write_us, read_us)
+        })
+    };
     (w, r, cluster.metrics())
 }
 

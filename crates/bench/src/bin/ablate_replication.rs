@@ -57,9 +57,7 @@ fn failover_scenario(seed: u64) -> (u64, u64) {
         }),
     ));
     let c = Rc::clone(&cluster);
-    let degraded_added = Rc::new(std::cell::Cell::new(u64::MAX));
-    let d = Rc::clone(&degraded_added);
-    sim.spawn(async move {
+    let degraded_added = sim.run_main(async move {
         let m = c.mount();
         m.create("/ablate/shared").await.unwrap();
         let fd = m.open("/ablate/shared").await.unwrap();
@@ -79,13 +77,12 @@ fn failover_scenario(seed: u64) -> (u64, u64) {
         for k in 0..blocks {
             m.read(fd, k * RECORD_SIZE, RECORD_SIZE).await.unwrap();
         }
-        d.set(degraded() - before);
+        degraded() - before
     });
-    sim.run();
     let failovers = cluster
         .metrics()
         .counter_sum("cmcache.*.bank.replica_failovers");
-    (failovers, degraded_added.get())
+    (failovers, degraded_added)
 }
 
 fn main() {

@@ -37,10 +37,9 @@
 //!         msg.respond(Echo(v + 1));
 //!     }
 //! });
-//! sim.spawn(async move {
-//!     assert_eq!(cli.call(Echo(41)).await.0, 42);
-//! });
-//! let end = sim.run().end_time;
+//! let reply = sim.run_main(async move { cli.call(Echo(41)).await });
+//! assert_eq!(reply.0, 42);
+//! let end = sim.now();
 //! // One unloaded IPoIB round trip of 64-byte messages:
 //! assert_eq!(end.as_nanos(), Transport::ipoib_ddr().unloaded_rtt(64, 64).as_nanos());
 //! ```

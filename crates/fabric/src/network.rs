@@ -340,11 +340,22 @@ mod tests {
     use super::*;
     use imca_sim::{Sim, SimTime};
 
-    fn finish_time(f: impl FnOnce(&mut Sim, Network)) -> SimTime {
+    /// Deliver `bytes` on every flow `flows` registers, all at once, and
+    /// return the makespan.
+    fn makespan(bytes: usize, flows: impl FnOnce(&Network) -> Vec<(NodeId, NodeId)>) -> SimTime {
         let mut sim = Sim::new(0);
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
-        f(&mut sim, net);
-        sim.run().end_time
+        let h = sim.handle();
+        let deliveries: Vec<_> = flows(&net)
+            .into_iter()
+            .map(|(src, dst)| {
+                let net = net.clone();
+                async move { net.deliver(src, dst, bytes).await }
+            })
+            .collect();
+        let fates = sim.run_main(async move { imca_sim::join_all(&h, deliveries).await });
+        assert!(fates.iter().all(|f| *f == Delivery::Ok), "{fates:?}");
+        sim.now()
     }
 
     #[test]
@@ -353,10 +364,10 @@ mod tests {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
         let a = net.add_node();
         let net2 = net.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             assert_eq!(net2.deliver(a, a, 1 << 20).await, Delivery::Ok);
         });
-        let end = sim.run().end_time;
+        let end = sim.now();
         // Far faster than the wire would allow...
         assert!(end.as_nanos() < Transport::ipoib_ddr().unloaded_one_way(1 << 20).as_nanos());
         // ...and neither of the node's NIC stations saw the message.
@@ -376,16 +387,11 @@ mod tests {
         // makespan ~2x a single flow's RX time for large messages.
         let tp = Transport::ipoib_ddr();
         let bytes = 1 << 20;
-        let end = finish_time(|sim, net| {
+        let end = makespan(bytes, |net| {
             let s1 = net.add_node();
             let s2 = net.add_node();
             let dst = net.add_node();
-            for src in [s1, s2] {
-                let net = net.clone();
-                sim.spawn(async move {
-                    assert_eq!(net.deliver(src, dst, bytes).await, Delivery::Ok);
-                });
-            }
+            vec![(s1, dst), (s2, dst)]
         });
         let one_flow = tp.unloaded_one_way(bytes).as_nanos();
         let rx_time = (tp.serialize_time(bytes) + tp.host_cpu_recv).as_nanos();
@@ -399,17 +405,12 @@ mod tests {
     fn distinct_receivers_do_not_contend() {
         let tp = Transport::ipoib_ddr();
         let bytes = 1 << 20;
-        let end = finish_time(|sim, net| {
+        let end = makespan(bytes, |net| {
             let s1 = net.add_node();
             let s2 = net.add_node();
             let d1 = net.add_node();
             let d2 = net.add_node();
-            for (src, dst) in [(s1, d1), (s2, d2)] {
-                let net = net.clone();
-                sim.spawn(async move {
-                    assert_eq!(net.deliver(src, dst, bytes).await, Delivery::Ok);
-                });
-            }
+            vec![(s1, d1), (s2, d2)]
         });
         assert_eq!(end.as_nanos(), tp.unloaded_one_way(bytes).as_nanos());
     }
@@ -421,11 +422,10 @@ mod tests {
         let a = net.add_node();
         let b = net.add_node();
         let net2 = net.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             assert_eq!(net2.deliver(a, b, 1000).await, Delivery::Ok);
             assert_eq!(net2.deliver(a, b, 500).await, Delivery::Ok);
         });
-        sim.run();
         let snap = net.registry().snapshot();
         let nic = |node: NodeId, metric: &str| snap.counter(&format!("nic.{}.{metric}", node.0));
         assert_eq!(nic(a, "bytes_tx"), Some(1500));
@@ -441,10 +441,9 @@ mod tests {
         let mut sim = Sim::new(0);
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
         let a = net.add_node();
-        sim.spawn(async move {
+        sim.run_main(async move {
             net.deliver(a, NodeId(99), 1).await;
         });
-        sim.run();
     }
 
     /// Run `n` deliveries a→b under `plan` and report each fate plus the
@@ -455,19 +454,16 @@ mod tests {
         net.install_faults(plan);
         let a = net.add_node();
         let b = net.add_node();
-        let out = Rc::new(RefCell::new(Vec::new()));
-        let out2 = Rc::clone(&out);
         let net2 = net.clone();
-        sim.spawn(async move {
+        let fates = sim.run_main(async move {
+            let mut fates = Vec::new();
             for _ in 0..n {
-                let fate = net2.deliver(a, b, 128).await;
-                out2.borrow_mut().push(fate);
+                fates.push(net2.deliver(a, b, 128).await);
             }
+            fates
         });
-        sim.run();
         let dropped = net.registry().snapshot().counter("dropped").unwrap();
         let duplicated = net.registry().snapshot().counter("duplicated").unwrap();
-        let fates = out.borrow().clone();
         (fates, dropped, duplicated)
     }
 
@@ -478,10 +474,10 @@ mod tests {
         let a = net.add_node();
         let b = net.add_node();
         let net2 = net.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             assert_eq!(net2.deliver(a, b, 4096).await, Delivery::Ok);
         });
-        let end = sim.run().end_time;
+        let end = sim.now();
         // Without faults, an uncontended message costs exactly the
         // unloaded model.
         let tp = Transport::ipoib_ddr();
@@ -547,13 +543,12 @@ mod tests {
         // Registered after the cut — still severed from `a`.
         let late = net.add_node();
         let net2 = net.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             assert_eq!(net2.deliver(late, a, 64).await, Delivery::Dropped);
             assert_eq!(net2.deliver(b, late, 64).await, Delivery::Ok);
             net2.heal("quarantine");
             assert_eq!(net2.deliver(late, a, 64).await, Delivery::Ok);
         });
-        sim.run();
     }
 
     #[test]
@@ -570,14 +565,13 @@ mod tests {
             ..FaultPlan::seeded(5)
         });
         let net2 = net.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             // Any link touching `a` loses everything...
             assert_eq!(net2.deliver(a, b, 64).await, Delivery::Dropped);
             assert_eq!(net2.deliver(c, a, 64).await, Delivery::Dropped);
             // ...but links not touching the scope are untouched.
             assert_eq!(net2.deliver(c, d, 64).await, Delivery::Ok);
         });
-        sim.run();
     }
 
     #[test]
@@ -590,14 +584,13 @@ mod tests {
         net.add_drop_window(SimTime(50_000), SimTime(100_000));
         let net2 = net.clone();
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.run_main(async move {
             assert_eq!(net2.deliver(a, b, 64).await, Delivery::Ok);
             h.sleep_until(SimTime(60_000)).await;
             assert_eq!(net2.deliver(a, b, 64).await, Delivery::Dropped);
             h.sleep_until(SimTime(100_000)).await;
             assert_eq!(net2.deliver(a, b, 64).await, Delivery::Ok);
         });
-        sim.run();
     }
 
     #[test]
@@ -609,10 +602,10 @@ mod tests {
         let a = net.add_node();
         let b = net.add_node();
         net.add_latency_spike(SimTime::ZERO, SimTime(u64::MAX), spike);
-        sim.spawn(async move {
+        sim.run_main(async move {
             assert_eq!(net.deliver(a, b, 4096).await, Delivery::Ok);
         });
-        let end = sim.run().end_time;
+        let end = sim.now();
         assert_eq!(
             end.as_nanos(),
             (tp.unloaded_one_way(4096) + spike).as_nanos()
@@ -631,10 +624,10 @@ mod tests {
             ..FaultPlan::seeded(3)
         });
         let net2 = net.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             assert_eq!(net2.deliver(a, b, 4096).await, Delivery::Dropped);
         });
-        let end = sim.run().end_time;
+        let end = sim.now();
         // TX + propagation but no RX side.
         let expect = tp.host_cpu_send + tp.serialize_time(4096) + tp.one_way_latency;
         assert_eq!(end.as_nanos(), expect.as_nanos());

@@ -290,14 +290,9 @@ mod tests {
             }
         });
 
-        let got = Rc::new(Cell::new(0));
-        let got2 = Rc::clone(&got);
-        sim.spawn(async move {
-            let pong = cli.call(Ping(41)).await;
-            got2.set(pong.0);
-        });
-        let end = sim.run().end_time;
-        assert_eq!(got.get(), 42);
+        let pong = sim.run_main(async move { cli.call(Ping(41)).await });
+        let end = sim.now();
+        assert_eq!(pong.0, 42);
         // Zero-service-time echo: end == unloaded RTT for 64B each way.
         let tp = Transport::ipoib_ddr();
         assert_eq!(end.as_nanos(), tp.unloaded_rtt(64, 64).as_nanos());
@@ -312,6 +307,7 @@ mod tests {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
         let (rdma_node, ipoib_node) = (net.add_node_on(Transport::rdma_ddr()), net.add_node());
         let h = sim.handle();
+        let mut callers = Vec::new();
         for server in [rdma_node, ipoib_node] {
             let svc: Service<Ping, Pong> = Service::bind(&net, server);
             let cli = svc.client(net.add_node());
@@ -321,18 +317,21 @@ mod tests {
                 }
             });
             let h = h.clone();
-            sim.spawn(async move {
+            callers.push(async move {
                 let t0 = h.now();
                 cli.call(Ping(0)).await;
-                let expect = if server == rdma_node {
-                    Transport::rdma_ddr()
-                } else {
-                    Transport::ipoib_ddr()
-                };
-                assert_eq!(h.now().since(t0), expect.unloaded_rtt(64, 64));
+                (server, h.now().since(t0))
             });
         }
-        sim.run();
+        let rtts = sim.run_main(async move { imca_sim::join_all(&h, callers).await });
+        for (server, rtt) in rtts {
+            let expect = if server == rdma_node {
+                Transport::rdma_ddr()
+            } else {
+                Transport::ipoib_ddr()
+            };
+            assert_eq!(rtt, expect.unloaded_rtt(64, 64));
+        }
     }
 
     #[test]
@@ -352,10 +351,10 @@ mod tests {
                 msg.respond(Pong(0));
             }
         });
-        sim.spawn(async move {
+        sim.run_main(async move {
             cli.call(Ping(0)).await;
         });
-        let end = sim.run().end_time;
+        let end = sim.now();
         let tp = Transport::ipoib_ddr();
         assert_eq!(
             end.as_nanos(),
@@ -379,14 +378,15 @@ mod tests {
                 msg.respond(Pong(0));
             }
         });
-        for _ in 0..8 {
-            let node = net.add_node();
-            let cli = svc.client(node);
-            sim.spawn(async move {
-                cli.call(Ping(0)).await;
-            });
-        }
-        let end = sim.run().end_time;
+        let calls: Vec<_> = (0..8)
+            .map(|_| {
+                let cli = svc.client(net.add_node());
+                async move { cli.call(Ping(0)).await }
+            })
+            .collect();
+        let h = sim.handle();
+        sim.run_main(async move { imca_sim::join_all(&h, calls).await });
+        let end = sim.now();
         assert!(
             end.as_nanos() >= 8 * SimDuration::micros(50).as_nanos(),
             "server did not serialise: {end:?}"
@@ -416,21 +416,18 @@ mod tests {
                 msg.respond(Pong(v));
             }
         });
-        let seen3 = Rc::clone(&seen);
-        sim.spawn(async move {
+        sim.run_main(async move {
             for i in 0..4 {
                 cli.post(Ping(i)).await;
             }
             let pong = cli.call(Ping(99)).await;
             assert_eq!(pong.0, 99);
             assert_eq!(
-                *seen3.borrow(),
+                *seen.borrow(),
                 vec![0, 1, 2, 3, 99],
                 "posted requests must be applied, in order, before the sync"
             );
         });
-        sim.run();
-        assert_eq!(seen.borrow().len(), 5);
     }
 
     #[test]
@@ -445,12 +442,13 @@ mod tests {
         let cli = svc.client(client_node);
         let svc2 = svc.clone();
         sim.spawn(async move { while svc2.recv().await.is_some() {} });
-        let got = Rc::new(Cell::new(Some(Pong(0))));
-        let got2 = Rc::clone(&got);
-        sim.spawn(async move { got2.set(cli.try_call(Ping(1)).await) });
-        let s = sim.run();
-        assert_eq!(got.take(), None, "dropped request must surface as None");
-        assert_eq!(s.tasks_leaked, 1, "only the idle server stays blocked");
+        let got = sim.run_main(async move { cli.try_call(Ping(1)).await });
+        assert_eq!(got, None, "dropped request must surface as None");
+        assert_eq!(
+            sim.run().tasks_leaked,
+            1,
+            "only the idle server stays blocked"
+        );
     }
 
     #[test]
@@ -475,7 +473,7 @@ mod tests {
         });
         let h = sim.handle();
         let deadline = SimDuration::millis(1);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let t0 = h.now();
             let got =
                 imca_sim::timeout(&h, deadline, async move { cli.try_call(Ping(1)).await }).await;
@@ -483,7 +481,6 @@ mod tests {
             assert_eq!(got, None);
             assert_eq!(h.now().since(t0).as_nanos(), deadline.as_nanos());
         });
-        sim.run();
         assert_eq!(net.registry().snapshot().counter("dropped"), Some(1));
     }
 
@@ -510,11 +507,10 @@ mod tests {
                 msg.respond(Pong(v + 1));
             }
         });
-        sim.spawn(async move {
+        sim.run_main(async move {
             // The caller sees exactly one answer despite the echo.
             assert_eq!(cli.try_call(Ping(1)).await, Some(Pong(2)));
         });
-        sim.run();
         // The server processed the request twice (request + duplicate);
         // the duplicate's discarded response wedged nothing.
         assert_eq!(served.get(), 2);
@@ -544,19 +540,16 @@ mod tests {
                 // noreply: never respond.
             }
         });
-        let acked = Rc::new(Cell::new(0u32));
-        let acked2 = Rc::clone(&acked);
-        sim.spawn(async move {
+        let acked = sim.run_main(async move {
             let mut ok = 0;
             for i in 0..40 {
                 // Retransmit until the wire accepts it.
                 while !cli.post(Ping(i)).await {}
                 ok += 1;
             }
-            acked2.set(ok);
+            ok
         });
-        sim.run();
-        assert_eq!(acked.get(), 40);
+        assert_eq!(acked, 40);
         assert_eq!(seen.get(), 40, "every post must land exactly once");
         let dropped = net.registry().snapshot().counter("dropped").unwrap();
         assert!(dropped > 0, "loss=0.5 over 40 posts must drop some");
@@ -581,14 +574,14 @@ mod tests {
                 }
             });
         }
-        for _ in 0..8 {
-            let node = net.add_node();
-            let cli = svc.client(node);
-            sim.spawn(async move {
-                cli.call(Ping(0)).await;
-            });
-        }
-        let end = sim.run().end_time;
+        let calls: Vec<_> = (0..8)
+            .map(|_| {
+                let cli = svc.client(net.add_node());
+                async move { cli.call(Ping(0)).await }
+            })
+            .collect();
+        sim.run_main(async move { imca_sim::join_all(&h, calls).await });
+        let end = sim.now();
         assert!(
             end.as_nanos() < 3 * SimDuration::micros(50).as_nanos() + 200_000,
             "workers did not overlap: {end:?}"

@@ -293,7 +293,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (ioc, top) = stack(&sim, IoCache::DEFAULT_TIMEOUT);
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             seed(&top2, "/f", 64 * 1024).await;
             for _ in 0..5 {
                 let FopReply::Read(Ok(d)) = wind(
@@ -311,7 +311,6 @@ mod tests {
                 assert_eq!(d[0], (8192 % 251) as u8);
             }
         });
-        sim.run();
         assert_eq!(counter(&*ioc, "misses"), 1);
         assert_eq!(counter(&*ioc, "hits"), 4);
     }
@@ -321,7 +320,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_ioc, top) = stack(&sim, IoCache::DEFAULT_TIMEOUT);
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             seed(&top2, "/f", 8192).await;
             wind(
                 &top2,
@@ -355,7 +354,6 @@ mod tests {
             };
             assert!(d.iter().all(|&b| b == 0xCC));
         });
-        sim.run();
     }
 
     #[test]
@@ -375,7 +373,7 @@ mod tests {
         let top_a = Rc::clone(&ioc_a) as Xlator;
         let top_b = posix as Xlator; // writer bypasses (direct)
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.run_main(async move {
             seed(&top_b, "/shared", 4096).await;
             // A caches version 1.
             let FopReply::Read(Ok(v1)) = wind(
@@ -430,7 +428,6 @@ mod tests {
             };
             assert!(fresh.iter().all(|&b| b == 0xEE), "revalidation failed");
         });
-        sim.run();
         assert!(counter(&*ioc_a, "revalidations") >= 1);
     }
 
@@ -442,7 +439,7 @@ mod tests {
         let posix = Posix::new(be.clone());
         let ioc = IoCache::new(sim.handle(), posix, 64 << 20, IoCache::DEFAULT_TIMEOUT);
         let top = Rc::clone(&ioc) as Xlator;
-        sim.spawn(async move {
+        sim.run_main(async move {
             seed(&top, "/f", 8192).await;
             be.drop_caches();
             be.install_faults(StorageFaultPlan {
@@ -476,7 +473,6 @@ mod tests {
             };
             assert_eq!(d[1], 1, "seed pattern is i % 251");
         });
-        sim.run();
         assert_eq!(
             counter(&*ioc, "hits"),
             0,
@@ -491,7 +487,7 @@ mod tests {
         let (ioc, top) = stack(&sim, SimDuration::millis(5));
         let top2 = Rc::clone(&top);
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.run_main(async move {
             seed(&top2, "/f", 4096).await;
             wind(
                 &top2,
@@ -514,7 +510,6 @@ mod tests {
             )
             .await;
         });
-        sim.run();
         assert_eq!(counter(&*ioc, "revalidations"), 1);
         assert_eq!(counter(&*ioc, "hits"), 1);
         assert_eq!(counter(&*ioc, "misses"), 1);

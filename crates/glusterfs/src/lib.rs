@@ -36,7 +36,7 @@
 //! let proto = ClientProtocol::connect(&svc, client_node) as Xlator;
 //! let mount = GlusterMount::new(FuseBridge::new(sim.handle(), proto) as Xlator);
 //!
-//! sim.spawn(async move {
+//! sim.run_main(async move {
 //!     mount.create("/doc/hello").await.unwrap();
 //!     let fd = mount.open("/doc/hello").await.unwrap();
 //!     mount.write(fd, 0, b"translator stacks").await.unwrap();
@@ -44,7 +44,6 @@
 //!     assert_eq!(mount.stat("/doc/hello").await.unwrap().size, 17);
 //!     mount.close(fd).await.unwrap();
 //! });
-//! sim.run();
 //! ```
 
 #![warn(missing_docs)]

@@ -139,7 +139,7 @@ mod tests {
     fn posix_style_session() {
         let mut sim = Sim::new(0);
         let m = mount(&sim);
-        sim.spawn(async move {
+        sim.run_main(async move {
             m.create("/data/a.txt").await.unwrap();
             let fd = m.open("/data/a.txt").await.unwrap();
             m.write(fd, 0, b"0123456789").await.unwrap();
@@ -151,14 +151,13 @@ mod tests {
             m.unlink("/data/a.txt").await.unwrap();
             assert_eq!(m.open("/data/a.txt").await, Err(FsError::NotFound));
         });
-        sim.run();
     }
 
     #[test]
     fn concurrent_fds_are_independent() {
         let mut sim = Sim::new(0);
         let m = mount(&sim);
-        sim.spawn(async move {
+        sim.run_main(async move {
             m.create("/x").await.unwrap();
             m.create("/y").await.unwrap();
             let fx = m.open("/x").await.unwrap();
@@ -169,6 +168,5 @@ mod tests {
             assert_eq!(m.read(fx, 0, 2).await.unwrap(), b"XX");
             assert_eq!(m.read(fy, 0, 2).await.unwrap(), b"YY");
         });
-        sim.run();
     }
 }

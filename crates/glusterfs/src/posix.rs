@@ -190,7 +190,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let posix = setup(&sim);
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.run_main(async move {
             let p = "/vol/file0".to_string();
             assert_eq!(
                 wind(&posix, Fop::Create { path: p.clone() }).await,
@@ -238,14 +238,13 @@ mod tests {
                 FopReply::Close(Ok(()))
             );
         });
-        sim.run();
     }
 
     #[test]
     fn missing_files_error() {
         let mut sim = Sim::new(0);
         let posix = setup(&sim);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let p = "/vol/ghost".to_string();
             assert_eq!(
                 wind(&posix, Fop::Stat { path: p.clone() }).await,
@@ -273,14 +272,13 @@ mod tests {
             };
             assert_eq!(r, Err(FsError::NotFound));
         });
-        sim.run();
     }
 
     #[test]
     fn unlink_then_recreate_is_a_fresh_file() {
         let mut sim = Sim::new(0);
         let posix = setup(&sim);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let p = "/vol/recycled".to_string();
             wind(&posix, Fop::Create { path: p.clone() }).await;
             wind(
@@ -302,7 +300,6 @@ mod tests {
             };
             assert_eq!(st.size, 0, "recreated file must be empty");
         });
-        sim.run();
     }
 
     #[test]
@@ -311,7 +308,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
         let posix = Posix::new(be.clone()) as Xlator;
-        sim.spawn(async move {
+        sim.run_main(async move {
             let p = "/vol/fragile".to_string();
             wind(&posix, Fop::Create { path: p.clone() }).await;
             wind(
@@ -390,14 +387,13 @@ mod tests {
             };
             assert_eq!(data, b"ok");
         });
-        sim.run();
     }
 
     #[test]
     fn open_returns_current_stat() {
         let mut sim = Sim::new(0);
         let posix = setup(&sim);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let p = "/vol/opened".to_string();
             wind(&posix, Fop::Create { path: p.clone() }).await;
             wind(
@@ -414,6 +410,5 @@ mod tests {
             };
             assert_eq!(st.size, 4096);
         });
-        sim.run();
     }
 }

@@ -192,7 +192,6 @@ mod tests {
     use imca_fabric::Transport;
     use imca_sim::Sim;
     use imca_storage::{BackendParams, StorageBackend};
-    use std::cell::Cell;
 
     fn build(sim: &Sim) -> (Network, Xlator) {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
@@ -210,7 +209,7 @@ mod tests {
     fn fops_round_trip_over_the_network() {
         let mut sim = Sim::new(0);
         let (_net, top) = build(&sim);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let p = "/vol/net_file".to_string();
             assert_eq!(
                 wind(&top, Fop::Create { path: p.clone() }).await,
@@ -239,7 +238,6 @@ mod tests {
             };
             assert_eq!(data, b"the");
         });
-        sim.run();
     }
 
     #[test]
@@ -247,18 +245,15 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_net, top) = build(&sim);
         let h = sim.handle();
-        let elapsed = Rc::new(Cell::new(0u64));
-        let e2 = Rc::clone(&elapsed);
-        sim.spawn(async move {
+        let elapsed = sim.run_main(async move {
             wind(&top, Fop::Create { path: "/f".into() }).await;
             let t0 = h.now();
             wind(&top, Fop::Stat { path: "/f".into() }).await;
-            e2.set(h.now().since(t0).as_nanos());
+            h.now().since(t0).as_nanos()
         });
-        sim.run();
         let floor = Transport::ipoib_ddr().unloaded_rtt(66, 208).as_nanos()
             + FuseBridge::DEFAULT_COST.as_nanos();
-        assert!(elapsed.get() >= floor, "{} < {}", elapsed.get(), floor);
+        assert!(elapsed >= floor, "{elapsed} < {floor}");
     }
 
     #[test]
@@ -273,7 +268,7 @@ mod tests {
             start_server_with_control(&net, server_node, posix, ServerParams::default());
         let top = ClientProtocol::connect(&svc, client_node) as Xlator;
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.run_main(async move {
             let p = "/vol/f".to_string();
             wind(&top, Fop::Create { path: p.clone() }).await;
             control.crash();
@@ -305,7 +300,6 @@ mod tests {
             // The crashed-away write never landed.
             assert_eq!(st.size, 0);
         });
-        sim.run();
     }
 
     #[test]
@@ -327,16 +321,17 @@ mod tests {
             let seed = ClientProtocol::connect(&svc, net.add_node());
             let svc2 = svc.clone();
             let net2 = net.clone();
-            sim.spawn(async move {
+            sim.run_main(async move {
                 wind(&(seed as Xlator), Fop::Create { path: "/f".into() }).await;
-                for _ in 0..16 {
-                    let proto = ClientProtocol::connect(&svc2, net2.add_node()) as Xlator;
-                    imca_sim::SimHandle::spawn(&net2.handle(), async move {
-                        wind(&proto, Fop::Stat { path: "/f".into() }).await;
-                    });
-                }
+                let stats: Vec<_> = (0..16)
+                    .map(|_| {
+                        let proto = ClientProtocol::connect(&svc2, net2.add_node()) as Xlator;
+                        async move { wind(&proto, Fop::Stat { path: "/f".into() }).await }
+                    })
+                    .collect();
+                imca_sim::join_all(&net2.handle(), stats).await;
             });
-            sim.run().end_time.as_nanos()
+            sim.now().as_nanos()
         }
         let serial = run(1);
         let parallel = run(8);

@@ -171,7 +171,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (ra, top) = stack(&sim, 64 * 1024);
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             seed(&top2, "/f", 256 * 1024).await;
             for i in 0..32u64 {
                 let FopReply::Read(Ok(data)) = wind(
@@ -190,7 +190,6 @@ mod tests {
                 assert_eq!(data[0], ((i * 4096) % 256) as u8);
             }
         });
-        sim.run();
         assert!(counter(&*ra, "hits") > 20, "hits={}", counter(&*ra, "hits"));
         assert!(counter(&*ra, "prefetches") >= 1);
     }
@@ -200,7 +199,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (ra, top) = stack(&sim, 64 * 1024);
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             seed(&top2, "/f", 256 * 1024).await;
             for off in [200_000u64, 0, 100_000, 50_000] {
                 wind(
@@ -214,7 +213,6 @@ mod tests {
                 .await;
             }
         });
-        sim.run();
         assert_eq!(counter(&*ra, "prefetches"), 0);
         assert_eq!(counter(&*ra, "hits"), 0);
     }
@@ -224,7 +222,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_ra, top) = stack(&sim, 64 * 1024);
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             seed(&top2, "/f", 64 * 1024).await;
             // Prime the window with a sequential pair.
             for i in 0..2u64 {
@@ -263,7 +261,6 @@ mod tests {
             };
             assert!(data.iter().all(|&b| b == 0xFF));
         });
-        sim.run();
     }
 
     #[test]
@@ -275,7 +272,7 @@ mod tests {
         let posix = Posix::new(be.clone());
         let ra = ReadAhead::new(posix, 64 * 1024);
         let top = Rc::clone(&ra) as Xlator;
-        sim.spawn(async move {
+        sim.run_main(async move {
             seed(&top, "/f", 256 * 1024).await;
             // Prime a sequential stream so the next read wants to prefetch.
             wind(
@@ -325,7 +322,6 @@ mod tests {
             );
             assert_eq!(d[0], (4096 % 256) as u8);
         });
-        sim.run();
     }
 
     #[test]
@@ -333,7 +329,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_ra, top) = stack(&sim, 64 * 1024);
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             seed(&top2, "/f", 10_000).await;
             // Sequential walk straight past EOF.
             let mut off = 0u64;
@@ -360,6 +356,5 @@ mod tests {
             }
             assert_eq!(off, 10_000);
         });
-        sim.run();
     }
 }

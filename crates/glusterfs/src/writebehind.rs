@@ -166,7 +166,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (wb, top) = stack(&sim, 64 * 1024);
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             wind(&top2, Fop::Create { path: "/f".into() }).await;
             for i in 0..100u64 {
                 wind(
@@ -194,7 +194,6 @@ mod tests {
             };
             assert_eq!(data, vec![99u8; 100]);
         });
-        sim.run();
         assert!(
             counter(&*wb, "aggregated") > 90,
             "aggregated={}",
@@ -212,7 +211,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (wb, top) = stack(&sim, 1_000);
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             wind(&top2, Fop::Create { path: "/f".into() }).await;
             for i in 0..10u64 {
                 wind(
@@ -226,7 +225,6 @@ mod tests {
                 .await;
             }
         });
-        sim.run();
         assert!(
             counter(&*wb, "flushes") >= 4,
             "flushes={}",
@@ -239,7 +237,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_wb, top) = stack(&sim, 64 * 1024);
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             wind(&top2, Fop::Create { path: "/f".into() }).await;
             wind(
                 &top2,
@@ -288,7 +286,6 @@ mod tests {
             assert_eq!(a, b"AAAA");
             assert_eq!(b, b"BBBB");
         });
-        sim.run();
     }
 
     #[test]
@@ -298,7 +295,7 @@ mod tests {
         // Use real posix: writing to a never-created file errors NotFound.
         let (_wb, top) = stack(&sim, 64 * 1024);
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             // No create — the buffered write will fail at flush time.
             let r = wind(
                 &top2,
@@ -321,7 +318,6 @@ mod tests {
             .await;
             assert_eq!(r, FopReply::Close(Err(FsError::NotFound)));
         });
-        sim.run();
     }
 
     #[test]
@@ -332,7 +328,7 @@ mod tests {
         let posix = Posix::new(be.clone());
         let top = WriteBehind::new(posix, 64 * 1024) as Xlator;
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             wind(&top2, Fop::Create { path: "/f".into() }).await;
             be.install_faults(StorageFaultPlan {
                 write_error: 1.0,
@@ -357,7 +353,6 @@ mod tests {
             let r = wind(&top2, Fop::Close { path: "/f".into() }).await;
             assert_eq!(r, FopReply::Close(Ok(())));
         });
-        sim.run();
     }
 
     #[test]
@@ -365,7 +360,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_wb, top) = stack(&sim, 64 * 1024);
         let top2 = Rc::clone(&top);
-        sim.spawn(async move {
+        sim.run_main(async move {
             wind(&top2, Fop::Create { path: "/f".into() }).await;
             wind(
                 &top2,
@@ -381,7 +376,6 @@ mod tests {
             };
             assert_eq!(st.size, 5_000, "stat must flush write-behind first");
         });
-        sim.run();
     }
 
     #[test]
@@ -389,10 +383,9 @@ mod tests {
         let mut sim = Sim::new(0);
         let mock = MockXlator::new();
         let wb = WriteBehind::new(Rc::clone(&mock) as Xlator, 1024);
-        sim.spawn(async move {
+        sim.run_main(async move {
             wind(&(wb as Xlator), Fop::Create { path: "/c".into() }).await;
         });
-        sim.run();
         assert_eq!(mock.log.borrow().len(), 1);
     }
 }

@@ -470,7 +470,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let cluster = Rc::new(Cluster::build(sim.handle(), small_imca(2)));
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = c2.mount();
             m.create("/vol/data.bin").await.unwrap();
             let fd = m.open("/vol/data.bin").await.unwrap();
@@ -484,7 +484,6 @@ mod tests {
             assert_eq!(r2, r1);
             m.close(fd).await.unwrap();
         });
-        sim.run();
         let hits = cluster.metrics().counter_sum("cmcache.*.read_hits");
         assert!(hits >= 1, "no cached read");
     }
@@ -495,9 +494,7 @@ mod tests {
         let cluster = Rc::new(Cluster::build(sim.handle(), small_imca(1)));
         let c2 = Rc::clone(&cluster);
         let h = sim.handle();
-        let times = Rc::new(RefCell::new(Vec::new()));
-        let t2 = Rc::clone(&times);
-        sim.spawn(async move {
+        let (miss, hit) = sim.run_main(async move {
             let m = c2.mount();
             m.create("/f").await.unwrap();
             let fd = m.open("/f").await.unwrap();
@@ -512,10 +509,8 @@ mod tests {
             let t1 = h.now();
             m.read(fd, 0, 2048).await.unwrap(); // hit: MCD only
             let hit = h.now().since(t1);
-            t2.borrow_mut().push((miss.as_nanos(), hit.as_nanos()));
+            (miss.as_nanos(), hit.as_nanos())
         });
-        sim.run();
-        let (miss, hit) = times.borrow()[0];
         assert!(hit < miss, "hit={hit} miss={miss}");
     }
 
@@ -524,7 +519,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let cluster = Rc::new(Cluster::build(sim.handle(), ClusterConfig::nocache()));
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = c2.mount();
             m.create("/f").await.unwrap();
             let fd = m.open("/f").await.unwrap();
@@ -533,7 +528,6 @@ mod tests {
             let st = m.stat("/f").await.unwrap();
             assert_eq!(st.size, 13);
         });
-        sim.run();
         assert!(cluster.mcds().is_empty());
         let snap = cluster.metrics();
         for tier in ["bank.", "smcache.", "cmcache."] {
@@ -548,7 +542,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let cluster = Rc::new(Cluster::build(sim.handle(), small_imca(1)));
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let producer = c2.mount();
             let consumer = c2.mount();
             producer.create("/shared").await.unwrap();
@@ -562,7 +556,6 @@ mod tests {
             let data = consumer.read(cfd, 0, 4096).await.unwrap();
             assert_eq!(data, vec![0x5A; 4096]);
         });
-        sim.run();
         let hits = cluster.metrics().counter_sum("cmcache.*.stat_hits");
         assert!(hits >= 1, "consumer stat not served from bank");
     }
@@ -572,7 +565,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let cluster = Rc::new(Cluster::build(sim.handle(), small_imca(2)));
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = c2.mount();
             m.create("/obs").await.unwrap();
             let fd = m.open("/obs").await.unwrap();
@@ -582,7 +575,6 @@ mod tests {
             m.stat("/obs").await.unwrap();
             m.close(fd).await.unwrap();
         });
-        sim.run();
         let snap = cluster.metrics();
         // Every tier is present under its `tier.component.metric` name.
         for name in [
@@ -631,7 +623,7 @@ mod tests {
             }),
         ));
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let producer = c2.mount();
             let (consumer, cm) = c2.mount_with_meta();
             let cm = cm.expect("imca mount has a cmcache");
@@ -650,7 +642,6 @@ mod tests {
             // …and the next poll sees the new size.
             assert_eq!(consumer.stat("/shared").await.unwrap().size, 1500);
         });
-        sim.run();
         let snap = cluster.metrics();
         assert!(snap.counter("leases.revocations_sent").unwrap() >= 1);
         assert_eq!(snap.counter("leases.failed_revocations"), Some(0));
@@ -675,7 +666,7 @@ mod tests {
             }),
         ));
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let (m, cm) = c2.mount_with_meta();
             let cm = cm.unwrap();
             m.create("/f").await.unwrap();
@@ -696,7 +687,6 @@ mod tests {
             assert_eq!(m.stat("/f").await.unwrap().size, 100);
             assert_eq!(misses(), misses_before + 1);
         });
-        sim.run();
     }
 
     #[test]
@@ -704,7 +694,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let cluster = Rc::new(Cluster::build(sim.handle(), small_imca(2)));
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = c2.mount();
             m.create("/f").await.unwrap();
             let fd = m.open("/f").await.unwrap();
@@ -731,7 +721,6 @@ mod tests {
                 "restart must leave the bank cold"
             );
         });
-        sim.run();
         let snap = cluster.metrics();
         assert_eq!(snap.counter("server.crashes"), Some(1));
         assert_eq!(snap.counter("server.restarts"), Some(1));
@@ -743,7 +732,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let cluster = Rc::new(Cluster::build(sim.handle(), small_imca(1)));
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = c2.mount();
             m.create("/f").await.unwrap();
             let fd = m.open("/f").await.unwrap();
@@ -759,7 +748,6 @@ mod tests {
             m.write(fd, 0, b"yes!").await.unwrap();
             assert_eq!(m.read(fd, 0, 4).await.unwrap(), b"yes!");
         });
-        sim.run();
         let snap = cluster.metrics();
         assert!(snap.counter("storage.io_errors").unwrap() >= 1);
     }
@@ -787,7 +775,7 @@ mod tests {
                 }),
             ));
             let c2 = Rc::clone(&cluster);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 let producer = c2.mount();
                 let (consumer, cm) = c2.mount_with_meta();
                 let cm = cm.expect("imca mount has a cmcache");
@@ -813,7 +801,6 @@ mod tests {
                     "lease survived a dropped push ({coherence:?})"
                 );
             });
-            sim.run();
             let snap = cluster.metrics();
             let dropped = snap.counter("smcache.dropped_pushes").unwrap();
             assert!(dropped >= 1, "{coherence:?}");
@@ -831,7 +818,7 @@ mod tests {
             let mut sim = Sim::new(42);
             let cluster = Rc::new(Cluster::build(sim.handle(), small_imca(2)));
             let c2 = Rc::clone(&cluster);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 let m = c2.mount();
                 m.create("/d").await.unwrap();
                 let fd = m.open("/d").await.unwrap();

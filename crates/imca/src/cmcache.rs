@@ -310,7 +310,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (cm, rec, bank) = setup(&sim, vec![0; 100], 2048, true);
         let cm2 = Rc::clone(&cm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             // Seed the bank the way SMCache would.
             let st = FileStat {
                 size: 100,
@@ -326,7 +326,6 @@ mod tests {
             };
             assert_eq!(got, st);
         });
-        sim.run();
         assert!(rec.log.borrow().is_empty(), "server was contacted on a hit");
         assert_eq!(counters(&*cm, ["stat_hits"]), [1]);
     }
@@ -336,7 +335,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (cm, rec, _bank) = setup(&sim, vec![0; 100], 2048, true);
         let cm2 = Rc::clone(&cm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let FopReply::Stat(Ok(st)) = Rc::clone(&(cm2 as Xlator))
                 .handle(Fop::Stat { path: "/f".into() })
                 .await
@@ -345,7 +344,6 @@ mod tests {
             };
             assert_eq!(st.size, 100);
         });
-        sim.run();
         assert_eq!(rec.log.borrow().len(), 1);
         assert_eq!(counters(&*cm, ["stat_misses"]), [1]);
     }
@@ -356,7 +354,7 @@ mod tests {
         let file: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         let (cm, rec, bank) = setup(&sim, file.clone(), 2048, true);
         let cm2 = Rc::clone(&cm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             // Seed blocks 0..4 as SMCache would.
             for b in 0..4u64 {
                 let s = (b * 2048) as usize;
@@ -379,7 +377,6 @@ mod tests {
             };
             assert_eq!(data, file[3000..5000].to_vec());
         });
-        sim.run();
         assert!(rec.log.borrow().is_empty());
         assert_eq!(counters(&*cm, ["read_hits"]), [1]);
     }
@@ -389,7 +386,7 @@ mod tests {
         let file: Vec<u8> = vec![7; 8192];
         let (cm, rec, bank) = setup(&sim, file.clone(), 2048, batched);
         let cm2 = Rc::clone(&cm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             // Seed only the first of the two covering blocks.
             bank.set(
                 &block_key("/f", 2048),
@@ -408,7 +405,6 @@ mod tests {
             };
             assert_eq!(data.len(), 2000);
         });
-        sim.run();
         assert_eq!(rec.log.borrow().len(), 1, "read must reach the server");
         assert_eq!(counters(&*cm, ["read_misses"]), [1]);
     }
@@ -430,7 +426,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (cm, rec, _bank) = setup_with_meta(&sim, vec![0; 100], 2048, true, MetaConfig::lease());
         let cm2 = Rc::clone(&cm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             for _ in 0..3 {
                 let FopReply::Stat(Ok(st)) = Rc::clone(&(Rc::clone(&cm2) as Xlator))
                     .handle(Fop::Stat { path: "/f".into() })
@@ -441,7 +437,6 @@ mod tests {
                 assert_eq!(st.size, 100);
             }
         });
-        sim.run();
         assert_eq!(rec.log.borrow().len(), 1, "only the fill may forward");
         assert_eq!(counters(&*cm, ["stat_misses", "stat_hits"]), [1, 2]);
     }
@@ -454,7 +449,7 @@ mod tests {
         let (cm, _rec, bank) =
             setup_with_meta(&sim, vec![0; 100], 2048, true, MetaConfig::default());
         let cm2 = Rc::clone(&cm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let st = FileStat {
                 size: 7,
                 mtime_ns: 1,
@@ -468,7 +463,6 @@ mod tests {
             assert_eq!(rs[0].source, StatSource::Backend);
             assert_eq!(rs[1].source, StatSource::Bank);
         });
-        sim.run();
         assert_eq!(counters(&*cm, ["stat_hits", "stat_misses"]), [1, 1]);
     }
 
@@ -477,7 +471,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (cm, rec, _bank) = setup(&sim, vec![], 2048, true);
         let cm2 = Rc::clone(&cm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             Rc::clone(&(cm2 as Xlator))
                 .handle(Fop::Write {
                     path: "/f".into(),
@@ -486,7 +480,6 @@ mod tests {
                 })
                 .await;
         });
-        sim.run();
         assert_eq!(rec.log.borrow().len(), 1);
         assert_eq!(
             counters(&*cm, ["read_hits", "read_misses", "stat_hits"]),
@@ -499,7 +492,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (cm, rec, _bank) = setup(&sim, vec![1; 100], 2048, true);
         let cm2 = Rc::clone(&cm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let FopReply::Read(Ok(data)) = Rc::clone(&(cm2 as Xlator))
                 .handle(Fop::Read {
                     path: "/f".into(),
@@ -512,7 +505,6 @@ mod tests {
             };
             assert!(data.is_empty());
         });
-        sim.run();
         assert!(rec.log.borrow().is_empty());
     }
 }

@@ -36,7 +36,7 @@
 //!     }),
 //! ));
 //! let c = Rc::clone(&cluster);
-//! sim.spawn(async move {
+//! sim.run_main(async move {
 //!     let mount = c.mount();
 //!     mount.create("/demo").await.unwrap();
 //!     let fd = mount.open("/demo").await.unwrap();
@@ -44,7 +44,6 @@
 //!     // The write populated the bank; this read never touches the server.
 //!     assert_eq!(mount.read(fd, 0, 4096).await.unwrap(), vec![7u8; 4096]);
 //! });
-//! sim.run();
 //! assert_eq!(cluster.metrics().counter("cmcache.0.read_hits"), Some(1));
 //! ```
 

@@ -941,7 +941,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_net, bank, client) = setup(&sim, 4);
         let c2 = Rc::clone(&client);
-        sim.spawn(async move {
+        sim.run_main(async move {
             for i in 0..100u64 {
                 let key = format!("/f/{i}:stat");
                 c2.set(key.as_bytes(), Bytes::from(vec![i as u8; 24])).await;
@@ -952,7 +952,6 @@ mod tests {
                 assert_eq!(v, vec![i as u8; 24]);
             }
         });
-        sim.run();
         assert_eq!(
             counters(&*client, ["gets", "hits", "misses", "sets"]),
             [100, 100, 0, 100]
@@ -975,14 +974,13 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_net, _bank, client) = setup(&sim, 2);
         let c2 = Rc::clone(&client);
-        sim.spawn(async move {
+        sim.run_main(async move {
             assert!(c2.get(b"/nothing:stat").await.is_none());
             c2.set(b"/x:0", Bytes::from_static(b"data")).await;
             assert!(c2.get(b"/x:0").await.is_some());
             c2.delete(b"/x:0").await;
             assert!(c2.get(b"/x:0").await.is_none());
         });
-        sim.run();
         assert_eq!(counters(&*client, ["misses", "deletes"]), [2, 1]);
     }
 
@@ -995,7 +993,7 @@ mod tests {
             let (_net, bank, client) = client_over(&sim, 2, &modulo(1));
             let c2 = Rc::clone(&client);
             let b2 = Rc::clone(&bank);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 c2.set(b"/k:0", Bytes::from_static(b"v")).await;
                 assert!(read_via(&c2, via, b"/k:0").await.is_some());
                 b2.kill(0);
@@ -1018,7 +1016,6 @@ mod tests {
                     Some(Bytes::from_static(b"v2"))
                 );
             });
-            sim.run();
             assert!(bank.nodes()[1].is_alive());
             assert_eq!(bank.failovers(), 1);
             assert_eq!(
@@ -1038,15 +1035,6 @@ mod tests {
         let (net, bank, client) = setup(&sim, 1);
         let h = net.handle();
         {
-            let c = Rc::clone(&client);
-            sim.spawn(async move {
-                c.set(b"/k:0", Bytes::from_static(b"v")).await;
-                // This get will be in flight when the daemon dies.
-                let r = c.get(b"/k:0").await;
-                assert!(r.is_none());
-            });
-        }
-        {
             let b = Rc::clone(&bank);
             sim.spawn(async move {
                 // Let the set land, then kill during the get's network leg.
@@ -1054,7 +1042,13 @@ mod tests {
                 b.kill(0);
             });
         }
-        sim.run();
+        let c = Rc::clone(&client);
+        sim.run_main(async move {
+            c.set(b"/k:0", Bytes::from_static(b"v")).await;
+            // This get will be in flight when the daemon dies.
+            let r = c.get(b"/k:0").await;
+            assert!(r.is_none());
+        });
         assert_eq!(counter(&client, "failures"), 1);
         assert_eq!(bank.failovers(), 1);
     }
@@ -1077,12 +1071,11 @@ mod tests {
                 .flat_map(|p| (0..8).map(move |i| (i, block(p, i))))
                 .collect();
             let stored = keys.clone();
-            sim.spawn(async move {
+            sim.run_main(async move {
                 for (_, key) in stored {
                     client.set(&key, Bytes::from_static(b"B")).await;
                 }
             });
-            sim.run();
             for (i, key) in &keys {
                 for (d, node) in bank.nodes().iter().enumerate() {
                     let home = (0..factor).any(|k| (i + k) % 4 == d as u64);
@@ -1113,7 +1106,7 @@ mod tests {
                 b.kill(1);
             });
         }
-        sim.spawn(async move {
+        sim.run_main(async move {
             for i in 0..20u64 {
                 let key = format!("/m/{i}:stat");
                 c2.set(key.as_bytes(), Bytes::from(vec![1u8; 32])).await;
@@ -1134,7 +1127,6 @@ mod tests {
             kill_tx.send(());
             assert!(c2.get(b"/m/0:stat").await.is_none());
         });
-        sim.run();
         let snap = imca_metrics::collect_from(&*client, "bank");
         let [gets, hits, misses, failures] =
             counters(&*client, ["gets", "hits", "misses", "failures"]);
@@ -1171,7 +1163,7 @@ mod tests {
             };
             let (_net, bank, client) = client_over(&sim, 4, &cfg);
             let c2 = Rc::clone(&client);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 for blk in 0..8u64 {
                     let key = format!("/f:{}", blk * 2048);
                     c2.set(key.as_bytes(), Bytes::from(vec![blk as u8; 64]))
@@ -1185,7 +1177,6 @@ mod tests {
                     assert_eq!(v.as_deref(), Some(&vec![blk as u8; 64][..]), "block {blk}");
                 }
             });
-            sim.run();
             let gets = counter(&client, "gets");
             assert_eq!(
                 counters(&*client, ["gets", "hits", "misses", "failures"]),
@@ -1226,7 +1217,7 @@ mod tests {
         let (_net, bank, client) = client_over(&sim, 2, &modulo(1));
         let c2 = Rc::clone(&client);
         let b2 = Rc::clone(&bank);
-        sim.spawn(async move {
+        sim.run_main(async move {
             c2.set(b"/f:0", Bytes::from_static(b"a")).await;
             c2.set(b"/f:2048", Bytes::from_static(b"b")).await;
             b2.kill(0);
@@ -1235,7 +1226,6 @@ mod tests {
             assert_eq!(got[0], None);
             assert_eq!(got[1], Some(Bytes::from_static(b"b")));
         });
-        sim.run();
         assert_eq!(counters(&*client, ["gets", "hits", "misses"]), [2, 1, 1]);
         // No wire traffic to the dead daemon: not a failure, a local miss.
         assert_eq!(counter(&client, "failures"), 0);
@@ -1251,24 +1241,6 @@ mod tests {
         let h = net.handle();
         let (armed_tx, armed_rx) = imca_sim::sync::oneshot::<()>();
         {
-            let c = Rc::clone(&client);
-            sim.spawn(async move {
-                for i in 0..3u64 {
-                    let key = format!("/g/{i}:stat");
-                    c.set(key.as_bytes(), Bytes::from_static(b"v")).await;
-                }
-                let keys: Vec<Vec<u8>> = (0..3u64)
-                    .map(|i| format!("/g/{i}:stat").into_bytes())
-                    .collect();
-                // Arm the killer, then issue the multi-get: routing is
-                // synchronous, so the RPC is on the wire before the killer
-                // task gets to run.
-                armed_tx.send(());
-                let got = c.get_multi(&keys).await;
-                assert!(got.iter().all(|v| v.is_none()));
-            });
-        }
-        {
             let b = Rc::clone(&bank);
             sim.spawn(async move {
                 armed_rx.await.unwrap();
@@ -1277,7 +1249,22 @@ mod tests {
                 b.kill(0);
             });
         }
-        sim.run();
+        let c = Rc::clone(&client);
+        sim.run_main(async move {
+            for i in 0..3u64 {
+                let key = format!("/g/{i}:stat");
+                c.set(key.as_bytes(), Bytes::from_static(b"v")).await;
+            }
+            let keys: Vec<Vec<u8>> = (0..3u64)
+                .map(|i| format!("/g/{i}:stat").into_bytes())
+                .collect();
+            // Arm the killer, then issue the multi-get: routing is
+            // synchronous, so the RPC is on the wire before the killer
+            // task gets to run.
+            armed_tx.send(());
+            let got = c.get_multi(&keys).await;
+            assert!(got.iter().all(|v| v.is_none()));
+        });
         assert_eq!(counters(&*client, ["gets", "hits"]), [3, 0]);
         assert_eq!(
             counter(&client, "failures"),
@@ -1301,7 +1288,7 @@ mod tests {
             };
             let (_net, bank, client) = client_over(&sim, 2, &cfg);
             let c2 = Rc::clone(&client);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 let items: Vec<(Vec<u8>, Bytes)> = (0..8u64)
                     .map(|blk| (block("/p", blk), Bytes::from(vec![blk as u8; 128])))
                     .collect();
@@ -1324,7 +1311,6 @@ mod tests {
                     assert!(c2.get(key.as_bytes()).await.is_none());
                 }
             });
-            sim.run();
             assert_eq!(
                 counters(&*client, ["sets", "deletes", "failures"]),
                 [8, 8, 0]
@@ -1354,22 +1340,19 @@ mod tests {
         let (net, bank, client) = setup(&sim, 1);
         let h = net.handle();
         {
-            let c = Rc::clone(&client);
-            sim.spawn(async move {
-                let items: Vec<(Vec<u8>, Bytes)> = (0..4u64)
-                    .map(|i| (block(&format!("/q/{i}"), 0), Bytes::from(vec![7u8; 2048])))
-                    .collect();
-                c.set_pipeline(items).await;
-            });
-        }
-        {
             let b = Rc::clone(&bank);
             sim.spawn(async move {
                 h.sleep(SimDuration::micros(30)).await;
                 b.kill(0);
             });
         }
-        sim.run();
+        let c = Rc::clone(&client);
+        sim.run_main(async move {
+            let items: Vec<(Vec<u8>, Bytes)> = (0..4u64)
+                .map(|i| (block(&format!("/q/{i}"), 0), Bytes::from(vec![7u8; 2048])))
+                .collect();
+            c.set_pipeline(items).await;
+        });
         assert_eq!(
             counters(&*client, ["sets", "failures"]),
             [4, 4],
@@ -1398,7 +1381,7 @@ mod tests {
             let net2 = net.clone();
             let mcd_node = bank.nodes()[0].node;
             let h = sim.handle();
-            sim.spawn(async move {
+            sim.run_main(async move {
                 c2.set(b"/k:stat", Bytes::from_static(b"v")).await;
                 assert!(read_via(&c2, via, b"/k:stat").await.is_some());
                 net2.isolate("mcd-cut", [mcd_node]);
@@ -1419,7 +1402,6 @@ mod tests {
                     Some(Bytes::from_static(b"v"))
                 );
             });
-            sim.run();
             // get #2 timed out (1 attempt + 1 retry), get #3 was shed.
             let snap = imca_metrics::collect_from(&*client, "bank");
             assert_eq!(snap.counter("bank.rpc_timeouts"), Some(2), "{via:?}");
@@ -1454,7 +1436,7 @@ mod tests {
             let b2 = Rc::clone(&bank);
             let mcd_nodes: Vec<NodeId> = bank.nodes().iter().map(|n| n.node).collect();
             let h = sim.handle();
-            sim.spawn(async move {
+            sim.run_main(async move {
                 c2.set(b"/f:0", Bytes::from_static(b"stale")).await;
                 net2.isolate("mcd-cut", mcd_nodes);
                 // The purge never reaches a daemon: every retransmit of the
@@ -1479,7 +1461,6 @@ mod tests {
                     Some(Bytes::from_static(b"fresh"))
                 );
             });
-            sim.run();
             let case = format!("{via:?} at factor {factor}");
             assert!(bank.nodes().iter().all(|n| !n.is_quarantined()), "{case}");
             assert_eq!(
@@ -1514,7 +1495,7 @@ mod tests {
         let net2 = net.clone();
         let mcd_node = bank.nodes()[0].node;
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.run_main(async move {
             a.set(b"/s:0", Bytes::from_static(b"old")).await;
             net2.isolate("cut", [mcd_node]);
             a.delete_pipeline(vec![b"/s:0".to_vec()]).await;
@@ -1524,7 +1505,6 @@ mod tests {
             assert!(b.get(b"/s:0").await.is_none());
             assert_eq!(counters(&*b, ["gets", "misses"]), [1, 1]);
         });
-        sim.run();
         assert!(bank.nodes()[0].is_quarantined());
     }
 
@@ -1540,7 +1520,7 @@ mod tests {
             ..imca_fabric::FaultPlan::seeded(4)
         });
         let c2 = Rc::clone(&client);
-        sim.spawn(async move {
+        sim.run_main(async move {
             for blk in 0..4u64 {
                 let key = format!("/d:{}", blk * 2048);
                 c2.set(key.as_bytes(), Bytes::from(vec![blk as u8; 32]))
@@ -1554,7 +1534,6 @@ mod tests {
                 assert_eq!(v.as_deref(), Some(&vec![blk as u8; 32][..]), "block {blk}");
             }
         });
-        sim.run();
         assert_eq!(
             counters(&*client, ["gets", "hits", "misses", "failures"]),
             [4, 4, 0, 0]
@@ -1583,7 +1562,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_net, bank, client) = replicated_setup(&sim, 4, 2);
         let c2 = Rc::clone(&client);
-        sim.spawn(async move {
+        sim.run_main(async move {
             // Single-key writes fan out…
             c2.set(b"/a:0", Bytes::from_static(b"v")).await;
             // …and so do pipelined ones.
@@ -1596,7 +1575,6 @@ mod tests {
             c2.delete(b"/a:0").await;
             c2.delete_pipeline(vec![block("/f", 1)]).await;
         });
-        sim.run();
         // The surviving key lives on exactly R = 2 daemons…
         let kept = block("/f", 2);
         assert_eq!(holders(&bank, &kept), 2);
@@ -1614,7 +1592,7 @@ mod tests {
         let (_net, bank, client) = replicated_setup(&sim, 2, 2);
         let c2 = Rc::clone(&client);
         let b2 = Rc::clone(&bank);
-        sim.spawn(async move {
+        sim.run_main(async move {
             c2.set(b"/k:0", Bytes::from_static(b"v")).await;
             b2.kill(0);
             // Dead primary, live replica: the read is a warm hit, not the
@@ -1625,7 +1603,6 @@ mod tests {
             let got = c2.get_multi(&[b"/k:0".to_vec()]).await;
             assert_eq!(got[0], Some(Bytes::from_static(b"v")));
         });
-        sim.run();
         assert_eq!(
             counters(&*client, ["gets", "hits", "misses", "failures"]),
             [2, 2, 0, 0]
@@ -1642,22 +1619,19 @@ mod tests {
         let (net, bank, client) = replicated_setup(&sim, 2, 2);
         let h = net.handle();
         {
-            let c = Rc::clone(&client);
-            sim.spawn(async move {
-                c.set(b"/k:0", Bytes::from_static(b"v")).await;
-                // In flight when a daemon dies: the client excludes the
-                // dropped replica and retries the other — still a hit.
-                assert_eq!(c.get(b"/k:0").await, Some(Bytes::from_static(b"v")));
-            });
-        }
-        {
             let b = Rc::clone(&bank);
             sim.spawn(async move {
                 h.sleep(SimDuration::micros(80)).await;
                 b.kill(0);
             });
         }
-        sim.run();
+        let c = Rc::clone(&client);
+        sim.run_main(async move {
+            c.set(b"/k:0", Bytes::from_static(b"v")).await;
+            // In flight when a daemon dies: the client excludes the
+            // dropped replica and retries the other — still a hit.
+            assert_eq!(c.get(b"/k:0").await, Some(Bytes::from_static(b"v")));
+        });
         assert_eq!(counters(&*client, ["hits", "misses"]), [1, 0]);
         // Whichever replica the P2C router tried first, the get resolved
         // warm; if the dead one was hit mid-flight a failure is recorded.
@@ -1678,7 +1652,7 @@ mod tests {
         let net2 = net.clone();
         let mcd_nodes: Vec<NodeId> = bank.nodes().iter().map(|n| n.node).collect();
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.run_main(async move {
             net2.isolate("cut", mcd_nodes);
             assert!(c2.get(b"/r:0").await.is_none());
             assert_eq!(counter(&c2, "degraded_misses"), 1);
@@ -1689,7 +1663,6 @@ mod tests {
             assert_eq!(got, vec![None, None]);
             assert_eq!(counter(&c2, "degraded_misses"), 3);
         });
-        sim.run();
         assert_eq!(counters(&*client, ["gets", "hits", "misses"]), [3, 0, 3]);
     }
 
@@ -1698,13 +1671,12 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_net, bank, client) = replicated_setup(&sim, 2, 2);
         let c2 = Rc::clone(&client);
-        sim.spawn(async move {
+        sim.run_main(async move {
             c2.set(b"/hot:0", Bytes::from_static(b"v")).await;
             for _ in 0..64 {
                 assert!(c2.get(b"/hot:0").await.is_some());
             }
         });
-        sim.run();
         // Sequential gets always tie on in-flight load (0 vs 0), so the
         // deterministic coin decides: both replicas must see real traffic
         // instead of daemon 0 eating all 64.
@@ -1719,14 +1691,13 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_net, bank, client) = replicated_setup(&sim, 2, 1);
         let c2 = Rc::clone(&client);
-        sim.spawn(async move {
+        sim.run_main(async move {
             c2.set(b"/hot:0", Bytes::from_static(b"v")).await;
             // Single-home: all 10 GETs hammer daemon 0.
             for _ in 0..10 {
                 c2.get(b"/hot:0").await;
             }
         });
-        sim.run();
         let snap = imca_metrics::collect_from(&*bank, "bank");
         assert_eq!(snap.counter("bank.per_daemon.0.gets"), Some(10));
         assert_eq!(snap.counter("bank.per_daemon.1.gets"), Some(0));
@@ -1739,7 +1710,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_net, _bank, client) = setup(&sim, 1);
         let c2 = Rc::clone(&client);
-        sim.spawn(async move {
+        sim.run_main(async move {
             c2.set(b"/k:0", Bytes::from_static(b"old")).await;
             let (v, tok) = fetch_token(&c2, b"/k:0").await.expect("warm key");
             assert_eq!(v, Bytes::from_static(b"old"));
@@ -1773,7 +1744,6 @@ mod tests {
             // A token fetch on an absent key is a cold row.
             assert!(fetch_token(&c2, b"/k:0").await.is_none());
         });
-        sim.run();
         // Token fetches are write-path prep, not gets; every cas counts
         // as a set.
         assert_eq!(counter(&client, "gets"), 2);
@@ -1788,7 +1758,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_net, _bank, client) = client_over(&sim, 2, &modulo(1));
         let c2 = Rc::clone(&client);
-        sim.spawn(async move {
+        sim.run_main(async move {
             for blk in 0..8u64 {
                 let key = format!("/c:{}", blk * 2048);
                 c2.set(key.as_bytes(), Bytes::from(vec![0u8; 64])).await;
@@ -1818,7 +1788,6 @@ mod tests {
             assert_eq!(c2.get(b"/c:0").await.unwrap(), &vec![5u8; 64][..]);
             assert_eq!(c2.get(b"/c:2048").await.unwrap(), &vec![9u8; 64][..]);
         });
-        sim.run();
         let snap = imca_metrics::collect_from(&*client, "bank");
         assert_eq!(snap.counter("bank.pipelined_cas"), Some(8));
         assert_eq!(snap.counter("bank.cas_ops"), Some(8));
@@ -1829,7 +1798,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let (_net, bank, client) = replicated_setup(&sim, 4, 2);
         let c2 = Rc::clone(&client);
-        sim.spawn(async move {
+        sim.run_main(async move {
             c2.set(b"/f:0", Bytes::from_static(b"aa")).await;
             let rows = c2.gets_for_update(&[b"/f:0".to_vec()]).await;
             assert_eq!(rows.len(), 1);
@@ -1847,7 +1816,6 @@ mod tests {
             let verdicts = c2.cas_pipeline(&items).await;
             assert!(verdicts.iter().all(|v| *v == CasVerdict::Stored));
         });
-        sim.run();
         // Both replica engines hold the replacement.
         for i in 0..2 {
             assert_eq!(
@@ -1878,7 +1846,7 @@ mod tests {
             };
             let (_net, bank, client) = client_over(&sim, 1, &cfg);
             let c2 = Rc::clone(&client);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 c2.set(b"/k:stat", Bytes::from_static(b"v")).await;
                 assert!(
                     read_via(&c2, via, b"/k:stat").await.is_none(),
@@ -1896,7 +1864,6 @@ mod tests {
                     CasVerdict::Stored
                 );
             });
-            sim.run();
             assert_eq!(
                 counters(&*client, ["sets", "gets", "hits", "misses"]),
                 [2, 1, 0, 1],

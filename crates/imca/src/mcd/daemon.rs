@@ -459,15 +459,17 @@ mod tests {
             };
             let cfg = one_mcd(costs);
             let bank = Rc::new(Bank::start(&net, &cfg));
-            for _ in 0..nops {
-                // Each op from its own node, so the NICs don't serialise
-                // the requests before they reach the daemon.
-                let client = bank.client(net.add_node(), &cfg, RetryPolicy::default());
-                sim.spawn(async move {
-                    client.get(b"/k:stat").await;
-                });
-            }
-            sim.run().end_time.as_nanos()
+            let gets: Vec<_> = (0..nops)
+                .map(|_| {
+                    // Each op from its own node, so the NICs don't serialise
+                    // the requests before they reach the daemon.
+                    let client = bank.client(net.add_node(), &cfg, RetryPolicy::default());
+                    async move { client.get(b"/k:stat").await }
+                })
+                .collect();
+            let h = sim.handle();
+            sim.run_main(async move { imca_sim::join_all(&h, gets).await });
+            sim.now().as_nanos()
         }
         let one = makespan(1);
         let two = makespan(2);
@@ -490,13 +492,14 @@ mod tests {
         };
         let cfg = one_mcd(costs);
         let bank = Rc::new(Bank::start(&net, &cfg));
-        for _ in 0..4 {
-            let client = bank.client(net.add_node(), &cfg, RetryPolicy::default());
-            sim.spawn(async move {
-                client.get(b"/k:stat").await;
-            });
-        }
-        sim.run();
+        let gets: Vec<_> = (0..4)
+            .map(|_| {
+                let client = bank.client(net.add_node(), &cfg, RetryPolicy::default());
+                async move { client.get(b"/k:stat").await }
+            })
+            .collect();
+        let h = sim.handle();
+        sim.run_main(async move { imca_sim::join_all(&h, gets).await });
         let snap = imca_metrics::collect_from(&*bank, "bank");
         let sheds = snap.counter("bank.mcd.0.sheds").unwrap();
         assert!((1..=3).contains(&sheds), "sheds={sheds}");

@@ -695,7 +695,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let server = FakeServer::with_file("/f", 10);
         let (eng, _bank) = rig(&sim, MetaConfig::nocache(), Rc::clone(&server));
-        sim.spawn(async move {
+        sim.run_main(async move {
             for _ in 0..3 {
                 let r = Rc::clone(&eng).stat("/f".into()).await;
                 assert_eq!(r.source, StatSource::Backend);
@@ -703,7 +703,6 @@ mod tests {
             }
             assert_eq!(eng.held_leases(), 0, "NoCache must not install leases");
         });
-        sim.run();
         assert_eq!(server.stats_served.get(), 3);
     }
 
@@ -712,7 +711,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let server = FakeServer::with_file("/f", 10);
         let (eng, bank) = rig(&sim, MetaConfig::default(), Rc::clone(&server));
-        sim.spawn(async move {
+        sim.run_main(async move {
             // Miss: forwards.
             let r = Rc::clone(&eng).stat("/f".into()).await;
             assert_eq!(r.source, StatSource::Backend);
@@ -727,7 +726,6 @@ mod tests {
             assert_eq!(r.source, StatSource::Bank);
             assert_eq!(eng.held_leases(), 0, "Bank policy holds no leases");
         });
-        sim.run();
     }
 
     #[test]
@@ -735,7 +733,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let server = FakeServer::with_file("/f", 10);
         let (eng, _bank) = rig(&sim, MetaConfig::lease(), Rc::clone(&server));
-        sim.spawn(async move {
+        sim.run_main(async move {
             // First stat: backend fill installs a lease.
             let r = Rc::clone(&eng).stat("/f".into()).await;
             assert_eq!(r.source, StatSource::Backend);
@@ -752,7 +750,6 @@ mod tests {
             let r = Rc::clone(&eng).stat("/f".into()).await;
             assert_eq!(r.source, StatSource::Backend);
         });
-        sim.run();
         assert_eq!(server.stats_served.get(), 2, "only the two fills forward");
     }
 
@@ -762,7 +759,7 @@ mod tests {
         let server = FakeServer::with_file("/f", 10);
         let (eng, _bank) = rig(&sim, MetaConfig::lease(), Rc::clone(&server));
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.run_main(async move {
             Rc::clone(&eng).stat("/f".into()).await;
             assert_eq!(
                 Rc::clone(&eng).stat("/f".into()).await.source,
@@ -772,7 +769,6 @@ mod tests {
             let r = Rc::clone(&eng).stat("/f".into()).await;
             assert_ne!(r.source, StatSource::Lease, "expired lease served");
         });
-        sim.run();
     }
 
     #[test]
@@ -780,7 +776,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let server = FakeServer::with_file("/exists", 1);
         let (eng, bank) = rig(&sim, MetaConfig::lease(), Rc::clone(&server));
-        sim.spawn(async move {
+        sim.run_main(async move {
             // First lookup forwards and gets ENOENT.
             let r = Rc::clone(&eng).stat("/ghost".into()).await;
             assert_eq!(r.source, StatSource::Backend);
@@ -794,7 +790,6 @@ mod tests {
             assert_eq!(r.source, StatSource::Negative);
             assert_eq!(r.stat, Err(FsError::NotFound));
         });
-        sim.run();
         assert_eq!(server.stats_served.get(), 1);
     }
 
@@ -803,7 +798,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let server = FakeServer::with_file("/exists", 1);
         let (eng, _bank) = rig(&sim, MetaConfig::lease(), Rc::clone(&server));
-        sim.spawn(async move {
+        sim.run_main(async move {
             // ENOENT from the backend installs a negative lease.
             Rc::clone(&eng).stat("/ghost".into()).await;
             assert_eq!(eng.held_leases(), 1);
@@ -814,7 +809,6 @@ mod tests {
             let r = Rc::clone(&eng).stat("/ghost".into()).await;
             assert_eq!(r.source, StatSource::Backend);
         });
-        sim.run();
         assert_eq!(server.stats_served.get(), 2);
     }
 
@@ -827,7 +821,7 @@ mod tests {
         let (eng, _bank) = rig(&sim, MetaConfig::lease(), Rc::clone(&server));
         let h = sim.handle();
         let e2 = Rc::clone(&eng);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let filler = Rc::clone(&e2);
             h.spawn(async move {
                 let _ = filler.stat("/f".into()).await;
@@ -838,7 +832,6 @@ mod tests {
             h.sleep(SimDuration::millis(5)).await;
             assert_eq!(e2.held_leases(), 0, "stale fill installed a lease");
         });
-        sim.run();
     }
 
     #[test]
@@ -846,7 +839,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let server = FakeServer::with_file("/d/a", 1);
         let (eng, bank) = rig(&sim, MetaConfig::lease(), Rc::clone(&server));
-        sim.spawn(async move {
+        sim.run_main(async move {
             // Seed one path in the bank; /d/a lives at the server only;
             // /d/ghost exists nowhere.
             let st = FileStat {
@@ -873,7 +866,6 @@ mod tests {
             assert_eq!(rs[1].source, StatSource::Lease);
             assert_eq!(rs[2].source, StatSource::Negative);
         });
-        sim.run();
         assert_eq!(server.stats_served.get(), 2);
     }
 
@@ -899,7 +891,7 @@ mod tests {
             std::future::pending::<()>().await;
         });
         let e2 = Rc::clone(&eng);
-        sim.spawn(async move {
+        sim.run_main(async move {
             Rc::clone(&e2).stat("/f".into()).await;
             assert_eq!(e2.held_leases(), 1);
             // The hub's revoke must complete synchronously w.r.t. the
@@ -907,7 +899,6 @@ mod tests {
             hub.revoke("/f").await;
             assert_eq!(e2.held_leases(), 0);
         });
-        sim.run();
     }
 
     #[test]
@@ -935,7 +926,7 @@ mod tests {
         hub.register(b_svc.client(server_node));
         let hub2 = Rc::clone(&hub);
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.run_main(async move {
             for round in 0..LeaseHub::QUARANTINE_AFTER {
                 assert_eq!(hub2.quarantined_count(), 0, "round {round}");
                 hub2.revoke("/f").await;
@@ -961,7 +952,6 @@ mod tests {
             // The revived B acked; only the dead entry stays quarantined.
             assert_eq!(hub2.quarantined_count(), 1);
         });
-        sim.run();
         let snap = imca_metrics::collect_from(&*hub, "leases");
         assert_eq!(snap.counter("leases.failed_revocations"), Some(3));
         assert_eq!(snap.counter("leases.quarantines"), Some(1));

@@ -1067,7 +1067,7 @@ mod tests {
         };
         let (Rig { sm, .. }, _) = rig_over(&sim, posix(&sim), &cfg);
         let sm2 = Rc::clone(&sm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             drive(&sm2, Fop::Create { path: "/f".into() }).await;
             // The write's 4-block push is write-path: not billed to the
             // rewarm bucket.
@@ -1115,7 +1115,6 @@ mod tests {
             .await;
             assert_eq!(counters(&*sm2, ["blocks_pushed"]), [7]);
         });
-        sim.run();
         let snap = imca_metrics::collect_from(&*sm, "smcache");
         assert_eq!(snap.counter("smcache.rewarm_suppressed"), Some(2));
     }
@@ -1136,7 +1135,7 @@ mod tests {
         };
         let (Rig { sm, bank }, _) = rig_over(&sim, Posix::new(be.clone()) as Xlator, &cfg);
         let sm2 = Rc::clone(&sm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             drive(&sm2, Fop::Create { path: "/f".into() }).await;
             drive(
                 &sm2,
@@ -1174,7 +1173,6 @@ mod tests {
                 "stale block survived a dropped push"
             );
         });
-        sim.run();
         assert_eq!(counters(&*sm, ["dropped_pushes"]), [1]);
         assert_eq!(sm.tracked_blocks("/f"), 0);
     }
@@ -1185,7 +1183,7 @@ mod tests {
         let rig = setup(&sim, false, true);
         let sm = Rc::clone(&rig.sm);
         let bank = Rc::clone(&rig.bank);
-        sim.spawn(async move {
+        sim.run_main(async move {
             drive(&sm, Fop::Create { path: "/f".into() }).await;
             let payload: Vec<u8> = (0..5000u32).map(|i| (i % 253) as u8).collect();
             drive(
@@ -1217,7 +1215,6 @@ mod tests {
                 }[..]
             );
         });
-        sim.run();
         assert_eq!(rig.sm.tracked_blocks("/f"), 3);
         assert!(counters(&*rig.sm, ["blocks_pushed"])[0] >= 3);
     }
@@ -1228,7 +1225,7 @@ mod tests {
         let rig = setup(&sim, false, true);
         let sm = Rc::clone(&rig.sm);
         let bank = Rc::clone(&rig.bank);
-        sim.spawn(async move {
+        sim.run_main(async move {
             drive(&sm, Fop::Create { path: "/f".into() }).await;
             drive(
                 &sm,
@@ -1258,7 +1255,6 @@ mod tests {
             let blk = bank.get(&block_key("/f", 2048)).await.unwrap();
             assert_eq!(blk.len(), 2048);
         });
-        sim.run();
     }
 
     #[test]
@@ -1267,7 +1263,7 @@ mod tests {
         let rig = setup(&sim, false, true);
         let sm = Rc::clone(&rig.sm);
         let bank = Rc::clone(&rig.bank);
-        sim.spawn(async move {
+        sim.run_main(async move {
             drive(&sm, Fop::Create { path: "/f".into() }).await;
             drive(
                 &sm,
@@ -1287,7 +1283,6 @@ mod tests {
             let raw = bank.get(&stat_key("/f")).await.unwrap();
             assert_eq!(FileStat::from_bytes(&raw).unwrap().size, 4096);
         });
-        sim.run();
         assert_eq!(counters(&*rig.sm, ["purges"]), [1]);
     }
 
@@ -1297,7 +1292,7 @@ mod tests {
         let rig = setup(&sim, false, true);
         let sm = Rc::clone(&rig.sm);
         let bank = Rc::clone(&rig.bank);
-        sim.spawn(async move {
+        sim.run_main(async move {
             drive(&sm, Fop::Create { path: "/f".into() }).await;
             drive(
                 &sm,
@@ -1327,22 +1322,19 @@ mod tests {
                 "unlink must purge to avoid false positives"
             );
         });
-        sim.run();
     }
 
     #[test]
     fn threaded_mode_defers_population_off_the_write_path() {
         // Measure write latency sync vs threaded: the threaded write must
         // be strictly faster, and the blocks must still arrive eventually.
-        fn write_latency(threaded: bool) -> (u64, bool) {
+        fn write_latency(threaded: bool) -> u64 {
             let mut sim = Sim::new(0);
             let rig = setup(&sim, threaded, true);
             let sm = Rc::clone(&rig.sm);
             let bank = Rc::clone(&rig.bank);
             let h = sim.handle();
-            let out = Rc::new(std::cell::Cell::new(0u64));
-            let out2 = Rc::clone(&out);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 drive(&sm, Fop::Create { path: "/f".into() }).await;
                 let t0 = h.now();
                 drive(
@@ -1354,19 +1346,18 @@ mod tests {
                     },
                 )
                 .await;
-                out2.set(h.now().since(t0).as_nanos());
+                let latency = h.now().since(t0).as_nanos();
                 // Give the background worker time to drain.
                 h.sleep(SimDuration::millis(10)).await;
                 assert!(
                     bank.get(&block_key("/f", 0)).await.is_some(),
                     "threaded update never landed"
                 );
-            });
-            sim.run();
-            (out.get(), true)
+                latency
+            })
         }
-        let (sync_lat, _) = write_latency(false);
-        let (thr_lat, _) = write_latency(true);
+        let sync_lat = write_latency(false);
+        let thr_lat = write_latency(true);
         assert!(
             thr_lat < sync_lat,
             "threaded write ({thr_lat}ns) not faster than sync ({sync_lat}ns)"
@@ -1385,7 +1376,7 @@ mod tests {
         let sm = Rc::clone(&rig.sm);
         let bank = Rc::clone(&rig.bank);
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.run_main(async move {
             drive(&sm, Fop::Create { path: "/f".into() }).await;
             drive(
                 &sm,
@@ -1412,7 +1403,6 @@ mod tests {
                 "stale update repopulated the stat entry after unlink"
             );
         });
-        sim.run();
         assert_eq!(rig.sm.tracked_blocks("/f"), 0);
         let [dropped] = counters(&*rig.sm, ["stale_updates_dropped"]);
         assert!(dropped >= 1, "fence never fired");
@@ -1424,7 +1414,7 @@ mod tests {
         let rig = setup_with_meta(&sim, false, true, MetaConfig::lease());
         let sm = Rc::clone(&rig.sm);
         let bank = Rc::clone(&rig.bank);
-        sim.spawn(async move {
+        sim.run_main(async move {
             // A stat of a missing path plants the ENOENT marker.
             let r = drive(
                 &sm,
@@ -1461,7 +1451,6 @@ mod tests {
             .await;
             assert!(matches!(r, FopReply::Stat(Ok(_))));
         });
-        sim.run();
         assert_eq!(
             counters(&*rig.sm, ["purges"]),
             [1],
@@ -1475,7 +1464,7 @@ mod tests {
         let rig = setup(&sim, false, true);
         let sm = Rc::clone(&rig.sm);
         let bank = Rc::clone(&rig.bank);
-        sim.spawn(async move {
+        sim.run_main(async move {
             drive(
                 &sm,
                 Fop::Stat {
@@ -1485,7 +1474,6 @@ mod tests {
             .await;
             assert!(bank.get(&neg_key("/ghost")).await.is_none());
         });
-        sim.run();
     }
 
     /// A replicated rig (modulo routing, R = 2 over 2 daemons) for the
@@ -1515,7 +1503,7 @@ mod tests {
         let sm = Rc::clone(&rig.sm);
         let bank = Rc::clone(&rig.bank);
         let m2 = Rc::clone(&mcds);
-        sim.spawn(async move {
+        sim.run_main(async move {
             drive(&sm, Fop::Create { path: "/f".into() }).await;
             // Cold first write: degenerates to the legacy fill.
             drive(
@@ -1552,7 +1540,6 @@ mod tests {
             let raw = bank.get(&stat_key("/f")).await.unwrap();
             assert_eq!(FileStat::from_bytes(&raw).unwrap().size, 2048);
         });
-        sim.run();
         let [replaced, conflicts, fallbacks, purges] = counters(
             &*rig.sm,
             [
@@ -1577,7 +1564,7 @@ mod tests {
         let (rig, _mcds) = replicated_rig(&sim, Coherence::Cas);
         let sm = Rc::clone(&rig.sm);
         let bank = Rc::clone(&rig.bank);
-        sim.spawn(async move {
+        sim.run_main(async move {
             drive(&sm, Fop::Create { path: "/f".into() }).await;
             // 100 bytes: block 0 cached short (the file ends inside it).
             drive(
@@ -1616,7 +1603,6 @@ mod tests {
             assert_eq!(sm.stale_short_blocks("/f", 9000), vec![4096]);
             assert_eq!(stale_short_by_full_scan(&sm, "/f", 9000), vec![4096]);
         });
-        sim.run();
         let [fallbacks, replaced] = counters(&*rig.sm, ["cas_fallback_purges", "cas_replacements"]);
         assert_eq!(fallbacks, 0);
         assert!(replaced >= 2, "short block + its replica: {replaced}");
@@ -1632,7 +1618,7 @@ mod tests {
         let (Rig { sm, bank }, _) = rig_over(&sim, Rc::clone(&disk) as Xlator, &two_mcds());
         let h = sim.handle();
         let sm2 = Rc::clone(&sm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             drive(&sm2, Fop::Create { path: "/f".into() }).await;
             drive(
                 &sm2,
@@ -1678,7 +1664,6 @@ mod tests {
                 assert_eq!(&cached[..], &on_disk[..], "bank diverged from disk");
             }
         });
-        sim.run();
         let [conflicts, fallbacks, replaced] = counters(
             &*sm,
             ["cas_conflicts", "cas_fallback_purges", "cas_replacements"],
@@ -1761,7 +1746,7 @@ mod tests {
             let sm2 = Rc::clone(&sm);
             let child2 = Rc::clone(&child);
             let bank2 = Rc::clone(&bank);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 drive(
                     &sm2,
                     Fop::Write {
@@ -1795,7 +1780,6 @@ mod tests {
                     "blocks must fall with the meta entries ({coherence:?})"
                 );
             });
-            sim.run();
             assert_eq!(counters(&*sm, ["dropped_pushes"]), [1], "{coherence:?}");
             assert_eq!(sm.tracked_blocks("/f"), 0, "{coherence:?}");
         }
@@ -1806,7 +1790,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let rig = setup(&sim, false, true);
         let sm = Rc::clone(&rig.sm);
-        sim.spawn(async move {
+        sim.run_main(async move {
             assert_eq!(
                 drive(
                     &sm,
@@ -1818,7 +1802,6 @@ mod tests {
                 FopReply::Create(Ok(()))
             );
         });
-        sim.run();
         assert_eq!(counters(&*rig.sm, ["blocks_pushed", "purges"]), [0, 0]);
     }
 }

@@ -99,7 +99,7 @@ impl LustreCluster {
             let locks = Rc::clone(&locks);
             let invals = Rc::clone(&invals);
             let revocations = Rc::clone(&revocations);
-            let cpu = Resource::new(1); // single MDS service thread pool: 2?
+            let cpu = Resource::new(1); // one MDS service thread
             let ost_count = cfg.ost_count;
             handle.spawn(async move {
                 while let Some(incoming) = svc.recv().await {
@@ -668,7 +668,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let cluster = build(&sim, 4);
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let cli = c2.mount();
             assert!(cli.create("/big").await);
             // 3.5 MB spans several 1 MB stripes on 4 OSTs.
@@ -678,7 +678,6 @@ mod tests {
             let got = cli.read("/big", 1_000_000, 1_500_000).await.unwrap();
             assert_eq!(got, data[1_000_000..2_500_000].to_vec());
         });
-        sim.run();
     }
 
     #[test]
@@ -687,9 +686,7 @@ mod tests {
         let cluster = build(&sim, 1);
         let c2 = Rc::clone(&cluster);
         let h = sim.handle();
-        let out = Rc::new(Cell::new((0u64, 0u64)));
-        let o2 = Rc::clone(&out);
-        sim.spawn(async move {
+        let (cold, warm) = sim.run_main(async move {
             let cli = c2.mount();
             cli.create("/f").await;
             cli.write("/f", 0, &vec![1; 64 * 1024]).await;
@@ -701,10 +698,8 @@ mod tests {
             let t1 = h.now();
             cli.read("/f", 0, 64 * 1024).await.unwrap(); // warm
             let warm = h.now().since(t1).as_nanos();
-            o2.set((cold, warm));
+            (cold, warm)
         });
-        sim.run();
-        let (cold, warm) = out.get();
         assert!(warm * 10 < cold, "cold={cold} warm={warm}");
     }
 
@@ -714,14 +709,14 @@ mod tests {
             let mut sim = Sim::new(0);
             let cluster = build(&sim, osts);
             let c2 = Rc::clone(&cluster);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 let cli = c2.mount();
                 cli.create("/f").await;
                 for _ in 0..10 {
                     cli.stat("/f").await.unwrap();
                 }
             });
-            sim.run().end_time.as_nanos()
+            sim.now().as_nanos()
         }
         // The glimpse fan-out makes 4DS stat slower than 1DS, but the
         // glimpses run in parallel, so well under 4x.
@@ -736,7 +731,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let cluster = build(&sim, 1);
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let reader = c2.mount();
             let writer = c2.mount();
             reader.create("/shared").await;
@@ -749,7 +744,6 @@ mod tests {
             let r2 = reader.read("/shared", 0, 8192).await.unwrap();
             assert_eq!(r2, vec![2u8; 8192], "reader served stale cache");
         });
-        sim.run();
         assert!(cluster.revocations() >= 1);
     }
 
@@ -758,7 +752,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let cluster = build(&sim, 2);
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let cli = c2.mount();
             cli.create("/gone").await;
             cli.write("/gone", 0, &vec![3; 4096]).await;
@@ -766,7 +760,6 @@ mod tests {
             assert!(cli.stat("/gone").await.is_none());
             assert!(!cli.unlink("/gone").await);
         });
-        sim.run();
     }
 
     #[test]
@@ -774,7 +767,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let cluster = build(&sim, 1);
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let cli = c2.mount();
             cli.create("/small").await;
             cli.write("/small", 0, b"tiny").await;
@@ -783,6 +776,5 @@ mod tests {
             let got = cli.read("/small", 100, 10).await.unwrap();
             assert!(got.is_empty());
         });
-        sim.run();
     }
 }

@@ -231,7 +231,6 @@ pub fn build_shared(handle: SimHandle, cfg: NfsConfig) -> Rc<NfsCluster> {
 mod tests {
     use super::*;
     use imca_sim::Sim;
-    use std::cell::Cell;
 
     #[test]
     fn read_write_round_trip() {
@@ -241,13 +240,12 @@ mod tests {
             NfsConfig::new(Transport::ipoib_ddr(), 1 << 30),
         );
         let c2 = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let cli = c2.mount();
             cli.write(1, 0, b"network file system".to_vec()).await;
             let got = cli.read(1, 8, 4).await;
             assert_eq!(got, b"file");
         });
-        sim.run();
     }
 
     #[test]
@@ -262,9 +260,7 @@ mod tests {
             );
             let c2 = Rc::clone(&cluster);
             let h = sim.handle();
-            let done = Rc::new(Cell::new(0.0f64));
-            let d2 = Rc::clone(&done);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 let cli = c2.mount();
                 let file_len = 4 << 20; // 4 MB working set
                 cli.write(1, 0, vec![7; file_len]).await;
@@ -279,10 +275,8 @@ mod tests {
                     cli.read(1, off, 64 * 1024).await;
                 }
                 let secs = h.now().since(t0).as_secs_f64();
-                d2.set(file_len as f64 / secs / 1e6);
-            });
-            sim.run();
-            done.get()
+                file_len as f64 / secs / 1e6
+            })
         }
         let big_mem = run(64 << 20); // cache holds the file
         let small_mem = run(1 << 20); // cache thrashes
@@ -298,14 +292,14 @@ mod tests {
             let mut sim = Sim::new(0);
             let cluster = build_shared(sim.handle(), NfsConfig::new(t, 1 << 30));
             let c2 = Rc::clone(&cluster);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 let cli = c2.mount();
                 cli.write(1, 0, vec![1; 1 << 20]).await;
                 for off in (0..1 << 20).step_by(64 * 1024) {
                     cli.read(1, off as u64, 64 * 1024).await;
                 }
             });
-            sim.run().end_time.as_nanos()
+            sim.now().as_nanos()
         }
         let rdma = run(Transport::rdma_ddr());
         let ipoib = run(Transport::ipoib_ddr());

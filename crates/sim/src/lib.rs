@@ -5,7 +5,8 @@
 //! * a virtual clock ([`SimTime`], [`SimDuration`]) with nanosecond
 //!   fixed-point resolution,
 //! * a single-threaded async executor ([`Sim`]) where model code is written
-//!   as ordinary `async` processes,
+//!   as ordinary `async` processes, and [`Sim::run_main`] runs one of them
+//!   to its answer,
 //! * synchronisation primitives ([`sync::Queue`], [`sync::Resource`],
 //!   [`sync::Barrier`], [`sync::oneshot`]) that suspend on *virtual* time,
 //! * seeded, forkable randomness ([`SimHandle::fork_rng`]),
@@ -43,17 +44,18 @@
 //!     }
 //! });
 //!
-//! // A client process.
-//! sim.spawn(async move {
+//! // The client is the main task: the run's answer is its output.
+//! let sent = sim.run_main(async move {
 //!     for i in 0..10 {
 //!         q.push(i);
 //!         h.sleep(SimDuration::micros(1)).await;
 //!     }
 //!     q.close();
+//!     h.now()
 //! });
-//!
-//! let summary = sim.run();
-//! assert!(summary.end_time.as_nanos() > 0);
+//! assert_eq!(sent.as_nanos(), 10_000);
+//! // The server drains the last request after the client finished.
+//! assert!(sim.now() > sent);
 //! ```
 
 #![warn(missing_docs)]

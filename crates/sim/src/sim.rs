@@ -375,12 +375,12 @@ pub struct RunSummary {
 ///
 /// let mut sim = Sim::new(42);
 /// let h = sim.handle();
-/// sim.spawn(async move {
+/// let woke_at = sim.run_main(async move {
 ///     h.sleep(SimDuration::micros(10)).await;
-///     assert_eq!(h.now().as_nanos(), 10_000);
+///     h.now()
 /// });
-/// let summary = sim.run();
-/// assert_eq!(summary.end_time.as_nanos(), 10_000);
+/// assert_eq!(woke_at.as_nanos(), 10_000);
+/// assert_eq!(sim.now(), woke_at);
 /// ```
 pub struct Sim {
     core: Rc<Core>,
@@ -433,6 +433,29 @@ impl Sim {
     /// Run until quiescence (no runnable tasks, no pending timers).
     pub fn run(&mut self) -> RunSummary {
         self.run_until(SimTime(u64::MAX))
+    }
+
+    /// Spawn `main`, run until quiescence exactly as [`Sim::run`] does, and
+    /// return `main`'s output: the one way to run a simulation to an
+    /// answer. Background actors may stay blocked (they are dropped as
+    /// usual); [`Sim::run`] afterwards returns the run's [`RunSummary`]
+    /// without polling anything.
+    ///
+    /// # Panics
+    /// Panics if `main` is still pending when the simulation goes quiet: a
+    /// run that stops before its main task finishes has no answer.
+    pub fn run_main<T: 'static>(&mut self, main: impl Future<Output = T> + 'static) -> T {
+        let out = Rc::new(Cell::new(None));
+        let slot = Rc::clone(&out);
+        self.spawn(async move { slot.set(Some(main.await)) });
+        let summary = self.run();
+        out.take().unwrap_or_else(|| {
+            panic!(
+                "the main task never finished: the simulation went quiet at {} \
+                 with {} tasks left blocked, the main task among them",
+                summary.end_time, summary.tasks_leaked
+            )
+        })
     }
 
     /// Run until quiescence or until the clock would pass `deadline`,
@@ -989,5 +1012,78 @@ mod tests {
         let s = sim.run();
         assert!(done.get());
         assert_eq!(s.tasks_leaked, 0);
+    }
+
+    /// A server actor and a client that asks it three things: the model
+    /// `run_main_equals_spawn_and_run` runs both ways.
+    fn echo_model(h: &SimHandle) -> impl Future<Output = u64> + 'static {
+        let q: crate::sync::Queue<(u64, crate::sync::OneshotSender<u64>)> =
+            crate::sync::Queue::new();
+        let (qs, hs) = (q.clone(), h.clone());
+        h.spawn(async move {
+            while let Some((v, tx)) = qs.recv().await {
+                hs.sleep(SimDuration::micros(v)).await;
+                tx.send(v * 10);
+            }
+        });
+        let h = h.clone();
+        async move {
+            let mut sum = 0;
+            for v in 1..=3 {
+                let (tx, rx) = crate::sync::oneshot();
+                q.push((v, tx));
+                h.sleep(SimDuration::nanos(500)).await;
+                sum += rx.await.unwrap();
+            }
+            sum
+        }
+    }
+
+    #[test]
+    fn run_main_equals_spawn_and_run() {
+        for scheduler in [Scheduler::Heap, Scheduler::Wheel] {
+            let mut spawned = Sim::with_scheduler(0, scheduler);
+            let main = echo_model(&spawned.handle());
+            spawned.spawn(async move {
+                main.await;
+            });
+            let want = spawned.run();
+
+            let mut sim = Sim::with_scheduler(0, scheduler);
+            let main = echo_model(&sim.handle());
+            assert_eq!(sim.run_main(main), 60);
+            assert_eq!(sim.run(), want, "{scheduler:?}");
+            assert_eq!(want.end_time.as_nanos(), 6_000);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "with 2 tasks left blocked, the main task among them")]
+    fn run_main_panics_when_main_is_still_pending() {
+        let mut sim = Sim::new(0);
+        let (tx, rx) = crate::sync::oneshot::<u32>();
+        let idle: crate::sync::Queue<()> = crate::sync::Queue::new();
+        // The sender lives in a task that never sends and never finishes.
+        sim.spawn(async move {
+            idle.recv().await;
+            tx.send(1);
+        });
+        sim.run_main(async move { rx.await.unwrap() });
+    }
+
+    #[test]
+    fn run_main_leaves_background_actors_blocked() {
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let q: crate::sync::Queue<u32> = crate::sync::Queue::new();
+        let daemon = q.clone();
+        sim.spawn(async move { while daemon.recv().await.is_some() {} });
+        let at = sim.run_main(async move {
+            q.push(7);
+            h.sleep(SimDuration::micros(2)).await;
+            h.now()
+        });
+        assert_eq!(at.as_nanos(), 2_000);
+        assert_eq!(sim.run().tasks_leaked, 1, "only the daemon stays blocked");
     }
 }

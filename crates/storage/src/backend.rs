@@ -372,7 +372,6 @@ impl MetricSource for StorageBackend {
 mod tests {
     use super::*;
     use imca_sim::Sim;
-    use std::rc::Rc;
 
     fn small_params() -> BackendParams {
         BackendParams {
@@ -392,13 +391,12 @@ mod tests {
         let mut sim = Sim::new(0);
         let be = StorageBackend::new(sim.handle(), small_params());
         let be2 = be.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             be2.create(FileId(1)).await.unwrap();
             be2.write(FileId(1), 0, b"persistent bytes").await.unwrap();
             let got = be2.read(FileId(1), 0, 16).await.unwrap();
             assert_eq!(got, b"persistent bytes");
         });
-        sim.run();
     }
 
     #[test]
@@ -407,9 +405,7 @@ mod tests {
         let be = StorageBackend::new(sim.handle(), small_params());
         let h = sim.handle();
         let be2 = be.clone();
-        let times = Rc::new(RefCell::new(Vec::new()));
-        let times2 = Rc::clone(&times);
-        sim.spawn(async move {
+        let (cold, warm) = sim.run_main(async move {
             be2.create(FileId(1)).await.unwrap();
             be2.write(FileId(1), 0, &vec![7u8; 8192]).await.unwrap();
             be2.drop_caches();
@@ -418,12 +414,9 @@ mod tests {
             let t1 = h.now();
             be2.read(FileId(1), 0, 8192).await.unwrap(); // warm: memcpy
             let t2 = h.now();
-            times2.borrow_mut().push(t1.since(t0).as_nanos());
-            times2.borrow_mut().push(t2.since(t1).as_nanos());
+            (t1.since(t0).as_nanos(), t2.since(t1).as_nanos())
         });
-        sim.run();
-        let t = times.borrow();
-        assert!(t[0] > 100 * t[1], "cold={} warm={}", t[0], t[1]);
+        assert!(cold > 100 * warm, "cold={cold} warm={warm}");
     }
 
     #[test]
@@ -432,7 +425,7 @@ mod tests {
         let be = StorageBackend::new(sim.handle(), small_params());
         let h = sim.handle();
         let be2 = be.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             be2.create(FileId(3)).await.unwrap();
             be2.write(FileId(3), 0, b"xyz").await.unwrap();
             be2.drop_caches();
@@ -447,7 +440,6 @@ mod tests {
                 "cold={cold} warm={warm}"
             );
         });
-        sim.run();
     }
 
     #[test]
@@ -455,7 +447,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let be = StorageBackend::new(sim.handle(), small_params());
         let be2 = be.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             // Write far more than the 64-page cache can hold.
             for i in 0..32u64 {
                 be2.create(FileId(i)).await.unwrap();
@@ -469,7 +461,6 @@ mod tests {
                 assert_eq!(got, vec![i as u8; 16 * 4096]);
             }
         });
-        sim.run();
         let evictions = imca_metrics::collect_from(&be, "").counter("pagecache.evictions");
         assert!(evictions > Some(0), "expected LRU pressure");
     }
@@ -479,7 +470,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let be = StorageBackend::new(sim.handle(), small_params());
         let be2 = be.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             be2.create(FileId(9)).await.unwrap();
             be2.write(FileId(9), 0, b"doomed").await.unwrap();
             assert!(be2.remove(FileId(9)).await.unwrap());
@@ -488,7 +479,6 @@ mod tests {
             assert!(got.is_empty());
             assert!(!be2.remove(FileId(9)).await.unwrap());
         });
-        sim.run();
     }
 
     #[test]
@@ -496,7 +486,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let be = StorageBackend::new(sim.handle(), small_params());
         let be2 = be.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             be2.create(FileId(1)).await.unwrap();
             be2.write(FileId(1), 0, b"before").await.unwrap();
             be2.install_faults(StorageFaultPlan {
@@ -512,7 +502,6 @@ mod tests {
             // The earlier contents survived the aborted overwrite intact.
             assert_eq!(be2.read(FileId(1), 0, 6).await.unwrap(), b"before");
         });
-        sim.run();
         assert!(be.metrics().counter("io_errors").unwrap() >= 3);
     }
 
@@ -522,7 +511,7 @@ mod tests {
         let be = StorageBackend::new(sim.handle(), small_params());
         let h = sim.handle();
         let be2 = be.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             be2.create(FileId(1)).await.unwrap();
             be2.write(FileId(1), 0, &vec![7u8; 8192]).await.unwrap();
             be2.drop_caches();
@@ -542,7 +531,6 @@ mod tests {
             let warm = h.now().since(t1).as_nanos();
             assert!(retry > 100 * warm, "retry={retry} warm={warm}");
         });
-        sim.run();
     }
 
     #[test]
@@ -553,9 +541,7 @@ mod tests {
         let be = StorageBackend::new(sim.handle(), p);
         let h = sim.handle();
         let be2 = be.clone();
-        let out = Rc::new(RefCell::new((0u64, 0u64)));
-        let out2 = Rc::clone(&out);
-        sim.spawn(async move {
+        let (seq, rnd) = sim.run_main(async move {
             be2.create(FileId(1)).await.unwrap();
             be2.write(FileId(1), 0, &vec![1u8; 1 << 20]).await.unwrap();
             for i in 0..64u64 {
@@ -578,10 +564,8 @@ mod tests {
                 be2.read(FileId(100 + i), 0, 16 * 1024).await.unwrap();
             }
             let rnd = h.now().since(t1).as_nanos();
-            *out2.borrow_mut() = (seq, rnd);
+            (seq, rnd)
         });
-        sim.run();
-        let (seq, rnd) = *out.borrow();
         assert!(rnd > seq * 2, "seq={seq} rnd={rnd}");
     }
 }

@@ -227,12 +227,11 @@ mod tests {
         let h = sim.handle();
         let disk = Disk::new(DiskParams::hdd_2008());
         let d2 = disk.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             d2.access(&h, 0, 4096, false).await.unwrap(); // random (first)
             d2.access(&h, 4096, 4096, false).await.unwrap(); // sequential
             d2.access(&h, 0, 4096, false).await.unwrap(); // random again
         });
-        sim.run();
         assert_eq!(counters(&disk, ["reads", "sequential_hits"]), [3, 1]);
     }
 
@@ -241,15 +240,16 @@ mod tests {
         let mut sim = Sim::new(0);
         let h = sim.handle();
         let disk = Disk::new(DiskParams::hdd_2008());
-        for i in 0..4u64 {
-            let d = disk.clone();
-            let h = h.clone();
-            sim.spawn(async move {
+        let accesses: Vec<_> = (0..4u64)
+            .map(|i| {
+                let (d, h) = (disk.clone(), h.clone());
                 // All random addresses.
-                d.access(&h, i * 1_000_000, 4096, i % 2 == 0).await.unwrap();
-            });
-        }
-        let end = sim.run().end_time;
+                async move { d.access(&h, i * 1_000_000, 4096, i % 2 == 0).await }
+            })
+            .collect();
+        let done = sim.run_main(async move { imca_sim::join_all(&h, accesses).await });
+        assert!(done.iter().all(Result::is_ok));
+        let end = sim.now();
         let per = DiskParams::hdd_2008().service_time(4096, false);
         assert_eq!(end.as_nanos(), per.as_nanos() * 4);
         assert_eq!(counters(&disk, ["reads", "writes"]), [2, 2]);
@@ -266,16 +266,13 @@ mod tests {
                 ..StorageFaultPlan::seeded(seed)
             });
             let d2 = disk.clone();
-            let out = Rc::new(RefCell::new(Vec::new()));
-            let o2 = Rc::clone(&out);
-            sim.spawn(async move {
+            let fates = sim.run_main(async move {
+                let mut fates = Vec::new();
                 for i in 0..100u64 {
-                    let ok = d2.access(&h, i * 1_000_000, 4096, false).await.is_ok();
-                    o2.borrow_mut().push(ok);
+                    fates.push(d2.access(&h, i * 1_000_000, 4096, false).await.is_ok());
                 }
+                fates
             });
-            sim.run();
-            let fates = Rc::try_unwrap(out).unwrap().into_inner();
             (fates, counters(&disk, ["io_errors"])[0])
         }
         let (fates, errors) = run(42);
@@ -297,11 +294,10 @@ mod tests {
             ..StorageFaultPlan::default()
         });
         let d2 = disk.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             assert!(d2.access(&h, 0, 4096, false).await.is_err());
             assert!(d2.access(&h, 4096, 4096, true).await.is_err());
         });
-        sim.run();
         // The mechanism still ran: ops counted, and both failures tallied.
         assert_eq!(counters(&disk, ["reads", "writes", "io_errors"]), [1, 1, 2]);
     }
@@ -320,13 +316,12 @@ mod tests {
             ..StorageFaultPlan::default()
         });
         let d2 = disk.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             assert!(d2.access(&h, 0, 4096, false).await.is_err());
             // Second access completes at 2·per — one past the window end,
             // which is half-open, so it succeeds.
             assert!(d2.access(&h, 1_000_000, 4096, false).await.is_ok());
         });
-        sim.run();
         assert_eq!(counters(&disk, ["io_errors"]), [1]);
     }
 
@@ -339,10 +334,10 @@ mod tests {
             if let Some(plan) = plan {
                 disk.install_faults(plan);
             }
-            sim.spawn(async move {
+            sim.run_main(async move {
                 disk.access(&h, 0, 4096, false).await.unwrap();
             });
-            sim.run().end_time.as_nanos()
+            sim.now().as_nanos()
         };
         let healthy = run(None);
         // An installed-but-benign plan changes nothing at all.
@@ -363,13 +358,13 @@ mod tests {
             let mut sim = Sim::new(0);
             let h = sim.handle();
             let disk = Disk::new(DiskParams::hdd_2008());
-            sim.spawn(async move {
+            sim.run_main(async move {
                 for i in 0..256u64 {
                     let addr = if sequential { i * 4096 } else { i * 10_000_000 };
                     disk.access(&h, addr, 4096, false).await.unwrap();
                 }
             });
-            sim.run().end_time.as_nanos()
+            sim.now().as_nanos()
         }
         let seq = run(true);
         let rnd = run(false);

@@ -22,7 +22,7 @@
 //! let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
 //! let be2 = be.clone();
 //! let h = sim.handle();
-//! sim.spawn(async move {
+//! sim.run_main(async move {
 //!     be2.create(FileId(1)).await.unwrap();
 //!     be2.write(FileId(1), 0, b"durable bytes").await.unwrap();
 //!     be2.drop_caches(); // cold cache: the next read pays the disk
@@ -33,7 +33,6 @@
 //!     be2.read(FileId(1), 0, 13).await.unwrap(); // warm: page-cache memcpy
 //!     assert!(h.now().since(t1) < cold);
 //! });
-//! sim.run();
 //! let snap = imca_metrics::collect_from(&be, "storage");
 //! assert!(snap.counter("storage.pagecache.misses") > Some(0));
 //! ```

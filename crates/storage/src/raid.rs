@@ -198,10 +198,10 @@ mod tests {
             let mut sim = Sim::new(0);
             let h = sim.handle();
             let r = array(n, 64 * 1024);
-            sim.spawn(async move {
+            sim.run_main(async move {
                 r.access(&h, 0, len, false).await.unwrap();
             });
-            sim.run().end_time.as_nanos()
+            sim.now().as_nanos()
         }
         let small = 512 * 1024;
         let large = 8 * 1024 * 1024;
@@ -219,10 +219,10 @@ mod tests {
         let mut sim = Sim::new(0);
         let h = sim.handle();
         let r = array(8, 64 * 1024);
-        sim.spawn(async move {
+        sim.run_main(async move {
             r.access(&h, 123, 0, false).await.unwrap();
         });
-        assert_eq!(sim.run().end_time.as_nanos(), 0);
+        assert_eq!(sim.now().as_nanos(), 0);
     }
 
     #[test]
@@ -235,7 +235,7 @@ mod tests {
             ..StorageFaultPlan::default()
         });
         let r2 = r.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             // Chunks 0–1 live on disks 0–1: untouched, fine.
             assert!(r2.access(&h, 0, 2048, false).await.is_ok());
             // A 4-chunk stripe crosses disk 2: the whole access fails.
@@ -245,7 +245,6 @@ mod tests {
             assert!(r2.judge(&h, 0, 4096, true).is_err());
             assert_eq!(h.now(), before);
         });
-        sim.run();
         let snap = imca_metrics::collect_from(&r, "");
         assert_eq!(snap.counter("io_errors"), Some(2));
         // Only the failed member tallied them.
@@ -259,9 +258,9 @@ mod tests {
         let r = array(8, 64 * 1024);
         let expect = r.unloaded_access_time(0, 512 * 1024, false);
         let r2 = r.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             r2.access(&h, 0, 512 * 1024, false).await.unwrap();
         });
-        assert_eq!(sim.run().end_time.as_nanos(), expect.as_nanos());
+        assert_eq!(sim.now().as_nanos(), expect.as_nanos());
     }
 }

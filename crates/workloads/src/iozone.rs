@@ -5,7 +5,6 @@
 //! re-read pass is timed; aggregate throughput is total bytes over the
 //! slowest thread's wall time (IOzone `-t` semantics).
 
-use std::cell::RefCell;
 use std::future::Future;
 use std::rc::Rc;
 
@@ -116,15 +115,14 @@ pub fn run(cfg: &IozoneBench) -> IozoneResult {
     let dep = Rc::new(Deployment::build(sim.handle(), &cfg.spec));
     let h = sim.handle();
     let barrier = Barrier::new(cfg.threads);
-    let times: Rc<RefCell<Vec<f64>>> = Rc::default();
 
+    let mut threads = Vec::new();
     for t in 0..cfg.threads {
         let dep = Rc::clone(&dep);
         let barrier = barrier.clone();
-        let times = Rc::clone(&times);
         let h = h.clone();
         let cfg = cfg.clone();
-        sim.spawn(async move {
+        threads.push(async move {
             let cli = dep.mount();
             let path = format!("/bench/iozone/t{t}");
             cli.create(&path).await;
@@ -152,14 +150,12 @@ pub fn run(cfg: &IozoneBench) -> IozoneResult {
                 read,
             )
             .await;
-            times.borrow_mut().push(secs);
             cli.close(fd).await;
+            secs
         });
     }
 
-    sim.run();
-    let times = times.borrow();
-    assert_eq!(times.len(), cfg.threads, "a thread never finished");
+    let times = sim.run_main(async move { imca_sim::join_all(&h, threads).await });
     IozoneResult {
         read_mb_s: aggregate_mb_s(cfg.file_size, &times),
         per_thread: times
@@ -207,15 +203,14 @@ pub fn run_nfs(cfg: &NfsIozoneBench) -> NfsIozoneResult {
     ));
     let h = sim.handle();
     let barrier = Barrier::new(cfg.clients);
-    let times: Rc<RefCell<Vec<f64>>> = Rc::default();
 
+    let mut clients = Vec::new();
     for c in 0..cfg.clients {
         let cluster = Rc::clone(&cluster);
         let barrier = barrier.clone();
-        let times = Rc::clone(&times);
         let h = h.clone();
         let cfg = cfg.clone();
-        sim.spawn(async move {
+        clients.push(async move {
             let cli = Rc::new(cluster.mount());
             let file = c as u64 + 1;
             let write = |off: u64, n: u64| cli.write(file, off, vec![0xAB; n as usize]);
@@ -236,13 +231,11 @@ pub fn run_nfs(cfg: &NfsIozoneBench) -> NfsIozoneResult {
                 read,
             )
             .await;
-            times.borrow_mut().push(secs);
+            secs
         });
     }
 
-    sim.run();
-    let times = times.borrow();
-    assert_eq!(times.len(), cfg.clients);
+    let times = sim.run_main(async move { imca_sim::join_all(&h, clients).await });
     NfsIozoneResult {
         read_mb_s: aggregate_mb_s(cfg.file_size, &times),
         metrics: cluster.metrics(),

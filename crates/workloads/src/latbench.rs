@@ -110,26 +110,27 @@ pub fn run(cfg: &LatencyBench) -> LatencyResult {
     let dep = Rc::new(Deployment::build(sim.handle(), &cfg.spec));
     let h = sim.handle();
     let barrier = Barrier::new(cfg.clients);
-    // (size → list of per-client means), filled by the client tasks.
+    // (size → list of per-client means), in the order the clients finish
+    // each size: the means below sum in that order.
     let writes: Rc<RefCell<HashMap<u64, Vec<f64>>>> = Rc::default();
     let reads: Rc<RefCell<HashMap<u64, Vec<f64>>>> = Rc::default();
-    // Every timed read's latency (size → ns per op, all clients).
-    let op_ns: Rc<RefCell<HashMap<u64, Vec<u64>>>> = Rc::default();
 
     let cold_lustre = matches!(cfg.spec, SystemSpec::Lustre { warm: false, .. });
 
+    let mut clients = Vec::new();
     for client_id in 0..cfg.clients {
         let dep = Rc::clone(&dep);
         let barrier = barrier.clone();
         let writes = Rc::clone(&writes);
         let reads = Rc::clone(&reads);
-        let op_ns = Rc::clone(&op_ns);
         let h = h.clone();
         let cfg = cfg.clone();
-        sim.spawn(async move {
+        clients.push(async move {
             let cli = dep.mount();
             let is_root = client_id == 0;
             let mut handles: HashMap<u64, FsHandle> = HashMap::new();
+            // Every timed read's latency (size → ns per op).
+            let mut op_ns: HashMap<u64, Vec<u64>> = HashMap::new();
 
             // --- Write phase ---
             for &size in &cfg.record_sizes {
@@ -208,7 +209,6 @@ pub fn run(cfg: &LatencyBench) -> LatencyResult {
                     let s0 = h.now();
                     let got = cli.read(&fd, k * size, size).await;
                     op_ns
-                        .borrow_mut()
                         .entry(size)
                         .or_default()
                         .push(h.now().since(s0).as_nanos());
@@ -222,27 +222,29 @@ pub fn run(cfg: &LatencyBench) -> LatencyResult {
                 reads.borrow_mut().entry(size).or_default().push(mean);
                 cli.close(fd).await;
             }
+            op_ns
         });
     }
 
-    sim.run();
-    let collect = |m: &HashMap<u64, Vec<f64>>, expect: usize| -> Vec<(u64, f64)> {
+    let (per_client, writes, reads) = sim.run_main(async move {
+        let per_client = imca_sim::join_all(&h, clients).await;
+        (per_client, writes.take(), reads.take())
+    });
+    let collect = |m: &HashMap<u64, Vec<f64>>| -> Vec<(u64, f64)> {
         let mut out: Vec<(u64, f64)> = cfg
             .record_sizes
             .iter()
-            .map(|&s| {
-                let v = &m[&s];
-                assert_eq!(v.len(), expect, "client dropped out at size {s}");
-                (s, v.iter().sum::<f64>() / v.len() as f64)
-            })
+            .map(|&s| (s, m[&s].iter().sum::<f64>() / m[&s].len() as f64))
             .collect();
         out.sort_by_key(|(s, _)| *s);
         out
     };
-    let write_expect = if cfg.shared_file { 1 } else { cfg.clients };
-    let write_us = collect(&writes.borrow(), write_expect);
-    let read_us = collect(&reads.borrow(), cfg.clients);
-    let read_op_ns = op_ns.borrow().clone();
+    let write_us = collect(&writes);
+    let read_us = collect(&reads);
+    let mut read_op_ns: HashMap<u64, Vec<u64>> = HashMap::new();
+    for (size, ns) in per_client.into_iter().flatten() {
+        read_op_ns.entry(size).or_default().extend(ns);
+    }
     let metrics = dep.metrics();
     LatencyResult {
         write_us,
@@ -348,7 +350,7 @@ mod tests {
         let mut sim = Sim::new(cfg.seed);
         let dep = Rc::new(Deployment::build(sim.handle(), &cfg.spec));
         let d2 = Rc::clone(&dep);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let cli = d2.mount();
             cli.create("/f").await;
             let fd = cli.open("/f").await;
@@ -360,7 +362,6 @@ mod tests {
                 assert_eq!(got, record_bytes(2048, k));
             }
         });
-        sim.run();
         if let Some(g) = dep.gluster() {
             let snap = g.metrics();
             assert_eq!(snap.counter_sum("cmcache.*.read_misses"), 0);

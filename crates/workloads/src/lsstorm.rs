@@ -20,7 +20,6 @@
 //!
 //! [`FsClient::stat_multi`]: crate::FsClient::stat_multi
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use imca_metrics::Snapshot;
@@ -87,9 +86,6 @@ pub fn run(cfg: &LsStorm) -> LsStormResult {
     let mut sim = Sim::new(cfg.seed);
     let dep = Rc::new(Deployment::build(sim.handle(), &cfg.spec));
     let h = sim.handle();
-    let times: Rc<RefCell<Vec<f64>>> = Rc::default();
-    let lats: Rc<RefCell<Vec<u64>>> = Rc::default();
-    let ghosts: Rc<RefCell<u64>> = Rc::default();
     let barrier = Barrier::new(cfg.clients + 1); // +1 for the setup task
 
     // Untimed stage: one node creates the directory contents, then walks
@@ -98,11 +94,11 @@ pub fn run(cfg: &LsStorm) -> LsStormResult {
     // herd on the server's queue — the cold fill would dominate the tail
     // for cached and uncached policies alike, hiding what the sweep
     // varies (who answers a *warm* stat, and from where).
-    {
+    let setup = {
         let dep = Rc::clone(&dep);
         let barrier = barrier.clone();
         let files = cfg.files;
-        sim.spawn(async move {
+        async move {
             let setup = dep.mount();
             for i in 0..files {
                 setup.create(&file_path(i)).await;
@@ -111,24 +107,22 @@ pub fn run(cfg: &LsStorm) -> LsStormResult {
                 setup.stat(&file_path(i)).await;
             }
             barrier.wait().await;
-        });
-    }
+        }
+    };
 
     // Timed stage: every client walks the listing `rounds` times. Each
     // client visits the readdir windows in its own deterministic random
     // order (same rationale as statbench: identical orders would keep a
     // zero-skew simulator in lockstep and defeat the cache tier).
     let window = cfg.window.max(1);
+    let mut clients = Vec::new();
     for client_id in 0..cfg.clients {
         let dep = Rc::clone(&dep);
         let barrier = barrier.clone();
-        let times = Rc::clone(&times);
-        let lats = Rc::clone(&lats);
-        let ghosts = Rc::clone(&ghosts);
         let h = h.clone();
         let cfg = cfg.clone();
         let seed = cfg.seed ^ (client_id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        sim.spawn(async move {
+        clients.push(async move {
             let cli = dep.mount();
             let mut rng = SmallRng::seed_from_u64(seed);
             let windows: Vec<usize> = (0..cfg.files).step_by(window).collect();
@@ -166,20 +160,19 @@ pub fn run(cfg: &LsStorm) -> LsStormResult {
                     }
                 }
             }
-            times.borrow_mut().push(h.now().since(t0).as_secs_f64());
-            lats.borrow_mut().extend(my_lats);
-            *ghosts.borrow_mut() += my_ghosts;
+            (h.now().since(t0).as_secs_f64(), my_lats, my_ghosts)
         });
     }
 
-    sim.run();
-    let times = times.borrow();
-    assert_eq!(times.len(), cfg.clients, "a client never finished");
-    let max = times.iter().cloned().fold(0.0f64, f64::max);
-    let mut stat_ns = lats.borrow().clone();
+    let walks = sim.run_main(async move {
+        h.spawn(setup);
+        imca_sim::join_all(&h, clients).await
+    });
+    let max = walks.iter().map(|w| w.0).fold(0.0f64, f64::max);
+    let mut stat_ns: Vec<u64> = walks.iter().flat_map(|w| w.1.iter().copied()).collect();
     stat_ns.sort_unstable();
     let ops = stat_ns.len();
-    let ghost_probes = *ghosts.borrow();
+    let ghost_probes = walks.iter().map(|w| w.2).sum();
     LsStormResult {
         max_node_secs: max,
         stat_ns,

@@ -35,9 +35,11 @@
 //!
 //! Everything is driven by per-client RNG streams seeded from
 //! `(seed, client)`, so a fixed seed replays bit-identically
-//! (`fixed_seed_replays_bit_identically` below).
+//! (`fixed_seed_replays_bit_identically` below). Every timed read's bytes
+//! are checked in every build, release included: the drive's callers
+//! (`fig8_scale`, `ablate_overload`, these tests under the gate's release
+//! step) are all release builds.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use imca_core::{
@@ -47,7 +49,7 @@ use imca_glusterfs::ServerParams;
 use imca_memcached::McConfig;
 use imca_metrics::{quantile, Snapshot};
 use imca_sim::sync::Barrier;
-use imca_sim::{Sim, SimDuration, SimTime};
+use imca_sim::{Sim, SimDuration};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -177,9 +179,9 @@ fn hot_path(file: usize) -> String {
     format!("/bench/overload/hot{file}")
 }
 
-/// Deterministic block contents, verified on every timed read in debug
-/// builds — overload protection must never trade correctness for
-/// latency (the NoCache-equivalence property).
+/// Deterministic block contents, verified on every timed read in every
+/// build — overload protection must never trade correctness for latency
+/// (the NoCache-equivalence property).
 fn block_bytes(file: usize, block: u64, len: u64) -> Vec<u8> {
     (0..len)
         .map(|i| ((file as u64 * 89 + block * 131 + i * 7) % 251) as u8)
@@ -237,23 +239,18 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
     // opened its fds (open purges must land before data exists), B after
     // the warmer's writes have pushed the hot set into the bank.
     let barrier = Barrier::new(cfg.clients + 1);
-    let t_start: Rc<Cell<SimTime>> = Rc::new(Cell::new(SimTime::ZERO));
-    let read_ns = Rc::new(RefCell::new(Vec::with_capacity(
-        cfg.clients * cfg.ops_per_client as usize,
-    )));
 
     // The warmer: creates the hot files, lets the readers open (their
     // open purges hit an empty bank), then writes every block — write
     // pushes populate all R replicas and are never rewarm-throttled, so
     // the timed phase starts from a fully warm bank. Files stay open:
     // a close would purge the cache tier (§4.3.2).
-    {
+    let warmer = {
         let cluster = Rc::clone(&cluster);
         let barrier = barrier.clone();
         let h2 = h.clone();
         let cfg2 = cfg.clone();
-        let t_start = Rc::clone(&t_start);
-        sim.spawn(async move {
+        async move {
             let m = cluster.mount();
             let mut fds = Vec::new();
             for f in 0..cfg2.hot_files {
@@ -270,17 +267,17 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
                 }
             }
             barrier.wait().await; // B: bank is warm, timed phase starts
-            t_start.set(h2.now());
-        });
-    }
+            h2.now()
+        }
+    };
 
+    let mut readers = Vec::new();
     for client in 0..cfg.clients {
         let cluster = Rc::clone(&cluster);
         let barrier = barrier.clone();
         let h2 = h.clone();
         let cfg2 = cfg.clone();
-        let read_ns = Rc::clone(&read_ns);
-        sim.spawn(async move {
+        readers.push(async move {
             let m = cluster.mount();
             barrier.wait().await; // A
             let mut fds = Vec::new();
@@ -294,6 +291,7 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
             // by at most one think time, or a wide drive never overlaps.
             h2.sleep(SimDuration::micros(37 * client as u64).min(cfg2.think_mean))
                 .await;
+            let mut read_ns = Vec::with_capacity(cfg2.ops_per_client as usize);
             for _ in 0..cfg2.ops_per_client {
                 h2.sleep(exp_sample(&mut rng, cfg2.think_mean)).await;
                 let f = rng.gen_range(0..cfg2.hot_files);
@@ -304,25 +302,32 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
                     .await
                     .unwrap();
                 let took = h2.now().since(t0);
-                debug_assert_eq!(
+                assert_eq!(
                     got,
                     block_bytes(f, b, cfg2.block_size),
                     "overload drive corrupted file {f} block {b}"
                 );
-                read_ns.borrow_mut().push(took.as_nanos());
+                read_ns.push(took.as_nanos());
             }
+            read_ns
         });
     }
 
-    let summary = sim.run();
-    let elapsed = summary.end_time.since(t_start.get());
+    let (t_start, per_reader) = sim.run_main(async move {
+        let (tx, rx) = imca_sim::sync::oneshot();
+        h.spawn(async move { tx.send(warmer.await) });
+        let per_reader = imca_sim::join_all(&h, readers).await;
+        (rx.await.unwrap(), per_reader)
+    });
+    let elapsed = sim.now().since(t_start);
     let snap = cluster.metrics();
     // Every bank client: each mount's CMCache and the server's SMCache.
     let every_client = |m: &str| {
         snap.counter_sum(&format!("cmcache.*.bank.{m}"))
             + snap.counter_sum(&format!("smcache.bank.{m}"))
     };
-    let mut read_ns = read_ns.take();
+    let mut read_ns: Vec<u64> = per_reader.concat();
+    assert_eq!(read_ns.len(), cfg.clients * cfg.ops_per_client as usize);
     read_ns.sort_unstable();
     OverloadOut {
         elapsed,

@@ -6,7 +6,6 @@
 //! required to complete all 262144 stats is collected from each of the
 //! nodes and the maximum time among all of them is reported."
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use imca_metrics::Snapshot;
@@ -36,8 +35,6 @@ pub struct StatBenchResult {
     /// The reported metric: max over nodes of the time to stat every file,
     /// in seconds of virtual time.
     pub max_node_secs: f64,
-    /// Mean over nodes, for dispersion checks.
-    pub mean_node_secs: f64,
     /// MCD-side get hit/miss counts (IMCa runs only).
     pub mcd_hits: u64,
     /// MCD-side misses.
@@ -65,24 +62,23 @@ pub fn run(cfg: &StatBench) -> StatBenchResult {
     let mut sim = Sim::new(cfg.seed);
     let dep = Rc::new(Deployment::build(sim.handle(), &cfg.spec));
     let h = sim.handle();
-    let times: Rc<RefCell<Vec<f64>>> = Rc::default();
     let barrier = Barrier::new(cfg.clients + 1); // +1 for the setup task
 
     // Stage 1 (untimed): one node creates the file set. As in the paper,
     // the timed stage follows immediately — the server's inode cache is
     // warm, so the comparison measures server/bank contention, not disk.
-    {
+    let setup = {
         let dep = Rc::clone(&dep);
         let barrier = barrier.clone();
         let files = cfg.files;
-        sim.spawn(async move {
+        async move {
             let setup = dep.mount();
             for i in 0..files {
                 setup.create(&file_path(i)).await;
             }
             barrier.wait().await;
-        });
-    }
+        }
+    };
 
     // Stage 2 (timed): every node stats every file, each in its own
     // deterministic random order. Identical orders would (a) keep a
@@ -90,14 +86,14 @@ pub fn run(cfg: &StatBench) -> StatBenchResult {
     // file at the same instant, so the cache tier never sees a first
     // hit — and (b) turn the benchmark into a cyclic LRU scan, whose
     // all-or-nothing miss cliff no real multi-node run exhibits.
+    let mut clients = Vec::new();
     for client_id in 0..cfg.clients {
         let dep = Rc::clone(&dep);
         let barrier = barrier.clone();
-        let times = Rc::clone(&times);
         let h = h.clone();
         let files = cfg.files;
         let seed = cfg.seed ^ (client_id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        sim.spawn(async move {
+        clients.push(async move {
             let cli = dep.mount();
             let mut order: Vec<usize> = (0..files).collect();
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -111,21 +107,20 @@ pub fn run(cfg: &StatBench) -> StatBenchResult {
             for idx in order {
                 cli.stat(&file_path(idx)).await;
             }
-            times.borrow_mut().push(h.now().since(t0).as_secs_f64());
+            h.now().since(t0).as_secs_f64()
         });
     }
 
-    sim.run();
-    let times = times.borrow();
-    assert_eq!(times.len(), cfg.clients, "a client never finished");
+    let times = sim.run_main(async move {
+        h.spawn(setup);
+        imca_sim::join_all(&h, clients).await
+    });
     let max = times.iter().cloned().fold(0.0f64, f64::max);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
 
     let metrics = dep.metrics();
     let bank = |m: &str| metrics.counter_sum(&format!("bank.mcd.*.store.{m}"));
     StatBenchResult {
         max_node_secs: max,
-        mean_node_secs: mean,
         mcd_hits: bank("get_hits"),
         mcd_misses: bank("get_misses"),
         mcd_evictions: bank("evictions"),

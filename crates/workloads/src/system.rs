@@ -290,7 +290,7 @@ mod tests {
         let mut sim = Sim::new(3);
         let dep = Rc::new(Deployment::build(sim.handle(), &spec));
         let d2 = Rc::clone(&dep);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let cli = d2.mount();
             cli.create("/t/f").await;
             let h = cli.open("/t/f").await;
@@ -299,7 +299,6 @@ mod tests {
             assert_eq!(cli.stat("/t/f").await, 17);
             cli.close(h).await;
         });
-        sim.run();
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! cargo run --release --example datacenter_smallfiles
 //! ```
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use imca_repro::imca::{Cluster, ClusterConfig, ImcaConfig};
@@ -30,13 +29,12 @@ fn run(config: ClusterConfig, label: &str) -> f64 {
     let cluster = Rc::new(Cluster::build(sim.handle(), config));
     let h = sim.handle();
     let barrier = Barrier::new(CLIENTS + 1);
-    let times: Rc<RefCell<Vec<f64>>> = Rc::default();
 
     // Content provider: populate the working set.
-    {
+    let provider = {
         let c = Rc::clone(&cluster);
         let barrier = barrier.clone();
-        sim.spawn(async move {
+        async move {
             let m = c.mount();
             for i in 0..FILES {
                 let path = format!("/www/objects/{i:04}.bin");
@@ -49,16 +47,16 @@ fn run(config: ClusterConfig, label: &str) -> f64 {
                 m.close(fd).await.unwrap();
             }
             barrier.wait().await;
-        });
-    }
+        }
+    };
 
     // Front-end clients: Zipf-ish skew (low ids are hot), stat + read.
+    let mut clients = Vec::new();
     for cid in 0..CLIENTS {
         let c = Rc::clone(&cluster);
         let barrier = barrier.clone();
         let h = h.clone();
-        let times = Rc::clone(&times);
-        sim.spawn(async move {
+        clients.push(async move {
             let m = c.mount();
             let rng_base = (cid as u64 + 1) * 2654435761;
             // Web servers keep hot files open (fd cache): repeated opens
@@ -85,12 +83,14 @@ fn run(config: ClusterConfig, label: &str) -> f64 {
                 let body = m.read(fd, 0, st.size).await.unwrap();
                 assert_eq!(body.len() as u64, FILE_SIZE);
             }
-            times.borrow_mut().push(h.now().since(t0).as_secs_f64());
+            h.now().since(t0).as_secs_f64()
         });
     }
 
-    sim.run();
-    let times = times.borrow();
+    let times = sim.run_main(async move {
+        h.spawn(provider);
+        imca_repro::sim::join_all(&h, clients).await
+    });
     let max = times.iter().cloned().fold(0.0f64, f64::max);
     let total_requests = (CLIENTS * REQUESTS_PER_CLIENT) as f64;
     println!(

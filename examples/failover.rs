@@ -48,10 +48,9 @@ fn main() {
 
     // The application: write a file, then stream reads throughout the
     // chaos, verifying every record.
-    {
+    let verified = {
         let c = Rc::clone(&cluster);
-        let h = h.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = c.mount();
             m.create("/db/table.dat").await.unwrap();
             let fd = m.open("/db/table.dat").await.unwrap();
@@ -78,12 +77,11 @@ fn main() {
                 }
                 h.sleep(SimDuration::millis(1)).await;
             }
-            println!("[app]   verified {verified} records across all failure phases");
             m.close(fd).await.unwrap();
-        });
-    }
-
-    sim.run();
+            verified
+        })
+    };
+    println!("[app]   verified {verified} records across all failure phases");
     let snap = cluster.metrics();
     println!();
     println!(

@@ -12,7 +12,6 @@
 //! cargo run --example producer_consumer
 //! ```
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use imca_repro::imca::{Cluster, ClusterConfig, ImcaConfig};
@@ -35,13 +34,12 @@ fn main() {
         }),
     ));
     let h = sim.handle();
-    let delivered = Rc::new(Cell::new(0u64));
 
     // Producer: one update every 5 ms.
-    {
+    let producer = {
         let c = Rc::clone(&cluster);
         let h = h.clone();
-        sim.spawn(async move {
+        async move {
             let m = c.mount();
             m.create(FEED).await.unwrap();
             let fd = m.open(FEED).await.unwrap();
@@ -52,21 +50,22 @@ fn main() {
             }
             // Note: the producer keeps the file open; a close would purge
             // the bank (§4.3.2).
-        });
-    }
+        }
+    };
 
     // Consumers: poll mtime every 1 ms, read whatever is new.
+    let mut consumers = Vec::new();
     for id in 0..CONSUMERS {
         let c = Rc::clone(&cluster);
         let h = h.clone();
-        let delivered = Rc::clone(&delivered);
-        sim.spawn(async move {
+        consumers.push(async move {
             let m = c.mount();
             // Wait for the feed to exist.
             h.sleep(SimDuration::millis(1)).await;
             let fd = m.open(FEED).await.unwrap();
             let mut seen_mtime = 0;
             let mut read_to = 0u64;
+            let mut delivered = 0;
             let deadline = SimDuration::millis(5 * UPDATES + 20);
             while h.now().as_nanos() < deadline.as_nanos() {
                 let st = m.stat(FEED).await.unwrap();
@@ -83,25 +82,26 @@ fn main() {
                             "consumer {id} read a corrupt record {k}"
                         );
                     }
-                    delivered.add_get(new.len() as u64);
+                    delivered += new.len() as u64;
                     read_to = st.size;
                     seen_mtime = st.mtime_ns;
                 }
                 h.sleep(SimDuration::millis(1)).await;
             }
+            delivered
         });
     }
 
-    sim.run();
+    let delivered: u64 = sim.run_main(async move {
+        h.spawn(producer);
+        imca_repro::sim::join_all(&h, consumers).await.iter().sum()
+    });
     let snap = cluster.metrics();
     let cm = |m: &str| snap.counter_sum(&format!("cmcache.*.{m}"));
     let stat_hits = cm("stat_hits");
     let total_polls = stat_hits + cm("stat_misses");
     println!("producer wrote      : {} bytes", UPDATES * RECORD);
-    println!(
-        "consumers received  : {} bytes (all verified)",
-        delivered.get()
-    );
+    println!("consumers received  : {delivered} bytes (all verified)");
     println!(
         "stat polls          : {} total, {} served by the MCD bank ({:.0}%)",
         total_polls,
@@ -113,16 +113,5 @@ fn main() {
         cm("read_hits"),
         cm("read_misses")
     );
-    assert!(delivered.get() >= UPDATES * RECORD * CONSUMERS as u64 / 2);
-}
-
-/// Tiny helper so the example reads naturally.
-trait CellExt {
-    fn add_get(&self, v: u64);
-}
-
-impl CellExt for Cell<u64> {
-    fn add_get(&self, v: u64) {
-        self.set(self.get() + v);
-    }
+    assert!(delivered >= UPDATES * RECORD * CONSUMERS as u64 / 2);
 }

@@ -32,7 +32,9 @@ fn main() {
 
     let h = sim.handle();
     let c = Rc::clone(&cluster);
-    sim.spawn(async move {
+    // The client is the run's main task: `run_main` returns when it has
+    // finished, and fails the run if the simulation goes quiet first.
+    sim.run_main(async move {
         // Mount a client (its own node on the fabric).
         let mount = c.mount();
 
@@ -64,6 +66,7 @@ fn main() {
         mount.close(fd).await.unwrap();
     });
 
+    // The run is quiet now; `run` only reads its summary back.
     let summary = sim.run();
     println!();
     println!("virtual time elapsed : {}", summary.end_time);

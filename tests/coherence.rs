@@ -28,7 +28,7 @@ fn reader_sees_writers_update_after_write_completes() {
     {
         let c = Rc::clone(&cluster);
         let h = h.clone();
-        sim.spawn(async move {
+        sim.run_main(async move {
             let writer = c.mount();
             let reader = c.mount();
             writer.create("/coh/file").await.unwrap();
@@ -50,7 +50,6 @@ fn reader_sees_writers_update_after_write_completes() {
             );
         });
     }
-    sim.run();
 }
 
 #[test]
@@ -60,7 +59,7 @@ fn stat_mtime_monotonically_tracks_producer() {
     let h = sim.handle();
     {
         let c = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let producer = c.mount();
             let consumer = c.mount();
             producer.create("/coh/feed").await.unwrap();
@@ -79,7 +78,6 @@ fn stat_mtime_monotonically_tracks_producer() {
             }
         });
     }
-    sim.run();
     // Most consumer stats should have been served by the bank.
     let stat_hits = cluster.metrics().counter_sum("cmcache.*.stat_hits");
     assert!(stat_hits > 0, "{stat_hits}");
@@ -94,7 +92,7 @@ fn unlink_purges_no_false_positives() {
     let cluster = Rc::new(Cluster::build(sim.handle(), cluster_cfg()));
     {
         let c = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let a = c.mount();
             let b = c.mount();
             a.create("/coh/reborn").await.unwrap();
@@ -113,7 +111,6 @@ fn unlink_purges_no_false_positives() {
             assert_eq!(got, b"new incarnation", "stale cache after unlink");
         });
     }
-    sim.run();
 }
 
 #[test]
@@ -122,7 +119,7 @@ fn open_purge_forces_fresh_view() {
     let cluster = Rc::new(Cluster::build(sim.handle(), cluster_cfg()));
     {
         let c = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = c.mount();
             m.create("/coh/reopened").await.unwrap();
             let fd = m.open("/coh/reopened").await.unwrap();
@@ -134,7 +131,6 @@ fn open_purge_forces_fresh_view() {
             assert_eq!(m.read(fd, 0, 2048).await.unwrap(), vec![7u8; 2048]);
         });
     }
-    sim.run();
     // The post-reopen read was a miss (the purge worked).
     let read_misses = cluster.metrics().counter_sum("cmcache.*.read_misses");
     assert!(read_misses >= 1, "{read_misses}");
@@ -155,7 +151,7 @@ fn threaded_updates_eventually_converge() {
     let h = sim.handle();
     {
         let c = Rc::clone(&cluster);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = c.mount();
             m.create("/coh/async").await.unwrap();
             let fd = m.open("/coh/async").await.unwrap();
@@ -166,7 +162,6 @@ fn threaded_updates_eventually_converge() {
             assert_eq!(m.read(fd, 0, 8192).await.unwrap(), vec![9u8; 8192]);
         });
     }
-    sim.run();
     let snap = cluster.metrics();
     let read_misses = snap.counter_sum("cmcache.*.read_misses");
     assert_eq!(
@@ -203,7 +198,7 @@ fn deadline_mid_multi_get_fails_the_group_and_forwards_intact() {
         }),
     ));
     let c = Rc::clone(&cluster);
-    sim.spawn(async move {
+    sim.run_main(async move {
         let m = c.mount();
         m.create("/coh/multi").await.unwrap();
         let fd = m.open("/coh/multi").await.unwrap();
@@ -246,7 +241,6 @@ fn deadline_mid_multi_get_fails_the_group_and_forwards_intact() {
         c.handle().sleep(SimDuration::millis(2)).await;
         assert_eq!(m.read(fd, 0, 8192).await.unwrap(), payload);
     });
-    sim.run();
 }
 
 /// Regression (ISSUE 14 satellite): admission control used to shed the
@@ -271,7 +265,7 @@ fn overwrite_under_read_shedding_is_never_stale() {
     let bs = imca.block_size;
     let cluster = Rc::new(Cluster::build(sim.handle(), ClusterConfig::imca(imca)));
     let c = Rc::clone(&cluster);
-    sim.spawn(async move {
+    sim.run_main(async move {
         let h = c.handle().clone();
         let writer = c.mount();
         writer.create("/coh/shed").await.unwrap();
@@ -322,7 +316,6 @@ fn overwrite_under_read_shedding_is_never_stale() {
         }
         assert_eq!(stale_rounds, 0, "rounds that read pre-write bytes back");
     });
-    sim.run();
     // The scenario must actually have been shedding reads throughout.
     let sheds = cluster.metrics().counter("bank.mcd.0.sheds").unwrap();
     assert!(sheds > 1000, "only {sheds} reads shed");

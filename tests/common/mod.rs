@@ -25,7 +25,7 @@
 //! and replays [`canonical`] from a fixed seed; `determinism.rs` runs
 //! [`canonical`] on every row under both timer back-ends.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::future::Future;
 use std::rc::Rc;
@@ -260,14 +260,13 @@ impl Config {
         let imca = Rc::new(Cluster::build(h.clone(), ClusterConfig::imca(cfg.clone())));
         let twin = Rc::new(Cluster::build(h.clone(), ClusterConfig::nocache()));
         imca.install_bank_faults(FaultPlan { seed, ..bank });
-        let out = Rc::new(RefCell::new(None));
-        let (c, n, done) = (Rc::clone(&imca), Rc::clone(&twin), Rc::clone(&out));
+        let (c, n) = (Rc::clone(&imca), Rc::clone(&twin));
         let server_retry = cfg.server_retry.clone().unwrap_or(cfg.retry.clone());
         let cooldown = cfg
             .retry
             .circuit_cooldown
             .max(server_retry.circuit_cooldown);
-        sim.spawn(async move {
+        let (files, reach, ran, sick_errors) = sim.run_main(async move {
             let mut d = Driver {
                 mi: c.mount(),
                 mn: n.mount(),
@@ -301,10 +300,9 @@ impl Config {
                 }
             }
             d.calm().await;
-            *done.borrow_mut() = Some((d.files, d.reach, d.ran, d.sick_errors.get()));
+            (d.files, d.reach, d.ran, d.sick_errors.get())
         });
         let s = sim.run();
-        let (files, reach, ran, sick_errors) = out.take().expect("the storm never finished");
         let metrics = imca.metrics();
         let crashes = u64::from(ran.get("Crash").copied().unwrap_or(0));
         assert_eq!(metrics.counter("server.crashes"), Some(crashes));

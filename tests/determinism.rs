@@ -13,14 +13,15 @@
 
 mod common;
 
-use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 
 use common::{canonical, Config};
 use imca_repro::fabric::FaultPlan;
 use imca_repro::imca::{Cluster, ClusterConfig, MetaConfig};
 use imca_repro::metrics::Snapshot;
-use imca_repro::sim::{Scheduler, Sim, SimDuration, SimHandle, SimTime};
+use imca_repro::sim::{join_all, Scheduler, Sim, SimDuration, SimHandle, SimTime};
 use imca_repro::storage::StorageFaultPlan;
 
 /// The canonical schedule under both timer back-ends, on every
@@ -154,51 +155,40 @@ async fn fault_driver(cluster: Rc<Cluster>, h: SimHandle, bank: FaultPlan, seed:
     cluster.install_storage_faults(StorageFaultPlan::default());
 }
 
-/// Build the storm's cluster on `h` and set the clients and the fault
-/// driver going. The returned closure harvests the trace once the
-/// simulation that owns `h` has run.
-fn wire_storm(h: SimHandle) -> impl FnOnce() -> StormTrace {
+/// The storm on one `Sim` with the given timer back-end: the clients,
+/// then the fault driver, each its own task, and every one of them
+/// joined before the trace is read.
+fn run_storm(scheduler: Scheduler) -> StormTrace {
+    let mut sim = Sim::with_scheduler(STORM_SEED, scheduler);
+    let h = sim.handle();
     // The full-chaos R=2 row of the storm's table: 8 KB blocks, a lossy,
     // jittery bank fabric.
     let (cfg, bank) = Config::ChaosR2.build();
     let cluster = Rc::new(Cluster::build(h.clone(), ClusterConfig::imca(cfg)));
-    let errs: Rc<RefCell<Vec<(usize, u64)>>> = Rc::default();
-    for j in 0..STORM_CLIENTS {
-        let c = Rc::clone(&cluster);
-        let h2 = h.clone();
-        let errs2 = Rc::clone(&errs);
-        h.spawn(async move {
-            let e = client_storm(c, h2, j).await;
-            errs2.borrow_mut().push((j, e));
-        });
-    }
     let c = Rc::clone(&cluster);
-    let h2 = h.clone();
-    h.spawn(async move {
-        fault_driver(c, h2, bank, STORM_SEED).await;
+    let client_errors = sim.run_main(async move {
+        let mut tasks: Vec<Pin<Box<dyn Future<Output = Option<u64>>>>> = (0..STORM_CLIENTS)
+            .map(|j| {
+                let (c, h2) = (Rc::clone(&c), h.clone());
+                Box::pin(async move { Some(client_storm(c, h2, j).await) }) as Pin<Box<_>>
+            })
+            .collect();
+        let h2 = h.clone();
+        tasks.push(Box::pin(async move {
+            fault_driver(c, h2, bank, STORM_SEED).await;
+            None
+        }));
+        join_all(&h, tasks).await.into_iter().flatten().collect()
     });
-    move || {
-        let mut v = errs.borrow().clone();
-        v.sort_unstable();
-        StormTrace {
-            end_time: h.now().as_nanos(),
-            client_errors: v.into_iter().map(|(_, e)| e).collect(),
-            metrics: cluster.metrics(),
-        }
+    StormTrace {
+        end_time: sim.now().as_nanos(),
+        client_errors,
+        metrics: cluster.metrics(),
     }
-}
-
-/// The storm on one `Sim` with the given timer back-end.
-fn run_storm(scheduler: Scheduler) -> StormTrace {
-    let mut sim = Sim::with_scheduler(STORM_SEED, scheduler);
-    let finish = wire_storm(sim.handle());
-    sim.run();
-    finish()
 }
 
 /// The storm actually bit — guards against vacuous equality.
 fn assert_storm_bit(trace: &StormTrace) {
-    assert_eq!(trace.client_errors.len(), STORM_CLIENTS);
     assert!(
         trace.client_errors.iter().sum::<u64>() > 0,
         "the storm never surfaced a client I/O error: {:?}",

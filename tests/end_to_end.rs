@@ -2,12 +2,11 @@
 //! fabric → server translators → storage) and verify data integrity,
 //! determinism, and the headline cache behaviours.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use imca_repro::imca::{Cluster, ClusterConfig, ImcaConfig};
 use imca_repro::memcached::{McConfig, Selector};
-use imca_repro::sim::Sim;
+use imca_repro::sim::{join_all, Sim};
 
 fn imca_config(mcds: usize) -> ClusterConfig {
     ClusterConfig::imca(ImcaConfig {
@@ -22,7 +21,7 @@ fn large_file_round_trip_through_every_layer() {
     let mut sim = Sim::new(1);
     let cluster = Rc::new(Cluster::build(sim.handle(), imca_config(4)));
     let c = Rc::clone(&cluster);
-    sim.spawn(async move {
+    sim.run_main(async move {
         let m = c.mount();
         m.create("/it/large.bin").await.unwrap();
         let fd = m.open("/it/large.bin").await.unwrap();
@@ -50,7 +49,6 @@ fn large_file_round_trip_through_every_layer() {
         assert_eq!(out, data);
         m.close(fd).await.unwrap();
     });
-    sim.run();
 }
 
 #[test]
@@ -59,10 +57,8 @@ fn imca_and_nocache_return_identical_bytes() {
     fn collect(cfg: ClusterConfig) -> Vec<u8> {
         let mut sim = Sim::new(9);
         let cluster = Rc::new(Cluster::build(sim.handle(), cfg));
-        let out = Rc::new(RefCell::new(Vec::new()));
         let c = Rc::clone(&cluster);
-        let o = Rc::clone(&out);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = c.mount();
             m.create("/same").await.unwrap();
             let fd = m.open("/same").await.unwrap();
@@ -73,11 +69,8 @@ fn imca_and_nocache_return_identical_bytes() {
             }
             // Overwrite a middle region.
             m.write(fd, 10_000, &vec![0xEE; 5_000]).await.unwrap();
-            let got = m.read(fd, 0, 64 * 777).await.unwrap();
-            *o.borrow_mut() = got;
-        });
-        sim.run();
-        Rc::try_unwrap(out).unwrap().into_inner()
+            m.read(fd, 0, 64 * 777).await.unwrap()
+        })
     }
     let a = collect(ClusterConfig::nocache());
     let b = collect(imca_config(2));
@@ -89,11 +82,11 @@ fn imca_and_nocache_return_identical_bytes() {
 fn sixteen_concurrent_clients_on_separate_files() {
     let mut sim = Sim::new(5);
     let cluster = Rc::new(Cluster::build(sim.handle(), imca_config(2)));
-    let done = Rc::new(RefCell::new(0usize));
+    let h = sim.handle();
+    let mut clients = Vec::new();
     for id in 0..16u64 {
         let c = Rc::clone(&cluster);
-        let done = Rc::clone(&done);
-        sim.spawn(async move {
+        clients.push(async move {
             let m = c.mount();
             let path = format!("/it/client{id}");
             m.create(&path).await.unwrap();
@@ -108,11 +101,9 @@ fn sixteen_concurrent_clients_on_separate_files() {
                 assert_eq!(got, vec![(id + k) as u8; 1000]);
             }
             m.close(fd).await.unwrap();
-            *done.borrow_mut() += 1;
         });
     }
-    sim.run();
-    assert_eq!(*done.borrow(), 16);
+    sim.run_main(async move { join_all(&h, clients).await });
 }
 
 #[test]
@@ -120,9 +111,11 @@ fn whole_deployment_is_deterministic() {
     fn trace() -> (u64, u64, u64, u64) {
         let mut sim = Sim::new(1234);
         let cluster = Rc::new(Cluster::build(sim.handle(), imca_config(3)));
+        let h = sim.handle();
+        let mut clients = Vec::new();
         for id in 0..4u64 {
             let c = Rc::clone(&cluster);
-            sim.spawn(async move {
+            clients.push(async move {
                 let m = c.mount();
                 let path = format!("/det/{id}");
                 m.create(&path).await.unwrap();
@@ -134,6 +127,7 @@ fn whole_deployment_is_deterministic() {
                 }
             });
         }
+        sim.run_main(async move { join_all(&h, clients).await });
         let summary = sim.run();
         let snap = cluster.metrics();
         (
@@ -159,13 +153,12 @@ fn modulo_selector_spreads_file_blocks_evenly() {
         }),
     ));
     let c = Rc::clone(&cluster);
-    sim.spawn(async move {
+    sim.run_main(async move {
         let m = c.mount();
         m.create("/spread").await.unwrap();
         let fd = m.open("/spread").await.unwrap();
         m.write(fd, 0, &vec![1u8; 64 * 2048]).await.unwrap();
     });
-    sim.run();
     let per_mcd: Vec<u64> = cluster
         .mcds()
         .iter()
@@ -184,7 +177,7 @@ fn eof_and_sparse_semantics_through_the_cache() {
     let mut sim = Sim::new(4);
     let cluster = Rc::new(Cluster::build(sim.handle(), imca_config(1)));
     let c = Rc::clone(&cluster);
-    sim.spawn(async move {
+    sim.run_main(async move {
         let m = c.mount();
         m.create("/sparse").await.unwrap();
         let fd = m.open("/sparse").await.unwrap();
@@ -210,7 +203,6 @@ fn eof_and_sparse_semantics_through_the_cache() {
         let tail = m.read(fd, 10_000, 100).await.unwrap();
         assert_eq!(tail, b"tail-more");
     });
-    sim.run();
 }
 
 /// The batched data path's wire contract, end to end: a warm read
@@ -229,15 +221,13 @@ fn warm_read_costs_at_most_one_rpc_per_daemon() {
         }),
     ));
     let c = Rc::clone(&cluster);
-    let before = Rc::new(RefCell::new(Vec::new()));
-    let b = Rc::clone(&before);
-    sim.spawn(async move {
+    let before: Vec<u64> = sim.run_main(async move {
         let m = c.mount();
         m.create("/warm").await.unwrap();
         let fd = m.open("/warm").await.unwrap();
         // One write covering 8 blocks populates the bank.
         m.write(fd, 0, &vec![0xAB; 8 * 2048]).await.unwrap();
-        *b.borrow_mut() = (0..4)
+        let before = (0..4)
             .map(|i| {
                 c.metrics()
                     .counter(&format!("bank.mcd.{i}.requests"))
@@ -247,8 +237,8 @@ fn warm_read_costs_at_most_one_rpc_per_daemon() {
         // The warm read: 8 covering blocks, modulo-spread over 4 daemons.
         let got = m.read(fd, 0, 8 * 2048).await.unwrap();
         assert_eq!(got, vec![0xAB; 8 * 2048]);
+        before
     });
-    sim.run();
 
     let snap = cluster.metrics();
     assert_eq!(
@@ -256,7 +246,7 @@ fn warm_read_costs_at_most_one_rpc_per_daemon() {
         1,
         "warm read must hit"
     );
-    for (i, before) in before.borrow().iter().enumerate() {
+    for (i, before) in before.iter().enumerate() {
         let after = snap.counter(&format!("bank.mcd.{i}.requests")).unwrap_or(0);
         assert!(
             after - before <= 1,
@@ -282,9 +272,7 @@ fn failover_counters_agree_with_bank_stats() {
     let mut sim = Sim::new(9);
     let cluster = Rc::new(Cluster::build(sim.handle(), imca_config(2)));
     let c = Rc::clone(&cluster);
-    let hits_before_kill = Rc::new(RefCell::new(0u64));
-    let hb = Rc::clone(&hits_before_kill);
-    sim.spawn(async move {
+    let hits_before_kill = sim.run_main(async move {
         let m = c.mount();
         m.create("/fo").await.unwrap();
         let fd = m.open("/fo").await.unwrap();
@@ -297,7 +285,7 @@ fn failover_counters_agree_with_bank_stats() {
         for k in 0..32u64 {
             m.read(fd, k * 2048, 2048).await.unwrap();
         }
-        *hb.borrow_mut() = c.metrics().counter_sum("cmcache.*.read_hits");
+        let hits_before_kill = c.metrics().counter_sum("cmcache.*.read_hits");
         // Kill one daemon mid-run; idempotent second kill must not
         // double-count.
         c.kill_mcd(0);
@@ -308,8 +296,8 @@ fn failover_counters_agree_with_bank_stats() {
         }
         c.revive_mcd(0);
         c.revive_mcd(0);
+        hits_before_kill
     });
-    sim.run();
 
     let bank = cluster.bank().expect("imca deployment has a bank");
     assert_eq!(bank.failovers(), 1, "one daemon died once");
@@ -318,7 +306,7 @@ fn failover_counters_agree_with_bank_stats() {
     assert_eq!(snap.counter("bank.mcd_failovers"), Some(1));
     assert_eq!(snap.counter("bank.mcd_revivals"), Some(1));
     assert!(
-        *hits_before_kill.borrow() == 32,
+        hits_before_kill == 32,
         "warm pass should hit the bank on every read"
     );
     // The degraded window: blocks homed on the dead daemon turn into bank

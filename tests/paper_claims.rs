@@ -186,9 +186,7 @@ fn cold_miss_costs_more_than_nocache_warm_hit_less() {
         let mut sim = Sim::new(8);
         let cluster = Rc::new(Cluster::build(sim.handle(), config));
         let h = sim.handle();
-        let took = Rc::new(RefCell::new(Vec::new()));
-        let took2 = Rc::clone(&took);
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = cluster.mount();
             m.create("/claims/miss").await.unwrap();
             let fd = m.open("/claims/miss").await.unwrap();
@@ -198,16 +196,14 @@ fn cold_miss_costs_more_than_nocache_warm_hit_less() {
             m.read(fd, 0, LEN as u64).await.unwrap();
             m.close(fd).await.unwrap();
             let fd = m.open("/claims/miss").await.unwrap();
-            for _ in 0..2 {
+            let read = || async {
                 let t0 = h.now();
                 let got = m.read(fd, 0, LEN as u64).await.unwrap();
-                took2.borrow_mut().push(h.now().since(t0).as_nanos());
                 assert_eq!(got, [7; LEN]);
-            }
-        });
-        sim.run();
-        let took = took.borrow();
-        (took[0], took[1])
+                h.now().since(t0).as_nanos()
+            };
+            (read().await, read().await)
+        })
     }
     let (nocache, _) = reads_after_reopen(ClusterConfig::nocache());
     let (cold, warm) = reads_after_reopen(ClusterConfig::imca(ImcaConfig::default()));
@@ -301,9 +297,7 @@ fn partitioning_one_of_eight_mcds_degrades_stats_by_the_miss_fraction() {
     ));
     let c = Rc::clone(&cluster);
     let h = sim.handle();
-    let out = Rc::new(RefCell::new((0u64, 0u64, 0u64, 0u64)));
-    let out2 = Rc::clone(&out);
-    sim.spawn(async move {
+    let (cold_total, warm_total, degraded_total, affected) = sim.run_main(async move {
         let m = c.mount();
         for i in 0..N {
             m.create(&format!("/claims/{i}")).await.unwrap();
@@ -334,10 +328,8 @@ fn partitioning_one_of_eight_mcds_degrades_stats_by_the_miss_fraction() {
 
         let affected = after.counter("cmcache.0.stat_misses").unwrap()
             - before.counter("cmcache.0.stat_misses").unwrap();
-        out2.replace((cold_total, warm_total, degraded_total, affected));
+        (cold_total, warm_total, degraded_total, affected)
     });
-    sim.run();
-    let (cold_total, warm_total, degraded_total, affected) = *out.borrow();
 
     // The lost daemon held roughly 1/8 of the stat entries (CRC-32
     // placement: allow generous binomial spread, but never a collapse).
@@ -400,7 +392,7 @@ fn durability_holds_under_storage_faults_and_mid_write_crash() {
         ));
         let c = Rc::clone(&cluster);
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.run_main(async move {
             let m = c.mount();
             m.create("/dur").await.unwrap();
             let fd = m.open("/dur").await.unwrap();
