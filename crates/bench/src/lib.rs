@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -97,18 +96,23 @@ impl Options {
     }
 }
 
+/// Write `contents` to `<out>/<file>`, creating the directory first. The
+/// one write path of every emitter: it panics naming the file when
+/// either step fails, so a run never reports an output it did not write.
+fn write_out(opts: &Options, file: &str, contents: impl AsRef<[u8]>) -> PathBuf {
+    let path = opts.out_dir.join(file);
+    std::fs::create_dir_all(&opts.out_dir)
+        .and_then(|()| std::fs::write(&path, contents))
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    path
+}
+
 /// Print a table and persist it under `results/<name>.{json,txt}`.
 pub fn emit(opts: &Options, name: &str, table: &Table) {
     let rendered = table.render();
     println!("{rendered}");
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
-        eprintln!("warning: cannot create {}: {e}", opts.out_dir.display());
-        return;
-    }
-    let json_path = opts.out_dir.join(format!("{name}.json"));
-    let txt_path = opts.out_dir.join(format!("{name}.txt"));
-    let _ = std::fs::write(&json_path, table.to_json());
-    let _ = std::fs::File::create(&txt_path).map(|mut f| f.write_all(rendered.as_bytes()));
+    let json_path = write_out(opts, &format!("{name}.json"), table.to_json());
+    let txt_path = write_out(opts, &format!("{name}.txt"), &rendered);
     println!(
         "(written to {} and {})",
         json_path.display(),
@@ -124,12 +128,7 @@ pub fn emit(opts: &Options, name: &str, table: &Table) {
 /// over several runs merge per-run snapshots under a `<label>.<x>` prefix
 /// with [`Snapshot::merge_prefixed`] before emitting.
 pub fn emit_metrics(opts: &Options, name: &str, snap: &Snapshot) {
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
-        eprintln!("warning: cannot create {}: {e}", opts.out_dir.display());
-        return;
-    }
-    let path = opts.out_dir.join(format!("{name}_metrics.json"));
-    let _ = std::fs::write(&path, snap.to_json());
+    let path = write_out(opts, &format!("{name}_metrics.json"), snap.to_json());
     println!(
         "({} metric series written to {})",
         snap.metrics.len(),
@@ -156,10 +155,7 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
 /// Write `doc` to `<out>/<name>.json`, the consolidated claim record a
 /// binary asserts against (`BENCH_5.json` ... `BENCH_9.json`).
 pub fn emit_bench(opts: &Options, name: &str, doc: &Json) {
-    let _ = std::fs::create_dir_all(&opts.out_dir);
-    let path = opts.out_dir.join(format!("{name}.json"));
-    std::fs::write(&path, doc.render_pretty())
-        .unwrap_or_else(|e| panic!("cannot write {name}.json: {e}"));
+    let path = write_out(opts, &format!("{name}.json"), doc.render_pretty());
     println!("(consolidated summary written to {})", path.display());
 }
 
@@ -430,6 +426,33 @@ mod tests {
         let back = Json::parse(&text).expect("unparseable metrics");
         assert_eq!(back, snap.to_json_value());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn every_emitter_panics_naming_a_file_it_cannot_write() {
+        // A regular file as a path component: no directory can be made
+        // under it, whoever runs the test.
+        let file = std::env::temp_dir().join(format!("imca-bench-etest-{}", std::process::id()));
+        std::fs::write(&file, b"").unwrap();
+        let opts = Options {
+            full: false,
+            smoke: false,
+            out_dir: file.join("sub"),
+            seed: 1,
+        };
+        let table = Table::new("t", "x", "y", vec!["s".into()]);
+        let panics_naming = |written: &str, emitter: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(emitter))
+                .expect_err("an unwritable output must fail the run");
+            let msg = err.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.contains(written), "{msg:?} does not name {written}");
+        };
+        panics_naming("t.json", &|| emit(&opts, "t", &table));
+        panics_naming("m_metrics.json", &|| {
+            emit_metrics(&opts, "m", &Snapshot::new())
+        });
+        panics_naming("b.json", &|| emit_bench(&opts, "b", &Json::Null));
+        let _ = std::fs::remove_file(file);
     }
 
     #[test]

@@ -6,15 +6,18 @@
 //! Ethernet and native RDMA presets support the motivation experiment
 //! (Fig 1) and the RDMA future-work ablation.
 //!
-//! The crate exposes three layers:
+//! The crate exposes four layers:
 //!
 //! * [`Transport`] — a cost model (latency / bandwidth / host CPU) preset,
 //! * [`Network`] / [`NodeId`] — nodes with contended NIC stations,
 //! * [`Service`] / [`RpcClient`] — typed request/response endpoints, the
-//!   idiom every protocol in this workspace is written in.
+//!   idiom every protocol in this workspace is written in,
+//! * [`Service::serve`] — the one server actor every simulated daemon
+//!   runs on: it takes, queues, serves and answers requests on its
+//!   [`Workers`], and drops the ones a crash of its [`Daemon`] kills.
 //!
 //! ```
-//! use imca_fabric::{Network, Service, Transport, WireSize};
+//! use imca_fabric::{Network, Service, Transport, WireSize, Workers};
 //! use imca_sim::Sim;
 //!
 //! #[derive(Clone)]
@@ -30,13 +33,8 @@
 //! let svc: Service<Echo, Echo> = Service::bind(&net, server);
 //! let cli = svc.client(client);
 //!
-//! let svc2 = svc.clone();
-//! sim.spawn(async move {
-//!     while let Some(msg) = svc2.recv().await {
-//!         let v = msg.req.0;
-//!         msg.respond(Echo(v + 1));
-//!     }
-//! });
+//! let daemon = svc.serve(Workers::Inline, |req: Echo| async move { Echo(req.0 + 1) });
+//! assert!(daemon.is_up());
 //! let reply = sim.run_main(async move { cli.call(Echo(41)).await });
 //! assert_eq!(reply.0, 42);
 //! let end = sim.now();
@@ -54,5 +52,5 @@ mod transport;
 
 pub use fault::{Delivery, FaultPlan};
 pub use network::{Network, NodeId};
-pub use rpc::{Incoming, Replier, RpcClient, Service};
+pub use rpc::{Daemon, Handler, Incoming, RpcClient, Service, Workers};
 pub use transport::{Transport, WireSize};

@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use imca_fabric::{Network, Transport};
-//! use imca_glusterfs::{start_server_with_control, ClientProtocol, FuseBridge,
+//! use imca_glusterfs::{start_server, ClientProtocol, FsError, FuseBridge,
 //!                      GlusterMount, Posix, ServerParams, Xlator};
 //! use imca_sim::Sim;
 //! use imca_storage::{BackendParams, StorageBackend};
@@ -29,7 +29,7 @@
 //! // Server side: posix over the timed storage stack.
 //! let server_node = net.add_node();
 //! let backend = StorageBackend::new(sim.handle(), BackendParams::paper_server());
-//! let (svc, _control) = start_server_with_control(&net, server_node,
+//! let (svc, daemon) = start_server(&net, server_node,
 //!     Posix::new(backend) as Xlator, ServerParams::default());
 //! // Client side: FUSE → protocol/client, then a POSIX-ish mount API.
 //! let client_node = net.add_node();
@@ -43,6 +43,13 @@
 //!     assert_eq!(mount.read(fd, 0, 10).await.unwrap(), b"translator");
 //!     assert_eq!(mount.stat("/doc/hello").await.unwrap().size, 17);
 //!     mount.close(fd).await.unwrap();
+//! });
+//! // The daemon handle crashes the server: it answers nothing until its
+//! // restart, so every fop fails with EIO.
+//! daemon.crash();
+//! let mount = GlusterMount::new(ClientProtocol::connect(&svc, net.add_node()) as Xlator);
+//! sim.run_main(async move {
+//!     assert_eq!(mount.stat("/doc/hello").await.unwrap_err(), FsError::Io);
 //! });
 //! ```
 
@@ -62,9 +69,7 @@ pub use fops::{FileStat, Fop, FopReply, FsError};
 pub use iocache::IoCache;
 pub use mount::{Fd, GlusterMount};
 pub use posix::Posix;
-pub use protocol::{
-    start_server_with_control, ClientProtocol, FuseBridge, ServerControl, ServerParams,
-};
+pub use protocol::{start_server, ClientProtocol, FuseBridge, ServerParams};
 pub use readahead::ReadAhead;
 pub use translator::{wind, FopFuture, Translator, Xlator};
 pub use writebehind::WriteBehind;

@@ -3,14 +3,13 @@
 //!
 //! GlusterFS processes requests asynchronously: the server winds a fop into
 //! its stack and a callback returns the result to the client later (§2.1,
-//! §4.1). Here every incoming request becomes its own simulation process,
-//! with a bounded CPU resource standing in for the server's worker threads.
+//! §4.1). Here the server is the fabric's one server actor
+//! ([`Service::serve`]): every admitted fop becomes its own simulation
+//! process, with [`Workers::Cpu`] standing in for the io-threads.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
-use imca_fabric::{Network, NodeId, RpcClient, Service};
-use imca_sim::sync::Resource;
+use imca_fabric::{Daemon, Network, NodeId, RpcClient, Service, Workers};
 use imca_sim::SimDuration;
 
 use crate::fops::{Fop, FopReply, FsError};
@@ -40,83 +39,24 @@ impl Default for ServerParams {
     }
 }
 
-/// Liveness switch for one GlusterFS server daemon, handed out by
-/// [`start_server_with_control`]. While `alive` is `false` the dispatcher
-/// discards incoming requests (the client's `try_call` resolves `None`,
-/// like a TCP reset) and any fop already wound into the stack dies before
-/// its reply is sent — the server-side mutation may or may not have
-/// happened, exactly the ambiguity a real crash leaves.
-#[derive(Clone)]
-pub struct ServerControl {
-    alive: Rc<Cell<bool>>,
-}
-
-impl ServerControl {
-    /// Whether the daemon is accepting and answering requests.
-    pub fn is_alive(&self) -> bool {
-        self.alive.get()
-    }
-
-    /// Crash the daemon: stop accepting requests and kill in-flight ones.
-    pub fn crash(&self) {
-        self.alive.set(false);
-    }
-
-    /// Bring the daemon back. Purging whatever caches sat above it is the
-    /// caller's job (see `Cluster::restart_server`).
-    pub fn restart(&self) {
-        self.alive.set(true);
-    }
-}
-
 /// Start a GlusterFS server at `node`, serving fops into `child` (the
-/// server-side translator stack, e.g. SMCache → posix). Returns the RPC
-/// service clients connect to and the daemon's crash/restart switch.
-pub fn start_server_with_control(
+/// server-side translator stack, e.g. SMCache → posix) on
+/// `params.io_threads` contexts that each decode a fop for
+/// `params.fop_cpu`. Returns the RPC service clients connect to and the
+/// daemon's handle, which crashes and restarts it: a crashed daemon
+/// answers nothing (the client sees `FsError::Io`), and a fop it had
+/// wound into the stack may or may not have mutated state, exactly the
+/// ambiguity a real crash leaves.
+pub fn start_server(
     net: &Network,
     node: NodeId,
     child: Xlator,
     params: ServerParams,
-) -> (Service<Fop, FopReply>, ServerControl) {
-    let svc: Service<Fop, FopReply> = Service::bind(net, node);
-    let h = net.handle();
-    let cpu = Resource::new(params.io_threads.max(1));
-    let dispatcher = svc.clone();
-    let fop_cpu = params.fop_cpu;
-    let control = ServerControl {
-        alive: Rc::new(Cell::new(true)),
-    };
-    let alive = Rc::clone(&control.alive);
-    h.clone().spawn(async move {
-        while let Some(incoming) = dispatcher.recv().await {
-            // A dead daemon's socket answers nothing: dropping the
-            // replier resolves the client's `try_call` to `None`.
-            if !alive.get() {
-                continue;
-            }
-            let child = Rc::clone(&child);
-            let cpu = cpu.clone();
-            let h2 = h.clone();
-            let alive = Rc::clone(&alive);
-            h.spawn(async move {
-                // Decode + stack traversal on a worker thread.
-                cpu.serve(&h2, fop_cpu).await;
-                if !alive.get() {
-                    return;
-                }
-                let (fop, replier) = incoming.into_parts();
-                let reply = wind(&child, fop).await;
-                // The daemon may have died while this fop was in flight —
-                // after the stack possibly mutated state. The reply is
-                // lost either way: that torn-ack window is what the
-                // durability tests probe.
-                if alive.get() {
-                    replier.reply(reply);
-                }
-            });
-        }
-    });
-    (svc, control)
+) -> (Service<Fop, FopReply>, Daemon) {
+    let svc = Service::bind(net, node);
+    let workers = Workers::Cpu(params.io_threads.max(1), params.fop_cpu);
+    let daemon = svc.serve(workers, move |fop: Fop| wind(&child, fop));
+    (svc, daemon)
 }
 
 /// `protocol/client` — the translator at the bottom of every client stack;
@@ -199,7 +139,7 @@ mod tests {
         let client_node = net.add_node();
         let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
         let posix = Posix::new(be);
-        let svc = start_server_with_control(&net, server_node, posix, ServerParams::default()).0;
+        let svc = start_server(&net, server_node, posix, ServerParams::default()).0;
         let proto = ClientProtocol::connect(&svc, client_node);
         let top = FuseBridge::new(sim.handle(), proto) as Xlator;
         (net, top)
@@ -264,15 +204,14 @@ mod tests {
         let client_node = net.add_node();
         let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
         let posix = Posix::new(be);
-        let (svc, control) =
-            start_server_with_control(&net, server_node, posix, ServerParams::default());
+        let (svc, server) = start_server(&net, server_node, posix, ServerParams::default());
         let top = ClientProtocol::connect(&svc, client_node) as Xlator;
         let h = sim.handle();
         sim.run_main(async move {
             let p = "/vol/f".to_string();
             wind(&top, Fop::Create { path: p.clone() }).await;
-            control.crash();
-            assert!(!control.is_alive());
+            server.crash();
+            assert!(!server.is_up());
             // Every kind of fop fails with EIO, promptly (no hang): the
             // dead daemon's dropped replier is the TCP reset.
             let t0 = h.now();
@@ -293,12 +232,54 @@ mod tests {
                 FopReply::Write(Err(FsError::Io))
             );
             assert!(h.now().since(t0) < SimDuration::millis(10));
-            control.restart();
+            server.restart();
             let FopReply::Stat(Ok(st)) = wind(&top, Fop::Stat { path: p }).await else {
                 panic!("restarted server must serve again")
             };
             // The crashed-away write never landed.
             assert_eq!(st.size, 0);
+        });
+    }
+
+    #[test]
+    fn a_restart_drops_the_fops_its_crash_left_waiting_for_an_io_thread() {
+        // One io-thread, 100 µs of decode per fop: `/a` holds the thread
+        // when the server crashes and restarts at 50 µs, and `/b` waits
+        // for it. Both fops belong to the crashed incarnation, so neither
+        // reaches posix and both callers see EIO.
+        let mut sim = Sim::new(0);
+        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+        let server_node = net.add_node();
+        let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
+        let params = ServerParams {
+            fop_cpu: SimDuration::micros(100),
+            io_threads: 1,
+        };
+        let (svc, server) = start_server(&net, server_node, Posix::new(be), params);
+        let h = sim.handle();
+        h.spawn({
+            let h = h.clone();
+            async move {
+                h.sleep(SimDuration::micros(50)).await;
+                server.crash();
+                server.restart();
+            }
+        });
+        let fops: Vec<_> = ["/a", "/b"]
+            .map(|p| {
+                let proto = ClientProtocol::connect(&svc, net.add_node()) as Xlator;
+                async move { wind(&proto, Fop::Create { path: p.into() }).await }
+            })
+            .into();
+        let check = ClientProtocol::connect(&svc, net.add_node()) as Xlator;
+        sim.run_main(async move {
+            for reply in imca_sim::join_all(&h, fops).await {
+                assert_eq!(reply, FopReply::Create(Err(FsError::Io)));
+            }
+            for p in ["/a", "/b"] {
+                let stat = wind(&check, Fop::Stat { path: p.into() }).await;
+                assert_eq!(stat, FopReply::Stat(Err(FsError::NotFound)), "{p}");
+            }
         });
     }
 
@@ -316,7 +297,7 @@ mod tests {
                 fop_cpu: SimDuration::micros(100),
                 io_threads,
             };
-            let svc = start_server_with_control(&net, server_node, posix, params).0;
+            let svc = start_server(&net, server_node, posix, params).0;
             // Seed the file, then hammer stats from 16 clients.
             let seed = ClientProtocol::connect(&svc, net.add_node());
             let svc2 = svc.clone();

@@ -5,10 +5,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use imca_fabric::{FaultPlan, Network, NodeId, Service, Transport};
+use imca_fabric::{Daemon, FaultPlan, Network, NodeId, Service, Transport};
 use imca_glusterfs::{
-    start_server_with_control, ClientProtocol, Fop, FopReply, FuseBridge, GlusterMount, IoCache,
-    Posix, ReadAhead, ServerControl, ServerParams, WriteBehind, Xlator,
+    start_server, ClientProtocol, Fop, FopReply, FuseBridge, GlusterMount, IoCache, Posix,
+    ReadAhead, ServerParams, WriteBehind, Xlator,
 };
 use imca_memcached::{McConfig, Selector};
 use imca_metrics::{prefixed, Counter, MetricSource, Registry, Snapshot};
@@ -180,7 +180,9 @@ pub struct Cluster {
     read_aheads: RefCell<Vec<Rc<ReadAhead>>>,
     write_behinds: RefCell<Vec<Rc<WriteBehind>>>,
     server_node: NodeId,
-    server_control: ServerControl,
+    /// The GlusterFS server daemon: crashed and restarted through
+    /// [`Cluster::crash_server`] and [`Cluster::restart_server`].
+    server: Daemon,
     server_registry: Registry,
     server_crashes: Counter,
     server_restarts: Counter,
@@ -222,8 +224,8 @@ impl Cluster {
             None => (None, None, None, Rc::clone(&posix) as Xlator),
         };
 
-        let (svc, server_control) =
-            start_server_with_control(&net, server_node, server_child, cfg.server_params.clone());
+        let (svc, server) =
+            start_server(&net, server_node, server_child, cfg.server_params.clone());
         let server_registry = Registry::new();
         Cluster {
             handle,
@@ -240,7 +242,7 @@ impl Cluster {
             read_aheads: RefCell::new(Vec::new()),
             write_behinds: RefCell::new(Vec::new()),
             server_node,
-            server_control,
+            server,
             server_crashes: server_registry.counter("crashes"),
             server_restarts: server_registry.counter("restarts"),
             server_registry,
@@ -272,7 +274,7 @@ impl Cluster {
                     // stat-refresh fan-out revokes through it before any
                     // bank entry changes.
                     let svc: Service<LeaseRevoke, LeaseAck> = Service::bind(&self.net, client_node);
-                    serve_revocations(cm.meta(), svc.clone());
+                    serve_revocations(cm.meta(), &svc);
                     hub.register(svc.client(self.server_node));
                 }
                 self.cmcaches.borrow_mut().push(Rc::clone(&cm));
@@ -371,18 +373,20 @@ impl Cluster {
 
     /// Crash the GlusterFS server daemon. Takes effect immediately:
     /// requests already accepted die before replying (the client sees
-    /// `FsError::Io`), new requests are discarded on arrival, and any
-    /// threaded SMCache job that survives into the restart is fenced off
-    /// by the bank-wide purge there. Storage and MCDs keep running — only
-    /// the daemon process dies, as in a `kill -9` of `glusterfsd`.
+    /// `FsError::Io`), and the ones still waiting for an io-thread never
+    /// reach the stack, not even after a restart. New requests are
+    /// discarded on arrival, and any threaded SMCache job that survives
+    /// into the restart is fenced off by the bank-wide purge there.
+    /// Storage and MCDs keep running — only the daemon process dies, as
+    /// in a `kill -9` of `glusterfsd`.
     pub fn crash_server(&self) {
-        self.server_control.crash();
+        self.server.crash();
         self.server_crashes.inc();
     }
 
     /// Whether the server daemon is currently accepting requests.
     pub fn server_alive(&self) -> bool {
-        self.server_control.is_alive()
+        self.server.is_up()
     }
 
     /// Restart a crashed server daemon. The restarted daemon cannot trust
@@ -391,7 +395,7 @@ impl Cluster {
     /// deployment purges the whole bank before serving again — the cold
     /// restart the `ablate_failure` sweep measures.
     pub async fn restart_server(&self) {
-        self.server_control.restart();
+        self.server.restart();
         self.server_restarts.inc();
         if let Some(sm) = &self.smcache {
             sm.purge_all().await;
@@ -404,7 +408,7 @@ impl Cluster {
     pub fn metrics(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         self.server_registry.collect("server", &mut snap);
-        snap.set_gauge("server.alive", self.server_control.is_alive() as i64);
+        snap.set_gauge("server.alive", self.server.is_up() as i64);
         self.net.collect("fabric", &mut snap);
         self.backend.collect("storage", &mut snap);
         self.posix.collect("glusterfs.posix", &mut snap);

@@ -7,13 +7,13 @@ use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use imca_fabric::NodeId;
+use imca_fabric::{Daemon, NodeId};
 use imca_memcached::protocol::{Command, Response, StoreVerb, Value};
 use imca_memcached::ServerMap;
 use imca_metrics::{Counter, Histogram, MetricSource, Registry, Snapshot};
 use imca_sim::{join_all, SimTime};
 
-use super::daemon::{DecrOnDrop, McdNode, McdReq, McdResp};
+use super::daemon::{McdNode, McdReq, McdResp};
 use super::policy::{
     cas_verdict, get_req, store_req, CallOutcome, CasToken, CasVerdict, ReplicaRows, RetryPolicy,
     Wire,
@@ -32,6 +32,24 @@ enum Route {
     /// inside an open circuit window after repeated timeouts. Skipped
     /// like a dead daemon, but counted as degraded.
     Shed,
+}
+
+/// Gives back a read's share of a client's per-daemon in-flight count
+/// when the read RPC ends, however it ends.
+struct DecrOnDrop(Rc<Cell<u64>>);
+
+impl DecrOnDrop {
+    /// Count one more occupant of `cell` until the guard drops.
+    fn enter(cell: &Rc<Cell<u64>>) -> DecrOnDrop {
+        cell.set(cell.get() + 1);
+        DecrOnDrop(Rc::clone(cell))
+    }
+}
+
+impl Drop for DecrOnDrop {
+    fn drop(&mut self) {
+        self.0.set(self.0.get().saturating_sub(1));
+    }
 }
 
 /// One key's progress through [`BankClient::read`].
@@ -64,7 +82,7 @@ struct ReadKey {
 /// stand-in during an outage, or an old copy read after a second
 /// failover, resurfaces. Keyed to fixed homes, correctness never depends
 /// on bank membership history. Liveness is read straight off the daemons'
-/// shared `alive` cells (libmemcache notices connect failures
+/// [`Daemon`] handles (libmemcache notices connect failures
 /// immediately); on top of it a reachable daemon may be *shed* —
 /// quarantined by a failed write (sticky, until revival) or inside this
 /// client's open circuit window (transient).
@@ -96,7 +114,7 @@ struct ReadKey {
 pub struct BankClient {
     wire: Wire,
     map: ServerMap,
-    alive: Vec<Rc<Cell<bool>>>,
+    daemons: Vec<Daemon>,
     quarantined: Vec<Rc<Cell<bool>>>,
     /// Per-daemon fail-fast circuit: ops shed (local miss) until the
     /// stored instant. Per *client*, unlike the shared quarantine flags.
@@ -135,8 +153,7 @@ pub struct BankClient {
     replication: usize,
     /// Outstanding read RPCs per daemon *from this client* — the load
     /// signal power-of-two-choices read routing balances on. `Rc` because
-    /// the [`DecrOnDrop`] guard, shared with the daemons' queue-depth
-    /// accounting, owns a handle to the cell it decrements.
+    /// the [`DecrOnDrop`] guard owns a handle to the cell it decrements.
     in_flight: Vec<Rc<Cell<u64>>>,
     /// Client-local xorshift64 state for P2C sampling and tie-breaking,
     /// seeded from the client's node id so different clients spread a hot
@@ -186,7 +203,7 @@ impl BankClient {
                 retries: registry.counter("retries"),
             },
             map: ServerMap::new(cfg.selector, nodes.len()),
-            alive: nodes.iter().map(|n| Rc::clone(&n.alive)).collect(),
+            daemons: nodes.iter().map(|n| n.daemon.clone()).collect(),
             quarantined: nodes.iter().map(|n| Rc::clone(&n.quarantined)).collect(),
             circuit_open_until: RefCell::new(vec![SimTime::ZERO; nodes.len()]),
             block_size: cfg.block_size,
@@ -219,7 +236,7 @@ impl BankClient {
 
     /// Liveness/quarantine/circuit verdict for daemon `idx`.
     fn probe(&self, idx: usize) -> Route {
-        if !self.alive[idx].get() {
+        if !self.daemons[idx].is_up() {
             return Route::Dead;
         }
         if self.quarantined[idx].get() {

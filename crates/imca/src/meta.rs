@@ -59,7 +59,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use imca_fabric::{RpcClient, Service, WireSize};
+use imca_fabric::{RpcClient, Service, WireSize, Workers};
 use imca_glusterfs::{FileStat, Fop, FopReply, FsError, Xlator};
 use imca_metrics::{Counter, MetricSource, Registry, Snapshot};
 use imca_sim::{join_all, timeout, SimDuration, SimHandle, SimTime};
@@ -453,13 +453,11 @@ impl WireSize for LeaseAck {
 /// Run `engine`'s revocation service: every incoming [`LeaseRevoke`]
 /// drops the lease (and bumps the fill epoch) before the ack goes back,
 /// so the server's purge/push fan-out can wait for all holders.
-pub fn serve_revocations(engine: &Rc<MetaEngine>, svc: Service<LeaseRevoke, LeaseAck>) {
+pub fn serve_revocations(engine: &Rc<MetaEngine>, svc: &Service<LeaseRevoke, LeaseAck>) {
     let eng = Rc::clone(engine);
-    engine.handle.spawn(async move {
-        while let Some(msg) = svc.recv().await {
-            eng.revoke(&msg.req.path);
-            msg.respond(LeaseAck);
-        }
+    svc.serve(Workers::Inline, move |msg: LeaseRevoke| {
+        eng.revoke(&msg.path);
+        async { LeaseAck }
     });
 }
 
@@ -883,7 +881,7 @@ mod tests {
         let eng = MetaEngine::new(sim.handle(), child, Rc::clone(&bank), MetaConfig::lease());
         let hub = LeaseHub::new(sim.handle());
         let svc: Service<LeaseRevoke, LeaseAck> = Service::bind(&net, client_node);
-        serve_revocations(&eng, svc.clone());
+        serve_revocations(&eng, &svc);
         hub.register(svc.client(server_node));
         assert_eq!(hub.peer_count(), 1);
         sim.handle().spawn(async move {
@@ -910,14 +908,7 @@ mod tests {
         // Client A acks every revoke.
         let a_node = net.add_node();
         let a_svc: Service<LeaseRevoke, LeaseAck> = Service::bind(&net, a_node);
-        {
-            let svc = a_svc.clone();
-            sim.handle().spawn(async move {
-                while let Some(msg) = svc.recv().await {
-                    msg.respond(LeaseAck);
-                }
-            });
-        }
+        a_svc.serve(Workers::Inline, |_: LeaseRevoke| async { LeaseAck });
         hub.register(a_svc.client(server_node));
         // Client B is mute: its endpoint exists but nothing serves it, so
         // every revoke to it runs out the 2ms deadline.
@@ -941,12 +932,7 @@ mod tests {
                 "quarantined peer still stalls the fan-out"
             );
             // B remounts: a fresh registration starts healthy and serves.
-            let svc = b_svc.clone();
-            h.spawn(async move {
-                while let Some(msg) = svc.recv().await {
-                    msg.respond(LeaseAck);
-                }
-            });
+            b_svc.serve(Workers::Inline, |_: LeaseRevoke| async { LeaseAck });
             hub2.register(b_svc.client(server_node));
             hub2.revoke("/f").await;
             // The revived B acked; only the dead entry stays quarantined.

@@ -5,8 +5,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use imca_fabric::{Network, RpcClient, Service, Transport};
-use imca_sim::sync::Resource;
+use imca_fabric::{Network, RpcClient, Service, Transport, Workers};
 use imca_sim::{join_all, SimDuration, SimHandle};
 use imca_storage::{BackendParams, FileId, StorageBackend};
 
@@ -67,227 +66,214 @@ struct LockTable {
 /// pages and locks were revoked.
 type InvalSet = Rc<RefCell<HashSet<String>>>;
 
+/// The metadata server: one service thread, so it serves one request at
+/// a time in arrival order.
+struct Mds {
+    h: SimHandle,
+    meta: Rc<RefCell<MetaStore>>,
+    locks: RefCell<LockTable>,
+    invals: RefCell<HashMap<u32, InvalSet>>,
+    revocations: Cell<u64>,
+    ost_count: usize,
+}
+
+impl Mds {
+    async fn serve(self: Rc<Self>, req: MdsReq) -> MdsResp {
+        self.h.sleep(MDS_OP_CPU).await;
+        match req {
+            MdsReq::Create { path } => {
+                let mut m = self.meta.borrow_mut();
+                if m.files.contains_key(&path) {
+                    MdsResp::Err
+                } else {
+                    let objects = (0..self.ost_count)
+                        .map(|_| {
+                            m.next_object += 1;
+                            m.next_object
+                        })
+                        .collect();
+                    let now = self.h.now().as_nanos();
+                    m.files.insert(
+                        path,
+                        FileMeta {
+                            objects,
+                            size: 0,
+                            mtime_ns: now,
+                            ctime_ns: now,
+                        },
+                    );
+                    MdsResp::Ok {
+                        mtime_ns: now,
+                        ctime_ns: now,
+                        revoked: 0,
+                    }
+                }
+            }
+            MdsReq::Open { path } | MdsReq::Getattr { path } => {
+                match self.meta.borrow().files.get(&path) {
+                    Some(f) => MdsResp::Ok {
+                        mtime_ns: f.mtime_ns,
+                        ctime_ns: f.ctime_ns,
+                        revoked: 0,
+                    },
+                    None => MdsResp::Err,
+                }
+            }
+            MdsReq::Unlink { path } => {
+                if self.meta.borrow_mut().files.remove(&path).is_some() {
+                    MdsResp::Ok {
+                        mtime_ns: 0,
+                        ctime_ns: 0,
+                        revoked: 0,
+                    }
+                } else {
+                    MdsResp::Err
+                }
+            }
+            MdsReq::Lock {
+                path,
+                write,
+                client,
+            } => {
+                self.h.sleep(LOCK_CPU).await;
+                let mut revoked = 0u32;
+                // Collect conflicting holders.
+                let conflicts: Vec<u32> = {
+                    let lt = self.locks.borrow();
+                    let mut v = Vec::new();
+                    if write {
+                        if let Some(rs) = lt.readers.get(&path) {
+                            v.extend(rs.iter().copied().filter(|c| *c != client));
+                        }
+                    }
+                    if let Some(w) = lt.writer.get(&path) {
+                        if *w != client {
+                            v.push(*w);
+                        }
+                    }
+                    v.sort_unstable();
+                    v.dedup();
+                    v
+                };
+                for holder in conflicts {
+                    // Revocation callback: MDS CPU + notifying
+                    // the holder (we charge MDS-side cost; the
+                    // holder drops its pages at next access).
+                    self.h.sleep(REVOKE_CPU).await;
+                    if let Some(set) = self.invals.borrow().get(&holder) {
+                        set.borrow_mut().insert(path.clone());
+                    }
+                    let mut lt = self.locks.borrow_mut();
+                    if let Some(rs) = lt.readers.get_mut(&path) {
+                        rs.remove(&holder);
+                    }
+                    if lt.writer.get(&path) == Some(&holder) {
+                        lt.writer.remove(&path);
+                    }
+                    revoked += 1;
+                    self.revocations.set(self.revocations.get() + 1);
+                }
+                {
+                    let mut lt = self.locks.borrow_mut();
+                    if write {
+                        lt.writer.insert(path.clone(), client);
+                    } else {
+                        lt.readers.entry(path.clone()).or_default().insert(client);
+                    }
+                }
+                let m = self.meta.borrow();
+                match m.files.get(&path) {
+                    Some(f) => MdsResp::Ok {
+                        mtime_ns: f.mtime_ns,
+                        ctime_ns: f.ctime_ns,
+                        revoked,
+                    },
+                    None => MdsResp::Err,
+                }
+            }
+        }
+    }
+}
+
+/// One OST request's work on its storage. The Lustre comparison model
+/// never installs a storage fault plan, so backend errors are
+/// structurally impossible; Results collapse to benign defaults rather
+/// than growing the OST protocol an error variant it cannot exercise.
+async fn serve_ost(backend: StorageBackend, req: OstReq) -> OstResp {
+    match req {
+        OstReq::Read {
+            object,
+            offset,
+            len,
+        } => {
+            let data = backend
+                .read(FileId(object), offset, len)
+                .await
+                .unwrap_or_default();
+            OstResp::Data(data)
+        }
+        OstReq::Write {
+            object,
+            offset,
+            data,
+        } => {
+            if !backend.exists(FileId(object)) {
+                let _ = backend.create(FileId(object)).await;
+            }
+            let _ = backend.write(FileId(object), offset, &data).await;
+            OstResp::Ok
+        }
+        OstReq::Glimpse { object } => {
+            let size = backend
+                .stat(FileId(object))
+                .await
+                .unwrap_or_default()
+                .unwrap_or(0);
+            OstResp::Size(size)
+        }
+        OstReq::Destroy { object } => {
+            let _ = backend.remove(FileId(object)).await;
+            OstResp::Ok
+        }
+    }
+}
+
 /// A built Lustre deployment.
 pub struct LustreCluster {
     net: Network,
     handle: SimHandle,
+    mds: Rc<Mds>,
     mds_svc: Service<MdsReq, MdsResp>,
     ost_svcs: Vec<Service<OstReq, OstResp>>,
-    meta: Rc<RefCell<MetaStore>>,
     ost_backends: Vec<StorageBackend>,
-    invals: Rc<RefCell<HashMap<u32, InvalSet>>>,
     next_client: Cell<u32>,
-    revocations: Rc<Cell<u64>>,
 }
 
 impl LustreCluster {
     /// Build MDS + OSTs on a fresh network.
     pub fn build(handle: SimHandle, cfg: LustreConfig) -> LustreCluster {
         let net = Network::new(handle.clone(), Transport::ipoib_ddr());
-        let meta: Rc<RefCell<MetaStore>> = Rc::default();
-        let locks: Rc<RefCell<LockTable>> = Rc::default();
-        let invals: Rc<RefCell<HashMap<u32, InvalSet>>> = Rc::default();
-        let revocations = Rc::new(Cell::new(0u64));
+        let mds = Rc::new(Mds {
+            h: handle.clone(),
+            meta: Rc::default(),
+            locks: RefCell::default(),
+            invals: RefCell::default(),
+            revocations: Cell::new(0),
+            ost_count: cfg.ost_count,
+        });
+        let mds_svc = Service::bind(&net, net.add_node());
+        let served = Rc::clone(&mds);
+        mds_svc.serve(Workers::Inline, move |req| Rc::clone(&served).serve(req));
 
-        // --- MDS actor ---
-        let mds_node = net.add_node();
-        let mds_svc: Service<MdsReq, MdsResp> = Service::bind(&net, mds_node);
-        {
-            let svc = mds_svc.clone();
-            let h = handle.clone();
-            let meta = Rc::clone(&meta);
-            let locks = Rc::clone(&locks);
-            let invals = Rc::clone(&invals);
-            let revocations = Rc::clone(&revocations);
-            let cpu = Resource::new(1); // one MDS service thread
-            let ost_count = cfg.ost_count;
-            handle.spawn(async move {
-                while let Some(incoming) = svc.recv().await {
-                    let (req, replier) = incoming.into_parts();
-                    cpu.serve(&h, MDS_OP_CPU).await;
-                    let resp = match req {
-                        MdsReq::Create { path } => {
-                            let mut m = meta.borrow_mut();
-                            if m.files.contains_key(&path) {
-                                MdsResp::Err
-                            } else {
-                                let objects = (0..ost_count)
-                                    .map(|_| {
-                                        m.next_object += 1;
-                                        m.next_object
-                                    })
-                                    .collect();
-                                let now = h.now().as_nanos();
-                                m.files.insert(
-                                    path,
-                                    FileMeta {
-                                        objects,
-                                        size: 0,
-                                        mtime_ns: now,
-                                        ctime_ns: now,
-                                    },
-                                );
-                                MdsResp::Ok {
-                                    mtime_ns: now,
-                                    ctime_ns: now,
-                                    revoked: 0,
-                                }
-                            }
-                        }
-                        MdsReq::Open { path } | MdsReq::Getattr { path } => {
-                            match meta.borrow().files.get(&path) {
-                                Some(f) => MdsResp::Ok {
-                                    mtime_ns: f.mtime_ns,
-                                    ctime_ns: f.ctime_ns,
-                                    revoked: 0,
-                                },
-                                None => MdsResp::Err,
-                            }
-                        }
-                        MdsReq::Unlink { path } => {
-                            if meta.borrow_mut().files.remove(&path).is_some() {
-                                MdsResp::Ok {
-                                    mtime_ns: 0,
-                                    ctime_ns: 0,
-                                    revoked: 0,
-                                }
-                            } else {
-                                MdsResp::Err
-                            }
-                        }
-                        MdsReq::Lock {
-                            path,
-                            write,
-                            client,
-                        } => {
-                            cpu.serve(&h, LOCK_CPU).await;
-                            let mut revoked = 0u32;
-                            // Collect conflicting holders.
-                            let conflicts: Vec<u32> = {
-                                let lt = locks.borrow();
-                                let mut v = Vec::new();
-                                if write {
-                                    if let Some(rs) = lt.readers.get(&path) {
-                                        v.extend(rs.iter().copied().filter(|c| *c != client));
-                                    }
-                                }
-                                if let Some(w) = lt.writer.get(&path) {
-                                    if *w != client {
-                                        v.push(*w);
-                                    }
-                                }
-                                v.sort_unstable();
-                                v.dedup();
-                                v
-                            };
-                            for holder in conflicts {
-                                // Revocation callback: MDS CPU + notifying
-                                // the holder (we charge MDS-side cost; the
-                                // holder drops its pages at next access).
-                                cpu.serve(&h, REVOKE_CPU).await;
-                                if let Some(set) = invals.borrow().get(&holder) {
-                                    set.borrow_mut().insert(path.clone());
-                                }
-                                let mut lt = locks.borrow_mut();
-                                if let Some(rs) = lt.readers.get_mut(&path) {
-                                    rs.remove(&holder);
-                                }
-                                if lt.writer.get(&path) == Some(&holder) {
-                                    lt.writer.remove(&path);
-                                }
-                                revoked += 1;
-                                revocations.set(revocations.get() + 1);
-                            }
-                            {
-                                let mut lt = locks.borrow_mut();
-                                if write {
-                                    lt.writer.insert(path.clone(), client);
-                                } else {
-                                    lt.readers.entry(path.clone()).or_default().insert(client);
-                                }
-                            }
-                            let m = meta.borrow();
-                            match m.files.get(&path) {
-                                Some(f) => MdsResp::Ok {
-                                    mtime_ns: f.mtime_ns,
-                                    ctime_ns: f.ctime_ns,
-                                    revoked,
-                                },
-                                None => MdsResp::Err,
-                            }
-                        }
-                    };
-                    replier.reply(resp);
-                }
-            });
-        }
-
-        // --- OST actors ---
         let mut ost_svcs = Vec::new();
         let mut ost_backends = Vec::new();
         for _ in 0..cfg.ost_count {
-            let node = net.add_node();
-            let svc: Service<OstReq, OstResp> = Service::bind(&net, node);
+            let svc = Service::bind(&net, net.add_node());
             let backend = StorageBackend::new(handle.clone(), BackendParams::paper_server());
-            {
-                let svc = svc.clone();
-                let h = handle.clone();
-                let backend = backend.clone();
-                let cpu = Resource::new(2);
-                handle.spawn(async move {
-                    while let Some(incoming) = svc.recv().await {
-                        let (req, replier) = incoming.into_parts();
-                        let backend = backend.clone();
-                        let cpu = cpu.clone();
-                        let h2 = h.clone();
-                        h.spawn(async move {
-                            cpu.serve(&h2, OST_OP_CPU).await;
-                            // The Lustre comparison model never installs a
-                            // storage fault plan, so backend errors are
-                            // structurally impossible; Results collapse to
-                            // benign defaults rather than growing the OST
-                            // protocol an error variant it cannot exercise.
-                            let resp = match req {
-                                OstReq::Read {
-                                    object,
-                                    offset,
-                                    len,
-                                } => {
-                                    let data = backend
-                                        .read(FileId(object), offset, len)
-                                        .await
-                                        .unwrap_or_default();
-                                    OstResp::Data(data)
-                                }
-                                OstReq::Write {
-                                    object,
-                                    offset,
-                                    data,
-                                } => {
-                                    if !backend.exists(FileId(object)) {
-                                        let _ = backend.create(FileId(object)).await;
-                                    }
-                                    let _ = backend.write(FileId(object), offset, &data).await;
-                                    OstResp::Ok
-                                }
-                                OstReq::Glimpse { object } => {
-                                    let size = backend
-                                        .stat(FileId(object))
-                                        .await
-                                        .unwrap_or_default()
-                                        .unwrap_or(0);
-                                    OstResp::Size(size)
-                                }
-                                OstReq::Destroy { object } => {
-                                    let _ = backend.remove(FileId(object)).await;
-                                    OstResp::Ok
-                                }
-                            };
-                            replier.reply(resp);
-                        });
-                    }
-                });
-            }
+            let served = backend.clone();
+            svc.serve(Workers::Cpu(2, OST_OP_CPU), move |req| {
+                serve_ost(served.clone(), req)
+            });
             ost_svcs.push(svc);
             ost_backends.push(backend);
         }
@@ -295,13 +281,11 @@ impl LustreCluster {
         LustreCluster {
             net,
             handle,
+            mds,
             mds_svc,
             ost_svcs,
-            meta,
             ost_backends,
-            invals,
             next_client: Cell::new(0),
-            revocations,
         }
     }
 
@@ -311,13 +295,13 @@ impl LustreCluster {
         self.next_client.set(id + 1);
         let node = self.net.add_node();
         let inval: InvalSet = Rc::default();
-        self.invals.borrow_mut().insert(id, Rc::clone(&inval));
+        self.mds.invals.borrow_mut().insert(id, Rc::clone(&inval));
         Rc::new(LustreClient {
             id,
             handle: self.handle.clone(),
             mds: self.mds_svc.client(node),
             osts: self.ost_svcs.iter().map(|s| s.client(node)).collect(),
-            meta: Rc::clone(&self.meta),
+            meta: Rc::clone(&self.mds.meta),
             cache_data: RefCell::new(HashMap::new()),
             locks: RefCell::new(HashMap::new()),
             inval,
@@ -326,7 +310,7 @@ impl LustreCluster {
 
     /// Total revocation callbacks the MDS has issued.
     pub fn revocations(&self) -> u64 {
-        self.revocations.get()
+        self.mds.revocations.get()
     }
 
     /// Drop every OST's page cache (server-side cold start).

@@ -35,37 +35,32 @@ pub const MAX_KEY_LEN: usize = 250;
 /// 2008-era daemon.
 const ITEM_OVERHEAD: usize = 56;
 
-/// Configuration mirroring the daemon's command-line knobs.
+/// Slab page size, as in the real daemon: one page holds the largest item.
+const PAGE_SIZE: usize = MAX_ITEM_SIZE;
+/// Smallest chunk size.
+const MIN_CHUNK: usize = 96;
+/// `-f`: chunk-size growth factor between slab classes.
+const GROWTH_FACTOR: f64 = 1.25;
+
+/// Configuration mirroring the daemon's command-line knobs. The slab
+/// geometry is the real daemon's default ([`MAX_ITEM_SIZE`] pages, 96-byte
+/// smallest chunk, growth factor 1.25); only the memory limit varies.
 #[derive(Debug, Clone)]
 pub struct McConfig {
     /// `-m`: memory limit for item storage, in bytes.
     pub mem_limit: u64,
-    /// Slab page size (1 MB in the real daemon).
-    pub page_size: usize,
-    /// Smallest chunk size.
-    pub min_chunk: usize,
-    /// `-f`: chunk-size growth factor between slab classes.
-    pub growth_factor: f64,
 }
 
 impl Default for McConfig {
     fn default() -> McConfig {
-        McConfig {
-            mem_limit: 64 << 20,
-            page_size: 1 << 20,
-            min_chunk: 96,
-            growth_factor: 1.25,
-        }
+        McConfig::with_mem_limit(64 << 20)
     }
 }
 
 impl McConfig {
-    /// A daemon with the given memory limit and default slab geometry.
+    /// A daemon with the given memory limit.
     pub fn with_mem_limit(mem_limit: u64) -> McConfig {
-        McConfig {
-            mem_limit,
-            ..McConfig::default()
-        }
+        McConfig { mem_limit }
     }
 
     /// The paper's deployment: each MCD may use up to 6 GB (§5.1).
@@ -273,20 +268,15 @@ fn valid_key(key: &[u8]) -> Result<(), McError> {
 impl Memcached {
     /// A daemon with the given configuration.
     pub fn new(cfg: McConfig) -> Memcached {
-        assert!(
-            cfg.page_size >= MAX_ITEM_SIZE,
-            "page must hold largest item"
-        );
-        assert!(cfg.growth_factor > 1.0, "growth factor must exceed 1");
         let mut classes = Vec::new();
-        let mut size = cfg.min_chunk.max(ITEM_OVERHEAD + 1);
+        let mut size = MIN_CHUNK.max(ITEM_OVERHEAD + 1);
         while size < MAX_ITEM_SIZE {
             classes.push(SlabClass {
                 chunk_size: size,
                 free_chunks: 0,
                 total_chunks: 0,
             });
-            let next = ((size as f64 * cfg.growth_factor) as usize + 7) & !7;
+            let next = ((size as f64 * GROWTH_FACTOR) as usize + 7) & !7;
             size = next.max(size + 8);
         }
         classes.push(SlabClass {
@@ -532,10 +522,10 @@ impl StoreInner {
                 self.classes[class].free_chunks -= 1;
                 return Ok(());
             }
-            let page = self.cfg.page_size as u64;
+            let page = PAGE_SIZE as u64;
             if self.allocated + page <= self.cfg.mem_limit {
                 self.allocated += page;
-                let per_page = self.cfg.page_size / self.classes[class].chunk_size;
+                let per_page = PAGE_SIZE / self.classes[class].chunk_size;
                 self.classes[class].free_chunks += per_page;
                 self.classes[class].total_chunks += per_page;
                 continue;
@@ -623,10 +613,7 @@ mod tests {
 
     fn small() -> Memcached {
         // Page = 1 MB (must hold the largest item); limit 2 pages.
-        Memcached::new(McConfig {
-            mem_limit: 2 << 20,
-            ..McConfig::default()
-        })
+        Memcached::new(McConfig::with_mem_limit(2 << 20))
     }
 
     #[test]
@@ -664,10 +651,7 @@ mod tests {
 
     #[test]
     fn one_megabyte_value_cap() {
-        let mc = Memcached::new(McConfig {
-            mem_limit: 8 << 20,
-            ..McConfig::default()
-        });
+        let mc = Memcached::new(McConfig::with_mem_limit(8 << 20));
         let big = Bytes::from(vec![0u8; MAX_ITEM_SIZE + 1]);
         assert_eq!(mc.set(b"big", big, 0, None, 0), Err(McError::ValueTooLarge));
         // Key + overhead makes exactly-1MB values too big for the largest
@@ -747,10 +731,7 @@ mod tests {
     fn lru_evicts_least_recently_used_in_class() {
         // Fill a small store with same-class items, touch the first, then
         // overflow: the untouched second item must be the victim.
-        let mc = Memcached::new(McConfig {
-            mem_limit: 1 << 20, // one page only
-            ..McConfig::default()
-        });
+        let mc = Memcached::new(McConfig::with_mem_limit(1 << 20)); // one page only
         let val = Bytes::from(vec![0u8; 100_000]); // ~10 items per page
         let mut stored = Vec::new();
         let mut i = 0;
@@ -771,10 +752,7 @@ mod tests {
 
     #[test]
     fn get_refreshes_lru_position() {
-        let mc = Memcached::new(McConfig {
-            mem_limit: 1 << 20,
-            ..McConfig::default()
-        });
+        let mc = Memcached::new(McConfig::with_mem_limit(1 << 20));
         let val = Bytes::from(vec![0u8; 100_000]);
         let mut keys = Vec::new();
         // Fill the page exactly (stop before eviction).
@@ -806,10 +784,7 @@ mod tests {
 
     #[test]
     fn eviction_prefers_expired_items() {
-        let mc = Memcached::new(McConfig {
-            mem_limit: 1 << 20,
-            ..McConfig::default()
-        });
+        let mc = Memcached::new(McConfig::with_mem_limit(1 << 20));
         let val = Bytes::from(vec![0u8; 100_000]);
         mc.set(b"expired", val.clone(), 0, Some(10), 0).unwrap();
         let mut i = 0;
@@ -838,10 +813,7 @@ mod tests {
 
     #[test]
     fn replace_in_full_cache_does_not_evict_other_items() {
-        let mc = Memcached::new(McConfig {
-            mem_limit: 1 << 20,
-            ..McConfig::default()
-        });
+        let mc = Memcached::new(McConfig::with_mem_limit(1 << 20));
         let val = Bytes::from(vec![0u8; 100_000]);
         let mut keys = Vec::new();
         for i in 0..9 {
@@ -886,10 +858,7 @@ mod tests {
     #[test]
     fn thread_safety_smoke() {
         use std::sync::Arc;
-        let mc = Arc::new(Memcached::new(McConfig {
-            mem_limit: 16 << 20,
-            ..McConfig::default()
-        }));
+        let mc = Arc::new(Memcached::new(McConfig::with_mem_limit(16 << 20)));
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let mc = Arc::clone(&mc);

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use super::{CasResult, McConfig, McError, McStats, Memcached, ITEM_OVERHEAD, NIL};
+use super::{CasResult, McConfig, McError, McStats, Memcached, ITEM_OVERHEAD, NIL, PAGE_SIZE};
 
 struct RefItem {
     value: Bytes,
@@ -92,10 +92,10 @@ impl Model {
             self.remove(key);
         }
         while self.free_chunks[class] == 0 {
-            let page = self.cfg.page_size as u64;
+            let page = PAGE_SIZE as u64;
             if self.stats.allocated_bytes + page <= self.cfg.mem_limit {
                 self.stats.allocated_bytes += page;
-                self.free_chunks[class] += self.cfg.page_size / self.chunk_sizes[class];
+                self.free_chunks[class] += PAGE_SIZE / self.chunk_sizes[class];
                 continue;
             }
             let coldest = &self.recency[class];

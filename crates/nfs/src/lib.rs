@@ -16,9 +16,8 @@
 
 use std::rc::Rc;
 
-use imca_fabric::{Network, NodeId, RpcClient, Service, Transport, WireSize};
+use imca_fabric::{Network, NodeId, RpcClient, Service, Transport, WireSize, Workers};
 use imca_metrics::{MetricSource, Snapshot};
-use imca_sim::sync::Resource;
 use imca_sim::{SimDuration, SimHandle};
 use imca_storage::{BackendParams, FileId, StorageBackend};
 
@@ -99,6 +98,27 @@ impl NfsConfig {
     }
 }
 
+/// One NFS request's work on the server's storage. The NFS comparison
+/// model never installs a storage fault plan, so backend errors are
+/// structurally impossible; Results collapse to benign defaults.
+async fn serve_nfs(backend: StorageBackend, req: NfsReq) -> NfsResp {
+    match req {
+        NfsReq::Read { file, offset, len } => NfsResp::Data(
+            backend
+                .read(FileId(file), offset, len)
+                .await
+                .unwrap_or_default(),
+        ),
+        NfsReq::Write { file, offset, data } => {
+            if !backend.exists(FileId(file)) {
+                let _ = backend.create(FileId(file)).await;
+            }
+            let _ = backend.write(FileId(file), offset, &data).await;
+            NfsResp::Ok
+        }
+    }
+}
+
 /// A running NFS server plus factory for clients.
 pub struct NfsCluster {
     net: Network,
@@ -116,43 +136,11 @@ impl NfsCluster {
             handle.clone(),
             BackendParams::paper_server().with_cache_bytes(cfg.server_memory),
         );
-        let svc: Service<NfsReq, NfsResp> = Service::bind(&net, server_node);
-        {
-            let svc2 = svc.clone();
-            let h = handle.clone();
-            let backend = backend.clone();
-            let cpu = Resource::new(NFSD_THREADS);
-            handle.spawn(async move {
-                while let Some(incoming) = svc2.recv().await {
-                    let (req, replier) = incoming.into_parts();
-                    let backend = backend.clone();
-                    let cpu = cpu.clone();
-                    let h2 = h.clone();
-                    h.spawn(async move {
-                        cpu.serve(&h2, OP_CPU).await;
-                        // The NFS comparison model never installs a storage
-                        // fault plan, so backend errors are structurally
-                        // impossible; Results collapse to benign defaults.
-                        let resp = match req {
-                            NfsReq::Read { file, offset, len } => NfsResp::Data(
-                                backend
-                                    .read(FileId(file), offset, len)
-                                    .await
-                                    .unwrap_or_default(),
-                            ),
-                            NfsReq::Write { file, offset, data } => {
-                                if !backend.exists(FileId(file)) {
-                                    let _ = backend.create(FileId(file)).await;
-                                }
-                                let _ = backend.write(FileId(file), offset, &data).await;
-                                NfsResp::Ok
-                            }
-                        };
-                        replier.reply(resp);
-                    });
-                }
-            });
-        }
+        let svc = Service::bind(&net, server_node);
+        let served = backend.clone();
+        svc.serve(Workers::Cpu(NFSD_THREADS, OP_CPU), move |req| {
+            serve_nfs(served.clone(), req)
+        });
         NfsCluster {
             net,
             svc,

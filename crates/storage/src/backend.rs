@@ -12,7 +12,6 @@ use std::rc::Rc;
 use imca_metrics::{prefixed, MetricSource, Snapshot};
 use imca_sim::{SimDuration, SimHandle};
 
-use crate::disk::DiskParams;
 use crate::extent::ExtentStore;
 use crate::fault::{IoError, StorageFaultPlan};
 use crate::pagecache::{FileId, PageCache};
@@ -21,7 +20,7 @@ use crate::raid::Raid0;
 /// Synthetic page index holding a file's inode block. Stat traffic competes
 /// for page-cache space with data, as it does in a real kernel. Far beyond
 /// any real data page (2^40 pages = 4 EiB) but small enough that
-/// `INODE_PAGE * page_size` cannot overflow.
+/// `INODE_PAGE * PAGE_SIZE` cannot overflow.
 const INODE_PAGE: u64 = 1 << 40;
 
 /// Address space reserved per file on the array (files never exceed this in
@@ -29,23 +28,24 @@ const INODE_PAGE: u64 = 1 << 40;
 /// are detected by the disk model).
 const FILE_SPACING: u64 = 4 << 30;
 
-/// Tunables for one storage backend.
+/// RAID chunk size in bytes.
+const RAID_CHUNK: u64 = 64 * 1024;
+/// Page size.
+const PAGE_SIZE: u64 = 4096;
+/// Memory-copy bandwidth for cache hits, bytes/s.
+const MEMCPY_BPS: f64 = 3e9;
+/// Fixed overhead per cache-hit copy.
+const MEMCPY_BASE: SimDuration = SimDuration::nanos(200);
+
+/// Tunables for one storage backend: a RAID-0 of 2008-era SATA disks
+/// striped in 64 KB chunks under a page cache of 4 KB pages, whose hits
+/// copy at 3 GB/s.
 #[derive(Debug, Clone)]
 pub struct BackendParams {
     /// Number of RAID-0 spindles.
     pub raid_disks: usize,
-    /// RAID chunk size in bytes.
-    pub raid_chunk: u64,
-    /// Per-spindle mechanical parameters.
-    pub disk: DiskParams,
     /// Page-cache capacity in bytes (the server's memory).
     pub cache_bytes: u64,
-    /// Page size.
-    pub page_size: u64,
-    /// Memory-copy bandwidth for cache hits, bytes/s.
-    pub memcpy_bps: f64,
-    /// Fixed overhead per cache-hit copy.
-    pub memcpy_base: SimDuration,
     /// Write-back throttle: when dirty pages exceed this, the writer
     /// synchronously flushes this many pages back to half the limit.
     pub dirty_limit_pages: usize,
@@ -57,12 +57,7 @@ impl BackendParams {
     pub fn paper_server() -> BackendParams {
         BackendParams {
             raid_disks: 8,
-            raid_chunk: 64 * 1024,
-            disk: DiskParams::hdd_2008(),
             cache_bytes: 6 << 30,
-            page_size: 4096,
-            memcpy_bps: 3e9,
-            memcpy_base: SimDuration::nanos(200),
             dirty_limit_pages: 1 << 18, // 1 GB of dirty data
         }
     }
@@ -94,8 +89,8 @@ pub struct StorageBackend {
 impl StorageBackend {
     /// Build a backend scheduling on `handle`.
     pub fn new(handle: SimHandle, params: BackendParams) -> StorageBackend {
-        let raid = Raid0::new(params.raid_disks, params.raid_chunk, params.disk.clone());
-        let cache = PageCache::new(params.cache_bytes, params.page_size);
+        let raid = Raid0::new(params.raid_disks, RAID_CHUNK);
+        let cache = PageCache::new(params.cache_bytes, PAGE_SIZE);
         StorageBackend {
             inner: Rc::new(Inner {
                 handle,
@@ -119,8 +114,7 @@ impl StorageBackend {
     }
 
     fn memcpy_time(&self, bytes: u64) -> SimDuration {
-        self.inner.params.memcpy_base
-            + SimDuration::from_secs_f64(bytes as f64 / self.inner.params.memcpy_bps)
+        MEMCPY_BASE + SimDuration::from_secs_f64(bytes as f64 / MEMCPY_BPS)
     }
 
     /// Install a fault plan on the backing array (see
@@ -138,12 +132,11 @@ impl StorageBackend {
         let base = self.base_addr(file);
         self.inner.raid.judge(&self.inner.handle, base, 512, true)?;
         self.inner.extents.borrow_mut().create(file);
-        let evicted = self.inner.cache.borrow_mut().insert(
-            file,
-            INODE_PAGE * self.inner.params.page_size,
-            1,
-            true,
-        );
+        let evicted = self
+            .inner
+            .cache
+            .borrow_mut()
+            .insert(file, INODE_PAGE * PAGE_SIZE, 1, true);
         self.flush_evicted(evicted).await;
         let t = self.memcpy_time(512);
         self.inner.handle.sleep(t).await;
@@ -172,12 +165,11 @@ impl StorageBackend {
             self.inner.handle.sleep(t).await;
             return Ok(None);
         }
-        let page_size = self.inner.params.page_size;
         let lookup = self
             .inner
             .cache
             .borrow_mut()
-            .lookup(file, INODE_PAGE * page_size, 1);
+            .lookup(file, INODE_PAGE * PAGE_SIZE, 1);
         if lookup.hit_pages > 0 {
             let t = self.memcpy_time(256);
             self.inner.handle.sleep(t).await;
@@ -192,7 +184,7 @@ impl StorageBackend {
                 self.inner
                     .cache
                     .borrow_mut()
-                    .insert(file, INODE_PAGE * page_size, 1, false);
+                    .insert(file, INODE_PAGE * PAGE_SIZE, 1, false);
             self.flush_evicted(evicted).await;
         }
         Ok(self.inner.extents.borrow().len(file))
@@ -212,7 +204,7 @@ impl StorageBackend {
         let base = self.base_addr(file);
         let lookup = self.inner.cache.borrow_mut().lookup(file, offset, len);
         if lookup.hit_pages > 0 {
-            let t = self.memcpy_time(lookup.hit_pages * self.inner.params.page_size);
+            let t = self.memcpy_time(lookup.hit_pages * PAGE_SIZE);
             self.inner.handle.sleep(t).await;
         }
         for (miss_off, miss_len) in &lookup.miss_ranges {
@@ -258,12 +250,11 @@ impl StorageBackend {
         self.flush_evicted(evicted).await;
         self.throttle_dirty().await;
         // Keep the cached inode fresh (size may have grown).
-        let page_size = self.inner.params.page_size;
         let ev = self
             .inner
             .cache
             .borrow_mut()
-            .insert(file, INODE_PAGE * page_size, 1, true);
+            .insert(file, INODE_PAGE * PAGE_SIZE, 1, true);
         self.flush_evicted(ev).await;
         Ok(())
     }
@@ -293,8 +284,7 @@ impl StorageBackend {
     /// Dirty data is already persistent in the extent store.
     pub fn drop_caches(&self) {
         let cap = self.inner.params.cache_bytes;
-        let page = self.inner.params.page_size;
-        *self.inner.cache.borrow_mut() = PageCache::new(cap, page);
+        *self.inner.cache.borrow_mut() = PageCache::new(cap, PAGE_SIZE);
     }
 
     /// The simulation handle this backend charges time on.
@@ -313,14 +303,18 @@ impl StorageBackend {
     /// disks but deliberately not propagated to whichever unrelated
     /// operation happened to trigger the eviction.
     async fn flush_evicted(&self, evicted: Vec<crate::pagecache::Evicted>) {
-        let page = self.inner.params.page_size;
         for ev in evicted {
             if ev.dirty && ev.page != INODE_PAGE {
                 let base = self.base_addr(ev.file);
                 let _ = self
                     .inner
                     .raid
-                    .access(&self.inner.handle, base + ev.page * page, page, true)
+                    .access(
+                        &self.inner.handle,
+                        base + ev.page * PAGE_SIZE,
+                        PAGE_SIZE,
+                        true,
+                    )
                     .await;
             } else if ev.dirty {
                 let base = self.base_addr(ev.file);
@@ -341,7 +335,6 @@ impl StorageBackend {
         }
         let to_flush = dirty - limit / 2;
         let pages = self.inner.cache.borrow_mut().take_dirty(to_flush);
-        let page = self.inner.params.page_size;
         for (file, idx) in pages {
             if idx == INODE_PAGE {
                 continue;
@@ -352,7 +345,7 @@ impl StorageBackend {
             let _ = self
                 .inner
                 .raid
-                .access(&self.inner.handle, base + idx * page, page, true)
+                .access(&self.inner.handle, base + idx * PAGE_SIZE, PAGE_SIZE, true)
                 .await;
         }
     }
@@ -376,12 +369,7 @@ mod tests {
     fn small_params() -> BackendParams {
         BackendParams {
             raid_disks: 2,
-            raid_chunk: 64 * 1024,
-            disk: DiskParams::hdd_2008(),
             cache_bytes: 64 * 4096,
-            page_size: 4096,
-            memcpy_bps: 3e9,
-            memcpy_base: SimDuration::nanos(200),
             dirty_limit_pages: 32,
         }
     }

@@ -21,48 +21,19 @@ use imca_sim::{SimDuration, SimHandle};
 
 use crate::fault::{FaultState, IoError, StorageFaultPlan};
 
-/// Mechanical parameters for one spindle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiskParams {
-    /// Average positioning time (seek + half rotation) for a random access.
-    pub avg_position: SimDuration,
-    /// Positioning charged when a request starts exactly where the last one
-    /// ended (track-to-track / rotational miss slack).
-    pub sequential_position: SimDuration,
-    /// Media streaming bandwidth, bytes per second.
-    pub streaming_bps: f64,
-    /// Fixed controller/command overhead per request.
-    pub command_overhead: SimDuration,
-}
-
-impl DiskParams {
-    /// A 2008-era 7200 rpm SATA disk of the kind in the paper's HighPoint
-    /// RAID: ~7.5 ms random positioning, ~90 MB/s streaming.
-    pub fn hdd_2008() -> DiskParams {
-        DiskParams {
-            avg_position: SimDuration::micros(7_500),
-            sequential_position: SimDuration::micros(50),
-            streaming_bps: 90e6,
-            command_overhead: SimDuration::micros(100),
-        }
-    }
-
-    /// Service time for one request, given whether it is sequential with
-    /// the previous request on this spindle.
-    pub fn service_time(&self, bytes: u64, sequential: bool) -> SimDuration {
-        let position = if sequential {
-            self.sequential_position
-        } else {
-            self.avg_position
-        };
-        self.command_overhead
-            + position
-            + SimDuration::from_secs_f64(bytes as f64 / self.streaming_bps)
-    }
-}
+/// Average positioning time (seek + half rotation) for a random access
+/// on a 2008-era 7200 rpm SATA disk of the kind in the paper's HighPoint
+/// RAID.
+const AVG_POSITION: SimDuration = SimDuration::micros(7_500);
+/// Positioning charged when a request starts exactly where the last one
+/// ended (track-to-track / rotational miss slack).
+const SEQUENTIAL_POSITION: SimDuration = SimDuration::micros(50);
+/// Media streaming bandwidth, bytes per second.
+const STREAMING_BPS: f64 = 90e6;
+/// Fixed controller/command overhead per request.
+const COMMAND_OVERHEAD: SimDuration = SimDuration::micros(100);
 
 struct DiskInner {
-    params: DiskParams,
     station: Resource,
     /// Byte address one past the end of the last completed request, used
     /// for sequential detection. Addresses are in a per-disk linear space.
@@ -90,12 +61,12 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// A disk with the given mechanical parameters.
-    pub fn new(params: DiskParams) -> Disk {
+    /// A 2008-era 7200 rpm SATA disk: ~7.5 ms random positioning, ~90 MB/s
+    /// streaming.
+    pub(crate) fn new() -> Disk {
         let registry = Registry::new();
         Disk {
             inner: Rc::new(DiskInner {
-                params,
                 station: Resource::new(1),
                 head_pos: Cell::new(u64::MAX), // first access is never sequential
                 reads: registry.counter("reads"),
@@ -167,7 +138,7 @@ impl Disk {
         if sequential {
             self.inner.sequential_hits.inc();
         }
-        let mut t = self.inner.params.service_time(bytes, sequential);
+        let mut t = Disk::service_time(bytes, sequential);
         let factor = self.latency_factor();
         if factor > 1.0 {
             t = SimDuration::nanos((t.as_nanos() as f64 * factor).round() as u64);
@@ -189,9 +160,15 @@ impl Disk {
         self.inner.station.queue_len()
     }
 
-    /// The mechanical parameters of this disk.
-    pub fn params(&self) -> &DiskParams {
-        &self.inner.params
+    /// Service time for one request, given whether it is sequential with
+    /// the previous request on its spindle.
+    pub fn service_time(bytes: u64, sequential: bool) -> SimDuration {
+        let position = if sequential {
+            SEQUENTIAL_POSITION
+        } else {
+            AVG_POSITION
+        };
+        COMMAND_OVERHEAD + position + SimDuration::from_secs_f64(bytes as f64 / STREAMING_BPS)
     }
 }
 
@@ -214,10 +191,9 @@ mod tests {
 
     #[test]
     fn random_access_pays_full_positioning() {
-        let p = DiskParams::hdd_2008();
-        let t = p.service_time(4096, false);
-        assert!(t > p.avg_position);
-        let ts = p.service_time(4096, true);
+        let t = Disk::service_time(4096, false);
+        assert!(t > AVG_POSITION);
+        let ts = Disk::service_time(4096, true);
         assert!(ts < SimDuration::micros(250), "sequential too slow: {ts}");
     }
 
@@ -225,7 +201,7 @@ mod tests {
     fn sequential_detection_tracks_head() {
         let mut sim = Sim::new(0);
         let h = sim.handle();
-        let disk = Disk::new(DiskParams::hdd_2008());
+        let disk = Disk::new();
         let d2 = disk.clone();
         sim.run_main(async move {
             d2.access(&h, 0, 4096, false).await.unwrap(); // random (first)
@@ -239,7 +215,7 @@ mod tests {
     fn spindle_serialises_requests() {
         let mut sim = Sim::new(0);
         let h = sim.handle();
-        let disk = Disk::new(DiskParams::hdd_2008());
+        let disk = Disk::new();
         let accesses: Vec<_> = (0..4u64)
             .map(|i| {
                 let (d, h) = (disk.clone(), h.clone());
@@ -250,7 +226,7 @@ mod tests {
         let done = sim.run_main(async move { imca_sim::join_all(&h, accesses).await });
         assert!(done.iter().all(Result::is_ok));
         let end = sim.now();
-        let per = DiskParams::hdd_2008().service_time(4096, false);
+        let per = Disk::service_time(4096, false);
         assert_eq!(end.as_nanos(), per.as_nanos() * 4);
         assert_eq!(counters(&disk, ["reads", "writes"]), [2, 2]);
     }
@@ -260,7 +236,7 @@ mod tests {
         fn run(seed: u64) -> (Vec<bool>, u64) {
             let mut sim = Sim::new(0);
             let h = sim.handle();
-            let disk = Disk::new(DiskParams::hdd_2008());
+            let disk = Disk::new();
             disk.install_faults(StorageFaultPlan {
                 read_error: 0.3,
                 ..StorageFaultPlan::seeded(seed)
@@ -288,7 +264,7 @@ mod tests {
     fn failed_disk_errors_while_writes_stay_judged_separately() {
         let mut sim = Sim::new(0);
         let h = sim.handle();
-        let disk = Disk::new(DiskParams::hdd_2008());
+        let disk = Disk::new();
         disk.install_faults(StorageFaultPlan {
             failed_disks: vec![0],
             ..StorageFaultPlan::default()
@@ -306,8 +282,8 @@ mod tests {
     fn error_window_is_half_open_and_draw_free() {
         let mut sim = Sim::new(0);
         let h = sim.handle();
-        let disk = Disk::new(DiskParams::hdd_2008());
-        let per = DiskParams::hdd_2008().service_time(4096, false);
+        let disk = Disk::new();
+        let per = Disk::service_time(4096, false);
         // Window covers exactly the completion instant of the first
         // access (judgement happens when the access completes).
         let start = imca_sim::SimTime::ZERO + per;
@@ -330,7 +306,7 @@ mod tests {
         let run = |plan: Option<StorageFaultPlan>| {
             let mut sim = Sim::new(0);
             let h = sim.handle();
-            let disk = Disk::new(DiskParams::hdd_2008());
+            let disk = Disk::new();
             if let Some(plan) = plan {
                 disk.install_faults(plan);
             }
@@ -357,7 +333,7 @@ mod tests {
         fn run(sequential: bool) -> u64 {
             let mut sim = Sim::new(0);
             let h = sim.handle();
-            let disk = Disk::new(DiskParams::hdd_2008());
+            let disk = Disk::new();
             sim.run_main(async move {
                 for i in 0..256u64 {
                     let addr = if sequential { i * 4096 } else { i * 10_000_000 };

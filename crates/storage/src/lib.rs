@@ -2,7 +2,7 @@
 //!
 //! The storage substrate under every file server in this reproduction:
 //!
-//! * [`Disk`] / [`DiskParams`] — single-spindle model with sequential
+//! * [`Disk`] — single-spindle model with sequential
 //!   detection (the disk-seek wall the paper's caching tier exists to hide),
 //! * [`Raid0`] — the server's 8-disk HighPoint array,
 //! * [`PageCache`] — the bounded LRU server-side cache the paper contrasts
@@ -48,7 +48,7 @@ mod pagecache;
 mod raid;
 
 pub use backend::{BackendParams, StorageBackend};
-pub use disk::{Disk, DiskParams};
+pub use disk::Disk;
 pub use extent::ExtentStore;
 pub use fault::{IoError, StorageFaultPlan};
 pub use pagecache::{Evicted, FileId, Lookup, PageCache};

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use imca_metrics::{prefixed, MetricSource, Snapshot};
 use imca_sim::{join_all, SimDuration, SimHandle};
 
-use crate::disk::{Disk, DiskParams};
+use crate::disk::Disk;
 use crate::fault::{FaultState, IoError, StorageFaultPlan};
 
 /// A RAID-0 array: consecutive `chunk`-byte stripes round-robin across the
@@ -24,11 +24,11 @@ impl Raid0 {
     ///
     /// # Panics
     /// Panics if `n` or `chunk` is zero.
-    pub fn new(n: usize, chunk: u64, params: DiskParams) -> Raid0 {
+    pub fn new(n: usize, chunk: u64) -> Raid0 {
         assert!(n > 0, "RAID needs at least one disk");
         assert!(chunk > 0, "chunk size must be positive");
         Raid0 {
-            disks: (0..n).map(|_| Disk::new(params.clone())).collect(),
+            disks: (0..n).map(|_| Disk::new()).collect(),
             chunk,
         }
     }
@@ -130,7 +130,7 @@ impl Raid0 {
     pub fn unloaded_access_time(&self, addr: u64, len: u64, sequential: bool) -> SimDuration {
         self.segments(addr, len)
             .into_iter()
-            .map(|(d, _, ll)| self.disks[d].params().service_time(ll, sequential))
+            .map(|(_, _, ll)| Disk::service_time(ll, sequential))
             .max()
             .unwrap_or(SimDuration::ZERO)
     }
@@ -156,7 +156,7 @@ mod tests {
     use imca_sim::Sim;
 
     fn array(n: usize, chunk: u64) -> Raid0 {
-        Raid0::new(n, chunk, DiskParams::hdd_2008())
+        Raid0::new(n, chunk)
     }
 
     #[test]

@@ -51,6 +51,20 @@ pub struct IozoneResult {
 /// setup fast; SMCache still populates per-block).
 const WRITE_CHUNK: u64 = 64 * 1024;
 
+/// The byte the write phase leaves at file offset `off`: each
+/// `WRITE_CHUNK` is filled with one byte, taken from its start offset.
+fn fill_byte(off: u64) -> u8 {
+    (((off - off % WRITE_CHUNK) >> 12) & 0xFF) as u8
+}
+
+/// Panic unless `got` is the `n` bytes at `off` that `expect` says.
+fn check_read(got: &[u8], off: u64, n: u64, expect: impl Fn(u64) -> u8) {
+    assert!(
+        got.len() == n as usize && (off..).zip(got).all(|(o, &b)| b == expect(o)),
+        "data corruption reading {n} bytes at offset {off}"
+    );
+}
+
 /// One IOzone thread, whichever system it drives: the untimed write
 /// phase in `WRITE_CHUNK` pieces (`write(offset, len)`), a barrier with
 /// every other thread, then the timed read pass as `pipeline` sequential
@@ -129,15 +143,13 @@ pub fn run(cfg: &IozoneBench) -> IozoneResult {
             let fd = cli.open(&path).await;
             let (c, f) = (&cli, &fd);
             let write = move |off: u64, n: u64| async move {
-                c.write(f, off, &vec![((off >> 12) & 0xFF) as u8; n as usize])
-                    .await
+                c.write(f, off, &vec![fill_byte(off); n as usize]).await
             };
             let (c, f) = (cli.clone(), fd.clone());
             let read = move |off: u64, n: u64| {
                 let (c, f) = (c.clone(), f.clone());
                 async move {
-                    let got = c.read(&f, off, n).await;
-                    debug_assert_eq!(got.len(), n as usize);
+                    check_read(&c.read(&f, off, n).await, off, n, fill_byte);
                 }
             };
             let secs = write_then_read(
@@ -217,9 +229,7 @@ pub fn run_nfs(cfg: &NfsIozoneBench) -> NfsIozoneResult {
             let reader = Rc::clone(&cli);
             let read = move |off: u64, n: u64| {
                 let cli = Rc::clone(&reader);
-                async move {
-                    cli.read(file, off, n).await;
-                }
+                async move { check_read(&cli.read(file, off, n).await, off, n, |_| 0xAB) }
             };
             let secs = write_then_read(
                 &h,

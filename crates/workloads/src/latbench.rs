@@ -212,9 +212,8 @@ pub fn run(cfg: &LatencyBench) -> LatencyResult {
                         .entry(size)
                         .or_default()
                         .push(h.now().since(s0).as_nanos());
-                    debug_assert_eq!(
-                        got,
-                        record_bytes(size, k),
+                    assert!(
+                        got == record_bytes(size, k),
                         "data corruption at size {size} record {k}"
                     );
                 }
