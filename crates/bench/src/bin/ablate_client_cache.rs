@@ -26,7 +26,7 @@ use imca_workloads::report::Table;
 fn configs() -> Vec<(&'static str, ClusterConfig)> {
     let iocache = {
         let mut c = ClusterConfig::nocache();
-        c.client_io_cache = Some((256 << 20, SimDuration::secs(1)));
+        c.client_io_cache = true;
         c
     };
     vec![

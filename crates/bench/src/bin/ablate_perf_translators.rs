@@ -23,18 +23,18 @@ const RECORDS: u64 = 2048;
 fn stacks() -> Vec<(&'static str, ClusterConfig)> {
     let ra = {
         let mut c = ClusterConfig::nocache();
-        c.client_read_ahead = Some(128 << 10);
+        c.client_read_ahead = true;
         c
     };
     let wb = {
         let mut c = ClusterConfig::nocache();
-        c.client_write_behind = Some(64 << 10);
+        c.client_write_behind = true;
         c
     };
     let both = {
         let mut c = ClusterConfig::nocache();
-        c.client_read_ahead = Some(128 << 10);
-        c.client_write_behind = Some(64 << 10);
+        c.client_read_ahead = true;
+        c.client_write_behind = true;
         c
     };
     let imca_ra = {
@@ -43,7 +43,7 @@ fn stacks() -> Vec<(&'static str, ClusterConfig)> {
             mcd_config: McConfig::with_mem_limit(64 << 20),
             ..ImcaConfig::default()
         });
-        c.client_read_ahead = Some(128 << 10);
+        c.client_read_ahead = true;
         c
     };
     vec![

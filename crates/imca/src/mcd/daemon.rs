@@ -286,16 +286,6 @@ impl Bank {
         &self.nodes
     }
 
-    /// Number of daemons in the bank.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the bank has no daemons.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Kill daemon `i`: it stops answering; in-flight requests are
     /// dropped. Stored items stay in memory (they are unreachable until
     /// revival, like a partitioned daemon). Counts one failover on the

@@ -14,9 +14,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::rc::Rc;
-
-use imca_fabric::{Network, NodeId, RpcClient, Service, Transport, WireSize, Workers};
+use imca_fabric::{Network, RpcClient, Service, Transport, WireSize, Workers};
 use imca_metrics::{MetricSource, Snapshot};
 use imca_sim::{SimDuration, SimHandle};
 use imca_storage::{BackendParams, FileId, StorageBackend};
@@ -124,7 +122,6 @@ pub struct NfsCluster {
     net: Network,
     svc: Service<NfsReq, NfsResp>,
     backend: StorageBackend,
-    handle: SimHandle,
 }
 
 impl NfsCluster {
@@ -141,12 +138,7 @@ impl NfsCluster {
         svc.serve(Workers::Cpu(NFSD_THREADS, OP_CPU), move |req| {
             serve_nfs(served.clone(), req)
         });
-        NfsCluster {
-            net,
-            svc,
-            backend,
-            handle,
-        }
+        NfsCluster { net, svc, backend }
     }
 
     /// Mount a client on a fresh fabric node.
@@ -154,18 +146,12 @@ impl NfsCluster {
         let node = self.net.add_node();
         NfsClient {
             rpc: self.svc.client(node),
-            node,
         }
     }
 
     /// Drop the server page cache.
     pub fn drop_server_cache(&self) {
         self.backend.drop_caches();
-    }
-
-    /// The server's storage backend.
-    pub fn backend(&self) -> &StorageBackend {
-        &self.backend
     }
 
     /// One structured metrics snapshot covering the deployment's tiers
@@ -177,25 +163,14 @@ impl NfsCluster {
         self.backend.collect("storage", &mut snap);
         snap
     }
-
-    /// The simulation handle.
-    pub fn handle(&self) -> &SimHandle {
-        &self.handle
-    }
 }
 
 /// A mounted NFS client (no client cache).
 pub struct NfsClient {
     rpc: RpcClient<NfsReq, NfsResp>,
-    node: NodeId,
 }
 
 impl NfsClient {
-    /// The fabric node this client sends from.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Read over the wire.
     pub async fn read(&self, file: u64, offset: u64, len: u64) -> Vec<u8> {
         match self.rpc.call(NfsReq::Read { file, offset, len }).await {
@@ -210,23 +185,20 @@ impl NfsClient {
     }
 }
 
-/// Convenience for tests/benches: an `Rc`-shared cluster.
-pub fn build_shared(handle: SimHandle, cfg: NfsConfig) -> Rc<NfsCluster> {
-    Rc::new(NfsCluster::build(handle, cfg))
-}
-
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
+
     use super::*;
     use imca_sim::Sim;
 
     #[test]
     fn read_write_round_trip() {
         let mut sim = Sim::new(0);
-        let cluster = build_shared(
+        let cluster = Rc::new(NfsCluster::build(
             sim.handle(),
             NfsConfig::new(Transport::ipoib_ddr(), 1 << 30),
-        );
+        ));
         let c2 = Rc::clone(&cluster);
         sim.run_main(async move {
             let cli = c2.mount();
@@ -242,10 +214,10 @@ mod tests {
         // in the server cache the reads are memory-speed, otherwise disk.
         fn run(server_mem: u64) -> f64 {
             let mut sim = Sim::new(0);
-            let cluster = build_shared(
+            let cluster = Rc::new(NfsCluster::build(
                 sim.handle(),
                 NfsConfig::new(Transport::ipoib_ddr(), server_mem),
-            );
+            ));
             let c2 = Rc::clone(&cluster);
             let h = sim.handle();
             sim.run_main(async move {
@@ -278,7 +250,7 @@ mod tests {
     fn transports_rank_correctly_for_cached_reads() {
         fn run(t: Transport) -> u64 {
             let mut sim = Sim::new(0);
-            let cluster = build_shared(sim.handle(), NfsConfig::new(t, 1 << 30));
+            let cluster = Rc::new(NfsCluster::build(sim.handle(), NfsConfig::new(t, 1 << 30)));
             let c2 = Rc::clone(&cluster);
             sim.run_main(async move {
                 let cli = c2.mount();

@@ -155,11 +155,6 @@ impl Disk {
         self.judge(h, write)
     }
 
-    /// Requests currently queued (excluding the one in service).
-    pub fn queue_len(&self) -> usize {
-        self.inner.station.queue_len()
-    }
-
     /// Service time for one request, given whether it is sequential with
     /// the previous request on its spindle.
     pub fn service_time(bytes: u64, sequential: bool) -> SimDuration {

@@ -84,11 +84,6 @@ impl PageCache {
         }
     }
 
-    /// Page size in bytes.
-    pub fn page_size(&self) -> u64 {
-        self.page_size
-    }
-
     /// Number of resident pages.
     pub fn resident_pages(&self) -> usize {
         self.map.len()

@@ -33,11 +33,6 @@ impl Raid0 {
         }
     }
 
-    /// Stripe chunk size in bytes.
-    pub fn chunk(&self) -> u64 {
-        self.chunk
-    }
-
     /// Install a fault plan across the whole array: every member shares
     /// one seeded fault state (so draws form a single deterministic
     /// sequence in access-completion order), with the member's array

@@ -2,15 +2,12 @@
 //! quick versions of the claims EXPERIMENTS.md records at full scale.
 //! These run the actual benchmark drivers the fig binaries use.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use imca_repro::fabric::Transport;
-use imca_repro::glusterfs::FsError;
-use imca_repro::imca::{Cluster, ClusterConfig, Coherence, ImcaConfig, RetryPolicy};
+use imca_repro::imca::{Cluster, ClusterConfig, ImcaConfig, RetryPolicy};
 use imca_repro::memcached::{McConfig, Selector};
 use imca_repro::sim::{Sim, SimDuration};
-use imca_repro::storage::StorageFaultPlan;
 use imca_repro::workloads::iozone::{run as iozone, run_nfs, IozoneBench, NfsIozoneBench};
 use imca_repro::workloads::latbench::{run as latbench, LatencyBench};
 use imca_repro::workloads::statbench::{run as statbench, StatBench};
@@ -355,180 +352,4 @@ fn partitioning_one_of_eight_mcds_degrades_stats_by_the_miss_fraction() {
     );
     // …and the degradation is real: strictly slower than fully warm.
     assert!(degraded_total > warm_total);
-}
-
-/// Durability invariant (ISSUE 4): under seeded disk I/O errors and a
-/// server crash with a write in flight, no read — bank hit or media miss —
-/// ever returns bytes that were not durable on disk at the time SMCache
-/// pushed them, and the entire chaos schedule replays bit-identically from
-/// its seed.
-///
-/// Three phases:
-/// 1. media read errors — writes commit but some covering re-reads die,
-///    so pushes are dropped and the stale bank copies purged;
-/// 2. media write errors, then a crash that catches one write in flight —
-///    its region becomes two-valued (old or new) until the first
-///    post-restart read resolves which way the media went;
-/// 3. calm — every region is read twice (a miss pass repopulating the
-///    purged bank, then a hit pass) and must match the durable reference.
-#[test]
-fn durability_holds_under_storage_faults_and_mid_write_crash() {
-    const REGION: usize = 8192;
-    const REGIONS: usize = 4;
-
-    fn run(seed: u64, coherence: Coherence) -> (u64, u64, imca_repro::metrics::Snapshot) {
-        let mut sim = Sim::new(seed);
-        // Block (8 KB) > backend page (4 KB): covering re-reads reach the
-        // sick media instead of the write's freshly warmed pages.
-        let cluster = Rc::new(Cluster::build(
-            sim.handle(),
-            ClusterConfig::imca(ImcaConfig {
-                mcd_count: 2,
-                block_size: REGION as u64,
-                mcd_config: McConfig::with_mem_limit(16 << 20),
-                coherence,
-                ..ImcaConfig::default()
-            }),
-        ));
-        let c = Rc::clone(&cluster);
-        let h = sim.handle();
-        sim.run_main(async move {
-            let m = c.mount();
-            m.create("/dur").await.unwrap();
-            let fd = m.open("/dur").await.unwrap();
-            let mut reference = vec![0u8; REGION * REGIONS];
-            for r in 0..REGIONS {
-                let data = vec![r as u8 + 1; REGION];
-                m.write(fd, (r * REGION) as u64, &data).await.unwrap();
-                reference[r * REGION..(r + 1) * REGION].copy_from_slice(&data);
-            }
-
-            // Phase 1: the media's read path sickens. Writes still commit
-            // (and update the reference the moment they do), but covering
-            // re-reads die often enough to drop pushes.
-            c.install_storage_faults(StorageFaultPlan {
-                read_error: 0.35,
-                ..StorageFaultPlan::seeded(seed ^ 0xBEEF)
-            });
-            for round in 0..12u64 {
-                let r = (round % REGIONS as u64) as usize;
-                c.backend().drop_caches();
-                // Partial write: it warms only its own page, so the 8 KB
-                // covering re-read must fetch the rest from the sick media.
-                let data = vec![0x40 + round as u8; 600];
-                let off = r * REGION + 1024;
-                m.write(fd, off as u64, &data).await.unwrap();
-                reference[off..off + 600].copy_from_slice(&data);
-                // A read may fail with EIO — but if it succeeds it must
-                // return exactly what is durable, never a stale bank copy.
-                let r2 = ((round + 1) % REGIONS as u64) as usize;
-                match m.read(fd, (r2 * REGION) as u64, REGION as u64).await {
-                    Err(e) => assert_eq!(e, FsError::Io),
-                    Ok(got) => assert_eq!(
-                        got,
-                        &reference[r2 * REGION..(r2 + 1) * REGION],
-                        "read returned bytes that are not on disk (round {round})"
-                    ),
-                }
-            }
-
-            // Phase 2: the write path sickens instead. A failed write is
-            // all-or-nothing: the reference only moves on success.
-            c.install_storage_faults(StorageFaultPlan {
-                write_error: 0.4,
-                ..StorageFaultPlan::seeded(seed ^ 0xCAFE)
-            });
-            for round in 0..8u64 {
-                let r = (round % REGIONS as u64) as usize;
-                let data = vec![0x60 + round as u8; REGION];
-                match m.write(fd, (r * REGION) as u64, &data).await {
-                    Ok(_) => reference[r * REGION..(r + 1) * REGION].copy_from_slice(&data),
-                    Err(e) => assert_eq!(e, FsError::Io),
-                }
-            }
-
-            // The crash catches one write in flight. Healthy media again,
-            // so the only ambiguity is *the crash*, not the judge.
-            c.install_storage_faults(StorageFaultPlan::default());
-            let old: Vec<u8> = reference[REGION..2 * REGION].to_vec();
-            let new = vec![0xEE; REGION];
-            let inflight = Rc::new(RefCell::new(None));
-            let (m2, new2, inflight2) = (Rc::clone(&m), new.clone(), Rc::clone(&inflight));
-            h.spawn(async move {
-                let res = m2.write(fd, REGION as u64, &new2).await;
-                *inflight2.borrow_mut() = Some(res);
-            });
-            h.sleep(SimDuration::micros(40)).await;
-            c.crash_server();
-            // Fail-fast while down: a write cannot limp into a dead daemon.
-            assert_eq!(
-                m.write(fd, 0, b"down").await,
-                Err(FsError::Io),
-                "write against a crashed server must fail fast"
-            );
-            c.restart_server().await;
-            h.sleep(SimDuration::millis(50)).await;
-            let inflight_verdict = (*inflight.borrow()).expect("in-flight write resolved");
-
-            // Phase 3: resolve the two-valued region. If the client saw
-            // success the bytes are committed; on error the crash may have
-            // landed before or after the media moved (torn ack) — the
-            // first read resolves it, and every later read must agree.
-            let got = m.read(fd, REGION as u64, REGION as u64).await.unwrap();
-            match inflight_verdict {
-                Ok(_) => assert_eq!(got, new, "acked write lost by the crash"),
-                Err(e) => {
-                    assert_eq!(e, FsError::Io);
-                    assert!(
-                        got == old || got == new,
-                        "in-flight write left a region that is neither old nor new"
-                    );
-                }
-            }
-            reference[REGION..2 * REGION].copy_from_slice(&got);
-
-            // Restart purged the bank: a miss pass repopulates it, a hit
-            // pass serves from it, and both must match the reference.
-            for pass in 0..2 {
-                for r in 0..REGIONS {
-                    let got = m
-                        .read(fd, (r * REGION) as u64, REGION as u64)
-                        .await
-                        .unwrap();
-                    assert_eq!(
-                        got,
-                        &reference[r * REGION..(r + 1) * REGION],
-                        "post-restart divergence: region {r} pass {pass}"
-                    );
-                }
-            }
-        });
-        let s = sim.run();
-        (s.end_time.as_nanos(), s.events, cluster.metrics())
-    }
-
-    // Durability must hold under both write-coherence protocols; the
-    // fault machinery each one exposes to the storm differs. Purge mode
-    // re-reads the sick media on every push (dropped pushes); Cas mode
-    // never touches the disk for a tracked block, so its storm runs on
-    // in-place CAS waves instead.
-    for coherence in [Coherence::Purge, Coherence::Cas] {
-        let a = run(11, coherence);
-        let b = run(11, coherence);
-        assert_eq!(a.0, b.0, "end time diverged between replays");
-        assert_eq!(a.1, b.1, "event count diverged between replays");
-        assert_eq!(a.2, b.2, "metrics snapshot diverged between replays");
-        // The schedule exercised every fault family it claims to.
-        assert!(a.2.counter("storage.io_errors").unwrap_or(0) > 0);
-        match coherence {
-            Coherence::Purge => {
-                assert!(a.2.counter("smcache.dropped_pushes").unwrap_or(0) > 0)
-            }
-            Coherence::Cas => {
-                assert!(a.2.counter("smcache.cas_replacements").unwrap_or(0) > 0)
-            }
-        }
-        assert_eq!(a.2.counter("server.crashes"), Some(1));
-        assert_eq!(a.2.counter("server.restarts"), Some(1));
-    }
 }
