@@ -283,6 +283,15 @@ impl Network {
         *self.inner.faults.borrow_mut() = Some(FaultState::new(plan));
     }
 
+    /// Whether a fault plan is installed ([`Network::install_faults`],
+    /// or the benign one a cut or window installs). Until then every
+    /// link is FIFO and loses nothing; from then on a message may be
+    /// lost, or overtaken on its link by a later one (jitter, latency
+    /// spikes).
+    pub fn has_faults(&self) -> bool {
+        self.inner.faults.borrow().is_some()
+    }
+
     fn with_faults(&self, f: impl FnOnce(&mut FaultState)) {
         let mut faults = self.inner.faults.borrow_mut();
         f(faults.get_or_insert_with(|| FaultState::new(FaultPlan::default())));

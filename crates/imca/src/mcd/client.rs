@@ -7,7 +7,7 @@ use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use imca_fabric::{Daemon, NodeId};
+use imca_fabric::{Daemon, Network, NodeId};
 use imca_memcached::protocol::{Command, Response, StoreVerb, Value};
 use imca_memcached::ServerMap;
 use imca_metrics::{Counter, Histogram, MetricSource, Registry, Snapshot};
@@ -113,6 +113,8 @@ struct ReadKey {
 /// never know which (DESIGN.md §4c).
 pub struct BankClient {
     wire: Wire,
+    /// The fabric the links travel on ([`BankClient::may_reorder`]).
+    net: Network,
     map: ServerMap,
     daemons: Vec<Daemon>,
     quarantined: Vec<Rc<Cell<bool>>>,
@@ -187,7 +189,8 @@ impl BankClient {
     ) -> BankClient {
         assert!(!nodes.is_empty(), "bank needs at least one MCD");
         let clients: Vec<_> = nodes.iter().map(|n| n.service.client(from)).collect();
-        let handle = nodes[0].service.network().handle();
+        let net = nodes[0].service.network().clone();
+        let handle = net.handle();
         let registry = Registry::new();
         // Hedged reads are deleted (EXPERIMENTS.md A12); the benchmark
         // baseline still counts their two series.
@@ -202,6 +205,7 @@ impl BankClient {
                 rpc_timeouts: registry.counter("rpc_timeouts"),
                 retries: registry.counter("retries"),
             },
+            net,
             map: ServerMap::new(cfg.selector, nodes.len()),
             daemons: nodes.iter().map(|n| n.daemon.clone()).collect(),
             quarantined: nodes.iter().map(|n| Rc::clone(&n.quarantined)).collect(),
@@ -232,6 +236,17 @@ impl BankClient {
             circuit_opens: registry.counter("circuit_opens"),
             registry,
         }
+    }
+
+    /// Whether a store this client issued may land after one it issued
+    /// later. On a fault-free fabric every daemon link is FIFO and a
+    /// daemon's event loop runs commands in arrival order, so stores land
+    /// in issue order. That ends once a fault plan is installed (jitter
+    /// and latency spikes reorder a link) or a call was retried (the
+    /// attempt that passed its deadline, or its retransmit, may land
+    /// after what was issued behind it).
+    pub fn may_reorder(&self) -> bool {
+        self.net.has_faults() || self.wire.retries.get() > 0
     }
 
     /// Liveness/quarantine/circuit verdict for daemon `idx`.
