@@ -112,6 +112,13 @@ pub enum Fop {
         /// Absolute path.
         path: String,
     },
+    /// Fetch the attributes of many files in one fop, as readdirplus
+    /// does for a directory window: the reply answers each path exactly
+    /// as a [`Fop::Stat`] of it would, in order.
+    StatMulti {
+        /// Absolute paths.
+        paths: Vec<String>,
+    },
     /// Remove a file.
     Unlink {
         /// Absolute path.
@@ -125,19 +132,6 @@ pub enum Fop {
 }
 
 impl Fop {
-    /// The path this fop addresses.
-    pub fn path(&self) -> &str {
-        match self {
-            Fop::Create { path }
-            | Fop::Open { path }
-            | Fop::Read { path, .. }
-            | Fop::Write { path, .. }
-            | Fop::Stat { path }
-            | Fop::Unlink { path }
-            | Fop::Close { path } => path,
-        }
-    }
-
     /// The error reply matching this fop's kind — what a translator (or
     /// the client protocol, when the RPC itself dies) unwinds when the
     /// operation cannot produce a real result.
@@ -148,6 +142,7 @@ impl Fop {
             Fop::Read { .. } => FopReply::Read(Err(e)),
             Fop::Write { .. } => FopReply::Write(Err(e)),
             Fop::Stat { .. } => FopReply::Stat(Err(e)),
+            Fop::StatMulti { paths } => FopReply::StatMulti(vec![Err(e); paths.len()]),
             Fop::Unlink { .. } => FopReply::Unlink(Err(e)),
             Fop::Close { .. } => FopReply::Close(Err(e)),
         }
@@ -161,6 +156,7 @@ impl Fop {
             Fop::Read { .. } => "read",
             Fop::Write { .. } => "write",
             Fop::Stat { .. } => "stat",
+            Fop::StatMulti { .. } => "stat_multi",
             Fop::Unlink { .. } => "unlink",
             Fop::Close { .. } => "close",
         }
@@ -169,11 +165,16 @@ impl Fop {
 
 impl WireSize for Fop {
     fn wire_bytes(&self) -> usize {
-        let payload = match self {
-            Fop::Write { data, .. } => data.len(),
-            _ => 0,
-        };
-        HDR + self.path().len() + payload
+        HDR + match self {
+            Fop::Create { path }
+            | Fop::Open { path }
+            | Fop::Read { path, .. }
+            | Fop::Stat { path }
+            | Fop::Unlink { path }
+            | Fop::Close { path } => path.len(),
+            Fop::Write { path, data, .. } => path.len() + data.len(),
+            Fop::StatMulti { paths } => paths.iter().map(String::len).sum(),
+        }
     }
 }
 
@@ -190,6 +191,8 @@ pub enum FopReply {
     Write(Result<u64, FsError>),
     /// Reply to `Stat`.
     Stat(Result<FileStat, FsError>),
+    /// Reply to `StatMulti`: one answer per path, in request order.
+    StatMulti(Vec<Result<FileStat, FsError>>),
     /// Reply to `Unlink`.
     Unlink(Result<(), FsError>),
     /// Reply to `Close`.
@@ -201,6 +204,9 @@ impl WireSize for FopReply {
         match self {
             FopReply::Read(Ok(data)) => HDR + data.len(),
             FopReply::Open(Ok(_)) | FopReply::Stat(Ok(_)) => HDR + FileStat::WIRE_SIZE,
+            FopReply::StatMulti(stats) => {
+                HDR + FileStat::WIRE_SIZE * stats.iter().filter(|st| st.is_ok()).count()
+            }
             _ => HDR,
         }
     }
@@ -245,12 +251,28 @@ mod tests {
     }
 
     #[test]
+    fn a_stat_multi_costs_one_header_each_way() {
+        let f = Fop::StatMulti {
+            paths: vec!["/d/a".into(), "/d/bb".into(), "/d/ghost".into()],
+        };
+        assert_eq!(f.wire_bytes(), HDR + 4 + 5 + 8);
+        let found = FileStat::default();
+        let reply = FopReply::StatMulti(vec![Ok(found), Ok(found), Err(FsError::NotFound)]);
+        assert_eq!(reply.wire_bytes(), HDR + 2 * FileStat::WIRE_SIZE);
+        assert_eq!(
+            f.err_reply(FsError::Io),
+            FopReply::StatMulti(vec![Err(FsError::Io); 3])
+        );
+    }
+
+    #[test]
     fn fop_accessors() {
         let f = Fop::Stat {
             path: "/x/y".into(),
         };
-        assert_eq!(f.path(), "/x/y");
         assert_eq!(f.kind(), "stat");
+        let f = Fop::StatMulti { paths: Vec::new() };
+        assert_eq!(f.kind(), "stat_multi");
     }
 
     #[test]

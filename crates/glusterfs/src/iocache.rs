@@ -232,8 +232,8 @@ impl Translator for IoCache {
                 }
                 // Local writes update the server and drop our copy (the
                 // real translator is write-through like this).
-                Fop::Write { .. } | Fop::Unlink { .. } => {
-                    self.drop_file(fop.path());
+                Fop::Write { ref path, .. } | Fop::Unlink { ref path } => {
+                    self.drop_file(path);
                     wind(&self.child, fop).await
                 }
                 Fop::Open { path } => {

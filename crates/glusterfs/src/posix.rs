@@ -50,6 +50,16 @@ impl Posix {
         self.files.borrow().get(path).map(|m| m.id)
     }
 
+    /// One path's attributes, as [`Fop::Stat`] and each path of a
+    /// [`Fop::StatMulti`] read them: the inode is touched on the backend.
+    async fn stat_path(&self, path: &str) -> Result<FileStat, FsError> {
+        let id = self.lookup(path).ok_or(FsError::NotFound)?;
+        if self.backend.stat(id).await.is_err() {
+            return Err(FsError::Io);
+        }
+        Ok(self.stat_of(path).expect("inode vanished"))
+    }
+
     fn stat_of(&self, path: &str) -> Option<FileStat> {
         let files = self.files.borrow();
         let meta = files.get(path)?;
@@ -131,14 +141,13 @@ impl Translator for Posix {
                         }
                         FopReply::Write(Ok(n))
                     }
-                    Fop::Stat { path } => {
-                        let Some(id) = self.lookup(&path) else {
-                            return FopReply::Stat(Err(FsError::NotFound));
-                        };
-                        if self.backend.stat(id).await.is_err() {
-                            return FopReply::Stat(Err(FsError::Io));
+                    Fop::Stat { path } => FopReply::Stat(self.stat_path(&path).await),
+                    Fop::StatMulti { paths } => {
+                        let mut stats = Vec::with_capacity(paths.len());
+                        for path in &paths {
+                            stats.push(self.stat_path(path).await);
                         }
-                        FopReply::Stat(Ok(self.stat_of(&path).expect("inode vanished")))
+                        FopReply::StatMulti(stats)
                     }
                     Fop::Unlink { path } => {
                         let Some(id) = self.lookup(&path) else {

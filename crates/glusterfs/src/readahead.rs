@@ -128,8 +128,11 @@ impl Translator for ReadAhead {
                 }
                 // Anything that can change or invalidate file state drops
                 // the window.
-                Fop::Write { .. } | Fop::Open { .. } | Fop::Unlink { .. } | Fop::Close { .. } => {
-                    self.invalidate(fop.path());
+                Fop::Write { ref path, .. }
+                | Fop::Open { ref path }
+                | Fop::Unlink { ref path }
+                | Fop::Close { ref path } => {
+                    self.invalidate(path);
                     wind(&self.child, fop).await
                 }
                 other => wind(&self.child, other).await,

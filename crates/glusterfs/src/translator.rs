@@ -62,6 +62,18 @@ pub(crate) mod testutil {
         }
     }
 
+    /// The mock's stat of `path`: absent if the path says "missing".
+    fn canned_stat(path: &str) -> Result<FileStat, FsError> {
+        if path.contains("missing") {
+            return Err(FsError::NotFound);
+        }
+        Ok(FileStat {
+            size: 42,
+            mtime_ns: 1,
+            ctime_ns: 1,
+        })
+    }
+
     impl Translator for MockXlator {
         fn name(&self) -> &'static str {
             "mock"
@@ -75,16 +87,9 @@ pub(crate) mod testutil {
                     Fop::Open { .. } => FopReply::Open(Ok(FileStat::default())),
                     Fop::Read { len, .. } => FopReply::Read(Ok(vec![0xAB; len as usize])),
                     Fop::Write { data, .. } => FopReply::Write(Ok(data.len() as u64)),
-                    Fop::Stat { path } => {
-                        if path.contains("missing") {
-                            FopReply::Stat(Err(FsError::NotFound))
-                        } else {
-                            FopReply::Stat(Ok(FileStat {
-                                size: 42,
-                                mtime_ns: 1,
-                                ctime_ns: 1,
-                            }))
-                        }
+                    Fop::Stat { path } => FopReply::Stat(canned_stat(&path)),
+                    Fop::StatMulti { paths } => {
+                        FopReply::StatMulti(paths.iter().map(|path| canned_stat(path)).collect())
                     }
                     Fop::Unlink { .. } => FopReply::Unlink(Ok(())),
                     Fop::Close { .. } => FopReply::Close(Ok(())),

@@ -2,7 +2,8 @@
 //! larger child writes (§2.1). Writes complete to the application as soon
 //! as they are buffered; the buffer is flushed when it exceeds the
 //! aggregate window, when a non-contiguous write arrives, or when any
-//! operation needs the file's true state (read/stat/close/unlink).
+//! operation needs the file's true state (read/stat/close/unlink; a
+//! batched stat flushes every file it names).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -129,8 +130,18 @@ impl Translator for WriteBehind {
                     }
                     FopReply::Write(Ok(len))
                 }
-                Fop::Read { .. } | Fop::Stat { .. } | Fop::Open { .. } | Fop::Unlink { .. } => {
-                    self.flush(fop.path()).await;
+                Fop::Read { ref path, .. }
+                | Fop::Stat { ref path }
+                | Fop::Open { ref path }
+                | Fop::Unlink { ref path } => {
+                    self.flush(path).await;
+                    wind(&self.child, fop).await
+                }
+                // A batched stat needs every named file's true state.
+                Fop::StatMulti { ref paths } => {
+                    for path in paths {
+                        self.flush(path).await;
+                    }
                     wind(&self.child, fop).await
                 }
                 Fop::Close { path } => {
@@ -375,6 +386,33 @@ mod tests {
                 panic!()
             };
             assert_eq!(st.size, 5_000, "stat must flush write-behind first");
+        });
+    }
+
+    #[test]
+    fn stat_multi_sees_the_buffered_writes_of_every_path() {
+        let mut sim = Sim::new(0);
+        let (_wb, top) = stack(&sim, 64 * 1024);
+        sim.run_main(async move {
+            for (path, len) in [("/f", 5_000), ("/g", 3_000)] {
+                wind(&top, Fop::Create { path: path.into() }).await;
+                let data = vec![0; len];
+                wind(
+                    &top,
+                    Fop::Write {
+                        path: path.into(),
+                        offset: 0,
+                        data,
+                    },
+                )
+                .await;
+            }
+            let paths = vec!["/f".into(), "/ghost".into(), "/g".into()];
+            let FopReply::StatMulti(stats) = wind(&top, Fop::StatMulti { paths }).await else {
+                panic!()
+            };
+            let sizes: Vec<_> = stats.iter().map(|st| st.map(|st| st.size)).collect();
+            assert_eq!(sizes, [Ok(5_000), Err(FsError::NotFound), Ok(3_000)]);
         });
     }
 

@@ -233,12 +233,14 @@ mod tests {
         fn handle(self: Rc<Self>, fop: Fop) -> imca_glusterfs::FopFuture {
             self.log.borrow_mut().push(fop.clone());
             Box::pin(async move {
+                let stat = FileStat {
+                    size: self.file.len() as u64,
+                    mtime_ns: 5,
+                    ctime_ns: 5,
+                };
                 match fop {
-                    Fop::Stat { .. } => FopReply::Stat(Ok(FileStat {
-                        size: self.file.len() as u64,
-                        mtime_ns: 5,
-                        ctime_ns: 5,
-                    })),
+                    Fop::Stat { .. } => FopReply::Stat(Ok(stat)),
+                    Fop::StatMulti { paths } => FopReply::StatMulti(vec![Ok(stat); paths.len()]),
                     Fop::Read { offset, len, .. } => {
                         let s = (offset as usize).min(self.file.len());
                         let e = ((offset + len) as usize).min(self.file.len());

@@ -282,9 +282,42 @@ impl MetaEngine {
             FopReply::Stat(r) => r,
             other => panic!("mismatched reply to stat: {other:?}"),
         };
+        self.backend_answer(&path, stat, epoch_at_start)
+    }
+
+    /// Forward `paths` to the server as one [`Fop::StatMulti`], the way
+    /// readdirplus fetches a directory window, and install each answer
+    /// by [`MetaEngine::backend_stat`]'s rules under the one epoch read
+    /// before the fop: a revocation of any path voids every install.
+    async fn backend_stat_multi(&self, paths: Vec<String>, epoch_at_start: u64) -> Vec<StatResult> {
+        self.backend_fills.add(paths.len() as u64);
+        let reply = Rc::clone(&self.child)
+            .handle(Fop::StatMulti {
+                paths: paths.clone(),
+            })
+            .await;
+        let stats = match reply {
+            FopReply::StatMulti(stats) if stats.len() == paths.len() => stats,
+            other => panic!("mismatched reply to stat_multi: {other:?}"),
+        };
+        paths
+            .iter()
+            .zip(stats)
+            .map(|(path, stat)| self.backend_answer(path, stat, epoch_at_start))
+            .collect()
+    }
+
+    /// The server's answer for `path`: a stat or ENOENT installs a lease
+    /// (positive or negative), an I/O error installs nothing.
+    fn backend_answer(
+        &self,
+        path: &str,
+        stat: Result<FileStat, FsError>,
+        epoch_at_start: u64,
+    ) -> StatResult {
         match stat {
-            Ok(st) => self.install(&path, Some(st), epoch_at_start),
-            Err(FsError::NotFound) => self.install(&path, None, epoch_at_start),
+            Ok(st) => self.install(path, Some(st), epoch_at_start),
+            Err(FsError::NotFound) => self.install(path, None, epoch_at_start),
             Err(_) => {}
         }
         StatResult {
@@ -355,7 +388,8 @@ impl MetaEngine {
     /// Batched lookup — the readdir+stat prefetch hook. Local leases are
     /// served first, the remainder rides one multi-key bank `get`
     /// ([`BankClient::get_multi`], batched whatever the data path's
-    /// framing), and only paths missing everywhere forward to the server.
+    /// framing), and only paths missing everywhere forward to the server,
+    /// together in one [`Fop::StatMulti`].
     pub async fn stat_multi(&self, paths: Vec<String>) -> Vec<StatResult> {
         self.multi_lookups.inc();
         self.multi_paths.add(paths.len() as u64);
@@ -399,12 +433,16 @@ impl MetaEngine {
                 out[i] = self.decode_bank_round(&paths[i], raw_stat, raw_neg, epoch);
             }
         }
-        // 3. Whatever is still unanswered forwards to the server, which
-        // repopulates the bank (SMCache's stat hook) for the next batch.
-        for i in 0..paths.len() {
-            if out[i].is_none() {
-                let epoch = self.epoch.get();
-                out[i] = Some(self.backend_stat(paths[i].clone(), epoch).await);
+        // 3. Whatever is still unanswered forwards to the server in one
+        // fop, which repopulates the bank (SMCache's batched stat hook)
+        // for the next batch.
+        let rest: Vec<usize> = (0..paths.len()).filter(|&i| out[i].is_none()).collect();
+        if !rest.is_empty() {
+            let epoch = self.epoch.get();
+            let ask = rest.iter().map(|&i| paths[i].clone()).collect();
+            let answers = self.backend_stat_multi(ask, epoch).await;
+            for (i, r) in rest.into_iter().zip(answers) {
+                out[i] = Some(r);
             }
         }
         out.into_iter().map(|r| r.expect("filled")).collect()
@@ -618,27 +656,43 @@ mod tests {
     use imca_memcached::McConfig;
     use imca_sim::Sim;
 
-    /// A server-side stand-in with a configurable file table.
+    /// A server-side stand-in with a configurable file table, answering
+    /// each fop after `delay` (none by default).
     struct FakeServer {
         files: RefCell<HashMap<String, FileStat>>,
+        /// Paths statted, batched or not.
         stats_served: Cell<u64>,
+        /// Fops served: a batched stat is one.
+        fops_served: Cell<u64>,
+        delay: Option<(SimHandle, SimDuration)>,
     }
 
     impl FakeServer {
-        fn with_file(path: &str, size: u64) -> Rc<FakeServer> {
-            let mut files = HashMap::new();
-            files.insert(
-                path.to_string(),
-                FileStat {
-                    size,
-                    mtime_ns: 1,
-                    ctime_ns: 1,
-                },
-            );
-            Rc::new(FakeServer {
-                files: RefCell::new(files),
+        fn with_files(paths: &[&str], size: u64) -> FakeServer {
+            let stat = FileStat {
+                size,
+                mtime_ns: 1,
+                ctime_ns: 1,
+            };
+            FakeServer {
+                files: RefCell::new(paths.iter().map(|p| (p.to_string(), stat)).collect()),
                 stats_served: Cell::new(0),
-            })
+                fops_served: Cell::new(0),
+                delay: None,
+            }
+        }
+
+        fn with_file(path: &str, size: u64) -> Rc<FakeServer> {
+            Rc::new(FakeServer::with_files(&[path], size))
+        }
+
+        fn stat(&self, path: &str) -> Result<FileStat, FsError> {
+            self.stats_served.set(self.stats_served.get() + 1);
+            self.files
+                .borrow()
+                .get(path)
+                .copied()
+                .ok_or(FsError::NotFound)
         }
     }
 
@@ -648,16 +702,14 @@ mod tests {
         }
         fn handle(self: Rc<Self>, fop: Fop) -> imca_glusterfs::FopFuture {
             Box::pin(async move {
+                self.fops_served.set(self.fops_served.get() + 1);
+                if let Some((h, delay)) = &self.delay {
+                    h.sleep(*delay).await;
+                }
                 match fop {
-                    Fop::Stat { path } => {
-                        self.stats_served.set(self.stats_served.get() + 1);
-                        FopReply::Stat(
-                            self.files
-                                .borrow()
-                                .get(&path)
-                                .copied()
-                                .ok_or(FsError::NotFound),
-                        )
+                    Fop::Stat { path } => FopReply::Stat(self.stat(&path)),
+                    Fop::StatMulti { paths } => {
+                        FopReply::StatMulti(paths.iter().map(|p| self.stat(p)).collect())
                     }
                     other => other.err_reply(FsError::Io),
                 }
@@ -835,11 +887,16 @@ mod tests {
     #[test]
     fn stat_multi_batches_the_bank_round() {
         let mut sim = Sim::new(0);
-        let server = FakeServer::with_file("/d/a", 1);
+        // /d/0 … /d/3 live at the server only; /d/b is seeded in the
+        // bank below; /d/ghost exists nowhere.
+        let at_server = ["/d/0", "/d/1", "/d/2", "/d/3"];
+        let server = Rc::new(FakeServer::with_files(&at_server, 1));
         let (eng, bank) = rig(&sim, MetaConfig::lease(), Rc::clone(&server));
+        let window: Vec<String> = ["/d/0", "/d/b", "/d/1", "/d/2", "/d/ghost", "/d/3"]
+            .map(String::from)
+            .into();
+        let e2 = Rc::clone(&eng);
         sim.run_main(async move {
-            // Seed one path in the bank; /d/a lives at the server only;
-            // /d/ghost exists nowhere.
             let st = FileStat {
                 size: 2,
                 mtime_ns: 1,
@@ -847,24 +904,68 @@ mod tests {
             };
             bank.set(&stat_key("/d/b"), Bytes::from(st.to_bytes()))
                 .await;
-            let rs = Rc::clone(&eng)
-                .stat_multi(vec!["/d/a".into(), "/d/b".into(), "/d/ghost".into()])
-                .await;
-            assert_eq!(rs[0].source, StatSource::Backend);
-            assert_eq!(rs[0].stat.unwrap().size, 1);
-            assert_eq!(rs[1].source, StatSource::Bank);
-            assert_eq!(rs[1].stat.unwrap().size, 2);
-            assert_eq!(rs[2].source, StatSource::Backend);
-            assert_eq!(rs[2].stat, Err(FsError::NotFound));
+            let rs = Rc::clone(&e2).stat_multi(window.clone()).await;
+            for (path, r) in window.iter().zip(&rs) {
+                let want = match path.as_str() {
+                    "/d/b" => (Ok(2), StatSource::Bank),
+                    "/d/ghost" => (Err(FsError::NotFound), StatSource::Backend),
+                    _ => (Ok(1), StatSource::Backend),
+                };
+                assert_eq!((r.stat.map(|st| st.size), r.source), want, "{path}");
+            }
+            // The five misses cost one server fop and hold five leases,
+            // beside the bank hit's.
+            assert_eq!(e2.held_leases(), 6);
             // Second batch: everything is leased now (incl. the negative).
-            let rs = Rc::clone(&eng)
-                .stat_multi(vec!["/d/a".into(), "/d/b".into(), "/d/ghost".into()])
-                .await;
-            assert_eq!(rs[0].source, StatSource::Lease);
-            assert_eq!(rs[1].source, StatSource::Lease);
-            assert_eq!(rs[2].source, StatSource::Negative);
+            let rs = Rc::clone(&e2).stat_multi(window).await;
+            let sources: Vec<_> = rs.iter().map(|r| r.source).collect();
+            let mut want = [StatSource::Lease; 6];
+            want[4] = StatSource::Negative;
+            assert_eq!(sources, want);
         });
-        assert_eq!(server.stats_served.get(), 2);
+        assert_eq!(server.fops_served.get(), 1);
+        assert_eq!(server.stats_served.get(), 5);
+        // The fill count is per path, not per fop.
+        let snap = imca_metrics::collect_from(&*eng, "meta");
+        assert_eq!(snap.counter("meta.backend_fills"), Some(5));
+        assert_eq!(snap.counter("meta.leases_installed"), Some(6));
+    }
+
+    #[test]
+    fn a_revocation_mid_batch_installs_none_of_it() {
+        // The epoch guard over a batch: a revoke of any path while the
+        // one fop is at the server voids every install it would make,
+        // whichever path it named.
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let server = Rc::new(FakeServer {
+            delay: Some((h.clone(), SimDuration::millis(1))),
+            ..FakeServer::with_files(&["/d/a", "/d/b"], 3)
+        });
+        let (eng, _bank) = rig(&sim, MetaConfig::lease(), Rc::clone(&server));
+        let e2 = Rc::clone(&eng);
+        sim.run_main(async move {
+            let filler = Rc::clone(&e2);
+            let (tx, batch) = imca_sim::sync::oneshot();
+            h.spawn(async move {
+                let window = vec!["/d/a".into(), "/d/b".into(), "/d/ghost".into()];
+                tx.send(filler.stat_multi(window).await);
+            });
+            // The bank round is long over; the fop is at the server.
+            h.sleep(SimDuration::micros(500)).await;
+            assert_eq!(
+                server.fops_served.get(),
+                1,
+                "the batch is not at the server"
+            );
+            e2.revoke("/d/elsewhere");
+            let rs = batch.await.expect("the batch finished");
+            assert!(rs.iter().all(|r| r.source == StatSource::Backend));
+            assert_eq!(rs[1].stat.map(|st| st.size), Ok(3));
+            assert_eq!(e2.held_leases(), 0, "a stale batch installed a lease");
+        });
+        let snap = imca_metrics::collect_from(&*eng, "meta");
+        assert_eq!(snap.counter("meta.install_races"), Some(3));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * **open**: purge the file's entries from the MCDs, then seed the stat
 //!   entry from the open's attributes ("At open, MCD is updated with the
 //!   contents of the stat structure from the file by SMCache").
-//! * **stat** (a CMCache miss): forward, then repopulate the stat entry.
+//! * **stat** (a CMCache miss): forward, then repopulate the stat entry;
+//!   a batched stat (readdirplus) repopulates every entry it found in one
+//!   pipeline.
 //! * **read**: enlarge to the IMCa block alignment, serve the requested
 //!   sub-range, and push the whole blocks to the MCDs.
 //! * **write**: writes are persistent — they complete at the filesystem
@@ -792,20 +794,76 @@ impl SmCache {
     /// is newer: a stat read before a racing write returned must not land
     /// over that write's refresh.
     async fn push_stat(&self, path: &str, st: FileStat) {
-        let stamp = |st: &FileStat| (st.mtime_ns, st.size);
-        let st = self.with_path(path, |p| match p.newest_stat {
-            Some(newest) if stamp(&newest) > stamp(&st) => newest,
-            _ => *p.newest_stat.insert(st),
-        });
+        let st = self.newest_stat(path, st);
         self.bank
             .set(&stat_key(path), Bytes::from(st.to_bytes()))
             .await;
         self.stat_pushes.inc();
-        if self.bank.may_reorder() && self.with_path(path, |p| p.newest_stat) != Some(st) {
+        if self.stat_overtaken(path, st) {
             // A newer stat went out while this one was on the wire, or a
             // purge took the entry out, and this one may have landed
             // last: take the entry out; the next stat re-reads it.
             self.bank.delete(&stat_key(path)).await;
+        }
+    }
+
+    /// The stat to push for `path` in place of `st`: the newest pushed
+    /// since the last purge, by `(mtime, size)`, recorded as such.
+    fn newest_stat(&self, path: &str, st: FileStat) -> FileStat {
+        let stamp = |st: &FileStat| (st.mtime_ns, st.size);
+        self.with_path(path, |p| match p.newest_stat {
+            Some(newest) if stamp(&newest) > stamp(&st) => newest,
+            _ => *p.newest_stat.insert(st),
+        })
+    }
+
+    /// Whether the stat `st` just stored for `path` may have landed over
+    /// a newer one or a purge, on a bank that may reorder stores.
+    fn stat_overtaken(&self, path: &str, st: FileStat) -> bool {
+        self.bank.may_reorder() && self.with_path(path, |p| p.newest_stat) != Some(st)
+    }
+
+    /// The server's answers to a [`Fop::StatMulti`] whose paths stood at
+    /// generations `gens` when it was wound: every found stat still in its
+    /// generation is pushed by [`SmCache::push_stat`]'s rules, all in one
+    /// pipeline, and under negative caching every absent one plants its
+    /// marker. A purge of one path drops only that path's push.
+    async fn push_stats(
+        &self,
+        paths: &[String],
+        gens: &[u64],
+        stats: &[Result<FileStat, FsError>],
+    ) {
+        let mut pushed = Vec::new();
+        let mut absent = Vec::new();
+        for ((path, &gen), stat) in paths.iter().zip(gens).zip(stats) {
+            if self.generation(path) != gen {
+                continue;
+            }
+            match stat {
+                Ok(st) => pushed.push((path, self.newest_stat(path, *st))),
+                Err(FsError::NotFound) if self.negative => absent.push((path, gen)),
+                _ => {}
+            }
+        }
+        if !pushed.is_empty() {
+            let items = pushed
+                .iter()
+                .map(|(path, st)| (stat_key(path), Bytes::from(st.to_bytes())))
+                .collect();
+            self.bank.store_blocks(items).await;
+            self.stat_pushes.add(pushed.len() as u64);
+            let overtaken: Vec<Vec<u8>> = pushed
+                .iter()
+                .filter(|(path, st)| self.stat_overtaken(path, *st))
+                .map(|(path, _)| stat_key(path))
+                .collect();
+            if !overtaken.is_empty() {
+                self.bank.remove_keys(overtaken).await;
+            }
+        }
+        for (path, gen) in absent {
+            self.push_negative(path, gen).await;
         }
     }
 
@@ -910,6 +968,18 @@ impl Translator for SmCache {
                             }
                             _ => {}
                         }
+                    }
+                    reply
+                }
+                Fop::StatMulti { paths } => {
+                    let gens: Vec<u64> = paths.iter().map(|p| self.generation(p)).collect();
+                    let reply = Rc::clone(&self.child)
+                        .handle(Fop::StatMulti {
+                            paths: paths.clone(),
+                        })
+                        .await;
+                    if let FopReply::StatMulti(stats) = &reply {
+                        self.push_stats(&paths, &gens, stats).await;
                     }
                     reply
                 }
@@ -1537,6 +1607,91 @@ mod tests {
         });
     }
 
+    /// A child that holds every fop for `delay` before posix sees it.
+    struct Slow {
+        posix: Rc<Posix>,
+        handle: SimHandle,
+        delay: SimDuration,
+    }
+
+    impl Translator for Slow {
+        fn name(&self) -> &'static str {
+            "test/slow"
+        }
+
+        fn handle(self: Rc<Self>, fop: Fop) -> imca_glusterfs::FopFuture {
+            Box::pin(async move {
+                self.handle.sleep(self.delay).await;
+                Rc::clone(&self.posix).handle(fop).await
+            })
+        }
+    }
+
+    #[test]
+    fn a_purge_racing_a_batched_stat_drops_only_its_own_path() {
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let slow = Rc::new(Slow {
+            posix: posix(&sim),
+            handle: h.clone(),
+            delay: SimDuration::millis(1),
+        });
+        let (rig, _mcds) = rig_over(&sim, slow, &two_mcds());
+        let sm = Rc::clone(&rig.sm);
+        let bank = Rc::clone(&rig.bank);
+        sim.run_main(async move {
+            for path in ["/a", "/b"] {
+                drive(&sm, Fop::Create { path: path.into() }).await;
+            }
+            let (tx, batch) = imca_sim::sync::oneshot();
+            let sm2 = Rc::clone(&sm);
+            h.spawn(async move {
+                let paths = vec!["/a".into(), "/b".into()];
+                tx.send(drive(&sm2, Fop::StatMulti { paths }).await);
+            });
+            // The batch is at the filesystem when /a's close purges it.
+            h.sleep(SimDuration::micros(100)).await;
+            drive(&sm, Fop::Close { path: "/a".into() }).await;
+            let FopReply::StatMulti(stats) = batch.await.unwrap() else {
+                panic!("not a batch reply")
+            };
+            assert!(stats.iter().all(Result::is_ok));
+            assert!(
+                bank.get(&stat_key("/a")).await.is_none(),
+                "the purged path's stat was pushed"
+            );
+            let held = bank.get(&stat_key("/b")).await.expect("/b was not pushed");
+            assert_eq!(FileStat::from_bytes(&held), Some(stats[1].unwrap()));
+        });
+        assert_eq!(counters(&*rig.sm, ["stat_pushes", "purges"]), [1, 1]);
+    }
+
+    #[test]
+    fn a_batched_stat_pushes_what_it_found_and_plants_what_it_did_not() {
+        let mut sim = Sim::new(0);
+        let rig = setup_with_meta(&sim, false, true, MetaConfig::lease());
+        let sm = Rc::clone(&rig.sm);
+        let bank = Rc::clone(&rig.bank);
+        sim.run_main(async move {
+            drive(&sm, Fop::Create { path: "/f".into() }).await;
+            let paths = vec!["/ghost".into(), "/f".into()];
+            let r = drive(&sm, Fop::StatMulti { paths }).await;
+            let FopReply::StatMulti(stats) = r else {
+                panic!("not a batch reply")
+            };
+            assert_eq!(stats[0], Err(FsError::NotFound));
+            assert!(bank.get(&neg_key("/ghost")).await.is_some(), "no marker");
+            assert!(bank.get(&stat_key("/ghost")).await.is_none());
+            let held = bank.get(&stat_key("/f")).await.expect("/f was not pushed");
+            assert_eq!(FileStat::from_bytes(&held), Some(stats[1].unwrap()));
+            assert!(bank.get(&neg_key("/f")).await.is_none());
+        });
+        assert_eq!(
+            counters(&*rig.sm, ["stat_pushes", "negative_pushes"]),
+            [1, 1]
+        );
+    }
+
     /// A replicated rig (modulo routing, R = 2 over 2 daemons) for the
     /// CAS-coherence tests: every block lives on both daemons.
     fn replicated_rig(sim: &Sim, coherence: Coherence) -> (Rig, Rc<Bank>) {
@@ -1782,6 +1937,7 @@ mod tests {
                     })),
                     Fop::Close { .. } => FopReply::Close(Ok(())),
                     Fop::Unlink { .. } => FopReply::Unlink(Ok(())),
+                    batch @ Fop::StatMulti { .. } => batch.err_reply(FsError::Io),
                 }
             })
         }

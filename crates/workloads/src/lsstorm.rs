@@ -12,8 +12,9 @@
 //!   policy pays a bank RPC for each.
 //! * **window** — entries are statted in readdir windows of `window`
 //!   paths through [`FsClient::stat_multi`], modelling readdirplus: one
-//!   multi-key bank round per window instead of one RPC per entry.
-//!   `window <= 1` falls back to a stat per entry.
+//!   multi-key bank round per window instead of one RPC per entry, and
+//!   one server fop for what the bank missed. `window <= 1` falls back
+//!   to a stat per entry.
 //! * **ghost_every** — every `ghost_every`-th window also probes a
 //!   non-existent name ("`ls` a file someone already deleted"),
 //!   exercising the negative-caching path. `0` disables the probes.

@@ -220,8 +220,9 @@ impl FsClient {
 
     /// Batched readdir+stat lookup over one directory window. On an IMCa
     /// mount this rides the metadata tier's `stat_multi` — leases served
-    /// locally, the rest in one multi-key bank round, readdirplus-style
-    /// (no per-op FUSE crossing). Other systems fall back to one stat
+    /// locally, the rest in one multi-key bank round and the bank's
+    /// misses in one server fop, readdirplus-style (no per-op FUSE
+    /// crossing). Other systems fall back to one stat
     /// per path, as does a degenerate one-entry window (no batch to
     /// ride). Returns `None` per missing file.
     pub async fn stat_multi(&self, paths: &[String]) -> Vec<Option<u64>> {

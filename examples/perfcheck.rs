@@ -12,8 +12,10 @@
 //! cargo run --release --example perfcheck -- <result.json> <baseline.json>
 //! ```
 //!
-//! Prints `compared N, differ M` and each differing path with both
-//! values; exits 1 on any drift, 2 on a document it cannot read.
+//! Prints each differing path with both values, one line of differing
+//! over compared fields per workload (`cold_stream 0/125  hot_contend
+//! 0/119 …`), then `compared N, differ M`; exits 1 on any drift, 2 on a
+//! document it cannot read.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
@@ -79,15 +81,25 @@ fn main() -> ExitCode {
         }
     };
     let paths: BTreeSet<&String> = got.keys().chain(want.keys()).collect();
+    // Per workload, the first segment of a path: (differing, compared).
+    let mut tally: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     let mut differ = 0;
     for path in &paths {
         let (g, w) = (got.get(*path), want.get(*path));
+        let workload = tally.entry(path.split('/').next().unwrap()).or_default();
+        workload.1 += 1;
         if g != w {
             differ += 1;
+            workload.0 += 1;
             let show = |v: Option<&String>| v.map_or("(absent)", String::as_str).to_string();
             println!("{path}: {} (baseline {})", show(g), show(w));
         }
     }
+    let per_workload: Vec<String> = tally
+        .iter()
+        .map(|(name, (differ, compared))| format!("{name} {differ}/{compared}"))
+        .collect();
+    println!("{}", per_workload.join("  "));
     println!("compared {}, differ {differ}", paths.len());
     if differ == 0 {
         ExitCode::SUCCESS

@@ -13,7 +13,9 @@
 //!   entirely new if not; the reference and the twin take what it reads;
 //! * a stat equals the reference size, or is `NotFound` exactly when the
 //!   file is absent; under `threaded_updates` it may lag but never
-//!   overstates;
+//!   overstates; so does each answer of a listing's batched stat, and
+//!   while the server is down every path the listing forwards answers
+//!   `Io` and installs no lease;
 //! * an error is `FsError::Io`, and only while a storage fault or a
 //!   server crash is in force; while the server is down only writes are
 //!   issued, and each one fails fast;
@@ -40,11 +42,11 @@ use std::rc::Rc;
 use imca_repro::fabric::FaultPlan;
 use imca_repro::glusterfs::{Fd, FileStat, FsError, GlusterMount};
 use imca_repro::imca::{
-    keys, Cluster, ClusterConfig, Coherence, ImcaConfig, McdCosts, MetaConfig, Replication,
-    RetryPolicy, RewarmLimit,
+    keys, Cluster, ClusterConfig, CmCache, Coherence, ImcaConfig, McdCosts, MetaConfig,
+    Replication, RetryPolicy, RewarmLimit, StatSource,
 };
 use imca_repro::memcached::McConfig;
-use imca_repro::metrics::Snapshot;
+use imca_repro::metrics::{collect_from, Snapshot};
 use imca_repro::sim::{join_all, Scheduler, Sim, SimDuration, SimHandle, SimTime};
 use imca_repro::storage::StorageFaultPlan;
 
@@ -93,6 +95,10 @@ op_language! {
     Read(u8, u32, u16),
     /// (file)
     Stat(u8),
+    /// Every storm file at once, as `ls -l` would: one batched stat
+    /// (`CmCache::stat_multi`) on IMCa, one stat per path on the twin.
+    /// Runs while the server is down too.
+    List,
     /// (file): close and open again; SMCache purges the file on both.
     Reopen(u8),
     /// (file, offset): [`BURST_READERS`] concurrent readers, 2 KB apart
@@ -300,8 +306,10 @@ impl Config {
             .circuit_cooldown
             .max(server_retry.circuit_cooldown);
         let (files, reach, ran, sick_errors) = sim.run_main(async move {
+            let (mi, cm) = c.mount_with_meta();
             let mut d = Driver {
-                mi: c.mount(),
+                mi,
+                cm: cm.expect("an IMCa mount has a CMCache"),
                 mn: n.mount(),
                 c,
                 n,
@@ -401,6 +409,9 @@ pub fn canonical() -> Vec<Op> {
         Toggle(3),
         Stat(3),
         Toggle(3),
+        // A listing whose window holds the absent path: one batched
+        // fop for all four, which plants its negative entry.
+        List,
         Write(0, 0, 8192, 7),
         Write(1, 100, 3000, 99),
         Write(2, 0, 12288, 2),
@@ -463,12 +474,15 @@ pub fn canonical() -> Vec<Op> {
         }
         match round {
             10 => ops.push(Kill(0)),
+            // A listing on sick media may answer `Io` for any path.
+            13 => ops.push(List),
             14 => ops.push(Revive(0)),
             18 => ops.push(DropWindow(200)),
             _ => {}
         }
     }
-    ops.push(Crash);
+    // Every path the listing forwards to the crashed server is `Io`.
+    ops.extend([Crash, List]);
     ops.extend((0..3).map(|file| Write(file, 0, 4, 0)));
     ops.push(Restart);
     ops
@@ -530,6 +544,8 @@ struct Driver {
     c: Rc<Cluster>,
     n: Rc<Cluster>,
     mi: Rc<GlusterMount>,
+    /// The IMCa mount's CMCache, which lists.
+    cm: Rc<CmCache>,
     mn: Rc<GlusterMount>,
     h: SimHandle,
     seed: u64,
@@ -575,6 +591,7 @@ impl Driver {
             }
             Op::Read(file, offset, len) => return self.read(file, offset.into(), len.into()).await,
             Op::Stat(file) => return self.stat(file).await,
+            Op::List => self.list().await,
             Op::Reopen(file) => return self.reopen(file).await,
             Op::Burst(file, offset) => return self.burst(file, offset.into(), 0).await,
             Op::Race(file, offset) => return self.burst(file, offset.into(), 2).await,
@@ -981,6 +998,49 @@ impl Driver {
         }
         self.check_stat(ri, file, self.threaded);
         Some(())
+    }
+
+    /// One batched stat over every storm file on IMCa, each answer
+    /// checked like [`Driver::stat`]'s, then one stat per path on the
+    /// twin. While the server is down, what no lease or bank entry
+    /// answers is `Io` and installs no lease, and a stat that a crashed
+    /// write's unfinished work pushed may already show that write.
+    async fn list(&mut self) {
+        let installed = |cm: &CmCache| collect_from(&**cm.meta(), "").counter("leases_installed");
+        let before = installed(&self.cm);
+        let paths = (0..FILES).map(path).collect();
+        let answers = self.cm.stat_multi(paths).await;
+        let alive = self.c.server_alive();
+        let from_bank = answers
+            .iter()
+            .filter(|r| matches!(r.source, StatSource::Bank | StatSource::Negative))
+            .count();
+        for (file, r) in (0..FILES).zip(answers) {
+            if !alive && r.source == StatSource::Backend {
+                assert_eq!(r.stat, Err(FsError::Io), "{}: /storm/{file}", self.here);
+                continue;
+            }
+            if let Some((_, at, data, _)) = self.crashed_write.as_ref().filter(|w| w.0 == file) {
+                let written = (self.files[&file].len() as u64).max(at + data.len() as u64);
+                if r.stat.map(|st| st.size) == Ok(written) {
+                    continue;
+                }
+            }
+            if alive {
+                if let Some(rn) = self.follow(&r.stat, self.mn.stat(&path(file))).await {
+                    self.check_stat(rn, file, false);
+                }
+            }
+            self.check_stat(r.stat, file, self.threaded);
+        }
+        if !alive {
+            let new = installed(&self.cm).unwrap() - before.unwrap();
+            assert!(
+                new <= from_bank as u64,
+                "{}: a dead server's answer installed",
+                self.here
+            );
+        }
     }
 
     fn check_stat(&self, r: Result<FileStat, FsError>, file: u8, may_lag: bool) {

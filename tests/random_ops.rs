@@ -42,6 +42,7 @@ fn single_op() -> impl Strategy<Value = Op> {
         4 => (file(), 0u32..16_000, 1u16..6_000)
             .prop_map(|(f, offset, len)| Op::Read(f, offset, len)),
         2 => file().prop_map(Op::Stat),
+        1 => Just(Op::List),
         1 => file().prop_map(Op::Reopen),
         1 => (file(), any::<u16>()).prop_map(|(f, offset)| Op::Burst(f, offset)),
         1 => (file(), any::<u16>()).prop_map(|(f, offset)| Op::Race(f, offset)),
