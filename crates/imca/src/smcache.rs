@@ -213,6 +213,15 @@ struct PathState {
     /// Bytes read before one returned may predate it
     /// ([`SmCache::overtaken`]); a purge leaves the count alone.
     writes: u64,
+    /// The blocks pushed and not yet purged, with their cached lengths;
+    /// `None` until the first push, and again after a purge. The length
+    /// matters at EOF: a block cached shorter than the block size encodes
+    /// "the file ends inside this block", and must be refreshed when a
+    /// write moves the end of file past it — `Tracked::short` indexes
+    /// exactly those blocks, so `stale_short_blocks` never walks the
+    /// whole file. Boxed: most paths (a stat-only metadata tree) never
+    /// hold a block, and each carries one pointer instead of two maps.
+    tracked: Option<Box<Tracked>>,
 }
 
 /// The SMCache translator.
@@ -231,14 +240,8 @@ pub struct SmCache {
     /// updated — the invalidation ordering rule (see `crate::meta`).
     leases: Option<Rc<LeaseHub>>,
     jobs: Queue<Job>,
-    /// Per path: the blocks pushed and not yet purged, with their cached
-    /// lengths ([`Tracked`]). The length matters at EOF: a block cached
-    /// shorter than `block_size` encodes "the file ends inside this
-    /// block", and must be refreshed when a write moves the end of file
-    /// past it — `Tracked::short` indexes exactly those blocks, so
-    /// `stale_short_blocks` never walks the whole file.
-    populated: RefCell<HashMap<String, Tracked>>,
-    /// Per path: its purge generation, newest stat and write count.
+    /// Per path: its purge generation, newest stat, write count and
+    /// tracked blocks.
     paths: RefCell<HashMap<String, PathState>>,
     /// Read-path rewarm throttle; `None` = unlimited.
     rewarm: Option<TokenBucket>,
@@ -299,7 +302,6 @@ impl SmCache {
             negative: cfg.meta.negative(),
             leases,
             jobs: Queue::new(),
-            populated: RefCell::new(HashMap::new()),
             paths: RefCell::new(HashMap::new()),
             rewarm: cfg
                 .rewarm
@@ -380,8 +382,9 @@ impl SmCache {
     }
 
     /// Apply `f` to `path`'s state, registering the path (without
-    /// advancing its generation) so a file whose only bank entry is its
-    /// stat or ENOENT marker is still found by `purge_all`.
+    /// advancing its generation) so `purge_all` finds every file with an
+    /// entry in the bank, even one whose only entry is its stat or
+    /// ENOENT marker.
     fn with_path<R>(&self, path: &str, f: impl FnOnce(&mut PathState) -> R) -> R {
         let mut paths = self.paths.borrow_mut();
         match paths.get_mut(path) {
@@ -390,13 +393,18 @@ impl SmCache {
         }
     }
 
+    /// Apply `f` to `path`'s tracked blocks, if it has any record.
+    fn with_tracked<R>(&self, path: &str, f: impl FnOnce(Option<&mut Tracked>) -> R) -> R {
+        f(self
+            .paths
+            .borrow_mut()
+            .get_mut(path)
+            .and_then(|p| p.tracked.as_deref_mut()))
+    }
+
     /// Number of block keys currently tracked for `path`.
     pub fn tracked_blocks(&self, path: &str) -> usize {
-        self.populated
-            .borrow()
-            .get(path)
-            .map(|t| t.lens.len())
-            .unwrap_or(0)
+        self.with_tracked(path, |t| t.map_or(0, |t| t.lens.len()))
     }
 
     /// The executor's front door: a threaded deployment counts the job
@@ -441,16 +449,17 @@ impl SmCache {
     /// touches), the cached copy now truncates reads that NoCache would
     /// satisfy with zeros, and must be refreshed.
     fn stale_short_blocks(&self, path: &str, size: u64) -> Vec<u64> {
-        let populated = self.populated.borrow();
-        let Some(tracked) = populated.get(path) else {
-            return Vec::new();
-        };
-        tracked
-            .short
-            .iter()
-            .copied()
-            .filter(|start| tracked.lens[start] != self.block_len(*start, size))
-            .collect()
+        self.with_tracked(path, |tracked| {
+            let Some(tracked) = tracked else {
+                return Vec::new();
+            };
+            tracked
+                .short
+                .iter()
+                .copied()
+                .filter(|start| tracked.lens[start] != self.block_len(*start, size))
+                .collect()
+        })
     }
 
     /// Cut `data` (starting at the block-aligned `aligned_offset`) into
@@ -498,11 +507,12 @@ impl SmCache {
             return;
         }
         self.blocks_pushed.add(n);
-        let mut populated = self.populated.borrow_mut();
-        let entry = populated.entry(path.to_string()).or_default();
-        for (b, len) in blocks.iter().zip(chunk_lens) {
-            entry.insert(b.start, len, self.block_size);
-        }
+        self.with_path(path, |p| {
+            let entry = p.tracked.get_or_insert_default();
+            for (b, len) in blocks.iter().zip(chunk_lens) {
+                entry.insert(b.start, len, self.block_size);
+            }
+        });
     }
 
     /// The disk would not say what the file holds now (media error,
@@ -609,11 +619,13 @@ impl SmCache {
     async fn purge_then_populate(&self, path: &str, offset: u64, len: u64, gen: u64) {
         let (aoff, alen) = aligned_range(offset, len, self.block_size);
         let blocks = cover(aoff, alen, self.block_size);
-        if let Some(entry) = self.populated.borrow_mut().get_mut(path) {
-            for b in &blocks {
-                entry.remove(b.start);
+        self.with_tracked(path, |entry| {
+            if let Some(entry) = entry {
+                for b in &blocks {
+                    entry.remove(b.start);
+                }
             }
-        }
+        });
         let keys = blocks.iter().map(|b| block_key(path, b.start)).collect();
         self.bank.remove_keys(keys).await;
         if !self.fenced(path, gen) {
@@ -660,11 +672,12 @@ impl SmCache {
         // the legacy populate).
         let mut wave: Vec<u64> = Vec::new();
         let mut fill_bounds: Option<(u64, u64)> = None;
-        {
-            let populated = self.populated.borrow();
-            let entry = populated.get(path);
+        self.with_tracked(path, |entry| {
             for b in &covering {
-                if entry.is_some_and(|t| t.lens.contains_key(&b.start)) {
+                if entry
+                    .as_ref()
+                    .is_some_and(|t| t.lens.contains_key(&b.start))
+                {
                     wave.push(b.start);
                 } else {
                     fill_bounds = Some(match fill_bounds {
@@ -673,7 +686,7 @@ impl SmCache {
                     });
                 }
             }
-        }
+        });
         // Stale short blocks outside the covering range (this write moved
         // EOF past where they claim the file ends): their post-write
         // bytes are the cached bytes zero-extended — the gap is a hole —
@@ -759,11 +772,13 @@ impl SmCache {
             return self.fall_back(path, offset, len).await;
         }
         self.cas_replacements.add(replaced as u64);
-        if let Some(entry) = self.populated.borrow_mut().get_mut(path) {
-            for &start in &wave {
-                entry.insert(start, self.block_len(start, st.size), self.block_size);
+        self.with_tracked(path, |entry| {
+            if let Some(entry) = entry {
+                for &start in &wave {
+                    entry.insert(start, self.block_len(start, st.size), self.block_size);
+                }
             }
-        }
+        });
         self.refresh_stat(path, st, gen).await;
     }
 
@@ -882,7 +897,9 @@ impl SmCache {
         // serving its lease *before* the stat entry it mirrors changes,
         // or a leased stat could outlive what the bank would answer.
         self.revoke_leases(path).await;
-        let tracked = self.populated.borrow_mut().remove(path).unwrap_or_default();
+        let tracked = self
+            .with_path(path, |p| p.tracked.take())
+            .unwrap_or_default();
         let mut keys = Vec::with_capacity(tracked.lens.len() + 2);
         keys.push(stat_key(path));
         if self.negative {
@@ -902,10 +919,8 @@ impl SmCache {
     /// fixed-seed chaos schedule replays bit-identically (HashMap
     /// iteration order is not deterministic).
     pub async fn purge_all(&self) {
-        let mut paths: Vec<String> = self.populated.borrow().keys().cloned().collect();
-        paths.extend(self.paths.borrow().keys().cloned());
+        let mut paths: Vec<String> = self.paths.borrow().keys().cloned().collect();
         paths.sort();
-        paths.dedup();
         for path in paths {
             self.purge(&path).await;
         }
@@ -915,10 +930,13 @@ impl SmCache {
 impl MetricSource for SmCache {
     fn collect(&self, prefix: &str, snap: &mut Snapshot) {
         self.registry.collect(prefix, snap);
-        snap.set_gauge(
-            prefixed(prefix, "tracked_files"),
-            self.populated.borrow().len() as i64,
-        );
+        let tracked = self
+            .paths
+            .borrow()
+            .values()
+            .filter(|p| p.tracked.is_some())
+            .count();
+        snap.set_gauge(prefixed(prefix, "tracked_files"), tracked as i64);
         snap.set_gauge(prefixed(prefix, "queued_jobs"), self.jobs.len() as i64);
         self.bank.collect(&prefixed(prefix, "bank"), snap);
     }
@@ -1155,13 +1173,14 @@ mod tests {
     /// `stale_short_blocks` the slow way, from every tracked length: the
     /// reference its short-block index must agree with.
     fn stale_short_by_full_scan(sm: &SmCache, path: &str, size: u64) -> Vec<u64> {
-        let populated = sm.populated.borrow();
-        let lens = populated.get(path).map(|t| t.lens.iter());
-        lens.into_iter()
-            .flatten()
-            .filter(|&(&start, &len)| len < sm.block_size && len != sm.block_len(start, size))
-            .map(|(&start, _)| start)
-            .collect()
+        sm.with_tracked(path, |tracked| {
+            let lens = tracked.map(|t| t.lens.iter());
+            lens.into_iter()
+                .flatten()
+                .filter(|&(&start, &len)| len < sm.block_size && len != sm.block_len(start, size))
+                .map(|(&start, _)| start)
+                .collect()
+        })
     }
 
     #[test]

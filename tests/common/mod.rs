@@ -1,9 +1,10 @@
 //! The one storm of the root suites (DESIGN.md §6): one op language
 //! ([`Op`]), one driver ([`Config::storm`]) and one oracle.
 //!
-//! The driver runs an IMCa deployment beside a NoCache twin in one `Sim`
-//! and checks every op it issues against a plain in-memory reference
-//! filesystem:
+//! The driver runs an IMCa deployment beside a NoCache twin in one `Sim`,
+//! each with two clients mounted, and checks every op the current client
+//! ([`Op::Switch`] moves to the other) issues against a plain in-memory
+//! reference filesystem:
 //! * a successful read equals the reference bytes, on a first pass and
 //!   on a second, bank-served one; a reader that raced writers may end
 //!   where the file ended before them, and each byte inside a racing
@@ -12,8 +13,11 @@
 //!   has let its work end if it was acknowledged, and entirely old or
 //!   entirely new if not; the reference and the twin take what it reads;
 //! * a stat equals the reference size, or is `NotFound` exactly when the
-//!   file is absent; under `threaded_updates` it may lag but never
-//!   overstates; so does each answer of a listing's batched stat, and
+//!   file is absent, and its mtime is no earlier than the moment IMCa's
+//!   latest landed write or create of the file was issued, so a consumer
+//!   polling mtime sees every update (§4.2); under `threaded_updates` it
+//!   may lag but never overstates the size; so does each answer of a
+//!   listing's batched stat, and
 //!   while the server is down every path the listing forwards answers
 //!   `Io` and installs no lease;
 //! * an error is `FsError::Io`, and only while a storage fault or a
@@ -24,8 +28,9 @@
 //!   follows IMCa's successes only, so it stays equal to the reference.
 //!
 //! After the ops a calm phase heals, revives, restarts and clears every
-//! fault, the bank links' loss too; two full-file passes on both
-//! clusters must then equal the reference, and every block a live,
+//! fault, the bank links' loss too; two full-file passes through each
+//! client of both clusters must then equal the reference, and every block
+//! a live,
 //! non-quarantined daemon holds must equal that block's current bytes
 //! ([`assert_bank_holds`]).
 //!
@@ -109,9 +114,10 @@ op_language! {
     /// through the same descriptor, each writing [`RACE_LEN`] bytes into
     /// the blocks the first readers read, in byte-disjoint ranges.
     Race(u8, u16),
-    /// (file): close and unlink a file that exists; create one that does
-    /// not, left unopened until an op needs a descriptor. Twice in a row
-    /// is the truncate idiom.
+    /// (file): close the current client's descriptor and unlink a file
+    /// that exists; create one that does not, left unopened until an op
+    /// needs a descriptor. Twice in a row is the truncate idiom. The other
+    /// client's descriptor names the path, so it reads the new file.
     Toggle(u8),
     /// (daemon): `kill -9`; its clients see connection resets.
     Kill(u8),
@@ -140,6 +146,9 @@ op_language! {
     CrashMidWrite(u8, u32, u16, u8, u16),
     /// Restart both servers; the IMCa one starts with a purged bank.
     Restart,
+    /// The other client issues the ops that follow, through its own
+    /// descriptors.
+    Switch,
 }
 
 /// The storage fault plans a storm installs.
@@ -306,11 +315,16 @@ impl Config {
             .circuit_cooldown
             .max(server_retry.circuit_cooldown);
         let (files, reach, ran, sick_errors) = sim.run_main(async move {
-            let (mi, cm) = c.mount_with_meta();
+            let client = || {
+                let (mi, cm) = c.mount_with_meta();
+                let (cm, mn) = (cm.expect("an IMCa mount has a CMCache"), n.mount());
+                let fds = HashMap::new();
+                Client { mi, cm, mn, fds }
+            };
             let mut d = Driver {
-                mi,
-                cm: cm.expect("an IMCa mount has a CMCache"),
-                mn: n.mount(),
+                me: client(),
+                other: client(),
+                at: 0,
                 c,
                 n,
                 h,
@@ -319,7 +333,7 @@ impl Config {
                 cooldown,
                 server_retry,
                 files: BTreeMap::new(),
-                fds: HashMap::new(),
+                floor: HashMap::new(),
                 plan: StorageFaultPlan::default(),
                 cut: [false; MCDS as usize],
                 dark_until: SimTime::ZERO,
@@ -395,9 +409,11 @@ impl Trace {
 }
 
 /// The canonical schedule: every [`Op`] variant, including writers racing
-/// readers and a crash with a write in flight, then the full chaos
-/// program — sick storage under page-cache pressure, a daemon kill, a
-/// drop window, and a crash whose writes must fail fast.
+/// readers, a crash with a write in flight, and a second client that
+/// holds leases, reads another's writes, and keeps a descriptor across an
+/// unlink and a re-create; then the full chaos program — sick storage
+/// under page-cache pressure, a daemon kill, a drop window, and a crash
+/// whose writes must fail fast.
 pub fn canonical() -> Vec<Op> {
     use Op::*;
     let mut ops = vec![
@@ -422,9 +438,23 @@ pub fn canonical() -> Vec<Op> {
         Race(2, 300),
         Read(2, 0, 4000),
         Read(0, 0, 4000),
-        // A lease fill, then a lease hit.
+        // A lease fill, then a lease hit, on each client; the other one
+        // reads first, through its own descriptor.
         Stat(0),
         Stat(0),
+        Switch,
+        Read(0, 0, 4000),
+        Stat(0),
+        Stat(0),
+        // An overwrite that keeps the size: the revocation must reach the
+        // other client, whose stat must show the new mtime and whose read
+        // the new bytes.
+        Switch,
+        Write(0, 100, 500, 40),
+        Switch,
+        Stat(0),
+        Read(0, 0, 4000),
+        Switch,
         LatencySpike(400, 30),
         Burst(2, 700),
         Partition(0),
@@ -443,6 +473,28 @@ pub fn canonical() -> Vec<Op> {
         Write(3, 0, 1500, 5),
         Reopen(3),
         Read(3, 1000, 3000),
+        // The other client opens the file and warms its blocks; it is
+        // unlinked and created again, with a hole where they were.
+        Switch,
+        Read(3, 0, 1500),
+        Switch,
+        Toggle(3),
+        Toggle(3),
+        Write(3, 10000, 4, 9),
+        // Through the other client's old descriptor: a hole, a read
+        // across EOF, which caches the short EOF block and empty ones
+        // past it, and one wholly past EOF.
+        Switch,
+        Read(3, 0, 100),
+        Read(3, 9998, 4000),
+        Read(3, 20000, 10),
+        Switch,
+        // An extension past the short EOF block and the empty ones: none
+        // may end the other client's read early.
+        Write(3, 12500, 5, 13),
+        Switch,
+        Read(3, 9000, 4000),
+        Switch,
         Toggle(3),
         Stat(3),
         Storage(Plan::WriteErrors),
@@ -540,13 +592,24 @@ fn counting(len: u16, fill: u8) -> Vec<u8> {
     (0..len).map(|i| fill.wrapping_add(i as u8)).collect()
 }
 
-struct Driver {
-    c: Rc<Cluster>,
-    n: Rc<Cluster>,
+/// One client of each cluster, and the descriptors it holds.
+struct Client {
     mi: Rc<GlusterMount>,
     /// The IMCa mount's CMCache, which lists.
     cm: Rc<CmCache>,
     mn: Rc<GlusterMount>,
+    /// Open descriptors, IMCa's and the twin's.
+    fds: HashMap<u8, (Fd, Fd)>,
+}
+
+struct Driver {
+    c: Rc<Cluster>,
+    n: Rc<Cluster>,
+    /// The client issuing ops, and the other one.
+    me: Client,
+    other: Client,
+    /// Which client `me` is, 0 or 1.
+    at: usize,
     h: SimHandle,
     seed: u64,
     threaded: bool,
@@ -557,8 +620,9 @@ struct Driver {
     cooldown: SimDuration,
     /// The reference filesystem: every file that exists, by content.
     files: BTreeMap<u8, Vec<u8>>,
-    /// Open descriptors, IMCa's and the twin's.
-    fds: HashMap<u8, (Fd, Fd)>,
+    /// Per existing file, when IMCa's latest landed write or create of it
+    /// was issued: no stat that may not lag shows an earlier mtime.
+    floor: HashMap<u8, SimTime>,
     /// The storage plan installed on IMCa.
     plan: StorageFaultPlan,
     cut: [bool; MCDS as usize],
@@ -574,8 +638,8 @@ struct Driver {
     ran: BTreeMap<&'static str, u32>,
     sick_errors: Cell<u32>,
     /// The write a crash caught in flight, until the restart settles it:
-    /// (file, offset, bytes, acknowledged).
-    crashed_write: Option<(u8, u64, Vec<u8>, bool)>,
+    /// (file, offset, bytes, acknowledged, issued at, issuing client).
+    crashed_write: Option<(u8, u64, Vec<u8>, bool, SimTime, usize)>,
     /// The op being checked, for failure messages.
     here: String,
 }
@@ -639,13 +703,20 @@ impl Driver {
             }
             Op::Restart if c.server_alive() => return None,
             Op::Restart => self.restart().await,
+            Op::Switch => self.switch(),
         }
         Some(())
     }
 
+    fn switch(&mut self) {
+        std::mem::swap(&mut self.me, &mut self.other);
+        self.at ^= 1;
+    }
+
     /// Calm after the storm: heal, revive, restart and clear every
     /// fault, let every bank client's circuit close, then two full-file
-    /// passes on both clusters, which refill the bank for its check.
+    /// passes through each client of both clusters, which refill the bank
+    /// for its check.
     async fn calm(&mut self) {
         for (i, node) in self.c.mcds().iter().enumerate() {
             if self.cut[i] || !node.is_alive() || node.is_quarantined() {
@@ -662,12 +733,13 @@ impl Driver {
         self.n.install_storage_faults(StorageFaultPlan::default());
         self.h.sleep(self.cooldown).await;
         self.here = "calm".into();
-        for _pass in 0..2 {
+        for _client in 0..2 {
             for file in self.files.keys().copied().collect::<Vec<_>>() {
                 let len = self.files[&file].len() as u64;
                 let read = self.read(file, 0, len.max(1)).await;
                 assert!(read.is_some(), "calm: /storm/{file} could not be read");
             }
+            self.switch();
         }
     }
 
@@ -722,22 +794,22 @@ impl Driver {
         }
     }
 
-    /// The descriptors of `file`, opening it on both clusters if needed;
-    /// `None` if it does not exist, the server is down, or the open
-    /// failed.
+    /// The current client's descriptors of `file`, opening it on both
+    /// clusters if needed; `None` if it does not exist, the server is
+    /// down, or the open failed.
     async fn fd(&mut self, file: u8) -> Option<(Fd, Fd)> {
         self.files.get(&file)?;
-        if let Some(&fds) = self.fds.get(&file) {
+        if let Some(&fds) = self.me.fds.get(&file) {
             return Some(fds);
         }
         self.alive()?;
         let p = path(file);
-        let ri = self.mi.open(&p).await;
-        let rn = self.follow(&ri, self.mn.open(&p)).await;
+        let ri = self.me.mi.open(&p).await;
+        let rn = self.follow(&ri, self.me.mn.open(&p)).await;
         match ri {
             Ok(fi) => {
                 let fds = (fi, rn.unwrap().unwrap());
-                self.fds.insert(file, fds);
+                self.me.fds.insert(file, fds);
                 Some(fds)
             }
             Err(e) => {
@@ -770,29 +842,31 @@ impl Driver {
     }
 
     async fn write(&mut self, file: u8, offset: u64, data: &[u8]) -> Option<()> {
-        if !self.c.server_alive() && !self.fds.contains_key(&file) {
+        if !self.c.server_alive() && !self.me.fds.contains_key(&file) {
             return None;
         }
         let (fi, fd_n) = self.fd(file).await?;
         let t0 = self.h.now();
-        let ri = self.mi.write(fi, offset, data).await;
+        let ri = self.me.mi.write(fi, offset, data).await;
         let hung = self.h.now().since(t0) >= SimDuration::millis(10);
         assert!(
             self.c.server_alive() || !hung,
             "{}: a dead server hung",
             self.here
         );
-        self.follow(&ri, self.mn.write(fd_n, offset, data)).await;
+        self.follow(&ri, self.me.mn.write(fd_n, offset, data)).await;
         match ri {
-            Ok(_) => self.land(file, offset, data),
+            Ok(_) => self.land(file, offset, data, t0),
             Err(e) => self.check_err(e, false),
         }
         self.settle().await;
         Some(())
     }
 
-    /// A write of `data` at `offset` landed: the reference takes it.
-    fn land(&mut self, file: u8, offset: u64, data: &[u8]) {
+    /// A write of `data` at `offset`, issued `at`, landed: the reference
+    /// takes it.
+    fn land(&mut self, file: u8, offset: u64, data: &[u8], at: SimTime) {
+        self.floor.insert(file, at);
         let buf = self.files.get_mut(&file).unwrap();
         let end = offset as usize + data.len();
         if buf.len() < end {
@@ -815,25 +889,30 @@ impl Driver {
             c.crash_server();
             n.crash_server();
         });
-        let ri = self.mi.write(fi, at, &data).await;
+        let issued = self.h.now();
+        let ri = self.me.mi.write(fi, at, &data).await;
         // The crash's timer was set first, so it fires first.
         self.h.sleep_until(crash_at).await;
         if let Err(e) = ri {
             self.check_err(e, false);
         }
         self.reach = self.reach.max(at + data.len() as u64);
-        self.crashed_write = Some((file, at, data, ri.is_ok()));
+        self.crashed_write = Some((file, at, data, ri.is_ok(), issued, self.at));
         Some(())
     }
 
     /// Restart both servers, then settle the write a crash caught in
-    /// flight by the module doc's rule.
+    /// flight by the module doc's rule, through the client that issued it.
     async fn restart(&mut self) {
         self.c.restart_server().await;
         self.n.restart_server().await;
-        let Some((file, offset, data, acked)) = self.crashed_write.take() else {
+        let Some((file, offset, data, acked, issued, client)) = self.crashed_write.take() else {
             return;
         };
+        let away = client != self.at;
+        if away {
+            self.switch();
+        }
         // Crashed work is not cancelled (DESIGN.md §6c): wait for its end.
         let give_up = self.h.now() + SimDuration::secs(1);
         while self.c.server_queue_depth() > 0 {
@@ -844,26 +923,29 @@ impl Driver {
             );
             self.h.sleep(SimDuration::micros(50)).await;
         }
-        let (fi, fd_n) = self.fds[&file];
+        let (fi, fd_n) = self.me.fds[&file];
         let len = data.len() as u64;
         let old = self.want(file, offset, len).to_vec();
         let got = loop {
-            match self.mi.read(fi, offset, len).await {
+            match self.me.mi.read(fi, offset, len).await {
                 Ok(got) => break got,
                 Err(e) => self.check_err(e, true),
             }
         };
         if acked || got != old {
-            self.land(file, offset, &data);
+            self.land(file, offset, &data, issued);
             // The twin takes the bytes under any plan: no verdict is asked.
             self.n.install_storage_faults(StorageFaultPlan::default());
-            let rn = self.mn.write(fd_n, offset, &data).await;
+            let rn = self.me.mn.write(fd_n, offset, &data).await;
             assert!(rn.is_ok(), "{}: the twin refused it", self.here);
             let twin = self.twinned().then(|| self.plan.clone());
             self.n.install_storage_faults(twin.unwrap_or_default());
         }
         let settled = self.want(file, offset, len);
         assert!(got == settled, "{}: torn (acked: {acked})", self.here);
+        if away {
+            self.switch();
+        }
     }
 
     /// The reference bytes of `[offset, offset + len)`, short at EOF.
@@ -913,9 +995,9 @@ impl Driver {
         let (fi, fd_n) = self.fd(file).await?;
         self.reach = self.reach.max(offset + len);
         for pass in 1..=2 {
-            let ri = self.mi.read(fi, offset, len).await;
+            let ri = self.me.mi.read(fi, offset, len).await;
             if pass == 1 {
-                if let Some(rn) = self.follow(&ri, self.mn.read(fd_n, offset, len)).await {
+                if let Some(rn) = self.follow(&ri, self.me.mn.read(fd_n, offset, len)).await {
                     self.check_read(rn, file, offset, len, None);
                 }
             }
@@ -932,7 +1014,7 @@ impl Driver {
     async fn burst(&mut self, file: u8, offset: u64, writers: u64) -> Option<()> {
         self.alive()?;
         let (fi, fd_n) = self.fd(file).await?;
-        let (twinned, before) = (self.twinned(), self.files[&file].clone());
+        let (twinned, before, t0) = (self.twinned(), self.files[&file].clone(), self.h.now());
         let writes: Vec<(u64, Vec<u8>)> = (0..writers)
             .map(|w| {
                 let at = offset % 12288 + w * RACE_GAP;
@@ -941,7 +1023,7 @@ impl Driver {
             .collect();
         let mut lanes: Vec<Lane> = Vec::new();
         for (at, data) in writes.clone() {
-            let (mi, mn) = (Rc::clone(&self.mi), Rc::clone(&self.mn));
+            let (mi, mn) = (Rc::clone(&self.me.mi), Rc::clone(&self.me.mn));
             lanes.push(Box::pin(async move {
                 let ri = mi.write(fi, at, &data).await.map(|_| Vec::new());
                 // The twin follows as in `Driver::follow`.
@@ -954,7 +1036,7 @@ impl Driver {
             }));
         }
         for k in 0..BURST_READERS {
-            let (mi, mn) = (Rc::clone(&self.mi), Rc::clone(&self.mn));
+            let (mi, mn) = (Rc::clone(&self.me.mi), Rc::clone(&self.me.mn));
             let off = (offset + k * 2048) % 12288;
             lanes.push(Box::pin(async move {
                 let ri = mi.read(fi, off, BURST_LEN).await;
@@ -969,7 +1051,7 @@ impl Driver {
                 assert_eq!(ei, en, "{}: the twin's verdict differs", self.here);
             }
             match ri {
-                Ok(_) => self.land(file, *at, data),
+                Ok(_) => self.land(file, *at, data, t0),
                 Err(e) => self.check_err(e, false),
             }
         }
@@ -992,8 +1074,8 @@ impl Driver {
     async fn stat(&mut self, file: u8) -> Option<()> {
         self.alive()?;
         let p = path(file);
-        let ri = self.mi.stat(&p).await;
-        if let Some(rn) = self.follow(&ri, self.mn.stat(&p)).await {
+        let ri = self.me.mi.stat(&p).await;
+        if let Some(rn) = self.follow(&ri, self.me.mn.stat(&p)).await {
             self.check_stat(rn, file, false);
         }
         self.check_stat(ri, file, self.threaded);
@@ -1007,9 +1089,9 @@ impl Driver {
     /// write's unfinished work pushed may already show that write.
     async fn list(&mut self) {
         let installed = |cm: &CmCache| collect_from(&**cm.meta(), "").counter("leases_installed");
-        let before = installed(&self.cm);
+        let before = installed(&self.me.cm);
         let paths = (0..FILES).map(path).collect();
-        let answers = self.cm.stat_multi(paths).await;
+        let answers = self.me.cm.stat_multi(paths).await;
         let alive = self.c.server_alive();
         let from_bank = answers
             .iter()
@@ -1020,21 +1102,21 @@ impl Driver {
                 assert_eq!(r.stat, Err(FsError::Io), "{}: /storm/{file}", self.here);
                 continue;
             }
-            if let Some((_, at, data, _)) = self.crashed_write.as_ref().filter(|w| w.0 == file) {
+            if let Some((_, at, data, ..)) = self.crashed_write.as_ref().filter(|w| w.0 == file) {
                 let written = (self.files[&file].len() as u64).max(at + data.len() as u64);
                 if r.stat.map(|st| st.size) == Ok(written) {
                     continue;
                 }
             }
             if alive {
-                if let Some(rn) = self.follow(&r.stat, self.mn.stat(&path(file))).await {
+                if let Some(rn) = self.follow(&r.stat, self.me.mn.stat(&path(file))).await {
                     self.check_stat(rn, file, false);
                 }
             }
             self.check_stat(r.stat, file, self.threaded);
         }
         if !alive {
-            let new = installed(&self.cm).unwrap() - before.unwrap();
+            let new = installed(&self.me.cm).unwrap() - before.unwrap();
             assert!(
                 new <= from_bank as u64,
                 "{}: a dead server's answer installed",
@@ -1047,7 +1129,11 @@ impl Driver {
         let want = self.files.get(&file).map(|b| b.len() as u64);
         match (r, want) {
             (Ok(st), Some(size)) if may_lag => assert!(st.size <= size, "{}", self.here),
-            (Ok(st), Some(size)) => assert_eq!(st.size, size, "{}", self.here),
+            (Ok(st), Some(size)) => {
+                assert_eq!(st.size, size, "{}", self.here);
+                let floor = self.floor[&file].as_nanos();
+                assert!(st.mtime_ns >= floor, "{}: mtime under {floor}", self.here);
+            }
             (Err(FsError::NotFound), None) => {}
             (Err(FsError::Io), _) => self.check_err(FsError::Io, true),
             (r, want) => panic!("{}: stat {r:?} of a file sized {want:?}", self.here),
@@ -1061,9 +1147,9 @@ impl Driver {
     }
 
     async fn close(&mut self, file: u8) {
-        if let Some((fi, fd_n)) = self.fds.remove(&file) {
-            let ri = self.mi.close(fi).await;
-            self.follow(&ri, self.mn.close(fd_n)).await;
+        if let Some((fi, fd_n)) = self.me.fds.remove(&file) {
+            let ri = self.me.mi.close(fi).await;
+            self.follow(&ri, self.me.mn.close(fd_n)).await;
             if let Err(e) = ri {
                 self.check_err(e, false);
             }
@@ -1075,17 +1161,21 @@ impl Driver {
         let p = path(file);
         if self.files.contains_key(&file) {
             self.close(file).await;
-            let ri = self.mi.unlink(&p).await;
-            self.follow(&ri, self.mn.unlink(&p)).await;
+            let ri = self.me.mi.unlink(&p).await;
+            self.follow(&ri, self.me.mn.unlink(&p)).await;
             match ri {
                 Ok(()) => drop(self.files.remove(&file)),
                 Err(e) => self.check_err(e, false),
             }
         } else {
-            let ri = self.mi.create(&p).await;
-            self.follow(&ri, self.mn.create(&p)).await;
+            let t0 = self.h.now();
+            let ri = self.me.mi.create(&p).await;
+            self.follow(&ri, self.me.mn.create(&p)).await;
             match ri {
-                Ok(()) => drop(self.files.insert(file, Vec::new())),
+                Ok(()) => {
+                    self.files.insert(file, Vec::new());
+                    self.floor.insert(file, t0);
+                }
                 Err(e) => self.check_err(e, false),
             }
         }

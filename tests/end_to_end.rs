@@ -1,12 +1,14 @@
 //! Cross-crate integration: drive the complete stacks (client translators →
-//! fabric → server translators → storage) and verify data integrity,
-//! determinism, and the headline cache behaviours.
+//! fabric → server translators → storage) and verify data integrity and
+//! the headline cache behaviours by their counters. Equivalence with
+//! NoCache, coherence across clients and replay determinism are the one
+//! storm's (`tests/common/mod.rs`).
 
 use std::rc::Rc;
 
-use imca_repro::imca::{Cluster, ClusterConfig, ImcaConfig};
+use imca_repro::imca::{Cluster, ClusterConfig, ImcaConfig, RetryPolicy};
 use imca_repro::memcached::{McConfig, Selector};
-use imca_repro::sim::{join_all, Sim};
+use imca_repro::sim::{join_all, Sim, SimDuration};
 
 fn imca_config(mcds: usize) -> ClusterConfig {
     ClusterConfig::imca(ImcaConfig {
@@ -52,33 +54,6 @@ fn large_file_round_trip_through_every_layer() {
 }
 
 #[test]
-fn imca_and_nocache_return_identical_bytes() {
-    // Timing differs; data must not.
-    fn collect(cfg: ClusterConfig) -> Vec<u8> {
-        let mut sim = Sim::new(9);
-        let cluster = Rc::new(Cluster::build(sim.handle(), cfg));
-        let c = Rc::clone(&cluster);
-        sim.run_main(async move {
-            let m = c.mount();
-            m.create("/same").await.unwrap();
-            let fd = m.open("/same").await.unwrap();
-            for k in 0..64u64 {
-                m.write(fd, k * 777, &vec![(k % 251) as u8; 777])
-                    .await
-                    .unwrap();
-            }
-            // Overwrite a middle region.
-            m.write(fd, 10_000, &vec![0xEE; 5_000]).await.unwrap();
-            m.read(fd, 0, 64 * 777).await.unwrap()
-        })
-    }
-    let a = collect(ClusterConfig::nocache());
-    let b = collect(imca_config(2));
-    assert_eq!(a.len(), 64 * 777);
-    assert_eq!(a, b);
-}
-
-#[test]
 fn sixteen_concurrent_clients_on_separate_files() {
     let mut sim = Sim::new(5);
     let cluster = Rc::new(Cluster::build(sim.handle(), imca_config(2)));
@@ -104,40 +79,6 @@ fn sixteen_concurrent_clients_on_separate_files() {
         });
     }
     sim.run_main(async move { join_all(&h, clients).await });
-}
-
-#[test]
-fn whole_deployment_is_deterministic() {
-    fn trace() -> (u64, u64, u64, u64) {
-        let mut sim = Sim::new(1234);
-        let cluster = Rc::new(Cluster::build(sim.handle(), imca_config(3)));
-        let h = sim.handle();
-        let mut clients = Vec::new();
-        for id in 0..4u64 {
-            let c = Rc::clone(&cluster);
-            clients.push(async move {
-                let m = c.mount();
-                let path = format!("/det/{id}");
-                m.create(&path).await.unwrap();
-                let fd = m.open(&path).await.unwrap();
-                for k in 0..20u64 {
-                    m.write(fd, k * 512, &vec![k as u8; 512]).await.unwrap();
-                    m.read(fd, (k / 2) * 512, 512).await.unwrap();
-                    m.stat(&path).await.unwrap();
-                }
-            });
-        }
-        sim.run_main(async move { join_all(&h, clients).await });
-        let summary = sim.run();
-        let snap = cluster.metrics();
-        (
-            summary.end_time.as_nanos(),
-            summary.events,
-            snap.counter_sum("cmcache.*.read_hits"),
-            snap.counter_sum("cmcache.*.stat_hits"),
-        )
-    }
-    assert_eq!(trace(), trace());
 }
 
 #[test]
@@ -170,39 +111,6 @@ fn modulo_selector_spreads_file_blocks_evenly() {
         max - min <= 2,
         "round-robin distribution skewed: {per_mcd:?}"
     );
-}
-
-#[test]
-fn eof_and_sparse_semantics_through_the_cache() {
-    let mut sim = Sim::new(4);
-    let cluster = Rc::new(Cluster::build(sim.handle(), imca_config(1)));
-    let c = Rc::clone(&cluster);
-    sim.run_main(async move {
-        let m = c.mount();
-        m.create("/sparse").await.unwrap();
-        let fd = m.open("/sparse").await.unwrap();
-        // Write at an offset, leaving a hole.
-        m.write(fd, 10_000, b"tail").await.unwrap();
-        // Hole reads as zeros (twice: miss then cached).
-        for _ in 0..2 {
-            let hole = m.read(fd, 4_000, 100).await.unwrap();
-            assert_eq!(hole, vec![0u8; 100]);
-        }
-        // Read spanning the EOF is short.
-        for _ in 0..2 {
-            let tail = m.read(fd, 9_998, 100).await.unwrap();
-            assert_eq!(tail.len(), 6);
-            assert_eq!(&tail[2..], b"tail");
-        }
-        // Read entirely past EOF is empty.
-        for _ in 0..2 {
-            assert!(m.read(fd, 20_000, 10).await.unwrap().is_empty());
-        }
-        // Extending the file must invalidate the cached short state.
-        m.write(fd, 10_004, b"-more").await.unwrap();
-        let tail = m.read(fd, 10_000, 100).await.unwrap();
-        assert_eq!(tail, b"tail-more");
-    });
 }
 
 /// The batched data path's wire contract, end to end: a warm read
@@ -322,4 +230,76 @@ fn failover_counters_agree_with_bank_stats() {
         snap.counter("cmcache.0.read_misses"),
         "every bank miss must forward to the server"
     );
+}
+
+/// Regression: an RPC deadline expiring in the middle of a batched
+/// `get_multi` must fail the *whole* per-daemon group — the read is
+/// forwarded to the server intact (no block assembled from a partial
+/// multi-get response) and the group still counts exactly one
+/// `bank.multi_gets`, not one per retry attempt.
+#[test]
+fn deadline_mid_multi_get_fails_the_group_and_forwards_intact() {
+    let mut sim = Sim::new(16);
+    let cluster = Rc::new(Cluster::build(
+        sim.handle(),
+        ClusterConfig::imca(ImcaConfig {
+            mcd_count: 2,
+            // Round-robin placement: blocks 0,2 on daemon 0 and 1,3 on
+            // daemon 1, so partitioning daemon 0 splits every 4-block read.
+            selector: Selector::Modulo,
+            mcd_config: McConfig::with_mem_limit(32 << 20),
+            retry: RetryPolicy {
+                deadline: SimDuration::micros(200),
+                retries: 1,
+                backoff_base: SimDuration::micros(10),
+                backoff_cap: SimDuration::micros(40),
+                circuit_cooldown: SimDuration::millis(1),
+            },
+            ..ImcaConfig::default()
+        }),
+    ));
+    let c = Rc::clone(&cluster);
+    sim.run_main(async move {
+        let m = c.mount();
+        m.create("/coh/multi").await.unwrap();
+        let fd = m.open("/coh/multi").await.unwrap();
+        let payload: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
+        m.write(fd, 0, &payload).await.unwrap();
+        // Warm pass: every block served from the bank via one multi-get.
+        assert_eq!(m.read(fd, 0, 8192).await.unwrap(), payload);
+        let warm = c.metrics();
+
+        c.partition_mcd(0);
+        let got = m.read(fd, 0, 8192).await.unwrap();
+        assert_eq!(got, payload, "degraded read assembled wrong bytes");
+        let degraded = c.metrics();
+
+        let delta =
+            |name: &str| degraded.counter(name).unwrap_or(0) - warm.counter(name).unwrap_or(0);
+        // One read = one multi-get RPC per daemon group (2 daemons), and
+        // the timed-out group's retry must NOT count a third one.
+        assert_eq!(
+            delta("cmcache.0.bank.multi_gets"),
+            2,
+            "multi_gets double-counted"
+        );
+        // The partitioned daemon's group timed out (initial try + 1 retry)
+        // and every one of its keys was shed as a degraded miss…
+        assert_eq!(delta("cmcache.0.bank.rpc_timeouts"), 2);
+        assert_eq!(delta("cmcache.0.bank.retries"), 1);
+        assert_eq!(delta("cmcache.0.bank.degraded_misses"), 2);
+        // None of the group's keys is known to have landed: both count.
+        assert_eq!(delta("cmcache.0.bank.failures"), 2);
+        // …while the whole 4-block read stayed miss/hit-consistent: the
+        // healthy daemon's 2 blocks hit, the partitioned daemon's 2 missed.
+        assert_eq!(delta("cmcache.0.bank.gets"), 4);
+        assert_eq!(delta("cmcache.0.bank.hits"), 2);
+        assert_eq!(delta("cmcache.0.bank.misses"), 2);
+
+        // After healing + revival the same read is fully bank-served again.
+        c.heal_mcd(0);
+        c.revive_mcd(0);
+        c.handle().sleep(SimDuration::millis(2)).await;
+        assert_eq!(m.read(fd, 0, 8192).await.unwrap(), payload);
+    });
 }

@@ -29,7 +29,8 @@ fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// A single op: every variant, data ops weighted up, and so are
-/// restarts, because only writes run while the server is down. Half the
+/// restarts, because only writes run while the server is down, and
+/// switches, so both clients hold descriptors and leases. Half the
 /// data ops land on file 0, so one file sees long chains of EOF moves
 /// and overwrites; toggles pick any file.
 fn single_op() -> impl Strategy<Value = Op> {
@@ -60,6 +61,7 @@ fn single_op() -> impl Strategy<Value = Op> {
             |(f, offset, len, fill, us)| Op::CrashMidWrite(f, offset, len, fill, us)
         ),
         3 => Just(Op::Restart),
+        2 => Just(Op::Switch),
     ]
 }
 
@@ -142,7 +144,8 @@ fn assert_replays(run: impl Fn() -> Trace, moved: &[&str]) -> Trace {
 /// storage (a storm that never bites proves nothing), leaves cached
 /// blocks for the bank check, and moves the row's counters.
 macro_rules! canonical_replays {
-    ($($name:ident: $config:ident, [$($moved:literal),*];)*) => {$(
+    ($($(#[$doc:meta])* $name:ident: $config:ident, [$($moved:literal),*];)*) => {$(
+        $(#[$doc])*
         #[test]
         fn $name() {
             let trace = assert_replays(
@@ -157,11 +160,16 @@ macro_rules! canonical_replays {
 }
 
 canonical_replays! {
-    fixed_seed_fault_schedule_replays_identically: TwoKb, ["cmcache.0.bank.rpc_timeouts"];
+    fixed_seed_fault_schedule_replays_identically: TwoKb,
+        ["cmcache.*.bank.rpc_timeouts", "cmcache.*.stat_hits"];
+    /// The threaded worker runs the update jobs: bank fills and pushes
+    /// that no verdict needs, so only its counters can tell.
+    fixed_seed_threaded_replays_identically: Threaded,
+        ["smcache.deferred_jobs", "smcache.blocks_pushed", "cmcache.*.read_hits"];
     fixed_seed_fault_schedule_replays_identically_leased: Leases,
-        ["cmcache.0.meta.lease_hits", "leases.revocations_sent"];
+        ["cmcache.0.meta.lease_hits", "cmcache.1.meta.lease_hits", "leases.revocations_sent"];
     fixed_seed_fault_schedule_replays_identically_replicated: R2,
-        ["cmcache.0.bank.replica_failovers", "smcache.cas_replacements",
+        ["cmcache.*.bank.replica_failovers", "smcache.cas_replacements",
          "smcache.cas_conflicts", "smcache.cas_fallback_purges"];
     fixed_seed_full_chaos_replays_identically: ChaosR1,
         ["storage.io_errors", "smcache.dropped_pushes", "bank.mcd_revivals"];
