@@ -19,8 +19,7 @@
 //! pays the sender-side cost and propagates nowhere, and the *sender*
 //! learns of the failure — a dropped request blackholes the caller (it
 //! only learns via its own deadline, like a TCP connection that stops
-//! acknowledging), and a dropped `noreply` post reports `false` to the
-//! pipeline so it can retransmit or declare the connection dead.
+//! acknowledging).
 
 use std::collections::BTreeSet;
 

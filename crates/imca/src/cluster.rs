@@ -30,9 +30,9 @@ pub struct ImcaConfig {
     pub selector: Selector,
     /// Move server-side MCD updates to a background thread (§4.3.2).
     pub threaded_updates: bool,
-    /// Batch the bank data path: multi-key `get`s on the client read path
-    /// and `noreply` pipelines (one sync per daemon) for server-side
-    /// pushes and purges. On by default; off reverts to one awaited RPC
+    /// Batch the bank data path: multi-key `get`s on the client read path,
+    /// and one frame per daemon for each server-side push, purge and CAS
+    /// wave. On by default; off reverts to one awaited RPC
     /// per key (the ablation baseline). Read by the bank client alone
     /// (`BankClient`'s four bulk operations); metadata lookups are
     /// batched either way.
@@ -53,11 +53,11 @@ pub struct ImcaConfig {
     /// fault-injection tests and benches tighten them (EXPERIMENTS.md A3).
     pub retry: RetryPolicy,
     /// Optional separate policy for the server-side SMCache client. The
-    /// updater streams large `noreply` pipelines whose trailing sync
-    /// legitimately waits for every queued store, so it usually wants a
-    /// much longer deadline than the client-side read path — a read-tuned
-    /// deadline here falsely fails healthy pipeline syncs and quarantines
-    /// daemons. `None` = same as `retry`.
+    /// updater sends frames of many stores whose answer legitimately
+    /// waits for every one of them, so it usually wants a much longer
+    /// deadline than the client-side read path — a read-tuned deadline
+    /// here falsely fails healthy frames and quarantines daemons. `None`
+    /// = same as `retry`.
     pub server_retry: Option<RetryPolicy>,
     /// Replica placement for bank entries (DESIGN.md §4d): `factor`
     /// daemons per key, write/purge fan-out, P2C read spreading, and warm

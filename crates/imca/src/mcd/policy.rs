@@ -16,8 +16,8 @@ use super::daemon::{McdReq, McdResp};
 /// [`BankClient`](super::BankClient).
 ///
 /// The defaults are deliberately generous: on a healthy fabric the bank
-/// never comes close to them (a pipeline sync can legitimately wait a
-/// couple of milliseconds behind hundreds of streamed stores), so healthy
+/// never comes close to them (a frame can legitimately wait a couple of
+/// milliseconds behind hundreds of stores), so healthy
 /// simulations behave exactly as if no deadline existed. Fault-injection
 /// experiments pass tighter policies explicitly.
 #[derive(Debug, Clone)]
@@ -129,34 +129,38 @@ pub(super) enum CallOutcome {
     TimedOut,
 }
 
-/// Map a `cas` store's RPC outcome to its verdict. Anything that is not
-/// a definitive engine answer — transport failure, or a non-store reply
-/// such as a `CLIENT_ERROR` — is [`CasVerdict::Failed`]; the caller's
-/// settle step decides what that means for the daemon.
-pub(super) fn cas_verdict(outcome: &CallOutcome) -> CasVerdict {
-    match outcome {
-        CallOutcome::Resp(McdResp(Some(Response::Stored))) => CasVerdict::Stored,
-        CallOutcome::Resp(McdResp(Some(Response::Exists))) => CasVerdict::Conflict,
-        CallOutcome::Resp(McdResp(Some(Response::NotFound))) => CasVerdict::Missing,
-        CallOutcome::Resp(_) | CallOutcome::Dropped | CallOutcome::TimedOut => CasVerdict::Failed,
+/// Map the answer to the store at position `pos` of a frame to its
+/// verdict. Anything that is not a definitive engine answer — transport
+/// failure, or a non-store reply such as a `CLIENT_ERROR` — is
+/// [`CasVerdict::Failed`]; the caller's settle step decides what that
+/// means for the daemon.
+pub(super) fn cas_verdict(outcome: &CallOutcome, pos: usize) -> CasVerdict {
+    let CallOutcome::Resp(resp) = outcome else {
+        return CasVerdict::Failed;
+    };
+    match resp.at(pos) {
+        Some(Response::Stored) => CasVerdict::Stored,
+        Some(Response::Exists) => CasVerdict::Conflict,
+        Some(Response::NotFound) => CasVerdict::Missing,
+        _ => CasVerdict::Failed,
     }
 }
 
 /// A `get` (or, `with_cas`, the write path's token-fetching `gets`).
 pub(super) fn get_req(keys: Vec<Vec<u8>>, with_cas: bool) -> McdReq {
-    McdReq(Command::Get { keys, with_cas })
+    McdReq::one(Command::Get { keys, with_cas })
 }
 
-/// A `set`/`cas` store request with no flags and no expiry.
-pub(super) fn store_req(verb: StoreVerb, key: Vec<u8>, data: Bytes, noreply: bool) -> McdReq {
-    McdReq(Command::Store {
+/// A `set`/`cas` store command with no flags and no expiry.
+pub(super) fn store_cmd(verb: StoreVerb, key: Vec<u8>, data: Bytes, noreply: bool) -> Command {
+    Command::Store {
         verb,
         key,
         flags: 0,
         exptime: 0,
         data,
         noreply,
-    })
+    }
 }
 
 /// The next retry backoff: doubled, up to the policy's cap.
@@ -176,7 +180,7 @@ pub(super) struct Wire {
     pub(super) policy: RetryPolicy,
     /// RPC attempts abandoned at their deadline.
     pub(super) rpc_timeouts: Counter,
-    /// Retried attempts and retransmitted pipeline posts.
+    /// Retried attempts.
     pub(super) retries: Counter,
 }
 
@@ -187,68 +191,56 @@ impl Wire {
         idx: usize,
         req: McdReq,
     ) -> impl Future<Output = CallOutcome> + 'static {
+        self.call_each(idx, std::iter::once(req))
+    }
+
+    /// Send `frames` to daemon `idx` one after another, each through the
+    /// attempt loop once the one before it has answered, and return
+    /// their answers joined in order. The first frame that fails ends the
+    /// round: its outcome stands for all of it, and nothing after it is
+    /// sent. `frames` is drawn lazily, so a long round holds one frame's
+    /// commands at a time.
+    pub(super) fn call_each(
+        &self,
+        idx: usize,
+        frames: impl Iterator<Item = McdReq> + 'static,
+    ) -> impl Future<Output = CallOutcome> + 'static {
         let policy = self.policy.clone();
         let handle = self.handle.clone();
         let client = self.clients[idx].clone();
         let rpc_timeouts = self.rpc_timeouts.clone();
         let retries = self.retries.clone();
         async move {
-            let mut backoff = policy.backoff_base;
-            let mut attempt = 0;
-            loop {
-                let c = client.clone();
-                let r = req.clone();
-                match timeout(&handle, policy.deadline, async move { c.try_call(r).await }).await {
-                    Some(Some(resp)) => return CallOutcome::Resp(resp),
-                    Some(None) => return CallOutcome::Dropped,
-                    None => {
-                        rpc_timeouts.inc();
-                        if attempt >= policy.retries {
-                            return CallOutcome::TimedOut;
-                        }
-                        attempt += 1;
-                        retries.inc();
-                        handle.sleep(backoff).await;
-                        backoff = doubled(backoff, &policy);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The `noreply` pipeline to daemon `idx`: `batch` is streamed
-    /// back-to-back without individual acknowledgements, then a single
-    /// `version` round trip flushes the daemon's FIFO event loop — every
-    /// streamed command completes before the sync answers, so the sync's
-    /// outcome stands for the whole batch. A post the wire refuses is
-    /// retransmitted with the same capped backoff as [`Wire::call`]; once
-    /// the policy's retries are spent the connection is declared dead and
-    /// nothing past that point is known to have landed.
-    pub(super) fn pipeline(
-        &self,
-        idx: usize,
-        batch: impl Iterator<Item = McdReq> + 'static,
-    ) -> impl Future<Output = CallOutcome> + 'static {
-        let policy = self.policy.clone();
-        let handle = self.handle.clone();
-        let client = self.clients[idx].clone();
-        let retries = self.retries.clone();
-        let sync = self.call(idx, McdReq(Command::Version));
-        async move {
-            for req in batch {
+            let mut answers: Option<McdResp> = None;
+            for req in frames {
                 let mut backoff = policy.backoff_base;
                 let mut attempt = 0;
-                while !client.post(req.clone()).await {
-                    if attempt >= policy.retries {
-                        return CallOutcome::TimedOut;
+                let resp = loop {
+                    let c = client.clone();
+                    let r = req.clone();
+                    match timeout(&handle, policy.deadline, async move { c.try_call(r).await })
+                        .await
+                    {
+                        Some(Some(resp)) => break resp,
+                        Some(None) => return CallOutcome::Dropped,
+                        None => {
+                            rpc_timeouts.inc();
+                            if attempt >= policy.retries {
+                                return CallOutcome::TimedOut;
+                            }
+                            attempt += 1;
+                            retries.inc();
+                            handle.sleep(backoff).await;
+                            backoff = doubled(backoff, &policy);
+                        }
                     }
-                    attempt += 1;
-                    retries.inc();
-                    handle.sleep(backoff).await;
-                    backoff = doubled(backoff, &policy);
+                };
+                match &mut answers {
+                    Some(McdResp(joined)) => joined.extend(resp.0),
+                    None => answers = Some(resp),
                 }
             }
-            sync.await
+            CallOutcome::Resp(answers.unwrap_or(McdResp(Vec::new())))
         }
     }
 }

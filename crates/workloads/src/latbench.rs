@@ -37,9 +37,11 @@ pub struct LatencyBench {
     pub records: usize,
     /// Steady-state mode: every node opens first, a barrier lets the
     /// open purges (§4.3.2) settle, one untimed pass re-populates the
-    /// bank, and only then does the timed pass run. Isolates the cache
+    /// bank, and only then does the timed pass run; a last barrier holds
+    /// every close until all timed passes are done. Isolates the cache
     /// tier's service latency from the cold-start population dynamics
-    /// (the replication ablation measures hit tails, not miss storms).
+    /// and the closing purges (the replication ablation measures hit
+    /// tails, not miss storms).
     pub warmup: bool,
     /// §5.6 mode: all nodes share one file; only the root writes.
     pub shared_file: bool,
@@ -219,6 +221,14 @@ pub fn run(cfg: &LatencyBench) -> LatencyResult {
                 }
                 let mean = h.now().since(t0).as_micros_f64() / cfg.records as f64;
                 reads.borrow_mut().entry(size).or_default().push(mean);
+                if cfg.warmup {
+                    // The timed pass ends together too: a close purges the
+                    // file (§4.3.2), so the first reader to close a shared
+                    // file would turn every straggler's last reads into
+                    // misses, and the tail would time that purge instead
+                    // of the cache tier.
+                    barrier.wait().await;
+                }
                 cli.close(fd).await;
             }
             op_ns

@@ -158,6 +158,10 @@ pub enum Plan {
     /// Every write fails (rate 1.0), reads are healthy: draw-free, so the
     /// twin reaches the same verdicts.
     WriteErrors,
+    /// Every read that reaches the media fails (rate 1.0), writes are
+    /// healthy: a write lands, and the covering re-read of a block it
+    /// only partly wrote is refused unless the page cache holds it.
+    ReadErrors,
     /// Fractional read and write error rates, a 1 ms brown-out 2 ms from
     /// now, and one member disk 6× slow.
     Sick,
@@ -170,6 +174,10 @@ impl Plan {
             Plan::Healthy => StorageFaultPlan::default(),
             Plan::WriteErrors => StorageFaultPlan {
                 write_error: 1.0,
+                ..StorageFaultPlan::default()
+            },
+            Plan::ReadErrors => StorageFaultPlan {
+                read_error: 1.0,
                 ..StorageFaultPlan::default()
             },
             Plan::Sick => StorageFaultPlan {
@@ -537,6 +545,21 @@ pub fn canonical() -> Vec<Op> {
     ops.extend([Crash, List]);
     ops.extend((0..3).map(|file| Write(file, 0, 4, 0)));
     ops.push(Restart);
+    // On healthy media again, a write that covers one page of a warm
+    // block: on the 8 KB rows the other page comes from the dropped page
+    // cache, so the purge protocol's covering re-read is refused. Its
+    // purge went first, so the read after must not find the pre-write
+    // block in the bank.
+    ops.extend([
+        Storage(Plan::Healthy),
+        Write(0, 0, 8192, 7),
+        Read(0, 0, 4000),
+        DropCaches,
+        Storage(Plan::ReadErrors),
+        Write(0, 100, 500, 40),
+        Storage(Plan::Healthy),
+        Read(0, 0, 4000),
+    ]);
     ops
 }
 
