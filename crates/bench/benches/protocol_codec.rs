@@ -16,6 +16,7 @@ fn bench_commands(c: &mut Criterion) {
             flags: 0,
             exptime: 0,
             data: Bytes::from(vec![0u8; size]),
+            with_cas: false,
             noreply: false,
         };
         let wire = encode_command(&cmd);

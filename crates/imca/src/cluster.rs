@@ -34,7 +34,7 @@ pub struct ImcaConfig {
     /// and one frame per daemon for each server-side push, purge and CAS
     /// wave. On by default; off reverts to one awaited RPC
     /// per key (the ablation baseline). Read by the bank client alone
-    /// (`BankClient`'s four bulk operations); metadata lookups are
+    /// (`BankClient`'s five bulk operations); metadata lookups are
     /// batched either way.
     pub batching: bool,
     /// Number of MemCached daemons in the bank.

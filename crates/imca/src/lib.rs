@@ -62,8 +62,8 @@ mod smcache;
 pub use cluster::{Cluster, ClusterConfig, ImcaConfig};
 pub use cmcache::CmCache;
 pub use mcd::{
-    start_mcd, Bank, BankClient, CasToken, CasVerdict, McdCosts, McdNode, McdReq, McdResp,
-    Replication, RetryPolicy,
+    start_mcd, Bank, BankClient, CasToken, CasVerdict, Kept, McdCosts, McdNode, McdReq, McdResp,
+    Replication, RetryPolicy, KEPT_SLOTS,
 };
 pub use meta::{
     serve_revocations, LeaseAck, LeaseHub, LeaseRevoke, MetaConfig, MetaEngine, MetaPolicy,

@@ -15,8 +15,8 @@ use imca_sim::{join_all, SimTime};
 
 use super::daemon::{McdNode, McdReq, McdResp};
 use super::policy::{
-    cas_verdict, get_req, store_cmd, CallOutcome, CasToken, CasVerdict, ReplicaRows, RetryPolicy,
-    Wire,
+    cas_verdict, get_req, store_cmd, stored_token, Answer, CallOutcome, CasToken, CasVerdict, Kept,
+    ReplicaRows, RetryPolicy, Wire,
 };
 use crate::cluster::ImcaConfig;
 use crate::keys::block_offset;
@@ -96,18 +96,21 @@ struct ReadKey {
 ///   next round past the replica that failed — until a replica answers or
 ///   none is left and the read resolves as a local miss.
 /// * **Writes** ([`set`](BankClient::set), [`delete`](BankClient::delete),
-///   `BankClient::cas`) go through one fan-out,
+///   `BankClient::store_one`, `BankClient::cas`) go through one fan-out,
 ///   `BankClient::write_fanout`, to every usable replica; any write
 ///   that fails quarantines its daemon.
 /// * **Bulk writes** (`BankClient::set_pipeline`,
-///   `BankClient::delete_pipeline`, `BankClient::cas_pipeline`) send
-///   each daemon its whole share as one frame and get one reply frame
-///   back: `noreply` commands with a trailing `version` as the sync, or
-///   `cas` stores whose answers are read back by position.
+///   `BankClient::delete_pipeline`, `BankClient::set_kept_pipeline`,
+///   `BankClient::cas_pipeline`) send each daemon its whole share as one
+///   frame and get one reply frame back: `noreply` commands with a
+///   trailing `version` as the sync, or answering stores — `set`s that
+///   ask for their tokens, `cas`es — whose answers are read back by
+///   position (`BankClient::answered_frames`).
 ///
-/// The data path's four bulk operations —
+/// The data path's five bulk operations —
 /// [`fetch_blocks`](BankClient::fetch_blocks),
 /// [`store_blocks`](BankClient::store_blocks),
+/// [`store_kept`](BankClient::store_kept),
 /// [`remove_keys`](BankClient::remove_keys) and
 /// [`cas_blocks`](BankClient::cas_blocks) — are the only place
 /// [`ImcaConfig::batching`] is consulted: each travels batched (multi-key
@@ -126,7 +129,7 @@ pub struct BankClient {
     /// [`ImcaConfig::block_size`]: modulo placement routes a block key
     /// by its offset over this.
     block_size: u64,
-    /// [`ImcaConfig::batching`]: how the four bulk operations are framed.
+    /// [`ImcaConfig::batching`]: how the five bulk operations are framed.
     batched: bool,
     registry: Registry,
     gets: Counter,
@@ -206,6 +209,7 @@ impl BankClient {
                 policy,
                 rpc_timeouts: registry.counter("rpc_timeouts"),
                 retries: registry.counter("retries"),
+                in_doubt: Rc::new(Cell::new(0)),
             },
             net,
             map: ServerMap::new(cfg.selector, nodes.len()),
@@ -243,12 +247,27 @@ impl BankClient {
     /// Whether a store this client issued may land after one it issued
     /// later. On a fault-free fabric every daemon link is FIFO and a
     /// daemon's event loop runs commands in arrival order, so stores land
-    /// in issue order. That ends once a fault plan is installed (jitter
-    /// and latency spikes reorder a link) or a call was retried (the
-    /// attempt that passed its deadline, or its retransmit, may land
-    /// after what was issued behind it).
+    /// in issue order. That ends while a fault plan is installed (jitter
+    /// and latency spikes reorder a link), and while an attempt abandoned
+    /// at its deadline may still land after what was issued behind it:
+    /// from its timeout until its late answer or reset arrives.
     pub fn may_reorder(&self) -> bool {
-        self.net.has_faults() || self.wire.retries.get() > 0
+        self.net.has_faults() || self.wire.in_doubt.get() > 0
+    }
+
+    /// A mark to take just before a store whose landing order matters;
+    /// ask [`BankClient::reordered_since`] once it has returned.
+    pub fn reorder_mark(&self) -> u64 {
+        self.wire.rpc_timeouts.get()
+    }
+
+    /// Whether a store issued at `mark` may have landed out of issue
+    /// order: [`BankClient::may_reorder`], or an attempt timed out since
+    /// `mark`. A retry re-sends its store after whatever was issued
+    /// meanwhile, so the store may land last even once the attempt it
+    /// replaced has answered.
+    pub fn reordered_since(&self, mark: u64) -> bool {
+        self.may_reorder() || self.wire.rpc_timeouts.get() != mark
     }
 
     /// Liveness/quarantine/circuit verdict for daemon `idx`.
@@ -541,7 +560,8 @@ impl BankClient {
     }
 
     /// Per-replica `gets` for an in-place update wave (DESIGN.md §4f) —
-    /// the client's only token fetch. Fetches `keys` from *every* usable
+    /// the token fetch for what the writer holds no [`Kept`] tokens of
+    /// ([`BankClient::kept_tokens`]). Fetches `keys` from *every* usable
     /// replica — not one routed replica per key as
     /// [`BankClient::get_multi`] does — returning for each key the
     /// `(daemon, value-with-token)` rows that answered (`ReplicaRows`).
@@ -565,19 +585,19 @@ impl BankClient {
     /// internal fetch, and folding it in would skew the read hit rate.
     pub async fn gets_for_update(&self, keys: &[Vec<u8>]) -> Vec<ReplicaRows> {
         let mut out: Vec<ReplicaRows> = vec![Vec::new(); keys.len()];
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut groups: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
         for (pos, key) in keys.iter().enumerate() {
-            for idx in self.write_targets(self.replicas(key)) {
-                groups.entry(idx).or_default().push(pos);
+            for (slot, idx) in self.write_slots(key) {
+                groups.entry(idx).or_default().push((pos, slot));
             }
         }
-        let groups: Vec<(usize, Vec<usize>)> = groups.into_iter().collect();
+        let groups: Vec<(usize, Vec<(usize, usize)>)> = groups.into_iter().collect();
         let calls: Vec<_> = groups
             .iter()
             .map(|(idx, members)| {
                 self.multi_gets.inc();
                 self.keys_per_multi_get.record(members.len() as u64);
-                let group_keys = members.iter().map(|&p| keys[p].clone()).collect();
+                let group_keys = members.iter().map(|&(p, _)| keys[p].clone()).collect();
                 self.wire.call(*idx, get_req(group_keys, true))
             })
             .collect();
@@ -592,10 +612,17 @@ impl BankClient {
                 _ => Vec::new(),
             };
             let mut vals = vals.into_iter().peekable();
-            for p in members {
+            for (p, slot) in members {
                 let row = vals.next_if(|v| v.key == keys[p]).map(|v| {
                     let token = v.cas.expect("gets reply carries a token");
-                    (v.data, CasToken { daemon: idx, token })
+                    (
+                        v.data,
+                        CasToken {
+                            daemon: idx,
+                            slot,
+                            token,
+                        },
+                    )
                 });
                 out[p].push((idx, row));
             }
@@ -635,6 +662,42 @@ impl BankClient {
             bank.set(&key, value).await
         })
         .await;
+    }
+
+    /// Store many values like [`BankClient::store_blocks`], each store
+    /// asking its daemon for the item's new CAS unique (meta `ms … c`),
+    /// and return the tokens per item by replica position: one frame of
+    /// answering stores per daemon, read back by position, or per key. A
+    /// replica that was skipped or failed keeps no token.
+    pub async fn store_kept(self: &Rc<Self>, items: Vec<(Vec<u8>, Bytes)>) -> Vec<Kept> {
+        if self.batched {
+            return self.set_kept_pipeline(&items).await;
+        }
+        self.per_key(items, |bank, (key, value)| async move {
+            bank.store_one(&key, value, Answer::Token).await
+        })
+        .await
+    }
+
+    /// The `cas` tokens that replace `key` without a `gets`, from the
+    /// tokens `kept` for it: one per usable write target, or `None` when a
+    /// usable target has no token kept, and only a `gets` can say what it
+    /// holds. Dead and shed replicas are no targets, as for
+    /// [`BankClient::gets_for_update`].
+    pub fn kept_tokens(&self, key: &[u8], kept: &Kept) -> Option<Vec<CasToken>> {
+        self.replicas(key)
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, daemon)| matches!(self.probe(daemon), Route::Live))
+            .map(|(slot, daemon)| {
+                let token = kept.at(slot)?;
+                Some(CasToken {
+                    daemon,
+                    slot,
+                    token,
+                })
+            })
+            .collect()
     }
 
     /// Remove many keys from every replica that could still serve them:
@@ -702,29 +765,72 @@ impl BankClient {
                 groups.entry(idx).or_default().push(pos);
             }
         }
-        let groups: Vec<(usize, Vec<usize>)> = groups.into_iter().collect();
+        let command = |&pos: &usize| {
+            let (key, data, token) = &items[pos];
+            cas_cmd(key.clone(), data.clone(), *token)
+        };
+        let verdict = |pos, outcome: &CallOutcome, at| verdicts[pos] = cas_verdict(outcome, at);
+        self.answered_frames(groups, command, &self.pipelined_cas, verdict)
+            .await;
+        verdicts
+    }
+
+    /// The batched token-asking store ([`BankClient::store_kept`]): each
+    /// item goes to every usable replica of its key, each daemon gets its
+    /// share as one frame of answering `set`s, and each answer's token is
+    /// kept at the replica position it came from.
+    async fn set_kept_pipeline(&self, items: &[(Vec<u8>, Bytes)]) -> Vec<Kept> {
+        self.sets.add(items.len() as u64);
+        let mut kept = vec![Kept::default(); items.len()];
+        let mut groups: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+        for (pos, (key, _)) in items.iter().enumerate() {
+            for (slot, idx) in self.write_slots(key) {
+                groups.entry(idx).or_default().push((pos, slot));
+            }
+        }
+        let command = |&(pos, _): &(usize, usize)| {
+            let (key, value) = &items[pos];
+            store_cmd(StoreVerb::Set, key.clone(), value.clone(), Answer::Token)
+        };
+        let keep = |(pos, slot): (usize, usize), outcome: &CallOutcome, at| {
+            if let Some(token) = stored_token(outcome, at) {
+                kept[pos].keep(slot, token);
+            }
+        };
+        self.answered_frames(groups, command, &self.pipelined_sets, keep)
+            .await;
+        kept
+    }
+
+    /// Send each daemon in `groups` one frame of answering commands (several
+    /// past [`MAX_FRAME`]), `command` making each member's, all daemons
+    /// concurrently; `streamed` counts the commands. Each daemon's outcome
+    /// is settled as one write per command, and `read` is handed every
+    /// member with its daemon's outcome and its position in that
+    /// daemon's answers.
+    async fn answered_frames<M>(
+        &self,
+        groups: BTreeMap<usize, Vec<M>>,
+        command: impl Fn(&M) -> Command,
+        streamed: &Counter,
+        mut read: impl FnMut(M, &CallOutcome, usize),
+    ) {
+        let groups: Vec<(usize, Vec<M>)> = groups.into_iter().collect();
         let calls: Vec<_> = groups
             .iter()
             .map(|(idx, members)| {
-                self.pipelined_cas.add(members.len() as u64);
-                let frame: Vec<Command> = members
-                    .iter()
-                    .map(|&pos| {
-                        let (key, data, token) = &items[pos];
-                        cas_cmd(key.clone(), data.clone(), *token)
-                    })
-                    .collect();
+                streamed.add(members.len() as u64);
+                let frame: Vec<Command> = members.iter().map(&command).collect();
                 self.wire.call_each(*idx, framed(frame, |cmd| cmd, false))
             })
             .collect();
         let outcomes = join_all(&self.wire.handle, calls).await;
         for ((idx, members), outcome) in groups.into_iter().zip(outcomes) {
             self.settle_write(idx, &outcome, members.len() as u64);
-            for (at, pos) in members.into_iter().enumerate() {
-                verdicts[pos] = cas_verdict(&outcome, at);
+            for (at, member) in members.into_iter().enumerate() {
+                read(member, &outcome, at);
             }
         }
-        verdicts
     }
 
     /// Store many values in one frame per daemon: each item goes to
@@ -737,7 +843,7 @@ impl BankClient {
             let targets = self.write_targets(self.replicas(&key));
             enqueue(&mut groups, &targets, (key, value));
         }
-        let command = |(key, value)| store_cmd(StoreVerb::Set, key, value, true);
+        let command = |(key, value)| store_cmd(StoreVerb::Set, key, value, Answer::Quiet);
         self.frames(groups, command, &self.pipelined_sets).await;
     }
 
@@ -786,10 +892,24 @@ impl BankClient {
 
     /// Store one value on every usable replica of its key.
     pub async fn set(&self, key: &[u8], value: Bytes) {
+        self.store_one(key, value, Answer::Status).await;
+    }
+
+    /// Store one value on every usable replica of its key, answering as
+    /// `answer` says: the tokens the replicas answered with, by replica
+    /// position (none unless `answer` asks for them).
+    async fn store_one(&self, key: &[u8], value: Bytes, answer: Answer) -> Kept {
         self.sets.inc();
-        let req = McdReq::one(store_cmd(StoreVerb::Set, key.to_vec(), value, false));
-        self.write_fanout(self.write_targets(self.replicas(key)), req)
-            .await;
+        let (slots, targets): (Vec<usize>, Vec<usize>) = self.write_slots(key).unzip();
+        let req = McdReq::one(store_cmd(StoreVerb::Set, key.to_vec(), value, answer));
+        let outcomes = self.write_fanout(targets, req).await;
+        let mut kept = Kept::default();
+        for (slot, outcome) in slots.into_iter().zip(&outcomes) {
+            if let Some(token) = stored_token(outcome, 0) {
+                kept.keep(slot, token);
+            }
+        }
+        kept
     }
 
     /// Remove one key from every usable replica — a purge is only
@@ -811,15 +931,28 @@ impl BankClient {
     /// once their circuit closes; either way nothing this write makes
     /// stale is served from them meanwhile).
     fn write_targets(&self, mut replicas: Vec<usize>) -> Vec<usize> {
-        replicas.retain(|&idx| match self.probe(idx) {
+        replicas.retain(|&idx| self.writable(idx));
+        replicas
+    }
+
+    /// [`BankClient::write_targets`] of `key`'s replica set, each with its
+    /// position in the set: `(slot, daemon)`.
+    fn write_slots(&self, key: &[u8]) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let replicas = self.replicas(key).into_iter().enumerate();
+        replicas.filter(|&(_, idx)| self.writable(idx))
+    }
+
+    /// Whether a write may go to daemon `idx`, counting a shed one
+    /// degraded.
+    fn writable(&self, idx: usize) -> bool {
+        match self.probe(idx) {
             Route::Live => true,
             Route::Dead => false,
             Route::Shed => {
                 self.degraded_misses.inc();
                 false
             }
-        });
-        replicas
+        }
     }
 
     /// The write fan-out: send `req` to every target — awaited directly
@@ -891,10 +1024,10 @@ fn framed<T: 'static>(
     })
 }
 
-/// A `cas` of `data` under `key` against `token`; it answers, so the
-/// verdict can be read.
+/// A `cas` of `data` under `key` against `token`; it answers with its
+/// new token, so the verdict can be read and the token kept.
 fn cas_cmd(key: Vec<u8>, data: Bytes, token: CasToken) -> Command {
-    store_cmd(StoreVerb::Cas(token.token), key, data, false)
+    store_cmd(StoreVerb::Cas(token.token), key, data, Answer::Token)
 }
 
 /// Queue `item` for every daemon in `targets`, moving it into the last
@@ -1457,6 +1590,70 @@ mod tests {
     }
 
     #[test]
+    fn may_reorder_holds_only_while_a_timed_out_attempt_may_still_land() {
+        // A seven-command purge frame holds a 500 µs-per-command daemon
+        // for 3.5 ms. A set queued behind it passes its 3 ms deadline
+        // once: its first attempt lands at 4 ms, the retry behind it.
+        let mut sim = Sim::new(0);
+        let cfg = ImcaConfig {
+            mcd_costs: McdCosts {
+                per_op: SimDuration::micros(500),
+                ..McdCosts::default()
+            },
+            ..ImcaConfig::default()
+        };
+        let policy = RetryPolicy {
+            deadline: SimDuration::millis(3),
+            ..RetryPolicy::default()
+        };
+        let (net, bank, setter) = bank_over(&sim, 1, &cfg, policy);
+        let purger = Rc::new(bank.client(net.add_node(), &cfg, RetryPolicy::default()));
+        let h = sim.handle();
+        let (s2, h2) = (Rc::clone(&setter), h.clone());
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let done = Rc::new(Cell::new(false));
+        let (seen2, done2) = (Rc::clone(&seen), Rc::clone(&done));
+        h.spawn(async move {
+            while !done2.get() {
+                let now = h2.now().as_nanos() / 1_000;
+                seen2.borrow_mut().push((now, s2.may_reorder()));
+                h2.sleep(SimDuration::micros(50)).await;
+            }
+        });
+        let (s3, h3) = (Rc::clone(&setter), h.clone());
+        let (mark, returned) = sim.run_main(async move {
+            let keys = (0..6).map(|i| format!("/p:{i}").into_bytes()).collect();
+            h3.spawn(async move { purger.remove_keys(keys).await });
+            h3.sleep(SimDuration::micros(10)).await;
+            let mark = s3.reorder_mark();
+            s3.set(b"/k:0", Bytes::from_static(b"v")).await;
+            done.set(true);
+            (mark, h3.now().as_nanos() / 1_000)
+        });
+        assert_eq!(counter(&setter, "retries"), 1, "one attempt timed out");
+        assert_eq!(counter(&setter, "failures"), 0);
+        // In doubt from the deadline until the first attempt's answer.
+        let doubt: Vec<u64> = seen
+            .borrow()
+            .iter()
+            .filter(|&&(_, reorder)| reorder)
+            .map(|&(t, _)| t)
+            .collect();
+        let (first, last) = (doubt[0], *doubt.last().unwrap());
+        assert!((3_010..3_100).contains(&first), "in doubt from {first} µs");
+        assert!((4_000..4_100).contains(&last), "in doubt until {last} µs");
+        assert_eq!(doubt.len() as u64, (last - first) / 50 + 1, "one window");
+        assert!(
+            last < returned,
+            "the retry answered after the first attempt"
+        );
+        assert!(!setter.may_reorder());
+        // The retried store itself may still have landed last.
+        assert!(setter.reordered_since(mark));
+        assert!(!setter.reordered_since(setter.reorder_mark()));
+    }
+
+    #[test]
     fn partitioned_daemon_times_out_then_the_circuit_sheds() {
         for via in [Via::Get, Via::Multi] {
             let mut sim = Sim::new(0);
@@ -1798,11 +1995,12 @@ mod tests {
             c2.set(b"/k:0", Bytes::from_static(b"old")).await;
             let (v, tok) = fetch_token(&c2, b"/k:0").await.expect("warm key");
             assert_eq!(v, Bytes::from_static(b"old"));
-            // Token still current → replaced in place.
-            assert_eq!(
-                c2.cas(b"/k:0", Bytes::from_static(b"new"), tok).await,
-                CasVerdict::Stored
-            );
+            // Token still current → replaced in place, answering the
+            // item's new token.
+            let CasVerdict::Stored(next) = c2.cas(b"/k:0", Bytes::from_static(b"new"), tok).await
+            else {
+                panic!("a current token must store")
+            };
             assert_eq!(c2.get(b"/k:0").await.unwrap(), &b"new"[..]);
             // The successful cas bumped the version: the same token is
             // now stale and must conflict, leaving the value untouched.
@@ -1813,6 +2011,7 @@ mod tests {
             assert_eq!(c2.get(b"/k:0").await.unwrap(), &b"new"[..]);
             // An interleaved plain set also invalidates an issued token.
             let (_, tok2) = fetch_token(&c2, b"/k:0").await.unwrap();
+            assert_eq!(tok2.token, next, "the answered token is the held one");
             c2.set(b"/k:0", Bytes::from_static(b"set")).await;
             assert_eq!(
                 c2.cas(b"/k:0", Bytes::from_static(b"zzz"), tok2).await,
@@ -1843,6 +2042,15 @@ mod tests {
         (0..bank.nodes().len())
             .map(|i| snap.counter(&format!("bank.mcd.{i}.requests")).unwrap())
             .collect()
+    }
+
+    /// `verdicts` with every `Stored` token zeroed: the outcomes alone.
+    fn outcomes(verdicts: &[CasVerdict]) -> Vec<CasVerdict> {
+        let zeroed = |v: &CasVerdict| match v {
+            CasVerdict::Stored(_) => CasVerdict::Stored(0),
+            other => *other,
+        };
+        verdicts.iter().map(zeroed).collect()
     }
 
     /// Store `0u8` blocks 0..8 of `path` (block `i` on daemon `i % 2` of
@@ -1882,9 +2090,9 @@ mod tests {
                 [1, 1],
                 "one frame per daemon"
             );
-            let mut want = vec![CasVerdict::Stored; 8];
+            let mut want = vec![CasVerdict::Stored(0); 8];
             want[2] = CasVerdict::Conflict;
-            assert_eq!(verdicts, want, "verdicts in item order");
+            assert_eq!(outcomes(&verdicts), want, "verdicts in item order");
             // The conflicted key kept the interleaved value; the others
             // carry the replacements.
             assert_eq!(c2.get(&block("/c", 2)).await.unwrap(), &vec![5u8; 64][..]);
@@ -1925,11 +2133,11 @@ mod tests {
         });
         let want: Vec<CasVerdict> = (0..8)
             .map(|i| match i % 2 {
-                0 => CasVerdict::Stored,
+                0 => CasVerdict::Stored(0),
                 _ => CasVerdict::Failed,
             })
             .collect();
-        assert_eq!(verdicts, want);
+        assert_eq!(outcomes(&verdicts), want);
         assert_eq!(counter(&client, "failures"), 4, "daemon 1's items only");
         assert!(bank.nodes()[1].is_quarantined());
         assert!(!bank.nodes()[0].is_quarantined());
@@ -1959,7 +2167,7 @@ mod tests {
             // One frame to each token's daemon, none elsewhere.
             let before = requests(&b2);
             let verdicts = c2.cas_blocks(items.clone()).await;
-            assert!(verdicts.iter().all(|v| *v == CasVerdict::Stored));
+            assert_eq!(outcomes(&verdicts), [CasVerdict::Stored(0); 2]);
             let after = requests(&b2);
             let sent: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
             assert_eq!(sent, [1, 1, 0, 0]);
@@ -2010,10 +2218,8 @@ mod tests {
                     .await
                     .expect("admission control must not shed a token fetch");
                 assert_eq!(v, Bytes::from_static(b"v"));
-                assert_eq!(
-                    c2.cas(b"/k:stat", Bytes::from_static(b"w"), tok).await,
-                    CasVerdict::Stored
-                );
+                let verdict = c2.cas(b"/k:stat", Bytes::from_static(b"w"), tok).await;
+                assert!(matches!(verdict, CasVerdict::Stored(_)));
             });
             assert_eq!(
                 counters(&*client, ["sets", "gets", "hits", "misses"]),

@@ -68,6 +68,9 @@ fn command_bytes(cmd: &Command) -> usize {
 /// Text-protocol size of one answer; a `noreply` command sends none.
 fn response_bytes(resp: &Option<Response>) -> usize {
     match resp {
+        // A store that asked for its token carries it in decimal, as a
+        // `gets` value does.
+        Some(Response::StoredCas(_)) => 16 + 21,
         Some(Response::Values(values)) => {
             // A `gets` reply carries the decimal CAS token per value.
             5 + values

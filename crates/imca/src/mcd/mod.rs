@@ -36,18 +36,27 @@
 //!   [`BankClient::delete`] and the private `cas`: the request goes to
 //!   every usable target, and a daemon whose write fails is quarantined;
 //! * **one frame per daemon** behind the private `set_pipeline`,
-//!   `delete_pipeline` and `cas_pipeline`: each daemon's whole share of a
-//!   bulk call travels as one request message ([`McdReq`] carries every
-//!   command) and comes back as one reply ([`McdResp`], an answer per
-//!   command) — `noreply` commands behind a trailing `version` as the
-//!   sync, or an update wave's `cas` stores read back by position
-//!   (DESIGN.md §4c).
+//!   `delete_pipeline`, `set_kept_pipeline` and `cas_pipeline`: each
+//!   daemon's whole share of a bulk call travels as one request message
+//!   ([`McdReq`] carries every command) and comes back as one reply
+//!   ([`McdResp`], an answer per command) — `noreply` commands behind a
+//!   trailing `version` as the sync, or answering stores read back by
+//!   position (DESIGN.md §4c).
 //!
-//! The translators reach the bulk forms through four entry points —
+//! The translators reach the bulk forms through five entry points —
 //! [`BankClient::fetch_blocks`], [`BankClient::store_blocks`],
-//! [`BankClient::remove_keys`], [`BankClient::cas_blocks`] — each of
-//! which picks the batched form or one task per key from
-//! `ImcaConfig::batching`; no other module reads that switch.
+//! [`BankClient::store_kept`], [`BankClient::remove_keys`],
+//! [`BankClient::cas_blocks`] — each of which picks the batched form or
+//! one task per key from `ImcaConfig::batching`; no other module reads
+//! that switch.
+//!
+//! **Kept tokens** (DESIGN.md §4f): a store that asks for its token (meta
+//! `ms … c`) is answered with the item's new CAS unique.
+//! [`BankClient::store_kept`]'s `set`s and every `cas` ask, and hand the
+//! tokens back per replica position ([`Kept`], [`CasVerdict::Stored`]);
+//! [`BankClient::kept_tokens`] turns what a writer kept into `cas` tokens
+//! for the key's usable targets, so a write that needs no old bytes skips
+//! [`BankClient::gets_for_update`].
 //!
 //! All three reach the daemons through one `Wire`: the deadline,
 //! retry and backoff loop around a single RPC, which holds the client's
@@ -60,4 +69,4 @@ mod policy;
 
 pub use client::BankClient;
 pub use daemon::{start_mcd, Bank, McdCosts, McdNode, McdReq, McdResp};
-pub use policy::{CasToken, CasVerdict, Replication, RetryPolicy};
+pub use policy::{CasToken, CasVerdict, Kept, Replication, RetryPolicy, KEPT_SLOTS};

@@ -1,8 +1,10 @@
 //! What a bank client is configured with and speaks in: the retry
-//! policy, replica placement, CAS tokens and verdicts, and the [`Wire`] —
-//! one deadline-guarded RPC loop to every daemon.
+//! policy, replica placement, CAS tokens, kept tokens and verdicts, and
+//! the [`Wire`] — one deadline-guarded RPC loop to every daemon.
 
+use std::cell::Cell;
 use std::future::Future;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use imca_fabric::RpcClient;
@@ -88,10 +90,40 @@ impl Default for Replication {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CasToken {
     /// The daemon whose token space `token` lives in — the one that
-    /// answered the `gets`.
+    /// answered the `gets`, or the store the token was kept from.
     pub daemon: usize,
+    /// `daemon`'s position in the key's replica set (placement order):
+    /// where a [`Kept`] holds the token the `cas` answers with.
+    pub slot: usize,
     /// The engine token from that daemon's reply.
     pub token: u64,
+}
+
+/// The replica positions a [`Kept`] holds tokens for. A key placed on
+/// more daemons keeps none past them, so its writes fetch their tokens.
+pub const KEPT_SLOTS: usize = 2;
+
+/// The CAS uniques one key's last token-asking stores answered with
+/// (DESIGN.md §4f), one per replica position in placement order; 0 where
+/// none is kept (every daemon numbers its stores from 1). A key's
+/// replica set is fixed, so a position names the same daemon for the
+/// bank's whole life, dead or alive.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Kept(pub [u64; KEPT_SLOTS]);
+
+impl Kept {
+    /// Keep `token` for replica position `slot`; a position past
+    /// [`KEPT_SLOTS`] keeps nothing.
+    pub fn keep(&mut self, slot: usize, token: u64) {
+        if let Some(kept) = self.0.get_mut(slot) {
+            *kept = token;
+        }
+    }
+
+    /// The token kept for replica position `slot`, if any.
+    pub fn at(&self, slot: usize) -> Option<u64> {
+        self.0.get(slot).copied().filter(|&token| token != 0)
+    }
 }
 
 /// One key's answer rows from [`BankClient::gets_for_update`]: for each
@@ -102,8 +134,9 @@ pub type ReplicaRows = Vec<(usize, Option<(Bytes, CasToken)>)>;
 /// Outcome of one compare-and-swap store (DESIGN.md §4f).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CasVerdict {
-    /// The token still matched: the value was replaced in place.
-    Stored,
+    /// The token still matched: the value was replaced in place, and the
+    /// daemon answered with the item's new CAS unique.
+    Stored(u64),
     /// The key exists with a newer token — someone updated it between
     /// the `gets` and the `cas`.
     Conflict,
@@ -139,7 +172,7 @@ pub(super) fn cas_verdict(outcome: &CallOutcome, pos: usize) -> CasVerdict {
         return CasVerdict::Failed;
     };
     match resp.at(pos) {
-        Some(Response::Stored) => CasVerdict::Stored,
+        Some(Response::StoredCas(token)) => CasVerdict::Stored(*token),
         Some(Response::Exists) => CasVerdict::Conflict,
         Some(Response::NotFound) => CasVerdict::Missing,
         _ => CasVerdict::Failed,
@@ -151,15 +184,40 @@ pub(super) fn get_req(keys: Vec<Vec<u8>>, with_cas: bool) -> McdReq {
     McdReq::one(Command::Get { keys, with_cas })
 }
 
-/// A `set`/`cas` store command with no flags and no expiry.
-pub(super) fn store_cmd(verb: StoreVerb, key: Vec<u8>, data: Bytes, noreply: bool) -> Command {
+/// The CAS unique the store at position `pos` of a frame answered
+/// with: `Some` for a store that asked for it and landed.
+pub(super) fn stored_token(outcome: &CallOutcome, pos: usize) -> Option<u64> {
+    match outcome {
+        CallOutcome::Resp(resp) => match resp.at(pos) {
+            Some(Response::StoredCas(token)) => Some(*token),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// What a store command answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Answer {
+    /// Nothing (`noreply`): a frame's trailing `version` syncs it.
+    Quiet,
+    /// `STORED`, or why not.
+    Status,
+    /// The item's new CAS unique (meta `ms … c`), or why not.
+    Token,
+}
+
+/// A `set`/`cas` store command with no flags and no expiry, answering
+/// as `answer` says.
+pub(super) fn store_cmd(verb: StoreVerb, key: Vec<u8>, data: Bytes, answer: Answer) -> Command {
     Command::Store {
         verb,
         key,
         flags: 0,
         exptime: 0,
         data,
-        noreply,
+        with_cas: answer == Answer::Token,
+        noreply: answer == Answer::Quiet,
     }
 }
 
@@ -182,6 +240,10 @@ pub(super) struct Wire {
     pub(super) rpc_timeouts: Counter,
     /// Retried attempts.
     pub(super) retries: Counter,
+    /// Attempts abandoned at their deadline whose late answer or reset
+    /// has not arrived: each may still land at its daemon, after what was
+    /// issued behind it (`BankClient::may_reorder`).
+    pub(super) in_doubt: Rc<Cell<u64>>,
 }
 
 impl Wire {
@@ -210,20 +272,31 @@ impl Wire {
         let client = self.clients[idx].clone();
         let rpc_timeouts = self.rpc_timeouts.clone();
         let retries = self.retries.clone();
+        let in_doubt = Rc::clone(&self.in_doubt);
         async move {
             let mut answers: Option<McdResp> = None;
             for req in frames {
                 let mut backoff = policy.backoff_base;
                 let mut attempt = 0;
                 let resp = loop {
-                    let c = client.clone();
-                    let r = req.clone();
-                    match timeout(&handle, policy.deadline, async move { c.try_call(r).await })
-                        .await
-                    {
+                    let (c, r) = (client.clone(), req.clone());
+                    // The attempt runs on past its deadline (`timeout`);
+                    // once abandoned it is in doubt until it ends.
+                    let late = Rc::new(Cell::new(false));
+                    let (ended_late, doubt) = (Rc::clone(&late), Rc::clone(&in_doubt));
+                    let attempt_rpc = async move {
+                        let resp = c.try_call(r).await;
+                        if ended_late.get() {
+                            doubt.set(doubt.get() - 1);
+                        }
+                        resp
+                    };
+                    match timeout(&handle, policy.deadline, attempt_rpc).await {
                         Some(Some(resp)) => break resp,
                         Some(None) => return CallOutcome::Dropped,
                         None => {
+                            late.set(true);
+                            in_doubt.set(in_doubt.get() + 1);
                             rpc_timeouts.inc();
                             if attempt >= policy.retries {
                                 return CallOutcome::TimedOut;

@@ -52,8 +52,10 @@
 //! * **Refill** (`refill`): re-read a block-aligned span from the
 //!   filesystem, fence, push it — the purge protocol's covering re-read,
 //!   the re-read of short blocks a write left stale, and the CAS path's
-//!   fill leg for untracked blocks. A re-read or stat the disk refuses
-//!   `abandon`s the update: nothing is pushed and the file is purged.
+//!   fill leg for untracked blocks. Under `Cas` its stores ask for their
+//!   tokens, which the blocks keep (below). A re-read or stat the disk
+//!   refuses `abandon`s the update: nothing is pushed and the file is
+//!   purged.
 //! * **Tail** (`refresh_stat`): revoke leases, fence, push the new stat.
 //!   It runs only after every block of the update has been stored, so a
 //!   consumer that sees the new mtime reads the new blocks.
@@ -73,10 +75,16 @@
 //!
 //! **Write coherence** is selectable ([`Coherence`], DESIGN.md §4f).
 //! The default `Cas` mode replaces a write's covering blocks *in place*:
-//! `gets` each tracked block from every replica, compute the post-write
-//! bytes locally from the write payload, and `cas`-store them back —
-//! replicas stay warm across writes and the covering disk re-read
-//! disappears for warm files. Any CAS conflict, concurrent purge, or
+//! compute each block's post-write bytes locally from the write payload
+//! and `cas`-store them back on every replica — replicas stay warm across
+//! writes and the covering disk re-read disappears for warm files. Every
+//! store SMCache may later replace (a `cas`, a covering re-read's `set`)
+//! asks for the item's new CAS token, and the tracked block keeps it per
+//! replica ([`Kept`]). A block the write covers whole needs no old bytes,
+//! so with a token kept for every write target it goes straight into the
+//! `cas` wave; the other blocks `gets` their copies and tokens first. A
+//! read fill's `set`s do not ask, and leave the block no tokens. Any CAS
+//! conflict (a kept token gone stale included), concurrent purge, or
 //! failed replica falls back to `Purge` semantics for that write, so
 //! NoCache equivalence and the generation fence hold verbatim. `Purge`
 //! mode keeps the paper's protocol — delete the covering entries from
@@ -96,20 +104,22 @@ use imca_sim::{SimHandle, TokenBucket};
 use crate::block::{aligned_range, cover};
 use crate::cluster::ImcaConfig;
 use crate::keys::{block_key, neg_key, stat_key};
-use crate::mcd::{BankClient, CasToken, CasVerdict};
+use crate::mcd::{BankClient, CasToken, CasVerdict, Kept};
 use crate::meta::{LeaseHub, NEG_MARKER};
 
 /// Write-coherence protocol for the bank (DESIGN.md §4f).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Coherence {
-    /// Versioned in-place replacement: a write `gets` its covering
-    /// blocks (value + per-daemon CAS token) from every replica,
-    /// computes the post-write bytes locally from the write payload,
-    /// and `cas`-stores them back. Replicas stay warm across writes and
-    /// a warm file's update needs no covering disk re-read. Any CAS
-    /// conflict, missing key, failed replica, or generation-fence
-    /// mismatch falls back to [`Coherence::Purge`] semantics for that
-    /// write, so NoCache equivalence is preserved verbatim.
+    /// Versioned in-place replacement: a write computes its covering
+    /// blocks' post-write bytes locally from the write payload — with
+    /// each replica's copy and token from a `gets` where it covers a
+    /// block in part, or holds no token kept from SMCache's own last
+    /// store of it — and `cas`-stores them back. Replicas stay warm
+    /// across writes and a warm file's update needs no covering disk
+    /// re-read. Any CAS conflict, missing key, failed replica, or
+    /// generation-fence mismatch falls back to [`Coherence::Purge`]
+    /// semantics for that write, so NoCache equivalence is preserved
+    /// verbatim.
     #[default]
     Cas,
     /// The paper's protocol and the ablation baseline: delete the
@@ -175,19 +185,29 @@ struct Job {
     work: Work,
 }
 
-/// One file's tracked blocks: block start → cached chunk length, and the
-/// starts cached *short* (below the block size) on their own. There is
-/// normally one short block, the EOF block, and the EOF check on every
-/// write looks at nothing else (`SmCache::stale_short_blocks`).
+/// What SMCache knows of one cached block: its chunk length, and the CAS
+/// uniques its replicas answered SMCache's last token-asking store of it
+/// with (none after a read fill, whose `set`s do not ask).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cached {
+    len: u64,
+    kept: Kept,
+}
+
+/// One file's tracked blocks: block start → its [`Cached`] length and
+/// kept tokens, and the starts cached *short* (below the block size) on
+/// their own. There is normally one short block, the EOF block, and the
+/// EOF check on every write looks at nothing else
+/// (`SmCache::stale_short_blocks`).
 #[derive(Default)]
 struct Tracked {
-    lens: BTreeMap<u64, u64>,
+    lens: BTreeMap<u64, Cached>,
     short: BTreeSet<u64>,
 }
 
 impl Tracked {
-    fn insert(&mut self, start: u64, len: u64, block_size: u64) {
-        self.lens.insert(start, len);
+    fn insert(&mut self, start: u64, len: u64, kept: Kept, block_size: u64) {
+        self.lens.insert(start, Cached { len, kept });
         if len < block_size {
             self.short.insert(start);
         } else {
@@ -373,14 +393,14 @@ impl SmCache {
     }
 
     /// Whether blocks of `path` read from the filesystem when `writes`
-    /// writes to it had returned may be stale once stored: a write
-    /// returned since, and the bank may have landed them after its
-    /// update (a racing reader's fill, or another writer's covering
-    /// re-read). Without reordering they land first, because they were
-    /// issued before that write returned; and the threaded worker runs
-    /// jobs in the order their fops returned.
-    fn overtaken(&self, path: &str, writes: u64) -> bool {
-        !self.threaded && self.bank.may_reorder() && self.writes_to(path) != writes
+    /// writes to it had returned, and stored at reorder `mark`, may be
+    /// stale once stored: a write returned since, and the bank may have
+    /// landed them after its update (a racing reader's fill, or another
+    /// writer's covering re-read). Without reordering they land first,
+    /// because they were issued before that write returned; and the
+    /// threaded worker runs jobs in the order their fops returned.
+    fn overtaken(&self, path: &str, writes: u64, mark: u64) -> bool {
+        !self.threaded && self.bank.reordered_since(mark) && self.writes_to(path) != writes
     }
 
     /// Apply `f` to `path`'s state, registering the path (without
@@ -428,7 +448,10 @@ impl SmCache {
                 aligned_len: len,
                 data,
                 writes,
-            } => self.push_blocks(&path, off, len, &data, gen, writes).await,
+            } => {
+                self.push_blocks(&path, off, len, &data, (gen, writes), false)
+                    .await
+            }
             Work::Repopulate { offset, len } => {
                 self.purge_then_populate(&path, offset, len, gen).await
             }
@@ -459,7 +482,7 @@ impl SmCache {
                 .short
                 .iter()
                 .copied()
-                .filter(|start| tracked.lens[start] != self.block_len(*start, size))
+                .filter(|start| tracked.lens[start].len != self.block_len(*start, size))
                 .collect()
         })
     }
@@ -470,15 +493,17 @@ impl SmCache {
     /// stores while they are in flight, the just-written entries are
     /// removed again instead of being recorded. So are they if a write
     /// to the file returned after `data` was read, when `writes` writes
-    /// had ([`SmCache::overtaken`]).
+    /// had ([`SmCache::overtaken`]). With `keep` the stores ask for their
+    /// tokens and the blocks keep them for the next write's wave;
+    /// without, the blocks keep none.
     async fn push_blocks(
         &self,
         path: &str,
         aligned_offset: u64,
         aligned_len: u64,
         data: &[u8],
-        gen: u64,
-        writes: u64,
+        (gen, writes): (u64, u64),
+        keep: bool,
     ) {
         let blocks = cover(aligned_offset, aligned_len, self.block_size);
         let mut chunk_lens = Vec::with_capacity(blocks.len());
@@ -497,8 +522,14 @@ impl SmCache {
             })
             .collect();
         let n = items.len() as u64;
-        self.bank.store_blocks(items).await;
-        if self.fenced(path, gen) || self.overtaken(path, writes) {
+        let mark = self.bank.reorder_mark();
+        let kept = if keep {
+            self.bank.store_kept(items).await
+        } else {
+            self.bank.store_blocks(items).await;
+            Vec::new()
+        };
+        if self.fenced(path, gen) || self.overtaken(path, writes, mark) {
             // A purge (close/unlink/open) overtook this update while its
             // stores were on the wire, or a write returned since `data`
             // was read: the entries just written belong to a stale
@@ -511,8 +542,9 @@ impl SmCache {
         self.blocks_pushed.add(n);
         self.with_path(path, |p| {
             let entry = p.tracked.get_or_insert_default();
-            for (b, len) in blocks.iter().zip(chunk_lens) {
-                entry.insert(b.start, len, self.block_size);
+            for (i, (b, len)) in blocks.iter().zip(chunk_lens).enumerate() {
+                let kept = kept.get(i).copied().unwrap_or_default();
+                entry.insert(b.start, len, kept, self.block_size);
             }
         });
     }
@@ -537,7 +569,8 @@ impl SmCache {
     /// block-aligned span `[offset, offset+len)` and push it: `true` when
     /// the update may go on, `false` when it ended here — purged while
     /// the filesystem read was in flight, or abandoned because the read
-    /// failed.
+    /// failed. Under [`Coherence::Cas`] the pushed blocks keep their
+    /// tokens, so the next write replaces them without a `gets`.
     async fn refill(&self, path: &str, offset: u64, len: u64, gen: u64) -> bool {
         let reply = Rc::clone(&self.child)
             .handle(Fop::Read {
@@ -554,7 +587,8 @@ impl SmCache {
             return false;
         };
         let writes = self.writes_to(path);
-        self.push_blocks(path, offset, len, &data, gen, writes)
+        let keep = self.coherence == Coherence::Cas;
+        self.push_blocks(path, offset, len, &data, (gen, writes), keep)
             .await;
         true
     }
@@ -648,13 +682,14 @@ impl SmCache {
     }
 
     /// Versioned in-place replacement ([`Coherence::Cas`]): compute each
-    /// covering block's post-write bytes from the cached copy plus the
-    /// write payload, and `cas`-store them back on every replica that
-    /// holds the block. Warm replicas stay warm; a warm file's update
-    /// touches no disk. Any outcome other than "every held copy
-    /// replaced" — a token conflict (concurrent update), a vanished key,
-    /// a failed daemon, an incoherent cached length — falls back to
-    /// purge+repush, so the result is never worse than the baseline.
+    /// covering block's post-write bytes from the write payload — plus the
+    /// cached copy where the write covers the block only in part — and
+    /// `cas`-store them back on every replica that holds the block. Warm
+    /// replicas stay warm; a warm file's update touches no disk. Any
+    /// outcome other than "every held copy replaced" — a token conflict
+    /// (concurrent update), a vanished key, a failed daemon, an incoherent
+    /// cached length — falls back to purge+repush, so the result is never
+    /// worse than the baseline.
     async fn cas_update(&self, path: &str, offset: u64, data: &[u8], gen: u64) {
         let len = data.len() as u64;
         // Post-write stat first: the blocks' target lengths (the EOF
@@ -713,38 +748,69 @@ impl SmCache {
             }
             wave.retain(|&s| s < first || s >= first + span_len);
         }
-        // Fetch every wave block's current copy + CAS token from every
-        // replica in its set (per-daemon token spaces; see `CasToken`).
-        let keys: Vec<Vec<u8>> = wave.iter().map(|&start| block_key(path, start)).collect();
-        let rows = self.bank.gets_for_update(&keys).await;
-        if self.fenced(path, gen) {
-            return;
-        }
-        // Compute the post-write bytes per block and build the CAS items
-        // (one per replica actually holding a copy — cold replicas stay
-        // cold; reads there fall through to the server, always correct).
+        // The CAS items, one per replica holding a copy (cold replicas
+        // stay cold; reads there fall through to the server, always
+        // correct), each with the wave position and replica slot its
+        // verdict's new token is kept under.
         let mut items: Vec<(Vec<u8>, Bytes, CasToken)> = Vec::new();
-        let mut item_starts: Vec<u64> = Vec::new();
-        for (&start, row) in wave.iter().zip(&rows) {
-            let target = self.block_len(start, st.size) as usize;
-            for (_daemon, cell) in row {
-                let Some((old, token)) = cell else { continue };
-                if old.len() > target {
-                    // The cached copy claims more bytes than the file
-                    // now holds; nothing shrinks a file except a purge,
-                    // so this view is incoherent.
-                    return self.fall_back(path, offset, len).await;
+        let mut placed: Vec<(usize, usize)> = Vec::new();
+        // A block the write covers whole is all payload, so it needs no
+        // old bytes: with a token kept for every write target it goes
+        // straight into the wave. Every other block fetches its copies
+        // and their tokens in one `gets` round (per-daemon token spaces;
+        // see `CasToken`).
+        let mut fetch: Vec<usize> = Vec::new();
+        for (at, &start) in wave.iter().enumerate() {
+            let target = self.block_len(start, st.size);
+            let whole = offset <= start && start + target <= offset + len;
+            let cached = self.with_tracked(path, |t| t.and_then(|t| t.lens.get(&start).copied()));
+            let kept = cached.filter(|_| whole).and_then(|c| {
+                let tokens = self.bank.kept_tokens(&block_key(path, start), &c.kept)?;
+                Some((c.len, tokens))
+            });
+            let Some((cached_len, tokens)) = kept else {
+                fetch.push(at);
+                continue;
+            };
+            if cached_len > target {
+                // The tracked copy claims more bytes than the file now
+                // holds; nothing shrinks a file except a purge, so this
+                // view is incoherent.
+                return self.fall_back(path, offset, len).await;
+            }
+            let rel = (start - offset) as usize;
+            let bytes = Bytes::copy_from_slice(&data[rel..rel + target as usize]);
+            for token in tokens {
+                items.push((block_key(path, start), bytes.clone(), token));
+                placed.push((at, token.slot));
+            }
+        }
+        if !fetch.is_empty() {
+            let keys: Vec<Vec<u8>> = fetch.iter().map(|&at| block_key(path, wave[at])).collect();
+            let rows = self.bank.gets_for_update(&keys).await;
+            if self.fenced(path, gen) {
+                return;
+            }
+            for (&at, row) in fetch.iter().zip(&rows) {
+                let start = wave[at];
+                let target = self.block_len(start, st.size) as usize;
+                for (_daemon, cell) in row {
+                    let Some((old, token)) = cell else { continue };
+                    if old.len() > target {
+                        // As above, for the copy a replica holds.
+                        return self.fall_back(path, offset, len).await;
+                    }
+                    let mut buf = old.to_vec();
+                    buf.resize(target, 0); // bytes past the old EOF are a hole
+                    let w0 = offset.max(start);
+                    let w1 = (offset + len).min(start + target as u64);
+                    if w0 < w1 {
+                        buf[(w0 - start) as usize..(w1 - start) as usize]
+                            .copy_from_slice(&data[(w0 - offset) as usize..(w1 - offset) as usize]);
+                    }
+                    items.push((block_key(path, start), Bytes::from(buf), *token));
+                    placed.push((at, token.slot));
                 }
-                let mut buf = old.to_vec();
-                buf.resize(target, 0); // bytes past the old EOF are a hole
-                let w0 = offset.max(start);
-                let w1 = (offset + len).min(start + target as u64);
-                if w0 < w1 {
-                    buf[(w0 - start) as usize..(w1 - start) as usize]
-                        .copy_from_slice(&data[(w0 - offset) as usize..(w1 - offset) as usize]);
-                }
-                items.push((block_key(path, start), Bytes::from(buf), *token));
-                item_starts.push(start);
             }
         }
         let verdicts = self.bank.cas_blocks(items).await;
@@ -752,20 +818,25 @@ impl SmCache {
             // A purge overtook the wave: whatever the CAS stores
             // replaced belongs to a stale generation now. Take the
             // replaced keys out again, like `push_blocks` rolls back.
-            let rollback: Vec<Vec<u8>> = item_starts
+            let rollback: Vec<Vec<u8>> = placed
                 .iter()
                 .zip(&verdicts)
-                .filter(|(_, v)| matches!(v, CasVerdict::Stored))
-                .map(|(&start, _)| block_key(path, start))
+                .filter(|(_, v)| matches!(v, CasVerdict::Stored(_)))
+                .map(|(&(at, _), _)| block_key(path, wave[at]))
                 .collect();
             if !rollback.is_empty() {
                 self.bank.remove_keys(rollback).await;
             }
             return;
         }
-        let count = |of: &[CasVerdict]| verdicts.iter().filter(|v| of.contains(v)).count();
-        let replaced = count(&[CasVerdict::Stored]);
-        let conflicts = count(&[CasVerdict::Conflict, CasVerdict::Missing]);
+        let replaced = verdicts
+            .iter()
+            .filter(|v| matches!(v, CasVerdict::Stored(_)))
+            .count();
+        let conflicts = verdicts
+            .iter()
+            .filter(|v| matches!(v, CasVerdict::Conflict | CasVerdict::Missing))
+            .count();
         self.cas_conflicts.add(conflicts as u64);
         if replaced != verdicts.len() {
             // At least one held copy could not be replaced in place — a
@@ -774,10 +845,16 @@ impl SmCache {
             return self.fall_back(path, offset, len).await;
         }
         self.cas_replacements.add(replaced as u64);
+        let mut fresh = vec![Kept::default(); wave.len()];
+        for (&(at, slot), verdict) in placed.iter().zip(&verdicts) {
+            if let CasVerdict::Stored(token) = verdict {
+                fresh[at].keep(slot, *token);
+            }
+        }
         self.with_tracked(path, |entry| {
             if let Some(entry) = entry {
-                for &start in &wave {
-                    entry.insert(start, self.block_len(start, st.size), self.block_size);
+                for (&start, kept) in wave.iter().zip(fresh) {
+                    entry.insert(start, self.block_len(start, st.size), kept, self.block_size);
                 }
             }
         });
@@ -812,11 +889,12 @@ impl SmCache {
     /// over that write's refresh.
     async fn push_stat(&self, path: &str, st: FileStat) {
         let st = self.newest_stat(path, st);
+        let mark = self.bank.reorder_mark();
         self.bank
             .set(&stat_key(path), Bytes::from(st.to_bytes()))
             .await;
         self.stat_pushes.inc();
-        if self.stat_overtaken(path, st) {
+        if self.stat_overtaken(path, st, mark) {
             // A newer stat went out while this one was on the wire, or a
             // purge took the entry out, and this one may have landed
             // last: take the entry out; the next stat re-reads it.
@@ -834,10 +912,11 @@ impl SmCache {
         })
     }
 
-    /// Whether the stat `st` just stored for `path` may have landed over
-    /// a newer one or a purge, on a bank that may reorder stores.
-    fn stat_overtaken(&self, path: &str, st: FileStat) -> bool {
-        self.bank.may_reorder() && self.with_path(path, |p| p.newest_stat) != Some(st)
+    /// Whether the stat `st` just stored for `path` at reorder `mark` may
+    /// have landed over a newer one or a purge, on a bank that may have
+    /// reordered the store.
+    fn stat_overtaken(&self, path: &str, st: FileStat, mark: u64) -> bool {
+        self.bank.reordered_since(mark) && self.with_path(path, |p| p.newest_stat) != Some(st)
     }
 
     /// The server's answers to a [`Fop::StatMulti`] whose paths stood at
@@ -868,11 +947,12 @@ impl SmCache {
                 .iter()
                 .map(|(path, st)| (stat_key(path), Bytes::from(st.to_bytes())))
                 .collect();
+            let mark = self.bank.reorder_mark();
             self.bank.store_blocks(items).await;
             self.stat_pushes.add(pushed.len() as u64);
             let overtaken: Vec<Vec<u8>> = pushed
                 .iter()
-                .filter(|(path, st)| self.stat_overtaken(path, *st))
+                .filter(|(path, st)| self.stat_overtaken(path, *st, mark))
                 .map(|(path, _)| stat_key(path))
                 .collect();
             if !overtaken.is_empty() {
@@ -1179,7 +1259,7 @@ mod tests {
             let lens = tracked.map(|t| t.lens.iter());
             lens.into_iter()
                 .flatten()
-                .filter(|&(&start, &len)| len < sm.block_size && len != sm.block_len(start, size))
+                .filter(|&(&start, c)| c.len < sm.block_size && c.len != sm.block_len(start, size))
                 .map(|(&start, _)| start)
                 .collect()
         })
@@ -1197,10 +1277,10 @@ mod tests {
             let start = rng.gen_range(0..24u64) * BLOCK;
             match rng.gen_range(0..4) {
                 0 => tracked.remove(start),
-                1 => tracked.insert(start, BLOCK, BLOCK),
-                _ => tracked.insert(start, rng.gen_range(0..BLOCK), BLOCK),
+                1 => tracked.insert(start, BLOCK, Kept::default(), BLOCK),
+                _ => tracked.insert(start, rng.gen_range(0..BLOCK), Kept::default(), BLOCK),
             }
-            let short = tracked.lens.iter().filter(|&(_, &len)| len < BLOCK);
+            let short = tracked.lens.iter().filter(|&(_, c)| c.len < BLOCK);
             assert!(short.map(|(start, _)| start).eq(tracked.short.iter()));
         }
         assert!(!tracked.short.is_empty() && tracked.short.len() < tracked.lens.len());
@@ -2044,21 +2124,17 @@ mod tests {
 
     #[test]
     fn a_conflicted_cas_write_falls_back_and_publishes_the_new_stat_last() {
-        // Once daemon 1 has answered the write's token fetch, a plain
-        // `set` lands on block 1 there, so its `cas` conflicts.
+        // Once the write has returned from the filesystem, and before its
+        // wave reaches daemon 1, a plain `set` lands on block 1 there: the
+        // token the write kept for it goes stale, so its `cas` conflicts.
         let mut sim = Sim::new(0);
         let (rig, mcds, disk) = cas_modulo_rig(&sim);
         let h = sim.handle();
-        let plant = move |mcds: Rc<Bank>, _| async move {
-            let requests = |mcds: &Bank| {
-                let snap = imca_metrics::collect_from(mcds, "bank");
-                snap.counter("bank.mcd.1.requests").unwrap()
-            };
-            let before = requests(&mcds);
-            while requests(&mcds) == before {
+        let plant = move |mcds: Rc<Bank>, sm: Rc<SmCache>| async move {
+            let before = sm.writes_to("/f");
+            while sm.writes_to("/f") == before {
                 h.sleep(SimDuration::micros(1)).await;
             }
-            h.sleep(SimDuration::micros(1)).await;
             let planted = Bytes::from(vec![9u8; 2048]);
             let store = mcds.nodes()[1].server().store();
             store
@@ -2100,6 +2176,175 @@ mod tests {
         let [replaced, dropped] = counters(&*rig.sm, ["cas_replacements", "stale_updates_dropped"]);
         assert_eq!(replaced, 0);
         assert!(dropped >= 1);
+    }
+
+    /// Token fetches (`get`/`gets` commands) the daemons have served.
+    fn cmd_gets(mcds: &Bank) -> u64 {
+        mcds.nodes().iter().map(|n| n.stats().cmd_get).sum()
+    }
+
+    /// The tokens SMCache keeps for block `start` of `path`.
+    fn kept(sm: &SmCache, path: &str, start: u64) -> Option<Kept> {
+        sm.with_tracked(path, |t| t.and_then(|t| t.lens.get(&start)).map(|c| c.kept))
+    }
+
+    /// Drive a write of `data` at `offset` to `/f`; returns the token
+    /// fetches it made.
+    async fn write_counting_gets(sm: &Rc<SmCache>, mcds: &Bank, offset: u64, data: Vec<u8>) -> u64 {
+        let before = cmd_gets(mcds);
+        let path = "/f".to_string();
+        drive(sm, Fop::Write { path, offset, data }).await;
+        cmd_gets(mcds) - before
+    }
+
+    #[test]
+    fn a_warm_whole_block_write_replaces_its_blocks_without_a_gets() {
+        // Both framings ask for the tokens: one frame per daemon, or per key.
+        for (r, batching) in [(1, true), (2, true), (2, false)] {
+            let mut sim = Sim::new(0);
+            let cfg = ImcaConfig {
+                selector: Selector::Modulo,
+                replication: crate::mcd::Replication { factor: r },
+                batching,
+                ..two_mcds()
+            };
+            let (rig, mcds) = rig_over(&sim, posix(&sim), &cfg);
+            let (sm, m2) = (Rc::clone(&rig.sm), Rc::clone(&mcds));
+            sim.run_main(async move {
+                drive(&sm, Fop::Create { path: "/f".into() }).await;
+                // Cold: the covering re-read's sets keep their tokens.
+                write_counting_gets(&sm, &m2, 0, vec![1u8; 4096]).await;
+                for start in [0, 2048] {
+                    let kept = kept(&sm, "/f", start).unwrap();
+                    assert!(
+                        (0..r).all(|slot| kept.at(slot).is_some()),
+                        "R={r} batching={batching}"
+                    );
+                }
+                let fetched = write_counting_gets(&sm, &m2, 0, vec![2u8; 4096]).await;
+                assert_eq!(
+                    fetched, 0,
+                    "R={r} batching={batching}: a whole-block write fetched"
+                );
+                for start in [0, 2048] {
+                    let copies = held(&m2, &block_key("/f", start));
+                    assert_eq!(copies.len(), r);
+                    assert!(
+                        copies.iter().all(|b| b[..] == [2u8; 2048]),
+                        "R={r} batching={batching}"
+                    );
+                }
+                // A write covering block 1 in part needs its old bytes.
+                let fetched = write_counting_gets(&sm, &m2, 3000, vec![3u8]).await;
+                assert_eq!(
+                    fetched, r as u64,
+                    "R={r} batching={batching}: one `gets` per replica"
+                );
+                // Block 2 moves EOF to 6144: its covering re-read keeps
+                // tokens, and block 1 is whole again.
+                write_counting_gets(&sm, &m2, 4096, vec![4u8; 2048]).await;
+                let fetched = write_counting_gets(&sm, &m2, 2048, vec![5u8; 4096]).await;
+                assert_eq!(
+                    fetched, 0,
+                    "R={r} batching={batching}: the replaced blocks kept fresh tokens"
+                );
+            });
+            let [replaced, fallbacks] =
+                counters(&*rig.sm, ["cas_replacements", "cas_fallback_purges"]);
+            assert_eq!(fallbacks, 0, "R={r} batching={batching}");
+            assert_eq!(replaced, 5 * r as u64, "R={r} batching={batching}");
+        }
+    }
+
+    #[test]
+    fn a_write_that_strands_a_stale_short_block_fetches_it() {
+        let mut sim = Sim::new(0);
+        let (rig, mcds) = replicated_rig(&sim, Coherence::Cas);
+        let (sm, m2) = (Rc::clone(&rig.sm), Rc::clone(&mcds));
+        sim.run_main(async move {
+            drive(&sm, Fop::Create { path: "/f".into() }).await;
+            // Block 0 cached short, with its tokens kept.
+            write_counting_gets(&sm, &m2, 0, vec![1u8; 100]).await;
+            assert!(kept(&sm, "/f", 0).unwrap().at(1).is_some());
+            // A whole block 1 strands block 0: its post-write bytes are its
+            // cached bytes zero-extended, which only a `gets` has.
+            let fetched = write_counting_gets(&sm, &m2, 2048, vec![2u8; 2048]).await;
+            assert_eq!(fetched, 2, "one `gets` of block 0 per replica");
+            let mut want = vec![0u8; 2048];
+            want[..100].fill(1);
+            for copy in held(&m2, &block_key("/f", 0)) {
+                assert_eq!(&copy[..], &want[..]);
+            }
+        });
+        assert_eq!(counters(&*rig.sm, ["cas_fallback_purges"]), [0]);
+    }
+
+    #[test]
+    fn a_kept_token_a_planted_set_made_stale_conflicts_and_falls_back() {
+        let mut sim = Sim::new(0);
+        let disk = posix(&sim);
+        let cfg = ImcaConfig {
+            selector: Selector::Modulo,
+            replication: crate::mcd::Replication { factor: 2 },
+            ..two_mcds()
+        };
+        let (rig, mcds) = rig_over(&sim, Rc::clone(&disk) as Xlator, &cfg);
+        let (sm, m2) = (Rc::clone(&rig.sm), Rc::clone(&mcds));
+        sim.run_main(async move {
+            drive(&sm, Fop::Create { path: "/f".into() }).await;
+            write_counting_gets(&sm, &m2, 0, vec![1u8; 4096]).await;
+            // Another writer's `set` on daemon 1's copy of block 0: the
+            // token kept for that replica no longer matches.
+            let planted = Bytes::from(vec![9u8; 2048]);
+            let store = m2.nodes()[1].server().store();
+            store.set(&block_key("/f", 0), planted, 0, None, 0).unwrap();
+            let fetched = write_counting_gets(&sm, &m2, 0, vec![2u8; 4096]).await;
+            assert_eq!(fetched, 0, "the kept tokens went straight into the wave");
+            // The fall-back's covering re-read left the disk's bytes.
+            for start in [0, 2048] {
+                let read = Fop::Read {
+                    path: "/f".into(),
+                    offset: start,
+                    len: 2048,
+                };
+                let FopReply::Read(Ok(on_disk)) = Rc::clone(&disk).handle(read).await else {
+                    panic!("disk read failed")
+                };
+                let copies = held(&m2, &block_key("/f", start));
+                assert_eq!(copies.len(), 2, "block {start}");
+                assert!(copies.iter().all(|b| b[..] == on_disk[..]), "block {start}");
+            }
+        });
+        let [conflicts, fallbacks] = counters(&*rig.sm, ["cas_conflicts", "cas_fallback_purges"]);
+        assert_eq!((conflicts, fallbacks), (1, 1));
+    }
+
+    #[test]
+    fn a_read_fill_clears_the_kept_tokens() {
+        let mut sim = Sim::new(0);
+        let (rig, mcds) = replicated_rig(&sim, Coherence::Cas);
+        let (sm, m2) = (Rc::clone(&rig.sm), Rc::clone(&mcds));
+        sim.run_main(async move {
+            drive(&sm, Fop::Create { path: "/f".into() }).await;
+            write_counting_gets(&sm, &m2, 0, vec![1u8; 2048]).await;
+            assert_ne!(kept(&sm, "/f", 0), Some(Kept::default()));
+            // A read's fill stores block 0 with plain sets: no tokens.
+            let read = Fop::Read {
+                path: "/f".into(),
+                offset: 0,
+                len: 2048,
+            };
+            drive(&sm, read).await;
+            assert_eq!(kept(&sm, "/f", 0), Some(Kept::default()));
+            // So the next whole-block write fetches them, and lands.
+            let fetched = write_counting_gets(&sm, &m2, 0, vec![2u8; 2048]).await;
+            assert_eq!(fetched, 2);
+            for copy in held(&m2, &block_key("/f", 0)) {
+                assert_eq!(&copy[..], &[2u8; 2048][..]);
+            }
+        });
+        let [conflicts, fallbacks] = counters(&*rig.sm, ["cas_conflicts", "cas_fallback_purges"]);
+        assert_eq!((conflicts, fallbacks), (0, 0));
     }
 
     /// A scripted child xlator: writes and reads succeed, stats fail on

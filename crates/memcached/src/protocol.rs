@@ -1,8 +1,11 @@
 //! The memcached ASCII protocol — the wire format clients used in 2008
 //! (binary protocol came later) — for the commands the bank sends: `get`,
 //! `gets`, `set`, `cas`, `delete` (each store and delete optionally
-//! `noreply`) and the `version` sync barrier. Implemented as a streaming
-//! codec: `parse_*` returns `Incomplete` until a full frame is buffered.
+//! `noreply`) and the `version` sync barrier. A store may also ask for
+//! the item's new CAS unique, as memcached ≥ 1.6's meta `ms <key> … c`
+//! does: here a trailing `c` token, answered `HD c<cas>`. Implemented as
+//! a streaming codec: `parse_*` returns `Incomplete` until a full frame
+//! is buffered.
 
 use bytes::Bytes;
 
@@ -22,7 +25,10 @@ pub enum Command {
         exptime: u32,
         /// The data block.
         data: Bytes,
-        /// Suppress the reply.
+        /// Answer with the item's new CAS unique (meta `ms … c`): a stored
+        /// item answers [`Response::StoredCas`] instead of `STORED`.
+        with_cas: bool,
+        /// Suppress the reply (it wins over `with_cas`).
         noreply: bool,
     },
     /// `get <key>+` (also `gets`, which returns CAS tokens).
@@ -79,6 +85,9 @@ pub struct Value {
 pub enum Response {
     /// `STORED`.
     Stored,
+    /// `HD c<cas>`: stored, with the item's new CAS unique — the answer to
+    /// a store that asked for it (`with_cas`).
+    StoredCas(u64),
     /// `NOT_FOUND`.
     NotFound,
     /// `EXISTS` (cas token mismatch).
@@ -181,6 +190,7 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
             flags,
             exptime,
             data,
+            with_cas,
             noreply,
         } => {
             out.extend_from_slice(verb.as_str().as_bytes());
@@ -195,6 +205,9 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
             if let StoreVerb::Cas(token) = verb {
                 out.push(b' ');
                 put_u64(out, *token);
+            }
+            if *with_cas {
+                out.extend_from_slice(b" c");
             }
             if *noreply {
                 out.extend_from_slice(b" noreply");
@@ -249,7 +262,14 @@ pub fn parse_command(buf: &[u8]) -> Result<(Command, usize), ParseError> {
             let token: u64 = parse_num(toks.next().unwrap_or(b""), "cas token")?;
             verb = StoreVerb::Cas(token);
         }
-        let noreply = matches!(toks.next(), Some(b"noreply"));
+        let (mut with_cas, mut noreply) = (false, false);
+        for tok in toks {
+            match tok {
+                b"c" => with_cas = true,
+                b"noreply" => noreply = true,
+                _ => return bad("unknown store flag"),
+            }
+        }
         let need = line_len + nbytes + 2;
         if buf.len() < need {
             return Err(ParseError::Incomplete);
@@ -265,6 +285,7 @@ pub fn parse_command(buf: &[u8]) -> Result<(Command, usize), ParseError> {
                 flags,
                 exptime,
                 data: Bytes::copy_from_slice(data),
+                with_cas,
                 noreply,
             },
             need,
@@ -302,6 +323,11 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     let out = &mut wire;
     match resp {
         Response::Stored => out.extend_from_slice(b"STORED\r\n"),
+        Response::StoredCas(cas) => {
+            out.extend_from_slice(b"HD c");
+            put_u64(out, *cas);
+            out.extend_from_slice(CRLF);
+        }
         Response::NotFound => out.extend_from_slice(b"NOT_FOUND\r\n"),
         Response::Exists => out.extend_from_slice(b"EXISTS\r\n"),
         Response::Deleted => out.extend_from_slice(b"DELETED\r\n"),
@@ -393,7 +419,9 @@ pub fn parse_response(buf: &[u8]) -> Result<(Response, usize), ParseError> {
         b"DELETED" => Response::Deleted,
         _ => {
             let s = std::str::from_utf8(line).map_err(|_| ParseError::Bad("utf8".into()))?;
-            if let Some(m) = s.strip_prefix("CLIENT_ERROR ") {
+            if let Some(cas) = s.strip_prefix("HD c") {
+                Response::StoredCas(parse_num(cas.as_bytes(), "cas")?)
+            } else if let Some(m) = s.strip_prefix("CLIENT_ERROR ") {
                 Response::ClientError(m.to_string())
             } else if let Some(m) = s.strip_prefix("SERVER_ERROR ") {
                 Response::ServerError(m.to_string())
@@ -433,6 +461,7 @@ mod tests {
             flags: 42,
             exptime: 0,
             data: Bytes::from_static(b"hello\r\nworld"),
+            with_cas: false,
             noreply: false,
         });
         rt_cmd(Command::Store {
@@ -441,6 +470,7 @@ mod tests {
             flags: 0,
             exptime: 100,
             data: Bytes::new(),
+            with_cas: true,
             noreply: true,
         });
         rt_cmd(Command::Store {
@@ -449,6 +479,7 @@ mod tests {
             flags: 3,
             exptime: 0,
             data: Bytes::from_static(b"swap"),
+            with_cas: true,
             noreply: false,
         });
         rt_cmd(Command::Get {
@@ -470,6 +501,7 @@ mod tests {
     fn response_round_trips() {
         for r in [
             Response::Stored,
+            Response::StoredCas(18_446_744_073_709_551_615),
             Response::NotFound,
             Response::Exists,
             Response::Deleted,

@@ -38,7 +38,8 @@ impl McServer {
     }
 
     /// Apply one command at time `now` (seconds). Returns `None` when the
-    /// command was `noreply`, `Some(response)` otherwise.
+    /// command was `noreply`, `Some(response)` otherwise; a store that
+    /// asked for its token (`with_cas`) answers the item's new CAS unique.
     pub fn apply(&self, cmd: &Command, now: u64) -> Option<Response> {
         match cmd {
             Command::Store {
@@ -47,20 +48,25 @@ impl McServer {
                 flags,
                 exptime,
                 data,
+                with_cas,
                 noreply,
             } => {
                 let exp = absolute_expiry(*exptime, now);
+                let stored = |cas| match with_cas {
+                    true => Response::StoredCas(cas),
+                    false => Response::Stored,
+                };
                 let resp = match verb {
                     StoreVerb::Cas(token) => {
                         match self.store.cas(key, data.clone(), *flags, exp, *token, now) {
-                            Ok(CasResult::Stored) => Response::Stored,
+                            Ok(CasResult::Stored(cas)) => stored(cas),
                             Ok(CasResult::Exists) => Response::Exists,
                             Ok(CasResult::NotFound) => Response::NotFound,
                             Err(e) => Response::ClientError(e.to_string()),
                         }
                     }
                     StoreVerb::Set => match self.store.set(key, data.clone(), *flags, exp, now) {
-                        Ok(()) => Response::Stored,
+                        Ok(cas) => stored(cas),
                         Err(e @ McError::OutOfMemory) => Response::ServerError(e.to_string()),
                         Err(e) => Response::ClientError(e.to_string()),
                     },
@@ -111,6 +117,7 @@ mod tests {
             flags: 0,
             exptime: 0,
             data: Bytes::from_static(data),
+            with_cas: false,
             noreply: false,
         }
     }
@@ -159,10 +166,51 @@ mod tests {
             flags: 0,
             exptime: 0,
             data: Bytes::from_static(b"v"),
+            with_cas: false,
             noreply: true,
         };
         assert_eq!(s.apply(&cmd, 0), None);
         assert_eq!(s.store().len(), 1);
+    }
+
+    #[test]
+    fn a_store_that_asks_answers_the_token_a_later_gets_reports() {
+        let s = server();
+        let gets = |s: &McServer| {
+            let cmd = Command::Get {
+                keys: vec![b"k".to_vec()],
+                with_cas: true,
+            };
+            let Some(Response::Values(vals)) = s.apply(&cmd, 0) else {
+                panic!("expected values")
+            };
+            vals[0].cas.unwrap()
+        };
+        let store = |verb, noreply| Command::Store {
+            verb,
+            key: b"k".to_vec(),
+            flags: 0,
+            exptime: 0,
+            data: Bytes::from_static(b"v"),
+            with_cas: true,
+            noreply,
+        };
+        let Some(Response::StoredCas(set)) = s.apply(&store(StoreVerb::Set, false), 0) else {
+            panic!("a set that asks answers its token")
+        };
+        assert_eq!(gets(&s), set);
+        let Some(Response::StoredCas(swapped)) = s.apply(&store(StoreVerb::Cas(set), false), 0)
+        else {
+            panic!("a cas that asks answers its token")
+        };
+        assert_ne!(swapped, set);
+        assert_eq!(gets(&s), swapped);
+        // `noreply` wins: the store lands and answers nothing.
+        assert_eq!(s.apply(&store(StoreVerb::Set, true), 0), None);
+        assert!(gets(&s) > swapped);
+        // A refused `cas` answers as it always did.
+        let stale = store(StoreVerb::Cas(swapped), false);
+        assert_eq!(s.apply(&stale, 0), Some(Response::Exists));
     }
 
     #[test]
@@ -209,6 +257,7 @@ mod tests {
             flags: 0,
             exptime: 0,
             data: Bytes::from(vec![0u8; 2 << 20]),
+            with_cas: false,
             noreply: false,
         };
         assert!(matches!(s.apply(&big, 0), Some(Response::ClientError(_))));
@@ -234,6 +283,7 @@ mod tests {
             flags: 0,
             exptime: 0,
             data: Bytes::from_static(b"v2"),
+            with_cas: false,
             noreply: false,
         };
         assert_eq!(s.apply(&cas_cmd(token), 0), Some(Response::Stored));
@@ -244,6 +294,7 @@ mod tests {
             flags: 0,
             exptime: 0,
             data: Bytes::from_static(b"x"),
+            with_cas: false,
             noreply: false,
         };
         assert_eq!(s.apply(&missing, 0), Some(Response::NotFound));
@@ -284,6 +335,11 @@ mod tests {
             )
             .unwrap(),
             &b"VALUE n 0 2 2\r\n41\r\nEND\r\nSTORED\r\nEXISTS\r\nVALUE n 0 2\r\n42\r\nEND\r\nVERSION 1.2.6-imca\r\n"[..]
+        );
+        // A store that asks for its token gets it back in the meta answer.
+        assert_eq!(
+            converse(&s, b"set t 0 0 1 c\r\nx\r\ngets t\r\n").unwrap(),
+            &b"HD c4\r\nVALUE t 0 1 4\r\nx\r\nEND\r\n"[..]
         );
         // A pipelined burst: twenty frames in one buffer.
         let mut script = Vec::new();

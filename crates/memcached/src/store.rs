@@ -99,8 +99,9 @@ impl std::error::Error for McError {}
 /// Outcome of a compare-and-swap store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CasResult {
-    /// The token matched; the item was replaced.
-    Stored,
+    /// The token matched; the item was replaced, and took this new CAS
+    /// unique.
+    Stored(u64),
     /// The item exists but was modified since the token was issued.
     Exists,
     /// No such item.
@@ -307,7 +308,8 @@ impl Memcached {
         }
     }
 
-    /// Unconditionally store `value` under `key`.
+    /// Unconditionally store `value` under `key`; returns the item's new
+    /// CAS unique.
     pub fn set(
         &self,
         key: &[u8],
@@ -315,7 +317,7 @@ impl Memcached {
         flags: u32,
         expire_at: Option<u64>,
         now: u64,
-    ) -> Result<(), McError> {
+    ) -> Result<u64, McError> {
         valid_key(key)?;
         let mut g = self.inner.lock();
         g.metrics.cmd_set.inc();
@@ -372,8 +374,8 @@ impl Memcached {
         if g.item(slot).cas != cas {
             return Ok(CasResult::Exists);
         }
-        g.store(key, value, flags, expire_at, now)?;
-        Ok(CasResult::Stored)
+        g.store(key, value, flags, expire_at, now)
+            .map(CasResult::Stored)
     }
 
     /// Drop every item (slab pages stay allocated, as in the real daemon).
@@ -565,7 +567,7 @@ impl StoreInner {
         flags: u32,
         expire_at: Option<u64>,
         now: u64,
-    ) -> Result<(), McError> {
+    ) -> Result<u64, McError> {
         let total = key.len() + value.len() + ITEM_OVERHEAD;
         if value.len() > MAX_ITEM_SIZE {
             return Err(McError::ValueTooLarge);
@@ -600,7 +602,7 @@ impl StoreInner {
             hotter: NIL,
         });
         self.link_hot(slot);
-        Ok(())
+        Ok(cas)
     }
 }
 
@@ -690,12 +692,13 @@ mod tests {
         let mc = small();
         mc.set(b"k", Bytes::from_static(b"v1"), 0, None, 0).unwrap();
         let token = mc.get(b"k", 0).unwrap().cas;
-        // Fresh token: stored.
-        assert_eq!(
+        // Fresh token: stored, under the token a `get` then reports.
+        let Ok(CasResult::Stored(next)) =
             mc.cas(b"k", Bytes::from_static(b"v2"), 0, None, token, 0)
-                .unwrap(),
-            CasResult::Stored
-        );
+        else {
+            panic!("a fresh token must store")
+        };
+        assert_eq!(mc.get(b"k", 0).unwrap().cas, next);
         // Old token after the update: EXISTS.
         assert_eq!(
             mc.cas(b"k", Bytes::from_static(b"v3"), 0, None, token, 0)

@@ -81,7 +81,7 @@ impl Model {
         flags: u32,
         expire_at: Option<u64>,
         now: u64,
-    ) -> Result<(), McError> {
+    ) -> Result<u64, McError> {
         let total = key.len() + value.len() + ITEM_OVERHEAD;
         let class = self
             .chunk_sizes
@@ -128,7 +128,7 @@ impl Model {
         };
         self.items.insert(key.to_string(), item);
         self.recency[class].push(key.to_string());
-        Ok(())
+        Ok(cas)
     }
 
     fn get(&mut self, key: &str, now: u64) -> Option<(Bytes, u32, u64)> {
@@ -263,7 +263,7 @@ proptest! {
                     } else if !fresh {
                         Ok(CasResult::Exists)
                     } else {
-                        model.store(&k, value(s), 3, None, now).map(|()| CasResult::Stored)
+                        model.store(&k, value(s), 3, None, now).map(CasResult::Stored)
                     };
                     prop_assert_eq!(mc.cas(k.as_bytes(), value(s), 3, None, token, now), want);
                 }

@@ -172,6 +172,7 @@ proptest! {
         data in prop::collection::vec(any::<u8>(), 0..3000),
         flags in any::<u32>(),
         exptime in any::<u32>(),
+        with_cas in any::<bool>(),
         noreply in any::<bool>(),
     ) {
         use imca_memcached::protocol::{Command, StoreVerb, Response, Value};
@@ -181,6 +182,7 @@ proptest! {
             flags,
             exptime,
             data: Bytes::from(data.clone()),
+            with_cas,
             noreply,
         };
         let wire = encode_command(&cmd);
@@ -213,6 +215,7 @@ proptest! {
             flags: 0,
             exptime: 0,
             data: Bytes::from(data),
+            with_cas: false,
             noreply: false,
         };
         let wire = encode_command(&cmd);

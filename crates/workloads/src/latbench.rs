@@ -221,14 +221,12 @@ pub fn run(cfg: &LatencyBench) -> LatencyResult {
                 }
                 let mean = h.now().since(t0).as_micros_f64() / cfg.records as f64;
                 reads.borrow_mut().entry(size).or_default().push(mean);
-                if cfg.warmup {
-                    // The timed pass ends together too: a close purges the
-                    // file (§4.3.2), so the first reader to close a shared
-                    // file would turn every straggler's last reads into
-                    // misses, and the tail would time that purge instead
-                    // of the cache tier.
-                    barrier.wait().await;
-                }
+                // The timed pass ends together too, as the paper's phases
+                // do (§5.4): a close purges the file (§4.3.2), so the
+                // first reader to close a shared file would turn every
+                // straggler's last reads into misses, and the tail would
+                // time that purge instead of the cache tier.
+                barrier.wait().await;
                 cli.close(fd).await;
             }
             op_ns
