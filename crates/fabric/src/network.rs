@@ -14,11 +14,12 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::future::Future;
 use std::rc::Rc;
 
 use imca_metrics::{Counter, MetricSource, Registry, Snapshot};
 use imca_sim::fault::{self, FaultRng};
-use imca_sim::sync::Resource;
+use imca_sim::sync::{Acquire, Resource};
 use imca_sim::{SimDuration, SimHandle, SimTime};
 
 use crate::fault::{Cut, Delivery, FaultPlan};
@@ -159,7 +160,9 @@ impl Network {
 
     /// The mechanics of one message: TX station, propagation (+`extra`
     /// fault latency), and — unless the message was dropped en route
-    /// (`rx_side == false`) — the RX station.
+    /// (`rx_side == false`) — the RX station. The message waits for the
+    /// TX station at `tx`: a place in its queue claimed earlier
+    /// ([`Network::send`]), or one asked for when first polled.
     async fn transfer_leg(
         &self,
         src: NodeId,
@@ -167,11 +170,13 @@ impl Network {
         bytes: usize,
         extra: SimDuration,
         rx_side: bool,
+        tx: Acquire,
     ) {
         let h = &self.inner.handle;
         if src == dst {
             // Loopback: no NIC involvement, just a memcpy through the
             // loopback interface.
+            drop(tx);
             let t = SimDuration::from_secs_f64(bytes as f64 / 6e9) + SimDuration::nanos(500);
             h.sleep(t).await;
             return;
@@ -181,10 +186,9 @@ impl Network {
         let tp = placed.unwrap_or(&self.inner.transport);
 
         // 1. Sender-side CPU + serialisation, holding the TX station.
-        src_nic
-            .tx
-            .serve(h, tp.host_cpu_send + tp.serialize_time(bytes))
-            .await;
+        let slot = tx.await;
+        h.sleep(tp.host_cpu_send + tp.serialize_time(bytes)).await;
+        drop(slot);
         src_nic.bytes_tx.add(bytes as u64);
         src_nic.msgs_tx.inc();
 
@@ -211,7 +215,9 @@ impl Network {
     /// for a dropped message, has left the wire). The message travels on
     /// `dst`'s transport if it was placed on one ([`Network::add_node_on`]),
     /// else on `src`'s, else on the network default. This is the one path
-    /// every message takes.
+    /// every message takes; its fate is judged, and its place in `src`'s
+    /// TX queue taken, on the first poll ([`Network::send`] takes both at
+    /// the call).
     ///
     /// With no plan installed every message is [`Delivery::Ok`] and an
     /// uncontended one costs exactly [`Transport::unloaded_one_way`].
@@ -225,23 +231,57 @@ impl Network {
     ///
     /// Loopback messages (`src == dst`) are never faulted.
     pub async fn deliver(&self, src: NodeId, dst: NodeId, bytes: usize) -> Delivery {
+        let (fate, extra) = self.fate(src, dst);
+        let tx = self.nic(src).tx.acquire();
+        self.transfer_leg(src, dst, bytes, extra, fate.arrived(), tx)
+            .await;
+        self.echo(fate, src, dst, bytes, extra);
+        fate
+    }
+
+    /// [`Network::deliver`], with the message's fate judged and its place
+    /// in `src`'s TX queue taken at the call: a message sent before the
+    /// caller yields leaves `src` ahead of every message asked for later,
+    /// however late the returned future is first polled.
+    pub fn send(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: usize,
+    ) -> impl Future<Output = Delivery> + 'static {
+        let (fate, extra) = self.fate(src, dst);
+        // A loopback message gives its claim up unpolled.
+        let tx = self.nic(src).tx.claim();
+        let net = self.clone();
+        async move {
+            net.transfer_leg(src, dst, bytes, extra, fate.arrived(), tx)
+                .await;
+            net.echo(fate, src, dst, bytes, extra);
+            fate
+        }
+    }
+
+    /// Judge one message's fate ([`Network::judge`]) and count it.
+    fn fate(&self, src: NodeId, dst: NodeId) -> (Delivery, SimDuration) {
         let (fate, extra) = self.judge(src, dst);
         match fate {
             Delivery::Ok => {}
             Delivery::Duplicated => self.inner.duplicated.inc(),
             Delivery::Dropped => self.inner.dropped.inc(),
         }
-        self.transfer_leg(src, dst, bytes, extra, fate.arrived())
-            .await;
+        (fate, extra)
+    }
+
+    /// A duplicated message's second copy: its wire cost accrues in the
+    /// background, so the original is not delayed behind its own echo.
+    fn echo(&self, fate: Delivery, src: NodeId, dst: NodeId, bytes: usize, extra: SimDuration) {
         if fate == Delivery::Duplicated {
-            // The duplicate's wire cost accrues in the background so the
-            // original is not delayed behind its own echo.
             let net = self.clone();
             self.inner.handle.spawn(async move {
-                net.transfer_leg(src, dst, bytes, extra, true).await;
+                let tx = net.nic(src).tx.acquire();
+                net.transfer_leg(src, dst, bytes, extra, true, tx).await;
             });
         }
-        fate
     }
 
     /// Decide the fate of one `src → dst` message under the installed
@@ -442,6 +482,34 @@ mod tests {
         assert_eq!(nic(a, "bytes_rx"), Some(0));
         assert_eq!(nic(b, "bytes_rx"), Some(1500));
         assert_eq!(nic(b, "msgs_rx"), Some(2));
+    }
+
+    #[test]
+    fn a_send_holds_its_tx_place_from_the_call() {
+        let tp = Transport::ipoib_ddr();
+        let mut sim = Sim::new(0);
+        let net = Network::new(sim.handle(), tp.clone());
+        let (a, b, c) = (net.add_node(), net.add_node(), net.add_node());
+        let big = 1 << 16;
+        // Sent first, polled last: the small message asked for later
+        // still leaves `a` behind it.
+        let sent = net.send(a, b, big);
+        let (net2, h) = (net.clone(), sim.handle());
+        let (tx, small) = imca_sim::sync::oneshot();
+        sim.spawn(async move {
+            let fate = net2.deliver(a, c, 64).await;
+            tx.send((fate, h.now()));
+        });
+        let (small_fate, small_done) = sim.run_main(async move {
+            assert_eq!(sent.await, Delivery::Ok);
+            small.await.unwrap()
+        });
+        assert_eq!(small_fate, Delivery::Ok);
+        let big_tx = tp.host_cpu_send + tp.serialize_time(big);
+        assert_eq!(
+            small_done.as_nanos(),
+            (big_tx + tp.unloaded_one_way(64)).as_nanos()
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use imca_metrics::Histogram;
 use imca_sim::sync::{oneshot, OneshotSender, Queue, Resource};
-use imca_sim::SimDuration;
+use imca_sim::{SimDuration, SimTime};
 
 use crate::fault::Delivery;
 use crate::network::{Network, NodeId};
@@ -384,8 +384,27 @@ impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, R
     /// response is discarded on arrival.
     pub async fn try_call(&self, req: Req) -> Option<Resp> {
         let t0 = self.net.handle().now();
-        let bytes = req.wire_bytes();
-        let fate = self.net.deliver(self.src, self.dst, bytes).await;
+        let fate = self.net.deliver(self.src, self.dst, req.wire_bytes()).await;
+        self.answer(req, fate, t0).await
+    }
+
+    /// [`RpcClient::try_call`], with the request sent at the call: its
+    /// fate is judged and its place in the caller's TX queue taken before
+    /// `post` returns ([`Network::send`]), so a request posted before the
+    /// caller yields leaves the node ahead of every message asked for
+    /// later. The returned future resolves to the answer.
+    pub fn post(&self, req: Req) -> impl Future<Output = Option<Resp>> + 'static {
+        let t0 = self.net.handle().now();
+        let sent = self.net.send(self.src, self.dst, req.wire_bytes());
+        let this = self.clone();
+        async move {
+            let fate = sent.await;
+            this.answer(req, fate, t0).await
+        }
+    }
+
+    /// The answer to `req`, sent at `t0`, whose request leg met `fate`.
+    async fn answer(&self, req: Req, fate: Delivery, t0: SimTime) -> Option<Resp> {
         let (tx, rx) = oneshot();
         if fate.arrived() {
             self.enqueue(req, tx, fate);

@@ -402,6 +402,13 @@ impl Cluster {
         self.server.queue_depth()
     }
 
+    /// Stores SMCache posted and has not yet followed through
+    /// ([`SmCache::posted`]); 0 without an SMCache. A driver that needs a
+    /// quiescent bank waits for 0.
+    pub fn posted_stores(&self) -> u64 {
+        self.smcache.as_ref().map_or(0, |sm| sm.posted())
+    }
+
     /// Restart a crashed server daemon. The restarted daemon cannot trust
     /// that pre-crash bank pushes still match the disk (a write may have
     /// landed after its covering push died with the daemon), so an IMCa
@@ -471,6 +478,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::StatSource;
     use imca_metrics::json::Json;
     use imca_sim::Sim;
 
@@ -826,6 +834,156 @@ mod tests {
                 "{coherence:?}"
             );
             assert_eq!(snap.counter("leases.failed_revocations"), Some(0));
+        }
+    }
+
+    /// The bank layouts a posted store's order is pinned at: one and two
+    /// replicas, each with the daemons on the fabric's transport and on
+    /// RDMA (only bank daemons can sit on another transport).
+    fn posting_layouts(meta: MetaConfig) -> Vec<ClusterConfig> {
+        let mut layouts = Vec::new();
+        for factor in [1, 2] {
+            for bank_transport in [None, Some(Transport::rdma_ddr())] {
+                layouts.push(ClusterConfig::imca(ImcaConfig {
+                    mcd_count: 2,
+                    mcd_config: McConfig::with_mem_limit(8 << 20),
+                    replication: Replication { factor },
+                    bank_transport,
+                    meta,
+                    ..ImcaConfig::default()
+                }));
+            }
+        }
+        layouts
+    }
+
+    /// `(stat_hits, stat_misses, read_hits, read_misses)` of client `i`.
+    fn client_counts(cluster: &Cluster, i: usize) -> [u64; 4] {
+        let snap = cluster.metrics();
+        ["stat_hits", "stat_misses", "read_hits", "read_misses"]
+            .map(|name| snap.counter(&format!("cmcache.{i}.{name}")).unwrap())
+    }
+
+    #[test]
+    fn a_second_clients_lookup_after_a_reply_sees_what_the_reply_posted() {
+        for cfg in posting_layouts(MetaConfig::default()) {
+            let layout = format!(
+                "R={} on {:?}",
+                cfg.imca.as_ref().unwrap().replication.factor,
+                cfg.imca
+                    .as_ref()
+                    .unwrap()
+                    .bank_transport
+                    .as_ref()
+                    .map(|t| t.name)
+            );
+            let mut sim = Sim::new(1);
+            let cluster = Rc::new(Cluster::build(sim.handle(), cfg));
+            let c2 = Rc::clone(&cluster);
+            sim.run_main(async move {
+                let first = c2.mount();
+                let (_, second) = c2.mount_with_meta();
+                let second = second.expect("imca mount has a cmcache");
+                first.create("/f").await.unwrap();
+                let fd = first.open("/f").await.unwrap();
+                // A stat miss: the reply leaves behind the stat's push, so
+                // the second client's lookup, sent once it is back, hits.
+                first.stat("/f").await.unwrap();
+                let r = second.stat("/f".into()).await;
+                assert_eq!(
+                    (r.source, r.stat.map(|st| st.size)),
+                    (StatSource::Bank, Ok(0)),
+                    "{layout}"
+                );
+                // A write: the new stat is pushed, posted, before the reply.
+                for (i, len) in [(0u64, 3000usize), (3000, 5000)] {
+                    first.write(fd, i, &vec![7u8; len]).await.unwrap();
+                    let r = second.stat("/f".into()).await;
+                    let want = Ok(i + len as u64);
+                    assert_eq!(
+                        (r.source, r.stat.map(|st| st.size)),
+                        (StatSource::Bank, want),
+                        "{layout}"
+                    );
+                }
+                // A read fill: the open purged the blocks, the first
+                // client's read refills them, the second one's hits.
+                first.close(fd).await.unwrap();
+                let fd = first.open("/f").await.unwrap();
+                assert_eq!(first.read(fd, 0, 6000).await.unwrap(), vec![7u8; 6000]);
+                let [_, _, hits, misses] = client_counts(&c2, 1);
+                let read = Fop::Read {
+                    path: "/f".into(),
+                    offset: 0,
+                    len: 6000,
+                };
+                let reply = (Rc::clone(&second) as Xlator).handle(read).await;
+                assert_eq!(reply, FopReply::Read(Ok(vec![7u8; 6000])), "{layout}");
+                let [_, _, hits_after, misses_after] = client_counts(&c2, 1);
+                assert!(hits_after > hits, "{layout}: the filled blocks missed");
+                assert_eq!(misses_after, misses, "{layout}: a filled block missed");
+            });
+        }
+    }
+
+    #[test]
+    fn a_second_clients_lookup_after_an_enoent_sees_the_marker() {
+        for cfg in posting_layouts(MetaConfig::lease()) {
+            let mut sim = Sim::new(1);
+            let cluster = Rc::new(Cluster::build(sim.handle(), cfg));
+            let c2 = Rc::clone(&cluster);
+            sim.run_main(async move {
+                let first = c2.mount();
+                let (_, second) = c2.mount_with_meta();
+                let second = second.expect("imca mount has a cmcache");
+                assert_eq!(
+                    first.stat("/ghost").await,
+                    Err(imca_glusterfs::FsError::NotFound)
+                );
+                let r = second.stat("/ghost".into()).await;
+                assert_eq!(r.source, StatSource::Negative);
+                // A create revalidates before its reply: the marker is gone.
+                first.create("/ghost").await.unwrap();
+                let r = second.stat("/ghost".into()).await;
+                assert_eq!(
+                    (r.source, r.stat.map(|st| st.size)),
+                    (StatSource::Backend, Ok(0))
+                );
+            });
+        }
+    }
+
+    #[test]
+    fn under_a_fault_plan_the_reply_waits_for_what_it_posted() {
+        for faults in [false, true] {
+            let mut sim = Sim::new(1);
+            let cluster = Rc::new(Cluster::build(sim.handle(), small_imca(2)));
+            if faults {
+                // Benign, but installed: the bank may reorder stores.
+                cluster.install_bank_faults(FaultPlan::seeded(3));
+            }
+            let c2 = Rc::clone(&cluster);
+            let posted = sim.run_main(async move {
+                let m = c2.mount();
+                let mut posted = Vec::new();
+                m.create("/f").await.unwrap();
+                let fd = m.open("/f").await.unwrap();
+                posted.push(c2.posted_stores());
+                m.stat("/f").await.unwrap();
+                posted.push(c2.posted_stores());
+                m.write(fd, 0, &[1u8; 5000]).await.unwrap();
+                posted.push(c2.posted_stores());
+                m.close(fd).await.unwrap();
+                let fd = m.open("/f").await.unwrap();
+                m.read(fd, 0, 5000).await.unwrap();
+                posted.push(c2.posted_stores());
+                posted
+            });
+            if faults {
+                assert_eq!(posted, [0; 4], "a fop returned before what it posted");
+            } else {
+                assert_ne!(posted, [0; 4], "nothing was posted");
+            }
         }
     }
 

@@ -1,15 +1,16 @@
 //! Cache-key schema (§4.2, §4.3.2).
 //!
-//! * stat entries: the absolute pathname with `:m.stat` appended,
-//! * negative (ENOENT) entries: the pathname with `:m.neg` appended,
+//! * metadata: the absolute pathname with `:m.stat` appended. One key per
+//!   path holds its stat structure or, under negative caching, the
+//!   ENOENT marker (`crate::NEG_MARKER`), so a lookup fetches one key;
 //! * data blocks: the absolute pathname with the block's byte offset
 //!   appended (`:<offset>`).
 //!
-//! The metadata namespace carries an explicit `m.` tag and every metadata
-//! suffix ends in a letter, while a block suffix is pure digits — so a
-//! metadata key can never equal a block key, for any pair of paths, even
-//! after the 250-byte fold below (the suffix is appended *after* folding,
-//! so the final byte always reveals the namespace).
+//! The metadata namespace carries an explicit `m.` tag and its suffix
+//! ends in a letter, while a block suffix is pure digits — so a metadata
+//! key can never equal a block key, for any pair of paths, even after the
+//! 250-byte fold below (the suffix is appended *after* folding, so the
+//! final byte always reveals the namespace).
 //!
 //! memcached caps keys at 250 bytes and rejects whitespace/control bytes.
 //! Paths long enough to overflow the cap — or containing bytes the daemon
@@ -30,8 +31,8 @@
 
 use imca_memcached::{crc32, MAX_KEY_LEN};
 
-/// Longest suffix we append (`:` + 20-digit offset; the metadata tags
-/// `:m.stat` / `:m.neg` are shorter).
+/// Longest suffix we append (`:` + 20-digit offset; the metadata tag
+/// `:m.stat` is shorter).
 const SUFFIX_MAX: usize = 21;
 
 /// Bytes the memcached daemon accepts in a key.
@@ -68,17 +69,10 @@ fn folded_path(path: &str) -> String {
     folded
 }
 
-/// Key for a file's stat structure: `<path>:m.stat`.
+/// Key for a file's metadata — its stat structure, or its ENOENT
+/// marker: `<path>:m.stat`.
 pub fn stat_key(path: &str) -> Vec<u8> {
     format!("{}:m.stat", folded_path(path)).into_bytes()
-}
-
-/// Key for a file's negative (ENOENT) entry: `<path>:m.neg`. Lives in the
-/// same `m.` metadata namespace as the stat entry but under its own tag,
-/// so a path can hold either a stat or a negative entry without the two
-/// ever aliasing.
-pub fn neg_key(path: &str) -> Vec<u8> {
-    format!("{}:m.neg", folded_path(path)).into_bytes()
 }
 
 /// Key for the data block starting at byte `block_start`:
@@ -88,8 +82,8 @@ pub fn block_key(path: &str, block_start: u64) -> Vec<u8> {
 }
 
 /// The inverse of [`block_key`]: the byte offset a block key ends in (its
-/// `:<digits>` suffix), or `None` for a metadata key (`:m.stat`,
-/// `:m.neg`), whose suffix ends in a letter.
+/// `:<digits>` suffix), or `None` for a metadata key (`:m.stat`), whose
+/// suffix ends in a letter.
 pub fn block_offset(key: &[u8]) -> Option<u64> {
     let colon = key.iter().rposition(|&b| b == b':')?;
     let digits = &key[colon + 1..];
@@ -113,7 +107,6 @@ mod tests {
     #[test]
     fn short_paths_embed_verbatim() {
         assert_eq!(stat_key("/a/b"), b"/a/b:m.stat");
-        assert_eq!(neg_key("/a/b"), b"/a/b:m.neg");
         assert_eq!(block_key("/a/b", 4096), b"/a/b:4096");
     }
 
@@ -121,11 +114,10 @@ mod tests {
     fn keys_for_different_blocks_differ() {
         assert_ne!(block_key("/f", 0), block_key("/f", 2048));
         assert_ne!(block_key("/f", 0), stat_key("/f"));
-        assert_ne!(stat_key("/f"), neg_key("/f"));
     }
 
-    /// The namespace guard: a metadata key (stat or negative) can never
-    /// collide with a block key — for any pair of paths, any offset, and
+    /// The namespace guard: a metadata key can never collide with a
+    /// block key — for any pair of paths, any offset, and
     /// whether or not the fold kicks in — because block suffixes end in a
     /// digit and metadata tags end in a letter. The corpus below includes
     /// adversarial paths crafted to *look like* keys of the other
@@ -135,7 +127,6 @@ mod tests {
         let paths = [
             "/a/b".to_string(),
             "/a/b:m.stat".to_string(), // path impersonating a stat key
-            "/a/b:m.neg".to_string(),  // path impersonating a negative key
             "/a/b:4096".to_string(),   // path impersonating a block key
             "/a/b:".to_string(),
             "~deadbeef/x".to_string(), // path impersonating a folded key
@@ -144,16 +135,15 @@ mod tests {
         ];
         let offsets = [0u64, 7, 4096, u64::MAX];
         for p in &paths {
-            for m in [stat_key(p), neg_key(p)] {
-                // Structural invariant: metadata keys end in a letter,
-                // block keys in a digit.
-                assert!(m.last().unwrap().is_ascii_lowercase(), "{m:?}");
-                for q in &paths {
-                    for &off in &offsets {
-                        let b = block_key(q, off);
-                        assert!(b.last().unwrap().is_ascii_digit(), "{b:?}");
-                        assert_ne!(m, b, "collision: meta({p:?}) == block({q:?}, {off})");
-                    }
+            let m = stat_key(p);
+            // Structural invariant: metadata keys end in a letter, block
+            // keys in a digit.
+            assert!(m.last().unwrap().is_ascii_lowercase(), "{m:?}");
+            for q in &paths {
+                for &off in &offsets {
+                    let b = block_key(q, off);
+                    assert!(b.last().unwrap().is_ascii_digit(), "{b:?}");
+                    assert_ne!(m, b, "collision: meta({p:?}) == block({q:?}, {off})");
                 }
             }
         }
@@ -257,7 +247,6 @@ mod tests {
                 );
             }
             assert_eq!(block_offset(&stat_key(p)), None, "stat key of {p:?}");
-            assert_eq!(block_offset(&neg_key(p)), None, "negative key of {p:?}");
         }
         // Not keys the schema produces: no suffix, or one past u64.
         assert_eq!(block_offset(b"/no/colon"), None);
@@ -268,10 +257,8 @@ mod tests {
     fn every_generated_key_is_daemon_acceptable() {
         for key in [
             stat_key("/some/dir/file.dat"),
-            neg_key("/some/dir/file.dat"),
             block_key("/some/dir/file.dat", 123456),
             stat_key(&format!("/deep{}", "/y".repeat(300))),
-            neg_key(&format!("/deep{}", "/y".repeat(300))),
             block_key("/white space/file", 0),
             stat_key(""),
         ] {

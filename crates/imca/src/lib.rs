@@ -63,7 +63,7 @@ pub use cluster::{Cluster, ClusterConfig, ImcaConfig};
 pub use cmcache::CmCache;
 pub use mcd::{
     start_mcd, Bank, BankClient, CasToken, CasVerdict, Kept, McdCosts, McdNode, McdReq, McdResp,
-    Replication, RetryPolicy, KEPT_SLOTS,
+    Replication, RetryPolicy, Sent, Store, KEPT_SLOTS,
 };
 pub use meta::{
     serve_revocations, LeaseAck, LeaseHub, LeaseRevoke, MetaConfig, MetaEngine, MetaPolicy,

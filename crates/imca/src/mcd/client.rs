@@ -4,7 +4,9 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use bytes::Bytes;
 use imca_fabric::{Daemon, Network, NodeId};
@@ -99,7 +101,7 @@ struct ReadKey {
 ///   `BankClient::store_one`, `BankClient::cas`) go through one fan-out,
 ///   `BankClient::write_fanout`, to every usable replica; any write
 ///   that fails quarantines its daemon.
-/// * **Bulk writes** (`BankClient::set_pipeline`,
+/// * **Bulk writes** (`BankClient::store_frames`,
 ///   `BankClient::delete_pipeline`, `BankClient::set_kept_pipeline`,
 ///   `BankClient::cas_pipeline`) send each daemon its whole share as one
 ///   frame and get one reply frame back: `noreply` commands with a
@@ -655,13 +657,73 @@ impl BankClient {
     /// Store many values on every usable replica of their keys: one
     /// frame of `noreply` stores per daemon, or per key.
     pub async fn store_blocks(self: &Rc<Self>, items: Vec<(Vec<u8>, Bytes)>) {
+        let stores = items
+            .into_iter()
+            .map(|(key, value)| (StoreVerb::Set, key, value));
+        self.stores(stores.collect()).await
+    }
+
+    /// [`BankClient::store_blocks`] for stores of any verb.
+    async fn stores(self: &Rc<Self>, stores: Vec<Store>) {
         if self.batched {
-            return self.set_pipeline(items).await;
+            let rounds = self.store_frames(stores, false).await;
+            return self.settle_frames(rounds);
         }
-        self.per_key(items, |bank, (key, value)| async move {
-            bank.set(&key, value).await
+        self.per_key(stores, |bank, (verb, key, value)| async move {
+            bank.store_one(verb, &key, value, Answer::Status).await
         })
         .await;
+    }
+
+    /// Issue `stores` now, framed as [`BankClient::store_blocks`] frames
+    /// them, and return the round's answer: every first frame (or, per
+    /// key, every store) takes its place in this node's TX queue before
+    /// the call returns, so each leaves the node ahead of any message
+    /// asked for after it — a reply included — and, the fabric and each
+    /// daemon being FIFO, lands before anything this node sends that
+    /// daemon later. Where the bank may reorder stores
+    /// ([`BankClient::may_reorder`]) that order would not hold, so
+    /// nothing is issued at the call: the stores go out once the answer
+    /// is awaited, exactly as [`BankClient::store_blocks`] sends them
+    /// ([`Sent::issued`]).
+    pub fn post_stores(self: &Rc<Self>, stores: Vec<Store>) -> Sent {
+        let bank = Rc::clone(self);
+        if self.may_reorder() {
+            return Sent::later(async move { bank.stores(stores).await });
+        }
+        if self.batched {
+            let rounds = self.store_frames(stores, true);
+            return Sent::now(async move { bank.settle_frames(rounds.await) });
+        }
+        let each: Vec<Sent> = stores
+            .into_iter()
+            .map(|(verb, key, value)| self.post_store(verb, key, value))
+            .collect();
+        Sent::now(async move {
+            join_all(&bank.wire.handle, each).await;
+        })
+    }
+
+    /// [`BankClient::post_stores`] of one store, sent as
+    /// [`BankClient::set`] sends it: one answering command to every usable
+    /// replica of `key`.
+    pub fn post_store(self: &Rc<Self>, verb: StoreVerb, key: Vec<u8>, value: Bytes) -> Sent {
+        let bank = Rc::clone(self);
+        if self.may_reorder() {
+            return Sent::later(async move {
+                bank.store_one(verb, &key, value, Answer::Status).await;
+            });
+        }
+        self.sets.inc();
+        let targets = self.write_targets(self.replicas(&key));
+        let req = McdReq::one(store_cmd(verb, key, value, Answer::Status));
+        let sent = self.fanout(&targets, req, true);
+        Sent::now(async move {
+            let outcomes = sent.await;
+            for (&idx, outcome) in targets.iter().zip(&outcomes) {
+                bank.settle_write(idx, outcome, 1);
+            }
+        })
     }
 
     /// Store many values like [`BankClient::store_blocks`], each store
@@ -674,7 +736,8 @@ impl BankClient {
             return self.set_kept_pipeline(&items).await;
         }
         self.per_key(items, |bank, (key, value)| async move {
-            bank.store_one(&key, value, Answer::Token).await
+            bank.store_one(StoreVerb::Set, &key, value, Answer::Token)
+                .await
         })
         .await
     }
@@ -835,20 +898,25 @@ impl BankClient {
 
     /// Store many values in one frame per daemon: each item goes to
     /// every usable replica of its key, so one frame carries a daemon's
-    /// whole share of the fan-out.
-    async fn set_pipeline(&self, items: Vec<(Vec<u8>, Bytes)>) {
-        self.sets.add(items.len() as u64);
+    /// whole share of the fan-out. With `post`, each daemon's first
+    /// frame is sent at the call ([`BankClient::send_frames`]).
+    fn store_frames(
+        &self,
+        stores: Vec<Store>,
+        post: bool,
+    ) -> impl Future<Output = Vec<Round>> + 'static {
+        self.sets.add(stores.len() as u64);
         let mut groups = BTreeMap::new();
-        for (key, value) in items {
-            let targets = self.write_targets(self.replicas(&key));
-            enqueue(&mut groups, &targets, (key, value));
+        for store in stores {
+            let targets = self.write_targets(self.replicas(&store.1));
+            enqueue(&mut groups, &targets, store);
         }
-        let command = |(key, value)| store_cmd(StoreVerb::Set, key, value, Answer::Quiet);
-        self.frames(groups, command, &self.pipelined_sets).await;
+        let command = |(verb, key, value)| store_cmd(verb, key, value, Answer::Quiet);
+        self.send_frames(groups, command, &self.pipelined_sets, post)
     }
 
     /// Remove many keys in one frame per daemon — same grouping,
-    /// ordering, and failure semantics as [`BankClient::set_pipeline`].
+    /// ordering, and failure semantics as [`BankClient::store_frames`].
     /// The purge reaches every replica that could still serve the value.
     async fn delete_pipeline(&self, keys: Vec<Vec<u8>>) {
         self.deletes.add(keys.len() as u64);
@@ -862,46 +930,76 @@ impl BankClient {
     }
 
     /// Send each daemon in `groups` its queue as one frame (several past
-    /// [`MAX_FRAME`]), all daemons concurrently: `command` makes each
-    /// queued item its `noreply` command, and a trailing `version` makes
-    /// the frame's reply the sync for all of them — the daemon answers it
-    /// only after every command before it has applied.
-    /// `streamed` counts the commands sent. A key with no usable replica
-    /// was never queued — skipped, exactly like [`BankClient::set`]. If a
-    /// daemon's frame fails, every command in it counts as a failure,
-    /// because none of them is known to have landed, and the daemon is
-    /// quarantined.
+    /// [`MAX_FRAME`]), all daemons concurrently, and settle the round
+    /// ([`BankClient::settle_frames`]).
     async fn frames<T: 'static>(
         &self,
         groups: BTreeMap<usize, Vec<T>>,
         command: fn(T) -> Command,
         streamed: &Counter,
     ) {
+        let rounds = self.send_frames(groups, command, streamed, false).await;
+        self.settle_frames(rounds);
+    }
+
+    /// Send each daemon in `groups` its queue as one frame (several past
+    /// [`MAX_FRAME`]), all daemons concurrently: `command` makes each
+    /// queued item its `noreply` command, and a trailing `version` makes
+    /// the frame's reply the sync for all of them — the daemon answers it
+    /// only after every command before it has applied.
+    /// `streamed` counts the commands sent. A key with no usable replica
+    /// was never queued — skipped, exactly like [`BankClient::set`]. With
+    /// `post`, each daemon's first frame is sent at the call
+    /// ([`Wire::send_each`]), otherwise once the round is awaited. The
+    /// round resolves to each daemon's [`Round`].
+    fn send_frames<T: 'static>(
+        &self,
+        groups: BTreeMap<usize, Vec<T>>,
+        command: fn(T) -> Command,
+        streamed: &Counter,
+        post: bool,
+    ) -> impl Future<Output = Vec<Round>> + 'static {
         let mut daemons = Vec::with_capacity(groups.len());
         let mut calls = Vec::with_capacity(groups.len());
         for (idx, batch) in groups {
             streamed.add(batch.len() as u64);
             daemons.push((idx, batch.len() as u64));
-            calls.push(self.wire.call_each(idx, framed(batch, command, true)));
+            let frames = framed(batch, command, true);
+            calls.push(self.wire.send_each(idx, frames, post));
         }
-        let syncs = join_all(&self.wire.handle, calls).await;
-        for ((idx, sent), sync) in daemons.into_iter().zip(syncs) {
+        let handle = self.wire.handle.clone();
+        async move {
+            let syncs = join_all(&handle, calls).await;
+            daemons
+                .into_iter()
+                .zip(syncs)
+                .map(|((idx, sent), sync)| (idx, sent, sync))
+                .collect()
+        }
+    }
+
+    /// Settle a round of `noreply` frames: if a daemon's frame failed,
+    /// every command in it counts as a failure, because none of them is
+    /// known to have landed, and the daemon is quarantined.
+    fn settle_frames(&self, rounds: Vec<Round>) {
+        for (idx, sent, sync) in rounds {
             self.settle_write(idx, &sync, sent);
         }
     }
 
     /// Store one value on every usable replica of its key.
     pub async fn set(&self, key: &[u8], value: Bytes) {
-        self.store_one(key, value, Answer::Status).await;
+        self.store_one(StoreVerb::Set, key, value, Answer::Status)
+            .await;
     }
 
-    /// Store one value on every usable replica of its key, answering as
-    /// `answer` says: the tokens the replicas answered with, by replica
-    /// position (none unless `answer` asks for them).
-    async fn store_one(&self, key: &[u8], value: Bytes, answer: Answer) -> Kept {
+    /// Store one value by `verb` on every usable replica of its key,
+    /// answering as `answer` says: the tokens the replicas answered with,
+    /// by replica position (none unless `answer` asks for them).
+    async fn store_one(&self, verb: StoreVerb, key: &[u8], value: Bytes, answer: Answer) -> Kept {
         self.sets.inc();
         let (slots, targets): (Vec<usize>, Vec<usize>) = self.write_slots(key).unzip();
-        let req = McdReq::one(store_cmd(StoreVerb::Set, key.to_vec(), value, answer));
+        let req = McdReq::one(store_cmd(verb, key.to_vec(), value, answer));
         let outcomes = self.write_fanout(targets, req).await;
         let mut kept = Kept::default();
         for (slot, outcome) in slots.into_iter().zip(&outcomes) {
@@ -960,17 +1058,33 @@ impl BankClient {
     /// outcome independently, so no replica can ever serve a value its
     /// purge missed. Returns the outcomes in target order.
     async fn write_fanout(&self, targets: Vec<usize>, req: McdReq) -> Vec<CallOutcome> {
-        let outcomes = match targets[..] {
-            [idx] => vec![self.wire.call(idx, req).await],
-            _ => {
-                let calls = targets.iter().map(|&idx| self.wire.call(idx, req.clone()));
-                join_all(&self.wire.handle, calls.collect()).await
-            }
-        };
+        let outcomes = self.fanout(&targets, req, false).await;
         for (&idx, outcome) in targets.iter().zip(&outcomes) {
             self.settle_write(idx, outcome, 1);
         }
         outcomes
+    }
+
+    /// Send `req` to every daemon in `targets` — at the call with `post`
+    /// ([`Wire::send_each`]), otherwise once awaited — and resolve to
+    /// their outcomes in target order, unsettled.
+    fn fanout(
+        &self,
+        targets: &[usize],
+        req: McdReq,
+        post: bool,
+    ) -> impl Future<Output = Vec<CallOutcome>> + 'static {
+        let mut calls: Vec<_> = targets
+            .iter()
+            .map(|&idx| self.wire.send_each(idx, std::iter::once(req.clone()), post))
+            .collect();
+        let handle = self.wire.handle.clone();
+        async move {
+            match calls.len() {
+                1 => vec![calls.remove(0).await],
+                _ => join_all(&handle, calls).await,
+            }
+        }
     }
 
     /// Account the outcome of `writes` commands sent to daemon `idx` — a
@@ -991,6 +1105,56 @@ impl BankClient {
         }
         self.failures.add(writes);
         self.quarantined[idx].set(true);
+    }
+}
+
+/// One store of a bulk push ([`BankClient::post_stores`]): its verb —
+/// `set`, or `add`, which stores only where the key is absent — key and
+/// value.
+pub type Store = (StoreVerb, Vec<u8>, Bytes);
+
+/// One daemon's share of a round of `noreply` frames: the daemon, the
+/// commands sent to it, and the outcome of its sync.
+type Round = (usize, u64, CallOutcome);
+
+/// The answer to a bank round [`BankClient::post_stores`] or
+/// [`BankClient::post_store`] made: it resolves once every daemon of the
+/// round has answered, or failed, and its outcome is settled.
+pub struct Sent {
+    issued: bool,
+    answer: Pin<Box<dyn Future<Output = ()>>>,
+}
+
+impl Sent {
+    /// A round whose requests went out at the call.
+    fn now(answer: impl Future<Output = ()> + 'static) -> Sent {
+        Sent {
+            issued: true,
+            answer: Box::pin(answer),
+        }
+    }
+
+    /// A round that goes out once it is awaited.
+    fn later(answer: impl Future<Output = ()> + 'static) -> Sent {
+        Sent {
+            issued: false,
+            answer: Box::pin(answer),
+        }
+    }
+
+    /// Whether the round's requests went out at the call: `false` where
+    /// the bank may reorder stores, and nothing goes out before the
+    /// answer is awaited.
+    pub fn issued(&self) -> bool {
+        self.issued
+    }
+}
+
+impl Future for Sent {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        self.answer.as_mut().poll(cx)
     }
 }
 
@@ -1568,7 +1732,7 @@ mod tests {
             let items: Vec<(Vec<u8>, Bytes)> = (0..4u64)
                 .map(|i| (block(&format!("/q/{i}"), 0), Bytes::from(vec![7u8; 2048])))
                 .collect();
-            c.set_pipeline(items).await;
+            c.store_blocks(items).await;
         });
         assert_eq!(
             counters(&*client, ["sets", "failures"]),
@@ -1847,7 +2011,7 @@ mod tests {
             // Single-key writes fan out…
             c2.set(b"/a:0", Bytes::from_static(b"v")).await;
             // …and so do framed ones.
-            c2.set_pipeline(vec![
+            c2.store_blocks(vec![
                 (block("/f", 1), Bytes::from_static(b"w")),
                 (block("/f", 2), Bytes::from_static(b"x")),
             ])

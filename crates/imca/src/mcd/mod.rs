@@ -50,6 +50,13 @@
 //! one task per key from `ImcaConfig::batching`; no other module reads
 //! that switch.
 //!
+//! **Posted stores** (DESIGN.md §4f): [`BankClient::post_stores`] and
+//! [`BankClient::post_store`] send a push — `set`s, and `add`s that store
+//! only where a key is absent — at the call, so its frames leave the
+//! node ahead of anything asked for later, and hand back its answer as
+//! a [`Sent`] to await whenever the caller likes. Where
+//! [`BankClient::may_reorder`] holds nothing is sent at the call.
+//!
 //! **Kept tokens** (DESIGN.md §4f): a store that asks for its token (meta
 //! `ms … c`) is answered with the item's new CAS unique.
 //! [`BankClient::store_kept`]'s `set`s and every `cas` ask, and hand the
@@ -67,6 +74,6 @@ mod client;
 mod daemon;
 mod policy;
 
-pub use client::BankClient;
+pub use client::{BankClient, Sent, Store};
 pub use daemon::{start_mcd, Bank, McdCosts, McdNode, McdReq, McdResp};
 pub use policy::{CasToken, CasVerdict, Kept, Replication, RetryPolicy, KEPT_SLOTS};

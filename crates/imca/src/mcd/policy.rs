@@ -4,6 +4,7 @@
 
 use std::cell::Cell;
 use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -267,25 +268,47 @@ impl Wire {
         idx: usize,
         frames: impl Iterator<Item = McdReq> + 'static,
     ) -> impl Future<Output = CallOutcome> + 'static {
+        self.send_each(idx, frames, false)
+    }
+
+    /// [`Wire::call_each`] — or, with `post`, the same with the first
+    /// frame's first attempt sent at the call ([`RpcClient::post`]): it
+    /// leaves the node ahead of every message asked for after this call.
+    /// Later frames and retries go out as the round reaches them.
+    pub(super) fn send_each(
+        &self,
+        idx: usize,
+        mut frames: impl Iterator<Item = McdReq> + 'static,
+        post: bool,
+    ) -> impl Future<Output = CallOutcome> + 'static {
         let policy = self.policy.clone();
         let handle = self.handle.clone();
         let client = self.clients[idx].clone();
         let rpc_timeouts = self.rpc_timeouts.clone();
         let retries = self.retries.clone();
         let in_doubt = Rc::clone(&self.in_doubt);
+        // Boxed, so that a call not posted carries one pointer for it.
+        let first = post.then(|| frames.next()).flatten().map(|req| {
+            let sent: Pin<Box<dyn Future<Output = _>>> = Box::pin(client.post(req.clone()));
+            (sent, req)
+        });
+        let (mut sent, first) = first.unzip();
         async move {
             let mut answers: Option<McdResp> = None;
-            for req in frames {
+            for req in first.into_iter().chain(frames) {
                 let mut backoff = policy.backoff_base;
                 let mut attempt = 0;
                 let resp = loop {
-                    let (c, r) = (client.clone(), req.clone());
+                    let (c, r, posted) = (client.clone(), req.clone(), sent.take());
                     // The attempt runs on past its deadline (`timeout`);
                     // once abandoned it is in doubt until it ends.
                     let late = Rc::new(Cell::new(false));
                     let (ended_late, doubt) = (Rc::clone(&late), Rc::clone(&in_doubt));
                     let attempt_rpc = async move {
-                        let resp = c.try_call(r).await;
+                        let resp = match posted {
+                            Some(rpc) => rpc.await,
+                            None => c.try_call(r).await,
+                        };
                         if ended_late.get() {
                             doubt.set(doubt.get() - 1);
                         }

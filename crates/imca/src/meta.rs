@@ -47,13 +47,16 @@
 //!
 //! # Negative entries
 //!
-//! Under the lease policy a backend ENOENT plants a marker under the
-//! path's `:m.neg` key (its own namespace in `keys.rs`), and repeated
-//! lookups of missing paths are answered from a local negative lease or
-//! the bank marker, with provenance `Negative`. A create revalidates: SMCache purges the path (bumping
-//! the generation fence, revoking leases, and deleting the marker)
-//! before acknowledging, so no client sees ENOENT for a file whose
-//! create completed.
+//! Under the lease policy a backend ENOENT plants a marker as the value
+//! of the path's own `:m.stat` key — one metadata key per path, so every
+//! lookup fetches one key from one daemon — and repeated lookups of
+//! missing paths are answered from a local negative lease or the bank
+//! marker, with provenance `Negative`. SMCache stores the marker with
+//! memcached `add`, so it never replaces a stat, while a stat's `set`
+//! replaces a marker. A create revalidates: SMCache purges the path
+//! (bumping the generation fence, revoking leases, and deleting the
+//! marker) before acknowledging, so no client sees ENOENT for a file
+//! whose create completed.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -64,11 +67,11 @@ use imca_glusterfs::{FileStat, Fop, FopReply, FsError, Xlator};
 use imca_metrics::{Counter, MetricSource, Registry, Snapshot};
 use imca_sim::{join_all, timeout, SimDuration, SimHandle, SimTime};
 
-use crate::keys::{neg_key, stat_key};
+use crate::keys::stat_key;
 use crate::mcd::BankClient;
 
-/// The byte stored under a `:m.neg` key. Its only job is presence; it is
-/// one byte so it can never be mis-decoded as a 24-byte `FileStat`.
+/// The value of a `:m.stat` key that marks its path absent (ENOENT). It
+/// is one byte, so it can never be mis-decoded as a 24-byte `FileStat`.
 pub const NEG_MARKER: &[u8] = b"!";
 
 /// Which stat path the metadata tier uses.
@@ -326,27 +329,25 @@ impl MetaEngine {
         }
     }
 
-    /// Decode one bank round for `path`: `raw_stat` from the `:m.stat`
-    /// key and (under negative caching) `raw_neg` from `:m.neg`.
+    /// Decode `path`'s `:m.stat` value from one bank round: a stat, or
+    /// (under negative caching) an ENOENT marker. Anything else — no
+    /// value, a corrupt one — is a miss.
     fn decode_bank_round(
         &self,
         path: &str,
-        raw_stat: Option<&bytes::Bytes>,
-        raw_neg: Option<&bytes::Bytes>,
+        raw: Option<&bytes::Bytes>,
         epoch_at_start: u64,
     ) -> Option<StatResult> {
-        if let Some(raw) = raw_stat {
-            if let Some(st) = FileStat::from_bytes(raw) {
-                self.bank_hits.inc();
-                self.install(path, Some(st), epoch_at_start);
-                return Some(StatResult {
-                    stat: Ok(st),
-                    source: StatSource::Bank,
-                });
-            }
-            // Corrupt entry: fall through as a miss.
+        let raw = raw?;
+        if let Some(st) = FileStat::from_bytes(raw) {
+            self.bank_hits.inc();
+            self.install(path, Some(st), epoch_at_start);
+            return Some(StatResult {
+                stat: Ok(st),
+                source: StatSource::Bank,
+            });
         }
-        if raw_neg.is_some() {
+        if self.cfg.negative() && raw[..] == *NEG_MARKER {
             self.negative_hits.inc();
             self.install(path, None, epoch_at_start);
             return Some(StatResult {
@@ -369,18 +370,9 @@ impl MetaEngine {
             }
         }
         let epoch = self.epoch.get();
-        if self.cfg.negative() {
-            // Stat and negative entries travel in one batched round.
-            let keys = [stat_key(&path), neg_key(&path)];
-            let got = self.bank.get_multi(&keys).await;
-            if let Some(r) = self.decode_bank_round(&path, got[0].as_ref(), got[1].as_ref(), epoch)
-            {
-                return r;
-            }
-        } else if let Some(raw) = self.bank.get(&stat_key(&path)).await {
-            if let Some(r) = self.decode_bank_round(&path, Some(&raw), None, epoch) {
-                return r;
-            }
+        let raw = self.bank.get(&stat_key(&path)).await;
+        if let Some(r) = self.decode_bank_round(&path, raw.as_ref(), epoch) {
+            return r;
         }
         self.backend_stat(path, epoch).await
     }
@@ -413,24 +405,10 @@ impl MetaEngine {
         let epoch = self.epoch.get();
         let missing: Vec<usize> = (0..paths.len()).filter(|&i| out[i].is_none()).collect();
         if !missing.is_empty() {
-            let negative = self.cfg.negative();
-            let stride = if negative { 2 } else { 1 };
-            let mut keys = Vec::with_capacity(missing.len() * stride);
-            for &i in &missing {
-                keys.push(stat_key(&paths[i]));
-                if negative {
-                    keys.push(neg_key(&paths[i]));
-                }
-            }
+            let keys: Vec<Vec<u8>> = missing.iter().map(|&i| stat_key(&paths[i])).collect();
             let got = self.bank.get_multi(&keys).await;
-            for (j, &i) in missing.iter().enumerate() {
-                let raw_stat = got[j * stride].as_ref();
-                let raw_neg = if negative {
-                    got[j * stride + 1].as_ref()
-                } else {
-                    None
-                };
-                out[i] = self.decode_bank_round(&paths[i], raw_stat, raw_neg, epoch);
+            for (&i, raw) in missing.iter().zip(&got) {
+                out[i] = self.decode_bank_round(&paths[i], raw.as_ref(), epoch);
             }
         }
         // 3. Whatever is still unanswered forwards to the server in one
@@ -833,7 +811,7 @@ mod tests {
             assert_eq!(r.stat, Err(FsError::NotFound));
             // Plant the marker the way SMCache would, and drop the
             // negative lease so the next lookup has to ask the bank.
-            bank.set(&neg_key("/ghost"), Bytes::from_static(NEG_MARKER))
+            bank.set(&stat_key("/ghost"), Bytes::from_static(NEG_MARKER))
                 .await;
             eng.revoke("/ghost");
             let r = Rc::clone(&eng).stat("/ghost".into()).await;

@@ -6,9 +6,10 @@
 //! * **open**: purge the file's entries from the MCDs, then seed the stat
 //!   entry from the open's attributes ("At open, MCD is updated with the
 //!   contents of the stat structure from the file by SMCache").
-//! * **stat** (a CMCache miss): forward, then repopulate the stat entry;
-//!   a batched stat (readdirplus) repopulates every entry it found in one
-//!   bulk push.
+//! * **stat** (a CMCache miss): forward, then repopulate the stat entry —
+//!   or, under negative caching, plant an ENOENT marker as its value; a
+//!   batched stat (readdirplus) repopulates every entry it found, and
+//!   plants every marker, in one bulk push.
 //! * **read**: enlarge to the IMCa block alignment, serve the requested
 //!   sub-range, and push the whole blocks to the MCDs.
 //! * **write**: writes are persistent — they complete at the filesystem
@@ -19,6 +20,10 @@
 //!   NoCache; with `threaded_updates` the work moves to a background
 //!   process and write latency returns to the NoCache level.
 //! * **close / unlink**: purge the file's entries.
+//!
+//! A path has one metadata key, `:m.stat` (`crate::keys`): it holds the
+//! stat, or the ENOENT marker. Stats are stored with `set`, markers with
+//! `add`, so a marker never replaces a stat, and a purge deletes both.
 //!
 //! Because memcached cannot enumerate keys, SMCache records which block
 //! keys it has populated per file and purges exactly those.
@@ -61,6 +66,22 @@
 //!   consumer that sees the new mtime reads the new blocks.
 //! * **Fall-back** (`fall_back`): a CAS wave that could not replace every
 //!   held copy purges the file and repopulates under the new generation.
+//! * **Post, then reply** (`settle`): a store whose answer the fop's reply
+//!   never reads — a stat miss's push or marker, a batched stat's bulk
+//!   push, open's seed, a read's fill, a write's stat refresh — is
+//!   *posted*: [`BankClient::post_stores`] issues it at the call, so its
+//!   frames take their place in the server NIC's TX queue ahead of the
+//!   reply, and whatever followed the await (fence take-outs,
+//!   `overtaken`, bookkeeping, counters) runs as a continuation once the
+//!   answer is back ([`SmCache::posted`] counts those still to come).
+//!   The fabric, each daemon's NIC and each daemon's event loop are FIFO,
+//!   so every lookup the reply causes reaches a daemon after the store
+//!   (DESIGN.md §4f). Where the bank may reorder stores
+//!   (`BankClient::may_reorder`) nothing is posted: the fop awaits the
+//!   store as it always did. What the reply does read — CAS verdicts,
+//!   `gets`, the write path's `refill`, purges, the fall-back — stays
+//!   awaited, and the threaded worker, which has no reply to send, awaits
+//!   its fills.
 //!
 //! How a push, purge or CAS wave is framed on the wire — one frame per
 //! daemon, or one awaited RPC per key — is decided inside [`BankClient`]
@@ -91,20 +112,22 @@
 //! every replica, then repopulate from a covering re-read — as the
 //! ablation baseline with its R-proportional purge tax and cold window.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use imca_glusterfs::{FileStat, Fop, FopReply, FsError, Translator, Xlator};
+use imca_memcached::protocol::StoreVerb;
 use imca_metrics::{prefixed, Counter, MetricSource, Registry, Snapshot};
 use imca_sim::sync::Queue;
 use imca_sim::{SimHandle, TokenBucket};
 
 use crate::block::{aligned_range, cover};
 use crate::cluster::ImcaConfig;
-use crate::keys::{block_key, neg_key, stat_key};
-use crate::mcd::{BankClient, CasToken, CasVerdict, Kept};
+use crate::keys::{block_key, stat_key};
+use crate::mcd::{BankClient, CasToken, CasVerdict, Kept, Store};
 use crate::meta::{LeaseHub, NEG_MARKER};
 
 /// Write-coherence protocol for the bank (DESIGN.md §4f).
@@ -194,6 +217,14 @@ struct Cached {
     kept: Kept,
 }
 
+/// Blocks cut from data in hand ([`SmCache::cut_blocks`]).
+struct Cut {
+    /// Each block's start and chunk length, in offset order.
+    blocks: Vec<(u64, u64)>,
+    /// Each block's key and bytes, to store.
+    items: Vec<(Vec<u8>, Bytes)>,
+}
+
 /// One file's tracked blocks: block start → its [`Cached`] length and
 /// kept tokens, and the starts cached *short* (below the block size) on
 /// their own. There is normally one short block, the EOF block, and the
@@ -255,13 +286,16 @@ pub struct SmCache {
     threaded: bool,
     coherence: Coherence,
     /// Negative caching (`MetaConfig::negative`): backend ENOENTs plant
-    /// `:m.neg` markers, purges delete them, creates revalidate them.
+    /// ENOENT markers under `:m.stat`, purges delete them, creates
+    /// revalidate them.
     negative: bool,
     /// Lease fan-out to every mounted client; `None` outside the lease
     /// policy. Revoked *before* a path's stat entry is deleted or
     /// updated — the invalidation ordering rule (see `crate::meta`).
     leases: Option<Rc<LeaseHub>>,
     jobs: Queue<Job>,
+    /// Posted stores still to be followed through ([`SmCache::posted`]).
+    posted: Cell<u64>,
     /// Per path: its purge generation, newest stat, write count and
     /// tracked blocks.
     paths: RefCell<HashMap<String, PathState>>,
@@ -324,6 +358,7 @@ impl SmCache {
             negative: cfg.meta.negative(),
             leases,
             jobs: Queue::new(),
+            posted: Cell::new(0),
             paths: RefCell::new(HashMap::new()),
             rewarm: cfg
                 .rewarm
@@ -429,10 +464,36 @@ impl SmCache {
         self.with_tracked(path, |t| t.map_or(0, |t| t.lens.len()))
     }
 
+    /// Posted stores not yet followed through: their answers, or the
+    /// take-outs and bookkeeping that follow them, are still to come
+    /// (`SmCache::settle`). 0 once the bank has answered every store a
+    /// returned fop posted.
+    pub fn posted(&self) -> u64 {
+        self.posted.get()
+    }
+
+    /// Run `rest` — the answer of a bank round just made, awaited, then
+    /// whatever follows it — where the round went out at the call
+    /// (`issued`), as its own task: the fop does not wait, and its reply
+    /// leaves the server's NIC behind the round's frames. Where it did
+    /// not (the bank may reorder, [`crate::mcd::Sent::issued`]), the fop
+    /// awaits `rest` as it always did.
+    async fn settle(self: &Rc<Self>, issued: bool, rest: impl Future<Output = ()> + 'static) {
+        if !issued {
+            return rest.await;
+        }
+        self.posted.set(self.posted.get() + 1);
+        let sm = Rc::clone(self);
+        self.handle.spawn(async move {
+            rest.await;
+            sm.posted.set(sm.posted.get() - 1);
+        });
+    }
+
     /// The executor's front door: a threaded deployment counts the job
     /// and queues it for the background worker; a synchronous one runs it
     /// now, in the fop's critical path.
-    async fn submit(&self, job: Job) {
+    async fn submit(self: &Rc<Self>, job: Job) {
         if self.threaded {
             self.deferred_jobs.inc();
             self.jobs.push(job);
@@ -441,7 +502,7 @@ impl SmCache {
         }
     }
 
-    async fn run(&self, Job { path, gen, work }: Job) {
+    async fn run(self: &Rc<Self>, Job { path, gen, work }: Job) {
         match work {
             Work::Fill {
                 aligned_offset: off,
@@ -449,8 +510,13 @@ impl SmCache {
                 data,
                 writes,
             } => {
-                self.push_blocks(&path, off, len, &data, (gen, writes), false)
-                    .await
+                let fence = (gen, writes);
+                if self.threaded {
+                    // The worker has no reply to send: it awaits the fill.
+                    self.push_blocks(&path, off, len, &data, fence, false).await
+                } else {
+                    self.post_fill(path, off, len, &data, fence).await
+                }
             }
             Work::Repopulate { offset, len } => {
                 self.purge_then_populate(&path, offset, len, gen).await
@@ -502,12 +568,50 @@ impl SmCache {
         aligned_offset: u64,
         aligned_len: u64,
         data: &[u8],
-        (gen, writes): (u64, u64),
+        fence: (u64, u64),
         keep: bool,
     ) {
-        let blocks = cover(aligned_offset, aligned_len, self.block_size);
-        let mut chunk_lens = Vec::with_capacity(blocks.len());
-        let items: Vec<(Vec<u8>, Bytes)> = blocks
+        let Cut { blocks, items } = self.cut_blocks(path, aligned_offset, aligned_len, data);
+        let mark = self.bank.reorder_mark();
+        let kept = if keep {
+            self.bank.store_kept(items).await
+        } else {
+            self.bank.store_blocks(items).await;
+            Vec::new()
+        };
+        self.blocks_landed(path, &blocks, kept, fence, mark).await;
+    }
+
+    /// The read fill: [`SmCache::push_blocks`]'s plain `set`s, posted
+    /// ([`SmCache::settle`]) — a fill only warms the bank, so the read
+    /// need not wait for it.
+    async fn post_fill(
+        self: &Rc<Self>,
+        path: String,
+        aligned_offset: u64,
+        aligned_len: u64,
+        data: &[u8],
+        fence: (u64, u64),
+    ) {
+        let Cut { blocks, items } = self.cut_blocks(&path, aligned_offset, aligned_len, data);
+        let mark = self.bank.reorder_mark();
+        let sets = items
+            .into_iter()
+            .map(|(key, value)| (StoreVerb::Set, key, value));
+        let sent = self.bank.post_stores(sets.collect());
+        let sm = Rc::clone(self);
+        self.settle(sent.issued(), async move {
+            sent.await;
+            sm.blocks_landed(&path, &blocks, Vec::new(), fence, mark)
+                .await;
+        })
+        .await;
+    }
+
+    /// `data`, from the block-aligned `aligned_offset` on, cut into
+    /// blocks.
+    fn cut_blocks(&self, path: &str, aligned_offset: u64, aligned_len: u64, data: &[u8]) -> Cut {
+        let (blocks, items) = cover(aligned_offset, aligned_len, self.block_size)
             .iter()
             .map(|b| {
                 let rel = (b.start - aligned_offset) as usize;
@@ -517,34 +621,41 @@ impl SmCache {
                 } else {
                     Vec::new() // block fully past EOF: "known empty"
                 };
-                chunk_lens.push(chunk.len() as u64);
-                (block_key(path, b.start), Bytes::from(chunk))
+                let block = (b.start, chunk.len() as u64);
+                (block, (block_key(path, b.start), Bytes::from(chunk)))
             })
-            .collect();
-        let n = items.len() as u64;
-        let mark = self.bank.reorder_mark();
-        let kept = if keep {
-            self.bank.store_kept(items).await
-        } else {
-            self.bank.store_blocks(items).await;
-            Vec::new()
-        };
+            .unzip();
+        Cut { blocks, items }
+    }
+
+    /// `blocks` of `path` were stored at reorder `mark` under the
+    /// `(gen, writes)` fence (keeping `kept`, per block): record them, or
+    /// take them out again if a purge or a write overtook them
+    /// ([`SmCache::push_blocks`]).
+    async fn blocks_landed(
+        &self,
+        path: &str,
+        blocks: &[(u64, u64)],
+        kept: Vec<Kept>,
+        (gen, writes): (u64, u64),
+        mark: u64,
+    ) {
         if self.fenced(path, gen) || self.overtaken(path, writes, mark) {
             // A purge (close/unlink/open) overtook this update while its
             // stores were on the wire, or a write returned since `data`
             // was read: the entries just written belong to a stale
             // generation of the file, or may predate that write. Take
             // them out again and record nothing.
-            let rollback = blocks.iter().map(|b| block_key(path, b.start)).collect();
-            self.bank.remove_keys(rollback).await;
+            let rollback = blocks.iter().map(|&(start, _)| block_key(path, start));
+            self.bank.remove_keys(rollback.collect()).await;
             return;
         }
-        self.blocks_pushed.add(n);
+        self.blocks_pushed.add(blocks.len() as u64);
         self.with_path(path, |p| {
             let entry = p.tracked.get_or_insert_default();
-            for (i, (b, len)) in blocks.iter().zip(chunk_lens).enumerate() {
+            for (i, &(start, len)) in blocks.iter().enumerate() {
                 let kept = kept.get(i).copied().unwrap_or_default();
-                entry.insert(b.start, len, kept, self.block_size);
+                entry.insert(start, len, kept, self.block_size);
             }
         });
     }
@@ -556,9 +667,9 @@ impl SmCache {
     /// that now lie about where the file ends, or the pre-write stat
     /// (with client leases naming it), all of which the write just made
     /// stale. Count the dropped push and purge the file — leases revoked
-    /// first, then the stat/neg/block entries — so readers and metadata
+    /// first, then the stat and block entries — so readers and metadata
     /// consumers fall through to the backend like NoCache.
-    async fn abandon(&self, path: &str) {
+    async fn abandon(self: &Rc<Self>, path: &str) {
         self.dropped_pushes.inc();
         self.purge(path).await;
     }
@@ -571,7 +682,7 @@ impl SmCache {
     /// the filesystem read was in flight, or abandoned because the read
     /// failed. Under [`Coherence::Cas`] the pushed blocks keep their
     /// tokens, so the next write replaces them without a `gets`.
-    async fn refill(&self, path: &str, offset: u64, len: u64, gen: u64) -> bool {
+    async fn refill(self: &Rc<Self>, path: &str, offset: u64, len: u64, gen: u64) -> bool {
         let reply = Rc::clone(&self.child)
             .handle(Fop::Read {
                 path: path.to_string(),
@@ -613,7 +724,10 @@ impl SmCache {
     /// stat value (the write moved size/mtime), so any lease still naming
     /// the old value must fall first — and if a purge lands during the
     /// revocation, the refresh is stale and must not be pushed at all.
-    async fn refresh_stat(&self, path: &str, st: FileStat, gen: u64) {
+    /// The push is posted: the write's reply leaves the server behind the
+    /// stat's frame, so every lookup the reply causes reaches the stat's
+    /// daemon after it (DESIGN.md §4f).
+    async fn refresh_stat(self: &Rc<Self>, path: &str, st: FileStat, gen: u64) {
         self.revoke_leases(path).await;
         if !self.fenced(path, gen) {
             self.push_stat(path, st).await;
@@ -623,7 +737,7 @@ impl SmCache {
     /// Re-read the blocks covering the write to `[offset, offset+len)`
     /// and push them, re-push every short block the write left stale,
     /// then refresh the stat.
-    async fn populate_range(&self, path: &str, offset: u64, len: u64, gen: u64) {
+    async fn populate_range(self: &Rc<Self>, path: &str, offset: u64, len: u64, gen: u64) {
         let (aoff, alen) = aligned_range(offset, len, self.block_size);
         if !self.refill(path, aoff, alen, gen).await {
             return;
@@ -652,7 +766,7 @@ impl SmCache {
     /// baseline): drop the write's covering entries from every replica
     /// first — the cold window the CAS path exists to remove — then
     /// repopulate them from a covering filesystem re-read.
-    async fn purge_then_populate(&self, path: &str, offset: u64, len: u64, gen: u64) {
+    async fn purge_then_populate(self: &Rc<Self>, path: &str, offset: u64, len: u64, gen: u64) {
         let (aoff, alen) = aligned_range(offset, len, self.block_size);
         let blocks = cover(aoff, alen, self.block_size);
         self.with_tracked(path, |entry| {
@@ -674,7 +788,7 @@ impl SmCache {
     /// coherence unconditionally (the purge also removes the copies the
     /// wave *did* replace; their re-push comes from the covering re-read,
     /// under the generation the purge just started).
-    async fn fall_back(&self, path: &str, offset: u64, len: u64) {
+    async fn fall_back(self: &Rc<Self>, path: &str, offset: u64, len: u64) {
         self.cas_fallback_purges.inc();
         self.purge(path).await;
         let regen = self.generation(path);
@@ -690,7 +804,7 @@ impl SmCache {
     /// (concurrent update), a vanished key, a failed daemon, an incoherent
     /// cached length — falls back to purge+repush, so the result is never
     /// worse than the baseline.
-    async fn cas_update(&self, path: &str, offset: u64, data: &[u8], gen: u64) {
+    async fn cas_update(self: &Rc<Self>, path: &str, offset: u64, data: &[u8], gen: u64) {
         let len = data.len() as u64;
         // Post-write stat first: the blocks' target lengths (the EOF
         // encoding, `block_len`) derive from the new size.
@@ -868,38 +982,48 @@ impl SmCache {
         }
     }
 
-    /// Plant a negative (ENOENT) entry for `path`, under the same
-    /// generation fence as any other push: a create racing with this set
-    /// purges (bumping the generation) and the marker is taken out again
-    /// instead of shadowing the file that now exists.
-    async fn push_negative(&self, path: &str, gen: u64) {
+    /// Plant an ENOENT marker for `path` — an `add` under its stat key,
+    /// which never replaces a stat — under the same generation fence as
+    /// any other push: a create racing with this add purges (bumping the
+    /// generation) and the marker is taken out again instead of shadowing
+    /// the file that now exists. Posted ([`SmCache::settle`]).
+    async fn push_negative(self: &Rc<Self>, path: &str, gen: u64) {
         self.with_path(path, |_| ());
-        self.bank
-            .set(&neg_key(path), Bytes::from_static(NEG_MARKER))
-            .await;
-        if self.fenced(path, gen) {
-            self.bank.delete(&neg_key(path)).await;
-            return;
-        }
-        self.negative_pushes.inc();
+        let marker = Bytes::from_static(NEG_MARKER);
+        let sent = self.bank.post_store(StoreVerb::Add, stat_key(path), marker);
+        let (sm, path) = (Rc::clone(self), path.to_string());
+        self.settle(sent.issued(), async move {
+            sent.await;
+            if sm.fenced(&path, gen) {
+                sm.bank.delete(&stat_key(&path)).await;
+                return;
+            }
+            sm.negative_pushes.inc();
+        })
+        .await;
     }
 
     /// Push `st`, or the newest stat pushed since the last purge if that
     /// is newer: a stat read before a racing write returned must not land
-    /// over that write's refresh.
-    async fn push_stat(&self, path: &str, st: FileStat) {
+    /// over that write's refresh. Posted ([`SmCache::settle`]).
+    async fn push_stat(self: &Rc<Self>, path: &str, st: FileStat) {
         let st = self.newest_stat(path, st);
         let mark = self.bank.reorder_mark();
-        self.bank
-            .set(&stat_key(path), Bytes::from(st.to_bytes()))
-            .await;
-        self.stat_pushes.inc();
-        if self.stat_overtaken(path, st, mark) {
-            // A newer stat went out while this one was on the wire, or a
-            // purge took the entry out, and this one may have landed
-            // last: take the entry out; the next stat re-reads it.
-            self.bank.delete(&stat_key(path)).await;
-        }
+        let value = Bytes::from(st.to_bytes());
+        let sent = self.bank.post_store(StoreVerb::Set, stat_key(path), value);
+        let (sm, path) = (Rc::clone(self), path.to_string());
+        self.settle(sent.issued(), async move {
+            sent.await;
+            sm.stat_pushes.inc();
+            if sm.stat_overtaken(&path, st, mark) {
+                // A newer stat went out while this one was on the wire,
+                // or a purge took the entry out, and this one may have
+                // landed last: take the entry out; the next stat re-reads
+                // it.
+                sm.bank.delete(&stat_key(&path)).await;
+            }
+        })
+        .await;
     }
 
     /// The stat to push for `path` in place of `st`: the newest pushed
@@ -921,11 +1045,13 @@ impl SmCache {
 
     /// The server's answers to a [`Fop::StatMulti`] whose paths stood at
     /// generations `gens` when it was wound: every found stat still in its
-    /// generation is pushed by [`SmCache::push_stat`]'s rules, all in one
-    /// bulk push, and under negative caching every absent one plants its
-    /// marker. A purge of one path drops only that path's push.
+    /// generation is pushed by [`SmCache::push_stat`]'s rules and, under
+    /// negative caching, every absent one's marker by
+    /// [`SmCache::push_negative`]'s, all in one posted bulk push — the
+    /// markers as `add`s in the same frames as the stats' `set`s. A purge
+    /// of one path drops only that path's push.
     async fn push_stats(
-        &self,
+        self: &Rc<Self>,
         paths: &[String],
         gens: &[u64],
         stats: &[Result<FileStat, FsError>],
@@ -937,31 +1063,48 @@ impl SmCache {
                 continue;
             }
             match stat {
-                Ok(st) => pushed.push((path, self.newest_stat(path, *st))),
-                Err(FsError::NotFound) if self.negative => absent.push((path, gen)),
+                Ok(st) => pushed.push((path.clone(), self.newest_stat(path, *st))),
+                Err(FsError::NotFound) if self.negative => {
+                    self.with_path(path, |_| ());
+                    absent.push((path.clone(), gen));
+                }
                 _ => {}
             }
         }
-        if !pushed.is_empty() {
-            let items = pushed
+        if pushed.is_empty() && absent.is_empty() {
+            return;
+        }
+        let marker = Bytes::from_static(NEG_MARKER);
+        let sets = pushed
+            .iter()
+            .map(|(path, st)| (StoreVerb::Set, stat_key(path), Bytes::from(st.to_bytes())));
+        let adds = absent
+            .iter()
+            .map(|(path, _)| (StoreVerb::Add, stat_key(path), marker.clone()));
+        let stores: Vec<Store> = sets.chain(adds).collect();
+        let mark = self.bank.reorder_mark();
+        let sent = self.bank.post_stores(stores);
+        let sm = Rc::clone(self);
+        self.settle(sent.issued(), async move {
+            sent.await;
+            sm.stat_pushes.add(pushed.len() as u64);
+            let mut takeouts: Vec<Vec<u8>> = pushed
                 .iter()
-                .map(|(path, st)| (stat_key(path), Bytes::from(st.to_bytes())))
-                .collect();
-            let mark = self.bank.reorder_mark();
-            self.bank.store_blocks(items).await;
-            self.stat_pushes.add(pushed.len() as u64);
-            let overtaken: Vec<Vec<u8>> = pushed
-                .iter()
-                .filter(|(path, st)| self.stat_overtaken(path, *st, mark))
+                .filter(|(path, st)| sm.stat_overtaken(path, *st, mark))
                 .map(|(path, _)| stat_key(path))
                 .collect();
-            if !overtaken.is_empty() {
-                self.bank.remove_keys(overtaken).await;
+            for (path, gen) in &absent {
+                if sm.fenced(path, *gen) {
+                    takeouts.push(stat_key(path));
+                } else {
+                    sm.negative_pushes.inc();
+                }
             }
-        }
-        for (path, gen) in absent {
-            self.push_negative(path, gen).await;
-        }
+            if !takeouts.is_empty() {
+                sm.bank.remove_keys(takeouts).await;
+            }
+        })
+        .await;
     }
 
     /// Remove every entry SMCache has pushed for `path` (open/close/unlink
@@ -982,11 +1125,8 @@ impl SmCache {
         let tracked = self
             .with_path(path, |p| p.tracked.take())
             .unwrap_or_default();
-        let mut keys = Vec::with_capacity(tracked.lens.len() + 2);
+        let mut keys = Vec::with_capacity(tracked.lens.len() + 1);
         keys.push(stat_key(path));
-        if self.negative {
-            keys.push(neg_key(path));
-        }
         keys.extend(tracked.lens.into_keys().map(|start| block_key(path, start)));
         self.bank.remove_keys(keys).await;
         self.purges.inc();
@@ -1054,7 +1194,8 @@ impl Translator for SmCache {
                     let reply = Rc::clone(&self.child)
                         .handle(Fop::Stat { path: path.clone() })
                         .await;
-                    // Uncounted, like the open's seed.
+                    // Uncounted, like the open's seed; posted, like the
+                    // marker.
                     if self.generation(&path) == gen {
                         match &reply {
                             // No lease revocation here: this repopulates
@@ -1252,6 +1393,15 @@ mod tests {
         Rc::clone(&(Rc::clone(sm) as Xlator)).handle(fop).await
     }
 
+    /// Wait until the bank has answered every store `sm` posted, and what
+    /// follows each answer has run: a test reads daemon engines or
+    /// SMCache's own state directly only after this.
+    async fn drain(sm: &SmCache) {
+        while sm.posted() > 0 {
+            sm.handle.sleep(SimDuration::micros(1)).await;
+        }
+    }
+
     /// `stale_short_blocks` the slow way, from every tracked length: the
     /// reference its short-block index must agree with.
     fn stale_short_by_full_scan(sm: &SmCache, path: &str, size: u64) -> Vec<u64> {
@@ -1332,6 +1482,7 @@ mod tests {
                 assert_eq!(data, vec![5u8; 2048], "block {b}");
             }
             // Fills 1-2 spent the burst; fills 3-4 were suppressed.
+            drain(&sm2).await;
             assert_eq!(counters(&*sm2, ["blocks_pushed"]), [6]);
             // A write to the still-cold block 3 must land its push even
             // though the rewarm bucket is dry — write-path coherence
@@ -1656,8 +1807,9 @@ mod tests {
             )
             .await;
             assert_eq!(r, FopReply::Stat(Err(FsError::NotFound)));
-            assert!(
-                bank.get(&neg_key("/ghost")).await.is_some(),
+            assert_eq!(
+                bank.get(&stat_key("/ghost")).await.as_deref(),
+                Some(NEG_MARKER),
                 "negative entry missing"
             );
             // The create revalidates: marker gone before the ack.
@@ -1670,7 +1822,7 @@ mod tests {
             .await;
             assert_eq!(r, FopReply::Create(Ok(())));
             assert!(
-                bank.get(&neg_key("/ghost")).await.is_none(),
+                bank.get(&stat_key("/ghost")).await.is_none(),
                 "create left the ENOENT marker behind"
             );
             // And the path now stats clean.
@@ -1691,6 +1843,26 @@ mod tests {
     }
 
     #[test]
+    fn a_marker_add_never_replaces_a_landed_stat() {
+        let mut sim = Sim::new(0);
+        let rig = setup_with_meta(&sim, false, true, MetaConfig::lease());
+        let (sm, bank) = (Rc::clone(&rig.sm), Rc::clone(&rig.bank));
+        sim.run_main(async move {
+            drive(&sm, Fop::Create { path: "/f".into() }).await;
+            let FopReply::Stat(Ok(st)) = drive(&sm, Fop::Stat { path: "/f".into() }).await else {
+                panic!("stat failed")
+            };
+            drain(&sm).await;
+            // A marker from a lookup that saw ENOENT before the create,
+            // landing late: `add` finds the stat and stores nothing.
+            sm.push_negative("/f", sm.generation("/f")).await;
+            drain(&sm).await;
+            let held = bank.get(&stat_key("/f")).await.expect("the stat is gone");
+            assert_eq!(FileStat::from_bytes(&held), Some(st));
+        });
+    }
+
+    #[test]
     fn negative_caching_off_plants_nothing() {
         let mut sim = Sim::new(0);
         let rig = setup(&sim, false, true);
@@ -1704,7 +1876,7 @@ mod tests {
                 },
             )
             .await;
-            assert!(bank.get(&neg_key("/ghost")).await.is_none());
+            assert!(bank.get(&stat_key("/ghost")).await.is_none());
         });
     }
 
@@ -1781,11 +1953,11 @@ mod tests {
                 panic!("not a batch reply")
             };
             assert_eq!(stats[0], Err(FsError::NotFound));
-            assert!(bank.get(&neg_key("/ghost")).await.is_some(), "no marker");
-            assert!(bank.get(&stat_key("/ghost")).await.is_none());
+            let marker = bank.get(&stat_key("/ghost")).await;
+            assert_eq!(marker.as_deref(), Some(NEG_MARKER), "no marker");
             let held = bank.get(&stat_key("/f")).await.expect("/f was not pushed");
             assert_eq!(FileStat::from_bytes(&held), Some(stats[1].unwrap()));
-            assert!(bank.get(&neg_key("/f")).await.is_none());
+            drain(&sm).await;
         });
         assert_eq!(
             counters(&*rig.sm, ["stat_pushes", "negative_pushes"]),
@@ -2063,20 +2235,31 @@ mod tests {
         (rig, mcds, disk)
     }
 
+    /// What [`overwrite_watched`] saw: the instants the stat stood
+    /// beside a pre-write block, the stat a lookup sent from the server's
+    /// node the moment the write returned read (it leaves behind every
+    /// store the write posted, as the write's reply does), and the stat
+    /// copies the bank holds once every posted store has landed.
+    struct Watched {
+        broken: u64,
+        causal: Option<Bytes>,
+        held: Vec<Bytes>,
+    }
+
     /// Overwrite both blocks of [`warm_two_block_file`]'s `/f` with
     /// `2u8`, while [`watch_stat_order`] checks the bank and `plant`
-    /// runs beside the write (it gets the bank and the SMCache). Returns
-    /// the instants the stat stood beside a pre-write block, and the
-    /// stat copies the bank holds once the write has returned.
+    /// runs beside the write (it gets the bank and the SMCache).
     fn overwrite_watched<F: std::future::Future<Output = ()> + 'static>(
         sim: &mut Sim,
         rig: &Rig,
         mcds: &Rc<Bank>,
         plant: impl FnOnce(Rc<Bank>, Rc<SmCache>) -> F + 'static,
-    ) -> (u64, Vec<Bytes>) {
+    ) -> Watched {
         let (h, sm, mcds) = (sim.handle(), Rc::clone(&rig.sm), Rc::clone(mcds));
+        let bank = Rc::clone(&rig.bank);
         sim.run_main(async move {
             warm_two_block_file(&sm).await;
+            drain(&sm).await;
             let blocks = vec![block_key("/f", 0), block_key("/f", 2048)];
             for key in &blocks {
                 assert_eq!(held(&mcds, key).len(), 1, "warm before the write");
@@ -2092,10 +2275,16 @@ mod tests {
                 data: vec![2u8; 4096],
             };
             drive(&sm, write).await;
+            let causal = bank.get(&stat_key("/f")).await;
             // Let a planted purge finish too.
             h.sleep(SimDuration::millis(1)).await;
+            drain(&sm).await;
             done.set(true);
-            (broken.get(), held(&mcds, &stat_key("/f")))
+            Watched {
+                broken: broken.get(),
+                causal,
+                held: held(&mcds, &stat_key("/f")),
+            }
         })
     }
 
@@ -2115,9 +2304,11 @@ mod tests {
     fn a_cas_write_publishes_its_stat_only_after_its_blocks() {
         let mut sim = Sim::new(0);
         let (rig, mcds, disk) = cas_modulo_rig(&sim);
-        let (broken, stat) = overwrite_watched(&mut sim, &rig, &mcds, |_, _| async {});
-        assert_eq!(broken, 0, "a new stat stood beside a pre-write block");
-        assert_eq!(stat, [disk_stat(&mut sim, &disk, "/f")]);
+        let seen = overwrite_watched(&mut sim, &rig, &mcds, |_, _| async {});
+        assert_eq!(seen.broken, 0, "a new stat stood beside a pre-write block");
+        let on_disk = disk_stat(&mut sim, &disk, "/f");
+        assert_eq!(seen.causal.as_ref(), Some(&on_disk));
+        assert_eq!(seen.held, [on_disk]);
         let [replaced, fallbacks] = counters(&*rig.sm, ["cas_replacements", "cas_fallback_purges"]);
         assert_eq!((replaced, fallbacks), (2, 0));
     }
@@ -2141,9 +2332,11 @@ mod tests {
                 .set(&block_key("/f", 2048), planted, 0, None, 0)
                 .unwrap();
         };
-        let (broken, stat) = overwrite_watched(&mut sim, &rig, &mcds, plant);
-        assert_eq!(broken, 0, "a new stat stood beside a pre-write block");
-        assert_eq!(stat, [disk_stat(&mut sim, &disk, "/f")]);
+        let seen = overwrite_watched(&mut sim, &rig, &mcds, plant);
+        assert_eq!(seen.broken, 0, "a new stat stood beside a pre-write block");
+        let on_disk = disk_stat(&mut sim, &disk, "/f");
+        assert_eq!(seen.causal.as_ref(), Some(&on_disk));
+        assert_eq!(seen.held, [on_disk]);
         let [conflicts, fallbacks] = counters(&*rig.sm, ["cas_conflicts", "cas_fallback_purges"]);
         assert_eq!((conflicts, fallbacks), (1, 1));
         for start in [0, 2048] {
@@ -2167,9 +2360,10 @@ mod tests {
             }
             drive(&sm, Fop::Close { path: "/f".into() }).await;
         };
-        let (broken, stat) = overwrite_watched(&mut sim, &rig, &mcds, plant);
-        assert_eq!(broken, 0, "a new stat stood beside a pre-write block");
-        assert!(stat.is_empty(), "the overtaken write pushed its stat");
+        let seen = overwrite_watched(&mut sim, &rig, &mcds, plant);
+        assert_eq!(seen.broken, 0, "a new stat stood beside a pre-write block");
+        assert_eq!(seen.causal, None, "the overtaken write pushed its stat");
+        assert!(seen.held.is_empty(), "the overtaken write pushed its stat");
         for start in [0, 2048] {
             assert!(held(&mcds, &block_key("/f", start)).is_empty());
         }
@@ -2335,6 +2529,7 @@ mod tests {
                 len: 2048,
             };
             drive(&sm, read).await;
+            drain(&sm).await;
             assert_eq!(kept(&sm, "/f", 0), Some(Kept::default()));
             // So the next whole-block write fetches them, and lands.
             let fetched = write_counting_gets(&sm, &m2, 0, vec![2u8; 2048]).await;

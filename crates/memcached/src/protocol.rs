@@ -1,6 +1,6 @@
 //! The memcached ASCII protocol — the wire format clients used in 2008
 //! (binary protocol came later) — for the commands the bank sends: `get`,
-//! `gets`, `set`, `cas`, `delete` (each store and delete optionally
+//! `gets`, `set`, `add`, `cas`, `delete` (each store and delete optionally
 //! `noreply`) and the `version` sync barrier. A store may also ask for
 //! the item's new CAS unique, as memcached ≥ 1.6's meta `ms <key> … c`
 //! does: here a trailing `c` token, answered `HD c<cas>`. Implemented as
@@ -12,7 +12,7 @@ use bytes::Bytes;
 /// A client→server command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
-    /// Storage commands (`set`/`cas`).
+    /// Storage commands (`set`/`add`/`cas`).
     Store {
         /// Which storage verb.
         verb: StoreVerb,
@@ -54,6 +54,8 @@ pub enum Command {
 pub enum StoreVerb {
     /// Unconditional store.
     Set,
+    /// Store only if the key is absent (`add` command).
+    Add,
     /// Store only if the CAS token still matches (`cas` command).
     Cas(u64),
 }
@@ -62,6 +64,7 @@ impl StoreVerb {
     fn as_str(self) -> &'static str {
         match self {
             StoreVerb::Set => "set",
+            StoreVerb::Add => "add",
             StoreVerb::Cas(_) => "cas",
         }
     }
@@ -88,6 +91,8 @@ pub enum Response {
     /// `HD c<cas>`: stored, with the item's new CAS unique — the answer to
     /// a store that asked for it (`with_cas`).
     StoredCas(u64),
+    /// `NOT_STORED` (an `add` of a key that is present).
+    NotStored,
     /// `NOT_FOUND`.
     NotFound,
     /// `EXISTS` (cas token mismatch).
@@ -248,6 +253,7 @@ pub fn parse_command(buf: &[u8]) -> Result<(Command, usize), ParseError> {
     let verb_str = std::str::from_utf8(verb_tok).map_err(|_| ParseError::Bad("verb".into()))?;
     let store_verb = match verb_str {
         "set" => Some(StoreVerb::Set),
+        "add" => Some(StoreVerb::Add),
         "cas" => Some(StoreVerb::Cas(0)), // token parsed below
         _ => None,
     };
@@ -328,6 +334,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u64(out, *cas);
             out.extend_from_slice(CRLF);
         }
+        Response::NotStored => out.extend_from_slice(b"NOT_STORED\r\n"),
         Response::NotFound => out.extend_from_slice(b"NOT_FOUND\r\n"),
         Response::Exists => out.extend_from_slice(b"EXISTS\r\n"),
         Response::Deleted => out.extend_from_slice(b"DELETED\r\n"),
@@ -414,6 +421,7 @@ pub fn parse_response(buf: &[u8]) -> Result<(Response, usize), ParseError> {
     }
     let resp = match line {
         b"STORED" => Response::Stored,
+        b"NOT_STORED" => Response::NotStored,
         b"NOT_FOUND" => Response::NotFound,
         b"EXISTS" => Response::Exists,
         b"DELETED" => Response::Deleted,
@@ -474,6 +482,15 @@ mod tests {
             noreply: true,
         });
         rt_cmd(Command::Store {
+            verb: StoreVerb::Add,
+            key: b"/f:m.stat".to_vec(),
+            flags: 0,
+            exptime: 0,
+            data: Bytes::from_static(b"!"),
+            with_cas: false,
+            noreply: true,
+        });
+        rt_cmd(Command::Store {
             verb: StoreVerb::Cas(987654321),
             key: b"locked".to_vec(),
             flags: 3,
@@ -502,6 +519,7 @@ mod tests {
         for r in [
             Response::Stored,
             Response::StoredCas(18_446_744_073_709_551_615),
+            Response::NotStored,
             Response::NotFound,
             Response::Exists,
             Response::Deleted,

@@ -19,6 +19,15 @@ pub fn absolute_expiry(wire: u32, now: u64) -> Option<u64> {
     }
 }
 
+/// The answer to a store the engine refused: a full cache is the
+/// server's fault, anything else the client's.
+fn store_error(e: McError) -> Response {
+    match e {
+        McError::OutOfMemory => Response::ServerError(e.to_string()),
+        e => Response::ClientError(e.to_string()),
+    }
+}
+
 /// A memcached daemon: storage engine plus protocol dispatch.
 pub struct McServer {
     store: Memcached,
@@ -67,8 +76,12 @@ impl McServer {
                     }
                     StoreVerb::Set => match self.store.set(key, data.clone(), *flags, exp, now) {
                         Ok(cas) => stored(cas),
-                        Err(e @ McError::OutOfMemory) => Response::ServerError(e.to_string()),
-                        Err(e) => Response::ClientError(e.to_string()),
+                        Err(e) => store_error(e),
+                    },
+                    StoreVerb::Add => match self.store.add(key, data.clone(), *flags, exp, now) {
+                        Ok(Some(cas)) => stored(cas),
+                        Ok(None) => Response::NotStored,
+                        Err(e) => store_error(e),
                     },
                 };
                 (!noreply).then_some(resp)
@@ -211,6 +224,31 @@ mod tests {
         // A refused `cas` answers as it always did.
         let stale = store(StoreVerb::Cas(swapped), false);
         assert_eq!(s.apply(&stale, 0), Some(Response::Exists));
+    }
+
+    #[test]
+    fn add_through_dispatch_never_replaces() {
+        let s = server();
+        let add = |data: &'static [u8]| Command::Store {
+            verb: StoreVerb::Add,
+            key: b"k".to_vec(),
+            flags: 0,
+            exptime: 0,
+            data: Bytes::from_static(data),
+            with_cas: false,
+            noreply: false,
+        };
+        assert_eq!(s.apply(&add(b"!"), 0), Some(Response::Stored));
+        s.apply(&set_cmd(b"k", b"stat"), 0);
+        assert_eq!(s.apply(&add(b"!"), 0), Some(Response::NotStored));
+        let get = Command::Get {
+            keys: vec![b"k".to_vec()],
+            with_cas: false,
+        };
+        let Some(Response::Values(vals)) = s.apply(&get, 0) else {
+            panic!("expected values")
+        };
+        assert_eq!(vals[0].data, &b"stat"[..]);
     }
 
     #[test]

@@ -324,6 +324,27 @@ impl Memcached {
         g.store(key, value, flags, expire_at, now)
     }
 
+    /// Store `value` under `key` only if no live item holds the key;
+    /// returns the new item's CAS unique, or `None` (not stored) when
+    /// one does. Counted as a `set` command either way, as memcached
+    /// counts `add` under `cmd_set`.
+    pub fn add(
+        &self,
+        key: &[u8],
+        value: Bytes,
+        flags: u32,
+        expire_at: Option<u64>,
+        now: u64,
+    ) -> Result<Option<u64>, McError> {
+        valid_key(key)?;
+        let mut g = self.inner.lock();
+        g.metrics.cmd_set.inc();
+        if g.live_item(key, now).is_some() {
+            return Ok(None);
+        }
+        g.store(key, value, flags, expire_at, now).map(Some)
+    }
+
     /// Fetch `key`, applying lazy expiration.
     pub fn get(&self, key: &[u8], now: u64) -> Option<GetValue> {
         let mut g = self.inner.lock();
@@ -712,6 +733,25 @@ mod tests {
                 .unwrap(),
             CasResult::NotFound
         );
+    }
+
+    #[test]
+    fn add_stores_only_where_the_key_is_absent() {
+        let mc = small();
+        let first = mc.add(b"k", Bytes::from_static(b"a"), 0, None, 0).unwrap();
+        assert_eq!(mc.get(b"k", 0).unwrap().cas, first.unwrap());
+        // A live item wins: not stored, nothing replaced.
+        assert_eq!(mc.add(b"k", Bytes::from_static(b"b"), 0, None, 0), Ok(None));
+        assert_eq!(mc.get(b"k", 0).unwrap().value, &b"a"[..]);
+        // An expired one does not.
+        mc.set(b"t", Bytes::from_static(b"old"), 0, Some(5), 0)
+            .unwrap();
+        assert!(mc
+            .add(b"t", Bytes::from_static(b"new"), 0, None, 5)
+            .unwrap()
+            .is_some());
+        assert_eq!(mc.get(b"t", 5).unwrap().value, &b"new"[..]);
+        assert_eq!(mc.stats().cmd_set, 4);
     }
 
     #[test]

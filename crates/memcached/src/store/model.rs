@@ -184,6 +184,8 @@ fn occupied(recency: &[Vec<String>]) -> Vec<(usize, &Vec<String>)> {
 #[derive(Debug, Clone)]
 enum Cmd {
     Set(u8, Size, Option<u8>),
+    /// Stores only where the key is absent.
+    Add(u8, Size, Option<u8>),
     /// Fresh token or a stale one.
     Cas(u8, Size, bool),
     Get(u8),
@@ -216,6 +218,7 @@ fn cmd_strategy() -> impl Strategy<Value = Cmd> {
     };
     prop_oneof![
         60 => (key(), size(), ttl()).prop_map(|(k, s, t)| Cmd::Set(k, s, t)),
+        10 => (key(), size(), ttl()).prop_map(|(k, s, t)| Cmd::Add(k, s, t)),
         15 => (key(), size(), any::<bool>()).prop_map(|(k, s, fresh)| Cmd::Cas(k, s, fresh)),
         60 => key().prop_map(Cmd::Get),
         6 => key().prop_map(Cmd::Delete),
@@ -252,6 +255,15 @@ proptest! {
                     model.stats.cmd_set += 1;
                     let want = model.store(&k, value(s), 7, at(ttl), now);
                     prop_assert_eq!(mc.set(k.as_bytes(), value(s), 7, at(ttl), now), want);
+                }
+                Cmd::Add(k, s, ttl) => {
+                    let k = name(k);
+                    model.stats.cmd_set += 1;
+                    let want = match model.live(&k, now) {
+                        true => Ok(None),
+                        false => model.store(&k, value(s), 5, at(ttl), now).map(Some),
+                    };
+                    prop_assert_eq!(mc.add(k.as_bytes(), value(s), 5, at(ttl), now), want);
                 }
                 Cmd::Cas(k, s, fresh) => {
                     let k = name(k);

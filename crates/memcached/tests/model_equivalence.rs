@@ -19,6 +19,12 @@ enum Cmd {
         fill: u8,
         ttl: Option<u8>,
     },
+    /// Stores only where the key is absent.
+    Add {
+        key: u8,
+        len: u16,
+        fill: u8,
+    },
     Get {
         key: u8,
     },
@@ -34,6 +40,8 @@ fn cmd_strategy() -> impl Strategy<Value = Cmd> {
     prop_oneof![
         4 => (any::<u8>(), 0u16..2000, any::<u8>(), prop::option::of(1u8..40))
             .prop_map(|(key, len, fill, ttl)| Cmd::Set { key: key % 12, len, fill, ttl }),
+        2 => (any::<u8>(), 0u16..2000, any::<u8>())
+            .prop_map(|(key, len, fill)| Cmd::Add { key: key % 12, len, fill }),
         6 => any::<u8>().prop_map(|key| Cmd::Get { key: key % 12 }),
         2 => any::<u8>().prop_map(|key| Cmd::Delete { key: key % 12 }),
         2 => (1u8..30).prop_map(|secs| Cmd::Advance { secs }),
@@ -91,6 +99,15 @@ proptest! {
                     mc.set(&key_bytes(key), Bytes::from(value.clone()), 0, exp, now).unwrap();
                     reference.items.insert(key, RefItem { value, expire_at: exp });
                 }
+                Cmd::Add { key, len, fill } => {
+                    let value: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                    let stored = mc.add(&key_bytes(key), Bytes::from(value.clone()), 0, None, now).unwrap();
+                    let expect = !reference.live(key, now);
+                    prop_assert_eq!(stored.is_some(), expect, "add semantics diverged");
+                    if expect {
+                        reference.items.insert(key, RefItem { value, expire_at: None });
+                    }
+                }
                 Cmd::Get { key } => {
                     let got = mc.get(&key_bytes(key), now);
                     if reference.live(key, now) {
@@ -139,6 +156,14 @@ proptest! {
                         shadow.insert(key, value);
                     } else {
                         shadow.remove(&key);
+                    }
+                }
+                Cmd::Add { key, len, fill } => {
+                    // Stored only where nothing live was: what the shadow
+                    // held (if it is still resident) stays.
+                    let value: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                    if let Ok(Some(_)) = mc.add(&key_bytes(key), Bytes::from(value.clone()), 0, None, now) {
+                        shadow.insert(key, value);
                     }
                 }
                 Cmd::Get { key } => {

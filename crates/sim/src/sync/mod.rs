@@ -11,4 +11,4 @@ mod resource;
 pub use barrier::Barrier;
 pub use oneshot::{oneshot, Canceled, OneshotReceiver, OneshotSender};
 pub use queue::Queue;
-pub use resource::{Resource, ResourceGuard};
+pub use resource::{Acquire, Resource, ResourceGuard};

@@ -2,7 +2,10 @@
 //! "k-server station" used to model NICs, disks, and CPU threads.
 //!
 //! Admission is strictly first-come-first-served by acquisition order
-//! (ticketed), which keeps contention behaviour deterministic.
+//! (ticketed), which keeps contention behaviour deterministic. An
+//! acquirer takes its ticket on its first poll ([`Resource::acquire`]),
+//! or at the call ([`Resource::claim`]) when its place in the queue must
+//! be fixed before the caller yields.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -20,20 +23,34 @@ struct Inner {
     /// Lowest ticket not yet admitted.
     serving: u64,
     /// One entry per ticket from `serving` on, in ticket order (so the
-    /// next ticket is `serving + waiters.len()`): the waker of a queued
-    /// acquirer, `None` once its acquirer gave up.
-    waiters: VecDeque<Option<Waker>>,
+    /// next ticket is `serving + waiters.len()`).
+    waiters: VecDeque<Ticket>,
+}
+
+/// One ticket's place in the queue.
+enum Ticket {
+    /// Its acquirer waits, with the waker of its last poll (`None` for a
+    /// [`Resource::claim`] not yet polled).
+    Held(Option<Waker>),
+    /// Its acquirer gave up.
+    Abandoned,
 }
 
 impl Inner {
+    /// Take the next ticket.
+    fn ticket(&mut self) -> u64 {
+        self.waiters.push_back(Ticket::Held(None));
+        self.serving + self.waiters.len() as u64 - 1
+    }
+
     /// Skip abandoned tickets and wake the next admissible waiter.
     fn advance(&mut self) {
-        while let Some(None) = self.waiters.front() {
+        while let Some(Ticket::Abandoned) = self.waiters.front() {
             self.waiters.pop_front();
             self.serving += 1;
         }
         if self.in_use < self.capacity {
-            if let Some(Some(w)) = self.waiters.front() {
+            if let Some(Ticket::Held(Some(w))) = self.waiters.front() {
                 w.wake_by_ref();
             }
         }
@@ -70,11 +87,24 @@ impl Resource {
         }
     }
 
-    /// Wait for a slot. Slots are granted in request order.
+    /// Wait for a slot. Slots are granted in request order; the request
+    /// is made on the first poll.
     pub fn acquire(&self) -> Acquire {
         Acquire {
             inner: Rc::clone(&self.inner),
             ticket: None,
+            admitted: false,
+        }
+    }
+
+    /// [`Resource::acquire`], with the request made now: every acquirer
+    /// that asks after this call is admitted after this one, however late
+    /// the returned future is first polled. A claim whose future is
+    /// dropped unpolled gives its place up.
+    pub fn claim(&self) -> Acquire {
+        Acquire {
+            inner: Rc::clone(&self.inner),
+            ticket: Some(self.inner.borrow_mut().ticket()),
             admitted: false,
         }
     }
@@ -89,7 +119,11 @@ impl Resource {
 
     /// Number of acquirers waiting for a slot.
     pub fn queue_len(&self) -> usize {
-        self.inner.borrow().waiters.iter().flatten().count()
+        let waiters = &self.inner.borrow().waiters;
+        waiters
+            .iter()
+            .filter(|t| matches!(t, Ticket::Held(_)))
+            .count()
     }
 }
 
@@ -106,10 +140,7 @@ impl Future for Acquire {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = &mut *self;
         let mut inner = this.inner.borrow_mut();
-        let ticket = *this.ticket.get_or_insert_with(|| {
-            inner.waiters.push_back(None);
-            inner.serving + inner.waiters.len() as u64 - 1
-        });
+        let ticket = *this.ticket.get_or_insert_with(|| inner.ticket());
         if ticket == inner.serving && inner.in_use < inner.capacity {
             inner.waiters.pop_front();
             inner.serving += 1;
@@ -123,7 +154,7 @@ impl Future for Acquire {
             });
         }
         let at = (ticket - inner.serving) as usize;
-        inner.waiters[at] = Some(cx.waker().clone());
+        inner.waiters[at] = Ticket::Held(Some(cx.waker().clone()));
         Poll::Pending
     }
 }
@@ -136,7 +167,7 @@ impl Drop for Acquire {
         if let Some(ticket) = self.ticket {
             let mut inner = self.inner.borrow_mut();
             let at = (ticket - inner.serving) as usize;
-            inner.waiters[at] = None;
+            inner.waiters[at] = Ticket::Abandoned;
             if at == 0 {
                 inner.advance();
             }
@@ -218,6 +249,32 @@ mod tests {
         }
         sim.run();
         assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_claim_keeps_its_place_until_first_polled() {
+        let mut sim = Sim::new(0);
+        let res = Resource::new(1);
+        let h = sim.handle();
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let claimed = res.claim();
+        // Asked later, but polled first: admitted after the claim.
+        let (res2, order2) = (res.clone(), Rc::clone(&order));
+        sim.spawn(async move {
+            let _g = res2.acquire().await;
+            order2.borrow_mut().push("acquire");
+        });
+        let (h2, order2) = (h.clone(), Rc::clone(&order));
+        sim.spawn(async move {
+            h2.sleep(SimDuration::micros(1)).await;
+            let _g = claimed.await;
+            order2.borrow_mut().push("claim");
+        });
+        // A claim dropped unpolled gives its place up.
+        drop(res.claim());
+        sim.run();
+        assert_eq!(*order.borrow(), ["claim", "acquire"]);
+        assert_eq!(res.queue_len(), 0);
     }
 
     #[test]

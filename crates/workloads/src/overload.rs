@@ -266,6 +266,11 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
                     m.write(*fd, b * cfg2.block_size, &data).await.unwrap();
                 }
             }
+            // The writes' stat refreshes are posted: let the last of them
+            // land, so the timed phase starts on idle daemon queues.
+            while cluster.posted_stores() > 0 {
+                h2.sleep(SimDuration::micros(100)).await;
+            }
             barrier.wait().await; // B: bank is warm, timed phase starts
             h2.now()
         }

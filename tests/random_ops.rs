@@ -19,8 +19,9 @@ use imca_repro::sim::{Scheduler, Sim};
 /// The one op strategy, drawing one step of a program: a single op, or
 /// a `Stat(f), Toggle(f), Stat(f)` triple. The triple is what reaches a
 /// negative entry the create's purge must take out (a stat of an absent
-/// path plants `:m.neg`, the toggle creates it, the second stat must see
-/// the file); single ops almost never line up that way.
+/// path plants an ENOENT marker under `:m.stat`, the toggle creates it,
+/// the second stat must see the file); single ops almost never line up
+/// that way.
 fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
     prop_oneof![
         26 => single_op().prop_map(|op| vec![op]),
