@@ -51,6 +51,6 @@ mod rpc;
 mod transport;
 
 pub use fault::{Delivery, FaultPlan};
-pub use network::{Network, NodeId};
+pub use network::{Message, Network, NodeId};
 pub use rpc::{Daemon, Handler, Incoming, RpcClient, Service, Workers};
 pub use transport::{Transport, WireSize};

@@ -100,6 +100,22 @@ struct Inner {
     duplicated: Counter,
 }
 
+/// A message [`Network::send`] sent: its fate judged and its place in
+/// the sender's TX queue taken, still to be carried
+/// ([`Network::carry`]). Dropped uncarried, it gives its place up.
+pub struct Message {
+    src: NodeId,
+    dst: NodeId,
+    bytes: usize,
+    fate: Delivery,
+    extra: SimDuration,
+    leg: Option<Leg>,
+}
+
+/// A message's NICs, sender's first, and its place in the sender's TX
+/// queue.
+type Leg = (Rc<Nic>, Rc<Nic>, Acquire);
+
 /// Handle to the simulated network. Cloning is cheap and refers to the same
 /// network.
 #[derive(Clone)]
@@ -158,30 +174,28 @@ impl Network {
         )
     }
 
-    /// The mechanics of one message: TX station, propagation (+`extra`
-    /// fault latency), and — unless the message was dropped en route
-    /// (`rx_side == false`) — the RX station. The message waits for the
-    /// TX station at `tx`: a place in its queue claimed earlier
-    /// ([`Network::send`]), or one asked for when first polled.
-    async fn transfer_leg(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        extra: SimDuration,
-        rx_side: bool,
-        tx: Acquire,
-    ) {
+    /// Take `src`'s next place in its TX queue for a message to `dst`,
+    /// with both NICs; `None` for loopback, which involves no NIC.
+    fn leg(&self, src: NodeId, dst: NodeId) -> Option<Leg> {
+        (src != dst).then(|| {
+            let src_nic = self.nic(src);
+            let tx = src_nic.tx.claim();
+            (src_nic, self.nic(dst), tx)
+        })
+    }
+
+    /// The mechanics of one message: TX station (at the place `leg`
+    /// holds), propagation (+`extra` fault latency), and — unless the
+    /// message was dropped en route (`rx_side == false`) — the RX
+    /// station.
+    async fn travel(&self, leg: &mut Option<Leg>, bytes: usize, extra: SimDuration, rx_side: bool) {
         let h = &self.inner.handle;
-        if src == dst {
-            // Loopback: no NIC involvement, just a memcpy through the
-            // loopback interface.
-            drop(tx);
+        let Some((src_nic, dst_nic, tx)) = leg else {
+            // Loopback: just a memcpy through the loopback interface.
             let t = SimDuration::from_secs_f64(bytes as f64 / 6e9) + SimDuration::nanos(500);
             h.sleep(t).await;
             return;
-        }
-        let (src_nic, dst_nic) = (self.nic(src), self.nic(dst));
+        };
         let placed = dst_nic.placed_on.as_ref().or(src_nic.placed_on.as_ref());
         let tp = placed.unwrap_or(&self.inner.transport);
 
@@ -209,15 +223,40 @@ impl Network {
         dst_nic.msgs_rx.inc();
     }
 
-    /// Move `bytes` from `src` to `dst`, modelling NIC contention on both
-    /// sides, under the installed [`FaultPlan`] (if any), and report the
-    /// message's fate. Completes when the last byte has been received (or,
-    /// for a dropped message, has left the wire). The message travels on
-    /// `dst`'s transport if it was placed on one ([`Network::add_node_on`]),
-    /// else on `src`'s, else on the network default. This is the one path
-    /// every message takes; its fate is judged, and its place in `src`'s
-    /// TX queue taken, on the first poll ([`Network::send`] takes both at
-    /// the call).
+    /// Move `bytes` from `src` to `dst`: [`Network::carry`] of a
+    /// [`Network::send`] made on the first poll.
+    pub async fn deliver(&self, src: NodeId, dst: NodeId, bytes: usize) -> Delivery {
+        self.carry(self.send(src, dst, bytes)).await
+    }
+
+    /// Send `bytes` from `src` to `dst` under the installed [`FaultPlan`]
+    /// (if any): the message's fate is judged, and its place in `src`'s
+    /// TX queue taken, now. A message sent before the caller yields
+    /// leaves `src` ahead of every message sent later, however late it
+    /// is carried. [`Network::carry`] moves it.
+    pub fn send(&self, src: NodeId, dst: NodeId, bytes: usize) -> Message {
+        let (fate, extra) = self.judge(src, dst);
+        match fate {
+            Delivery::Ok => {}
+            Delivery::Duplicated => self.inner.duplicated.inc(),
+            Delivery::Dropped => self.inner.dropped.inc(),
+        }
+        Message {
+            src,
+            dst,
+            bytes,
+            fate,
+            extra,
+            leg: self.leg(src, dst),
+        }
+    }
+
+    /// Carry a sent message, modelling NIC contention on both sides, and
+    /// report its fate. Completes when the last byte has been received
+    /// (or, for a dropped message, has left the wire). The message
+    /// travels on `dst`'s transport if it was placed on one
+    /// ([`Network::add_node_on`]), else on `src`'s, else on the network
+    /// default. This is the one path every message takes.
     ///
     /// With no plan installed every message is [`Delivery::Ok`] and an
     /// uncontended one costs exactly [`Transport::unloaded_one_way`].
@@ -230,57 +269,22 @@ impl Network {
     /// * Jitter and latency-spike windows stretch propagation.
     ///
     /// Loopback messages (`src == dst`) are never faulted.
-    pub async fn deliver(&self, src: NodeId, dst: NodeId, bytes: usize) -> Delivery {
-        let (fate, extra) = self.fate(src, dst);
-        let tx = self.nic(src).tx.acquire();
-        self.transfer_leg(src, dst, bytes, extra, fate.arrived(), tx)
-            .await;
-        self.echo(fate, src, dst, bytes, extra);
-        fate
-    }
-
-    /// [`Network::deliver`], with the message's fate judged and its place
-    /// in `src`'s TX queue taken at the call: a message sent before the
-    /// caller yields leaves `src` ahead of every message asked for later,
-    /// however late the returned future is first polled.
-    pub fn send(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-    ) -> impl Future<Output = Delivery> + 'static {
-        let (fate, extra) = self.fate(src, dst);
-        // A loopback message gives its claim up unpolled.
-        let tx = self.nic(src).tx.claim();
-        let net = self.clone();
+    pub fn carry(&self, mut msg: Message) -> impl Future<Output = Delivery> + '_ {
+        let (bytes, extra, fate) = (msg.bytes, msg.extra, msg.fate);
+        // A block, not an `async fn`, so that it holds `msg` once.
         async move {
-            net.transfer_leg(src, dst, bytes, extra, fate.arrived(), tx)
+            self.travel(&mut msg.leg, bytes, extra, fate.arrived())
                 .await;
-            net.echo(fate, src, dst, bytes, extra);
+            if fate == Delivery::Duplicated {
+                // The duplicate's wire cost accrues in the background so
+                // the original is not delayed behind its own echo.
+                let (net, src, dst) = (self.clone(), msg.src, msg.dst);
+                self.inner.handle.spawn(async move {
+                    let mut leg = net.leg(src, dst);
+                    net.travel(&mut leg, bytes, extra, true).await;
+                });
+            }
             fate
-        }
-    }
-
-    /// Judge one message's fate ([`Network::judge`]) and count it.
-    fn fate(&self, src: NodeId, dst: NodeId) -> (Delivery, SimDuration) {
-        let (fate, extra) = self.judge(src, dst);
-        match fate {
-            Delivery::Ok => {}
-            Delivery::Duplicated => self.inner.duplicated.inc(),
-            Delivery::Dropped => self.inner.dropped.inc(),
-        }
-        (fate, extra)
-    }
-
-    /// A duplicated message's second copy: its wire cost accrues in the
-    /// background, so the original is not delayed behind its own echo.
-    fn echo(&self, fate: Delivery, src: NodeId, dst: NodeId, bytes: usize, extra: SimDuration) {
-        if fate == Delivery::Duplicated {
-            let net = self.clone();
-            self.inner.handle.spawn(async move {
-                let tx = net.nic(src).tx.acquire();
-                net.transfer_leg(src, dst, bytes, extra, true, tx).await;
-            });
         }
     }
 
@@ -491,8 +495,8 @@ mod tests {
         let net = Network::new(sim.handle(), tp.clone());
         let (a, b, c) = (net.add_node(), net.add_node(), net.add_node());
         let big = 1 << 16;
-        // Sent first, polled last: the small message asked for later
-        // still leaves `a` behind it.
+        // Sent first, carried last: the small message sent later still
+        // leaves `a` behind it.
         let sent = net.send(a, b, big);
         let (net2, h) = (net.clone(), sim.handle());
         let (tx, small) = imca_sim::sync::oneshot();
@@ -501,7 +505,7 @@ mod tests {
             tx.send((fate, h.now()));
         });
         let (small_fate, small_done) = sim.run_main(async move {
-            assert_eq!(sent.await, Delivery::Ok);
+            assert_eq!(net.carry(sent).await, Delivery::Ok);
             small.await.unwrap()
         });
         assert_eq!(small_fate, Delivery::Ok);

@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use imca_metrics::Histogram;
 use imca_sim::sync::{oneshot, OneshotSender, Queue, Resource};
-use imca_sim::{SimDuration, SimTime};
+use imca_sim::SimDuration;
 
 use crate::fault::Delivery;
 use crate::network::{Network, NodeId};
@@ -383,9 +383,7 @@ impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, R
     /// is delivered twice back-to-back; the server answers both, the second
     /// response is discarded on arrival.
     pub async fn try_call(&self, req: Req) -> Option<Resp> {
-        let t0 = self.net.handle().now();
-        let fate = self.net.deliver(self.src, self.dst, req.wire_bytes()).await;
-        self.answer(req, fate, t0).await
+        self.post(req).await
     }
 
     /// [`RpcClient::try_call`], with the request sent at the call: its
@@ -398,28 +396,23 @@ impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, R
         let sent = self.net.send(self.src, self.dst, req.wire_bytes());
         let this = self.clone();
         async move {
-            let fate = sent.await;
-            this.answer(req, fate, t0).await
+            let fate = this.net.carry(sent).await;
+            let (tx, rx) = oneshot();
+            if fate.arrived() {
+                this.enqueue(req, tx, fate);
+            } else {
+                // The server never sees the request and the sender gets
+                // no TCP-level signal: keep the sender half alive forever
+                // so the call resolves only via the caller's own deadline.
+                std::mem::forget(tx);
+            }
+            let resp = rx.await.ok();
+            if resp.is_some() {
+                this.call_ns
+                    .record_duration(this.net.handle().now().since(t0));
+            }
+            resp
         }
-    }
-
-    /// The answer to `req`, sent at `t0`, whose request leg met `fate`.
-    async fn answer(&self, req: Req, fate: Delivery, t0: SimTime) -> Option<Resp> {
-        let (tx, rx) = oneshot();
-        if fate.arrived() {
-            self.enqueue(req, tx, fate);
-        } else {
-            // The server never sees the request and the sender gets no
-            // TCP-level signal: keep the sender half alive forever so the
-            // call resolves only via the caller's own deadline.
-            std::mem::forget(tx);
-        }
-        let resp = rx.await.ok();
-        if resp.is_some() {
-            self.call_ns
-                .record_duration(self.net.handle().now().since(t0));
-        }
-        resp
     }
 
     /// Hand a request that reached the server to the service's mailbox,

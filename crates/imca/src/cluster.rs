@@ -907,7 +907,8 @@ mod tests {
                     );
                 }
                 // A read fill: the open purged the blocks, the first
-                // client's read refills them, the second one's hits.
+                // client's read refills them before its reply, the second
+                // one's hits.
                 first.close(fd).await.unwrap();
                 let fd = first.open("/f").await.unwrap();
                 assert_eq!(first.read(fd, 0, 6000).await.unwrap(), vec![7u8; 6000]);

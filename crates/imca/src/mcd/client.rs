@@ -676,19 +676,21 @@ impl BankClient {
     }
 
     /// Issue `stores` now, framed as [`BankClient::store_blocks`] frames
-    /// them, and return the round's answer: every first frame (or, per
+    /// them, and return the round's answer: every daemon's frame (or, per
     /// key, every store) takes its place in this node's TX queue before
     /// the call returns, so each leaves the node ahead of any message
     /// asked for after it — a reply included — and, the fabric and each
     /// daemon being FIFO, lands before anything this node sends that
-    /// daemon later. Where the bank may reorder stores
-    /// ([`BankClient::may_reorder`]) that order would not hold, so
-    /// nothing is issued at the call: the stores go out once the answer
-    /// is awaited, exactly as [`BankClient::store_blocks`] sends them
-    /// ([`Sent::issued`]).
+    /// daemon later. Where that order would not hold, nothing is issued
+    /// at the call: the stores go out once the answer is awaited, exactly
+    /// as [`BankClient::store_blocks`] sends them ([`Sent::issued`]). So
+    /// it is where the bank may reorder stores
+    /// ([`BankClient::may_reorder`]), and where a daemon's share might
+    /// take more than one frame (more than `MAX_FRAME`, 256, stores): a
+    /// later frame goes out only once the one before it has answered.
     pub fn post_stores(self: &Rc<Self>, stores: Vec<Store>) -> Sent {
         let bank = Rc::clone(self);
-        if self.may_reorder() {
+        if self.may_reorder() || (self.batched && stores.len() > MAX_FRAME) {
             return Sent::later(async move { bank.stores(stores).await });
         }
         if self.batched {
@@ -1331,6 +1333,29 @@ mod tests {
         let snap = imca_metrics::collect_from(&*bank, "bank");
         assert_eq!(snap.counter_sum("bank.mcd.*.store.get_hits"), 100);
         assert_eq!(bank_items(&bank), 100);
+    }
+
+    #[test]
+    fn a_round_past_one_frame_is_not_posted() {
+        let mut sim = Sim::new(0);
+        let (_net, bank, client) = setup(&sim, 1);
+        let stores = |n: usize| -> Vec<Store> {
+            let value = Bytes::from_static(b"x");
+            let key = |i| block("/f", i as u64);
+            (0..n)
+                .map(|i| (StoreVerb::Set, key(i), value.clone()))
+                .collect()
+        };
+        // One daemon: its share of the second round takes two frames.
+        let one_frame = client.post_stores(stores(MAX_FRAME));
+        let two_frames = client.post_stores(stores(MAX_FRAME + 1));
+        assert!(one_frame.issued());
+        assert!(!two_frames.issued());
+        sim.run_main(async move {
+            one_frame.await;
+            two_frames.await;
+        });
+        assert_eq!(bank_items(&bank), MAX_FRAME as u64 + 1);
     }
 
     #[test]

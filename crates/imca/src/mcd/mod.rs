@@ -55,7 +55,8 @@
 //! only where a key is absent — at the call, so its frames leave the
 //! node ahead of anything asked for later, and hand back its answer as
 //! a [`Sent`] to await whenever the caller likes. Where
-//! [`BankClient::may_reorder`] holds nothing is sent at the call.
+//! [`BankClient::may_reorder`] holds, or a round might take a daemon
+//! more than one frame, nothing is sent at the call.
 //!
 //! **Kept tokens** (DESIGN.md §4f): a store that asks for its token (meta
 //! `ms … c`) is answered with the item's new CAS unique.

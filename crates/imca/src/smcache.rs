@@ -66,9 +66,9 @@
 //!   consumer that sees the new mtime reads the new blocks.
 //! * **Fall-back** (`fall_back`): a CAS wave that could not replace every
 //!   held copy purges the file and repopulates under the new generation.
-//! * **Post, then reply** (`settle`): a store whose answer the fop's reply
-//!   never reads — a stat miss's push or marker, a batched stat's bulk
-//!   push, open's seed, a read's fill, a write's stat refresh — is
+//! * **Post, then reply** (`settle`): a metadata store whose answer the
+//!   fop's reply never reads — a stat miss's push or marker, a batched
+//!   stat's bulk push, open's seed, a write's stat refresh — is
 //!   *posted*: [`BankClient::post_stores`] issues it at the call, so its
 //!   frames take their place in the server NIC's TX queue ahead of the
 //!   reply, and whatever followed the await (fence take-outs,
@@ -80,8 +80,10 @@
 //!   (`BankClient::may_reorder`) nothing is posted: the fop awaits the
 //!   store as it always did. What the reply does read — CAS verdicts,
 //!   `gets`, the write path's `refill`, purges, the fall-back — stays
-//!   awaited, and the threaded worker, which has no reply to send, awaits
-//!   its fills.
+//!   awaited. So does a read's fill: posted, its commands would sit in
+//!   the daemon's queue ahead of the same client's next read, and a fill
+//!   past one frame per daemon could land after a later write's refill
+//!   (DESIGN.md §4f).
 //!
 //! How a push, purge or CAS wave is framed on the wire — one frame per
 //! daemon, or one awaited RPC per key — is decided inside [`BankClient`]
@@ -215,14 +217,6 @@ struct Job {
 struct Cached {
     len: u64,
     kept: Kept,
-}
-
-/// Blocks cut from data in hand ([`SmCache::cut_blocks`]).
-struct Cut {
-    /// Each block's start and chunk length, in offset order.
-    blocks: Vec<(u64, u64)>,
-    /// Each block's key and bytes, to store.
-    items: Vec<(Vec<u8>, Bytes)>,
 }
 
 /// One file's tracked blocks: block start → its [`Cached`] length and
@@ -510,13 +504,8 @@ impl SmCache {
                 data,
                 writes,
             } => {
-                let fence = (gen, writes);
-                if self.threaded {
-                    // The worker has no reply to send: it awaits the fill.
-                    self.push_blocks(&path, off, len, &data, fence, false).await
-                } else {
-                    self.post_fill(path, off, len, &data, fence).await
-                }
+                self.push_blocks(&path, off, len, &data, (gen, writes), false)
+                    .await
             }
             Work::Repopulate { offset, len } => {
                 self.purge_then_populate(&path, offset, len, gen).await
@@ -568,50 +557,12 @@ impl SmCache {
         aligned_offset: u64,
         aligned_len: u64,
         data: &[u8],
-        fence: (u64, u64),
+        (gen, writes): (u64, u64),
         keep: bool,
     ) {
-        let Cut { blocks, items } = self.cut_blocks(path, aligned_offset, aligned_len, data);
-        let mark = self.bank.reorder_mark();
-        let kept = if keep {
-            self.bank.store_kept(items).await
-        } else {
-            self.bank.store_blocks(items).await;
-            Vec::new()
-        };
-        self.blocks_landed(path, &blocks, kept, fence, mark).await;
-    }
-
-    /// The read fill: [`SmCache::push_blocks`]'s plain `set`s, posted
-    /// ([`SmCache::settle`]) — a fill only warms the bank, so the read
-    /// need not wait for it.
-    async fn post_fill(
-        self: &Rc<Self>,
-        path: String,
-        aligned_offset: u64,
-        aligned_len: u64,
-        data: &[u8],
-        fence: (u64, u64),
-    ) {
-        let Cut { blocks, items } = self.cut_blocks(&path, aligned_offset, aligned_len, data);
-        let mark = self.bank.reorder_mark();
-        let sets = items
-            .into_iter()
-            .map(|(key, value)| (StoreVerb::Set, key, value));
-        let sent = self.bank.post_stores(sets.collect());
-        let sm = Rc::clone(self);
-        self.settle(sent.issued(), async move {
-            sent.await;
-            sm.blocks_landed(&path, &blocks, Vec::new(), fence, mark)
-                .await;
-        })
-        .await;
-    }
-
-    /// `data`, from the block-aligned `aligned_offset` on, cut into
-    /// blocks.
-    fn cut_blocks(&self, path: &str, aligned_offset: u64, aligned_len: u64, data: &[u8]) -> Cut {
-        let (blocks, items) = cover(aligned_offset, aligned_len, self.block_size)
+        let blocks = cover(aligned_offset, aligned_len, self.block_size);
+        let mut chunk_lens = Vec::with_capacity(blocks.len());
+        let items: Vec<(Vec<u8>, Bytes)> = blocks
             .iter()
             .map(|b| {
                 let rel = (b.start - aligned_offset) as usize;
@@ -621,41 +572,34 @@ impl SmCache {
                 } else {
                     Vec::new() // block fully past EOF: "known empty"
                 };
-                let block = (b.start, chunk.len() as u64);
-                (block, (block_key(path, b.start), Bytes::from(chunk)))
+                chunk_lens.push(chunk.len() as u64);
+                (block_key(path, b.start), Bytes::from(chunk))
             })
-            .unzip();
-        Cut { blocks, items }
-    }
-
-    /// `blocks` of `path` were stored at reorder `mark` under the
-    /// `(gen, writes)` fence (keeping `kept`, per block): record them, or
-    /// take them out again if a purge or a write overtook them
-    /// ([`SmCache::push_blocks`]).
-    async fn blocks_landed(
-        &self,
-        path: &str,
-        blocks: &[(u64, u64)],
-        kept: Vec<Kept>,
-        (gen, writes): (u64, u64),
-        mark: u64,
-    ) {
+            .collect();
+        let n = items.len() as u64;
+        let mark = self.bank.reorder_mark();
+        let kept = if keep {
+            self.bank.store_kept(items).await
+        } else {
+            self.bank.store_blocks(items).await;
+            Vec::new()
+        };
         if self.fenced(path, gen) || self.overtaken(path, writes, mark) {
             // A purge (close/unlink/open) overtook this update while its
             // stores were on the wire, or a write returned since `data`
             // was read: the entries just written belong to a stale
             // generation of the file, or may predate that write. Take
             // them out again and record nothing.
-            let rollback = blocks.iter().map(|&(start, _)| block_key(path, start));
-            self.bank.remove_keys(rollback.collect()).await;
+            let rollback = blocks.iter().map(|b| block_key(path, b.start)).collect();
+            self.bank.remove_keys(rollback).await;
             return;
         }
-        self.blocks_pushed.add(blocks.len() as u64);
+        self.blocks_pushed.add(n);
         self.with_path(path, |p| {
             let entry = p.tracked.get_or_insert_default();
-            for (i, &(start, len)) in blocks.iter().enumerate() {
+            for (i, (b, len)) in blocks.iter().zip(chunk_lens).enumerate() {
                 let kept = kept.get(i).copied().unwrap_or_default();
-                entry.insert(start, len, kept, self.block_size);
+                entry.insert(b.start, len, kept, self.block_size);
             }
         });
     }
@@ -2540,6 +2484,76 @@ mod tests {
         });
         let [conflicts, fallbacks] = counters(&*rig.sm, ["cas_conflicts", "cas_fallback_purges"]);
         assert_eq!((conflicts, fallbacks), (0, 0));
+    }
+
+    #[test]
+    fn a_fill_past_one_frame_never_lands_over_a_later_write() {
+        // One daemon, so a 2000-block fill is one daemon's share: eight
+        // frames.
+        let cfg = ImcaConfig {
+            mcd_count: 1,
+            ..two_mcds()
+        };
+        let (bs, blocks, k) = (cfg.block_size, 2000u64, 1999u64);
+        let mut sim = Sim::new(0);
+        let (rig, mcds) = rig_over(&sim, posix(&sim), &cfg);
+        let (h, sm) = (sim.handle(), Rc::clone(&rig.sm));
+        let stale = sim.run_main(async move {
+            let path = || "/f".to_string();
+            drive(&sm, Fop::Create { path: path() }).await;
+            let data = vec![1u8; (blocks * bs) as usize];
+            drive(
+                &sm,
+                Fop::Write {
+                    path: path(),
+                    offset: 0,
+                    data,
+                },
+            )
+            .await;
+            // Closed and reopened: none of the file's blocks is tracked.
+            drive(&sm, Fop::Close { path: path() }).await;
+            drive(&sm, Fop::Open { path: path() }).await;
+            drain(&sm).await;
+            let len = blocks * bs;
+            drive(
+                &sm,
+                Fop::Read {
+                    path: path(),
+                    offset: 0,
+                    len,
+                },
+            )
+            .await;
+            // The reader closes, another client opens and writes block k.
+            drive(&sm, Fop::Close { path: path() }).await;
+            drive(&sm, Fop::Open { path: path() }).await;
+            let data = vec![2u8; bs as usize];
+            drive(
+                &sm,
+                Fop::Write {
+                    path: path(),
+                    offset: k * bs,
+                    data,
+                },
+            )
+            .await;
+            // From the write's reply until every posted store is followed
+            // through, no copy of block k's pre-write bytes.
+            let (key, old) = (block_key("/f", k * bs), vec![1u8; bs as usize]);
+            let mut stale = 0;
+            loop {
+                stale += held(&mcds, &key)
+                    .iter()
+                    .filter(|b| b[..] == old[..])
+                    .count();
+                if sm.posted() == 0 {
+                    break stale;
+                }
+                h.sleep(SimDuration::micros(1)).await;
+            }
+        });
+        assert_eq!(stale, 0, "the fill's late frame re-set a pre-write block");
     }
 
     /// A scripted child xlator: writes and reads succeed, stats fail on
