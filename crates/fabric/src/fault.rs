@@ -9,8 +9,9 @@
 //! the plan, so a given seed replays bit-identically and installing a
 //! plan never perturbs random draws made elsewhere in the model.
 //!
-//! Faults act in [`crate::Network::deliver`], the one path every message
-//! takes: the request/response legs of every protocol in this workspace.
+//! Faults are judged in [`crate::Network::send`], the one path every
+//! message takes: the request/response legs of every protocol in this
+//! workspace.
 //! Probabilistic faults and windows apply only to messages touching the
 //! plan's *scope* (when set); cuts are explicit, named, and apply
 //! regardless of scope.
@@ -96,8 +97,8 @@ impl Cut {
     }
 }
 
-/// The fate of one fault-checked message delivery
-/// ([`crate::Network::deliver`]).
+/// The fate of one fault-checked message ([`crate::Network::send`]
+/// judges it, [`crate::Network::carry`] reports it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delivery {
     /// Delivered normally.

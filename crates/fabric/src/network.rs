@@ -102,7 +102,9 @@ struct Inner {
 
 /// A message [`Network::send`] sent: its fate judged and its place in
 /// the sender's TX queue taken, still to be carried
-/// ([`Network::carry`]). Dropped uncarried, it gives its place up.
+/// ([`Network::carry`]). Every message the sender sends later waits
+/// behind it until it is carried; dropped uncarried, it gives its place
+/// up.
 pub struct Message {
     src: NodeId,
     dst: NodeId,
@@ -149,7 +151,7 @@ impl Network {
     /// Register a new node placed on `transport` (the RDMA-for-the-bank
     /// ablation puts the daemons on RDMA) and return its id. A message
     /// travels on its destination's transport, else on its source's,
-    /// else on the network default; see [`Network::deliver`].
+    /// else on the network default; see [`Network::carry`].
     pub fn add_node_on(&self, transport: Transport) -> NodeId {
         self.register(Some(transport))
     }
@@ -179,7 +181,7 @@ impl Network {
     fn leg(&self, src: NodeId, dst: NodeId) -> Option<Leg> {
         (src != dst).then(|| {
             let src_nic = self.nic(src);
-            let tx = src_nic.tx.claim();
+            let tx = src_nic.tx.acquire();
             (src_nic, self.nic(dst), tx)
         })
     }
@@ -221,12 +223,6 @@ impl Network {
             .await;
         dst_nic.bytes_rx.add(bytes as u64);
         dst_nic.msgs_rx.inc();
-    }
-
-    /// Move `bytes` from `src` to `dst`: [`Network::carry`] of a
-    /// [`Network::send`] made on the first poll.
-    pub async fn deliver(&self, src: NodeId, dst: NodeId, bytes: usize) -> Delivery {
-        self.carry(self.send(src, dst, bytes)).await
     }
 
     /// Send `bytes` from `src` to `dst` under the installed [`FaultPlan`]
@@ -403,7 +399,7 @@ mod tests {
             .into_iter()
             .map(|(src, dst)| {
                 let net = net.clone();
-                async move { net.deliver(src, dst, bytes).await }
+                async move { net.carry(net.send(src, dst, bytes)).await }
             })
             .collect();
         let fates = sim.run_main(async move { imca_sim::join_all(&h, deliveries).await });
@@ -418,7 +414,7 @@ mod tests {
         let a = net.add_node();
         let net2 = net.clone();
         sim.run_main(async move {
-            assert_eq!(net2.deliver(a, a, 1 << 20).await, Delivery::Ok);
+            assert_eq!(net2.carry(net2.send(a, a, 1 << 20)).await, Delivery::Ok);
         });
         let end = sim.now();
         // Far faster than the wire would allow...
@@ -476,8 +472,8 @@ mod tests {
         let b = net.add_node();
         let net2 = net.clone();
         sim.run_main(async move {
-            assert_eq!(net2.deliver(a, b, 1000).await, Delivery::Ok);
-            assert_eq!(net2.deliver(a, b, 500).await, Delivery::Ok);
+            assert_eq!(net2.carry(net2.send(a, b, 1000)).await, Delivery::Ok);
+            assert_eq!(net2.carry(net2.send(a, b, 500)).await, Delivery::Ok);
         });
         let snap = net.registry().snapshot();
         let nic = |node: NodeId, metric: &str| snap.counter(&format!("nic.{}.{metric}", node.0));
@@ -501,7 +497,7 @@ mod tests {
         let (net2, h) = (net.clone(), sim.handle());
         let (tx, small) = imca_sim::sync::oneshot();
         sim.spawn(async move {
-            let fate = net2.deliver(a, c, 64).await;
+            let fate = net2.carry(net2.send(a, c, 64)).await;
             tx.send((fate, h.now()));
         });
         let (small_fate, small_done) = sim.run_main(async move {
@@ -523,7 +519,7 @@ mod tests {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
         let a = net.add_node();
         sim.run_main(async move {
-            net.deliver(a, NodeId(99), 1).await;
+            net.carry(net.send(a, NodeId(99), 1)).await;
         });
     }
 
@@ -539,7 +535,7 @@ mod tests {
         let fates = sim.run_main(async move {
             let mut fates = Vec::new();
             for _ in 0..n {
-                fates.push(net2.deliver(a, b, 128).await);
+                fates.push(net2.carry(net2.send(a, b, 128)).await);
             }
             fates
         });
@@ -556,7 +552,7 @@ mod tests {
         let b = net.add_node();
         let net2 = net.clone();
         sim.run_main(async move {
-            assert_eq!(net2.deliver(a, b, 4096).await, Delivery::Ok);
+            assert_eq!(net2.carry(net2.send(a, b, 4096)).await, Delivery::Ok);
         });
         let end = sim.now();
         // Without faults, an uncontended message costs exactly the
@@ -625,10 +621,10 @@ mod tests {
         let late = net.add_node();
         let net2 = net.clone();
         sim.run_main(async move {
-            assert_eq!(net2.deliver(late, a, 64).await, Delivery::Dropped);
-            assert_eq!(net2.deliver(b, late, 64).await, Delivery::Ok);
+            assert_eq!(net2.carry(net2.send(late, a, 64)).await, Delivery::Dropped);
+            assert_eq!(net2.carry(net2.send(b, late, 64)).await, Delivery::Ok);
             net2.heal("quarantine");
-            assert_eq!(net2.deliver(late, a, 64).await, Delivery::Ok);
+            assert_eq!(net2.carry(net2.send(late, a, 64)).await, Delivery::Ok);
         });
     }
 
@@ -648,10 +644,10 @@ mod tests {
         let net2 = net.clone();
         sim.run_main(async move {
             // Any link touching `a` loses everything...
-            assert_eq!(net2.deliver(a, b, 64).await, Delivery::Dropped);
-            assert_eq!(net2.deliver(c, a, 64).await, Delivery::Dropped);
+            assert_eq!(net2.carry(net2.send(a, b, 64)).await, Delivery::Dropped);
+            assert_eq!(net2.carry(net2.send(c, a, 64)).await, Delivery::Dropped);
             // ...but links not touching the scope are untouched.
-            assert_eq!(net2.deliver(c, d, 64).await, Delivery::Ok);
+            assert_eq!(net2.carry(net2.send(c, d, 64)).await, Delivery::Ok);
         });
     }
 
@@ -666,11 +662,11 @@ mod tests {
         let net2 = net.clone();
         let h = sim.handle();
         sim.run_main(async move {
-            assert_eq!(net2.deliver(a, b, 64).await, Delivery::Ok);
+            assert_eq!(net2.carry(net2.send(a, b, 64)).await, Delivery::Ok);
             h.sleep_until(SimTime(60_000)).await;
-            assert_eq!(net2.deliver(a, b, 64).await, Delivery::Dropped);
+            assert_eq!(net2.carry(net2.send(a, b, 64)).await, Delivery::Dropped);
             h.sleep_until(SimTime(100_000)).await;
-            assert_eq!(net2.deliver(a, b, 64).await, Delivery::Ok);
+            assert_eq!(net2.carry(net2.send(a, b, 64)).await, Delivery::Ok);
         });
     }
 
@@ -684,7 +680,7 @@ mod tests {
         let b = net.add_node();
         net.add_latency_spike(SimTime::ZERO, SimTime(u64::MAX), spike);
         sim.run_main(async move {
-            assert_eq!(net.deliver(a, b, 4096).await, Delivery::Ok);
+            assert_eq!(net.carry(net.send(a, b, 4096)).await, Delivery::Ok);
         });
         let end = sim.now();
         assert_eq!(
@@ -706,7 +702,7 @@ mod tests {
         });
         let net2 = net.clone();
         sim.run_main(async move {
-            assert_eq!(net2.deliver(a, b, 4096).await, Delivery::Dropped);
+            assert_eq!(net2.carry(net2.send(a, b, 4096)).await, Delivery::Dropped);
         });
         let end = sim.now();
         // TX + propagation but no RX side.

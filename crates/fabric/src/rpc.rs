@@ -64,10 +64,9 @@ impl<Resp: WireSize + 'static> Replier<Resp> {
     /// caller that already has its value and is discarded.
     pub(crate) fn reply(self, resp: Resp) {
         let Replier { net, from, to, tx } = self;
-        let h = net.handle();
-        h.spawn(async move {
-            let bytes = resp.wire_bytes();
-            let fate = net.deliver(from, to, bytes).await;
+        let sent = net.send(from, to, resp.wire_bytes());
+        net.handle().spawn(async move {
+            let fate = net.carry(sent).await;
             if fate.arrived() {
                 tx.send(resp);
             } else {
@@ -145,7 +144,7 @@ impl<Req: WireSize + 'static, Resp: WireSize + 'static> Service<Req, Resp> {
     /// runs [`Handler::work`] and is answered. It is dropped unanswered
     /// if its incarnation ended before a worker took it or before its
     /// answer was ready. A dropped request resolves the caller's
-    /// [`RpcClient::try_call`] to `None`, the TCP reset of a dead
+    /// [`RpcClient::post`] to `None`, the TCP reset of a dead
     /// process. Workers are granted in arrival order.
     pub fn serve<H: Handler<Req, Resp>>(&self, workers: Workers, handler: H) -> Daemon {
         let daemon = Daemon::default();
@@ -357,23 +356,30 @@ impl<Req, Resp> Clone for RpcClient<Req, Resp> {
 }
 
 impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, Resp> {
-    /// Perform one RPC: ship the request, wait for the service to respond,
-    /// ship the response back.
+    /// Perform one RPC: [`RpcClient::post`], awaited.
     ///
     /// # Panics
     /// Panics if the service closes (drops the request) mid-call — in these
     /// simulations that is a model bug, not an expected runtime condition.
-    /// Use [`RpcClient::try_call`] when talking to a server that may be
+    /// Await [`RpcClient::post`] when talking to a server that may be
     /// deliberately failed (fault-injection experiments).
     pub async fn call(&self, req: Req) -> Resp {
-        self.try_call(req)
+        self.post(req)
             .await
             .expect("RPC service dropped the request")
     }
 
-    /// Like [`RpcClient::call`] but resolves to `None` if the service drops
-    /// the request (e.g. the server was killed mid-flight) — the TCP-reset
-    /// path a real client observes.
+    /// Perform one RPC, with the request sent at the call: its fate is
+    /// judged and its place in the caller's TX queue taken before `post`
+    /// returns ([`Network::send`]), so a request posted before the
+    /// caller yields leaves the node ahead of every message asked for
+    /// later. The returned future ships it, waits for the service to
+    /// respond and ships the response back; it resolves to `None` if the
+    /// service drops the request (e.g. the server was killed
+    /// mid-flight) — the TCP-reset path a real client observes. Until it
+    /// is first polled the request holds its place, and every message
+    /// the node sends after it waits behind it: poll or spawn it before
+    /// yielding for long.
     ///
     /// Under an installed [`crate::FaultPlan`] the request leg may also be
     /// dropped or duplicated. A *dropped* request (loss, drop window, or
@@ -382,15 +388,6 @@ impl<Req: WireSize + Clone + 'static, Resp: WireSize + 'static> RpcClient<Req, R
     /// its own deadline (see `imca_sim::timeout`). A *duplicated* request
     /// is delivered twice back-to-back; the server answers both, the second
     /// response is discarded on arrival.
-    pub async fn try_call(&self, req: Req) -> Option<Resp> {
-        self.post(req).await
-    }
-
-    /// [`RpcClient::try_call`], with the request sent at the call: its
-    /// fate is judged and its place in the caller's TX queue taken before
-    /// `post` returns ([`Network::send`]), so a request posted before the
-    /// caller yields leaves the node ahead of every message asked for
-    /// later. The returned future resolves to the answer.
     pub fn post(&self, req: Req) -> impl Future<Output = Option<Resp>> + 'static {
         let t0 = self.net.handle().now();
         let sent = self.net.send(self.src, self.dst, req.wire_bytes());
@@ -581,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn request_the_service_drops_resolves_try_call_to_none() {
+    fn request_the_service_drops_resolves_post_to_none() {
         // A server that takes a request and drops it unanswered (a killed
         // daemon) must surface as `None`, not hang or panic.
         let mut sim = Sim::new(0);
@@ -592,7 +589,7 @@ mod tests {
         let cli = svc.client(client_node);
         let svc2 = svc.clone();
         sim.spawn(async move { while svc2.recv().await.is_some() {} });
-        let got = sim.run_main(async move { cli.try_call(Ping(1)).await });
+        let got = sim.run_main(async move { cli.post(Ping(1)).await });
         assert_eq!(got, None, "dropped request must surface as None");
         assert_eq!(
             sim.run().tasks_leaked,
@@ -625,8 +622,7 @@ mod tests {
         let deadline = SimDuration::millis(1);
         sim.run_main(async move {
             let t0 = h.now();
-            let got =
-                imca_sim::timeout(&h, deadline, async move { cli.try_call(Ping(1)).await }).await;
+            let got = imca_sim::timeout(&h, deadline, cli.post(Ping(1))).await;
             // The inner call never resolved: the race itself timed out.
             assert_eq!(got, None);
             assert_eq!(h.now().since(t0).as_nanos(), deadline.as_nanos());
@@ -659,7 +655,7 @@ mod tests {
         });
         sim.run_main(async move {
             // The caller sees exactly one answer despite the echo.
-            assert_eq!(cli.try_call(Ping(1)).await, Some(Pong(2)));
+            assert_eq!(cli.post(Ping(1)).await, Some(Pong(2)));
         });
         // The server processed the request twice (request + duplicate);
         // the duplicate's discarded response wedged nothing.
@@ -737,7 +733,7 @@ mod tests {
         let pending: Vec<_> = (0..calls)
             .map(|i| {
                 let cli = svc.client(net.add_node());
-                async move { cli.try_call(Ping(i)).await }
+                async move { cli.post(Ping(i)).await }
             })
             .collect();
         let answers = sim.run_main(async move { imca_sim::join_all(&h, pending).await });
@@ -841,7 +837,7 @@ mod tests {
                 assert!(!d.restart(), "the daemon is up mid-work");
             }
         });
-        let answer = sim.run_main(async move { cli.try_call(Ping(7)).await });
+        let answer = sim.run_main(async move { cli.post(Ping(7)).await });
         assert_eq!(answer, Some(Pong(7)));
         assert_eq!(daemon.queue_peak(), 1);
     }

@@ -80,12 +80,11 @@ impl Translator for ClientProtocol {
     }
 
     fn handle(self: Rc<Self>, fop: Fop) -> FopFuture {
-        Box::pin(async move {
-            // A crashed server drops the request on the floor; surface it
-            // as EIO instead of hanging the application forever.
-            let fallback = fop.err_reply(FsError::Io);
-            self.rpc.try_call(fop).await.unwrap_or(fallback)
-        })
+        // A crashed server drops the request on the floor; surface it
+        // as EIO instead of hanging the application forever.
+        let fallback = fop.err_reply(FsError::Io);
+        let sent = self.rpc.post(fop);
+        Box::pin(async move { sent.await.unwrap_or(fallback) })
     }
 }
 

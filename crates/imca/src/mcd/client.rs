@@ -98,16 +98,24 @@ struct ReadKey {
 ///   next round past the replica that failed — until a replica answers or
 ///   none is left and the read resolves as a local miss.
 /// * **Writes** ([`set`](BankClient::set), [`delete`](BankClient::delete),
-///   `BankClient::store_one`, `BankClient::cas`) go through one fan-out,
-///   `BankClient::write_fanout`, to every usable replica; any write
-///   that fails quarantines its daemon.
-/// * **Bulk writes** (`BankClient::store_frames`,
-///   `BankClient::delete_pipeline`, `BankClient::set_kept_pipeline`,
-///   `BankClient::cas_pipeline`) send each daemon its whole share as one
-///   frame and get one reply frame back: `noreply` commands with a
-///   trailing `version` as the sync, or answering stores — `set`s that
-///   ask for their tokens, `cas`es — whose answers are read back by
-///   position (`BankClient::answered_frames`).
+///   `BankClient::post_store`, `BankClient::cas`) go through one fan-out,
+///   `BankClient::write`, to every usable replica; any write that fails
+///   quarantines its daemon.
+/// * **Bulk writes** ([`post_stores`](BankClient::post_stores),
+///   [`remove_keys`](BankClient::remove_keys),
+///   [`store_kept`](BankClient::store_kept),
+///   [`cas_blocks`](BankClient::cas_blocks)) send each daemon its whole
+///   share as one frame and get one reply frame back: `noreply` commands
+///   with a trailing `version` as the sync (`BankClient::send_frames`),
+///   or answering stores — `set`s that ask for their tokens, `cas`es —
+///   whose answers are read back by position
+///   (`BankClient::answered_frames`).
+///
+/// Every write goes out at the call: each daemon's first frame takes its
+/// place in this node's TX queue and starts on its way, as its own task,
+/// before the call returns, and the returned [`Sent`] (or future) is the
+/// answer, to await whenever the caller likes. A read routes each round
+/// as it reaches it.
 ///
 /// The data path's five bulk operations —
 /// [`fetch_blocks`](BankClient::fetch_blocks),
@@ -152,7 +160,7 @@ pub struct BankClient {
     pipelined_deletes: Counter,
     /// Compare-and-swap stores issued (single and framed).
     cas_ops: Counter,
-    /// CAS stores that travelled in [`BankClient::cas_pipeline`]'s frames.
+    /// CAS stores that travelled in [`BankClient::cas_blocks`]'s frames.
     pipelined_cas: Counter,
     /// Ops answered locally (miss / dropped write) because the daemon was
     /// quarantined, circuit-open or shedding load.
@@ -464,7 +472,7 @@ impl BankClient {
                         self.keys_per_multi_get.record(members.len() as u64);
                         let group_keys = members.iter().map(|k| keys[k.pos].clone()).collect();
                         (
-                            self.wire.call(idx, get_req(group_keys, false)),
+                            self.wire.call(idx, [get_req(group_keys, false)]),
                             DecrOnDrop::enter(&self.in_flight[idx]),
                         )
                     })
@@ -555,7 +563,7 @@ impl BankClient {
         let load = DecrOnDrop::enter(&self.in_flight[idx]);
         let outcome = self
             .wire
-            .call(idx, get_req(vec![key.to_vec()], false))
+            .call(idx, [get_req(vec![key.to_vec()], false)])
             .await;
         drop(load);
         self.settle_read(idx, outcome, members)
@@ -600,7 +608,7 @@ impl BankClient {
                 self.multi_gets.inc();
                 self.keys_per_multi_get.record(members.len() as u64);
                 let group_keys = members.iter().map(|&(p, _)| keys[p].clone()).collect();
-                self.wire.call(*idx, get_req(group_keys, true))
+                self.wire.call(*idx, [get_req(group_keys, true)])
             })
             .collect();
         let outcomes = join_all(&self.wire.handle, calls).await;
@@ -632,20 +640,27 @@ impl BankClient {
         out
     }
 
-    /// Per-key framing of a bulk operation: `op` on every item as its
-    /// own spawned task, in item order — one awaited RPC per key, the
-    /// paper's client and the batching ablation's baseline.
-    async fn per_key<T, R: 'static, F: Future<Output = R> + 'static>(
+    /// Per-key framing of a bulk operation: `op` on every item, in item
+    /// order, each awaited as its own spawned task — one RPC round per
+    /// key, the paper's client and the batching ablation's baseline.
+    /// Every `op` is made at the call, so a write's requests go out there.
+    fn per_key<T, R: 'static, F: Future<Output = R> + 'static>(
         self: &Rc<Self>,
         items: Vec<T>,
-        op: impl Fn(Rc<BankClient>, T) -> F,
-    ) -> Vec<R> {
-        let tasks = items.into_iter().map(|item| op(Rc::clone(self), item));
-        join_all(&self.wire.handle, tasks.collect()).await
+        op: impl Fn(Rc<Self>, T) -> F,
+    ) -> impl Future<Output = Vec<R>> + 'static {
+        let each: Vec<F> = items
+            .into_iter()
+            .map(|item| op(Rc::clone(self), item))
+            .collect();
+        let handle = self.wire.handle.clone();
+        async move { join_all(&handle, each).await }
     }
 
     /// Fetch a read's covering blocks, in request order: one multi-key
     /// `get` per routed daemon ([`BankClient::get_multi`]), or per key.
+    /// A read routes each round as it reaches it, so nothing goes out
+    /// before the fetch is awaited.
     pub async fn fetch_blocks(self: &Rc<Self>, keys: Vec<Vec<u8>>) -> Vec<Option<Bytes>> {
         if self.batched {
             return self.get_multi(&keys).await;
@@ -655,77 +670,51 @@ impl BankClient {
     }
 
     /// Store many values on every usable replica of their keys: one
-    /// frame of `noreply` stores per daemon, or per key.
-    pub async fn store_blocks(self: &Rc<Self>, items: Vec<(Vec<u8>, Bytes)>) {
+    /// frame of `noreply` stores per daemon, or per key — the `set`s of
+    /// [`BankClient::post_stores`].
+    pub fn store_blocks(self: &Rc<Self>, items: Vec<(Vec<u8>, Bytes)>) -> Sent {
         let stores = items
             .into_iter()
             .map(|(key, value)| (StoreVerb::Set, key, value));
-        self.stores(stores.collect()).await
+        self.post_stores(stores.collect())
     }
 
-    /// [`BankClient::store_blocks`] for stores of any verb.
-    async fn stores(self: &Rc<Self>, stores: Vec<Store>) {
-        if self.batched {
-            let rounds = self.store_frames(stores, false).await;
-            return self.settle_frames(rounds);
-        }
-        self.per_key(stores, |bank, (verb, key, value)| async move {
-            bank.store_one(verb, &key, value, Answer::Status).await
-        })
-        .await;
-    }
-
-    /// Issue `stores` now, framed as [`BankClient::store_blocks`] frames
-    /// them, and return the round's answer: every daemon's frame (or, per
-    /// key, every store) takes its place in this node's TX queue before
-    /// the call returns, so each leaves the node ahead of any message
-    /// asked for after it — a reply included — and, the fabric and each
-    /// daemon being FIFO, lands before anything this node sends that
-    /// daemon later. Where that order would not hold, nothing is issued
-    /// at the call: the stores go out once the answer is awaited, exactly
-    /// as [`BankClient::store_blocks`] sends them ([`Sent::issued`]). So
-    /// it is where the bank may reorder stores
-    /// ([`BankClient::may_reorder`]), and where a daemon's share might
-    /// take more than one frame (more than `MAX_FRAME`, 256, stores): a
-    /// later frame goes out only once the one before it has answered.
+    /// Store `stores` — `set`s, and `add`s that store only where a key is
+    /// absent — on every usable replica of their keys: one frame of
+    /// `noreply` stores per daemon, or per key. Like every bank write, the
+    /// round goes out at the call: each daemon's first frame (per key,
+    /// every store) takes its place in this node's TX queue before the
+    /// call returns, so it leaves the node ahead of any message asked for
+    /// after it. The [`Sent`] answer says whether the caller may reply
+    /// before it arrives ([`Sent::reply_first`]).
     pub fn post_stores(self: &Rc<Self>, stores: Vec<Store>) -> Sent {
-        let bank = Rc::clone(self);
-        if self.may_reorder() || (self.batched && stores.len() > MAX_FRAME) {
-            return Sent::later(async move { bank.stores(stores).await });
-        }
-        if self.batched {
-            let rounds = self.store_frames(stores, true);
-            return Sent::now(async move { bank.settle_frames(rounds.await) });
-        }
-        let each: Vec<Sent> = stores
-            .into_iter()
-            .map(|(verb, key, value)| self.post_store(verb, key, value))
-            .collect();
-        Sent::now(async move {
-            join_all(&bank.wire.handle, each).await;
-        })
-    }
-
-    /// [`BankClient::post_stores`] of one store, sent as
-    /// [`BankClient::set`] sends it: one answering command to every usable
-    /// replica of `key`.
-    pub fn post_store(self: &Rc<Self>, verb: StoreVerb, key: Vec<u8>, value: Bytes) -> Sent {
-        let bank = Rc::clone(self);
-        if self.may_reorder() {
-            return Sent::later(async move {
-                bank.store_one(verb, &key, value, Answer::Status).await;
+        if !self.batched {
+            let store = |bank: Rc<Self>, (verb, key, value)| {
+                bank.post_store(verb, key, value, Answer::Status)
+            };
+            let each = self.per_key(stores, store);
+            return Sent::new(self.lands_in_order(1), async move {
+                each.await;
             });
         }
-        self.sets.inc();
-        let targets = self.write_targets(self.replicas(&key));
-        let req = McdReq::one(store_cmd(verb, key, value, Answer::Status));
-        let sent = self.fanout(&targets, req, true);
-        Sent::now(async move {
-            let outcomes = sent.await;
-            for (&idx, outcome) in targets.iter().zip(&outcomes) {
-                bank.settle_write(idx, outcome, 1);
-            }
-        })
+        self.sets.add(stores.len() as u64);
+        let mut groups = BTreeMap::new();
+        for store in stores {
+            let targets = self.write_targets(self.replicas(&store.1));
+            enqueue(&mut groups, &targets, store);
+        }
+        let command = |(verb, key, value)| store_cmd(verb, key, value, Answer::Quiet);
+        self.send_frames(groups, command, &self.pipelined_sets)
+    }
+
+    /// Whether a round whose largest daemon share is `share` commands
+    /// lands at every daemon before anything this node sends it later,
+    /// so its caller may reply before the answer: every daemon link is
+    /// FIFO ([`BankClient::may_reorder`] does not hold), and each share
+    /// goes as one frame, sent at the call. A later frame goes out only
+    /// once the one before it has answered.
+    fn lands_in_order(&self, share: usize) -> bool {
+        !self.may_reorder() && share <= MAX_FRAME
     }
 
     /// Store many values like [`BankClient::store_blocks`], each store
@@ -733,15 +722,36 @@ impl BankClient {
     /// and return the tokens per item by replica position: one frame of
     /// answering stores per daemon, read back by position, or per key. A
     /// replica that was skipped or failed keeps no token.
-    pub async fn store_kept(self: &Rc<Self>, items: Vec<(Vec<u8>, Bytes)>) -> Vec<Kept> {
-        if self.batched {
-            return self.set_kept_pipeline(&items).await;
+    pub fn store_kept(self: &Rc<Self>, items: Vec<(Vec<u8>, Bytes)>) -> Sent<Vec<Kept>> {
+        if !self.batched {
+            let store = |bank: Rc<Self>, (key, value)| {
+                bank.post_store(StoreVerb::Set, key, value, Answer::Token)
+            };
+            return Sent::new(self.lands_in_order(1), self.per_key(items, store));
         }
-        self.per_key(items, |bank, (key, value)| async move {
-            bank.store_one(StoreVerb::Set, &key, value, Answer::Token)
-                .await
+        self.sets.add(items.len() as u64);
+        let mut groups: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+        for (pos, (key, _)) in items.iter().enumerate() {
+            for (slot, idx) in self.write_slots(key) {
+                groups.entry(idx).or_default().push((pos, slot));
+            }
+        }
+        let command = |&(pos, _): &(usize, usize)| {
+            let (key, value) = &items[pos];
+            store_cmd(StoreVerb::Set, key.clone(), value.clone(), Answer::Token)
+        };
+        let n = items.len();
+        self.answered_frames(groups, command, &self.pipelined_sets, move |rounds| {
+            let mut kept = vec![Kept::default(); n];
+            for (members, outcome) in rounds {
+                for (at, (pos, slot)) in members.into_iter().enumerate() {
+                    if let Some(token) = stored_token(&outcome, at) {
+                        kept[pos].keep(slot, token);
+                    }
+                }
+            }
+            kept
         })
-        .await
     }
 
     /// The `cas` tokens that replace `key` without a `gets`, from the
@@ -766,64 +776,48 @@ impl BankClient {
     }
 
     /// Remove many keys from every replica that could still serve them:
-    /// one frame of `noreply` deletes per daemon, or per key.
-    pub async fn remove_keys(self: &Rc<Self>, keys: Vec<Vec<u8>>) {
-        if self.batched {
-            return self.delete_pipeline(keys).await;
+    /// one frame of `noreply` deletes per daemon, or per key — grouped,
+    /// ordered and failed as [`BankClient::post_stores`] does.
+    pub fn remove_keys(self: &Rc<Self>, keys: Vec<Vec<u8>>) -> Sent {
+        if !self.batched {
+            let each = self.per_key(keys, |bank, key| bank.delete(&key));
+            return Sent::new(self.lands_in_order(1), async move {
+                each.await;
+            });
         }
-        self.per_key(keys, |bank, key| async move { bank.delete(&key).await })
-            .await;
+        self.deletes.add(keys.len() as u64);
+        let mut groups = BTreeMap::new();
+        for key in keys {
+            let targets = self.write_targets(self.replicas(&key));
+            enqueue(&mut groups, &targets, key);
+        }
+        let command = |key| Command::Delete { key, noreply: true };
+        self.send_frames(groups, command, &self.pipelined_deletes)
     }
 
     /// Compare-and-swap many values, each against its token's daemon,
-    /// verdicts in item order: one frame per daemon
-    /// (`BankClient::cas_pipeline`), or per key.
-    pub async fn cas_blocks(
+    /// verdicts in item order: one frame per daemon, or per key.
+    ///
+    /// Batched, items are grouped by their token's daemon, and each
+    /// daemon gets one frame holding its items' `cas` commands in item
+    /// order. It answers every command in one reply frame, so verdicts
+    /// are read back by position, and the whole wave costs one round trip
+    /// per daemon, not one per key. Items whose daemon is dead or shed
+    /// come back [`CasVerdict::Failed`] without wire traffic; a daemon
+    /// failing mid-frame fails exactly the items sent to it and is
+    /// quarantined like a failed sync. A retried frame re-applies its
+    /// commands: a `cas` that already landed answers EXISTS, which falls
+    /// the update back.
+    pub fn cas_blocks(
         self: &Rc<Self>,
         items: Vec<(Vec<u8>, Bytes, CasToken)>,
-    ) -> Vec<CasVerdict> {
-        if self.batched {
-            return self.cas_pipeline(&items).await;
+    ) -> Sent<Vec<CasVerdict>> {
+        if !self.batched {
+            let cas = |bank: Rc<Self>, (key, value, token)| bank.cas(key, value, token);
+            return Sent::new(self.lands_in_order(1), self.per_key(items, cas));
         }
-        self.per_key(items, |bank, (key, value, token)| async move {
-            bank.cas(&key, value, token).await
-        })
-        .await
-    }
-
-    /// Compare-and-swap one value against the token's daemon. The store
-    /// goes to `token.daemon` and nowhere else — the token is meaningless
-    /// in any other daemon's token space, which is the invariant the tag
-    /// exists to enforce. Any transport failure quarantines the daemon
-    /// exactly like a failed set/delete: an unacknowledged `cas` may have
-    /// left it holding a value now stale against the disk.
-    async fn cas(&self, key: &[u8], value: Bytes, token: CasToken) -> CasVerdict {
-        self.sets.inc();
-        self.cas_ops.inc();
-        let req = McdReq::one(cas_cmd(key.to_vec(), value, token));
-        let outcomes = self
-            .write_fanout(self.write_targets(vec![token.daemon]), req)
-            .await;
-        outcomes
-            .first()
-            .map_or(CasVerdict::Failed, |outcome| cas_verdict(outcome, 0))
-    }
-
-    /// The batched compare-and-swap: items are grouped by their token's
-    /// daemon, and each daemon gets one frame holding its items' `cas`
-    /// commands in item order. It answers every command in one reply
-    /// frame, so verdicts are read back by position, and the whole wave
-    /// costs one round trip per daemon, not one per key.
-    ///
-    /// Items whose daemon is dead or shed come back [`CasVerdict::Failed`]
-    /// without wire traffic; a daemon failing mid-frame fails exactly the
-    /// items sent to it and is quarantined like a failed sync. A retried
-    /// frame re-applies its commands: a `cas` that already landed answers
-    /// EXISTS, which falls the update back.
-    async fn cas_pipeline(&self, items: &[(Vec<u8>, Bytes, CasToken)]) -> Vec<CasVerdict> {
         self.sets.add(items.len() as u64);
         self.cas_ops.add(items.len() as u64);
-        let mut verdicts = vec![CasVerdict::Failed; items.len()];
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (pos, (_, _, token)) in items.iter().enumerate() {
             for idx in self.write_targets(vec![token.daemon]) {
@@ -834,194 +828,159 @@ impl BankClient {
             let (key, data, token) = &items[pos];
             cas_cmd(key.clone(), data.clone(), *token)
         };
-        let verdict = |pos, outcome: &CallOutcome, at| verdicts[pos] = cas_verdict(outcome, at);
-        self.answered_frames(groups, command, &self.pipelined_cas, verdict)
-            .await;
-        verdicts
+        let n = items.len();
+        self.answered_frames(groups, command, &self.pipelined_cas, move |rounds| {
+            let mut verdicts = vec![CasVerdict::Failed; n];
+            for (members, outcome) in rounds {
+                for (at, pos) in members.into_iter().enumerate() {
+                    verdicts[pos] = cas_verdict(&outcome, at);
+                }
+            }
+            verdicts
+        })
     }
 
-    /// The batched token-asking store ([`BankClient::store_kept`]): each
-    /// item goes to every usable replica of its key, each daemon gets its
-    /// share as one frame of answering `set`s, and each answer's token is
-    /// kept at the replica position it came from.
-    async fn set_kept_pipeline(&self, items: &[(Vec<u8>, Bytes)]) -> Vec<Kept> {
-        self.sets.add(items.len() as u64);
-        let mut kept = vec![Kept::default(); items.len()];
-        let mut groups: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
-        for (pos, (key, _)) in items.iter().enumerate() {
-            for (slot, idx) in self.write_slots(key) {
-                groups.entry(idx).or_default().push((pos, slot));
-            }
+    /// Compare-and-swap one value against the token's daemon, sent at the
+    /// call. The store goes to `token.daemon` and nowhere else — the
+    /// token is meaningless in any other daemon's token space, which is
+    /// the invariant the tag exists to enforce. Any transport failure
+    /// quarantines the daemon exactly like a failed set/delete: an
+    /// unacknowledged `cas` may have left it holding a value now stale
+    /// against the disk.
+    fn cas(
+        self: &Rc<Self>,
+        key: Vec<u8>,
+        value: Bytes,
+        token: CasToken,
+    ) -> impl Future<Output = CasVerdict> + 'static {
+        self.sets.inc();
+        self.cas_ops.inc();
+        let req = McdReq::one(cas_cmd(key, value, token));
+        let sent = self.write(self.write_targets(vec![token.daemon]), req);
+        async move {
+            let outcomes = sent.await;
+            outcomes
+                .first()
+                .map_or(CasVerdict::Failed, |outcome| cas_verdict(outcome, 0))
         }
-        let command = |&(pos, _): &(usize, usize)| {
-            let (key, value) = &items[pos];
-            store_cmd(StoreVerb::Set, key.clone(), value.clone(), Answer::Token)
-        };
-        let keep = |(pos, slot): (usize, usize), outcome: &CallOutcome, at| {
-            if let Some(token) = stored_token(outcome, at) {
-                kept[pos].keep(slot, token);
-            }
-        };
-        self.answered_frames(groups, command, &self.pipelined_sets, keep)
-            .await;
-        kept
     }
 
-    /// Send each daemon in `groups` one frame of answering commands (several
-    /// past [`MAX_FRAME`]), `command` making each member's, all daemons
-    /// concurrently; `streamed` counts the commands. Each daemon's outcome
-    /// is settled as one write per command, and `read` is handed every
-    /// member with its daemon's outcome and its position in that
-    /// daemon's answers.
-    async fn answered_frames<M>(
-        &self,
+    /// Send each daemon in `groups` one frame of answering commands
+    /// (several past [`MAX_FRAME`]), `command` making each member's, all
+    /// daemons concurrently and each one's first frame at the call;
+    /// `streamed` counts the commands. Each daemon's outcome is settled
+    /// as one write per command, and `read` makes the round's answer from
+    /// every daemon's members with its outcome (a member's answer sits at
+    /// its position among them).
+    fn answered_frames<M: 'static, T: 'static>(
+        self: &Rc<Self>,
         groups: BTreeMap<usize, Vec<M>>,
         command: impl Fn(&M) -> Command,
         streamed: &Counter,
-        mut read: impl FnMut(M, &CallOutcome, usize),
-    ) {
-        let groups: Vec<(usize, Vec<M>)> = groups.into_iter().collect();
-        let calls: Vec<_> = groups
-            .iter()
-            .map(|(idx, members)| {
-                streamed.add(members.len() as u64);
-                let frame: Vec<Command> = members.iter().map(&command).collect();
-                self.wire.call_each(*idx, framed(frame, |cmd| cmd, false))
-            })
-            .collect();
-        let outcomes = join_all(&self.wire.handle, calls).await;
-        for ((idx, members), outcome) in groups.into_iter().zip(outcomes) {
-            self.settle_write(idx, &outcome, members.len() as u64);
-            for (at, member) in members.into_iter().enumerate() {
-                read(member, &outcome, at);
-            }
+        read: impl FnOnce(Vec<(Vec<M>, CallOutcome)>) -> T + 'static,
+    ) -> Sent<T> {
+        let in_order = self.lands_in_order(groups.values().map(Vec::len).max().unwrap_or(0));
+        let mut calls = Vec::with_capacity(groups.len());
+        let mut shares = Vec::with_capacity(groups.len());
+        for (idx, members) in groups {
+            streamed.add(members.len() as u64);
+            let frame: Vec<Command> = members.iter().map(&command).collect();
+            calls.push(self.wire.call(idx, framed(frame, |cmd| cmd, false)));
+            shares.push((idx, members));
         }
-    }
-
-    /// Store many values in one frame per daemon: each item goes to
-    /// every usable replica of its key, so one frame carries a daemon's
-    /// whole share of the fan-out. With `post`, each daemon's first
-    /// frame is sent at the call ([`BankClient::send_frames`]).
-    fn store_frames(
-        &self,
-        stores: Vec<Store>,
-        post: bool,
-    ) -> impl Future<Output = Vec<Round>> + 'static {
-        self.sets.add(stores.len() as u64);
-        let mut groups = BTreeMap::new();
-        for store in stores {
-            let targets = self.write_targets(self.replicas(&store.1));
-            enqueue(&mut groups, &targets, store);
-        }
-        let command = |(verb, key, value)| store_cmd(verb, key, value, Answer::Quiet);
-        self.send_frames(groups, command, &self.pipelined_sets, post)
-    }
-
-    /// Remove many keys in one frame per daemon — same grouping,
-    /// ordering, and failure semantics as [`BankClient::store_frames`].
-    /// The purge reaches every replica that could still serve the value.
-    async fn delete_pipeline(&self, keys: Vec<Vec<u8>>) {
-        self.deletes.add(keys.len() as u64);
-        let mut groups = BTreeMap::new();
-        for key in keys {
-            let targets = self.write_targets(self.replicas(&key));
-            enqueue(&mut groups, &targets, key);
-        }
-        let command = |key| Command::Delete { key, noreply: true };
-        self.frames(groups, command, &self.pipelined_deletes).await;
+        let bank = Rc::clone(self);
+        Sent::new(in_order, async move {
+            let outcomes = join_all(&bank.wire.handle, calls).await;
+            let rounds = shares
+                .into_iter()
+                .zip(outcomes)
+                .map(|((idx, members), outcome)| {
+                    bank.settle_write(idx, &outcome, members.len() as u64);
+                    (members, outcome)
+                });
+            read(rounds.collect())
+        })
     }
 
     /// Send each daemon in `groups` its queue as one frame (several past
-    /// [`MAX_FRAME`]), all daemons concurrently, and settle the round
-    /// ([`BankClient::settle_frames`]).
-    async fn frames<T: 'static>(
-        &self,
-        groups: BTreeMap<usize, Vec<T>>,
-        command: fn(T) -> Command,
-        streamed: &Counter,
-    ) {
-        let rounds = self.send_frames(groups, command, streamed, false).await;
-        self.settle_frames(rounds);
-    }
-
-    /// Send each daemon in `groups` its queue as one frame (several past
-    /// [`MAX_FRAME`]), all daemons concurrently: `command` makes each
-    /// queued item its `noreply` command, and a trailing `version` makes
-    /// the frame's reply the sync for all of them — the daemon answers it
-    /// only after every command before it has applied.
-    /// `streamed` counts the commands sent. A key with no usable replica
-    /// was never queued — skipped, exactly like [`BankClient::set`]. With
-    /// `post`, each daemon's first frame is sent at the call
-    /// ([`Wire::send_each`]), otherwise once the round is awaited. The
-    /// round resolves to each daemon's [`Round`].
+    /// [`MAX_FRAME`]), all daemons concurrently, each one's first frame
+    /// at the call: `command` makes each queued item its `noreply`
+    /// command, and a trailing `version` makes the frame's reply the sync
+    /// for all of them — the daemon answers it only after every command
+    /// before it has applied. `streamed` counts the commands sent. A key
+    /// with no usable replica was never queued — skipped, exactly like
+    /// [`BankClient::set`]. The round resolves once every daemon's sync
+    /// is settled: if a daemon's frame failed, every command in it counts
+    /// as a failure, because none of them is known to have landed, and
+    /// the daemon is quarantined.
     fn send_frames<T: 'static>(
-        &self,
+        self: &Rc<Self>,
         groups: BTreeMap<usize, Vec<T>>,
         command: fn(T) -> Command,
         streamed: &Counter,
-        post: bool,
-    ) -> impl Future<Output = Vec<Round>> + 'static {
-        let mut daemons = Vec::with_capacity(groups.len());
+    ) -> Sent {
+        let in_order = self.lands_in_order(groups.values().map(Vec::len).max().unwrap_or(0));
+        let mut shares = Vec::with_capacity(groups.len());
         let mut calls = Vec::with_capacity(groups.len());
         for (idx, batch) in groups {
             streamed.add(batch.len() as u64);
-            daemons.push((idx, batch.len() as u64));
-            let frames = framed(batch, command, true);
-            calls.push(self.wire.send_each(idx, frames, post));
+            shares.push((idx, batch.len() as u64));
+            calls.push(self.wire.call(idx, framed(batch, command, true)));
         }
-        let handle = self.wire.handle.clone();
-        async move {
-            let syncs = join_all(&handle, calls).await;
-            daemons
-                .into_iter()
-                .zip(syncs)
-                .map(|((idx, sent), sync)| (idx, sent, sync))
-                .collect()
-        }
-    }
-
-    /// Settle a round of `noreply` frames: if a daemon's frame failed,
-    /// every command in it counts as a failure, because none of them is
-    /// known to have landed, and the daemon is quarantined.
-    fn settle_frames(&self, rounds: Vec<Round>) {
-        for (idx, sent, sync) in rounds {
-            self.settle_write(idx, &sync, sent);
-        }
-    }
-
-    /// Store one value on every usable replica of its key.
-    pub async fn set(&self, key: &[u8], value: Bytes) {
-        self.store_one(StoreVerb::Set, key, value, Answer::Status)
-            .await;
-    }
-
-    /// Store one value by `verb` on every usable replica of its key,
-    /// answering as `answer` says: the tokens the replicas answered with,
-    /// by replica position (none unless `answer` asks for them).
-    async fn store_one(&self, verb: StoreVerb, key: &[u8], value: Bytes, answer: Answer) -> Kept {
-        self.sets.inc();
-        let (slots, targets): (Vec<usize>, Vec<usize>) = self.write_slots(key).unzip();
-        let req = McdReq::one(store_cmd(verb, key.to_vec(), value, answer));
-        let outcomes = self.write_fanout(targets, req).await;
-        let mut kept = Kept::default();
-        for (slot, outcome) in slots.into_iter().zip(&outcomes) {
-            if let Some(token) = stored_token(outcome, 0) {
-                kept.keep(slot, token);
+        let bank = Rc::clone(self);
+        Sent::new(in_order, async move {
+            let syncs = join_all(&bank.wire.handle, calls).await;
+            for ((idx, sent), sync) in shares.into_iter().zip(syncs) {
+                bank.settle_write(idx, &sync, sent);
             }
-        }
-        kept
+        })
     }
 
-    /// Remove one key from every usable replica — a purge is only
-    /// complete once no replica can still serve the value.
-    pub async fn delete(&self, key: &[u8]) {
+    /// Store one value on every usable replica of its key, sent at the
+    /// call.
+    pub fn set(self: &Rc<Self>, key: &[u8], value: Bytes) -> Sent<Kept> {
+        self.post_store(StoreVerb::Set, key.to_vec(), value, Answer::Status)
+    }
+
+    /// Store one value by `verb` on every usable replica of its key: one
+    /// command answering as `answer` says to each, sent at the call like
+    /// every bank write ([`BankClient::post_stores`]). The round resolves
+    /// to the tokens the replicas answered with, by replica position
+    /// (none unless `answer` asks for them).
+    pub(crate) fn post_store(
+        self: &Rc<Self>,
+        verb: StoreVerb,
+        key: Vec<u8>,
+        value: Bytes,
+        answer: Answer,
+    ) -> Sent<Kept> {
+        self.sets.inc();
+        let (slots, targets): (Vec<usize>, Vec<usize>) = self.write_slots(&key).unzip();
+        let req = McdReq::one(store_cmd(verb, key, value, answer));
+        let sent = self.write(targets, req);
+        Sent::new(self.lands_in_order(1), async move {
+            let mut kept = Kept::default();
+            for (slot, outcome) in slots.into_iter().zip(&sent.await) {
+                if let Some(token) = stored_token(outcome, 0) {
+                    kept.keep(slot, token);
+                }
+            }
+            kept
+        })
+    }
+
+    /// Remove one key from every usable replica, sent at the call — a
+    /// purge is only complete once no replica can still serve the value.
+    pub fn delete(self: &Rc<Self>, key: &[u8]) -> impl Future<Output = ()> + 'static {
         self.deletes.inc();
         let req = McdReq::one(Command::Delete {
             key: key.to_vec(),
             noreply: false,
         });
-        self.write_fanout(self.write_targets(self.replicas(key)), req)
-            .await;
+        let sent = self.write(self.write_targets(self.replicas(key)), req);
+        async move {
+            sent.await;
+        }
     }
 
     /// The usable write targets among `replicas`: every one that is alive
@@ -1055,37 +1014,30 @@ impl BankClient {
         }
     }
 
-    /// The write fan-out: send `req` to every target — awaited directly
-    /// for one, concurrently for several — and settle each daemon's
-    /// outcome independently, so no replica can ever serve a value its
-    /// purge missed. Returns the outcomes in target order.
-    async fn write_fanout(&self, targets: Vec<usize>, req: McdReq) -> Vec<CallOutcome> {
-        let outcomes = self.fanout(&targets, req, false).await;
-        for (&idx, outcome) in targets.iter().zip(&outcomes) {
-            self.settle_write(idx, outcome, 1);
-        }
-        outcomes
-    }
-
-    /// Send `req` to every daemon in `targets` — at the call with `post`
-    /// ([`Wire::send_each`]), otherwise once awaited — and resolve to
-    /// their outcomes in target order, unsettled.
-    fn fanout(
-        &self,
-        targets: &[usize],
+    /// The write fan-out: send `req` to every target at the call, and
+    /// resolve — awaited directly for one target, concurrently for
+    /// several — to their outcomes in target order, each daemon's settled
+    /// independently, so no replica can ever serve a value its purge
+    /// missed.
+    fn write(
+        self: &Rc<Self>,
+        targets: Vec<usize>,
         req: McdReq,
-        post: bool,
     ) -> impl Future<Output = Vec<CallOutcome>> + 'static {
         let mut calls: Vec<_> = targets
             .iter()
-            .map(|&idx| self.wire.send_each(idx, std::iter::once(req.clone()), post))
+            .map(|&idx| self.wire.call(idx, [req.clone()]))
             .collect();
-        let handle = self.wire.handle.clone();
+        let bank = Rc::clone(self);
         async move {
-            match calls.len() {
+            let outcomes = match calls.len() {
                 1 => vec![calls.remove(0).await],
-                _ => join_all(&handle, calls).await,
+                _ => join_all(&bank.wire.handle, calls).await,
+            };
+            for (&idx, outcome) in targets.iter().zip(&outcomes) {
+                bank.settle_write(idx, outcome, 1);
             }
+            outcomes
         }
     }
 
@@ -1115,54 +1067,43 @@ impl BankClient {
 /// value.
 pub type Store = (StoreVerb, Vec<u8>, Bytes);
 
-/// One daemon's share of a round of `noreply` frames: the daemon, the
-/// commands sent to it, and the outcome of its sync.
-type Round = (usize, u64, CallOutcome);
-
-/// The answer to a bank round [`BankClient::post_stores`] or
-/// [`BankClient::post_store`] made: it resolves once every daemon of the
-/// round has answered, or failed, and its outcome is settled.
-pub struct Sent {
-    issued: bool,
-    answer: Pin<Box<dyn Future<Output = ()>>>,
+/// The answer to a bank round, whose requests went out at the call
+/// ([`BankClient::post_stores`] and the other bulk writes): it resolves
+/// once every daemon of the round has answered, or failed, and its
+/// outcome is settled.
+pub struct Sent<T = ()> {
+    reply_first: bool,
+    answer: Pin<Box<dyn Future<Output = T>>>,
 }
 
-impl Sent {
-    /// A round whose requests went out at the call.
-    fn now(answer: impl Future<Output = ()> + 'static) -> Sent {
+impl<T> Sent<T> {
+    fn new(reply_first: bool, answer: impl Future<Output = T> + 'static) -> Sent<T> {
         Sent {
-            issued: true,
+            reply_first,
             answer: Box::pin(answer),
         }
     }
 
-    /// A round that goes out once it is awaited.
-    fn later(answer: impl Future<Output = ()> + 'static) -> Sent {
-        Sent {
-            issued: false,
-            answer: Box::pin(answer),
-        }
-    }
-
-    /// Whether the round's requests went out at the call: `false` where
-    /// the bank may reorder stores, and nothing goes out before the
-    /// answer is awaited.
-    pub fn issued(&self) -> bool {
-        self.issued
+    /// Whether the caller may reply before the answer arrives: the round
+    /// lands at each daemon ahead of anything this node sends it later
+    /// (`false` where the bank may reorder stores, or where a daemon's
+    /// share takes more than one frame).
+    pub fn reply_first(&self) -> bool {
+        self.reply_first
     }
 }
 
-impl Future for Sent {
-    type Output = ();
+impl<T> Future for Sent<T> {
+    type Output = T;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
         self.answer.as_mut().poll(cx)
     }
 }
 
 /// The most commands one frame carries. A daemon's share of a bigger
 /// bank round (the purge of a large file) goes as several frames, each
-/// sent once the one before it has answered (`Wire::call_each`), so a
+/// sent once the one before it has answered (`Wire::call`), so a
 /// frame holds the daemon's event loop for at most this many commands,
 /// and no frame's deadline covers a queue of its own round's frames.
 const MAX_FRAME: usize = 256;
@@ -1336,7 +1277,7 @@ mod tests {
     }
 
     #[test]
-    fn a_round_past_one_frame_is_not_posted() {
+    fn a_round_past_one_frame_may_not_reply_first() {
         let mut sim = Sim::new(0);
         let (_net, bank, client) = setup(&sim, 1);
         let stores = |n: usize| -> Vec<Store> {
@@ -1349,13 +1290,47 @@ mod tests {
         // One daemon: its share of the second round takes two frames.
         let one_frame = client.post_stores(stores(MAX_FRAME));
         let two_frames = client.post_stores(stores(MAX_FRAME + 1));
-        assert!(one_frame.issued());
-        assert!(!two_frames.issued());
+        assert!(one_frame.reply_first());
+        assert!(!two_frames.reply_first());
         sim.run_main(async move {
             one_frame.await;
             two_frames.await;
         });
         assert_eq!(bank_items(&bank), MAX_FRAME as u64 + 1);
+    }
+
+    #[test]
+    fn rounds_built_in_one_poll_leave_the_nic_in_build_order() {
+        // A store round built before a `cas` round reaches the daemon
+        // first, whichever of the two is awaited first: the store moves
+        // the key's token on, so the `cas` conflicts.
+        for (batching, cas_first) in [(true, true), (true, false), (false, true), (false, false)] {
+            let mut sim = Sim::new(0);
+            let cfg = ImcaConfig {
+                batching,
+                ..ImcaConfig::default()
+            };
+            let (_net, _bank, client) = client_over(&sim, 1, &cfg);
+            let key = block("/o", 0);
+            let (verdicts, held) = sim.run_main(async move {
+                client.set(&key, Bytes::from_static(b"old")).await;
+                let (_, token) = fetch_token(&client, &key).await.expect("stored");
+                let store = client.store_blocks(vec![(key.clone(), Bytes::from_static(b"store"))]);
+                let cas = client.cas_blocks(vec![(key.clone(), Bytes::from_static(b"cas"), token)]);
+                let verdicts = if cas_first {
+                    let verdicts = cas.await;
+                    store.await;
+                    verdicts
+                } else {
+                    store.await;
+                    cas.await
+                };
+                (verdicts, client.get(&key).await)
+            });
+            let case = format!("batching {batching}, cas awaited first {cas_first}");
+            assert_eq!(verdicts, [CasVerdict::Conflict], "{case}");
+            assert_eq!(held.as_deref(), Some(&b"store"[..]), "{case}");
+        }
     }
 
     #[test]
@@ -1911,7 +1886,7 @@ mod tests {
                 net2.isolate("mcd-cut", mcd_nodes);
                 // The purge never reaches a daemon: every attempt of each
                 // daemon's frame times out and the frame gives up.
-                c2.delete_pipeline(vec![b"/f:0".to_vec()]).await;
+                c2.remove_keys(vec![b"/f:0".to_vec()]).await;
                 assert_eq!(counter(&c2, "failures"), factor as u64);
                 assert!(b2.nodes().iter().all(|n| n.is_quarantined()));
                 net2.heal("mcd-cut");
@@ -1968,7 +1943,7 @@ mod tests {
         sim.run_main(async move {
             a.set(b"/s:0", Bytes::from_static(b"old")).await;
             net2.isolate("cut", [mcd_node]);
-            a.delete_pipeline(vec![b"/s:0".to_vec()]).await;
+            a.remove_keys(vec![b"/s:0".to_vec()]).await;
             net2.heal("cut");
             h.sleep(SimDuration::millis(2)).await;
             // B never saw a failure, but the daemon is poisoned for it too.
@@ -2043,7 +2018,7 @@ mod tests {
             .await;
             // Purges must reach every replica: single delete and frame.
             c2.delete(b"/a:0").await;
-            c2.delete_pipeline(vec![block("/f", 1)]).await;
+            c2.remove_keys(vec![block("/f", 1)]).await;
         });
         // The surviving key lives on exactly R = 2 daemons…
         let kept = block("/f", 2);
@@ -2186,7 +2161,9 @@ mod tests {
             assert_eq!(v, Bytes::from_static(b"old"));
             // Token still current → replaced in place, answering the
             // item's new token.
-            let CasVerdict::Stored(next) = c2.cas(b"/k:0", Bytes::from_static(b"new"), tok).await
+            let CasVerdict::Stored(next) = c2
+                .cas(b"/k:0".to_vec(), Bytes::from_static(b"new"), tok)
+                .await
             else {
                 panic!("a current token must store")
             };
@@ -2194,7 +2171,8 @@ mod tests {
             // The successful cas bumped the version: the same token is
             // now stale and must conflict, leaving the value untouched.
             assert_eq!(
-                c2.cas(b"/k:0", Bytes::from_static(b"zzz"), tok).await,
+                c2.cas(b"/k:0".to_vec(), Bytes::from_static(b"zzz"), tok)
+                    .await,
                 CasVerdict::Conflict
             );
             assert_eq!(c2.get(b"/k:0").await.unwrap(), &b"new"[..]);
@@ -2203,14 +2181,16 @@ mod tests {
             assert_eq!(tok2.token, next, "the answered token is the held one");
             c2.set(b"/k:0", Bytes::from_static(b"set")).await;
             assert_eq!(
-                c2.cas(b"/k:0", Bytes::from_static(b"zzz"), tok2).await,
+                c2.cas(b"/k:0".to_vec(), Bytes::from_static(b"zzz"), tok2)
+                    .await,
                 CasVerdict::Conflict
             );
             // A vanished key is Missing, not Conflict.
             let (_, tok3) = fetch_token(&c2, b"/k:0").await.unwrap();
             c2.delete(b"/k:0").await;
             assert_eq!(
-                c2.cas(b"/k:0", Bytes::from_static(b"zzz"), tok3).await,
+                c2.cas(b"/k:0".to_vec(), Bytes::from_static(b"zzz"), tok3)
+                    .await,
                 CasVerdict::Missing
             );
             // A token fetch on an absent key is a cold row.
@@ -2245,7 +2225,7 @@ mod tests {
     /// Store `0u8` blocks 0..8 of `path` (block `i` on daemon `i % 2` of
     /// a two-daemon modulo bank) and return one CAS item per block that
     /// replaces it with `9u8`, tokens fresh from `gets_for_update`.
-    async fn warm_wave(c: &BankClient, path: &str) -> Vec<(Vec<u8>, Bytes, CasToken)> {
+    async fn warm_wave(c: &Rc<BankClient>, path: &str) -> Vec<(Vec<u8>, Bytes, CasToken)> {
         let keys: Vec<Vec<u8>> = (0..8u64).map(|blk| block(path, blk)).collect();
         for key in &keys {
             c.set(key, Bytes::from(vec![0u8; 64])).await;
@@ -2407,7 +2387,9 @@ mod tests {
                     .await
                     .expect("admission control must not shed a token fetch");
                 assert_eq!(v, Bytes::from_static(b"v"));
-                let verdict = c2.cas(b"/k:stat", Bytes::from_static(b"w"), tok).await;
+                let verdict = c2
+                    .cas(b"/k:stat".to_vec(), Bytes::from_static(b"w"), tok)
+                    .await;
                 assert!(matches!(verdict, CasVerdict::Stored(_)));
             });
             assert_eq!(

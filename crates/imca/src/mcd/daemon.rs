@@ -535,7 +535,7 @@ mod tests {
         let bank = Rc::new(Bank::start(&net, &cfg));
         let sets: Vec<_> = [b"a", b"b"]
             .map(|key| {
-                let client = bank.client(net.add_node(), &cfg, RetryPolicy::default());
+                let client = Rc::new(bank.client(net.add_node(), &cfg, RetryPolicy::default()));
                 async move { client.set(key, bytes::Bytes::from_static(b"v")).await }
             })
             .into();

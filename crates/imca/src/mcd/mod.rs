@@ -33,15 +33,15 @@
 //!   reply, and fail over past a replica that is dead, shed or failed in
 //!   flight until one answers or none is left (a local miss);
 //! * **one write fan-out** behind [`BankClient::set`],
-//!   [`BankClient::delete`] and the private `cas`: the request goes to
-//!   every usable target, and a daemon whose write fails is quarantined;
-//! * **one frame per daemon** behind the private `set_pipeline`,
-//!   `delete_pipeline`, `set_kept_pipeline` and `cas_pipeline`: each
-//!   daemon's whole share of a bulk call travels as one request message
-//!   ([`McdReq`] carries every command) and comes back as one reply
-//!   ([`McdResp`], an answer per command) — `noreply` commands behind a
-//!   trailing `version` as the sync, or answering stores read back by
-//!   position (DESIGN.md §4c).
+//!   [`BankClient::delete`] and the private `post_store` and `cas`: the
+//!   request goes to every usable target, and a daemon whose write fails
+//!   is quarantined;
+//! * **one frame per daemon** behind the private `send_frames` and
+//!   `answered_frames`: each daemon's whole share of a bulk call travels
+//!   as one request message ([`McdReq`] carries every command) and comes
+//!   back as one reply ([`McdResp`], an answer per command) — `noreply`
+//!   commands behind a trailing `version` as the sync, or answering
+//!   stores read back by position (DESIGN.md §4c).
 //!
 //! The translators reach the bulk forms through five entry points —
 //! [`BankClient::fetch_blocks`], [`BankClient::store_blocks`],
@@ -50,13 +50,15 @@
 //! one task per key from `ImcaConfig::batching`; no other module reads
 //! that switch.
 //!
-//! **Posted stores** (DESIGN.md §4f): [`BankClient::post_stores`] and
-//! [`BankClient::post_store`] send a push — `set`s, and `add`s that store
-//! only where a key is absent — at the call, so its frames leave the
-//! node ahead of anything asked for later, and hand back its answer as
-//! a [`Sent`] to await whenever the caller likes. Where
-//! [`BankClient::may_reorder`] holds, or a round might take a daemon
-//! more than one frame, nothing is sent at the call.
+//! **One send path** (DESIGN.md §4f): every write goes out at the call.
+//! Each daemon's first frame (per key, every store) takes its place in
+//! the node's TX queue and starts on its way, as its own task, before
+//! the call returns, so it leaves the node ahead of anything asked for
+//! later, and the call hands back its answer as a [`Sent`]. [`BankClient::post_stores`] sends a push — `set`s, and
+//! `add`s that store only where a key is absent — whose [`Sent`] says
+//! whether the caller may reply before the answer arrives
+//! ([`Sent::reply_first`]): not where [`BankClient::may_reorder`] holds,
+//! nor where a daemon's share takes more than one frame.
 //!
 //! **Kept tokens** (DESIGN.md §4f): a store that asks for its token (meta
 //! `ms … c`) is answered with the item's new CAS unique.
@@ -77,4 +79,5 @@ mod policy;
 
 pub use client::{BankClient, Sent, Store};
 pub use daemon::{start_mcd, Bank, McdCosts, McdNode, McdReq, McdResp};
+pub(crate) use policy::Answer;
 pub use policy::{CasToken, CasVerdict, Kept, Replication, RetryPolicy, KEPT_SLOTS};

@@ -4,7 +4,6 @@
 
 use std::cell::Cell;
 use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -199,7 +198,7 @@ pub(super) fn stored_token(outcome: &CallOutcome, pos: usize) -> Option<u64> {
 
 /// What a store command answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Answer {
+pub(crate) enum Answer {
     /// Nothing (`noreply`): a frame's trailing `version` syncs it.
     Quiet,
     /// `STORED`, or why not.
@@ -248,83 +247,70 @@ pub(super) struct Wire {
 }
 
 impl Wire {
-    /// One deadline-guarded attempt loop against daemon `idx`.
-    pub(super) fn call(
-        &self,
-        idx: usize,
-        req: McdReq,
-    ) -> impl Future<Output = CallOutcome> + 'static {
-        self.call_each(idx, std::iter::once(req))
-    }
-
     /// Send `frames` to daemon `idx` one after another, each through the
-    /// attempt loop once the one before it has answered, and return
-    /// their answers joined in order. The first frame that fails ends the
-    /// round: its outcome stands for all of it, and nothing after it is
-    /// sent. `frames` is drawn lazily, so a long round holds one frame's
-    /// commands at a time.
-    pub(super) fn call_each(
+    /// deadline-guarded attempt loop once the one before it has answered,
+    /// and return their answers joined in order. The first frame's first
+    /// attempt starts at the call ([`RpcClient::post`], run as its own
+    /// task): it leaves the node ahead of every message asked for after
+    /// this call, however late the round is first polled. Later frames
+    /// and retries go out as the round reaches them. The first frame that
+    /// fails ends the round: its outcome stands for all of it, and
+    /// nothing after it is sent. `frames` is drawn lazily, so a long
+    /// round holds one frame's commands at a time.
+    pub(super) fn call<I>(
         &self,
         idx: usize,
-        frames: impl Iterator<Item = McdReq> + 'static,
-    ) -> impl Future<Output = CallOutcome> + 'static {
-        self.send_each(idx, frames, false)
-    }
-
-    /// [`Wire::call_each`] — or, with `post`, the same with the first
-    /// frame's first attempt sent at the call ([`RpcClient::post`]): it
-    /// leaves the node ahead of every message asked for after this call.
-    /// Later frames and retries go out as the round reaches them.
-    pub(super) fn send_each(
-        &self,
-        idx: usize,
-        mut frames: impl Iterator<Item = McdReq> + 'static,
-        post: bool,
-    ) -> impl Future<Output = CallOutcome> + 'static {
+        frames: impl IntoIterator<IntoIter = I>,
+    ) -> impl Future<Output = CallOutcome> + 'static
+    where
+        I: Iterator<Item = McdReq> + 'static,
+    {
         let policy = self.policy.clone();
         let handle = self.handle.clone();
-        let client = self.clients[idx].clone();
         let rpc_timeouts = self.rpc_timeouts.clone();
         let retries = self.retries.clone();
         let in_doubt = Rc::clone(&self.in_doubt);
-        // Boxed, so that a call not posted carries one pointer for it.
-        let first = post.then(|| frames.next()).flatten().map(|req| {
-            let sent: Pin<Box<dyn Future<Output = _>>> = Box::pin(client.post(req.clone()));
-            (sent, req)
-        });
-        let (mut sent, first) = first.unzip();
+        // One attempt: the request sent now, its answer raced against the
+        // deadline. The attempt runs on past its deadline (`timeout`);
+        // once abandoned (`late`) it is in doubt until it ends.
+        let attempt = {
+            let (handle, deadline) = (handle.clone(), policy.deadline);
+            let (client, in_doubt) = (self.clients[idx].clone(), Rc::clone(&in_doubt));
+            move |req: McdReq| {
+                let rpc = client.post(req);
+                let late = Rc::new(Cell::new(false));
+                let (ended_late, doubt) = (Rc::clone(&late), Rc::clone(&in_doubt));
+                let answer = timeout(&handle, deadline, async move {
+                    let resp = rpc.await;
+                    if ended_late.get() {
+                        doubt.set(doubt.get() - 1);
+                    }
+                    resp
+                });
+                (answer, late)
+            }
+        };
+        let mut frames = frames.into_iter();
+        let first = frames.next();
+        let mut sent = first.as_ref().map(|req| attempt(req.clone()));
         async move {
             let mut answers: Option<McdResp> = None;
             for req in first.into_iter().chain(frames) {
                 let mut backoff = policy.backoff_base;
-                let mut attempt = 0;
+                let mut attempts = 0;
                 let resp = loop {
-                    let (c, r, posted) = (client.clone(), req.clone(), sent.take());
-                    // The attempt runs on past its deadline (`timeout`);
-                    // once abandoned it is in doubt until it ends.
-                    let late = Rc::new(Cell::new(false));
-                    let (ended_late, doubt) = (Rc::clone(&late), Rc::clone(&in_doubt));
-                    let attempt_rpc = async move {
-                        let resp = match posted {
-                            Some(rpc) => rpc.await,
-                            None => c.try_call(r).await,
-                        };
-                        if ended_late.get() {
-                            doubt.set(doubt.get() - 1);
-                        }
-                        resp
-                    };
-                    match timeout(&handle, policy.deadline, attempt_rpc).await {
+                    let (answer, late) = sent.take().unwrap_or_else(|| attempt(req.clone()));
+                    match answer.await {
                         Some(Some(resp)) => break resp,
                         Some(None) => return CallOutcome::Dropped,
                         None => {
                             late.set(true);
                             in_doubt.set(in_doubt.get() + 1);
                             rpc_timeouts.inc();
-                            if attempt >= policy.retries {
+                            if attempts >= policy.retries {
                                 return CallOutcome::TimedOut;
                             }
-                            attempt += 1;
+                            attempts += 1;
                             retries.inc();
                             handle.sleep(backoff).await;
                             backoff = doubled(backoff, &policy);

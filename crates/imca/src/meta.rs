@@ -513,7 +513,7 @@ pub struct LeaseHub {
 
 impl LeaseHub {
     /// Per-revocation deadline: a lost revoke must not wedge the mutation
-    /// that triggered it (`try_call` blackholes under fault plans). The
+    /// that triggered it (`RpcClient::post` blackholes under fault plans). The
     /// lease TTL bounds the staleness of the leaked lease.
     pub const REVOKE_DEADLINE: SimDuration = SimDuration::millis(2);
 
@@ -577,18 +577,11 @@ impl LeaseHub {
         let futs: Vec<_> = peers
             .iter()
             .map(|peer| {
-                let client = peer.client.clone();
-                let h = self.handle.clone();
-                let deadline = self.deadline;
-                let req = LeaseRevoke {
+                let (h, deadline) = (self.handle.clone(), self.deadline);
+                let sent = peer.client.post(LeaseRevoke {
                     path: path.to_string(),
-                };
-                async move {
-                    matches!(
-                        timeout(&h, deadline, async move { client.try_call(req).await }).await,
-                        Some(Some(LeaseAck))
-                    )
-                }
+                });
+                async move { matches!(timeout(&h, deadline, sent).await, Some(Some(LeaseAck))) }
             })
             .collect();
         let acked = join_all(&self.handle, futs).await;

@@ -69,16 +69,16 @@
 //! * **Post, then reply** (`settle`): a metadata store whose answer the
 //!   fop's reply never reads — a stat miss's push or marker, a batched
 //!   stat's bulk push, open's seed, a write's stat refresh — is
-//!   *posted*: [`BankClient::post_stores`] issues it at the call, so its
-//!   frames take their place in the server NIC's TX queue ahead of the
-//!   reply, and whatever followed the await (fence take-outs,
+//!   *posted*: [`BankClient::post_stores`] sends it at the call, as
+//!   every bank write goes, so its frames take their place in the server
+//!   NIC's TX queue ahead of the reply, and whatever followed the await (fence take-outs,
 //!   `overtaken`, bookkeeping, counters) runs as a continuation once the
 //!   answer is back ([`SmCache::posted`] counts those still to come).
 //!   The fabric, each daemon's NIC and each daemon's event loop are FIFO,
 //!   so every lookup the reply causes reaches a daemon after the store
 //!   (DESIGN.md §4f). Where the bank may reorder stores
-//!   (`BankClient::may_reorder`) nothing is posted: the fop awaits the
-//!   store as it always did. What the reply does read — CAS verdicts,
+//!   (`BankClient::may_reorder`) the fop awaits the store's answer
+//!   before it replies. What the reply does read — CAS verdicts,
 //!   `gets`, the write path's `refill`, purges, the fall-back — stays
 //!   awaited. So does a read's fill: posted, its commands would sit in
 //!   the daemon's queue ahead of the same client's next read, and a fill
@@ -129,7 +129,7 @@ use imca_sim::{SimHandle, TokenBucket};
 use crate::block::{aligned_range, cover};
 use crate::cluster::ImcaConfig;
 use crate::keys::{block_key, stat_key};
-use crate::mcd::{BankClient, CasToken, CasVerdict, Kept, Store};
+use crate::mcd::{Answer, BankClient, CasToken, CasVerdict, Kept, Store};
 use crate::meta::{LeaseHub, NEG_MARKER};
 
 /// Write-coherence protocol for the bank (DESIGN.md §4f).
@@ -467,13 +467,13 @@ impl SmCache {
     }
 
     /// Run `rest` — the answer of a bank round just made, awaited, then
-    /// whatever follows it — where the round went out at the call
-    /// (`issued`), as its own task: the fop does not wait, and its reply
-    /// leaves the server's NIC behind the round's frames. Where it did
-    /// not (the bank may reorder, [`crate::mcd::Sent::issued`]), the fop
-    /// awaits `rest` as it always did.
-    async fn settle(self: &Rc<Self>, issued: bool, rest: impl Future<Output = ()> + 'static) {
-        if !issued {
+    /// whatever follows it — where the fop may reply first
+    /// (`reply_first`), as its own task: the fop does not wait, and its
+    /// reply leaves the server's NIC behind the round's frames. Where it
+    /// may not (the bank may reorder, [`crate::mcd::Sent::reply_first`]),
+    /// the fop awaits `rest` as it always did.
+    async fn settle(self: &Rc<Self>, reply_first: bool, rest: impl Future<Output = ()> + 'static) {
+        if !reply_first {
             return rest.await;
         }
         self.posted.set(self.posted.get() + 1);
@@ -934,9 +934,11 @@ impl SmCache {
     async fn push_negative(self: &Rc<Self>, path: &str, gen: u64) {
         self.with_path(path, |_| ());
         let marker = Bytes::from_static(NEG_MARKER);
-        let sent = self.bank.post_store(StoreVerb::Add, stat_key(path), marker);
+        let sent = self
+            .bank
+            .post_store(StoreVerb::Add, stat_key(path), marker, Answer::Status);
         let (sm, path) = (Rc::clone(self), path.to_string());
-        self.settle(sent.issued(), async move {
+        self.settle(sent.reply_first(), async move {
             sent.await;
             if sm.fenced(&path, gen) {
                 sm.bank.delete(&stat_key(&path)).await;
@@ -954,9 +956,11 @@ impl SmCache {
         let st = self.newest_stat(path, st);
         let mark = self.bank.reorder_mark();
         let value = Bytes::from(st.to_bytes());
-        let sent = self.bank.post_store(StoreVerb::Set, stat_key(path), value);
+        let sent = self
+            .bank
+            .post_store(StoreVerb::Set, stat_key(path), value, Answer::Status);
         let (sm, path) = (Rc::clone(self), path.to_string());
-        self.settle(sent.issued(), async move {
+        self.settle(sent.reply_first(), async move {
             sent.await;
             sm.stat_pushes.inc();
             if sm.stat_overtaken(&path, st, mark) {
@@ -1029,7 +1033,7 @@ impl SmCache {
         let mark = self.bank.reorder_mark();
         let sent = self.bank.post_stores(stores);
         let sm = Rc::clone(self);
-        self.settle(sent.issued(), async move {
+        self.settle(sent.reply_first(), async move {
             sent.await;
             sm.stat_pushes.add(pushed.len() as u64);
             let mut takeouts: Vec<Vec<u8>> = pushed

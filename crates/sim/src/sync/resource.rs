@@ -3,9 +3,9 @@
 //!
 //! Admission is strictly first-come-first-served by acquisition order
 //! (ticketed), which keeps contention behaviour deterministic. An
-//! acquirer takes its ticket on its first poll ([`Resource::acquire`]),
-//! or at the call ([`Resource::claim`]) when its place in the queue must
-//! be fixed before the caller yields.
+//! acquirer takes its ticket when it calls [`Resource::acquire`], so its
+//! place in the queue is fixed before the caller yields, however late
+//! the returned future is first polled.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -29,8 +29,8 @@ struct Inner {
 
 /// One ticket's place in the queue.
 enum Ticket {
-    /// Its acquirer waits, with the waker of its last poll (`None` for a
-    /// [`Resource::claim`] not yet polled).
+    /// Its acquirer waits, with the waker of its last poll (`None` until
+    /// it is first polled).
     Held(Option<Waker>),
     /// Its acquirer gave up.
     Abandoned,
@@ -87,24 +87,15 @@ impl Resource {
         }
     }
 
-    /// Wait for a slot. Slots are granted in request order; the request
-    /// is made on the first poll.
+    /// Wait for a slot. Slots are granted in request order, and the
+    /// request is made now: every acquirer that asks after this call is
+    /// admitted after this one, however late the returned future is
+    /// first polled. A future dropped before admission gives its place
+    /// up.
     pub fn acquire(&self) -> Acquire {
         Acquire {
             inner: Rc::clone(&self.inner),
-            ticket: None,
-            admitted: false,
-        }
-    }
-
-    /// [`Resource::acquire`], with the request made now: every acquirer
-    /// that asks after this call is admitted after this one, however late
-    /// the returned future is first polled. A claim whose future is
-    /// dropped unpolled gives its place up.
-    pub fn claim(&self) -> Acquire {
-        Acquire {
-            inner: Rc::clone(&self.inner),
-            ticket: Some(self.inner.borrow_mut().ticket()),
+            ticket: self.inner.borrow_mut().ticket(),
             admitted: false,
         }
     }
@@ -130,7 +121,7 @@ impl Resource {
 /// Future returned by [`Resource::acquire`].
 pub struct Acquire {
     inner: Rc<RefCell<Inner>>,
-    ticket: Option<u64>,
+    ticket: u64,
     admitted: bool,
 }
 
@@ -140,7 +131,7 @@ impl Future for Acquire {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = &mut *self;
         let mut inner = this.inner.borrow_mut();
-        let ticket = *this.ticket.get_or_insert_with(|| inner.ticket());
+        let ticket = this.ticket;
         if ticket == inner.serving && inner.in_use < inner.capacity {
             inner.waiters.pop_front();
             inner.serving += 1;
@@ -164,13 +155,11 @@ impl Drop for Acquire {
         if self.admitted {
             return; // the guard owns the slot now
         }
-        if let Some(ticket) = self.ticket {
-            let mut inner = self.inner.borrow_mut();
-            let at = (ticket - inner.serving) as usize;
-            inner.waiters[at] = Ticket::Abandoned;
-            if at == 0 {
-                inner.advance();
-            }
+        let mut inner = self.inner.borrow_mut();
+        let at = (self.ticket - inner.serving) as usize;
+        inner.waiters[at] = Ticket::Abandoned;
+        if at == 0 {
+            inner.advance();
         }
     }
 }
@@ -252,28 +241,28 @@ mod tests {
     }
 
     #[test]
-    fn a_claim_keeps_its_place_until_first_polled() {
+    fn an_acquire_asked_first_keeps_its_place_however_late_it_is_polled() {
         let mut sim = Sim::new(0);
         let res = Resource::new(1);
         let h = sim.handle();
         let order = Rc::new(RefCell::new(Vec::new()));
-        let claimed = res.claim();
-        // Asked later, but polled first: admitted after the claim.
+        let first = res.acquire();
+        // Asked later, but polled first: admitted after the first.
         let (res2, order2) = (res.clone(), Rc::clone(&order));
         sim.spawn(async move {
             let _g = res2.acquire().await;
-            order2.borrow_mut().push("acquire");
+            order2.borrow_mut().push("second");
         });
         let (h2, order2) = (h.clone(), Rc::clone(&order));
         sim.spawn(async move {
             h2.sleep(SimDuration::micros(1)).await;
-            let _g = claimed.await;
-            order2.borrow_mut().push("claim");
+            let _g = first.await;
+            order2.borrow_mut().push("first");
         });
-        // A claim dropped unpolled gives its place up.
-        drop(res.claim());
+        // An acquire dropped unpolled gives its place up.
+        drop(res.acquire());
         sim.run();
-        assert_eq!(*order.borrow(), ["claim", "acquire"]);
+        assert_eq!(*order.borrow(), ["first", "second"]);
         assert_eq!(res.queue_len(), 0);
     }
 

@@ -35,16 +35,18 @@ where
     out
 }
 
-/// Run `fut` with a deadline of `d` virtual time: `Some(output)` if it
-/// completes in time, `None` once the deadline passes.
+/// Run `fut` with a deadline of `d` virtual time from the call: the
+/// returned future resolves to `Some(output)` if `fut` completes in
+/// time, `None` once the deadline passes.
 ///
-/// The future runs as its own process, so on timeout it is *not* dropped —
-/// it keeps running (still consuming virtual time and network resources,
-/// like a late RPC response still crossing the wire) and its eventual
-/// output is discarded. The deadline timer is cancelled when the future
-/// wins the race, so a completed call never stretches the simulation's end
-/// time (see [`Delay`]'s drop semantics).
-pub async fn timeout<T, F>(handle: &SimHandle, d: SimDuration, fut: F) -> Option<T>
+/// `fut` is spawned at the call, as its own process, so it runs however
+/// late the deadline is first polled, and on timeout it is *not*
+/// dropped — it keeps running (still consuming virtual time and network
+/// resources, like a late RPC response still crossing the wire) and its
+/// eventual output is discarded. The deadline timer is cancelled when the
+/// future wins the race, so a completed call never stretches the
+/// simulation's end time (see [`Delay`]'s drop semantics).
+pub fn timeout<T, F>(handle: &SimHandle, d: SimDuration, fut: F) -> impl Future<Output = Option<T>>
 where
     T: 'static,
     F: Future<Output = T> + 'static,
@@ -57,7 +59,6 @@ where
         rx,
         delay: handle.sleep(d),
     }
-    .await
 }
 
 /// Race a oneshot receiver against a deadline, result-first at ties.
