@@ -393,6 +393,7 @@ fn run_faulted(
             }
             // Let the background updater drain so the bank is fully warm.
             h.sleep(SimDuration::millis(50)).await;
+            assert_eq!(cluster.pending_updates(), 0, "the updater never drained");
             // Faults start *after* the populate phase: the sweep measures
             // how the warm read path rides out a link that goes bad, not a
             // bank that was never populated (lossy writes quarantine

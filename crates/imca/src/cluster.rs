@@ -402,11 +402,11 @@ impl Cluster {
         self.server.queue_depth()
     }
 
-    /// Stores SMCache posted and has not yet followed through
-    /// ([`SmCache::posted`]); 0 without an SMCache. A driver that needs a
-    /// quiescent bank waits for 0.
-    pub fn posted_stores(&self) -> u64 {
-        self.smcache.as_ref().map_or(0, |sm| sm.posted())
+    /// Bank work SMCache still owes after the fops that caused it returned
+    /// ([`SmCache::pending`]: threaded jobs, posted stores); 0 without an
+    /// SMCache. A driver that needs a quiescent bank waits for 0.
+    pub fn pending_updates(&self) -> u64 {
+        self.smcache.as_ref().map_or(0, |sm| sm.pending())
     }
 
     /// Restart a crashed server daemon. The restarted daemon cannot trust
@@ -839,19 +839,23 @@ mod tests {
 
     /// The bank layouts a posted store's order is pinned at: one and two
     /// replicas, each with the daemons on the fabric's transport and on
-    /// RDMA (only bank daemons can sit on another transport).
+    /// RDMA (only bank daemons can sit on another transport), each with
+    /// synchronous and with threaded updates.
     fn posting_layouts(meta: MetaConfig) -> Vec<ClusterConfig> {
         let mut layouts = Vec::new();
         for factor in [1, 2] {
             for bank_transport in [None, Some(Transport::rdma_ddr())] {
-                layouts.push(ClusterConfig::imca(ImcaConfig {
-                    mcd_count: 2,
-                    mcd_config: McConfig::with_mem_limit(8 << 20),
-                    replication: Replication { factor },
-                    bank_transport,
-                    meta,
-                    ..ImcaConfig::default()
-                }));
+                for threaded_updates in [false, true] {
+                    layouts.push(ClusterConfig::imca(ImcaConfig {
+                        mcd_count: 2,
+                        mcd_config: McConfig::with_mem_limit(8 << 20),
+                        replication: Replication { factor },
+                        bank_transport: bank_transport.clone(),
+                        threaded_updates,
+                        meta,
+                        ..ImcaConfig::default()
+                    }));
+                }
             }
         }
         layouts
@@ -867,23 +871,24 @@ mod tests {
     #[test]
     fn a_second_clients_lookup_after_a_reply_sees_what_the_reply_posted() {
         for cfg in posting_layouts(MetaConfig::default()) {
-            let layout = format!(
-                "R={} on {:?}",
-                cfg.imca.as_ref().unwrap().replication.factor,
-                cfg.imca
-                    .as_ref()
-                    .unwrap()
-                    .bank_transport
-                    .as_ref()
-                    .map(|t| t.name)
-            );
+            let threaded = cfg.imca.as_ref().unwrap().threaded_updates;
+            let layout = format!("{:?}", cfg.imca);
             let mut sim = Sim::new(1);
+            let h = sim.handle();
             let cluster = Rc::new(Cluster::build(sim.handle(), cfg));
             let c2 = Rc::clone(&cluster);
             sim.run_main(async move {
                 let first = c2.mount();
                 let (_, second) = c2.mount_with_meta();
                 let second = second.expect("imca mount has a cmcache");
+                // Threaded, the lookup goes the moment nothing is owed.
+                let settled = || async {
+                    let give_up = h.now() + SimDuration::millis(10);
+                    while threaded && c2.pending_updates() > 0 {
+                        assert!(h.now() < give_up, "never drained");
+                        h.sleep(SimDuration::nanos(1)).await;
+                    }
+                };
                 first.create("/f").await.unwrap();
                 let fd = first.open("/f").await.unwrap();
                 // A stat miss: the reply leaves behind the stat's push, so
@@ -895,23 +900,24 @@ mod tests {
                     (StatSource::Bank, Ok(0)),
                     "{layout}"
                 );
-                // A write: the new stat is pushed, posted, before the reply.
+                // A write: its new stat is posted before the reply (threaded: by its job).
                 for (i, len) in [(0u64, 3000usize), (3000, 5000)] {
+                    let issued = h.now().as_nanos();
                     first.write(fd, i, &vec![7u8; len]).await.unwrap();
+                    settled().await;
                     let r = second.stat("/f".into()).await;
-                    let want = Ok(i + len as u64);
-                    assert_eq!(
-                        (r.source, r.stat.map(|st| st.size)),
-                        (StatSource::Bank, want),
-                        "{layout}"
-                    );
+                    let st = r.stat.as_ref().unwrap();
+                    let want = (StatSource::Bank, i + len as u64, true);
+                    let got = (r.source, st.size, st.mtime_ns >= issued);
+                    assert_eq!(got, want, "{layout}");
                 }
                 // A read fill: the open purged the blocks, the first
-                // client's read refills them before its reply, the second
-                // one's hits.
+                // client's read refills them (threaded: its job does), the
+                // second one's hits.
                 first.close(fd).await.unwrap();
                 let fd = first.open("/f").await.unwrap();
                 assert_eq!(first.read(fd, 0, 6000).await.unwrap(), vec![7u8; 6000]);
+                settled().await;
                 let [_, _, hits, misses] = client_counts(&c2, 1);
                 let read = Fop::Read {
                     path: "/f".into(),
@@ -964,26 +970,24 @@ mod tests {
                 cluster.install_bank_faults(FaultPlan::seeded(3));
             }
             let c2 = Rc::clone(&cluster);
-            let posted = sim.run_main(async move {
+            let owed = sim.run_main(async move {
                 let m = c2.mount();
-                let mut posted = Vec::new();
                 m.create("/f").await.unwrap();
                 let fd = m.open("/f").await.unwrap();
-                posted.push(c2.posted_stores());
+                let opened = c2.pending_updates();
                 m.stat("/f").await.unwrap();
-                posted.push(c2.posted_stores());
+                let stated = c2.pending_updates();
                 m.write(fd, 0, &[1u8; 5000]).await.unwrap();
-                posted.push(c2.posted_stores());
+                let written = c2.pending_updates();
                 m.close(fd).await.unwrap();
                 let fd = m.open("/f").await.unwrap();
                 m.read(fd, 0, 5000).await.unwrap();
-                posted.push(c2.posted_stores());
-                posted
+                [opened, stated, written, c2.pending_updates()]
             });
             if faults {
-                assert_eq!(posted, [0; 4], "a fop returned before what it posted");
+                assert_eq!(owed, [0; 4], "a fop returned before what it posted");
             } else {
-                assert_ne!(posted, [0; 4], "nothing was posted");
+                assert_ne!(owed, [0; 4], "nothing was posted");
             }
         }
     }

@@ -69,21 +69,20 @@
 //! * **Post, then reply** (`settle`): a metadata store whose answer the
 //!   fop's reply never reads — a stat miss's push or marker, a batched
 //!   stat's bulk push, open's seed, a write's stat refresh — is
-//!   *posted*: [`BankClient::post_stores`] sends it at the call, as
-//!   every bank write goes, so its frames take their place in the server
-//!   NIC's TX queue ahead of the reply, and whatever followed the await (fence take-outs,
-//!   `overtaken`, bookkeeping, counters) runs as a continuation once the
-//!   answer is back ([`SmCache::posted`] counts those still to come).
-//!   The fabric, each daemon's NIC and each daemon's event loop are FIFO,
-//!   so every lookup the reply causes reaches a daemon after the store
-//!   (DESIGN.md §4f). Where the bank may reorder stores
-//!   (`BankClient::may_reorder`) the fop awaits the store's answer
-//!   before it replies. What the reply does read — CAS verdicts,
-//!   `gets`, the write path's `refill`, purges, the fall-back — stays
-//!   awaited. So does a read's fill: posted, its commands would sit in
-//!   the daemon's queue ahead of the same client's next read, and a fill
-//!   past one frame per daemon could land after a later write's refill
-//!   (DESIGN.md §4f).
+//!   *posted*: [`BankClient::post_stores`] sends it at the call, so its
+//!   frames sit in the server NIC's TX queue ahead of the reply, and what
+//!   followed the await (fence take-outs, `overtaken`, bookkeeping,
+//!   counters) runs as a continuation once the answer is back. FIFO
+//!   links, NICs and event loops put every lookup the reply causes
+//!   behind the store (DESIGN.md §4f). Where the bank may reorder stores
+//!   (`BankClient::may_reorder`) the fop awaits the answer first. What
+//!   the reply reads (CAS verdicts, `gets`, the write path's `refill`,
+//!   purges, the fall-back) and a read's fill stay awaited (DESIGN.md
+//!   §4f says why).
+//! * **Drain count** ([`SmCache::pending`]): posted stores until their
+//!   continuations have run, and threaded jobs from `submit` until the
+//!   worker is done with them. A job's own stat refresh is posted, so
+//!   only both halves together say the bank holds all a fop caused.
 //!
 //! How a push, purge or CAS wave is framed on the wire — one frame per
 //! daemon, or one awaited RPC per key — is decided inside [`BankClient`]
@@ -288,8 +287,8 @@ pub struct SmCache {
     /// updated — the invalidation ordering rule (see `crate::meta`).
     leases: Option<Rc<LeaseHub>>,
     jobs: Queue<Job>,
-    /// Posted stores still to be followed through ([`SmCache::posted`]).
-    posted: Cell<u64>,
+    /// Bank work owed past a fop's return ([`SmCache::pending`]).
+    pending: Cell<u64>,
     /// Per path: its purge generation, newest stat, write count and
     /// tracked blocks.
     paths: RefCell<HashMap<String, PathState>>,
@@ -352,7 +351,7 @@ impl SmCache {
             negative: cfg.meta.negative(),
             leases,
             jobs: Queue::new(),
-            posted: Cell::new(0),
+            pending: Cell::new(0),
             paths: RefCell::new(HashMap::new()),
             rewarm: cfg
                 .rewarm
@@ -384,6 +383,7 @@ impl SmCache {
                     if !worker.fenced(&job.path, job.gen) {
                         worker.run(job).await;
                     }
+                    worker.pending.set(worker.pending.get() - 1);
                 }
             });
         }
@@ -458,12 +458,11 @@ impl SmCache {
         self.with_tracked(path, |t| t.map_or(0, |t| t.lens.len()))
     }
 
-    /// Posted stores not yet followed through: their answers, or the
-    /// take-outs and bookkeeping that follow them, are still to come
-    /// (`SmCache::settle`). 0 once the bank has answered every store a
-    /// returned fop posted.
-    pub fn posted(&self) -> u64 {
-        self.posted.get()
+    /// Bank work still owed after the fops that caused it returned (the
+    /// module doc's drain count). At 0 the bank holds everything every
+    /// returned fop caused: §4.4's staleness window has closed.
+    pub fn pending(&self) -> u64 {
+        self.pending.get()
     }
 
     /// Run `rest` — the answer of a bank round just made, awaited, then
@@ -476,11 +475,11 @@ impl SmCache {
         if !reply_first {
             return rest.await;
         }
-        self.posted.set(self.posted.get() + 1);
+        self.pending.set(self.pending.get() + 1);
         let sm = Rc::clone(self);
         self.handle.spawn(async move {
             rest.await;
-            sm.posted.set(sm.posted.get() - 1);
+            sm.pending.set(sm.pending.get() - 1);
         });
     }
 
@@ -490,6 +489,7 @@ impl SmCache {
     async fn submit(self: &Rc<Self>, job: Job) {
         if self.threaded {
             self.deferred_jobs.inc();
+            self.pending.set(self.pending.get() + 1);
             self.jobs.push(job);
         } else {
             self.run(job).await;
@@ -1341,11 +1341,13 @@ mod tests {
         Rc::clone(&(Rc::clone(sm) as Xlator)).handle(fop).await
     }
 
-    /// Wait until the bank has answered every store `sm` posted, and what
-    /// follows each answer has run: a test reads daemon engines or
-    /// SMCache's own state directly only after this.
+    /// Wait until `sm` owes no bank work, failing if it still does a
+    /// virtual second on: a test reads daemon engines or SMCache's own
+    /// state directly only after this.
     async fn drain(sm: &SmCache) {
-        while sm.posted() > 0 {
+        let give_up = sm.handle.now() + SimDuration::secs(1);
+        while sm.pending() > 0 {
+            assert!(sm.handle.now() < give_up, "{} still owed", sm.pending());
             sm.handle.sleep(SimDuration::micros(1)).await;
         }
     }
@@ -1678,8 +1680,7 @@ mod tests {
                 )
                 .await;
                 let latency = h.now().since(t0).as_nanos();
-                // Give the background worker time to drain.
-                h.sleep(SimDuration::millis(10)).await;
+                drain(&sm).await;
                 assert!(
                     bank.get(&block_key("/f", 0)).await.is_some(),
                     "threaded update never landed"
@@ -1706,7 +1707,6 @@ mod tests {
         let rig = setup(&sim, true, true);
         let sm = Rc::clone(&rig.sm);
         let bank = Rc::clone(&rig.bank);
-        let h = sim.handle();
         sim.run_main(async move {
             drive(&sm, Fop::Create { path: "/f".into() }).await;
             drive(
@@ -1722,7 +1722,7 @@ mod tests {
             // write's blocks (the write only queued a job).
             drive(&sm, Fop::Unlink { path: "/f".into() }).await;
             // Let the worker drain; the stale job must be dropped.
-            h.sleep(SimDuration::millis(10)).await;
+            drain(&sm).await;
             for start in [0u64, 2048] {
                 assert!(
                     bank.get(&block_key("/f", start)).await.is_none(),
@@ -2551,7 +2551,7 @@ mod tests {
                     .iter()
                     .filter(|b| b[..] == old[..])
                     .count();
-                if sm.posted() == 0 {
+                if sm.pending() == 0 {
                     break stale;
                 }
                 h.sleep(SimDuration::micros(1)).await;

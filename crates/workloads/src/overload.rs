@@ -268,7 +268,7 @@ pub fn run(cfg: &OverloadBench) -> OverloadOut {
             }
             // The writes' stat refreshes are posted: let the last of them
             // land, so the timed phase starts on idle daemon queues.
-            while cluster.posted_stores() > 0 {
+            while cluster.pending_updates() > 0 {
                 h2.sleep(SimDuration::micros(100)).await;
             }
             barrier.wait().await; // B: bank is warm, timed phase starts

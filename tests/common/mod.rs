@@ -15,14 +15,15 @@
 //! * a stat equals the reference size, or is `NotFound` exactly when the
 //!   file is absent, and its mtime is no earlier than the moment IMCa's
 //!   latest landed write or create of the file was issued, so a consumer
-//!   polling mtime sees every update (§4.2); under `threaded_updates` it
-//!   may lag but never overstates the size; so does each answer of a
+//!   polling mtime sees every update (§4.2); so does each answer of a
 //!   listing's batched stat, and
 //!   while the server is down every path the listing forwards answers
 //!   `Io` and installs no lease;
 //! * an error is `FsError::Io`, and only while a storage fault or a
 //!   server crash is in force; while the server is down only writes are
 //!   issued, and each one fails fast;
+//! * under `threaded_updates` all of this holds once SMCache owes no
+//!   bank work, which the driver waits for after every mutation (§4.4);
 //! * while the installed storage plan draws no randomness and leaves
 //!   reads healthy, every verdict equals the twin's. Otherwise the twin
 //!   follows IMCa's successes only, so it stays equal to the reference.
@@ -317,7 +318,7 @@ impl Config {
         let twin = Rc::new(Cluster::build(h.clone(), ClusterConfig::nocache()));
         imca.install_bank_faults(FaultPlan { seed, ..bank });
         let (c, n) = (Rc::clone(&imca), Rc::clone(&twin));
-        let server_retry = cfg.server_retry.clone().unwrap_or(cfg.retry.clone());
+        let server_retry = cfg.server_retry.as_ref().unwrap_or(&cfg.retry);
         let cooldown = cfg
             .retry
             .circuit_cooldown
@@ -339,14 +340,10 @@ impl Config {
                 seed,
                 threaded: cfg.threaded_updates,
                 cooldown,
-                server_retry,
                 files: BTreeMap::new(),
                 floor: HashMap::new(),
                 plan: StorageFaultPlan::default(),
                 cut: [false; MCDS as usize],
-                dark_until: SimTime::ZERO,
-                shaken: false,
-                settled_jobs: 0,
                 reach: 0,
                 ran: BTreeMap::new(),
                 sick_errors: Cell::new(0),
@@ -636,26 +633,16 @@ struct Driver {
     h: SimHandle,
     seed: u64,
     threaded: bool,
-    /// The retry policy of SMCache's bank client, which the threaded
-    /// update worker runs under.
-    server_retry: RetryPolicy,
     /// The longest circuit cooldown of a bank client.
     cooldown: SimDuration,
     /// The reference filesystem: every file that exists, by content.
     files: BTreeMap<u8, Vec<u8>>,
     /// Per existing file, when IMCa's latest landed write or create of it
-    /// was issued: no stat that may not lag shows an earlier mtime.
+    /// was issued: no stat shows an earlier mtime.
     floor: HashMap<u8, SimTime>,
     /// The storage plan installed on IMCa.
     plan: StorageFaultPlan,
     cut: [bool; MCDS as usize],
-    /// When the last drop window on the bank links ends.
-    dark_until: SimTime,
-    /// The bank went dark — a daemon cut, a drop window — since the last
-    /// settle.
-    shaken: bool,
-    /// Threaded update jobs queued before the last settle (all run).
-    settled_jobs: u64,
     /// One past the highest byte any op has touched.
     reach: u64,
     ran: BTreeMap<&'static str, u32>,
@@ -688,18 +675,13 @@ impl Driver {
             Op::Partition(i) => {
                 c.partition_mcd(i.into());
                 self.cut[usize::from(i)] = true;
-                self.shaken = true;
             }
             Op::Heal(i) => {
                 c.heal_mcd(i.into());
                 c.revive_mcd(i.into());
                 self.cut[usize::from(i)] = false;
             }
-            Op::DropWindow(us) => {
-                c.network().add_drop_window(now, until(us));
-                self.dark_until = self.dark_until.max(until(us));
-                self.shaken = true;
-            }
+            Op::DropWindow(us) => c.network().add_drop_window(now, until(us)),
             Op::LatencySpike(us, extra) => {
                 let extra = SimDuration::micros(extra.into());
                 c.network().add_latency_spike(now, until(us), extra);
@@ -843,25 +825,21 @@ impl Driver {
     }
 
     /// §4.4's staleness window: under threaded updates the reference
-    /// holds only once the update queue has drained, 10 ms after a
-    /// mutation. If the bank went dark since the last settle, every job
-    /// queued since — read fills too — may first wait out SMCache's whole
-    /// bank retry budget (a CAS wave's `gets` runs into every deadline),
-    /// so the window grows by one budget per job.
-    async fn settle(&mut self) {
-        if !self.threaded {
-            return;
+    /// holds once SMCache owes no bank work (`Cluster::pending_updates`):
+    /// every job queued since, read fills too, has run and landed.
+    async fn settle(&self) {
+        if self.threaded {
+            self.idle(Cluster::pending_updates, "work still owed").await;
         }
-        let queued = self.c.metrics().counter("smcache.deferred_jobs").unwrap();
-        let mut window = SimDuration::millis(10).as_nanos();
-        if self.shaken {
-            let p = &self.server_retry;
-            let budget = (p.deadline + p.backoff_cap).as_nanos() * (u64::from(p.retries) + 1);
-            window += budget * (queued - self.settled_jobs);
+    }
+
+    /// Poll `busy` every 50 µs until 0; fail as `stuck` a virtual second on.
+    async fn idle(&self, busy: impl Fn(&Cluster) -> u64, stuck: &str) {
+        let give_up = self.h.now() + SimDuration::secs(1);
+        while busy(&self.c) > 0 {
+            assert!(self.h.now() < give_up, "{}: {stuck}", self.here);
+            self.h.sleep(SimDuration::micros(50)).await;
         }
-        self.h.sleep(SimDuration::nanos(window)).await;
-        self.settled_jobs = queued;
-        self.shaken = self.cut.iter().any(|&cut| cut) || self.dark_until > self.h.now();
     }
 
     async fn write(&mut self, file: u8, offset: u64, data: &[u8]) -> Option<()> {
@@ -937,15 +915,8 @@ impl Driver {
             self.switch();
         }
         // Crashed work is not cancelled (DESIGN.md §6c): wait for its end.
-        let give_up = self.h.now() + SimDuration::secs(1);
-        while self.c.server_queue_depth() > 0 {
-            assert!(
-                self.h.now() < give_up,
-                "{}: crashed work never ended",
-                self.here
-            );
-            self.h.sleep(SimDuration::micros(50)).await;
-        }
+        self.idle(Cluster::server_queue_depth, "crashed work never ended")
+            .await;
         let (fi, fd_n) = self.me.fds[&file];
         let len = data.len() as u64;
         let old = self.want(file, offset, len).to_vec();
@@ -1099,9 +1070,9 @@ impl Driver {
         let p = path(file);
         let ri = self.me.mi.stat(&p).await;
         if let Some(rn) = self.follow(&ri, self.me.mn.stat(&p)).await {
-            self.check_stat(rn, file, false);
+            self.check_stat(rn, file);
         }
-        self.check_stat(ri, file, self.threaded);
+        self.check_stat(ri, file);
         Some(())
     }
 
@@ -1133,10 +1104,10 @@ impl Driver {
             }
             if alive {
                 if let Some(rn) = self.follow(&r.stat, self.me.mn.stat(&path(file))).await {
-                    self.check_stat(rn, file, false);
+                    self.check_stat(rn, file);
                 }
             }
-            self.check_stat(r.stat, file, self.threaded);
+            self.check_stat(r.stat, file);
         }
         if !alive {
             let new = installed(&self.me.cm).unwrap() - before.unwrap();
@@ -1148,10 +1119,9 @@ impl Driver {
         }
     }
 
-    fn check_stat(&self, r: Result<FileStat, FsError>, file: u8, may_lag: bool) {
+    fn check_stat(&self, r: Result<FileStat, FsError>, file: u8) {
         let want = self.files.get(&file).map(|b| b.len() as u64);
         match (r, want) {
-            (Ok(st), Some(size)) if may_lag => assert!(st.size <= size, "{}", self.here),
             (Ok(st), Some(size)) => {
                 assert_eq!(st.size, size, "{}", self.here);
                 let floor = self.floor[&file].as_nanos();

@@ -211,6 +211,33 @@ fn cold_miss_costs_more_than_nocache_warm_hit_less() {
     assert!(warm < nocache, "warm hit {warm} ns vs NoCache {nocache} ns");
 }
 
+/// §4.4: a threaded write returns owing its bank update, and the window
+/// closes the moment SMCache owes nothing (`Cluster::pending_updates`):
+/// another client's CMCache lookup, sent then, reads the write.
+#[test]
+fn delayed_updates_are_seen_once_nothing_is_owed() {
+    let mut cfg = ClusterConfig::imca(ImcaConfig::default());
+    cfg.imca.as_mut().unwrap().threaded_updates = true;
+    let mut sim = Sim::new(3);
+    let (c, h) = (Rc::new(Cluster::build(sim.handle(), cfg)), sim.handle());
+    sim.run_main(async move {
+        let (writer, (_, reader)) = (c.mount(), c.mount_with_meta());
+        writer.create("/claims/w").await.unwrap();
+        let fd = writer.open("/claims/w").await.unwrap();
+        // The writer's stat miss leaves the bank an entry to be stale.
+        writer.stat("/claims/w").await.unwrap();
+        let issued = h.now().as_nanos();
+        writer.write(fd, 0, &[5; 4096]).await.unwrap();
+        assert!(c.pending_updates() > 0, "no window");
+        while c.pending_updates() > 0 {
+            assert!(h.now().as_nanos() < issued + 10_000_000, "never drained");
+            h.sleep(SimDuration::nanos(1)).await;
+        }
+        let st = reader.unwrap().stat("/claims/w".into()).await.stat.unwrap();
+        assert_eq!((st.size, st.mtime_ns >= issued), (4096, true), "stale");
+    });
+}
+
 /// Fig 9: read throughput scales with the MCD count and beats NoCache.
 #[test]
 fn fig9_direction() {

@@ -95,8 +95,8 @@ storm_properties! {
     random_ops_match_reference_sync_2k: TwoKb,
     random_ops_match_reference_small_blocks: SmallBlocks,
     /// §4.4 "Overhead and Delayed Updates": threaded updates trade a
-    /// staleness window for write latency, so the driver drains the
-    /// update queue after every mutation and a stat may lag.
+    /// staleness window for write latency, so after every mutation the
+    /// driver waits until SMCache owes no bank work.
     random_ops_match_reference_threaded: Threaded,
     /// Replication may turn misses into warm hits, never into stale bytes.
     random_ops_match_reference_replicated: R2,
@@ -187,10 +187,10 @@ canonical_replays! {
 /// window open as a write begins — makes the update worker wait out the
 /// bank client's retry budget before a block cached empty ahead of the
 /// write is replaced, once per job queued since the last settle (here a
-/// read fill ahead of the write's job): the driver's settle must cover
-/// them all.
+/// read fill ahead of the write's job). Each shape outlasted a guessed
+/// window once; the driver's settle now waits until nothing is owed.
 #[test]
-fn threaded_window_outlasts_a_dark_bank_retry_budget() {
+fn threaded_settle_drains_past_a_dark_bank() {
     use Op::*;
     let storm = |seed, ops| Config::Threaded.storm(Scheduler::default(), seed, ops);
     storm(
