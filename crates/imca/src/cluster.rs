@@ -934,6 +934,73 @@ mod tests {
     }
 
     #[test]
+    fn a_second_clients_read_and_stat_after_a_posted_wave_see_the_write() {
+        let synchronous = posting_layouts(MetaConfig::default())
+            .into_iter()
+            .filter(|cfg| !cfg.imca.as_ref().unwrap().threaded_updates);
+        for cfg in synchronous {
+            let layout = format!("{:?}", cfg.imca);
+            let copies = cfg.imca.as_ref().unwrap().replication.factor as u64;
+            let rdma = cfg.imca.as_ref().unwrap().bank_transport.is_some();
+            let mut sim = Sim::new(1);
+            let h = sim.handle();
+            let cluster = Rc::new(Cluster::build(sim.handle(), cfg));
+            let c2 = Rc::clone(&cluster);
+            sim.run_main(async move {
+                let first = c2.mount();
+                let (_, second) = c2.mount_with_meta();
+                let second = second.expect("imca mount has a cmcache");
+                let replaced = || c2.metrics().counter("smcache.cas_replacements").unwrap();
+                first.create("/f").await.unwrap();
+                let fd = first.open("/f").await.unwrap();
+                // Cold: the covering re-read's stores keep their tokens, so
+                // every later overwrite's wave goes out with no `gets`.
+                first.write(fd, 0, &[1u8; 6000]).await.unwrap();
+                for fill in 2..5u8 {
+                    let issued = h.now().as_nanos();
+                    first.write(fd, 0, &[fill; 6000]).await.unwrap();
+                    // Posted: on IPoIB daemons the wave's verdicts are not
+                    // in when the reply reaches the client (over RDMA they
+                    // outrun the reply, and the count cannot tell). The
+                    // earlier overwrites' are: this write's update waited
+                    // for them.
+                    let earlier = 3 * copies * u64::from(fill - 2);
+                    if !rdma {
+                        assert_eq!(replaced(), earlier, "{layout}: the wave was awaited");
+                    }
+                    // The stat and the read leave together, the moment the
+                    // write has returned.
+                    let (tx, stat) = imca_sim::sync::oneshot();
+                    let looker = Rc::clone(&second);
+                    h.spawn(async move { tx.send(looker.stat("/f".into()).await) });
+                    let [_, _, hits, misses] = client_counts(&c2, 1);
+                    let read = Fop::Read {
+                        path: "/f".into(),
+                        offset: 0,
+                        len: 6000,
+                    };
+                    let reply = (Rc::clone(&second) as Xlator).handle(read).await;
+                    assert_eq!(reply, FopReply::Read(Ok(vec![fill; 6000])), "{layout}");
+                    let [_, _, hits_after, misses_after] = client_counts(&c2, 1);
+                    assert!(hits_after > hits, "{layout}: the read missed the bank");
+                    assert_eq!(misses_after, misses, "{layout}: a replaced block missed");
+                    let r = stat.await.unwrap();
+                    let st = r.stat.as_ref().unwrap();
+                    let got = (r.source, st.size, st.mtime_ns >= issued);
+                    assert_eq!(got, (StatSource::Bank, 6000, true), "{layout}");
+                }
+                while c2.pending_updates() > 0 {
+                    h.sleep(SimDuration::micros(1)).await;
+                }
+                let snap = c2.metrics();
+                assert_eq!(snap.counter("smcache.cas_conflicts"), Some(0), "{layout}");
+                // Three overwrites of three blocks, on every copy.
+                assert_eq!(replaced(), 3 * 3 * copies, "{layout}");
+            });
+        }
+    }
+
+    #[test]
     fn a_second_clients_lookup_after_an_enoent_sees_the_marker() {
         for cfg in posting_layouts(MetaConfig::lease()) {
             let mut sim = Sim::new(1);

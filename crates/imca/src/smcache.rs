@@ -46,14 +46,26 @@
 //!   update is dropped, and what it stored since its last check is taken
 //!   out again, instead of repopulating blocks for a closed or deleted
 //!   file, the "false positive" §4.3.2 purges to avoid.
-//! * **Write order**: racing fops need no purge to go stale. A stat is
-//!   never pushed over a newer one (`push_stat` pushes the newest since
-//!   the last purge). Where the bank may land stores out of issue order
-//!   (`BankClient::may_reorder`: a fault plan or a retry), blocks read
-//!   from the filesystem are taken out again once stored if a write to
-//!   the file returned meanwhile (`overtaken`), and a stat if a newer
-//!   one went out while it was on the wire. The threaded worker needs no
-//!   write count: it runs jobs in the order their fops returned.
+//! * **Write order**: racing fops need no purge to go stale. Under `Cas`
+//!   with synchronous updates, a write takes its place, when SMCache
+//!   winds it, on every block it covers and every short block its path
+//!   tracks (`Places`), each once; its update starts only once every
+//!   update wound earlier on those blocks has ended and recorded its
+//!   kept tokens. Posix applies a write's bytes at its first poll, so
+//!   wind order is disk order, and no wave `cas`es against another
+//!   write's tokens. A write the filesystem refuses holds its turn until
+//!   the turns before it end (`Places::forgo`). Order is per block:
+//!   writers of disjoint blocks of one file never wait on each other. A stale short block the update
+//!   holds no place on is deleted, not extended (`drop_blocks`). A stat
+//!   is never pushed over a newer one (`push_stat` pushes the newest
+//!   since the last purge). Where the bank may land stores out of issue
+//!   order (`BankClient::may_reorder`: a fault plan or a retry), or a
+//!   round takes several frames per daemon, blocks read from the
+//!   filesystem are taken out again once stored if a write to the file
+//!   returned meanwhile (`overtaken`), and a stat if a newer one went
+//!   out while it was on the wire. The threaded worker needs neither
+//!   places nor a write count: it runs jobs in the order their fops
+//!   returned.
 //! * **Refill** (`refill`): re-read a block-aligned span from the
 //!   filesystem, fence, push it — the purge protocol's covering re-read,
 //!   the re-read of short blocks a write left stale, and the CAS path's
@@ -62,8 +74,9 @@
 //!   refuses `abandon`s the update: nothing is pushed and the file is
 //!   purged.
 //! * **Tail** (`refresh_stat`): revoke leases, fence, push the new stat.
-//!   It runs only after every block of the update has been stored, so a
-//!   consumer that sees the new mtime reads the new blocks.
+//!   It runs only once every block store of the update has gone out
+//!   ahead of it, so a consumer that sees the new mtime reads the new
+//!   blocks.
 //! * **Fall-back** (`fall_back`): a CAS wave that could not replace every
 //!   held copy purges the file and repopulates under the new generation.
 //! * **Post, then reply** (`settle`): a metadata store whose answer the
@@ -75,9 +88,21 @@
 //!   counters) runs as a continuation once the answer is back. FIFO
 //!   links, NICs and event loops put every lookup the reply causes
 //!   behind the store (DESIGN.md §4f). Where the bank may reorder stores
-//!   (`BankClient::may_reorder`) the fop awaits the answer first. What
-//!   the reply reads (CAS verdicts, `gets`, the write path's `refill`,
-//!   purges, the fall-back) and a read's fill stay awaited (DESIGN.md
+//!   (`BankClient::may_reorder`) the fop awaits the answer first. A
+//!   synchronous write's CAS wave is posted too (`post_wave`): SMCache
+//!   is the bank's only writer and the write holds the place on every
+//!   block of the wave, so a `cas` can answer `Stored`, `Missing` or
+//!   `Failed`, never `Conflict` (a `debug_assert!`; only a retried
+//!   frame re-applying a landed `cas` may). The fill rule keeps it so: a
+//!   read fill's `set`s take no place, so the wave is awaited if a fill
+//!   of the path was in flight at any moment between its token reads and
+//!   its send (`fill_mark`), and a store keeps no token if a fill was in
+//!   flight beside it. The write revokes leases, posts its stat, whose
+//!   frame leaves the server behind every wave frame, and replies; the
+//!   verdicts, kept tokens, fence take-outs and any fall-back settle in
+//!   the continuation (`land`), which holds the write's places. What
+//!   the reply reads (`gets`, the write path's `refill`, purges, an
+//!   awaited wave's fall-back) and a read's fill stay awaited (DESIGN.md
 //!   §4f says why).
 //! * **Drain count** ([`SmCache::pending`]): posted stores until their
 //!   continuations have run, and threaded jobs from `submit` until the
@@ -122,13 +147,13 @@ use bytes::Bytes;
 use imca_glusterfs::{FileStat, Fop, FopReply, FsError, Translator, Xlator};
 use imca_memcached::protocol::StoreVerb;
 use imca_metrics::{prefixed, Counter, MetricSource, Registry, Snapshot};
-use imca_sim::sync::Queue;
+use imca_sim::sync::{oneshot, OneshotReceiver, OneshotSender, Queue};
 use imca_sim::{SimHandle, TokenBucket};
 
 use crate::block::{aligned_range, cover};
 use crate::cluster::ImcaConfig;
 use crate::keys::{block_key, stat_key};
-use crate::mcd::{Answer, BankClient, CasToken, CasVerdict, Kept, Store};
+use crate::mcd::{Answer, BankClient, CasToken, CasVerdict, Kept, Sent, Store};
 use crate::meta::{LeaseHub, NEG_MARKER};
 
 /// Write-coherence protocol for the bank (DESIGN.md §4f).
@@ -197,8 +222,13 @@ enum Work {
     Repopulate { offset: u64, len: u64 },
     /// [`Coherence::Cas`]: replace the write's covering blocks in place.
     /// Carries the write payload so the post-write bytes can be computed
-    /// without re-reading the disk.
-    Replace { offset: u64, data: Vec<u8> },
+    /// without re-reading the disk, and, in the synchronous executor, the
+    /// places the write took in its blocks' update order at its wind.
+    Replace {
+        offset: u64,
+        data: Vec<u8>,
+        places: Option<Places>,
+    },
 }
 
 /// One unit of bank maintenance for `path`, created under purge
@@ -207,6 +237,25 @@ struct Job {
     path: String,
     gen: u64,
     work: Work,
+}
+
+/// A CAS wave on its way: what [`SmCache::land`] needs once its
+/// verdicts are back.
+struct Wave {
+    path: String,
+    gen: u64,
+    /// The write's `(offset, len)`.
+    span: (u64, u64),
+    /// The post-write stat.
+    st: FileStat,
+    /// The wave's block starts; `placed` names each item's position here
+    /// and its replica slot.
+    blocks: Vec<u64>,
+    placed: Vec<(usize, usize)>,
+    /// The fill rule's mark ([`SmCache::fill_mark`]), taken before the
+    /// wave's tokens were read.
+    fills: Option<u32>,
+    places: Option<Places>,
 }
 
 /// What SMCache knows of one cached block: its chunk length, and the CAS
@@ -245,6 +294,71 @@ impl Tracked {
     }
 }
 
+/// A write's turn in its blocks' update order: every write wound after
+/// it on one of its blocks holds the receiver of one of these senders,
+/// which resolves when the turn ends and the senders drop.
+#[derive(Default)]
+struct Turn {
+    next: RefCell<Vec<OneshotSender<()>>>,
+}
+
+/// The places a synchronous [`Coherence::Cas`] write takes when SMCache
+/// winds it: one on every block it covers and on every short block its
+/// path tracks (the module doc's "Write order"). Its update waits for
+/// the earlier-wound updates on those blocks ([`Places::wait`]); dropping
+/// it ends the write's turn, once its update has recorded its tokens.
+struct Places {
+    sm: Rc<SmCache>,
+    path: String,
+    /// The block starts, sorted.
+    blocks: Vec<u64>,
+    turn: Rc<Turn>,
+    /// One receiver per earlier-wound update on a block here.
+    after: Vec<OneshotReceiver<()>>,
+}
+
+impl Places {
+    /// Wait until every earlier-wound update on these blocks has ended.
+    async fn wait(&mut self) {
+        for earlier in self.after.drain(..) {
+            let _ = earlier.await;
+        }
+    }
+
+    /// End the turn of a write whose update never runs (the filesystem
+    /// refused the write), but only once the earlier-wound updates on
+    /// these blocks have ended: a write wound after this one waits on
+    /// this turn, and must not start beside them. Counted by
+    /// [`SmCache::pending`] while it waits.
+    fn forgo(mut self) {
+        if !self.after.is_empty() {
+            let sm = Rc::clone(&self.sm);
+            sm.detach(async move { self.wait().await });
+        }
+    }
+}
+
+impl Drop for Places {
+    fn drop(&mut self) {
+        let turn = &self.turn;
+        self.sm.with_path(&self.path, |p| {
+            for start in &self.blocks {
+                if p.places.get(start).is_some_and(|t| Rc::ptr_eq(t, turn)) {
+                    p.places.remove(start);
+                }
+            }
+        });
+        turn.next.take();
+    }
+}
+
+/// Whether the update holding `places` may store the block at `start`:
+/// without places (the threaded worker, [`Coherence::Purge`]) it may
+/// store any block.
+fn owned(places: Option<&Places>, start: u64) -> bool {
+    places.is_none_or(|p| p.blocks.binary_search(&start).is_ok())
+}
+
 /// What SMCache knows of one path between fops.
 #[derive(Default)]
 struct PathState {
@@ -268,6 +382,13 @@ struct PathState {
     /// whole file. Boxed: most paths (a stat-only metadata tree) never
     /// hold a block, and each carries one pointer instead of two maps.
     tracked: Option<Box<Tracked>>,
+    /// Block start → the turn of the write wound last on it, until that
+    /// write's update ends ([`Places`]). A purge leaves it alone.
+    places: BTreeMap<u64, Rc<Turn>>,
+    /// Read fills of the path in flight, and sent so far
+    /// ([`SmCache::fill_mark`]). A purge leaves both alone.
+    fills: u32,
+    fills_sent: u32,
 }
 
 /// The SMCache translator.
@@ -422,14 +543,19 @@ impl SmCache {
     }
 
     /// Whether blocks of `path` read from the filesystem when `writes`
-    /// writes to it had returned, and stored at reorder `mark`, may be
-    /// stale once stored: a write returned since, and the bank may have
-    /// landed them after its update (a racing reader's fill, or another
-    /// writer's covering re-read). Without reordering they land first,
-    /// because they were issued before that write returned; and the
-    /// threaded worker runs jobs in the order their fops returned.
-    fn overtaken(&self, path: &str, writes: u64, mark: u64) -> bool {
-        !self.threaded && self.bank.reordered_since(mark) && self.writes_to(path) != writes
+    /// writes to it had returned, and stored at reorder `mark` by a round
+    /// that did (`in_order`) or did not go as one frame per daemon
+    /// ([`Sent::reply_first`]), may be stale once stored: a write returned
+    /// since, and the bank may have landed them after its update (a
+    /// racing reader's fill, or another writer's covering re-read).
+    /// Without reordering, and in one frame, they land first, because
+    /// they were issued before that write returned; a later frame is
+    /// sent only once the one before it has answered. The threaded
+    /// worker runs jobs in the order their fops returned.
+    fn overtaken(&self, path: &str, writes: u64, (mark, in_order): (u64, bool)) -> bool {
+        !self.threaded
+            && (!in_order || self.bank.reordered_since(mark))
+            && self.writes_to(path) != writes
     }
 
     /// Apply `f` to `path`'s state, registering the path (without
@@ -453,6 +579,67 @@ impl SmCache {
             .and_then(|p| p.tracked.as_deref_mut()))
     }
 
+    /// Take a synchronous CAS write's places at its wind: on every block
+    /// of `[offset, offset+len)` and every short block `path` tracks, each
+    /// once, so the write never waits on itself.
+    fn take_places(self: &Rc<Self>, path: &str, offset: u64, len: u64) -> Places {
+        let (aoff, alen) = aligned_range(offset, len, self.block_size);
+        let turn = Rc::new(Turn::default());
+        let mut after = Vec::new();
+        let blocks = self.with_path(path, |p| {
+            let covering = cover(aoff, alen, self.block_size).into_iter();
+            let short = p.tracked.iter().flat_map(|t| t.short.iter().copied());
+            let mut blocks: Vec<u64> = covering.map(|b| b.start).chain(short).collect();
+            blocks.sort_unstable();
+            blocks.dedup();
+            for &start in &blocks {
+                if let Some(earlier) = p.places.insert(start, Rc::clone(&turn)) {
+                    let (tx, rx) = oneshot();
+                    earlier.next.borrow_mut().push(tx);
+                    after.push(rx);
+                }
+            }
+            blocks
+        });
+        Places {
+            sm: Rc::clone(self),
+            path: path.to_string(),
+            blocks,
+            turn,
+            after,
+        }
+    }
+
+    /// A mark of `path`'s read fills to take before reading a block's
+    /// tokens: `None` while a fill is in flight.
+    fn fill_mark(&self, path: &str) -> Option<u32> {
+        self.with_path(path, |p| (p.fills == 0).then_some(p.fills_sent))
+    }
+
+    /// Whether no read fill of `path` was in flight at `mark` or sent
+    /// since: no fill's `set` can land between a token read at `mark` and
+    /// a store sent now, or after a store sent at `mark`.
+    fn fills_quiet(&self, path: &str, mark: Option<u32>) -> bool {
+        mark.is_some_and(|m| self.with_path(path, |p| p.fills_sent) == m)
+    }
+
+    /// Take the blocks at `starts` out of `path`'s tracked set and out of
+    /// the bank: the purge protocol's covering blocks, or stale short
+    /// blocks an update holds no place on, whose cached copies would
+    /// truncate reads. A delete lets an update that holds the place
+    /// answer `Missing`, never `Conflict`.
+    async fn drop_blocks(self: &Rc<Self>, path: &str, starts: Vec<u64>) {
+        self.with_tracked(path, |t| {
+            if let Some(t) = t {
+                for &start in &starts {
+                    t.remove(start);
+                }
+            }
+        });
+        let keys = starts.iter().map(|&start| block_key(path, start)).collect();
+        self.bank.remove_keys(keys).await;
+    }
+
     /// Number of block keys currently tracked for `path`.
     pub fn tracked_blocks(&self, path: &str) -> usize {
         self.with_tracked(path, |t| t.map_or(0, |t| t.lens.len()))
@@ -470,11 +657,30 @@ impl SmCache {
     /// (`reply_first`), as its own task: the fop does not wait, and its
     /// reply leaves the server's NIC behind the round's frames. Where it
     /// may not (the bank may reorder, [`crate::mcd::Sent::reply_first`]),
-    /// the fop awaits `rest` as it always did.
-    async fn settle(self: &Rc<Self>, reply_first: bool, rest: impl Future<Output = ()> + 'static) {
-        if !reply_first {
-            return rest.await;
+    /// the fop awaits `rest` as it always did. Decided at the call; the
+    /// future returned holds at most a box, so `rest` never sits in the
+    /// state of the fop's future, which every fop allocates.
+    fn settle(
+        self: &Rc<Self>,
+        reply_first: bool,
+        rest: impl Future<Output = ()> + 'static,
+    ) -> impl Future<Output = ()> + 'static {
+        let awaited = if reply_first {
+            self.detach(rest);
+            None
+        } else {
+            Some(Box::pin(rest))
+        };
+        async move {
+            if let Some(rest) = awaited {
+                rest.await;
+            }
         }
+    }
+
+    /// Run `rest` as its own task, counted by [`SmCache::pending`] until
+    /// it has run.
+    fn detach(self: &Rc<Self>, rest: impl Future<Output = ()> + 'static) {
         self.pending.set(self.pending.get() + 1);
         let sm = Rc::clone(self);
         self.handle.spawn(async move {
@@ -504,13 +710,22 @@ impl SmCache {
                 data,
                 writes,
             } => {
+                self.with_path(&path, |p| {
+                    p.fills += 1;
+                    p.fills_sent = p.fills_sent.wrapping_add(1);
+                });
                 self.push_blocks(&path, off, len, &data, (gen, writes), false)
-                    .await
+                    .await;
+                self.with_path(&path, |p| p.fills -= 1);
             }
             Work::Repopulate { offset, len } => {
                 self.purge_then_populate(&path, offset, len, gen).await
             }
-            Work::Replace { offset, data } => self.cas_update(&path, offset, &data, gen).await,
+            Work::Replace {
+                offset,
+                data,
+                places,
+            } => self.cas_update(&path, offset, &data, gen, places).await,
         }
     }
 
@@ -549,8 +764,9 @@ impl SmCache {
     /// removed again instead of being recorded. So are they if a write
     /// to the file returned after `data` was read, when `writes` writes
     /// had ([`SmCache::overtaken`]). With `keep` the stores ask for their
-    /// tokens and the blocks keep them for the next write's wave;
-    /// without, the blocks keep none.
+    /// tokens and the blocks keep them for the next write's wave, unless
+    /// a read fill of the path was in flight beside them
+    /// ([`SmCache::fills_quiet`]); without, the blocks keep none.
     async fn push_blocks(
         &self,
         path: &str,
@@ -578,13 +794,21 @@ impl SmCache {
             .collect();
         let n = items.len() as u64;
         let mark = self.bank.reorder_mark();
-        let kept = if keep {
-            self.bank.store_kept(items).await
+        let fills = self.fill_mark(path);
+        let (in_order, mut kept) = if keep {
+            let sent = self.bank.store_kept(items);
+            (sent.reply_first(), sent.await)
         } else {
-            self.bank.store_blocks(items).await;
-            Vec::new()
+            let sent = self.bank.store_blocks(items);
+            let in_order = sent.reply_first();
+            sent.await;
+            (in_order, Vec::new())
         };
-        if self.fenced(path, gen) || self.overtaken(path, writes, mark) {
+        if !self.fills_quiet(path, fills) {
+            // A read fill's `set` may have landed after these stores.
+            kept.clear();
+        }
+        if self.fenced(path, gen) || self.overtaken(path, writes, (mark, in_order)) {
             // A purge (close/unlink/open) overtook this update while its
             // stores were on the wire, or a write returned since `data`
             // was read: the entries just written belong to a stale
@@ -679,9 +903,17 @@ impl SmCache {
     }
 
     /// Re-read the blocks covering the write to `[offset, offset+len)`
-    /// and push them, re-push every short block the write left stale,
-    /// then refresh the stat.
-    async fn populate_range(self: &Rc<Self>, path: &str, offset: u64, len: u64, gen: u64) {
+    /// and push them, re-push every short block the write left stale
+    /// (dropping the ones its `places` leave to another write), then
+    /// refresh the stat.
+    async fn populate_range(
+        self: &Rc<Self>,
+        path: &str,
+        offset: u64,
+        len: u64,
+        gen: u64,
+        places: Option<&Places>,
+    ) {
         let (aoff, alen) = aligned_range(offset, len, self.block_size);
         if !self.refill(path, aoff, alen, gen).await {
             return;
@@ -696,7 +928,13 @@ impl SmCache {
         let Some(st) = st else {
             return self.abandon(path).await;
         };
-        let stale = self.stale_short_blocks(path, st.size);
+        let (stale, unowned): (Vec<u64>, Vec<u64>) = self
+            .stale_short_blocks(path, st.size)
+            .into_iter()
+            .partition(|&start| owned(places, start));
+        if !unowned.is_empty() {
+            self.drop_blocks(path, unowned).await;
+        }
         if let (Some(&first), Some(&last)) = (stale.first(), stale.last()) {
             let span = last + self.block_size - first;
             if !self.refill(path, first, span, gen).await {
@@ -712,18 +950,13 @@ impl SmCache {
     /// repopulate them from a covering filesystem re-read.
     async fn purge_then_populate(self: &Rc<Self>, path: &str, offset: u64, len: u64, gen: u64) {
         let (aoff, alen) = aligned_range(offset, len, self.block_size);
-        let blocks = cover(aoff, alen, self.block_size);
-        self.with_tracked(path, |entry| {
-            if let Some(entry) = entry {
-                for b in &blocks {
-                    entry.remove(b.start);
-                }
-            }
-        });
-        let keys = blocks.iter().map(|b| block_key(path, b.start)).collect();
-        self.bank.remove_keys(keys).await;
+        let starts = cover(aoff, alen, self.block_size)
+            .iter()
+            .map(|b| b.start)
+            .collect();
+        self.drop_blocks(path, starts).await;
         if !self.fenced(path, gen) {
-            self.populate_range(path, offset, len, gen).await;
+            self.populate_range(path, offset, len, gen, None).await;
         }
     }
 
@@ -732,11 +965,17 @@ impl SmCache {
     /// coherence unconditionally (the purge also removes the copies the
     /// wave *did* replace; their re-push comes from the covering re-read,
     /// under the generation the purge just started).
-    async fn fall_back(self: &Rc<Self>, path: &str, offset: u64, len: u64) {
+    async fn fall_back(
+        self: &Rc<Self>,
+        path: &str,
+        offset: u64,
+        len: u64,
+        places: Option<&Places>,
+    ) {
         self.cas_fallback_purges.inc();
         self.purge(path).await;
         let regen = self.generation(path);
-        self.populate_range(path, offset, len, regen).await;
+        self.populate_range(path, offset, len, regen, places).await;
     }
 
     /// Versioned in-place replacement ([`Coherence::Cas`]): compute each
@@ -744,11 +983,24 @@ impl SmCache {
     /// cached copy where the write covers the block only in part — and
     /// `cas`-store them back on every replica that holds the block. Warm
     /// replicas stay warm; a warm file's update touches no disk. Any
-    /// outcome other than "every held copy replaced" — a token conflict
-    /// (concurrent update), a vanished key, a failed daemon, an incoherent
-    /// cached length — falls back to purge+repush, so the result is never
-    /// worse than the baseline.
-    async fn cas_update(self: &Rc<Self>, path: &str, offset: u64, data: &[u8], gen: u64) {
+    /// outcome other than "every held copy replaced" — a vanished key, a
+    /// failed daemon, an incoherent cached length, a token conflict
+    /// (which only a retried frame or a read fill racing the wave can
+    /// cause, module doc) — falls back to purge+repush, so the result is
+    /// never worse than the baseline. With `places` (the synchronous
+    /// executor) the update starts once the earlier-wound updates on its
+    /// blocks have ended, and may post its wave ([`SmCache::post_wave`]).
+    async fn cas_update(
+        self: &Rc<Self>,
+        path: &str,
+        offset: u64,
+        data: &[u8],
+        gen: u64,
+        mut places: Option<Places>,
+    ) {
+        if let Some(places) = &mut places {
+            places.wait().await;
+        }
         let len = data.len() as u64;
         // Post-write stat first: the blocks' target lengths (the EOF
         // encoding, `block_len`) derive from the new size.
@@ -786,13 +1038,19 @@ impl SmCache {
         // EOF past where they claim the file ends): their post-write
         // bytes are the cached bytes zero-extended — the gap is a hole —
         // so they join the wave instead of forcing the re-read leg
-        // `populate_range` needs for them.
+        // `populate_range` needs for them. A stale short block another
+        // write holds the place on is dropped instead: this update may
+        // not store it.
         let outside = |start: &u64| !covering.iter().any(|b| b.start == *start);
-        wave.extend(
-            self.stale_short_blocks(path, st.size)
-                .into_iter()
-                .filter(outside),
-        );
+        let (stale, unowned): (Vec<u64>, Vec<u64>) = self
+            .stale_short_blocks(path, st.size)
+            .into_iter()
+            .filter(outside)
+            .partition(|&start| owned(places.as_ref(), start));
+        if !unowned.is_empty() {
+            self.drop_blocks(path, unowned).await;
+        }
+        wave.extend(stale);
         wave.sort_unstable();
         // Fill leg: one covering re-read over the untracked span, pushed
         // with plain sets (there is nothing in place to replace). Tracked
@@ -806,6 +1064,8 @@ impl SmCache {
             }
             wave.retain(|&s| s < first || s >= first + span_len);
         }
+        // The fill rule's mark: taken before any token is read.
+        let fills = self.fill_mark(path);
         // The CAS items, one per replica holding a copy (cold replicas
         // stay cold; reads there fall through to the server, always
         // correct), each with the wave position and replica slot its
@@ -834,7 +1094,7 @@ impl SmCache {
                 // The tracked copy claims more bytes than the file now
                 // holds; nothing shrinks a file except a purge, so this
                 // view is incoherent.
-                return self.fall_back(path, offset, len).await;
+                return self.fall_back(path, offset, len, places.as_ref()).await;
             }
             let rel = (start - offset) as usize;
             let bytes = Bytes::copy_from_slice(&data[rel..rel + target as usize]);
@@ -856,7 +1116,7 @@ impl SmCache {
                     let Some((old, token)) = cell else { continue };
                     if old.len() > target {
                         // As above, for the copy a replica holds.
-                        return self.fall_back(path, offset, len).await;
+                        return self.fall_back(path, offset, len, places.as_ref()).await;
                     }
                     let mut buf = old.to_vec();
                     buf.resize(target, 0); // bytes past the old EOF are a hole
@@ -871,21 +1131,77 @@ impl SmCache {
                 }
             }
         }
-        let verdicts = self.bank.cas_blocks(items).await;
-        if self.fenced(path, gen) {
+        let reorder = self.bank.reorder_mark();
+        let sent = self.bank.cas_blocks(items);
+        let wave = Wave {
+            path: path.to_string(),
+            gen,
+            span: (offset, len),
+            st,
+            blocks: wave,
+            placed,
+            fills,
+            places,
+        };
+        // An empty wave (the fill leg stored every block) answers at once:
+        // there is nothing to post.
+        let post = !wave.placed.is_empty() && wave.places.is_some() && sent.reply_first();
+        if post && self.fills_quiet(path, fills) {
+            return self.post_wave(wave, sent, reorder).await;
+        }
+        let verdicts = sent.await;
+        if self.land(&wave, verdicts).await {
+            // The tokens are recorded: the next write on these blocks may
+            // start, as it may once a posted wave has landed.
+            drop(wave.places);
+            self.refresh_stat(path, st, gen).await;
+        }
+    }
+
+    /// Post, then reply, for a CAS wave just sent: SMCache is the bank's
+    /// only writer and holds the place on every block in the wave, and no
+    /// read fill of the path raced its token reads, so nothing but a
+    /// retried frame can make a `cas` answer `Conflict`. Revoke leases
+    /// and post the stat, whose frame leaves the server behind every wave
+    /// frame; the write replies while [`SmCache::land`] waits for the
+    /// verdicts as a continuation ([`SmCache::detach`]), its places held
+    /// until it ends.
+    async fn post_wave(self: &Rc<Self>, wave: Wave, sent: Sent<Vec<CasVerdict>>, reorder: u64) {
+        let (path, st, gen) = (wave.path.clone(), wave.st, wave.gen);
+        let sm = Rc::clone(self);
+        self.detach(async move {
+            let verdicts = sent.await;
+            debug_assert!(
+                !verdicts.contains(&CasVerdict::Conflict) || sm.bank.reordered_since(reorder),
+                "a posted CAS wave conflicted on {}",
+                wave.path
+            );
+            sm.land(&wave, verdicts).await;
+        });
+        self.refresh_stat(&path, st, gen).await;
+    }
+
+    /// A CAS wave's verdicts are back: take the replaced blocks out again
+    /// if a purge overtook the wave, fall back if a held copy was not
+    /// replaced, and otherwise record each block's new tokens (none if a
+    /// read fill raced the wave). `true` when the stat may be refreshed.
+    async fn land(self: &Rc<Self>, wave: &Wave, verdicts: Vec<CasVerdict>) -> bool {
+        let path = wave.path.as_str();
+        if self.fenced(path, wave.gen) {
             // A purge overtook the wave: whatever the CAS stores
             // replaced belongs to a stale generation now. Take the
             // replaced keys out again, like `push_blocks` rolls back.
-            let rollback: Vec<Vec<u8>> = placed
+            let rollback: Vec<Vec<u8>> = wave
+                .placed
                 .iter()
                 .zip(&verdicts)
                 .filter(|(_, v)| matches!(v, CasVerdict::Stored(_)))
-                .map(|(&(at, _), _)| block_key(path, wave[at]))
+                .map(|(&(at, _), _)| block_key(path, wave.blocks[at]))
                 .collect();
             if !rollback.is_empty() {
                 self.bank.remove_keys(rollback).await;
             }
-            return;
+            return false;
         }
         let replaced = verdicts
             .iter()
@@ -897,26 +1213,32 @@ impl SmCache {
             .count();
         self.cas_conflicts.add(conflicts as u64);
         if replaced != verdicts.len() {
-            // At least one held copy could not be replaced in place — a
-            // concurrent update won the token race (Conflict), the key
-            // vanished under us (Missing), or a daemon failed mid-wave.
-            return self.fall_back(path, offset, len).await;
+            // At least one held copy could not be replaced in place — the
+            // key vanished under us (Missing), a daemon failed mid-wave,
+            // or a racing store won the token (Conflict).
+            let (offset, len) = wave.span;
+            self.fall_back(path, offset, len, wave.places.as_ref())
+                .await;
+            return false;
         }
         self.cas_replacements.add(replaced as u64);
-        let mut fresh = vec![Kept::default(); wave.len()];
-        for (&(at, slot), verdict) in placed.iter().zip(&verdicts) {
-            if let CasVerdict::Stored(token) = verdict {
-                fresh[at].keep(slot, *token);
+        let mut fresh = vec![Kept::default(); wave.blocks.len()];
+        if self.fills_quiet(path, wave.fills) {
+            for (&(at, slot), verdict) in wave.placed.iter().zip(&verdicts) {
+                if let CasVerdict::Stored(token) = verdict {
+                    fresh[at].keep(slot, *token);
+                }
             }
         }
+        let size = wave.st.size;
         self.with_tracked(path, |entry| {
             if let Some(entry) = entry {
-                for (&start, kept) in wave.iter().zip(fresh) {
-                    entry.insert(start, self.block_len(start, st.size), kept, self.block_size);
+                for (&start, kept) in wave.blocks.iter().zip(fresh) {
+                    entry.insert(start, self.block_len(start, size), kept, self.block_size);
                 }
             }
         });
-        self.refresh_stat(path, st, gen).await;
+        true
     }
 
     /// Revoke every client lease on `path` (no-op without a hub).
@@ -1223,6 +1545,7 @@ impl Translator for SmCache {
                         Coherence::Cas => Work::Replace {
                             offset,
                             data: data.clone(),
+                            places: (!self.threaded).then(|| self.take_places(&path, offset, len)),
                         },
                         Coherence::Purge => Work::Repopulate { offset, len },
                     };
@@ -1236,6 +1559,12 @@ impl Translator for SmCache {
                     if matches!(reply, FopReply::Write(Ok(_))) {
                         self.with_path(&path, |p| p.writes += 1);
                         self.submit(Job { path, gen, work }).await;
+                    } else if let Work::Replace {
+                        places: Some(places),
+                        ..
+                    } = work
+                    {
+                        places.forgo();
                     }
                     reply
                 }
@@ -1290,6 +1619,15 @@ mod tests {
     struct Rig {
         sm: Rc<SmCache>,
         bank: Rc<BankClient>,
+        net: Network,
+    }
+
+    impl Rig {
+        /// Install a benign fault plan: the bank may reorder stores from
+        /// now on, so every CAS wave is awaited.
+        fn await_waves(&self) {
+            self.net.install_faults(imca_fabric::FaultPlan::seeded(3));
+        }
     }
 
     fn setup(sim: &Sim, threaded: bool, batched: bool) -> Rig {
@@ -1334,7 +1672,7 @@ mod tests {
             let _keepalive = keepalive;
             std::future::pending::<()>().await;
         });
-        (Rig { sm, bank }, mcds)
+        (Rig { sm, bank, net }, mcds)
     }
 
     async fn drive(sm: &Rc<SmCache>, fop: Fop) -> FopReply {
@@ -1466,7 +1804,7 @@ mod tests {
             coherence: Coherence::Purge,
             ..two_mcds()
         };
-        let (Rig { sm, bank }, _) = rig_over(&sim, Posix::new(be.clone()) as Xlator, &cfg);
+        let (Rig { sm, bank, .. }, _) = rig_over(&sim, Posix::new(be.clone()) as Xlator, &cfg);
         let sm2 = Rc::clone(&sm);
         sim.run_main(async move {
             drive(&sm2, Fop::Create { path: "/f".into() }).await;
@@ -2046,13 +2384,14 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_cas_writers_conflict_and_fall_back_coherently() {
-        // Two tasks overwrite the same warm block concurrently. The loser
-        // of each token race must fall back to purge+repush, and the bank
-        // copy left behind must equal the disk bytes.
+    fn concurrent_cas_writers_take_turns_and_never_conflict() {
+        // Two tasks overwrite the same warm block concurrently. Each
+        // write's update waits for the one wound before it on the block,
+        // so no wave races another's tokens: none conflicts, none falls
+        // back, and the bank copy left behind equals the disk bytes.
         let mut sim = Sim::new(7);
         let disk = posix(&sim);
-        let (Rig { sm, bank }, _) = rig_over(&sim, Rc::clone(&disk) as Xlator, &two_mcds());
+        let (Rig { sm, bank, .. }, _) = rig_over(&sim, Rc::clone(&disk) as Xlator, &two_mcds());
         let h = sim.handle();
         let sm2 = Rc::clone(&sm);
         sim.run_main(async move {
@@ -2086,31 +2425,84 @@ mod tests {
                 })
                 .collect();
             join_all(&h, writers).await;
-            // Whatever copy the bank holds must match the disk exactly.
-            if let Some(cached) = bank.get(&block_key("/f", 0)).await {
-                let FopReply::Read(Ok(on_disk)) = Rc::clone(&disk)
-                    .handle(Fop::Read {
-                        path: "/f".into(),
-                        offset: 0,
-                        len: 2048,
-                    })
-                    .await
-                else {
-                    panic!("disk read failed")
-                };
-                assert_eq!(&cached[..], &on_disk[..], "bank diverged from disk");
-            }
+            drain(&sm2).await;
+            let cached = bank.get(&block_key("/f", 0)).await.expect("block 0 cold");
+            let FopReply::Read(Ok(on_disk)) = Rc::clone(&disk)
+                .handle(Fop::Read {
+                    path: "/f".into(),
+                    offset: 0,
+                    len: 2048,
+                })
+                .await
+            else {
+                panic!("disk read failed")
+            };
+            assert_eq!(&cached[..], &on_disk[..], "bank diverged from disk");
         });
         let [conflicts, fallbacks, replaced] = counters(
             &*sm,
             ["cas_conflicts", "cas_fallback_purges", "cas_replacements"],
         );
-        assert!(conflicts >= 1, "racing writers never hit a token conflict");
-        assert!(
-            fallbacks >= 1,
-            "a conflicted write must fall back to purge+repush"
-        );
-        assert!(replaced >= 1, "no write won its race");
+        assert_eq!((conflicts, fallbacks), (0, 0));
+        assert_eq!(replaced, 8, "one replacement per racing write");
+    }
+
+    #[test]
+    fn a_failed_write_holds_its_turn_until_the_turns_before_it_end() {
+        // Three writes of warm block 0 wound at once: the first's wave is
+        // posted, the disk refuses the second, the third covers the
+        // block whole. The third waits on the second's turn, which must
+        // last until the first's update has recorded its tokens:
+        // otherwise the third reads the first's old kept token, its
+        // posted `cas` conflicts, and a lookup sent at its reply reads
+        // the first's bytes.
+        use imca_storage::StorageFaultPlan;
+        let mut sim = Sim::new(0);
+        let be = StorageBackend::new(sim.handle(), BackendParams::paper_server());
+        let disk = Posix::new(be.clone());
+        let (Rig { sm, bank, .. }, _) = rig_over(&sim, Rc::clone(&disk) as Xlator, &two_mcds());
+        let h = sim.handle();
+        let sm2 = Rc::clone(&sm);
+        sim.run_main(async move {
+            let write = |fill: u8| Fop::Write {
+                path: "/f".into(),
+                offset: 0,
+                data: vec![fill; 2048],
+            };
+            drive(&sm2, Fop::Create { path: "/f".into() }).await;
+            drive(&sm2, write(1)).await;
+            drain(&sm2).await;
+            let (sm, be) = (Rc::clone(&sm2), be.clone());
+            let first = async move { (drive(&sm, write(2)).await, None) };
+            let (sm, be2) = (Rc::clone(&sm2), be.clone());
+            let refused = async move {
+                be2.install_faults(StorageFaultPlan {
+                    write_error: 1.0,
+                    ..StorageFaultPlan::default()
+                });
+                (drive(&sm, write(3)).await, None)
+            };
+            let (sm, bank) = (Rc::clone(&sm2), Rc::clone(&bank));
+            let last = async move {
+                be.install_faults(StorageFaultPlan::default());
+                let reply = drive(&sm, write(4)).await;
+                (reply, bank.get(&block_key("/f", 0)).await)
+            };
+            let writes: Vec<std::pin::Pin<Box<dyn Future<Output = _>>>> =
+                vec![Box::pin(first), Box::pin(refused), Box::pin(last)];
+            let replies = join_all(&h, writes).await;
+            assert_eq!(replies[0].0, FopReply::Write(Ok(2048)));
+            assert_eq!(replies[1].0, FopReply::Write(Err(FsError::Io)));
+            assert_eq!(replies[2].0, FopReply::Write(Ok(2048)));
+            let at_reply = replies[2].1.as_ref().expect("block 0 cold");
+            assert!(
+                at_reply.iter().all(|&b| b == 4),
+                "a stale block at the reply"
+            );
+            drain(&sm2).await;
+        });
+        let [conflicts, fallbacks] = counters(&*sm, ["cas_conflicts", "cas_fallback_purges"]);
+        assert_eq!((conflicts, fallbacks), (0, 0));
     }
 
     /// The copies of `key` the daemons hold, read off their engines.
@@ -2192,6 +2584,9 @@ mod tests {
         broken: u64,
         causal: Option<Bytes>,
         held: Vec<Bytes>,
+        /// `cas_replacements` the moment the write returned: 0 where its
+        /// wave was posted.
+        replaced_at_reply: u64,
     }
 
     /// Overwrite both blocks of [`warm_two_block_file`]'s `/f` with
@@ -2223,6 +2618,7 @@ mod tests {
                 data: vec![2u8; 4096],
             };
             drive(&sm, write).await;
+            let [replaced_at_reply] = counters(&*sm, ["cas_replacements"]);
             let causal = bank.get(&stat_key("/f")).await;
             // Let a planted purge finish too.
             h.sleep(SimDuration::millis(1)).await;
@@ -2232,6 +2628,7 @@ mod tests {
                 broken: broken.get(),
                 causal,
                 held: held(&mcds, &stat_key("/f")),
+                replaced_at_reply,
             }
         })
     }
@@ -2250,36 +2647,58 @@ mod tests {
 
     #[test]
     fn a_cas_write_publishes_its_stat_only_after_its_blocks() {
-        let mut sim = Sim::new(0);
-        let (rig, mcds, disk) = cas_modulo_rig(&sim);
-        let seen = overwrite_watched(&mut sim, &rig, &mcds, |_, _| async {});
-        assert_eq!(seen.broken, 0, "a new stat stood beside a pre-write block");
-        let on_disk = disk_stat(&mut sim, &disk, "/f");
-        assert_eq!(seen.causal.as_ref(), Some(&on_disk));
-        assert_eq!(seen.held, [on_disk]);
-        let [replaced, fallbacks] = counters(&*rig.sm, ["cas_replacements", "cas_fallback_purges"]);
-        assert_eq!((replaced, fallbacks), (2, 0));
+        // Awaited, the verdicts are in before the reply; posted, they are
+        // not, and the order rests on the stat's frame leaving the server
+        // behind every wave frame.
+        for posted in [false, true] {
+            let mut sim = Sim::new(0);
+            let (rig, mcds, disk) = cas_modulo_rig(&sim);
+            if !posted {
+                rig.await_waves();
+            }
+            let seen = overwrite_watched(&mut sim, &rig, &mcds, |_, _| async {});
+            let want = if posted { 0 } else { 2 };
+            assert_eq!(seen.replaced_at_reply, want, "posted: {posted}");
+            assert_eq!(seen.broken, 0, "a new stat stood beside a pre-write block");
+            let on_disk = disk_stat(&mut sim, &disk, "/f");
+            assert_eq!(seen.causal.as_ref(), Some(&on_disk));
+            assert_eq!(seen.held, [on_disk]);
+            let [replaced, fallbacks] =
+                counters(&*rig.sm, ["cas_replacements", "cas_fallback_purges"]);
+            assert_eq!((replaced, fallbacks), (2, 0));
+        }
+    }
+
+    /// Once the write has returned from the filesystem, and before its
+    /// wave reaches daemon 1, a plain `set` lands on block 1 there — a
+    /// second writer SMCache never has: the token the write kept for it
+    /// goes stale, so its `cas` conflicts.
+    fn plant_a_set_on_block_1(
+        h: SimHandle,
+    ) -> impl FnOnce(Rc<Bank>, Rc<SmCache>) -> std::pin::Pin<Box<dyn Future<Output = ()>>> {
+        move |mcds, sm| {
+            Box::pin(async move {
+                let before = sm.writes_to("/f");
+                while sm.writes_to("/f") == before {
+                    h.sleep(SimDuration::micros(1)).await;
+                }
+                let planted = Bytes::from(vec![9u8; 2048]);
+                let store = mcds.nodes()[1].server().store();
+                store
+                    .set(&block_key("/f", 2048), planted, 0, None, 0)
+                    .unwrap();
+            })
+        }
     }
 
     #[test]
     fn a_conflicted_cas_write_falls_back_and_publishes_the_new_stat_last() {
-        // Once the write has returned from the filesystem, and before its
-        // wave reaches daemon 1, a plain `set` lands on block 1 there: the
-        // token the write kept for it goes stale, so its `cas` conflicts.
+        // Where the wave is awaited, the conflict falls the write back
+        // before it replies.
         let mut sim = Sim::new(0);
         let (rig, mcds, disk) = cas_modulo_rig(&sim);
-        let h = sim.handle();
-        let plant = move |mcds: Rc<Bank>, sm: Rc<SmCache>| async move {
-            let before = sm.writes_to("/f");
-            while sm.writes_to("/f") == before {
-                h.sleep(SimDuration::micros(1)).await;
-            }
-            let planted = Bytes::from(vec![9u8; 2048]);
-            let store = mcds.nodes()[1].server().store();
-            store
-                .set(&block_key("/f", 2048), planted, 0, None, 0)
-                .unwrap();
-        };
+        rig.await_waves();
+        let plant = plant_a_set_on_block_1(sim.handle());
         let seen = overwrite_watched(&mut sim, &rig, &mcds, plant);
         assert_eq!(seen.broken, 0, "a new stat stood beside a pre-write block");
         let on_disk = disk_stat(&mut sim, &disk, "/f");
@@ -2293,31 +2712,55 @@ mod tests {
         }
     }
 
+    /// A posted wave rests on SMCache being the bank's only writer: the
+    /// same plant, where the wave is posted, trips its check.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a posted CAS wave conflicted")]
+    fn a_planted_set_under_a_posted_wave_trips_the_only_writer_check() {
+        let mut sim = Sim::new(0);
+        let (rig, mcds, _) = cas_modulo_rig(&sim);
+        let plant = plant_a_set_on_block_1(sim.handle());
+        overwrite_watched(&mut sim, &rig, &mcds, plant);
+    }
+
     #[test]
     fn a_cas_write_overtaken_by_a_purge_publishes_no_stat() {
         // A close purges `/f` once daemon 0 holds the replaced block 0:
         // the wave is fenced when its verdicts return, so the write must
-        // neither count its replacements nor push its stat.
-        let mut sim = Sim::new(0);
-        let (rig, mcds, _) = cas_modulo_rig(&sim);
-        let h = sim.handle();
-        let plant = move |mcds: Rc<Bank>, sm: Rc<SmCache>| async move {
-            let replaced = |mcds: &Bank| held(mcds, &block_key("/f", 0))[..] == [vec![2u8; 2048]];
-            while !replaced(&mcds) {
-                h.sleep(SimDuration::micros(1)).await;
+        // not count its replacements, and nothing it stored may stay.
+        // Where the wave is awaited, the write returns after the purge
+        // and pushes no stat; where it is posted, the write returned,
+        // its stat published, before the close was sent.
+        for posted in [false, true] {
+            let mut sim = Sim::new(0);
+            let (rig, mcds, disk) = cas_modulo_rig(&sim);
+            if !posted {
+                rig.await_waves();
             }
-            drive(&sm, Fop::Close { path: "/f".into() }).await;
-        };
-        let seen = overwrite_watched(&mut sim, &rig, &mcds, plant);
-        assert_eq!(seen.broken, 0, "a new stat stood beside a pre-write block");
-        assert_eq!(seen.causal, None, "the overtaken write pushed its stat");
-        assert!(seen.held.is_empty(), "the overtaken write pushed its stat");
-        for start in [0, 2048] {
-            assert!(held(&mcds, &block_key("/f", start)).is_empty());
+            let h = sim.handle();
+            let plant = move |mcds: Rc<Bank>, sm: Rc<SmCache>| async move {
+                let replaced =
+                    |mcds: &Bank| held(mcds, &block_key("/f", 0))[..] == [vec![2u8; 2048]];
+                while !replaced(&mcds) {
+                    h.sleep(SimDuration::micros(1)).await;
+                }
+                drive(&sm, Fop::Close { path: "/f".into() }).await;
+            };
+            let seen = overwrite_watched(&mut sim, &rig, &mcds, plant);
+            assert_eq!(seen.broken, 0, "a new stat stood beside a pre-write block");
+            let on_disk = disk_stat(&mut sim, &disk, "/f");
+            let causal = posted.then_some(on_disk);
+            assert_eq!(seen.causal, causal, "posted: {posted}");
+            assert!(seen.held.is_empty(), "the overtaken write's stat stayed");
+            for start in [0, 2048] {
+                assert!(held(&mcds, &block_key("/f", start)).is_empty());
+            }
+            let [replaced, dropped] =
+                counters(&*rig.sm, ["cas_replacements", "stale_updates_dropped"]);
+            assert_eq!(replaced, 0);
+            assert!(dropped >= 1);
         }
-        let [replaced, dropped] = counters(&*rig.sm, ["cas_replacements", "stale_updates_dropped"]);
-        assert_eq!(replaced, 0);
-        assert!(dropped >= 1);
     }
 
     /// Token fetches (`get`/`gets` commands) the daemons have served.
@@ -2336,6 +2779,7 @@ mod tests {
         let before = cmd_gets(mcds);
         let path = "/f".to_string();
         drive(sm, Fop::Write { path, offset, data }).await;
+        drain(sm).await;
         cmd_gets(mcds) - before
     }
 
@@ -2421,8 +2865,11 @@ mod tests {
         assert_eq!(counters(&*rig.sm, ["cas_fallback_purges"]), [0]);
     }
 
-    #[test]
-    fn a_kept_token_a_planted_set_made_stale_conflicts_and_falls_back() {
+    /// Warm `/f` on an R = 2 bank, plant another writer's `set` on
+    /// daemon 1's copy of block 0, so the token kept for that replica no
+    /// longer matches, then overwrite both blocks whole. Returns
+    /// SMCache's `(cas_conflicts, cas_fallback_purges)`.
+    fn overwrite_a_planted_block(posted: bool) -> [u64; 2] {
         let mut sim = Sim::new(0);
         let disk = posix(&sim);
         let cfg = ImcaConfig {
@@ -2431,12 +2878,13 @@ mod tests {
             ..two_mcds()
         };
         let (rig, mcds) = rig_over(&sim, Rc::clone(&disk) as Xlator, &cfg);
+        if !posted {
+            rig.await_waves();
+        }
         let (sm, m2) = (Rc::clone(&rig.sm), Rc::clone(&mcds));
         sim.run_main(async move {
             drive(&sm, Fop::Create { path: "/f".into() }).await;
             write_counting_gets(&sm, &m2, 0, vec![1u8; 4096]).await;
-            // Another writer's `set` on daemon 1's copy of block 0: the
-            // token kept for that replica no longer matches.
             let planted = Bytes::from(vec![9u8; 2048]);
             let store = m2.nodes()[1].server().store();
             store.set(&block_key("/f", 0), planted, 0, None, 0).unwrap();
@@ -2457,8 +2905,21 @@ mod tests {
                 assert!(copies.iter().all(|b| b[..] == on_disk[..]), "block {start}");
             }
         });
-        let [conflicts, fallbacks] = counters(&*rig.sm, ["cas_conflicts", "cas_fallback_purges"]);
-        assert_eq!((conflicts, fallbacks), (1, 1));
+        counters(&*rig.sm, ["cas_conflicts", "cas_fallback_purges"])
+    }
+
+    #[test]
+    fn a_kept_token_a_planted_set_made_stale_conflicts_and_falls_back() {
+        assert_eq!(overwrite_a_planted_block(false), [1, 1]);
+    }
+
+    /// The same plant where the wave is posted trips the only-writer
+    /// check (`a_planted_set_under_a_posted_wave_trips_the_only_writer_check`).
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a posted CAS wave conflicted")]
+    fn a_kept_token_a_planted_set_made_stale_trips_a_posted_wave() {
+        overwrite_a_planted_block(true);
     }
 
     #[test]
@@ -2560,6 +3021,77 @@ mod tests {
         assert_eq!(stale, 0, "the fill's late frame re-set a pre-write block");
     }
 
+    #[test]
+    fn a_write_wound_beside_a_read_fill_awaits_its_wave() {
+        // One daemon, so a 600-block fill goes as three frames, each sent
+        // once the one before it has answered: it stays in flight for
+        // several round trips. A whole-block write to block k wound while
+        // it is reads block k's kept tokens with the fill's `set` of that
+        // block still to land: block 0's before the write's `cas`, which
+        // then conflicts; the last block's after it, with pre-write bytes.
+        // Either way the write awaits its wave, and every copy the bank
+        // holds afterwards is the disk's.
+        let cfg = ImcaConfig {
+            mcd_count: 1,
+            ..two_mcds()
+        };
+        let (bs, blocks) = (cfg.block_size, 600u64);
+        for k in [0, blocks - 1] {
+            let mut sim = Sim::new(0);
+            let disk = posix(&sim);
+            let (rig, _) = rig_over(&sim, Rc::clone(&disk) as Xlator, &cfg);
+            let (h, sm, bank) = (sim.handle(), Rc::clone(&rig.sm), Rc::clone(&rig.bank));
+            sim.run_main(async move {
+                let write = |offset: u64, data| Fop::Write {
+                    path: "/f".into(),
+                    offset,
+                    data,
+                };
+                drive(&sm, Fop::Create { path: "/f".into() }).await;
+                drive(&sm, write(0, vec![1u8; (blocks * bs) as usize])).await;
+                drain(&sm).await;
+                let (tx, read) = imca_sim::sync::oneshot();
+                let reader = Rc::clone(&sm);
+                h.spawn(async move {
+                    let len = blocks * bs;
+                    let fop = Fop::Read {
+                        path: "/f".into(),
+                        offset: 0,
+                        len,
+                    };
+                    tx.send(drive(&reader, fop).await);
+                });
+                while sm.with_path("/f", |p| p.fills) == 0 {
+                    h.sleep(SimDuration::micros(1)).await;
+                }
+                drive(&sm, write(k * bs, vec![2u8; bs as usize])).await;
+                let [replaced, fallbacks] =
+                    counters(&*sm, ["cas_replacements", "cas_fallback_purges"]);
+                assert_eq!(
+                    replaced + fallbacks,
+                    1,
+                    "block {k}: the write replied before its wave's verdicts"
+                );
+                assert!(matches!(read.await, Ok(FopReply::Read(Ok(_)))));
+                drain(&sm).await;
+                for start in [0, k * bs, (blocks - 1) * bs] {
+                    let Some(cached) = bank.get(&block_key("/f", start)).await else {
+                        continue;
+                    };
+                    let fop = Fop::Read {
+                        path: "/f".into(),
+                        offset: start,
+                        len: bs,
+                    };
+                    let FopReply::Read(Ok(on_disk)) = Rc::clone(&disk).handle(fop).await else {
+                        panic!("disk read failed")
+                    };
+                    assert_eq!(&cached[..], &on_disk[..], "block {k}: {start} diverged");
+                }
+            });
+        }
+    }
+
     /// A scripted child xlator: writes and reads succeed, stats fail on
     /// demand. `backend.write` refreshes the cached inode, so a *real*
     /// backend can never fail the post-write stat via media faults — this
@@ -2627,7 +3159,7 @@ mod tests {
                 coherence,
                 ..two_mcds()
             };
-            let (Rig { sm, bank }, _) = rig_over(&sim, Rc::clone(&child) as Xlator, &cfg);
+            let (Rig { sm, bank, .. }, _) = rig_over(&sim, Rc::clone(&child) as Xlator, &cfg);
             let sm2 = Rc::clone(&sm);
             let child2 = Rc::clone(&child);
             let bank2 = Rc::clone(&bank);

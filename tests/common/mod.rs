@@ -28,6 +28,13 @@
 //!   reads healthy, every verdict equals the twin's. Otherwise the twin
 //!   follows IMCa's successes only, so it stays equal to the reference.
 //!
+//! A row on a benign bank fabric installs no bank fault plan until its
+//! first cut, drop window or latency spike (then the benign plan, scoped
+//! to the bank's links). Until then the bank lands stores in issue
+//! order, so SMCache posts its metadata stores and its CAS waves
+//! (DESIGN.md §4f) and the oracle checks the posted path; a posted wave
+//! that conflicts trips SMCache's `debug_assert!`.
+//!
 //! After the ops a calm phase heals, revives, restarts and clears every
 //! fault, the bank links' loss too; two full-file passes through each
 //! client of both clusters must then equal the reference, and every block
@@ -115,6 +122,13 @@ op_language! {
     /// through the same descriptor, each writing [`RACE_LEN`] bytes into
     /// the blocks the first readers read, in byte-disjoint ranges.
     Race(u8, u16),
+    /// (file, offset, µs): a daemon evicts the block at `offset`, as
+    /// memcached's LRU does, while SMCache keeps its tokens; a reader of
+    /// the block misses and fills it, and a writer `µs` behind overwrites
+    /// the block whole. The fill's `set` may land between the write's
+    /// token read and its `cas`: the write must wait for its verdicts,
+    /// and fall back if its `cas` lost.
+    FillRace(u8, u16, u8),
     /// (file): close the current client's descriptor and unlink a file
     /// that exists; create one that does not, left unopened until an op
     /// needs a descriptor. Twice in a row is the truncate idiom. The other
@@ -197,7 +211,8 @@ impl Plan {
 /// `(ImcaConfig, FaultPlan)`, the plan scoped to the bank's links.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Config {
-    /// 2 KB blocks, R=1, a benign bank fabric.
+    /// 2 KB blocks, R=1, a benign bank fabric: no bank fault plan until
+    /// a cut, window or spike.
     TwoKb,
     SmallBlocks,
     Threaded,
@@ -239,7 +254,7 @@ impl Config {
         Config::ChaosPurge,
     ];
 
-    pub fn build(self) -> (ImcaConfig, FaultPlan) {
+    pub fn build(self) -> (ImcaConfig, Option<FaultPlan>) {
         let (plain, lease) = (MetaConfig::default(), MetaConfig::lease());
         let imca = |block_size, factor, meta| ImcaConfig {
             mcd_count: MCDS.into(),
@@ -249,13 +264,15 @@ impl Config {
             meta,
             ..ImcaConfig::default()
         };
-        let lossy = |loss, duplicate, jitter_us| FaultPlan {
-            loss,
-            duplicate,
-            jitter: SimDuration::micros(jitter_us),
-            ..FaultPlan::default()
+        let lossy = |loss, duplicate, jitter_us| {
+            Some(FaultPlan {
+                loss,
+                duplicate,
+                jitter: SimDuration::micros(jitter_us),
+                ..FaultPlan::default()
+            })
         };
-        let benign = FaultPlan::default();
+        let benign = None;
         match self {
             Config::TwoKb => (imca(2048, 1, plain), benign),
             Config::SmallBlocks => (imca(256, 1, plain), benign),
@@ -316,7 +333,9 @@ impl Config {
         let h = sim.handle();
         let imca = Rc::new(Cluster::build(h.clone(), ClusterConfig::imca(cfg.clone())));
         let twin = Rc::new(Cluster::build(h.clone(), ClusterConfig::nocache()));
-        imca.install_bank_faults(FaultPlan { seed, ..bank });
+        if let Some(bank) = bank {
+            imca.install_bank_faults(FaultPlan { seed, ..bank });
+        }
         let (c, n) = (Rc::clone(&imca), Rc::clone(&twin));
         let server_retry = cfg.server_retry.as_ref().unwrap_or(&cfg.retry);
         let cooldown = cfg
@@ -339,6 +358,7 @@ impl Config {
                 h,
                 seed,
                 threaded: cfg.threaded_updates,
+                block_size: cfg.block_size,
                 cooldown,
                 files: BTreeMap::new(),
                 floor: HashMap::new(),
@@ -556,6 +576,16 @@ pub fn canonical() -> Vec<Op> {
         Write(0, 100, 500, 40),
         Storage(Plan::Healthy),
         Read(0, 0, 4000),
+        // A daemon evicts a warm block under SMCache's kept tokens; a
+        // reader refills it and an overwrite of the whole block goes out
+        // beside the fill, whose `set` wins the token: the write's wave
+        // is awaited, its `cas` conflicts and it falls back. Here most
+        // rows' banks may reorder, so the fill also takes its own blocks
+        // out; a fill that stays, on a FIFO bank, is the property
+        // `a_fill_racing_an_overwrite_matches_reference`'s. Last, so the
+        // schedule before it replays as it did without it.
+        FillRace(0, 2048, 20),
+        Read(0, 0, 4000),
     ]);
     ops
 }
@@ -633,6 +663,7 @@ struct Driver {
     h: SimHandle,
     seed: u64,
     threaded: bool,
+    block_size: u64,
     /// The longest circuit cooldown of a bank client.
     cooldown: SimDuration,
     /// The reference filesystem: every file that exists, by content.
@@ -655,6 +686,20 @@ struct Driver {
 }
 
 impl Driver {
+    /// Before a cut, window or spike on a row with no bank plan: install
+    /// the benign plan scoped to the bank's links, so the fault reaches
+    /// no GlusterFS link (which has no retransmit). From here on the bank
+    /// may reorder stores, so SMCache posts nothing.
+    fn scope_bank_faults(&self) {
+        if !self.c.network().has_faults() {
+            let plan = FaultPlan {
+                seed: self.seed,
+                ..FaultPlan::default()
+            };
+            self.c.install_bank_faults(plan);
+        }
+    }
+
     /// Issue one op; `None` if it was skipped.
     async fn apply(&mut self, op: Op) -> Option<()> {
         let (c, now) = (Rc::clone(&self.c), self.h.now());
@@ -669,10 +714,12 @@ impl Driver {
             Op::Reopen(file) => return self.reopen(file).await,
             Op::Burst(file, offset) => return self.burst(file, offset.into(), 0).await,
             Op::Race(file, offset) => return self.burst(file, offset.into(), 2).await,
+            Op::FillRace(file, offset, us) => return self.fill_race(file, offset.into(), us).await,
             Op::Toggle(file) => return self.toggle(file).await,
             Op::Kill(i) => c.kill_mcd(i.into()),
             Op::Revive(i) => c.revive_mcd(i.into()),
             Op::Partition(i) => {
+                self.scope_bank_faults();
                 c.partition_mcd(i.into());
                 self.cut[usize::from(i)] = true;
             }
@@ -681,8 +728,12 @@ impl Driver {
                 c.revive_mcd(i.into());
                 self.cut[usize::from(i)] = false;
             }
-            Op::DropWindow(us) => c.network().add_drop_window(now, until(us)),
+            Op::DropWindow(us) => {
+                self.scope_bank_faults();
+                c.network().add_drop_window(now, until(us));
+            }
             Op::LatencySpike(us, extra) => {
+                self.scope_bank_faults();
                 let extra = SimDuration::micros(extra.into());
                 c.network().add_latency_spike(now, until(us), extra);
             }
@@ -1006,19 +1057,59 @@ impl Driver {
     /// `w * RACE_GAP` into the span: byte-disjoint, so the reference after
     /// the race has one value whatever order the servers pick.
     async fn burst(&mut self, file: u8, offset: u64, writers: u64) -> Option<()> {
-        self.alive()?;
-        let (fi, fd_n) = self.fd(file).await?;
-        let (twinned, before, t0) = (self.twinned(), self.files[&file].clone(), self.h.now());
-        let writes: Vec<(u64, Vec<u8>)> = (0..writers)
+        let writes = (0..writers)
             .map(|w| {
                 let at = offset % 12288 + w * RACE_GAP;
                 (at, counting(RACE_LEN as u16, at as u8 ^ 0x5A))
             })
             .collect();
+        let reads = (0..BURST_READERS)
+            .map(|k| ((offset + k * 2048) % 12288, BURST_LEN))
+            .collect();
+        self.race(file, writes, reads, 0).await
+    }
+
+    /// [`Op::FillRace`]: evict the block at `offset` (in the 12 KB span)
+    /// from every daemon, then read it and, `us` later, overwrite it
+    /// whole.
+    async fn fill_race(&mut self, file: u8, offset: u64, us: u8) -> Option<()> {
+        self.alive()?;
+        self.fd(file).await?;
+        let start = offset % 12288 / self.block_size * self.block_size;
+        let key = keys::block_key(&path(file), start);
+        for node in self.c.mcds() {
+            node.server().store().delete(&key, 0);
+        }
+        let data = counting(self.block_size as u16, us);
+        let reads = vec![(start, self.block_size)];
+        self.race(file, vec![(start, data)], reads, us.into()).await
+    }
+
+    /// Readers of `reads` (offset, len) and writers of `writes` (offset,
+    /// bytes) at once, each writer `lag_us` behind the readers, each lane
+    /// on IMCa, then on the twin.
+    async fn race(
+        &mut self,
+        file: u8,
+        writes: Vec<(u64, Vec<u8>)>,
+        reads: Vec<(u64, u64)>,
+        lag_us: u64,
+    ) -> Option<()> {
+        self.alive()?;
+        let (fi, fd_n) = self.fd(file).await?;
+        let (twinned, before, t0) = (self.twinned(), self.files[&file].clone(), self.h.now());
         let mut lanes: Vec<Lane> = Vec::new();
         for (at, data) in writes.clone() {
-            let (mi, mn) = (Rc::clone(&self.me.mi), Rc::clone(&self.me.mn));
+            let (mi, mn, h) = (
+                Rc::clone(&self.me.mi),
+                Rc::clone(&self.me.mn),
+                self.h.clone(),
+            );
             lanes.push(Box::pin(async move {
+                // No lag, no yield: a burst's writers go out first.
+                if lag_us > 0 {
+                    h.sleep(SimDuration::micros(lag_us)).await;
+                }
                 let ri = mi.write(fi, at, &data).await.map(|_| Vec::new());
                 // The twin follows as in `Driver::follow`.
                 let rn = if twinned || ri.is_ok() {
@@ -1029,16 +1120,15 @@ impl Driver {
                 (ri, rn)
             }));
         }
-        for k in 0..BURST_READERS {
+        for &(off, len) in &reads {
             let (mi, mn) = (Rc::clone(&self.me.mi), Rc::clone(&self.me.mn));
-            let off = (offset + k * 2048) % 12288;
             lanes.push(Box::pin(async move {
-                let ri = mi.read(fi, off, BURST_LEN).await;
-                (ri, Some(mn.read(fd_n, off, BURST_LEN).await))
+                let ri = mi.read(fi, off, len).await;
+                (ri, Some(mn.read(fd_n, off, len).await))
             }));
         }
         let mut done = join_all(&self.h, lanes).await;
-        let reads = done.split_off(writes.len());
+        let answers = done.split_off(writes.len());
         for ((at, data), (ri, rn)) in writes.iter().zip(done) {
             if let Some(rn) = rn {
                 let (ei, en) = (ri.as_ref().err(), rn.as_ref().err());
@@ -1049,17 +1139,16 @@ impl Driver {
                 Err(e) => self.check_err(e, false),
             }
         }
-        for (k, (ri, rn)) in (0..).zip(reads) {
-            let off = (offset + k * 2048) % 12288;
-            self.reach = self.reach.max(off + BURST_LEN);
+        for (&(off, len), (ri, rn)) in reads.iter().zip(answers) {
+            self.reach = self.reach.max(off + len);
             let raced = (!writes.is_empty()).then_some((&before[..], &writes[..]));
-            self.check_read(ri, file, off, BURST_LEN, raced);
+            self.check_read(ri, file, off, len, raced);
             // Twinned or not, the twin holds the reference bytes.
             let rn = rn.unwrap();
             assert!(rn.is_ok(), "{}: the twin's burst read failed", self.here);
-            self.check_read(rn, file, off, BURST_LEN, raced);
+            self.check_read(rn, file, off, len, raced);
         }
-        if writers > 0 {
+        if !writes.is_empty() {
             self.settle().await;
         }
         Some(())

@@ -6,7 +6,7 @@
 
 use std::rc::Rc;
 
-use imca_repro::imca::{Cluster, ClusterConfig, ImcaConfig, RetryPolicy};
+use imca_repro::imca::{keys, Cluster, ClusterConfig, ImcaConfig, Replication, RetryPolicy};
 use imca_repro::memcached::{McConfig, Selector};
 use imca_repro::sim::{join_all, Sim, SimDuration};
 
@@ -301,5 +301,106 @@ fn deadline_mid_multi_get_fails_the_group_and_forwards_intact() {
         c.revive_mcd(0);
         c.handle().sleep(SimDuration::millis(2)).await;
         assert_eq!(m.read(fd, 0, 8192).await.unwrap(), payload);
+    });
+}
+
+/// Wait until SMCache owes the bank nothing.
+async fn drained(c: &Cluster) {
+    while c.pending_updates() > 0 {
+        c.handle().sleep(SimDuration::micros(1)).await;
+    }
+}
+
+/// `smcache.<name>` from a fresh snapshot.
+fn smcache(c: &Cluster, name: &str) -> u64 {
+    c.metrics().counter(&format!("smcache.{name}")).unwrap()
+}
+
+/// Four writers overwrite one warm block at once. Each write's update
+/// waits for the one wound before it on that block, so every wave's
+/// kept tokens are current: none conflicts, none falls back, and the
+/// bank ends with the disk's bytes.
+#[test]
+fn racing_writers_of_one_block_take_turns() {
+    for factor in [1, 2] {
+        let mut sim = Sim::new(5);
+        let cluster = Rc::new(Cluster::build(
+            sim.handle(),
+            ClusterConfig::imca(ImcaConfig {
+                mcd_count: 2,
+                mcd_config: McConfig::with_mem_limit(32 << 20),
+                replication: Replication { factor },
+                ..ImcaConfig::default()
+            }),
+        ));
+        let c = Rc::clone(&cluster);
+        sim.run_main(async move {
+            let m = c.mount();
+            m.create("/race").await.unwrap();
+            let fd = m.open("/race").await.unwrap();
+            m.write(fd, 0, &[1u8; 6144]).await.unwrap();
+            drained(&c).await;
+            let writers = (2..6u8).map(|fill| {
+                let m = Rc::clone(&m);
+                async move { m.write(fd, 0, &[fill; 2048]).await.unwrap() }
+            });
+            join_all(c.handle(), writers.collect()).await;
+            drained(&c).await;
+            let cached = m.read(fd, 0, 6144).await.unwrap();
+            assert_eq!(smcache(&c, "cas_conflicts"), 0, "R={factor}");
+            assert_eq!(smcache(&c, "cas_fallback_purges"), 0, "R={factor}");
+            // The open purges the bank: this read comes from the disk.
+            m.close(fd).await.unwrap();
+            let fd = m.open("/race").await.unwrap();
+            assert_eq!(m.read(fd, 0, 6144).await.unwrap(), cached, "R={factor}");
+        });
+    }
+}
+
+/// A read fill's `set`s take no place in the write order, so a write
+/// whose wave a fill may race waits for its verdicts before it replies.
+/// The bank loses `/fill` while SMCache still keeps its blocks' tokens;
+/// a second client's read misses and refills 600 blocks, one daemon's
+/// three frames; the write to block 0 goes once the fill's first frame
+/// has landed, so its kept token is stale: its `cas` conflicts and the
+/// write falls back before it replies.
+#[test]
+fn a_write_beside_a_read_fill_waits_for_its_verdicts() {
+    const BLOCKS: usize = 600;
+    let mut sim = Sim::new(5);
+    let cluster = Rc::new(Cluster::build(sim.handle(), imca_config(1)));
+    let c = Rc::clone(&cluster);
+    sim.run_main(async move {
+        let (writer, reader) = (c.mount(), c.mount());
+        writer.create("/fill").await.unwrap();
+        let fd = writer.open("/fill").await.unwrap();
+        let rfd = reader.open("/fill").await.unwrap();
+        writer
+            .write(fd, 0, &vec![1u8; BLOCKS * 2048])
+            .await
+            .unwrap();
+        drained(&c).await;
+        let engine = c.mcds()[0].server().store();
+        engine.flush_all();
+        let (tx, read) = imca_repro::sim::sync::oneshot();
+        let r = Rc::clone(&reader);
+        c.handle().spawn(async move {
+            tx.send(r.read(rfd, 0, (BLOCKS * 2048) as u64).await);
+        });
+        let block0 = keys::block_key("/fill", 0);
+        while engine.get(&block0, 0).is_none() {
+            c.handle().sleep(SimDuration::micros(1)).await;
+        }
+        writer.write(fd, 0, &[2u8; 2048]).await.unwrap();
+        assert_eq!(
+            smcache(&c, "cas_fallback_purges"),
+            1,
+            "the write replied before its wave's verdicts"
+        );
+        assert!(read.await.unwrap().is_ok());
+        drained(&c).await;
+        let mut want = vec![1u8; BLOCKS * 2048];
+        want[..2048].fill(2);
+        assert_eq!(reader.read(rfd, 0, want.len() as u64).await.unwrap(), want);
     });
 }

@@ -29,7 +29,8 @@ fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
     ]
 }
 
-/// A single op: every variant, data ops weighted up, and so are
+/// A single op: every variant but [`Op::FillRace`], which has its own
+/// property below, data ops weighted up, and so are
 /// restarts, because only writes run while the server is down, and
 /// switches, so both clients hold descriptors and leases. Half the
 /// data ops land on file 0, so one file sees long chains of EOF moves
@@ -125,6 +126,27 @@ storm_properties! {
     storage_and_server_chaos_matches_nocache_purge: ChaosPurge,
 }
 
+proptest! {
+    /// A read fill of an evicted block racing a whole-block overwrite
+    /// under kept tokens, at any lag, on every row: whether the
+    /// overwrite's `cas` loses to the fill's `set` or not, the read after
+    /// and the bank check must find the overwrite's bytes.
+    #[test]
+    fn a_fill_racing_an_overwrite_matches_reference(
+        row in 0..Config::ALL.len(),
+        offset in 0u16..12_288,
+        us in 0u8..100,
+        seed in 0u64..1000,
+    ) {
+        let ops = vec![
+            Op::Write(0, 0, 12_288, 2),
+            Op::FillRace(0, offset, us),
+            Op::Read(0, 0, 12_288),
+        ];
+        Config::ALL[row].storm(Scheduler::default(), seed, ops);
+    }
+}
+
 /// Run `run` twice: a fixed seed must replay to the same end time, event
 /// count, snapshot and op counts — the property that makes any failure
 /// reproducible. Then every counter pattern in `moved` (a `*` segment
@@ -169,12 +191,17 @@ canonical_replays! {
         ["smcache.deferred_jobs", "smcache.blocks_pushed", "cmcache.*.read_hits"];
     fixed_seed_fault_schedule_replays_identically_leased: Leases,
         ["cmcache.0.meta.lease_hits", "cmcache.1.meta.lease_hits", "leases.revocations_sent"];
+    /// With writers taking turns, a `cas` conflicts only where a read
+    /// fill races an awaited wave ([`Op::FillRace`]) or a frame is retried.
     fixed_seed_fault_schedule_replays_identically_replicated: R2,
         ["cmcache.*.bank.replica_failovers", "smcache.cas_replacements",
          "smcache.cas_conflicts", "smcache.cas_fallback_purges"];
     fixed_seed_full_chaos_replays_identically: ChaosR1,
         ["storage.io_errors", "smcache.dropped_pushes", "bank.mcd_revivals"];
-    fixed_seed_full_chaos_replays_identically_replicated: ChaosR2, ["storage.io_errors"];
+    /// Where the bank may reorder stores every wave is awaited, and a
+    /// reordered fill or a retried frame can still make a `cas` conflict.
+    fixed_seed_full_chaos_replays_identically_replicated: ChaosR2,
+        ["storage.io_errors", "smcache.cas_conflicts", "smcache.cas_fallback_purges"];
     fixed_seed_full_chaos_replays_identically_leased_replicated: ChaosR2Leases,
         ["storage.io_errors", "leases.revocations_sent"];
     fixed_seed_full_chaos_replays_identically_purge: ChaosPurge,
