@@ -324,7 +324,7 @@ impl Network {
     }
 
     /// Whether a fault plan is installed ([`Network::install_faults`],
-    /// or the benign one a cut or window installs). Until then every
+    /// or the benign one a cut installs). Until then every
     /// link is FIFO and loses nothing; from then on a message may be
     /// lost, or overtaken on its link by a later one (jitter, latency
     /// spikes).
@@ -332,9 +332,16 @@ impl Network {
         self.inner.faults.borrow().is_some()
     }
 
-    fn with_faults(&self, f: impl FnOnce(&mut FaultState)) {
+    /// Apply `f` to the installed plan. A window or spike applies to the
+    /// plan's scope, and a default plan's scope is every node — the
+    /// GlusterFS links too, which have no retransmit — so there must be
+    /// a plan whose scope was chosen.
+    fn with_plan(&self, what: &str, f: impl FnOnce(&mut FaultPlan)) {
         let mut faults = self.inner.faults.borrow_mut();
-        f(faults.get_or_insert_with(|| FaultState::new(FaultPlan::default())));
+        let fs = faults.as_mut().unwrap_or_else(|| {
+            panic!("{what} on a network with no fault plan: call install_faults first")
+        });
+        f(&mut fs.plan);
     }
 
     /// Sever all traffic between `nodes` and every *other* node (including
@@ -347,7 +354,9 @@ impl Network {
             name: name.into(),
             nodes: nodes.into_iter().collect(),
         };
-        self.with_faults(|fs| fs.cuts.push(cut));
+        let mut faults = self.inner.faults.borrow_mut();
+        let fs = faults.get_or_insert_with(|| FaultState::new(FaultPlan::default()));
+        fs.cuts.push(cut);
     }
 
     /// Remove every cut named `name`. Unknown names are a no-op.
@@ -357,17 +366,28 @@ impl Network {
         }
     }
 
-    /// Schedule a `[from, until)` window during which every scoped message
-    /// is dropped. Installs a benign default plan if none is installed.
+    /// Schedule a `[from, until)` window during which every message in the
+    /// installed plan's scope is dropped.
+    ///
+    /// # Panics
+    ///
+    /// If no plan is installed ([`Network::install_faults`]).
     pub fn add_drop_window(&self, from: SimTime, until: SimTime) {
-        self.with_faults(|fs| fs.plan.drop_windows.push((from, until)));
+        self.with_plan("a drop window", |plan| {
+            plan.drop_windows.push((from, until))
+        });
     }
 
-    /// Schedule a `[from, until)` window during which scoped messages pay
-    /// `extra` one-way latency. Installs a benign default plan if none is
-    /// installed.
+    /// Schedule a `[from, until)` window during which messages in the
+    /// installed plan's scope pay `extra` one-way latency.
+    ///
+    /// # Panics
+    ///
+    /// If no plan is installed ([`Network::install_faults`]).
     pub fn add_latency_spike(&self, from: SimTime, until: SimTime, extra: SimDuration) {
-        self.with_faults(|fs| fs.plan.latency_spikes.push((from, until, extra)));
+        self.with_plan("a latency spike", |plan| {
+            plan.latency_spikes.push((from, until, extra))
+        });
     }
 
     /// The network's metric registry (per-NIC traffic counters under
@@ -657,6 +677,7 @@ mod tests {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
         let a = net.add_node();
         let b = net.add_node();
+        net.install_faults(FaultPlan::default());
         // One 64-byte delivery takes ~21us; keep the window clear of it.
         net.add_drop_window(SimTime(50_000), SimTime(100_000));
         let net2 = net.clone();
@@ -678,6 +699,7 @@ mod tests {
         let net = Network::new(sim.handle(), Transport::ipoib_ddr());
         let a = net.add_node();
         let b = net.add_node();
+        net.install_faults(FaultPlan::default());
         net.add_latency_spike(SimTime::ZERO, SimTime(u64::MAX), spike);
         sim.run_main(async move {
             assert_eq!(net.carry(net.send(a, b, 4096)).await, Delivery::Ok);
@@ -687,6 +709,22 @@ mod tests {
             end.as_nanos(),
             (tp.unloaded_one_way(4096) + spike).as_nanos()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "call install_faults first")]
+    fn a_drop_window_without_a_plan_panics() {
+        let sim = Sim::new(0);
+        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+        net.add_drop_window(SimTime(50_000), SimTime(100_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "call install_faults first")]
+    fn a_latency_spike_without_a_plan_panics() {
+        let sim = Sim::new(0);
+        let net = Network::new(sim.handle(), Transport::ipoib_ddr());
+        net.add_latency_spike(SimTime::ZERO, SimTime(1_000), SimDuration::micros(1));
     }
 
     #[test]

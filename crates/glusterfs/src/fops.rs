@@ -11,7 +11,7 @@ use imca_fabric::WireSize;
 /// Nominal per-message protocol header, charged on the wire.
 const HDR: usize = 64;
 
-/// Stat metadata returned by `stat`/`open` — "file size, create and modify
+/// Stat metadata returned by `stat`/`open`/`create` — "file size, create and modify
 /// times, in addition to other information" (§4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FileStat {
@@ -78,7 +78,9 @@ impl std::error::Error for FsError {}
 /// A file operation travelling down a translator stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fop {
-    /// Create an empty file.
+    /// Create an empty file; returns its stat (GlusterFS's create
+    /// callback carries the new inode's attributes, as FUSE `CREATE`
+    /// opens the file it makes).
     Create {
         /// Absolute path.
         path: String,
@@ -181,8 +183,9 @@ impl WireSize for Fop {
 /// The reply travelling back up the stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FopReply {
-    /// Reply to `Create`.
-    Create(Result<(), FsError>),
+    /// Reply to `Create` (carries the new file's stat, see
+    /// [`Fop::Create`]).
+    Create(Result<FileStat, FsError>),
     /// Reply to `Open` (carries the stat, see [`Fop::Open`]).
     Open(Result<FileStat, FsError>),
     /// Reply to `Read` (short at EOF).
@@ -203,7 +206,9 @@ impl WireSize for FopReply {
     fn wire_bytes(&self) -> usize {
         match self {
             FopReply::Read(Ok(data)) => HDR + data.len(),
-            FopReply::Open(Ok(_)) | FopReply::Stat(Ok(_)) => HDR + FileStat::WIRE_SIZE,
+            FopReply::Create(Ok(_)) | FopReply::Open(Ok(_)) | FopReply::Stat(Ok(_)) => {
+                HDR + FileStat::WIRE_SIZE
+            }
             FopReply::StatMulti(stats) => {
                 HDR + FileStat::WIRE_SIZE * stats.iter().filter(|st| st.is_ok()).count()
             }
@@ -248,6 +253,11 @@ mod tests {
             FopReply::Stat(Ok(FileStat::default())).wire_bytes(),
             HDR + FileStat::WIRE_SIZE
         );
+        assert_eq!(
+            FopReply::Create(Ok(FileStat::default())).wire_bytes(),
+            HDR + FileStat::WIRE_SIZE
+        );
+        assert_eq!(FopReply::Create(Err(FsError::Exists)).wire_bytes(), HDR);
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl GlusterMount {
     /// Create an empty file.
     pub async fn create(&self, path: &str) -> Result<(), FsError> {
         match wind(&self.top, Fop::Create { path: path.into() }).await {
-            FopReply::Create(r) => r,
+            FopReply::Create(r) => r.map(|_stat| ()),
             other => panic!("mismatched reply to create: {other:?}"),
         }
     }

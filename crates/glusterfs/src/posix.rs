@@ -105,7 +105,11 @@ impl Translator for Posix {
                                 ctime_ns: now,
                             },
                         );
-                        FopReply::Create(Ok(()))
+                        FopReply::Create(Ok(FileStat {
+                            size: 0,
+                            mtime_ns: now,
+                            ctime_ns: now,
+                        }))
                     }
                     Fop::Open { path } => {
                         let Some(id) = self.lookup(&path) else {
@@ -201,10 +205,17 @@ mod tests {
         let h = sim.handle();
         sim.run_main(async move {
             let p = "/vol/file0".to_string();
+            let FopReply::Create(Ok(made)) = wind(&posix, Fop::Create { path: p.clone() }).await
+            else {
+                panic!()
+            };
+            // The create's reply carries the new inode's attributes, as
+            // a stat of it answers them.
             assert_eq!(
-                wind(&posix, Fop::Create { path: p.clone() }).await,
-                FopReply::Create(Ok(()))
+                wind(&posix, Fop::Stat { path: p.clone() }).await,
+                FopReply::Stat(Ok(made))
             );
+            assert_eq!((made.size, made.mtime_ns), (0, made.ctime_ns));
             // Duplicate create fails.
             assert_eq!(
                 wind(&posix, Fop::Create { path: p.clone() }).await,
@@ -300,10 +311,10 @@ mod tests {
             )
             .await;
             wind(&posix, Fop::Unlink { path: p.clone() }).await;
-            assert_eq!(
+            assert!(matches!(
                 wind(&posix, Fop::Create { path: p.clone() }).await,
-                FopReply::Create(Ok(()))
-            );
+                FopReply::Create(Ok(FileStat { size: 0, .. }))
+            ));
             let FopReply::Stat(Ok(st)) = wind(&posix, Fop::Stat { path: p }).await else {
                 panic!()
             };
@@ -365,7 +376,7 @@ mod tests {
             );
             be.install_faults(StorageFaultPlan::default());
             // The failed create registered nothing; retry succeeds.
-            assert_eq!(
+            assert!(matches!(
                 wind(
                     &posix,
                     Fop::Create {
@@ -373,8 +384,8 @@ mod tests {
                     }
                 )
                 .await,
-                FopReply::Create(Ok(()))
-            );
+                FopReply::Create(Ok(_))
+            ));
             // The failed write bumped no mtime and the unlink removed
             // nothing: the file reads back exactly as before.
             let FopReply::Stat(Ok(after)) = wind(&posix, Fop::Stat { path: p.clone() }).await

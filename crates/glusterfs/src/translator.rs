@@ -83,7 +83,7 @@ pub(crate) mod testutil {
             self.log.borrow_mut().push(fop.clone());
             Box::pin(async move {
                 match fop {
-                    Fop::Create { .. } => FopReply::Create(Ok(())),
+                    Fop::Create { .. } => FopReply::Create(Ok(FileStat::default())),
                     Fop::Open { .. } => FopReply::Open(Ok(FileStat::default())),
                     Fop::Read { len, .. } => FopReply::Read(Ok(vec![0xAB; len as usize])),
                     Fop::Write { data, .. } => FopReply::Write(Ok(data.len() as u64)),

@@ -1016,12 +1016,14 @@ mod tests {
                 );
                 let r = second.stat("/ghost".into()).await;
                 assert_eq!(r.source, StatSource::Negative);
-                // A create revalidates before its reply: the marker is gone.
+                // A create revalidates before its reply: its stat has
+                // replaced the marker, and the second client's negative
+                // lease is revoked.
                 first.create("/ghost").await.unwrap();
                 let r = second.stat("/ghost".into()).await;
                 assert_eq!(
                     (r.source, r.stat.map(|st| st.size)),
-                    (StatSource::Backend, Ok(0))
+                    (StatSource::Bank, Ok(0))
                 );
             });
         }

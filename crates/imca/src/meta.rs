@@ -32,9 +32,10 @@
 //! registered client — and *waits for the acks* — **before** the bank's
 //! stat entry is deleted or updated. A client can therefore never serve
 //! a leased stat that is older than what the bank would have answered,
-//! which is what keeps the lease path NoCache-equivalent. A revocation
-//! lost to the fabric (counted in `leases.failed_revocations`) is
-//! bounded by the lease TTL.
+//! which is what keeps the lease path NoCache-equivalent. A create is
+//! the exception: it revokes *after* its stat has landed (below). A
+//! revocation lost to the fabric (counted in
+//! `leases.failed_revocations`) is bounded by the lease TTL.
 //!
 //! Two client-side guards close the in-flight races:
 //!
@@ -53,10 +54,13 @@
 //! missing paths are answered from a local negative lease or the bank
 //! marker, with provenance `Negative`. SMCache stores the marker with
 //! memcached `add`, so it never replaces a stat, while a stat's `set`
-//! replaces a marker. A create revalidates: SMCache purges the path
-//! (bumping the generation fence, revoking leases, and deleting the
-//! marker) before acknowledging, so no client sees ENOENT for a file
-//! whose create completed.
+//! replaces a marker. A create revalidates: SMCache stores the new
+//! file's stat from the create's reply (bumping the generation fence,
+//! and replacing the marker), then revokes leases, all before
+//! acknowledging, so no client sees ENOENT for a file whose create
+//! completed, and the file starts warm. The revocation goes last: a
+//! lookup between a revocation and the store would read the marker and
+//! install a negative lease that nothing revokes.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;

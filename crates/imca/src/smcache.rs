@@ -20,6 +20,10 @@
 //!   NoCache; with `threaded_updates` the work moves to a background
 //!   process and write latency returns to the NoCache level.
 //! * **close / unlink**: purge the file's entries.
+//! * **create** (under `MetaConfig::lease`, the one policy that caches
+//!   ENOENT): store the new file's stat from the create's reply — its
+//!   `set` replaces an ENOENT marker — then revoke leases, and reply
+//!   (`store_created`). Created files start warm, as opened ones do.
 //!
 //! A path has one metadata key, `:m.stat` (`crate::keys`): it holds the
 //! stat, or the ENOENT marker. Stats are stored with `set`, markers with
@@ -401,11 +405,12 @@ pub struct SmCache {
     coherence: Coherence,
     /// Negative caching (`MetaConfig::negative`): backend ENOENTs plant
     /// ENOENT markers under `:m.stat`, purges delete them, creates
-    /// revalidate them.
+    /// replace them with the new file's stat.
     negative: bool,
     /// Lease fan-out to every mounted client; `None` outside the lease
     /// policy. Revoked *before* a path's stat entry is deleted or
-    /// updated — the invalidation ordering rule (see `crate::meta`).
+    /// updated — the invalidation ordering rule (see `crate::meta`) —
+    /// except by a create, which revokes once its stat has landed.
     leases: Option<Rc<LeaseHub>>,
     jobs: Queue<Job>,
     /// Bank work owed past a fop's return ([`SmCache::pending`]).
@@ -447,11 +452,12 @@ impl SmCache {
     /// to `bank`, the way `cfg` describes the deployment:
     /// `threaded_updates` moves MCD population off the critical path;
     /// `coherence` picks the write protocol; under `MetaConfig::lease`,
-    /// backend ENOENTs plant negative entries (and creates revalidate
-    /// them); `rewarm` throttles read-path bank repopulation. With a
-    /// `leases` hub, every purge and stat refresh revokes client leases
-    /// first. How pushes and purges are framed on the wire is the
-    /// bank client's business (`ImcaConfig::batching`, read there).
+    /// backend ENOENTs plant negative entries (and creates replace them
+    /// with the new file's stat); `rewarm` throttles read-path bank
+    /// repopulation. With a `leases` hub, every purge and stat refresh
+    /// revokes client leases first, and a create last. How pushes and
+    /// purges are framed on the wire is the bank client's business
+    /// (`ImcaConfig::batching`, read there).
     pub fn new(
         handle: SimHandle,
         child: Xlator,
@@ -1250,9 +1256,10 @@ impl SmCache {
 
     /// Plant an ENOENT marker for `path` — an `add` under its stat key,
     /// which never replaces a stat — under the same generation fence as
-    /// any other push: a create racing with this add purges (bumping the
-    /// generation) and the marker is taken out again instead of shadowing
-    /// the file that now exists. Posted ([`SmCache::settle`]).
+    /// any other push: a create racing with this add bumps the generation
+    /// ([`SmCache::store_created`]) and the key is taken out again instead
+    /// of shadowing the file that now exists. Posted
+    /// ([`SmCache::settle`]).
     async fn push_negative(self: &Rc<Self>, path: &str, gen: u64) {
         self.with_path(path, |_| ());
         let marker = Bytes::from_static(NEG_MARKER);
@@ -1400,6 +1407,36 @@ impl SmCache {
         keys.extend(tracked.lens.into_keys().map(|start| block_key(path, start)));
         self.bank.remove_keys(keys).await;
         self.purges.inc();
+    }
+
+    /// Store the stat `st` of the file a create just made at `path`, and
+    /// only then revoke its leases (the lease tier's create hook). The
+    /// path is fenced as a purge fences it: its generation bumped, fencing
+    /// off any in-flight ENOENT marker, its newest stat reset, and any
+    /// tracked blocks taken out. The stat's `set` replaces a marker, and a
+    /// late marker's `add` never replaces the stat. It is awaited: the
+    /// revocation goes out once it has landed, so any lease a lookup
+    /// installed from the marker is one the revocation then reaches;
+    /// revoking first would let a lookup between the acks and the store
+    /// install a negative lease nothing revokes (DESIGN.md §4f). A purge
+    /// that fenced the path meanwhile takes the entry out again.
+    async fn store_created(&self, path: &str, st: FileStat) {
+        let (gen, tracked) = self.with_path(path, |p| {
+            p.gen += 1;
+            p.newest_stat = None;
+            (p.gen, p.tracked.take())
+        });
+        let stored = self.bank.set(&stat_key(path), Bytes::from(st.to_bytes()));
+        if let Some(tracked) = tracked {
+            let keys = tracked.lens.into_keys().map(|start| block_key(path, start));
+            self.bank.remove_keys(keys.collect()).await;
+        }
+        stored.await;
+        self.stat_pushes.inc();
+        if self.fenced(path, gen) {
+            self.bank.delete(&stat_key(path)).await;
+        }
+        self.revoke_leases(path).await;
     }
 
     /// Bank-wide purge: every path SMCache has ever touched gets its
@@ -1585,16 +1622,12 @@ impl Translator for SmCache {
                     let reply = Rc::clone(&self.child)
                         .handle(Fop::Create { path: path.clone() })
                         .await;
-                    if matches!(reply, FopReply::Create(Ok(()))) {
+                    if let FopReply::Create(Ok(st)) = &reply {
                         // Negative revalidation: the path may hold an
                         // ENOENT marker in the bank and negative leases on
-                        // clients. Purging *after* the create exists on
-                        // disk (and before the creator's ack) bumps the
-                        // generation — fencing off any in-flight negative
-                        // push — revokes the leases, and deletes the
-                        // marker, so no client can see ENOENT for a file
-                        // whose create completed.
-                        self.purge(&path).await;
+                        // clients; the new file's stat replaces both
+                        // before the creator's ack.
+                        self.store_created(&path, *st).await;
                     }
                     reply
                 }
@@ -2098,7 +2131,8 @@ mod tests {
                 Some(NEG_MARKER),
                 "negative entry missing"
             );
-            // The create revalidates: marker gone before the ack.
+            // The create revalidates: its stat replaces the marker
+            // before the ack.
             let r = drive(
                 &sm,
                 Fop::Create {
@@ -2106,12 +2140,16 @@ mod tests {
                 },
             )
             .await;
-            assert_eq!(r, FopReply::Create(Ok(())));
-            assert!(
-                bank.get(&stat_key("/ghost")).await.is_none(),
-                "create left the ENOENT marker behind"
+            let FopReply::Create(Ok(made)) = r else {
+                panic!("create failed: {r:?}")
+            };
+            let held = bank.get(&stat_key("/ghost")).await;
+            assert_eq!(
+                held.as_deref().and_then(FileStat::from_bytes),
+                Some(made),
+                "create left the ENOENT marker behind, or nothing"
             );
-            // And the path now stats clean.
+            // And the path now stats clean, as the create stored it.
             let r = drive(
                 &sm,
                 Fop::Stat {
@@ -2119,12 +2157,13 @@ mod tests {
                 },
             )
             .await;
-            assert!(matches!(r, FopReply::Stat(Ok(_))));
+            assert_eq!(r, FopReply::Stat(Ok(made)));
+            drain(&sm).await;
         });
         assert_eq!(
-            counters(&*rig.sm, ["purges"]),
-            [1],
-            "create must purge exactly once"
+            counters(&*rig.sm, ["purges", "stat_pushes", "stale_updates_dropped"]),
+            [0, 2, 0],
+            "the create stores its stat, and purges nothing"
         );
     }
 
@@ -2245,9 +2284,10 @@ mod tests {
             assert_eq!(FileStat::from_bytes(&held), Some(stats[1].unwrap()));
             drain(&sm).await;
         });
+        // The create's store, then the batch's push of /f.
         assert_eq!(
             counters(&*rig.sm, ["stat_pushes", "negative_pushes"]),
-            [1, 1]
+            [2, 1]
         );
     }
 
@@ -3129,7 +3169,7 @@ mod tests {
                             }))
                         }
                     }
-                    Fop::Create { .. } => FopReply::Create(Ok(())),
+                    Fop::Create { .. } => FopReply::Create(Ok(FileStat::default())),
                     Fop::Open { .. } => FopReply::Open(Ok(FileStat {
                         size: self.size.get(),
                         mtime_ns: 1,
@@ -3208,7 +3248,7 @@ mod tests {
         let rig = setup(&sim, false, true);
         let sm = Rc::clone(&rig.sm);
         sim.run_main(async move {
-            assert_eq!(
+            assert!(matches!(
                 drive(
                     &sm,
                     Fop::Create {
@@ -3216,9 +3256,12 @@ mod tests {
                     }
                 )
                 .await,
-                FopReply::Create(Ok(()))
-            );
+                FopReply::Create(Ok(_))
+            ));
         });
-        assert_eq!(counters(&*rig.sm, ["blocks_pushed", "purges"]), [0, 0]);
+        assert_eq!(
+            counters(&*rig.sm, ["blocks_pushed", "stat_pushes", "purges"]),
+            [0, 0, 0]
+        );
     }
 }

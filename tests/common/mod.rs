@@ -443,9 +443,9 @@ pub fn canonical() -> Vec<Op> {
     use Op::*;
     let mut ops = vec![
         // On a healthy bank: a stat of an absent file plants its negative
-        // entry, the create purges it, and the stat after must find the
-        // file, with no open in between to seed its stat entry. Then the
-        // file goes again, for the program below.
+        // entry, the create replaces it with the file's stat, and the
+        // stat after must find the file, with no open in between to seed
+        // its stat entry. Then the file goes again, for the program below.
         Stat(3),
         Toggle(3),
         Stat(3),

@@ -6,7 +6,9 @@
 
 use std::rc::Rc;
 
-use imca_repro::imca::{keys, Cluster, ClusterConfig, ImcaConfig, Replication, RetryPolicy};
+use imca_repro::imca::{
+    keys, Cluster, ClusterConfig, ImcaConfig, MetaConfig, Replication, RetryPolicy,
+};
 use imca_repro::memcached::{McConfig, Selector};
 use imca_repro::sim::{join_all, Sim, SimDuration};
 
@@ -403,4 +405,102 @@ fn a_write_beside_a_read_fill_waits_for_its_verdicts() {
         want[..2048].fill(2);
         assert_eq!(reader.read(rfd, 0, want.len() as u64).await.unwrap(), want);
     });
+}
+
+/// What the first client does to `/g` while a second client, holding a
+/// lease on it, stats it.
+#[derive(Clone, Copy, Debug)]
+enum Change {
+    /// `/g` is absent; the second client holds a negative lease.
+    Create,
+    /// `/g` holds 100 bytes; the write makes it 200.
+    Write,
+    /// `/g` exists; the unlink removes it.
+    Unlink,
+}
+
+/// One lag of the lease-window sweep: the second client stats `/g`
+/// `lag_us` after the first client's `change` begins, and once more
+/// after both are done. Whether either stat answered what `/g` was
+/// before the change, at or after the change had returned.
+fn stale_after_return(change: Change, lag_us: u64) -> bool {
+    let mut sim = Sim::new(1);
+    let cluster = Rc::new(Cluster::build(
+        sim.handle(),
+        ClusterConfig::imca(ImcaConfig {
+            mcd_count: 2,
+            mcd_config: McConfig::with_mem_limit(32 << 20),
+            meta: MetaConfig::lease(),
+            ..ImcaConfig::default()
+        }),
+    ));
+    let c = Rc::clone(&cluster);
+    sim.run_main(async move {
+        let first = c.mount();
+        let (_, second) = c.mount_with_meta();
+        let second = second.expect("imca mount has a cmcache");
+        let fd = match change {
+            Change::Create => None,
+            Change::Write | Change::Unlink => {
+                first.create("/g").await.unwrap();
+                let fd = first.open("/g").await.unwrap();
+                first.write(fd, 0, &[1u8; 100]).await.unwrap();
+                Some(fd)
+            }
+        };
+        drained(&c).await;
+        // The second client's lease on what `/g` is before the change.
+        let before = second.stat("/g".into()).await.stat;
+        let h = c.handle().clone();
+        let (tx, racing) = imca_repro::sim::sync::oneshot();
+        let (s, hs) = (Rc::clone(&second), h.clone());
+        h.spawn(async move {
+            hs.sleep(SimDuration::micros(lag_us)).await;
+            let r = s.stat("/g".into()).await;
+            tx.send((r.stat, hs.now()));
+        });
+        match change {
+            Change::Create => first.create("/g").await.unwrap(),
+            Change::Write => {
+                let fd = fd.expect("opened above");
+                first.write(fd, 0, &[2u8; 200]).await.unwrap();
+            }
+            Change::Unlink => first.unlink("/g").await.unwrap(),
+        }
+        let returned = h.now();
+        let (answer, at) = racing.await.unwrap();
+        let after = second.stat("/g".into()).await.stat;
+        (answer == before && at >= returned) || after == before
+    })
+}
+
+/// The second client's stat, `0..400` µs into the change, one lag per
+/// µs: the lags at which it saw the old `/g` after the change returned.
+fn lease_window(change: Change) -> Vec<u64> {
+    (0..400)
+        .filter(|&lag| stale_after_return(change, lag))
+        .collect()
+}
+
+/// A create revokes leases only once its stat has landed, so no lookup
+/// installs a negative lease nothing revokes: no stat answers ENOENT
+/// once the create has returned, whenever it was issued. Revoking
+/// before the bank's entry changes leaves a window of lags (80-100 µs
+/// here) in which a lookup reads the marker after the revocation and
+/// leases it past the create's reply.
+#[test]
+fn no_stat_answers_enoent_once_a_create_returned() {
+    assert_eq!(lease_window(Change::Create), Vec::<u64>::new());
+}
+
+#[test]
+#[ignore = "write window open: ROADMAP 3(a)"]
+fn no_stat_answers_the_old_size_once_a_write_returned() {
+    assert_eq!(lease_window(Change::Write), Vec::<u64>::new());
+}
+
+#[test]
+#[ignore = "unlink window open: ROADMAP 3(a)"]
+fn no_stat_answers_a_file_once_its_unlink_returned() {
+    assert_eq!(lease_window(Change::Unlink), Vec::<u64>::new());
 }

@@ -18,7 +18,7 @@ use imca_repro::sim::{Scheduler, Sim};
 
 /// The one op strategy, drawing one step of a program: a single op, or
 /// a `Stat(f), Toggle(f), Stat(f)` triple. The triple is what reaches a
-/// negative entry the create's purge must take out (a stat of an absent
+/// negative entry the create's stat must replace (a stat of an absent
 /// path plants an ENOENT marker under `:m.stat`, the toggle creates it,
 /// the second stat must see the file); single ops almost never line up
 /// that way.
